@@ -307,8 +307,9 @@ func NewParallelExecutor(workers int) Executor { return core.NewParallelExecutor
 
 // NewBatchedExecutor returns the batched in-process engine: every interval
 // it gathers all RA observations and runs one wide forward pass per policy
-// group (workers shard the matmul), with results bit-identical to the
-// serial engine for any worker count.
+// group, then steps the RAs (workers shard both the matmul and the
+// stepping), with results bit-identical to the serial engine for any worker
+// count.
 func NewBatchedExecutor(workers int) Executor { return core.NewBatchedExecutor(workers) }
 
 // NewRemoteExecutor returns the distributed engine: the step phase runs in

@@ -83,6 +83,16 @@ func (c *Coordinator) CoordInfo(ra int) []float64 {
 	return out
 }
 
+// ColumnInto copies RA ra's column of Z and of Y (one value per slice) into
+// z and y — what the coordinator sends that RA each period, without the
+// grid copies of Z and Y.
+func (c *Coordinator) ColumnInto(ra int, z, y []float64) {
+	for i := range c.z {
+		z[i] = c.z[i][ra]
+		y[i] = c.y[i][ra]
+	}
+}
+
 // Z returns a copy of the auxiliary variables.
 func (c *Coordinator) Z() [][]float64 { return copyGrid(c.z) }
 
@@ -109,13 +119,14 @@ func (c *Coordinator) Update(perf [][]float64) error {
 		copy(c.prevZ[i], c.z[i])
 	}
 	// z-update: per slice i, project (perf_i + y_i) onto Σ_j z_ij ≥ Umin_i.
+	// The point is built in z's own row (prevZ already holds the old value)
+	// and projected in place, so the update allocates nothing.
 	for i := 0; i < c.cfg.NumSlices; i++ {
-		ci := make([]float64, c.cfg.NumRAs)
-		for j := range ci {
-			ci[j] = perf[i][j] + c.y[i][j]
+		zi := c.z[i]
+		for j := range zi {
+			zi[j] = perf[i][j] + c.y[i][j]
 		}
-		zi := qp.ProjectHalfspaceSumGE(ci, c.cfg.UminPerSlice[i])
-		copy(c.z[i], zi)
+		qp.ProjectHalfspaceSumGEInto(zi, zi, c.cfg.UminPerSlice[i])
 	}
 	// y-update (Eq. 10): y ← y + (perf − z).
 	var primal, dual float64

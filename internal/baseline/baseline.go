@@ -12,30 +12,49 @@ import "fmt"
 // returned action vector has the netsim layout (slice-major, one share per
 // resource) with x_i = l_i/Σl for every resource domain.
 func TARO(queueLens []int, numResources int) ([]float64, error) {
-	if len(queueLens) == 0 {
-		return nil, fmt.Errorf("baseline: no queues")
-	}
 	if numResources <= 0 {
 		return nil, fmt.Errorf("baseline: numResources %d must be positive", numResources)
 	}
+	out := make([]float64, len(queueLens)*numResources)
+	if err := TAROInto(out, queueLens); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// TAROInto is TARO writing into dst, whose length — a positive multiple of
+// len(queueLens) — fixes the number of resource domains.
+//
+//edgeslice:noalloc
+func TAROInto(dst []float64, queueLens []int) error {
+	n := len(queueLens)
+	if n == 0 {
+		//edgeslice:allocok cold error path
+		return fmt.Errorf("baseline: no queues")
+	}
+	if len(dst) == 0 || len(dst)%n != 0 {
+		//edgeslice:allocok cold error path
+		return fmt.Errorf("baseline: action length %d is not a positive multiple of %d queues", len(dst), n)
+	}
+	numResources := len(dst) / n
 	var total int
 	for _, l := range queueLens {
 		if l < 0 {
-			return nil, fmt.Errorf("baseline: negative queue length %d", l)
+			//edgeslice:allocok cold error path
+			return fmt.Errorf("baseline: negative queue length %d", l)
 		}
 		total += l
 	}
-	out := make([]float64, len(queueLens)*numResources)
 	for i, l := range queueLens {
-		share := 1 / float64(len(queueLens)) // idle system: equal split
+		share := 1 / float64(n) // idle system: equal split
 		if total > 0 {
 			share = float64(l) / float64(total)
 		}
 		for k := 0; k < numResources; k++ {
-			out[i*numResources+k] = share
+			dst[i*numResources+k] = share
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // EqualShare splits every resource evenly across slices, a static
@@ -45,8 +64,16 @@ func EqualShare(numSlices, numResources int) ([]float64, error) {
 		return nil, fmt.Errorf("baseline: invalid dims %d/%d", numSlices, numResources)
 	}
 	out := make([]float64, numSlices*numResources)
-	for i := range out {
-		out[i] = 1 / float64(numSlices)
-	}
+	EqualShareInto(out, numSlices)
 	return out, nil
+}
+
+// EqualShareInto is EqualShare writing into dst (every entry becomes
+// 1/numSlices).
+//
+//edgeslice:noalloc
+func EqualShareInto(dst []float64, numSlices int) {
+	for i := range dst {
+		dst[i] = 1 / float64(numSlices)
+	}
 }

@@ -24,13 +24,17 @@ import (
 //
 // The implementations differ only in where and how phase 2 executes:
 // Serial steps RAs in-process one after another (the historical
-// RunPeriods behavior), Parallel steps all RAs concurrently on a
-// persistent worker pool, and Remote steps them in separate agent
-// processes over the RC network interface. Serial and Parallel are
-// bit-identical for any worker count; Remote is identical to Serial when
-// the remote agents run the same environments and policies.
+// RunPeriods behavior), Parallel gives each RA's whole period to a worker
+// of a persistent pool, Batched runs one wide forward per policy group per
+// interval and steps the RAs in chunks shared among its workers, and Remote
+// steps them in separate agent processes over the RC network interface. Every
+// engine steps into the System's period workspace and records through the
+// same fixed (interval, RA, slice) merge, so Serial, Parallel and Batched
+// are bit-identical for any worker count; Remote is identical to Serial
+// when the remote agents run the same environments and policies.
 type Executor interface {
-	// Name reports the engine spelling ("serial", "parallel", "remote").
+	// Name reports the engine spelling ("serial", "parallel", "batched",
+	// "remote").
 	Name() string
 	// RunPeriods executes Algorithm 1 for n periods on s, returning the
 	// recorded history. Implementations document their error contract;
@@ -51,7 +55,8 @@ const (
 
 // NewExecutor resolves an in-process engine spelling: "serial" (or empty),
 // "parallel" (workers ≤ 0 defaults to GOMAXPROCS), and "batched" (one wide
-// forward pass per policy group per interval; workers shard the matmul).
+// forward pass per policy group per interval; workers shard the matmul and
+// the environment stepping).
 // The remote engine needs a live hub and timeout; construct it with
 // NewRemoteExecutor.
 func NewExecutor(engine string, workers int) (Executor, error) {
@@ -81,43 +86,48 @@ func (s *System) checkRunnable(n int) error {
 	return nil
 }
 
-// distribute pushes the coordinator's (Z, Y) columns into every RA
+// distribute pushes the coordinator's (Z, Y) columns into the given RAs
 // (phase 1 of Alg. 1: agents act under the coordinating information for
 // all intervals in T).
-func (s *System) distribute() error {
-	I := s.cfg.EnvTemplate.NumSlices
-	zGrid := s.coord.Z()
-	yGrid := s.coord.Y()
-	for j := 0; j < s.cfg.NumRAs; j++ {
-		zCol := make([]float64, I)
-		yCol := make([]float64, I)
-		for i := 0; i < I; i++ {
-			zCol[i] = zGrid[i][j]
-			yCol[i] = yGrid[i][j]
-		}
-		if err := s.envs[j].SetCoordination(zCol, yCol); err != nil {
+func (s *System) distribute(ras []int) error {
+	ws := s.workspace()
+	for _, j := range ras {
+		s.coord.ColumnInto(j, ws.col, ws.col2)
+		if err := s.envs[j].SetCoordination(ws.col, ws.col2); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
+// allRAs returns 0 … J−1 (cached; callers must not modify it).
+func (s *System) allRAs() []int {
+	if s.raIdx == nil {
+		s.raIdx = make([]int, s.cfg.NumRAs)
+		for j := range s.raIdx {
+			s.raIdx[j] = j
+		}
+	}
+	return s.raIdx
+}
+
+// collectPerf moves Σ_t U per slice of the given local RAs into the
+// workspace's performance grid, resetting the environments' accumulators.
+func (s *System) collectPerf(ras []int) {
+	ws := s.workspace()
+	for _, j := range ras {
+		s.envs[j].PeriodPerfInto(ws.col)
+		for i, v := range ws.col {
+			ws.perf[i][j] = v
+		}
+	}
+}
+
 // collectAndUpdate gathers Σ_t U per slice per RA from the local
 // environments and finishes the period (phase 3).
 func (s *System) collectAndUpdate(h *History) error {
-	I := s.cfg.EnvTemplate.NumSlices
-	J := s.cfg.NumRAs
-	perf := make([][]float64, I)
-	for i := range perf {
-		perf[i] = make([]float64, J)
-	}
-	for j := 0; j < J; j++ {
-		pp := s.envs[j].PeriodPerf()
-		for i := 0; i < I; i++ {
-			perf[i][j] = pp[i]
-		}
-	}
-	return s.finishPeriod(h, perf)
+	s.collectPerf(s.allRAs())
+	return s.finishPeriod(h, s.workspace().perf)
 }
 
 // finishPeriod runs the ADMM update on the collected performance grid and
@@ -136,63 +146,61 @@ func (s *System) finishPeriod(h *History, perf [][]float64) error {
 	return s.commitPeriod(h, perf, sla, primal, dual)
 }
 
-// divideUsage turns per-interval usage sums into per-RA means: the shares
-// of the J RAs are summed first and divided once, so the recorded value
-// carries a single rounding instead of J (and the division order cannot
-// depend on how the summands were produced).
-func divideUsage(usage [][]float64, J int) {
-	for i := range usage {
-		for k := range usage[i] {
-			usage[i][k] /= float64(J)
+// mergeInterval folds every RA's result for one interval into the history
+// and the monitor in fixed (RA, slice) order — the one summation and
+// recording order every engine shares — so merged results are bit-identical
+// regardless of who stepped the RAs, on how many workers, or in what order
+// reports arrived. It runs on the driver goroutine only.
+func (s *System) mergeInterval(h *History, interval int, res []netsim.StepResult) error {
+	ws := s.workspace()
+	ids, err := s.monitorIDs()
+	if err != nil {
+		return err
+	}
+	var sysPerf, violation float64
+	for i := range ws.slicePerf {
+		ws.slicePerf[i] = 0
+		for k := range ws.usage[i] {
+			ws.usage[i][k] = 0
 		}
 	}
-}
-
-// raInterval is one RA's recorded outcome for a single interval — the
-// executor-independent unit the merge phase consumes. Parallel workers
-// fill per-RA slices of these concurrently; the remote executor decodes
-// them from agent reports.
-type raInterval struct {
-	perf      []float64                      // U_i per slice
-	queues    []int                          // post-interval queue lengths
-	eff       [][netsim.NumResources]float64 // effective allocation per slice
-	violation float64
-}
-
-// mergeIntervals folds per-RA interval records into the history and the
-// monitor in deterministic (interval, RA, slice) order — the same
-// summation and recording order as the serial executor — so merged results
-// are bit-identical regardless of worker count or report arrival order.
-func (s *System) mergeIntervals(h *History, base int, recs [][]raInterval) error {
-	I := h.NumSlices
-	J := len(recs)
-	for t := 0; t < h.T; t++ {
-		interval := base + t
-		var sysPerf, violation float64
-		slicePerf := make([]float64, I)
-		usage := make([][]float64, I)
-		for i := range usage {
-			usage[i] = make([]float64, netsim.NumResources)
-		}
-		for j := 0; j < J; j++ {
-			rec := recs[j][t]
-			violation += rec.violation
-			for i := 0; i < I; i++ {
-				sysPerf += rec.perf[i]
-				slicePerf[i] += rec.perf[i]
-				for k := 0; k < netsim.NumResources; k++ {
-					usage[i][k] += rec.eff[i][k]
-				}
-				s.recordMon(s.monMetricName(monPerf, j, i), interval, rec.perf[i])
-				s.recordMon(s.monMetricName(monQueue, j, i), interval, float64(rec.queues[i]))
-			}
-		}
-		divideUsage(usage, J)
-		if err := s.commitInterval(h, sysPerf, slicePerf, usage, violation); err != nil {
-			return err
+	for j := range res {
+		sysPerf = mergeRA(ws, ws.samples[j*ws.I*numMonKinds:], &res[j], sysPerf)
+		violation += res[j].Violation
+	}
+	// One monitor call per interval: the samples of all RAs go in under a
+	// single lock, counting rejected writes (out-of-order or duplicate
+	// intervals) instead of silently dropping them.
+	if n := s.mon.RecordIDs(ids, interval, ws.samples); n > 0 {
+		s.stats.monDropped.Add(uint64(n))
+	}
+	// The shares of the J RAs are summed first and divided once, so the
+	// recorded value carries a single rounding instead of J.
+	for i := range ws.usage {
+		for k := range ws.usage[i] {
+			ws.usage[i][k] /= float64(len(res))
 		}
 	}
-	return nil
+	return s.commitInterval(h, sysPerf, ws.slicePerf, ws.usage, violation)
+}
+
+// mergeRA adds one RA's interval result to the workspace's per-slice sums
+// and to the running system sum sysPerf (returned; one accumulator across
+// all RAs, as the serial loop always summed), and stages its monitor samples
+// (slice-major, perf then queue — the order of monitorIDs) in samples.
+//
+//edgeslice:noalloc
+func mergeRA(ws *periodWS, samples []float64, res *netsim.StepResult, sysPerf float64) float64 {
+	for i := range ws.slicePerf {
+		sysPerf += res.Perf[i]
+		ws.slicePerf[i] += res.Perf[i]
+		for k := 0; k < netsim.NumResources; k++ {
+			ws.usage[i][k] += res.Effective[i][k]
+		}
+		samples[i*numMonKinds+monPerf] = res.Perf[i]
+		samples[i*numMonKinds+monQueue] = float64(res.QueueLens[i])
+	}
+	return sysPerf
 }
 
 // serialExecutor is the historical in-process engine: every interval, RAs
@@ -214,52 +222,28 @@ func (serialExecutor) RunPeriods(s *System, n int) (*History, error) {
 	if err := s.checkRunnable(n); err != nil {
 		return nil, err
 	}
-	I := s.cfg.EnvTemplate.NumSlices
-	J := s.cfg.NumRAs
 	T := s.cfg.EnvTemplate.T
 	h := s.newRunHistory()
+	ws := s.workspace()
+	res := ws.results(1)[0]
 
 	for p := 0; p < n; p++ {
-		if err := s.distribute(); err != nil {
+		if err := s.distribute(s.allRAs()); err != nil {
 			return nil, err
 		}
-
 		// Run T intervals in each RA (decentralized x-update).
 		for t := 0; t < T; t++ {
 			interval := s.intervalsRun
 			s.intervalsRun++
-			var sysPerf float64
-			slicePerf := make([]float64, I)
-			usage := make([][]float64, I)
-			for i := range usage {
-				usage[i] = make([]float64, netsim.NumResources)
-			}
-			var violation float64
-			for j := 0; j < J; j++ {
-				act, err := s.action(j)
-				if err != nil {
+			for j := range res {
+				if err := s.stepInto(ws, j, interval, nil, &res[j]); err != nil {
 					return nil, err
 				}
-				res, err := s.envs[j].StepInterval(act)
-				if err != nil {
-					return nil, fmt.Errorf("core: RA %d interval %d: %w", j, interval, err)
-				}
-				violation += res.Violation
-				for i := 0; i < I; i++ {
-					sysPerf += res.Perf[i]
-					slicePerf[i] += res.Perf[i]
-					for k := 0; k < netsim.NumResources; k++ {
-						usage[i][k] += res.Effective[i][k]
-					}
-					s.recordInterval(j, i, interval, res)
-				}
 			}
-			divideUsage(usage, J)
-			if err := s.commitInterval(h, sysPerf, slicePerf, usage, violation); err != nil {
+			if err := s.mergeInterval(h, interval, res); err != nil {
 				return nil, err
 			}
 		}
-
 		if err := s.collectAndUpdate(h); err != nil {
 			return nil, err
 		}
@@ -387,11 +371,11 @@ func (e *ParallelExecutor) RunPeriods(s *System, n int) (*History, error) {
 	T := s.cfg.EnvTemplate.T
 	h := s.newRunHistory()
 	acts := e.actionFns(s)
-	recs := make([][]raInterval, J)
+	res := s.workspace().results(T) // [interval][RA]: worker j fills column j
 	errs := make([]error, J)
 
 	for p := 0; p < n; p++ {
-		if err := s.distribute(); err != nil {
+		if err := s.distribute(s.allRAs()); err != nil {
 			return nil, err
 		}
 		base := s.intervalsRun
@@ -401,7 +385,7 @@ func (e *ParallelExecutor) RunPeriods(s *System, n int) (*History, error) {
 			wg.Add(1)
 			jobs <- func() {
 				defer wg.Done()
-				recs[j], errs[j] = stepRA(s.envs[j], T, base, j, acts[j])
+				errs[j] = stepRA(s.envs[j], res, base, j, acts[j])
 				e.steps.Add(1)
 			}
 		}
@@ -412,8 +396,10 @@ func (e *ParallelExecutor) RunPeriods(s *System, n int) (*History, error) {
 				return nil, errs[j]
 			}
 		}
-		if err := s.mergeIntervals(h, base, recs); err != nil {
-			return nil, err
+		for t := range res {
+			if err := s.mergeInterval(h, base+t, res[t]); err != nil {
+				return nil, err
+			}
 		}
 		if err := s.collectAndUpdate(h); err != nil {
 			return nil, err
@@ -433,33 +419,25 @@ func (e *ParallelExecutor) actionFns(s *System) []func() ([]float64, error) {
 	return e.cacheActs
 }
 
-// stepRA advances one RA through the period's T intervals (the worker-side
-// body of phase 2), buffering the per-interval records for the merge.
-func stepRA(env *netsim.RAEnv, T, base, ra int, act func() ([]float64, error)) ([]raInterval, error) {
-	recs := make([]raInterval, T)
-	for t := 0; t < T; t++ {
+// stepRA advances one RA through the period's intervals (the worker-side
+// body of phase 2) into column ra of res, one row per interval.
+func stepRA(env *netsim.RAEnv, res [][]netsim.StepResult, base, ra int, act func() ([]float64, error)) error {
+	for t := range res {
 		a, err := act()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		res, err := env.StepInterval(a)
-		if err != nil {
-			return nil, fmt.Errorf("core: RA %d interval %d: %w", ra, base+t, err)
-		}
-		recs[t] = raInterval{
-			perf:      res.Perf,
-			queues:    res.QueueLens,
-			eff:       res.Effective,
-			violation: res.Violation,
+		if err := env.StepInto(a, &res[t][ra]); err != nil {
+			return fmt.Errorf("core: RA %d interval %d: %w", ra, base+t, err)
 		}
 	}
-	return recs, nil
+	return nil
 }
 
 // concurrentActionFns returns one action closure per RA, safe to call from
 // concurrent per-RA workers. Baseline policies read only their own RA's
-// environment. Learning agents are wrapped for race-free inference:
-// batch-capable agents (every built-in trainer, pooled and locked loaded
+// environment and write only its workspace rows. Learning agents are wrapped
+// for race-free inference: batch-capable agents (every built-in trainer, pooled and locked loaded
 // policies) run a lock-free single-row ActBatch out of a per-RA workspace —
 // weights are only read, scratch is private — so no clone pool and no
 // serialization is needed, and rows are bit-identical to Act. Agents
@@ -472,9 +450,10 @@ func (s *System) concurrentActionFns() []func() ([]float64, error) {
 	J := s.cfg.NumRAs
 	out := make([]func() ([]float64, error), J)
 	if !s.cfg.Algo.IsLearning() {
+		ws := s.workspace()
 		for j := 0; j < J; j++ {
 			j := j
-			out[j] = func() ([]float64, error) { return s.action(j) }
+			out[j] = func() ([]float64, error) { return s.actionInto(ws, j) }
 		}
 		return out
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"reflect"
 	"runtime"
 	"sync"
@@ -31,16 +30,20 @@ import (
 //   - row i of a wide forward is bit-identical to the scalar Act on state i
 //     (see nn.MatMulNTInto: batching and worker sharding never reorder or
 //     split an output element's dot product);
-//   - environments then step in RA order with the serial engine's inline
-//     recording, so History, monitor series, and residuals merge in the
-//     same fixed (interval, RA, slice) order.
+//   - an RA's step reads and writes only its own environment and its own
+//     slots of the period workspace, so which worker steps it cannot change
+//     its result, and the merge that follows runs single-threaded in the
+//     serial engine's fixed (interval, RA, slice) order — History, monitor
+//     series, and residuals come out the same.
 //
-// Workers shard the wide matmul (each shard forwards a contiguous row block
-// out of its own workspace; weights are only read), which is the engine's
-// only concurrency — stepping and recording stay single-threaded. Mixed
-// systems split into batched groups plus a legacy per-RA fallback: agents
-// without a batched path act through System.action at their RA's position
-// in the step loop, which also needs no locking here.
+// Workers shard both stages of an interval: the wide matmul (each shard
+// forwards a contiguous row block out of its own workspace; weights are
+// only read) and the environment stepping (workers pull chunks of consecutive
+// RAs and step them into the per-RA result buffers, computing baseline
+// actions themselves).
+// Mixed systems split into batched groups plus a per-RA fallback: learning
+// agents without a batched path act on the driver goroutine, one after
+// another, because nothing says their Act is safe to call concurrently.
 //
 // A BatchedExecutor drives one run at a time, like ParallelExecutor.
 type BatchedExecutor struct {
@@ -62,8 +65,8 @@ type BatchedExecutor struct {
 }
 
 // NewBatchedExecutor returns a batched engine; workers ≤ 0 defaults to
-// GOMAXPROCS. Workers only shard the wide forward passes — results are
-// identical for any worker count.
+// GOMAXPROCS. Workers shard the wide forward passes and the environment
+// stepping — results are identical for any worker count.
 func NewBatchedExecutor(workers int) *BatchedExecutor {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -74,11 +77,11 @@ func NewBatchedExecutor(workers int) *BatchedExecutor {
 // Name implements Executor.
 func (e *BatchedExecutor) Name() string { return EngineBatched }
 
-// Workers returns the matmul shard count.
+// Workers returns the shard count bound of the forward and step stages.
 func (e *BatchedExecutor) Workers() int { return e.workers }
 
 // Close implements Executor; the batched engine holds no persistent
-// resources (shard goroutines are per-forward).
+// resources (shard goroutines live for one forward or one step stage).
 func (e *BatchedExecutor) Close() error { return nil }
 
 // EnableTelemetry exports the engine's batching gauges through a telemetry
@@ -93,8 +96,26 @@ func (e *BatchedExecutor) EnableTelemetry(reg *telemetry.Registry) {
 }
 
 // minShardRows is the smallest row block worth a shard goroutine: below
-// this the spawn/synchronization overhead exceeds the matmul itself.
+// this the spawn/synchronization overhead exceeds the matmul (or the
+// environment steps) of the block.
 const minShardRows = 64
+
+// shardBounds splits n rows into contiguous equal blocks (the last may be
+// short), one per shard: a single block unless there are at least
+// 2*minShardRows rows and more than one worker, never more than workers
+// blocks nor blocks shorter than minShardRows. Block s is [lo[s], lo[s+1]).
+func shardBounds(n, workers int) (lo []int) {
+	shards := 1
+	if workers > 1 && n >= 2*minShardRows {
+		shards = min(n/minShardRows, workers)
+	}
+	cs := (n + shards - 1) / shards
+	lo = make([]int, shards+1)
+	for si := range lo {
+		lo[si] = min(si*cs, n)
+	}
+	return lo
+}
 
 // batchGroup is one distinct policy's slice of the system: the RAs it
 // serves, their gather matrix, and the per-shard workspaces and result
@@ -127,10 +148,21 @@ func (g *batchGroup) actRow(r int) []float64 {
 // generation): which RAs batch under which policy group and which fall back
 // to per-RA actions.
 type batchPlan struct {
-	groups   []*batchGroup
-	groupOf  []*batchGroup // RA j → its group, nil for fallback RAs
-	rowOf    []int         // RA j → row within its group's gather matrix
-	fallback int           // number of fallback RAs (diagnostics)
+	groups  []*batchGroup
+	groupOf []*batchGroup // RA j → its group, nil for fallback RAs
+	rowOf   []int         // RA j → row within its group's gather matrix
+
+	// The step stage: ras are the RAs the plan covers (ascending), stepped in
+	// chunks of minShardRows consecutive entries that stepWorkers goroutines
+	// (the shardBounds rule) pull off the counter next — a worker the host
+	// deschedules mid-stage then costs one chunk, not its whole static share.
+	// onDriver RAs (learning agents without a batched path) are stepped by the
+	// driver goroutine itself. stepErr[c] is chunk c's first error.
+	ras         []int
+	stepWorkers int
+	next        atomic.Int64
+	onDriver    []int
+	stepErr     []error
 }
 
 // batchKey groups RAs by policy instance and observation width — two RAs
@@ -157,30 +189,27 @@ func (e *BatchedExecutor) planFor(s *System) *batchPlan {
 // baselines, unknown agents, agents whose type cannot be a map key — takes
 // the per-RA fallback.
 func (s *System) newBatchPlan(workers int) *batchPlan {
-	all := make([]int, s.cfg.NumRAs)
-	for j := range all {
-		all[j] = j
-	}
-	return s.newBatchPlanFor(all, workers)
+	return s.newBatchPlanFor(s.allRAs(), workers)
 }
 
 // newBatchPlanFor builds a batch plan covering only the given RAs
 // (ascending) — the remote engine uses it to drive its in-process subset
 // through the same grouped wide forwards the batched engine runs over the
 // full system. groupOf/rowOf stay indexed by global RA id; RAs outside the
-// set have no group and are not counted as fallback.
+// set have no group and are never stepped.
 func (s *System) newBatchPlanFor(ras []int, workers int) *batchPlan {
 	J := s.cfg.NumRAs
-	p := &batchPlan{groupOf: make([]*batchGroup, J), rowOf: make([]int, J)}
+	p := &batchPlan{groupOf: make([]*batchGroup, J), rowOf: make([]int, J), ras: ras}
+	p.stepWorkers = len(shardBounds(len(ras), workers)) - 1
+	p.stepErr = make([]error, (len(ras)+minShardRows-1)/minShardRows)
 	if !s.cfg.Algo.IsLearning() {
-		p.fallback = len(ras)
 		return p
 	}
 	byKey := make(map[batchKey]*batchGroup, 1)
 	for _, j := range ras {
 		ba := rl.AsBatchActor(s.agents[j])
 		if ba == nil || !reflect.TypeOf(ba).Comparable() {
-			p.fallback++
+			p.onDriver = append(p.onDriver, j)
 			continue
 		}
 		key := batchKey{actor: ba, dim: s.envs[j].StateDim()}
@@ -197,31 +226,75 @@ func (s *System) newBatchPlanFor(ras []int, workers int) *batchPlan {
 	for _, g := range p.groups {
 		dim := s.envs[g.ras[0]].StateDim()
 		g.states = nn.NewMatrix(len(g.ras), dim)
-		shards := 1
-		if workers > 1 && len(g.ras) >= 2*minShardRows {
-			shards = len(g.ras) / minShardRows
-			if shards > workers {
-				shards = workers
-			}
-		}
-		cs := (len(g.ras) + shards - 1) / shards
+		g.lo = shardBounds(len(g.ras), workers)
+		shards := len(g.lo) - 1
 		g.res = make([]*nn.Matrix, shards)
 		g.in = make([]nn.Matrix, shards)
 		g.ws = make([]*nn.Workspace, shards)
-		g.lo = make([]int, shards+1)
 		for si := 0; si < shards; si++ {
-			lo := si * cs
-			hi := lo + cs
-			if hi > len(g.ras) {
-				hi = len(g.ras)
-			}
-			g.lo[si] = lo
+			lo, hi := g.lo[si], g.lo[si+1]
 			g.in[si] = nn.Matrix{Rows: hi - lo, Cols: dim, Data: g.states.Data[lo*dim : hi*dim]}
 			g.ws[si] = new(nn.Workspace)
 		}
-		g.lo[shards] = len(g.ras)
 	}
 	return p
+}
+
+// step advances every RA the plan covers one interval into its slot of res
+// (indexed by RA), after the groups' wide forwards of that interval. Chunks
+// step concurrently — an RA's step touches only its own environment, its
+// own workspace rows and its own result — while onDriver RAs step on the
+// calling goroutine. The error reported is the first of the lowest failing
+// chunk, else the driver's: deterministic for any scheduling.
+func (p *batchPlan) step(s *System, ws *periodWS, interval int, res []netsim.StepResult) error {
+	p.next.Store(0)
+	pull := func() {
+		for c := int(p.next.Add(1)) - 1; c < len(p.stepErr); c = int(p.next.Add(1)) - 1 {
+			chunk := p.ras[c*minShardRows : min((c+1)*minShardRows, len(p.ras))]
+			p.stepErr[c] = p.stepBlock(s, ws, interval, res, chunk)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < p.stepWorkers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			pull()
+		}()
+	}
+	pull()
+	var driverErr error
+	for _, j := range p.onDriver {
+		if driverErr = s.stepInto(ws, j, interval, nil, &res[j]); driverErr != nil {
+			break
+		}
+	}
+	wg.Wait()
+	for _, err := range p.stepErr {
+		if err != nil {
+			return err
+		}
+	}
+	return driverErr
+}
+
+// stepBlock steps one chunk's RAs in ascending order: a grouped RA under its
+// row of the wide forward, a baseline RA under the action it computes here.
+// Learning agents without a group are the driver's (batchPlan.onDriver).
+func (p *batchPlan) stepBlock(s *System, ws *periodWS, interval int, res []netsim.StepResult, ras []int) error {
+	learning := s.cfg.Algo.IsLearning()
+	for _, j := range ras {
+		var act []float64
+		if g := p.groupOf[j]; g != nil {
+			act = g.actRow(p.rowOf[j])
+		} else if learning {
+			continue
+		}
+		if err := s.stepInto(ws, j, interval, act, &res[j]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // forward runs the group's wide pass and updates the engine's telemetry.
@@ -268,15 +341,14 @@ func (e *BatchedExecutor) RunPeriods(s *System, n int) (*History, error) {
 	if err := s.checkRunnable(n); err != nil {
 		return nil, err
 	}
-	I := s.cfg.EnvTemplate.NumSlices
-	J := s.cfg.NumRAs
 	T := s.cfg.EnvTemplate.T
 	h := s.newRunHistory()
 	plan := e.planFor(s)
-	slicePerf := make([]float64, I) // reused; commitInterval copies values
+	ws := s.workspace()
+	res := ws.results(1)[0]
 
 	for p := 0; p < n; p++ {
-		if err := s.distribute(); err != nil {
+		if err := s.distribute(s.allRAs()); err != nil {
 			return nil, err
 		}
 		for t := 0; t < T; t++ {
@@ -288,42 +360,12 @@ func (e *BatchedExecutor) RunPeriods(s *System, n int) (*History, error) {
 			for _, g := range plan.groups {
 				e.forward(s, g)
 			}
-			var sysPerf, violation float64
-			for i := range slicePerf {
-				slicePerf[i] = 0
+			// Scatter: step the RAs in worker blocks into their own result
+			// buffers, then merge on this goroutine in serial's order.
+			if err := plan.step(s, ws, interval, res); err != nil {
+				return nil, err
 			}
-			usage := make([][]float64, I) // retained by exact histories
-			for i := range usage {
-				usage[i] = make([]float64, netsim.NumResources)
-			}
-			// Scatter: step environments in RA order with serial-identical
-			// inline recording.
-			for j := 0; j < J; j++ {
-				var act []float64
-				if g := plan.groupOf[j]; g != nil {
-					act = g.actRow(plan.rowOf[j])
-				} else {
-					var err error
-					if act, err = s.action(j); err != nil {
-						return nil, err
-					}
-				}
-				res, err := s.envs[j].StepInterval(act)
-				if err != nil {
-					return nil, fmt.Errorf("core: RA %d interval %d: %w", j, interval, err)
-				}
-				violation += res.Violation
-				for i := 0; i < I; i++ {
-					sysPerf += res.Perf[i]
-					slicePerf[i] += res.Perf[i]
-					for k := 0; k < netsim.NumResources; k++ {
-						usage[i][k] += res.Effective[i][k]
-					}
-					s.recordInterval(j, i, interval, res)
-				}
-			}
-			divideUsage(usage, J)
-			if err := s.commitInterval(h, sysPerf, slicePerf, usage, violation); err != nil {
+			if err := s.mergeInterval(h, interval, res); err != nil {
 				return nil, err
 			}
 		}

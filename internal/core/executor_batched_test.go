@@ -107,8 +107,8 @@ func TestBatchedMatchesSerial(t *testing.T) {
 }
 
 // TestBatchedBaselineFallsBackToSerial pins the all-fallback path: a
-// non-learning baseline has no policies to batch, so every RA acts through
-// System.action and the run still matches serial exactly.
+// non-learning baseline has no policies to batch, so every RA computes its
+// own action in the step stage and the run still matches serial exactly.
 func TestBatchedBaselineFallsBackToSerial(t *testing.T) {
 	cfg := execTestConfig(AlgoTARO)
 	ref := deployedSystem(t, cfg)

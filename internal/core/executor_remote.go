@@ -113,62 +113,28 @@ func (e *RemoteExecutor) localPlan(s *System) *batchPlan {
 	return e.cachePlan
 }
 
-// stepLocal drives the local RA subset through period p in-process: it
+// stepLocal drives the local RA subset through the period in-process: it
 // installs the coordination columns, runs the batch plan's grouped wide
-// forwards (or the per-RA fallback) for each of the T intervals, and
-// fills the locals' interval records and perf columns — exactly what a
-// remote agent's report would have carried, produced by the same
-// stepRA-shaped loop, so the merged result is bit-identical.
-func (e *RemoteExecutor) stepLocal(s *System, plan *batchPlan, p int, recs [][]raInterval, perf [][]float64) error {
-	I := s.cfg.EnvTemplate.NumSlices
-	T := s.cfg.EnvTemplate.T
-	zGrid, yGrid := s.coord.Z(), s.coord.Y()
-	for _, j := range e.opts.LocalRAs {
-		zCol := make([]float64, I)
-		yCol := make([]float64, I)
-		for i := 0; i < I; i++ {
-			zCol[i] = zGrid[i][j]
-			yCol[i] = yGrid[i][j]
-		}
-		if err := s.envs[j].SetCoordination(zCol, yCol); err != nil {
-			return err
-		}
-		recs[j] = make([]raInterval, T)
+// forwards and sharded step stage for each of the T intervals into the
+// locals' columns of res ([interval][RA]), and moves their Σ_t U into the
+// workspace's perf grid — exactly what a remote agent's report would have
+// carried, so the merged result is bit-identical.
+func (e *RemoteExecutor) stepLocal(s *System, plan *batchPlan, res [][]netsim.StepResult) error {
+	if err := s.distribute(e.opts.LocalRAs); err != nil {
+		return err
 	}
-	for t := 0; t < T; t++ {
+	ws := s.workspace()
+	for t := range res {
 		// Gather and forward every group before any local env steps this
 		// interval, mirroring the batched engine's act/step ordering.
 		for _, g := range plan.groups {
 			g.forward(s)
 		}
-		for _, j := range e.opts.LocalRAs {
-			var act []float64
-			if g := plan.groupOf[j]; g != nil {
-				act = g.actRow(plan.rowOf[j])
-			} else {
-				var err error
-				if act, err = s.action(j); err != nil {
-					return err
-				}
-			}
-			res, err := s.envs[j].StepInterval(act)
-			if err != nil {
-				return fmt.Errorf("core: RA %d period %d: %w", j, p, err)
-			}
-			recs[j][t] = raInterval{
-				perf:      res.Perf,
-				queues:    res.QueueLens,
-				eff:       res.Effective,
-				violation: res.Violation,
-			}
+		if err := plan.step(s, ws, s.intervalsRun+t, res[t]); err != nil {
+			return err
 		}
 	}
-	for _, j := range e.opts.LocalRAs {
-		pp := s.envs[j].PeriodPerf()
-		for i := 0; i < I; i++ {
-			perf[i][j] = pp[i]
-		}
-	}
+	s.collectPerf(e.opts.LocalRAs)
 	return nil
 }
 
@@ -179,8 +145,8 @@ func (e *RemoteExecutor) stepLocal(s *System, plan *batchPlan, p int, recs [][]r
 // and keeps the partial report set, so agents that already stepped the
 // period are never double-stepped (and locals are never re-stepped). On
 // success out[j]/got[j] hold the remote envelopes; the locals' results
-// are already in recs/perf.
-func (e *RemoteExecutor) collectPeriod(s *System, plan *batchPlan, p, J int, recs [][]raInterval, perf [][]float64) ([]rcnet.Envelope, error) {
+// are already in res and the workspace's perf grid.
+func (e *RemoteExecutor) collectPeriod(s *System, plan *batchPlan, p, J int, res [][]netsim.StepResult) ([]rcnet.Envelope, error) {
 	out := make([]rcnet.Envelope, J)
 	got := make([]bool, J)
 	for _, j := range e.opts.LocalRAs {
@@ -202,7 +168,7 @@ func (e *RemoteExecutor) collectPeriod(s *System, plan *batchPlan, p, J int, rec
 		if !stepped {
 			// Step the local subset after the broadcast is on the wire, so
 			// remote agents compute their period concurrently with ours.
-			if err := e.stepLocal(s, plan, p, recs, perf); err != nil {
+			if err := e.stepLocal(s, plan, res); err != nil {
 				return nil, err
 			}
 			stepped = true
@@ -266,42 +232,39 @@ func (e *RemoteExecutor) RunPeriods(s *System, n int) (*History, error) {
 	}
 	h := s.newRunHistory()
 	plan := e.localPlan(s)
+	ws := s.workspace()
+	res := ws.results(T) // [interval][RA]: locals step into it, reports are copied into it
 
 	start := s.coord.Iterations()
 	for k := 0; k < n; k++ {
 		p := start + k
-		recs := make([][]raInterval, J)
-		perf := make([][]float64, I)
-		for i := range perf {
-			perf[i] = make([]float64, J)
-		}
-		reports, err := e.collectPeriod(s, plan, p, J, recs, perf)
+		reports, err := e.collectPeriod(s, plan, p, J, res)
 		if err != nil {
 			return h, err
 		}
 		for j := 0; j < J; j++ {
 			if local[j] {
-				continue // stepped in-process; recs/perf already filled
+				continue // stepped in-process; res and ws.perf already filled
 			}
 			rep := reports[j]
 			if len(rep.Perf) != I {
 				return h, fmt.Errorf("core: RA %d reported %d slices, want %d", j, len(rep.Perf), I)
 			}
 			for i := 0; i < I; i++ {
-				perf[i][j] = rep.Perf[i]
+				ws.perf[i][j] = rep.Perf[i]
 			}
-			rs, err := decodeIntervals(rep, I, T)
-			if err != nil {
+			if err := decodeIntervals(rep, j, I, res); err != nil {
 				return h, fmt.Errorf("core: remote period %d: %w", p, err)
 			}
-			recs[j] = rs
 		}
 		base := s.intervalsRun
 		s.intervalsRun += T
-		if err := s.mergeIntervals(h, base, recs); err != nil {
-			return h, err
+		for t := range res {
+			if err := s.mergeInterval(h, base+t, res[t]); err != nil {
+				return h, err
+			}
 		}
-		if err := s.finishPeriod(h, perf); err != nil {
+		if err := s.finishPeriod(h, ws.perf); err != nil {
 			return h, err
 		}
 		e.hub.FinishPeriod(p)
@@ -310,34 +273,32 @@ func (e *RemoteExecutor) RunPeriods(s *System, n int) (*History, error) {
 }
 
 // decodeIntervals validates one agent report's per-interval records against
-// the run's shape and converts them to the merge representation.
-func decodeIntervals(rep rcnet.Envelope, I, T int) ([]raInterval, error) {
+// the run's shape and copies them into column j of res
+// ([interval][RA]) — the merge reads only workspace-owned storage, never the
+// envelope's slices.
+func decodeIntervals(rep rcnet.Envelope, j, I int, res [][]netsim.StepResult) error {
 	if len(rep.Intervals) == 0 {
-		return nil, fmt.Errorf("core: RA %d report carries no interval records (pre-engine agent build?); upgrade the agent or drive the run with rcnet.RunCoordinator", rep.RA)
+		return fmt.Errorf("core: RA %d report carries no interval records (pre-engine agent build?); upgrade the agent or drive the run with rcnet.RunCoordinator", rep.RA)
 	}
-	if len(rep.Intervals) != T {
-		return nil, fmt.Errorf("core: RA %d reported %d intervals, want %d", rep.RA, len(rep.Intervals), T)
+	if len(rep.Intervals) != len(res) {
+		return fmt.Errorf("core: RA %d reported %d intervals, want %d", rep.RA, len(rep.Intervals), len(res))
 	}
-	recs := make([]raInterval, T)
 	for t, ir := range rep.Intervals {
 		if len(ir.Perf) != I || len(ir.Queues) != I || len(ir.Effective) != I {
-			return nil, fmt.Errorf("core: RA %d interval %d record has %d/%d/%d slices, want %d",
+			return fmt.Errorf("core: RA %d interval %d record has %d/%d/%d slices, want %d",
 				rep.RA, t, len(ir.Perf), len(ir.Queues), len(ir.Effective), I)
 		}
-		eff := make([][netsim.NumResources]float64, I)
+		r := &res[t][j]
 		for i, row := range ir.Effective {
 			if len(row) != netsim.NumResources {
-				return nil, fmt.Errorf("core: RA %d interval %d slice %d has %d resources, want %d",
+				return fmt.Errorf("core: RA %d interval %d slice %d has %d resources, want %d",
 					rep.RA, t, i, len(row), netsim.NumResources)
 			}
-			copy(eff[i][:], row)
+			copy(r.Effective[i][:], row)
 		}
-		recs[t] = raInterval{
-			perf:      ir.Perf,
-			queues:    ir.Queues,
-			eff:       eff,
-			violation: ir.Violation,
-		}
+		copy(r.Perf, ir.Perf)
+		copy(r.QueueLens, ir.Queues)
+		r.Violation = ir.Violation
 	}
-	return recs, nil
+	return nil
 }

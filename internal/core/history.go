@@ -126,7 +126,8 @@ func (h *History) StreamWindow() int {
 	return h.stream.window
 }
 
-// AddInterval appends one interval's aggregates. usage is [slice][resource].
+// AddInterval appends one interval's aggregates. usage is [slice][resource];
+// the history copies it, so the caller may reuse its rows.
 func (h *History) AddInterval(sysPerf float64, slicePerf []float64, usage [][]float64, violation float64) {
 	if st := h.stream; st != nil {
 		st.addInterval(sysPerf, slicePerf, usage, violation)
@@ -136,7 +137,15 @@ func (h *History) AddInterval(sysPerf float64, slicePerf []float64, usage [][]fl
 	for i := range slicePerf {
 		h.SlicePerf[i] = append(h.SlicePerf[i], slicePerf[i])
 	}
-	h.Usage = append(h.Usage, usage)
+	K := 0
+	if len(usage) > 0 {
+		K = len(usage[0])
+	}
+	own := newGrid(len(usage), K)
+	for i := range own {
+		copy(own[i], usage[i])
+	}
+	h.Usage = append(h.Usage, own)
 	h.Violations = append(h.Violations, violation)
 }
 

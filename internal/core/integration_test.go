@@ -41,13 +41,6 @@ func TestEdgeSliceBeatsTARO(t *testing.T) {
 	t.Logf("EdgeSlice %.1f vs TARO %.1f (%.1fx)", edge, taro, taro/min(edge, -1e-9))
 }
 
-func min(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // TestSLAEnforcement checks that a trained system converges to meeting the
 // per-slice SLAs (Fig. 6b: "both network slices meet their minimum
 // performance requirements").

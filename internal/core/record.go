@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"edgeslice/internal/monitor"
-	"edgeslice/internal/netsim"
 	"edgeslice/internal/telemetry"
 )
 
@@ -119,15 +118,6 @@ func (s *System) commitPeriod(h *History, perf [][]float64, sla []bool, primal, 
 	return nil
 }
 
-// recordMon writes one sample into the system monitor, counting rejected
-// writes (out-of-order or duplicate intervals) instead of silently
-// dropping them.
-func (s *System) recordMon(metric string, interval int, v float64) {
-	if err := s.mon.Record(metric, interval, v); err != nil {
-		s.stats.monDropped.Add(1)
-	}
-}
-
 // MonitorDroppedSamples returns the number of monitor writes rejected so
 // far (out-of-order or duplicate interval numbers).
 func (s *System) MonitorDroppedSamples() uint64 { return s.stats.monDropped.Load() }
@@ -217,28 +207,28 @@ const (
 	numMonKinds
 )
 
-// monMetricName returns the cached monitor metric name for (kind, ra,
-// slice), building the cache entry on first use. Single-goroutine use only
-// (the RunPeriods driver), like the rest of the recording funnel.
-func (s *System) monMetricName(kind, ra, slice int) string {
-	I := s.cfg.EnvTemplate.NumSlices
-	if s.monNames == nil {
-		s.monNames = make([]string, s.cfg.NumRAs*I*numMonKinds)
-	}
-	idx := (ra*I+slice)*numMonKinds + kind
-	if s.monNames[idx] == "" {
-		k := "perf"
-		if kind == monQueue {
-			k = "queue"
-		}
-		s.monNames[idx] = monitor.MetricName(k, ra, slice)
-	}
-	return s.monNames[idx]
-}
+var monKindNames = [numMonKinds]string{monPerf: "perf", monQueue: "queue"}
 
-// recordInterval writes one RA/slice interval outcome into the system
-// monitor (the serial and batched executors' per-step hook).
-func (s *System) recordInterval(ra, slice, interval int, res netsim.StepResult) {
-	s.recordMon(s.monMetricName(monPerf, ra, slice), interval, res.Perf[slice])
-	s.recordMon(s.monMetricName(monQueue, ra, slice), interval, float64(res.QueueLens[slice]))
+// monitorIDs returns the monitor series handles of every (ra, slice, kind),
+// indexed (ra·I+slice)·numMonKinds+kind, resolving all names on first use.
+// Single-goroutine use only (the RunPeriods driver), like the rest of the
+// recording funnel.
+func (s *System) monitorIDs() ([]int, error) {
+	if s.monIDs == nil {
+		I := s.cfg.EnvTemplate.NumSlices
+		ids := make([]int, 0, s.cfg.NumRAs*I*numMonKinds)
+		for ra := 0; ra < s.cfg.NumRAs; ra++ {
+			for slice := 0; slice < I; slice++ {
+				for _, kind := range monKindNames {
+					id, err := s.mon.Handle(monitor.MetricName(kind, ra, slice))
+					if err != nil {
+						return nil, err
+					}
+					ids = append(ids, id)
+				}
+			}
+		}
+		s.monIDs = ids
+	}
+	return s.monIDs, nil
 }

@@ -9,7 +9,6 @@ import (
 	"fmt"
 
 	"edgeslice/internal/admm"
-	"edgeslice/internal/baseline"
 	"edgeslice/internal/monitor"
 	"edgeslice/internal/netsim"
 	"edgeslice/internal/nn"
@@ -186,11 +185,13 @@ type System struct {
 	// liveness alongside run progress.
 	liveness func() (live, registered, expected int)
 
-	// monNames caches monitor metric names, indexed (ra·I+slice)·2+kind —
-	// formatting them per sample is four Sprintfs per RA-interval, which is
-	// measurable at hundreds of RAs. Built lazily by monMetricName; only
-	// touched from the single RunPeriods driver goroutine.
-	monNames []string
+	// monIDs caches the monitor series handles, indexed (ra·I+slice)·2+kind,
+	// so recording a sample neither formats nor hashes a metric name. Built
+	// by monitorIDs; only touched from the single RunPeriods driver
+	// goroutine, like ws (the period workspace) and raIdx (0 … J−1).
+	monIDs []int
+	ws     *periodWS
+	raIdx  []int
 }
 
 // NewSystem builds the system (agents untrained; call Train before
@@ -345,21 +346,6 @@ func (s *System) trainTemplateFor(j int) netsim.Config {
 		return *s.cfg.TrainEnvPerRA[j]
 	}
 	return s.envTemplateFor(j)
-}
-
-// action computes RA j's orchestration action for the current interval.
-func (s *System) action(j int) ([]float64, error) {
-	env := s.envs[j]
-	switch s.cfg.Algo {
-	case AlgoEdgeSlice, AlgoEdgeSliceNT:
-		return s.agents[j].Act(env.State()), nil
-	case AlgoTARO:
-		return baseline.TARO(env.QueueLens(), netsim.NumResources)
-	case AlgoEqualShare:
-		return baseline.EqualShare(s.cfg.EnvTemplate.NumSlices, netsim.NumResources)
-	default:
-		return nil, fmt.Errorf("core: unknown algorithm %v", s.cfg.Algo)
-	}
 }
 
 // RunPeriods executes Algorithm 1 for n periods under the serial engine:

@@ -1,0 +1,123 @@
+package core
+
+import (
+	"bytes"
+	"fmt"
+	"testing"
+
+	"edgeslice/internal/rl"
+	"edgeslice/internal/telemetry"
+)
+
+// halfOpaqueAgents deploys a mixed system: even RAs share the system's
+// batchable policy, odd RAs run opaque AgentFunc stubs, which the batched
+// engine cannot group and must step on its driver goroutine.
+func halfOpaqueAgents(t *testing.T, s *System) {
+	t.Helper()
+	agents := make([]rl.Agent, s.NumRAs())
+	dim := s.Env(0).ActionDim()
+	for j := range agents {
+		if j%2 == 0 {
+			agents[j] = s.agents[0]
+			continue
+		}
+		bias := 0.1 + 0.001*float64(j)
+		agents[j] = rl.AgentFunc(func([]float64) []float64 {
+			out := make([]float64, dim)
+			for i := range out {
+				out[i] = bias + 0.04*float64(i)
+			}
+			return out
+		})
+	}
+	if err := s.SetAgents(agents); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestBatchedShardedStepMatchesSerial is the sharded-step leg of the
+// determinism suite: with enough RAs for the step stage to fan out, the
+// batched engine must record the serial engine's History, monitor series
+// and history-log bytes for every worker count — under baseline actions
+// computed in-shard, a shared batched policy, and a mixed system whose
+// opaque agents step on the driver — in exact and streaming recording.
+func TestBatchedShardedStepMatchesSerial(t *testing.T) {
+	J := 2*minShardRows + 2
+	for _, kind := range []string{"taro", "edgeslice", "mixed"} {
+		for _, window := range []int{0, 16} {
+			cfg := execTestConfig(AlgoEdgeSlice)
+			if kind == "taro" {
+				cfg.Algo = AlgoTARO
+			}
+			cfg.NumRAs = J
+			run := func(e Executor) (*History, *System, []byte) {
+				s := deployedSystem(t, cfg)
+				if kind == "mixed" {
+					halfOpaqueAgents(t, s)
+				}
+				var buf bytes.Buffer
+				hlog, err := NewHistoryLog(telemetry.NewLogWriter(&buf), cfg.EnvTemplate.NumSlices, J, cfg.EnvTemplate.T)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s.SetRecording(RecordOptions{StreamWindow: window, Log: hlog})
+				h, err := s.RunPeriodsWith(e, 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := hlog.Close(); err != nil {
+					t.Fatal(err)
+				}
+				return h, s, buf.Bytes()
+			}
+			hRef, ref, logRef := run(NewSerialExecutor())
+			for _, workers := range []int{1, 2, 4, J} {
+				label := fmt.Sprintf("%s window=%d workers=%d", kind, window, workers)
+				e := NewBatchedExecutor(workers)
+				h, s, log := run(e)
+				requireSameRun(t, label, hRef, h, ref.Monitor(), s.Monitor())
+				if !bytes.Equal(log, logRef) {
+					t.Errorf("%s: history log differs from serial run", label)
+				}
+				if got := e.cachePlan.stepWorkers; (workers > 1) != (got > 1) {
+					t.Errorf("%s: step stage ran on %d worker(s)", label, got)
+				}
+				if kind == "mixed" && len(e.cachePlan.onDriver) != J/2 {
+					t.Errorf("%s: %d RAs on the driver, want %d", label, len(e.cachePlan.onDriver), J/2)
+				}
+			}
+		}
+	}
+}
+
+// TestWarmPeriodAllocsIndependentOfJ is the allocation gate of the
+// step → record → merge half of a period: on the batched engine with
+// streaming recording, a warm period's allocation count must not depend on
+// the number of RAs — what remains is the per-call History and a handful of
+// per-period slices — for a baseline and for a shared batched policy. Shard
+// goroutines cost a few allocations each and whether a stage shards depends
+// on J, so the equality is taken on one worker and the sharded run only has
+// to stay under the same bound.
+func TestWarmPeriodAllocsIndependentOfJ(t *testing.T) {
+	warmAllocs := func(algo Algorithm, J, workers int) float64 {
+		cfg := execTestConfig(algo)
+		cfg.NumRAs = J
+		s := deployedSystem(t, cfg)
+		s.SetRecording(RecordOptions{StreamWindow: 8})
+		e := NewBatchedExecutor(workers)
+		period := func() {
+			if _, err := s.RunPeriodsWith(e, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		period()
+		return testing.AllocsPerRun(5, period)
+	}
+	for _, algo := range []Algorithm{AlgoTARO, AlgoEdgeSlice} {
+		small, large, sharded := warmAllocs(algo, 64, 1), warmAllocs(algo, 512, 1), warmAllocs(algo, 512, 4)
+		if small != large || large > 200 || sharded > 200 {
+			t.Errorf("%v: warm period allocates %v times at 64 RAs, %v at 512 and %v at 512 on 4 workers; want the first two equal and all <= 200",
+				algo, small, large, sharded)
+		}
+	}
+}

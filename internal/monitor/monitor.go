@@ -18,10 +18,18 @@ type Sample struct {
 }
 
 // Monitor is a thread-safe metrics dataset plus the association database.
+// One plain mutex guards it: recording is by far the most frequent call
+// (every RA × slice × interval), and a writer pays half the atomic
+// operations on a Mutex that it pays on an RWMutex.
 type Monitor struct {
-	mu sync.RWMutex
+	mu sync.Mutex
 
-	series map[string][]Sample
+	// Series are stored by handle: ids resolves a metric name once (Handle,
+	// or Record on first sight) and names/series are indexed by the id, so
+	// the per-sample path (RecordID) hashes no strings.
+	ids    map[string]int
+	names  []string
+	series [][]Sample
 	byIMSI map[string]int
 	byIP   map[string]int
 
@@ -35,7 +43,7 @@ type Monitor struct {
 // New creates an empty monitor.
 func New() *Monitor {
 	return &Monitor{
-		series: make(map[string][]Sample),
+		ids:    make(map[string]int),
 		byIMSI: make(map[string]int),
 		byIP:   make(map[string]int),
 	}
@@ -58,42 +66,78 @@ func (m *Monitor) SetWindow(n int) {
 	if n <= 0 {
 		return
 	}
-	//edgeslice:unordered per-metric in-place truncation; no cross-metric effects, and the evicted counter is an order-independent sum
-	for metric, s := range m.series {
+	for id, s := range m.series {
 		if len(s) > n {
 			m.evicted += uint64(len(s) - n)
 			copy(s, s[len(s)-n:])
-			m.series[metric] = s[:n]
+			m.series[id] = s[:n]
 		}
 	}
 }
 
 // Window returns the configured retention bound (0 = unbounded).
 func (m *Monitor) Window() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	return m.window
 }
 
 // EvictedSamples returns how many samples the retention window has
 // discarded across all metrics.
 func (m *Monitor) EvictedSamples() uint64 {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	return m.evicted
 }
 
 // TotalSamples returns the number of samples currently retained across
 // all metrics.
 func (m *Monitor) TotalSamples() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	n := 0
-	//edgeslice:unordered integer sum over series lengths is order-independent
 	for _, s := range m.series {
 		n += len(s)
 	}
 	return n
+}
+
+// Handle resolves a metric name to its series id, creating the (empty)
+// series on first use. Ids are stable for the monitor's lifetime; a caller
+// that records the same metrics every interval resolves them once and
+// records through RecordID.
+func (m *Monitor) Handle(metric string) (int, error) {
+	if metric == "" {
+		return 0, fmt.Errorf("monitor: empty metric name")
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.handleLocked(metric), nil
+}
+
+func (m *Monitor) handleLocked(metric string) int {
+	id, ok := m.ids[metric]
+	if !ok {
+		id = len(m.series)
+		m.ids[metric] = id
+		m.names = append(m.names, metric)
+		var s []Sample
+		if m.window > 0 {
+			// A bounded series never exceeds 2·window samples (see
+			// appendLocked), so sizing it once keeps recording allocation-free.
+			s = make([]Sample, 0, 2*m.window)
+		}
+		m.series = append(m.series, s)
+	}
+	return id
+}
+
+// seriesLocked returns the samples of a metric (nil when never seen).
+func (m *Monitor) seriesLocked(metric string) []Sample {
+	if id, ok := m.ids[metric]; ok {
+		return m.series[id]
+	}
+	return nil
 }
 
 // Record appends a sample to a metric. Intervals are expected to be
@@ -105,10 +149,48 @@ func (m *Monitor) Record(metric string, interval int, value float64) error {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	s := m.series[metric]
+	return m.appendLocked(m.handleLocked(metric), interval, value)
+}
+
+// RecordID is Record for a series id obtained from Handle: the same order
+// check, retention window, and eviction accounting, without the name
+// lookup.
+//
+//edgeslice:noalloc
+func (m *Monitor) RecordID(id, interval int, value float64) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if id < 0 || id >= len(m.series) {
+		//edgeslice:allocok cold error path
+		return fmt.Errorf("monitor: unknown series id %d", id)
+	}
+	return m.appendLocked(id, interval, value)
+}
+
+// RecordIDs records values[k] into series ids[k], all at one interval, under
+// a single lock acquisition — the form for a caller that records many series
+// every interval — and returns how many samples were rejected (out of order
+// or unknown id), which RecordID would have reported one error at a time.
+//
+//edgeslice:noalloc
+func (m *Monitor) RecordIDs(ids []int, interval int, values []float64) (rejected int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for k, id := range ids {
+		if id < 0 || id >= len(m.series) || m.appendLocked(id, interval, values[k]) != nil {
+			rejected++
+		}
+	}
+	return rejected
+}
+
+//edgeslice:noalloc
+func (m *Monitor) appendLocked(id, interval int, value float64) error {
+	s := m.series[id]
 	if n := len(s); n > 0 && s[n-1].Interval > interval {
+		//edgeslice:allocok cold error path
 		return fmt.Errorf("monitor: out-of-order sample for %s: %d after %d",
-			metric, interval, s[n-1].Interval)
+			m.names[id], interval, s[n-1].Interval)
 	}
 	if w := m.window; w > 0 && len(s) >= 2*w {
 		// Amortized copy-down: keep the newest w samples in place.
@@ -116,15 +198,16 @@ func (m *Monitor) Record(metric string, interval int, value float64) error {
 		copy(s, s[len(s)-w:])
 		s = s[:w]
 	}
-	m.series[metric] = append(s, Sample{Interval: interval, Value: value})
+	//edgeslice:allocok a bounded series was sized to 2·window at creation and the copy-down above keeps it below that; an unbounded one retains every sample by contract
+	m.series[id] = append(s, Sample{Interval: interval, Value: value})
 	return nil
 }
 
 // Query returns samples of a metric with Interval in [from, to].
 func (m *Monitor) Query(metric string, from, to int) []Sample {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	s := m.series[metric]
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	s := m.seriesLocked(metric)
 	lo := sort.Search(len(s), func(i int) bool { return s[i].Interval >= from })
 	hi := sort.Search(len(s), func(i int) bool { return s[i].Interval > to })
 	if lo >= hi {
@@ -135,9 +218,9 @@ func (m *Monitor) Query(metric string, from, to int) []Sample {
 
 // Latest returns the most recent sample of a metric.
 func (m *Monitor) Latest(metric string) (Sample, bool) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	s := m.series[metric]
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	s := m.seriesLocked(metric)
 	if len(s) == 0 {
 		return Sample{}, false
 	}
@@ -146,11 +229,13 @@ func (m *Monitor) Latest(metric string) (Sample, bool) {
 
 // Metrics lists all recorded metric names, sorted.
 func (m *Monitor) Metrics() []string {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	out := make([]string, 0, len(m.series))
-	for k := range m.series {
-		out = append(out, k)
+	for id, s := range m.series {
+		if len(s) > 0 { // a handle with no sample yet is not a recorded metric
+			out = append(out, m.names[id])
+		}
 	}
 	sort.Strings(out)
 	return out
@@ -180,16 +265,16 @@ func (m *Monitor) AssociateIP(ip string, slice int) error {
 
 // SliceOfIMSI resolves a user's slice by IMSI.
 func (m *Monitor) SliceOfIMSI(imsi string) (int, bool) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	s, ok := m.byIMSI[imsi]
 	return s, ok
 }
 
 // SliceOfIP resolves a user's slice by IP.
 func (m *Monitor) SliceOfIP(ip string) (int, bool) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	s, ok := m.byIP[ip]
 	return s, ok
 }
@@ -197,13 +282,13 @@ func (m *Monitor) SliceOfIP(ip string) (int, bool) {
 // ReduceOver visits every sample of a metric with Interval in [from, to]
 // in interval order, without copying the window, and returns how many
 // samples were visited. fn must not call back into the monitor (it runs
-// under the read lock).
+// under the lock).
 //
 //edgeslice:noalloc
 func (m *Monitor) ReduceOver(metric string, from, to int, fn func(Sample)) int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	s := m.series[metric]
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	s := m.seriesLocked(metric)
 	//edgeslice:allocok sort.Search closures stay on the stack; BenchmarkReduceOver pins 0 B/op
 	lo := sort.Search(len(s), func(i int) bool { return s[i].Interval >= from })
 	//edgeslice:allocok sort.Search closures stay on the stack; BenchmarkReduceOver pins 0 B/op

@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -194,6 +195,108 @@ func TestWindowedRetention(t *testing.T) {
 	}
 	if m.TotalSamples() != 3 {
 		t.Errorf("TotalSamples = %d", m.TotalSamples())
+	}
+}
+
+// TestRecordIDMatchesRecord feeds three monitors the same samples — one by
+// name, one through pre-resolved handles, one through handles a whole
+// interval at a time — under a retention window, with out-of-order samples
+// mixed in, and requires every query, the eviction count and the rejections
+// to agree; warm handle recording must not allocate.
+func TestRecordIDMatchesRecord(t *testing.T) {
+	names := []string{MetricName("perf", 0, 0), MetricName("queue", 0, 0), MetricName("perf", 3, 1)}
+	byName, byID, batched := New(), New(), New()
+	byName.SetWindow(8)
+	byID.SetWindow(8)
+	batched.SetWindow(8)
+	ids := make([]int, len(names))
+	for k, name := range names {
+		id, err := byID.Handle(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again, _ := byID.Handle(name); again != id {
+			t.Fatalf("Handle(%q) = %d then %d", name, id, again)
+		}
+		if bid, _ := batched.Handle(name); bid != id {
+			t.Fatalf("twin monitors hand out different ids for %q: %d vs %d", name, bid, id)
+		}
+		ids[k] = id
+	}
+	if got := byID.Metrics(); len(got) != 0 {
+		t.Errorf("handles without samples listed as metrics: %v", got)
+	}
+	if _, err := byID.Handle(""); err == nil {
+		t.Error("empty metric name should fail")
+	}
+	if err := byID.RecordID(len(names), 0, 1); err == nil {
+		t.Error("unknown series id should fail")
+	}
+	rejected, batchRejected := 0, 0
+	values := make([]float64, len(names))
+	for i := 0; i < 200; i++ {
+		k := i % len(names)
+		interval, v := i/len(names), float64(i)*0.5
+		if i%17 == 16 {
+			interval -= 5 // out of order: every form must reject it
+		}
+		errName := byName.Record(names[k], interval, v)
+		errID := byID.RecordID(ids[k], interval, v)
+		if (errName == nil) != (errID == nil) || (errName != nil && errName.Error() != errID.Error()) {
+			t.Fatalf("sample %d: Record err %v, RecordID err %v", i, errName, errID)
+		}
+		if errID != nil {
+			rejected++
+		}
+		values[0] = v
+		batchRejected += batched.RecordIDs(ids[k:k+1], interval, values[:1])
+	}
+	if rejected == 0 || batchRejected != rejected {
+		t.Fatalf("rejected %d out-of-order samples one at a time, %d batched; want equal and > 0", rejected, batchRejected)
+	}
+	if n := batched.RecordIDs([]int{len(names)}, 0, values[:1]); n != 1 {
+		t.Errorf("RecordIDs with an unknown id rejected %d samples, want 1", n)
+	}
+	if !reflect.DeepEqual(byName.Metrics(), byID.Metrics()) {
+		t.Errorf("metrics %v vs %v", byName.Metrics(), byID.Metrics())
+	}
+	for _, name := range names {
+		if a, b := byName.Query(name, 0, 1000), byID.Query(name, 0, 1000); !reflect.DeepEqual(a, b) {
+			t.Errorf("%s: Query %v vs %v", name, a, b)
+		}
+		if a, b := byName.Query(name, 0, 1000), batched.Query(name, 0, 1000); !reflect.DeepEqual(a, b) {
+			t.Errorf("%s: Query %v vs batched %v", name, a, b)
+		}
+		la, oka := byName.Latest(name)
+		lb, okb := byID.Latest(name)
+		if la != lb || oka != okb {
+			t.Errorf("%s: Latest %v/%v vs %v/%v", name, la, oka, lb, okb)
+		}
+		ma, erra := byName.MeanOver(name, 50, 70)
+		mb, errb := byID.MeanOver(name, 50, 70)
+		if ma != mb || (erra == nil) != (errb == nil) {
+			t.Errorf("%s: MeanOver %v (%v) vs %v (%v)", name, ma, erra, mb, errb)
+		}
+	}
+	if a, b, c := byName.EvictedSamples(), byID.EvictedSamples(), batched.EvictedSamples(); a != b || a != c || a == 0 {
+		t.Errorf("evicted %d vs %d vs %d (want equal and > 0)", a, b, c)
+	}
+	if a, b := byName.TotalSamples(), byID.TotalSamples(); a != b {
+		t.Errorf("retained %d vs %d", a, b)
+	}
+	next := 1000
+	if n := testing.AllocsPerRun(500, func() {
+		for _, id := range ids {
+			if err := byID.RecordID(id, next, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if batched.RecordIDs(ids, next, values) != 0 {
+			t.Fatal("in-order batch rejected")
+		}
+		next++
+	}); n != 0 {
+		t.Errorf("warm RecordID/RecordIDs under a window allocate %v times per interval, want 0", n)
 	}
 }
 

@@ -143,6 +143,26 @@ type StepResult struct {
 	Reward       float64                 // shaped reward (Eq. 15)
 }
 
+// resized returns s with length n, reusing its backing array when it is
+// large enough.
+func resized[E any](s []E, n int) []E {
+	if cap(s) < n {
+		return make([]E, n)
+	}
+	return s[:n]
+}
+
+// resize sets every per-slice field to length n, allocating only the ones
+// whose capacity is short (a zero StepResult allocates all six, once).
+func (r *StepResult) resize(n int) {
+	r.Perf = resized(r.Perf, n)
+	r.ServiceTimes = resized(r.ServiceTimes, n)
+	r.QueueLens = resized(r.QueueLens, n)
+	r.Served = resized(r.Served, n)
+	r.Arrived = resized(r.Arrived, n)
+	r.Effective = resized(r.Effective, n)
+}
+
 // RAEnv simulates one resource autonomy: |I| slice queues served by three
 // resource domains. It implements rl.Env for agent training and exposes an
 // orchestration-mode API (SetCoordination / StepInterval) for Algorithm 1.
@@ -170,6 +190,9 @@ type RAEnv struct {
 	epStep     int // interval within the current episode
 
 	periodPerf []float64 // Σ_t U_i over the current period
+
+	raw     [][NumResources]float64 // StepInto scratch: clamped raw shares
+	stepRes StepResult              // Step's result buffer (rl.Env returns only the reward)
 }
 
 var _ rl.Env = (*RAEnv)(nil)
@@ -188,9 +211,11 @@ func New(cfg Config) (*RAEnv, error) {
 		y:          make([]float64, cfg.NumSlices),
 		periodPerf: make([]float64, cfg.NumSlices),
 		demands:    make([][NumResources]float64, cfg.NumSlices),
+		raw:        make([][NumResources]float64, cfg.NumSlices),
 	}
 	for i, a := range cfg.Apps {
 		e.demands[i] = a.Demand()
+		e.queues[i].reserve(cfg.MaxQueue) // the ingress drop never lets a backlog exceed it
 	}
 	switch cfg.Perf {
 	case PerfQueue:
@@ -286,35 +311,52 @@ func (e *RAEnv) StateInto(dst []float64) []float64 {
 
 // Step implements rl.Env.
 func (e *RAEnv) Step(action []float64) ([]float64, float64, bool) {
-	res, err := e.StepInterval(action)
-	if err != nil {
+	if err := e.StepInto(action, &e.stepRes); err != nil {
 		// The rl.Env interface has no error path; a malformed action is a
 		// programming error, matching the panic policy of the nn package.
 		panic(fmt.Sprintf("netsim: %v", err))
 	}
 	e.epStep++
 	done := e.epStep >= e.cfg.EpisodePeriods*e.cfg.T
-	return e.State(), res.Reward, done
+	return e.State(), e.stepRes.Reward, done
 }
 
 // StepInterval advances one time interval t: arrivals are drawn from the
 // traffic sources, the action's resource shares determine each slice's
 // end-to-end service rate (bottleneck across the three domains), queues
 // drain, the performance function is evaluated, and the shaped reward of
-// Eq. 15 is computed.
+// Eq. 15 is computed. The returned result is the caller's: it is freshly
+// allocated and never touched by the environment again.
 func (e *RAEnv) StepInterval(action []float64) (StepResult, error) {
+	var res StepResult
+	if err := e.StepInto(action, &res); err != nil {
+		return StepResult{}, err
+	}
+	return res, nil
+}
+
+// StepInto is StepInterval writing into a result the caller owns and
+// reuses: res's per-slice slices are resized in place, so a warm call
+// allocates nothing. The environment keeps no reference to res. On error
+// res holds no meaningful result.
+//
+//edgeslice:noalloc
+func (e *RAEnv) StepInto(action []float64, res *StepResult) error {
 	if len(action) != e.ActionDim() {
-		return StepResult{}, fmt.Errorf("netsim: action length %d, want %d", len(action), e.ActionDim())
+		//edgeslice:allocok cold error path
+		return fmt.Errorf("netsim: action length %d, want %d", len(action), e.ActionDim())
 	}
 	for _, a := range action {
 		if math.IsNaN(a) {
-			return StepResult{}, fmt.Errorf("netsim: NaN action")
+			//edgeslice:allocok cold error path
+			return fmt.Errorf("netsim: NaN action")
 		}
 	}
 	I := e.cfg.NumSlices
+	res.resize(I)
 
 	// Raw per-slice shares and the capacity violation of constraint (3).
-	raw := make([][NumResources]float64, I)
+	raw := e.raw
 	var violation float64
 	for k := 0; k < NumResources; k++ {
 		var sum float64
@@ -330,7 +372,7 @@ func (e *RAEnv) StepInterval(action []float64) (StepResult, error) {
 	// than exists, so shares are scaled down proportionally per domain;
 	// every slice then keeps its MinShare floor with the remaining
 	// capacity split according to the (scaled) requests.
-	eff := make([][NumResources]float64, I)
+	eff := res.Effective
 	floorTotal := float64(I) * e.cfg.MinShare
 	for k := 0; k < NumResources; k++ {
 		var sum float64
@@ -346,15 +388,7 @@ func (e *RAEnv) StepInterval(action []float64) (StepResult, error) {
 		}
 	}
 
-	res := StepResult{
-		Perf:         make([]float64, I),
-		ServiceTimes: make([]float64, I),
-		QueueLens:    make([]int, I),
-		Served:       make([]int, I),
-		Arrived:      make([]int, I),
-		Effective:    eff,
-		Violation:    violation,
-	}
+	res.Violation = violation
 
 	const maxServiceTime = 1e3
 	for i := 0; i < I; i++ {
@@ -369,7 +403,7 @@ func (e *RAEnv) StepInterval(action []float64) (StepResult, error) {
 
 		rate, err := e.serviceRate(i, eff[i])
 		if err != nil {
-			return StepResult{}, err
+			return err
 		}
 		res.Served[i] = e.queues[i].Serve(rate, e.interval)
 		res.QueueLens[i] = e.queues[i].Len()
@@ -410,7 +444,7 @@ func (e *RAEnv) StepInterval(action []float64) (StepResult, error) {
 			e.randomizeCoordination()
 		}
 	}
-	return res, nil
+	return nil
 }
 
 // serviceRate computes slice i's end-to-end task service rate for an
@@ -470,20 +504,37 @@ func (e *RAEnv) UseDataset(ds *Dataset) { e.dataset = ds }
 // the accumulator; Algorithm 1 calls this at period boundaries to report
 // slice performance to the coordinator.
 func (e *RAEnv) PeriodPerf() []float64 {
-	out := append([]float64(nil), e.periodPerf...)
+	out := make([]float64, len(e.periodPerf))
+	e.PeriodPerfInto(out)
+	return out
+}
+
+// PeriodPerfInto is PeriodPerf writing into dst, which must hold at least
+// one entry per slice.
+//
+//edgeslice:noalloc
+func (e *RAEnv) PeriodPerfInto(dst []float64) {
 	for i := range e.periodPerf {
+		dst[i] = e.periodPerf[i]
 		e.periodPerf[i] = 0
 	}
-	return out
 }
 
 // QueueLens returns current queue lengths (the monitor's view).
 func (e *RAEnv) QueueLens() []int {
 	out := make([]int, len(e.queues))
-	for i := range e.queues {
-		out[i] = e.queues[i].Len()
-	}
+	e.QueueLensInto(out)
 	return out
+}
+
+// QueueLensInto is QueueLens writing into dst, which must hold at least one
+// entry per slice.
+//
+//edgeslice:noalloc
+func (e *RAEnv) QueueLensInto(dst []int) {
+	for i := range e.queues {
+		dst[i] = e.queues[i].Len()
+	}
 }
 
 // Queue exposes a slice's queue for inspection in tests and the monitor.

@@ -1,0 +1,249 @@
+package netsim
+
+import (
+	"math"
+	"math/rand"
+	"reflect"
+	"testing"
+)
+
+// fifoRef is the append-and-compact FIFO the ring replaced, kept as the
+// reference the ring must match bit for bit.
+type fifoRef struct {
+	arrivals []int
+	head     int
+	carry    float64
+
+	totalArrived, totalServed int
+	sumSojourn                float64
+}
+
+func (q *fifoRef) Len() int { return len(q.arrivals) - q.head }
+
+func (q *fifoRef) Arrive(n, now int) {
+	for i := 0; i < n; i++ {
+		q.arrivals = append(q.arrivals, now)
+	}
+	if n > 0 {
+		q.totalArrived += n
+	}
+}
+
+func (q *fifoRef) Serve(rate float64, now int) int {
+	if rate < 0 {
+		rate = 0
+	}
+	q.carry += rate
+	n := int(q.carry)
+	if avail := q.Len(); n > avail {
+		n = avail
+	}
+	if n <= 0 {
+		if q.carry > rate {
+			q.carry = rate
+		}
+		return 0
+	}
+	q.carry -= float64(n)
+	for i := 0; i < n; i++ {
+		q.sumSojourn += float64(now - q.arrivals[q.head])
+		q.head++
+	}
+	q.totalServed += n
+	if q.head > 1024 && q.head*2 > len(q.arrivals) {
+		q.arrivals = append([]int(nil), q.arrivals[q.head:]...)
+		q.head = 0
+	}
+	return n
+}
+
+func (q *fifoRef) MeanSojourn() float64 {
+	if q.totalServed == 0 {
+		return 0
+	}
+	return q.sumSojourn / float64(q.totalServed)
+}
+
+// TestRingQueueMatchesFIFO drives the ring and the reference FIFO through
+// the same random arrive/serve/reset sequences — with the environment's
+// MaxQueue ingress drop, on a ring fixed at MaxQueue and on a zero-value
+// ring that has to grow — and requires identical observables throughout.
+func TestRingQueueMatchesFIFO(t *testing.T) {
+	const maxQueue = 40
+	for seed := int64(1); seed <= 20; seed++ {
+		for _, fixed := range []bool{true, false} {
+			rng := rand.New(rand.NewSource(seed))
+			var q SliceQueue
+			ref := &fifoRef{}
+			limit := 5000 // the zero-value ring is unbounded; keep the reference's memory sane
+			if fixed {
+				q.reserve(maxQueue)
+				limit = maxQueue
+			}
+			for now := 0; now < 6000; now++ {
+				switch op := rng.Intn(100); {
+				case op == 0:
+					q.Reset()
+					*ref = fifoRef{}
+				case op < 50:
+					n := rng.Intn(30) - 2 // includes n <= 0
+					if over := ref.Len() + n - limit; over > 0 {
+						n -= over
+					}
+					q.Arrive(n, now)
+					ref.Arrive(n, now)
+				default:
+					rate := rng.Float64()*20 - 1 // includes negative rates
+					if got, want := q.Serve(rate, now), ref.Serve(rate, now); got != want {
+						t.Fatalf("seed %d fixed %v now %d: served %d, want %d", seed, fixed, now, got, want)
+					}
+				}
+				if q.Len() != ref.Len() || q.TotalArrived() != ref.totalArrived || q.TotalServed() != ref.totalServed ||
+					math.Float64bits(q.MeanSojourn()) != math.Float64bits(ref.MeanSojourn()) {
+					t.Fatalf("seed %d fixed %v now %d: ring (len %d arrived %d served %d sojourn %v) != fifo (len %d arrived %d served %d sojourn %v)",
+						seed, fixed, now, q.Len(), q.TotalArrived(), q.TotalServed(), q.MeanSojourn(),
+						ref.Len(), ref.totalArrived, ref.totalServed, ref.MeanSojourn())
+				}
+			}
+			if fixed && len(q.ring) != maxQueue {
+				t.Errorf("seed %d: ring bounded by MaxQueue grew to %d", seed, len(q.ring))
+			}
+		}
+	}
+}
+
+// sameBits compares two step results field by field on the float bit
+// patterns (so −0 ≠ +0 and NaN == NaN).
+func sameBits(t *testing.T, what string, got, want StepResult) {
+	t.Helper()
+	bits := func(v []float64) []uint64 {
+		out := make([]uint64, len(v))
+		for i, x := range v {
+			out[i] = math.Float64bits(x)
+		}
+		return out
+	}
+	flat := func(e [][NumResources]float64) []float64 {
+		var out []float64
+		for _, row := range e {
+			out = append(out, row[:]...)
+		}
+		return out
+	}
+	if !reflect.DeepEqual(bits(got.Perf), bits(want.Perf)) ||
+		!reflect.DeepEqual(bits(got.ServiceTimes), bits(want.ServiceTimes)) ||
+		!reflect.DeepEqual(bits(flat(got.Effective)), bits(flat(want.Effective))) ||
+		!reflect.DeepEqual(got.QueueLens, want.QueueLens) ||
+		!reflect.DeepEqual(got.Served, want.Served) ||
+		!reflect.DeepEqual(got.Arrived, want.Arrived) ||
+		math.Float64bits(got.Violation) != math.Float64bits(want.Violation) ||
+		math.Float64bits(got.Reward) != math.Float64bits(want.Reward) {
+		t.Fatalf("%s: StepInto %+v != StepInterval %+v", what, got, want)
+	}
+}
+
+// TestStepIntoMatchesStepInterval steps twin environments — one through the
+// allocating wrapper, one through StepInto with a single reused result —
+// under seeded random actions (including over-capacity and negative
+// shares), a rejected NaN action, a mid-run capacity change, and the
+// dataset service model; results and all subsequent state must agree
+// bitwise.
+func TestStepIntoMatchesStepInterval(t *testing.T) {
+	for _, mode := range []string{"analytic", "dataset"} {
+		t.Run(mode, func(t *testing.T) {
+			cfg := DefaultExperimentConfig()
+			cfg.Seed = 42
+			a, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, _ := New(cfg)
+			if mode == "dataset" {
+				ds, err := BuildDataset(a, 0.1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				a.UseDataset(ds)
+				b.UseDataset(ds)
+			}
+			a.Reset()
+			b.Reset()
+			rng := rand.New(rand.NewSource(7))
+			action := make([]float64, a.ActionDim())
+			var res StepResult // reused across every StepInto
+			for step := 0; step < 400; step++ {
+				for i := range action {
+					action[i] = rng.Float64()*1.7 - 0.2
+				}
+				switch step {
+				case 100:
+					bad := append([]float64(nil), action...)
+					bad[2] = math.NaN()
+					_, errA := a.StepInterval(bad)
+					errB := b.StepInto(bad, &res)
+					if errA == nil || errB == nil || errA.Error() != errB.Error() {
+						t.Fatalf("NaN action: errors %v / %v", errA, errB)
+					}
+					if errB = b.StepInto(action[:3], &res); errB == nil {
+						t.Fatal("short action accepted")
+					}
+				case 200:
+					if err := a.SetCapacityScale(0.3); err != nil {
+						t.Fatal(err)
+					}
+					_ = b.SetCapacityScale(0.3)
+				}
+				want, err := a.StepInterval(action)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := b.StepInto(action, &res); err != nil {
+					t.Fatal(err)
+				}
+				sameBits(t, mode, res, want)
+				if !reflect.DeepEqual(a.State(), b.State()) || !reflect.DeepEqual(a.QueueLens(), b.QueueLens()) || a.Interval() != b.Interval() {
+					t.Fatalf("step %d: environment state diverged", step)
+				}
+				if step%10 == 9 {
+					pp := make([]float64, cfg.NumSlices)
+					b.PeriodPerfInto(pp)
+					if want := a.PeriodPerf(); !reflect.DeepEqual(pp, want) {
+						t.Fatalf("step %d: PeriodPerfInto %v, PeriodPerf %v", step, pp, want)
+					}
+				}
+			}
+			for i := 0; i < cfg.NumSlices; i++ {
+				qa, qb := a.Queue(i), b.Queue(i)
+				if qa.TotalArrived() != qb.TotalArrived() || qa.TotalServed() != qb.TotalServed() || qa.MeanSojourn() != qb.MeanSojourn() {
+					t.Errorf("slice %d queue statistics diverged", i)
+				}
+			}
+		})
+	}
+}
+
+// TestStepIntoWarmAllocFree pins the point of StepInto: once the result has
+// been sized, a step allocates nothing.
+func TestStepIntoWarmAllocFree(t *testing.T) {
+	env, err := New(DefaultExperimentConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	env.Reset()
+	action := make([]float64, env.ActionDim())
+	for i := range action {
+		action[i] = 0.4
+	}
+	var res StepResult
+	queues := make([]int, env.Config().NumSlices)
+	step := func() {
+		env.QueueLensInto(queues)
+		if err := env.StepInto(action, &res); err != nil {
+			t.Fatal(err)
+		}
+	}
+	step()
+	if n := testing.AllocsPerRun(2000, step); n != 0 {
+		t.Errorf("warm StepInto allocates %v times per step, want 0", n)
+	}
+}

@@ -27,23 +27,28 @@ var ErrMaxIterations = errors.New("qp: maximum iterations reached")
 // This is the exact solution of min ‖z − c‖² s.t. Σ z ≥ b (the per-slice
 // z-update of P2 with the SLA constraint of Eq. 5).
 func ProjectHalfspaceSumGE(c []float64, b float64) []float64 {
-	n := len(c)
-	if n == 0 {
+	if len(c) == 0 {
 		return nil
 	}
+	out := make([]float64, len(c))
+	ProjectHalfspaceSumGEInto(out, c, b)
+	return out
+}
+
+// ProjectHalfspaceSumGEInto is ProjectHalfspaceSumGE writing into dst, which
+// must have c's length and may be c itself.
+func ProjectHalfspaceSumGEInto(dst, c []float64, b float64) {
 	var sum float64
 	for _, v := range c {
 		sum += v
 	}
-	shift := (b - sum) / float64(n)
+	shift := (b - sum) / float64(len(c))
 	if shift < 0 {
 		shift = 0
 	}
-	out := make([]float64, n)
 	for i, v := range c {
-		out[i] = v + shift
+		dst[i] = v + shift
 	}
-	return out
 }
 
 // ProjectSimplexSum returns the Euclidean projection of v onto the scaled

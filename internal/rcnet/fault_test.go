@@ -286,8 +286,15 @@ func TestHeartbeatKeepsAgentLiveSilentOneReaped(t *testing.T) {
 // TestResumeCatchUpReplay is the rcnet half of the resume contract: an
 // agent registering into a primed hub receives the coordination history,
 // replays it against a fresh deterministic env, and its first live report
-// is bit-identical to an agent that lived through all periods.
+// is bit-identical to an agent that lived through all periods — as is the
+// re-report a retried broadcast of that period triggers, under either codec.
 func TestResumeCatchUpReplay(t *testing.T) {
+	for _, codec := range []Codec{CodecJSON, CodecBinary} {
+		t.Run(codec.String(), func(t *testing.T) { testResumeCatchUpReplay(t, codec) })
+	}
+}
+
+func testResumeCatchUpReplay(t *testing.T, codec Codec) {
 	const donePeriods = 2
 	ref := testEnv(t, 11)
 	refPolicy := taroPolicy(ref)
@@ -309,14 +316,11 @@ func TestResumeCatchUpReplay(t *testing.T) {
 	}
 
 	// Reference: live through periods 0..donePeriods locally.
-	for p := 0; p < donePeriods; p++ {
-		if _, _, _, err := stepPeriod(ref, refPolicy, col(p, -40), col(p, 0)); err != nil {
+	want := newPeriodReport(ref)
+	for p := 0; p <= donePeriods; p++ {
+		if err := stepPeriod(ref, refPolicy, col(p, -40), col(p, 0), want); err != nil {
 			t.Fatal(err)
 		}
-	}
-	wantPerf, wantQueues, _, err := stepPeriod(ref, refPolicy, col(donePeriods, -40), col(donePeriods, 0))
-	if err != nil {
-		t.Fatal(err)
 	}
 
 	h, err := NewHub("127.0.0.1:0", I, 1)
@@ -335,7 +339,7 @@ func TestResumeCatchUpReplay(t *testing.T) {
 	}
 
 	env := testEnv(t, 11) // fresh copy of the reference env
-	c, err := DialAgent(h.Addr(), 0, testTimeout)
+	c, err := DialAgentCodec(h.Addr(), 0, testTimeout, codec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,16 +357,33 @@ func TestResumeCatchUpReplay(t *testing.T) {
 	if err := h.Broadcast(donePeriods, grid(col(donePeriods, -40)), grid(col(donePeriods, 0))); err != nil {
 		t.Fatal(err)
 	}
-	reports, err := h.CollectReports(donePeriods, testTimeout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := reports[0]
-	if !reflect.DeepEqual(rep.Perf, wantPerf) {
-		t.Errorf("resumed agent perf %v, want %v", rep.Perf, wantPerf)
-	}
-	if !reflect.DeepEqual(rep.Queues, wantQueues) {
-		t.Errorf("resumed agent queues %v, want %v", rep.Queues, wantQueues)
+	// The second round re-broadcasts the period just executed (the
+	// coordinator's collect retry): the agent must answer from its report
+	// buffers without stepping again, so the re-sent report equals the first.
+	var first Envelope
+	for round, what := range []string{"resumed agent", "re-report"} {
+		reports, err := h.CollectReports(donePeriods, testTimeout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep := reports[0]
+		if !reflect.DeepEqual(rep.Perf, want.perf) {
+			t.Errorf("%s perf %v, want %v", what, rep.Perf, want.perf)
+		}
+		if !reflect.DeepEqual(rep.Queues, want.queues) {
+			t.Errorf("%s queues %v, want %v", what, rep.Queues, want.queues)
+		}
+		if !reflect.DeepEqual(rep.Intervals, want.intervals) {
+			t.Errorf("%s intervals %v, want %v", what, rep.Intervals, want.intervals)
+		}
+		if round == 0 {
+			first = rep
+			if err := h.Broadcast(donePeriods, grid(col(donePeriods, -40)), grid(col(donePeriods, 0))); err != nil {
+				t.Fatal(err)
+			}
+		} else if !reflect.DeepEqual(rep, first) {
+			t.Errorf("re-report envelope differs from the first:\n got %+v\nwant %+v", rep, first)
+		}
 	}
 	if s := h.Stats(); s.ResumesSent != 1 {
 		t.Errorf("stats report %d resume frames, want 1", s.ResumesSent)

@@ -50,32 +50,64 @@ func RunCoordinator(h *Hub, coord *admm.Coordinator, periods int, timeout time.D
 	return history, nil
 }
 
+// periodReport is the report payload of one agent-period, in buffers the
+// RunAgent loop owns and reuses: every period overwrites them, and nothing
+// holds on to them between periods — Report encodes before it returns — so
+// the payload of the last executed period stays intact for a re-report.
+type periodReport struct {
+	perf      []float64
+	queues    []int
+	intervals []IntervalRecord // rows carved from flat arrays, see newPeriodReport
+
+	state []float64         // observation scratch
+	res   netsim.StepResult // StepInto target, copied out every interval
+}
+
+func newPeriodReport(env *netsim.RAEnv) *periodReport {
+	I, T := env.Config().NumSlices, env.Config().T
+	const K = netsim.NumResources
+	floats := make([]float64, T*I*(1+K))
+	ints := make([]int, T*I)
+	effRows := make([][]float64, T*I)
+	r := &periodReport{
+		perf:      make([]float64, I),
+		queues:    make([]int, I),
+		intervals: make([]IntervalRecord, T),
+		state:     make([]float64, 0, env.StateDim()),
+	}
+	for t := range r.intervals {
+		f := floats[t*I*(1+K) : (t+1)*I*(1+K)]
+		eff := effRows[t*I : (t+1)*I]
+		for i := range eff {
+			eff[i] = f[I+i*K : I+(i+1)*K : I+(i+1)*K]
+		}
+		r.intervals[t] = IntervalRecord{Perf: f[:I:I], Queues: ints[t*I : (t+1)*I : (t+1)*I], Effective: eff}
+	}
+	return r
+}
+
 // stepPeriod installs (z, y) and orchestrates one period's T intervals with
-// the policy, returning the period report payload.
-func stepPeriod(env *netsim.RAEnv, agent rl.Agent, z, y []float64) (perf []float64, queues []int, intervals []IntervalRecord, err error) {
+// the policy, leaving the period report payload in rep.
+func stepPeriod(env *netsim.RAEnv, agent rl.Agent, z, y []float64, rep *periodReport) error {
 	if err := env.SetCoordination(z, y); err != nil {
-		return nil, nil, nil, err
+		return err
 	}
-	T := env.Config().T
-	intervals = make([]IntervalRecord, T)
-	for t := 0; t < T; t++ {
-		act := agent.Act(env.State())
-		res, err := env.StepInterval(act)
-		if err != nil {
-			return nil, nil, nil, err
+	for t := range rep.intervals {
+		rep.state = env.StateInto(rep.state[:0])
+		if err := env.StepInto(agent.Act(rep.state), &rep.res); err != nil {
+			return err
 		}
-		eff := make([][]float64, len(res.Effective))
-		for i := range res.Effective {
-			eff[i] = append([]float64(nil), res.Effective[i][:]...)
+		ir := &rep.intervals[t]
+		copy(ir.Perf, rep.res.Perf)
+		copy(ir.Queues, rep.res.QueueLens)
+		for i := range ir.Effective {
+			copy(ir.Effective[i], rep.res.Effective[i][:])
 		}
-		intervals[t] = IntervalRecord{
-			Perf:      res.Perf,
-			Queues:    res.QueueLens,
-			Effective: eff,
-			Violation: res.Violation,
-		}
+		ir.Violation = rep.res.Violation
 	}
-	return env.PeriodPerf(), env.QueueLens(), intervals, nil
+	env.PeriodPerfInto(rep.perf)
+	env.QueueLensInto(rep.queues)
+	return nil
 }
 
 // RunAgent drives one RA from the agent side: for each coordination message
@@ -98,9 +130,7 @@ func stepPeriod(env *netsim.RAEnv, agent rl.Agent, z, y []float64) (perf []float
 //     one-step-per-period invariant that bit-reproducibility rests on.
 func RunAgent(c *AgentClient, env *netsim.RAEnv, agent rl.Agent, timeout time.Duration) error {
 	done := 0 // periods already stepped into env (replayed or live)
-	var lastPerf []float64
-	var lastQueues []int
-	var lastIntervals []IntervalRecord
+	rep := newPeriodReport(env)
 	for {
 		m, err := c.Recv(timeout)
 		if err != nil {
@@ -121,7 +151,7 @@ func RunAgent(c *AgentClient, env *netsim.RAEnv, agent rl.Agent, timeout time.Du
 				return fmt.Errorf("rcnet: resume to period %d carries %d/%d history columns", target, len(m.ZHist), len(m.YHist))
 			}
 			for p := 0; p < target; p++ {
-				if _, _, _, err := stepPeriod(env, agent, m.ZHist[p], m.YHist[p]); err != nil {
+				if err := stepPeriod(env, agent, m.ZHist[p], m.YHist[p], rep); err != nil {
 					return fmt.Errorf("rcnet: replaying period %d: %w", p, err)
 				}
 			}
@@ -131,19 +161,17 @@ func RunAgent(c *AgentClient, env *netsim.RAEnv, agent rl.Agent, timeout time.Du
 			case m.Period == done-1:
 				// Retry of the period this RA already executed: its report
 				// sat undrained past the coordinator's collect timeout.
-				// Re-report the cached outcome; stepping again would fork
-				// the env from the serial run.
-				if err := c.Report(m.Period, lastPerf, lastQueues, lastIntervals); err != nil {
+				// Re-report the outcome still sitting in rep; stepping again
+				// would fork the env from the serial run.
+				if err := c.Report(m.Period, rep.perf, rep.queues, rep.intervals); err != nil {
 					return err
 				}
 			case m.Period == done:
-				perf, queues, intervals, err := stepPeriod(env, agent, m.Z, m.Y)
-				if err != nil {
+				if err := stepPeriod(env, agent, m.Z, m.Y, rep); err != nil {
 					return err
 				}
-				lastPerf, lastQueues, lastIntervals = perf, queues, intervals
 				done++
-				if err := c.Report(m.Period, perf, queues, intervals); err != nil {
+				if err := c.Report(m.Period, rep.perf, rep.queues, rep.intervals); err != nil {
 					return err
 				}
 			case m.Period < done-1:
