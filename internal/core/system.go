@@ -113,9 +113,11 @@ type Config struct {
 func DefaultConfig() Config {
 	env := netsim.DefaultExperimentConfig()
 	d := ddpg.DefaultConfig()
-	// CI-scale network: the paper's 2x128 with batch 512 needs ~hours of
-	// pure-Go CPU for 1e6 steps; 2x32 with batch 64 learns the 6-dim task
-	// in seconds while keeping the architecture shape.
+	// CI-scale network: one update of the paper's 2x128 with batch 512
+	// measures ≈16 ms on the AVX training kernels (≈55 ms on the scalar
+	// loops, BenchmarkDDPGUpdate), still ≈4.5 CPU-hours for 1e6 steps;
+	// 2x32 with batch 64 (≈0.2 ms per update) learns the 6-dim task in
+	// seconds while keeping the architecture shape.
 	d.Hidden = 32
 	d.BatchSize = 64
 	d.WarmupSteps = 300

@@ -110,3 +110,89 @@ func (a Activation) Derivative(z, y float64) float64 {
 		panic(fmt.Sprintf("nn: Derivative on invalid %v", a))
 	}
 }
+
+// applyBias is the training forward's per-row pass with the activation
+// switch hoisted out of the loop: z[j] += b[j], then y[j] = Apply(z[j]) —
+// the operations Apply performs, in its order.
+//
+//edgeslice:noalloc
+func (a Activation) applyBias(z, y, b []float64) {
+	y = y[:len(z)]
+	b = b[:len(z)]
+	switch a {
+	case ActIdentity:
+		for j, v := range z {
+			v += b[j]
+			z[j], y[j] = v, v
+		}
+	case ActLeakyReLU:
+		for j, v := range z {
+			v += b[j]
+			z[j] = v
+			if !(v >= 0) {
+				v *= leakySlope
+			}
+			y[j] = v
+		}
+	case ActSigmoid:
+		for j, v := range z {
+			v += b[j]
+			z[j], y[j] = v, 1/(1+math.Exp(-v))
+		}
+	case ActTanh:
+		for j, v := range z {
+			v += b[j]
+			z[j], y[j] = v, math.Tanh(v)
+		}
+	case ActReLU:
+		for j, v := range z {
+			v += b[j]
+			z[j] = v
+			if !(v > 0) {
+				v = 0
+			}
+			y[j] = v
+		}
+	default:
+		panic(fmt.Sprintf("nn: Apply on invalid %v", a))
+	}
+}
+
+// mulDerivative computes dz[i] = g[i] * Derivative(z[i], y[i]) with the
+// activation switch hoisted out of the loop. A factor of exactly 1 is not
+// multiplied out: g*1 is g bit for bit.
+//
+//edgeslice:noalloc
+func (a Activation) mulDerivative(dz, g, z, y []float64) {
+	g = g[:len(dz)]
+	z = z[:len(dz)]
+	y = y[:len(dz)]
+	switch a {
+	case ActIdentity:
+		copy(dz, g)
+	case ActLeakyReLU:
+		for i, v := range g {
+			if !(z[i] >= 0) {
+				v *= leakySlope
+			}
+			dz[i] = v
+		}
+	case ActSigmoid:
+		for i, v := range g {
+			dz[i] = v * (y[i] * (1 - y[i]))
+		}
+	case ActTanh:
+		for i, v := range g {
+			dz[i] = v * (1 - y[i]*y[i])
+		}
+	case ActReLU:
+		for i, v := range g {
+			if !(z[i] > 0) {
+				v *= 0
+			}
+			dz[i] = v
+		}
+	default:
+		panic(fmt.Sprintf("nn: Derivative on invalid %v", a))
+	}
+}

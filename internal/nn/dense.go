@@ -23,8 +23,9 @@ type Dense struct {
 	// state. in holds a *copy* of the forward input — callers are free to
 	// reuse their input buffer between Forward and Backward without
 	// corrupting dW. pre and out cache z and y for Backward; dz and dx are
-	// backward scratch.
+	// backward scratch; ws is the forward matmul's pack scratch.
 	in, pre, out, dz, dx *Matrix
+	ws                   Workspace
 }
 
 // NewDense returns a Dense layer with Xavier-initialized weights.
@@ -56,16 +57,11 @@ func (d *Dense) Forward(x *Matrix) *Matrix {
 	in := ensureMat(&d.in, x.Rows, x.Cols)
 	copy(in.Data, x.Data)
 	z := ensureMat(&d.pre, x.Rows, d.Out)
-	MatMulNTInto(z, in, d.W)
-	for i := 0; i < z.Rows; i++ {
-		row := z.Row(i)
-		for j := range row {
-			row[j] += d.B[j]
-		}
-	}
+	d.ws.Reset()
+	MatMulNTIntoWS(z, in, d.W, &d.ws)
 	y := ensureMat(&d.out, z.Rows, z.Cols)
-	for i := range z.Data {
-		y.Data[i] = d.Act.Apply(z.Data[i])
+	for i := 0; i < z.Rows; i++ {
+		d.Act.applyBias(z.Row(i), y.Row(i), d.B)
 	}
 	return y
 }
@@ -98,7 +94,13 @@ func (d *Dense) forwardInfer(x *Matrix, ws *Workspace) *Matrix {
 // returns dL/dx of shape (N×In). Forward must have been called first. The
 // returned matrix is owned by the layer and is overwritten by the next
 // Backward call.
-func (d *Dense) Backward(gradOut *Matrix) *Matrix {
+func (d *Dense) Backward(gradOut *Matrix) *Matrix { return d.backward(gradOut, true) }
+
+// backward is the one layer body behind Backward and Network.BackwardInput:
+// dL/dx always, the parameter gradients only when accumulate is set.
+//
+//edgeslice:noalloc
+func (d *Dense) backward(gradOut *Matrix, accumulate bool) *Matrix {
 	if d.in == nil {
 		panic("nn: Backward called before Forward")
 	}
@@ -108,15 +110,14 @@ func (d *Dense) Backward(gradOut *Matrix) *Matrix {
 	}
 	// dL/dz = dL/dy ⊙ act'(z)
 	dz := ensureMat(&d.dz, gradOut.Rows, gradOut.Cols)
-	for i := range dz.Data {
-		dz.Data[i] = gradOut.Data[i] * d.Act.Derivative(d.pre.Data[i], d.out.Data[i])
-	}
-	// dW += dzᵀ · x ; db += colsum(dz)
-	matMulTNAcc(d.GradW, dz, d.in)
-	for i := 0; i < dz.Rows; i++ {
-		row := dz.Row(i)
-		for j := range row {
-			d.GradB[j] += row[j]
+	d.Act.mulDerivative(dz.Data, gradOut.Data, d.pre.Data, d.out.Data)
+	if accumulate {
+		// dW += dzᵀ · x ; db += colsum(dz)
+		matMulTNAcc(d.GradW, dz, d.in)
+		for i := 0; i < dz.Rows; i++ {
+			for j, v := range dz.Row(i) {
+				d.GradB[j] += v
+			}
 		}
 	}
 	// dL/dx = dz · W

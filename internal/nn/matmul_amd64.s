@@ -164,6 +164,136 @@ loop:
 	VZEROUPPER
 	RET
 
+// rowAcc32AVX and rowAccTailAVX are the row-accumulate kernel both backward
+// products run on:
+//
+//	c[j] += Σ_kk a[kk·aStride] · b[kk·bStride + j]
+//
+// for one block of columns j of one output row. The block lives in ymm
+// accumulators for the whole k loop; each step broadcasts one a scalar and
+// does one VMULPD and one VADDPD per accumulator.
+//
+// Bit-identity contract: lanes span independent output elements only; every
+// element adds its products in increasing kk, each product rounded by its
+// own multiply before the add (never FMA), and a step whose a scalar
+// compares equal to zero is skipped outright — exactly the scalar loops'
+// `if av == 0 { continue }`, so 0·Inf never reaches the sum.
+//
+// SI walks a, R8 walks b, CX counts k down (k > 0), X15 is zero, Y8 the
+// broadcast scalar, Y9 the product.
+#define ROWACC_ARGS(a, aStride, b, bStride, k) \
+	MOVQ a, SI; \
+	MOVQ aStride, R9; \
+	MOVQ b, R8; \
+	MOVQ bStride, R10; \
+	MOVQ k, CX; \
+	SHLQ $3, R9; \
+	SHLQ $3, R10; \
+	VXORPD X15, X15, X15
+
+// Falls through to the MACs unless a[kk] == 0 (ZF set, PF clear: NaN
+// compares unordered and must not skip).
+#define ROWACC_SKIPZERO(next, mac) \
+	VMOVSD (SI), X8; \
+	VUCOMISD X15, X8; \
+	JNE mac; \
+	JPC next
+
+#define ROWACC_NEXT(loop) \
+	ADDQ R9, SI; \
+	ADDQ R10, R8; \
+	DECQ CX; \
+	JNZ loop
+
+#define MAC(off, acc) \
+	VMULPD off(R8), Y8, Y9; \
+	VADDPD Y9, acc, acc
+
+#define MACM(off, mask, acc) \
+	VMASKMOVPD off(R8), mask, Y9; \
+	VMULPD Y9, Y8, Y9; \
+	VADDPD Y9, acc, acc
+
+// func rowAcc32AVX(c *float64, a *float64, aStride int, b *float64, bStride int, k int)
+//
+// The full-width block: 32 columns in Y0–Y7.
+TEXT ·rowAcc32AVX(SB), NOSPLIT, $0-48
+	MOVQ c+0(FP), DI
+	ROWACC_ARGS(a+8(FP), aStride+16(FP), b+24(FP), bStride+32(FP), k+40(FP))
+	VMOVUPD 0(DI), Y0
+	VMOVUPD 32(DI), Y1
+	VMOVUPD 64(DI), Y2
+	VMOVUPD 96(DI), Y3
+	VMOVUPD 128(DI), Y4
+	VMOVUPD 160(DI), Y5
+	VMOVUPD 192(DI), Y6
+	VMOVUPD 224(DI), Y7
+
+loop32:
+	ROWACC_SKIPZERO(next32, mac32)
+
+mac32:
+	VBROADCASTSD (SI), Y8
+	MAC(0, Y0)
+	MAC(32, Y1)
+	MAC(64, Y2)
+	MAC(96, Y3)
+	MAC(128, Y4)
+	MAC(160, Y5)
+	MAC(192, Y6)
+	MAC(224, Y7)
+
+next32:
+	ROWACC_NEXT(loop32)
+	VMOVUPD Y0, 0(DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	VMOVUPD Y4, 128(DI)
+	VMOVUPD Y5, 160(DI)
+	VMOVUPD Y6, 192(DI)
+	VMOVUPD Y7, 224(DI)
+	VZEROUPPER
+	RET
+
+// func rowAccTailAVX(c *float64, mask *uint64, a *float64, aStride int, b *float64, bStride int, k int)
+//
+// The column tail: 1 to 16 columns in Y0–Y3 under the sixteen lane masks at
+// mask (all-ones for a live column, zero past the end of the row). Masked
+// loads read dead lanes as 0 and never touch their memory; whatever a dead
+// lane accumulates is dropped by the masked store.
+TEXT ·rowAccTailAVX(SB), NOSPLIT, $0-56
+	MOVQ c+0(FP), DI
+	MOVQ mask+8(FP), DX
+	ROWACC_ARGS(a+16(FP), aStride+24(FP), b+32(FP), bStride+40(FP), k+48(FP))
+	VMOVUPD 0(DX), Y11
+	VMOVUPD 32(DX), Y12
+	VMOVUPD 64(DX), Y13
+	VMOVUPD 96(DX), Y14
+	VMASKMOVPD 0(DI), Y11, Y0
+	VMASKMOVPD 32(DI), Y12, Y1
+	VMASKMOVPD 64(DI), Y13, Y2
+	VMASKMOVPD 96(DI), Y14, Y3
+
+loopT:
+	ROWACC_SKIPZERO(nextT, macT)
+
+macT:
+	VBROADCASTSD (SI), Y8
+	MACM(0, Y11, Y0)
+	MACM(32, Y12, Y1)
+	MACM(64, Y13, Y2)
+	MACM(96, Y14, Y3)
+
+nextT:
+	ROWACC_NEXT(loopT)
+	VMASKMOVPD Y0, Y11, 0(DI)
+	VMASKMOVPD Y1, Y12, 32(DI)
+	VMASKMOVPD Y2, Y13, 64(DI)
+	VMASKMOVPD Y3, Y14, 96(DI)
+	VZEROUPPER
+	RET
+
 // func cpuidex(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuidex(SB), NOSPLIT, $0-24
 	MOVL eaxIn+0(FP), AX

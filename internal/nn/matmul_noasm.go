@@ -2,10 +2,18 @@
 
 package nn
 
-// useAVX is constant false off amd64, dead-coding the vectorized path so
-// the stub below can never be reached.
-const useAVX = false
+// useAVX is always false off amd64, so the stubs below can never be
+// reached; it is a var only so tests compile the same toggle everywhere.
+var useAVX = false
 
 func matmulTile48AVX(c *float64, cStride int, aPack *float64, b *float64, k int) {
+	panic("nn: vectorized matmul kernel is amd64-only")
+}
+
+func rowAcc32AVX(c *float64, a *float64, aStride int, b *float64, bStride int, k int) {
+	panic("nn: vectorized matmul kernel is amd64-only")
+}
+
+func rowAccTailAVX(c *float64, mask *uint64, a *float64, aStride int, b *float64, bStride int, k int) {
 	panic("nn: vectorized matmul kernel is amd64-only")
 }

@@ -286,7 +286,16 @@ func MatMulNNInto(c, a, b *Matrix) *Matrix {
 	return c
 }
 
+// matMulNNAcc accumulates C += A * B; shapes are the caller's to check.
+//
+//edgeslice:noalloc
 func matMulNNAcc(c, a, b *Matrix) {
+	if useAVX && a.Cols > 0 {
+		for i := 0; i < a.Rows; i++ {
+			rowAccAVX(c.Row(i), a.Row(i), 1, b.Data, b.Cols, a.Cols)
+		}
+		return
+	}
 	for i := 0; i < a.Rows; i++ {
 		ar := a.Row(i)
 		cr := c.Row(i)
@@ -302,6 +311,39 @@ func matMulNNAcc(c, a, b *Matrix) {
 	}
 }
 
+// rowAccMask[16-m:] is, for 1 ≤ m ≤ 16, the sixteen lane masks of a column
+// tail m wide: m all-ones words, then zeros.
+var rowAccMask = func() (m [32]uint64) {
+	for i := range m[:16] {
+		m[i] = ^uint64(0)
+	}
+	return m
+}()
+
+// rowAccAVX accumulates one output row, c[j] += Σ_kk a[kk·aStride] ·
+// b[kk·bStride+j] for kk in [0,k), on the AVX row-accumulate kernel: 32
+// columns at a time, then the masked tail. With aStride = 1 and a a row of
+// dz it is a row of dz·W (matMulNNAcc); with aStride = dz.Cols and a
+// starting at column i it is row i of dzᵀ·x (matMulTNAcc). Each c[j] sees
+// the operations of the scalar loops in the same order — products added in
+// increasing kk, zero a skipped — so the result is bit-identical to them.
+//
+//edgeslice:noalloc
+func rowAccAVX(c, a []float64, aStride int, b []float64, bStride, k int) {
+	if len(c) == 0 {
+		return
+	}
+	// The kernels index unchecked; these are the furthest elements they read.
+	_, _ = a[(k-1)*aStride], b[(k-1)*bStride+len(c)-1]
+	j := 0
+	for ; j+32 <= len(c); j += 32 {
+		rowAcc32AVX(&c[j], &a[0], aStride, &b[j], bStride, k)
+	}
+	for ; j < len(c); j += 16 {
+		rowAccTailAVX(&c[j], &rowAccMask[16-min(16, len(c)-j)], &a[0], aStride, &b[j], bStride, k)
+	}
+}
+
 // MatMulTN computes C = Aᵀ * B where A is (k×n) and B is (k×m), yielding an
 // (n×m) result. Used for weight gradients: dW = dYᵀ · X.
 func MatMulTN(a, b *Matrix) *Matrix {
@@ -311,9 +353,6 @@ func MatMulTN(a, b *Matrix) *Matrix {
 // MatMulTNInto computes C = Aᵀ * B into the preallocated (a.Cols×b.Cols)
 // matrix c and returns it. c must not alias a or b.
 func MatMulTNInto(c, a, b *Matrix) *Matrix {
-	if c.Rows != a.Cols || c.Cols != b.Cols {
-		panic(fmt.Sprintf("nn: MatMulTNInto dst is %dx%d, want %dx%d", c.Rows, c.Cols, a.Cols, b.Cols))
-	}
 	c.Zero()
 	matMulTNAcc(c, a, b)
 	return c
@@ -321,9 +360,20 @@ func MatMulTNInto(c, a, b *Matrix) *Matrix {
 
 // matMulTNAcc accumulates C += Aᵀ * B without zeroing c first — the form
 // gradient accumulation wants (dW += dzᵀ·x).
+//
+//edgeslice:noalloc
 func matMulTNAcc(c, a, b *Matrix) {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("nn: MatMulTN inner dim mismatch %d != %d", a.Rows, b.Rows))
+	}
+	if c.Rows != a.Cols || c.Cols != b.Cols {
+		panic(fmt.Sprintf("nn: MatMulTNInto dst is %dx%d, want %dx%d", c.Rows, c.Cols, a.Cols, b.Cols))
+	}
+	if useAVX && a.Rows > 0 {
+		for i := 0; i < a.Cols; i++ {
+			rowAccAVX(c.Row(i), a.Data[i:], a.Cols, b.Data, b.Cols, a.Rows)
+		}
+		return
 	}
 	for k := 0; k < a.Rows; k++ {
 		ar := a.Row(k)

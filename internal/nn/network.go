@@ -106,6 +106,19 @@ func (n *Network) Backward(gradOut *Matrix) *Matrix {
 	return g
 }
 
+// BackwardInput returns the dL/dx Backward would, bit for bit, without
+// touching the parameter gradients: the pass for callers that differentiate
+// through a network they are not updating (the critic in an actor update).
+//
+//edgeslice:noalloc
+func (n *Network) BackwardInput(gradOut *Matrix) *Matrix {
+	g := gradOut
+	for i := len(n.Layers) - 1; i >= 0; i-- {
+		g = n.Layers[i].backward(g, false)
+	}
+	return g
+}
+
 // ZeroGrad clears all accumulated gradients.
 func (n *Network) ZeroGrad() {
 	for _, l := range n.Layers {

@@ -1,0 +1,99 @@
+package nn_test
+
+import (
+	"bytes"
+	"encoding/json"
+	"math/rand"
+	"testing"
+
+	"edgeslice/internal/ckpt"
+	"edgeslice/internal/nn"
+	"edgeslice/internal/rl"
+	"edgeslice/internal/rl/ddpg"
+	"edgeslice/internal/rl/ppo"
+	"edgeslice/internal/rl/rltest"
+	"edgeslice/internal/rl/sac"
+	"edgeslice/internal/rl/td3"
+	"edgeslice/internal/rl/trpo"
+	"edgeslice/internal/rl/vpg"
+)
+
+type trainer interface {
+	Train(env rl.Env, steps int) error
+	Snapshot(ckpt.SnapshotOptions) (*ckpt.AgentState, error)
+}
+
+// Every trainer goes through Dense, so each must end a short training in
+// the same state — networks, optimizer moments, RNG cursor, replay — on the
+// AVX kernels as on the scalar loops. Widths are picked off the kernels'
+// block sizes: hidden 40 is a full 32-column block plus a tail, the 5+3
+// critic input a lone tail.
+func TestTrainingBitIdenticalAcrossKernels(t *testing.T) {
+	if !nn.SetUseAVX(t, true) {
+		t.Skip("no AVX kernels on this host")
+	}
+	const sdim, adim, hidden = 5, 3, 40
+	for _, tc := range []struct {
+		name  string
+		steps int
+		new   func() (trainer, error)
+	}{
+		{"ddpg", 300, func() (trainer, error) {
+			cfg := ddpg.DefaultConfig()
+			cfg.Hidden, cfg.BatchSize, cfg.WarmupSteps = hidden, 32, 50
+			return ddpg.New(sdim, adim, cfg)
+		}},
+		{"td3", 300, func() (trainer, error) {
+			cfg := td3.DefaultConfig()
+			cfg.Hidden, cfg.BatchSize, cfg.WarmupSteps = hidden, 32, 50
+			return td3.New(sdim, adim, cfg)
+		}},
+		{"sac", 200, func() (trainer, error) {
+			cfg := sac.DefaultConfig()
+			cfg.Hidden, cfg.BatchSize, cfg.WarmupSteps = hidden, 16, 50
+			return sac.New(sdim, adim, cfg)
+		}},
+		{"ppo", 256, func() (trainer, error) {
+			cfg := ppo.DefaultConfig()
+			cfg.Hidden, cfg.Horizon, cfg.MinibatchSz, cfg.Epochs, cfg.ValueEpochs = hidden, 64, 16, 2, 3
+			return ppo.New(sdim, adim, cfg)
+		}},
+		{"trpo", 256, func() (trainer, error) {
+			cfg := trpo.DefaultConfig()
+			cfg.Hidden, cfg.Horizon, cfg.FisherSamples, cfg.ValueEpochs = hidden, 64, 16, 3
+			return trpo.New(sdim, adim, cfg)
+		}},
+		{"vpg", 256, func() (trainer, error) {
+			cfg := vpg.DefaultConfig()
+			cfg.Hidden, cfg.Horizon, cfg.ValueEpochs = hidden, 64, 3
+			return vpg.New(sdim, adim, cfg)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			trained := func(avx bool) []byte {
+				nn.SetUseAVX(t, avx)
+				a, err := tc.new()
+				if err != nil {
+					t.Fatal(err)
+				}
+				env := rltest.NewTargetEnv(rand.New(rand.NewSource(7)), sdim, adim, 20) //nolint:gosec // test determinism
+				if err := a.Train(env, tc.steps); err != nil {
+					t.Fatal(err)
+				}
+				st, err := a.Snapshot(ckpt.SnapshotOptions{IncludeReplay: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				out, err := json.Marshal(st)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return out
+			}
+			scalar, avx := trained(false), trained(true)
+			if !bytes.Equal(scalar, avx) {
+				t.Errorf("snapshot after %d steps differs between scalar (%d B) and AVX (%d B) kernels", tc.steps, len(scalar), len(avx))
+			}
+		})
+	}
+}

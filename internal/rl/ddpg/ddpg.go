@@ -236,7 +236,6 @@ func (a *Agent) Update() error {
 		copy(row, states.Row(i))
 		copy(row[a.stateDim:], actions.Row(i))
 	}
-	a.critic.ZeroGrad() // we only want input grads, not critic param grads
 	qa := a.critic.Forward(actIn)
 	ones := a.ws.Next(qa.Rows, 1)
 	for i := 0; i < qa.Rows; i++ {
@@ -244,8 +243,7 @@ func (a *Agent) Update() error {
 		// negate when passing into the actor below.
 		ones.Set(i, 0, 1.0/float64(n))
 	}
-	dIn := a.critic.Backward(ones)
-	a.critic.ZeroGrad() // discard critic grads accumulated by the chain rule
+	dIn := a.critic.BackwardInput(ones) // input grads only, not critic param grads
 
 	dAction := a.ws.Next(n, a.actionDim)
 	for i := 0; i < n; i++ {

@@ -8,7 +8,8 @@ import (
 // ReplayBuffer is a fixed-capacity ring buffer of transitions with uniform
 // random sampling, the experience replay memory of Fig. 3. Eviction is
 // FIFO: once the buffer is full, each Add overwrites the oldest stored
-// transition.
+// transition. Storage grows by append up to capacity, so a short training
+// pays for the transitions it stores, not for the whole ring.
 type ReplayBuffer struct {
 	capacity int
 	buf      []Transition
@@ -20,7 +21,7 @@ func NewReplayBuffer(capacity int) *ReplayBuffer {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("rl: invalid replay capacity %d", capacity))
 	}
-	return &ReplayBuffer{capacity: capacity, buf: make([]Transition, 0, capacity)}
+	return &ReplayBuffer{capacity: capacity}
 }
 
 // Add stores a transition, evicting the oldest when full.
@@ -89,10 +90,11 @@ func RestoreReplay(st ReplayState) (*ReplayBuffer, error) {
 	if st.Next != 0 && len(st.Transitions) < st.Capacity {
 		return nil, fmt.Errorf("rl: replay snapshot cursor %d with %d/%d transitions breaks FIFO order", st.Next, len(st.Transitions), st.Capacity)
 	}
-	b := &ReplayBuffer{capacity: st.Capacity, next: st.Next}
-	b.buf = make([]Transition, len(st.Transitions), st.Capacity)
-	copy(b.buf, st.Transitions)
-	return b, nil
+	return &ReplayBuffer{
+		capacity: st.Capacity,
+		next:     st.Next,
+		buf:      append([]Transition(nil), st.Transitions...),
+	}, nil
 }
 
 // SampleInto fills out with uniformly sampled transitions (with

@@ -3,6 +3,7 @@ package rl
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -69,6 +70,101 @@ func TestReplayBufferFIFOEvictionOrder(t *testing.T) {
 	}
 	if len(got) != capacity {
 		t.Errorf("buffer holds %d distinct transitions, want %d", len(got), capacity)
+	}
+}
+
+// The ring grows by append, so this pins what must not depend on how it is
+// stored: against a plain FIFO model, the storage order, the eviction
+// cursor and the seeded sample sequence agree after every Add across the
+// first wrap, and a buffer restored from a snapshot taken before or after
+// the wrap continues exactly like the original.
+func TestReplayBufferWrapSequence(t *testing.T) {
+	const capacity, adds = 5, 13
+	rewards := func(trs []Transition) []float64 {
+		out := make([]float64, len(trs))
+		for i, tr := range trs {
+			out[i] = tr.Reward
+		}
+		return out
+	}
+	for _, snapAt := range []int{3, capacity, 8} { // before, at and after the first wrap
+		live := NewReplayBuffer(capacity)
+		var restored *ReplayBuffer
+		var model []Transition                                                         // model[i] is storage slot i
+		seeded := func(i int) *rand.Rand { return rand.New(rand.NewSource(int64(i))) } //nolint:gosec // test
+		for i := 0; i < adds; i++ {
+			tr := Transition{Reward: float64(i), State: []float64{float64(i)}}
+			live.Add(tr)
+			if restored != nil {
+				restored.Add(tr)
+			}
+			if len(model) < capacity {
+				model = append(model, tr)
+			} else {
+				model[i%capacity] = tr // FIFO: slot of the oldest
+			}
+			if i+1 == snapAt {
+				var err error
+				if restored, err = RestoreReplay(live.State()); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			st := live.State()
+			if want := rewards(model); !reflect.DeepEqual(rewards(st.Transitions), want) {
+				t.Fatalf("snap %d, add %d: storage order %v, want %v", snapAt, i, rewards(st.Transitions), want)
+			}
+			wantNext := 0
+			if i >= capacity {
+				wantNext = (i + 1) % capacity
+			}
+			if st.Next != wantNext || st.Capacity != capacity {
+				t.Fatalf("snap %d, add %d: cursor %d capacity %d, want %d and %d", snapAt, i, st.Next, st.Capacity, wantNext, capacity)
+			}
+			got, err := live.Sample(seeded(i), 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, modelRNG := make([]Transition, 7), seeded(i)
+			for k := range want {
+				want[k] = model[modelRNG.Intn(len(model))]
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("snap %d, add %d: samples %v, want %v", snapAt, i, rewards(got), rewards(want))
+			}
+			if restored == nil {
+				continue
+			}
+			if !reflect.DeepEqual(restored.State(), st) {
+				t.Fatalf("snap %d, add %d: restored state %+v, live %+v", snapAt, i, restored.State(), st)
+			}
+			again, err := restored.Sample(seeded(i), 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(again, got) {
+				t.Fatalf("snap %d, add %d: restored samples %v, live %v", snapAt, i, rewards(again), rewards(got))
+			}
+		}
+	}
+}
+
+// A short run must not pay for the whole ring: storage follows what was
+// stored, and never passes capacity once it wraps.
+func TestReplayBufferGrowsOnDemand(t *testing.T) {
+	b := NewReplayBuffer(100_000)
+	for i := 0; i < 100; i++ {
+		b.Add(Transition{Reward: float64(i)})
+	}
+	if c := cap(b.buf); c >= 1000 {
+		t.Errorf("100 transitions hold storage for %d, want it near 100", c)
+	}
+	r, err := RestoreReplay(b.State())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := cap(r.buf); c >= 1000 {
+		t.Errorf("restored 100 transitions hold storage for %d, want it near 100", c)
 	}
 }
 

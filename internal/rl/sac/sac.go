@@ -286,13 +286,10 @@ func (a *Agent) Update() error {
 		if q2v < q1v {
 			qNet = a.q2
 		}
-		// dQ/da via critic input gradients (param grads discarded). Both
-		// critics' forward caches from the min-Q evaluation above are
-		// still valid — ZeroGrad touches only gradients — so Backward
-		// runs directly without a third forward.
-		qNet.ZeroGrad()
-		dIn := qNet.Backward(g1)
-		qNet.ZeroGrad()
+		// dQ/da via critic input gradients. Both critics' forward caches
+		// from the min-Q evaluation above are still valid, so the
+		// backward pass runs directly without a third forward.
+		dIn := qNet.BackwardInput(g1)
 		dQda := dIn.Row(0)[a.stateDim:]
 
 		row = headGrad.Row(i)

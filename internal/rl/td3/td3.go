@@ -242,14 +242,12 @@ func (a *Agent) Update() error {
 		copy(row, states.Row(i))
 		copy(row[a.stateDim:], actions.Row(i))
 	}
-	a.q1.ZeroGrad()
 	qa := a.q1.Forward(actIn)
 	ones := a.ws.Next(qa.Rows, 1)
 	for i := 0; i < qa.Rows; i++ {
 		ones.Set(i, 0, 1.0/float64(n))
 	}
-	dIn := a.q1.Backward(ones)
-	a.q1.ZeroGrad()
+	dIn := a.q1.BackwardInput(ones)
 	dAction := a.ws.Next(n, a.aDim)
 	for i := 0; i < n; i++ {
 		src := dIn.Row(i)[a.stateDim:]

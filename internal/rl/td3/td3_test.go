@@ -105,3 +105,34 @@ func TestTD3LearnsTargetTask(t *testing.T) {
 		t.Errorf("TD3 did not learn: loss %v -> %v", before, after)
 	}
 }
+
+// A warm Update step must not allocate: the batch buffer, workspace
+// matrices, layer scratch, and optimizer state are all reused.
+func TestUpdateAllocFree(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Hidden = 16
+	cfg.BatchSize = 8
+	cfg.WarmupSteps = 10
+	a, err := New(3, 2, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(13)) //nolint:gosec // test
+	for i := 0; i < cfg.WarmupSteps+1; i++ {
+		s := []float64{rng.Float64(), rng.Float64(), rng.Float64()}
+		a.Observe(rl.Transition{State: s, Action: []float64{0.5, 0.5}, Reward: -1, NextState: s})
+	}
+	for i := 0; i < 2; i++ { // warm the workspaces, on both sides of the policy delay
+		if err := a.Update(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(6, func() {
+		if err := a.Update(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("warm Update allocates %v objects per step, want 0", allocs)
+	}
+}
