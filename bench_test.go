@@ -1,8 +1,9 @@
 // Benchmark harness: one benchmark per table/figure of the paper's
 // evaluation (Sec. VII). Each figure benchmark regenerates the figure's
 // data series end to end (training included where the algorithm learns) and
-// prints the same rows the paper plots; EXPERIMENTS.md records the
-// paper-vs-measured comparison. Micro-benchmarks at the bottom cover the
+// prints the same rows the paper plots; the paper-vs-measured comparison
+// (EXPERIMENTS.md) is not generated yet, see ROADMAP "Paper-scale fidelity
+// as a regenerated artifact". Micro-benchmarks at the bottom cover the
 // substrate hot paths.
 //
 // Run with: go test -bench=. -benchmem
@@ -28,7 +29,8 @@ import (
 
 // benchOptions returns the CI-scale experiment settings used by every
 // figure benchmark. The paper's 1e6-step TF training maps to 12k pure-Go
-// steps (see EXPERIMENTS.md for the scaling discussion).
+// steps (the scaling discussion belongs in EXPERIMENTS.md, not generated
+// yet: ROADMAP "Paper-scale fidelity as a regenerated artifact").
 func benchOptions() edgeslice.ExperimentOptions {
 	o := edgeslice.DefaultExperimentOptions()
 	o.TrainSteps = 12000

@@ -153,7 +153,7 @@ func (s *System) finishPeriod(h *History, perf [][]float64) error {
 // reports arrived. It runs on the driver goroutine only.
 func (s *System) mergeInterval(h *History, interval int, res []netsim.StepResult) error {
 	ws := s.workspace()
-	ids, err := s.monitorIDs()
+	group, err := s.monitorGroup(ws)
 	if err != nil {
 		return err
 	}
@@ -168,10 +168,10 @@ func (s *System) mergeInterval(h *History, interval int, res []netsim.StepResult
 		sysPerf = mergeRA(ws, ws.samples[j*ws.I*numMonKinds:], &res[j], sysPerf)
 		violation += res[j].Violation
 	}
-	// One monitor call per interval: the samples of all RAs go in under a
-	// single lock, counting rejected writes (out-of-order or duplicate
-	// intervals) instead of silently dropping them.
-	if n := s.mon.RecordIDs(ids, interval, ws.samples); n > 0 {
+	// One monitor call per interval: the samples of all RAs go in as one row
+	// under a single lock, counting rejected writes (out-of-order intervals)
+	// instead of silently dropping them.
+	if n := s.mon.RecordRow(group, interval, ws.samples); n > 0 {
 		s.stats.monDropped.Add(uint64(n))
 	}
 	// The shares of the J RAs are summed first and divided once, so the
@@ -187,7 +187,7 @@ func (s *System) mergeInterval(h *History, interval int, res []netsim.StepResult
 // mergeRA adds one RA's interval result to the workspace's per-slice sums
 // and to the running system sum sysPerf (returned; one accumulator across
 // all RAs, as the serial loop always summed), and stages its monitor samples
-// (slice-major, perf then queue — the order of monitorIDs) in samples.
+// (slice-major, perf then queue — the order of monitorGroup) in samples.
 //
 //edgeslice:noalloc
 func mergeRA(ws *periodWS, samples []float64, res *netsim.StepResult, sysPerf float64) float64 {

@@ -209,26 +209,24 @@ const (
 
 var monKindNames = [numMonKinds]string{monPerf: "perf", monQueue: "queue"}
 
-// monitorIDs returns the monitor series handles of every (ra, slice, kind),
-// indexed (ra·I+slice)·numMonKinds+kind, resolving all names on first use.
-// Single-goroutine use only (the RunPeriods driver), like the rest of the
-// recording funnel.
-func (s *System) monitorIDs() ([]int, error) {
-	if s.monIDs == nil {
-		I := s.cfg.EnvTemplate.NumSlices
-		ids := make([]int, 0, s.cfg.NumRAs*I*numMonKinds)
-		for ra := 0; ra < s.cfg.NumRAs; ra++ {
-			for slice := 0; slice < I; slice++ {
+// monitorGroup returns the monitor row group ws.samples is recorded into —
+// one series per (ra, slice, kind), in that order — registering it on first
+// use, so recording a sample neither formats nor hashes a metric name.
+func (s *System) monitorGroup(ws *periodWS) (int, error) {
+	if ws.monGroup < 0 {
+		names := make([]string, 0, len(ws.samples))
+		for ra := 0; ra < ws.J; ra++ {
+			for slice := 0; slice < ws.I; slice++ {
 				for _, kind := range monKindNames {
-					id, err := s.mon.Handle(monitor.MetricName(kind, ra, slice))
-					if err != nil {
-						return nil, err
-					}
-					ids = append(ids, id)
+					names = append(names, monitor.MetricName(kind, ra, slice))
 				}
 			}
 		}
-		s.monIDs = ids
+		group, err := s.mon.Group(names)
+		if err != nil {
+			return 0, err
+		}
+		ws.monGroup = group
 	}
-	return s.monIDs, nil
+	return ws.monGroup, nil
 }

@@ -98,7 +98,8 @@ type Config struct {
 
 	// TrainSteps is the number of environment steps each agent is trained
 	// for. The paper trains 1e6 TensorFlow steps; pure-Go CI-scale runs use
-	// thousands (see EXPERIMENTS.md for the scaling note).
+	// thousands (the scaling note belongs in EXPERIMENTS.md, not generated
+	// yet: ROADMAP "Paper-scale fidelity as a regenerated artifact").
 	TrainSteps int
 	DDPG       ddpg.Config
 	// ShareAgent trains a single agent on RA 0's environment and deploys
@@ -187,13 +188,10 @@ type System struct {
 	// liveness alongside run progress.
 	liveness func() (live, registered, expected int)
 
-	// monIDs caches the monitor series handles, indexed (ra·I+slice)·2+kind,
-	// so recording a sample neither formats nor hashes a metric name. Built
-	// by monitorIDs; only touched from the single RunPeriods driver
-	// goroutine, like ws (the period workspace) and raIdx (0 … J−1).
-	monIDs []int
-	ws     *periodWS
-	raIdx  []int
+	// ws (the period workspace) and raIdx (0 … J−1) are built on first use
+	// and only touched from the single RunPeriods driver goroutine.
+	ws    *periodWS
+	raIdx []int
 }
 
 // NewSystem builds the system (agents untrained; call Train before

@@ -29,9 +29,11 @@ type periodWS struct {
 	col       []float64   // I: one RA's coordination column or period perf
 	col2      []float64   // I: the second coordination column
 	slicePerf []float64   // I: Σ_j U_i of the interval being merged
-	samples   []float64   // J × I × numMonKinds: the interval's monitor samples, in monitorIDs order
+	samples   []float64   // J × I × numMonKinds: the interval's monitor row, (RA, slice, kind)-major
 	usage     [][]float64 // I × NumResources: Σ_j effective share, then the mean
 	perf      [][]float64 // I × J: the period's Σ_t U grid handed to the coordinator
+
+	monGroup int // the monitor row group samples is recorded into; −1 until monitorGroup registers it
 }
 
 func newGrid(rows, cols int) [][]float64 {
@@ -57,6 +59,7 @@ func (s *System) workspace() *periodWS {
 			samples:   make([]float64, J*I*numMonKinds),
 			usage:     newGrid(I, netsim.NumResources),
 			perf:      newGrid(I, J),
+			monGroup:  -1,
 		}
 	}
 	return s.ws

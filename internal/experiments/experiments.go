@@ -1,7 +1,8 @@
 // Package experiments regenerates every figure of the paper's evaluation
 // (Sec. VII) against the simulated substrates: each FigN function runs the
 // corresponding workload and returns the data series the paper plots.
-// EXPERIMENTS.md records paper-vs-measured values for each figure.
+// The paper-vs-measured table for each figure (EXPERIMENTS.md) is not
+// generated yet: ROADMAP "Paper-scale fidelity as a regenerated artifact".
 //
 // Scale note: the paper trains agents for 1e6 TensorFlow steps; the
 // CI-scale defaults here train thousands of pure-Go steps with a smaller

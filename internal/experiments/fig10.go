@@ -22,7 +22,8 @@ var TrainingTechniques = []string{"DDPG", "SAC", "PPO", "TRPO", "VPG"}
 //
 // Step counts are scaled: the paper's {1e5, 5e5, 1e6, 1.5e6} TF steps map
 // to {0.1, 0.5, 1.0, 1.5} × Options.TrainSteps so the relative step ratios
-// are preserved (see EXPERIMENTS.md).
+// are preserved (EXPERIMENTS.md, which would record this, is not generated
+// yet: ROADMAP "Paper-scale fidelity as a regenerated artifact").
 func Fig10(o Options) (*Figure, *Figure, error) {
 	if err := o.Validate(); err != nil {
 		return nil, nil, err

@@ -17,6 +17,19 @@ func NewRNG(seed int64) *rand.Rand {
 // lambda and a normal approximation for large lambda (>= 30) to avoid the
 // exponential underflow and O(lambda) cost of the exact method.
 func Poisson(rng *rand.Rand, lambda float64) int {
+	return new(PoissonCache).Draw(rng, lambda)
+}
+
+// PoissonCache draws what Poisson draws — same uniforms consumed, same
+// variates — but remembers exp(−lambda) from the previous call, so a caller
+// whose rate holds for a block of intervals pays for the exponential once
+// per change. The zero value is ready to use.
+type PoissonCache struct {
+	lambda, expNeg float64
+}
+
+// Draw returns a Poisson(lambda) variate.
+func (c *PoissonCache) Draw(rng *rand.Rand, lambda float64) int {
 	if lambda <= 0 {
 		return 0
 	}
@@ -27,7 +40,10 @@ func Poisson(rng *rand.Rand, lambda float64) int {
 		}
 		return int(v + 0.5)
 	}
-	l := math.Exp(-lambda)
+	if lambda != c.lambda {
+		c.lambda, c.expNeg = lambda, math.Exp(-lambda)
+	}
+	l := c.expNeg
 	k := 0
 	p := 1.0
 	for {

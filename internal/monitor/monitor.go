@@ -24,12 +24,10 @@ type Sample struct {
 type Monitor struct {
 	mu sync.Mutex
 
-	// Series are stored by handle: ids resolves a metric name once (Handle,
-	// or Record on first sight) and names/series are indexed by the id, so
-	// the per-sample path (RecordID) hashes no strings.
-	ids    map[string]int
-	names  []string
-	series [][]Sample
+	// Every series is a column of a block; refs resolves a metric name to
+	// its column. A series recorded by name is a block of width one.
+	refs   map[string]ref
+	blocks []*block
 	byIMSI map[string]int
 	byIP   map[string]int
 
@@ -40,10 +38,26 @@ type Monitor struct {
 	evicted uint64
 }
 
+// block stores series that are recorded together, one row per interval: the
+// rows' shared interval column plus their values, row-major. A row costs one
+// order check and one copy however many series it spans.
+type block struct {
+	names     []string
+	intervals []int
+	values    []float64 // len(intervals) × len(names)
+
+	// split, once non-nil, lists the width-one blocks the columns moved to
+	// (splitLocked); the block then holds no samples.
+	split []int
+}
+
+// ref locates a series: column col of blocks[block].
+type ref struct{ block, col int }
+
 // New creates an empty monitor.
 func New() *Monitor {
 	return &Monitor{
-		ids:    make(map[string]int),
+		refs:   make(map[string]ref),
 		byIMSI: make(map[string]int),
 		byIP:   make(map[string]int),
 	}
@@ -57,8 +71,8 @@ func MetricName(kind string, ra, slice int) string {
 
 // SetWindow bounds every metric's retention to its most recent n samples
 // (n <= 0 restores unbounded retention). Eviction is amortized: a series
-// is allowed to grow to 2n before its oldest half is discarded in place,
-// so Record stays O(1) amortized with no per-eviction allocation.
+// grows to 2n before its oldest half is discarded in place, so recording
+// never allocates — existing series are sized to 2n here, later ones at creation.
 func (m *Monitor) SetWindow(n int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -66,12 +80,30 @@ func (m *Monitor) SetWindow(n int) {
 	if n <= 0 {
 		return
 	}
-	for id, s := range m.series {
-		if len(s) > n {
-			m.evicted += uint64(len(s) - n)
-			copy(s, s[len(s)-n:])
-			m.series[id] = s[:n]
+	for _, b := range m.blocks {
+		if rows := len(b.intervals); rows > n {
+			m.evicted += uint64((rows - n) * len(b.names))
+			b.keepNewest(n)
 		}
+		if b.split == nil {
+			b.reserve(2 * n)
+		}
+	}
+}
+
+// keepNewest discards all but the newest n rows in place.
+func (b *block) keepNewest(n int) {
+	w, rows := len(b.names), len(b.intervals)
+	copy(b.intervals, b.intervals[rows-n:])
+	copy(b.values, b.values[(rows-n)*w:])
+	b.intervals, b.values = b.intervals[:n], b.values[:n*w]
+}
+
+// reserve grows the block's capacity to at least rows rows.
+func (b *block) reserve(rows int) {
+	if cap(b.intervals) < rows {
+		b.intervals = append(make([]int, 0, rows), b.intervals...)
+		b.values = append(make([]float64, 0, rows*len(b.names)), b.values...)
 	}
 }
 
@@ -96,48 +128,68 @@ func (m *Monitor) TotalSamples() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	n := 0
-	for _, s := range m.series {
-		n += len(s)
+	for _, b := range m.blocks {
+		n += len(b.values)
 	}
 	return n
 }
 
-// Handle resolves a metric name to its series id, creating the (empty)
-// series on first use. Ids are stable for the monitor's lifetime; a caller
-// that records the same metrics every interval resolves them once and
-// records through RecordID.
-func (m *Monitor) Handle(metric string) (int, error) {
-	if metric == "" {
-		return 0, fmt.Errorf("monitor: empty metric name")
+// newBlockLocked adds an empty block of the given columns and points at it
+// every name that no series has yet.
+func (m *Monitor) newBlockLocked(names []string) int {
+	id := len(m.blocks)
+	b := &block{names: names}
+	if m.window > 0 {
+		// A bounded block never exceeds 2·window rows (see appendLocked), so
+		// sizing it once keeps recording allocation-free.
+		b.reserve(2 * m.window)
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.handleLocked(metric), nil
-}
-
-func (m *Monitor) handleLocked(metric string) int {
-	id, ok := m.ids[metric]
-	if !ok {
-		id = len(m.series)
-		m.ids[metric] = id
-		m.names = append(m.names, metric)
-		var s []Sample
-		if m.window > 0 {
-			// A bounded series never exceeds 2·window samples (see
-			// appendLocked), so sizing it once keeps recording allocation-free.
-			s = make([]Sample, 0, 2*m.window)
+	m.blocks = append(m.blocks, b)
+	for col, name := range names {
+		if _, taken := m.refs[name]; !taken {
+			m.refs[name] = ref{id, col}
 		}
-		m.series = append(m.series, s)
 	}
 	return id
 }
 
-// seriesLocked returns the samples of a metric (nil when never seen).
-func (m *Monitor) seriesLocked(metric string) []Sample {
-	if id, ok := m.ids[metric]; ok {
-		return m.series[id]
+// seriesLocked returns the width-one block of a metric, creating it (empty)
+// on first sight. A column of a row group gets per-series storage, as do the
+// group's other columns: from here on its intervals may differ from theirs.
+func (m *Monitor) seriesLocked(metric string) int {
+	r, ok := m.refs[metric]
+	if !ok {
+		return m.newBlockLocked([]string{metric})
 	}
-	return nil
+	if b := m.blocks[r.block]; len(b.names) > 1 {
+		m.splitLocked(b)
+		r = m.refs[metric]
+	}
+	return r.block
+}
+
+// splitLocked moves every column of a row group to per-series storage,
+// samples included; a column whose name another series already owns is
+// recorded there.
+func (m *Monitor) splitLocked(b *block) {
+	w := len(b.names)
+	b.split = make([]int, w)
+	for col, name := range b.names {
+		if r := m.refs[name]; m.blocks[r.block] != b || r.col != col {
+			b.split[col] = m.seriesLocked(name)
+			continue
+		}
+		delete(m.refs, name)
+		id := m.newBlockLocked(b.names[col : col+1])
+		nb := m.blocks[id]
+		nb.reserve(len(b.intervals))
+		nb.intervals = append(nb.intervals, b.intervals...)
+		for row := range b.intervals {
+			nb.values = append(nb.values, b.values[row*w+col])
+		}
+		b.split[col] = id
+	}
+	b.intervals, b.values = nil, nil
 }
 
 // Record appends a sample to a metric. Intervals are expected to be
@@ -149,35 +201,50 @@ func (m *Monitor) Record(metric string, interval int, value float64) error {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.appendLocked(m.handleLocked(metric), interval, value)
+	return m.appendLocked(m.blocks[m.seriesLocked(metric)], interval, []float64{value})
 }
 
-// RecordID is Record for a series id obtained from Handle: the same order
-// check, retention window, and eviction accounting, without the name
-// lookup.
-//
-//edgeslice:noalloc
-func (m *Monitor) RecordID(id, interval int, value float64) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if id < 0 || id >= len(m.series) {
-		//edgeslice:allocok cold error path
-		return fmt.Errorf("monitor: unknown series id %d", id)
+// Group registers metrics that are recorded together — one value each per
+// interval, through RecordRow — and returns the group's id. Queries cannot
+// tell grouped from by-name series. A group naming a metric twice, or one the
+// monitor already knows, is kept column by column: slower, same semantics.
+func (m *Monitor) Group(metrics []string) (int, error) {
+	for _, metric := range metrics {
+		if metric == "" {
+			return 0, fmt.Errorf("monitor: empty metric name")
+		}
 	}
-	return m.appendLocked(id, interval, value)
-}
-
-// RecordIDs records values[k] into series ids[k], all at one interval, under
-// a single lock acquisition — the form for a caller that records many series
-// every interval — and returns how many samples were rejected (out of order
-// or unknown id), which RecordID would have reported one error at a time.
-//
-//edgeslice:noalloc
-func (m *Monitor) RecordIDs(ids []int, interval int, values []float64) (rejected int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for k, id := range ids {
-		if id < 0 || id >= len(m.series) || m.appendLocked(id, interval, values[k]) != nil {
+	free := len(m.refs)
+	id := m.newBlockLocked(append([]string(nil), metrics...))
+	if len(m.refs) != free+len(metrics) { // some name was taken, or repeats
+		m.splitLocked(m.blocks[id])
+	}
+	return id, nil
+}
+
+// RecordRow records row[k] into the k-th metric of a group, all at one
+// interval and under a single lock acquisition, and returns how many samples
+// were rejected: out-of-order ones, or the whole row when the group is
+// unknown or the row's width is not the group's.
+//
+//edgeslice:noalloc
+func (m *Monitor) RecordRow(group, interval int, row []float64) (rejected int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if group < 0 || group >= len(m.blocks) || len(row) != len(m.blocks[group].names) {
+		return len(row)
+	}
+	b := m.blocks[group]
+	if b.split == nil {
+		if m.appendLocked(b, interval, row) != nil {
+			return len(row)
+		}
+		return 0
+	}
+	for col, id := range b.split {
+		if m.appendLocked(m.blocks[id], interval, row[col:col+1]) != nil {
 			rejected++
 		}
 	}
@@ -185,56 +252,78 @@ func (m *Monitor) RecordIDs(ids []int, interval int, values []float64) (rejected
 }
 
 //edgeslice:noalloc
-func (m *Monitor) appendLocked(id, interval int, value float64) error {
-	s := m.series[id]
-	if n := len(s); n > 0 && s[n-1].Interval > interval {
+func (m *Monitor) appendLocked(b *block, interval int, row []float64) error {
+	if n := len(b.intervals); n > 0 && b.intervals[n-1] > interval {
 		//edgeslice:allocok cold error path
-		return fmt.Errorf("monitor: out-of-order sample for %s: %d after %d",
-			m.names[id], interval, s[n-1].Interval)
+		return fmt.Errorf("monitor: out-of-order sample for %s: %d after %d", b.names[0], interval, b.intervals[n-1])
 	}
-	if w := m.window; w > 0 && len(s) >= 2*w {
-		// Amortized copy-down: keep the newest w samples in place.
-		m.evicted += uint64(len(s) - w)
-		copy(s, s[len(s)-w:])
-		s = s[:w]
+	if w := m.window; w > 0 && len(b.intervals) >= 2*w {
+		// Amortized copy-down: keep the newest w rows in place.
+		m.evicted += uint64((len(b.intervals) - w) * len(b.names))
+		b.keepNewest(w)
 	}
-	//edgeslice:allocok a bounded series was sized to 2·window at creation and the copy-down above keeps it below that; an unbounded one retains every sample by contract
-	m.series[id] = append(s, Sample{Interval: interval, Value: value})
+	//edgeslice:allocok a bounded block is sized to 2·window rows (at creation or by SetWindow) and the copy-down above keeps it below that; an unbounded one retains every sample by contract
+	b.intervals = append(b.intervals, interval)
+	//edgeslice:allocok as above
+	b.values = append(b.values, row...)
 	return nil
+}
+
+// at returns sample i of column col.
+func (b *block) at(i, col int) Sample { return Sample{b.intervals[i], b.values[i*len(b.names)+col]} }
+
+// rangeLocked returns a metric's block and column and the index range [lo, hi)
+// of its samples with Interval in [from, to]: empty when it was never seen.
+//
+//edgeslice:noalloc
+func (m *Monitor) rangeLocked(metric string, from, to int) (b *block, col, lo, hi int) {
+	var iv []int
+	if r, ok := m.refs[metric]; ok {
+		b, col = m.blocks[r.block], r.col
+		iv = b.intervals
+	}
+	//edgeslice:allocok sort.Search closures stay on the stack; BenchmarkMeanOver pins 0 B/op
+	lo = sort.Search(len(iv), func(i int) bool { return iv[i] >= from })
+	//edgeslice:allocok sort.Search closures stay on the stack; BenchmarkMeanOver pins 0 B/op
+	hi = sort.Search(len(iv), func(i int) bool { return iv[i] > to })
+	return b, col, lo, hi
 }
 
 // Query returns samples of a metric with Interval in [from, to].
 func (m *Monitor) Query(metric string, from, to int) []Sample {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	s := m.seriesLocked(metric)
-	lo := sort.Search(len(s), func(i int) bool { return s[i].Interval >= from })
-	hi := sort.Search(len(s), func(i int) bool { return s[i].Interval > to })
+	b, col, lo, hi := m.rangeLocked(metric, from, to)
 	if lo >= hi {
 		return nil
 	}
-	return append([]Sample(nil), s[lo:hi]...)
+	out := make([]Sample, 0, hi-lo)
+	for i := lo; i < hi; i++ {
+		out = append(out, b.at(i, col))
+	}
+	return out
 }
 
 // Latest returns the most recent sample of a metric.
 func (m *Monitor) Latest(metric string) (Sample, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	s := m.seriesLocked(metric)
-	if len(s) == 0 {
+	r, ok := m.refs[metric]
+	if !ok || len(m.blocks[r.block].intervals) == 0 {
 		return Sample{}, false
 	}
-	return s[len(s)-1], true
+	b := m.blocks[r.block]
+	return b.at(len(b.intervals)-1, r.col), true
 }
 
 // Metrics lists all recorded metric names, sorted.
 func (m *Monitor) Metrics() []string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]string, 0, len(m.series))
-	for id, s := range m.series {
-		if len(s) > 0 { // a handle with no sample yet is not a recorded metric
-			out = append(out, m.names[id])
+	out := make([]string, 0, len(m.refs))
+	for _, b := range m.blocks {
+		if len(b.intervals) > 0 { // a registered series with no sample yet is not a recorded metric
+			out = append(out, b.names...)
 		}
 	}
 	sort.Strings(out)
@@ -288,13 +377,9 @@ func (m *Monitor) SliceOfIP(ip string) (int, bool) {
 func (m *Monitor) ReduceOver(metric string, from, to int, fn func(Sample)) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	s := m.seriesLocked(metric)
-	//edgeslice:allocok sort.Search closures stay on the stack; BenchmarkReduceOver pins 0 B/op
-	lo := sort.Search(len(s), func(i int) bool { return s[i].Interval >= from })
-	//edgeslice:allocok sort.Search closures stay on the stack; BenchmarkReduceOver pins 0 B/op
-	hi := sort.Search(len(s), func(i int) bool { return s[i].Interval > to })
-	for _, sample := range s[lo:hi] {
-		fn(sample)
+	b, col, lo, hi := m.rangeLocked(metric, from, to)
+	for i := lo; i < hi; i++ {
+		fn(b.at(i, col))
 	}
 	return hi - lo
 }

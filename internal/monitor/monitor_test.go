@@ -1,6 +1,8 @@
 package monitor
 
 import (
+	"fmt"
+	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
@@ -198,105 +200,231 @@ func TestWindowedRetention(t *testing.T) {
 	}
 }
 
-// TestRecordIDMatchesRecord feeds three monitors the same samples — one by
-// name, one through pre-resolved handles, one through handles a whole
-// interval at a time — under a retention window, with out-of-order samples
-// mixed in, and requires every query, the eviction count and the rejections
-// to agree; warm handle recording must not allocate.
-func TestRecordIDMatchesRecord(t *testing.T) {
-	names := []string{MetricName("perf", 0, 0), MetricName("queue", 0, 0), MetricName("perf", 3, 1)}
-	byName, byID, batched := New(), New(), New()
-	byName.SetWindow(8)
-	byID.SetWindow(8)
-	batched.SetWindow(8)
-	ids := make([]int, len(names))
-	for k, name := range names {
-		id, err := byID.Handle(name)
+// sameObservables requires two monitors to agree on everything a caller can
+// see of the named metrics.
+func sameObservables(t *testing.T, what string, a, b *Monitor, names []string, rng *rand.Rand) {
+	t.Helper()
+	if !reflect.DeepEqual(a.Metrics(), b.Metrics()) {
+		t.Fatalf("%s: metrics %v vs %v", what, a.Metrics(), b.Metrics())
+	}
+	if x, y := a.TotalSamples(), b.TotalSamples(); x != y {
+		t.Fatalf("%s: retained %d vs %d", what, x, y)
+	}
+	if x, y := a.EvictedSamples(), b.EvictedSamples(); x != y {
+		t.Fatalf("%s: evicted %d vs %d", what, x, y)
+	}
+	for _, name := range names {
+		if x, y := a.Query(name, -10, 1<<30), b.Query(name, -10, 1<<30); !reflect.DeepEqual(x, y) {
+			t.Fatalf("%s: %s: Query %v vs %v", what, name, x, y)
+		}
+		from := rng.Intn(40)
+		to := from + rng.Intn(20)
+		if x, y := a.Query(name, from, to), b.Query(name, from, to); !reflect.DeepEqual(x, y) {
+			t.Fatalf("%s: %s: Query[%d, %d] %v vs %v", what, name, from, to, x, y)
+		}
+		la, oka := a.Latest(name)
+		lb, okb := b.Latest(name)
+		if la != lb || oka != okb {
+			t.Fatalf("%s: %s: Latest %v/%v vs %v/%v", what, name, la, oka, lb, okb)
+		}
+		ma, erra := a.MeanOver(name, from, to)
+		mb, errb := b.MeanOver(name, from, to)
+		if ma != mb || (erra == nil) != (errb == nil) {
+			t.Fatalf("%s: %s: MeanOver %v (%v) vs %v (%v)", what, name, ma, erra, mb, errb)
+		}
+	}
+}
+
+// TestRowGroupMatchesRecord drives twin monitors through seeded random
+// schedules — one records whole rows into groups, the other knows no groups
+// and records every value by name — mixing in-order and out-of-order rows,
+// by-name records into grouped names (before and after their group exists)
+// and into ungrouped ones, malformed rows, and retention-window changes.
+// Groups overlap each other and one names a metric twice; a third of the
+// schedules leave the groups alone so they stay row-stored throughout, a
+// third touch them rarely, a third constantly. After every operation the
+// rejected counts and every observable must agree.
+func TestRowGroupMatchesRecord(t *testing.T) {
+	groups := [][]string{
+		{"perf/ra0/slice0", "queue/ra0/slice0", "perf/ra0/slice1", "queue/ra0/slice1", "perf/ra1/slice0"},
+		{"lone"},
+		{"dup", "dup", "other"},
+		{"other", "perf/ra1/slice0", "late"}, // overlaps the first and third groups
+	}
+	names := []string{"solo-a", "solo-b"}
+	for _, g := range groups {
+		names = append(names, g...)
+	}
+	for seed := int64(1); seed <= 30; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		rows, byName := New(), New()
+		// How many groups take rows, and how often a by-name record lands on
+		// a grouped name (out of 100).
+		live, touch := len(groups), []int{0, 3, 60}[seed%3]
+		if touch == 0 {
+			live = 2 // the disjoint ones
+		}
+		ids := make([]int, len(groups))
+		for g := range ids {
+			ids[g] = -1
+		}
+		clock := make([]int, len(groups)+1) // one per group, the last for by-name records
+		nextInterval := func(c int) int {
+			clock[c] += rng.Intn(3)
+			if rng.Intn(8) == 0 {
+				return clock[c] - 1 - rng.Intn(5) // usually out of order: both forms must reject it
+			}
+			return clock[c]
+		}
+		for op := 0; op < 400; op++ {
+			what := fmt.Sprintf("seed %d op %d", seed, op)
+			switch k := rng.Intn(20); {
+			case k < 11: // a row
+				g := rng.Intn(live)
+				if ids[g] < 0 {
+					id, err := rows.Group(groups[g])
+					if err != nil {
+						t.Fatal(err)
+					}
+					ids[g] = id
+				}
+				interval := nextInterval(g)
+				row := make([]float64, len(groups[g]))
+				want := 0
+				for c := range row {
+					row[c] = rng.NormFloat64()
+					if byName.Record(groups[g][c], interval, row[c]) != nil {
+						want++
+					}
+				}
+				if got := rows.RecordRow(ids[g], interval, row); got != want {
+					t.Fatalf("%s: row into group %d at %d rejected %d samples, by name %d", what, g, interval, got, want)
+				}
+			case k < 16: // one value by name, grouped or not
+				name, interval, v := names[rng.Intn(2)], nextInterval(len(groups)), rng.NormFloat64()
+				if rng.Intn(100) < touch {
+					name = names[2+rng.Intn(len(names)-2)]
+				}
+				errRows, errName := rows.Record(name, interval, v), byName.Record(name, interval, v)
+				if (errRows == nil) != (errName == nil) || (errRows != nil && errRows.Error() != errName.Error()) {
+					t.Fatalf("%s: Record(%s, %d): %v vs %v", what, name, interval, errRows, errName)
+				}
+			case k < 18: // a malformed row changes nothing
+				g := rng.Intn(live)
+				if ids[g] >= 0 {
+					row := make([]float64, len(groups[g])+1+rng.Intn(2))
+					if got := rows.RecordRow(ids[g], clock[g], row); got != len(row) {
+						t.Fatalf("%s: over-wide row rejected %d of %d samples", what, got, len(row))
+					}
+					if got := rows.RecordRow(ids[g], clock[g], row[:len(groups[g])-1]); got != len(groups[g])-1 {
+						t.Fatalf("%s: short row rejected %d samples", what, got)
+					}
+				}
+			default:
+				w := []int{0, 3, 8, 50}[rng.Intn(4)]
+				rows.SetWindow(w)
+				byName.SetWindow(w)
+			}
+			sameObservables(t, what, rows, byName, names, rng)
+		}
+		if rows.EvictedSamples() == 0 {
+			t.Errorf("seed %d: schedule never evicted a sample", seed)
+		}
+	}
+}
+
+// TestRecordRowRejectsMalformedRows pins the row API's error contract: an
+// unknown group or a row of the wrong width is rejected whole and counted,
+// never a panic, and leaves the monitor untouched.
+func TestRecordRowRejectsMalformedRows(t *testing.T) {
+	m := New()
+	if _, err := m.Group([]string{"a", ""}); err == nil {
+		t.Error("a group with an empty metric name should fail")
+	}
+	g, err := m.Group([]string{"a", "b", "c"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Metrics(); len(got) != 0 {
+		t.Errorf("a group without samples lists metrics %v", got)
+	}
+	for _, row := range [][]float64{nil, {1}, {1, 2}, {1, 2, 3, 4}} {
+		if n := m.RecordRow(g, 0, row); n != len(row) {
+			t.Errorf("row of width %d into a group of 3: %d rejected, want %d", len(row), n, len(row))
+		}
+	}
+	for _, id := range []int{-1, g + 1, 1 << 40} {
+		if n := m.RecordRow(id, 0, []float64{1, 2, 3}); n != 3 {
+			t.Errorf("row into unknown group %d: %d rejected, want 3", id, n)
+		}
+	}
+	if n := m.TotalSamples(); n != 0 {
+		t.Fatalf("rejected rows left %d samples behind", n)
+	}
+	if n := m.RecordRow(g, 5, []float64{1, 2, 3}); n != 0 {
+		t.Fatalf("well-formed row rejected %d samples", n)
+	}
+	if n := m.RecordRow(g, 4, []float64{1, 2, 3}); n != 3 {
+		t.Errorf("out-of-order row rejected %d samples, want 3", n)
+	}
+	// The same checks once the group is kept column by column.
+	if err := m.Record("b", 9, 7); err != nil {
+		t.Fatal(err)
+	}
+	if n := m.RecordRow(g, 6, []float64{1, 2}); n != 2 {
+		t.Errorf("short row into a split group rejected %d samples, want 2", n)
+	}
+	if n := m.RecordRow(g, 6, []float64{1, 2, 3}); n != 1 {
+		t.Errorf("row behind one column's clock rejected %d samples, want 1", n)
+	}
+	if s, _ := m.Latest("b"); s != (Sample{9, 7}) {
+		t.Errorf("Latest(b) = %+v", s)
+	}
+	if got := m.Query("c", 0, 100); !reflect.DeepEqual(got, []Sample{{5, 3}, {6, 3}}) {
+		t.Errorf("Query(c) = %v", got)
+	}
+}
+
+// TestBoundedRecordingAllocFree pins that recording under a retention window
+// never allocates, whichever of SetWindow and the first samples came first: a
+// series that exists when the window is set is sized to 2·window there.
+func TestBoundedRecordingAllocFree(t *testing.T) {
+	const window = 16
+	names := []string{"a", "b", "c"}
+	row := []float64{1, 2, 3}
+	for _, windowFirst := range []bool{true, false} {
+		m := New()
+		if windowFirst {
+			m.SetWindow(window)
+		}
+		g, err := m.Group(names)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if again, _ := byID.Handle(name); again != id {
-			t.Fatalf("Handle(%q) = %d then %d", name, id, again)
-		}
-		if bid, _ := batched.Handle(name); bid != id {
-			t.Fatalf("twin monitors hand out different ids for %q: %d vs %d", name, bid, id)
-		}
-		ids[k] = id
-	}
-	if got := byID.Metrics(); len(got) != 0 {
-		t.Errorf("handles without samples listed as metrics: %v", got)
-	}
-	if _, err := byID.Handle(""); err == nil {
-		t.Error("empty metric name should fail")
-	}
-	if err := byID.RecordID(len(names), 0, 1); err == nil {
-		t.Error("unknown series id should fail")
-	}
-	rejected, batchRejected := 0, 0
-	values := make([]float64, len(names))
-	for i := 0; i < 200; i++ {
-		k := i % len(names)
-		interval, v := i/len(names), float64(i)*0.5
-		if i%17 == 16 {
-			interval -= 5 // out of order: every form must reject it
-		}
-		errName := byName.Record(names[k], interval, v)
-		errID := byID.RecordID(ids[k], interval, v)
-		if (errName == nil) != (errID == nil) || (errName != nil && errName.Error() != errID.Error()) {
-			t.Fatalf("sample %d: Record err %v, RecordID err %v", i, errName, errID)
-		}
-		if errID != nil {
-			rejected++
-		}
-		values[0] = v
-		batchRejected += batched.RecordIDs(ids[k:k+1], interval, values[:1])
-	}
-	if rejected == 0 || batchRejected != rejected {
-		t.Fatalf("rejected %d out-of-order samples one at a time, %d batched; want equal and > 0", rejected, batchRejected)
-	}
-	if n := batched.RecordIDs([]int{len(names)}, 0, values[:1]); n != 1 {
-		t.Errorf("RecordIDs with an unknown id rejected %d samples, want 1", n)
-	}
-	if !reflect.DeepEqual(byName.Metrics(), byID.Metrics()) {
-		t.Errorf("metrics %v vs %v", byName.Metrics(), byID.Metrics())
-	}
-	for _, name := range names {
-		if a, b := byName.Query(name, 0, 1000), byID.Query(name, 0, 1000); !reflect.DeepEqual(a, b) {
-			t.Errorf("%s: Query %v vs %v", name, a, b)
-		}
-		if a, b := byName.Query(name, 0, 1000), batched.Query(name, 0, 1000); !reflect.DeepEqual(a, b) {
-			t.Errorf("%s: Query %v vs batched %v", name, a, b)
-		}
-		la, oka := byName.Latest(name)
-		lb, okb := byID.Latest(name)
-		if la != lb || oka != okb {
-			t.Errorf("%s: Latest %v/%v vs %v/%v", name, la, oka, lb, okb)
-		}
-		ma, erra := byName.MeanOver(name, 50, 70)
-		mb, errb := byID.MeanOver(name, 50, 70)
-		if ma != mb || (erra == nil) != (errb == nil) {
-			t.Errorf("%s: MeanOver %v (%v) vs %v (%v)", name, ma, erra, mb, errb)
-		}
-	}
-	if a, b, c := byName.EvictedSamples(), byID.EvictedSamples(), batched.EvictedSamples(); a != b || a != c || a == 0 {
-		t.Errorf("evicted %d vs %d vs %d (want equal and > 0)", a, b, c)
-	}
-	if a, b := byName.TotalSamples(), byID.TotalSamples(); a != b {
-		t.Errorf("retained %d vs %d", a, b)
-	}
-	next := 1000
-	if n := testing.AllocsPerRun(500, func() {
-		for _, id := range ids {
-			if err := byID.RecordID(id, next, 1); err != nil {
+		next := 0
+		record := func() {
+			if m.RecordRow(g, next, row) != 0 {
+				t.Fatal("in-order row rejected")
+			}
+			if err := m.Record("solo", next, 1); err != nil {
 				t.Fatal(err)
 			}
+			next++
 		}
-		if batched.RecordIDs(ids, next, values) != 0 {
-			t.Fatal("in-order batch rejected")
+		record()
+		if !windowFirst {
+			m.SetWindow(window)
 		}
-		next++
-	}); n != 0 {
-		t.Errorf("warm RecordID/RecordIDs under a window allocate %v times per interval, want 0", n)
+		// Single-run measurements across more than a full 2·window cycle: an
+		// average over many runs would round a handful of growth steps to 0.
+		for i := 0; i < 3*window; i++ {
+			if n := testing.AllocsPerRun(1, record); n != 0 {
+				t.Fatalf("window first %v: recording allocates %v times at interval %d, want 0", windowFirst, n, next)
+			}
+		}
+		if m.EvictedSamples() == 0 {
+			t.Errorf("window first %v: nothing evicted after %d rows", windowFirst, next)
+		}
 	}
 }
 

@@ -172,6 +172,11 @@ type RAEnv struct {
 	perfFn  PerfFunc
 	demands [][NumResources]float64
 
+	// perfTab[l] is perfFn at queue length l = 0 … MaxQueue (queue metric
+	// only), where the ingress drop keeps every backlog: no per-step math.Pow.
+	perfTab  []float64
+	arrivals []mathutil.PoissonCache // per slice: exp(−λ) kept between intervals
+
 	queues []SliceQueue
 	z, y   []float64 // coordination per slice (this RA's column)
 
@@ -202,16 +207,20 @@ func New(cfg Config) (*RAEnv, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	I := cfg.NumSlices
+	// z, y, periodPerf and perfTab are carved from one allocation.
+	f := make([]float64, 3*I+cfg.MaxQueue+1)
 	e := &RAEnv{
 		cfg:        cfg,
 		rng:        rand.New(rand.NewSource(cfg.Seed)), //nolint:gosec // simulation
 		capScale:   1,
-		queues:     make([]SliceQueue, cfg.NumSlices),
-		z:          make([]float64, cfg.NumSlices),
-		y:          make([]float64, cfg.NumSlices),
-		periodPerf: make([]float64, cfg.NumSlices),
-		demands:    make([][NumResources]float64, cfg.NumSlices),
-		raw:        make([][NumResources]float64, cfg.NumSlices),
+		queues:     make([]SliceQueue, I),
+		z:          f[:I:I],
+		y:          f[I : 2*I : 2*I],
+		periodPerf: f[2*I : 3*I : 3*I],
+		arrivals:   make([]mathutil.PoissonCache, I),
+		demands:    make([][NumResources]float64, I),
+		raw:        make([][NumResources]float64, I),
 	}
 	for i, a := range cfg.Apps {
 		e.demands[i] = a.Demand()
@@ -220,6 +229,10 @@ func New(cfg Config) (*RAEnv, error) {
 	switch cfg.Perf {
 	case PerfQueue:
 		e.perfFn = QueuePerf(cfg.Alpha)
+		e.perfTab = f[3*I:]
+		for l := range e.perfTab {
+			e.perfTab[l] = e.perfFn(float64(l), 0)
+		}
 	case PerfServiceTime:
 		e.perfFn = ServiceTimePerf(cfg.ServiceTimeScale)
 	}
@@ -394,7 +407,7 @@ func (e *RAEnv) StepInto(action []float64, res *StepResult) error {
 	for i := 0; i < I; i++ {
 		// Arrivals for this interval.
 		lambda := e.cfg.Sources[i].Rate(e.interval)
-		n := mathutil.Poisson(e.rng, lambda)
+		n := e.arrivals[i].Draw(e.rng, lambda)
 		if over := e.queues[i].Len() + n - e.cfg.MaxQueue; over > 0 {
 			n -= over // overload guard: excess tasks are dropped at ingress
 		}
@@ -413,7 +426,11 @@ func (e *RAEnv) StepInto(action []float64, res *StepResult) error {
 			res.ServiceTimes[i] = maxServiceTime
 		}
 
-		res.Perf[i] = e.perfFn(float64(res.QueueLens[i]), res.ServiceTimes[i])
+		if l := res.QueueLens[i]; l < len(e.perfTab) {
+			res.Perf[i] = e.perfTab[l]
+		} else {
+			res.Perf[i] = e.perfFn(float64(l), res.ServiceTimes[i])
+		}
 		e.periodPerf[i] += res.Perf[i]
 	}
 
