@@ -111,9 +111,60 @@ func (a Activation) Derivative(z, y float64) float64 {
 	}
 }
 
-// applyBias is the training forward's per-row pass with the activation
-// switch hoisted out of the loop: z[j] += b[j], then y[j] = Apply(z[j]) —
-// the operations Apply performs, in its order.
+// blend gives the piecewise-linear activations as the AVX kernels take
+// them. Forward, act(v) is the larger of v and v·slope with the bits outside
+// keep cleared: ReLU's cleared product is the +0 the scalar loop assigns,
+// whatever v·0 would be (−0, or NaN for ±Inf and NaN). Backward, the
+// derivative is 1 where z >= thresh, else slope: ReLU's strict z > 0 is z >=
+// the smallest subnormal.
+func (a Activation) blend() (thresh, slope float64, keep uint64, ok bool) {
+	switch a {
+	case ActIdentity:
+		return 0, 1, ^uint64(0), true
+	case ActLeakyReLU:
+		return 0, leakySlope, ^uint64(0), true
+	case ActReLU:
+		return math.SmallestNonzeroFloat64, 0, 0, true
+	}
+	return 0, 0, 0, false
+}
+
+// derivForm is the form mulDerivAVX takes a's derivative in — 0 blend's
+// compare on z, 1 sigmoid and 2 tanh on y — or -1: identity is a copy.
+func (a Activation) derivForm() int {
+	switch a {
+	case ActLeakyReLU, ActReLU:
+		return 0
+	case ActSigmoid:
+		return 1
+	case ActTanh:
+		return 2
+	}
+	return -1
+}
+
+// biasAct is the one bias + activation pass behind Dense.Forward and
+// Dense.forwardInfer: for every row of z, z[j] += b[j] and y[j] =
+// Apply(z[j]). y may be z itself. The piecewise-linear activations run the
+// whole matrix in one AVX kernel call; sigmoid and tanh stay on applyBias
+// everywhere, because math.Exp and math.Tanh have no bit-identical vector
+// form.
+//
+//edgeslice:noalloc
+func (a Activation) biasAct(z, y *Matrix, b []float64) {
+	if _, slope, keep, ok := a.blend(); ok && useAVX && len(z.Data) > 0 {
+		_, _ = y.Data[len(z.Data)-1], b[z.Cols-1]
+		biasActAVX(&z.Data[0], &y.Data[0], &b[0], z.Rows, z.Cols, slope, keep)
+		return
+	}
+	for i := 0; i < z.Rows; i++ {
+		a.applyBias(z.Row(i), y.Row(i), b)
+	}
+}
+
+// applyBias is biasAct's scalar row, with the activation switch hoisted
+// out of the loop: z[j] += b[j], then y[j] = Apply(z[j]) — the operations
+// Apply performs, in its order. y may be z: y[j] is stored after z[j].
 //
 //edgeslice:noalloc
 func (a Activation) applyBias(z, y, b []float64) {
@@ -167,6 +218,11 @@ func (a Activation) mulDerivative(dz, g, z, y []float64) {
 	g = g[:len(dz)]
 	z = z[:len(dz)]
 	y = y[:len(dz)]
+	if form := a.derivForm(); form >= 0 && useAVX && len(dz) > 0 {
+		thresh, slope, _, _ := a.blend()
+		mulDerivAVX(&dz[0], &g[0], &z[0], &y[0], len(dz), form, thresh, slope)
+		return
+	}
 	switch a {
 	case ActIdentity:
 		copy(dz, g)

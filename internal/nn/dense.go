@@ -60,19 +60,16 @@ func (d *Dense) Forward(x *Matrix) *Matrix {
 	d.ws.Reset()
 	MatMulNTIntoWS(z, in, d.W, &d.ws)
 	y := ensureMat(&d.out, z.Rows, z.Cols)
-	for i := 0; i < z.Rows; i++ {
-		d.Act.applyBias(z.Row(i), y.Row(i), d.B)
-	}
+	d.Act.biasAct(z, y, d.B)
 	return y
 }
 
 // forwardInfer computes act(x·Wᵀ + b) for a batch x of shape (N×In) using
 // only the caller-supplied workspace: the layer's weights are read but its
 // training caches (in/pre/out) are untouched, so concurrent calls with
-// distinct workspaces are safe and Backward state is preserved. The bias add
-// and activation are fused into one pass over the output. Values are
-// bit-identical to Forward: each element is act((Σ_k x·w) + b) with the same
-// operation order.
+// distinct workspaces are safe and Backward state is preserved. Values are
+// bit-identical to Forward: the same product and the same biasAct, here in
+// place.
 //
 //edgeslice:noalloc
 func (d *Dense) forwardInfer(x *Matrix, ws *Workspace) *Matrix {
@@ -81,12 +78,7 @@ func (d *Dense) forwardInfer(x *Matrix, ws *Workspace) *Matrix {
 	}
 	z := ws.Next(x.Rows, d.Out)
 	MatMulNTIntoWS(z, x, d.W, ws)
-	for i := 0; i < z.Rows; i++ {
-		row := z.Row(i)
-		for j, b := range d.B {
-			row[j] = d.Act.Apply(row[j] + b)
-		}
-	}
+	d.Act.biasAct(z, z, d.B)
 	return z
 }
 
@@ -94,13 +86,14 @@ func (d *Dense) forwardInfer(x *Matrix, ws *Workspace) *Matrix {
 // returns dL/dx of shape (N×In). Forward must have been called first. The
 // returned matrix is owned by the layer and is overwritten by the next
 // Backward call.
-func (d *Dense) Backward(gradOut *Matrix) *Matrix { return d.backward(gradOut, true) }
+func (d *Dense) Backward(gradOut *Matrix) *Matrix { return d.backward(gradOut, true, true) }
 
-// backward is the one layer body behind Backward and Network.BackwardInput:
-// dL/dx always, the parameter gradients only when accumulate is set.
+// backward is the one layer body behind Network.Backward, BackwardInput and
+// BackwardParams: the parameter gradients when params is set, dL/dx (else
+// nil) when input is.
 //
 //edgeslice:noalloc
-func (d *Dense) backward(gradOut *Matrix, accumulate bool) *Matrix {
+func (d *Dense) backward(gradOut *Matrix, params, input bool) *Matrix {
 	if d.in == nil {
 		panic("nn: Backward called before Forward")
 	}
@@ -111,14 +104,13 @@ func (d *Dense) backward(gradOut *Matrix, accumulate bool) *Matrix {
 	// dL/dz = dL/dy ⊙ act'(z)
 	dz := ensureMat(&d.dz, gradOut.Rows, gradOut.Cols)
 	d.Act.mulDerivative(dz.Data, gradOut.Data, d.pre.Data, d.out.Data)
-	if accumulate {
+	if params {
 		// dW += dzᵀ · x ; db += colsum(dz)
 		matMulTNAcc(d.GradW, dz, d.in)
-		for i := 0; i < dz.Rows; i++ {
-			for j, v := range dz.Row(i) {
-				d.GradB[j] += v
-			}
-		}
+		colSumAcc(d.GradB, dz)
+	}
+	if !input {
+		return nil
 	}
 	// dL/dx = dz · W
 	return MatMulNNInto(ensureMat(&d.dx, gradOut.Rows, d.In), dz, d.W)

@@ -47,6 +47,8 @@ func TestScalarKernels(t *testing.T) {
 	}
 }
 
+var allActs = []Activation{ActIdentity, ActLeakyReLU, ActSigmoid, ActTanh, ActReLU}
+
 // edgeValues are the inputs a vector kernel is most likely to treat
 // differently from scalar code: both zeros (the zero-skip tests a == 0, so
 // -0 skips too), denormals, infinities (0·Inf must be skipped, not added)
@@ -111,21 +113,121 @@ func TestKernelsBitIdenticalToScalar(t *testing.T) {
 			ws.Reset()
 			bitsEqual(t, MatMulNTIntoWS(garbageMat(r, q), a, bNT, &ws), MatMulNTInto(garbageMat(r, q), a, bNT), "NT"+shape)
 
-			for _, acc := range []struct {
-				name    string
-				f       func(c, a, b *Matrix)
-				c, a, b *Matrix
-			}{
-				{"NN", matMulNNAcc, cNN, a, bNN},
-				{"TN", matMulTNAcc, cTN, a, bTN},
-			} {
-				want, got := acc.c.Clone(), acc.c.Clone()
-				useAVX = false
-				acc.f(want, acc.a, acc.b)
-				useAVX = true
-				acc.f(got, acc.a, acc.b)
-				bitsEqual(t, got, want, acc.name+shape)
+			onBothKernels(t, "NN"+shape, func() []*Matrix {
+				c := cNN.Clone()
+				matMulNNAcc(c, a, bNN)
+				return []*Matrix{c}
+			})
+			onBothKernels(t, "TN"+shape, func() []*Matrix {
+				c := cTN.Clone()
+				matMulTNAcc(c, a, bTN)
+				return []*Matrix{c}
+			})
+		}
+	}
+
+	// The element-wise passes, at lengths that are all tail, whole vectors
+	// only and both; biasAct also in place, as inference runs it.
+	for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 31, 32, 33} {
+		for _, gen := range []func(*rand.Rand, int, int) *Matrix{randMat, edgeMat} {
+			const rows = 3
+			z, b, up, y := gen(rng, rows, n), gen(rng, 1, n), gen(rng, rows, n), gen(rng, rows, n)
+			for _, act := range allActs {
+				label := fmt.Sprintf("%v n=%d", act, n)
+				onBothKernels(t, "biasAct "+label, func() []*Matrix {
+					pre, out, inPlace := z.Clone(), garbageMat(rows, n), z.Clone()
+					act.biasAct(pre, out, b.Data)
+					act.biasAct(inPlace, inPlace, b.Data)
+					return []*Matrix{pre, out, inPlace}
+				})
+				onBothKernels(t, "mulDerivative "+label, func() []*Matrix {
+					dz := garbageMat(rows, n)
+					act.mulDerivative(dz.Data, up.Data, z.Data, y.Data)
+					return []*Matrix{dz}
+				})
 			}
+			onBothKernels(t, fmt.Sprintf("softUpdate n=%d", n), func() []*Matrix {
+				dst := z.Clone()
+				softUpdate(dst.Data, up.Data, 0.01)
+				return []*Matrix{dst}
+			})
+			onBothKernels(t, fmt.Sprintf("colSumAcc n=%d", n), func() []*Matrix {
+				c := b.Clone()
+				colSumAcc(c.Data, z)
+				return []*Matrix{c}
+			})
+		}
+	}
+}
+
+// onBothKernels runs f on the scalar loops, then on the AVX kernels, and
+// compares the matrices it returns. The caller restores the dispatch.
+func onBothKernels(t *testing.T, label string, f func() []*Matrix) {
+	t.Helper()
+	useAVX = false
+	want := f()
+	useAVX = true
+	for i, got := range f() {
+		bitsEqual(t, got, want[i], fmt.Sprintf("%s [%d]", label, i))
+	}
+}
+
+// In place on inference's workspace or out of place into the layer's
+// caches, the bias + activation pass is one function: row i of ForwardBatch
+// is row i of Forward bit for bit, for every activation, at widths that are
+// all tail, whole vectors only and both, on either side of the dispatch.
+func TestForwardBatchMatchesForward(t *testing.T) {
+	rng := rand.New(rand.NewSource(22)) //nolint:gosec // test determinism
+	var ws Workspace
+	for _, avx := range []bool{false, true} {
+		setUseAVX(t, avx)
+		for _, act := range allActs {
+			for _, w := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 31, 32, 33, 40} {
+				net := NewMLP(rng, 5, LayerSpec{Out: w, Act: act}, LayerSpec{Out: w, Act: act})
+				x := edgeMat(rng, 7, 5)
+				ws.Reset()
+				bitsEqual(t, net.ForwardBatch(x, &ws), net.Forward(x), fmt.Sprintf("avx=%v %v width %d", useAVX, act, w))
+			}
+		}
+	}
+}
+
+// Fifty Adam steps on the same gradient stream — an all-zero gradient first,
+// so the first update divides by sqrt(0) + ε, and exact zeros throughout —
+// leave parameters and both moment vectors bit-identical on either side of
+// the dispatch. Layer widths put whole vectors, tails and both in play.
+func TestAdamBitIdenticalAcrossKernels(t *testing.T) {
+	if !useAVX {
+		t.Skip("no AVX kernels on this host")
+	}
+	setUseAVX(t, true) // registers the restore of the dispatch the loop below flips
+
+	rng := rand.New(rand.NewSource(23)) //nolint:gosec // test determinism
+	scalar := NewMLP(rng, 5, LayerSpec{Out: 33, Act: ActLeakyReLU}, LayerSpec{Out: 7, Act: ActTanh}, LayerSpec{Out: 1, Act: ActIdentity})
+	avx := scalar.Clone()
+	scalarOpt, avxOpt := NewAdam(1e-3), NewAdam(1e-3)
+	for step := 0; step < 50; step++ {
+		for i, p := range scalar.Params() {
+			for k := range p.Grad {
+				g := 0.0
+				if step > 0 && rng.Intn(5) > 0 {
+					g = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(7)-3))
+				}
+				p.Grad[k], avx.Params()[i].Grad[k] = g, g
+			}
+		}
+		useAVX = false
+		scalarOpt.Step(scalar)
+		useAVX = true
+		avxOpt.Step(avx)
+
+		want, got := scalarOpt.StateFor(scalar), avxOpt.StateFor(avx)
+		for i, p := range scalar.Params() {
+			label := fmt.Sprintf("step %d tensor %d ", step, i)
+			row := func(v []float64) *Matrix { return &Matrix{Rows: 1, Cols: len(v), Data: v} }
+			bitsEqual(t, row(avx.Params()[i].Value), row(p.Value), label+"value")
+			bitsEqual(t, row(got.M[i]), row(want.M[i]), label+"m")
+			bitsEqual(t, row(got.V[i]), row(want.V[i]), label+"v")
 		}
 	}
 }
@@ -134,7 +236,7 @@ func TestKernelsBitIdenticalToScalar(t *testing.T) {
 // for bit, GradW/GradB left exactly as they were.
 func TestBackwardInputMatchesBackward(t *testing.T) {
 	rng := rand.New(rand.NewSource(21)) //nolint:gosec // test determinism
-	for _, act := range []Activation{ActIdentity, ActLeakyReLU, ActSigmoid, ActTanh, ActReLU} {
+	for _, act := range allActs {
 		net := NewMLP(rng, 7,
 			LayerSpec{Out: 33, Act: act},
 			LayerSpec{Out: 12, Act: act},

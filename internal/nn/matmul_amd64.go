@@ -23,6 +23,18 @@ var useAVX = func() bool {
 //go:noescape
 func matmulTile48AVX(c *float64, cStride int, aPack *float64, b *float64, k int)
 
+// matmulTile4NAVX is the same tile nc columns wide, 1 ≤ nc ≤ 7: narrow
+// heads and the column tail.
+//
+//go:noescape
+func matmulTile4NAVX(c *float64, cStride int, aPack *float64, b *float64, k int, nc int)
+
+// packPanel4AVX packs the four length-k rows at a into the panel layout
+// the tile kernels read, pack[kk*4+l] = a[l*k+kk].
+//
+//go:noescape
+func packPanel4AVX(pack *float64, a *float64, k int)
+
 // rowAcc32AVX accumulates c[j] += Σ_kk a[kk·aStride]·b[kk·bStride+j] for
 // j in [0,32) and kk in [0,k), k > 0; rowAccTailAVX does the same for the
 // columns whose lane mask at mask[0:16] is set. See matmul_amd64.s for the
@@ -33,6 +45,22 @@ func rowAcc32AVX(c *float64, a *float64, aStride int, b *float64, bStride int, k
 
 //go:noescape
 func rowAccTailAVX(c *float64, mask *uint64, a *float64, aStride int, b *float64, bStride int, k int)
+
+// The element-wise passes of a training step, each bit-identical to the Go
+// loop beside its call; see elementwise_amd64.s. Lengths are the caller's
+// to check and must be positive.
+//
+//go:noescape
+func biasActAVX(z, y, b *float64, rows, cols int, slope float64, keep uint64)
+
+//go:noescape
+func mulDerivAVX(dz, up, z, y *float64, n int, form int, thresh, slope float64)
+
+//go:noescape
+func adamStepAVX(p, grad, m, v *float64, n int, c *[8]float64)
+
+//go:noescape
+func softUpdateAVX(dst, src *float64, n int, tau, rest float64)
 
 func cpuidex(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 

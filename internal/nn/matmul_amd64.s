@@ -164,6 +164,172 @@ loop:
 	VZEROUPPER
 	RET
 
+// func packPanel4AVX(pack *float64, a *float64, k int)
+//
+// Packs four consecutive length-k rows at a into the column-interleaved
+// panel the tile kernels read: pack[kk*4+l] = a[l*k+kk]. Whole 4×4 blocks
+// are transposed in registers, the last k mod 4 columns are moved one
+// element at a time. Data movement only.
+TEXT ·packPanel4AVX(SB), NOSPLIT, $0-24
+	MOVQ pack+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ k+16(FP), CX
+	LEAQ (SI)(CX*8), R8
+	LEAQ (R8)(CX*8), R9
+	LEAQ (R9)(CX*8), R10
+	MOVQ CX, BX
+	ANDQ $3, BX
+	SHRQ $2, CX
+	JZ   packTail
+
+packBlock:
+	VMOVUPD (SI), Y0
+	VMOVUPD (R8), Y1
+	VMOVUPD (R9), Y2
+	VMOVUPD (R10), Y3
+	VUNPCKLPD Y1, Y0, Y4          // r0[0] r1[0] r0[2] r1[2]
+	VUNPCKHPD Y1, Y0, Y5          // r0[1] r1[1] r0[3] r1[3]
+	VUNPCKLPD Y3, Y2, Y6          // r2[0] r3[0] r2[2] r3[2]
+	VUNPCKHPD Y3, Y2, Y7          // r2[1] r3[1] r2[3] r3[3]
+	VPERM2F128 $0x20, Y6, Y4, Y0  // column 0 of the block
+	VPERM2F128 $0x20, Y7, Y5, Y1  // column 1
+	VPERM2F128 $0x31, Y6, Y4, Y2  // column 2
+	VPERM2F128 $0x31, Y7, Y5, Y3  // column 3
+	VMOVUPD Y0, 0(DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	ADDQ $32, SI
+	ADDQ $32, R8
+	ADDQ $32, R9
+	ADDQ $32, R10
+	ADDQ $128, DI
+	DECQ CX
+	JNZ  packBlock
+
+packTail:
+	TESTQ BX, BX
+	JZ    packDone
+
+packColumn:
+	MOVQ (SI), AX
+	MOVQ AX, 0(DI)
+	MOVQ (R8), AX
+	MOVQ AX, 8(DI)
+	MOVQ (R9), AX
+	MOVQ AX, 16(DI)
+	MOVQ (R10), AX
+	MOVQ AX, 24(DI)
+	ADDQ $8, SI
+	ADDQ $8, R8
+	ADDQ $8, R9
+	ADDQ $8, R10
+	ADDQ $32, DI
+	DECQ BX
+	JNZ  packColumn
+
+packDone:
+	VZEROUPPER
+	RET
+
+// func matmulTile4NAVX(c *float64, cStride int, aPack *float64, b *float64, k int, nc int)
+//
+// The narrow form of the tile above, for heads and column tails: the 4×nc
+// tile c[0:4][0:nc] = Apanel · B[0:nc]ᵀ, 1 ≤ nc ≤ 7. Same panel, same
+// contract — lane l of accumulator Yt is c[l][t]'s one sequential mul+add
+// chain over k. Columns nc and up are neither read nor written: every k
+// step and the scatter leave at the first column that is not live (the
+// branches go the same way all call, so they predict).
+#define TILE_MAC(brow, acc) \
+	VBROADCASTSD (brow)(CX*8), Y9; \
+	VMULPD Y8, Y9, Y9; \
+	VADDPD Y9, acc, acc
+
+#define TILE_LIVE(col, out) \
+	CMPQ DX, $col; \
+	JLE out
+
+// Lane l of acc goes to column off/8 of row l; acc's upper half is moved down.
+#define TILE_SCATTER(acc, accx, off) \
+	VMOVLPD accx, off(R8); \
+	VMOVHPD accx, off(R9); \
+	VEXTRACTF128 $1, acc, accx; \
+	VMOVLPD accx, off(R10); \
+	VMOVHPD accx, off(R11)
+
+TEXT ·matmulTile4NAVX(SB), NOSPLIT, $0-48
+	MOVQ c+0(FP), DI
+	MOVQ aPack+16(FP), SI
+	MOVQ b+24(FP), R8
+	MOVQ k+32(FP), AX
+	MOVQ nc+40(FP), DX
+
+	// B row pointers, k*8 bytes apart; those past nc are never dereferenced.
+	MOVQ AX, BX
+	SHLQ $3, BX
+	LEAQ (R8)(BX*1), R9
+	LEAQ (R9)(BX*1), R10
+	LEAQ (R10)(BX*1), R11
+	LEAQ (R11)(BX*1), R12
+	LEAQ (R12)(BX*1), R13
+	LEAQ (R13)(BX*1), R14
+
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	XORQ CX, CX
+
+loopN:
+	VMOVUPD (SI), Y8
+	ADDQ $32, SI
+	TILE_MAC(R8, Y0)
+	TILE_LIVE(1, nextN)
+	TILE_MAC(R9, Y1)
+	TILE_LIVE(2, nextN)
+	TILE_MAC(R10, Y2)
+	TILE_LIVE(3, nextN)
+	TILE_MAC(R11, Y3)
+	TILE_LIVE(4, nextN)
+	TILE_MAC(R12, Y4)
+	TILE_LIVE(5, nextN)
+	TILE_MAC(R13, Y5)
+	TILE_LIVE(6, nextN)
+	TILE_MAC(R14, Y6)
+
+nextN:
+	INCQ CX
+	CMPQ CX, AX
+	JLT  loopN
+
+	MOVQ cStride+8(FP), BX
+	SHLQ $3, BX
+	MOVQ DI, R8
+	LEAQ (R8)(BX*1), R9
+	LEAQ (R9)(BX*1), R10
+	LEAQ (R10)(BX*1), R11
+
+	TILE_SCATTER(Y0, X0, 0)
+	TILE_LIVE(1, doneN)
+	TILE_SCATTER(Y1, X1, 8)
+	TILE_LIVE(2, doneN)
+	TILE_SCATTER(Y2, X2, 16)
+	TILE_LIVE(3, doneN)
+	TILE_SCATTER(Y3, X3, 24)
+	TILE_LIVE(4, doneN)
+	TILE_SCATTER(Y4, X4, 32)
+	TILE_LIVE(5, doneN)
+	TILE_SCATTER(Y5, X5, 40)
+	TILE_LIVE(6, doneN)
+	TILE_SCATTER(Y6, X6, 48)
+
+doneN:
+	VZEROUPPER
+	RET
+
 // rowAcc32AVX and rowAccTailAVX are the row-accumulate kernel both backward
 // products run on:
 //

@@ -17,3 +17,27 @@ func rowAcc32AVX(c *float64, a *float64, aStride int, b *float64, bStride int, k
 func rowAccTailAVX(c *float64, mask *uint64, a *float64, aStride int, b *float64, bStride int, k int) {
 	panic("nn: vectorized matmul kernel is amd64-only")
 }
+
+func matmulTile4NAVX(c *float64, cStride int, aPack *float64, b *float64, k int, nc int) {
+	panic("nn: vectorized matmul kernel is amd64-only")
+}
+
+func packPanel4AVX(pack *float64, a *float64, k int) {
+	panic("nn: vectorized matmul kernel is amd64-only")
+}
+
+func biasActAVX(z, y, b *float64, rows, cols int, slope float64, keep uint64) {
+	panic("nn: vectorized element-wise kernel is amd64-only")
+}
+
+func mulDerivAVX(dz, up, z, y *float64, n int, form int, thresh, slope float64) {
+	panic("nn: vectorized element-wise kernel is amd64-only")
+}
+
+func adamStepAVX(p, grad, m, v *float64, n int, c *[8]float64) {
+	panic("nn: vectorized element-wise kernel is amd64-only")
+}
+
+func softUpdateAVX(dst, src *float64, n int, tau, rest float64) {
+	panic("nn: vectorized element-wise kernel is amd64-only")
+}

@@ -202,21 +202,23 @@ func MatMulNTInto(c, a, b *Matrix) *Matrix {
 // with AVX it packs A panels into ws and runs a vectorized kernel that is
 // bit-identical to the scalar path (each output element still accumulates
 // one sequential mul+add chain over k; the vector lanes span independent
-// elements only). Wide batches — the batched executor's gather matrices —
-// run ~3-4x faster; everything else falls through to MatMulNTInto.
+// elements only). Batches of four rows and up — training batches, the
+// batched executor's gather matrices — take it at any output width; fewer
+// rows fall through to MatMulNTInto.
 //
 //edgeslice:noalloc
 func MatMulNTIntoWS(c, a, b *Matrix, ws *Workspace) *Matrix {
-	if useAVX && a.Rows >= 4 && b.Rows >= 8 && a.Cols > 0 {
+	if useAVX && a.Rows >= 4 && a.Cols > 0 && b.Rows > 0 {
 		return matMulNTAVX(c, a, b, ws)
 	}
 	return MatMulNTInto(c, a, b)
 }
 
-// matMulNTAVX drives the AVX tile kernel: A is packed four rows at a time
-// into a column-interleaved panel, each panel sweeps B in 8-row tiles, and
-// the row/column tails reuse the scalar kernel's per-element dots (the
-// same sequential operation order, so tails are bit-identical too).
+// matMulNTAVX drives the AVX tile kernels: A is packed four rows at a time
+// into a column-interleaved panel, each panel sweeps B in 8-row tiles with
+// the last 1–7 rows of B (all of a narrow head) on the narrow tile, and the
+// row tail reuses the scalar kernel's per-element dots (the same sequential
+// operation order, so it is bit-identical too).
 //
 //edgeslice:noalloc
 func matMulNTAVX(c, a, b *Matrix, ws *Workspace) *Matrix {
@@ -227,36 +229,18 @@ func matMulNTAVX(c, a, b *Matrix, ws *Workspace) *Matrix {
 		panic(fmt.Sprintf("nn: MatMulNTIntoWS dst is %dx%d, want %dx%d", c.Rows, c.Cols, a.Rows, b.Rows))
 	}
 	n, k, m := a.Rows, a.Cols, b.Rows
+	// The kernels index unchecked; these are the furthest elements they touch.
+	_, _, _ = a.Data[n*k-1], b.Data[m*k-1], c.Data[n*m-1]
 	pack := ws.Floats(4 * k)
 	i := 0
 	for ; i+4 <= n; i += 4 {
-		r0 := a.Data[(i+0)*k : (i+0)*k+k]
-		r1 := a.Data[(i+1)*k : (i+1)*k+k]
-		r2 := a.Data[(i+2)*k : (i+2)*k+k]
-		r3 := a.Data[(i+3)*k : (i+3)*k+k]
-		for kk := 0; kk < k; kk++ {
-			pack[kk*4+0] = r0[kk]
-			pack[kk*4+1] = r1[kk]
-			pack[kk*4+2] = r2[kk]
-			pack[kk*4+3] = r3[kk]
-		}
+		packPanel4AVX(&pack[0], &a.Data[i*k], k)
 		j := 0
 		for ; j+8 <= m; j += 8 {
 			matmulTile48AVX(&c.Data[i*m+j], m, &pack[0], &b.Data[j*k], k)
 		}
-		for ; j < m; j++ {
-			br := b.Data[j*k : j*k+k]
-			var s0, s1, s2, s3 float64
-			for kk, bv := range br {
-				s0 += r0[kk] * bv
-				s1 += r1[kk] * bv
-				s2 += r2[kk] * bv
-				s3 += r3[kk] * bv
-			}
-			c.Data[(i+0)*m+j] = s0
-			c.Data[(i+1)*m+j] = s1
-			c.Data[(i+2)*m+j] = s2
-			c.Data[(i+3)*m+j] = s3
+		if j < m {
+			matmulTile4NAVX(&c.Data[i*m+j], m, &pack[0], &b.Data[j*k], k, m-j)
 		}
 	}
 	if i < n {
@@ -341,6 +325,24 @@ func rowAccAVX(c, a []float64, aStride int, b []float64, bStride, k int) {
 	}
 	for ; j < len(c); j += 16 {
 		rowAccTailAVX(&c[j], &rowAccMask[16-min(16, len(c)-j)], &a[0], aStride, &b[j], bStride, k)
+	}
+}
+
+// colSumAcc accumulates the column sums of a, rows added in increasing
+// order: c[j] += Σ_i a[i][j]. On AVX it is the row-accumulate kernel with a
+// constant scalar 1 (stride 0) — v·1 is v bit for bit.
+//
+//edgeslice:noalloc
+func colSumAcc(c []float64, a *Matrix) {
+	if useAVX && a.Rows > 0 {
+		one := [1]float64{1}
+		rowAccAVX(c[:a.Cols], one[:], 0, a.Data, a.Cols, a.Rows)
+		return
+	}
+	for i := 0; i < a.Rows; i++ {
+		for j, v := range a.Row(i) {
+			c[j] += v
+		}
 	}
 }
 

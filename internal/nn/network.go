@@ -98,23 +98,29 @@ func (n *Network) Forward1(x []float64) []float64 {
 // Backward backpropagates dL/dy through the network, accumulating parameter
 // gradients, and returns dL/dx (useful for DDPG's critic-to-actor chain
 // rule, Eq. 18).
-func (n *Network) Backward(gradOut *Matrix) *Matrix {
-	g := gradOut
-	for i := len(n.Layers) - 1; i >= 0; i-- {
-		g = n.Layers[i].Backward(g)
-	}
-	return g
-}
+func (n *Network) Backward(gradOut *Matrix) *Matrix { return n.backward(gradOut, true, true) }
 
 // BackwardInput returns the dL/dx Backward would, bit for bit, without
 // touching the parameter gradients: the pass for callers that differentiate
 // through a network they are not updating (the critic in an actor update).
 //
 //edgeslice:noalloc
-func (n *Network) BackwardInput(gradOut *Matrix) *Matrix {
-	g := gradOut
+func (n *Network) BackwardInput(gradOut *Matrix) *Matrix { return n.backward(gradOut, false, true) }
+
+// BackwardParams accumulates the parameter gradients Backward would, bit
+// for bit, without the first layer's dL/dx: the pass for a trainer, which
+// updates the network and has no use for the gradient of its input.
+//
+//edgeslice:noalloc
+func (n *Network) BackwardParams(gradOut *Matrix) { n.backward(gradOut, true, false) }
+
+// backward is the one pass behind the three forms above; layers past the
+// first always produce dL/dx, the next layer down's upstream gradient.
+//
+//edgeslice:noalloc
+func (n *Network) backward(g *Matrix, params, input bool) *Matrix {
 	for i := len(n.Layers) - 1; i >= 0; i-- {
-		g = n.Layers[i].backward(g, false)
+		g = n.Layers[i].backward(g, params, input || i > 0)
 	}
 	return g
 }
@@ -149,13 +155,20 @@ func (n *Network) CopyFrom(src *Network) {
 func (n *Network) SoftUpdate(src *Network, tau float64) {
 	mustSameArch(n, src)
 	for i, l := range n.Layers {
-		s := src.Layers[i]
-		for k := range l.W.Data {
-			l.W.Data[k] = tau*s.W.Data[k] + (1-tau)*l.W.Data[k]
-		}
-		for k := range l.B {
-			l.B[k] = tau*s.B[k] + (1-tau)*l.B[k]
-		}
+		softUpdate(l.W.Data, src.Layers[i].W.Data, tau)
+		softUpdate(l.B, src.Layers[i].B, tau)
+	}
+}
+
+//edgeslice:noalloc
+func softUpdate(dst, src []float64, tau float64) {
+	src = src[:len(dst)]
+	if useAVX && len(dst) > 0 {
+		softUpdateAVX(&dst[0], &src[0], len(dst), tau, 1-tau)
+		return
+	}
+	for k := range dst {
+		dst[k] = tau*src[k] + (1-tau)*dst[k]
 	}
 }
 

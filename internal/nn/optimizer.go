@@ -85,8 +85,14 @@ func (o *Adam) Step(n *Network) {
 	st.t++
 	b1c := 1 - math.Pow(o.Beta1, float64(st.t))
 	b2c := 1 - math.Pow(o.Beta2, float64(st.t))
+	c := [8]float64{o.Beta1, 1 - o.Beta1, o.Beta2, 1 - o.Beta2, b1c, b2c, o.LR, o.Epsilon}
 	for i, p := range params {
 		m, v := st.m[i], st.v[i]
+		if n := len(p.Value); useAVX && n > 0 {
+			_, _, _ = p.Grad[n-1], m[n-1], v[n-1]
+			adamStepAVX(&p.Value[0], &p.Grad[0], &m[0], &v[0], n, &c)
+			continue
+		}
 		for k := range p.Value {
 			g := p.Grad[k]
 			m[k] = o.Beta1*m[k] + (1-o.Beta1)*g

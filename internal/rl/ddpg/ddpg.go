@@ -192,14 +192,14 @@ func (a *Agent) Update() error {
 	for i, tr := range batch {
 		copy(nextStates.Row(i), tr.NextState)
 	}
-	nextActions := a.actorTarget.Forward(nextStates)
+	nextActions := a.actorTarget.ForwardBatch(nextStates, &a.ws)
 	targetIn := a.ws.Next(n, a.stateDim+a.actionDim)
 	for i, tr := range batch {
 		row := targetIn.Row(i)
 		copy(row, tr.NextState)
 		copy(row[a.stateDim:], nextActions.Row(i))
 	}
-	targetQ := a.criticTarget.Forward(targetIn)
+	targetQ := a.criticTarget.ForwardBatch(targetIn, &a.ws)
 	targets := a.ws.Floats(n)
 	for i, tr := range batch {
 		g := tr.Reward
@@ -221,7 +221,7 @@ func (a *Agent) Update() error {
 		grad.Set(i, 0, (q.At(i, 0)-targets[i])/float64(n))
 	}
 	a.critic.ZeroGrad()
-	a.critic.Backward(grad)
+	a.critic.BackwardParams(grad)
 	a.criticOpt.Step(a.critic)
 
 	// ---- Actor update: deterministic policy gradient (Eq. 18). ----
@@ -254,7 +254,7 @@ func (a *Agent) Update() error {
 		}
 	}
 	a.actor.ZeroGrad()
-	a.actor.Backward(dAction)
+	a.actor.BackwardParams(dAction)
 	a.actorOpt.Step(a.actor)
 
 	// ---- Soft target updates (Fig. 3). ----

@@ -163,7 +163,7 @@ func (p *GaussianPolicy) AccumulateScoreGrad(states, actions [][]float64, coef [
 			p.LogStdGrad[d] += -coef[i] * (z*z - 1)
 		}
 	}
-	p.Mean.Backward(gradMean)
+	p.Mean.BackwardParams(gradMean)
 }
 
 // ZeroGrad clears both network and log-std gradients.

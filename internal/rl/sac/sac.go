@@ -224,8 +224,8 @@ func (a *Agent) Update() error {
 		}
 		nlp[i] = logP
 	}
-	q1t := a.q1T.Forward(tIn)
-	q2t := a.q2T.Forward(tIn)
+	q1t := a.q1T.ForwardBatch(tIn, &a.ws)
+	q2t := a.q2T.ForwardBatch(tIn, &a.ws)
 	targets := a.ws.Floats(n)
 	for i, tr := range batch {
 		if tr.Done {
@@ -251,7 +251,7 @@ func (a *Agent) Update() error {
 			grad.Set(i, 0, (out.At(i, 0)-targets[i])/float64(n))
 		}
 		cr.net.ZeroGrad()
-		cr.net.Backward(grad)
+		cr.net.BackwardParams(grad)
 		cr.opt.Step(cr.net)
 	}
 
@@ -309,7 +309,7 @@ func (a *Agent) Update() error {
 		}
 	}
 	a.actor.ZeroGrad()
-	a.actor.Backward(headGrad)
+	a.actor.BackwardParams(headGrad)
 	nn.ClipGrads(a.actor, 5)
 	a.actorOpt.Step(a.actor)
 

@@ -179,7 +179,7 @@ func (a *Agent) Update() error {
 	for i, tr := range batch {
 		copy(nextIn.Row(i), tr.NextState)
 	}
-	na := a.actorT.Forward(nextIn)
+	na := a.actorT.ForwardBatch(nextIn, &a.ws)
 	tIn := a.ws.Next(n, a.stateDim+a.aDim)
 	for i, tr := range batch {
 		row := tIn.Row(i)
@@ -195,8 +195,8 @@ func (a *Agent) Update() error {
 			act[d] = clamp01(act[d] + eps)
 		}
 	}
-	q1t := a.q1T.Forward(tIn)
-	q2t := a.q2T.Forward(tIn)
+	q1t := a.q1T.ForwardBatch(tIn, &a.ws)
+	q2t := a.q2T.ForwardBatch(tIn, &a.ws)
 	targets := a.ws.Floats(n)
 	for i, tr := range batch {
 		if tr.Done {
@@ -222,7 +222,7 @@ func (a *Agent) Update() error {
 			grad.Set(i, 0, (out.At(i, 0)-targets[i])/float64(n))
 		}
 		cr.net.ZeroGrad()
-		cr.net.Backward(grad)
+		cr.net.BackwardParams(grad)
 		cr.opt.Step(cr.net)
 	}
 	a.updates++
@@ -257,7 +257,7 @@ func (a *Agent) Update() error {
 		}
 	}
 	a.actor.ZeroGrad()
-	a.actor.Backward(dAction)
+	a.actor.BackwardParams(dAction)
 	a.actorOpt.Step(a.actor)
 
 	a.actorT.SoftUpdate(a.actor, a.cfg.Tau)

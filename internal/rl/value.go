@@ -32,7 +32,7 @@ func FitValue(net *nn.Network, opt nn.Optimizer, states [][]float64, targets []f
 			grad.Set(i, 0, (out.At(i, 0)-targets[i])/n)
 		}
 		net.ZeroGrad()
-		net.Backward(grad)
+		net.BackwardParams(grad)
 		opt.Step(net)
 	}
 }
