@@ -9,9 +9,10 @@
 //     System.Train, System.RunPeriods) — the D-DRL loop coupling the ADMM
 //     performance coordinator with per-RA DDPG orchestration agents.
 //   - Execution engines (Executor, NewSerialExecutor, NewParallelExecutor,
-//     NewRemoteExecutor, System.RunPeriodsWith) — interchangeable serial,
-//     parallel per-RA, and distributed implementations of Algorithm 1's
-//     per-period phases, bit-identical across engines and worker counts.
+//     NewRemoteExecutor, System.RunPeriodsWith, System.RunPeriodsInto) —
+//     interchangeable serial, parallel per-RA, and distributed
+//     implementations of Algorithm 1's per-period phases, bit-identical
+//     across engines and worker counts.
 //   - Environment construction (EnvConfig, AppProfile, sources) — the
 //     simulated wireless edge computing network of Sec. VI-B.
 //   - Distributed deployment (NewHub, DialAgent, RunCoordinator, RunAgent)

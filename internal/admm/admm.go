@@ -166,10 +166,22 @@ func (c *Coordinator) Iterations() int { return c.iterations }
 // SLASatisfied reports, per slice, whether the network-wide performance in
 // perf meets the SLA constraint Σ_j perf_ij ≥ Umin_i (Eq. 2 over a period).
 func (c *Coordinator) SLASatisfied(perf [][]float64) ([]bool, error) {
-	if err := c.checkShape(perf); err != nil {
+	out := make([]bool, c.cfg.NumSlices)
+	if err := c.SLASatisfiedInto(perf, out); err != nil {
 		return nil, err
 	}
-	out := make([]bool, c.cfg.NumSlices)
+	return out, nil
+}
+
+// SLASatisfiedInto is SLASatisfied writing the flags into out (one per
+// slice) instead of a new slice.
+func (c *Coordinator) SLASatisfiedInto(perf [][]float64, out []bool) error {
+	if err := c.checkShape(perf); err != nil {
+		return err
+	}
+	if len(out) != c.cfg.NumSlices {
+		return fmt.Errorf("admm: SLA flags have %d slices, want %d", len(out), c.cfg.NumSlices)
+	}
 	for i := range out {
 		var sum float64
 		for j := 0; j < c.cfg.NumRAs; j++ {
@@ -177,7 +189,7 @@ func (c *Coordinator) SLASatisfied(perf [][]float64) ([]bool, error) {
 		}
 		out[i] = sum >= c.cfg.UminPerSlice[i]
 	}
-	return out, nil
+	return nil
 }
 
 // AugmentedLagrangian evaluates Ly (Eq. 7) at the current (Z, Y) for the

@@ -115,6 +115,35 @@ func TestDualPressureOnViolation(t *testing.T) {
 	}
 }
 
+// TestSLASatisfiedIntoMatchesSLASatisfied pins the in-place form: the same
+// flags as SLASatisfied, written into the caller's slice without allocating,
+// and shape errors for a wrong grid or a wrong-length destination.
+func TestSLASatisfiedIntoMatchesSLASatisfied(t *testing.T) {
+	c, _ := NewCoordinator(twoByTwo())
+	perf := [][]float64{{-40, -40}, {-10, -10}}
+	want, err := c.SLASatisfied(perf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]bool, 2)
+	if n := testing.AllocsPerRun(10, func() {
+		if err := c.SLASatisfiedInto(perf, got); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("SLASatisfiedInto allocates %v times", n)
+	}
+	if got[0] != want[0] || got[1] != want[1] {
+		t.Errorf("SLASatisfiedInto = %v, SLASatisfied = %v", got, want)
+	}
+	if err := c.SLASatisfiedInto([][]float64{{1}}, got); err == nil {
+		t.Error("bad grid shape should fail")
+	}
+	if err := c.SLASatisfiedInto(perf, got[:1]); err == nil {
+		t.Error("short destination should fail")
+	}
+}
+
 // Property: after a z-update, every slice's auxiliary variables satisfy the
 // transformed SLA constraint (5): Σ_j z_ij >= Umin_i.
 func TestZAlwaysFeasibleProperty(t *testing.T) {

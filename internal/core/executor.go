@@ -23,23 +23,24 @@ import (
 //     and record the period's SLA flags and primal/dual residuals.
 //
 // The implementations differ only in where and how phase 2 executes:
-// Serial steps RAs in-process one after another (the historical
-// RunPeriods behavior), Parallel gives each RA's whole period to a worker
-// of a persistent pool, Batched runs one wide forward per policy group per
-// interval and steps the RAs in chunks shared among its workers, and Remote
-// steps them in separate agent processes over the RC network interface. Every
-// engine steps into the System's period workspace and records through the
-// same fixed (interval, RA, slice) merge, so Serial, Parallel and Batched
-// are bit-identical for any worker count; Remote is identical to Serial
-// when the remote agents run the same environments and policies.
+// Batched runs one wide forward per policy group per interval and steps the
+// RAs in chunks shared among its workers, Serial is that batch plan at one
+// worker, Parallel gives each RA's whole period to a worker of a persistent
+// pool, and Remote steps them in separate agent processes over the RC
+// network interface. Every engine steps into the System's period workspace
+// and records through the same fixed (interval, RA, slice) merge, so
+// Serial, Parallel and Batched are bit-identical for any worker count;
+// Remote is identical to Serial when the remote agents run the same
+// environments and policies.
 type Executor interface {
 	// Name reports the engine spelling ("serial", "parallel", "batched",
 	// "remote").
 	Name() string
-	// RunPeriods executes Algorithm 1 for n periods on s, returning the
-	// recorded history. Implementations document their error contract;
-	// Serial and Parallel return a nil history on error.
-	RunPeriods(s *System, n int) (*History, error)
+	// RunPeriods executes Algorithm 1 for n periods on s, recording every
+	// interval and period into h, the caller's History (exact or streaming)
+	// of s's shape. On error h keeps every record committed before the
+	// failure: for the remote engine, each period that fully completed.
+	RunPeriods(s *System, h *History, n int) error
 	// Close releases executor resources (worker pools, network sessions).
 	// A closed executor must not be reused.
 	Close() error
@@ -138,8 +139,8 @@ func (s *System) finishPeriod(h *History, perf [][]float64) error {
 	if err := s.coord.Update(perf); err != nil {
 		return err
 	}
-	sla, err := s.coord.SLASatisfied(perf)
-	if err != nil {
+	sla := s.workspace().sla
+	if err := s.coord.SLASatisfiedInto(perf, sla); err != nil {
 		return err
 	}
 	primal, dual := s.coord.Residuals()
@@ -203,53 +204,17 @@ func mergeRA(ws *periodWS, samples []float64, res *netsim.StepResult, sysPerf fl
 	return sysPerf
 }
 
-// serialExecutor is the historical in-process engine: every interval, RAs
-// are stepped one after another in RA order.
-type serialExecutor struct{}
+// serialExecutor is the batch plan at one worker: every interval, one
+// gather and one wide forward per policy group, then the RAs step one after
+// another in RA order on the calling goroutine.
+type serialExecutor struct{ BatchedExecutor }
 
-// NewSerialExecutor returns the serial in-process engine —
-// System.RunPeriods' default.
-func NewSerialExecutor() Executor { return serialExecutor{} }
+// NewSerialExecutor returns the serial in-process engine — System.RunPeriods'
+// default.
+func NewSerialExecutor() Executor { return &serialExecutor{BatchedExecutor{workers: 1}} }
 
 // Name implements Executor.
-func (serialExecutor) Name() string { return EngineSerial }
-
-// Close implements Executor; the serial engine holds no resources.
-func (serialExecutor) Close() error { return nil }
-
-// RunPeriods implements Executor. On error it returns a nil history.
-func (serialExecutor) RunPeriods(s *System, n int) (*History, error) {
-	if err := s.checkRunnable(n); err != nil {
-		return nil, err
-	}
-	T := s.cfg.EnvTemplate.T
-	h := s.newRunHistory()
-	ws := s.workspace()
-	res := ws.results(1)[0]
-
-	for p := 0; p < n; p++ {
-		if err := s.distribute(s.allRAs()); err != nil {
-			return nil, err
-		}
-		// Run T intervals in each RA (decentralized x-update).
-		for t := 0; t < T; t++ {
-			interval := s.intervalsRun
-			s.intervalsRun++
-			for j := range res {
-				if err := s.stepInto(ws, j, interval, nil, &res[j]); err != nil {
-					return nil, err
-				}
-			}
-			if err := s.mergeInterval(h, interval, res); err != nil {
-				return nil, err
-			}
-		}
-		if err := s.collectAndUpdate(h); err != nil {
-			return nil, err
-		}
-	}
-	return h, nil
-}
+func (*serialExecutor) Name() string { return EngineSerial }
 
 // ParallelExecutor steps all RAs concurrently on a persistent worker pool.
 // Within a period, RA trajectories are mutually independent — each agent
@@ -356,27 +321,26 @@ func (e *ParallelExecutor) EnableTelemetry(reg *telemetry.Registry) {
 		"RA period-step jobs completed by the pool", e.steps.Load)
 }
 
-// RunPeriods implements Executor. On error it returns a nil history; when
-// several RAs fail in the same period, the lowest-numbered RA's error is
-// reported (deterministically, independent of worker scheduling).
-func (e *ParallelExecutor) RunPeriods(s *System, n int) (*History, error) {
+// RunPeriods implements Executor. When several RAs fail in the same
+// period, the lowest-numbered RA's error is reported (deterministically,
+// independent of worker scheduling).
+func (e *ParallelExecutor) RunPeriods(s *System, h *History, n int) error {
 	if err := s.checkRunnable(n); err != nil {
-		return nil, err
+		return err
 	}
 	jobs, err := e.pool()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	J := s.cfg.NumRAs
 	T := s.cfg.EnvTemplate.T
-	h := s.newRunHistory()
 	acts := e.actionFns(s)
 	res := s.workspace().results(T) // [interval][RA]: worker j fills column j
 	errs := make([]error, J)
 
 	for p := 0; p < n; p++ {
 		if err := s.distribute(s.allRAs()); err != nil {
-			return nil, err
+			return err
 		}
 		base := s.intervalsRun
 		var wg sync.WaitGroup
@@ -393,19 +357,19 @@ func (e *ParallelExecutor) RunPeriods(s *System, n int) (*History, error) {
 		s.intervalsRun += T
 		for j := 0; j < J; j++ {
 			if errs[j] != nil {
-				return nil, errs[j]
+				return errs[j]
 			}
 		}
 		for t := range res {
 			if err := s.mergeInterval(h, base+t, res[t]); err != nil {
-				return nil, err
+				return err
 			}
 		}
 		if err := s.collectAndUpdate(h); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return h, nil
+	return nil
 }
 
 // actionFns returns the per-RA action closures for s, rebuilding them only

@@ -21,20 +21,22 @@ import (
 // matmuls that hit the register-tiled kernel at full throughput and
 // allocate nothing warm.
 //
-// Determinism: the result is bit-identical to the serial engine for any
-// worker count, by construction —
+// The serial engine is this plan at one worker. Determinism: the result is
+// bit-identical to an interleaved loop that acts and steps one RA after
+// another (Act(env.State()) then Step, in RA order) for any worker count,
+// by construction —
 //
-//   - gathering all states before stepping matches serial's interleaved
-//     act/step order because an RA's observation depends only on its own
-//     environment, which has not stepped yet this interval;
+//   - gathering all states before stepping matches the interleaved order
+//     because an RA's observation depends only on its own environment,
+//     which has not stepped yet this interval;
 //   - row i of a wide forward is bit-identical to the scalar Act on state i
 //     (see nn.MatMulNTInto: batching and worker sharding never reorder or
 //     split an output element's dot product);
 //   - an RA's step reads and writes only its own environment and its own
 //     slots of the period workspace, so which worker steps it cannot change
 //     its result, and the merge that follows runs single-threaded in the
-//     serial engine's fixed (interval, RA, slice) order — History, monitor
-//     series, and residuals come out the same.
+//     fixed (interval, RA, slice) order — History, monitor series, and
+//     residuals come out the same.
 //
 // Workers shard both stages of an interval: the wide matmul (each shard
 // forwards a contiguous row block out of its own workspace; weights are
@@ -132,6 +134,7 @@ type batchGroup struct {
 	in  []nn.Matrix
 	ws  []*nn.Workspace
 	res []*nn.Matrix
+	wg  sync.WaitGroup // the extra shards of one forward
 }
 
 // actRow returns the action row for group-relative row r of the last wide
@@ -161,6 +164,7 @@ type batchPlan struct {
 	ras         []int
 	stepWorkers int
 	next        atomic.Int64
+	wg          sync.WaitGroup // the extra step workers of one interval
 	onDriver    []int
 	stepErr     []error
 }
@@ -246,36 +250,40 @@ func (s *System) newBatchPlanFor(ras []int, workers int) *batchPlan {
 // own workspace rows and its own result — while onDriver RAs step on the
 // calling goroutine. The error reported is the first of the lowest failing
 // chunk, else the driver's: deterministic for any scheduling.
+//
+// Only the extra workers' goroutines allocate: on one worker a warm interval
+// allocates nothing.
 func (p *batchPlan) step(s *System, ws *periodWS, interval int, res []netsim.StepResult) error {
 	p.next.Store(0)
-	pull := func() {
-		for c := int(p.next.Add(1)) - 1; c < len(p.stepErr); c = int(p.next.Add(1)) - 1 {
-			chunk := p.ras[c*minShardRows : min((c+1)*minShardRows, len(p.ras))]
-			p.stepErr[c] = p.stepBlock(s, ws, interval, res, chunk)
-		}
-	}
-	var wg sync.WaitGroup
 	for w := 1; w < p.stepWorkers; w++ {
-		wg.Add(1)
+		p.wg.Add(1)
 		go func() {
-			defer wg.Done()
-			pull()
+			defer p.wg.Done()
+			p.pull(s, ws, interval, res)
 		}()
 	}
-	pull()
+	p.pull(s, ws, interval, res)
 	var driverErr error
 	for _, j := range p.onDriver {
 		if driverErr = s.stepInto(ws, j, interval, nil, &res[j]); driverErr != nil {
 			break
 		}
 	}
-	wg.Wait()
+	p.wg.Wait()
 	for _, err := range p.stepErr {
 		if err != nil {
 			return err
 		}
 	}
 	return driverErr
+}
+
+// pull steps chunks off the shared counter until none is left.
+func (p *batchPlan) pull(s *System, ws *periodWS, interval int, res []netsim.StepResult) {
+	for c := int(p.next.Add(1)) - 1; c < len(p.stepErr); c = int(p.next.Add(1)) - 1 {
+		chunk := p.ras[c*minShardRows : min((c+1)*minShardRows, len(p.ras))]
+		p.stepErr[c] = p.stepBlock(s, ws, interval, res, chunk)
+	}
 }
 
 // stepBlock steps one chunk's RAs in ascending order: a grouped RA under its
@@ -314,65 +322,60 @@ func (g *batchGroup) forward(s *System) {
 		row := g.states.Data[r*dim : r*dim : (r+1)*dim]
 		s.envs[j].StateInto(row)
 	}
-	shards := len(g.res)
-	if shards == 1 {
-		g.ws[0].Reset()
-		g.res[0] = g.actor.ActBatch(&g.in[0], g.ws[0])
-	} else {
-		var wg sync.WaitGroup
-		wg.Add(shards - 1)
-		for si := 1; si < shards; si++ {
-			si := si
-			go func() {
-				defer wg.Done()
-				g.ws[si].Reset()
-				g.res[si] = g.actor.ActBatch(&g.in[si], g.ws[si])
-			}()
-		}
-		g.ws[0].Reset()
-		g.res[0] = g.actor.ActBatch(&g.in[0], g.ws[0])
-		wg.Wait()
+	g.wg.Add(len(g.res) - 1)
+	for si := 1; si < len(g.res); si++ {
+		go func() {
+			defer g.wg.Done()
+			g.forwardShard(si)
+		}()
 	}
+	g.forwardShard(0)
+	g.wg.Wait()
 }
 
-// RunPeriods implements Executor. On error it returns a nil history, like
-// the serial engine it mirrors.
-func (e *BatchedExecutor) RunPeriods(s *System, n int) (*History, error) {
+// forwardShard runs shard si's row block through its own workspace.
+func (g *batchGroup) forwardShard(si int) {
+	g.ws[si].Reset()
+	g.res[si] = g.actor.ActBatch(&g.in[si], g.ws[si])
+}
+
+// RunPeriods implements Executor.
+func (e *BatchedExecutor) RunPeriods(s *System, h *History, n int) error {
 	if err := s.checkRunnable(n); err != nil {
-		return nil, err
+		return err
 	}
 	T := s.cfg.EnvTemplate.T
-	h := s.newRunHistory()
 	plan := e.planFor(s)
 	ws := s.workspace()
 	res := ws.results(1)[0]
 
 	for p := 0; p < n; p++ {
 		if err := s.distribute(s.allRAs()); err != nil {
-			return nil, err
+			return err
 		}
 		for t := 0; t < T; t++ {
 			interval := s.intervalsRun
 			s.intervalsRun++
 			// Gather all observations and run one wide forward per policy
 			// group; no environment has stepped this interval yet, so the
-			// gathered states equal what serial's per-RA Act calls observe.
+			// gathered states equal what an interleaved act-then-step loop
+			// would observe.
 			for _, g := range plan.groups {
 				e.forward(s, g)
 			}
 			// Scatter: step the RAs in worker blocks into their own result
-			// buffers, then merge on this goroutine in serial's order.
+			// buffers, then merge on this goroutine in RA order.
 			if err := plan.step(s, ws, interval, res); err != nil {
-				return nil, err
+				return err
 			}
 			if err := s.mergeInterval(h, interval, res); err != nil {
-				return nil, err
+				return err
 			}
 		}
 		if err := s.collectAndUpdate(h); err != nil {
-			return nil, err
+			return err
 		}
 		e.perPeriod.Store(int64(len(plan.groups) * T))
 	}
-	return h, nil
+	return nil
 }

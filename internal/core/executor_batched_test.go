@@ -58,6 +58,13 @@ func batchedTestAgent(t *testing.T, name string, stateDim, actionDim int) rl.Age
 	return a
 }
 
+// trainerNames are the six training algorithms whose policies the engines
+// must batch bit-identically.
+var trainerNames = []string{
+	ddpg.AlgoName, td3.AlgoName, sac.AlgoName,
+	ppo.AlgoName, trpo.AlgoName, vpg.AlgoName,
+}
+
 // algoSystem deploys a system whose every RA shares one agent of the named
 // training algorithm.
 func algoSystem(t *testing.T, cfg Config, algo string) *System {
@@ -74,36 +81,13 @@ func algoSystem(t *testing.T, cfg Config, algo string) *System {
 }
 
 // TestBatchedMatchesSerial is the batched half of the determinism suite:
-// for every training algorithm's policy, the batched engine's History and
-// monitor series must be bit-identical to the serial engine's, for worker
-// counts 1, 4, and NumRAs.
+// for a baseline and every kind of policy, the batched engine's History and
+// monitor series must be bit-identical to the interleaved reference run's,
+// for worker counts 1, 4, and NumRAs.
 func TestBatchedMatchesSerial(t *testing.T) {
-	cfg := execTestConfig(AlgoEdgeSlice)
-	for _, algo := range []string{
-		ddpg.AlgoName, td3.AlgoName, sac.AlgoName,
-		ppo.AlgoName, trpo.AlgoName, vpg.AlgoName,
-	} {
-		algo := algo
-		t.Run(algo, func(t *testing.T) {
-			ref := algoSystem(t, cfg, algo)
-			hRef, err := ref.RunPeriods(4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, workers := range []int{1, 4, cfg.NumRAs} {
-				e := NewBatchedExecutor(workers)
-				s := algoSystem(t, cfg, algo)
-				h, err := s.RunPeriodsWith(e, 4)
-				if err != nil {
-					t.Fatal(err)
-				}
-				requireSameRun(t, fmt.Sprintf("workers=%d", workers), hRef, h, ref.Monitor(), s.Monitor())
-				if err := e.Close(); err != nil {
-					t.Fatal(err)
-				}
-			}
-		})
-	}
+	forEachPolicy(t, func(t *testing.T, deploy func() *System) {
+		requireEngineMatchesReference(t, deploy, func(w int) Executor { return NewBatchedExecutor(w) })
+	})
 }
 
 // TestBatchedBaselineFallsBackToSerial pins the all-fallback path: a
@@ -157,10 +141,7 @@ func TestBatchedMixedSystemMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	mixedAgents(t, ref)
-	hRef, err := ref.RunPeriods(3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	hRef := referenceRun(t, ref, 3)
 	for _, workers := range []int{1, 4} {
 		s, err := NewSystem(cfg)
 		if err != nil {

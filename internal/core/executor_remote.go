@@ -197,40 +197,39 @@ func (e *RemoteExecutor) collectPeriod(s *System, plan *batchPlan, p, J int, res
 // (scenario runner) and resumed runs broadcast globally consistent period
 // ids — which the fault-tolerance protocol relies on for replay and retry.
 //
-// Partial-history contract (mirroring rcnet.RunCoordinator): on failure it
-// returns a non-nil error TOGETHER with the history prefix of every period
-// that fully completed — broadcast, collect, merge, and ADMM update — so a
-// dropped agent mid-run does not discard the periods already recorded.
-func (e *RemoteExecutor) RunPeriods(s *System, n int) (*History, error) {
+// Partial-history contract (mirroring rcnet.RunCoordinator): on failure h
+// keeps the records of every period that fully completed — broadcast,
+// collect, merge, and ADMM update — so a dropped agent mid-run does not
+// discard the periods already recorded.
+func (e *RemoteExecutor) RunPeriods(s *System, h *History, n int) error {
 	if n <= 0 {
-		return nil, fmt.Errorf("core: periods %d must be positive", n)
+		return fmt.Errorf("core: periods %d must be positive", n)
 	}
 	I := s.cfg.EnvTemplate.NumSlices
 	J := s.cfg.NumRAs
 	T := s.cfg.EnvTemplate.T
 	if e.hub.NumSlices() != I || e.hub.NumRAs() != J {
-		return nil, fmt.Errorf("core: hub coordinates %d slices x %d RAs, system is %d x %d",
+		return fmt.Errorf("core: hub coordinates %d slices x %d RAs, system is %d x %d",
 			e.hub.NumSlices(), e.hub.NumRAs(), I, J)
 	}
 	local := make([]bool, J)
 	if len(e.opts.LocalRAs) > 0 {
 		if !s.trained {
-			return nil, fmt.Errorf("core: remote engine with local RAs needs a trained/SetAgents system")
+			return fmt.Errorf("core: remote engine with local RAs needs a trained/SetAgents system")
 		}
 		if !sort.IntsAreSorted(e.opts.LocalRAs) {
-			return nil, fmt.Errorf("core: LocalRAs must be ascending")
+			return fmt.Errorf("core: LocalRAs must be ascending")
 		}
 		for _, j := range e.opts.LocalRAs {
 			if j < 0 || j >= J {
-				return nil, fmt.Errorf("core: local RA %d out of range [0,%d)", j, J)
+				return fmt.Errorf("core: local RA %d out of range [0,%d)", j, J)
 			}
 			if local[j] {
-				return nil, fmt.Errorf("core: duplicate local RA %d", j)
+				return fmt.Errorf("core: duplicate local RA %d", j)
 			}
 			local[j] = true
 		}
 	}
-	h := s.newRunHistory()
 	plan := e.localPlan(s)
 	ws := s.workspace()
 	res := ws.results(T) // [interval][RA]: locals step into it, reports are copied into it
@@ -240,7 +239,7 @@ func (e *RemoteExecutor) RunPeriods(s *System, n int) (*History, error) {
 		p := start + k
 		reports, err := e.collectPeriod(s, plan, p, J, res)
 		if err != nil {
-			return h, err
+			return err
 		}
 		for j := 0; j < J; j++ {
 			if local[j] {
@@ -248,28 +247,28 @@ func (e *RemoteExecutor) RunPeriods(s *System, n int) (*History, error) {
 			}
 			rep := reports[j]
 			if len(rep.Perf) != I {
-				return h, fmt.Errorf("core: RA %d reported %d slices, want %d", j, len(rep.Perf), I)
+				return fmt.Errorf("core: RA %d reported %d slices, want %d", j, len(rep.Perf), I)
 			}
 			for i := 0; i < I; i++ {
 				ws.perf[i][j] = rep.Perf[i]
 			}
 			if err := decodeIntervals(rep, j, I, res); err != nil {
-				return h, fmt.Errorf("core: remote period %d: %w", p, err)
+				return fmt.Errorf("core: remote period %d: %w", p, err)
 			}
 		}
 		base := s.intervalsRun
 		s.intervalsRun += T
 		for t := range res {
 			if err := s.mergeInterval(h, base+t, res[t]); err != nil {
-				return h, err
+				return err
 			}
 		}
 		if err := s.finishPeriod(h, ws.perf); err != nil {
-			return h, err
+			return err
 		}
 		e.hub.FinishPeriod(p)
 	}
-	return h, nil
+	return nil
 }
 
 // decodeIntervals validates one agent report's per-interval records against

@@ -57,6 +57,80 @@ func monitorDump(m *monitor.Monitor) map[string][]monitor.Sample {
 	return out
 }
 
+// referenceRun is the loop the serial engine ran before every in-process
+// engine became the batch plan, kept here as a reference that is not under
+// test: every interval each RA in turn acts on its own observation
+// (Act(env.State()) for a learning agent, the baseline's action otherwise)
+// and steps, then the interval merges; the ADMM update closes each period.
+func referenceRun(t *testing.T, s *System, n int) *History {
+	t.Helper()
+	if err := s.checkRunnable(n); err != nil {
+		t.Fatal(err)
+	}
+	h := s.newRunHistory()
+	ws := s.workspace()
+	res := ws.results(1)[0]
+	for p := 0; p < n; p++ {
+		if err := s.distribute(s.allRAs()); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < s.cfg.EnvTemplate.T; i++ {
+			interval := s.intervalsRun
+			s.intervalsRun++
+			for j := range res {
+				if err := s.stepInto(ws, j, interval, nil, &res[j]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := s.mergeInterval(h, interval, res); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.collectAndUpdate(h); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return h
+}
+
+// forEachPolicy runs fn as one subtest per deployment the determinism tests
+// cover on a 3-RA system: the TARO baseline, EdgeSlice under a loaded
+// policy, and a shared agent of each of the six training algorithms.
+// deploy builds a fresh system, identical every call.
+func forEachPolicy(t *testing.T, fn func(t *testing.T, deploy func() *System)) {
+	for _, algo := range []Algorithm{AlgoTARO, AlgoEdgeSlice} {
+		t.Run(algo.String(), func(t *testing.T) {
+			fn(t, func() *System { return deployedSystem(t, execTestConfig(algo)) })
+		})
+	}
+	for _, algo := range trainerNames {
+		t.Run(algo, func(t *testing.T) {
+			fn(t, func() *System { return algoSystem(t, execTestConfig(AlgoEdgeSlice), algo) })
+		})
+	}
+}
+
+// requireEngineMatchesReference runs four periods under engines built by
+// newExec for each worker count and requires the reference run's History
+// and monitor series.
+func requireEngineMatchesReference(t *testing.T, deploy func() *System, newExec func(workers int) Executor) {
+	t.Helper()
+	ref := deploy()
+	hRef := referenceRun(t, ref, 4)
+	for _, workers := range []int{1, 4, ref.NumRAs()} {
+		e := newExec(workers)
+		s := deploy()
+		h, err := s.RunPeriodsWith(e, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameRun(t, fmt.Sprintf("%s workers=%d", e.Name(), workers), hRef, h, ref.Monitor(), s.Monitor())
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func requireSameRun(t *testing.T, label string, hWant, hGot *History, mWant, mGot *monitor.Monitor) {
 	t.Helper()
 	if !reflect.DeepEqual(hWant, hGot) {
@@ -96,51 +170,35 @@ func TestNewExecutorSpellings(t *testing.T) {
 	}
 }
 
-// TestSerialExecutorIsRunPeriods pins that the explicit serial engine and
-// System.RunPeriods are the same code path: identical History and monitor
-// series for identically-configured systems.
+// TestSerialExecutorIsRunPeriods pins that System.RunPeriods and the
+// explicit serial engine — the batch plan at one worker — record the
+// interleaved reference run's History and monitor series, for a baseline and
+// every kind of policy.
 func TestSerialExecutorIsRunPeriods(t *testing.T) {
-	cfg := execTestConfig(AlgoTARO)
-	s1 := deployedSystem(t, cfg)
-	s2 := deployedSystem(t, cfg)
-	h1, err := s1.RunPeriods(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h2, err := s2.RunPeriodsWith(NewSerialExecutor(), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameRun(t, "serial-executor", h1, h2, s1.Monitor(), s2.Monitor())
+	forEachPolicy(t, func(t *testing.T, deploy func() *System) {
+		ref := deploy()
+		hRef := referenceRun(t, ref, 4)
+		s1, s2 := deploy(), deploy()
+		h1, err := s1.RunPeriods(4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h2, err := s2.RunPeriodsWith(NewSerialExecutor(), 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameRun(t, "RunPeriods", hRef, h1, ref.Monitor(), s1.Monitor())
+		requireSameRun(t, "serial-executor", hRef, h2, ref.Monitor(), s2.Monitor())
+	})
 }
 
 // TestParallelMatchesSerial is the determinism suite's core half: for a
-// learning deployment and a baseline, the parallel engine must be
-// bit-identical to the serial engine for worker counts 1, 4, and NumRAs.
+// baseline and every kind of policy, the parallel engine must record the
+// interleaved reference run bit for bit, for worker counts 1, 4, and NumRAs.
 func TestParallelMatchesSerial(t *testing.T) {
-	for _, algo := range []Algorithm{AlgoEdgeSlice, AlgoTARO} {
-		algo := algo
-		t.Run(algo.String(), func(t *testing.T) {
-			cfg := execTestConfig(algo)
-			ref := deployedSystem(t, cfg)
-			hRef, err := ref.RunPeriods(4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, workers := range []int{1, 4, cfg.NumRAs} {
-				e := NewParallelExecutor(workers)
-				s := deployedSystem(t, cfg)
-				h, err := s.RunPeriodsWith(e, 4)
-				if err != nil {
-					t.Fatal(err)
-				}
-				requireSameRun(t, fmt.Sprintf("workers=%d", workers), hRef, h, ref.Monitor(), s.Monitor())
-				if err := e.Close(); err != nil {
-					t.Fatal(err)
-				}
-			}
-		})
-	}
+	forEachPolicy(t, func(t *testing.T, deploy func() *System) {
+		requireEngineMatchesReference(t, deploy, func(w int) Executor { return NewParallelExecutor(w) })
+	})
 }
 
 // TestParallelPersistentPoolAcrossCalls exercises the scenario-runner
@@ -193,10 +251,7 @@ func TestParallelSerializesUnknownAgents(t *testing.T) {
 	if err := ref.SetAgents([]rl.Agent{newStub()}); err != nil {
 		t.Fatal(err)
 	}
-	hRef, err := ref.RunPeriods(2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	hRef := referenceRun(t, ref, 2)
 	s, err := NewSystem(cfg)
 	if err != nil {
 		t.Fatal(err)

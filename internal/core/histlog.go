@@ -149,8 +149,8 @@ func (l *HistoryLog) LogPeriod(perf [][]float64, sla []bool, primal, dual float6
 }
 
 // AppendHistory logs every interval and period record of an exact-mode
-// history of the same shape — the scenario runner uses it to persist each
-// period-at-a-time chunk as it is stitched.
+// history of the same shape, intervals first — the order a run commits them
+// in when it is one period long.
 func (l *HistoryLog) AppendHistory(h *History) error {
 	if h.Streaming() {
 		return fmt.Errorf("core: cannot log a streaming history: its raw records are summarized away")

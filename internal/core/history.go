@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 
+	"edgeslice/internal/netsim"
 	"edgeslice/internal/telemetry"
 )
 
@@ -38,6 +39,15 @@ type History struct {
 
 	// stream is non-nil in streaming mode.
 	stream *historyStream
+
+	// Exact mode cuts each interval's usage grid, each period's perf grid
+	// and each SLA row off these free lists, which grow refills. They always
+	// have length 0 and are non-nil from NewHistory on — only their capacity
+	// varies — so reflect.DeepEqual between two Histories compares their
+	// records and nothing else.
+	freeVals []float64
+	freeRows [][]float64
+	freeSLA  []bool
 }
 
 // historyStream is the bounded-memory aggregation state of streaming mode:
@@ -66,9 +76,9 @@ var StreamQuantiles = []float64{0.05, 0.5, 0.95}
 
 // NewHistory allocates an empty history in the default exact mode.
 func NewHistory(numSlices, numRAs, t int) *History {
-	h := &History{NumSlices: numSlices, NumRAs: numRAs, T: t}
-	h.SlicePerf = make([][]float64, numSlices)
-	return h
+	return &History{NumSlices: numSlices, NumRAs: numRAs, T: t,
+		SlicePerf: make([][]float64, numSlices),
+		freeVals:  []float64{}, freeRows: [][]float64{}, freeSLA: []bool{}}
 }
 
 // NewStreamingHistory allocates a history in streaming mode: per metric a
@@ -133,20 +143,66 @@ func (h *History) AddInterval(sysPerf float64, slicePerf []float64, usage [][]fl
 		st.addInterval(sysPerf, slicePerf, usage, violation)
 		return
 	}
+	if len(h.SystemPerf) == cap(h.SystemPerf) {
+		h.grow()
+	}
 	h.SystemPerf = append(h.SystemPerf, sysPerf)
 	for i := range slicePerf {
 		h.SlicePerf[i] = append(h.SlicePerf[i], slicePerf[i])
 	}
-	K := 0
-	if len(usage) > 0 {
-		K = len(usage[0])
-	}
-	own := newGrid(len(usage), K)
-	for i := range own {
-		copy(own[i], usage[i])
-	}
-	h.Usage = append(h.Usage, own)
+	h.Usage = append(h.Usage, h.carveGrid(usage))
 	h.Violations = append(h.Violations, violation)
+}
+
+// grow doubles the exact-mode capacity in whole periods, intervals and
+// periods together: the per-interval and per-period series move into one
+// new block per element type, and the grids and SLA rows of every new slot
+// are reserved behind them, so n recorded periods cost O(log n)
+// allocations. Grids of another shape than slices × resources and slices ×
+// RAs still record, off allocations of their own (take).
+func (h *History) grow() {
+	I, T := h.NumSlices, max(h.T, 1)
+	li, lp := len(h.SystemPerf), len(h.Primal)
+	cp := max(1, 2*max(lp, (li+T-1)/T))
+	ci := cp * T
+	vals := make([]float64, (2+I)*ci+2*cp+(ci-li)*I*netsim.NumResources+(cp-lp)*I*h.NumRAs)
+	series := func(s []float64, n int) []float64 {
+		out := append(vals[:0:n], s...)
+		vals = vals[n:]
+		return out
+	}
+	h.SystemPerf, h.Violations = series(h.SystemPerf, ci), series(h.Violations, ci)
+	for i := range h.SlicePerf {
+		h.SlicePerf[i] = series(h.SlicePerf[i], ci)
+	}
+	h.Primal, h.Dual = series(h.Primal, cp), series(h.Dual, cp)
+	h.freeVals = vals[:0]
+	grids := make([][][]float64, ci+cp)
+	h.Usage, h.PeriodPerf = append(grids[:0:ci], h.Usage...), append(grids[ci:ci], h.PeriodPerf...)
+	h.freeRows = make([][]float64, 0, (ci-li+cp-lp)*I)
+	h.SLAMet = append(make([][]bool, 0, cp), h.SLAMet...)
+	h.freeSLA = make([]bool, 0, (cp-lp)*I)
+}
+
+// carveGrid copies src into rows cut off the free lists.
+func (h *History) carveGrid(src [][]float64) [][]float64 {
+	g := take(&h.freeRows, len(src))
+	for i, row := range src {
+		g[i] = take(&h.freeVals, len(row))
+		copy(g[i], row)
+	}
+	return g
+}
+
+// take cuts n elements off the front of a free list, which keeps length 0;
+// when fewer than n remain it hands out a fresh slice instead.
+func take[E any](free *[]E, n int) []E {
+	f := *free
+	if cap(f) < n {
+		return make([]E, n)
+	}
+	*free = f[n:n]
+	return f[:n:n]
 }
 
 func (st *historyStream) addInterval(sysPerf float64, slicePerf []float64, usage [][]float64, violation float64) {
@@ -182,12 +238,13 @@ func (h *History) AddPeriod(perf [][]float64, sla []bool, primal, dual float64) 
 		st.addPeriod(sla, primal, dual)
 		return
 	}
-	cp := make([][]float64, len(perf))
-	for i := range perf {
-		cp[i] = append([]float64(nil), perf[i]...)
+	if len(h.Primal) == cap(h.Primal) {
+		h.grow()
 	}
-	h.PeriodPerf = append(h.PeriodPerf, cp)
-	h.SLAMet = append(h.SLAMet, append([]bool(nil), sla...))
+	h.PeriodPerf = append(h.PeriodPerf, h.carveGrid(perf))
+	met := take(&h.freeSLA, len(sla))
+	copy(met, sla)
+	h.SLAMet = append(h.SLAMet, met)
 	h.Primal = append(h.Primal, primal)
 	h.Dual = append(h.Dual, dual)
 }
@@ -205,11 +262,11 @@ func (st *historyStream) addPeriod(sla []bool, primal, dual float64) {
 	st.lastPrimal, st.lastDual = primal, dual
 }
 
-// Append concatenates another history of the same system shape onto h; the
-// scenario runner uses it to stitch period-at-a-time runs (with events
-// applied between periods) into one continuous record. A streaming h
-// absorbs an exact other by replaying its records through the summaries;
-// a streaming other cannot be appended (its raw records are gone).
+// Append concatenates another history of the same system shape onto h — a
+// resumed run's prefix and its continuation, say — by replaying other's
+// records through AddInterval and AddPeriod, so a streaming h absorbs them
+// into its summaries. A streaming other cannot be appended (its raw records
+// are gone).
 func (h *History) Append(other *History) error {
 	if other == nil {
 		return fmt.Errorf("core: append nil history")
@@ -221,29 +278,16 @@ func (h *History) Append(other *History) error {
 	if other.Streaming() {
 		return fmt.Errorf("core: cannot append a streaming history: its per-interval records are summarized away; append exact chunks into a streaming accumulator instead")
 	}
-	if h.Streaming() {
-		slicePerf := make([]float64, h.NumSlices)
-		for t := range other.SystemPerf {
-			for i := 0; i < h.NumSlices; i++ {
-				slicePerf[i] = other.SlicePerf[i][t]
-			}
-			h.AddInterval(other.SystemPerf[t], slicePerf, other.Usage[t], other.Violations[t])
+	slicePerf := make([]float64, h.NumSlices)
+	for t := range other.SystemPerf {
+		for i := range slicePerf {
+			slicePerf[i] = other.SlicePerf[i][t]
 		}
-		for p := range other.PeriodPerf {
-			h.AddPeriod(other.PeriodPerf[p], other.SLAMet[p], other.Primal[p], other.Dual[p])
-		}
-		return nil
+		h.AddInterval(other.SystemPerf[t], slicePerf, other.Usage[t], other.Violations[t])
 	}
-	h.SystemPerf = append(h.SystemPerf, other.SystemPerf...)
-	for i := range other.SlicePerf {
-		h.SlicePerf[i] = append(h.SlicePerf[i], other.SlicePerf[i]...)
+	for p := range other.PeriodPerf {
+		h.AddPeriod(other.PeriodPerf[p], other.SLAMet[p], other.Primal[p], other.Dual[p])
 	}
-	h.Usage = append(h.Usage, other.Usage...)
-	h.Violations = append(h.Violations, other.Violations...)
-	h.PeriodPerf = append(h.PeriodPerf, other.PeriodPerf...)
-	h.SLAMet = append(h.SLAMet, other.SLAMet...)
-	h.Primal = append(h.Primal, other.Primal...)
-	h.Dual = append(h.Dual, other.Dual...)
 	return nil
 }
 

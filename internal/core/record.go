@@ -13,10 +13,10 @@ import (
 // The zero value is the historical behavior: an exact in-memory History
 // and no on-disk log.
 type RecordOptions struct {
-	// StreamWindow, when positive, makes every run record into a
-	// streaming History (NewStreamingHistory) with this ring window —
-	// O(window) memory regardless of run length — and bounds the system
-	// monitor's per-metric retention to the same window.
+	// StreamWindow, when positive, makes RunPeriods and RunPeriodsWith
+	// record into a streaming History (NewStreamingHistory) with this ring
+	// window — O(window) memory regardless of run length — and bounds the
+	// system monitor's per-metric retention to the same window.
 	StreamWindow int
 	// Log, when non-nil, receives every interval and period record the
 	// executors commit (the append-only on-disk history). The caller owns
@@ -61,10 +61,12 @@ type SystemHealth struct {
 	AgentsExpected   int `json:"agents_expected,omitempty"`
 }
 
-// SetRecording configures history recording for subsequent RunPeriods
-// calls. A positive StreamWindow also bounds the system monitor's
-// retention to the window (monitor.SetWindow), so a long streaming run
-// holds O(window) samples end to end.
+// SetRecording configures history recording for subsequent runs: Log
+// receives every record, and StreamWindow picks the History RunPeriods and
+// RunPeriodsWith allocate (RunPeriodsInto records into the caller's). A
+// positive StreamWindow also bounds the system monitor's retention to the
+// window (monitor.SetWindow), so a long streaming run holds O(window)
+// samples end to end.
 func (s *System) SetRecording(opts RecordOptions) {
 	s.rec = opts
 	if opts.StreamWindow > 0 {
@@ -75,8 +77,8 @@ func (s *System) SetRecording(opts RecordOptions) {
 // Recording returns the active recording options.
 func (s *System) Recording() RecordOptions { return s.rec }
 
-// newRunHistory allocates the History a RunPeriods call records into,
-// honoring the configured recording mode.
+// newRunHistory allocates the History RunPeriodsWith records into, honoring
+// the configured recording mode.
 func (s *System) newRunHistory() *History {
 	I := s.cfg.EnvTemplate.NumSlices
 	J := s.cfg.NumRAs

@@ -354,12 +354,26 @@ func (s *System) trainTemplateFor(j int) netsim.Config {
 // (Z, Y), and the new coordination is fed back to the agents. It is
 // shorthand for RunPeriodsWith(NewSerialExecutor(), n).
 func (s *System) RunPeriods(n int) (*History, error) {
-	return serialExecutor{}.RunPeriods(s, n)
+	return s.RunPeriodsWith(NewSerialExecutor(), n)
 }
 
 // RunPeriodsWith executes Algorithm 1 for n periods under the given
-// execution engine (see Executor): serial, parallel per-RA stepping, or
-// remote agents over the RC network interface.
+// execution engine (see Executor) into a new History of the recording mode
+// SetRecording asks for. On error the History holds what was recorded
+// before the failure.
 func (s *System) RunPeriodsWith(e Executor, n int) (*History, error) {
-	return e.RunPeriods(s, n)
+	h := s.newRunHistory()
+	return h, s.RunPeriodsInto(e, h, n)
+}
+
+// RunPeriodsInto executes Algorithm 1 for n periods under e, appending every
+// record to h — a History the caller owns, exact or streaming, of the
+// system's shape — so period-at-a-time driving records one continuous run
+// with no stitching and no per-call History.
+func (s *System) RunPeriodsInto(e Executor, h *History, n int) error {
+	I, J, T := s.cfg.EnvTemplate.NumSlices, s.cfg.NumRAs, s.cfg.EnvTemplate.T
+	if h.NumSlices != I || h.NumRAs != J || h.T != T {
+		return fmt.Errorf("core: history shape %dx%dxT%d, system is %dx%dxT%d", h.NumSlices, h.NumRAs, h.T, I, J, T)
+	}
+	return e.RunPeriods(s, h, n)
 }

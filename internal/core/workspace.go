@@ -32,6 +32,7 @@ type periodWS struct {
 	samples   []float64   // J × I × numMonKinds: the interval's monitor row, (RA, slice, kind)-major
 	usage     [][]float64 // I × NumResources: Σ_j effective share, then the mean
 	perf      [][]float64 // I × J: the period's Σ_t U grid handed to the coordinator
+	sla       []bool      // I: the period's SLA flags
 
 	monGroup int // the monitor row group samples is recorded into; −1 until monitorGroup registers it
 }
@@ -59,6 +60,7 @@ func (s *System) workspace() *periodWS {
 			samples:   make([]float64, J*I*numMonKinds),
 			usage:     newGrid(I, netsim.NumResources),
 			perf:      newGrid(I, J),
+			sla:       make([]bool, I),
 			monGroup:  -1,
 		}
 	}

@@ -262,9 +262,16 @@ func (m *Monitor) appendLocked(b *block, interval int, row []float64) error {
 		m.evicted += uint64((len(b.intervals) - w) * len(b.names))
 		b.keepNewest(w)
 	}
-	//edgeslice:allocok a bounded block is sized to 2·window rows (at creation or by SetWindow) and the copy-down above keeps it below that; an unbounded one retains every sample by contract
+	if len(b.intervals) == cap(b.intervals) {
+		// Only an unbounded block fills up (a bounded one is sized to
+		// 2·window rows and the copy-down above keeps it below that). It
+		// doubles: append's 1.25× growth of a wide block copies it over and
+		// over.
+		b.reserve(max(2*len(b.intervals), 8))
+	}
+	//edgeslice:allocok the capacity check above leaves room for this row
 	b.intervals = append(b.intervals, interval)
-	//edgeslice:allocok as above
+	//edgeslice:allocok as above: reserve sizes values with intervals
 	b.values = append(b.values, row...)
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -425,6 +426,36 @@ func TestBoundedRecordingAllocFree(t *testing.T) {
 		if m.EvictedSamples() == 0 {
 			t.Errorf("window first %v: nothing evicted after %d rows", windowFirst, next)
 		}
+	}
+}
+
+// TestUnboundedRecordingDoubles pins the growth of an unbounded block: it
+// doubles, so n rows cost O(log n) allocations — two per doubling, intervals
+// and values — where append's 1.25× growth of a wide block took several
+// times as many.
+func TestUnboundedRecordingDoubles(t *testing.T) {
+	const rows = 10000
+	m := New()
+	g, err := m.Group([]string{"a", "b", "c"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := []float64{1, 2, 3}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < rows; i++ {
+		if m.RecordRow(g, i, row) != 0 {
+			t.Fatal("in-order row rejected")
+		}
+	}
+	runtime.ReadMemStats(&m1)
+	// 8 rows, then doubling past 10,000: 12 reserves.
+	if n := m1.Mallocs - m0.Mallocs; n > 2*12 {
+		t.Errorf("%d unbounded rows allocate %d times, want <= %d", rows, n, 2*12)
+	}
+	if got := len(m.Query("c", 0, rows)); got != rows {
+		t.Errorf("recorded %d rows, want %d", got, rows)
 	}
 }
 

@@ -1,0 +1,153 @@
+package scenario
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
+	"hash"
+	"math"
+	"os"
+	"sync/atomic"
+	"testing"
+
+	"edgeslice/internal/core"
+)
+
+// sweepDigests pins, per (scenario, recording mode), the sha256 of a short
+// warm-started sweep's outputs — every replica History's records, every
+// replica's history-log bytes and the rendered summary — as computed at
+// commit 0ce9d15, before the runner recorded into one caller-owned History.
+// A change anywhere on the sweep path that moves one bit of one record fails
+// here, across commits.
+var sweepDigests = map[string]string{
+	"heterogeneous-mix/exact":    "e417e0090fc11a98e93b2e24353c8c9539b2c597976ef3f054cbf1c3c28d1953",
+	"heterogeneous-mix/stream25": "e51ec6b74a6c9da45e91486abbd633cab7dee637b6d05f53066aabe013cdd40d",
+	"flash-crowd/exact":          "7dad331eb7685aeb48ec1b8b8a82f282cc6d9045f116070beec03f33082dc616",
+	"flash-crowd/stream25":       "7ca4456c7c8d7e9461da5fb56dee00ad1379fa3b0dc1ef8af44da0447007286a",
+}
+
+// TestSweepDigestPinned runs heterogeneous-mix and flash-crowd with a
+// warm-started EdgeSlice agent, TARO and equal share, two replicas each,
+// under exact and StreamWindow-25 recording, and compares the sha256 of
+// (a) each replica History's exported records as float bits plus its
+// summary accessors (the only thing a streaming History answers), (b) each
+// replica's history-log bytes and (c) the WriteSummary bytes with the
+// pinned value.
+func TestSweepDigestPinned(t *testing.T) {
+	for _, name := range []string{"heterogeneous-mix", "flash-crowd"} {
+		for _, window := range []int{0, 25} {
+			mode := "exact"
+			if window > 0 {
+				mode = fmt.Sprintf("stream%d", window)
+			}
+			key := name + "/" + mode
+			t.Run(key, func(t *testing.T) {
+				got := sweepDigest(t, name, window)
+				if want := sweepDigests[key]; got != want {
+					t.Errorf("sweep digest %s, pinned %s", got, want)
+				}
+			})
+		}
+	}
+}
+
+func sweepDigest(t *testing.T, name string, window int) string {
+	t.Helper()
+	spec, err := Get(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Algorithms = []string{"edgeslice", "taro", "equal"}
+	spec.TrainSteps = 400
+	const replicas = 2
+	dir := t.TempDir()
+	opts := Options{Replicas: replicas, Parallel: 2, WarmStart: true, StreamWindow: window, HistoryLogDir: dir}
+	sum, err := Run(spec, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var trainings atomic.Int64
+	warm, err := warmCheckpoints(spec, opts, &trainings)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	d := sha256.New()
+	for _, algo := range spec.Algorithms {
+		for r := 0; r < replicas; r++ {
+			_, h, err := runReplica(spec, algo, r, warm[algo], &trainings, Options{StreamWindow: window})
+			if err != nil {
+				t.Fatal(err)
+			}
+			hashHistory(t, d, h)
+			log, err := os.ReadFile(histLogPath(dir, spec, algo, r))
+			if err != nil {
+				t.Fatal(err)
+			}
+			d.Write(log)
+		}
+	}
+	var buf bytes.Buffer
+	if err := WriteSummary(&buf, sum); err != nil {
+		t.Fatal(err)
+	}
+	d.Write(buf.Bytes())
+	return fmt.Sprintf("%x", d.Sum(nil))
+}
+
+// hashHistory writes h's exported records and summary accessors into d as
+// little-endian float bits.
+func hashHistory(t *testing.T, d hash.Hash, h *core.History) {
+	t.Helper()
+	f := func(vs ...float64) {
+		for _, v := range vs {
+			_ = binary.Write(d, binary.LittleEndian, math.Float64bits(v))
+		}
+	}
+	f(float64(h.Intervals()), float64(h.Periods()))
+	f(h.SystemPerf...)
+	for _, s := range h.SlicePerf {
+		f(s...)
+	}
+	for _, g := range h.Usage {
+		for _, row := range g {
+			f(row...)
+		}
+	}
+	f(h.Violations...)
+	for _, g := range h.PeriodPerf {
+		for _, row := range g {
+			f(row...)
+		}
+	}
+	for _, row := range h.SLAMet {
+		for _, ok := range row {
+			if ok {
+				f(1)
+			} else {
+				f(0)
+			}
+		}
+	}
+	f(h.Primal...)
+	f(h.Dual...)
+	ssp, err := h.MeanSystemPerf(h.Intervals() / 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sla, err := h.SLASatisfactionRate(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	viol, err := h.ViolationRate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p50, err := h.SystemPerfQuantile(0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	primal, dual := h.LastResiduals()
+	f(ssp, sla, viol, p50, primal, dual)
+}

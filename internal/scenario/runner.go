@@ -63,7 +63,7 @@ type Options struct {
 	Monitor *monitor.Monitor
 	// Progress, when set, is called after each replica completes.
 	Progress func(completed, total int)
-	// StreamWindow, when positive, stitches each replica's periods into a
+	// StreamWindow, when positive, records each replica's periods into a
 	// streaming History (bounded memory) instead of an exact one. Summary
 	// numbers follow the streaming approximation contract: the steady-state
 	// SSP falls back to the full-run mean when the window is smaller than
@@ -414,8 +414,10 @@ func finalActiveSlices(spec Spec) int {
 // period by period under the configured execution engine, applying runtime
 // events (RA degradation/recovery, slice admission/teardown through the
 // slice manager) at the boundary of the period containing each event's
-// interval. The stitched History is returned alongside the summary result
-// (the determinism suite compares it across engines).
+// interval. Every period records into the replica's one History (exact or
+// streaming), and the replica's history log receives the same records
+// through the system's recording options. The History is returned alongside
+// the summary result (the determinism suite compares it across engines).
 func runReplica(spec Spec, algoName string, replica int, warm *ckpt.Checkpoint, trainings *atomic.Int64, opts Options) (ReplicaResult, *core.History, error) {
 	workers := opts.Workers
 	if workers <= 0 {
@@ -492,6 +494,7 @@ func runReplica(spec Spec, algoName string, replica int, warm *ckpt.Checkpoint, 
 			return ReplicaResult{}, nil, err
 		}
 		defer func() { _ = hlog.Close() }()
+		sys.SetRecording(core.RecordOptions{Log: hlog})
 	}
 	for p := 0; p < spec.Periods; p++ {
 		lo, hi := p*spec.T, (p+1)*spec.T
@@ -510,17 +513,8 @@ func runReplica(spec Spec, algoName string, replica int, warm *ckpt.Checkpoint, 
 				return ReplicaResult{}, nil, err
 			}
 		}
-		hp, err := sys.RunPeriodsWith(exec, 1)
-		if err != nil {
+		if err := sys.RunPeriodsInto(exec, h, 1); err != nil {
 			return ReplicaResult{}, nil, err
-		}
-		if err := h.Append(hp); err != nil {
-			return ReplicaResult{}, nil, err
-		}
-		if hlog != nil {
-			if err := hlog.AppendHistory(hp); err != nil {
-				return ReplicaResult{}, nil, err
-			}
 		}
 	}
 	if hlog != nil {
