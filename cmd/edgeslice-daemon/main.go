@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	edgeslice-daemon -role coordinator -listen :7000 -ras 2 -periods 10 [-engine remote|legacy] [-shards N]
+//	edgeslice-daemon -role coordinator -listen :7000 -ras 2 -periods 10 [-shards N]
 //	edgeslice-daemon -role agent -connect host:7000 -ra 0 [-agent agent.json] [-codec json|binary]
 //
 // -shards splits the coordinator's hub into N shards, each owning a
@@ -24,7 +24,7 @@
 // run progresses: the coordinator exports run progress, residuals,
 // per-slice SLA state, hub connection/report counters, and agent liveness;
 // the agent exports its report/coordination/heartbeat counters. The
-// remote-engine coordinator additionally accepts -history (append-only
+// coordinator additionally accepts -history (append-only
 // on-disk history log, replayable with edgeslice-exp -replay) and
 // -stream-window (bounded-memory streaming history — prints a steady-state
 // summary instead of the per-period table).
@@ -41,20 +41,16 @@
 // periods are replayed into the ADMM state and the run continues in place,
 // bit-identically to a run that never crashed.
 //
-// The coordinator's default engine ("remote") consumes the per-interval
-// records agents attach to their reports and records the same History a
-// local run produces: per-interval system/slice performance, usage,
-// violations, per-period SLA flags, and primal/dual residuals. Pass
-// -engine legacy for the perf-grid-only driver (rcnet.RunCoordinator),
-// e.g. when coordinating pre-engine agent builds whose reports carry no
-// interval records, or topologies the daemon's environment presets don't
-// cover. (The in-process engines — serial, parallel, and the batched
-// cross-RA inference engine — are edgeslice-sim's -engine domain: here
-// every RA is its own process, so there is no local action path to batch.)
+// The coordinator runs the remote execution engine: it consumes the
+// per-interval records agents attach to their reports and records the same
+// History a local run produces — per-interval system/slice performance,
+// usage, violations, per-period SLA flags, and primal/dual residuals. (The
+// in-process engines are edgeslice-sim's -engine domain: here every RA is
+// its own process.) Both roles run the environment presets of
+// edgeslice.DefaultConfig, so -slices must equal the presets' slice count.
 //
-// The -agent file may be either a full-fidelity checkpoint written by
-// edgeslice-train (format edgeslice-checkpoint-v2) or a legacy v1 actor
-// snapshot (edgeslice-actor-v1) from older builds; both load transparently.
+// The -agent file is a full-fidelity checkpoint written by edgeslice-train
+// (format edgeslice-checkpoint-v2).
 package main
 
 import (
@@ -99,23 +95,22 @@ func run() error {
 		slices    = flag.Int("slices", 2, "number of slices")
 		ra        = flag.Int("ra", 0, "agent: this RA's id")
 		periods   = flag.Int("periods", 10, "coordinator: periods to run")
-		agentFile = flag.String("agent", "", "agent: trained checkpoint or v1 actor JSON (from edgeslice-train); trains fresh if empty")
+		agentFile = flag.String("agent", "", "agent: trained checkpoint JSON (from edgeslice-train); trains fresh if empty")
 		train     = flag.Int("train", 12000, "agent: training steps when no -agent file given")
 		seed      = flag.Int64("seed", 1, "random seed")
 		timeout   = flag.Duration("timeout", 5*time.Minute, "per-round network timeout")
-		engine    = flag.String("engine", "remote", "coordinator: remote (full history) or legacy (perf grids only)")
 
 		metricsAddr  = flag.String("metrics-addr", "", "serve /metrics, /healthz and /debug/pprof on this address (e.g. 127.0.0.1:9090)")
-		streamWindow = flag.Int("stream-window", 0, "coordinator (remote): bounded-memory streaming history with this ring window")
-		historyPath  = flag.String("history", "", "coordinator (remote): write the run's on-disk history log to this file")
+		streamWindow = flag.Int("stream-window", 0, "coordinator: bounded-memory streaming history with this ring window")
+		historyPath  = flag.String("history", "", "coordinator: write the run's on-disk history log to this file")
 
 		shards = flag.Int("shards", 1, "coordinator: hub shards (parallel broadcast/collect over contiguous RA ranges; any count is bit-identical)")
 		codec  = flag.String("codec", "json", "agent: wire codec, json or binary (the coordinator auto-detects per connection)")
 
 		heartbeat    = flag.Duration("heartbeat", 0, "agent: send liveness heartbeats at this interval; coordinator: reap conns silent for 4x this long")
-		retryPeriods = flag.Int("retry-periods", 0, "coordinator (remote): extra collection attempts per period after a timeout, re-broadcast to missing RAs")
+		retryPeriods = flag.Int("retry-periods", 0, "coordinator: extra collection attempts per period after a timeout, re-broadcast to missing RAs")
 		reconnect    = flag.Int("reconnect", 0, "agent: redial attempts after a lost connection (re-registers and resumes mid-run)")
-		resume       = flag.Bool("resume", false, "coordinator (remote): resume a crashed run from the -history log instead of starting over")
+		resume       = flag.Bool("resume", false, "coordinator: resume a crashed run from the -history log instead of starting over")
 	)
 	flag.Parse()
 
@@ -127,25 +122,12 @@ func run() error {
 		if *shards < 1 {
 			return fmt.Errorf("-shards must be >= 1, got %d", *shards)
 		}
-		switch *engine {
-		case "remote", "":
-			return runCoordinatorRemote(coordOptions{
-				listen: *listen, slices: *slices, ras: *ras, shards: *shards,
-				periods: *periods, timeout: *timeout, metricsAddr: *metricsAddr,
-				streamWindow: *streamWindow, historyPath: *historyPath,
-				heartbeat: *heartbeat, retryPeriods: *retryPeriods, resume: *resume,
-			})
-		case "legacy":
-			if *streamWindow != 0 || *historyPath != "" {
-				return fmt.Errorf("-stream-window and -history need the remote engine's full history; the legacy engine records perf grids only")
-			}
-			if *resume || *retryPeriods != 0 {
-				return fmt.Errorf("-resume and -retry-periods need the remote engine")
-			}
-			return runCoordinator(*listen, *slices, *ras, *shards, *periods, *timeout, *metricsAddr, *heartbeat)
-		default:
-			return fmt.Errorf("-engine must be remote or legacy, got %q", *engine)
-		}
+		return runCoordinator(coordOptions{
+			listen: *listen, slices: *slices, ras: *ras, shards: *shards,
+			periods: *periods, timeout: *timeout, metricsAddr: *metricsAddr,
+			streamWindow: *streamWindow, historyPath: *historyPath,
+			heartbeat: *heartbeat, retryPeriods: *retryPeriods, resume: *resume,
+		})
 	case "agent":
 		if *streamWindow != 0 || *historyPath != "" {
 			return fmt.Errorf("-stream-window and -history apply to the coordinator role; the agent keeps no history")
@@ -163,17 +145,16 @@ func run() error {
 	}
 }
 
-// runCoordinatorRemote drives the run through the remote execution engine:
+// runCoordinator drives the run through the remote execution engine:
 // distributed agents report per-interval records and the coordinator
 // records the same History a local run produces. With -resume it restarts
 // from the history log: the completed periods are replayed into the ADMM
 // state, re-registering agents receive the replay as their resume frame,
 // and only the remaining periods run live.
-func runCoordinatorRemote(o coordOptions) error {
+func runCoordinator(o coordOptions) error {
 	cfg := edgeslice.DefaultConfig()
 	if o.slices != cfg.EnvTemplate.NumSlices {
-		return fmt.Errorf("the remote engine's presets support %d slices, got %d; use -engine legacy for other topologies",
-			cfg.EnvTemplate.NumSlices, o.slices)
+		return fmt.Errorf("daemon presets support %d slices, got %d", cfg.EnvTemplate.NumSlices, o.slices)
 	}
 	cfg.NumRAs = o.ras
 	sys, err := edgeslice.NewSystem(cfg) // shape + coordinator only; envs and agents live remotely
@@ -323,51 +304,6 @@ func printStreamingSummary(h *edgeslice.History) error {
 	primal, dual := h.LastResiduals()
 	fmt.Printf("final residuals: primal=%.2f dual=%.2f\n", primal, dual)
 	return nil
-}
-
-func runCoordinator(listen string, slices, ras, shards, periods int, timeout time.Duration, metricsAddr string, heartbeat time.Duration) error {
-	hub, err := edgeslice.NewShardedHub(listen, slices, ras, shards)
-	if err != nil {
-		return err
-	}
-	defer func() { _ = hub.Shutdown() }()
-	if heartbeat > 0 {
-		hub.SetLiveness(4 * heartbeat)
-	}
-	if metricsAddr != "" {
-		reg := edgeslice.NewTelemetryRegistry()
-		hub.EnableTelemetry(reg)
-		srv, err := edgeslice.StartTelemetry(metricsAddr, reg, func() any {
-			return map[string]any{"hub": hub.Stats()}
-		})
-		if err != nil {
-			return err
-		}
-		defer func() { _ = srv.Close() }()
-		fmt.Printf("telemetry on http://%s/metrics\n", srv.Addr())
-	}
-	fmt.Printf("coordinator listening on %s, waiting for %d agents...\n", hub.Addr(), ras)
-	if err := hub.WaitRegistered(timeout); err != nil {
-		return err
-	}
-	umin := make([]float64, slices)
-	for i := range umin {
-		umin[i] = -50
-	}
-	coord, err := edgeslice.NewCoordinator(slices, ras, 1.0, umin)
-	if err != nil {
-		return err
-	}
-	history, err := edgeslice.RunCoordinator(hub, coord, periods, timeout)
-	if err != nil {
-		return err
-	}
-	for p, perf := range history {
-		fmt.Printf("period %d: perf=%v\n", p, perf)
-	}
-	primal, dual := coord.Residuals()
-	fmt.Printf("final residuals: primal=%.3f dual=%.3f\n", primal, dual)
-	return hub.Shutdown()
 }
 
 // loadPolicy resolves the agent's policy: a trained checkpoint from disk,

@@ -7,14 +7,14 @@
 //
 //	edgeslice-sim [-algo edgeslice|edgeslice-nt|taro|equal] [-periods 10]
 //	              [-ras 2] [-train 12000] [-seed 1]
-//	              [-engine serial|parallel|batched] [-workers N]
+//	              [-engine serial|batched] [-workers N]
 //
 // Both modes accept -engine/-workers to choose the Algorithm-1 execution
-// engine: "serial" steps RAs one after another, "parallel" steps all RAs
-// concurrently on a persistent worker pool, and "batched" gathers all RA
-// observations each interval into one wide forward pass per policy group.
-// Results are bit-identical across engines and worker counts; only
-// wall-clock changes.
+// engine: "serial" steps RAs one after another, and "batched" gathers all RA
+// observations each interval into one wide forward pass per policy group and
+// shares the RA stepping among its workers. Results are bit-identical across
+// engines and worker counts; only wall-clock changes. The retired
+// "parallel" spelling runs the batched engine.
 //
 // Scenario mode runs a declarative workload scenario — a built-in name or a
 // JSON spec file — through the parallel sharded replica runner and prints
@@ -73,8 +73,8 @@ func run() error {
 		train    = flag.Int("train", 12000, "agent training steps")
 		seed     = flag.Int64("seed", 1, "random seed")
 
-		engine  = flag.String("engine", "serial", "execution engine: serial, parallel, or batched (bit-identical; parallel steps RAs concurrently, batched runs one wide forward per policy group)")
-		workers = flag.Int("workers", 0, "parallel worker-pool size / batched matmul shards (0 = one per RA in scenario mode, GOMAXPROCS in classic mode)")
+		engine  = flag.String("engine", "serial", "execution engine: serial or batched (bit-identical; batched runs one wide forward per policy group)")
+		workers = flag.Int("workers", 0, "batched matmul and step shards (0 = one per RA in scenario mode, GOMAXPROCS in classic mode)")
 
 		scenarioName = flag.String("scenario", "", "run a named built-in scenario or a JSON spec file")
 		listScen     = flag.Bool("list-scenarios", false, "list built-in scenarios and exit")
@@ -93,8 +93,11 @@ func run() error {
 	if *listScen {
 		return listScenarios(os.Stdout)
 	}
-	if *engine == "remote" {
-		return fmt.Errorf("the remote engine runs under edgeslice-daemon (-role coordinator); -engine here accepts serial, parallel, or batched")
+	switch *engine {
+	case "remote":
+		return fmt.Errorf("the remote engine runs under edgeslice-daemon (-role coordinator); -engine here accepts serial or batched")
+	case "parallel":
+		fmt.Fprintln(os.Stderr, "edgeslice-sim: the parallel engine is retired; -engine parallel runs the batched engine")
 	}
 	if *scenarioName != "" {
 		// Scenarios define their own topology, schedule, algorithms, and

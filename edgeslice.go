@@ -3,21 +3,21 @@
 // Learning" (Liu, Han, Moges — ICDCS 2020): a decentralized resource
 // orchestration system for dynamic end-to-end network slicing.
 //
-// The public API exposes four layers:
+// The public API exposes seven layers:
 //
 //   - System assembly and Algorithm-1 orchestration (NewSystem, Config,
 //     System.Train, System.RunPeriods) — the D-DRL loop coupling the ADMM
 //     performance coordinator with per-RA DDPG orchestration agents.
-//   - Execution engines (Executor, NewSerialExecutor, NewParallelExecutor,
+//   - Execution engines (Executor, NewSerialExecutor, NewBatchedExecutor,
 //     NewRemoteExecutor, System.RunPeriodsWith, System.RunPeriodsInto) —
-//     interchangeable serial, parallel per-RA, and distributed
-//     implementations of Algorithm 1's per-period phases, bit-identical
-//     across engines and worker counts.
+//     interchangeable serial, batched, and distributed implementations of
+//     Algorithm 1's per-period phases, bit-identical across engines and
+//     worker counts.
 //   - Environment construction (EnvConfig, AppProfile, sources) — the
 //     simulated wireless edge computing network of Sec. VI-B.
-//   - Distributed deployment (NewHub, DialAgent, RunCoordinator, RunAgent)
-//     — the RC interface over TCP for running the coordinator and agents
-//     as separate processes.
+//   - Distributed deployment (NewHub, DialAgent, RunAgent, and
+//     NewRemoteExecutor on the coordinator side) — the RC interface over
+//     TCP for running the coordinator and agents as separate processes.
 //   - Experiments (Fig6 … Fig11, Options) — regenerate every evaluation
 //     figure of the paper.
 //   - Scenarios (ListScenarios, GetScenario, RunScenario) — declarative
@@ -84,20 +84,18 @@ type Agent = rl.Agent
 // Executor is an execution engine for Algorithm 1: the same three phases
 // per period (distribute coordination, step T intervals in every RA,
 // collect Σ_t U and run the ADMM update) behind interchangeable
-// implementations — serial in-process stepping, parallel per-RA stepping
-// on a persistent worker pool (bit-identical to serial for any worker
-// count), batched cross-RA inference (one wide forward pass per policy
-// group per interval, bit-identical to serial), or remote agents over the
-// RC network interface (recording the same History, monitor series, SLA
-// flags, and residuals as local runs).
+// implementations — serial in-process stepping, batched cross-RA inference
+// (one wide forward pass per policy group per interval, bit-identical to
+// serial for any worker count), or remote agents over the RC network
+// interface (recording the same History, monitor series, SLA flags, and
+// residuals as local runs).
 type Executor = core.Executor
 
 // Engine spellings for NewExecutor and the -engine CLI flags.
 const (
-	EngineSerial   = core.EngineSerial
-	EngineParallel = core.EngineParallel
-	EngineBatched  = core.EngineBatched
-	EngineRemote   = core.EngineRemote
+	EngineSerial  = core.EngineSerial
+	EngineBatched = core.EngineBatched
+	EngineRemote  = core.EngineRemote
 )
 
 // Checkpoint types (versioned, full-fidelity agent persistence).
@@ -161,7 +159,7 @@ type (
 // Telemetry types (the streaming observability layer).
 type (
 	// TelemetryRegistry is a named metric collection with a Prometheus
-	// text exposition; subsystems (System, Hub, AgentClient, the parallel
+	// text exposition; subsystems (System, Hub, AgentClient, the batched
 	// executor) export their counters through one shared registry.
 	TelemetryRegistry = telemetry.Registry
 	// TelemetryServer serves /metrics, /healthz, and /debug/pprof.
@@ -262,8 +260,7 @@ func NewEnv(cfg EnvConfig) (*Env, error) { return netsim.New(cfg) }
 
 // SaveAgent serializes RA ra's trained agent as a single-agent checkpoint
 // any supported training algorithm round-trips (format
-// edgeslice-checkpoint-v2). Legacy v1 actor snapshots remain loadable with
-// LoadAgent; core.SaveAgent still writes them for DDPG actors.
+// edgeslice-checkpoint-v2).
 func SaveAgent(w io.Writer, sys *System, ra int) error {
 	c, err := sys.AgentCheckpoint(ra, ckpt.SnapshotOptions{})
 	if err != nil {
@@ -272,9 +269,8 @@ func SaveAgent(w io.Writer, sys *System, ra int) error {
 	return ckpt.Write(w, c)
 }
 
-// LoadAgent restores a policy saved with SaveAgent or edgeslice-train —
-// either a v2 checkpoint or a legacy v1 actor snapshot. The returned agent
-// is safe for concurrent Act calls.
+// LoadAgent restores a policy saved with SaveAgent or edgeslice-train. The
+// returned agent is safe for concurrent Act calls.
 func LoadAgent(r io.Reader) (Agent, error) { return core.LoadAgent(r) }
 
 // SaveCheckpoint writes the system's trained agents (all RAs, or the one
@@ -290,9 +286,9 @@ func LoadCheckpoint(r io.Reader) (*Checkpoint, error) { return core.LoadCheckpoi
 // cache, the backing of the scenario runner's warm-start mode.
 func OpenCheckpointStore(dir string) (*CheckpointStore, error) { return ckpt.OpenStore(dir) }
 
-// NewExecutor resolves an in-process engine spelling: "serial" (or empty),
-// "parallel", or "batched" (workers ≤ 0 defaults to GOMAXPROCS). Run
-// periods with System.RunPeriodsWith and Close the executor when done.
+// NewExecutor resolves an in-process engine spelling: "serial" (or empty)
+// or "batched" (workers ≤ 0 defaults to GOMAXPROCS). Run periods with
+// System.RunPeriodsWith and Close the executor when done.
 func NewExecutor(engine string, workers int) (Executor, error) {
 	return core.NewExecutor(engine, workers)
 }
@@ -300,11 +296,6 @@ func NewExecutor(engine string, workers int) (Executor, error) {
 // NewSerialExecutor returns the serial in-process engine
 // (System.RunPeriods' default).
 func NewSerialExecutor() Executor { return core.NewSerialExecutor() }
-
-// NewParallelExecutor returns the parallel in-process engine: a persistent
-// per-RA worker pool stepping all RAs concurrently each period, with
-// results bit-identical to the serial engine for any worker count.
-func NewParallelExecutor(workers int) Executor { return core.NewParallelExecutor(workers) }
 
 // NewBatchedExecutor returns the batched in-process engine: every interval
 // it gathers all RA observations and runs one wide forward pass per policy
@@ -359,22 +350,9 @@ func DialAgentCodec(addr string, ra int, timeout time.Duration, codec Codec) (*A
 	return rcnet.DialAgentCodec(addr, ra, timeout, codec)
 }
 
-// RunCoordinator drives Algorithm 1 from the hub side.
-func RunCoordinator(h *Hub, coord *Coordinator, periods int, timeout time.Duration) ([][][]float64, error) {
-	return rcnet.RunCoordinator(h, coord, periods, timeout)
-}
-
 // RunAgent drives one RA from the agent side until shutdown.
 func RunAgent(c *AgentClient, env *Env, agent Agent, timeout time.Duration) error {
 	return rcnet.RunAgent(c, env, agent, timeout)
-}
-
-// NewCoordinator creates a standalone ADMM performance coordinator (used
-// with the distributed API; NewSystem embeds its own).
-func NewCoordinator(numSlices, numRAs int, rho float64, umin []float64) (*Coordinator, error) {
-	return admm.NewCoordinator(admm.Config{
-		NumSlices: numSlices, NumRAs: numRAs, Rho: rho, UminPerSlice: umin,
-	})
 }
 
 // SynthesizeTrace builds a Trento-like diurnal traffic trace with the given

@@ -2,7 +2,6 @@ package edgeslice_test
 
 import (
 	"bytes"
-	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -76,16 +75,18 @@ func TestFacadeEnvAndTrace(t *testing.T) {
 }
 
 func TestFacadeDistributed(t *testing.T) {
-	hub, err := edgeslice.NewHub("127.0.0.1:0", 2, 1)
+	cfg := edgeslice.DefaultConfig()
+	cfg.NumRAs = 1
+	sys, err := edgeslice.NewSystem(cfg) // shape and coordinator; the RA runs remotely
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() { _ = hub.Shutdown() }()
-
-	coord, err := edgeslice.NewCoordinator(2, 1, 1.0, []float64{-50, -50})
+	hub, err := edgeslice.NewHub("127.0.0.1:0", cfg.EnvTemplate.NumSlices, cfg.NumRAs)
 	if err != nil {
 		t.Fatal(err)
 	}
+	exec := edgeslice.NewRemoteExecutor(hub, 5*time.Second)
+	defer func() { _ = exec.Close() }()
 
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -114,14 +115,14 @@ func TestFacadeDistributed(t *testing.T) {
 	if err := hub.WaitRegistered(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	history, err := edgeslice.RunCoordinator(hub, coord, 2, 5*time.Second)
+	h, err := sys.RunPeriodsWith(exec, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(history) != 2 {
-		t.Errorf("history periods = %d", len(history))
+	if h.Periods() != 2 || h.Intervals() != 2*cfg.EnvTemplate.T {
+		t.Errorf("history holds %d periods / %d intervals", h.Periods(), h.Intervals())
 	}
-	if err := hub.Shutdown(); err != nil {
+	if err := exec.Close(); err != nil {
 		t.Fatal(err)
 	}
 	wg.Wait()
@@ -136,5 +137,3 @@ func (s stubAgent) Act([]float64) []float64 {
 	}
 	return out
 }
-
-func nnTestRNG() *rand.Rand { return rand.New(rand.NewSource(7)) } //nolint:gosec // bench determinism

@@ -27,9 +27,8 @@ func main() {
 
 func run() error {
 	const (
-		numSlices = 2
-		numRAs    = 2
-		periods   = 6
+		numRAs  = 2
+		periods = 6
 	)
 
 	// Train one shared policy first (in production: edgeslice-train once,
@@ -47,11 +46,21 @@ func run() error {
 		return err
 	}
 
-	hub, err := edgeslice.NewHub("127.0.0.1:0", numSlices, numRAs)
+	// The coordinator's System supplies the run's shape and the ADMM
+	// performance coordinator; the environments of record live with the
+	// agents, so it needs no training.
+	cfg := edgeslice.DefaultConfig()
+	cfg.NumRAs = numRAs
+	sys, err := edgeslice.NewSystem(cfg)
 	if err != nil {
 		return err
 	}
-	defer func() { _ = hub.Shutdown() }()
+	hub, err := edgeslice.NewHub("127.0.0.1:0", cfg.EnvTemplate.NumSlices, numRAs)
+	if err != nil {
+		return err
+	}
+	exec := edgeslice.NewRemoteExecutor(hub, timeout) // Close shuts the hub down
+	defer func() { _ = exec.Close() }()
 	fmt.Printf("coordinator hub listening on %s\n", hub.Addr())
 
 	var wg sync.WaitGroup
@@ -71,16 +80,11 @@ func run() error {
 	}
 	fmt.Println("all agents registered; running Algorithm 1...")
 
-	umin := []float64{-50, -50}
-	coord, err := edgeslice.NewCoordinator(numSlices, numRAs, 1.0, umin)
+	h, err := sys.RunPeriodsWith(exec, periods)
 	if err != nil {
 		return err
 	}
-	history, err := edgeslice.RunCoordinator(hub, coord, periods, timeout)
-	if err != nil {
-		return err
-	}
-	for p, perf := range history {
+	for p, perf := range h.PeriodPerf {
 		var total float64
 		for i := range perf {
 			for j := range perf[i] {
@@ -89,7 +93,7 @@ func run() error {
 		}
 		fmt.Printf("period %d: total performance %.1f\n", p, total)
 	}
-	if err := hub.Shutdown(); err != nil {
+	if err := exec.Close(); err != nil {
 		return err
 	}
 	wg.Wait()

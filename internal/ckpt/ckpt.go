@@ -18,7 +18,6 @@ package ckpt
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -28,18 +27,9 @@ import (
 	"edgeslice/internal/rl"
 )
 
-// Format identifiers. FormatV2 is the full-fidelity checkpoint this package
-// reads and writes; FormatV1Actor is the legacy actor-only snapshot written
-// by earlier edgeslice-train builds, which core.LoadAgent still accepts.
-const (
-	FormatV2      = "edgeslice-checkpoint-v2"
-	FormatV1Actor = "edgeslice-actor-v1"
-)
-
-// ErrV1Actor is returned (wrapped) by Read when the stream holds a legacy
-// v1 actor snapshot rather than a v2 checkpoint; callers with a v1
-// compatibility path can detect it with errors.Is and re-parse.
-var ErrV1Actor = errors.New("ckpt: legacy v1 actor snapshot (actor network only); load it with LoadAgent, or re-train and save an " + FormatV2 + " checkpoint for full fidelity")
+// FormatV2 identifies the full-fidelity checkpoint this package reads and
+// writes; Validate rejects any other format by name.
+const FormatV2 = "edgeslice-checkpoint-v2"
 
 // SnapshotOptions configures what an agent snapshot captures.
 type SnapshotOptions struct {
@@ -165,8 +155,7 @@ func Write(w io.Writer, c *Checkpoint) error {
 	return nil
 }
 
-// Read parses and validates a checkpoint. A legacy v1 actor snapshot is
-// reported as a wrapped ErrV1Actor so callers can fall back.
+// Read parses and validates a checkpoint.
 func Read(r io.Reader) (*Checkpoint, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
@@ -177,15 +166,6 @@ func Read(r io.Reader) (*Checkpoint, error) {
 
 // Decode parses and validates checkpoint bytes (see Read).
 func Decode(data []byte) (*Checkpoint, error) {
-	var probe struct {
-		Format string `json:"format"`
-	}
-	if err := json.Unmarshal(data, &probe); err != nil {
-		return nil, fmt.Errorf("ckpt: decode: %w", err)
-	}
-	if probe.Format == FormatV1Actor {
-		return nil, fmt.Errorf("ckpt: decode: %w", ErrV1Actor)
-	}
 	var c Checkpoint
 	if err := json.Unmarshal(data, &c); err != nil {
 		return nil, fmt.Errorf("ckpt: decode: %w", err)

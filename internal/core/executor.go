@@ -2,15 +2,8 @@ package core
 
 import (
 	"fmt"
-	"reflect"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"edgeslice/internal/netsim"
-	"edgeslice/internal/nn"
-	"edgeslice/internal/rl"
-	"edgeslice/internal/telemetry"
 )
 
 // Executor runs Algorithm 1 on a System. Every implementation executes the
@@ -22,19 +15,16 @@ import (
 //  3. collect — gather Σ_t U per slice per RA, run the ADMM (Z, Y) update,
 //     and record the period's SLA flags and primal/dual residuals.
 //
-// The implementations differ only in where and how phase 2 executes:
-// Batched runs one wide forward per policy group per interval and steps the
-// RAs in chunks shared among its workers, Serial is that batch plan at one
-// worker, Parallel gives each RA's whole period to a worker of a persistent
-// pool, and Remote steps them in separate agent processes over the RC
-// network interface. Every engine steps into the System's period workspace
-// and records through the same fixed (interval, RA, slice) merge, so
-// Serial, Parallel and Batched are bit-identical for any worker count;
-// Remote is identical to Serial when the remote agents run the same
-// environments and policies.
+// The implementations differ only in where phase 2 executes: Batched runs
+// one wide forward per policy group per interval and steps the RAs in chunks
+// shared among its workers, Serial is that batch plan at one worker, and
+// Remote steps them in separate agent processes over the RC network
+// interface. Every engine steps into the System's period workspace and
+// records through the same fixed (interval, RA, slice) merge, so Serial and
+// Batched are bit-identical for any worker count; Remote is identical to
+// Serial when the remote agents run the same environments and policies.
 type Executor interface {
-	// Name reports the engine spelling ("serial", "parallel", "batched",
-	// "remote").
+	// Name reports the engine spelling ("serial", "batched", "remote").
 	Name() string
 	// RunPeriods executes Algorithm 1 for n periods on s, recording every
 	// interval and period into h, the caller's History (exact or streaming)
@@ -47,6 +37,8 @@ type Executor interface {
 }
 
 // Engine spellings accepted by NewExecutor and the -engine CLI flags.
+// EngineParallel names the retired per-RA worker-pool engine; NewExecutor
+// resolves it to the batched engine.
 const (
 	EngineSerial   = "serial"
 	EngineParallel = "parallel"
@@ -54,24 +46,22 @@ const (
 	EngineRemote   = "remote"
 )
 
-// NewExecutor resolves an in-process engine spelling: "serial" (or empty),
-// "parallel" (workers ≤ 0 defaults to GOMAXPROCS), and "batched" (one wide
-// forward pass per policy group per interval; workers shard the matmul and
-// the environment stepping).
+// NewExecutor resolves an in-process engine spelling: "serial" (or empty)
+// and "batched" (one wide forward pass per policy group per interval;
+// workers shard the matmul and the environment stepping, ≤ 0 defaults to
+// GOMAXPROCS). "parallel" resolves to the batched engine.
 // The remote engine needs a live hub and timeout; construct it with
 // NewRemoteExecutor.
 func NewExecutor(engine string, workers int) (Executor, error) {
 	switch engine {
 	case "", EngineSerial:
 		return NewSerialExecutor(), nil
-	case EngineParallel:
-		return NewParallelExecutor(workers), nil
-	case EngineBatched:
+	case EngineBatched, EngineParallel:
 		return NewBatchedExecutor(workers), nil
 	case EngineRemote:
 		return nil, fmt.Errorf("core: the remote engine wraps a live hub; construct it with NewRemoteExecutor")
 	default:
-		return nil, fmt.Errorf("core: unknown engine %q (want %q, %q or %q)", engine, EngineSerial, EngineParallel, EngineBatched)
+		return nil, fmt.Errorf("core: unknown engine %q (want %q or %q)", engine, EngineSerial, EngineBatched)
 	}
 }
 
@@ -215,242 +205,3 @@ func NewSerialExecutor() Executor { return &serialExecutor{BatchedExecutor{worke
 
 // Name implements Executor.
 func (*serialExecutor) Name() string { return EngineSerial }
-
-// ParallelExecutor steps all RAs concurrently on a persistent worker pool.
-// Within a period, RA trajectories are mutually independent — each agent
-// observes only its own environment under coordination that is fixed for
-// the whole period — so one worker advances one RA through all T intervals
-// without cross-RA barriers. Per-RA interval records are buffered and
-// merged in deterministic RA order afterwards, making the output
-// bit-identical to the serial engine for any worker count.
-//
-// Policy inference is race-free: batch-capable agents (every built-in
-// trainer and LoadAgent's policies) run lock-free single-row batched
-// forwards out of per-RA workspaces — weights are only read — and agent
-// implementations without a batched path are serialized behind a
-// per-instance mutex (see concurrentActionFns). All supported policies are
-// deterministic forward passes, so wrapping never changes an action.
-//
-// A ParallelExecutor is intended to drive one run at a time; concurrent
-// RunPeriods calls on the same executor are not supported (the underlying
-// System is not concurrency-safe either). Close releases the pool.
-type ParallelExecutor struct {
-	workers int
-
-	// busy tracks workers currently executing a job (pool occupancy) and
-	// steps counts RA-period step jobs completed — both exported through
-	// EnableTelemetry.
-	busy  atomic.Int64
-	steps atomic.Uint64
-
-	mu     sync.Mutex
-	jobs   chan func()
-	closed bool
-
-	// Cached action closures (and their per-RA inference workspaces), keyed
-	// on the system and its agent generation: period-at-a-time driving (the
-	// scenario runner calls RunPeriods(1) per period) must not rebuild them
-	// every call. Accessed only from RunPeriods, which is single-driver by
-	// contract.
-	cacheSys  *System
-	cacheGen  int
-	cacheActs []func() ([]float64, error)
-}
-
-// NewParallelExecutor returns a parallel engine with the given worker-pool
-// size; workers ≤ 0 defaults to GOMAXPROCS. Workers are started lazily on
-// the first RunPeriods call and live until Close.
-func NewParallelExecutor(workers int) *ParallelExecutor {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return &ParallelExecutor{workers: workers}
-}
-
-// Name implements Executor.
-func (e *ParallelExecutor) Name() string { return EngineParallel }
-
-// Workers returns the pool size.
-func (e *ParallelExecutor) Workers() int { return e.workers }
-
-// Close implements Executor: it stops the worker pool. Safe to call more
-// than once; RunPeriods after Close returns an error.
-func (e *ParallelExecutor) Close() error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if !e.closed {
-		e.closed = true
-		if e.jobs != nil {
-			close(e.jobs)
-			e.jobs = nil
-		}
-	}
-	return nil
-}
-
-// pool returns the job channel, starting the workers on first use.
-func (e *ParallelExecutor) pool() (chan<- func(), error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed {
-		return nil, fmt.Errorf("core: parallel executor is closed")
-	}
-	if e.jobs == nil {
-		e.jobs = make(chan func())
-		for w := 0; w < e.workers; w++ {
-			go func(jobs <-chan func()) {
-				for job := range jobs {
-					e.busy.Add(1)
-					job()
-					e.busy.Add(-1)
-				}
-			}(e.jobs)
-		}
-	}
-	return e.jobs, nil
-}
-
-// EnableTelemetry exports the pool's occupancy and throughput counters
-// through a telemetry registry.
-func (e *ParallelExecutor) EnableTelemetry(reg *telemetry.Registry) {
-	reg.GaugeFunc("edgeslice_executor_workers",
-		"parallel executor pool size", func() float64 { return float64(e.workers) })
-	reg.GaugeFunc("edgeslice_executor_busy_workers",
-		"workers currently stepping an RA", func() float64 { return float64(e.busy.Load()) })
-	reg.CounterFunc("edgeslice_executor_ra_steps_total",
-		"RA period-step jobs completed by the pool", e.steps.Load)
-}
-
-// RunPeriods implements Executor. When several RAs fail in the same
-// period, the lowest-numbered RA's error is reported (deterministically,
-// independent of worker scheduling).
-func (e *ParallelExecutor) RunPeriods(s *System, h *History, n int) error {
-	if err := s.checkRunnable(n); err != nil {
-		return err
-	}
-	jobs, err := e.pool()
-	if err != nil {
-		return err
-	}
-	J := s.cfg.NumRAs
-	T := s.cfg.EnvTemplate.T
-	acts := e.actionFns(s)
-	res := s.workspace().results(T) // [interval][RA]: worker j fills column j
-	errs := make([]error, J)
-
-	for p := 0; p < n; p++ {
-		if err := s.distribute(s.allRAs()); err != nil {
-			return err
-		}
-		base := s.intervalsRun
-		var wg sync.WaitGroup
-		for j := 0; j < J; j++ {
-			j := j
-			wg.Add(1)
-			jobs <- func() {
-				defer wg.Done()
-				errs[j] = stepRA(s.envs[j], res, base, j, acts[j])
-				e.steps.Add(1)
-			}
-		}
-		wg.Wait()
-		s.intervalsRun += T
-		for j := 0; j < J; j++ {
-			if errs[j] != nil {
-				return errs[j]
-			}
-		}
-		for t := range res {
-			if err := s.mergeInterval(h, base+t, res[t]); err != nil {
-				return err
-			}
-		}
-		if err := s.collectAndUpdate(h); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// actionFns returns the per-RA action closures for s, rebuilding them only
-// when the system or its installed agents changed since the last call.
-func (e *ParallelExecutor) actionFns(s *System) []func() ([]float64, error) {
-	if e.cacheActs == nil || e.cacheSys != s || e.cacheGen != s.agentsGen {
-		e.cacheSys = s
-		e.cacheGen = s.agentsGen
-		e.cacheActs = s.concurrentActionFns()
-	}
-	return e.cacheActs
-}
-
-// stepRA advances one RA through the period's intervals (the worker-side
-// body of phase 2) into column ra of res, one row per interval.
-func stepRA(env *netsim.RAEnv, res [][]netsim.StepResult, base, ra int, act func() ([]float64, error)) error {
-	for t := range res {
-		a, err := act()
-		if err != nil {
-			return err
-		}
-		if err := env.StepInto(a, &res[t][ra]); err != nil {
-			return fmt.Errorf("core: RA %d interval %d: %w", ra, base+t, err)
-		}
-	}
-	return nil
-}
-
-// concurrentActionFns returns one action closure per RA, safe to call from
-// concurrent per-RA workers. Baseline policies read only their own RA's
-// environment and write only its workspace rows. Learning agents are wrapped
-// for race-free inference: batch-capable agents (every built-in trainer, pooled and locked loaded
-// policies) run a lock-free single-row ActBatch out of a per-RA workspace —
-// weights are only read, scratch is private — so no clone pool and no
-// serialization is needed, and rows are bit-identical to Act. Agents
-// without a batched path fall back to scalar Act behind a per-instance
-// mutex, so one slow or unknown agent serializes only the RAs that actually
-// share that instance, not the whole system; agents whose dynamic type is
-// not comparable (e.g. rl.AgentFunc) cannot be keyed by instance and share
-// one mutex, since aliasing is undetectable for them.
-func (s *System) concurrentActionFns() []func() ([]float64, error) {
-	J := s.cfg.NumRAs
-	out := make([]func() ([]float64, error), J)
-	if !s.cfg.Algo.IsLearning() {
-		ws := s.workspace()
-		for j := 0; j < J; j++ {
-			j := j
-			out[j] = func() ([]float64, error) { return s.actionInto(ws, j) }
-		}
-		return out
-	}
-	fallbackMus := make(map[rl.Agent]*sync.Mutex, 1)
-	var uncomparableMu sync.Mutex
-	for j := 0; j < J; j++ {
-		env := s.envs[j]
-		agent := s.agents[j]
-		if ba := rl.AsBatchActor(agent); ba != nil {
-			var ws nn.Workspace
-			dim := env.StateDim()
-			out[j] = func() ([]float64, error) {
-				ws.Reset()
-				in := ws.Next(1, dim)
-				in.Data = env.StateInto(in.Data[:0])
-				return ba.ActBatch(in, &ws).Row(0), nil
-			}
-			continue
-		}
-		var mu *sync.Mutex
-		if reflect.TypeOf(agent).Comparable() {
-			if mu = fallbackMus[agent]; mu == nil {
-				mu = new(sync.Mutex)
-				fallbackMus[agent] = mu
-			}
-		} else {
-			mu = &uncomparableMu
-		}
-		out[j] = func() ([]float64, error) {
-			mu.Lock()
-			defer mu.Unlock()
-			return agent.Act(env.State()), nil
-		}
-	}
-	return out
-}

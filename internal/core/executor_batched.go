@@ -12,12 +12,11 @@ import (
 	"edgeslice/internal/telemetry"
 )
 
-// BatchedExecutor replaces the per-RA action closures of the other engines
-// with a gather→batch-forward→scatter stage: every interval it gathers all
-// RA observations into one matrix per distinct policy, runs a single wide
-// forward pass per policy group (rl.BatchActor), and scatters the action
-// rows back to the environments. At hundreds of RAs this turns J×T tiny
-// matmuls per period — plus clone-pool and scheduler traffic — into T wide
+// BatchedExecutor runs the step phase as a gather→batch-forward→scatter
+// stage: every interval it gathers all RA observations into one matrix per
+// distinct policy, runs a single wide forward pass per policy group
+// (rl.BatchActor), and scatters the action rows back to the environments.
+// At hundreds of RAs this turns J×T tiny matmuls per period into T wide
 // matmuls that hit the register-tiled kernel at full throughput and
 // allocate nothing warm.
 //
@@ -47,7 +46,9 @@ import (
 // agents without a batched path act on the driver goroutine, one after
 // another, because nothing says their Act is safe to call concurrently.
 //
-// A BatchedExecutor drives one run at a time, like ParallelExecutor.
+// A BatchedExecutor drives one run at a time: concurrent RunPeriods calls
+// on one executor are not supported (the System is not concurrency-safe
+// either).
 type BatchedExecutor struct {
 	workers int
 

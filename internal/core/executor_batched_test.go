@@ -130,7 +130,7 @@ func mixedAgents(t *testing.T, s *System) {
 }
 
 // TestBatchedMixedSystemMatchesSerial covers systems that split into a
-// batched group plus legacy fallback RAs: the interleaved scatter must
+// batched group plus per-RA fallback RAs: the interleaved scatter must
 // still merge History and monitor series in serial's (interval, RA, slice)
 // order.
 func TestBatchedMixedSystemMatchesSerial(t *testing.T) {

@@ -11,9 +11,9 @@ import (
 
 // BenchmarkRunPeriods measures one Algorithm-1 period across RA counts and
 // engines. The deployed policy is a paper-scale 2x128 actor so inference
-// dominates the interval cost — the workload the parallel and batched
-// engines exist for. The engine ratios at each RA count are the
-// inference-scaling numbers reported in DESIGN.md.
+// dominates the interval cost — the workload the batched engine exists
+// for. The engine ratios at each RA count are the inference-scaling numbers
+// reported in DESIGN.md.
 func BenchmarkRunPeriods(b *testing.B) {
 	for _, ras := range []int{8, 32, 128, 512, 2048} {
 		cfg := DefaultConfig()
@@ -29,10 +29,10 @@ func BenchmarkRunPeriods(b *testing.B) {
 			nn.LayerSpec{Out: 128, Act: nn.ActLeakyReLU},
 			nn.LayerSpec{Out: s.Env(0).ActionDim(), Act: nn.ActSigmoid},
 		)
-		if err := s.SetAgents([]rl.Agent{newPooledPolicy(actor)}); err != nil {
+		if err := s.SetAgents([]rl.Agent{netPolicy{actor}}); err != nil {
 			b.Fatal(err)
 		}
-		for _, engine := range []string{EngineSerial, EngineParallel, EngineBatched} {
+		for _, engine := range []string{EngineSerial, EngineBatched} {
 			exec, err := NewExecutor(engine, 0)
 			if err != nil {
 				b.Fatal(err)

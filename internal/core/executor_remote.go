@@ -14,7 +14,7 @@ import (
 // agent processes over the RC network interface: phase 1 broadcasts the
 // coordination grids through the hub, phase 2 happens inside each agent
 // (rcnet.RunAgent), and the agents' per-interval records are merged here
-// in deterministic RA order — the same merge the parallel engine uses —
+// in deterministic RA order — the same merge every local engine uses —
 // so a distributed run records the same History, monitor series, SLA
 // flags, and primal/dual residuals as a local one.
 //
@@ -197,10 +197,11 @@ func (e *RemoteExecutor) collectPeriod(s *System, plan *batchPlan, p, J int, res
 // (scenario runner) and resumed runs broadcast globally consistent period
 // ids — which the fault-tolerance protocol relies on for replay and retry.
 //
-// Partial-history contract (mirroring rcnet.RunCoordinator): on failure h
-// keeps the records of every period that fully completed — broadcast,
-// collect, merge, and ADMM update — so a dropped agent mid-run does not
-// discard the periods already recorded.
+// Partial-history contract: on failure h keeps the records of every period
+// that fully completed — broadcast, collect, merge, and ADMM update — so a
+// dropped agent mid-run does not discard the periods already recorded, and
+// the period it dropped in, which fails at collection, leaves no record
+// (TestRemotePartialHistoryOnDroppedAgent).
 func (e *RemoteExecutor) RunPeriods(s *System, h *History, n int) error {
 	if n <= 0 {
 		return fmt.Errorf("core: periods %d must be positive", n)
@@ -277,7 +278,7 @@ func (e *RemoteExecutor) RunPeriods(s *System, h *History, n int) error {
 // envelope's slices.
 func decodeIntervals(rep rcnet.Envelope, j, I int, res [][]netsim.StepResult) error {
 	if len(rep.Intervals) == 0 {
-		return fmt.Errorf("core: RA %d report carries no interval records (pre-engine agent build?); upgrade the agent or drive the run with rcnet.RunCoordinator", rep.RA)
+		return fmt.Errorf("core: RA %d report carries no interval records (pre-engine agent build?); upgrade the agent to one that runs rcnet.RunAgent", rep.RA)
 	}
 	if len(rep.Intervals) != len(res) {
 		return fmt.Errorf("core: RA %d reported %d intervals, want %d", rep.RA, len(rep.Intervals), len(res))

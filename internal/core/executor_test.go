@@ -39,7 +39,7 @@ func deployedSystem(t *testing.T, cfg Config) *System {
 			nn.LayerSpec{Out: 16, Act: nn.ActLeakyReLU},
 			nn.LayerSpec{Out: s.Env(0).ActionDim(), Act: nn.ActSigmoid},
 		)
-		if err := s.SetAgents([]rl.Agent{newPooledPolicy(actor)}); err != nil {
+		if err := s.SetAgents([]rl.Agent{netPolicy{actor}}); err != nil {
 			t.Fatal(err)
 		}
 	} else if err := s.Train(); err != nil {
@@ -148,7 +148,7 @@ func TestNewExecutorSpellings(t *testing.T) {
 	}{
 		{"", EngineSerial},
 		{EngineSerial, EngineSerial},
-		{EngineParallel, EngineParallel},
+		{EngineParallel, EngineBatched},
 		{EngineBatched, EngineBatched},
 	} {
 		e, err := NewExecutor(tc.engine, 2)
@@ -190,96 +190,6 @@ func TestSerialExecutorIsRunPeriods(t *testing.T) {
 		requireSameRun(t, "RunPeriods", hRef, h1, ref.Monitor(), s1.Monitor())
 		requireSameRun(t, "serial-executor", hRef, h2, ref.Monitor(), s2.Monitor())
 	})
-}
-
-// TestParallelMatchesSerial is the determinism suite's core half: for a
-// baseline and every kind of policy, the parallel engine must record the
-// interleaved reference run bit for bit, for worker counts 1, 4, and NumRAs.
-func TestParallelMatchesSerial(t *testing.T) {
-	forEachPolicy(t, func(t *testing.T, deploy func() *System) {
-		requireEngineMatchesReference(t, deploy, func(w int) Executor { return NewParallelExecutor(w) })
-	})
-}
-
-// TestParallelPersistentPoolAcrossCalls exercises the scenario-runner
-// calling pattern: one executor driving many RunPeriods(1) calls must
-// match one serial RunPeriods(n) call, including the continuous monitor
-// interval numbering.
-func TestParallelPersistentPoolAcrossCalls(t *testing.T) {
-	cfg := execTestConfig(AlgoEdgeSlice)
-	ref := deployedSystem(t, cfg)
-	hRef, err := ref.RunPeriods(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := deployedSystem(t, cfg)
-	e := NewParallelExecutor(2)
-	defer e.Close()
-	h := NewHistory(hRef.NumSlices, hRef.NumRAs, hRef.T)
-	for p := 0; p < 3; p++ {
-		hp, err := s.RunPeriodsWith(e, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := h.Append(hp); err != nil {
-			t.Fatal(err)
-		}
-	}
-	requireSameRun(t, "period-at-a-time", hRef, h, ref.Monitor(), s.Monitor())
-}
-
-// TestParallelSerializesUnknownAgents proves the fallback path: a shared
-// agent implementation core knows nothing about must still produce the
-// serial result (its Act calls are serialized behind one mutex).
-func TestParallelSerializesUnknownAgents(t *testing.T) {
-	cfg := execTestConfig(AlgoEdgeSlice)
-	// A deterministic but unsafe-looking stub: every Act reuses one shared
-	// scratch buffer, so unsynchronized concurrent calls would race.
-	newStub := func() rl.Agent {
-		scratch := make([]float64, 6)
-		return rl.AgentFunc(func(state []float64) []float64 {
-			for i := range scratch {
-				scratch[i] = 0.1 + 0.05*float64(i%3)
-			}
-			return append([]float64(nil), scratch...)
-		})
-	}
-	ref, err := NewSystem(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ref.SetAgents([]rl.Agent{newStub()}); err != nil {
-		t.Fatal(err)
-	}
-	hRef := referenceRun(t, ref, 2)
-	s, err := NewSystem(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SetAgents([]rl.Agent{newStub()}); err != nil {
-		t.Fatal(err)
-	}
-	e := NewParallelExecutor(cfg.NumRAs)
-	defer e.Close()
-	h, err := s.RunPeriodsWith(e, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameRun(t, "unknown-agent", hRef, h, ref.Monitor(), s.Monitor())
-}
-
-func TestParallelExecutorClosedRejectsRuns(t *testing.T) {
-	e := NewParallelExecutor(2)
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Close(); err != nil { // idempotent
-		t.Fatal(err)
-	}
-	s := deployedSystem(t, execTestConfig(AlgoTARO))
-	if _, err := s.RunPeriodsWith(e, 1); err == nil {
-		t.Error("RunPeriods on a closed executor should fail")
-	}
 }
 
 // TestUsageSumsBeforeDividing pins the usage-accumulation semantics: the

@@ -276,6 +276,85 @@ func TestRemoteKillEveryPeriod(t *testing.T) {
 	requireSameRun(t, "kill-every-period", hRef, h, ref.Monitor(), sys.Monitor())
 }
 
+// TestRemotePartialHistoryOnDroppedAgent pins the remote engine's
+// partial-history contract: RA 0 serves two periods and then closes its
+// connection, and with no retries the run fails in period 2 — returning the
+// error together with a History of exactly the two completed periods, equal
+// to the reference run's, and a coordinator that never applied the failed
+// period's update.
+func TestRemotePartialHistoryOnDroppedAgent(t *testing.T) {
+	cfg := execTestConfig(AlgoTARO)
+	const served = 2
+	ref := deployedSystem(t, cfg)
+	hRef := referenceRun(t, ref, served)
+
+	hub, err := rcnet.NewHub("127.0.0.1:0", cfg.EnvTemplate.NumSlices, cfg.NumRAs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env0 := remoteAgentEnv(t, cfg, 0)
+	c0, err := rcnet.DialAgent(hub.Addr(), 0, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dropped := make(chan error, 1)
+	go func() {
+		defer c0.Close()
+		pol := taroFor(env0)
+		for p := 0; p < served; p++ {
+			period, z, y, err := c0.RecvCoordination(5 * time.Second)
+			if err != nil {
+				dropped <- err
+				return
+			}
+			perf, queues, recs, err := stepAgentPeriod(env0, pol, z, y)
+			if err == nil {
+				err = c0.Report(period, perf, queues, recs)
+			}
+			if err != nil {
+				dropped <- err
+				return
+			}
+		}
+		dropped <- nil
+	}()
+	dones := make([]chan error, cfg.NumRAs)
+	for j := 1; j < cfg.NumRAs; j++ {
+		_, dones[j] = startRemoteAgent(t, hub, cfg, j)
+	}
+	if err := hub.WaitRegistered(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+
+	sys, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewRemoteExecutorWithOptions(hub, RemoteOptions{Timeout: 500 * time.Millisecond})
+	h, err := sys.RunPeriodsWith(e, 5)
+	if err == nil {
+		t.Fatal("the run should fail after RA 0 drops")
+	}
+	if h.Periods() != served {
+		t.Fatalf("partial history holds %d periods, want the %d completed ones", h.Periods(), served)
+	}
+	requireSameRun(t, "partial", hRef, h, ref.Monitor(), sys.Monitor())
+	if it := sys.Coordinator().Iterations(); it != served {
+		t.Errorf("coordinator ran %d iterations, want %d (the failed period must not update)", it, served)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-dropped; err != nil {
+		t.Errorf("RA 0: %v", err)
+	}
+	for j := 1; j < cfg.NumRAs; j++ {
+		if err := <-dones[j]; err != nil {
+			t.Errorf("agent %d: %v", j, err)
+		}
+	}
+}
+
 // TestCoordinatorResumeFromLog is the coordinator-crash half of the resume
 // contract: segment 1 runs remotely while appending the history log, the
 // "crash" leaves stray in-flight intervals and a torn record at the tail,

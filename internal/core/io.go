@@ -1,14 +1,11 @@
 package core
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"sync"
 
 	"edgeslice/internal/ckpt"
-	"edgeslice/internal/nn"
 	"edgeslice/internal/rl"
 
 	// Register every training algorithm's checkpoint restore function so
@@ -20,116 +17,24 @@ import (
 	_ "edgeslice/internal/rl/vpg"
 )
 
-// agentSnapshot is the wire form of the legacy v1 saved agent: the actor
-// network only, enough to deploy but not to resume training. New code
-// writes full-fidelity v2 checkpoints (SaveCheckpoint); v1 files remain
-// loadable forever.
-type agentSnapshot struct {
-	Format string      `json:"format"`
-	Actor  *nn.Network `json:"actor"`
-}
-
-const agentFormat = ckpt.FormatV1Actor
-
-// SaveAgent serializes an actor network as a legacy v1 actor snapshot.
-// Only actor-bearing agents (the DDPG family) fit this format — use
-// SaveCheckpoint for full-fidelity checkpoints of any algorithm.
-func SaveAgent(w io.Writer, actor *nn.Network) error {
-	if actor == nil {
-		return fmt.Errorf("core: nil actor: v1 actor snapshots capture DDPG-family actors only; use SaveCheckpoint (%s) for other agents", ckpt.FormatV2)
-	}
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(agentSnapshot{Format: agentFormat, Actor: actor}); err != nil {
-		return fmt.Errorf("core: encode agent: %w", err)
-	}
-	return nil
-}
-
-// LoadAgent restores a saved policy as an rl.Agent, accepting both the
-// legacy v1 actor snapshot and the full-fidelity v2 checkpoint format. The
-// returned agent is safe for concurrent Act calls.
+// LoadAgent restores a single-agent v2 checkpoint (edgeslice-train, the
+// façade's SaveAgent) as an rl.Agent. The returned agent is safe for
+// concurrent Act calls.
 func LoadAgent(r io.Reader) (rl.Agent, error) {
-	data, err := io.ReadAll(r)
+	c, err := ckpt.Read(r)
 	if err != nil {
-		return nil, fmt.Errorf("core: read agent: %w", err)
+		return nil, err
 	}
-	var probe struct {
-		Format string `json:"format"`
+	if len(c.Agents) != 1 {
+		return nil, fmt.Errorf("core: checkpoint holds %d per-RA agents; load it with LoadCheckpoint and System.Restore", len(c.Agents))
 	}
-	if err := json.Unmarshal(data, &probe); err != nil {
-		return nil, fmt.Errorf("core: decode agent: %w", err)
+	a, err := ckpt.RestoreAgent(c.Agents[0])
+	if err != nil {
+		return nil, err
 	}
-	switch probe.Format {
-	case agentFormat:
-		return loadV1Actor(data)
-	case ckpt.FormatV2:
-		// Unmarshal directly (the format is already known) rather than via
-		// ckpt.Decode, which would re-probe — with -replay checkpoints the
-		// document is large and each probe lexes all of it.
-		var c ckpt.Checkpoint
-		if err := json.Unmarshal(data, &c); err != nil {
-			return nil, fmt.Errorf("ckpt: decode: %w", err)
-		}
-		if err := c.Validate(); err != nil {
-			return nil, err
-		}
-		if len(c.Agents) != 1 {
-			return nil, fmt.Errorf("core: checkpoint holds %d per-RA agents; load it with LoadCheckpoint and System.Restore", len(c.Agents))
-		}
-		a, err := ckpt.RestoreAgent(c.Agents[0])
-		if err != nil {
-			return nil, err
-		}
-		// Restored agents reuse per-network forward scratch; serialize Act
-		// so the loaded policy is safe to share across goroutines.
-		return &lockedAgent{agent: a}, nil
-	default:
-		return nil, fmt.Errorf("core: unknown agent format %q (want %q or %q)", probe.Format, agentFormat, ckpt.FormatV2)
-	}
-}
-
-func loadV1Actor(data []byte) (rl.Agent, error) {
-	var snap agentSnapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
-		return nil, fmt.Errorf("core: decode agent: %w", err)
-	}
-	if snap.Actor == nil || len(snap.Actor.Layers) == 0 {
-		return nil, fmt.Errorf("core: agent snapshot has no actor")
-	}
-	return newPooledPolicy(snap.Actor), nil
-}
-
-// pooledPolicy is a deployment policy over a bare actor network. Forward
-// passes mutate per-layer scratch, so concurrent Act calls on one network
-// race; each call therefore borrows a private clone from a pool (the
-// prototype network itself is never run, only cloned).
-type pooledPolicy struct {
-	proto *nn.Network
-	pool  sync.Pool
-}
-
-func newPooledPolicy(actor *nn.Network) *pooledPolicy {
-	p := &pooledPolicy{proto: actor}
-	p.pool.New = func() any { return p.proto.Clone() }
-	return p
-}
-
-// Act implements rl.Agent; it is safe for concurrent use.
-func (p *pooledPolicy) Act(state []float64) []float64 {
-	n := p.pool.Get().(*nn.Network)
-	out := n.Forward1(state)
-	p.pool.Put(n)
-	return out
-}
-
-// ActBatch implements rl.BatchActor directly on the prototype network: the
-// batched forward only reads weights and draws all scratch from ws, so no
-// clone is borrowed and concurrent calls with distinct workspaces are safe.
-// Rows are bit-identical to Act (clones share the prototype's weights).
-//
-//edgeslice:noalloc
-func (p *pooledPolicy) ActBatch(states *nn.Matrix, ws *nn.Workspace) *nn.Matrix {
-	return p.proto.ForwardBatch(states, ws)
+	// Restored agents reuse per-network forward scratch; serialize Act so
+	// the loaded policy is safe to share across goroutines.
+	return &lockedAgent{agent: a}, nil
 }
 
 // lockedAgent serializes Act calls to an agent whose forward pass reuses
@@ -165,13 +70,5 @@ func SaveCheckpoint(w io.Writer, sys *System, opts ckpt.SnapshotOptions) error {
 	return ckpt.Write(w, c)
 }
 
-// LoadCheckpoint parses a v2 checkpoint for System.Restore. A legacy v1
-// actor snapshot is reported as ckpt.ErrV1Actor — load those with
-// LoadAgent instead.
-func LoadCheckpoint(r io.Reader) (*ckpt.Checkpoint, error) {
-	c, err := ckpt.Read(r)
-	if err != nil && errors.Is(err, ckpt.ErrV1Actor) {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	return c, err
-}
+// LoadCheckpoint parses a v2 checkpoint for System.Restore.
+func LoadCheckpoint(r io.Reader) (*ckpt.Checkpoint, error) { return ckpt.Read(r) }

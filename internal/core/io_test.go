@@ -9,19 +9,9 @@ import (
 
 	"edgeslice/internal/ckpt"
 	"edgeslice/internal/mathutil"
-	"edgeslice/internal/nn"
 	"edgeslice/internal/rl"
 	"edgeslice/internal/rl/ddpg"
 )
-
-func testActor(t *testing.T) *nn.Network {
-	t.Helper()
-	rng := mathutil.NewRNG(3)
-	return nn.NewMLP(rng, 4,
-		nn.LayerSpec{Out: 8, Act: nn.ActLeakyReLU},
-		nn.LayerSpec{Out: 2, Act: nn.ActSigmoid},
-	)
-}
 
 // hammerConcurrently calls Act from many goroutines and checks every
 // result against the serially computed reference. Run under -race this is
@@ -59,18 +49,6 @@ func hammerConcurrently(t *testing.T, agent rl.Agent) {
 	}
 }
 
-func TestLoadedV1PolicyConcurrentAct(t *testing.T) {
-	var buf bytes.Buffer
-	if err := SaveAgent(&buf, testActor(t)); err != nil {
-		t.Fatal(err)
-	}
-	agent, err := LoadAgent(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hammerConcurrently(t, agent)
-}
-
 func TestLoadedV2PolicyConcurrentAct(t *testing.T) {
 	cfg := ddpg.DefaultConfig()
 	cfg.Hidden, cfg.BatchSize, cfg.WarmupSteps, cfg.ReplayCapacity = 8, 8, 16, 128
@@ -99,12 +77,11 @@ func TestLoadedV2PolicyConcurrentAct(t *testing.T) {
 }
 
 func TestLoadAgentReportsUnknownFormat(t *testing.T) {
-	_, err := LoadAgent(strings.NewReader(`{"format":"edgeslice-actor-v9"}`))
-	if err == nil || !strings.Contains(err.Error(), "unknown agent format") {
-		t.Fatalf("err = %v, want unknown-format error naming both formats", err)
-	}
-	if !strings.Contains(err.Error(), ckpt.FormatV2) || !strings.Contains(err.Error(), ckpt.FormatV1Actor) {
-		t.Fatalf("err %v should name both supported formats", err)
+	for _, format := range []string{"edgeslice-actor-v1", "edgeslice-actor-v9"} {
+		_, err := LoadAgent(strings.NewReader(`{"format":"` + format + `","actor":{"layers":[]}}`))
+		if err == nil || !strings.Contains(err.Error(), format) || !strings.Contains(err.Error(), ckpt.FormatV2) {
+			t.Fatalf("err = %v, want a format error naming %s and %s", err, format, ckpt.FormatV2)
+		}
 	}
 }
 

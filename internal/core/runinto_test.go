@@ -36,7 +36,7 @@ func TestRunPeriodsIntoMatchesWholeRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, e := range []Executor{NewSerialExecutor(), NewBatchedExecutor(4), NewParallelExecutor(2)} {
+		for _, e := range []Executor{NewSerialExecutor(), NewBatchedExecutor(4)} {
 			label := fmt.Sprintf("%s window=%d", e.Name(), window)
 			s := deployedSystem(t, cfg)
 			log := logged(s)

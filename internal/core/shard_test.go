@@ -275,7 +275,7 @@ func TestRemoteLocalRAsBatchedMatchesSerial(t *testing.T) {
 		dones[j] = done
 		go func() {
 			defer client.Close()
-			done <- rcnet.RunAgent(client, env, newPooledPolicy(actor), 10*time.Second)
+			done <- rcnet.RunAgent(client, env, netPolicy{actor}, 10*time.Second)
 		}()
 	}
 	if err := hub.WaitRegisteredRAs(5*time.Second, remotes); err != nil {

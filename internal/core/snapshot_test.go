@@ -68,8 +68,8 @@ func TestSystemSnapshotRestoreRoundTrip(t *testing.T) {
 		t.Fatalf("restored system diverged:\n original %v\n restored %v", h1.SystemPerf, h2.SystemPerf)
 	}
 
-	// The restored agents are full DDPG agents, so the v1 actor path still
-	// works off a restored system.
+	// The restored agents are full DDPG agents, so a restored system still
+	// exposes their actor networks.
 	if _, err := restoredSys.Actor(0); err != nil {
 		t.Fatalf("restored system has no serializable actor: %v", err)
 	}

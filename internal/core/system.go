@@ -171,9 +171,9 @@ type System struct {
 
 	trained bool
 	// agentsGen counts agent installations (Train/SetAgents/Restore); the
-	// parallel executor keys its cached action closures — and their clone
-	// pools — on it so they survive period-at-a-time driving but never
-	// outlive an agent swap.
+	// batched and remote engines key their cached batch plans on it so the
+	// plans survive period-at-a-time driving but never outlive an agent
+	// swap.
 	agentsGen int
 	// intervalsRun numbers monitor samples continuously across RunPeriods
 	// calls (the scenario runner advances period by period).
@@ -327,7 +327,7 @@ func (s *System) Actor(j int) (*nn.Network, error) {
 	}
 	dd, ok := s.agents[j].(*ddpg.Agent)
 	if !ok {
-		return nil, fmt.Errorf("core: RA %d agent is %T, not a DDPG agent: v1 actor snapshots capture DDPG actors only — save a full checkpoint (Snapshot/SaveCheckpoint, format %q) instead", j, s.agents[j], "edgeslice-checkpoint-v2")
+		return nil, fmt.Errorf("core: RA %d agent is %T, not a DDPG agent: save a full checkpoint (Snapshot/SaveCheckpoint) instead", j, s.agents[j])
 	}
 	return dd.Actor(), nil
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"edgeslice/internal/ckpt"
 	"edgeslice/internal/rl"
 	"edgeslice/internal/rl/ddpg"
 )
@@ -158,8 +159,12 @@ func TestAgentSaveLoadRoundTrip(t *testing.T) {
 	if !ok {
 		t.Fatalf("agent is %T, want *ddpg.Agent", s.agents[0])
 	}
+	c, err := s.AgentCheckpoint(0, ckpt.SnapshotOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
-	if err := SaveAgent(&buf, dd.Actor()); err != nil {
+	if err := ckpt.Write(&buf, c); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := LoadAgent(&buf)
@@ -173,9 +178,6 @@ func TestAgentSaveLoadRoundTrip(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("restored policy differs at %d: %v vs %v", i, a[i], b[i])
 		}
-	}
-	if err := SaveAgent(&buf, nil); err == nil {
-		t.Error("nil actor should fail")
 	}
 }
 

@@ -20,7 +20,7 @@ type periodWS struct {
 
 	// res[r][j] is RA j's StepInto target: row 0 for an engine that merges
 	// interval by interval, one row per interval for one that steps whole
-	// RA-periods before merging (parallel workers, remote reports).
+	// RA-periods before merging (the remote engine's locals and reports).
 	res [][]netsim.StepResult
 
 	acts   []float64 // J action rows; baseline policies write theirs here

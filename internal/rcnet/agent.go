@@ -123,8 +123,8 @@ func (c *AgentClient) ReportPerf(period int, perf []float64, queues []int) error
 
 // Report sends the period's cumulative slice performance together with the
 // per-interval records that let the coordinator reconstruct the full local
-// History (see IntervalRecord). intervals may be nil for the legacy
-// summary-only report.
+// History (see IntervalRecord). intervals may be nil for a summary-only
+// report, which the remote engine rejects.
 func (c *AgentClient) Report(period int, perf []float64, queues []int, intervals []IntervalRecord) error {
 	c.wmu.Lock()
 	//edgeslice:lockio wmu only serializes this client's two writers (report vs heartbeat) on its own conn; blocking here blocks nobody else

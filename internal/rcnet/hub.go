@@ -581,9 +581,9 @@ func (h *Hub) PrimeResume(periods int, zs, ys [][][]float64) error {
 // the remaining RAs still receive their coordination. Broadcast is
 // intended to be called from a single coordinator loop, not concurrently.
 func (h *Hub) Broadcast(period int, z, y [][]float64) error {
-	// Fail fast before writing anything when an RA is missing: the legacy
-	// driver treats a partial round as fatal, and healthy agents must not
-	// receive a round the caller will abandon.
+	// Fail fast before writing anything when an RA is missing: a caller of
+	// the full-round broadcast treats a partial round as fatal, and healthy
+	// agents must not receive a round the caller will abandon.
 	for _, sh := range h.shards {
 		sh.mu.Lock()
 		for ra := sh.lo; ra < sh.hi; ra++ {

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"edgeslice/internal/admm"
 	"edgeslice/internal/baseline"
 	"edgeslice/internal/netsim"
 	"edgeslice/internal/rl"
@@ -306,89 +305,6 @@ func TestReconnectAfterWaitRegistered(t *testing.T) {
 	}
 }
 
-// End-to-end: full distributed Algorithm 1 over real TCP with simulated
-// environments and the TARO policy (no training needed for a protocol test).
-func TestDistributedOrchestration(t *testing.T) {
-	const (
-		numSlices = 2
-		numRAs    = 2
-		periods   = 3
-	)
-	h, err := NewHub("127.0.0.1:0", numSlices, numRAs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = h.Shutdown() }()
-
-	taro := rl.AgentFunc(func([]float64) []float64 { return nil }) // replaced below
-	_ = taro
-
-	var wg sync.WaitGroup
-	agentErrs := make(chan error, numRAs)
-	for ra := 0; ra < numRAs; ra++ {
-		wg.Add(1)
-		go func(ra int) {
-			defer wg.Done()
-			envCfg := netsim.DefaultExperimentConfig()
-			envCfg.TrainCoordRandom = false
-			envCfg.Seed = int64(ra + 1)
-			env, err := netsim.New(envCfg)
-			if err != nil {
-				agentErrs <- err
-				return
-			}
-			env.Reset()
-			policy := rl.AgentFunc(func([]float64) []float64 {
-				act, err := baseline.TARO(env.QueueLens(), netsim.NumResources)
-				if err != nil {
-					return make([]float64, env.ActionDim())
-				}
-				return act
-			})
-			c, err := DialAgent(h.Addr(), ra, testTimeout)
-			if err != nil {
-				agentErrs <- err
-				return
-			}
-			defer c.Close()
-			if err := RunAgent(c, env, policy, testTimeout); err != nil {
-				agentErrs <- err
-			}
-		}(ra)
-	}
-
-	if err := h.WaitRegistered(testTimeout); err != nil {
-		t.Fatal(err)
-	}
-	coord, err := admm.NewCoordinator(admm.Config{
-		NumSlices: numSlices, NumRAs: numRAs, Rho: 1.0,
-		UminPerSlice: []float64{-50, -50},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	history, err := RunCoordinator(h, coord, periods, testTimeout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(history) != periods {
-		t.Errorf("history has %d periods, want %d", len(history), periods)
-	}
-	if err := h.Shutdown(); err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-	close(agentErrs)
-	for err := range agentErrs {
-		if err != nil && !errors.Is(err, ErrShutdown) {
-			t.Errorf("agent error: %v", err)
-		}
-	}
-	if coord.Iterations() != periods {
-		t.Errorf("coordinator ran %d iterations, want %d", coord.Iterations(), periods)
-	}
-}
-
 // taroPolicy returns a deterministic queue-proportional policy over env.
 func taroPolicy(env *netsim.RAEnv) rl.Agent {
 	return rl.AgentFunc(func([]float64) []float64 {
@@ -411,117 +327,6 @@ func testEnv(t *testing.T, seed int64) *netsim.RAEnv {
 	}
 	env.Reset()
 	return env
-}
-
-// TestRunCoordinatorPartialHistoryOnDroppedAgent pins the documented
-// partial-history contract: when an agent drops mid-run, RunCoordinator
-// returns a non-nil error together with the intact prefix of fully
-// completed periods, and the prefix's values match what the agents
-// actually reported.
-func TestRunCoordinatorPartialHistoryOnDroppedAgent(t *testing.T) {
-	const (
-		numSlices     = 2
-		numRAs        = 2
-		servedPeriods = 2 // RA 0 disconnects after this many periods
-		askedPeriods  = 5
-	)
-	h, err := NewHub("127.0.0.1:0", numSlices, numRAs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = h.Shutdown() }()
-
-	var wg sync.WaitGroup
-
-	// RA 0: serves servedPeriods rounds, records what it reported, then
-	// closes its connection without a word.
-	env0 := testEnv(t, 1)
-	policy0 := taroPolicy(env0)
-	c0, err := DialAgent(h.Addr(), 0, testTimeout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reported := make([][]float64, 0, servedPeriods)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer c0.Close()
-		for p := 0; p < servedPeriods; p++ {
-			period, z, y, err := c0.RecvCoordination(testTimeout)
-			if err != nil {
-				t.Errorf("RA 0 period %d: %v", p, err)
-				return
-			}
-			if err := env0.SetCoordination(z, y); err != nil {
-				t.Error(err)
-				return
-			}
-			for tt := 0; tt < env0.Config().T; tt++ {
-				if _, err := env0.StepInterval(policy0.Act(env0.State())); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-			perf := env0.PeriodPerf()
-			reported = append(reported, perf)
-			if err := c0.ReportPerf(period, perf, env0.QueueLens()); err != nil {
-				t.Error(err)
-				return
-			}
-		}
-	}()
-
-	// RA 1: a well-behaved agent that runs until shutdown.
-	env1 := testEnv(t, 2)
-	c1, err := DialAgent(h.Addr(), 1, testTimeout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer c1.Close()
-		// RA 1's coordination reads outlive the short coordinator timeout.
-		if err := RunAgent(c1, env1, taroPolicy(env1), testTimeout); err != nil && !errors.Is(err, ErrShutdown) {
-			var nerr net.Error
-			if !errors.As(err, &nerr) {
-				t.Errorf("RA 1: %v", err)
-			}
-		}
-	}()
-
-	if err := h.WaitRegistered(testTimeout); err != nil {
-		t.Fatal(err)
-	}
-	coord, err := admm.NewCoordinator(admm.Config{
-		NumSlices: numSlices, NumRAs: numRAs, Rho: 1.0,
-		UminPerSlice: []float64{-50, -50},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	history, err := RunCoordinator(h, coord, askedPeriods, 500*time.Millisecond)
-	if err == nil {
-		t.Fatal("RunCoordinator should fail after RA 0 drops")
-	}
-	if len(history) != servedPeriods {
-		t.Fatalf("partial history has %d periods, want the intact prefix of %d", len(history), servedPeriods)
-	}
-	for p, grid := range history {
-		if len(grid) != numSlices || len(grid[0]) != numRAs {
-			t.Fatalf("period %d grid is %dx%d, want %dx%d", p, len(grid), len(grid[0]), numSlices, numRAs)
-		}
-		for i := 0; i < numSlices; i++ {
-			if grid[i][0] != reported[p][i] {
-				t.Errorf("period %d slice %d: prefix has %v, RA 0 reported %v", p, i, grid[i][0], reported[p][i])
-			}
-		}
-	}
-	if coord.Iterations() != servedPeriods {
-		t.Errorf("coordinator ran %d iterations, want %d (failed period must not update)", coord.Iterations(), servedPeriods)
-	}
-	_ = h.Shutdown()
-	wg.Wait()
 }
 
 // TestReportCarriesIntervalRecords verifies that RunAgent attaches one

@@ -4,51 +4,9 @@ import (
 	"fmt"
 	"time"
 
-	"edgeslice/internal/admm"
 	"edgeslice/internal/netsim"
 	"edgeslice/internal/rl"
 )
-
-// RunCoordinator drives the hub side of Algorithm 1 for n periods: it
-// broadcasts (Z, Y), collects Σ_t U from every RA, and performs the ADMM
-// update. It returns the per-period performance grids ([period][slice][ra]).
-//
-// This is the low-level, perf-grid-only driver. Orchestration runs that
-// need the full History, monitor series, SLA flags, and primal/dual
-// residuals of a local run should use the remote execution engine
-// (core.NewRemoteExecutor), which consumes the same hub and the
-// per-interval records agents attach to their reports — and, unlike this
-// driver, retries in-flight periods against re-registered agents.
-//
-// Partial-history contract: on failure RunCoordinator returns a non-nil
-// error TOGETHER with the prefix of periods that fully completed before
-// the failure. history[p] is period p's collected perf grid for every
-// period whose broadcast, collect, and ADMM update all succeeded; the
-// period in flight when the error occurred (e.g. an agent dropped
-// mid-collect, surfacing as a collect timeout) is never appended, so the
-// prefix is always internally consistent with the coordinator's (Z, Y)
-// state at the time of the error. Callers may keep and analyze the prefix.
-func RunCoordinator(h *Hub, coord *admm.Coordinator, periods int, timeout time.Duration) ([][][]float64, error) {
-	if periods <= 0 {
-		return nil, fmt.Errorf("rcnet: periods %d must be positive", periods)
-	}
-	var history [][][]float64
-	for p := 0; p < periods; p++ {
-		if err := h.Broadcast(p, coord.Z(), coord.Y()); err != nil {
-			return history, fmt.Errorf("rcnet: period %d: %w", p, err)
-		}
-		perf, err := h.Collect(p, timeout)
-		if err != nil {
-			return history, fmt.Errorf("rcnet: period %d: %w", p, err)
-		}
-		if err := coord.Update(perf); err != nil {
-			return history, err
-		}
-		history = append(history, perf)
-		h.FinishPeriod(p)
-	}
-	return history, nil
-}
 
 // periodReport is the report payload of one agent-period, in buffers the
 // RunAgent loop owns and reuses: every period overwrites them, and nothing

@@ -106,7 +106,7 @@ func (sh *hubShard) recordCoordination(period int, z, y [][]float64) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if period != len(sh.zLog) {
-		return // retry of a recorded period, or a legacy driver reusing numbers
+		return // retry of a recorded period, or a caller reusing period numbers
 	}
 	sh.zLog = append(sh.zLog, copyCols(z, sh.lo, sh.hi))
 	sh.yLog = append(sh.yLog, copyCols(y, sh.lo, sh.hi))

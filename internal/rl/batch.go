@@ -22,7 +22,7 @@ type BatchActor interface {
 	ActBatch(states *nn.Matrix, ws *nn.Workspace) *nn.Matrix
 }
 
-// BatchActorUnwrapper lets deployment wrappers (locked or pooled policies)
+// BatchActorUnwrapper lets deployment wrappers (a locked loaded policy)
 // expose the BatchActor of the agent they wrap. UnwrapBatchActor returns nil
 // when the wrapped agent cannot batch.
 type BatchActorUnwrapper interface {

@@ -127,3 +127,31 @@ func TestQEvaluation(t *testing.T) {
 		t.Error("Q should be deterministic")
 	}
 }
+
+// BenchmarkDDPGUpdate measures one gradient update of the paper-sized
+// (2x128) actor-critic pair with batch 512. One warm-up update runs before
+// the timer so the benchmark reports the steady state the training loop
+// actually lives in (allocation-free with the nn workspaces).
+func BenchmarkDDPGUpdate(b *testing.B) {
+	cfg := DefaultConfig()
+	agent, err := New(4, 6, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	state := []float64{0.1, 0.2, -0.3, -0.4}
+	for i := 0; i < cfg.WarmupSteps+1; i++ {
+		agent.Observe(rl.Transition{
+			State: state, Action: []float64{0.5, 0.5, 0.5, 0.5, 0.5, 0.5},
+			Reward: -1, NextState: state,
+		})
+	}
+	if err := agent.Update(); err != nil { // size the workspaces
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := agent.Update(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

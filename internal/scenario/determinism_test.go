@@ -34,7 +34,7 @@ func shrunk(t *testing.T, name string) Spec {
 
 // TestEngineDeterminismAcrossWorkers is the scenario half of the
 // determinism suite: for built-in scenarios, a replica's full History under
-// the parallel and batched engines (workers ∈ {1, 4, NumRAs}) must be
+// the batched engine (workers ∈ {1, 4, NumRAs}) must be
 // bit-identical to the serial engine's, and the aggregated summaries must
 // match too.
 func TestEngineDeterminismAcrossWorkers(t *testing.T) {
@@ -49,16 +49,14 @@ func TestEngineDeterminismAcrossWorkers(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, engine := range []string{EngineParallel, EngineBatched} {
-				for _, workers := range []int{1, 4, spec.NumRAs} {
-					_, hGot, err := runReplica(spec, algo, 0, nil, &trainings,
-						Options{Engine: engine, Workers: workers})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(hSerial, hGot) {
-						t.Errorf("%s: history under %s(workers=%d) differs from serial", name, engine, workers)
-					}
+			for _, workers := range []int{1, 4, spec.NumRAs} {
+				_, hGot, err := runReplica(spec, algo, 0, nil, &trainings,
+					Options{Engine: EngineBatched, Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(hSerial, hGot) {
+					t.Errorf("%s: history under batched(workers=%d) differs from serial", name, workers)
 				}
 			}
 
@@ -66,18 +64,16 @@ func TestEngineDeterminismAcrossWorkers(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, engine := range []string{EngineParallel, EngineBatched} {
-				for _, workers := range []int{1, 4, spec.NumRAs} {
-					gotSum, err := Run(spec, Options{
-						Replicas: 2, Parallel: 2, Engine: engine, Workers: workers,
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(serialSum, gotSum) {
-						t.Errorf("%s: summary under %s(workers=%d) differs from serial:\n serial %+v\n %s %+v",
-							name, engine, workers, serialSum, engine, gotSum)
-					}
+			for _, workers := range []int{1, 4, spec.NumRAs} {
+				gotSum, err := Run(spec, Options{
+					Replicas: 2, Parallel: 2, Engine: EngineBatched, Workers: workers,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(serialSum, gotSum) {
+					t.Errorf("%s: summary under batched(workers=%d) differs from serial:\n serial %+v\n batched %+v",
+						name, workers, serialSum, gotSum)
 				}
 			}
 		})
@@ -86,7 +82,7 @@ func TestEngineDeterminismAcrossWorkers(t *testing.T) {
 
 // TestEngineDeterminismLearning runs the determinism check on a learning
 // algorithm with a tiny training budget (warm-started so the agent trains
-// once), proving the parallel and batched inference paths act
+// once), proving the batched inference path acts
 // bit-identically to the shared serial agent.
 func TestEngineDeterminismLearning(t *testing.T) {
 	if testing.Short() {
@@ -100,16 +96,14 @@ func TestEngineDeterminismLearning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, engine := range []string{EngineParallel, EngineBatched} {
-		got, err := Run(spec, Options{
-			Replicas: 2, Parallel: 2, Engine: engine, Workers: spec.NumRAs, WarmStart: true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(serial, got) {
-			t.Errorf("learning summary differs across engines:\n serial %+v\n %s %+v", serial, engine, got)
-		}
+	got, err := Run(spec, Options{
+		Replicas: 2, Parallel: 2, Engine: EngineBatched, Workers: spec.NumRAs, WarmStart: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(serial, got) {
+		t.Errorf("learning summary differs across engines:\n serial %+v\n batched %+v", serial, got)
 	}
 }
 

@@ -18,9 +18,8 @@ import (
 
 // Engine spellings for Options.Engine.
 const (
-	EngineSerial   = core.EngineSerial
-	EngineParallel = core.EngineParallel
-	EngineBatched  = core.EngineBatched
+	EngineSerial  = core.EngineSerial
+	EngineBatched = core.EngineBatched
 )
 
 // Options configures a scenario run.
@@ -48,14 +47,13 @@ type Options struct {
 	// training entirely.
 	CheckpointDir string
 	// Engine selects the execution engine each replica's periods run
-	// under: "serial" (default), "parallel" (a persistent per-RA worker
-	// pool inside every replica), or "batched" (one wide forward pass per
-	// policy group per interval). Engines are bit-identical: the summary
-	// is the same for any engine and worker count.
+	// under: "serial" (default) or "batched" (one wide forward pass per
+	// policy group per interval, RA stepping shared among workers). Engines
+	// are bit-identical: the summary is the same for any engine and worker
+	// count.
 	Engine string
-	// Workers bounds the per-replica worker pool of the parallel engine
-	// and the matmul shard count of the batched engine (default: the
-	// scenario's RA count). It composes with Parallel — replicas fan out
+	// Workers bounds the batched engine's matmul and step shards (default:
+	// the scenario's RA count). It composes with Parallel — replicas fan out
 	// across the replica pool, RAs fan out inside each replica.
 	Workers int
 	// Monitor, when set, receives a "scenario/<name>/completed" sample as
