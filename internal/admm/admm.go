@@ -93,6 +93,15 @@ func (c *Coordinator) ColumnInto(ra int, z, y []float64) {
 	}
 }
 
+// GridsInto copies Z and Y into caller-owned [slice][ra] grids — what the
+// coordinator broadcasts each period, without Z's and Y's allocations.
+func (c *Coordinator) GridsInto(z, y [][]float64) {
+	for i := range c.z {
+		copy(z[i], c.z[i])
+		copy(y[i], c.y[i])
+	}
+}
+
 // Z returns a copy of the auxiliary variables.
 func (c *Coordinator) Z() [][]float64 { return copyGrid(c.z) }
 

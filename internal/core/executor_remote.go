@@ -44,12 +44,18 @@ type RemoteExecutor struct {
 	hub  *rcnet.Hub
 	opts RemoteOptions
 
-	// Cached batch plan for the local RA subset, keyed like the batched
-	// engine's cache so period-at-a-time driving does not regroup every
-	// call. Accessed only from RunPeriods, which is single-driver.
+	// Cached batch plan for the local RA subset and the period scratch
+	// (local-RA mask, collect buffers, coordination grids), keyed like the
+	// batched engine's cache so period-at-a-time driving neither regroups
+	// nor allocates. Accessed only from RunPeriods, which is single-driver.
 	cacheSys  *System
 	cacheGen  int
 	cachePlan *batchPlan
+	local     []bool
+	reports   []rcnet.Envelope
+	got       []bool
+	missing   []int
+	z, y      [][]float64
 }
 
 // RemoteOptions tunes the remote engine's fault handling and its local
@@ -99,18 +105,40 @@ func (e *RemoteExecutor) Name() string { return EngineRemote }
 func (e *RemoteExecutor) Close() error { return e.hub.Shutdown() }
 
 // localPlan returns the cached batch plan over the local RA subset,
-// rebuilding it only when the system or its installed agents changed.
-func (e *RemoteExecutor) localPlan(s *System) *batchPlan {
-	if e.cachePlan == nil || e.cacheSys != s || e.cacheGen != s.agentsGen {
-		workers := e.opts.LocalWorkers
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		e.cacheSys = s
-		e.cacheGen = s.agentsGen
-		e.cachePlan = s.newBatchPlanFor(e.opts.LocalRAs, workers)
+// validating LocalRAs and rebuilding the plan and period scratch only when
+// the system or its installed agents changed.
+func (e *RemoteExecutor) localPlan(s *System) (*batchPlan, error) {
+	if e.cachePlan != nil && e.cacheSys == s && e.cacheGen == s.agentsGen {
+		return e.cachePlan, nil
 	}
-	return e.cachePlan
+	I, J := s.cfg.EnvTemplate.NumSlices, s.cfg.NumRAs
+	local := make([]bool, J)
+	if len(e.opts.LocalRAs) > 0 {
+		if !s.trained {
+			return nil, fmt.Errorf("core: remote engine with local RAs needs a trained/SetAgents system")
+		}
+		if !sort.IntsAreSorted(e.opts.LocalRAs) {
+			return nil, fmt.Errorf("core: LocalRAs must be ascending")
+		}
+		for _, j := range e.opts.LocalRAs {
+			if j < 0 || j >= J {
+				return nil, fmt.Errorf("core: local RA %d out of range [0,%d)", j, J)
+			}
+			if local[j] {
+				return nil, fmt.Errorf("core: duplicate local RA %d", j)
+			}
+			local[j] = true
+		}
+	}
+	workers := e.opts.LocalWorkers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	e.cacheSys, e.cacheGen, e.local = s, s.agentsGen, local
+	e.reports, e.got, e.missing = make([]rcnet.Envelope, J), make([]bool, J), make([]int, 0, J)
+	e.z, e.y = newGrid(I, J), newGrid(I, J)
+	e.cachePlan = s.newBatchPlanFor(e.opts.LocalRAs, workers)
+	return e.cachePlan, nil
 }
 
 // stepLocal drives the local RA subset through the period in-process: it
@@ -140,54 +168,42 @@ func (e *RemoteExecutor) stepLocal(s *System, plan *batchPlan, res [][]netsim.St
 
 // collectPeriod broadcasts period p's coordination grids to the remote
 // RAs, steps the local subset in-process while the agents work, and
-// collects every remote report, retrying up to RetryPeriods times on
-// timeout. Each retry re-broadcasts only to the remote RAs still missing
-// and keeps the partial report set, so agents that already stepped the
-// period are never double-stepped (and locals are never re-stepped). On
-// success out[j]/got[j] hold the remote envelopes; the locals' results
-// are already in res and the workspace's perf grid.
-func (e *RemoteExecutor) collectPeriod(s *System, plan *batchPlan, p, J int, res [][]netsim.StepResult) ([]rcnet.Envelope, error) {
-	out := make([]rcnet.Envelope, J)
-	got := make([]bool, J)
-	for _, j := range e.opts.LocalRAs {
-		got[j] = true // the hub never collects a local RA's report
-	}
-	missing := make([]int, 0, J)
-	for j := 0; j < J; j++ {
-		if !got[j] {
-			missing = append(missing, j)
+// collects every remote report into e.reports, retrying up to RetryPeriods
+// times on timeout. Each retry re-broadcasts only to the remote RAs still
+// missing and keeps the partial report set, so agents that already stepped
+// the period are never double-stepped (and locals are never re-stepped).
+// On success e.reports[j] holds every remote RA's envelope; the locals'
+// results are already in res and the workspace's perf grid.
+func (e *RemoteExecutor) collectPeriod(s *System, plan *batchPlan, p int, res [][]netsim.StepResult) error {
+	s.coord.GridsInto(e.z, e.y)
+	copy(e.got, e.local) // the hub never collects a local RA's report
+	for a := 0; ; a++ {
+		last := a == e.opts.RetryPeriods
+		e.missing = e.missing[:0]
+		for j, got := range e.got {
+			if !got {
+				e.missing = append(e.missing, j)
+			}
 		}
-	}
-	stepped := false
-	attempts := e.opts.RetryPeriods + 1
-	for a := 0; a < attempts; a++ {
-		bErr := e.hub.BroadcastTo(p, s.coord.Z(), s.coord.Y(), missing)
-		if bErr != nil && a == attempts-1 {
-			return nil, fmt.Errorf("core: remote period %d: %w", p, bErr)
+		bErr := e.hub.BroadcastTo(p, e.z, e.y, e.missing)
+		if bErr != nil && last {
+			return fmt.Errorf("core: remote period %d: %w", p, bErr)
 		}
-		if !stepped {
+		if a == 0 {
 			// Step the local subset after the broadcast is on the wire, so
 			// remote agents compute their period concurrently with ours.
 			if err := e.stepLocal(s, plan, res); err != nil {
-				return nil, err
+				return err
 			}
-			stepped = true
 		}
-		_, cErr := e.hub.CollectReportsInto(p, e.opts.Timeout, out, got)
+		_, cErr := e.hub.CollectReportsInto(p, e.opts.Timeout, e.reports, e.got)
 		if cErr == nil {
-			return out, nil
+			return nil
 		}
-		if a == attempts-1 {
-			return nil, fmt.Errorf("core: remote period %d: %w", p, cErr)
-		}
-		missing = missing[:0]
-		for j := 0; j < J; j++ {
-			if !got[j] {
-				missing = append(missing, j)
-			}
+		if last {
+			return fmt.Errorf("core: remote period %d: %w", p, cErr)
 		}
 	}
-	return nil, fmt.Errorf("core: remote period %d: no collection attempts", p)
 }
 
 // RunPeriods implements Executor.
@@ -213,40 +229,24 @@ func (e *RemoteExecutor) RunPeriods(s *System, h *History, n int) error {
 		return fmt.Errorf("core: hub coordinates %d slices x %d RAs, system is %d x %d",
 			e.hub.NumSlices(), e.hub.NumRAs(), I, J)
 	}
-	local := make([]bool, J)
-	if len(e.opts.LocalRAs) > 0 {
-		if !s.trained {
-			return fmt.Errorf("core: remote engine with local RAs needs a trained/SetAgents system")
-		}
-		if !sort.IntsAreSorted(e.opts.LocalRAs) {
-			return fmt.Errorf("core: LocalRAs must be ascending")
-		}
-		for _, j := range e.opts.LocalRAs {
-			if j < 0 || j >= J {
-				return fmt.Errorf("core: local RA %d out of range [0,%d)", j, J)
-			}
-			if local[j] {
-				return fmt.Errorf("core: duplicate local RA %d", j)
-			}
-			local[j] = true
-		}
+	plan, err := e.localPlan(s)
+	if err != nil {
+		return err
 	}
-	plan := e.localPlan(s)
 	ws := s.workspace()
 	res := ws.results(T) // [interval][RA]: locals step into it, reports are copied into it
 
 	start := s.coord.Iterations()
 	for k := 0; k < n; k++ {
 		p := start + k
-		reports, err := e.collectPeriod(s, plan, p, J, res)
-		if err != nil {
+		if err := e.collectPeriod(s, plan, p, res); err != nil {
 			return err
 		}
 		for j := 0; j < J; j++ {
-			if local[j] {
+			if e.local[j] {
 				continue // stepped in-process; res and ws.perf already filled
 			}
-			rep := reports[j]
+			rep := &e.reports[j]
 			if len(rep.Perf) != I {
 				return fmt.Errorf("core: RA %d reported %d slices, want %d", j, len(rep.Perf), I)
 			}
@@ -276,7 +276,7 @@ func (e *RemoteExecutor) RunPeriods(s *System, h *History, n int) error {
 // the run's shape and copies them into column j of res
 // ([interval][RA]) — the merge reads only workspace-owned storage, never the
 // envelope's slices.
-func decodeIntervals(rep rcnet.Envelope, j, I int, res [][]netsim.StepResult) error {
+func decodeIntervals(rep *rcnet.Envelope, j, I int, res [][]netsim.StepResult) error {
 	if len(rep.Intervals) == 0 {
 		return fmt.Errorf("core: RA %d report carries no interval records (pre-engine agent build?); upgrade the agent to one that runs rcnet.RunAgent", rep.RA)
 	}

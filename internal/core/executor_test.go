@@ -342,3 +342,72 @@ func TestRemoteRejectsMismatchedHub(t *testing.T) {
 		t.Error("mismatched hub RA count should fail")
 	}
 }
+
+// TestRemotePeriodAllocsIndependentOfJ is the allocation gate of a warm
+// remote period: a loopback binary-codec hub, one RunAgent loop per RA whose
+// TARO policy writes into scratch the agent owns, and streaming recording.
+// Broadcast, the agents' decode and report, the hub's decode and collect,
+// and the merge allocate nothing, so the period costs exactly the per-call
+// streaming History (38 allocations) at 4 RAs as at 32.
+func TestRemotePeriodAllocsIndependentOfJ(t *testing.T) {
+	warmAllocs := func(J int) float64 {
+		cfg := execTestConfig(AlgoTARO)
+		cfg.NumRAs = J
+		hub, err := rcnet.NewHub("127.0.0.1:0", cfg.EnvTemplate.NumSlices, J)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dones := make([]chan error, J)
+		for j := range dones {
+			env := remoteAgentEnv(t, cfg, j)
+			queues, act := make([]int, cfg.EnvTemplate.NumSlices), make([]float64, env.ActionDim())
+			policy := rl.AgentFunc(func([]float64) []float64 {
+				env.QueueLensInto(queues)
+				if err := baseline.TAROInto(act, queues); err != nil {
+					panic(err)
+				}
+				return act
+			})
+			client, err := rcnet.DialAgentCodec(hub.Addr(), j, 5*time.Second, rcnet.CodecBinary)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dones[j] = make(chan error, 1)
+			go func() {
+				defer client.Close()
+				dones[j] <- rcnet.RunAgent(client, env, policy, time.Minute)
+			}()
+		}
+		if err := hub.WaitRegistered(5 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		sys, err := NewSystem(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys.SetRecording(RecordOptions{StreamWindow: 8})
+		e := NewRemoteExecutor(hub, time.Minute)
+		period := func() {
+			if _, err := sys.RunPeriodsWith(e, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for p := 0; p < 4; p++ { // first decodes size the buffers, the log doubles
+			period()
+		}
+		allocs := testing.AllocsPerRun(20, period)
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for j, done := range dones {
+			if err := <-done; err != nil {
+				t.Errorf("agent %d: %v", j, err)
+			}
+		}
+		return allocs
+	}
+	const history = 38
+	if small, large := warmAllocs(4), warmAllocs(32); small != history || large != history {
+		t.Errorf("warm remote period allocates %v times at 4 RAs and %v at 32; want %v at both", small, large, history)
+	}
+}

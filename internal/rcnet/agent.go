@@ -17,6 +17,7 @@ type AgentClient struct {
 	conn  net.Conn
 	codec Codec
 	mr    *msgReader
+	in    Envelope // Recv's decode target, reused across frames
 
 	wmu sync.Mutex // serializes all writes to conn
 	mw  *msgWriter
@@ -75,21 +76,24 @@ func (c *AgentClient) Codec() Codec { return c.codec }
 // Recv blocks for the next frame from the hub, skipping frame types an
 // agent never receives. Callers dispatch on the envelope's Type:
 // MsgCoordination, MsgResume, or MsgShutdown.
+//
+// A binary frame decodes into scratch the client owns and reuses: the
+// envelope's slices (Z, Y, ZHist, YHist) stay valid only until the next
+// Recv or RecvCoordination, so copy anything kept longer.
 func (c *AgentClient) Recv(timeout time.Duration) (Envelope, error) {
 	if err := c.conn.SetReadDeadline(deadline(c.conn, timeout)); err != nil {
 		return Envelope{}, fmt.Errorf("rcnet: set deadline: %w", err)
 	}
 	for {
-		m, err := c.mr.read()
-		if err != nil {
+		if err := c.mr.readInto(&c.in); err != nil {
 			return Envelope{}, fmt.Errorf("rcnet: recv: %w", err)
 		}
-		switch m.Type {
+		switch c.in.Type {
 		case MsgShutdown, MsgResume:
-			return m, nil
+			return c.in, nil
 		case MsgCoordination:
 			c.stats.coordsReceived.Add(1)
-			return m, nil
+			return c.in, nil
 		default:
 			// Ignore unexpected frames and keep waiting.
 		}
@@ -99,7 +103,7 @@ func (c *AgentClient) Recv(timeout time.Duration) (Envelope, error) {
 // RecvCoordination blocks for the next coordination message. It returns
 // ErrShutdown when the hub ends the session. Resume frames are skipped:
 // callers that participate in mid-run re-registration should use Recv (or
-// RunAgent, which handles the replay).
+// RunAgent, which handles the replay). z and y follow Recv's ownership rule.
 func (c *AgentClient) RecvCoordination(timeout time.Duration) (period int, z, y []float64, err error) {
 	for {
 		m, err := c.Recv(timeout)

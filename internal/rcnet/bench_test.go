@@ -58,8 +58,8 @@ func BenchmarkEnvelopeRoundTrip(b *testing.B) {
 				}
 				rd.Reset(frame.Bytes())
 				mr.br.Reset(&rd)
-				got, err := mr.read()
-				if err != nil {
+				var got Envelope
+				if err := mr.readInto(&got); err != nil {
 					b.Fatal(err)
 				}
 				if got.Type != MsgPerfReport || len(got.Intervals) != len(e.Intervals) {

@@ -15,9 +15,10 @@ import (
 // with a fixed little-endian payload layout per envelope (ints as int32,
 // floats as IEEE-754 bits, every slice length-prefixed with a uint32
 // count). The layout is positional and complete — every field is always
-// present, zero-count slices decode as nil — so encode/decode is a single
-// linear pass with no reflection, no field names on the wire, and no
-// per-frame heap traffic beyond the decoded slices themselves. A 1,000-RA
+// present — so encode/decode is a single linear pass with no reflection and
+// no field names on the wire. Decoding reuses the capacity of the target
+// Envelope's slices (a zero-count slice decodes as empty), so a warm decode
+// allocates nothing (TestBinaryDecodeWarmAllocFree). A 1,000-RA
 // coordinator spends most of its period budget on frame encode/decode;
 // this codec is the cheap half of the scaling story (sharding is the
 // other), and BenchmarkEnvelopeRoundTrip tracks both codecs.
@@ -139,65 +140,66 @@ func putFloatRows(buf *bytes.Buffer, rows [][]float64) {
 	}
 }
 
-// readBinary reads one binary frame after the magic byte was peeked. The
-// payload is read into the reader's reusable scratch buffer; decoded
-// slices are freshly allocated because the Envelope outlives the buffer.
-func (mr *msgReader) readBinary() (Envelope, error) {
-	var hdr [binHeaderLen]byte
-	if _, err := io.ReadFull(mr.br, hdr[:]); err != nil {
-		return Envelope{}, err
-	}
-	if hdr[0] != binMagic {
-		return Envelope{}, fmt.Errorf("rcnet: malformed frame: bad magic 0x%02x", hdr[0])
+// readBinary reads one binary frame after the magic byte was peeked and
+// decodes it into e, reusing the capacity of e's slices and rows. Every
+// field is overwritten, so a warm e decodes to the values and lengths a zero
+// Envelope would (FuzzReadBinary); on error e's contents are unspecified.
+//
+//edgeslice:noalloc
+func (mr *msgReader) readBinary(e *Envelope) error {
+	hdr, err := mr.br.Peek(binHeaderLen)
+	if err != nil {
+		return err
 	}
 	kind := int(hdr[1])
-	if kind < 0 || kind >= kindOther {
-		return Envelope{}, fmt.Errorf("rcnet: malformed frame: unknown kind %d", kind)
+	if kind >= kindOther {
+		//edgeslice:allocok cold error path
+		return fmt.Errorf("rcnet: malformed frame: unknown kind %d", kind)
 	}
-	n := binary.LittleEndian.Uint32(hdr[2:])
+	n := int(binary.LittleEndian.Uint32(hdr[2:]))
 	if n > maxLineBytes {
-		return Envelope{}, fmt.Errorf("rcnet: frame too large (>%d bytes)", maxLineBytes)
+		//edgeslice:allocok cold error path
+		return fmt.Errorf("rcnet: frame too large (>%d bytes)", maxLineBytes)
 	}
-	if cap(mr.buf) < int(n) {
-		mr.buf = make([]byte, n)
+	_, _ = mr.br.Discard(binHeaderLen)
+	mr.buf = resize(mr.buf, n)
+	if _, err := io.ReadFull(mr.br, mr.buf); err != nil {
+		return err
 	}
-	payload := mr.buf[:n]
-	if _, err := io.ReadFull(mr.br, payload); err != nil {
-		return Envelope{}, err
+	d := binDecoder{b: mr.buf}
+	e.Type, e.RA, e.Period = msgKindNames[kind], d.int(), d.int()
+	e.Z, e.Y = d.floats(e.Z), d.floats(e.Y)
+	e.Perf, e.Queues = d.floats(e.Perf), d.ints(e.Queues)
+	e.Intervals = resize(e.Intervals, d.count(20)) // 3 counts + violation
+	for i := range e.Intervals {
+		ir := &e.Intervals[i]
+		ir.Perf, ir.Queues = d.floats(ir.Perf), d.ints(ir.Queues)
+		ir.Effective = d.floatRows(ir.Effective)
+		ir.Violation = d.float()
 	}
-	d := binDecoder{b: payload}
-	e := Envelope{Type: msgKindNames[kind]}
-	e.RA = d.int()
-	e.Period = d.int()
-	e.Z = d.floats()
-	e.Y = d.floats()
-	e.Perf = d.floats()
-	e.Queues = d.ints()
-	if n := d.count(); n > 0 {
-		e.Intervals = make([]IntervalRecord, n)
-		for i := range e.Intervals {
-			ir := &e.Intervals[i]
-			ir.Perf = d.floats()
-			ir.Queues = d.ints()
-			if rows := d.count(); rows > 0 {
-				ir.Effective = make([][]float64, rows)
-				for r := range ir.Effective {
-					ir.Effective[r] = d.floats()
-				}
-			}
-			ir.Violation = d.float()
-		}
-	}
-	e.ZHist = d.floatRows()
-	e.YHist = d.floatRows()
+	e.ZHist, e.YHist = d.floatRows(e.ZHist), d.floatRows(e.YHist)
 	if d.err != nil {
-		return Envelope{}, fmt.Errorf("rcnet: malformed frame: %w", d.err)
+		//edgeslice:allocok cold error path
+		return fmt.Errorf("rcnet: malformed frame: %w", d.err)
 	}
 	if len(d.b) != 0 {
-		return Envelope{}, fmt.Errorf("rcnet: malformed frame: %d trailing bytes", len(d.b))
+		//edgeslice:allocok cold error path
+		return fmt.Errorf("rcnet: malformed frame: %d trailing bytes", len(d.b))
 	}
-	mr.count(binHeaderLen+int(n), e.Type)
-	return e, nil
+	mr.count(binHeaderLen+n, e.Type)
+	return nil
+}
+
+// resize returns s with length n, reusing s's backing array (and, for rows,
+// the rows parked in it) whenever its capacity suffices.
+//
+//edgeslice:noalloc
+func resize[E any](s []E, n int) []E {
+	if cap(s) < n {
+		//edgeslice:allocok grows only when a frame outgrows the buffer it decodes into
+		return append(s[:cap(s)], make([]E, n-cap(s))...)
+	}
+	return s[:n]
 }
 
 // binDecoder is a linear cursor over a binary payload; the first decode
@@ -230,19 +232,20 @@ func (d *binDecoder) int() int {
 	return int(int32(binary.LittleEndian.Uint32(b)))
 }
 
-// count reads a slice length and bounds it by the remaining payload, so a
-// hostile count cannot force a huge allocation.
-func (d *binDecoder) count() int {
+// count reads a slice length and bounds it by the remaining payload at
+// minSize wire bytes per element, so a hostile count cannot allocate more
+// than a small multiple of the frame (at worst a 24-byte row per 4 bytes).
+func (d *binDecoder) count(minSize int) int {
 	b := d.take(4)
 	if b == nil {
 		return 0
 	}
-	n := binary.LittleEndian.Uint32(b)
-	if int(n) > len(d.b) {
+	n := int(binary.LittleEndian.Uint32(b))
+	if n > len(d.b)/minSize {
 		d.err = errShortFrame
 		return 0
 	}
-	return int(n)
+	return n
 }
 
 func (d *binDecoder) float() float64 {
@@ -253,47 +256,29 @@ func (d *binDecoder) float() float64 {
 	return math.Float64frombits(binary.LittleEndian.Uint64(b))
 }
 
-func (d *binDecoder) floats() []float64 {
-	n := d.count()
-	if n == 0 || d.err != nil {
-		return nil
+//edgeslice:noalloc
+func (d *binDecoder) floats(dst []float64) []float64 {
+	dst = resize(dst, d.count(8))
+	for i := range dst {
+		dst[i] = d.float()
 	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = d.float()
-	}
-	if d.err != nil {
-		return nil
-	}
-	return out
+	return dst
 }
 
-func (d *binDecoder) ints() []int {
-	n := d.count()
-	if n == 0 || d.err != nil {
-		return nil
+//edgeslice:noalloc
+func (d *binDecoder) ints(dst []int) []int {
+	dst = resize(dst, d.count(4))
+	for i := range dst {
+		dst[i] = d.int()
 	}
-	out := make([]int, n)
-	for i := range out {
-		out[i] = d.int()
-	}
-	if d.err != nil {
-		return nil
-	}
-	return out
+	return dst
 }
 
-func (d *binDecoder) floatRows() [][]float64 {
-	n := d.count()
-	if n == 0 || d.err != nil {
-		return nil
+//edgeslice:noalloc
+func (d *binDecoder) floatRows(dst [][]float64) [][]float64 {
+	dst = resize(dst, d.count(4))
+	for i := range dst {
+		dst[i] = d.floats(dst[i])
 	}
-	out := make([][]float64, n)
-	for i := range out {
-		out[i] = d.floats()
-	}
-	if d.err != nil {
-		return nil
-	}
-	return out
+	return dst
 }

@@ -401,72 +401,78 @@ func testResumeCatchUpReplay(t *testing.T, codec Codec) {
 // collection semantics: a timed-out collect keeps the reports that did
 // arrive, a second attempt drains duplicates and stale-period reports
 // without letting them overwrite, and completes on the missing RA's
-// report.
+// report. Both codecs run it: the binary reader decodes every frame into a
+// recycled buffer, so a collect that kept a reference to that buffer
+// instead of copying it out would see the later frames overwrite RA 0.
 func TestCollectKeepsPartialProgressAcrossAttempts(t *testing.T) {
-	h, err := NewHub("127.0.0.1:0", 1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = h.Shutdown() }()
-	c0, err := DialAgent(h.Addr(), 0, testTimeout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c0.Close()
-	c1, err := DialAgent(h.Addr(), 1, testTimeout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c1.Close()
-	if err := h.WaitRegistered(testTimeout); err != nil {
-		t.Fatal(err)
-	}
+	for _, codec := range []Codec{CodecJSON, CodecBinary} {
+		t.Run(codec.String(), func(t *testing.T) {
+			h, err := NewHub("127.0.0.1:0", 1, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { _ = h.Shutdown() }()
+			c0, err := DialAgentCodec(h.Addr(), 0, testTimeout, codec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c0.Close()
+			c1, err := DialAgentCodec(h.Addr(), 1, testTimeout, codec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c1.Close()
+			if err := h.WaitRegistered(testTimeout); err != nil {
+				t.Fatal(err)
+			}
 
-	// RA 0 reports promptly; RA 1 stays silent past the first attempt.
-	if err := c0.ReportPerf(0, []float64{-1}, nil); err != nil {
-		t.Fatal(err)
-	}
-	out := make([]Envelope, 2)
-	got := make([]bool, 2)
-	n, err := h.CollectReportsInto(0, 300*time.Millisecond, out, got)
-	if err == nil {
-		t.Fatal("collect should time out with RA 1 silent")
-	}
-	if n != 1 || !got[0] || got[1] {
-		t.Fatalf("after timeout: n=%d got=%v, want partial progress for RA 0 only", n, got)
-	}
-	if !strings.Contains(err.Error(), "1/2 reports for period 0") {
-		t.Errorf("timeout error %q should report 1/2 for period 0", err)
-	}
+			// RA 0 reports promptly; RA 1 stays silent past the first attempt.
+			if err := c0.ReportPerf(0, []float64{-1}, nil); err != nil {
+				t.Fatal(err)
+			}
+			out := make([]Envelope, 2)
+			got := make([]bool, 2)
+			n, err := h.CollectReportsInto(0, 300*time.Millisecond, out, got)
+			if err == nil {
+				t.Fatal("collect should time out with RA 1 silent")
+			}
+			if n != 1 || !got[0] || got[1] {
+				t.Fatalf("after timeout: n=%d got=%v, want partial progress for RA 0 only", n, got)
+			}
+			if !strings.Contains(err.Error(), "1/2 reports for period 0") {
+				t.Errorf("timeout error %q should report 1/2 for period 0", err)
+			}
 
-	// Second attempt: RA 0's duplicate re-report (what a retried broadcast
-	// triggers) and a stale-period report must both be dropped, then RA 1's
-	// report completes the set.
-	if err := c0.ReportPerf(0, []float64{-99}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := c0.ReportPerf(7, []float64{-77}, nil); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(50 * time.Millisecond) // let both frames queue ahead of RA 1's
-	if err := c1.ReportPerf(0, []float64{-2}, nil); err != nil {
-		t.Fatal(err)
-	}
-	n, err = h.CollectReportsInto(0, testTimeout, out, got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 2 {
-		t.Fatalf("n = %d, want 2", n)
-	}
-	if out[0].Perf[0] != -1 {
-		t.Errorf("RA 0's report = %v, duplicate must not overwrite the original -1", out[0].Perf)
-	}
-	if out[1].Perf[0] != -2 {
-		t.Errorf("RA 1's report = %v, want -2", out[1].Perf)
-	}
-	if s := h.Stats(); s.ReportsDropped < 2 {
-		t.Errorf("stats report %d dropped reports, want >= 2 (duplicate + stale period)", s.ReportsDropped)
+			// Second attempt: RA 0's duplicate re-report (what a retried broadcast
+			// triggers) and a stale-period report must both be dropped, then RA 1's
+			// report completes the set.
+			if err := c0.ReportPerf(0, []float64{-99}, nil); err != nil {
+				t.Fatal(err)
+			}
+			if err := c0.ReportPerf(7, []float64{-77}, nil); err != nil {
+				t.Fatal(err)
+			}
+			time.Sleep(50 * time.Millisecond) // let both frames queue ahead of RA 1's
+			if err := c1.ReportPerf(0, []float64{-2}, nil); err != nil {
+				t.Fatal(err)
+			}
+			n, err = h.CollectReportsInto(0, testTimeout, out, got)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n != 2 {
+				t.Fatalf("n = %d, want 2", n)
+			}
+			if out[0].Perf[0] != -1 {
+				t.Errorf("RA 0's report = %v, duplicate must not overwrite the original -1", out[0].Perf)
+			}
+			if out[1].Perf[0] != -2 {
+				t.Errorf("RA 1's report = %v, want -2", out[1].Perf)
+			}
+			if s := h.Stats(); s.ReportsDropped < 2 {
+				t.Errorf("stats report %d dropped reports, want >= 2 (duplicate + stale period)", s.ReportsDropped)
+			}
+		})
 	}
 }
 

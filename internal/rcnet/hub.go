@@ -50,7 +50,7 @@ func (st *connState) setCodec(c Codec) {
 // Internally the hub is sharded (NewShardedHub): each shard owns a fixed
 // contiguous RA range with its own mutex, connection table, coordination
 // log, liveness reaper, and broadcast-writer pool, so period broadcast and
-// report collection run in parallel across shards. The root hub owns the
+// report decoding run in parallel across shards. The root hub owns the
 // listener, demultiplexes registrations to shards, and merges per-shard
 // results in fixed RA order — History, monitor series, and residuals are
 // bit-identical for any shard count. NewHub builds the single-shard hub.
@@ -98,6 +98,10 @@ type Hub struct {
 	stats  hubStats
 	wire   wireStats
 	poolWG sync.WaitGroup
+
+	// BroadcastTo's fan-out scratch, reused by the one coordinator loop.
+	bcastErrs []error
+	bcastWG   sync.WaitGroup
 
 	registered chan int
 	acceptWG   sync.WaitGroup
@@ -327,8 +331,8 @@ func (h *Hub) handleConn(conn net.Conn) {
 		h.mu.Unlock()
 	}()
 	mr := newMsgReader(conn, &h.wire)
-	msg, err := mr.read()
-	if err != nil || msg.Type != MsgRegister || msg.RA < 0 || msg.RA >= h.numRAs {
+	var msg Envelope
+	if err := mr.readInto(&msg); err != nil || msg.Type != MsgRegister || msg.RA < 0 || msg.RA >= h.numRAs {
 		_ = conn.Close()
 		return
 	}
@@ -410,12 +414,22 @@ func (h *Hub) handleConn(conn net.Conn) {
 		default:
 		}
 	}
+	var buf *reportBuf // from the shard's free list; a report hands it to the collector
 	for {
-		m, err := mr.read()
+		if buf == nil {
+			select {
+			case buf = <-sh.free:
+			default:
+				buf = new(reportBuf) // only while more frames are in flight than the list was filled for
+			}
+		}
+		err := mr.readInto(&buf.env)
+		buf.frameLen = max(buf.frameLen, mr.frameLen)
 		if err != nil {
 			sh.dropConn(msg.RA, st)
 			return
 		}
+		m := &buf.env
 		st.lastSeen.Store(time.Now().UnixNano())
 		switch m.Type {
 		case MsgPerfReport:
@@ -435,7 +449,8 @@ func (h *Hub) handleConn(conn net.Conn) {
 			}
 			sh.mu.Unlock()
 			select {
-			case sh.reports <- m:
+			case sh.reports <- buf:
+				buf = nil
 			case <-h.closed:
 				return
 			}
@@ -559,11 +574,8 @@ func (h *Hub) PrimeResume(periods int, zs, ys [][][]float64) error {
 			return errors.New("rcnet: hub already holds coordination history")
 		}
 		sh.completed = periods
-		sh.zLog = make([][][]float64, periods)
-		sh.yLog = make([][][]float64, periods)
 		for p := 0; p < periods; p++ {
-			sh.zLog[p] = copyCols(zs[p], sh.lo, sh.hi)
-			sh.yLog[p] = copyCols(ys[p], sh.lo, sh.hi)
+			sh.zLog, sh.yLog = appendCols(sh.zLog, zs[p], sh.lo, sh.hi), appendCols(sh.yLog, ys[p], sh.lo, sh.hi)
 		}
 		sh.mu.Unlock()
 	}
@@ -621,34 +633,24 @@ func (h *Hub) BroadcastTo(period int, z, y [][]float64, ras []int) error {
 	for _, sh := range h.shards {
 		sh.recordCoordination(period, z, y)
 	}
-	states := make([]*connState, len(ras))
-	errs := make([]error, len(ras))
+	h.bcastErrs = resize(h.bcastErrs, len(ras))
+	errs, wg := h.bcastErrs, &h.bcastWG
+	clear(errs)
+	h.bcastMu.RLock()
 	for k, ra := range ras {
 		sh := h.shardFor(ra)
 		sh.mu.Lock()
 		st, ok := sh.conns[ra]
 		sh.mu.Unlock()
-		if !ok {
+		switch {
+		case !ok:
 			errs[k] = fmt.Errorf("rcnet: RA %d not connected", ra)
-			continue
-		}
-		states[k] = st
-	}
-
-	var wg sync.WaitGroup
-	h.bcastMu.RLock()
-	for k, st := range states {
-		if st == nil {
-			continue
-		}
-		if h.bcastClosed {
+		case h.bcastClosed:
 			errs[k] = errHubClosed
-			continue
-		}
-		wg.Add(1)
-		//edgeslice:lockio the send cannot block: each shard's queue has capacity for one job per owned RA and a broadcast enqueues at most one job per RA, while bcastMu (held shared) pins the queue open
-		h.shardFor(ras[k]).bcast <- bcastJob{
-			st: st, ra: ras[k], period: period, z: z, y: y, err: &errs[k], wg: &wg,
+		default:
+			wg.Add(1)
+			//edgeslice:lockio the send cannot block: each shard's queue has capacity for one job per owned RA and a broadcast enqueues at most one job per RA, while bcastMu (held shared) pins the queue open
+			sh.bcast <- bcastJob{st: st, ra: ra, period: period, z: z, y: y, err: &errs[k], wg: wg}
 		}
 	}
 	h.bcastMu.RUnlock()
@@ -683,8 +685,8 @@ func (h *Hub) Collect(period int, timeout time.Duration) ([][]float64, error) {
 // CollectReports waits for a perf report from every RA for the given period
 // and returns the full report envelopes indexed by RA — including the
 // per-interval records agents attach (see IntervalRecord). Reports for
-// other periods are discarded. The remote execution engine uses this to
-// rebuild the same History a local run records.
+// other periods are discarded. Each call allocates fresh envelopes; the
+// remote execution engine collects into its own with CollectReportsInto.
 func (h *Hub) CollectReports(period int, timeout time.Duration) ([]Envelope, error) {
 	out := make([]Envelope, h.numRAs)
 	got := make([]bool, h.numRAs)
@@ -697,48 +699,31 @@ func (h *Hub) CollectReports(period int, timeout time.Duration) ([]Envelope, err
 // CollectReportsInto is the resumable form of CollectReports: out and got
 // persist partial progress across collection attempts, so a retried period
 // keeps the reports that already arrived and waits only for the missing
-// RAs. Each shard drains its own report channel into its disjoint slice of
-// the buffers, so collection runs in parallel across shards. It returns
-// how many RAs have reported in total (across this and previous attempts);
-// a nil error means all of them. Reports for other periods, duplicates,
-// and reports from out-of-range RAs are discarded and counted in the
-// stats.
+// RAs. It returns how many RAs have reported in total (across this and
+// previous attempts); a nil error means all of them. Reports for other
+// periods, duplicates, and reports from out-of-range RAs are discarded and
+// counted in the stats.
+//
+// Each report is copied into out[ra], reusing out[ra]'s slices: the hub
+// keeps no reference into out, and a caller passing the same out every
+// period collects without allocating but must copy out what it keeps past
+// the next collect into it. One coordinator loop calls it, never two at
+// once: shards are drained in order on that goroutine against one
+// deadline, each with its own reused timer, while their readers decode.
 func (h *Hub) CollectReportsInto(period int, timeout time.Duration, out []Envelope, got []bool) (int, error) {
 	if len(out) != h.numRAs || len(got) != h.numRAs {
 		return 0, fmt.Errorf("rcnet: collect buffers sized %d/%d, want %d", len(out), len(got), h.numRAs)
 	}
-	// One shared timeout signal: time.After delivers a single value, which
-	// would wake only one of the shard collectors, so the timer closes a
-	// channel every collector can observe.
-	timeoutC := make(chan struct{})
-	timer := time.AfterFunc(timeout, func() { close(timeoutC) })
-	defer timer.Stop()
-
-	ns := make([]int, len(h.shards))
-	errs := make([]error, len(h.shards))
-	var wg sync.WaitGroup
-	for s, sh := range h.shards {
-		wg.Add(1)
-		go func(s int, sh *hubShard) {
-			defer wg.Done()
-			ns[s], errs[s] = sh.collectInto(period, timeoutC, out, got)
-		}(s, sh)
-	}
-	wg.Wait()
-	n := 0
-	for _, c := range ns {
+	deadline := time.Now().Add(timeout)
+	n, timedOut := 0, false
+	for _, sh := range h.shards {
+		c, err := sh.collectInto(period, time.Until(deadline), out, got)
 		n += c
-	}
-	timedOut := false
-	for _, err := range errs {
 		switch {
-		case err == nil:
 		case errors.Is(err, errCollectTimeout):
 			timedOut = true
-		case errors.Is(err, errHubClosed):
-			return n, errHubClosed
-		default:
-			return n, err // malformed report: first shard in index order
+		case err != nil:
+			return n, err // hub closed, or a malformed report
 		}
 	}
 	if timedOut {

@@ -9,7 +9,7 @@
 //	agent → hub:  register{ra}
 //	hub → agent:  resume{period, zhist, yhist}   (re-registration catch-up)
 //	hub → agent:  coordination{period, z, y}
-//	agent → hub:  perf_report{ra, period, perf}
+//	agent → hub:  perf_report{ra, period, perf, queues, intervals}
 //	agent → hub:  heartbeat{ra}                  (liveness, optional)
 //	hub → agent:  shutdown{}
 //
@@ -41,7 +41,7 @@
 // The plane scales horizontally: the hub is internally sharded
 // (NewShardedHub), each shard owning a fixed contiguous RA range with its
 // own lock, connection table, liveness reaper, and broadcast-writer pool,
-// so period broadcast and report collection proceed in parallel across
+// so period broadcast and report decoding proceed in parallel across
 // shards while the root hub merges results in fixed RA order — the merged
 // run is bit-identical for any shard count.
 package rcnet
@@ -216,11 +216,12 @@ func (mw *msgWriter) write(e Envelope) error {
 // '{' opens a JSON line, binMagic opens a binary packet — so a reader
 // needs no negotiated state and a hub can serve mixed fleets. lastCodec
 // reports the codec of the most recent frame (the register frame's codec
-// decides how the hub answers the connection).
+// decides how the hub answers the connection), frameLen its byte length.
 type msgReader struct {
 	br        *bufio.Reader
 	buf       []byte
 	lastCodec Codec
+	frameLen  int
 	stats     *wireStats // optional
 }
 
@@ -228,66 +229,55 @@ func newMsgReader(conn net.Conn, stats *wireStats) *msgReader {
 	return &msgReader{br: bufio.NewReaderSize(conn, 64*1024), stats: stats}
 }
 
-// read decodes the next frame, JSON or binary.
-func (mr *msgReader) read() (Envelope, error) {
+// readInto decodes the next frame, JSON or binary, into e: a binary frame
+// reuses e's slices (see readBinary), a JSON frame replaces them.
+func (mr *msgReader) readInto(e *Envelope) error {
 	first, err := mr.br.Peek(1)
 	if err != nil {
-		return Envelope{}, err
+		return err
 	}
 	if first[0] == binMagic {
 		mr.lastCodec = CodecBinary
-		return mr.readBinary()
+		return mr.readBinary(e)
 	}
 	mr.lastCodec = CodecJSON
-	return mr.readJSON()
+	return mr.readJSON(e)
 }
 
 // readJSON reads one JSON line. The frame bound is enforced while reading —
 // accumulation stops the moment maxLineBytes is exceeded — so a peer that
 // streams an endless newline-free frame costs at most maxLineBytes of
 // buffer, not unbounded memory.
-func (mr *msgReader) readJSON() (Envelope, error) {
+func (mr *msgReader) readJSON(e *Envelope) error {
 	line := mr.buf[:0]
 	for {
 		chunk, err := mr.br.ReadSlice('\n')
 		if len(line)+len(chunk) > maxLineBytes {
-			return Envelope{}, fmt.Errorf("rcnet: frame too large (>%d bytes)", maxLineBytes)
+			return fmt.Errorf("rcnet: frame too large (>%d bytes)", maxLineBytes)
 		}
 		line = append(line, chunk...)
 		if err == nil {
 			break
 		}
 		if err != bufio.ErrBufferFull {
-			return Envelope{}, err
+			return err
 		}
 	}
 	mr.buf = line[:0] // keep the grown scratch for the next frame
-	var e Envelope
-	if err := json.Unmarshal(line, &e); err != nil {
-		return Envelope{}, fmt.Errorf("rcnet: malformed frame: %w", err)
+	*e = Envelope{}
+	if err := json.Unmarshal(line, e); err != nil {
+		return fmt.Errorf("rcnet: malformed frame: %w", err)
 	}
 	mr.count(len(line), e.Type)
-	return e, nil
+	return nil
 }
 
 func (mr *msgReader) count(n int, t MsgType) {
+	mr.frameLen = n
 	if mr.stats != nil {
 		mr.stats.bytesIn.Add(uint64(n))
 		mr.stats.framesIn[msgKindOf(t)].Add(1)
 	}
-}
-
-// writeMsg sends one envelope as a JSON line — the package's historical
-// single-shot helper, kept for tests and legacy callers; hot paths hold a
-// msgWriter with a reusable buffer instead.
-func writeMsg(w io.Writer, e Envelope) error {
-	return newMsgWriter(w, CodecJSON, nil).write(e)
-}
-
-// readMsg reads one frame (either codec) — single-shot helper mirroring
-// writeMsg.
-func readMsg(br *bufio.Reader) (Envelope, error) {
-	return (&msgReader{br: br}).read()
 }
 
 // deadline applies a read/write deadline when timeout > 0.

@@ -3,6 +3,7 @@ package rcnet
 import (
 	"bufio"
 	"errors"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -428,6 +429,18 @@ func TestReadMsgBoundsFrameDuringRead(t *testing.T) {
 	if m.Type != MsgRegister || m.RA != 3 {
 		t.Errorf("parsed %+v, want register ra=3", m)
 	}
+}
+
+// writeMsg sends one envelope as a single JSON line.
+func writeMsg(w io.Writer, e Envelope) error {
+	return newMsgWriter(w, CodecJSON, nil).write(e)
+}
+
+// readMsg reads one frame (either codec) off br.
+func readMsg(br *bufio.Reader) (Envelope, error) {
+	var e Envelope
+	err := (&msgReader{br: br}).readInto(&e)
+	return e, err
 }
 
 type readerFunc func([]byte) (int, error)

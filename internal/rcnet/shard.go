@@ -8,11 +8,11 @@ import (
 
 // hubShard owns a fixed contiguous RA range [lo, hi) of the hub: its own
 // mutex, connection table, coordination-column log, liveness reaper, and a
-// pool of broadcast-writer goroutines. Period broadcast and report
-// collection proceed in parallel across shards — each shard touches only
-// its own lock and its own slice of the shared collect buffers — while the
-// root Hub merges results in fixed RA order, so the merged run is
-// bit-identical for any shard count.
+// pool of broadcast-writer goroutines. Period broadcast and report decoding
+// proceed in parallel across shards — each shard touches only its own lock
+// and its own slice of the shared collect buffers — while the root Hub
+// merges results in fixed RA order, so the merged run is bit-identical for
+// any shard count.
 type hubShard struct {
 	h      *Hub
 	index  int
@@ -22,11 +22,35 @@ type hubShard struct {
 	conns        map[int]*connState // registered RA (global id) -> conn
 	seenRAs      map[int]bool       // RAs that registered at least once
 	lastReported map[int]int        // last period each RA reported
-	zLog, yLog   [][][]float64      // [period][slice][ra-lo]: own columns only
+	zLog, yLog   []float64          // flat [period][slice][ra-lo]: own columns only
 	completed    int
 
-	reports chan Envelope // perf reports from this shard's readers
-	bcast   chan bcastJob // broadcast work for this shard's writer pool
+	reports chan *reportBuf // perf reports from this shard's readers
+	free    chan *reportBuf // decode buffers no reader or collector holds
+	bcast   chan bcastJob   // broadcast work for this shard's writer pool
+	timer   *time.Timer     // the collect deadline, reused every period
+}
+
+// reportBuf is a decode target a shard reader fills and the collector
+// copies out of before handing it back to the free list.
+type reportBuf struct {
+	env      Envelope
+	frameLen int // the largest frame it ever held
+}
+
+// maxRecycledFrame keeps the buffer of a hostile near-maxLineBytes frame off
+// the free list, so it cannot pin megabytes per RA.
+const maxRecycledFrame = maxLineBytes / 4
+
+// putReport recycles a buffer nobody references, unless it is outsized.
+func (sh *hubShard) putReport(b *reportBuf) {
+	if b.frameLen > maxRecycledFrame {
+		return
+	}
+	select {
+	case sh.free <- b:
+	default:
+	}
 }
 
 // bcastJob is one RA's coordination send, executed by a shard writer. The
@@ -56,8 +80,16 @@ func newShard(h *Hub, index, lo, hi int) *hubShard {
 		// Capacity covers the worst case — one in-flight frame per owned RA —
 		// so shard readers never block a collect and enqueues never block a
 		// broadcast.
-		reports: make(chan Envelope, size),
-		bcast:   make(chan bcastJob, size),
+		reports: make(chan *reportBuf, size),
+		// One buffer per reader, per queued report and for the collector: a
+		// healthy shard never allocates one once its first frames sized them.
+		free:  make(chan *reportBuf, 2*size+1),
+		bcast: make(chan bcastJob, size),
+		timer: time.NewTimer(time.Hour),
+	}
+	sh.timer.Stop()
+	for range cap(sh.free) {
+		sh.free <- new(reportBuf)
 	}
 	writers := broadcastWriters
 	if writers > size {
@@ -72,29 +104,30 @@ func newShard(h *Hub, index, lo, hi int) *hubShard {
 
 // broadcastWorker drains the shard's broadcast queue until Shutdown closes
 // it; range yields every job enqueued before the close, so no caller is
-// left waiting on an abandoned slot.
+// left waiting on an abandoned slot. The worker owns its column buffers.
 func (sh *hubShard) broadcastWorker() {
 	defer sh.h.poolWG.Done()
+	zCol, yCol := make([]float64, sh.h.numSlices), make([]float64, sh.h.numSlices)
 	for job := range sh.bcast {
-		sh.runBroadcast(job)
+		sh.runBroadcast(job, zCol, yCol)
 	}
 }
 
 // runBroadcast sends one RA its coordination column. A failed or timed-out
 // write drops the connection so the next round fails fast instead of
 // stalling again.
-func (sh *hubShard) runBroadcast(job bcastJob) {
+//
+//edgeslice:noalloc
+func (sh *hubShard) runBroadcast(job bcastJob, zCol, yCol []float64) {
 	defer job.wg.Done()
-	n := len(job.z)
-	zCol := make([]float64, n)
-	yCol := make([]float64, n)
-	for i := 0; i < n; i++ {
+	for i := range zCol {
 		zCol[i] = job.z[i][job.ra]
 		yCol[i] = job.y[i][job.ra]
 	}
 	e := Envelope{Type: MsgCoordination, Period: job.period, Z: zCol, Y: yCol}
 	if err := job.st.send(e, sh.h.writeTimeout); err != nil {
 		sh.dropConn(job.ra, job.st)
+		//edgeslice:allocok cold error path
 		*job.err = fmt.Errorf("rcnet: broadcast to RA %d: %w", job.ra, err)
 	}
 }
@@ -105,20 +138,30 @@ func (sh *hubShard) runBroadcast(job bcastJob) {
 func (sh *hubShard) recordCoordination(period int, z, y [][]float64) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if period != len(sh.zLog) {
+	if period != sh.logged() {
 		return // retry of a recorded period, or a caller reusing period numbers
 	}
-	sh.zLog = append(sh.zLog, copyCols(z, sh.lo, sh.hi))
-	sh.yLog = append(sh.yLog, copyCols(y, sh.lo, sh.hi))
+	sh.zLog, sh.yLog = appendCols(sh.zLog, z, sh.lo, sh.hi), appendCols(sh.yLog, y, sh.lo, sh.hi)
 }
 
-// copyCols snapshots columns [lo, hi) of a [slice][ra] grid.
-func copyCols(g [][]float64, lo, hi int) [][]float64 {
-	out := make([][]float64, len(g))
-	for i, row := range g {
-		out[i] = append([]float64(nil), row[lo:hi]...)
+// logged is the number of periods in the shard's coordination log.
+func (sh *hubShard) logged() int { return len(sh.zLog) / (sh.h.numSlices * (sh.hi - sh.lo)) }
+
+// appendCols appends columns [lo, hi) of a [slice][ra] grid to a flat
+// coordination log, doubling its capacity in whole periods so n logged
+// periods cost O(log n) allocations, at the same periods for any RA count.
+//
+//edgeslice:noalloc
+func appendCols(log []float64, g [][]float64, lo, hi int) []float64 {
+	if n := len(g) * (hi - lo); len(log)+n > cap(log) {
+		//edgeslice:allocok the doubling step, once per doubling of the log
+		log = append(make([]float64, 0, 2*cap(log)+n), log...)
 	}
-	return out
+	for _, row := range g {
+		//edgeslice:allocok the capacity check above leaves room for the period
+		log = append(log, row[lo:hi]...)
+	}
+	return log
 }
 
 // resumeFrameLocked builds RA ra's catch-up frame from the shard's column
@@ -131,62 +174,94 @@ func (sh *hubShard) resumeFrameLocked(ra int) Envelope {
 	if last, ok := sh.lastReported[ra]; ok && last+1 > catchUp {
 		catchUp = last + 1
 	}
-	if catchUp > len(sh.zLog) {
-		catchUp = len(sh.zLog) // defensive: never promise columns we don't hold
+	if catchUp > sh.logged() {
+		catchUp = sh.logged() // defensive: never promise columns we don't hold
 	}
 	e := Envelope{Type: MsgResume, RA: ra, Period: catchUp}
 	if catchUp > 0 {
-		numSlices := sh.h.numSlices
-		col := ra - sh.lo
-		e.ZHist = make([][]float64, catchUp)
-		e.YHist = make([][]float64, catchUp)
-		for p := 0; p < catchUp; p++ {
-			zCol := make([]float64, numSlices)
-			yCol := make([]float64, numSlices)
-			for i := 0; i < numSlices; i++ {
-				zCol[i] = sh.zLog[p][i][col]
-				yCol[i] = sh.yLog[p][i][col]
+		I, width, col := sh.h.numSlices, sh.hi-sh.lo, ra-sh.lo
+		e.ZHist, e.YHist = make([][]float64, catchUp), make([][]float64, catchUp)
+		for p := range catchUp {
+			e.ZHist[p], e.YHist[p] = make([]float64, I), make([]float64, I)
+			for i := range I {
+				e.ZHist[p][i] = sh.zLog[(p*I+i)*width+col]
+				e.YHist[p][i] = sh.yLog[(p*I+i)*width+col]
 			}
-			e.ZHist[p] = zCol
-			e.YHist[p] = yCol
 		}
 	}
 	return e
 }
 
 // collectInto drains the shard's report channel into the shard's slice of
-// the shared collect buffers until every owned RA has reported, the shared
-// timeout fires, or the hub closes. Shard readers only forward reports for
-// RAs the shard owns, so out/got writes from concurrent shard collectors
-// never overlap.
-func (sh *hubShard) collectInto(period int, timeoutC <-chan struct{}, out []Envelope, got []bool) (int, error) {
+// the shared collect buffers until every owned RA has reported, the timeout
+// passes, or the hub closes. Each accepted report is copied into out[ra],
+// reusing its slices, before its buffer goes back to the free list, so a
+// later duplicate decoded into that buffer can never reach out.
+//
+//edgeslice:noalloc
+func (sh *hubShard) collectInto(period int, timeout time.Duration, out []Envelope, got []bool) (int, error) {
 	n := 0
 	for ra := sh.lo; ra < sh.hi; ra++ {
 		if got[ra] {
 			n++
 		}
 	}
-	want := sh.hi - sh.lo
-	for n < want {
+	sh.timer.Reset(timeout)
+	defer sh.timer.Stop()
+	for want := sh.hi - sh.lo; n < want; {
 		select {
-		case m := <-sh.reports:
-			if m.Period != period || got[m.RA] {
+		case b := <-sh.reports:
+			m := &b.env
+			switch {
+			case m.Period != period || got[m.RA]:
 				sh.h.stats.reportsDropped.Add(1)
-				continue
-			}
-			if len(m.Perf) != sh.h.numSlices {
+			case len(m.Perf) != sh.h.numSlices:
+				sh.putReport(b)
+				//edgeslice:allocok cold error path
 				return n, fmt.Errorf("rcnet: RA %d reported %d slices, want %d", m.RA, len(m.Perf), sh.h.numSlices)
+			default:
+				copyEnvelope(&out[m.RA], m)
+				got[m.RA] = true
+				n++
 			}
-			out[m.RA] = m
-			got[m.RA] = true
-			n++
-		case <-timeoutC:
+			sh.putReport(b)
+		case <-sh.timer.C:
 			return n, errCollectTimeout
 		case <-sh.h.closed:
 			return n, errHubClosed
 		}
 	}
 	return n, nil
+}
+
+// copyEnvelope deep-copies src into dst, reusing dst's slices and rows.
+//
+//edgeslice:noalloc
+func copyEnvelope(dst, src *Envelope) {
+	dst.Type, dst.RA, dst.Period = src.Type, src.RA, src.Period
+	dst.Z, dst.Y = copyInto(dst.Z, src.Z), copyInto(dst.Y, src.Y)
+	dst.Perf, dst.Queues = copyInto(dst.Perf, src.Perf), copyInto(dst.Queues, src.Queues)
+	dst.Intervals = resize(dst.Intervals, len(src.Intervals))
+	for t := range dst.Intervals {
+		d, s := &dst.Intervals[t], &src.Intervals[t]
+		d.Perf, d.Queues = copyInto(d.Perf, s.Perf), copyInto(d.Queues, s.Queues)
+		d.Effective, d.Violation = copyRows(d.Effective, s.Effective), s.Violation
+	}
+	dst.ZHist, dst.YHist = copyRows(dst.ZHist, src.ZHist), copyRows(dst.YHist, src.YHist)
+}
+
+func copyInto[E any](dst, src []E) []E {
+	dst = resize(dst, len(src))
+	copy(dst, src)
+	return dst
+}
+
+func copyRows(dst, src [][]float64) [][]float64 {
+	dst = resize(dst, len(src))
+	for i := range dst {
+		dst[i] = copyInto(dst[i], src[i])
+	}
+	return dst
 }
 
 // dropConn removes st from the shard's table if it is still the RA's

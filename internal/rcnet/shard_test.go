@@ -267,77 +267,89 @@ func TestMixedCodecPeers(t *testing.T) {
 // sharded hub: a report naming an RA outside its connection's shard is
 // dropped at the shard reader (never reaching another shard's collect
 // buffers), and a duplicate report for an already-collected period is
-// discarded by the next collect.
+// discarded by the next collect — under both codecs, since binary reports
+// decode into recycled buffers.
 func TestDuplicateAndWrongShardReports(t *testing.T) {
-	// Two RAs over two shards: shard 0 owns RA 0, shard 1 owns RA 1.
-	h, err := NewShardedHub("127.0.0.1:0", 1, 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = h.Shutdown() }()
+	for _, codec := range []Codec{CodecJSON, CodecBinary} {
+		t.Run(codec.String(), func(t *testing.T) {
+			// Two RAs over two shards: shard 0 owns RA 0, shard 1 owns RA 1.
+			h, err := NewShardedHub("127.0.0.1:0", 1, 2, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { _ = h.Shutdown() }()
 
-	// RA 0 is a hand-driven connection so the test can forge frames.
-	rogue, err := net.Dial("tcp", h.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rogue.Close()
-	if err := writeMsg(rogue, Envelope{Type: MsgRegister, RA: 0}); err != nil {
-		t.Fatal(err)
-	}
-	c1, err := DialAgent(h.Addr(), 1, testTimeout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c1.Close()
-	if err := h.WaitRegistered(testTimeout); err != nil {
-		t.Fatal(err)
-	}
+			// RA 0 is a hand-driven connection so the test can forge frames.
+			rogue, err := net.Dial("tcp", h.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rogue.Close()
+			forge := newMsgWriter(rogue, codec, nil)
+			if err := forge.write(Envelope{Type: MsgRegister, RA: 0}); err != nil {
+				t.Fatal(err)
+			}
+			c1, err := DialAgentCodec(h.Addr(), 1, testTimeout, codec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c1.Close()
+			if err := h.WaitRegistered(testTimeout); err != nil {
+				t.Fatal(err)
+			}
 
-	// Period 0, in order on RA 0's conn: a report claiming shard 1's RA
-	// (wrong shard — must not overwrite RA 1's slot), the real report, and
-	// a duplicate of the real report.
-	for _, e := range []Envelope{
-		{Type: MsgPerfReport, RA: 1, Period: 0, Perf: []float64{-999}},
-		{Type: MsgPerfReport, RA: 0, Period: 0, Perf: []float64{-10}},
-		{Type: MsgPerfReport, RA: 0, Period: 0, Perf: []float64{-777}},
-	} {
-		if err := writeMsg(rogue, e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := c1.ReportPerf(0, []float64{-20}, nil); err != nil {
-		t.Fatal(err)
-	}
-	perf, err := h.Collect(0, testTimeout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if perf[0][0] != -10 || perf[0][1] != -20 {
-		t.Errorf("period 0 perf = %v, want [[-10 -20]] (forged frames must not land)", perf)
-	}
+			// Period 0, in order on RA 0's conn: a report claiming shard 1's RA
+			// (wrong shard — must not overwrite RA 1's slot), the real report, and
+			// a burst of duplicates of it. The burst keeps RA 0's reader decoding
+			// into recycled buffers while the collector copies the real report
+			// out, which the race detector watches.
+			const dups = 3
+			frames := []Envelope{
+				{Type: MsgPerfReport, RA: 1, Period: 0, Perf: []float64{-999}},
+				{Type: MsgPerfReport, RA: 0, Period: 0, Perf: []float64{-10}},
+			}
+			for k := 0; k < dups; k++ {
+				frames = append(frames, Envelope{Type: MsgPerfReport, RA: 0, Period: 0, Perf: []float64{-777 - float64(k)}})
+			}
+			for _, e := range frames {
+				if err := forge.write(e); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := c1.ReportPerf(0, []float64{-20}, nil); err != nil {
+				t.Fatal(err)
+			}
+			perf, err := h.Collect(0, testTimeout)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if perf[0][0] != -10 || perf[0][1] != -20 {
+				t.Errorf("period 0 perf = %v, want [[-10 -20]] (forged frames must not land)", perf)
+			}
 
-	// Period 1 flushes the stranded duplicate (its stale period is dropped
-	// during this collect) and proves the conn still serves honest reports.
-	if err := writeMsg(rogue, Envelope{Type: MsgPerfReport, RA: 0, Period: 1, Perf: []float64{-11}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c1.ReportPerf(1, []float64{-21}, nil); err != nil {
-		t.Fatal(err)
-	}
-	perf, err = h.Collect(1, testTimeout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if perf[0][0] != -11 || perf[0][1] != -21 {
-		t.Errorf("period 1 perf = %v, want [[-11 -21]]", perf)
-	}
+			// Period 1 flushes the stranded duplicates (their stale period is
+			// dropped during this collect) and proves the conn still serves honest reports.
+			if err := forge.write(Envelope{Type: MsgPerfReport, RA: 0, Period: 1, Perf: []float64{-11}}); err != nil {
+				t.Fatal(err)
+			}
+			if err := c1.ReportPerf(1, []float64{-21}, nil); err != nil {
+				t.Fatal(err)
+			}
+			perf, err = h.Collect(1, testTimeout)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if perf[0][0] != -11 || perf[0][1] != -21 {
+				t.Errorf("period 1 perf = %v, want [[-11 -21]]", perf)
+			}
 
-	stats := h.Stats()
-	if stats.WrongShard != 1 {
-		t.Errorf("WrongShard = %d, want 1", stats.WrongShard)
-	}
-	if stats.ReportsDropped != 2 { // wrong-shard + stale duplicate
-		t.Errorf("ReportsDropped = %d, want 2", stats.ReportsDropped)
+			stats := h.Stats()
+			if stats.WrongShard != 1 {
+				t.Errorf("WrongShard = %d, want 1", stats.WrongShard)
+			}
+			if stats.ReportsDropped != 1+dups { // wrong-shard + stale duplicates
+				t.Errorf("ReportsDropped = %d, want %d", stats.ReportsDropped, 1+dups)
+			}
+		})
 	}
 }
