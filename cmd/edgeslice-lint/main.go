@@ -2,8 +2,9 @@
 // (internal/analysis) over the module: map-iteration determinism
 // (maporder), seeded-clock discipline (walltime), allocation-free warm
 // paths (noalloc), no blocking I/O under a mutex (lockio), precomputed
-// metric names (metricname), and no silently dropped deferred Close
-// errors (deferclose).
+// metric names (metricname), no silently dropped deferred Close errors
+// (deferclose), and no symbol under internal/ that no main, init or var
+// initializer reaches (reach).
 //
 // Usage:
 //
@@ -11,7 +12,9 @@
 //
 // Packages default to ./... (the whole module). A pattern may be ./...,
 // a directory like ./internal/core, or a directory tree like
-// ./internal/rl/... . Exit status: 0 clean, 1 diagnostics reported,
+// ./internal/rl/... . The whole module is always loaded, so reach sees
+// every caller; only findings in the selected packages are printed. Exit
+// status: 0 clean, 1 diagnostics reported,
 // 2 usage or load failure. Findings are suppressed line-by-line with
 // //edgeslice:<key> <reason> directives; see internal/analysis.
 package main

@@ -29,6 +29,10 @@
 //     optimizer moments, and RNG cursor, for bitwise-identical deployment
 //     and exact training resume.
 //
+// This package is not a root of edgeslice-lint's reach gate: an internal
+// symbol that only a façade export uses, and that no command, example or
+// benchmark runs, is reported dead.
+//
 // See README.md for a quickstart and DESIGN.md for the system inventory.
 package edgeslice
 
@@ -280,7 +284,7 @@ func SaveCheckpoint(w io.Writer, sys *System, opts CheckpointOptions) error {
 }
 
 // LoadCheckpoint parses a v2 checkpoint for System.Restore.
-func LoadCheckpoint(r io.Reader) (*Checkpoint, error) { return core.LoadCheckpoint(r) }
+func LoadCheckpoint(r io.Reader) (*Checkpoint, error) { return ckpt.Read(r) }
 
 // OpenCheckpointStore opens (creating if needed) an on-disk checkpoint
 // cache, the backing of the scenario runner's warm-start mode.

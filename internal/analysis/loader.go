@@ -25,6 +25,9 @@ type Package struct {
 
 	// directives indexes every //edgeslice: comment by filename and line.
 	directives map[string]map[int][]Directive
+	// loader is the Loader that loaded this package: the reach analyzer
+	// walks every package it has loaded.
+	loader *Loader
 }
 
 // A Loader loads packages rooted at a directory, resolving module-local
@@ -47,6 +50,11 @@ type Loader struct {
 	std     types.Importer
 	pkgs    map[string]*Package
 	loading map[string]bool
+
+	// reached caches reachable() over the reachedOver packages loaded
+	// when it ran.
+	reached     map[types.Object]bool
+	reachedOver int
 }
 
 // NewLoader creates a loader for the package tree at root.
@@ -147,6 +155,7 @@ func (l *Loader) Load(path string) (*Package, error) {
 		Types:      tpkg,
 		Info:       info,
 		directives: make(map[string]map[int][]Directive),
+		loader:     l,
 	}
 	for _, f := range files {
 		filename := l.fset.Position(f.Pos()).Filename

@@ -153,3 +153,33 @@ func TestMutatedForwardLosesWorkspaceIsFlagged(t *testing.T) {
 		t.Fatalf("noalloc missed the de-workspaced Forward1WS (make=%v, lit=%v); got %v", sawMake, sawLit, diags)
 	}
 }
+
+// TestMutatedAdmmUnusedFuncIsFlagged shows the reach gate is live on a real
+// package: an exported func no binary calls must trip it. Only admm is
+// analyzed, but the walk covers every loaded package, so admm's live
+// symbols stay silent and the one finding is the new func.
+func TestMutatedAdmmUnusedFuncIsFlagged(t *testing.T) {
+	root := moduleRoot(t)
+	target := filepath.Join(root, "internal", "admm", "admm.go")
+	src, err := os.ReadFile(target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loader := analysis.NewLoader(root, "edgeslice")
+	loader.Overlay = map[string][]byte{target: append(src, "\nfunc Unused() {}\n"...)}
+	pkgs, err := loader.LoadTree()
+	if err != nil {
+		t.Fatalf("load module: %v", err)
+	}
+	var admm []*analysis.Package
+	for _, p := range pkgs {
+		if p.Path == "edgeslice/internal/admm" {
+			admm = append(admm, p)
+		}
+	}
+	diags := analysis.RunAnalyzers(admm, []*analysis.Analyzer{analysis.Reach})
+	if len(diags) != 1 || filepath.Base(diags[0].Pos.Filename) != "admm.go" ||
+		!strings.Contains(diags[0].Message, "func Unused is reached from no main") {
+		t.Fatalf("reach should flag exactly the added admm.Unused; got %v", diags)
+	}
+}

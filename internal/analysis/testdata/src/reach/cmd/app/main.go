@@ -1,0 +1,12 @@
+// Command app is the reach fixture's only root.
+package main
+
+import "reach/internal/lib"
+
+func main() {
+	var s lib.Shape = lib.NewSquare(2)
+	_ = s.Area()
+	_ = lib.Map([]int{1, 2}, func(x int) int { return 2 * x })
+	_ = lib.Box[int]{}.Get()
+	_ = lib.Lookup("init")
+}

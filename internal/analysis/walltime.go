@@ -17,8 +17,8 @@ var WallTime = &Analyzer{
 	Doc:         "wall-clock or global math/rand use in a simulation/recording package",
 	SuppressKey: "wallclock",
 	Match: matchSegments("core", "nn", "rl", "netsim", "scenario", "admm",
-		"telemetry", "monitor", "mathutil", "traffic", "radio", "slicemgr",
-		"baseline", "qp", "linreg"),
+		"telemetry", "monitor", "mathutil", "traffic", "slicemgr",
+		"baseline", "qp"),
 	Run: runWallTime,
 }
 

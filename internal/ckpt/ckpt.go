@@ -20,7 +20,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 
 	"edgeslice/internal/nn"
@@ -215,16 +214,4 @@ func RestoreAgent(st *AgentState) (rl.Agent, error) {
 		return nil, fmt.Errorf("ckpt: no restore registered for algorithm %q (is its package imported?)", st.Algo)
 	}
 	return fn(st)
-}
-
-// Algorithms returns the registered algorithm names, sorted.
-func Algorithms() []string {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	out := make([]string, 0, len(registry))
-	for name := range registry {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }

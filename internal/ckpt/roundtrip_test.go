@@ -176,9 +176,14 @@ func TestRestoredAgentsAreIndependent(t *testing.T) {
 }
 
 func TestRegistryCoversAllSixAlgorithms(t *testing.T) {
-	want := []string{"ddpg", "ppo", "sac", "td3", "trpo", "vpg"}
-	if got := ckpt.Algorithms(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("registered algorithms %v, want %v", got, want)
+	for _, algo := range []string{"ddpg", "ppo", "sac", "td3", "trpo", "vpg"} {
+		_, err := ckpt.RestoreAgent(&ckpt.AgentState{Algo: algo})
+		if err == nil || strings.Contains(err.Error(), "no restore registered") {
+			t.Errorf("%s: empty snapshot restored with error %v, want its restore function's rejection", algo, err)
+		}
+	}
+	if _, err := ckpt.RestoreAgent(&ckpt.AgentState{Algo: "a2c"}); err == nil || !strings.Contains(err.Error(), "no restore registered") {
+		t.Errorf("unregistered algorithm: error %v", err)
 	}
 }
 

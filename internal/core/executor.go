@@ -77,12 +77,12 @@ func (s *System) checkRunnable(n int) error {
 	return nil
 }
 
-// distribute pushes the coordinator's (Z, Y) columns into the given RAs
-// (phase 1 of Alg. 1: agents act under the coordinating information for
-// all intervals in T).
-func (s *System) distribute(ras []int) error {
+// distribute pushes the coordinator's (Z, Y) columns into every RA (phase 1
+// of Alg. 1: agents act under the coordinating information for all
+// intervals in T).
+func (s *System) distribute() error {
 	ws := s.workspace()
-	for _, j := range ras {
+	for j := range s.envs {
 		s.coord.ColumnInto(j, ws.col, ws.col2)
 		if err := s.envs[j].SetCoordination(ws.col, ws.col2); err != nil {
 			return err
@@ -91,22 +91,11 @@ func (s *System) distribute(ras []int) error {
 	return nil
 }
 
-// allRAs returns 0 … J−1 (cached; callers must not modify it).
-func (s *System) allRAs() []int {
-	if s.raIdx == nil {
-		s.raIdx = make([]int, s.cfg.NumRAs)
-		for j := range s.raIdx {
-			s.raIdx[j] = j
-		}
-	}
-	return s.raIdx
-}
-
-// collectPerf moves Σ_t U per slice of the given local RAs into the
-// workspace's performance grid, resetting the environments' accumulators.
-func (s *System) collectPerf(ras []int) {
+// collectPerf moves Σ_t U per slice of every RA into the workspace's
+// performance grid, resetting the environments' accumulators.
+func (s *System) collectPerf() {
 	ws := s.workspace()
-	for _, j := range ras {
+	for j := range s.envs {
 		s.envs[j].PeriodPerfInto(ws.col)
 		for i, v := range ws.col {
 			ws.perf[i][j] = v
@@ -117,7 +106,7 @@ func (s *System) collectPerf(ras []int) {
 // collectAndUpdate gathers Σ_t U per slice per RA from the local
 // environments and finishes the period (phase 3).
 func (s *System) collectAndUpdate(h *History) error {
-	s.collectPerf(s.allRAs())
+	s.collectPerf()
 	return s.finishPeriod(h, s.workspace().perf)
 }
 

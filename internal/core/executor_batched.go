@@ -156,13 +156,12 @@ type batchPlan struct {
 	groupOf []*batchGroup // RA j → its group, nil for fallback RAs
 	rowOf   []int         // RA j → row within its group's gather matrix
 
-	// The step stage: ras are the RAs the plan covers (ascending), stepped in
-	// chunks of minShardRows consecutive entries that stepWorkers goroutines
-	// (the shardBounds rule) pull off the counter next — a worker the host
-	// deschedules mid-stage then costs one chunk, not its whole static share.
-	// onDriver RAs (learning agents without a batched path) are stepped by the
-	// driver goroutine itself. stepErr[c] is chunk c's first error.
-	ras         []int
+	// The step stage: RAs are stepped in chunks of minShardRows consecutive
+	// ids that stepWorkers goroutines (the shardBounds rule) pull off the
+	// counter next — a worker the host deschedules mid-stage then costs one
+	// chunk, not its whole static share. onDriver RAs (learning agents
+	// without a batched path) are stepped by the driver goroutine itself.
+	// stepErr[c] is chunk c's first error.
 	stepWorkers int
 	next        atomic.Int64
 	wg          sync.WaitGroup // the extra step workers of one interval
@@ -194,24 +193,15 @@ func (e *BatchedExecutor) planFor(s *System) *batchPlan {
 // baselines, unknown agents, agents whose type cannot be a map key — takes
 // the per-RA fallback.
 func (s *System) newBatchPlan(workers int) *batchPlan {
-	return s.newBatchPlanFor(s.allRAs(), workers)
-}
-
-// newBatchPlanFor builds a batch plan covering only the given RAs
-// (ascending) — the remote engine uses it to drive its in-process subset
-// through the same grouped wide forwards the batched engine runs over the
-// full system. groupOf/rowOf stay indexed by global RA id; RAs outside the
-// set have no group and are never stepped.
-func (s *System) newBatchPlanFor(ras []int, workers int) *batchPlan {
 	J := s.cfg.NumRAs
-	p := &batchPlan{groupOf: make([]*batchGroup, J), rowOf: make([]int, J), ras: ras}
-	p.stepWorkers = len(shardBounds(len(ras), workers)) - 1
-	p.stepErr = make([]error, (len(ras)+minShardRows-1)/minShardRows)
+	p := &batchPlan{groupOf: make([]*batchGroup, J), rowOf: make([]int, J)}
+	p.stepWorkers = len(shardBounds(J, workers)) - 1
+	p.stepErr = make([]error, (J+minShardRows-1)/minShardRows)
 	if !s.cfg.Algo.IsLearning() {
 		return p
 	}
 	byKey := make(map[batchKey]*batchGroup, 1)
-	for _, j := range ras {
+	for j := 0; j < J; j++ {
 		ba := rl.AsBatchActor(s.agents[j])
 		if ba == nil || !reflect.TypeOf(ba).Comparable() {
 			p.onDriver = append(p.onDriver, j)
@@ -245,8 +235,8 @@ func (s *System) newBatchPlanFor(ras []int, workers int) *batchPlan {
 	return p
 }
 
-// step advances every RA the plan covers one interval into its slot of res
-// (indexed by RA), after the groups' wide forwards of that interval. Chunks
+// step advances every RA one interval into its slot of res (indexed by
+// RA), after the groups' wide forwards of that interval. Chunks
 // step concurrently — an RA's step touches only its own environment, its
 // own workspace rows and its own result — while onDriver RAs step on the
 // calling goroutine. The error reported is the first of the lowest failing
@@ -282,17 +272,17 @@ func (p *batchPlan) step(s *System, ws *periodWS, interval int, res []netsim.Ste
 // pull steps chunks off the shared counter until none is left.
 func (p *batchPlan) pull(s *System, ws *periodWS, interval int, res []netsim.StepResult) {
 	for c := int(p.next.Add(1)) - 1; c < len(p.stepErr); c = int(p.next.Add(1)) - 1 {
-		chunk := p.ras[c*minShardRows : min((c+1)*minShardRows, len(p.ras))]
-		p.stepErr[c] = p.stepBlock(s, ws, interval, res, chunk)
+		lo := c * minShardRows
+		p.stepErr[c] = p.stepBlock(s, ws, interval, res, lo, min(lo+minShardRows, len(p.groupOf)))
 	}
 }
 
-// stepBlock steps one chunk's RAs in ascending order: a grouped RA under its
+// stepBlock steps RAs lo … hi−1 in ascending order: a grouped RA under its
 // row of the wide forward, a baseline RA under the action it computes here.
 // Learning agents without a group are the driver's (batchPlan.onDriver).
-func (p *batchPlan) stepBlock(s *System, ws *periodWS, interval int, res []netsim.StepResult, ras []int) error {
+func (p *batchPlan) stepBlock(s *System, ws *periodWS, interval int, res []netsim.StepResult, lo, hi int) error {
 	learning := s.cfg.Algo.IsLearning()
-	for _, j := range ras {
+	for j := lo; j < hi; j++ {
 		var act []float64
 		if g := p.groupOf[j]; g != nil {
 			act = g.actRow(p.rowOf[j])
@@ -351,7 +341,7 @@ func (e *BatchedExecutor) RunPeriods(s *System, h *History, n int) error {
 	res := ws.results(1)[0]
 
 	for p := 0; p < n; p++ {
-		if err := s.distribute(s.allRAs()); err != nil {
+		if err := s.distribute(); err != nil {
 			return err
 		}
 		for t := 0; t < T; t++ {

@@ -71,7 +71,7 @@ func referenceRun(t *testing.T, s *System, n int) *History {
 	ws := s.workspace()
 	res := ws.results(1)[0]
 	for p := 0; p < n; p++ {
-		if err := s.distribute(s.allRAs()); err != nil {
+		if err := s.distribute(); err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < s.cfg.EnvTemplate.T; i++ {

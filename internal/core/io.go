@@ -69,6 +69,3 @@ func SaveCheckpoint(w io.Writer, sys *System, opts ckpt.SnapshotOptions) error {
 	}
 	return ckpt.Write(w, c)
 }
-
-// LoadCheckpoint parses a v2 checkpoint for System.Restore.
-func LoadCheckpoint(r io.Reader) (*ckpt.Checkpoint, error) { return ckpt.Read(r) }

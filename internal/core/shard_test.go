@@ -2,12 +2,10 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 	"testing"
 	"time"
 
-	"edgeslice/internal/nn"
 	"edgeslice/internal/rcnet"
 )
 
@@ -187,150 +185,4 @@ func TestShardedRemoteSurvivesAgentKillAndRestart(t *testing.T) {
 		t.Errorf("stats = %+v, want at least one reconnect and one resume frame", stats)
 	}
 	requireSameRun(t, "sharded kill-restart", hRef, h, ref.Monitor(), sys.Monitor())
-}
-
-// TestRemoteLocalRAsMatchesSerial pins the mixed local/remote mode on a
-// baseline deployment: RAs 1 and 3 run in-process (per-RA fallback, since
-// TARO has no batched path), the rest dial in, and the merged run is
-// bit-identical to the serial run — over a sharded hub.
-func TestRemoteLocalRAsMatchesSerial(t *testing.T) {
-	cfg := shardTestConfig(AlgoTARO)
-	const periods = 3
-	locals := []int{1, 3}
-	remotes := []int{0, 2, 4}
-	ref := deployedSystem(t, cfg)
-	hRef, err := ref.RunPeriods(periods)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	I := cfg.EnvTemplate.NumSlices
-	J := cfg.NumRAs
-	hub, err := rcnet.NewShardedHub("127.0.0.1:0", I, J, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dones := make(map[int]chan error, len(remotes))
-	for _, j := range remotes {
-		_, dones[j] = startRemoteAgent(t, hub, cfg, j)
-	}
-	if err := hub.WaitRegisteredRAs(5*time.Second, remotes); err != nil {
-		t.Fatal(err)
-	}
-	sys := deployedSystem(t, cfg) // locals step the system's own envs/agents
-	e := NewRemoteExecutorWithOptions(hub, RemoteOptions{Timeout: 10 * time.Second, LocalRAs: locals})
-	h, err := sys.RunPeriodsWith(e, periods)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
-	}
-	for j, done := range dones {
-		if err := <-done; err != nil {
-			t.Errorf("agent %d: %v", j, err)
-		}
-	}
-	requireSameRun(t, "local-ras", hRef, h, ref.Monitor(), sys.Monitor())
-}
-
-// TestRemoteLocalRAsBatchedMatchesSerial exercises the grouped-wide-forward
-// path of the local subset: a learning deployment whose local RAs share one
-// policy, so they batch into a single wide forward per interval, while the
-// remote RAs run an identically-weighted copy of the policy — the merged
-// run must still match the serial run bit for bit.
-func TestRemoteLocalRAsBatchedMatchesSerial(t *testing.T) {
-	cfg := shardTestConfig(AlgoEdgeSlice)
-	const periods = 2
-	locals := []int{0, 2, 3}
-	remotes := []int{1, 4}
-	ref := deployedSystem(t, cfg)
-	hRef, err := ref.RunPeriods(periods)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	I := cfg.EnvTemplate.NumSlices
-	J := cfg.NumRAs
-	hub, err := rcnet.NewShardedHub("127.0.0.1:0", I, J, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dones := make(map[int]chan error, len(remotes))
-	for _, j := range remotes {
-		j := j
-		env := remoteAgentEnv(t, cfg, j)
-		// Rebuild deployedSystem's deterministic actor so the remote copy
-		// computes bit-identical actions to the local batched forwards.
-		rng := rand.New(rand.NewSource(7))
-		actor := nn.NewMLP(rng, env.StateDim(),
-			nn.LayerSpec{Out: 16, Act: nn.ActLeakyReLU},
-			nn.LayerSpec{Out: env.ActionDim(), Act: nn.ActSigmoid},
-		)
-		client, err := rcnet.DialAgent(hub.Addr(), j, 5*time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		done := make(chan error, 1)
-		dones[j] = done
-		go func() {
-			defer client.Close()
-			done <- rcnet.RunAgent(client, env, netPolicy{actor}, 10*time.Second)
-		}()
-	}
-	if err := hub.WaitRegisteredRAs(5*time.Second, remotes); err != nil {
-		t.Fatal(err)
-	}
-	sys := deployedSystem(t, cfg)
-	e := NewRemoteExecutorWithOptions(hub, RemoteOptions{
-		Timeout: 10 * time.Second, LocalRAs: locals, LocalWorkers: 2,
-	})
-	h, err := sys.RunPeriodsWith(e, periods)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
-	}
-	for j, done := range dones {
-		if err := <-done; err != nil {
-			t.Errorf("agent %d: %v", j, err)
-		}
-	}
-	requireSameRun(t, "local-ras-batched", hRef, h, ref.Monitor(), sys.Monitor())
-}
-
-// TestRemoteLocalRAsValidation pins the LocalRAs preconditions.
-func TestRemoteLocalRAsValidation(t *testing.T) {
-	cfg := execTestConfig(AlgoTARO)
-	I := cfg.EnvTemplate.NumSlices
-	J := cfg.NumRAs
-	run := func(t *testing.T, sys *System, locals []int) error {
-		t.Helper()
-		hub, err := rcnet.NewShardedHub("127.0.0.1:0", I, J, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e := NewRemoteExecutorWithOptions(hub, RemoteOptions{Timeout: time.Second, LocalRAs: locals})
-		defer e.Close()
-		_, err = sys.RunPeriodsWith(e, 1)
-		return err
-	}
-	untrained, err := NewSystem(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := run(t, untrained, []int{0}); err == nil {
-		t.Error("local RAs on an untrained system should fail")
-	}
-	trained := deployedSystem(t, cfg)
-	if err := run(t, trained, []int{2, 0}); err == nil {
-		t.Error("unsorted LocalRAs should fail")
-	}
-	if err := run(t, trained, []int{0, 0}); err == nil {
-		t.Error("duplicate LocalRAs should fail")
-	}
-	if err := run(t, trained, []int{J}); err == nil {
-		t.Error("out-of-range LocalRAs should fail")
-	}
 }

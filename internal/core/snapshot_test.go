@@ -37,7 +37,7 @@ func TestSystemSnapshotRestoreRoundTrip(t *testing.T) {
 	if err := SaveCheckpoint(&buf, sys, ckpt.SnapshotOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	c, err := LoadCheckpoint(bytes.NewReader(buf.Bytes()))
+	c, err := ckpt.Read(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}

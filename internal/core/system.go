@@ -188,10 +188,9 @@ type System struct {
 	// liveness alongside run progress.
 	liveness func() (live, registered, expected int)
 
-	// ws (the period workspace) and raIdx (0 … J−1) are built on first use
-	// and only touched from the single RunPeriods driver goroutine.
-	ws    *periodWS
-	raIdx []int
+	// ws (the period workspace) is built on first use and only touched from
+	// the single RunPeriods driver goroutine.
+	ws *periodWS
 }
 
 // NewSystem builds the system (agents untrained; call Train before

@@ -19,8 +19,8 @@ type periodWS struct {
 	I, J int
 
 	// res[r][j] is RA j's StepInto target: row 0 for an engine that merges
-	// interval by interval, one row per interval for one that steps whole
-	// RA-periods before merging (the remote engine's locals and reports).
+	// interval by interval, one row per interval for the remote engine, which
+	// copies whole RA-period reports in before merging.
 	res [][]netsim.StepResult
 
 	acts   []float64 // J action rows; baseline policies write theirs here

@@ -178,23 +178,3 @@ func TestFig11Smoke(t *testing.T) {
 		t.Errorf("fig11b has %d series", len(figB.Series))
 	}
 }
-
-func TestAblationsSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("training run")
-	}
-	o := tinyOptions()
-	if _, err := AblationMinShare(o); err != nil {
-		t.Errorf("AblationMinShare: %v", err)
-	}
-	if _, err := AblationPerfNorm(o); err != nil {
-		t.Errorf("AblationPerfNorm: %v", err)
-	}
-	fig, err := AblationCoordination(o)
-	if err != nil {
-		t.Fatalf("AblationCoordination: %v", err)
-	}
-	if len(fig.Series) != 2 {
-		t.Errorf("coordination ablation has %d series", len(fig.Series))
-	}
-}

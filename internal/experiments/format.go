@@ -73,6 +73,8 @@ func sharedGrid(series []Series) bool {
 
 // Steady returns the mean of the last half of a series' Y values — the
 // steady-state summary number used when comparing against paper values.
+//
+//edgeslice:reach kept with TestSteady for comparisons against paper values; no figure prints it yet
 func Steady(s Series) float64 {
 	if len(s.Y) == 0 {
 		return 0

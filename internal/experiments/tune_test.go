@@ -1,10 +1,6 @@
 package experiments
 
-import (
-	"testing"
-
-	"edgeslice/internal/mathutil"
-)
+import "testing"
 
 // TestFig6Shape is both a regression test for the headline result and, run
 // with -v, a tuning aid: it prints the steady-state system performance of
@@ -23,8 +19,11 @@ func TestFig6Shape(t *testing.T) {
 	}
 	steady := map[string]float64{}
 	for _, s := range figA.Series {
-		tail := s.Y[len(s.Y)-30:]
-		steady[s.Name] = mathutil.Mean(tail)
+		var sum float64
+		for _, y := range s.Y[len(s.Y)-30:] {
+			sum += y
+		}
+		steady[s.Name] = sum / 30
 		t.Logf("%-14s steady-state system perf: %.1f", s.Name, steady[s.Name])
 	}
 	if steady["EdgeSlice"] <= steady["TARO"] {

@@ -23,26 +23,3 @@ func EmpiricalCDF(samples Vec) []CDFPoint {
 	}
 	return out
 }
-
-// CDFAt returns the empirical probability P(X <= x) for the samples.
-func CDFAt(samples Vec, x float64) float64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	var c int
-	for _, v := range samples {
-		if v <= x {
-			c++
-		}
-	}
-	return float64(c) / float64(len(samples))
-}
-
-// FractionAbove returns P(X > x), the complement of the CDF, which the paper
-// uses in statements like "80% of the slice performance is larger than -30".
-func FractionAbove(samples Vec, x float64) float64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	return 1 - CDFAt(samples, x)
-}

@@ -13,17 +13,12 @@ func NewRNG(seed int64) *rand.Rand {
 	return rand.New(rand.NewSource(seed)) //nolint:gosec // simulation, not crypto
 }
 
-// Poisson draws a Poisson(lambda) variate using Knuth's algorithm for small
-// lambda and a normal approximation for large lambda (>= 30) to avoid the
-// exponential underflow and O(lambda) cost of the exact method.
-func Poisson(rng *rand.Rand, lambda float64) int {
-	return new(PoissonCache).Draw(rng, lambda)
-}
-
-// PoissonCache draws what Poisson draws — same uniforms consumed, same
-// variates — but remembers exp(−lambda) from the previous call, so a caller
-// whose rate holds for a block of intervals pays for the exponential once
-// per change. The zero value is ready to use.
+// PoissonCache draws Poisson(lambda) variates using Knuth's algorithm for
+// small lambda and a normal approximation for large lambda (>= 30) to avoid
+// the exponential underflow and O(lambda) cost of the exact method. It
+// remembers exp(−lambda) from the previous call, so a caller whose rate
+// holds for a block of intervals pays for the exponential once per change.
+// The zero value is ready to use.
 type PoissonCache struct {
 	lambda, expNeg float64
 }

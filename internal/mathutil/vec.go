@@ -1,180 +1,15 @@
-// Package mathutil provides small vector, matrix, and statistics helpers
-// shared by the neural-network, ADMM, and simulation packages.
-//
-// All functions operate on plain []float64 slices. Functions that produce a
-// new slice always allocate; functions with a "To" suffix write into a
-// caller-provided destination to avoid allocation in hot loops.
+// Package mathutil provides small vector and statistics helpers shared by
+// the neural-network, ADMM, and simulation packages.
 package mathutil
-
-import (
-	"errors"
-	"fmt"
-	"math"
-	"sort"
-)
-
-// ErrDimensionMismatch is returned when two vectors of different lengths are
-// combined.
-var ErrDimensionMismatch = errors.New("mathutil: dimension mismatch")
 
 // Vec is a convenience alias for a dense float64 vector.
 type Vec = []float64
-
-// Zeros returns a zero vector of length n.
-func Zeros(n int) Vec { return make(Vec, n) }
-
-// Full returns a vector of length n filled with v.
-func Full(n int, v float64) Vec {
-	out := make(Vec, n)
-	for i := range out {
-		out[i] = v
-	}
-	return out
-}
 
 // Clone returns a copy of v.
 func Clone(v Vec) Vec {
 	out := make(Vec, len(v))
 	copy(out, v)
 	return out
-}
-
-// Add returns a+b. It panics if lengths differ; use AddTo for checked use.
-func Add(a, b Vec) Vec {
-	mustSameLen(a, b)
-	out := make(Vec, len(a))
-	for i := range a {
-		out[i] = a[i] + b[i]
-	}
-	return out
-}
-
-// Sub returns a-b.
-func Sub(a, b Vec) Vec {
-	mustSameLen(a, b)
-	out := make(Vec, len(a))
-	for i := range a {
-		out[i] = a[i] - b[i]
-	}
-	return out
-}
-
-// Scale returns s*v.
-func Scale(v Vec, s float64) Vec {
-	out := make(Vec, len(v))
-	for i := range v {
-		out[i] = v[i] * s
-	}
-	return out
-}
-
-// AxpyTo computes dst = a*x + y element-wise.
-func AxpyTo(dst Vec, a float64, x, y Vec) {
-	mustSameLen(x, y)
-	mustSameLen(dst, x)
-	for i := range x {
-		dst[i] = a*x[i] + y[i]
-	}
-}
-
-// Dot returns the inner product of a and b.
-func Dot(a, b Vec) float64 {
-	mustSameLen(a, b)
-	var s float64
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return s
-}
-
-// Sum returns the sum of all elements.
-func Sum(v Vec) float64 {
-	var s float64
-	for _, x := range v {
-		s += x
-	}
-	return s
-}
-
-// Mean returns the arithmetic mean, or 0 for an empty vector.
-func Mean(v Vec) float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	return Sum(v) / float64(len(v))
-}
-
-// Variance returns the population variance, or 0 for fewer than two samples.
-func Variance(v Vec) float64 {
-	if len(v) < 2 {
-		return 0
-	}
-	m := Mean(v)
-	var s float64
-	for _, x := range v {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(len(v))
-}
-
-// StdDev returns the population standard deviation.
-func StdDev(v Vec) float64 { return math.Sqrt(Variance(v)) }
-
-// Norm2 returns the Euclidean norm.
-func Norm2(v Vec) float64 { return math.Sqrt(Dot(v, v)) }
-
-// NormInf returns the max-absolute-value norm.
-func NormInf(v Vec) float64 {
-	var m float64
-	for _, x := range v {
-		if a := math.Abs(x); a > m {
-			m = a
-		}
-	}
-	return m
-}
-
-// Min returns the minimum element; it panics on an empty vector.
-func Min(v Vec) float64 {
-	if len(v) == 0 {
-		panic("mathutil: Min of empty vector")
-	}
-	m := v[0]
-	for _, x := range v[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the maximum element; it panics on an empty vector.
-func Max(v Vec) float64 {
-	if len(v) == 0 {
-		panic("mathutil: Max of empty vector")
-	}
-	m := v[0]
-	for _, x := range v[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// ArgMax returns the index of the maximum element, or -1 for empty input.
-func ArgMax(v Vec) int {
-	if len(v) == 0 {
-		return -1
-	}
-	best := 0
-	for i, x := range v {
-		if x > v[best] {
-			best = i
-		}
-	}
-	return best
 }
 
 // Clamp limits x to [lo, hi].
@@ -188,13 +23,6 @@ func Clamp(x, lo, hi float64) float64 {
 	return x
 }
 
-// ClampVec limits every element of v to [lo, hi] in place.
-func ClampVec(v Vec, lo, hi float64) {
-	for i := range v {
-		v[i] = Clamp(v[i], lo, hi)
-	}
-}
-
 // PosPart returns max(0, x), the [x]^+ operator used in the reward shaping
 // of Eq. 15.
 func PosPart(x float64) float64 {
@@ -202,35 +30,4 @@ func PosPart(x float64) float64 {
 		return x
 	}
 	return 0
-}
-
-// Percentile returns the p-th percentile (p in [0,100]) using linear
-// interpolation between closest ranks. It returns an error for empty input
-// or p outside [0, 100].
-func Percentile(v Vec, p float64) (float64, error) {
-	if len(v) == 0 {
-		return 0, errors.New("mathutil: percentile of empty vector")
-	}
-	if p < 0 || p > 100 {
-		return 0, fmt.Errorf("mathutil: percentile %v out of range [0,100]", p)
-	}
-	s := Clone(v)
-	sort.Float64s(s)
-	if len(s) == 1 {
-		return s[0], nil
-	}
-	rank := p / 100 * float64(len(s)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return s[lo], nil
-	}
-	frac := rank - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac, nil
-}
-
-func mustSameLen(a, b Vec) {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("mathutil: length mismatch %d != %d", len(a), len(b)))
-	}
 }

@@ -72,11 +72,3 @@ var (
 	// YOLO 608x608.
 	HeavyComputeApp = AppProfile{Name: "video-sd-yolo608", FrameResolution: 100, ModelSize: 608}
 )
-
-// FrameResolutions and ModelSizes are the option sets the simulated slices
-// draw from (Sec. VII-D: "randomly select the frame resolutions ... and
-// computation models").
-var (
-	FrameResolutions = []int{100, 300, 500}
-	ModelSizes       = []int{320, 416, 608}
-)

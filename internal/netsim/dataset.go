@@ -21,6 +21,8 @@ type Dataset struct {
 // BuildDataset runs the grid search against the environment's analytic
 // service model, traversing shares 0..1 at the given granularity for every
 // slice and resource domain independently (the paper's per-domain grid).
+//
+//edgeslice:reach offline training pipeline of Sec. VI-B (Fig. 5), kept with its tests; no binary builds a dataset yet
 func BuildDataset(env *RAEnv, granularity float64) (*Dataset, error) {
 	if granularity <= 0 || granularity > 0.5 {
 		return nil, fmt.Errorf("netsim: granularity %v out of (0, 0.5]", granularity)
@@ -35,37 +37,23 @@ func BuildDataset(env *RAEnv, granularity float64) (*Dataset, error) {
 		ds.shares[i] = make([][]float64, NumResources)
 		ds.rates[i] = make([][]float64, NumResources)
 		for k := 0; k < NumResources; k++ {
-			var xs []float64
-			var ys []float64
+			// Each grid point measures the per-domain service rate
+			// share·C/d of slice i.
+			d := env.demands[i][k]
+			var xs, ys []float64
 			for share := 0.0; share <= 1.0+1e-9; share += granularity {
-				rate := domainRate(env, i, k, share)
+				var rate float64
+				if d > 0 {
+					rate = share * env.cfg.Capacity[k] / d
+				}
 				xs = append(xs, share)
 				ys = append(ys, rate)
 			}
-			// Store per-sample feature vectors for linreg.
-			feats := make([][]float64, len(xs))
-			for s := range xs {
-				feats[s] = []float64{xs[s]}
-			}
-			flat := make([]float64, len(feats))
-			for s := range feats {
-				flat[s] = feats[s][0]
-			}
-			ds.shares[i][k] = flat
+			ds.shares[i][k] = xs
 			ds.rates[i][k] = ys
 		}
 	}
 	return ds, nil
-}
-
-// domainRate is the per-domain service rate of slice i at the given share,
-// the quantity the paper's grid search measures per resource.
-func domainRate(env *RAEnv, slice, resource int, share float64) float64 {
-	d := env.demands[slice][resource]
-	if d <= 0 {
-		return 0
-	}
-	return share * env.cfg.Capacity[resource] / d
 }
 
 // PredictRate predicts the per-domain service rate for an off-grid share by

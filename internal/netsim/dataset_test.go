@@ -45,7 +45,7 @@ func TestDatasetPredictsOffGridActions(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want := domainRate(env, slice, k, share)
+				want := share * env.cfg.Capacity[k] / env.demands[slice][k] // the analytic share·C/d
 				if math.Abs(got-want) > 1e-6*(1+want) {
 					t.Errorf("slice %d %s share %v: predicted %v, want %v",
 						slice, ResourceNames[k], share, got, want)

@@ -33,6 +33,8 @@ type MobilityModel struct {
 
 // NewMobilityModel creates a model with every slice's users initially
 // spread round-robin across RAs.
+//
+//edgeslice:reach user mobility of Sec. III-A, kept with its tests; no scenario drives a MobileSource yet
 func NewMobilityModel(seed int64, numSlices, numRAs, usersPerSlice int, moveProb float64) (*MobilityModel, error) {
 	if numSlices <= 0 || numRAs <= 0 || usersPerSlice <= 0 {
 		return nil, fmt.Errorf("netsim: invalid mobility dims %d/%d/%d", numSlices, numRAs, usersPerSlice)

@@ -117,13 +117,6 @@ func xavierLimit(fanIn, fanOut int) float64 {
 	return sqrt(x)
 }
 
-// MatMulNT computes C = A * Bᵀ where A is (n×k) and B is (m×k), yielding an
-// (n×m) result. This is the layout used by dense-layer forward passes where
-// weights are stored as (out×in).
-func MatMulNT(a, b *Matrix) *Matrix {
-	return MatMulNTInto(NewMatrix(a.Rows, b.Rows), a, b)
-}
-
 // MatMulNTInto computes C = A * Bᵀ into the preallocated (a.Rows×b.Rows)
 // matrix c and returns it. c must not alias a or b.
 //
@@ -251,11 +244,6 @@ func matMulNTAVX(c, a, b *Matrix, ws *Workspace) *Matrix {
 	return c
 }
 
-// MatMulNN computes C = A * B where A is (n×k) and B is (k×m).
-func MatMulNN(a, b *Matrix) *Matrix {
-	return MatMulNNInto(NewMatrix(a.Rows, b.Cols), a, b)
-}
-
 // MatMulNNInto computes C = A * B into the preallocated (a.Rows×b.Cols)
 // matrix c and returns it. c must not alias a or b.
 func MatMulNNInto(c, a, b *Matrix) *Matrix {
@@ -346,30 +334,17 @@ func colSumAcc(c []float64, a *Matrix) {
 	}
 }
 
-// MatMulTN computes C = Aᵀ * B where A is (k×n) and B is (k×m), yielding an
-// (n×m) result. Used for weight gradients: dW = dYᵀ · X.
-func MatMulTN(a, b *Matrix) *Matrix {
-	return MatMulTNInto(NewMatrix(a.Cols, b.Cols), a, b)
-}
-
-// MatMulTNInto computes C = Aᵀ * B into the preallocated (a.Cols×b.Cols)
-// matrix c and returns it. c must not alias a or b.
-func MatMulTNInto(c, a, b *Matrix) *Matrix {
-	c.Zero()
-	matMulTNAcc(c, a, b)
-	return c
-}
-
-// matMulTNAcc accumulates C += Aᵀ * B without zeroing c first — the form
-// gradient accumulation wants (dW += dzᵀ·x).
+// matMulTNAcc accumulates C += Aᵀ * B, where A is (k×n) and B is (k×m),
+// into the (n×m) matrix c without zeroing it first — the form gradient
+// accumulation wants (dW += dzᵀ·x). c must not alias a or b.
 //
 //edgeslice:noalloc
 func matMulTNAcc(c, a, b *Matrix) {
 	if a.Rows != b.Rows {
-		panic(fmt.Sprintf("nn: MatMulTN inner dim mismatch %d != %d", a.Rows, b.Rows))
+		panic(fmt.Sprintf("nn: matMulTNAcc inner dim mismatch %d != %d", a.Rows, b.Rows))
 	}
 	if c.Rows != a.Cols || c.Cols != b.Cols {
-		panic(fmt.Sprintf("nn: MatMulTNInto dst is %dx%d, want %dx%d", c.Rows, c.Cols, a.Cols, b.Cols))
+		panic(fmt.Sprintf("nn: matMulTNAcc dst is %dx%d, want %dx%d", c.Rows, c.Cols, a.Cols, b.Cols))
 	}
 	if useAVX && a.Rows > 0 {
 		for i := 0; i < a.Cols; i++ {

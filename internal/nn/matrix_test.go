@@ -9,7 +9,7 @@ import (
 func TestMatMulNT(t *testing.T) {
 	a := FromRows([][]float64{{1, 2}, {3, 4}, {5, 6}}) // 3x2
 	b := FromRows([][]float64{{1, 0}, {0, 1}, {1, 1}}) // 3x2 -> bT is 2x3
-	c := MatMulNT(a, b)                                // 3x3
+	c := MatMulNTInto(NewMatrix(3, 3), a, b)           // 3x3
 	want := [][]float64{{1, 2, 3}, {3, 4, 7}, {5, 6, 11}}
 	for i := range want {
 		for j := range want[i] {
@@ -23,7 +23,7 @@ func TestMatMulNT(t *testing.T) {
 func TestMatMulNN(t *testing.T) {
 	a := FromRows([][]float64{{1, 2}, {3, 4}})
 	b := FromRows([][]float64{{5, 6}, {7, 8}})
-	c := MatMulNN(a, b)
+	c := MatMulNNInto(NewMatrix(2, 2), a, b)
 	want := [][]float64{{19, 22}, {43, 50}}
 	for i := range want {
 		for j := range want[i] {
@@ -37,7 +37,8 @@ func TestMatMulNN(t *testing.T) {
 func TestMatMulTN(t *testing.T) {
 	a := FromRows([][]float64{{1, 2}, {3, 4}}) // 2x2
 	b := FromRows([][]float64{{5, 6}, {7, 8}})
-	c := MatMulTN(a, b) // aT*b
+	c := NewMatrix(2, 2)
+	matMulTNAcc(c, a, b) // aT*b
 	want := [][]float64{{26, 30}, {38, 44}}
 	for i := range want {
 		for j := range want[i] {
@@ -48,7 +49,7 @@ func TestMatMulTN(t *testing.T) {
 	}
 }
 
-// MatMulTN(A, B) must equal transposing A explicitly then MatMulNN.
+// Aᵀ·B from matMulTNAcc must equal transposing A explicitly then MatMulNNInto.
 func TestMatMulEquivalenceProperty(t *testing.T) {
 	rng := newTestRNG()
 	f := func(seed uint8) bool {
@@ -67,8 +68,9 @@ func TestMatMulEquivalenceProperty(t *testing.T) {
 				at.Set(j, i, a.At(i, j))
 			}
 		}
-		c1 := MatMulTN(a, b)
-		c2 := MatMulNN(at, b)
+		c1 := NewMatrix(n, m)
+		matMulTNAcc(c1, a, b)
+		c2 := MatMulNNInto(NewMatrix(n, m), at, b)
 		for i := range c1.Data {
 			if math.Abs(c1.Data[i]-c2.Data[i]) > 1e-9 {
 				return false

@@ -179,18 +179,6 @@ func TestAdamFitsToyRegression(t *testing.T) {
 	}
 }
 
-func TestSGDMomentumStepDirection(t *testing.T) {
-	rng := newTestRNG()
-	net := NewMLP(rng, 1, LayerSpec{Out: 1, Act: ActIdentity})
-	opt := NewSGD(0.1, 0.9)
-	before := net.Layers[0].W.Data[0]
-	net.Layers[0].GradW.Data[0] = 1 // positive gradient => parameter must decrease
-	opt.Step(net)
-	if net.Layers[0].W.Data[0] >= before {
-		t.Error("SGD step did not descend")
-	}
-}
-
 func TestSoftUpdateConverges(t *testing.T) {
 	rng := newTestRNG()
 	a := NewMLP(rng, 2, LayerSpec{Out: 3, Act: ActTanh})

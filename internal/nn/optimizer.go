@@ -16,39 +16,6 @@ type Optimizer interface {
 	Step(n *Network)
 }
 
-// SGD is plain stochastic gradient descent with optional momentum.
-type SGD struct {
-	LR       float64
-	Momentum float64
-
-	velocity map[*Network][][]float64
-}
-
-// NewSGD returns an SGD optimizer.
-func NewSGD(lr, momentum float64) *SGD {
-	return &SGD{LR: lr, Momentum: momentum, velocity: make(map[*Network][][]float64)}
-}
-
-// Step implements Optimizer.
-func (o *SGD) Step(n *Network) {
-	params := n.Params()
-	vel, ok := o.velocity[n]
-	if !ok {
-		vel = make([][]float64, len(params))
-		for i, p := range params {
-			vel[i] = make([]float64, len(p.Value))
-		}
-		o.velocity[n] = vel
-	}
-	for i, p := range params {
-		v := vel[i]
-		for k := range p.Value {
-			v[k] = o.Momentum*v[k] - o.LR*p.Grad[k]
-			p.Value[k] += v[k]
-		}
-	}
-}
-
 // Adam implements the Adam optimizer (Kingma & Ba, 2015), the default used
 // for the paper's actor and critic networks (learning rate 0.001).
 type Adam struct {

@@ -1,7 +1,6 @@
 package qp
 
 import (
-	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -9,7 +8,8 @@ import (
 
 func TestProjectHalfspaceAlreadyFeasible(t *testing.T) {
 	c := []float64{3, 4}
-	z := ProjectHalfspaceSumGE(c, 5)
+	z := make([]float64, 2)
+	ProjectHalfspaceSumGEInto(z, c, 5)
 	for i := range c {
 		if z[i] != c[i] {
 			t.Errorf("feasible point should be unchanged: %v", z)
@@ -18,20 +18,29 @@ func TestProjectHalfspaceAlreadyFeasible(t *testing.T) {
 }
 
 func TestProjectHalfspaceShifts(t *testing.T) {
-	z := ProjectHalfspaceSumGE([]float64{0, 0}, 4)
+	z := []float64{0, 0}
+	ProjectHalfspaceSumGEInto(z, z, 4)
 	if z[0] != 2 || z[1] != 2 {
 		t.Errorf("projection = %v, want [2 2]", z)
 	}
 }
 
+// An empty vector has no coordinate to shift: the shift (b − Σc)/n is ±Inf
+// at n = 0, and the projection must write nothing rather than panic.
 func TestProjectHalfspaceEmpty(t *testing.T) {
-	if out := ProjectHalfspaceSumGE(nil, 1); out != nil {
-		t.Error("empty input should produce nil")
+	for _, b := range []float64{1, -1, 0} {
+		dst := []float64{}
+		ProjectHalfspaceSumGEInto(dst, nil, b)
+		if len(dst) != 0 {
+			t.Errorf("b = %v: projection of the empty vector is %v", b, dst)
+		}
 	}
 }
 
-// Properties: result is feasible, and no feasible point is closer to c
-// (verified against the projected-gradient solver).
+// Property: the result satisfies the KKT conditions of
+// min ½‖z − c‖² s.t. Σ z ≥ b, which for this convex problem certify that
+// no feasible point is closer to c: z is feasible, z − c = λ·1 with λ ≥ 0,
+// and λ > 0 only when the constraint is tight.
 func TestProjectionOptimalityProperty(t *testing.T) {
 	f := func(rawC []float64, rawB float64) bool {
 		if len(rawC) == 0 || len(rawC) > 8 {
@@ -49,7 +58,8 @@ func TestProjectionOptimalityProperty(t *testing.T) {
 		}
 		b := math.Mod(rawB, 100)
 
-		z := ProjectHalfspaceSumGE(c, b)
+		z := make([]float64, len(c))
+		ProjectHalfspaceSumGEInto(z, c, b)
 		var sum float64
 		for _, v := range z {
 			sum += v
@@ -57,139 +67,18 @@ func TestProjectionOptimalityProperty(t *testing.T) {
 		if sum < b-1e-6 {
 			return false // infeasible
 		}
-		p := &Problem{C: c, B: b}
-		zNum, err := p.SolveProjGrad(0.5, 1e-10, 10000)
-		if err != nil && !errors.Is(err, ErrMaxIterations) {
+		lambda := z[0] - c[0]
+		if lambda < -1e-9 {
 			return false
 		}
-		var dExact, dNum float64
 		for i := range c {
-			dExact += (z[i] - c[i]) * (z[i] - c[i])
-			dNum += (zNum[i] - c[i]) * (zNum[i] - c[i])
+			if math.Abs(z[i]-c[i]-lambda) > 1e-9 {
+				return false // not a shift along the constraint normal
+			}
 		}
-		return dExact <= dNum+1e-6
+		return lambda <= 1e-9 || math.Abs(sum-b) <= 1e-6
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestProjectSimplexSum(t *testing.T) {
-	out, err := ProjectSimplexSum([]float64{0.5, 0.5, 2}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sum float64
-	for _, v := range out {
-		if v < 0 {
-			t.Errorf("negative component %v", v)
-		}
-		sum += v
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Errorf("sum = %v, want 1", sum)
-	}
-	if _, err := ProjectSimplexSum([]float64{1}, 0); err == nil {
-		t.Error("non-positive total should fail")
-	}
-	if _, err := ProjectSimplexSum(nil, 1); err == nil {
-		t.Error("empty vector should fail")
-	}
-}
-
-// Simplex projection property: output sums to total, is non-negative, and
-// preserves order of the inputs.
-func TestSimplexProjectionProperty(t *testing.T) {
-	f := func(raw []float64) bool {
-		if len(raw) == 0 || len(raw) > 8 {
-			return true
-		}
-		v := make([]float64, len(raw))
-		for i, x := range raw {
-			if math.IsNaN(x) || math.IsInf(x, 0) {
-				return true
-			}
-			v[i] = math.Mod(x, 50)
-		}
-		const total = 10.0
-		out, err := ProjectSimplexSum(v, total)
-		if err != nil {
-			return false
-		}
-		var sum float64
-		for _, x := range out {
-			if x < -1e-12 {
-				return false
-			}
-			sum += x
-		}
-		if math.Abs(sum-total) > 1e-6 {
-			return false
-		}
-		for i := range v {
-			for j := range v {
-				if v[i] > v[j] && out[i] < out[j]-1e-9 {
-					return false // order violated
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestProjectCappedBox(t *testing.T) {
-	// Feasible after clamping: returned as-is (clamped).
-	out, err := ProjectCappedBox([]float64{-1, 0.3, 0.2}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out[0] != 0 || out[1] != 0.3 || out[2] != 0.2 {
-		t.Errorf("feasible clamp = %v", out)
-	}
-	// Infeasible: projected onto the boundary.
-	out, err = ProjectCappedBox([]float64{2, 2}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sum float64
-	for _, v := range out {
-		sum += v
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Errorf("projected sum = %v, want 1", sum)
-	}
-	if _, err := ProjectCappedBox([]float64{1}, -1); err == nil {
-		t.Error("negative capacity should fail")
-	}
-}
-
-func TestSolveProjGradWithLowerBounds(t *testing.T) {
-	p := &Problem{C: []float64{-5, 3}, B: 2, Lower: []float64{0, 0}}
-	z, err := p.SolveProjGrad(0.5, 1e-10, 20000)
-	if err != nil && !errors.Is(err, ErrMaxIterations) {
-		t.Fatal(err)
-	}
-	var sum float64
-	for _, v := range z {
-		if v < -1e-9 {
-			t.Errorf("lower bound violated: %v", z)
-		}
-		sum += v
-	}
-	if sum < 2-1e-6 {
-		t.Errorf("sum constraint violated: %v", z)
-	}
-}
-
-func TestSolveProjGradValidation(t *testing.T) {
-	if _, err := (&Problem{}).SolveProjGrad(0.5, 1e-9, 10); err == nil {
-		t.Error("empty problem should fail")
-	}
-	p := &Problem{C: []float64{1, 2}, B: 0, Lower: []float64{0}}
-	if _, err := p.SolveProjGrad(0.5, 1e-9, 10); err == nil {
-		t.Error("mismatched lower bounds should fail")
 	}
 }

@@ -467,42 +467,11 @@ func (h *Hub) handleConn(conn net.Conn) {
 // channel (plus a coarse ticker, in case a wakeup was dropped) only paces
 // the recounts.
 func (h *Hub) WaitRegistered(timeout time.Duration) error {
-	return h.waitRegistered(timeout, nil)
-}
-
-// WaitRegisteredRAs is WaitRegistered restricted to a subset of RAs — the
-// remote executor uses it when some RAs run in-process and only the rest
-// dial in.
-func (h *Hub) WaitRegisteredRAs(timeout time.Duration, ras []int) error {
-	for _, ra := range ras {
-		if ra < 0 || ra >= h.numRAs {
-			return fmt.Errorf("rcnet: wait for invalid RA %d", ra)
-		}
-	}
-	return h.waitRegistered(timeout, ras)
-}
-
-func (h *Hub) waitRegistered(timeout time.Duration, ras []int) error {
-	want := h.numRAs
-	if ras != nil {
-		want = len(ras)
-	}
 	count := func() int {
 		n := 0
-		if ras == nil {
-			for _, sh := range h.shards {
-				sh.mu.Lock()
-				n += len(sh.conns)
-				sh.mu.Unlock()
-			}
-			return n
-		}
-		for _, ra := range ras {
-			sh := h.shardFor(ra)
+		for _, sh := range h.shards {
 			sh.mu.Lock()
-			if _, ok := sh.conns[ra]; ok {
-				n++
-			}
+			n += len(sh.conns)
 			sh.mu.Unlock()
 		}
 		return n
@@ -511,7 +480,7 @@ func (h *Hub) waitRegistered(timeout time.Duration, ras []int) error {
 	ticker := time.NewTicker(20 * time.Millisecond)
 	defer ticker.Stop()
 	for {
-		if count() >= want {
+		if count() >= h.numRAs {
 			return nil
 		}
 		select {
@@ -520,10 +489,10 @@ func (h *Hub) waitRegistered(timeout time.Duration, ras []int) error {
 		case <-deadlineC:
 			// Recount: registrations that landed during the final wait must
 			// not be misreported as missing.
-			if n := count(); n >= want {
+			if n := count(); n >= h.numRAs {
 				return nil
 			} else {
-				return fmt.Errorf("rcnet: %d/%d agents registered before timeout", n, want)
+				return fmt.Errorf("rcnet: %d/%d agents registered before timeout", n, h.numRAs)
 			}
 		case <-h.closed:
 			return errHubClosed

@@ -11,12 +11,6 @@ type GaussianNoise struct {
 	Min   float64 // floor to keep a little exploration forever
 }
 
-// NewGaussianNoise returns noise matching the paper's schedule: N(0,1)
-// decaying with factor 0.9999 per update step.
-func NewGaussianNoise() *GaussianNoise {
-	return &GaussianNoise{Std: 1.0, Decay: 0.9999, Min: 0.01}
-}
-
 // Sample returns a noise vector of length dim and decays the schedule.
 func (g *GaussianNoise) Sample(rng *rand.Rand, dim int) []float64 {
 	out := make([]float64, dim)
@@ -28,37 +22,4 @@ func (g *GaussianNoise) Sample(rng *rand.Rand, dim int) []float64 {
 		g.Std = g.Min
 	}
 	return out
-}
-
-// OUNoise is Ornstein-Uhlenbeck temporally correlated noise, the classic
-// DDPG exploration process (Lillicrap et al., 2015), provided as an
-// alternative to the paper's plain Gaussian schedule.
-type OUNoise struct {
-	Theta, Sigma, Mu float64
-	state            []float64
-}
-
-// NewOUNoise returns an OU process with standard DDPG parameters.
-func NewOUNoise(dim int) *OUNoise {
-	return &OUNoise{Theta: 0.15, Sigma: 0.2, Mu: 0, state: make([]float64, dim)}
-}
-
-// Sample advances the process one step and returns the noise vector.
-func (o *OUNoise) Sample(rng *rand.Rand, dim int) []float64 {
-	if len(o.state) != dim {
-		o.state = make([]float64, dim)
-	}
-	out := make([]float64, dim)
-	for i := range o.state {
-		o.state[i] += o.Theta*(o.Mu-o.state[i]) + o.Sigma*rng.NormFloat64()
-		out[i] = o.state[i]
-	}
-	return out
-}
-
-// Reset returns the OU process to its mean.
-func (o *OUNoise) Reset() {
-	for i := range o.state {
-		o.state[i] = 0
-	}
 }

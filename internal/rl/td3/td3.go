@@ -37,6 +37,8 @@ type Config struct {
 
 // DefaultConfig returns standard TD3 defaults aligned with the repository's
 // CI-scale DDPG settings.
+//
+//edgeslice:reach TD3 is kept with its tests and checkpoint restore; no figure or binary trains it
 func DefaultConfig() Config {
 	return Config{
 		Hidden:         32,
@@ -81,6 +83,8 @@ type Agent struct {
 var _ rl.Agent = (*Agent)(nil)
 
 // New creates a TD3 agent.
+//
+//edgeslice:reach TD3 is kept with its tests and checkpoint restore; no figure or binary trains it
 func New(stateDim, actionDim int, cfg Config) (*Agent, error) {
 	if stateDim <= 0 || actionDim <= 0 || cfg.Hidden <= 0 || cfg.BatchSize <= 0 || cfg.PolicyDelay <= 0 {
 		return nil, fmt.Errorf("td3: invalid config state=%d action=%d %+v", stateDim, actionDim, cfg)

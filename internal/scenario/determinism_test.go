@@ -6,6 +6,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"edgeslice/internal/core"
 )
 
 // shrunk returns a CI-scale copy of a built-in scenario: fewer periods and
@@ -45,13 +47,13 @@ func TestEngineDeterminismAcrossWorkers(t *testing.T) {
 			algo := spec.Algorithms[0]
 			var trainings atomic.Int64
 
-			_, hSerial, err := runReplica(spec, algo, 0, nil, &trainings, Options{Engine: EngineSerial})
+			_, hSerial, err := runReplica(spec, algo, 0, nil, &trainings, Options{Engine: core.EngineSerial})
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{1, 4, spec.NumRAs} {
 				_, hGot, err := runReplica(spec, algo, 0, nil, &trainings,
-					Options{Engine: EngineBatched, Workers: workers})
+					Options{Engine: core.EngineBatched, Workers: workers})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -60,13 +62,13 @@ func TestEngineDeterminismAcrossWorkers(t *testing.T) {
 				}
 			}
 
-			serialSum, err := Run(spec, Options{Replicas: 2, Parallel: 2, Engine: EngineSerial})
+			serialSum, err := Run(spec, Options{Replicas: 2, Parallel: 2, Engine: core.EngineSerial})
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{1, 4, spec.NumRAs} {
 				gotSum, err := Run(spec, Options{
-					Replicas: 2, Parallel: 2, Engine: EngineBatched, Workers: workers,
+					Replicas: 2, Parallel: 2, Engine: core.EngineBatched, Workers: workers,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -92,12 +94,12 @@ func TestEngineDeterminismLearning(t *testing.T) {
 	spec.Algorithms = []string{"edgeslice"}
 	spec.TrainSteps = 600
 
-	serial, err := Run(spec, Options{Replicas: 2, Parallel: 2, Engine: EngineSerial, WarmStart: true})
+	serial, err := Run(spec, Options{Replicas: 2, Parallel: 2, Engine: core.EngineSerial, WarmStart: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	got, err := Run(spec, Options{
-		Replicas: 2, Parallel: 2, Engine: EngineBatched, Workers: spec.NumRAs, WarmStart: true,
+		Replicas: 2, Parallel: 2, Engine: core.EngineBatched, Workers: spec.NumRAs, WarmStart: true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -16,12 +16,6 @@ import (
 	"edgeslice/internal/slicemgr"
 )
 
-// Engine spellings for Options.Engine.
-const (
-	EngineSerial  = core.EngineSerial
-	EngineBatched = core.EngineBatched
-)
-
 // Options configures a scenario run.
 type Options struct {
 	// Replicas is the number of independent seeds per algorithm (default 1).

@@ -89,6 +89,8 @@ func (m Modulated) Rate(interval int) float64 {
 
 // Sum superimposes several sources — e.g. a diurnal baseline plus a bursty
 // overlay.
+//
+//edgeslice:reach kept with TestSumSuperimposes; no scenario superimposes sources yet
 type Sum struct {
 	Sources []Source
 }

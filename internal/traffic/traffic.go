@@ -1,4 +1,4 @@
-// Package traffic generates and loads the slice traffic that drives the
+// Package traffic generates the slice traffic that drives the
 // simulated network environment (Sec. VI-B): Poisson arrivals for the
 // prototype experiments (arrival rate 10, Sec. VII-C) and a diurnal,
 // per-area trace synthesizer standing in for the Telecom Italia dataset
@@ -10,7 +10,6 @@ package traffic
 
 import (
 	"encoding/csv"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -186,66 +185,4 @@ func (t *Trace) WriteCSV(w io.Writer) error {
 		return fmt.Errorf("traffic: flush: %w", err)
 	}
 	return nil
-}
-
-// ReadCSV parses a trace written by WriteCSV (or a real dataset exported in
-// the same area,hour,volume shape).
-func ReadCSV(r io.Reader) (*Trace, error) {
-	cr := csv.NewReader(r)
-	header, err := cr.Read()
-	if err != nil {
-		return nil, fmt.Errorf("traffic: read header: %w", err)
-	}
-	if len(header) != 3 || header[0] != "area" || header[1] != "hour" || header[2] != "volume" {
-		return nil, fmt.Errorf("traffic: unexpected header %v", header)
-	}
-	type hv struct {
-		hour int
-		vol  float64
-	}
-	rows := make(map[int][]hv)
-	maxHour := -1
-	for {
-		rec, err := cr.Read()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("traffic: read row: %w", err)
-		}
-		area, err := strconv.Atoi(rec[0])
-		if err != nil {
-			return nil, fmt.Errorf("traffic: bad area %q: %w", rec[0], err)
-		}
-		hour, err := strconv.Atoi(rec[1])
-		if err != nil {
-			return nil, fmt.Errorf("traffic: bad hour %q: %w", rec[1], err)
-		}
-		vol, err := strconv.ParseFloat(rec[2], 64)
-		if err != nil {
-			return nil, fmt.Errorf("traffic: bad volume %q: %w", rec[2], err)
-		}
-		if hour < 0 {
-			return nil, fmt.Errorf("traffic: negative hour %d", hour)
-		}
-		if vol < 0 {
-			return nil, fmt.Errorf("traffic: negative volume %v", vol)
-		}
-		rows[area] = append(rows[area], hv{hour, vol})
-		if hour > maxHour {
-			maxHour = hour
-		}
-	}
-	if len(rows) == 0 {
-		return nil, errors.New("traffic: empty trace")
-	}
-	tr := &Trace{Areas: make(map[int][]float64, len(rows)), Hours: maxHour + 1}
-	for area, hvs := range rows {
-		profile := make([]float64, maxHour+1)
-		for _, x := range hvs {
-			profile[x.hour] = x.vol
-		}
-		tr.Areas[area] = profile
-	}
-	return tr, nil
 }

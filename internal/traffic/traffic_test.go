@@ -2,8 +2,10 @@ package traffic
 
 import (
 	"bytes"
+	"encoding/csv"
 	"math"
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -90,48 +92,33 @@ func TestAreaProfile(t *testing.T) {
 	}
 }
 
+// TestCSVRoundTrip reads WriteCSV's output back as plain CSV: a header,
+// then one (area, hour, volume) row per profile value, volumes exact.
 func TestCSVRoundTrip(t *testing.T) {
 	tr, _ := SynthesizeTrentoLike(newRNG(), 4)
 	var buf bytes.Buffer
 	if err := tr.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadCSV(&buf)
+	rows, err := csv.NewReader(&buf).ReadAll()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.NumAreas() != tr.NumAreas() || back.Hours != tr.Hours {
-		t.Fatalf("round trip changed shape: %d/%d vs %d/%d",
-			back.NumAreas(), back.Hours, tr.NumAreas(), tr.Hours)
+	if want := 1 + tr.NumAreas()*tr.Hours; len(rows) != want || strings.Join(rows[0], ",") != "area,hour,volume" {
+		t.Fatalf("got %d rows headed %v, want %d headed area,hour,volume", len(rows), rows[0], want)
 	}
-	for area, p := range tr.Areas {
-		for h, v := range p {
-			if math.Abs(back.Areas[area][h]-v) > 1e-12 {
-				t.Fatalf("area %d hour %d: %v vs %v", area, h, back.Areas[area][h], v)
-			}
+	for _, rec := range rows[1:] {
+		area, _ := strconv.Atoi(rec[0])
+		h, _ := strconv.Atoi(rec[1])
+		v, err := strconv.ParseFloat(rec[2], 64)
+		if err != nil || v != tr.Areas[area][h] {
+			t.Fatalf("row %v: want volume %v", rec, tr.Areas[area][h])
 		}
 	}
 }
 
-func TestReadCSVRejectsCorrupt(t *testing.T) {
-	cases := []string{
-		"",
-		"bogus,header,row\n",
-		"area,hour,volume\nx,0,1\n",
-		"area,hour,volume\n0,x,1\n",
-		"area,hour,volume\n0,0,x\n",
-		"area,hour,volume\n0,-1,1\n",
-		"area,hour,volume\n0,0,-5\n",
-		"area,hour,volume\n", // no rows
-	}
-	for _, c := range cases {
-		if _, err := ReadCSV(strings.NewReader(c)); err == nil {
-			t.Errorf("ReadCSV(%q) should fail", c)
-		}
-	}
-}
-
-// Property: profiles survive CSV round trips for any synthesized size.
+// Property: for any synthesized size, WriteCSV emits a header and one
+// parseable (area, hour, volume) row per profile value.
 func TestCSVRoundTripProperty(t *testing.T) {
 	f := func(seed int64, nRaw uint8) bool {
 		n := int(nRaw)%6 + 1
@@ -143,11 +130,19 @@ func TestCSVRoundTripProperty(t *testing.T) {
 		if err := tr.WriteCSV(&buf); err != nil {
 			return false
 		}
-		back, err := ReadCSV(&buf)
-		if err != nil {
+		rows, err := csv.NewReader(&buf).ReadAll()
+		if err != nil || len(rows) != 1+n*24 {
 			return false
 		}
-		return back.NumAreas() == n && back.Hours == 24
+		for _, rec := range rows[1:] {
+			area, errA := strconv.Atoi(rec[0])
+			h, errH := strconv.Atoi(rec[1])
+			v, errV := strconv.ParseFloat(rec[2], 64)
+			if errA != nil || errH != nil || errV != nil || v != tr.Areas[area][h] {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
