@@ -60,23 +60,3 @@ func TestCDFMonotone(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestPoisson(t *testing.T) {
-	rng := NewRNG(7)
-	var c PoissonCache
-	if c.Draw(rng, 0) != 0 || c.Draw(rng, -1) != 0 {
-		t.Error("Poisson with non-positive lambda should be 0")
-	}
-	// Sample mean should approach lambda for both regimes.
-	for _, lambda := range []float64{3, 50} {
-		var sum float64
-		const n = 20000
-		for i := 0; i < n; i++ {
-			sum += float64(c.Draw(rng, lambda))
-		}
-		mean := sum / n
-		if math.Abs(mean-lambda) > 0.05*lambda+0.2 {
-			t.Errorf("Poisson(%v) sample mean %v", lambda, mean)
-		}
-	}
-}

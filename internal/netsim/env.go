@@ -3,7 +3,7 @@ package netsim
 import (
 	"fmt"
 	"math"
-	"math/rand"
+	"math/rand/v2"
 
 	"edgeslice/internal/mathutil"
 	"edgeslice/internal/rl"
@@ -168,14 +168,15 @@ func (r *StepResult) resize(n int) {
 // orchestration-mode API (SetCoordination / StepInterval) for Algorithm 1.
 type RAEnv struct {
 	cfg     Config
-	rng     *rand.Rand
+	pcg     rand.PCG   // the environment's one stream, seeded from cfg.Seed
+	rng     *rand.Rand // over pcg: coordination draws and the λ ≥ 30 normal branch
 	perfFn  PerfFunc
 	demands [][NumResources]float64
 
 	// perfTab[l] is perfFn at queue length l = 0 … MaxQueue (queue metric
 	// only), where the ingress drop keeps every backlog: no per-step math.Pow.
 	perfTab  []float64
-	arrivals []mathutil.PoissonCache // per slice: exp(−λ) kept between intervals
+	arrivals []mathutil.Poisson // per slice: CDF table kept while the rate holds
 
 	queues []SliceQueue
 	z, y   []float64 // coordination per slice (this RA's column)
@@ -208,28 +209,32 @@ func New(cfg Config) (*RAEnv, error) {
 		return nil, err
 	}
 	I := cfg.NumSlices
-	// z, y, periodPerf and perfTab are carved from one allocation.
-	f := make([]float64, 3*I+cfg.MaxQueue+1)
+	// z, y, periodPerf, the arrival tables and perfTab are carved from one
+	// allocation.
+	const L = mathutil.PoissonTableLen
+	f := make([]float64, 3*I+I*L+cfg.MaxQueue+1)
 	e := &RAEnv{
 		cfg:        cfg,
-		rng:        rand.New(rand.NewSource(cfg.Seed)), //nolint:gosec // simulation
 		capScale:   1,
 		queues:     make([]SliceQueue, I),
 		z:          f[:I:I],
 		y:          f[I : 2*I : 2*I],
 		periodPerf: f[2*I : 3*I : 3*I],
-		arrivals:   make([]mathutil.PoissonCache, I),
+		arrivals:   make([]mathutil.Poisson, I),
 		demands:    make([][NumResources]float64, I),
 		raw:        make([][NumResources]float64, I),
 	}
+	mathutil.SeedPCG(&e.pcg, cfg.Seed)
+	e.rng = rand.New(&e.pcg)
 	for i, a := range cfg.Apps {
+		e.arrivals[i] = mathutil.NewPoisson(f[3*I+i*L : 3*I+(i+1)*L])
 		e.demands[i] = a.Demand()
 		e.queues[i].reserve(cfg.MaxQueue) // the ingress drop never lets a backlog exceed it
 	}
 	switch cfg.Perf {
 	case PerfQueue:
 		e.perfFn = QueuePerf(cfg.Alpha)
-		e.perfTab = f[3*I:]
+		e.perfTab = f[3*I+I*L:]
 		for l := range e.perfTab {
 			e.perfTab[l] = e.perfFn(float64(l), 0)
 		}
@@ -407,7 +412,7 @@ func (e *RAEnv) StepInto(action []float64, res *StepResult) error {
 	for i := 0; i < I; i++ {
 		// Arrivals for this interval.
 		lambda := e.cfg.Sources[i].Rate(e.interval)
-		n := e.arrivals[i].Draw(e.rng, lambda)
+		n := e.arrivals[i].Draw(&e.pcg, e.rng, lambda)
 		if over := e.queues[i].Len() + n - e.cfg.MaxQueue; over > 0 {
 			n -= over // overload guard: excess tasks are dropped at ingress
 		}

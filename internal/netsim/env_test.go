@@ -250,33 +250,48 @@ func TestZeroAllocationStarvesWithoutFloor(t *testing.T) {
 	}
 }
 
+// TestAdequateAllocationDrains runs a generous, feasible split for 50
+// intervals on seeds 1–32: every seed's queues stay bounded and its
+// queue-metric performance non-positive, and the mean over seeds is near
+// optimal. One seed's total is mostly its arrival luck, so only the mean is
+// held to the bound; the same split scaled by 0.6 starves and reads tens of
+// thousands below it.
 func TestAdequateAllocationDrains(t *testing.T) {
-	e, _ := New(DefaultExperimentConfig())
-	e.Reset()
-	// Generous, feasible split: slice 1 gets most radio/transport, slice 2
-	// most compute.
+	// Slice 1 gets most radio/transport, slice 2 most compute.
 	action := []float64{
 		0.85, 0.85, 0.30, // slice 1: radio, transport, compute
 		0.15, 0.15, 0.70, // slice 2
 	}
-	var totalPerf float64
-	for t := 0; t < 50; t++ {
-		res, err := e.StepInterval(action)
+	const seeds = 32
+	var meanPerf float64
+	for seed := int64(1); seed <= seeds; seed++ {
+		cfg := DefaultExperimentConfig()
+		cfg.Seed = seed
+		e, err := New(cfg)
 		if err != nil {
-			panic(err)
+			t.Fatal(err)
 		}
-		totalPerf += res.Perf[0] + res.Perf[1]
-	}
-	lens := e.QueueLens()
-	if lens[0] > 30 || lens[1] > 30 {
-		t.Errorf("queues should stay bounded under adequate allocation: %v", lens)
-	}
-	if totalPerf > 0 {
-		t.Errorf("queue-metric performance can never be positive, got %v", totalPerf)
+		e.Reset()
+		var totalPerf float64
+		for t := 0; t < 50; t++ {
+			res, err := e.StepInterval(action)
+			if err != nil {
+				panic(err)
+			}
+			totalPerf += res.Perf[0] + res.Perf[1]
+		}
+		lens := e.QueueLens()
+		if lens[0] > 30 || lens[1] > 30 {
+			t.Errorf("seed %d: queues should stay bounded under adequate allocation: %v", seed, lens)
+		}
+		if totalPerf > 0 {
+			t.Errorf("seed %d: queue-metric performance can never be positive, got %v", seed, totalPerf)
+		}
+		meanPerf += totalPerf / seeds
 	}
 	// A generous allocation should achieve near-optimal performance.
-	if totalPerf < -500 {
-		t.Errorf("adequate allocation performed poorly: %v", totalPerf)
+	if meanPerf < -500 {
+		t.Errorf("adequate allocation performed poorly: mean %v over %d seeds", meanPerf, seeds)
 	}
 }
 

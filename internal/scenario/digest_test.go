@@ -16,15 +16,17 @@ import (
 
 // sweepDigests pins, per (scenario, recording mode), the sha256 of a short
 // warm-started sweep's outputs — every replica History's records, every
-// replica's history-log bytes and the rendered summary — as computed at
-// commit 0ce9d15, before the runner recorded into one caller-owned History.
-// A change anywhere on the sweep path that moves one bit of one record fails
+// replica's history-log bytes and the rendered summary. They were computed at
+// commit 0ce9d15, before the runner recorded into one caller-owned History,
+// and re-derived once when the RA environment moved to a PCG stream with
+// one-uniform Poisson inversion, which changes every replica's arrivals. A
+// change anywhere on the sweep path that moves one bit of one record fails
 // here, across commits.
 var sweepDigests = map[string]string{
-	"heterogeneous-mix/exact":    "e417e0090fc11a98e93b2e24353c8c9539b2c597976ef3f054cbf1c3c28d1953",
-	"heterogeneous-mix/stream25": "e51ec6b74a6c9da45e91486abbd633cab7dee637b6d05f53066aabe013cdd40d",
-	"flash-crowd/exact":          "7dad331eb7685aeb48ec1b8b8a82f282cc6d9045f116070beec03f33082dc616",
-	"flash-crowd/stream25":       "7ca4456c7c8d7e9461da5fb56dee00ad1379fa3b0dc1ef8af44da0447007286a",
+	"heterogeneous-mix/exact":    "5ef9f0baf819d71d92b00df6f12f4975ffb51b8ddf38b20e6312e814f06b5bd3",
+	"heterogeneous-mix/stream25": "2546e04ee54b86cf951388912d6b202b32fabcd2c5c6ab954ac4b5021bbef520",
+	"flash-crowd/exact":          "9f979b987820dd1ea508ad1ce944ff8308962e6c2775c7d900f6f30039c0c04b",
+	"flash-crowd/stream25":       "e416f906b9fb6fbf3fcceae7da93d091122f5051bed8b04364e1ebabca2ac6f0",
 }
 
 // TestSweepDigestPinned runs heterogeneous-mix and flash-crowd with a
