@@ -15,6 +15,14 @@ func setUseAVX(t testing.TB, on bool) {
 	useAVX = on && host
 }
 
+// setUseAVX512 switches the zmm tier for the rest of the test. A host
+// without AVX-512 stays on the AVX tiles whatever is asked.
+func setUseAVX512(t testing.TB, on bool) {
+	host := useAVX512
+	t.Cleanup(func() { useAVX512 = host })
+	useAVX512 = on && host
+}
+
 // Every other test in this package runs on the kernels the host detected,
 // which on amd64 means the scalar loops — all that any other architecture
 // has — would never run. This re-runs the matmul, workspace and
@@ -156,6 +164,32 @@ func TestKernelsBitIdenticalToScalar(t *testing.T) {
 				colSumAcc(c.Data, z)
 				return []*Matrix{c}
 			})
+		}
+	}
+}
+
+// The zmm tile and the AVX tiles around it must reproduce the scalar loops
+// bit for bit: every row count from one 8-row block to five blocks and a
+// 1 (so every n mod 8 tail), every output width from 1 to 40 (every m mod
+// 16 tail, and widths under one panel that never reach the tile), inner
+// lengths that are tiny, odd and the actor's 128 and past it, on normal and
+// edge-value inputs.
+func TestAVX512TileBitIdenticalToScalar(t *testing.T) {
+	if !useAVX512 {
+		t.Skip("no AVX-512F with OS-enabled zmm state on this host, so the zmm tier never runs here")
+	}
+	rng := rand.New(rand.NewSource(32)) //nolint:gosec // test determinism
+	var ws Workspace
+	for _, k := range []int{1, 2, 3, 4, 7, 128, 130} {
+		for n := 8; n <= 41; n++ {
+			for m := 1; m <= 40; m++ {
+				for _, gen := range []func(*rand.Rand, int, int) *Matrix{randMat, edgeMat} {
+					a, b := gen(rng, n, k), gen(rng, m, k)
+					ws.Reset()
+					bitsEqual(t, MatMulNTIntoWS(garbageMat(n, m), a, b, &ws), MatMulNTInto(garbageMat(n, m), a, b),
+						fmt.Sprintf("n=%d k=%d m=%d", n, k, m))
+				}
+			}
 		}
 	}
 }

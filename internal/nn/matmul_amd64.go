@@ -17,6 +17,33 @@ var useAVX = func() bool {
 	return eax&0x6 == 0x6
 }()
 
+// useAVX512 reports whether the AVX-512F tile may run on top of the AVX
+// kernels: CPUID leaf 7 must report AVX512F and the OS must preserve the
+// opmask and full zmm state (XCR0 bits 1, 2 and 5–7). Like useAVX it only
+// picks the speed of bit-identical paths; only tests assign it.
+var useAVX512 = func() bool {
+	if !useAVX {
+		return false
+	}
+	if maxLeaf, _, _, _ := cpuidex(0, 0); maxLeaf < 7 {
+		return false
+	}
+	_, ebx, _, _ := cpuidex(7, 0)
+	const avx512f = 1 << 16
+	if ebx&avx512f == 0 {
+		return false
+	}
+	eax, _ := xgetbv0()
+	return eax&0xE6 == 0xE6
+}()
+
+// matmulTile816AVX512 computes an 8-row × 16-column output tile from eight
+// A rows read in place and a packed B panel; see matmul_amd64.s for the
+// layout and bit-identity contract.
+//
+//go:noescape
+func matmulTile816AVX512(c *float64, cStride int, a *float64, aStride int, bPack *float64, k int)
+
 // matmulTile48AVX computes a 4-row × 8-column output tile from a packed A
 // panel; see matmul_amd64.s for the layout and bit-identity contract.
 //
@@ -29,11 +56,12 @@ func matmulTile48AVX(c *float64, cStride int, aPack *float64, b *float64, k int)
 //go:noescape
 func matmulTile4NAVX(c *float64, cStride int, aPack *float64, b *float64, k int, nc int)
 
-// packPanel4AVX packs the four length-k rows at a into the panel layout
-// the tile kernels read, pack[kk*4+l] = a[l*k+kk].
+// packPanel4AVX packs the four length-k rows at a into a column-interleaved
+// panel, pack[kk*stride+l] = a[l*k+kk]: at stride 4 the A panel of the AVX
+// tiles, at stride 16 a quarter of the zmm tile's B panel.
 //
 //go:noescape
-func packPanel4AVX(pack *float64, a *float64, k int)
+func packPanel4AVX(pack *float64, a *float64, k int, stride int)
 
 // rowAcc32AVX accumulates c[j] += Σ_kk a[kk·aStride]·b[kk·bStride+j] for
 // j in [0,32) and kk in [0,k), k > 0; rowAccTailAVX does the same for the

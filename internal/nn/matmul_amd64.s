@@ -164,16 +164,21 @@ loop:
 	VZEROUPPER
 	RET
 
-// func packPanel4AVX(pack *float64, a *float64, k int)
+// func packPanel4AVX(pack *float64, a *float64, k int, stride int)
 //
-// Packs four consecutive length-k rows at a into the column-interleaved
-// panel the tile kernels read: pack[kk*4+l] = a[l*k+kk]. Whole 4×4 blocks
-// are transposed in registers, the last k mod 4 columns are moved one
-// element at a time. Data movement only.
-TEXT ·packPanel4AVX(SB), NOSPLIT, $0-24
+// Packs four consecutive length-k rows at a into a column-interleaved
+// panel with stride elements per column: pack[kk*stride+l] = a[l*k+kk].
+// Stride 4 is the A panel the 4-row tiles read; four calls at stride 16
+// build the zmm tile's B panel. Whole 4×4 blocks are transposed in
+// registers, the last k mod 4 columns are moved one element at a time.
+// Data movement only.
+TEXT ·packPanel4AVX(SB), NOSPLIT, $0-32
 	MOVQ pack+0(FP), DI
 	MOVQ a+8(FP), SI
 	MOVQ k+16(FP), CX
+	MOVQ stride+24(FP), R11
+	SHLQ $3, R11                  // column stride in bytes
+	LEAQ (R11)(R11*2), R12        // three columns
 	LEAQ (SI)(CX*8), R8
 	LEAQ (R8)(CX*8), R9
 	LEAQ (R9)(CX*8), R10
@@ -195,15 +200,15 @@ packBlock:
 	VPERM2F128 $0x20, Y7, Y5, Y1  // column 1
 	VPERM2F128 $0x31, Y6, Y4, Y2  // column 2
 	VPERM2F128 $0x31, Y7, Y5, Y3  // column 3
-	VMOVUPD Y0, 0(DI)
-	VMOVUPD Y1, 32(DI)
-	VMOVUPD Y2, 64(DI)
-	VMOVUPD Y3, 96(DI)
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, (DI)(R11*1)
+	VMOVUPD Y2, (DI)(R11*2)
+	VMOVUPD Y3, (DI)(R12*1)
 	ADDQ $32, SI
 	ADDQ $32, R8
 	ADDQ $32, R9
 	ADDQ $32, R10
-	ADDQ $128, DI
+	LEAQ (DI)(R11*4), DI
 	DECQ CX
 	JNZ  packBlock
 
@@ -224,7 +229,7 @@ packColumn:
 	ADDQ $8, R8
 	ADDQ $8, R9
 	ADDQ $8, R10
-	ADDQ $32, DI
+	ADDQ R11, DI
 	DECQ BX
 	JNZ  packColumn
 
@@ -457,6 +462,101 @@ nextT:
 	VMASKMOVPD Y1, Y12, 32(DI)
 	VMASKMOVPD Y2, Y13, 64(DI)
 	VMASKMOVPD Y3, Y14, 96(DI)
+	VZEROUPPER
+	RET
+
+// func matmulTile816AVX512(c *float64, cStride int, a *float64, aStride int, bPack *float64, k int)
+//
+// Computes the 8×16 output tile c[0:8][0:16] = A[0:8] · Bpanelᵀ. a points
+// at eight length-k rows of A spaced aStride elements apart, read in place;
+// bPack holds sixteen B rows column-interleaved (k groups of sixteen,
+// bPack[kk*16+jj] = b[jj][kk]); c points at the tile's top-left element
+// inside a row-major matrix with cStride elements per row. k > 0.
+//
+// Bit-identity contract: as for the AVX tiles above, each output element
+// accumulates its dot product sequentially in increasing k with exactly one
+// IEEE double VMULPD and one VADDPD per step — never FMA, never an embedded
+// rounding or suppress-all-exceptions override, so MXCSR rounds as it does
+// the scalar loop. Lanes span independent output elements only: row r's
+// sixteen columns live in its two accumulators, Z(2r) and Z(2r+1), which
+// are stored straight to c's row r.
+//
+// R8–R14 and BX walk the eight A rows, CX counts kk, SI walks the panel;
+// Z16/Z17 are the panel's sixteen values at kk, Z18 the broadcast a
+// scalar, Z19/Z20 the products.
+#define ZROW_MAC(arow, acc0, acc1) \
+	VBROADCASTSD (arow)(CX*8), Z18; \
+	VMULPD Z16, Z18, Z19; \
+	VADDPD Z19, acc0, acc0; \
+	VMULPD Z17, Z18, Z20; \
+	VADDPD Z20, acc1, acc1
+
+#define ZROW_STORE(acc0, acc1) \
+	VMOVUPD acc0, (DI); \
+	VMOVUPD acc1, 64(DI); \
+	ADDQ DX, DI
+
+TEXT ·matmulTile816AVX512(SB), NOSPLIT, $0-48
+	MOVQ a+16(FP), R8
+	MOVQ aStride+24(FP), DX
+	MOVQ bPack+32(FP), SI
+	MOVQ k+40(FP), AX
+
+	// A row pointers: eight rows spaced aStride*8 bytes apart.
+	SHLQ $3, DX
+	LEAQ (R8)(DX*1), R9
+	LEAQ (R9)(DX*1), R10
+	LEAQ (R10)(DX*1), R11
+	LEAQ (R11)(DX*1), R12
+	LEAQ (R12)(DX*1), R13
+	LEAQ (R13)(DX*1), R14
+	LEAQ (R14)(DX*1), BX
+
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	VPXORQ Z6, Z6, Z6
+	VPXORQ Z7, Z7, Z7
+	VPXORQ Z8, Z8, Z8
+	VPXORQ Z9, Z9, Z9
+	VPXORQ Z10, Z10, Z10
+	VPXORQ Z11, Z11, Z11
+	VPXORQ Z12, Z12, Z12
+	VPXORQ Z13, Z13, Z13
+	VPXORQ Z14, Z14, Z14
+	VPXORQ Z15, Z15, Z15
+	XORQ   CX, CX
+
+loop816:
+	VMOVUPD (SI), Z16
+	VMOVUPD 64(SI), Z17
+	ADDQ    $128, SI
+	ZROW_MAC(R8, Z0, Z1)
+	ZROW_MAC(R9, Z2, Z3)
+	ZROW_MAC(R10, Z4, Z5)
+	ZROW_MAC(R11, Z6, Z7)
+	ZROW_MAC(R12, Z8, Z9)
+	ZROW_MAC(R13, Z10, Z11)
+	ZROW_MAC(R14, Z12, Z13)
+	ZROW_MAC(BX, Z14, Z15)
+	INCQ CX
+	CMPQ CX, AX
+	JLT  loop816
+
+	MOVQ c+0(FP), DI
+	MOVQ cStride+8(FP), DX
+	SHLQ $3, DX
+	ZROW_STORE(Z0, Z1)
+	ZROW_STORE(Z2, Z3)
+	ZROW_STORE(Z4, Z5)
+	ZROW_STORE(Z6, Z7)
+	ZROW_STORE(Z8, Z9)
+	ZROW_STORE(Z10, Z11)
+	ZROW_STORE(Z12, Z13)
+	ZROW_STORE(Z14, Z15)
 	VZEROUPPER
 	RET
 

@@ -6,6 +6,13 @@ package nn
 // reached; it is a var only so tests compile the same toggle everywhere.
 var useAVX = false
 
+// useAVX512 is false for the same reason.
+var useAVX512 = false
+
+func matmulTile816AVX512(c *float64, cStride int, a *float64, aStride int, bPack *float64, k int) {
+	panic("nn: vectorized matmul kernel is amd64-only")
+}
+
 func matmulTile48AVX(c *float64, cStride int, aPack *float64, b *float64, k int) {
 	panic("nn: vectorized matmul kernel is amd64-only")
 }
@@ -22,7 +29,7 @@ func matmulTile4NAVX(c *float64, cStride int, aPack *float64, b *float64, k int,
 	panic("nn: vectorized matmul kernel is amd64-only")
 }
 
-func packPanel4AVX(pack *float64, a *float64, k int) {
+func packPanel4AVX(pack *float64, a *float64, k int, stride int) {
 	panic("nn: vectorized matmul kernel is amd64-only")
 }
 

@@ -191,13 +191,17 @@ func MatMulNTInto(c, a, b *Matrix) *Matrix {
 	return c
 }
 
+// TileRows is the row count of the widest MatMulNTIntoWS tile (the 8×16
+// AVX-512 one): a batch that is a multiple of it leaves the kernels no row
+// tail.
+const TileRows = 8
+
 // MatMulNTIntoWS is MatMulNTInto with workspace-backed scratch: on CPUs
-// with AVX it packs A panels into ws and runs a vectorized kernel that is
-// bit-identical to the scalar path (each output element still accumulates
-// one sequential mul+add chain over k; the vector lanes span independent
-// elements only). Batches of four rows and up — training batches, the
-// batched executor's gather matrices — take it at any output width; fewer
-// rows fall through to MatMulNTInto.
+// with AVX it runs vectorized kernels that are bit-identical to the scalar
+// path (each output element still accumulates one sequential mul+add chain
+// over k; the vector lanes span independent elements only). Batches of four
+// rows and up — training batches, the batched executor's gather matrices —
+// take them at any output width; fewer rows fall through to MatMulNTInto.
 //
 //edgeslice:noalloc
 func MatMulNTIntoWS(c, a, b *Matrix, ws *Workspace) *Matrix {
@@ -207,11 +211,17 @@ func MatMulNTIntoWS(c, a, b *Matrix, ws *Workspace) *Matrix {
 	return MatMulNTInto(c, a, b)
 }
 
-// matMulNTAVX drives the AVX tile kernels: A is packed four rows at a time
-// into a column-interleaved panel, each panel sweeps B in 8-row tiles with
-// the last 1–7 rows of B (all of a narrow head) on the narrow tile, and the
-// row tail reuses the scalar kernel's per-element dots (the same sequential
-// operation order, so it is bit-identical too).
+// matMulNTAVX drives the tile kernels. On AVX-512 hosts, products of at
+// least 8 rows and 16 columns first cover their whole 8-row blocks × 16-column
+// panels with the zmm tile: B is packed one panel at a time into ws's pack
+// buffer and each panel sweeps every row block. What is left — the column
+// tail of those rows, then the rows past them, or everything on a host
+// without AVX-512 — runs on the AVX tiles: A packed four rows at a time
+// into a column-interleaved panel, each panel sweeping B in 8-row tiles with
+// the last 1–7 rows of B (all of a narrow head) on the narrow tile. The last
+// 1–3 rows reuse the scalar kernel's per-element dots. Every path does each
+// element's operations in the same sequential order, so all are
+// bit-identical.
 //
 //edgeslice:noalloc
 func matMulNTAVX(c, a, b *Matrix, ws *Workspace) *Matrix {
@@ -224,11 +234,57 @@ func matMulNTAVX(c, a, b *Matrix, ws *Workspace) *Matrix {
 	n, k, m := a.Rows, a.Cols, b.Rows
 	// The kernels index unchecked; these are the furthest elements they touch.
 	_, _, _ = a.Data[n*k-1], b.Data[m*k-1], c.Data[n*m-1]
-	pack := ws.Floats(4 * k)
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		packPanel4AVX(&pack[0], &a.Data[i*k], k)
-		j := 0
+	// Rows [0, n8) × columns [0, m16) go to the zmm tile.
+	n8, m16 := 0, 0
+	if useAVX512 && n >= 8 && m >= 16 {
+		n8, m16 = n&^7, m&^15
+	}
+	packLen := 4 * k // one AVX A panel
+	if m16 > 0 {
+		packLen = 16 * k // one B panel; the A panels reuse it after
+	}
+	pack := ws.packFloats(packLen)
+	for j := 0; j < m16; j += 16 {
+		packPanel16(pack, b.Data[j*k:(j+16)*k], k)
+		for i := 0; i < n8; i += 8 {
+			matmulTile816AVX512(&c.Data[i*m+j], m, &a.Data[i*k], k, &pack[0], k)
+		}
+	}
+	tilesAVX(c, a, b, pack, 0, n8, m16)
+	n4 := n8 + (n-n8)&^3
+	tilesAVX(c, a, b, pack, n8, n4, 0)
+	if n4 < n {
+		at := Matrix{Rows: n - n4, Cols: k, Data: a.Data[n4*k:]}
+		ct := Matrix{Rows: n - n4, Cols: m, Data: c.Data[n4*m:]}
+		MatMulNTInto(&ct, &at, b)
+	}
+	return c
+}
+
+// packPanel16 packs the sixteen length-k rows at b into the panel the zmm
+// tile reads, pack[kk*16+jj] = b[jj*k+kk], four rows at a time.
+//
+//edgeslice:noalloc
+func packPanel16(pack, b []float64, k int) {
+	// The kernel writes unchecked; these are the furthest elements it touches.
+	_, _ = pack[16*k-1], b[16*k-1]
+	for jj := 0; jj < 16; jj += 4 {
+		packPanel4AVX(&pack[jj], &b[jj*k], k, 16)
+	}
+}
+
+// tilesAVX covers rows [i0, i1), a multiple of four apart, × columns
+// [j0, c.Cols) with the AVX tiles, packing each four-row A panel into pack.
+//
+//edgeslice:noalloc
+func tilesAVX(c, a, b *Matrix, pack []float64, i0, i1, j0 int) {
+	k, m := a.Cols, b.Rows
+	if j0 == m {
+		return
+	}
+	for i := i0; i < i1; i += 4 {
+		packPanel4AVX(&pack[0], &a.Data[i*k], k, 4)
+		j := j0
 		for ; j+8 <= m; j += 8 {
 			matmulTile48AVX(&c.Data[i*m+j], m, &pack[0], &b.Data[j*k], k)
 		}
@@ -236,12 +292,6 @@ func matMulNTAVX(c, a, b *Matrix, ws *Workspace) *Matrix {
 			matmulTile4NAVX(&c.Data[i*m+j], m, &pack[0], &b.Data[j*k], k, m-j)
 		}
 	}
-	if i < n {
-		at := Matrix{Rows: n - i, Cols: k, Data: a.Data[i*k:]}
-		ct := Matrix{Rows: n - i, Cols: m, Data: c.Data[i*m:]}
-		MatMulNTInto(&ct, &at, b)
-	}
-	return c
 }
 
 // MatMulNNInto computes C = A * B into the preallocated (a.Rows×b.Cols)

@@ -101,3 +101,18 @@ func TestTrainingBitIdenticalAcrossKernels(t *testing.T) {
 		})
 	}
 }
+
+// On an AVX-512 host every product of eight rows and sixteen columns or
+// more runs on the zmm tile, so there the AVX tiles would only ever see its
+// tails. This re-runs the kernel, matmul, forward-batch and training tests
+// with the zmm tier off.
+func TestAVX2Kernels(t *testing.T) {
+	if !nn.SetUseAVX512(t, true) {
+		t.Skip("no AVX-512 tier on this host: every other test already runs the AVX tiles")
+	}
+	nn.SetUseAVX512(t, false)
+	for _, tc := range nn.AVX2Tests {
+		t.Run(tc.Name, tc.F)
+	}
+	t.Run("TrainingBitIdenticalAcrossKernels", TestTrainingBitIdenticalAcrossKernels)
+}

@@ -19,6 +19,7 @@ type Workspace struct {
 	mi   int
 	vecs [][]float64
 	vi   int
+	pack []float64 // the matmul kernels' panel scratch; see packFloats
 }
 
 // Reset rewinds the arena so the next draws reuse the buffers handed out
@@ -80,4 +81,17 @@ func (w *Workspace) FloatsZeroed(n int) []float64 {
 		v[i] = 0
 	}
 	return v
+}
+
+// packFloats returns the workspace's matmul pack buffer at length n, with
+// undefined contents. There is one per workspace, not one per draw: a
+// product is done with it when it returns. It grows only when a product
+// needs more than every one before it and keeps its capacity through
+// Reset, so once a workspace has run its largest product it allocates no
+// more.
+func (w *Workspace) packFloats(n int) []float64 {
+	if cap(w.pack) < n {
+		w.pack = make([]float64, n)
+	}
+	return w.pack[:n]
 }
