@@ -106,18 +106,13 @@ const minShardRows = 64
 // shardBounds splits n rows into contiguous equal blocks (the last may be
 // short), one per shard: a single block unless there are at least
 // 2*minShardRows rows and more than one worker, never more than workers
-// blocks nor equal blocks shorter than minShardRows. Blocks are rounded up
-// to whole nn.TileRows, so only the last has a row tail in the forward's
-// kernels, unless that would leave the last block under minShardRows. Block s is [lo[s], lo[s+1]).
+// blocks nor blocks shorter than minShardRows. Block s is [lo[s], lo[s+1]).
 func shardBounds(n, workers int) (lo []int) {
 	shards := 1
 	if workers > 1 && n >= 2*minShardRows {
 		shards = min(n/minShardRows, workers)
 	}
 	cs := (n + shards - 1) / shards
-	if up := (cs + nn.TileRows - 1) / nn.TileRows * nn.TileRows; n-(shards-1)*up >= minShardRows {
-		cs = up
-	}
 	lo = make([]int, shards+1)
 	for si := range lo {
 		lo[si] = min(si*cs, n)

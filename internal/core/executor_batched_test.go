@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"edgeslice/internal/nn"
 	"edgeslice/internal/rl"
 	"edgeslice/internal/rl/ddpg"
 	"edgeslice/internal/rl/ppo"
@@ -234,44 +233,5 @@ func TestBatchedTelemetry(t *testing.T) {
 	}
 	if got := snap["edgeslice_executor_batches_per_period"]; got != float64(T) {
 		t.Errorf("batches_per_period = %v, want %v", got, T)
-	}
-}
-
-// Forward blocks are whole row tiles but for the last, and rounding them
-// never breaks the split's rules: a contiguous cover of [0, n), no more
-// blocks than workers, no block longer than the first (actRow divides by
-// it), and, once split, no block but the last under minShardRows — nor the
-// last wherever the blocks were aligned.
-func TestShardBoundsAlignToRowTile(t *testing.T) {
-	check := func(t *testing.T, n, workers int, aligned bool) {
-		t.Helper()
-		lo := shardBounds(n, workers)
-		blocks := len(lo) - 1
-		if lo[0] != 0 || lo[blocks] != n || blocks < 1 || blocks > max(workers, 1) {
-			t.Fatalf("n=%d workers=%d: bounds %v", n, workers, lo)
-		}
-		for s := 0; s < blocks; s++ {
-			size := lo[s+1] - lo[s]
-			short := blocks > 1 && size < minShardRows && (aligned || s < blocks-1)
-			if size <= 0 || size > lo[1] || short {
-				t.Fatalf("n=%d workers=%d: block %d is %d rows in %v", n, workers, s, size, lo)
-			}
-			if aligned && s < blocks-1 && size%nn.TileRows != 0 {
-				t.Fatalf("n=%d workers=%d: block %d is %d rows, not a multiple of %d: %v", n, workers, s, size, nn.TileRows, lo)
-			}
-		}
-	}
-	for _, n := range []int{2047, 2048, 1000} {
-		for _, workers := range []int{2, 3, 4} {
-			check(t, n, workers, true)
-			if got := len(shardBounds(n, workers)) - 1; got != workers {
-				t.Errorf("n=%d workers=%d: %d blocks, want %d", n, workers, got, workers)
-			}
-		}
-	}
-	for n := 1; n <= 1200; n++ {
-		for workers := 1; workers <= 9; workers++ {
-			check(t, n, workers, false)
-		}
 	}
 }

@@ -2,32 +2,5 @@ package nn
 
 import "testing"
 
-// SetUseAVX is setUseAVX for the external test package; it reports whether
-// the AVX kernels are now on.
-func SetUseAVX(t testing.TB, on bool) bool {
-	setUseAVX(t, on)
-	return useAVX
-}
-
-// SetUseAVX512 is setUseAVX512 for the external test package; it reports
-// whether the zmm tier is now on.
-func SetUseAVX512(t testing.TB, on bool) bool {
-	setUseAVX512(t, on)
-	return useAVX512
-}
-
-// AVX2Tests are this package's kernel, matmul and forward-batch tests,
-// which TestAVX2Kernels re-runs with the zmm tier off.
-var AVX2Tests = []struct {
-	Name string
-	F    func(*testing.T)
-}{
-	{"KernelsBitIdenticalToScalar", TestKernelsBitIdenticalToScalar},
-	{"MatMulNTIntoWSMatchesScalar", TestMatMulNTIntoWSMatchesScalar},
-	{"ForwardBatchMatchesForward", TestForwardBatchMatchesForward},
-	{"ForwardBatchMatchesForward1", TestForwardBatchMatchesForward1},
-	{"ForwardBatchShardInvariant", TestForwardBatchShardInvariant},
-	{"ForwardBatchWarmAllocs", TestForwardBatchWarmAllocs},
-	{"BackwardInputMatchesBackward", TestBackwardInputMatchesBackward},
-	{"NetworkStepAllocFree", TestNetworkStepAllocFree},
-}
+// SetKernels is setKernels for the external test package.
+func SetKernels(t testing.TB, avx, avx512 bool) bool { return setKernels(t, avx, avx512) }

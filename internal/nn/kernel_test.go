@@ -7,20 +7,22 @@ import (
 	"testing"
 )
 
-// setUseAVX switches the matmul dispatch for the rest of the test. A host
-// without AVX stays on the scalar loops whatever is asked.
-func setUseAVX(t testing.TB, on bool) {
-	host := useAVX
-	t.Cleanup(func() { useAVX = host })
-	useAVX = on && host
-}
+// hostAVX and hostAVX512 are the kernel tiers the host detected.
+var hostAVX, hostAVX512 = useAVX, useAVX512
 
-// setUseAVX512 switches the zmm tier for the rest of the test. A host
-// without AVX-512 stays on the AVX tiles whatever is asked.
-func setUseAVX512(t testing.TB, on bool) {
-	host := useAVX512
-	t.Cleanup(func() { useAVX512 = host })
-	useAVX512 = on && host
+// kernelTiers are the matmul dispatch settings the tests compare: the
+// scalar loops, the AVX tiles alone and the AVX tiles under the AVX-512
+// tile.
+var kernelTiers = []struct{ avx, avx512 bool }{{false, false}, {true, false}, {true, true}}
+
+// setKernels switches the matmul dispatch for the rest of the test and
+// reports whether the host has the tier asked for; a host without it runs
+// the best tier it has below that.
+func setKernels(t testing.TB, avx, avx512 bool) bool {
+	prevAVX, prevAVX512 := useAVX, useAVX512
+	t.Cleanup(func() { useAVX, useAVX512 = prevAVX, prevAVX512 })
+	useAVX, useAVX512 = avx && hostAVX, avx && avx512 && hostAVX512
+	return useAVX == avx && useAVX512 == (avx && avx512)
 }
 
 // Every other test in this package runs on the kernels the host detected,
@@ -31,7 +33,7 @@ func TestScalarKernels(t *testing.T) {
 	if !useAVX {
 		t.Skip("the host already runs the scalar loops")
 	}
-	setUseAVX(t, false)
+	setKernels(t, false, false)
 	for _, tc := range []struct {
 		name string
 		f    func(*testing.T)
@@ -98,7 +100,7 @@ func TestKernelsBitIdenticalToScalar(t *testing.T) {
 	if !useAVX {
 		t.Skip("no AVX kernels on this host")
 	}
-	setUseAVX(t, true) // registers the restore of the dispatch the loop below flips
+	setKernels(t, true, true) // registers the restore of the dispatch the loops below flip
 
 	rng := rand.New(rand.NewSource(15)) //nolint:gosec // test determinism
 	// r, p, q: NT is (r×p)·(q×p)ᵀ, NN is (r×p)·(p×q), TN is (r×p)ᵀ·(r×q).
@@ -109,17 +111,27 @@ func TestKernelsBitIdenticalToScalar(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		shapes = append(shapes, [3]int{1 + rng.Intn(70), 1 + rng.Intn(40), 1 + rng.Intn(40)})
 	}
+	gens := []func(*rand.Rand, int, int) *Matrix{randMat, edgeMat}
 	var ws Workspace
+	// nt checks the workspace product z = a·bᵀ against the scalar loop with
+	// the AVX-512 tile on, then off.
+	nt := func(a, b *Matrix, label string) {
+		want := MatMulNTInto(garbageMat(a.Rows, b.Rows), a, b)
+		for _, avx512 := range []bool{true, false} {
+			useAVX512 = avx512 && hostAVX512
+			ws.Reset()
+			bitsEqual(t, MatMulNTIntoWS(garbageMat(a.Rows, b.Rows), a, b, &ws), want, fmt.Sprintf("%s avx512=%v", label, useAVX512))
+		}
+	}
 	for _, s := range shapes {
 		r, p, q := s[0], s[1], s[2]
 		shape := fmt.Sprintf(" r=%d p=%d q=%d", r, p, q)
-		for _, gen := range []func(*rand.Rand, int, int) *Matrix{randMat, edgeMat} {
+		for _, gen := range gens {
 			a := gen(rng, r, p)
 			bNT, bNN, bTN := gen(rng, q, p), gen(rng, p, q), gen(rng, r, q)
 			cNN, cTN := gen(rng, r, q), gen(rng, p, q)
 
-			ws.Reset()
-			bitsEqual(t, MatMulNTIntoWS(garbageMat(r, q), a, bNT, &ws), MatMulNTInto(garbageMat(r, q), a, bNT), "NT"+shape)
+			nt(a, bNT, "NT"+shape)
 
 			onBothKernels(t, "NN"+shape, func() []*Matrix {
 				c := cNN.Clone()
@@ -134,10 +146,24 @@ func TestKernelsBitIdenticalToScalar(t *testing.T) {
 		}
 	}
 
+	// The AVX-512 tile's edges: every row count from one 8-row block to five
+	// blocks and one (each n mod 8 tail), every output width from 1 to 40
+	// (each m mod 16 tail, and widths under one panel), at tiny, odd and the
+	// actor's inner lengths.
+	for _, k := range []int{1, 2, 3, 4, 7, 128, 130} {
+		for n := 8; n <= 41; n++ {
+			for m := 1; m <= 40; m++ {
+				for _, gen := range gens {
+					nt(gen(rng, n, k), gen(rng, m, k), fmt.Sprintf("NT n=%d k=%d m=%d", n, k, m))
+				}
+			}
+		}
+	}
+
 	// The element-wise passes, at lengths that are all tail, whole vectors
 	// only and both; biasAct also in place, as inference runs it.
 	for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 31, 32, 33} {
-		for _, gen := range []func(*rand.Rand, int, int) *Matrix{randMat, edgeMat} {
+		for _, gen := range gens {
 			const rows = 3
 			z, b, up, y := gen(rng, rows, n), gen(rng, 1, n), gen(rng, rows, n), gen(rng, rows, n)
 			for _, act := range allActs {
@@ -168,32 +194,6 @@ func TestKernelsBitIdenticalToScalar(t *testing.T) {
 	}
 }
 
-// The zmm tile and the AVX tiles around it must reproduce the scalar loops
-// bit for bit: every row count from one 8-row block to five blocks and a
-// 1 (so every n mod 8 tail), every output width from 1 to 40 (every m mod
-// 16 tail, and widths under one panel that never reach the tile), inner
-// lengths that are tiny, odd and the actor's 128 and past it, on normal and
-// edge-value inputs.
-func TestAVX512TileBitIdenticalToScalar(t *testing.T) {
-	if !useAVX512 {
-		t.Skip("no AVX-512F with OS-enabled zmm state on this host, so the zmm tier never runs here")
-	}
-	rng := rand.New(rand.NewSource(32)) //nolint:gosec // test determinism
-	var ws Workspace
-	for _, k := range []int{1, 2, 3, 4, 7, 128, 130} {
-		for n := 8; n <= 41; n++ {
-			for m := 1; m <= 40; m++ {
-				for _, gen := range []func(*rand.Rand, int, int) *Matrix{randMat, edgeMat} {
-					a, b := gen(rng, n, k), gen(rng, m, k)
-					ws.Reset()
-					bitsEqual(t, MatMulNTIntoWS(garbageMat(n, m), a, b, &ws), MatMulNTInto(garbageMat(n, m), a, b),
-						fmt.Sprintf("n=%d k=%d m=%d", n, k, m))
-				}
-			}
-		}
-	}
-}
-
 // onBothKernels runs f on the scalar loops, then on the AVX kernels, and
 // compares the matrices it returns. The caller restores the dispatch.
 func onBothKernels(t *testing.T, label string, f func() []*Matrix) {
@@ -209,18 +209,22 @@ func onBothKernels(t *testing.T, label string, f func() []*Matrix) {
 // In place on inference's workspace or out of place into the layer's
 // caches, the bias + activation pass is one function: row i of ForwardBatch
 // is row i of Forward bit for bit, for every activation, at widths that are
-// all tail, whole vectors only and both, on either side of the dispatch.
+// all tail, whole vectors only and both, on every kernel tier. Thirteen rows
+// are an 8-row block, a 4-row panel and one row past both.
 func TestForwardBatchMatchesForward(t *testing.T) {
 	rng := rand.New(rand.NewSource(22)) //nolint:gosec // test determinism
 	var ws Workspace
-	for _, avx := range []bool{false, true} {
-		setUseAVX(t, avx)
+	for _, tier := range kernelTiers {
+		if !setKernels(t, tier.avx, tier.avx512) {
+			continue
+		}
 		for _, act := range allActs {
 			for _, w := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 31, 32, 33, 40} {
 				net := NewMLP(rng, 5, LayerSpec{Out: w, Act: act}, LayerSpec{Out: w, Act: act})
-				x := edgeMat(rng, 7, 5)
+				x := edgeMat(rng, 13, 5)
 				ws.Reset()
-				bitsEqual(t, net.ForwardBatch(x, &ws), net.Forward(x), fmt.Sprintf("avx=%v %v width %d", useAVX, act, w))
+				bitsEqual(t, net.ForwardBatch(x, &ws), net.Forward(x),
+					fmt.Sprintf("avx=%v avx512=%v %v width %d", useAVX, useAVX512, act, w))
 			}
 		}
 	}
@@ -234,7 +238,7 @@ func TestAdamBitIdenticalAcrossKernels(t *testing.T) {
 	if !useAVX {
 		t.Skip("no AVX kernels on this host")
 	}
-	setUseAVX(t, true) // registers the restore of the dispatch the loop below flips
+	setKernels(t, true, true) // registers the restore of the dispatch the loops below flip
 
 	rng := rand.New(rand.NewSource(23)) //nolint:gosec // test determinism
 	scalar := NewMLP(rng, 5, LayerSpec{Out: 33, Act: ActLeakyReLU}, LayerSpec{Out: 7, Act: ActTanh}, LayerSpec{Out: 1, Act: ActIdentity})

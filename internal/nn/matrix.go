@@ -191,11 +191,6 @@ func MatMulNTInto(c, a, b *Matrix) *Matrix {
 	return c
 }
 
-// TileRows is the row count of the widest MatMulNTIntoWS tile (the 8×16
-// AVX-512 one): a batch that is a multiple of it leaves the kernels no row
-// tail.
-const TileRows = 8
-
 // MatMulNTIntoWS is MatMulNTInto with workspace-backed scratch: on CPUs
 // with AVX it runs vectorized kernels that are bit-identical to the scalar
 // path (each output element still accumulates one sequential mul+add chain

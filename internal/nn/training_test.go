@@ -25,13 +25,14 @@ type trainer interface {
 
 // Every trainer goes through Dense, so each must end a short training in
 // the same state — networks, optimizer moments, RNG cursor, replay — on the
-// AVX kernels as on the scalar loops. Widths are picked off the kernels'
-// block sizes: hidden 40 is a full 32-column block plus a tail, the 5+3
-// critic input a lone tail, the heads (1 and 3 wide) narrow tiles; each
-// trainer runs at its round batch size and at one two rows short of it,
-// which leaves the forward product a row tail.
+// AVX tiles, with and without the AVX-512 tile over them, as on the scalar
+// loops. Widths are picked off the kernels' block sizes: hidden 40 is a
+// full 32-column block plus a tail (two 16-column panels plus a tail on
+// AVX-512), the 5+3 critic input a lone tail, the heads (1 and 3 wide)
+// narrow tiles; each trainer runs at its round batch size and at one two
+// rows short of it, which leaves the forward product a row tail.
 func TestTrainingBitIdenticalAcrossKernels(t *testing.T) {
-	if !nn.SetUseAVX(t, true) {
+	if !nn.SetKernels(t, true, false) {
 		t.Skip("no AVX kernels on this host")
 	}
 	const sdim, adim, hidden = 5, 3, 40
@@ -72,8 +73,8 @@ func TestTrainingBitIdenticalAcrossKernels(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			trained := func(short int, avx bool) []byte {
-				nn.SetUseAVX(t, avx)
+			trained := func(short int, avx, avx512 bool) []byte {
+				nn.SetKernels(t, avx, avx512)
 				a, err := tc.new(short)
 				if err != nil {
 					t.Fatal(err)
@@ -93,26 +94,17 @@ func TestTrainingBitIdenticalAcrossKernels(t *testing.T) {
 				return out
 			}
 			for _, short := range []int{0, 2} {
-				scalar, avx := trained(short, false), trained(short, true)
-				if !bytes.Equal(scalar, avx) {
-					t.Errorf("batch %d rows short: snapshot after %d steps differs between scalar (%d B) and AVX (%d B) kernels", short, tc.steps, len(scalar), len(avx))
+				scalar := trained(short, false, false)
+				for _, avx512 := range []bool{false, true} {
+					if avx512 && !nn.SetKernels(t, true, true) {
+						continue // no AVX-512 tile on this host
+					}
+					if avx := trained(short, true, avx512); !bytes.Equal(scalar, avx) {
+						t.Errorf("batch %d rows short: snapshot after %d steps differs between scalar (%d B) and AVX (avx512=%v, %d B) kernels",
+							short, tc.steps, len(scalar), avx512, len(avx))
+					}
 				}
 			}
 		})
 	}
-}
-
-// On an AVX-512 host every product of eight rows and sixteen columns or
-// more runs on the zmm tile, so there the AVX tiles would only ever see its
-// tails. This re-runs the kernel, matmul, forward-batch and training tests
-// with the zmm tier off.
-func TestAVX2Kernels(t *testing.T) {
-	if !nn.SetUseAVX512(t, true) {
-		t.Skip("no AVX-512 tier on this host: every other test already runs the AVX tiles")
-	}
-	nn.SetUseAVX512(t, false)
-	for _, tc := range nn.AVX2Tests {
-		t.Run(tc.Name, tc.F)
-	}
-	t.Run("TrainingBitIdenticalAcrossKernels", TestTrainingBitIdenticalAcrossKernels)
 }
