@@ -10,7 +10,7 @@
 // Sec. V).
 //
 // The package defines the wire format and the per-agent state container;
-// the six RL algorithm packages (ddpg, td3, sac, ppo, trpo, vpg) implement
+// the five RL algorithm packages (ddpg, sac, ppo, trpo, vpg) implement
 // Snapshot/Restore on top of it and register their restore functions here,
 // so decoding dispatches by algorithm name without this package importing
 // any of them.
@@ -46,14 +46,14 @@ type RNGState struct {
 	Calls uint64 `json:"calls"`
 }
 
-// AgentState is the full serialized state of one trained agent. The six
+// AgentState is the full serialized state of one trained agent. The five
 // algorithms populate the generic containers as they need: Nets holds every
 // network by role ("actor", "critic", "actor-target", "q1", "value", ...),
 // Opts the Adam moments under the same role names, LogStd the Gaussian
 // policy's free deviation parameters, Replay the optional buffer.
 type AgentState struct {
-	// Algo names the training algorithm ("ddpg", "td3", "sac", "ppo",
-	// "trpo", "vpg") and selects the restore function.
+	// Algo names the training algorithm ("ddpg", "sac", "ppo", "trpo",
+	// "vpg") and selects the restore function.
 	Algo      string `json:"algo"`
 	StateDim  int    `json:"state_dim"`
 	ActionDim int    `json:"action_dim"`
@@ -68,13 +68,13 @@ type AgentState struct {
 	RNG RNGState `json:"rng"`
 
 	// NoiseStd is the current exploration-noise standard deviation for
-	// algorithms with a decaying noise schedule (ddpg, td3).
+	// algorithms with a decaying noise schedule (ddpg).
 	NoiseStd float64 `json:"noise_std,omitempty"`
 	// LogStd holds the Gaussian policy's log standard deviations for the
 	// on-policy algorithms (ppo, trpo, vpg).
 	LogStd []float64 `json:"log_std,omitempty"`
-	// Updates is the gradient-update counter (td3 needs it to resume the
-	// delayed-actor phase exactly).
+	// Updates is the gradient-update counter (ddpg restores it so a resumed
+	// agent reports the same count).
 	Updates int `json:"updates,omitempty"`
 
 	Replay *rl.ReplayState `json:"replay,omitempty"`

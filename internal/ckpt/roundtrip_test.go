@@ -2,6 +2,7 @@ package ckpt_test
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -13,9 +14,12 @@ import (
 	"edgeslice/internal/rl/ppo"
 	"edgeslice/internal/rl/rltest"
 	"edgeslice/internal/rl/sac"
-	"edgeslice/internal/rl/td3"
 	"edgeslice/internal/rl/trpo"
 	"edgeslice/internal/rl/vpg"
+
+	// core registers every restore the binaries can load, so the registry
+	// test sees what a binary sees.
+	_ "edgeslice/internal/core"
 )
 
 const (
@@ -32,7 +36,7 @@ type trainable interface {
 
 // algorithms builds one briefly-trained agent per training technique, so
 // snapshots carry warm optimizer moments, advanced RNG cursors, and (for
-// the off-policy three) non-empty replay buffers.
+// the off-policy two) non-empty replay buffers.
 func algorithms(t *testing.T) map[string]trainable {
 	t.Helper()
 	out := map[string]trainable{}
@@ -44,14 +48,6 @@ func algorithms(t *testing.T) map[string]trainable {
 		t.Fatal(err)
 	}
 	out[ddpg.AlgoName] = dd
-
-	tcfg := td3.DefaultConfig()
-	tcfg.Hidden, tcfg.BatchSize, tcfg.WarmupSteps, tcfg.ReplayCapacity = 8, 8, 16, 512
-	td, err := td3.New(stateDim, actionDim, tcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out[td3.AlgoName] = td
 
 	scfg := sac.DefaultConfig()
 	scfg.Hidden, scfg.BatchSize, scfg.WarmupSteps, scfg.ReplayCapacity = 8, 8, 16, 512
@@ -175,15 +171,18 @@ func TestRestoredAgentsAreIndependent(t *testing.T) {
 	}
 }
 
-func TestRegistryCoversAllSixAlgorithms(t *testing.T) {
-	for _, algo := range []string{"ddpg", "ppo", "sac", "td3", "trpo", "vpg"} {
+func TestRegistryCoversAllFiveAlgorithms(t *testing.T) {
+	for _, algo := range []string{"ddpg", "ppo", "sac", "trpo", "vpg"} {
 		_, err := ckpt.RestoreAgent(&ckpt.AgentState{Algo: algo})
 		if err == nil || strings.Contains(err.Error(), "no restore registered") {
 			t.Errorf("%s: empty snapshot restored with error %v, want its restore function's rejection", algo, err)
 		}
 	}
-	if _, err := ckpt.RestoreAgent(&ckpt.AgentState{Algo: "a2c"}); err == nil || !strings.Contains(err.Error(), "no restore registered") {
-		t.Errorf("unregistered algorithm: error %v", err)
+	for _, algo := range []string{"td3", "a2c"} {
+		want := fmt.Sprintf("no restore registered for algorithm %q", algo)
+		if _, err := ckpt.RestoreAgent(&ckpt.AgentState{Algo: algo}); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: error %v, want %q", algo, err, want)
+		}
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"edgeslice/internal/rl/ddpg"
 	"edgeslice/internal/rl/ppo"
 	"edgeslice/internal/rl/sac"
-	"edgeslice/internal/rl/td3"
 	"edgeslice/internal/rl/trpo"
 	"edgeslice/internal/rl/vpg"
 	"edgeslice/internal/telemetry"
@@ -29,10 +28,6 @@ func batchedTestAgent(t *testing.T, name string, stateDim, actionDim int) rl.Age
 		cfg := ddpg.DefaultConfig()
 		cfg.Hidden = 16
 		a, err = ddpg.New(stateDim, actionDim, cfg)
-	case td3.AlgoName:
-		cfg := td3.DefaultConfig()
-		cfg.Hidden = 16
-		a, err = td3.New(stateDim, actionDim, cfg)
 	case sac.AlgoName:
 		cfg := sac.DefaultConfig()
 		cfg.Hidden = 16
@@ -58,11 +53,10 @@ func batchedTestAgent(t *testing.T, name string, stateDim, actionDim int) rl.Age
 	return a
 }
 
-// trainerNames are the six training algorithms whose policies the engines
+// trainerNames are the five training algorithms whose policies the engines
 // must batch bit-identically.
 var trainerNames = []string{
-	ddpg.AlgoName, td3.AlgoName, sac.AlgoName,
-	ppo.AlgoName, trpo.AlgoName, vpg.AlgoName,
+	ddpg.AlgoName, sac.AlgoName, ppo.AlgoName, trpo.AlgoName, vpg.AlgoName,
 }
 
 // algoSystem deploys a system whose every RA shares one agent of the named

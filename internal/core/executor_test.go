@@ -95,7 +95,7 @@ func referenceRun(t *testing.T, s *System, n int) *History {
 
 // forEachPolicy runs fn as one subtest per deployment the determinism tests
 // cover on a 3-RA system: the TARO baseline, EdgeSlice under a loaded
-// policy, and a shared agent of each of the six training algorithms.
+// policy, and a shared agent of each of the five training algorithms.
 // deploy builds a fresh system, identical every call.
 func forEachPolicy(t *testing.T, fn func(t *testing.T, deploy func() *System)) {
 	for _, algo := range []Algorithm{AlgoTARO, AlgoEdgeSlice} {

@@ -12,7 +12,6 @@ import (
 	// any v2 checkpoint loads here, whichever algorithm produced it.
 	_ "edgeslice/internal/rl/ppo"
 	_ "edgeslice/internal/rl/sac"
-	_ "edgeslice/internal/rl/td3"
 	_ "edgeslice/internal/rl/trpo"
 	_ "edgeslice/internal/rl/vpg"
 )

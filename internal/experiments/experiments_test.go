@@ -45,16 +45,6 @@ func TestSmoothAndSeries(t *testing.T) {
 	}
 }
 
-func TestSteady(t *testing.T) {
-	s := Series{Y: []float64{0, 0, 4, 6}}
-	if got := Steady(s); got != 5 {
-		t.Errorf("Steady = %v, want 5", got)
-	}
-	if Steady(Series{}) != 0 {
-		t.Error("Steady of empty series should be 0")
-	}
-}
-
 func TestWriteTable(t *testing.T) {
 	fig := &Figure{
 		ID:    "figX",

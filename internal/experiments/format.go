@@ -70,19 +70,3 @@ func sharedGrid(series []Series) bool {
 	}
 	return true
 }
-
-// Steady returns the mean of the last half of a series' Y values — the
-// steady-state summary number used when comparing against paper values.
-//
-//edgeslice:reach kept with TestSteady for comparisons against paper values; no figure prints it yet
-func Steady(s Series) float64 {
-	if len(s.Y) == 0 {
-		return 0
-	}
-	tail := s.Y[len(s.Y)/2:]
-	var sum float64
-	for _, v := range tail {
-		sum += v
-	}
-	return sum / float64(len(tail))
-}

@@ -9,30 +9,21 @@ func TestCapacityScaleThrottlesService(t *testing.T) {
 		t.Fatal(err)
 	}
 	full := [NumResources]float64{0.5, 0.5, 0.5}
-	nominal, err := env.serviceRate(0, full)
-	if err != nil {
-		t.Fatal(err)
-	}
+	nominal := env.serviceRate(0, full)
 	if err := env.SetCapacityScale(0.25); err != nil {
 		t.Fatal(err)
 	}
 	if got := env.CapacityScale(); got != 0.25 {
 		t.Errorf("CapacityScale = %v, want 0.25", got)
 	}
-	degraded, err := env.serviceRate(0, full)
-	if err != nil {
-		t.Fatal(err)
-	}
+	degraded := env.serviceRate(0, full)
 	if want := nominal * 0.25; degraded != want {
 		t.Errorf("degraded rate = %v, want %v", degraded, want)
 	}
 	if err := env.SetCapacityScale(1); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := env.serviceRate(0, full)
-	if err != nil {
-		t.Fatal(err)
-	}
+	restored := env.serviceRate(0, full)
 	if restored != nominal {
 		t.Errorf("restored rate = %v, want %v", restored, nominal)
 	}

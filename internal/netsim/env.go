@@ -186,11 +186,6 @@ type RAEnv struct {
 	// rebuilding the environment.
 	capScale float64
 
-	// dataset, when set, replaces the analytic service model with the
-	// grid-search + local-linear-regression predictions of Sec. VI-B
-	// (the offline training pipeline of Fig. 5).
-	dataset *Dataset
-
 	interval   int // global interval counter
 	periodStep int // interval within the current period
 	epStep     int // interval within the current episode
@@ -355,8 +350,9 @@ func (e *RAEnv) StepInterval(action []float64) (StepResult, error) {
 
 // StepInto is StepInterval writing into a result the caller owns and
 // reuses: res's per-slice slices are resized in place, so a warm call
-// allocates nothing. The environment keeps no reference to res. On error
-// res holds no meaningful result.
+// allocates nothing. The environment keeps no reference to res. A
+// rejected action (wrong length or NaN) returns its error before anything
+// changes: neither the environment nor res is touched.
 //
 //edgeslice:noalloc
 func (e *RAEnv) StepInto(action []float64, res *StepResult) error {
@@ -419,10 +415,7 @@ func (e *RAEnv) StepInto(action []float64, res *StepResult) error {
 		e.queues[i].Arrive(n, e.interval)
 		res.Arrived[i] = n
 
-		rate, err := e.serviceRate(i, eff[i])
-		if err != nil {
-			return err
-		}
+		rate := e.serviceRate(i, eff[i])
 		res.Served[i] = e.queues[i].Serve(rate, e.interval)
 		res.QueueLens[i] = e.queues[i].Len()
 		if rate > 1/maxServiceTime {
@@ -470,20 +463,8 @@ func (e *RAEnv) StepInto(action []float64, res *StepResult) error {
 }
 
 // serviceRate computes slice i's end-to-end task service rate for an
-// effective allocation: the bottleneck (minimum) across the three domains,
-// either from the analytic model or — in offline mode — from the fitted
-// dataset model of Sec. VI-B.
-func (e *RAEnv) serviceRate(i int, eff [NumResources]float64) (float64, error) {
-	if e.dataset != nil {
-		st, err := e.dataset.PredictServiceTime(i, eff)
-		if err != nil {
-			return 0, fmt.Errorf("netsim: dataset prediction: %w", err)
-		}
-		if st <= 0 {
-			return 0, nil
-		}
-		return 1 / st, nil
-	}
+// effective allocation: the bottleneck (minimum) across the three domains.
+func (e *RAEnv) serviceRate(i int, eff [NumResources]float64) float64 {
 	rate := math.Inf(1)
 	for k := 0; k < NumResources; k++ {
 		d := e.demands[i][k]
@@ -498,13 +479,12 @@ func (e *RAEnv) serviceRate(i int, eff [NumResources]float64) (float64, error) {
 	if math.IsInf(rate, 1) {
 		rate = 0
 	}
-	return rate, nil
+	return rate
 }
 
 // SetCapacityScale scales every resource domain's capacity at runtime
 // (1 = nominal, 0.3 = a degraded RA at 30%). Scenario events use it to
-// model RA failure and recovery. It only affects the analytic service
-// model; the dataset model predicts from shares alone.
+// model RA failure and recovery.
 func (e *RAEnv) SetCapacityScale(scale float64) error {
 	if math.IsNaN(scale) || scale < 0 {
 		return fmt.Errorf("netsim: capacity scale %v must be non-negative", scale)
@@ -515,12 +495,6 @@ func (e *RAEnv) SetCapacityScale(scale float64) error {
 
 // CapacityScale returns the current runtime capacity scale.
 func (e *RAEnv) CapacityScale() float64 { return e.capScale }
-
-// UseDataset switches the environment to the offline service model: rates
-// come from the grid-search dataset's local linear-regression predictions
-// instead of the analytic formula (the paper's Fig. 5 training pipeline).
-// Pass nil to restore the analytic model.
-func (e *RAEnv) UseDataset(ds *Dataset) { e.dataset = ds }
 
 // PeriodPerf returns Σ_t U_i accumulated in the current period and resets
 // the accumulator; Algorithm 1 calls this at period boundaries to report

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -145,81 +146,69 @@ func sameBits(t *testing.T, what string, got, want StepResult) {
 // TestStepIntoMatchesStepInterval steps twin environments — one through the
 // allocating wrapper, one through StepInto with a single reused result —
 // under seeded random actions (including over-capacity and negative
-// shares), a rejected NaN action, a mid-run capacity change, and the
-// dataset service model; results and all subsequent state must agree
-// bitwise.
+// shares), a NaN and a short action rejected by the StepInto twin alone,
+// and a mid-run capacity change; results and all subsequent state must
+// agree bitwise, so a rejected action leaves the environment untouched.
 func TestStepIntoMatchesStepInterval(t *testing.T) {
-	for _, mode := range []string{"analytic", "dataset"} {
-		t.Run(mode, func(t *testing.T) {
-			cfg := DefaultExperimentConfig()
-			cfg.Seed = 42
-			a, err := New(cfg)
+	t.Run("analytic", func(t *testing.T) {
+		cfg := DefaultExperimentConfig()
+		cfg.Seed = 42
+		a, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _ := New(cfg)
+		a.Reset()
+		b.Reset()
+		rng := rand.New(rand.NewSource(7))
+		action := make([]float64, a.ActionDim())
+		var res StepResult // reused across every StepInto
+		for step := 0; step < 400; step++ {
+			for i := range action {
+				action[i] = rng.Float64()*1.7 - 0.2
+			}
+			switch step {
+			case 100:
+				bad := append([]float64(nil), action...)
+				bad[2] = math.NaN()
+				if err := b.StepInto(bad, &res); err == nil {
+					t.Fatal("NaN action accepted")
+				}
+				if err := b.StepInto(action[:3], &res); err == nil {
+					t.Fatal("short action accepted")
+				}
+			case 200:
+				if err := a.SetCapacityScale(0.3); err != nil {
+					t.Fatal(err)
+				}
+				_ = b.SetCapacityScale(0.3)
+			}
+			want, err := a.StepInterval(action)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, _ := New(cfg)
-			if mode == "dataset" {
-				ds, err := BuildDataset(a, 0.1)
-				if err != nil {
-					t.Fatal(err)
-				}
-				a.UseDataset(ds)
-				b.UseDataset(ds)
+			if err := b.StepInto(action, &res); err != nil {
+				t.Fatal(err)
 			}
-			a.Reset()
-			b.Reset()
-			rng := rand.New(rand.NewSource(7))
-			action := make([]float64, a.ActionDim())
-			var res StepResult // reused across every StepInto
-			for step := 0; step < 400; step++ {
-				for i := range action {
-					action[i] = rng.Float64()*1.7 - 0.2
-				}
-				switch step {
-				case 100:
-					bad := append([]float64(nil), action...)
-					bad[2] = math.NaN()
-					_, errA := a.StepInterval(bad)
-					errB := b.StepInto(bad, &res)
-					if errA == nil || errB == nil || errA.Error() != errB.Error() {
-						t.Fatalf("NaN action: errors %v / %v", errA, errB)
-					}
-					if errB = b.StepInto(action[:3], &res); errB == nil {
-						t.Fatal("short action accepted")
-					}
-				case 200:
-					if err := a.SetCapacityScale(0.3); err != nil {
-						t.Fatal(err)
-					}
-					_ = b.SetCapacityScale(0.3)
-				}
-				want, err := a.StepInterval(action)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := b.StepInto(action, &res); err != nil {
-					t.Fatal(err)
-				}
-				sameBits(t, mode, res, want)
-				if !reflect.DeepEqual(a.State(), b.State()) || !reflect.DeepEqual(a.QueueLens(), b.QueueLens()) || a.Interval() != b.Interval() {
-					t.Fatalf("step %d: environment state diverged", step)
-				}
-				if step%10 == 9 {
-					pp := make([]float64, cfg.NumSlices)
-					b.PeriodPerfInto(pp)
-					if want := a.PeriodPerf(); !reflect.DeepEqual(pp, want) {
-						t.Fatalf("step %d: PeriodPerfInto %v, PeriodPerf %v", step, pp, want)
-					}
+			sameBits(t, fmt.Sprintf("step %d", step), res, want)
+			if !reflect.DeepEqual(a.State(), b.State()) || !reflect.DeepEqual(a.QueueLens(), b.QueueLens()) || a.Interval() != b.Interval() {
+				t.Fatalf("step %d: environment state diverged", step)
+			}
+			if step%10 == 9 {
+				pp := make([]float64, cfg.NumSlices)
+				b.PeriodPerfInto(pp)
+				if want := a.PeriodPerf(); !reflect.DeepEqual(pp, want) {
+					t.Fatalf("step %d: PeriodPerfInto %v, PeriodPerf %v", step, pp, want)
 				}
 			}
-			for i := 0; i < cfg.NumSlices; i++ {
-				qa, qb := a.Queue(i), b.Queue(i)
-				if qa.TotalArrived() != qb.TotalArrived() || qa.TotalServed() != qb.TotalServed() || qa.MeanSojourn() != qb.MeanSojourn() {
-					t.Errorf("slice %d queue statistics diverged", i)
-				}
+		}
+		for i := 0; i < cfg.NumSlices; i++ {
+			qa, qb := a.Queue(i), b.Queue(i)
+			if qa.TotalArrived() != qb.TotalArrived() || qa.TotalServed() != qb.TotalServed() || qa.MeanSojourn() != qb.MeanSojourn() {
+				t.Errorf("slice %d queue statistics diverged", i)
 			}
-		})
-	}
+		}
+	})
 }
 
 // TestStepIntoWarmAllocFree pins the point of StepInto: once the result has

@@ -13,7 +13,6 @@ import (
 	"edgeslice/internal/rl/ppo"
 	"edgeslice/internal/rl/rltest"
 	"edgeslice/internal/rl/sac"
-	"edgeslice/internal/rl/td3"
 	"edgeslice/internal/rl/trpo"
 	"edgeslice/internal/rl/vpg"
 )
@@ -45,11 +44,6 @@ func TestTrainingBitIdenticalAcrossKernels(t *testing.T) {
 			cfg := ddpg.DefaultConfig()
 			cfg.Hidden, cfg.BatchSize, cfg.WarmupSteps = hidden, 32-short, 50
 			return ddpg.New(sdim, adim, cfg)
-		}},
-		{"td3", 300, func(short int) (trainer, error) {
-			cfg := td3.DefaultConfig()
-			cfg.Hidden, cfg.BatchSize, cfg.WarmupSteps = hidden, 32-short, 50
-			return td3.New(sdim, adim, cfg)
 		}},
 		{"sac", 200, func(short int) (trainer, error) {
 			cfg := sac.DefaultConfig()

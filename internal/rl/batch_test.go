@@ -9,7 +9,6 @@ import (
 	"edgeslice/internal/rl/ddpg"
 	"edgeslice/internal/rl/ppo"
 	"edgeslice/internal/rl/sac"
-	"edgeslice/internal/rl/td3"
 	"edgeslice/internal/rl/trpo"
 	"edgeslice/internal/rl/vpg"
 )
@@ -33,14 +32,6 @@ func batchAgents(t *testing.T) map[string]rl.Agent {
 		t.Fatal(err)
 	}
 	out[ddpg.AlgoName] = dd
-
-	tcfg := td3.DefaultConfig()
-	tcfg.Hidden = 16
-	td, err := td3.New(batchStateDim, batchActionDim, tcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out[td3.AlgoName] = td
 
 	scfg := sac.DefaultConfig()
 	scfg.Hidden = 16

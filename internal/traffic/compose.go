@@ -86,20 +86,3 @@ func (m Modulated) Rate(interval int) float64 {
 	}
 	return rate
 }
-
-// Sum superimposes several sources — e.g. a diurnal baseline plus a bursty
-// overlay.
-//
-//edgeslice:reach kept with TestSumSuperimposes; no scenario superimposes sources yet
-type Sum struct {
-	Sources []Source
-}
-
-// Rate implements Source.
-func (s Sum) Rate(interval int) float64 {
-	var total float64
-	for _, src := range s.Sources {
-		total += src.Rate(interval)
-	}
-	return total
-}

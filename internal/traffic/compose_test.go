@@ -74,13 +74,6 @@ func TestModulatedClampsNegative(t *testing.T) {
 	}
 }
 
-func TestSumSuperimposes(t *testing.T) {
-	s := Sum{Sources: []Source{ConstantSource{Lambda: 3}, ConstantSource{Lambda: 4}}}
-	if got := s.Rate(0); got != 7 {
-		t.Errorf("Sum.Rate = %v, want 7", got)
-	}
-}
-
 func TestModulatedDeterministic(t *testing.T) {
 	src := Modulated{
 		Base: VariableSource{Lo: 4, Hi: 10, BlockLen: 5, Seed: 42},
