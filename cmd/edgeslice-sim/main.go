@@ -10,11 +10,11 @@
 //	              [-engine serial|batched] [-workers N]
 //
 // Both modes accept -engine/-workers to choose the Algorithm-1 execution
-// engine: "serial" steps RAs one after another, and "batched" gathers all RA
-// observations each interval into one wide forward pass per policy group and
-// shares the RA stepping among its workers. Results are bit-identical across
-// engines and worker counts; only wall-clock changes. The retired
-// "parallel" spelling runs the batched engine.
+// engine: "serial" steps RAs one after another, and "batched" shares chunks
+// of 64 consecutive RAs among its workers, each chunk stepped through a
+// whole period with one forward pass per policy group per interval. Results
+// are bit-identical across engines and worker counts; only wall-clock
+// changes. The retired "parallel" spelling runs the batched engine.
 //
 // Scenario mode runs a declarative workload scenario — a built-in name or a
 // JSON spec file — through the parallel sharded replica runner and prints
@@ -73,8 +73,8 @@ func run() error {
 		train    = flag.Int("train", 12000, "agent training steps")
 		seed     = flag.Int64("seed", 1, "random seed")
 
-		engine  = flag.String("engine", "serial", "execution engine: serial or batched (bit-identical; batched runs one wide forward per policy group)")
-		workers = flag.Int("workers", 0, "batched matmul and step shards (0 = one per RA in scenario mode, GOMAXPROCS in classic mode)")
+		engine  = flag.String("engine", "serial", "execution engine: serial or batched (bit-identical; batched steps 64-RA chunks through whole periods on its workers)")
+		workers = flag.Int("workers", 0, "batched step workers, at most one per 64-RA chunk (0 = one per RA in scenario mode, GOMAXPROCS in classic mode)")
 
 		scenarioName = flag.String("scenario", "", "run a named built-in scenario or a JSON spec file")
 		listScen     = flag.Bool("list-scenarios", false, "list built-in scenarios and exit")

@@ -89,8 +89,9 @@ type Agent = rl.Agent
 // per period (distribute coordination, step T intervals in every RA,
 // collect Σ_t U and run the ADMM update) behind interchangeable
 // implementations — serial in-process stepping, batched cross-RA inference
-// (one wide forward pass per policy group per interval, bit-identical to
-// serial for any worker count), or remote agents over the RC network
+// (64-RA chunks stepped through whole periods on the workers, one forward
+// pass per policy group per chunk per interval, bit-identical to serial for
+// any worker count), or remote agents over the RC network
 // interface (recording the same History, monitor series, SLA flags, and
 // residuals as local runs).
 type Executor = core.Executor
@@ -301,10 +302,10 @@ func NewExecutor(engine string, workers int) (Executor, error) {
 // (System.RunPeriods' default).
 func NewSerialExecutor() Executor { return core.NewSerialExecutor() }
 
-// NewBatchedExecutor returns the batched in-process engine: every interval
-// it gathers all RA observations and runs one wide forward pass per policy
-// group, then steps the RAs (workers shard both the matmul and the
-// stepping), with results bit-identical to the serial engine for any worker
+// NewBatchedExecutor returns the batched in-process engine: once per period
+// its workers pull chunks of 64 consecutive RAs and step each chunk through
+// all T intervals, one forward pass per policy group per chunk per
+// interval, with results bit-identical to the serial engine for any worker
 // count.
 func NewBatchedExecutor(workers int) Executor { return core.NewBatchedExecutor(workers) }
 

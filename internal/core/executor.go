@@ -15,21 +15,23 @@ import (
 //  3. collect — gather Σ_t U per slice per RA, run the ADMM (Z, Y) update,
 //     and record the period's SLA flags and primal/dual residuals.
 //
-// The implementations differ only in where phase 2 executes: Batched runs
-// one wide forward per policy group per interval and steps the RAs in chunks
-// shared among its workers, Serial is that batch plan at one worker, and
-// Remote steps them in separate agent processes over the RC network
-// interface. Every engine steps into the System's period workspace and
-// records through the same fixed (interval, RA, slice) merge, so Serial and
-// Batched are bit-identical for any worker count; Remote is identical to
-// Serial when the remote agents run the same environments and policies.
+// The implementations differ only in where phase 2 executes: Batched steps
+// 64-RA chunks through all T intervals of a period on its workers, one
+// forward per policy group per chunk per interval, Serial is that batch plan
+// at one worker, and Remote steps the RAs in separate agent processes over
+// the RC network interface. Every engine steps a period into the System's
+// T×J result grid and records it through the same fixed (interval, RA,
+// slice) merge, so Serial and Batched are bit-identical for any worker
+// count; Remote is identical to Serial when the remote agents run the same
+// environments and policies.
 type Executor interface {
 	// Name reports the engine spelling ("serial", "batched", "remote").
 	Name() string
 	// RunPeriods executes Algorithm 1 for n periods on s, recording every
 	// interval and period into h, the caller's History (exact or streaming)
-	// of s's shape. On error h keeps every record committed before the
-	// failure: for the remote engine, each period that fully completed.
+	// of s's shape. Every engine merges a period only once all of its RAs
+	// have stepped all T intervals, so a failing period leaves no record: on
+	// error h holds exactly the periods that completed.
 	RunPeriods(s *System, h *History, n int) error
 	// Close releases executor resources (worker pools, network sessions).
 	// A closed executor must not be reused.
@@ -47,8 +49,8 @@ const (
 )
 
 // NewExecutor resolves an in-process engine spelling: "serial" (or empty)
-// and "batched" (one wide forward pass per policy group per interval;
-// workers shard the matmul and the environment stepping, ≤ 0 defaults to
+// and "batched" (workers step 64-RA chunks through whole periods, one
+// forward per policy group per chunk per interval; ≤ 0 defaults to
 // GOMAXPROCS). "parallel" resolves to the batched engine.
 // The remote engine needs a live hub and timeout; construct it with
 // NewRemoteExecutor.
@@ -126,6 +128,19 @@ func (s *System) finishPeriod(h *History, perf [][]float64) error {
 	return s.commitPeriod(h, perf, sla, primal, dual)
 }
 
+// mergePeriod merges the period's T result rows, numbering them on from
+// the intervals already run, in (interval, RA, slice) order.
+func (s *System) mergePeriod(h *History, res [][]netsim.StepResult) error {
+	for _, row := range res {
+		interval := s.intervalsRun
+		s.intervalsRun++
+		if err := s.mergeInterval(h, interval, row); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // mergeInterval folds every RA's result for one interval into the history
 // and the monitor in fixed (RA, slice) order — the one summation and
 // recording order every engine shares — so merged results are bit-identical
@@ -183,9 +198,10 @@ func mergeRA(ws *periodWS, samples []float64, res *netsim.StepResult, sysPerf fl
 	return sysPerf
 }
 
-// serialExecutor is the batch plan at one worker: every interval, one
-// gather and one wide forward per policy group, then the RAs step one after
-// another in RA order on the calling goroutine.
+// serialExecutor is the batch plan at one worker: chunk after chunk, every
+// interval one gather and one forward per policy group in the chunk, then
+// the chunk's RAs step one after another in RA order, all on the calling
+// goroutine.
 type serialExecutor struct{ BatchedExecutor }
 
 // NewSerialExecutor returns the serial in-process engine — System.RunPeriods'

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
+	"math"
 	"testing"
 
+	"edgeslice/internal/nn"
 	"edgeslice/internal/rl"
 	"edgeslice/internal/rl/ddpg"
 	"edgeslice/internal/rl/ppo"
@@ -151,13 +154,13 @@ func TestBatchedMixedSystemMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestBatchedShardedMatchesSerial pushes a group past 2*minShardRows so the
-// wide forward actually fans out across shard goroutines, and requires the
-// result to stay bit-identical to serial — the full gather→shard→scatter
-// path under -race.
+// TestBatchedShardedMatchesSerial pushes a shared group past two chunks so
+// the period actually fans out across step workers, each forwarding its own
+// chunks' rows, and requires the result to stay bit-identical to serial —
+// the full chunk gather→forward→step path under -race.
 func TestBatchedShardedMatchesSerial(t *testing.T) {
 	cfg := execTestConfig(AlgoEdgeSlice)
-	cfg.NumRAs = 2*minShardRows + 2
+	cfg.NumRAs = 2*chunkRAs + 2
 	ref := deployedSystem(t, cfg)
 	hRef, err := ref.RunPeriods(1)
 	if err != nil {
@@ -169,13 +172,156 @@ func TestBatchedShardedMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(e.cachePlan.groups); got != 1 {
-		t.Fatalf("expected one policy group, got %d", got)
+	if got := e.cachePlan.workers; got < 2 {
+		t.Fatalf("period ran on %d step worker(s), want more than one", got)
 	}
-	if shards := len(e.cachePlan.groups[0].res); shards < 2 {
-		t.Fatalf("expected a sharded wide forward, got %d shard(s)", shards)
+	if got, T := e.perPeriod.Load(), cfg.EnvTemplate.T; got <= int64(T) {
+		t.Fatalf("period ran %d chunk forwards at T = %d, want more than one per interval", got, T)
 	}
 	requireSameRun(t, "sharded", hRef, h, ref.Monitor(), s.Monitor())
+}
+
+// loggedRun records n periods of s into a fresh History and an in-memory
+// history log, with run doing the stepping, and returns both.
+func loggedRun(t *testing.T, s *System, n int, run func(*System, int) *History) (*History, []byte) {
+	t.Helper()
+	var buf bytes.Buffer
+	hlog, err := NewHistoryLog(telemetry.NewLogWriter(&buf), s.cfg.EnvTemplate.NumSlices, s.NumRAs(), s.cfg.EnvTemplate.T)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.SetRecording(RecordOptions{Log: hlog})
+	h := run(s, n)
+	if err := hlog.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return h, buf.Bytes()
+}
+
+// TestBatchedTwoGroupsMatchesSerial alternates two distinct batchable
+// agents over 2·64 + 3 RAs, so every chunk forwards two group spans and the
+// last chunk is short (two rows and one): History, monitor series and
+// history-log bytes must equal the interleaved reference run's for every
+// worker count.
+func TestBatchedTwoGroupsMatchesSerial(t *testing.T) {
+	cfg := execTestConfig(AlgoEdgeSlice)
+	cfg.NumRAs = 2*chunkRAs + 3
+	deploy := func() *System {
+		s, err := NewSystem(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dd := batchedTestAgent(t, ddpg.AlgoName, s.Env(0).StateDim(), s.Env(0).ActionDim())
+		sc := batchedTestAgent(t, sac.AlgoName, s.Env(0).StateDim(), s.Env(0).ActionDim())
+		agents := make([]rl.Agent, cfg.NumRAs)
+		for j := range agents {
+			agents[j] = dd
+			if j%2 == 1 {
+				agents[j] = sc
+			}
+		}
+		if err := s.SetAgents(agents); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	ref := deploy()
+	hRef, logRef := loggedRun(t, ref, 2, func(s *System, n int) *History { return referenceRun(t, s, n) })
+	for _, workers := range []int{1, 2, 4, cfg.NumRAs} {
+		label := fmt.Sprintf("two groups workers=%d", workers)
+		e := NewBatchedExecutor(workers)
+		s := deploy()
+		h, log := loggedRun(t, s, 2, func(s *System, n int) *History {
+			h, err := s.RunPeriodsWith(e, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return h
+		})
+		requireSameRun(t, label, hRef, h, ref.Monitor(), s.Monitor())
+		if !bytes.Equal(log, logRef) {
+			t.Errorf("%s: history log differs from the reference run", label)
+		}
+		if got := len(e.cachePlan.spans); got != 2*len(e.cachePlan.chunkErr) {
+			t.Errorf("%s: %d group spans over %d chunks, want two per chunk", label, got, len(e.cachePlan.chunkErr))
+		}
+	}
+}
+
+// nanPolicy serves one RA with base's actions until its call number at,
+// whose action is NaN. As an rl.BatchActor it batches alone, so each of its
+// calls is one interval of that RA, whichever path makes it.
+type nanPolicy struct {
+	base      netPolicy
+	calls, at int
+}
+
+func (p *nanPolicy) poison(act []float64) {
+	if p.calls == p.at {
+		act[0] = math.NaN()
+	}
+	p.calls++
+}
+
+func (p *nanPolicy) Act(state []float64) []float64 {
+	act := p.base.Act(state)
+	p.poison(act)
+	return act
+}
+
+func (p *nanPolicy) ActBatch(states *nn.Matrix, ws *nn.Workspace) *nn.Matrix {
+	out := p.base.ActBatch(states, ws)
+	p.poison(out.Row(0))
+	return out
+}
+
+// TestBatchedPartialHistoryOnStepError pins the local half of the contract
+// every engine shares — a failing period leaves no record: RA 70's policy
+// emits a NaN action at period 2, interval 3, opaque (stepped on the
+// driver) in one leg and batched in its own group in the other. At every
+// worker count the run must return the same error, naming RA 70 and that
+// interval, with a History, monitor and coordinator of exactly the two
+// completed periods.
+func TestBatchedPartialHistoryOnStepError(t *testing.T) {
+	const ra, period, interval = 70, 2, 3
+	cfg := execTestConfig(AlgoEdgeSlice)
+	cfg.NumRAs = 2*chunkRAs + 3
+	T := cfg.EnvTemplate.T
+	wantErr := fmt.Sprintf("core: RA %d interval %d: netsim: NaN action", ra, period*T+interval)
+	for _, kind := range []string{"opaque", "batched"} {
+		deploy := func() *System {
+			s := deployedSystem(t, cfg)
+			np := &nanPolicy{base: s.agents[0].(netPolicy), at: period*T + interval}
+			agents := append([]rl.Agent(nil), s.agents...)
+			agents[ra] = np
+			if kind == "opaque" {
+				agents[ra] = rl.AgentFunc(np.Act)
+			}
+			if err := s.SetAgents(agents); err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}
+		ref := deploy()
+		hRef := referenceRun(t, ref, period)
+		for _, workers := range []int{1, 2, 4, cfg.NumRAs} {
+			label := fmt.Sprintf("%s workers=%d", kind, workers)
+			s := deploy()
+			h := s.newRunHistory()
+			err := s.RunPeriodsInto(NewBatchedExecutor(workers), h, 4)
+			if err == nil || err.Error() != wantErr {
+				t.Fatalf("%s: RunPeriodsInto returned %v, want %q", label, err, wantErr)
+			}
+			if h.Periods() != period || h.Intervals() != period*T {
+				t.Errorf("%s: history holds %d periods and %d intervals, want %d and %d",
+					label, h.Periods(), h.Intervals(), period, period*T)
+			}
+			requireSameRun(t, label, hRef, h, ref.Monitor(), s.Monitor())
+			if it := s.Coordinator().Iterations(); it != period {
+				t.Errorf("%s: coordinator ran %d iterations, want %d", label, it, period)
+			}
+		}
+	}
 }
 
 // TestBatchedPersistentAcrossCalls exercises the scenario-runner calling

@@ -129,13 +129,11 @@ func (e *RemoteExecutor) RunPeriods(s *System, h *History, n int) error {
 	}
 	I := s.cfg.EnvTemplate.NumSlices
 	J := s.cfg.NumRAs
-	T := s.cfg.EnvTemplate.T
 	if e.hub.NumSlices() != I || e.hub.NumRAs() != J {
 		return fmt.Errorf("core: hub coordinates %d slices x %d RAs, system is %d x %d",
 			e.hub.NumSlices(), e.hub.NumRAs(), I, J)
 	}
 	ws := s.workspace()
-	res := ws.results(T) // [interval][RA]: reports are copied into it
 
 	start := s.coord.Iterations()
 	for k := 0; k < n; k++ {
@@ -151,16 +149,12 @@ func (e *RemoteExecutor) RunPeriods(s *System, h *History, n int) error {
 			for i := 0; i < I; i++ {
 				ws.perf[i][j] = rep.Perf[i]
 			}
-			if err := decodeIntervals(rep, j, I, res); err != nil {
+			if err := decodeIntervals(rep, j, I, ws.res); err != nil {
 				return fmt.Errorf("core: remote period %d: %w", p, err)
 			}
 		}
-		base := s.intervalsRun
-		s.intervalsRun += T
-		for t := range res {
-			if err := s.mergeInterval(h, base+t, res[t]); err != nil {
-				return err
-			}
+		if err := s.mergePeriod(h, ws.res); err != nil {
+			return err
 		}
 		if err := s.finishPeriod(h, ws.perf); err != nil {
 			return err

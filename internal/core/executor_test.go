@@ -69,7 +69,7 @@ func referenceRun(t *testing.T, s *System, n int) *History {
 	}
 	h := s.newRunHistory()
 	ws := s.workspace()
-	res := ws.results(1)[0]
+	res := ws.res[0]
 	for p := 0; p < n; p++ {
 		if err := s.distribute(); err != nil {
 			t.Fatal(err)

@@ -14,13 +14,13 @@ import (
 // Ownership rule: whoever steps RA j writes only res[·][j] and row j of
 // acts/queues, so concurrent workers on disjoint RAs never share a word;
 // and nothing keeps a reference into the workspace past the merge of the
-// interval it was written for (History, history log and monitor copy).
+// period it was written for (History, history log and monitor copy).
 type periodWS struct {
 	I, J int
 
-	// res[r][j] is RA j's StepInto target: row 0 for an engine that merges
-	// interval by interval, one row per interval for the remote engine, which
-	// copies whole RA-period reports in before merging.
+	// res[t][j] is RA j's StepInto target for interval t of the period (the
+	// remote engine copies whole RA-period reports into column j); the
+	// driver merges the T rows in order once every RA has stepped.
 	res [][]netsim.StepResult
 
 	acts   []float64 // J action rows; baseline policies write theirs here
@@ -52,6 +52,7 @@ func (s *System) workspace() *periodWS {
 		I, J := s.cfg.EnvTemplate.NumSlices, s.cfg.NumRAs
 		s.ws = &periodWS{
 			I: I, J: J,
+			res:       newResultGrid(s.cfg.EnvTemplate.T, J, I),
 			acts:      make([]float64, J*I*netsim.NumResources),
 			queues:    make([]int, J*I),
 			col:       make([]float64, I),
@@ -67,30 +68,31 @@ func (s *System) workspace() *periodWS {
 	return s.ws
 }
 
-// results returns the first rows rows of res, carving missing ones out of
-// flat per-row arrays so a row's J results sit contiguously and StepInto
-// finds every slice already at length I.
-func (w *periodWS) results(rows int) [][]netsim.StepResult {
-	I, J := w.I, w.J
-	for len(w.res) < rows {
-		floats := make([]float64, 2*J*I)
-		ints := make([]int, 3*J*I)
-		eff := make([][netsim.NumResources]float64, J*I)
-		row := make([]netsim.StepResult, J)
-		for j := range row {
-			f, n := floats[2*j*I:2*(j+1)*I], ints[3*j*I:3*(j+1)*I]
-			row[j] = netsim.StepResult{
-				Perf:         f[:I:I],
-				ServiceTimes: f[I : 2*I : 2*I],
-				QueueLens:    n[:I:I],
-				Served:       n[I : 2*I : 2*I],
-				Arrived:      n[2*I : 3*I : 3*I],
-				Effective:    eff[j*I : (j+1)*I : (j+1)*I],
-			}
+// newResultGrid carves a T×J grid of I-slice step results out of four flat
+// arrays and one row header, so a row's J results sit contiguously, StepInto
+// finds every slice already at length I, and the allocation count does not
+// depend on T.
+func newResultGrid(T, J, I int) [][]netsim.StepResult {
+	floats := make([]float64, 2*T*J*I)
+	ints := make([]int, 3*T*J*I)
+	eff := make([][netsim.NumResources]float64, T*J*I)
+	flat := make([]netsim.StepResult, T*J)
+	for r := range flat {
+		f, n := floats[2*r*I:2*(r+1)*I], ints[3*r*I:3*(r+1)*I]
+		flat[r] = netsim.StepResult{
+			Perf:         f[:I:I],
+			ServiceTimes: f[I : 2*I : 2*I],
+			QueueLens:    n[:I:I],
+			Served:       n[I : 2*I : 2*I],
+			Arrived:      n[2*I : 3*I : 3*I],
+			Effective:    eff[r*I : (r+1)*I : (r+1)*I],
 		}
-		w.res = append(w.res, row)
 	}
-	return w.res[:rows]
+	g := make([][]netsim.StepResult, T)
+	for t := range g {
+		g[t] = flat[t*J : (t+1)*J : (t+1)*J]
+	}
+	return g
 }
 
 // actionInto computes RA j's orchestration action for the current interval.

@@ -39,10 +39,10 @@ func halfOpaqueAgents(t *testing.T, s *System) {
 // determinism suite: with enough RAs for the step stage to fan out, the
 // batched engine must record the serial engine's History, monitor series
 // and history-log bytes for every worker count — under baseline actions
-// computed in-shard, a shared batched policy, and a mixed system whose
+// computed in-chunk, a shared batched policy, and a mixed system whose
 // opaque agents step on the driver — in exact and streaming recording.
 func TestBatchedShardedStepMatchesSerial(t *testing.T) {
-	J := 2*minShardRows + 2
+	J := 2*chunkRAs + 2
 	for _, kind := range []string{"taro", "edgeslice", "mixed"} {
 		for _, window := range []int{0, 16} {
 			cfg := execTestConfig(AlgoEdgeSlice)
@@ -79,7 +79,7 @@ func TestBatchedShardedStepMatchesSerial(t *testing.T) {
 				if !bytes.Equal(log, logRef) {
 					t.Errorf("%s: history log differs from serial run", label)
 				}
-				if got := e.cachePlan.stepWorkers; (workers > 1) != (got > 1) {
+				if got := e.cachePlan.workers; (workers > 1) != (got > 1) {
 					t.Errorf("%s: step stage ran on %d worker(s)", label, got)
 				}
 				if kind == "mixed" && len(e.cachePlan.onDriver) != J/2 {
@@ -94,10 +94,11 @@ func TestBatchedShardedStepMatchesSerial(t *testing.T) {
 // period on the batched engine with streaming recording, for a baseline and
 // for a shared batched policy. On one worker it is exactly the per-call
 // streaming History (38 allocations: the History, its summary series and
-// their rings), at 64 RAs as at 512. On four workers each interval adds one
-// goroutine closure per extra step worker (3) and, for the policy, per extra
-// forward shard (3); an interval's WaitGroups belong to the plan and its
-// groups, so nothing else grows with the worker count.
+// their rings), at 64 RAs as at 512. On four workers the period adds one
+// goroutine closure per extra step worker (3), for the baseline as for the
+// policy: the period's WaitGroup belongs to the plan and each worker
+// forwards its chunks in its own workspace, so nothing else grows with the
+// worker count.
 func TestWarmPeriodAllocsIndependentOfJ(t *testing.T) {
 	warmAllocs := func(algo Algorithm, J, workers int) float64 {
 		cfg := execTestConfig(algo)
@@ -113,16 +114,12 @@ func TestWarmPeriodAllocsIndependentOfJ(t *testing.T) {
 		period()
 		return testing.AllocsPerRun(5, period)
 	}
-	const oneWorker = 38
-	T := float64(execTestConfig(AlgoTARO).EnvTemplate.T)
-	for _, tc := range []struct {
-		algo       Algorithm
-		goroutines float64 // spawned per interval on four workers
-	}{{AlgoTARO, 3}, {AlgoEdgeSlice, 6}} {
-		small, large, sharded := warmAllocs(tc.algo, 64, 1), warmAllocs(tc.algo, 512, 1), warmAllocs(tc.algo, 512, 4)
-		if want := oneWorker + tc.goroutines*T; small != oneWorker || large != oneWorker || sharded > want {
-			t.Errorf("%v: warm period allocates %v times at 64 RAs, %v at 512 and %v at 512 on 4 workers; want %v, %v and <= %v",
-				tc.algo, small, large, sharded, oneWorker, oneWorker, want)
+	const oneWorker, goroutines = 38, 3
+	for _, algo := range []Algorithm{AlgoTARO, AlgoEdgeSlice} {
+		small, large, sharded := warmAllocs(algo, 64, 1), warmAllocs(algo, 512, 1), warmAllocs(algo, 512, 4)
+		if small != oneWorker || large != oneWorker || sharded != oneWorker+goroutines {
+			t.Errorf("%v: warm period allocates %v times at 64 RAs, %v at 512 and %v at 512 on 4 workers; want %v, %v and %v",
+				algo, small, large, sharded, oneWorker, oneWorker, oneWorker+goroutines)
 		}
 	}
 }

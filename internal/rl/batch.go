@@ -16,9 +16,10 @@ type BatchActor interface {
 	// is Reset and redrawn, and implementations retain none of the inputs.
 	// Once ws has seen the shapes, calls allocate nothing.
 	//
-	// Weights are only read: concurrent ActBatch calls are safe provided
-	// each caller supplies its own workspace and no training or scalar Act
-	// call (which may use agent-owned scratch) runs concurrently.
+	// Weights are only read and no agent-owned scratch is touched:
+	// concurrent ActBatch calls are safe provided each caller supplies its
+	// own workspace and no training runs concurrently, and one goroutine's
+	// scalar Act (which may use agent-owned scratch) may overlap them.
 	ActBatch(states *nn.Matrix, ws *nn.Workspace) *nn.Matrix
 }
 

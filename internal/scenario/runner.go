@@ -41,14 +41,14 @@ type Options struct {
 	// training entirely.
 	CheckpointDir string
 	// Engine selects the execution engine each replica's periods run
-	// under: "serial" (default) or "batched" (one wide forward pass per
-	// policy group per interval, RA stepping shared among workers). Engines
-	// are bit-identical: the summary is the same for any engine and worker
-	// count.
+	// under: "serial" (default) or "batched" (64-RA chunks stepped through
+	// whole periods, shared among workers). Engines are bit-identical: the
+	// summary is the same for any engine and worker count.
 	Engine string
-	// Workers bounds the batched engine's matmul and step shards (default:
-	// the scenario's RA count). It composes with Parallel — replicas fan out
-	// across the replica pool, RAs fan out inside each replica.
+	// Workers bounds the batched engine's step workers (default: the
+	// scenario's RA count; never more than one per 64-RA chunk). It composes
+	// with Parallel — replicas fan out across the replica pool, RAs fan out
+	// inside each replica.
 	Workers int
 	// Monitor, when set, receives a "scenario/<name>/completed" sample as
 	// each replica finishes (value and interval are the completed count).
