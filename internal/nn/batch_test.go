@@ -76,9 +76,10 @@ func TestForwardBatchShardInvariant(t *testing.T) {
 }
 
 // TestMatMulNTIntoWSMatchesScalar sweeps shapes across the vectorized
-// kernel's tile boundaries (4-row panels, 8-column tiles, scalar tails) and
-// requires bitwise equality with the scalar kernel. On CPUs without AVX the
-// two paths are literally the same code and this still pins the dispatch.
+// kernel's tile boundaries (4-row panels, the 1–3-row tails padded into
+// one, 8-column tiles, narrow column tails) and requires bitwise equality
+// with the scalar kernel. On CPUs without AVX the two paths are literally
+// the same code and this still pins the dispatch.
 func TestMatMulNTIntoWSMatchesScalar(t *testing.T) {
 	rng := newTestRNG()
 	var ws Workspace
@@ -136,6 +137,38 @@ func TestForward1WSWarmAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("warm Forward1WS allocates %v times per call, want 0", allocs)
+	}
+}
+
+// TestRowTailForwardAllocFree gates the padded row tail on the actors that
+// run it: a warm 3-row ForwardBatch on the sweep's 2×32 actor (one per RA
+// of a heterogeneous-mix replica) and a warm Forward1WS on the 2×128 actor
+// allocate nothing, on every kernel tier.
+func TestRowTailForwardAllocFree(t *testing.T) {
+	rng := newTestRNG()
+	actor := func(in, hidden, out int) *Network {
+		return NewMLP(rng, in,
+			LayerSpec{Out: hidden, Act: ActLeakyReLU},
+			LayerSpec{Out: hidden, Act: ActLeakyReLU},
+			LayerSpec{Out: out, Act: ActSigmoid},
+		)
+	}
+	sweep, wide := actor(8, 32, 12), actor(4, 128, 6)
+	x, state := randMat(rng, 3, 8), randMat(rng, 1, 4).Data
+	for _, tier := range kernelTiers {
+		if !setKernels(t, tier.avx, tier.avx512) {
+			continue
+		}
+		for name, f := range map[string]func(*Workspace){
+			"3-row ForwardBatch, 2x32": func(ws *Workspace) { sweep.ForwardBatch(x, ws) },
+			"Forward1WS, 2x128":        func(ws *Workspace) { wide.Forward1WS(state, ws) },
+		} {
+			var ws Workspace
+			f(&ws) // warm the arena and the pack buffer
+			if allocs := testing.AllocsPerRun(100, func() { ws.Reset(); f(&ws) }); allocs != 0 {
+				t.Errorf("avx=%v avx512=%v: warm %s allocates %v times per call, want 0", useAVX, useAVX512, name, allocs)
+			}
+		}
 	}
 }
 

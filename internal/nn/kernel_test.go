@@ -194,6 +194,49 @@ func TestKernelsBitIdenticalToScalar(t *testing.T) {
 	}
 }
 
+// The tiles index c unchecked, and the last 1–3 rows of a product are
+// copied out of a padded four-row block: each row count under four and each
+// n mod 4 tail past a full panel, at inner lengths and output widths around
+// the tile edges, must write exactly its n×m window on every tier. c is a
+// window into a longer slice whose sentinel border must survive, and the
+// window must hold MatMulNTInto's result bit for bit.
+func TestRowTailStaysInBounds(t *testing.T) {
+	rng := rand.New(rand.NewSource(35)) //nolint:gosec // test determinism
+	sentinel := math.Float64frombits(0x7ff4_dead_beef_cafe)
+	const border = 64
+	var ws Workspace
+	for _, tier := range kernelTiers {
+		if !setKernels(t, tier.avx, tier.avx512) {
+			continue
+		}
+		for _, n := range []int{1, 2, 3, 5, 6, 7, 8, 9, 10, 11} {
+			for _, k := range []int{1, 4, 10, 32, 128} {
+				for _, m := range []int{1, 6, 7, 8, 9, 16, 17, 32, 33, 128} {
+					for _, gen := range []func(*rand.Rand, int, int) *Matrix{randMat, edgeMat} {
+						a, b := gen(rng, n, k), gen(rng, m, k)
+						label := fmt.Sprintf("avx=%v avx512=%v n=%d k=%d m=%d", useAVX, useAVX512, n, k, m)
+						buf := make([]float64, border+n*m+border)
+						for i := range buf {
+							buf[i] = sentinel
+						}
+						c := &Matrix{Rows: n, Cols: m, Data: buf[border : border+n*m]}
+						ws.Reset()
+						MatMulNTIntoWS(c, a, b, &ws)
+						for side, edge := range [][]float64{buf[:border], buf[border+n*m:]} {
+							for i, v := range edge {
+								if math.Float64bits(v) != math.Float64bits(sentinel) {
+									t.Fatalf("%s: wrote %v at border %d element %d, outside c", label, v, side, i)
+								}
+							}
+						}
+						bitsEqual(t, c, MatMulNTInto(garbageMat(n, m), a, b), label)
+					}
+				}
+			}
+		}
+	}
+}
+
 // onBothKernels runs f on the scalar loops, then on the AVX kernels, and
 // compares the matrices it returns. The caller restores the dispatch.
 func onBothKernels(t *testing.T, label string, f func() []*Matrix) {

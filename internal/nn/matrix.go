@@ -194,13 +194,14 @@ func MatMulNTInto(c, a, b *Matrix) *Matrix {
 // MatMulNTIntoWS is MatMulNTInto with workspace-backed scratch: on CPUs
 // with AVX it runs vectorized kernels that are bit-identical to the scalar
 // path (each output element still accumulates one sequential mul+add chain
-// over k; the vector lanes span independent elements only). Batches of four
-// rows and up — training batches, the batched executor's gather matrices —
-// take them at any output width; fewer rows fall through to MatMulNTInto.
+// over k; the vector lanes span independent elements only). Every product
+// takes them at any row count and output width — a Forward1 row padded into
+// a four-row panel like a training batch's row tail — and only a host
+// without AVX (or an empty product) runs MatMulNTInto.
 //
 //edgeslice:noalloc
 func MatMulNTIntoWS(c, a, b *Matrix, ws *Workspace) *Matrix {
-	if useAVX && a.Rows >= 4 && a.Cols > 0 && b.Rows > 0 {
+	if useAVX && a.Rows > 0 && a.Cols > 0 && b.Rows > 0 {
 		return matMulNTAVX(c, a, b, ws)
 	}
 	return MatMulNTInto(c, a, b)
@@ -214,9 +215,9 @@ func MatMulNTIntoWS(c, a, b *Matrix, ws *Workspace) *Matrix {
 // without AVX-512 — runs on the AVX tiles: A packed four rows at a time
 // into a column-interleaved panel, each panel sweeping B in 8-row tiles with
 // the last 1–7 rows of B (all of a narrow head) on the narrow tile. The last
-// 1–3 rows reuse the scalar kernel's per-element dots. Every path does each
-// element's operations in the same sequential order, so all are
-// bit-identical.
+// 1–3 rows (all of a product under four rows) run on the same tiles padded
+// to a full panel; see tailAVX. Every path does each element's operations
+// in the same sequential order, so all are bit-identical.
 //
 //edgeslice:noalloc
 func matMulNTAVX(c, a, b *Matrix, ws *Workspace) *Matrix {
@@ -234,9 +235,13 @@ func matMulNTAVX(c, a, b *Matrix, ws *Workspace) *Matrix {
 	if useAVX512 && n >= 8 && m >= 16 {
 		n8, m16 = n&^7, m&^15
 	}
+	n4 := n8 + (n-n8)&^3
 	packLen := 4 * k // one AVX A panel
 	if m16 > 0 {
 		packLen = 16 * k // one B panel; the A panels reuse it after
+	}
+	if n4 < n {
+		packLen = max(packLen, 8*k+4*m) // and tailAVX's blocks after the panel
 	}
 	pack := ws.packFloats(packLen)
 	for j := 0; j < m16; j += 16 {
@@ -246,14 +251,27 @@ func matMulNTAVX(c, a, b *Matrix, ws *Workspace) *Matrix {
 		}
 	}
 	tilesAVX(c, a, b, pack, 0, n8, m16)
-	n4 := n8 + (n-n8)&^3
 	tilesAVX(c, a, b, pack, n8, n4, 0)
 	if n4 < n {
-		at := Matrix{Rows: n - n4, Cols: k, Data: a.Data[n4*k:]}
-		ct := Matrix{Rows: n - n4, Cols: m, Data: c.Data[n4*m:]}
-		MatMulNTInto(&ct, &at, b)
+		tailAVX(c, a, b, pack, n4)
 	}
 	return c
+}
+
+// tailAVX covers the last 1–3 rows, [i0, a.Rows), with the AVX tiles: it
+// copies them into a zero-padded 4×k block at pack[4k:8k], runs the tiles
+// into a 4×m block at pack[8k:8k+4m] (the A panel at pack[0:4k]) and copies
+// the live rows out. The padding rows' outputs are discarded; no lane mixes
+// rows, so the live ones are what a full panel would compute.
+//
+//edgeslice:noalloc
+func tailAVX(c, a, b *Matrix, pack []float64, i0 int) {
+	n, k, m := a.Rows, a.Cols, b.Rows
+	at := Matrix{Rows: 4, Cols: k, Data: pack[4*k : 8*k]}
+	ct := Matrix{Rows: 4, Cols: m, Data: pack[8*k : 8*k+4*m]}
+	clear(at.Data[copy(at.Data, a.Data[i0*k:n*k]):])
+	tilesAVX(&ct, &at, b, pack, 0, 4, 0)
+	copy(c.Data[i0*m:n*m], ct.Data)
 }
 
 // packPanel16 packs the sixteen length-k rows at b into the panel the zmm
