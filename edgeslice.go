@@ -274,9 +274,15 @@ func SaveAgent(w io.Writer, sys *System, ra int) error {
 	return ckpt.Write(w, c)
 }
 
-// LoadAgent restores a policy saved with SaveAgent or edgeslice-train. The
-// returned agent is safe for concurrent Act calls.
-func LoadAgent(r io.Reader) (Agent, error) { return core.LoadAgent(r) }
+// LoadAgent deploys a policy saved with SaveAgent or edgeslice-train: its
+// acting network alone. The returned agent is safe for concurrent Act calls.
+func LoadAgent(r io.Reader) (Agent, error) {
+	p, err := core.LoadAgent(r)
+	if err != nil {
+		return nil, err
+	}
+	return p, nil
+}
 
 // SaveCheckpoint writes the system's trained agents (all RAs, or the one
 // shared agent) as a full-fidelity v2 checkpoint.

@@ -9,18 +9,21 @@
 // its D-DRL agents once and deploys them across resource autonomies,
 // Sec. V).
 //
+// Decoding keeps each network and optimizer role as raw JSON: RestoreAgent
+// decodes them all into a trainer, Deploy only the acting network.
+//
 // The package defines the wire format and the per-agent state container;
 // the five RL algorithm packages (ddpg, sac, ppo, trpo, vpg) implement
-// Snapshot/Restore on top of it and register their restore functions here,
-// so decoding dispatches by algorithm name without this package importing
-// any of them.
+// Snapshot/Restore on top of it and register their restore and deploy
+// functions here, so decoding dispatches by algorithm name without this
+// package importing any of them.
 package ckpt
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
-	"sync"
 
 	"edgeslice/internal/nn"
 	"edgeslice/internal/rl"
@@ -50,7 +53,9 @@ type RNGState struct {
 // algorithms populate the generic containers as they need: Nets holds every
 // network by role ("actor", "critic", "actor-target", "q1", "value", ...),
 // Opts the Adam moments under the same role names, LogStd the Gaussian
-// policy's free deviation parameters, Replay the optional buffer.
+// policy's free deviation parameters, Replay the optional buffer. Nets and
+// Opts hold each role's JSON as written (EncodeRoles); Net and RestoreAdam
+// decode one role, afresh, when a restore or deploy asks for it.
 type AgentState struct {
 	// Algo names the training algorithm ("ddpg", "sac", "ppo", "trpo",
 	// "vpg") and selects the restore function.
@@ -62,8 +67,8 @@ type AgentState struct {
 	// verbatim so hyper-parameters (and restored schedules) survive.
 	Config json.RawMessage `json:"config"`
 
-	Nets map[string]*nn.Network   `json:"nets"`
-	Opts map[string]*nn.AdamState `json:"opts,omitempty"`
+	Nets map[string]json.RawMessage `json:"nets"`
+	Opts map[string]json.RawMessage `json:"opts,omitempty"`
 
 	RNG RNGState `json:"rng"`
 
@@ -80,24 +85,74 @@ type AgentState struct {
 	Replay *rl.ReplayState `json:"replay,omitempty"`
 }
 
-// Net returns the named network or an error naming what is missing.
+// ErrMissingNet reports a network role a restore or deploy needs.
+var ErrMissingNet = errors.New("ckpt: snapshot missing network")
+
+// EncodeRoles encodes each network and Adam state under its role name, the
+// form AgentState.Nets and Opts hold: a point-in-time copy.
+func EncodeRoles(nets map[string]*nn.Network, moments map[string]*nn.AdamState) (n, o map[string]json.RawMessage, err error) {
+	n, o = make(map[string]json.RawMessage, len(nets)), make(map[string]json.RawMessage, len(moments))
+	for role, v := range nets {
+		if n[role], err = json.Marshal(v); err != nil {
+			return nil, nil, fmt.Errorf("ckpt: encode %q: %w", role, err)
+		}
+	}
+	for role, v := range moments {
+		if o[role], err = json.Marshal(v); err != nil {
+			return nil, nil, fmt.Errorf("ckpt: encode %q moments: %w", role, err)
+		}
+	}
+	return n, o, nil
+}
+
+// Net decodes the named network into a new one.
 func (st *AgentState) Net(role string) (*nn.Network, error) {
-	n, ok := st.Nets[role]
-	if !ok || n == nil || len(n.Layers) == 0 {
-		return nil, fmt.Errorf("ckpt: %s snapshot missing network %q", st.Algo, role)
+	raw, ok := st.Nets[role]
+	if !ok {
+		return nil, fmt.Errorf("%w %q (%s)", ErrMissingNet, role, st.Algo)
+	}
+	n := new(nn.Network)
+	if err := json.Unmarshal(raw, n); err != nil {
+		return nil, fmt.Errorf("ckpt: %s network %q: %w", st.Algo, role, err)
 	}
 	return n, nil
 }
 
-// CloneNet returns a deep copy of the named network, so that restoring the
-// same in-memory snapshot into many agents (warm-started scenario replicas)
-// never shares parameter or scratch buffers between them.
-func (st *AgentState) CloneNet(role string) (*nn.Network, error) {
-	n, err := st.Net(role)
-	if err != nil {
-		return nil, err
+// RestoreAdam decodes the named role's Adam moments into opt for n; a role
+// with none leaves n's moments fresh, as before the optimizer's first step.
+func (st *AgentState) RestoreAdam(opt *nn.Adam, n *nn.Network, role string) (err error) {
+	var s *nn.AdamState
+	if raw, ok := st.Opts[role]; ok {
+		err = json.Unmarshal(raw, &s)
 	}
-	return n.Clone(), nil
+	if err == nil {
+		err = opt.SetStateFor(n, s)
+	}
+	if err != nil {
+		return fmt.Errorf("ckpt: %s optimizer %q: %w", st.Algo, role, err)
+	}
+	return nil
+}
+
+// Acting is the DeployFunc of an algorithm acting with the named role: it
+// decodes that network alone, mapping StateDim to ActionDim outputs (to a
+// [mean, log-std] head of twice that with squash).
+func Acting(role string, squash bool) DeployFunc {
+	return func(st *AgentState) (*rl.DeployedPolicy, error) {
+		n, err := st.Net(role)
+		if err != nil {
+			return nil, err
+		}
+		out := st.ActionDim
+		if squash {
+			out *= 2
+		}
+		if n.InputDim() != st.StateDim || n.OutputDim() != out {
+			return nil, fmt.Errorf("ckpt: %s %s network is %dx%d, want %dx%d",
+				st.Algo, role, n.InputDim(), n.OutputDim(), st.StateDim, out)
+		}
+		return rl.NewDeployedPolicy(n, squash), nil
+	}
 }
 
 // Checkpoint is the top-level wire form: one trained system — either a
@@ -181,37 +236,58 @@ type Snapshotter interface {
 	Snapshot(SnapshotOptions) (*AgentState, error)
 }
 
-// RestoreFunc rebuilds an agent from its snapshot. Implementations must
-// deep-copy everything they keep, so one in-memory snapshot can be restored
-// into many independent agents concurrently.
+// RestoreFunc rebuilds a trainable agent from fresh decodes of its
+// snapshot's roles, so one snapshot restores into many independent agents.
 type RestoreFunc func(*AgentState) (rl.Agent, error)
 
-var (
-	registryMu sync.RWMutex
-	registry   = map[string]RestoreFunc{}
-)
+// DeployFunc builds a snapshot's acting policy alone (see Deploy).
+type DeployFunc func(*AgentState) (*rl.DeployedPolicy, error)
 
-// Register installs the restore function for an algorithm name. The
-// algorithm packages call it from init, mirroring image-format
+type algorithm struct {
+	restore RestoreFunc
+	deploy  DeployFunc
+}
+
+// registry is written only from package init (Register).
+var registry = map[string]algorithm{}
+
+// Register installs the restore and deploy functions for an algorithm
+// name. The algorithm packages call it from init, mirroring image-format
 // registration; importing an algorithm package makes its checkpoints
 // loadable.
-func Register(algo string, fn RestoreFunc) {
-	registryMu.Lock()
-	defer registryMu.Unlock()
+func Register(algo string, restore RestoreFunc, deploy DeployFunc) {
 	if _, dup := registry[algo]; dup {
 		panic(fmt.Sprintf("ckpt: duplicate registration for %q", algo))
 	}
-	registry[algo] = fn
+	registry[algo] = algorithm{restore: restore, deploy: deploy}
 }
 
-// RestoreAgent rebuilds one agent from its snapshot, dispatching on the
-// algorithm name.
-func RestoreAgent(st *AgentState) (rl.Agent, error) {
-	registryMu.RLock()
-	fn, ok := registry[st.Algo]
-	registryMu.RUnlock()
+func lookup(algo string) (algorithm, error) {
+	a, ok := registry[algo]
 	if !ok {
-		return nil, fmt.Errorf("ckpt: no restore registered for algorithm %q (is its package imported?)", st.Algo)
+		return a, fmt.Errorf("ckpt: no restore registered for algorithm %q (is its package imported?)", algo)
 	}
-	return fn(st)
+	return a, nil
+}
+
+// RestoreAgent rebuilds one trainable agent from its snapshot, dispatching
+// on the algorithm name.
+func RestoreAgent(st *AgentState) (rl.Agent, error) {
+	a, err := lookup(st.Algo)
+	if err != nil {
+		return nil, err
+	}
+	return a.restore(st)
+}
+
+// Deploy builds one agent's acting policy from its snapshot, dispatching on
+// the algorithm name: the actor (DDPG, SAC) or the Gaussian policy's mean
+// network (PPO, TRPO, VPG), and nothing a trainer alone needs. It acts
+// bit-identically to RestoreAgent's agent.
+func Deploy(st *AgentState) (*rl.DeployedPolicy, error) {
+	a, err := lookup(st.Algo)
+	if err != nil {
+		return nil, err
+	}
+	return a.deploy(st)
 }

@@ -2,13 +2,19 @@ package ckpt_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"maps"
+	"math"
 	"reflect"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
 	"edgeslice/internal/ckpt"
 	"edgeslice/internal/mathutil"
+	"edgeslice/internal/nn"
 	"edgeslice/internal/rl"
 	"edgeslice/internal/rl/ddpg"
 	"edgeslice/internal/rl/ppo"
@@ -245,5 +251,176 @@ func TestKeySanitizesHostileNames(t *testing.T) {
 	}
 	if !strings.Contains(key, "0123456789abcdef") || strings.Contains(key, "0123456789abcdef0123") {
 		t.Fatalf("key %q should truncate the hash to 16 chars", key)
+	}
+}
+
+// writeRead takes one agent's snapshot through Write and Read, the path a
+// stored checkpoint takes, and returns the file bytes with the decoded
+// state.
+func writeRead(t *testing.T, st *ckpt.AgentState) ([]byte, *ckpt.AgentState) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := ckpt.Write(&buf, &ckpt.Checkpoint{Format: ckpt.FormatV2, Algorithm: "EdgeSlice", Agents: []*ckpt.AgentState{st}}); err != nil {
+		t.Fatal(err)
+	}
+	data := append([]byte(nil), buf.Bytes()...)
+	c, err := ckpt.Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data, c.Agents[0]
+}
+
+// acting names each algorithm's acting network role.
+var acting = map[string]string{"ddpg": "actor", "sac": "actor", "ppo": "policy-mean", "trpo": "policy-mean", "vpg": "policy-mean"}
+
+// TestDeployMatchesRestore is the deploy half of the checkpoint property:
+// for every training algorithm, the policy Deploy builds from a stored
+// checkpoint acts bit-identically to the agent RestoreAgent rebuilds, in
+// scalar Act and in ActBatch, on seeded states and on 0, 1 and ±large
+// inputs; both match the scalar forward of the stored acting network (its
+// squashed mean half for SAC); and a warm deployed ActBatch allocates
+// nothing.
+func TestDeployMatchesRestore(t *testing.T) {
+	for name, agent := range algorithms(t) {
+		t.Run(name, func(t *testing.T) {
+			env := rltest.NewTargetEnv(mathutil.NewRNG(202), stateDim, actionDim, 20)
+			if err := agent.Train(env, 64); err != nil {
+				t.Fatal(err)
+			}
+			st, err := agent.Snapshot(ckpt.SnapshotOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, decoded := writeRead(t, st)
+			restored, err := ckpt.RestoreAgent(decoded)
+			if err != nil {
+				t.Fatal(err)
+			}
+			deployed, err := ckpt.Deploy(decoded)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			states := nn.NewMatrix(0, stateDim)
+			for _, v := range []float64{0, 1, -1, 1e6, -1e6, 1e300, -1e300} {
+				states.Data = append(states.Data, v, v, -v)
+				states.Rows++
+			}
+			rng := mathutil.NewRNG(78)
+			for i := 0; i < 20; i++ {
+				for d := 0; d < stateDim; d++ {
+					states.Data = append(states.Data, rng.NormFloat64()*3)
+				}
+				states.Rows++
+			}
+			net, err := decoded.Net(acting[name])
+			if err != nil {
+				t.Fatal(err)
+			}
+			for r := 0; r < states.Rows; r++ {
+				want := net.Forward1(states.Row(r))
+				if name == sac.AlgoName {
+					want = want[:actionDim]
+					for i, u := range want {
+						want[i] = 0.5 * (math.Tanh(u) + 1)
+					}
+				}
+				if got := deployed.Act(states.Row(r)); !sameBits(got, want) {
+					t.Fatalf("state %v: deployed Act %v != stored network's action %v", states.Row(r), got, want)
+				}
+			}
+			var wsR, wsD nn.Workspace
+			want := rl.AsBatchActor(restored).ActBatch(states, &wsR)
+			got := deployed.ActBatch(states, &wsD)
+			if !sameBits(got.Data, want.Data) || got.Rows != want.Rows || got.Cols != want.Cols {
+				t.Fatalf("deployed ActBatch %v != restored %v", got.Data, want.Data)
+			}
+			for r := 0; r < states.Rows; r++ {
+				if got, want := deployed.Act(states.Row(r)), restored.Act(states.Row(r)); !sameBits(got, want) {
+					t.Fatalf("state %v: deployed Act %v != restored %v", states.Row(r), got, want)
+				}
+			}
+			if allocs := testing.AllocsPerRun(20, func() {
+				wsD.Reset()
+				deployed.ActBatch(states, &wsD)
+			}); allocs != 0 {
+				t.Errorf("warm deployed ActBatch allocates %v times, want 0", allocs)
+			}
+		})
+	}
+}
+
+// sameBits compares bit patterns, so a NaN a saturated input produces
+// matches itself.
+func sameBits(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+}
+
+// TestDeployByteRoundTrip pins the lazy roles to the wire: decoding a
+// checkpoint and writing it again reproduces the file byte for byte, with
+// and without a replay buffer.
+func TestDeployByteRoundTrip(t *testing.T) {
+	for name, agent := range algorithms(t) {
+		t.Run(name, func(t *testing.T) {
+			env := rltest.NewTargetEnv(mathutil.NewRNG(303), stateDim, actionDim, 20)
+			if err := agent.Train(env, 64); err != nil {
+				t.Fatal(err)
+			}
+			for _, replay := range []bool{false, true} {
+				st, err := agent.Snapshot(ckpt.SnapshotOptions{IncludeReplay: replay})
+				if err != nil {
+					t.Fatal(err)
+				}
+				data, _ := writeRead(t, st)
+				c, err := ckpt.Decode(data)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var again bytes.Buffer
+				if err := ckpt.Write(&again, c); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(again.Bytes(), data) {
+					t.Fatalf("replay %v: Decode then Write changed the %d-byte file", replay, len(data))
+				}
+			}
+		})
+	}
+}
+
+// TestDeployMissingActorNamesRole: a deploy needs the acting role and
+// names it when it is missing; a training restore still needs every role,
+// a critic included.
+func TestDeployMissingActorNamesRole(t *testing.T) {
+	critic := map[string]string{"ddpg": "critic", "sac": "q1", "ppo": "value", "trpo": "value", "vpg": "value"}
+	for name, agent := range algorithms(t) {
+		t.Run(name, func(t *testing.T) {
+			st, err := agent.Snapshot(ckpt.SnapshotOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, decoded := writeRead(t, st)
+			if _, err := ckpt.Deploy(decoded); err != nil {
+				t.Fatalf("complete snapshot: %v", err)
+			}
+
+			noCritic := *decoded
+			noCritic.Nets = maps.Clone(decoded.Nets)
+			delete(noCritic.Nets, critic[name])
+			if _, err := ckpt.Deploy(&noCritic); err != nil {
+				t.Errorf("deploy without %q: %v, want success (it builds no critic)", critic[name], err)
+			}
+			if _, err := ckpt.RestoreAgent(&noCritic); !errors.Is(err, ckpt.ErrMissingNet) || !strings.Contains(err.Error(), strconv.Quote(critic[name])) {
+				t.Errorf("restore without %q: err = %v, want ErrMissingNet naming it", critic[name], err)
+			}
+
+			noActor := *decoded
+			noActor.Nets = maps.Clone(decoded.Nets)
+			delete(noActor.Nets, acting[name])
+			if _, err := ckpt.Deploy(&noActor); !errors.Is(err, ckpt.ErrMissingNet) || !strings.Contains(err.Error(), strconv.Quote(acting[name])) {
+				t.Errorf("deploy without %q: err = %v, want ErrMissingNet naming it", acting[name], err)
+			}
+		})
 	}
 }

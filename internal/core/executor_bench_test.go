@@ -12,8 +12,8 @@ import (
 // BenchmarkRunPeriods measures one Algorithm-1 period across RA counts and
 // engines. The deployed policy is a paper-scale 2x128 actor so inference
 // dominates the interval cost — the workload the batched engine exists
-// for. The engine ratios at each RA count are the inference-scaling numbers
-// reported in DESIGN.md.
+// for. The harness's measured engine numbers are in BENCH_34.json at the
+// repository root.
 func BenchmarkRunPeriods(b *testing.B) {
 	for _, ras := range []int{8, 32, 128, 512, 2048} {
 		cfg := DefaultConfig()

@@ -144,7 +144,7 @@ func (h *History) AddInterval(sysPerf float64, slicePerf []float64, usage [][]fl
 		return
 	}
 	if len(h.SystemPerf) == cap(h.SystemPerf) {
-		h.grow()
+		h.grow(0)
 	}
 	h.SystemPerf = append(h.SystemPerf, sysPerf)
 	for i := range slicePerf {
@@ -154,16 +154,25 @@ func (h *History) AddInterval(sysPerf float64, slicePerf []float64, usage [][]fl
 	h.Violations = append(h.Violations, violation)
 }
 
-// grow doubles the exact-mode capacity in whole periods, intervals and
-// periods together: the per-interval and per-period series move into one
-// new block per element type, and the grids and SLA rows of every new slot
-// are reserved behind them, so n recorded periods cost O(log n)
-// allocations. Grids of another shape than slices × resources and slices ×
-// RAs still record, off allocations of their own (take).
-func (h *History) grow() {
+// Reserve gives an exact-mode History room for periods periods and their
+// intervals at once, so a run of known length records without growing; a
+// run that goes on past them grows from there.
+func (h *History) Reserve(periods int) {
+	if h.stream == nil && periods > cap(h.Primal) {
+		h.grow(periods)
+	}
+}
+
+// grow moves the exact-mode records into room for cp periods, or double the
+// whole periods they fill if more, so n periods cost O(log n) allocations:
+// the series move into one new block per element type, and the grids and
+// SLA rows of every new slot are reserved behind them. Grids of another
+// shape than slices × resources and slices × RAs still record, off
+// allocations of their own (take).
+func (h *History) grow(cp int) {
 	I, T := h.NumSlices, max(h.T, 1)
 	li, lp := len(h.SystemPerf), len(h.Primal)
-	cp := max(1, 2*max(lp, (li+T-1)/T))
+	cp = max(cp, 1, 2*max(lp, (li+T-1)/T))
 	ci := cp * T
 	vals := make([]float64, (2+I)*ci+2*cp+(ci-li)*I*netsim.NumResources+(cp-lp)*I*h.NumRAs)
 	series := func(s []float64, n int) []float64 {
@@ -239,7 +248,7 @@ func (h *History) AddPeriod(perf [][]float64, sla []bool, primal, dual float64) 
 		return
 	}
 	if len(h.Primal) == cap(h.Primal) {
-		h.grow()
+		h.grow(0)
 	}
 	h.PeriodPerf = append(h.PeriodPerf, h.carveGrid(perf))
 	met := take(&h.freeSLA, len(sla))

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"edgeslice/internal/netsim"
+	"edgeslice/internal/telemetry"
 )
 
 // synthRecords feeds n intervals (and n/T periods) of deterministic
@@ -253,4 +256,63 @@ func TestAppendIntoStreaming(t *testing.T) {
 	if d != a {
 		t.Errorf("SLASatisfactionRate: direct %v, appended %v", d, a)
 	}
+}
+
+// TestReserveMatchesGrownHistoryLog: a History reserved for n periods holds
+// them without growing, and records the same fields and history-log bytes
+// as one that grows — also when the run goes on past n.
+func TestReserveMatchesGrownHistoryLog(t *testing.T) {
+	const I, J, T, n = 3, 2, 4, 5
+	rng := rand.New(rand.NewSource(3))
+	grown, reserved := NewHistory(I, J, T), NewHistory(I, J, T)
+	reserved.Reserve(n)
+	grid := func(rows, cols int) [][]float64 {
+		g := make([][]float64, rows)
+		for i := range g {
+			g[i] = make([]float64, cols)
+			for k := range g[i] {
+				g[i][k] = rng.NormFloat64()
+			}
+		}
+		return g
+	}
+	record := func(periods int) {
+		for p := 0; p < periods; p++ {
+			for k := 0; k < T; k++ {
+				sys, slice, usage, viol := rng.Float64(), grid(1, I)[0], grid(I, netsim.NumResources), rng.Float64()
+				grown.AddInterval(sys, slice, usage, viol)
+				reserved.AddInterval(sys, slice, usage, viol)
+			}
+			perf, sla, primal, dual := grid(I, J), []bool{true, false, rng.Float64() < 0.5}, rng.Float64(), rng.Float64()
+			grown.AddPeriod(perf, sla, primal, dual)
+			reserved.AddPeriod(perf, sla, primal, dual)
+		}
+	}
+	logBytes := func(h *History) []byte {
+		var buf bytes.Buffer
+		hlog, err := NewHistoryLog(telemetry.NewLogWriter(&buf), I, J, T)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := hlog.AppendHistory(h); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	check := func(stage string) {
+		t.Helper()
+		if !reflect.DeepEqual(grown, reserved) {
+			t.Errorf("%s: reserved History's records differ from the grown one's", stage)
+		}
+		if !bytes.Equal(logBytes(grown), logBytes(reserved)) {
+			t.Errorf("%s: reserved History's log bytes differ from the grown one's", stage)
+		}
+	}
+	record(n)
+	if cap(reserved.Primal) != n || cap(reserved.SystemPerf) != n*T {
+		t.Errorf("reserved for %d periods, holds %d periods / %d intervals of capacity", n, cap(reserved.Primal), cap(reserved.SystemPerf))
+	}
+	check("at the reserve")
+	record(3)
+	check("past the reserve")
 }

@@ -9,6 +9,7 @@ import (
 
 	"edgeslice/internal/ckpt"
 	"edgeslice/internal/mathutil"
+	"edgeslice/internal/nn"
 	"edgeslice/internal/rl"
 	"edgeslice/internal/rl/ddpg"
 )
@@ -49,7 +50,10 @@ func hammerConcurrently(t *testing.T, agent rl.Agent) {
 	}
 }
 
-func TestLoadedV2PolicyConcurrentAct(t *testing.T) {
+// loadedPolicy writes a small DDPG agent as a one-agent checkpoint and
+// loads it back.
+func loadedPolicy(t *testing.T) *rl.DeployedPolicy {
+	t.Helper()
 	cfg := ddpg.DefaultConfig()
 	cfg.Hidden, cfg.BatchSize, cfg.WarmupSteps, cfg.ReplayCapacity = 8, 8, 16, 128
 	dd, err := ddpg.New(4, 2, cfg)
@@ -73,7 +77,51 @@ func TestLoadedV2PolicyConcurrentAct(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hammerConcurrently(t, agent)
+	return agent
+}
+
+func TestLoadedV2PolicyConcurrentAct(t *testing.T) {
+	hammerConcurrently(t, loadedPolicy(t))
+}
+
+// TestLoadedPolicyConcurrentActAndBatch: a loaded policy serves scalar Act
+// and ActBatch (each goroutine on its own workspace) from 4 goroutines at
+// once, and every result equals the serial one.
+func TestLoadedPolicyConcurrentActAndBatch(t *testing.T) {
+	p := loadedPolicy(t)
+	states := nn.NewMatrix(5, 4)
+	rng := mathutil.NewRNG(12)
+	for i := range states.Data {
+		states.Data[i] = rng.Float64()
+	}
+	var ws nn.Workspace
+	want := append([]float64(nil), p.ActBatch(states, &ws).Data...)
+	var wg sync.WaitGroup
+	errs := make(chan string, 4)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var ws nn.Workspace
+			for c := 0; c < 200; c++ {
+				ws.Reset()
+				if got := p.ActBatch(states, &ws); !reflect.DeepEqual(got.Data, want) {
+					errs <- "concurrent ActBatch returned a corrupted batch"
+					return
+				}
+				r := (g + c) % states.Rows
+				if got := p.Act(states.Row(r)); !reflect.DeepEqual(got, want[r*2:(r+1)*2]) {
+					errs <- "concurrent Act returned a corrupted action"
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for msg := range errs {
+		t.Fatal(msg)
+	}
 }
 
 func TestLoadAgentReportsUnknownFormat(t *testing.T) {

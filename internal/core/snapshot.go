@@ -89,48 +89,76 @@ func snapshotAgent(a rl.Agent, ra int, opts ckpt.SnapshotOptions) (*ckpt.AgentSt
 // Restore installs the checkpoint's agents into the system in place of
 // Train: a shared (or single-agent) checkpoint is restored once and
 // deployed to every RA, a per-RA checkpoint needs one agent per RA. Each
-// Restore call rebuilds the agents from deep copies, so one in-memory
-// checkpoint can warm-start any number of replicas concurrently.
+// Restore call rebuilds trainable agents from fresh decodes, so one
+// in-memory checkpoint can warm-start any number of systems concurrently;
+// a system that only acts should take a Deployment instead (Deploy).
 func (s *System) Restore(c *ckpt.Checkpoint) error {
+	if err := s.checkCheckpoint(c); err != nil {
+		return err
+	}
+	agents := make([]rl.Agent, len(c.Agents))
+	for j, st := range c.Agents {
+		a, err := ckpt.RestoreAgent(st)
+		if err != nil {
+			return fmt.Errorf("core: RA %d: %w", j, err)
+		}
+		agents[j] = a
+	}
+	return s.SetAgents(agents)
+}
+
+// Deployment is a checkpoint's acting policies, built once (ckpt.Deploy
+// per agent) and shared read-only by every system Deploy installs it in.
+type Deployment struct {
+	c        *ckpt.Checkpoint
+	policies []rl.Agent
+}
+
+// DeployCheckpoint builds the acting policy of each of c's agents.
+func DeployCheckpoint(c *ckpt.Checkpoint) (*Deployment, error) {
+	if err := c.Validate(); err != nil {
+		return nil, err
+	}
+	d := &Deployment{c: c, policies: make([]rl.Agent, len(c.Agents))}
+	for j, st := range c.Agents {
+		p, err := ckpt.Deploy(st)
+		if err != nil {
+			return nil, fmt.Errorf("core: agent %d: %w", j, err)
+		}
+		d.policies[j] = p
+	}
+	return d, nil
+}
+
+// Deploy installs a deployment's shared policies in place of Train, after
+// Restore's checks; the system then runs but holds no trainer to snapshot.
+func (s *System) Deploy(d *Deployment) error {
+	if err := s.checkCheckpoint(d.c); err != nil {
+		return err
+	}
+	return s.SetAgents(d.policies)
+}
+
+// checkCheckpoint is what Restore and Deploy require of a checkpoint: a
+// valid v2 file for this system's algorithm, holding one agent or one per
+// RA, each sized for its RA's environment.
+func (s *System) checkCheckpoint(c *ckpt.Checkpoint) error {
 	if err := c.Validate(); err != nil {
 		return err
 	}
 	if c.Algorithm != "" && c.Algorithm != s.cfg.Algo.String() {
 		return fmt.Errorf("core: checkpoint is for %s, system runs %s", c.Algorithm, s.cfg.Algo)
 	}
-	var agents []rl.Agent
-	switch {
-	case len(c.Agents) == 1:
-		a, err := s.restoreAgent(c.Agents[0], 0)
-		if err != nil {
-			return err
-		}
-		agents = []rl.Agent{a}
-	case len(c.Agents) == s.cfg.NumRAs:
-		agents = make([]rl.Agent, len(c.Agents))
-		for j, st := range c.Agents {
-			a, err := s.restoreAgent(st, j)
-			if err != nil {
-				return err
-			}
-			agents[j] = a
-		}
-	default:
+	if len(c.Agents) != 1 && len(c.Agents) != s.cfg.NumRAs {
 		return fmt.Errorf("core: checkpoint has %d agents, system has %d RAs (want 1 or %d)",
 			len(c.Agents), s.cfg.NumRAs, s.cfg.NumRAs)
 	}
-	return s.SetAgents(agents)
-}
-
-func (s *System) restoreAgent(st *ckpt.AgentState, ra int) (rl.Agent, error) {
-	env := s.envs[ra]
-	if st.StateDim != env.StateDim() || st.ActionDim != env.ActionDim() {
-		return nil, fmt.Errorf("core: RA %d checkpoint agent is %dx%d, environment needs %dx%d",
-			ra, st.StateDim, st.ActionDim, env.StateDim(), env.ActionDim())
+	for j, st := range c.Agents {
+		env := s.envs[j]
+		if st.StateDim != env.StateDim() || st.ActionDim != env.ActionDim() {
+			return fmt.Errorf("core: RA %d checkpoint agent is %dx%d, environment needs %dx%d",
+				j, st.StateDim, st.ActionDim, env.StateDim(), env.ActionDim())
+		}
 	}
-	a, err := ckpt.RestoreAgent(st)
-	if err != nil {
-		return nil, fmt.Errorf("core: RA %d: %w", ra, err)
-	}
-	return a, nil
+	return nil
 }

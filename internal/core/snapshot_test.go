@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"edgeslice/internal/ckpt"
+	"edgeslice/internal/rl/ddpg"
 )
 
 func fastLearningConfig() Config {
@@ -115,5 +116,89 @@ func TestRestoreRejectsMismatches(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("dimension mismatch should fail")
+	}
+}
+
+// TestDeployKeepsRestoreChecks: a Deployment installs only where Restore
+// would — same format, algorithm, agent-count and per-RA dimension checks —
+// and a system running it records what a restored system records.
+func TestDeployKeepsRestoreChecks(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.NumRAs = 3
+	sys, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkpoint := func(algo Algorithm, agents int) *ckpt.Checkpoint {
+		c := &ckpt.Checkpoint{Format: ckpt.FormatV2, Algorithm: algo.String()}
+		for j := 0; j < agents; j++ {
+			dcfg := cfg.DDPG
+			dcfg.Seed = int64(j + 1)
+			dd, err := ddpg.New(sys.Env(j).StateDim(), sys.Env(j).ActionDim(), dcfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err := dd.Snapshot(ckpt.SnapshotOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.Agents = append(c.Agents, st)
+		}
+		return c
+	}
+	deploy := func(s *System, c *ckpt.Checkpoint) error {
+		d, err := DeployCheckpoint(c)
+		if err != nil {
+			return err
+		}
+		return s.Deploy(d)
+	}
+
+	if _, err := DeployCheckpoint(&ckpt.Checkpoint{Format: "bogus"}); err == nil {
+		t.Error("bad format should fail")
+	}
+	if err := deploy(sys, checkpoint(AlgoEdgeSliceNT, 1)); err == nil {
+		t.Error("algorithm mismatch should fail")
+	}
+	if err := deploy(sys, checkpoint(AlgoEdgeSlice, 2)); err == nil {
+		t.Error("2 agents for 3 RAs should fail")
+	}
+	nt := cfg
+	nt.Algo = AlgoEdgeSliceNT // observes no queues: a narrower state
+	ntSys, err := NewSystem(nt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := deploy(ntSys, checkpoint(AlgoEdgeSliceNT, 3)); err == nil {
+		t.Error("dimension mismatch should fail")
+	}
+
+	for _, agents := range []int{1, 3} {
+		c := checkpoint(AlgoEdgeSlice, agents)
+		restored, err := NewSystem(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := restored.Restore(c); err != nil {
+			t.Fatal(err)
+		}
+		deployed, err := NewSystem(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := deploy(deployed, c); err != nil {
+			t.Fatalf("%d agent(s): %v", agents, err)
+		}
+		h1, err := restored.RunPeriods(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h2, err := deployed.RunPeriods(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(h1, h2) {
+			t.Errorf("%d agent(s): deployed system diverged from the restored one", agents)
+		}
 	}
 }

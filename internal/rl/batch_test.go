@@ -157,8 +157,8 @@ func TestMeanActionWS(t *testing.T) {
 	}
 }
 
-// TestAsBatchActor pins the classifier: unknown agents return nil, direct
-// implementers return themselves, wrappers unwrap.
+// TestAsBatchActor pins the classifier: unknown agents return nil,
+// implementers return themselves.
 func TestAsBatchActor(t *testing.T) {
 	if ba := rl.AsBatchActor(rl.AgentFunc(func(s []float64) []float64 { return s })); ba != nil {
 		t.Error("AgentFunc should not classify as a BatchActor")

@@ -53,6 +53,8 @@ func DefaultConfig() Config {
 
 // Agent is a DDPG learner and, once trained, a deterministic policy.
 type Agent struct {
+	*rl.DeployedPolicy // Act and ActBatch: the actor, µ(s)
+
 	cfg Config
 	rng *rand.Rand
 	src *mathutil.CountingSource // rng's backing source; checkpointed as a cursor
@@ -107,34 +109,22 @@ func New(stateDim, actionDim int, cfg Config) (*Agent, error) {
 		nn.LayerSpec{Out: 1, Act: nn.ActIdentity},
 	)
 	a := &Agent{
-		cfg:          cfg,
-		rng:          rng,
-		src:          src,
-		actor:        actor,
-		critic:       critic,
-		actorTarget:  actor.Clone(),
-		criticTarget: critic.Clone(),
-		actorOpt:     nn.NewAdam(cfg.ActorLR),
-		criticOpt:    nn.NewAdam(cfg.CriticLR),
-		replay:       rl.NewReplayBuffer(cfg.ReplayCapacity),
-		noise:        &rl.GaussianNoise{Std: cfg.NoiseStd, Decay: cfg.NoiseDecay, Min: cfg.NoiseMin},
-		stateDim:     stateDim,
-		actionDim:    actionDim,
+		DeployedPolicy: rl.NewDeployedPolicy(actor, false),
+		cfg:            cfg,
+		rng:            rng,
+		src:            src,
+		actor:          actor,
+		critic:         critic,
+		actorTarget:    actor.Clone(),
+		criticTarget:   critic.Clone(),
+		actorOpt:       nn.NewAdam(cfg.ActorLR),
+		criticOpt:      nn.NewAdam(cfg.CriticLR),
+		replay:         rl.NewReplayBuffer(cfg.ReplayCapacity),
+		noise:          &rl.GaussianNoise{Std: cfg.NoiseStd, Decay: cfg.NoiseDecay, Min: cfg.NoiseMin},
+		stateDim:       stateDim,
+		actionDim:      actionDim,
 	}
 	return a, nil
-}
-
-// Act implements rl.Agent: the deterministic policy µ(s).
-func (a *Agent) Act(state []float64) []float64 {
-	return a.actor.Forward1(state)
-}
-
-// ActBatch implements rl.BatchActor: one wide actor forward evaluates every
-// row of states, bit-identical per row to Act.
-//
-//edgeslice:noalloc
-func (a *Agent) ActBatch(states *nn.Matrix, ws *nn.Workspace) *nn.Matrix {
-	return a.actor.ForwardBatch(states, ws)
 }
 
 // ActExplore returns the exploration action: uniform-random during warmup

@@ -14,7 +14,8 @@ import (
 const AlgoName = "ddpg"
 
 func init() {
-	ckpt.Register(AlgoName, func(st *ckpt.AgentState) (rl.Agent, error) { return Restore(st) })
+	ckpt.Register(AlgoName, func(st *ckpt.AgentState) (rl.Agent, error) { return Restore(st) },
+		ckpt.Acting("actor", false))
 }
 
 var _ ckpt.Snapshotter = (*Agent)(nil)
@@ -28,26 +29,28 @@ func (a *Agent) Snapshot(opts ckpt.SnapshotOptions) (*ckpt.AgentState, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ddpg: snapshot config: %w", err)
 	}
+	nets, moments, err := ckpt.EncodeRoles(map[string]*nn.Network{
+		"actor":         a.actor,
+		"critic":        a.critic,
+		"actor-target":  a.actorTarget,
+		"critic-target": a.criticTarget,
+	}, map[string]*nn.AdamState{
+		"actor":  a.actorOpt.StateFor(a.actor),
+		"critic": a.criticOpt.StateFor(a.critic),
+	})
+	if err != nil {
+		return nil, fmt.Errorf("ddpg: snapshot: %w", err)
+	}
 	st := &ckpt.AgentState{
 		Algo:      AlgoName,
 		StateDim:  a.stateDim,
 		ActionDim: a.actionDim,
 		Config:    cfg,
-		// Networks are cloned so the snapshot is a true point-in-time
-		// value: training on after Snapshot must not mutate it.
-		Nets: map[string]*nn.Network{
-			"actor":         a.actor.Clone(),
-			"critic":        a.critic.Clone(),
-			"actor-target":  a.actorTarget.Clone(),
-			"critic-target": a.criticTarget.Clone(),
-		},
-		Opts: map[string]*nn.AdamState{
-			"actor":  a.actorOpt.StateFor(a.actor),
-			"critic": a.criticOpt.StateFor(a.critic),
-		},
-		RNG:      ckpt.RNGState{Seed: a.src.SeedValue(), Calls: a.src.Calls()},
-		NoiseStd: a.noise.Std,
-		Updates:  a.updates,
+		Nets:      nets,
+		Opts:      moments,
+		RNG:       ckpt.RNGState{Seed: a.src.SeedValue(), Calls: a.src.Calls()},
+		NoiseStd:  a.noise.Std,
+		Updates:   a.updates,
 	}
 	if opts.IncludeReplay {
 		rs := a.replay.State()
@@ -57,8 +60,8 @@ func (a *Agent) Snapshot(opts ckpt.SnapshotOptions) (*ckpt.AgentState, error) {
 }
 
 // Restore rebuilds a DDPG agent from a snapshot. Every network and buffer
-// is deep-copied, so one snapshot restores into any number of independent
-// agents.
+// is decoded afresh, so one snapshot restores into any number of
+// independent agents.
 func Restore(st *ckpt.AgentState) (*Agent, error) {
 	if st.Algo != AlgoName {
 		return nil, fmt.Errorf("ddpg: snapshot is for %q", st.Algo)
@@ -83,27 +86,28 @@ func Restore(st *ckpt.AgentState) (*Agent, error) {
 		updates:   st.Updates,
 	}
 	var err error
-	if a.actor, err = st.CloneNet("actor"); err != nil {
+	if a.actor, err = st.Net("actor"); err != nil {
 		return nil, err
 	}
-	if a.critic, err = st.CloneNet("critic"); err != nil {
+	a.DeployedPolicy = rl.NewDeployedPolicy(a.actor, false)
+	if a.critic, err = st.Net("critic"); err != nil {
 		return nil, err
 	}
-	if a.actorTarget, err = st.CloneNet("actor-target"); err != nil {
+	if a.actorTarget, err = st.Net("actor-target"); err != nil {
 		return nil, err
 	}
-	if a.criticTarget, err = st.CloneNet("critic-target"); err != nil {
+	if a.criticTarget, err = st.Net("critic-target"); err != nil {
 		return nil, err
 	}
 	if a.actor.InputDim() != st.StateDim || a.actor.OutputDim() != st.ActionDim {
 		return nil, fmt.Errorf("ddpg: snapshot actor is %dx%d, want %dx%d",
 			a.actor.InputDim(), a.actor.OutputDim(), st.StateDim, st.ActionDim)
 	}
-	if err := a.actorOpt.SetStateFor(a.actor, st.Opts["actor"]); err != nil {
-		return nil, fmt.Errorf("ddpg: actor optimizer: %w", err)
+	if err := st.RestoreAdam(a.actorOpt, a.actor, "actor"); err != nil {
+		return nil, err
 	}
-	if err := a.criticOpt.SetStateFor(a.critic, st.Opts["critic"]); err != nil {
-		return nil, fmt.Errorf("ddpg: critic optimizer: %w", err)
+	if err := st.RestoreAdam(a.criticOpt, a.critic, "critic"); err != nil {
+		return nil, err
 	}
 	if st.Replay != nil {
 		if a.replay, err = rl.RestoreReplay(*st.Replay); err != nil {

@@ -122,9 +122,17 @@ func TestSnapshotIsPointInTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frozen := append([]float64(nil), st.Nets["actor"].FlattenParams()...)
+	actor := func() []float64 {
+		t.Helper()
+		n, err := st.Net("actor")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n.FlattenParams()
+	}
+	frozen := actor()
 	drive(t, agent, env, state, 60)
-	if !reflect.DeepEqual(frozen, st.Nets["actor"].FlattenParams()) {
+	if !reflect.DeepEqual(frozen, actor()) {
 		t.Fatal("continuing training mutated the snapshot")
 	}
 }

@@ -92,15 +92,6 @@ func (p *GaussianPolicy) MeanActionWS(state []float64, ws *nn.Workspace) []float
 	return p.Mean.Forward1WS(state, ws)
 }
 
-// MeanBatch evaluates the deterministic mean action for every row of states
-// in one wide forward pass; see nn.(*Network).ForwardBatch for the aliasing
-// and bit-identity contract.
-//
-//edgeslice:noalloc
-func (p *GaussianPolicy) MeanBatch(states *nn.Matrix, ws *nn.Workspace) *nn.Matrix {
-	return p.Mean.ForwardBatch(states, ws)
-}
-
 // LogProb returns log π(a|s) under the (unclamped) Gaussian.
 func (p *GaussianPolicy) LogProb(state, action []float64) float64 {
 	mean := p.Mean.Forward1(state)

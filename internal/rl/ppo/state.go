@@ -14,7 +14,8 @@ import (
 const AlgoName = "ppo"
 
 func init() {
-	ckpt.Register(AlgoName, func(st *ckpt.AgentState) (rl.Agent, error) { return Restore(st) })
+	ckpt.Register(AlgoName, func(st *ckpt.AgentState) (rl.Agent, error) { return Restore(st) },
+		ckpt.Acting("policy-mean", false))
 }
 
 var _ ckpt.Snapshotter = (*Agent)(nil)
@@ -28,25 +29,29 @@ func (a *Agent) Snapshot(ckpt.SnapshotOptions) (*ckpt.AgentState, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ppo: snapshot config: %w", err)
 	}
+	nets, moments, err := ckpt.EncodeRoles(map[string]*nn.Network{
+		"policy-mean": a.policy.Mean,
+		"value":       a.value,
+	}, map[string]*nn.AdamState{
+		"policy-mean": a.popt.StateFor(a.policy.Mean),
+		"value":       a.vopt.StateFor(a.value),
+	})
+	if err != nil {
+		return nil, fmt.Errorf("ppo: snapshot: %w", err)
+	}
 	return &ckpt.AgentState{
 		Algo:      AlgoName,
 		StateDim:  a.policy.Mean.InputDim(),
 		ActionDim: a.policy.ActionDim(),
 		Config:    cfg,
-		Nets: map[string]*nn.Network{
-			"policy-mean": a.policy.Mean.Clone(),
-			"value":       a.value.Clone(),
-		},
-		Opts: map[string]*nn.AdamState{
-			"policy-mean": a.popt.StateFor(a.policy.Mean),
-			"value":       a.vopt.StateFor(a.value),
-		},
-		RNG:    ckpt.RNGState{Seed: a.src.SeedValue(), Calls: a.src.Calls()},
-		LogStd: append([]float64(nil), a.policy.LogStd...),
+		Nets:      nets,
+		Opts:      moments,
+		RNG:       ckpt.RNGState{Seed: a.src.SeedValue(), Calls: a.src.Calls()},
+		LogStd:    append([]float64(nil), a.policy.LogStd...),
 	}, nil
 }
 
-// Restore rebuilds a PPO agent from a snapshot (deep copies throughout).
+// Restore rebuilds a PPO agent from a snapshot, decoding every role afresh.
 func Restore(st *ckpt.AgentState) (*Agent, error) {
 	if st.Algo != AlgoName {
 		return nil, fmt.Errorf("ppo: snapshot is for %q", st.Algo)
@@ -58,11 +63,11 @@ func Restore(st *ckpt.AgentState) (*Agent, error) {
 	if cfg.Horizon <= 0 || cfg.MinibatchSz <= 0 {
 		return nil, fmt.Errorf("ppo: invalid snapshot config %+v", cfg)
 	}
-	mean, err := st.CloneNet("policy-mean")
+	mean, err := st.Net("policy-mean")
 	if err != nil {
 		return nil, err
 	}
-	value, err := st.CloneNet("value")
+	value, err := st.Net("value")
 	if err != nil {
 		return nil, err
 	}
@@ -72,19 +77,20 @@ func Restore(st *ckpt.AgentState) (*Agent, error) {
 	}
 	rng, src := mathutil.ReplayRNG(st.RNG.Seed, st.RNG.Calls)
 	a := &Agent{
-		cfg:    cfg,
-		rng:    rng,
-		src:    src,
-		policy: policy,
-		value:  value,
-		popt:   nn.NewAdam(cfg.PolicyLR),
-		vopt:   nn.NewAdam(cfg.ValueLR),
+		DeployedPolicy: rl.NewDeployedPolicy(mean, false),
+		cfg:            cfg,
+		rng:            rng,
+		src:            src,
+		policy:         policy,
+		value:          value,
+		popt:           nn.NewAdam(cfg.PolicyLR),
+		vopt:           nn.NewAdam(cfg.ValueLR),
 	}
-	if err := a.popt.SetStateFor(mean, st.Opts["policy-mean"]); err != nil {
-		return nil, fmt.Errorf("ppo: policy optimizer: %w", err)
+	if err := st.RestoreAdam(a.popt, mean, "policy-mean"); err != nil {
+		return nil, err
 	}
-	if err := a.vopt.SetStateFor(value, st.Opts["value"]); err != nil {
-		return nil, fmt.Errorf("ppo: value optimizer: %w", err)
+	if err := st.RestoreAdam(a.vopt, value, "value"); err != nil {
+		return nil, err
 	}
 	return a, nil
 }

@@ -52,6 +52,8 @@ const (
 
 // Agent is a SAC learner.
 type Agent struct {
+	*rl.DeployedPolicy // Act and ActBatch: the squashed mean of the actor head
+
 	cfg Config
 	rng *rand.Rand
 	src *mathutil.CountingSource // rng's backing source; checkpointed as a cursor
@@ -94,19 +96,20 @@ func New(stateDim, actionDim int, cfg Config) (*Agent, error) {
 	q1 := newQ()
 	q2 := newQ()
 	return &Agent{
-		cfg:      cfg,
-		rng:      rng,
-		src:      src,
-		actor:    actor,
-		q1:       q1,
-		q2:       q2,
-		q1T:      q1.Clone(),
-		q2T:      q2.Clone(),
-		actorOpt: nn.NewAdam(cfg.ActorLR),
-		q1Opt:    nn.NewAdam(cfg.CriticLR),
-		q2Opt:    nn.NewAdam(cfg.CriticLR),
-		replay:   rl.NewReplayBuffer(cfg.ReplayCapacity),
-		stateDim: stateDim, actionDim: actionDim,
+		DeployedPolicy: rl.NewDeployedPolicy(actor, true),
+		cfg:            cfg,
+		rng:            rng,
+		src:            src,
+		actor:          actor,
+		q1:             q1,
+		q2:             q2,
+		q1T:            q1.Clone(),
+		q2T:            q2.Clone(),
+		actorOpt:       nn.NewAdam(cfg.ActorLR),
+		q1Opt:          nn.NewAdam(cfg.CriticLR),
+		q2Opt:          nn.NewAdam(cfg.CriticLR),
+		replay:         rl.NewReplayBuffer(cfg.ReplayCapacity),
+		stateDim:       stateDim, actionDim: actionDim,
 	}, nil
 }
 
@@ -118,38 +121,6 @@ func (a *Agent) headSplit(head []float64) (mean, logStd []float64) {
 		logStd[i] = clamp(head[a.actionDim+i], logStdMin, logStdMax)
 	}
 	return mean, logStd
-}
-
-// squash maps a pre-squash value u to an action in [0,1].
-func squash(u float64) float64 { return 0.5 * (math.Tanh(u) + 1) }
-
-// Act implements rl.Agent with the deterministic squashed mean.
-func (a *Agent) Act(state []float64) []float64 {
-	head := a.actor.Forward1(state)
-	mean, _ := a.headSplit(head)
-	out := make([]float64, a.actionDim)
-	for i := range out {
-		out[i] = squash(mean[i])
-	}
-	return out
-}
-
-// ActBatch implements rl.BatchActor: one wide head forward, then the
-// deterministic squashed mean per row — bit-identical per row to Act (the
-// log-std half of the head is ignored, as Act ignores it).
-//
-//edgeslice:noalloc
-func (a *Agent) ActBatch(states *nn.Matrix, ws *nn.Workspace) *nn.Matrix {
-	head := a.actor.ForwardBatch(states, ws)
-	out := ws.Next(states.Rows, a.actionDim)
-	for r := 0; r < head.Rows; r++ {
-		h := head.Row(r)
-		o := out.Row(r)
-		for i := range o {
-			o[i] = squash(h[i])
-		}
-	}
-	return out
 }
 
 // sampleAction draws a reparameterized action; it returns the action, the
@@ -164,7 +135,7 @@ func (a *Agent) sampleAction(state []float64) (action, u, eps []float64, logP fl
 		eps[i] = a.rng.NormFloat64()
 		std := math.Exp(logStd[i])
 		u[i] = mean[i] + std*eps[i]
-		action[i] = squash(u[i])
+		action[i] = rl.Squash(u[i])
 		th := math.Tanh(u[i])
 		logP += -0.5*eps[i]*eps[i] - logStd[i] - 0.5*math.Log(2*math.Pi)
 		logP -= math.Log(0.5*(1-th*th) + 1e-8)
@@ -217,7 +188,7 @@ func (a *Agent) Update() error {
 			eps := a.rng.NormFloat64()
 			std := math.Exp(logStd)
 			u := head[d] + std*eps
-			act[d] = squash(u)
+			act[d] = rl.Squash(u)
 			th := math.Tanh(u)
 			logP += -0.5*eps*eps - logStd - 0.5*math.Log(2*math.Pi)
 			logP -= math.Log(0.5*(1-th*th) + 1e-8)
@@ -278,7 +249,7 @@ func (a *Agent) Update() error {
 			logStd := clamp(head[a.actionDim+d], logStdMin, logStdMax)
 			eps[d] = a.rng.NormFloat64()
 			u[d] = head[d] + math.Exp(logStd)*eps[d]
-			act[d] = squash(u[d])
+			act[d] = rl.Squash(u[d])
 		}
 		q1v := a.q1.Forward(in1).At(0, 0)
 		q2v := a.q2.Forward(in1).At(0, 0)

@@ -14,7 +14,8 @@ import (
 const AlgoName = "sac"
 
 func init() {
-	ckpt.Register(AlgoName, func(st *ckpt.AgentState) (rl.Agent, error) { return Restore(st) })
+	ckpt.Register(AlgoName, func(st *ckpt.AgentState) (rl.Agent, error) { return Restore(st) },
+		ckpt.Acting("actor", true))
 }
 
 var _ ckpt.Snapshotter = (*Agent)(nil)
@@ -27,24 +28,28 @@ func (a *Agent) Snapshot(opts ckpt.SnapshotOptions) (*ckpt.AgentState, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sac: snapshot config: %w", err)
 	}
+	nets, moments, err := ckpt.EncodeRoles(map[string]*nn.Network{
+		"actor":     a.actor,
+		"q1":        a.q1,
+		"q2":        a.q2,
+		"q1-target": a.q1T,
+		"q2-target": a.q2T,
+	}, map[string]*nn.AdamState{
+		"actor": a.actorOpt.StateFor(a.actor),
+		"q1":    a.q1Opt.StateFor(a.q1),
+		"q2":    a.q2Opt.StateFor(a.q2),
+	})
+	if err != nil {
+		return nil, fmt.Errorf("sac: snapshot: %w", err)
+	}
 	st := &ckpt.AgentState{
 		Algo:      AlgoName,
 		StateDim:  a.stateDim,
 		ActionDim: a.actionDim,
 		Config:    cfg,
-		Nets: map[string]*nn.Network{
-			"actor":     a.actor.Clone(),
-			"q1":        a.q1.Clone(),
-			"q2":        a.q2.Clone(),
-			"q1-target": a.q1T.Clone(),
-			"q2-target": a.q2T.Clone(),
-		},
-		Opts: map[string]*nn.AdamState{
-			"actor": a.actorOpt.StateFor(a.actor),
-			"q1":    a.q1Opt.StateFor(a.q1),
-			"q2":    a.q2Opt.StateFor(a.q2),
-		},
-		RNG: ckpt.RNGState{Seed: a.src.SeedValue(), Calls: a.src.Calls()},
+		Nets:      nets,
+		Opts:      moments,
+		RNG:       ckpt.RNGState{Seed: a.src.SeedValue(), Calls: a.src.Calls()},
 	}
 	if opts.IncludeReplay {
 		rs := a.replay.State()
@@ -53,7 +58,7 @@ func (a *Agent) Snapshot(opts ckpt.SnapshotOptions) (*ckpt.AgentState, error) {
 	return st, nil
 }
 
-// Restore rebuilds a SAC agent from a snapshot (deep copies throughout).
+// Restore rebuilds a SAC agent from a snapshot, decoding every role afresh.
 func Restore(st *ckpt.AgentState) (*Agent, error) {
 	if st.Algo != AlgoName {
 		return nil, fmt.Errorf("sac: snapshot is for %q", st.Algo)
@@ -77,33 +82,34 @@ func Restore(st *ckpt.AgentState) (*Agent, error) {
 		actionDim: st.ActionDim,
 	}
 	var err error
-	if a.actor, err = st.CloneNet("actor"); err != nil {
+	if a.actor, err = st.Net("actor"); err != nil {
 		return nil, err
 	}
-	if a.q1, err = st.CloneNet("q1"); err != nil {
+	a.DeployedPolicy = rl.NewDeployedPolicy(a.actor, true)
+	if a.q1, err = st.Net("q1"); err != nil {
 		return nil, err
 	}
-	if a.q2, err = st.CloneNet("q2"); err != nil {
+	if a.q2, err = st.Net("q2"); err != nil {
 		return nil, err
 	}
-	if a.q1T, err = st.CloneNet("q1-target"); err != nil {
+	if a.q1T, err = st.Net("q1-target"); err != nil {
 		return nil, err
 	}
-	if a.q2T, err = st.CloneNet("q2-target"); err != nil {
+	if a.q2T, err = st.Net("q2-target"); err != nil {
 		return nil, err
 	}
 	if a.actor.InputDim() != st.StateDim || a.actor.OutputDim() != 2*st.ActionDim {
 		return nil, fmt.Errorf("sac: snapshot actor head is %dx%d, want %dx%d",
 			a.actor.InputDim(), a.actor.OutputDim(), st.StateDim, 2*st.ActionDim)
 	}
-	if err := a.actorOpt.SetStateFor(a.actor, st.Opts["actor"]); err != nil {
-		return nil, fmt.Errorf("sac: actor optimizer: %w", err)
+	if err := st.RestoreAdam(a.actorOpt, a.actor, "actor"); err != nil {
+		return nil, err
 	}
-	if err := a.q1Opt.SetStateFor(a.q1, st.Opts["q1"]); err != nil {
-		return nil, fmt.Errorf("sac: q1 optimizer: %w", err)
+	if err := st.RestoreAdam(a.q1Opt, a.q1, "q1"); err != nil {
+		return nil, err
 	}
-	if err := a.q2Opt.SetStateFor(a.q2, st.Opts["q2"]); err != nil {
-		return nil, fmt.Errorf("sac: q2 optimizer: %w", err)
+	if err := st.RestoreAdam(a.q2Opt, a.q2, "q2"); err != nil {
+		return nil, err
 	}
 	if st.Replay != nil {
 		if a.replay, err = rl.RestoreReplay(*st.Replay); err != nil {

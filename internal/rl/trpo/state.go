@@ -14,7 +14,8 @@ import (
 const AlgoName = "trpo"
 
 func init() {
-	ckpt.Register(AlgoName, func(st *ckpt.AgentState) (rl.Agent, error) { return Restore(st) })
+	ckpt.Register(AlgoName, func(st *ckpt.AgentState) (rl.Agent, error) { return Restore(st) },
+		ckpt.Acting("policy-mean", false))
 }
 
 var _ ckpt.Snapshotter = (*Agent)(nil)
@@ -28,24 +29,28 @@ func (a *Agent) Snapshot(ckpt.SnapshotOptions) (*ckpt.AgentState, error) {
 	if err != nil {
 		return nil, fmt.Errorf("trpo: snapshot config: %w", err)
 	}
+	nets, moments, err := ckpt.EncodeRoles(map[string]*nn.Network{
+		"policy-mean": a.policy.Mean,
+		"value":       a.value,
+	}, map[string]*nn.AdamState{
+		"value": a.vopt.StateFor(a.value),
+	})
+	if err != nil {
+		return nil, fmt.Errorf("trpo: snapshot: %w", err)
+	}
 	return &ckpt.AgentState{
 		Algo:      AlgoName,
 		StateDim:  a.policy.Mean.InputDim(),
 		ActionDim: a.policy.ActionDim(),
 		Config:    cfg,
-		Nets: map[string]*nn.Network{
-			"policy-mean": a.policy.Mean.Clone(),
-			"value":       a.value.Clone(),
-		},
-		Opts: map[string]*nn.AdamState{
-			"value": a.vopt.StateFor(a.value),
-		},
-		RNG:    ckpt.RNGState{Seed: a.src.SeedValue(), Calls: a.src.Calls()},
-		LogStd: append([]float64(nil), a.policy.LogStd...),
+		Nets:      nets,
+		Opts:      moments,
+		RNG:       ckpt.RNGState{Seed: a.src.SeedValue(), Calls: a.src.Calls()},
+		LogStd:    append([]float64(nil), a.policy.LogStd...),
 	}, nil
 }
 
-// Restore rebuilds a TRPO agent from a snapshot (deep copies throughout).
+// Restore rebuilds a TRPO agent from a snapshot, decoding every role afresh.
 func Restore(st *ckpt.AgentState) (*Agent, error) {
 	if st.Algo != AlgoName {
 		return nil, fmt.Errorf("trpo: snapshot is for %q", st.Algo)
@@ -57,11 +62,11 @@ func Restore(st *ckpt.AgentState) (*Agent, error) {
 	if cfg.Horizon <= 0 {
 		return nil, fmt.Errorf("trpo: invalid snapshot config %+v", cfg)
 	}
-	mean, err := st.CloneNet("policy-mean")
+	mean, err := st.Net("policy-mean")
 	if err != nil {
 		return nil, err
 	}
-	value, err := st.CloneNet("value")
+	value, err := st.Net("value")
 	if err != nil {
 		return nil, err
 	}
@@ -71,15 +76,16 @@ func Restore(st *ckpt.AgentState) (*Agent, error) {
 	}
 	rng, src := mathutil.ReplayRNG(st.RNG.Seed, st.RNG.Calls)
 	a := &Agent{
-		cfg:    cfg,
-		rng:    rng,
-		src:    src,
-		policy: policy,
-		value:  value,
-		vopt:   nn.NewAdam(cfg.ValueLR),
+		DeployedPolicy: rl.NewDeployedPolicy(mean, false),
+		cfg:            cfg,
+		rng:            rng,
+		src:            src,
+		policy:         policy,
+		value:          value,
+		vopt:           nn.NewAdam(cfg.ValueLR),
 	}
-	if err := a.vopt.SetStateFor(value, st.Opts["value"]); err != nil {
-		return nil, fmt.Errorf("trpo: value optimizer: %w", err)
+	if err := st.RestoreAdam(a.vopt, value, "value"); err != nil {
+		return nil, err
 	}
 	return a, nil
 }

@@ -54,6 +54,8 @@ func DefaultConfig() Config {
 
 // Agent is a TRPO learner.
 type Agent struct {
+	*rl.DeployedPolicy // Act and ActBatch: the Gaussian policy mean
+
 	cfg    Config
 	rng    *rand.Rand
 	src    *mathutil.CountingSource // rng's backing source; checkpointed as a cursor
@@ -70,25 +72,16 @@ func New(stateDim, actionDim int, cfg Config) (*Agent, error) {
 		return nil, fmt.Errorf("trpo: invalid config state=%d action=%d %+v", stateDim, actionDim, cfg)
 	}
 	rng, src := mathutil.NewCountingRNG(cfg.Seed)
+	policy := rl.NewGaussianPolicy(rng, stateDim, actionDim, cfg.Hidden, cfg.InitStd)
 	return &Agent{
-		cfg:    cfg,
-		rng:    rng,
-		src:    src,
-		policy: rl.NewGaussianPolicy(rng, stateDim, actionDim, cfg.Hidden, cfg.InitStd),
-		value:  rl.NewValueNet(rng, stateDim, cfg.Hidden),
-		vopt:   nn.NewAdam(cfg.ValueLR),
+		DeployedPolicy: rl.NewDeployedPolicy(policy.Mean, false),
+		cfg:            cfg,
+		rng:            rng,
+		src:            src,
+		policy:         policy,
+		value:          rl.NewValueNet(rng, stateDim, cfg.Hidden),
+		vopt:           nn.NewAdam(cfg.ValueLR),
 	}, nil
-}
-
-// Act implements rl.Agent with the deterministic mean action.
-func (a *Agent) Act(state []float64) []float64 { return a.policy.MeanAction(state) }
-
-// ActBatch implements rl.BatchActor: one wide mean-network forward evaluates
-// every row of states, bit-identical per row to Act.
-//
-//edgeslice:noalloc
-func (a *Agent) ActBatch(states *nn.Matrix, ws *nn.Workspace) *nn.Matrix {
-	return a.policy.MeanBatch(states, ws)
 }
 
 // Train runs approximately `steps` environment steps of TRPO.

@@ -7,11 +7,12 @@ import (
 
 // TestReplicaAllocsBounded is the scenario half of the allocation gates:
 // one warm-started heterogeneous-mix EdgeSlice replica of 100 periods —
-// system build, checkpoint restore and every period recorded into one exact
+// system build, policy deploy and every period recorded into one exact
 // History — allocates at most twice the replicaAllocs measured when the gate
-// was set (13,283 before the replica period stopped allocating).
+// was last set (13,283 before the replica period stopped allocating, 439
+// while each replica restored a full trainer and grew its History).
 func TestReplicaAllocsBounded(t *testing.T) {
-	const replicaAllocs = 439
+	const replicaAllocs = 254
 	spec, err := Get("heterogeneous-mix")
 	if err != nil {
 		t.Fatal(err)

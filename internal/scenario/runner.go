@@ -25,10 +25,10 @@ type Options struct {
 	// on (spec, algorithm, replica index), and aggregation sorts by index.
 	Parallel int
 	// WarmStart trains each learning algorithm once — at the base replica
-	// seed, before the worker pool starts — and restores deep copies of the
-	// trained agents into every replica instead of retraining, turning an
-	// R-replica × A-algorithm sweep from R×A trainings into at most A. The
-	// paper's deployment model works the same way: agents are trained
+	// seed, before the worker pool starts — and deploys its acting policy
+	// once, which every replica then shares instead of retraining, turning
+	// an R-replica × A-algorithm sweep from R×A trainings into at most A.
+	// The paper's deployment model works the same way: agents are trained
 	// offline once and then deployed across resource autonomies (Sec. V).
 	// Replica environments keep their own seeds, so replicas still differ;
 	// what changes is that they share one trained policy, which is why warm
@@ -254,11 +254,12 @@ func Run(spec Spec, opts Options) (*Summary, error) {
 	return summary, nil
 }
 
-// warmCheckpoints prepares the WarmStart checkpoint per learning
+// warmCheckpoints prepares the WarmStart deployment per learning
 // algorithm, training (or loading from the checkpoint store) each unique
-// (algorithm, compiled config) exactly once. It runs serially before the
-// worker pool, so results are deterministic for any Parallel setting.
-func warmCheckpoints(spec Spec, opts Options, trainings *atomic.Int64) (map[string]*ckpt.Checkpoint, error) {
+// (algorithm, compiled config) exactly once and deploying its checkpoint
+// once, whichever way it came. It runs serially before the worker pool, so
+// results are deterministic for any Parallel setting.
+func warmCheckpoints(spec Spec, opts Options, trainings *atomic.Int64) (map[string]*core.Deployment, error) {
 	if !opts.WarmStart {
 		return nil, nil
 	}
@@ -269,7 +270,7 @@ func warmCheckpoints(spec Spec, opts Options, trainings *atomic.Int64) (map[stri
 			return nil, err
 		}
 	}
-	warm := make(map[string]*ckpt.Checkpoint)
+	warm := make(map[string]*core.Deployment)
 	for _, algoName := range spec.Algorithms {
 		algo, err := core.ParseAlgorithm(algoName)
 		if err != nil {
@@ -292,33 +293,34 @@ func warmCheckpoints(spec Spec, opts Options, trainings *atomic.Int64) (map[stri
 			return nil, err
 		}
 		key := ckpt.Key(algoName, hash, cfg.Seed, cfg.TrainSteps)
+		var c *ckpt.Checkpoint
 		if store != nil {
-			if c, err := store.Load(key); err == nil {
-				warm[algoName] = c
-				continue
-			} else if !errors.Is(err, ckpt.ErrNotFound) {
+			if c, err = store.Load(key); err != nil && !errors.Is(err, ckpt.ErrNotFound) {
 				return nil, err
 			}
 		}
-		sys, err := core.NewSystem(cfg)
-		if err != nil {
-			return nil, err
-		}
-		if err := sys.Train(); err != nil {
-			return nil, fmt.Errorf("scenario %s: warm-start training %s: %w", spec.Name, algoName, err)
-		}
-		trainings.Add(1)
-		c, err := sys.Snapshot(ckpt.SnapshotOptions{})
-		if err != nil {
-			return nil, err
-		}
-		c.ConfigHash = hash
-		if store != nil {
-			if err := store.Save(key, c); err != nil {
+		if c == nil {
+			sys, err := core.NewSystem(cfg)
+			if err != nil {
 				return nil, err
 			}
+			if err := sys.Train(); err != nil {
+				return nil, fmt.Errorf("scenario %s: warm-start training %s: %w", spec.Name, algoName, err)
+			}
+			trainings.Add(1)
+			if c, err = sys.Snapshot(ckpt.SnapshotOptions{}); err != nil {
+				return nil, err
+			}
+			c.ConfigHash = hash
+			if store != nil {
+				if err := store.Save(key, c); err != nil {
+					return nil, err
+				}
+			}
 		}
-		warm[algoName] = c
+		if warm[algoName], err = core.DeployCheckpoint(c); err != nil {
+			return nil, err
+		}
 	}
 	return warm, nil
 }
@@ -402,7 +404,7 @@ func finalActiveSlices(spec Spec) int {
 }
 
 // runReplica executes one (algorithm, replica) run: it compiles the spec,
-// trains if needed (or restores the warm-start checkpoint), then advances
+// trains if needed (or installs the warm-start deployment), then advances
 // period by period under the configured execution engine, applying runtime
 // events (RA degradation/recovery, slice admission/teardown through the
 // slice manager) at the boundary of the period containing each event's
@@ -410,7 +412,7 @@ func finalActiveSlices(spec Spec) int {
 // streaming), and the replica's history log receives the same records
 // through the system's recording options. The History is returned alongside
 // the summary result (the determinism suite compares it across engines).
-func runReplica(spec Spec, algoName string, replica int, warm *ckpt.Checkpoint, trainings *atomic.Int64, opts Options) (ReplicaResult, *core.History, error) {
+func runReplica(spec Spec, algoName string, replica int, warm *core.Deployment, trainings *atomic.Int64, opts Options) (ReplicaResult, *core.History, error) {
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = spec.NumRAs
@@ -434,9 +436,10 @@ func runReplica(spec Spec, algoName string, replica int, warm *ckpt.Checkpoint, 
 		return ReplicaResult{}, nil, err
 	}
 	if warm != nil && algo.IsLearning() {
-		// Restore deep-copies the checkpoint's agents, so concurrent
-		// replicas never share networks or scratch buffers.
-		if err := sys.Restore(warm); err != nil {
+		// Every replica shares the one deployed policy: its ActBatch only
+		// reads the weights, and each replica's engine brings its own
+		// workspace.
+		if err := sys.Deploy(warm); err != nil {
 			return ReplicaResult{}, nil, err
 		}
 	} else {
@@ -477,6 +480,7 @@ func runReplica(spec Spec, algoName string, replica int, warm *ckpt.Checkpoint, 
 		h = core.NewStreamingHistory(I, J, T, opts.StreamWindow)
 	} else {
 		h = core.NewHistory(I, J, T)
+		h.Reserve(spec.Periods)
 	}
 	var hlog *core.HistoryLog
 	if opts.HistoryLogDir != "" {
