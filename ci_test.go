@@ -71,10 +71,11 @@ func alternatives(re string) []string {
 	return append(out, re[start:])
 }
 
-// testNames lists the top-level Test functions of the package directories a
-// go-test package pattern (., ./dir/ or ./dir/...) names, parsed from source
-// so the check needs no build.
-func testNames(t *testing.T, pattern string) []string {
+// testNames lists the top-level functions whose names start with one of
+// prefixes ("Test", "Benchmark", …) in the package directories a go-test
+// package pattern (., ./dir/ or ./dir/...) names, parsed from source so the
+// check needs no build.
+func testNames(t *testing.T, pattern string, prefixes ...string) []string {
 	t.Helper()
 	dir, recursive := strings.TrimSuffix(pattern, "..."), strings.HasSuffix(pattern, "...")
 	dir = filepath.Clean(dir)
@@ -98,7 +99,8 @@ func testNames(t *testing.T, pattern string) []string {
 			return err
 		}
 		for _, decl := range f.Decls {
-			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil && strings.HasPrefix(fn.Name.Name, "Test") {
+			fn, ok := decl.(*ast.FuncDecl)
+			if ok && fn.Recv == nil && slices.ContainsFunc(prefixes, func(p string) bool { return strings.HasPrefix(fn.Name.Name, p) }) {
 				names = append(names, fn.Name.Name)
 			}
 		}
@@ -134,7 +136,7 @@ func TestCIRunFiltersMatchTests(t *testing.T) {
 		}
 		var names []string
 		for _, p := range c.packages {
-			names = append(names, testNames(t, p)...)
+			names = append(names, testNames(t, p, "Test")...)
 		}
 		for _, alt := range alternatives(c.run) {
 			re, err := regexp.Compile(alt)

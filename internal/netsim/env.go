@@ -109,8 +109,8 @@ func (c Config) Validate() error {
 		}
 	}
 	for k, cap := range c.Capacity {
-		if cap <= 0 {
-			return fmt.Errorf("netsim: capacity[%s] = %v must be positive", ResourceNames[k], cap)
+		if !(cap > 0) || math.IsInf(cap, 1) {
+			return fmt.Errorf("netsim: capacity[%s] = %v must be positive and finite", ResourceNames[k], cap)
 		}
 	}
 	if c.T <= 0 {
@@ -224,7 +224,6 @@ func New(cfg Config) (*RAEnv, error) {
 	for i, a := range cfg.Apps {
 		e.arrivals[i] = mathutil.NewPoisson(f[3*I+i*L : 3*I+(i+1)*L])
 		e.demands[i] = a.Demand()
-		e.queues[i].reserve(cfg.MaxQueue) // the ingress drop never lets a backlog exceed it
 	}
 	switch cfg.Perf {
 	case PerfQueue:
@@ -412,11 +411,11 @@ func (e *RAEnv) StepInto(action []float64, res *StepResult) error {
 		if over := e.queues[i].Len() + n - e.cfg.MaxQueue; over > 0 {
 			n -= over // overload guard: excess tasks are dropped at ingress
 		}
-		e.queues[i].Arrive(n, e.interval)
+		e.queues[i].Arrive(n)
 		res.Arrived[i] = n
 
 		rate := e.serviceRate(i, eff[i])
-		res.Served[i] = e.queues[i].Serve(rate, e.interval)
+		res.Served[i] = e.queues[i].Serve(rate)
 		res.QueueLens[i] = e.queues[i].Len()
 		if rate > 1/maxServiceTime {
 			res.ServiceTimes[i] = 1 / rate
@@ -486,8 +485,8 @@ func (e *RAEnv) serviceRate(i int, eff [NumResources]float64) float64 {
 // (1 = nominal, 0.3 = a degraded RA at 30%). Scenario events use it to
 // model RA failure and recovery.
 func (e *RAEnv) SetCapacityScale(scale float64) error {
-	if math.IsNaN(scale) || scale < 0 {
-		return fmt.Errorf("netsim: capacity scale %v must be non-negative", scale)
+	if !(scale >= 0) || math.IsInf(scale, 1) {
+		return fmt.Errorf("netsim: capacity scale %v must be non-negative and finite", scale)
 	}
 	e.capScale = scale
 	return nil

@@ -32,33 +32,34 @@ func TestAppProfileValidate(t *testing.T) {
 	}
 }
 
-func TestQueueFIFOAndSojourn(t *testing.T) {
+func TestQueueBacklogAndReset(t *testing.T) {
 	var q SliceQueue
-	q.Arrive(3, 0)
+	q.Arrive(3)
 	if q.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", q.Len())
 	}
-	served := q.Serve(2, 1)
+	served := q.Serve(2)
 	if served != 2 || q.Len() != 1 {
 		t.Fatalf("served=%d len=%d", served, q.Len())
 	}
-	// Both served tasks waited 1 interval.
-	if q.MeanSojourn() != 1 {
-		t.Errorf("MeanSojourn = %v, want 1", q.MeanSojourn())
-	}
+	q.Serve(0.5) // leaves half a task of credit
 	q.Reset()
-	if q.Len() != 0 || q.TotalArrived() != 0 || q.TotalServed() != 0 {
-		t.Error("Reset should clear everything")
+	if q.Len() != 0 {
+		t.Fatalf("Len after Reset = %d, want 0", q.Len())
+	}
+	q.Arrive(1)
+	if q.Serve(0.5) != 0 {
+		t.Error("Reset should clear the credit")
 	}
 }
 
 func TestQueueFractionalCarry(t *testing.T) {
 	var q SliceQueue
-	q.Arrive(1, 0)
-	if q.Serve(0.5, 1) != 0 {
+	q.Arrive(1)
+	if q.Serve(0.5) != 0 {
 		t.Error("0.5 credit should not serve yet")
 	}
-	if q.Serve(0.5, 2) != 1 {
+	if q.Serve(0.5) != 1 {
 		t.Error("accumulated credit 1.0 should serve one task")
 	}
 }
@@ -67,11 +68,11 @@ func TestQueueIdleCreditCapped(t *testing.T) {
 	var q SliceQueue
 	// Bank lots of credit while idle...
 	for i := 0; i < 100; i++ {
-		q.Serve(5, i)
+		q.Serve(5)
 	}
-	q.Arrive(50, 100)
+	q.Arrive(50)
 	// ...then confirm a tiny rate cannot flush the whole queue at once.
-	served := q.Serve(1, 101)
+	served := q.Serve(1)
 	if served > 6 {
 		t.Errorf("idle credit not capped: served %d in one interval at rate 1", served)
 	}
@@ -81,33 +82,67 @@ func TestQueueIdleCreditCapped(t *testing.T) {
 func TestQueueConservationProperty(t *testing.T) {
 	f := func(ops []uint8) bool {
 		var q SliceQueue
-		now := 0
+		arrived, served := 0, 0
 		for _, op := range ops {
 			if op%2 == 0 {
-				q.Arrive(int(op%7), now)
+				n := int(op % 7)
+				q.Arrive(n)
+				arrived += n
 			} else {
-				q.Serve(float64(op%5), now)
+				served += q.Serve(float64(op % 5))
 			}
-			now++
 		}
-		return q.TotalArrived()-q.TotalServed() == q.Len()
+		return arrived-served == q.Len()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
 }
 
-func TestQueueCompaction(t *testing.T) {
-	var q SliceQueue
-	for i := 0; i < 3000; i++ {
-		q.Arrive(1, i)
-		q.Serve(1, i)
+// TestHugeServiceRateServesBacklog: credit past MaxInt64 must serve the
+// whole backlog (converting it to int is undefined, and on amd64 served
+// nothing), and the two ways to ask for an infinite rate are rejected.
+func TestHugeServiceRateServesBacklog(t *testing.T) {
+	for _, rate := range []float64{1e20, math.MaxFloat64, math.Inf(1)} {
+		var q SliceQueue
+		q.Arrive(7)
+		if got := q.Serve(rate); got != 7 || q.Len() != 0 {
+			t.Errorf("Serve(%v) on 7 tasks served %d, left %d", rate, got, q.Len())
+		}
 	}
-	if q.Len() != 0 {
-		t.Fatalf("queue should be empty, len %d", q.Len())
+
+	cfg := DefaultExperimentConfig()
+	cfg.Capacity = [NumResources]float64{1e20, 1e20, 1e20}
+	env, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if q.TotalServed() != 3000 {
-		t.Fatalf("served %d, want 3000", q.TotalServed())
+	env.Reset()
+	action := make([]float64, env.ActionDim())
+	for i := range action {
+		action[i] = 0.5
+	}
+	for step := 0; step < 5; step++ {
+		res, err := env.StepInterval(action)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, l := range res.QueueLens {
+			if l != 0 || res.Served[i] != res.Arrived[i] {
+				t.Fatalf("step %d slice %d: capacity 1e20 left %d queued (served %d of %d)", step, i, l, res.Served[i], res.Arrived[i])
+			}
+		}
+	}
+
+	for _, bad := range []float64{math.Inf(1), math.NaN()} {
+		cfg := DefaultExperimentConfig()
+		cfg.Capacity[ResCompute] = bad
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("Validate accepted capacity %v", bad)
+		}
+	}
+	if err := env.SetCapacityScale(math.Inf(1)); err == nil {
+		t.Error("SetCapacityScale(+Inf) accepted")
 	}
 }
 

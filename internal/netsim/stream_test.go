@@ -199,7 +199,7 @@ func TestPerfTableMatchesQueuePerf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env.Queue(0).Arrive(cfg.MaxQueue+25, 0)
+	env.Queue(0).Arrive(cfg.MaxQueue + 25)
 	res, err := env.StepInterval(make([]float64, env.ActionDim()))
 	if err != nil {
 		t.Fatal(err)
