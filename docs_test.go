@@ -34,3 +34,18 @@ func TestDocsCiteExistingTests(t *testing.T) {
 	}
 	t.Logf("checked %d citations against %d test and benchmark functions", cited, len(names))
 }
+
+// designMaxBytes is DESIGN.md's size when this cap was set. The document
+// may shrink but never grow: a change that adds text deletes as much.
+const designMaxBytes = 75452
+
+// TestDesignDocSizeCapped holds DESIGN.md to designMaxBytes.
+func TestDesignDocSizeCapped(t *testing.T) {
+	info, err := os.Stat("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := info.Size(); n > designMaxBytes {
+		t.Errorf("DESIGN.md is %d bytes, over its %d-byte cap: delete as much as you add", n, designMaxBytes)
+	}
+}

@@ -92,8 +92,8 @@ type Agent = rl.Agent
 // (64-RA chunks stepped through whole periods on the workers, one forward
 // pass per policy group per chunk per interval, bit-identical to serial for
 // any worker count), or remote agents over the RC network
-// interface (recording the same History, monitor series, SLA flags, and
-// residuals as local runs).
+// interface (recording the same History, SLA flags, and residuals as local
+// runs).
 type Executor = core.Executor
 
 // Engine spellings for NewExecutor and the -engine CLI flags.

@@ -2,40 +2,7 @@ package core
 
 import (
 	"testing"
-
-	"edgeslice/internal/monitor"
 )
-
-// Period-at-a-time driving (the scenario runner's pattern) must number
-// monitor samples continuously: a restart at 0 would violate the monitor's
-// monotone-interval invariant and silently drop every later period.
-func TestRunPeriodsMonitorContinuity(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Algo = AlgoTARO
-	sys, err := NewSystem(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.Train(); err != nil {
-		t.Fatal(err)
-	}
-	for p := 0; p < 3; p++ {
-		if _, err := sys.RunPeriods(1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	T := cfg.EnvTemplate.T
-	metric := monitor.MetricName("perf", 0, 0)
-	samples := sys.Monitor().Query(metric, 0, 1<<30)
-	if len(samples) != 3*T {
-		t.Fatalf("%s has %d samples after 3x RunPeriods(1), want %d", metric, len(samples), 3*T)
-	}
-	for i, s := range samples {
-		if s.Interval != i {
-			t.Fatalf("sample %d has interval %d, want %d", i, s.Interval, i)
-		}
-	}
-}
 
 func TestConfigValidateTrainEnvPerRA(t *testing.T) {
 	cfg := DefaultConfig() // 2 RAs

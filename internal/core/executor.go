@@ -128,13 +128,11 @@ func (s *System) finishPeriod(h *History, perf [][]float64) error {
 	return s.commitPeriod(h, perf, sla, primal, dual)
 }
 
-// mergePeriod merges the period's T result rows, numbering them on from
-// the intervals already run, in (interval, RA, slice) order.
+// mergePeriod merges the period's T result rows in (interval, RA, slice)
+// order.
 func (s *System) mergePeriod(h *History, res [][]netsim.StepResult) error {
 	for _, row := range res {
-		interval := s.intervalsRun
-		s.intervalsRun++
-		if err := s.mergeInterval(h, interval, row); err != nil {
+		if err := s.mergeInterval(h, row); err != nil {
 			return err
 		}
 	}
@@ -142,16 +140,12 @@ func (s *System) mergePeriod(h *History, res [][]netsim.StepResult) error {
 }
 
 // mergeInterval folds every RA's result for one interval into the history
-// and the monitor in fixed (RA, slice) order — the one summation and
-// recording order every engine shares — so merged results are bit-identical
-// regardless of who stepped the RAs, on how many workers, or in what order
-// reports arrived. It runs on the driver goroutine only.
-func (s *System) mergeInterval(h *History, interval int, res []netsim.StepResult) error {
+// in fixed (RA, slice) order — the one summation and recording order every
+// engine shares — so merged results are bit-identical regardless of who
+// stepped the RAs, on how many workers, or in what order reports arrived.
+// It runs on the driver goroutine only.
+func (s *System) mergeInterval(h *History, res []netsim.StepResult) error {
 	ws := s.workspace()
-	group, err := s.monitorGroup(ws)
-	if err != nil {
-		return err
-	}
 	var sysPerf, violation float64
 	for i := range ws.slicePerf {
 		ws.slicePerf[i] = 0
@@ -160,14 +154,8 @@ func (s *System) mergeInterval(h *History, interval int, res []netsim.StepResult
 		}
 	}
 	for j := range res {
-		sysPerf = mergeRA(ws, ws.samples[j*ws.I*numMonKinds:], &res[j], sysPerf)
+		sysPerf = mergeRA(ws, &res[j], sysPerf)
 		violation += res[j].Violation
-	}
-	// One monitor call per interval: the samples of all RAs go in as one row
-	// under a single lock, counting rejected writes (out-of-order intervals)
-	// instead of silently dropping them.
-	if n := s.mon.RecordRow(group, interval, ws.samples); n > 0 {
-		s.stats.monDropped.Add(uint64(n))
 	}
 	// The shares of the J RAs are summed first and divided once, so the
 	// recorded value carries a single rounding instead of J.
@@ -181,19 +169,16 @@ func (s *System) mergeInterval(h *History, interval int, res []netsim.StepResult
 
 // mergeRA adds one RA's interval result to the workspace's per-slice sums
 // and to the running system sum sysPerf (returned; one accumulator across
-// all RAs, as the serial loop always summed), and stages its monitor samples
-// (slice-major, perf then queue — the order of monitorGroup) in samples.
+// all RAs, as the serial loop always summed).
 //
 //edgeslice:noalloc
-func mergeRA(ws *periodWS, samples []float64, res *netsim.StepResult, sysPerf float64) float64 {
+func mergeRA(ws *periodWS, res *netsim.StepResult, sysPerf float64) float64 {
 	for i := range ws.slicePerf {
 		sysPerf += res.Perf[i]
 		ws.slicePerf[i] += res.Perf[i]
 		for k := 0; k < netsim.NumResources; k++ {
 			ws.usage[i][k] += res.Effective[i][k]
 		}
-		samples[i*numMonKinds+monPerf] = res.Perf[i]
-		samples[i*numMonKinds+monQueue] = float64(res.QueueLens[i])
 	}
 	return sysPerf
 }

@@ -36,8 +36,8 @@ import (
 //   - an RA's step reads and writes only its own environment and its own
 //     slots of the period workspace, so which worker steps it cannot change
 //     its result, and the merge that follows runs single-threaded in the
-//     fixed (interval, RA, slice) order — History, monitor series, and
-//     residuals come out the same.
+//     fixed (interval, RA, slice) order — History and residuals come out
+//     the same.
 //
 // Baseline RAs compute their own action in their chunk. Learning agents
 // without a batched path act on the driver goroutine, one after another in
@@ -305,7 +305,7 @@ func (e *BatchedExecutor) RunPeriods(s *System, h *History, n int) error {
 		if err := s.distribute(); err != nil {
 			return err
 		}
-		if err := plan.stepPeriod(s, ws, s.intervalsRun); err != nil {
+		if err := plan.stepPeriod(s, ws, s.coord.Iterations()*len(ws.res)); err != nil {
 			return err
 		}
 		if err := s.mergePeriod(h, ws.res); err != nil {

@@ -78,9 +78,9 @@ func algoSystem(t *testing.T, cfg Config, algo string) *System {
 }
 
 // TestBatchedMatchesSerial is the batched half of the determinism suite:
-// for a baseline and every kind of policy, the batched engine's History and
-// monitor series must be bit-identical to the interleaved reference run's,
-// for worker counts 1, 4, and NumRAs.
+// for a baseline and every kind of policy, the batched engine's History
+// must be bit-identical to the interleaved reference run's, for worker
+// counts 1, 4, and NumRAs.
 func TestBatchedMatchesSerial(t *testing.T) {
 	forEachPolicy(t, func(t *testing.T, deploy func() *System) {
 		requireEngineMatchesReference(t, deploy, func(w int) Executor { return NewBatchedExecutor(w) })
@@ -103,7 +103,7 @@ func TestBatchedBaselineFallsBackToSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireSameRun(t, "baseline-fallback", hRef, h, ref.Monitor(), s.Monitor())
+	requireSameRun(t, "baseline-fallback", hRef, h)
 }
 
 // mixedAgents installs a mixed deployment on a 4-RA system: RAs 0 and 2
@@ -128,8 +128,7 @@ func mixedAgents(t *testing.T, s *System) {
 
 // TestBatchedMixedSystemMatchesSerial covers systems that split into a
 // batched group plus per-RA fallback RAs: the interleaved scatter must
-// still merge History and monitor series in serial's (interval, RA, slice)
-// order.
+// still merge the History in serial's (interval, RA, slice) order.
 func TestBatchedMixedSystemMatchesSerial(t *testing.T) {
 	cfg := execTestConfig(AlgoEdgeSlice)
 	cfg.NumRAs = 4
@@ -150,7 +149,7 @@ func TestBatchedMixedSystemMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireSameRun(t, fmt.Sprintf("mixed workers=%d", workers), hRef, h, ref.Monitor(), s.Monitor())
+		requireSameRun(t, fmt.Sprintf("mixed workers=%d", workers), hRef, h)
 	}
 }
 
@@ -178,7 +177,7 @@ func TestBatchedShardedMatchesSerial(t *testing.T) {
 	if got, T := e.perPeriod.Load(), cfg.EnvTemplate.T; got <= int64(T) {
 		t.Fatalf("period ran %d chunk forwards at T = %d, want more than one per interval", got, T)
 	}
-	requireSameRun(t, "sharded", hRef, h, ref.Monitor(), s.Monitor())
+	requireSameRun(t, "sharded", hRef, h)
 }
 
 // loggedRun records n periods of s into a fresh History and an in-memory
@@ -200,8 +199,7 @@ func loggedRun(t *testing.T, s *System, n int, run func(*System, int) *History) 
 
 // TestBatchedTwoGroupsMatchesSerial alternates two distinct batchable
 // agents over 2·64 + 3 RAs, so every chunk forwards two group spans and the
-// last chunk is short (two rows and one): History, monitor series and
-// history-log bytes must equal the interleaved reference run's for every
+// last chunk is short (two rows and one): History and history-log bytes must equal the interleaved reference run's for every
 // worker count.
 func TestBatchedTwoGroupsMatchesSerial(t *testing.T) {
 	cfg := execTestConfig(AlgoEdgeSlice)
@@ -238,7 +236,7 @@ func TestBatchedTwoGroupsMatchesSerial(t *testing.T) {
 			}
 			return h
 		})
-		requireSameRun(t, label, hRef, h, ref.Monitor(), s.Monitor())
+		requireSameRun(t, label, hRef, h)
 		if !bytes.Equal(log, logRef) {
 			t.Errorf("%s: history log differs from the reference run", label)
 		}
@@ -280,7 +278,7 @@ func (p *nanPolicy) ActBatch(states *nn.Matrix, ws *nn.Workspace) *nn.Matrix {
 // emits a NaN action at period 2, interval 3, opaque (stepped on the
 // driver) in one leg and batched in its own group in the other. At every
 // worker count the run must return the same error, naming RA 70 and that
-// interval, with a History, monitor and coordinator of exactly the two
+// interval, with a History and coordinator of exactly the two
 // completed periods.
 func TestBatchedPartialHistoryOnStepError(t *testing.T) {
 	const ra, period, interval = 70, 2, 3
@@ -316,7 +314,7 @@ func TestBatchedPartialHistoryOnStepError(t *testing.T) {
 				t.Errorf("%s: history holds %d periods and %d intervals, want %d and %d",
 					label, h.Periods(), h.Intervals(), period, period*T)
 			}
-			requireSameRun(t, label, hRef, h, ref.Monitor(), s.Monitor())
+			requireSameRun(t, label, hRef, h)
 			if it := s.Coordinator().Iterations(); it != period {
 				t.Errorf("%s: coordinator ran %d iterations, want %d", label, it, period)
 			}
@@ -326,8 +324,7 @@ func TestBatchedPartialHistoryOnStepError(t *testing.T) {
 
 // TestBatchedPersistentAcrossCalls exercises the scenario-runner calling
 // pattern: one batched executor driving many RunPeriods(1) calls — reusing
-// its cached batch plan — must match one serial RunPeriods(n) call,
-// including the continuous monitor interval numbering.
+// its cached batch plan — must match one serial RunPeriods(n) call.
 func TestBatchedPersistentAcrossCalls(t *testing.T) {
 	cfg := execTestConfig(AlgoEdgeSlice)
 	ref := deployedSystem(t, cfg)
@@ -348,7 +345,7 @@ func TestBatchedPersistentAcrossCalls(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	requireSameRun(t, "period-at-a-time", hRef, h, ref.Monitor(), s.Monitor())
+	requireSameRun(t, "period-at-a-time", hRef, h)
 }
 
 // TestBatchedTelemetry pins the engine's exported gauges: forwards

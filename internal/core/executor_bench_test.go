@@ -14,7 +14,7 @@ import (
 // engines. In the edgeslice legs the deployed policy is a paper-scale 2x128
 // actor so inference dominates the interval cost — the workload the batched
 // engine exists for. The taro leg is the bench harness's local-step-2048
-// shape (no network: the RA step, record, merge, monitor and ADMM), so
+// shape (no network: the RA step, record, merge and ADMM), so
 //
 //	go test ./internal/core -run '^$' -bench 'RunPeriods/.*taro' -cpuprofile cpu.out
 //

@@ -13,11 +13,11 @@ import (
 // coordination grids through the hub, phase 2 happens inside each agent
 // (rcnet.RunAgent), and the agents' per-interval records are merged here
 // in deterministic RA order — the same merge every local engine uses —
-// so a distributed run records the same History, monitor series, SLA
-// flags, and primal/dual residuals as a local one.
+// so a distributed run records the same History, SLA flags, and
+// primal/dual residuals as a local one.
 //
-// The System supplies the run's shape (slices, RAs, T), the ADMM
-// coordinator, and the monitor; its local environments and agents are
+// The System supplies the run's shape (slices, RAs, T) and the ADMM
+// coordinator; its local environments and agents are
 // never touched — the environments of record live in the agent processes.
 // The system therefore does not need to be trained, and determinism
 // versus a local run holds exactly when the remote agents step

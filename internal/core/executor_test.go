@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"edgeslice/internal/baseline"
-	"edgeslice/internal/monitor"
 	"edgeslice/internal/netsim"
 	"edgeslice/internal/nn"
 	"edgeslice/internal/rcnet"
@@ -48,15 +47,6 @@ func deployedSystem(t *testing.T, cfg Config) *System {
 	return s
 }
 
-// monitorDump flattens every metric series for equality comparison.
-func monitorDump(m *monitor.Monitor) map[string][]monitor.Sample {
-	out := make(map[string][]monitor.Sample)
-	for _, name := range m.Metrics() {
-		out[name] = m.Query(name, 0, 1<<30)
-	}
-	return out
-}
-
 // referenceRun is the loop the serial engine ran before every in-process
 // engine became the batch plan, kept here as a reference that is not under
 // test: every interval each RA in turn acts on its own observation
@@ -75,14 +65,13 @@ func referenceRun(t *testing.T, s *System, n int) *History {
 			t.Fatal(err)
 		}
 		for i := 0; i < s.cfg.EnvTemplate.T; i++ {
-			interval := s.intervalsRun
-			s.intervalsRun++
+			interval := s.coord.Iterations()*s.cfg.EnvTemplate.T + i
 			for j := range res {
 				if err := s.stepInto(ws, j, interval, nil, &res[j]); err != nil {
 					t.Fatal(err)
 				}
 			}
-			if err := s.mergeInterval(h, interval, res); err != nil {
+			if err := s.mergeInterval(h, res); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -111,8 +100,7 @@ func forEachPolicy(t *testing.T, fn func(t *testing.T, deploy func() *System)) {
 }
 
 // requireEngineMatchesReference runs four periods under engines built by
-// newExec for each worker count and requires the reference run's History
-// and monitor series.
+// newExec for each worker count and requires the reference run's History.
 func requireEngineMatchesReference(t *testing.T, deploy func() *System, newExec func(workers int) Executor) {
 	t.Helper()
 	ref := deploy()
@@ -124,20 +112,20 @@ func requireEngineMatchesReference(t *testing.T, deploy func() *System, newExec 
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireSameRun(t, fmt.Sprintf("%s workers=%d", e.Name(), workers), hRef, h, ref.Monitor(), s.Monitor())
+		requireSameRun(t, fmt.Sprintf("%s workers=%d", e.Name(), workers), hRef, h)
 		if err := e.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}
 }
 
-func requireSameRun(t *testing.T, label string, hWant, hGot *History, mWant, mGot *monitor.Monitor) {
+// requireSameRun requires two runs' Histories to be deeply equal. A History
+// carries each RA's per-period perf, which is monotone in queue length, so
+// it also pins the queues every RA ran through.
+func requireSameRun(t *testing.T, label string, hWant, hGot *History) {
 	t.Helper()
 	if !reflect.DeepEqual(hWant, hGot) {
 		t.Errorf("%s: history differs from serial run", label)
-	}
-	if !reflect.DeepEqual(monitorDump(mWant), monitorDump(mGot)) {
-		t.Errorf("%s: monitor series differ from serial run", label)
 	}
 }
 
@@ -172,8 +160,8 @@ func TestNewExecutorSpellings(t *testing.T) {
 
 // TestSerialExecutorIsRunPeriods pins that System.RunPeriods and the
 // explicit serial engine — the batch plan at one worker — record the
-// interleaved reference run's History and monitor series, for a baseline and
-// every kind of policy.
+// interleaved reference run's History, for a baseline and every kind of
+// policy.
 func TestSerialExecutorIsRunPeriods(t *testing.T) {
 	forEachPolicy(t, func(t *testing.T, deploy func() *System) {
 		ref := deploy()
@@ -187,8 +175,8 @@ func TestSerialExecutorIsRunPeriods(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireSameRun(t, "RunPeriods", hRef, h1, ref.Monitor(), s1.Monitor())
-		requireSameRun(t, "serial-executor", hRef, h2, ref.Monitor(), s2.Monitor())
+		requireSameRun(t, "RunPeriods", hRef, h1)
+		requireSameRun(t, "serial-executor", hRef, h2)
 	})
 }
 
@@ -252,8 +240,8 @@ func TestUsageSumsBeforeDividing(t *testing.T) {
 
 // TestRemoteMatchesSerial runs the same deployment twice — once locally
 // under the serial engine, once as a hub plus in-process RunAgent loops
-// under the remote engine — and requires identical History and monitor
-// series: the distributed path finally records everything a local run
+// under the remote engine — and requires identical Histories: the
+// distributed path finally records everything a local run
 // does.
 func TestRemoteMatchesSerial(t *testing.T) {
 	cfg := execTestConfig(AlgoTARO)
@@ -324,7 +312,7 @@ func TestRemoteMatchesSerial(t *testing.T) {
 			t.Fatalf("agent %d: %v", j, err)
 		}
 	}
-	requireSameRun(t, "remote", hRef, h, ref.Monitor(), sys.Monitor())
+	requireSameRun(t, "remote", hRef, h)
 }
 
 // TestRemoteRejectsMismatchedHub pins that a hub sized differently from

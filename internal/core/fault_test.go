@@ -92,8 +92,8 @@ func startRemoteAgent(t *testing.T, hub *rcnet.Hub, cfg Config, j int) (*rcnet.A
 // one RA crashes the moment it receives period 2's broadcast (before
 // stepping or reporting), a fresh incarnation re-registers with a fresh
 // identically-seeded env, replays the completed prefix from its resume
-// frame, and serves the retried period — and the run's History and monitor
-// series come out bit-identical to an uninterrupted serial run.
+// frame, and serves the retried period — and the run's History comes out
+// bit-identical to an uninterrupted serial run.
 func TestRemoteSurvivesAgentKillAndRestart(t *testing.T) {
 	cfg := execTestConfig(AlgoTARO)
 	const (
@@ -206,7 +206,7 @@ func TestRemoteSurvivesAgentKillAndRestart(t *testing.T) {
 	if stats.Reconnects < 1 || stats.ResumesSent < 1 {
 		t.Errorf("stats = %+v, want at least one reconnect and one resume frame", stats)
 	}
-	requireSameRun(t, "kill-restart", hRef, h, ref.Monitor(), sys.Monitor())
+	requireSameRun(t, "kill-restart", hRef, h)
 }
 
 // TestRemoteKillEveryPeriod drives the run period-at-a-time (the scenario
@@ -273,7 +273,7 @@ func TestRemoteKillEveryPeriod(t *testing.T) {
 			t.Errorf("agent %d: %v", j, err)
 		}
 	}
-	requireSameRun(t, "kill-every-period", hRef, h, ref.Monitor(), sys.Monitor())
+	requireSameRun(t, "kill-every-period", hRef, h)
 }
 
 // TestRemotePartialHistoryOnDroppedAgent pins the remote engine's
@@ -338,7 +338,7 @@ func TestRemotePartialHistoryOnDroppedAgent(t *testing.T) {
 	if h.Periods() != served {
 		t.Fatalf("partial history holds %d periods, want the %d completed ones", h.Periods(), served)
 	}
-	requireSameRun(t, "partial", hRef, h, ref.Monitor(), sys.Monitor())
+	requireSameRun(t, "partial", hRef, h)
 	if it := sys.Coordinator().Iterations(); it != served {
 		t.Errorf("coordinator ran %d iterations, want %d (the failed period must not update)", it, served)
 	}

@@ -67,6 +67,10 @@ func NewHistoryLog(w *telemetry.LogWriter, numSlices, numRAs, t int) (*HistoryLo
 	if numSlices <= 0 || numRAs <= 0 || t <= 0 {
 		return nil, fmt.Errorf("core: invalid history log shape %dx%dxT%d", numSlices, numRAs, t)
 	}
+	if !histRecordsFit(numSlices, numRAs, histLogNumResources) {
+		return nil, fmt.Errorf("core: history log shape %dx%dxT%d has records over the %d-byte cap",
+			numSlices, numRAs, t, telemetry.MaxRecordBytes)
+	}
 	l := &HistoryLog{w: w, numSlices: numSlices, numRAs: numRAs, periodT: t}
 	hdr := make([]byte, 0, 4+5*4)
 	hdr = append(hdr, histLogMagic[:]...)
@@ -182,6 +186,23 @@ func (l *HistoryLog) Sync() error { return l.w.Sync() }
 // Close flushes, syncs, and closes the log.
 func (l *HistoryLog) Close() error { return l.w.Close() }
 
+// histIntervalLen and histPeriodLen are the byte lengths of an interval and
+// a period record of an I-slice, J-RA, K-resource log.
+func histIntervalLen(I, K int) int { return 1 + 8*(2+I+I*K) }
+func histPeriodLen(I, J int) int   { return 1 + 8*I*J + I + 16 }
+
+// histRecordsFit reports whether both record kinds of the shape fit under
+// the telemetry log's record cap: a log of any larger shape can hold no
+// record, and its reader must not size a History for it. The divisions
+// bound I·K and I·J before any product is formed, so nothing overflows.
+func histRecordsFit(I, J, K int) bool {
+	const words = telemetry.MaxRecordBytes / 8
+	if I > words || K > words/I || J > words/I {
+		return false
+	}
+	return histIntervalLen(I, K) <= telemetry.MaxRecordBytes && histPeriodLen(I, J) <= telemetry.MaxRecordBytes
+}
+
 // parseHistHeader validates a history log's header record and returns the
 // run shape it declares.
 func parseHistHeader(hdr []byte) (I, J, T, K int, err error) {
@@ -199,6 +220,10 @@ func parseHistHeader(hdr []byte) (I, J, T, K int, err error) {
 	if I <= 0 || J <= 0 || T <= 0 || K <= 0 {
 		return 0, 0, 0, 0, fmt.Errorf("core: history log header has invalid shape %dx%dxT%d K%d", I, J, T, K)
 	}
+	if !histRecordsFit(I, J, K) {
+		return 0, 0, 0, 0, fmt.Errorf("core: history log header shape %dx%dxT%d K%d has records over the %d-byte cap",
+			I, J, T, K, telemetry.MaxRecordBytes)
+	}
 	return I, J, T, K, nil
 }
 
@@ -207,11 +232,9 @@ func applyHistRecord(h *History, rec []byte, I, J, K int) error {
 	if len(rec) == 0 {
 		return fmt.Errorf("core: empty record in history log")
 	}
-	intervalLen := 1 + 8*(1+I+I*K+1)
-	periodLen := 1 + 8*I*J + I + 16
 	switch rec[0] {
 	case histRecInterval:
-		if len(rec) != intervalLen {
+		if intervalLen := histIntervalLen(I, K); len(rec) != intervalLen {
 			return fmt.Errorf("core: interval record of %d bytes, want %d", len(rec), intervalLen)
 		}
 		b := rec[1:]
@@ -230,7 +253,7 @@ func applyHistRecord(h *History, rec []byte, I, J, K int) error {
 		violation := readF64(&b)
 		h.AddInterval(sysPerf, slicePerf, usage, violation)
 	case histRecPeriod:
-		if len(rec) != periodLen {
+		if periodLen := histPeriodLen(I, J); len(rec) != periodLen {
 			return fmt.Errorf("core: period record of %d bytes, want %d", len(rec), periodLen)
 		}
 		b := rec[1:]

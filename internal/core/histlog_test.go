@@ -1,11 +1,17 @@
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
+	"io"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"edgeslice/internal/telemetry"
 )
 
 // TestHistoryLogRoundTrip writes a real run to disk alongside exact
@@ -170,4 +176,111 @@ func TestHistoryLogRecordShapeChecks(t *testing.T) {
 	if err := log.LogPeriod([][]float64{{1}, {2}}, []bool{true, false}, 0, 0); err == nil {
 		t.Error("short perf row should error")
 	}
+}
+
+// histHeader is a CRC-valid history log holding only a header record that
+// declares the given shape.
+func histHeader(t testing.TB, I, J, T, K uint32) []byte {
+	t.Helper()
+	hdr := append([]byte(nil), histLogMagic[:]...)
+	for _, v := range []uint32{histLogVersion, I, J, T, K} {
+		hdr = binary.LittleEndian.AppendUint32(hdr, v)
+	}
+	var buf bytes.Buffer
+	w := telemetry.NewLogWriter(&buf)
+	if err := w.Append(hdr); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestHistoryLogRejectsOversizeShape pins that a 32-byte log whose header
+// declares 2³¹ slices is an error on every read path — it used to size a
+// 48 GiB History and die out of memory — and that reader and writer agree on
+// the largest shape whose records fit the record cap.
+func TestHistoryLogRejectsOversizeShape(t *testing.T) {
+	huge := histHeader(t, 1<<31, 1, 1, histLogNumResources)
+	if len(huge) != 32 {
+		t.Fatalf("crafted log is %d bytes, want 32", len(huge))
+	}
+	if _, _, err := ReplayHistoryLog(bytes.NewReader(huge)); err == nil {
+		t.Error("ReplayHistoryLog accepted a 2^31-slice header")
+	}
+	path := filepath.Join(t.TempDir(), "huge.histlog")
+	if err := os.WriteFile(path, huge, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := OpenHistoryLogAppend(path); err == nil {
+		t.Error("OpenHistoryLogAppend accepted a 2^31-slice header")
+	}
+	// At I = J = K = 2³²−1 both record lengths wrap negative in int64
+	// arithmetic, which would pass a plain "≤ cap" test.
+	const m = math.MaxUint32
+	if _, _, _, _, err := parseHistHeader(histHeader(t, m, m, 1, m)[telemetry.RecordHeaderBytes:]); err == nil {
+		t.Error("a header whose record lengths overflow int64 parsed")
+	}
+	// The widest interval record that fits: 1 + 8·(2 + I + I·K) bytes.
+	maxI := (telemetry.MaxRecordBytes - 17) / (8 * (1 + histLogNumResources))
+	for _, tc := range []struct {
+		I, J int
+		fits bool
+	}{
+		{maxI, 1, true},
+		{maxI + 1, 1, false},
+		{1, (telemetry.MaxRecordBytes - 18) / 8, true}, // the widest period record
+		{1, (telemetry.MaxRecordBytes-18)/8 + 1, false},
+	} {
+		_, werr := NewHistoryLog(telemetry.NewLogWriter(io.Discard), tc.I, tc.J, 10)
+		_, _, _, _, rerr := parseHistHeader(histHeader(t, uint32(tc.I), uint32(tc.J), 10, histLogNumResources)[telemetry.RecordHeaderBytes:])
+		if (werr == nil) != tc.fits || (rerr == nil) != tc.fits {
+			t.Errorf("shape %dx%d: writer %v, reader %v, want fits=%v", tc.I, tc.J, werr, rerr, tc.fits)
+		}
+	}
+}
+
+// FuzzReplayHistoryLog feeds arbitrary bytes to the history log reader: it
+// must return an error or a History, never panic, and never size anything
+// off a header whose records could not fit the record cap. A History it
+// returns must survive a write-and-replay round trip byte for byte. Seeds in
+// testdata/fuzz/FuzzReplayHistoryLog: a valid two-period log, the same log
+// with a truncated tail, and the 2³¹-slice header.
+func FuzzReplayHistoryLog(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		h, _, err := ReplayHistoryLog(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if k := binary.LittleEndian.Uint32(data[telemetry.RecordHeaderBytes+20:]); k != histLogNumResources {
+			return // read, but not a shape this build writes
+		}
+		once := encodeHistory(t, h)
+		again, truncated, err := ReplayHistoryLog(bytes.NewReader(once))
+		if err != nil || truncated {
+			t.Fatalf("re-encoded history does not replay: truncated %v, %v", truncated, err)
+		}
+		if twice := encodeHistory(t, again); !bytes.Equal(once, twice) {
+			t.Fatal("history log round trip changed the records")
+		}
+	})
+}
+
+// encodeHistory writes h as a history log: header, intervals, periods.
+func encodeHistory(t *testing.T, h *History) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w := telemetry.NewLogWriter(&buf)
+	l, err := NewHistoryLog(w, h.NumSlices, h.NumRAs, h.T)
+	if err != nil {
+		t.Fatalf("the writer rejects a shape the reader accepted: %v", err)
+	}
+	if err := l.AppendHistory(h); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }

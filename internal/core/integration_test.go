@@ -2,8 +2,6 @@ package core
 
 import (
 	"testing"
-
-	"edgeslice/internal/monitor"
 )
 
 // TestEdgeSliceBeatsTARO is the headline integration test: a trained
@@ -92,33 +90,5 @@ func TestCoordinatorResidualsShrink(t *testing.T) {
 	late := h.Dual[len(h.Dual)-1]
 	if late > early && late > 100 {
 		t.Errorf("dual residual grew: %v -> %v", early, late)
-	}
-}
-
-// TestMonitorPopulated checks the RC-M path: the system monitor must carry
-// per-RA, per-slice perf and queue series after a run.
-func TestMonitorPopulated(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Algo = AlgoTARO
-	sys, err := NewSystem(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.Train(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sys.RunPeriods(2); err != nil {
-		t.Fatal(err)
-	}
-	for ra := 0; ra < sys.NumRAs(); ra++ {
-		for slice := 0; slice < cfg.EnvTemplate.NumSlices; slice++ {
-			for _, kind := range []string{"perf", "queue"} {
-				name := monitor.MetricName(kind, ra, slice)
-				samples := sys.Monitor().Query(name, 0, 1<<30)
-				if len(samples) != 2*cfg.EnvTemplate.T {
-					t.Errorf("%s has %d samples, want %d", name, len(samples), 2*cfg.EnvTemplate.T)
-				}
-			}
-		}
 	}
 }

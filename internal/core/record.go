@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"edgeslice/internal/monitor"
 	"edgeslice/internal/telemetry"
 )
 
@@ -15,8 +14,7 @@ import (
 type RecordOptions struct {
 	// StreamWindow, when positive, makes RunPeriods and RunPeriodsWith
 	// record into a streaming History (NewStreamingHistory) with this ring
-	// window — O(window) memory regardless of run length — and bounds the
-	// system monitor's per-metric retention to the same window.
+	// window — O(window) memory regardless of run length.
 	StreamWindow int
 	// Log, when non-nil, receives every interval and period record the
 	// executors commit (the append-only on-disk history). The caller owns
@@ -28,9 +26,8 @@ type RecordOptions struct {
 // on the executor hot path plus the last period's coordinator state for
 // health reporting.
 type runStats struct {
-	intervals  atomic.Uint64
-	periods    atomic.Uint64
-	monDropped atomic.Uint64 // monitor samples rejected (out-of-order/duplicate)
+	intervals atomic.Uint64
+	periods   atomic.Uint64
 
 	mu         sync.Mutex
 	lastSLA    []bool
@@ -48,7 +45,6 @@ type SystemHealth struct {
 	NumRAs         int     `json:"num_ras"`
 	Intervals      uint64  `json:"intervals"`
 	Periods        uint64  `json:"periods"`
-	MonitorDropped uint64  `json:"monitor_dropped_samples"`
 	PrimalResidual float64 `json:"primal_residual"`
 	DualResidual   float64 `json:"dual_residual"`
 	SLAMet         []bool  `json:"sla_met,omitempty"`
@@ -63,12 +59,11 @@ type SystemHealth struct {
 
 // SetRecording configures history recording for subsequent runs: Log
 // receives every record, and StreamWindow picks the History RunPeriods and
-// RunPeriodsWith allocate (RunPeriodsInto records into the caller's). A
-// positive StreamWindow also bounds the system monitor's retention to the
-// window (monitor.SetWindow), so a long streaming run holds O(window)
-// samples end to end.
+// RunPeriodsWith allocate (RunPeriodsInto records into the caller's).
 func (s *System) SetRecording(opts RecordOptions) {
 	s.rec = opts
+	// The window also bounds Monitor, which only the benchmark's layer replay
+	// still writes; ROADMAP item 3(e) deletes both.
 	if opts.StreamWindow > 0 {
 		s.mon.SetWindow(opts.StreamWindow)
 	}
@@ -120,21 +115,20 @@ func (s *System) commitPeriod(h *History, perf [][]float64, sla []bool, primal, 
 	return nil
 }
 
-// MonitorDroppedSamples returns the number of monitor writes rejected so
-// far (out-of-order or duplicate interval numbers).
-func (s *System) MonitorDroppedSamples() uint64 { return s.stats.monDropped.Load() }
+// MonitorDroppedSamples returns 0: no engine writes the monitor. ROADMAP
+// item 3(e) deletes it with its last caller, the benchmark's gate.
+func (s *System) MonitorDroppedSamples() uint64 { return 0 }
 
 // Health returns the live run state served by /healthz.
 func (s *System) Health() SystemHealth {
 	h := SystemHealth{
-		Algorithm:      s.cfg.Algo.String(),
-		NumSlices:      s.cfg.EnvTemplate.NumSlices,
-		NumRAs:         s.cfg.NumRAs,
-		Intervals:      s.stats.intervals.Load(),
-		Periods:        s.stats.periods.Load(),
-		MonitorDropped: s.stats.monDropped.Load(),
-		Streaming:      s.rec.StreamWindow > 0,
-		StreamWindow:   s.rec.StreamWindow,
+		Algorithm:    s.cfg.Algo.String(),
+		NumSlices:    s.cfg.EnvTemplate.NumSlices,
+		NumRAs:       s.cfg.NumRAs,
+		Intervals:    s.stats.intervals.Load(),
+		Periods:      s.stats.periods.Load(),
+		Streaming:    s.rec.StreamWindow > 0,
+		StreamWindow: s.rec.StreamWindow,
 	}
 	s.stats.mu.Lock()
 	if s.stats.havePeriod {
@@ -165,8 +159,6 @@ func (s *System) EnableTelemetry(reg *telemetry.Registry) {
 		"orchestration intervals executed", s.stats.intervals.Load)
 	reg.CounterFunc("edgeslice_periods_total",
 		"configuration periods completed (ADMM updates)", s.stats.periods.Load)
-	reg.CounterFunc("edgeslice_monitor_dropped_samples_total",
-		"monitor samples rejected as out-of-order or duplicate", s.stats.monDropped.Load)
 	reg.GaugeFunc("edgeslice_primal_residual",
 		"ADMM primal residual after the last period", func() float64 {
 			s.stats.mu.Lock()
@@ -192,43 +184,4 @@ func (s *System) EnableTelemetry(reg *telemetry.Registry) {
 				return 0
 			})
 	}
-	reg.GaugeFunc("edgeslice_monitor_samples",
-		"samples currently retained by the system monitor", func() float64 {
-			return float64(s.mon.TotalSamples())
-		})
-	reg.CounterFunc("edgeslice_monitor_evicted_samples_total",
-		"monitor samples evicted by the bounded retention window", func() uint64 {
-			return s.mon.EvictedSamples()
-		})
-}
-
-// Monitor metric kinds recorded per RA/slice/interval.
-const (
-	monPerf = iota
-	monQueue
-	numMonKinds
-)
-
-var monKindNames = [numMonKinds]string{monPerf: "perf", monQueue: "queue"}
-
-// monitorGroup returns the monitor row group ws.samples is recorded into —
-// one series per (ra, slice, kind), in that order — registering it on first
-// use, so recording a sample neither formats nor hashes a metric name.
-func (s *System) monitorGroup(ws *periodWS) (int, error) {
-	if ws.monGroup < 0 {
-		names := make([]string, 0, len(ws.samples))
-		for ra := 0; ra < ws.J; ra++ {
-			for slice := 0; slice < ws.I; slice++ {
-				for _, kind := range monKindNames {
-					names = append(names, monitor.MetricName(kind, ra, slice))
-				}
-			}
-		}
-		group, err := s.mon.Group(names)
-		if err != nil {
-			return 0, err
-		}
-		ws.monGroup = group
-	}
-	return ws.monGroup, nil
 }

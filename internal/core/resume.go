@@ -7,9 +7,10 @@ import (
 // PrimeFromHistory fast-forwards a freshly built System through the
 // completed periods of a previous run segment, recorded in h (typically
 // replayed from the on-disk history log after a coordinator crash): it
-// replays the ADMM updates over h's per-period performance grids, advances
-// the interval cursor, and primes the health counters — without stepping
-// any environment. The returned zs/ys are the [period][slice][ra]
+// replays the ADMM updates over h's per-period performance grids (the
+// coordinator's iteration count numbers the periods and intervals that
+// follow) and primes the health counters — without stepping any
+// environment. The returned zs/ys are the [period][slice][ra]
 // coordination grids the coordinator held when each period was broadcast,
 // exactly what rcnet.Hub.PrimeResume needs so re-registering agents can
 // replay the same prefix.
@@ -41,9 +42,9 @@ func (s *System) PrimeFromHistory(h *History) (zs, ys [][][]float64, err error) 
 		return nil, nil, fmt.Errorf("core: history holds %d intervals for %d periods (want %d); resume only from whole periods",
 			h.Intervals(), P, P*T)
 	}
-	if s.coord.Iterations() != 0 || s.intervalsRun != 0 {
+	if s.coord.Iterations() != 0 || s.stats.intervals.Load() != 0 {
 		return nil, nil, fmt.Errorf("core: prime on a used system (%d ADMM iterations, %d intervals run)",
-			s.coord.Iterations(), s.intervalsRun)
+			s.coord.Iterations(), s.stats.intervals.Load())
 	}
 	zs = make([][][]float64, P)
 	ys = make([][][]float64, P)
@@ -54,7 +55,6 @@ func (s *System) PrimeFromHistory(h *History) (zs, ys [][][]float64, err error) 
 			return nil, nil, fmt.Errorf("core: replaying ADMM update for period %d: %w", p, err)
 		}
 	}
-	s.intervalsRun = P * T
 	s.stats.intervals.Add(uint64(P * T))
 	s.stats.periods.Add(uint64(P))
 	if P > 0 {

@@ -12,15 +12,14 @@ import (
 // TestRunPeriodsIntoMatchesWholeRun drives every in-process engine one
 // period at a time into one caller-owned History with the history log
 // attached through SetRecording — the scenario runner's pattern — and
-// requires the History, the monitor series and the log bytes of one
+// requires the History and the log bytes of one
 // uninterrupted serial RunPeriodsWith call, in exact and streaming mode.
 func TestRunPeriodsIntoMatchesWholeRun(t *testing.T) {
 	const periods = 4
 	cfg := execTestConfig(AlgoEdgeSlice)
 	I, J, T := cfg.EnvTemplate.NumSlices, cfg.NumRAs, cfg.EnvTemplate.T
 	for _, window := range []int{0, 16} {
-		// The window also bounds the monitor; the History RunPeriodsInto
-		// records into is the caller's either way.
+		// The History RunPeriodsInto records into is the caller's either way.
 		logged := func(s *System) *bytes.Buffer {
 			var buf bytes.Buffer
 			hlog, err := NewHistoryLog(telemetry.NewLogWriter(&buf), I, J, T)
@@ -49,7 +48,7 @@ func TestRunPeriodsIntoMatchesWholeRun(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			requireSameRun(t, label, hRef, h, ref.Monitor(), s.Monitor())
+			requireSameRun(t, label, hRef, h)
 			if !bytes.Equal(log.Bytes(), refLog.Bytes()) {
 				t.Errorf("%s: history log differs from the whole run's", label)
 			}
@@ -100,15 +99,13 @@ func TestRunPeriodsIntoUnderRunPeriodsWith(t *testing.T) {
 // TestExactRecordingAllocsAmortized is the allocation gate of exact-mode
 // recording: 1,000 serial periods of a 3-RA EdgeSlice system, driven one at
 // a time into one exact History, allocate at most 64 times in total — the
-// History's doublings, nothing per period. The monitor is bounded so that
-// its own growth stays out of the count.
+// History's doublings, nothing per period.
 func TestExactRecordingAllocsAmortized(t *testing.T) {
 	const periods, bound = 1000, 64
 	cfg := execTestConfig(AlgoEdgeSlice)
 	s := deployedSystem(t, cfg)
-	s.Monitor().SetWindow(cfg.EnvTemplate.T)
 	e := NewSerialExecutor()
-	if _, err := s.RunPeriodsWith(e, 1); err != nil { // builds the workspace, plan and monitor group
+	if _, err := s.RunPeriodsWith(e, 1); err != nil { // builds the workspace and plan
 		t.Fatal(err)
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))

@@ -19,7 +19,7 @@ func shardTestConfig(algo Algorithm) Config {
 
 // TestShardedRemoteMatchesSerial is the tentpole's determinism gate: the
 // remote engine over a sharded hub must reproduce the serial run bit for
-// bit — History and monitor series — for shard counts 1, 2, and 4,
+// bit — its History — for shard counts 1, 2, and 4,
 // including the uneven 4-shard split of 5 RAs.
 func TestShardedRemoteMatchesSerial(t *testing.T) {
 	cfg := shardTestConfig(AlgoTARO)
@@ -62,7 +62,7 @@ func TestShardedRemoteMatchesSerial(t *testing.T) {
 					t.Errorf("agent %d: %v", j, err)
 				}
 			}
-			requireSameRun(t, fmt.Sprintf("sharded shards=%d", shards), hRef, h, ref.Monitor(), sys.Monitor())
+			requireSameRun(t, fmt.Sprintf("sharded shards=%d", shards), hRef, h)
 		})
 	}
 }
@@ -184,5 +184,5 @@ func TestShardedRemoteSurvivesAgentKillAndRestart(t *testing.T) {
 	if stats.Reconnects < 1 || stats.ResumesSent < 1 {
 		t.Errorf("stats = %+v, want at least one reconnect and one resume frame", stats)
 	}
-	requireSameRun(t, "sharded kill-restart", hRef, h, ref.Monitor(), sys.Monitor())
+	requireSameRun(t, "sharded kill-restart", hRef, h)
 }

@@ -161,7 +161,7 @@ func (c Config) Validate() error {
 }
 
 // System is an assembled EdgeSlice deployment: per-RA environments and
-// agents plus the central performance coordinator and system monitor.
+// agents plus the central performance coordinator.
 type System struct {
 	cfg    Config
 	envs   []*netsim.RAEnv
@@ -175,9 +175,6 @@ type System struct {
 	// plans survive period-at-a-time driving but never outlive an agent
 	// swap.
 	agentsGen int
-	// intervalsRun numbers monitor samples continuously across RunPeriods
-	// calls (the scenario runner advances period by period).
-	intervalsRun int
 
 	// rec selects the recording mode (exact/streaming, on-disk log) and
 	// stats holds the live run telemetry behind Health/EnableTelemetry.
@@ -236,7 +233,8 @@ func NewSystem(cfg Config) (*System, error) {
 // Coordinator exposes the ADMM coordinator (read-only use).
 func (s *System) Coordinator() *admm.Coordinator { return s.coord }
 
-// Monitor exposes the system monitor.
+// Monitor exposes the system monitor, which no engine writes; ROADMAP item
+// 3(e) deletes it with the benchmark's layer replay, its last writer.
 func (s *System) Monitor() *monitor.Monitor { return s.mon }
 
 // Env returns RA j's environment.

@@ -77,10 +77,6 @@ func TestTAROOrchestration(t *testing.T) {
 	if h.Periods() != 5 {
 		t.Errorf("periods = %d, want 5", h.Periods())
 	}
-	// Monitor should have been populated.
-	if len(s.Monitor().Metrics()) == 0 {
-		t.Error("monitor has no metrics after a run")
-	}
 }
 
 func TestEqualShareOrchestration(t *testing.T) {

@@ -14,7 +14,7 @@ import (
 // Ownership rule: whoever steps RA j writes only res[·][j] and row j of
 // acts/queues, so concurrent workers on disjoint RAs never share a word;
 // and nothing keeps a reference into the workspace past the merge of the
-// period it was written for (History, history log and monitor copy).
+// period it was written for (History and history log copy).
 type periodWS struct {
 	I, J int
 
@@ -29,12 +29,9 @@ type periodWS struct {
 	col       []float64   // I: one RA's coordination column or period perf
 	col2      []float64   // I: the second coordination column
 	slicePerf []float64   // I: Σ_j U_i of the interval being merged
-	samples   []float64   // J × I × numMonKinds: the interval's monitor row, (RA, slice, kind)-major
 	usage     [][]float64 // I × NumResources: Σ_j effective share, then the mean
 	perf      [][]float64 // I × J: the period's Σ_t U grid handed to the coordinator
 	sla       []bool      // I: the period's SLA flags
-
-	monGroup int // the monitor row group samples is recorded into; −1 until monitorGroup registers it
 }
 
 func newGrid(rows, cols int) [][]float64 {
@@ -58,11 +55,9 @@ func (s *System) workspace() *periodWS {
 			col:       make([]float64, I),
 			col2:      make([]float64, I),
 			slicePerf: make([]float64, I),
-			samples:   make([]float64, J*I*numMonKinds),
 			usage:     newGrid(I, netsim.NumResources),
 			perf:      newGrid(I, J),
 			sla:       make([]bool, I),
-			monGroup:  -1,
 		}
 	}
 	return s.ws

@@ -37,8 +37,8 @@ func halfOpaqueAgents(t *testing.T, s *System) {
 
 // TestBatchedShardedStepMatchesSerial is the sharded-step leg of the
 // determinism suite: with enough RAs for the step stage to fan out, the
-// batched engine must record the serial engine's History, monitor series
-// and history-log bytes for every worker count — under baseline actions
+// batched engine must record the serial engine's History and history-log
+// bytes for every worker count — under baseline actions
 // computed in-chunk, a shared batched policy, and a mixed system whose
 // opaque agents step on the driver — in exact and streaming recording.
 func TestBatchedShardedStepMatchesSerial(t *testing.T) {
@@ -50,7 +50,7 @@ func TestBatchedShardedStepMatchesSerial(t *testing.T) {
 				cfg.Algo = AlgoTARO
 			}
 			cfg.NumRAs = J
-			run := func(e Executor) (*History, *System, []byte) {
+			run := func(e Executor) (*History, []byte) {
 				s := deployedSystem(t, cfg)
 				if kind == "mixed" {
 					halfOpaqueAgents(t, s)
@@ -68,14 +68,14 @@ func TestBatchedShardedStepMatchesSerial(t *testing.T) {
 				if err := hlog.Close(); err != nil {
 					t.Fatal(err)
 				}
-				return h, s, buf.Bytes()
+				return h, buf.Bytes()
 			}
-			hRef, ref, logRef := run(NewSerialExecutor())
+			hRef, logRef := run(NewSerialExecutor())
 			for _, workers := range []int{1, 2, 4, J} {
 				label := fmt.Sprintf("%s window=%d workers=%d", kind, window, workers)
 				e := NewBatchedExecutor(workers)
-				h, s, log := run(e)
-				requireSameRun(t, label, hRef, h, ref.Monitor(), s.Monitor())
+				h, log := run(e)
+				requireSameRun(t, label, hRef, h)
 				if !bytes.Equal(log, logRef) {
 					t.Errorf("%s: history log differs from serial run", label)
 				}

@@ -515,7 +515,7 @@ func (e *RAEnv) PeriodPerfInto(dst []float64) {
 	}
 }
 
-// QueueLens returns current queue lengths (the monitor's view).
+// QueueLens returns current queue lengths (TARO's input).
 func (e *RAEnv) QueueLens() []int {
 	out := make([]int, len(e.queues))
 	e.QueueLensInto(out)
@@ -532,7 +532,7 @@ func (e *RAEnv) QueueLensInto(dst []int) {
 	}
 }
 
-// Queue exposes a slice's queue for inspection in tests and the monitor.
+// Queue exposes a slice's queue for inspection in tests.
 func (e *RAEnv) Queue(i int) *SliceQueue { return &e.queues[i] }
 
 // Interval returns the global interval counter.

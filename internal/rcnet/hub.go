@@ -52,7 +52,7 @@ func (st *connState) setCodec(c Codec) {
 // log, liveness reaper, and broadcast-writer pool, so period broadcast and
 // report decoding run in parallel across shards. The root hub owns the
 // listener, demultiplexes registrations to shards, and merges per-shard
-// results in fixed RA order — History, monitor series, and residuals are
+// results in fixed RA order — History and residuals are
 // bit-identical for any shard count. NewHub builds the single-shard hub.
 //
 // Writes to agents are bounded: Broadcast and Shutdown apply a write

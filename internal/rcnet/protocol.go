@@ -89,7 +89,7 @@ type Envelope struct {
 	// Intervals carries the period's per-interval records (one entry per
 	// orchestration interval, in order). Agents driven by RunAgent always
 	// include them; they let the coordinator side reconstruct the same
-	// History and monitor series a local run records. Absent in reports
+	// History a local run records. Absent in reports
 	// from pre-engine agent builds.
 	Intervals []IntervalRecord `json:"intervals,omitempty"`
 	// ZHist/YHist are only set on MsgResume frames: the RA's coordination
@@ -103,8 +103,8 @@ type Envelope struct {
 // per-slice performance and post-interval queue lengths, the effective
 // [slice][resource] allocation actually applied, and the raw action's
 // capacity violation — everything the coordinator needs to rebuild the
-// full History of a local run (SystemPerf, SlicePerf, Usage, Violations)
-// plus the per-RA monitor series.
+// full History of a local run (SystemPerf, SlicePerf, Usage, Violations).
+// Queues is read by no merge; ROADMAP item 12 drops it from the wire.
 type IntervalRecord struct {
 	Perf      []float64   `json:"perf"`
 	Queues    []int       `json:"queues,omitempty"`

@@ -12,7 +12,7 @@ import (
 // was last set (13,283 before the replica period stopped allocating, 439
 // while each replica restored a full trainer and grew its History).
 func TestReplicaAllocsBounded(t *testing.T) {
-	const replicaAllocs = 243
+	const replicaAllocs = 164
 	spec, err := Get("heterogeneous-mix")
 	if err != nil {
 		t.Fatal(err)

@@ -12,7 +12,6 @@ import (
 
 	"edgeslice/internal/ckpt"
 	"edgeslice/internal/core"
-	"edgeslice/internal/monitor"
 	"edgeslice/internal/slicemgr"
 )
 
@@ -50,9 +49,6 @@ type Options struct {
 	// with Parallel — replicas fan out across the replica pool, RAs fan out
 	// inside each replica.
 	Workers int
-	// Monitor, when set, receives a "scenario/<name>/completed" sample as
-	// each replica finishes (value and interval are the completed count).
-	Monitor *monitor.Monitor
 	// Progress, when set, is called after each replica completes.
 	Progress func(completed, total int)
 	// StreamWindow, when positive, records each replica's periods into a
@@ -177,17 +173,14 @@ func Run(spec Spec, opts Options) (*Summary, error) {
 	jobCh := make(chan int)
 	var wg sync.WaitGroup
 
-	// The monitor and callback fire inside the mutex so completion
-	// samples stay in order (the monitor rejects out-of-order intervals).
+	// The callback fires inside the mutex so completion counts arrive in
+	// order.
 	var progressMu sync.Mutex
 	completed := 0
 	reportProgress := func() {
 		progressMu.Lock()
 		defer progressMu.Unlock()
 		completed++
-		if opts.Monitor != nil {
-			_ = opts.Monitor.Record("scenario/"+spec.Name+"/completed", completed, float64(completed))
-		}
 		if opts.Progress != nil {
 			opts.Progress(completed, len(jobs))
 		}

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"edgeslice/internal/core"
-	"edgeslice/internal/monitor"
 )
 
 // fastSpec is a small, non-learning scenario for runner tests.
@@ -76,11 +75,10 @@ func TestRunnerSummaryShape(t *testing.T) {
 
 func TestRunnerStreamsProgress(t *testing.T) {
 	spec := fastSpec()
-	mon := monitor.New()
 	var mu sync.Mutex
 	var calls []int
 	_, err := Run(spec, Options{
-		Replicas: 3, Parallel: 2, Monitor: mon,
+		Replicas: 3, Parallel: 2,
 		Progress: func(done, total int) {
 			mu.Lock()
 			defer mu.Unlock()
@@ -93,15 +91,8 @@ func TestRunnerStreamsProgress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(calls) != 3 {
-		t.Errorf("progress callback fired %d times, want 3", len(calls))
-	}
-	samples := mon.Query("scenario/"+spec.Name+"/completed", 0, 1<<30)
-	if len(samples) != 3 {
-		t.Fatalf("monitor recorded %d samples, want 3", len(samples))
-	}
-	if last := samples[len(samples)-1]; last.Value != 3 {
-		t.Errorf("last completed sample = %v, want 3", last.Value)
+	if !reflect.DeepEqual(calls, []int{1, 2, 3}) {
+		t.Errorf("progress callback saw completed counts %v, want [1 2 3] in order", calls)
 	}
 }
 

@@ -23,9 +23,9 @@ import (
 // prefix was read, the partial tail was dropped.
 var ErrTruncated = errors.New("telemetry: truncated record at log tail")
 
-// maxRecordBytes bounds a single record so a corrupt length prefix cannot
+// MaxRecordBytes bounds a single record so a corrupt length prefix cannot
 // ask the reader for an absurd allocation.
-const maxRecordBytes = 64 << 20
+const MaxRecordBytes = 64 << 20
 
 const recordHeaderBytes = 8
 
@@ -98,8 +98,8 @@ func (w *LogWriter) Append(payload []byte) error {
 	if w.err != nil {
 		return w.err
 	}
-	if len(payload) > maxRecordBytes {
-		return fmt.Errorf("telemetry: record of %d bytes exceeds limit %d", len(payload), maxRecordBytes)
+	if len(payload) > MaxRecordBytes {
+		return fmt.Errorf("telemetry: record of %d bytes exceeds limit %d", len(payload), MaxRecordBytes)
 	}
 	binary.LittleEndian.PutUint32(w.hdr[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(w.hdr[4:8], crc32.ChecksumIEEE(payload))
@@ -180,7 +180,7 @@ func (r *LogReader) Next() ([]byte, error) {
 	}
 	n := binary.LittleEndian.Uint32(hdr[0:4])
 	crc := binary.LittleEndian.Uint32(hdr[4:8])
-	if n > maxRecordBytes {
+	if n > MaxRecordBytes {
 		r.truncated = true
 		return nil, ErrTruncated
 	}
