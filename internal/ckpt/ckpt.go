@@ -118,6 +118,54 @@ func (st *AgentState) Net(role string) (*nn.Network, error) {
 	return n, nil
 }
 
+// NetDims decodes the named network and checks that it maps in inputs to
+// out outputs.
+func (st *AgentState) NetDims(role string, in, out int) (*nn.Network, error) {
+	n, err := st.Net(role)
+	if err != nil {
+		return nil, err
+	}
+	if n.InputDim() != in || n.OutputDim() != out {
+		return nil, fmt.Errorf("ckpt: %s %s network is %dx%d, want %dx%d",
+			st.Algo, role, n.InputDim(), n.OutputDim(), in, out)
+	}
+	return n, nil
+}
+
+// NetLike decodes the named network and checks that it has like's layer
+// shapes: a target network and the online network it tracks.
+func (st *AgentState) NetLike(role string, like *nn.Network) (*nn.Network, error) {
+	n, err := st.Net(role)
+	if err != nil {
+		return nil, err
+	}
+	if err := nn.SameShape(n, like); err != nil {
+		return nil, fmt.Errorf("ckpt: %s %s network: %w", st.Algo, role, err)
+	}
+	return n, nil
+}
+
+// RestoreReplay rebuilds the snapshot's replay buffer, or returns an empty
+// one of the given capacity when the snapshot has none. Every stored
+// transition must carry StateDim-long states and an ActionDim-long action:
+// a short one would train on whatever the batch rows held before.
+func (st *AgentState) RestoreReplay(capacity int) (*rl.ReplayBuffer, error) {
+	if st.Replay == nil {
+		return rl.NewReplayBuffer(capacity), nil
+	}
+	for i, tr := range st.Replay.Transitions {
+		if len(tr.State) != st.StateDim || len(tr.NextState) != st.StateDim || len(tr.Action) != st.ActionDim {
+			return nil, fmt.Errorf("ckpt: %s replay transition %d has state %d, next state %d, action %d, want %d, %d, %d",
+				st.Algo, i, len(tr.State), len(tr.NextState), len(tr.Action), st.StateDim, st.StateDim, st.ActionDim)
+		}
+	}
+	b, err := rl.RestoreReplay(*st.Replay)
+	if err != nil {
+		return nil, fmt.Errorf("ckpt: %s: %w", st.Algo, err)
+	}
+	return b, nil
+}
+
 // RestoreAdam decodes the named role's Adam moments into opt for n; a role
 // with none leaves n's moments fresh, as before the optimizer's first step.
 func (st *AgentState) RestoreAdam(opt *nn.Adam, n *nn.Network, role string) (err error) {
@@ -139,17 +187,13 @@ func (st *AgentState) RestoreAdam(opt *nn.Adam, n *nn.Network, role string) (err
 // [mean, log-std] head of twice that with squash).
 func Acting(role string, squash bool) DeployFunc {
 	return func(st *AgentState) (*rl.DeployedPolicy, error) {
-		n, err := st.Net(role)
-		if err != nil {
-			return nil, err
-		}
 		out := st.ActionDim
 		if squash {
 			out *= 2
 		}
-		if n.InputDim() != st.StateDim || n.OutputDim() != out {
-			return nil, fmt.Errorf("ckpt: %s %s network is %dx%d, want %dx%d",
-				st.Algo, role, n.InputDim(), n.OutputDim(), st.StateDim, out)
+		n, err := st.NetDims(role, st.StateDim, out)
+		if err != nil {
+			return nil, err
 		}
 		return rl.NewDeployedPolicy(n, squash), nil
 	}

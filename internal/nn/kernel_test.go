@@ -123,6 +123,22 @@ func TestKernelsBitIdenticalToScalar(t *testing.T) {
 			bitsEqual(t, MatMulNTIntoWS(garbageMat(a.Rows, b.Rows), a, b, &ws), want, fmt.Sprintf("%s avx512=%v", label, useAVX512))
 		}
 	}
+	// nn and tn check the accumulating backward products onto a copy of c
+	// against the scalar loops on every tier.
+	nn := func(a, b, c *Matrix, label string) {
+		onEveryTier(t, "NN"+label, func() []*Matrix {
+			c := c.Clone()
+			matMulNNAcc(c, a, b)
+			return []*Matrix{c}
+		})
+	}
+	tn := func(a, b, c *Matrix, label string) {
+		onEveryTier(t, "TN"+label, func() []*Matrix {
+			c := c.Clone()
+			matMulTNAcc(c, a, b)
+			return []*Matrix{c}
+		})
+	}
 	for _, s := range shapes {
 		r, p, q := s[0], s[1], s[2]
 		shape := fmt.Sprintf(" r=%d p=%d q=%d", r, p, q)
@@ -133,16 +149,44 @@ func TestKernelsBitIdenticalToScalar(t *testing.T) {
 
 			nt(a, bNT, "NT"+shape)
 
-			onBothKernels(t, "NN"+shape, func() []*Matrix {
-				c := cNN.Clone()
-				matMulNNAcc(c, a, bNN)
-				return []*Matrix{c}
-			})
-			onBothKernels(t, "TN"+shape, func() []*Matrix {
-				c := cTN.Clone()
-				matMulTNAcc(c, a, bTN)
-				return []*Matrix{c}
-			})
+			nn(a, bNN, cNN, shape)
+			tn(a, bTN, cTN, shape)
+		}
+	}
+
+	// The four-row tiles' edges: every row count up to two blocks and one
+	// (each rows mod 4 tail), every width from 1 to 40 (each tile width and
+	// its masked tail), at inner lengths 1, 2 and 64. The third a zeroes
+	// one row of each four-row block at one kk, which that row alone must
+	// skip; its b holds an Inf in every row, so a step taken by mistake
+	// shows as a NaN.
+	oneRowZero := func(rng *rand.Rand, rows, k int) *Matrix {
+		m := randMat(rng, rows, k)
+		for i := 0; i < rows; i += 4 {
+			m.Set(i+rng.Intn(min(4, rows-i)), rng.Intn(k), edgeValues[rng.Intn(2)])
+		}
+		return m
+	}
+	infInEveryRow := func(rng *rand.Rand, rows, cols int) *Matrix {
+		m := randMat(rng, rows, cols)
+		for kk := 0; kk < rows; kk++ {
+			m.Set(kk, rng.Intn(cols), math.Inf(1))
+		}
+		return m
+	}
+	for _, k := range []int{1, 2, 64} {
+		for r := 1; r <= 9; r++ {
+			for q := 1; q <= 40; q++ {
+				shape := fmt.Sprintf(" rows=%d k=%d width=%d", r, k, q)
+				for i, genA := range []func(*rand.Rand, int, int) *Matrix{randMat, edgeMat, oneRowZero} {
+					genB := randMat
+					if i == 2 {
+						genB = infInEveryRow
+					}
+					nn(genA(rng, r, k), genB(rng, k, q), randMat(rng, r, q), shape)
+					tn(transpose(genA(rng, r, k)), genB(rng, k, q), randMat(rng, r, q), shape)
+				}
+			}
 		}
 	}
 
@@ -168,24 +212,24 @@ func TestKernelsBitIdenticalToScalar(t *testing.T) {
 			z, b, up, y := gen(rng, rows, n), gen(rng, 1, n), gen(rng, rows, n), gen(rng, rows, n)
 			for _, act := range allActs {
 				label := fmt.Sprintf("%v n=%d", act, n)
-				onBothKernels(t, "biasAct "+label, func() []*Matrix {
+				onEveryTier(t, "biasAct "+label, func() []*Matrix {
 					pre, out, inPlace := z.Clone(), garbageMat(rows, n), z.Clone()
 					act.biasAct(pre, out, b.Data)
 					act.biasAct(inPlace, inPlace, b.Data)
 					return []*Matrix{pre, out, inPlace}
 				})
-				onBothKernels(t, "mulDerivative "+label, func() []*Matrix {
+				onEveryTier(t, "mulDerivative "+label, func() []*Matrix {
 					dz := garbageMat(rows, n)
 					act.mulDerivative(dz.Data, up.Data, z.Data, y.Data)
 					return []*Matrix{dz}
 				})
 			}
-			onBothKernels(t, fmt.Sprintf("softUpdate n=%d", n), func() []*Matrix {
+			onEveryTier(t, fmt.Sprintf("softUpdate n=%d", n), func() []*Matrix {
 				dst := z.Clone()
 				softUpdate(dst.Data, up.Data, 0.01)
 				return []*Matrix{dst}
 			})
-			onBothKernels(t, fmt.Sprintf("colSumAcc n=%d", n), func() []*Matrix {
+			onEveryTier(t, fmt.Sprintf("colSumAcc n=%d", n), func() []*Matrix {
 				c := b.Clone()
 				colSumAcc(c.Data, z)
 				return []*Matrix{c}
@@ -237,16 +281,85 @@ func TestRowTailStaysInBounds(t *testing.T) {
 	}
 }
 
-// onBothKernels runs f on the scalar loops, then on the AVX kernels, and
-// compares the matrices it returns. The caller restores the dispatch.
-func onBothKernels(t *testing.T, label string, f func() []*Matrix) {
-	t.Helper()
-	useAVX = false
-	want := f()
-	useAVX = true
-	for i, got := range f() {
-		bitsEqual(t, got, want[i], fmt.Sprintf("%s [%d]", label, i))
+// The backward products accumulate onto c through masked tiles and index
+// it unchecked: at every tier, for each rows mod 4 tail and widths around
+// each tile's edges, matMulNNAcc and matMulTNAcc must write exactly their
+// c window — a window into a longer slice whose sentinel border must
+// survive — and leave in it the scalar loops' result bit for bit.
+func TestBackwardStaysInBounds(t *testing.T) {
+	rng := rand.New(rand.NewSource(39)) //nolint:gosec // test determinism
+	sentinel := math.Float64frombits(0x7ff4_dead_beef_cafe)
+	const border = 64
+	products := []struct {
+		name string
+		acc  func(c, a, b *Matrix)
+		a    func(rows, k int) *Matrix // an a giving c that many rows
+	}{
+		{"NN", matMulNNAcc, func(rows, k int) *Matrix { return edgeMat(rng, rows, k) }},
+		{"TN", matMulTNAcc, func(rows, k int) *Matrix { return edgeMat(rng, k, rows) }},
 	}
+	for _, tier := range kernelTiers {
+		if !setKernels(t, tier.avx, tier.avx512) {
+			continue
+		}
+		for _, p := range products {
+			for n := 1; n <= 11; n++ {
+				for _, k := range []int{1, 4, 33} {
+					for _, m := range []int{1, 4, 7, 8, 9, 10, 15, 16, 17, 24, 25, 31, 32, 33, 40, 57, 64, 65} {
+						label := fmt.Sprintf("%s avx=%v avx512=%v rows=%d k=%d width=%d", p.name, useAVX, useAVX512, n, k, m)
+						a, b, c0 := p.a(n, k), edgeMat(rng, k, m), randMat(rng, n, m)
+						buf := make([]float64, border+n*m+border)
+						for i := range buf {
+							buf[i] = sentinel
+						}
+						c := &Matrix{Rows: n, Cols: m, Data: buf[border : border+n*m]}
+						copy(c.Data, c0.Data)
+						p.acc(c, a, b)
+						for side, edge := range [][]float64{buf[:border], buf[border+n*m:]} {
+							for i, v := range edge {
+								if math.Float64bits(v) != math.Float64bits(sentinel) {
+									t.Fatalf("%s: wrote %v at border %d element %d, outside c", label, v, side, i)
+								}
+							}
+						}
+						useAVX = false
+						p.acc(c0, a, b)
+						useAVX = tier.avx
+						bitsEqual(t, c, c0, label)
+					}
+				}
+			}
+		}
+	}
+}
+
+// onEveryTier runs f on the scalar loops, then on each vector tier the host
+// has, and compares the matrices it returns. The caller restores the
+// dispatch.
+func onEveryTier(t *testing.T, label string, f func() []*Matrix) {
+	t.Helper()
+	useAVX, useAVX512 = false, false
+	want := f()
+	for _, tier := range kernelTiers[1:] {
+		if tier.avx512 && !hostAVX512 {
+			continue
+		}
+		useAVX, useAVX512 = true, tier.avx512
+		for i, got := range f() {
+			bitsEqual(t, got, want[i], fmt.Sprintf("%s avx512=%v [%d]", label, useAVX512, i))
+		}
+	}
+}
+
+// transpose returns mᵀ.
+func transpose(m *Matrix) *Matrix {
+	out := NewMatrix(m.Cols, m.Rows)
+	for i := 0; i < m.Rows; i++ {
+		for j, v := range m.Row(i) {
+			out.Set(j, i, v)
+		}
+	}
+	return out
 }
 
 // In place on inference's workspace or out of place into the layer's

@@ -74,6 +74,21 @@ func rowAcc32AVX(c *float64, a *float64, aStride int, b *float64, bStride int, k
 //go:noescape
 func rowAccTailAVX(c *float64, mask *uint64, a *float64, aStride int, b *float64, bStride int, k int)
 
+// rowAcc4x8AVX512, rowAcc4x16AVX512 and rowAcc4x32AVX512 accumulate four
+// rows of c at once, c[r][j] += Σ_kk a[r·aRow+kk·aK]·b[kk·bStride+j], for
+// the 1–8, 9–16 or 25–32 columns j of one block; mask holds the live lanes
+// of the block's last eight columns. See matmul_amd64.s for the
+// bit-identity contract.
+//
+//go:noescape
+func rowAcc4x8AVX512(c *float64, cStride int, a *float64, aRow int, aK int, b *float64, bStride int, k int, mask int)
+
+//go:noescape
+func rowAcc4x16AVX512(c *float64, cStride int, a *float64, aRow int, aK int, b *float64, bStride int, k int, mask int)
+
+//go:noescape
+func rowAcc4x32AVX512(c *float64, cStride int, a *float64, aRow int, aK int, b *float64, bStride int, k int, mask int)
+
 // The element-wise passes of a training step, each bit-identical to the Go
 // loop beside its call; see elementwise_amd64.s. Lengths are the caller's
 // to check and must be positive.

@@ -335,8 +335,9 @@ doneN:
 	VZEROUPPER
 	RET
 
-// rowAcc32AVX and rowAccTailAVX are the row-accumulate kernel both backward
-// products run on:
+// rowAcc32AVX and rowAccTailAVX are the row-accumulate kernel of the bias
+// gradient and of both backward products (on AVX-512 hosts, of their rows
+// past the last block of four; the four-row tiles below take the rest):
 //
 //	c[j] += Σ_kk a[kk·aStride] · b[kk·bStride + j]
 //
@@ -557,6 +558,212 @@ loop816:
 	ZROW_STORE(Z10, Z11)
 	ZROW_STORE(Z12, Z13)
 	ZROW_STORE(Z14, Z15)
+	VZEROUPPER
+	RET
+
+// rowAcc4x8AVX512, rowAcc4x16AVX512 and rowAcc4x32AVX512 are the AVX-512
+// four-row tiles of the row-accumulate kernel above:
+//
+//	c[r][j] += Σ_kk a[r·aRow + kk·aK] · b[kk·bStride + j]
+//
+// for rows r in [0,4) and one block of 8, 16 or 32 columns j. The block
+// lives in zmm accumulators for the whole k loop, row r's in its own
+// registers; each k step loads the B row once for all four rows. The last
+// zmm of the block is opmask-masked: mask holds its live lanes (bit l set
+// for column 8·(width-1)+l), so masked loads read dead columns as 0 and
+// never touch their memory, and the masked stores leave them untouched.
+// With aRow = dz.Cols, aK = 1 the rows are rows of dz·W (matMulNNAcc); with
+// aRow = 1, aK = dz.Cols they are rows of dzᵀ·x (matMulTNAcc). k > 0.
+//
+// Bit-identity contract: as for rowAcc32AVX. Lanes span independent output
+// elements only; every element adds its products in increasing kk, each a
+// VMULPD then a VADDPD, never FMA, with no embedded rounding or
+// suppress-all-exceptions override. A row's step is skipped when its a
+// scalar is ±0 — the integer test `a<<1 == 0`, true for exactly the two
+// zeros and never for a NaN — per row, so a zero in one row never skips its
+// neighbours.
+//
+// SI walks row 0 of a (rows 1–3 at R9, 2·R9 and R11 bytes past it), R8
+// walks b, CX counts k down; DI, R13, R14 and BX are the four rows of c.
+// Z16–Z19 hold the B row at kk, Z20 the broadcast a scalar, Z21–Z24 the
+// products; row r's accumulators are Z(w·r) to Z(w·r+w-1) at width w zmm.
+#define RA4_ARGS(c, cStride, a, aRow, aK, b, bStride, k, mask) \
+	MOVQ c, DI; \
+	MOVQ cStride, DX; \
+	MOVQ a, SI; \
+	MOVQ aRow, R9; \
+	MOVQ aK, R10; \
+	MOVQ b, R8; \
+	MOVQ bStride, R12; \
+	MOVQ k, CX; \
+	MOVQ mask, AX; \
+	KMOVW AX, K1; \
+	SHLQ $3, DX; \
+	SHLQ $3, R9; \
+	SHLQ $3, R10; \
+	SHLQ $3, R12; \
+	LEAQ (R9)(R9*2), R11; \
+	LEAQ (DI)(DX*1), R13; \
+	LEAQ (R13)(DX*1), R14; \
+	LEAQ (R14)(DX*1), BX
+
+// Jumps to skip when the a scalar at arow is +0 or -0.
+#define RA4_SKIPZERO(arow, skip) \
+	MOVQ arow, AX; \
+	SHLQ $1, AX; \
+	JZ skip
+
+#define RA4_NEXT(loop) \
+	ADDQ R10, SI; \
+	ADDQ R12, R8; \
+	DECQ CX; \
+	JNZ loop
+
+#define RA4_MAC1(arow, acc0) \
+	VBROADCASTSD arow, Z20; \
+	VMULPD Z16, Z20, Z21; \
+	VADDPD Z21, acc0, acc0
+
+#define RA4_MAC2(arow, acc0, acc1) \
+	RA4_MAC1(arow, acc0); \
+	VMULPD Z17, Z20, Z22; \
+	VADDPD Z22, acc1, acc1
+
+#define RA4_MAC4(arow, acc0, acc1, acc2, acc3) \
+	RA4_MAC2(arow, acc0, acc1); \
+	VMULPD Z18, Z20, Z23; \
+	VADDPD Z23, acc2, acc2; \
+	VMULPD Z19, Z20, Z24; \
+	VADDPD Z24, acc3, acc3
+
+// func rowAcc4x8AVX512(c *float64, cStride int, a *float64, aRow int, aK int, b *float64, bStride int, k int, mask int)
+//
+// One zmm per row: 1 to 8 columns, all under the mask.
+TEXT ·rowAcc4x8AVX512(SB), NOSPLIT, $0-72
+	RA4_ARGS(c+0(FP), cStride+8(FP), a+16(FP), aRow+24(FP), aK+32(FP), b+40(FP), bStride+48(FP), k+56(FP), mask+64(FP))
+	VMOVUPD.Z (DI), K1, Z0
+	VMOVUPD.Z (R13), K1, Z1
+	VMOVUPD.Z (R14), K1, Z2
+	VMOVUPD.Z (BX), K1, Z3
+
+loop4x8:
+	VMOVUPD.Z (R8), K1, Z16
+	RA4_SKIPZERO((SI), row1x8)
+	RA4_MAC1((SI), Z0)
+
+row1x8:
+	RA4_SKIPZERO((SI)(R9*1), row2x8)
+	RA4_MAC1((SI)(R9*1), Z1)
+
+row2x8:
+	RA4_SKIPZERO((SI)(R9*2), row3x8)
+	RA4_MAC1((SI)(R9*2), Z2)
+
+row3x8:
+	RA4_SKIPZERO((SI)(R11*1), next4x8)
+	RA4_MAC1((SI)(R11*1), Z3)
+
+next4x8:
+	RA4_NEXT(loop4x8)
+	VMOVUPD Z0, K1, (DI)
+	VMOVUPD Z1, K1, (R13)
+	VMOVUPD Z2, K1, (R14)
+	VMOVUPD Z3, K1, (BX)
+	VZEROUPPER
+	RET
+
+// func rowAcc4x16AVX512(c *float64, cStride int, a *float64, aRow int, aK int, b *float64, bStride int, k int, mask int)
+//
+// Two zmm per row: 9 to 16 columns, the second eight under the mask.
+TEXT ·rowAcc4x16AVX512(SB), NOSPLIT, $0-72
+	RA4_ARGS(c+0(FP), cStride+8(FP), a+16(FP), aRow+24(FP), aK+32(FP), b+40(FP), bStride+48(FP), k+56(FP), mask+64(FP))
+	VMOVUPD   (DI), Z0
+	VMOVUPD.Z 64(DI), K1, Z1
+	VMOVUPD   (R13), Z2
+	VMOVUPD.Z 64(R13), K1, Z3
+	VMOVUPD   (R14), Z4
+	VMOVUPD.Z 64(R14), K1, Z5
+	VMOVUPD   (BX), Z6
+	VMOVUPD.Z 64(BX), K1, Z7
+
+loop4x16:
+	VMOVUPD   (R8), Z16
+	VMOVUPD.Z 64(R8), K1, Z17
+	RA4_SKIPZERO((SI), row1x16)
+	RA4_MAC2((SI), Z0, Z1)
+
+row1x16:
+	RA4_SKIPZERO((SI)(R9*1), row2x16)
+	RA4_MAC2((SI)(R9*1), Z2, Z3)
+
+row2x16:
+	RA4_SKIPZERO((SI)(R9*2), row3x16)
+	RA4_MAC2((SI)(R9*2), Z4, Z5)
+
+row3x16:
+	RA4_SKIPZERO((SI)(R11*1), next4x16)
+	RA4_MAC2((SI)(R11*1), Z6, Z7)
+
+next4x16:
+	RA4_NEXT(loop4x16)
+	VMOVUPD Z0, (DI)
+	VMOVUPD Z1, K1, 64(DI)
+	VMOVUPD Z2, (R13)
+	VMOVUPD Z3, K1, 64(R13)
+	VMOVUPD Z4, (R14)
+	VMOVUPD Z5, K1, 64(R14)
+	VMOVUPD Z6, (BX)
+	VMOVUPD Z7, K1, 64(BX)
+	VZEROUPPER
+	RET
+
+// Loads (or stores) one row of the 32-column block: three whole zmm, then
+// the fourth under the mask.
+#define RA4_LOAD32(row, acc0, acc1, acc2, acc3) \
+	VMOVUPD (row), acc0; \
+	VMOVUPD 64(row), acc1; \
+	VMOVUPD 128(row), acc2; \
+	VMOVUPD.Z 192(row), K1, acc3
+
+#define RA4_STORE32(row, acc0, acc1, acc2, acc3) \
+	VMOVUPD acc0, (row); \
+	VMOVUPD acc1, 64(row); \
+	VMOVUPD acc2, 128(row); \
+	VMOVUPD acc3, K1, 192(row)
+
+// func rowAcc4x32AVX512(c *float64, cStride int, a *float64, aRow int, aK int, b *float64, bStride int, k int, mask int)
+//
+// Four zmm per row: 25 to 32 columns, the last eight under the mask.
+TEXT ·rowAcc4x32AVX512(SB), NOSPLIT, $0-72
+	RA4_ARGS(c+0(FP), cStride+8(FP), a+16(FP), aRow+24(FP), aK+32(FP), b+40(FP), bStride+48(FP), k+56(FP), mask+64(FP))
+	RA4_LOAD32(DI, Z0, Z1, Z2, Z3)
+	RA4_LOAD32(R13, Z4, Z5, Z6, Z7)
+	RA4_LOAD32(R14, Z8, Z9, Z10, Z11)
+	RA4_LOAD32(BX, Z12, Z13, Z14, Z15)
+
+loop4x32:
+	RA4_LOAD32(R8, Z16, Z17, Z18, Z19)
+	RA4_SKIPZERO((SI), row1x32)
+	RA4_MAC4((SI), Z0, Z1, Z2, Z3)
+
+row1x32:
+	RA4_SKIPZERO((SI)(R9*1), row2x32)
+	RA4_MAC4((SI)(R9*1), Z4, Z5, Z6, Z7)
+
+row2x32:
+	RA4_SKIPZERO((SI)(R9*2), row3x32)
+	RA4_MAC4((SI)(R9*2), Z8, Z9, Z10, Z11)
+
+row3x32:
+	RA4_SKIPZERO((SI)(R11*1), next4x32)
+	RA4_MAC4((SI)(R11*1), Z12, Z13, Z14, Z15)
+
+next4x32:
+	RA4_NEXT(loop4x32)
+	RA4_STORE32(DI, Z0, Z1, Z2, Z3)
+	RA4_STORE32(R13, Z4, Z5, Z6, Z7)
+	RA4_STORE32(R14, Z8, Z9, Z10, Z11)
+	RA4_STORE32(BX, Z12, Z13, Z14, Z15)
 	VZEROUPPER
 	RET
 

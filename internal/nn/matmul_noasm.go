@@ -25,6 +25,18 @@ func rowAccTailAVX(c *float64, mask *uint64, a *float64, aStride int, b *float64
 	panic("nn: vectorized matmul kernel is amd64-only")
 }
 
+func rowAcc4x8AVX512(c *float64, cStride int, a *float64, aRow int, aK int, b *float64, bStride int, k int, mask int) {
+	panic("nn: vectorized matmul kernel is amd64-only")
+}
+
+func rowAcc4x16AVX512(c *float64, cStride int, a *float64, aRow int, aK int, b *float64, bStride int, k int, mask int) {
+	panic("nn: vectorized matmul kernel is amd64-only")
+}
+
+func rowAcc4x32AVX512(c *float64, cStride int, a *float64, aRow int, aK int, b *float64, bStride int, k int, mask int) {
+	panic("nn: vectorized matmul kernel is amd64-only")
+}
+
 func matmulTile4NAVX(c *float64, cStride int, aPack *float64, b *float64, k int, nc int) {
 	panic("nn: vectorized matmul kernel is amd64-only")
 }

@@ -326,7 +326,11 @@ func MatMulNNInto(c, a, b *Matrix) *Matrix {
 //edgeslice:noalloc
 func matMulNNAcc(c, a, b *Matrix) {
 	if useAVX && a.Cols > 0 {
-		for i := 0; i < a.Rows; i++ {
+		i := 0
+		if useAVX512 {
+			i = rowAcc4AVX512(c, a.Data, a.Cols, 1, b.Data, b.Cols, a.Cols)
+		}
+		for ; i < a.Rows; i++ {
 			rowAccAVX(c.Row(i), a.Row(i), 1, b.Data, b.Cols, a.Cols)
 		}
 		return
@@ -359,7 +363,8 @@ var rowAccMask = func() (m [32]uint64) {
 // b[kk·bStride+j] for kk in [0,k), on the AVX row-accumulate kernel: 32
 // columns at a time, then the masked tail. With aStride = 1 and a a row of
 // dz it is a row of dz·W (matMulNNAcc); with aStride = dz.Cols and a
-// starting at column i it is row i of dzᵀ·x (matMulTNAcc). Each c[j] sees
+// starting at column i it is row i of dzᵀ·x (matMulTNAcc). On AVX-512
+// hosts it only takes the rows past the four-row tiles. Each c[j] sees
 // the operations of the scalar loops in the same order — products added in
 // increasing kk, zero a skipped — so the result is bit-identical to them.
 //
@@ -377,6 +382,46 @@ func rowAccAVX(c, a []float64, aStride int, b []float64, bStride, k int) {
 	for ; j < len(c); j += 16 {
 		rowAccTailAVX(&c[j], &rowAccMask[16-min(16, len(c)-j)], &a[0], aStride, &b[j], bStride, k)
 	}
+}
+
+// rowAcc4AVX512 accumulates the rows of c in whole blocks of four on the
+// AVX-512 four-row tiles, c[i][j] += Σ_kk a[i·aRow + kk·aK] · b[kk·bStride+j]
+// for kk in [0,k), k > 0, and returns how many rows it covered; the caller
+// runs the last 1–3 on rowAccAVX. Each column block is 32 wide on the
+// four-zmm tile, and the last 1–24 columns take the narrowest tile that
+// holds them (17–24 as a full 16 then 1–8), so a 4- or 10-wide row rides
+// one or two zmm, not four. Each block sweeps every row block while its
+// slice of b is warm. Same per-element operations as rowAccAVX, so the
+// result is bit-identical to it and to the scalar loops.
+//
+//edgeslice:noalloc
+func rowAcc4AVX512(c *Matrix, a []float64, aRow, aK int, b []float64, bStride, k int) int {
+	n4, m := c.Rows&^3, c.Cols
+	if n4 == 0 || m == 0 {
+		return n4
+	}
+	// The kernels index unchecked; these are the furthest elements they touch.
+	_, _, _ = a[(n4-1)*aRow+(k-1)*aK], b[(k-1)*bStride+m-1], c.Data[n4*m-1]
+	for j := 0; j < m; {
+		w := min(m-j, 32)
+		if w > 16 && w <= 24 {
+			w = 16
+		}
+		mask := 1<<((w-1)%8+1) - 1 // live lanes of the block's last zmm
+		for i := 0; i < n4; i += 4 {
+			pc, pa, pb := &c.Data[i*m+j], &a[i*aRow], &b[j]
+			switch {
+			case w > 16:
+				rowAcc4x32AVX512(pc, m, pa, aRow, aK, pb, bStride, k, mask)
+			case w > 8:
+				rowAcc4x16AVX512(pc, m, pa, aRow, aK, pb, bStride, k, mask)
+			default:
+				rowAcc4x8AVX512(pc, m, pa, aRow, aK, pb, bStride, k, mask)
+			}
+		}
+		j += w
+	}
+	return n4
 }
 
 // colSumAcc accumulates the column sums of a, rows added in increasing
@@ -410,7 +455,11 @@ func matMulTNAcc(c, a, b *Matrix) {
 		panic(fmt.Sprintf("nn: matMulTNAcc dst is %dx%d, want %dx%d", c.Rows, c.Cols, a.Cols, b.Cols))
 	}
 	if useAVX && a.Rows > 0 {
-		for i := 0; i < a.Cols; i++ {
+		i := 0
+		if useAVX512 {
+			i = rowAcc4AVX512(c, a.Data, 1, a.Cols, b.Data, b.Cols, a.Rows)
+		}
+		for ; i < a.Cols; i++ {
 			rowAccAVX(c.Row(i), a.Data[i:], a.Cols, b.Data, b.Cols, a.Rows)
 		}
 		return

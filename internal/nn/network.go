@@ -242,14 +242,25 @@ type ParamGrad struct {
 }
 
 func mustSameArch(a, b *Network) {
+	if err := SameShape(a, b); err != nil {
+		panic(err.Error())
+	}
+}
+
+// SameShape reports an error unless a and b have the same number of layers
+// and the same input and output widths layer by layer: what a target
+// network needs to track its online network.
+func SameShape(a, b *Network) error {
 	if len(a.Layers) != len(b.Layers) {
-		panic(fmt.Sprintf("nn: architecture mismatch: %d vs %d layers", len(a.Layers), len(b.Layers)))
+		return fmt.Errorf("nn: architecture mismatch: %d vs %d layers", len(a.Layers), len(b.Layers))
 	}
 	for i := range a.Layers {
 		if a.Layers[i].In != b.Layers[i].In || a.Layers[i].Out != b.Layers[i].Out {
-			panic(fmt.Sprintf("nn: layer %d shape mismatch", i))
+			return fmt.Errorf("nn: layer %d shape mismatch: %dx%d vs %dx%d", i,
+				a.Layers[i].Out, a.Layers[i].In, b.Layers[i].Out, b.Layers[i].In)
 		}
 	}
+	return nil
 }
 
 // snapshot is the JSON wire form of a network.
@@ -294,6 +305,9 @@ func (n *Network) UnmarshalJSON(data []byte) error {
 		}
 		if ls.In <= 0 || ls.Out <= 0 {
 			return fmt.Errorf("nn: layer %d: invalid shape %dx%d", i, ls.Out, ls.In)
+		}
+		if i > 0 && ls.In != s.Layers[i-1].Out {
+			return fmt.Errorf("nn: layer %d takes %d inputs, layer %d gives %d", i, ls.In, i-1, s.Layers[i-1].Out)
 		}
 		if len(ls.W) != ls.In*ls.Out || len(ls.B) != ls.Out {
 			return fmt.Errorf("nn: layer %d: weight sizes do not match shape", i)

@@ -224,6 +224,8 @@ func TestNetworkJSONRejectsCorrupt(t *testing.T) {
 		`{"layers":[{"in":2,"out":1,"act":"bogus","w":[1,2],"b":[0]}]}`,
 		`{"layers":[{"in":2,"out":1,"act":"tanh","w":[1],"b":[0]}]}`,
 		`{"layers":[{"in":-1,"out":1,"act":"tanh","w":[],"b":[0]}]}`,
+		// layer 1 takes 2 inputs from a layer that gives 1
+		`{"layers":[{"in":1,"out":1,"act":"tanh","w":[1],"b":[0]},{"in":2,"out":1,"act":"tanh","w":[1,2],"b":[0]}]}`,
 	}
 	for _, c := range cases {
 		var n Network

@@ -82,13 +82,22 @@ type Agent struct {
 
 var _ rl.Agent = (*Agent)(nil)
 
-// New creates a DDPG agent for the given state/action dimensions.
-func New(stateDim, actionDim int, cfg Config) (*Agent, error) {
+// check reports whether an agent of these dimensions can train under cfg;
+// New and Restore both apply it.
+func (cfg Config) check(stateDim, actionDim int) error {
 	if stateDim <= 0 || actionDim <= 0 {
-		return nil, fmt.Errorf("ddpg: invalid dimensions state=%d action=%d", stateDim, actionDim)
+		return fmt.Errorf("ddpg: invalid dimensions state=%d action=%d", stateDim, actionDim)
 	}
 	if cfg.Hidden <= 0 || cfg.BatchSize <= 0 || cfg.ReplayCapacity <= 0 {
-		return nil, fmt.Errorf("ddpg: invalid config %+v", cfg)
+		return fmt.Errorf("ddpg: invalid config %+v", cfg)
+	}
+	return nil
+}
+
+// New creates a DDPG agent for the given state/action dimensions.
+func New(stateDim, actionDim int, cfg Config) (*Agent, error) {
+	if err := cfg.check(stateDim, actionDim); err != nil {
+		return nil, err
 	}
 	rng, src := mathutil.NewCountingRNG(cfg.Seed)
 	actor := nn.NewMLP(rng, stateDim,

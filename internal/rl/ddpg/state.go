@@ -61,7 +61,10 @@ func (a *Agent) Snapshot(opts ckpt.SnapshotOptions) (*ckpt.AgentState, error) {
 
 // Restore rebuilds a DDPG agent from a snapshot. Every network and buffer
 // is decoded afresh, so one snapshot restores into any number of
-// independent agents.
+// independent agents. A snapshot that would restore but not train — New's
+// config checks failing, a network or target of the wrong shape, a replay
+// transition of the wrong width — is an error here, not a panic at the
+// first update.
 func Restore(st *ckpt.AgentState) (*Agent, error) {
 	if st.Algo != AlgoName {
 		return nil, fmt.Errorf("ddpg: snapshot is for %q", st.Algo)
@@ -70,8 +73,8 @@ func Restore(st *ckpt.AgentState) (*Agent, error) {
 	if err := json.Unmarshal(st.Config, &cfg); err != nil {
 		return nil, fmt.Errorf("ddpg: snapshot config: %w", err)
 	}
-	if st.StateDim <= 0 || st.ActionDim <= 0 || cfg.ReplayCapacity <= 0 {
-		return nil, fmt.Errorf("ddpg: invalid snapshot dims state=%d action=%d %+v", st.StateDim, st.ActionDim, cfg)
+	if err := cfg.check(st.StateDim, st.ActionDim); err != nil {
+		return nil, err
 	}
 	rng, src := mathutil.ReplayRNG(st.RNG.Seed, st.RNG.Calls)
 	a := &Agent{
@@ -86,22 +89,18 @@ func Restore(st *ckpt.AgentState) (*Agent, error) {
 		updates:   st.Updates,
 	}
 	var err error
-	if a.actor, err = st.Net("actor"); err != nil {
+	if a.actor, err = st.NetDims("actor", st.StateDim, st.ActionDim); err != nil {
 		return nil, err
 	}
 	a.DeployedPolicy = rl.NewDeployedPolicy(a.actor, false)
-	if a.critic, err = st.Net("critic"); err != nil {
+	if a.critic, err = st.NetDims("critic", st.StateDim+st.ActionDim, 1); err != nil {
 		return nil, err
 	}
-	if a.actorTarget, err = st.Net("actor-target"); err != nil {
+	if a.actorTarget, err = st.NetLike("actor-target", a.actor); err != nil {
 		return nil, err
 	}
-	if a.criticTarget, err = st.Net("critic-target"); err != nil {
+	if a.criticTarget, err = st.NetLike("critic-target", a.critic); err != nil {
 		return nil, err
-	}
-	if a.actor.InputDim() != st.StateDim || a.actor.OutputDim() != st.ActionDim {
-		return nil, fmt.Errorf("ddpg: snapshot actor is %dx%d, want %dx%d",
-			a.actor.InputDim(), a.actor.OutputDim(), st.StateDim, st.ActionDim)
 	}
 	if err := st.RestoreAdam(a.actorOpt, a.actor, "actor"); err != nil {
 		return nil, err
@@ -109,12 +108,8 @@ func Restore(st *ckpt.AgentState) (*Agent, error) {
 	if err := st.RestoreAdam(a.criticOpt, a.critic, "critic"); err != nil {
 		return nil, err
 	}
-	if st.Replay != nil {
-		if a.replay, err = rl.RestoreReplay(*st.Replay); err != nil {
-			return nil, fmt.Errorf("ddpg: %w", err)
-		}
-	} else {
-		a.replay = rl.NewReplayBuffer(cfg.ReplayCapacity)
+	if a.replay, err = st.RestoreReplay(cfg.ReplayCapacity); err != nil {
+		return nil, err
 	}
 	return a, nil
 }

@@ -3,10 +3,12 @@ package ddpg
 import (
 	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 
 	"edgeslice/internal/ckpt"
 	"edgeslice/internal/mathutil"
+	"edgeslice/internal/nn"
 	"edgeslice/internal/rl"
 	"edgeslice/internal/rl/rltest"
 )
@@ -134,5 +136,81 @@ func TestSnapshotIsPointInTime(t *testing.T) {
 	drive(t, agent, env, state, 60)
 	if !reflect.DeepEqual(frozen, actor()) {
 		t.Fatal("continuing training mutated the snapshot")
+	}
+}
+
+// A snapshot that restores must train: every malformed case below once
+// restored with a nil error and panicked (or trained on stale rows) at the
+// first Update. Restore must reject each with an error naming what is wrong.
+func TestRestoreRejectsUntrainable(t *testing.T) {
+	const sd, ad = 2, 3
+	cfg := resumeConfig()
+	agent, err := New(sd, ad, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := rltest.NewTargetEnv(mathutil.NewRNG(5), sd, ad, 20)
+	drive(t, agent, env, env.Reset(), cfg.WarmupSteps+5)
+	good, err := agent.Snapshot(ckpt.SnapshotOptions{IncludeReplay: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire, err := json.Marshal(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shallow, err := json.Marshal(nn.NewMLP(mathutil.NewRNG(1), sd+ad,
+		nn.LayerSpec{Out: cfg.Hidden, Act: nn.ActLeakyReLU}, nn.LayerSpec{Out: 1, Act: nn.ActIdentity}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	config := func(edit func(*Config)) func(*ckpt.AgentState) {
+		return func(st *ckpt.AgentState) {
+			c := cfg
+			edit(&c)
+			st.Config, _ = json.Marshal(c)
+		}
+	}
+	for _, tc := range []struct {
+		name, want string
+		edit       func(*ckpt.AgentState)
+	}{
+		{"critic is the actor", "critic network is 2x3, want 5x1", func(st *ckpt.AgentState) {
+			st.Nets["critic"] = st.Nets["actor"]
+			delete(st.Opts, "critic") // no moments to mismatch: as a fresh agent's snapshot
+		}},
+		{"batch size -1", "invalid config", config(func(c *Config) { c.BatchSize = -1 })},
+		{"hidden 0", "invalid config", config(func(c *Config) { c.Hidden = 0 })},
+		{"replay capacity 0", "invalid config", config(func(c *Config) { c.ReplayCapacity = 0 })},
+		{"actor target is the critic", "actor-target network", func(st *ckpt.AgentState) { st.Nets["actor-target"] = st.Nets["critic"] }},
+		{"critic target a layer short", "critic-target network", func(st *ckpt.AgentState) { st.Nets["critic-target"] = shallow }},
+		{"short state", "replay transition 3", func(st *ckpt.AgentState) { tr := &st.Replay.Transitions[3]; tr.State = tr.State[:1] }},
+		{"long next state", "replay transition 0", func(st *ckpt.AgentState) { tr := &st.Replay.Transitions[0]; tr.NextState = append(tr.NextState, 0) }},
+		{"short action", "replay transition 7", func(st *ckpt.AgentState) { tr := &st.Replay.Transitions[7]; tr.Action = tr.Action[:ad-1] }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var st ckpt.AgentState
+			if err := json.Unmarshal(wire, &st); err != nil {
+				t.Fatal(err)
+			}
+			tc.edit(&st)
+			_, err := Restore(&st)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Restore error %v, want one containing %q", err, tc.want)
+			}
+		})
+	}
+
+	// The unedited snapshot restores and trains.
+	var st ckpt.AgentState
+	if err := json.Unmarshal(wire, &st); err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := Restore(&st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := resumed.Update(); err != nil {
+		t.Fatal(err)
 	}
 }

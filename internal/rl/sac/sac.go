@@ -75,10 +75,19 @@ type Agent struct {
 
 var _ rl.Agent = (*Agent)(nil)
 
+// check reports whether an agent of these dimensions can train under cfg;
+// New and Restore both apply it.
+func (cfg Config) check(stateDim, actionDim int) error {
+	if stateDim <= 0 || actionDim <= 0 || cfg.Hidden <= 0 || cfg.BatchSize <= 0 || cfg.ReplayCapacity <= 0 {
+		return fmt.Errorf("sac: invalid config state=%d action=%d %+v", stateDim, actionDim, cfg)
+	}
+	return nil
+}
+
 // New creates a SAC agent.
 func New(stateDim, actionDim int, cfg Config) (*Agent, error) {
-	if stateDim <= 0 || actionDim <= 0 || cfg.Hidden <= 0 || cfg.BatchSize <= 0 {
-		return nil, fmt.Errorf("sac: invalid config state=%d action=%d %+v", stateDim, actionDim, cfg)
+	if err := cfg.check(stateDim, actionDim); err != nil {
+		return nil, err
 	}
 	rng, src := mathutil.NewCountingRNG(cfg.Seed)
 	newQ := func() *nn.Network {

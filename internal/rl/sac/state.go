@@ -59,6 +59,7 @@ func (a *Agent) Snapshot(opts ckpt.SnapshotOptions) (*ckpt.AgentState, error) {
 }
 
 // Restore rebuilds a SAC agent from a snapshot, decoding every role afresh.
+// As for DDPG, a snapshot that would restore but not train is an error.
 func Restore(st *ckpt.AgentState) (*Agent, error) {
 	if st.Algo != AlgoName {
 		return nil, fmt.Errorf("sac: snapshot is for %q", st.Algo)
@@ -67,8 +68,8 @@ func Restore(st *ckpt.AgentState) (*Agent, error) {
 	if err := json.Unmarshal(st.Config, &cfg); err != nil {
 		return nil, fmt.Errorf("sac: snapshot config: %w", err)
 	}
-	if st.StateDim <= 0 || st.ActionDim <= 0 || cfg.ReplayCapacity <= 0 {
-		return nil, fmt.Errorf("sac: invalid snapshot dims state=%d action=%d %+v", st.StateDim, st.ActionDim, cfg)
+	if err := cfg.check(st.StateDim, st.ActionDim); err != nil {
+		return nil, err
 	}
 	rng, src := mathutil.ReplayRNG(st.RNG.Seed, st.RNG.Calls)
 	a := &Agent{
@@ -82,25 +83,21 @@ func Restore(st *ckpt.AgentState) (*Agent, error) {
 		actionDim: st.ActionDim,
 	}
 	var err error
-	if a.actor, err = st.Net("actor"); err != nil {
+	if a.actor, err = st.NetDims("actor", st.StateDim, 2*st.ActionDim); err != nil {
 		return nil, err
 	}
 	a.DeployedPolicy = rl.NewDeployedPolicy(a.actor, true)
-	if a.q1, err = st.Net("q1"); err != nil {
+	if a.q1, err = st.NetDims("q1", st.StateDim+st.ActionDim, 1); err != nil {
 		return nil, err
 	}
-	if a.q2, err = st.Net("q2"); err != nil {
+	if a.q2, err = st.NetDims("q2", st.StateDim+st.ActionDim, 1); err != nil {
 		return nil, err
 	}
-	if a.q1T, err = st.Net("q1-target"); err != nil {
+	if a.q1T, err = st.NetLike("q1-target", a.q1); err != nil {
 		return nil, err
 	}
-	if a.q2T, err = st.Net("q2-target"); err != nil {
+	if a.q2T, err = st.NetLike("q2-target", a.q2); err != nil {
 		return nil, err
-	}
-	if a.actor.InputDim() != st.StateDim || a.actor.OutputDim() != 2*st.ActionDim {
-		return nil, fmt.Errorf("sac: snapshot actor head is %dx%d, want %dx%d",
-			a.actor.InputDim(), a.actor.OutputDim(), st.StateDim, 2*st.ActionDim)
 	}
 	if err := st.RestoreAdam(a.actorOpt, a.actor, "actor"); err != nil {
 		return nil, err
@@ -111,12 +108,8 @@ func Restore(st *ckpt.AgentState) (*Agent, error) {
 	if err := st.RestoreAdam(a.q2Opt, a.q2, "q2"); err != nil {
 		return nil, err
 	}
-	if st.Replay != nil {
-		if a.replay, err = rl.RestoreReplay(*st.Replay); err != nil {
-			return nil, fmt.Errorf("sac: %w", err)
-		}
-	} else {
-		a.replay = rl.NewReplayBuffer(cfg.ReplayCapacity)
+	if a.replay, err = st.RestoreReplay(cfg.ReplayCapacity); err != nil {
+		return nil, err
 	}
 	return a, nil
 }
