@@ -306,16 +306,16 @@ func printStreamingSummary(h *edgeslice.History) error {
 	return nil
 }
 
-// loadPolicy resolves the agent's policy: a trained checkpoint from disk,
-// or a freshly trained one. The policy object is independent of any
-// connection, so reconnect attempts reuse it.
-func loadPolicy(ra int, agentFile string, train int, seed int64) (edgeslice.Agent, error) {
+// loadPolicy resolves the agent's policy for env's state and action widths:
+// a trained checkpoint from disk, or a freshly trained one. The policy
+// object is independent of any connection, so reconnect attempts reuse it.
+func loadPolicy(ra int, agentFile string, train int, seed int64, env *edgeslice.Env) (edgeslice.Agent, error) {
 	if agentFile != "" {
 		f, err := os.Open(agentFile)
 		if err != nil {
 			return nil, fmt.Errorf("open agent file: %w", err)
 		}
-		policy, err := edgeslice.LoadAgent(f)
+		policy, err := edgeslice.LoadAgent(f, env.StateDim(), env.ActionDim())
 		cerr := f.Close()
 		if err != nil {
 			return nil, err
@@ -342,7 +342,7 @@ func loadPolicy(ra int, agentFile string, train int, seed int64) (edgeslice.Agen
 	if err := edgeslice.SaveAgent(&buf, sys, 0); err != nil {
 		return nil, err
 	}
-	return edgeslice.LoadAgent(&buf)
+	return edgeslice.LoadAgent(&buf, env.StateDim(), env.ActionDim())
 }
 
 // runAgentLoop runs the agent with up to reconnect redial attempts after a
@@ -356,7 +356,11 @@ func runAgentLoop(connect string, ra, slices int, agentFile string, train int, s
 	if reconnect < 0 {
 		return fmt.Errorf("-reconnect must be >= 0, got %d", reconnect)
 	}
-	policy, err := loadPolicy(ra, agentFile, train, seed)
+	env, err := agentEnv(ra, slices, seed)
+	if err != nil {
+		return err
+	}
+	policy, err := loadPolicy(ra, agentFile, train, seed, env)
 	if err != nil {
 		return err
 	}
@@ -413,21 +417,30 @@ func runAgentLoop(connect string, ra, slices int, agentFile string, train int, s
 	}
 }
 
-// runAgentOnce is one connection's lifetime: fresh env, dial, register,
-// serve until shutdown (done=true) or a connection error (done=false,
-// worth redialing).
-func runAgentOnce(connect string, ra, slices int, policy edgeslice.Agent, seed int64, timeout time.Duration, heartbeat time.Duration, codec edgeslice.Codec, cur *atomic.Pointer[edgeslice.AgentClient]) (done bool, err error) {
+// agentEnv builds RA ra's environment from the daemon preset, reset.
+func agentEnv(ra, slices int, seed int64) (*edgeslice.Env, error) {
 	envCfg := edgeslice.DefaultEnvConfig()
 	if slices != envCfg.NumSlices {
-		return true, fmt.Errorf("daemon presets support %d slices, got %d", envCfg.NumSlices, slices)
+		return nil, fmt.Errorf("daemon presets support %d slices, got %d", envCfg.NumSlices, slices)
 	}
 	envCfg.TrainCoordRandom = false
 	envCfg.Seed = seed + int64(ra)*7919
 	env, err := edgeslice.NewEnv(envCfg)
 	if err != nil {
-		return true, err
+		return nil, err
 	}
 	env.Reset()
+	return env, nil
+}
+
+// runAgentOnce is one connection's lifetime: fresh env, dial, register,
+// serve until shutdown (done=true) or a connection error (done=false,
+// worth redialing).
+func runAgentOnce(connect string, ra, slices int, policy edgeslice.Agent, seed int64, timeout time.Duration, heartbeat time.Duration, codec edgeslice.Codec, cur *atomic.Pointer[edgeslice.AgentClient]) (done bool, err error) {
+	env, err := agentEnv(ra, slices, seed)
+	if err != nil {
+		return true, err
+	}
 
 	client, err := edgeslice.DialAgentCodec(connect, ra, timeout, codec)
 	if err != nil {

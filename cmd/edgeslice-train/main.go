@@ -2,9 +2,9 @@
 // against the simulated network environment (Sec. VI-B) and saves it as a
 // full-fidelity checkpoint (format edgeslice-checkpoint-v2: actor,
 // critic(s), target networks, optimizer moments, RNG cursor) for later
-// deployment with edgeslice-daemon or the library's LoadAgent — or for
-// exact training resume. Pass -replay to also capture the replay buffer
-// (bigger file, needed only for resume).
+// deployment with edgeslice-daemon or the library's LoadAgent. Pass -replay
+// to also capture the replay buffer (a bigger file; deployment never reads
+// it).
 //
 // Usage:
 //
@@ -35,7 +35,7 @@ func run() (err error) {
 		steps  = flag.Int("steps", 12000, "training steps")
 		nt     = flag.Bool("nt", false, "train the EdgeSlice-NT variant (no queue observation)")
 		seed   = flag.Int64("seed", 1, "random seed")
-		replay = flag.Bool("replay", false, "include the replay buffer (for exact training resume)")
+		replay = flag.Bool("replay", false, "include the replay buffer (deployment never reads it)")
 	)
 	flag.Parse()
 	if *out == "" {

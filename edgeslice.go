@@ -24,10 +24,10 @@
 //     workload scenarios (traffic programs with timed events) executed by a
 //     parallel sharded replica runner, with an opt-in warm-start mode that
 //     trains each algorithm once and clones the policy into every replica.
-//   - Checkpoints (SaveCheckpoint, LoadCheckpoint, SaveAgent, LoadAgent) —
-//     versioned full-fidelity persistence of trained agents: networks,
-//     optimizer moments, and RNG cursor, for bitwise-identical deployment
-//     and exact training resume.
+//   - Checkpoints (SaveCheckpoint, LoadCheckpoint, DeployCheckpoint,
+//     SaveAgent, LoadAgent) — versioned full-fidelity persistence of
+//     trained agents: networks, optimizer moments, and RNG cursor, for
+//     bitwise-identical deployment.
 //
 // This package is not a root of edgeslice-lint's reach gate: an internal
 // symbol that only a façade export uses, and that no command, example or
@@ -107,12 +107,14 @@ const (
 type (
 	// Checkpoint is a full-fidelity snapshot of a trained system: per
 	// agent the actor, critic(s), target networks, optimizer moments, and
-	// RNG cursor, restorable for bitwise-identical deployment or exact
-	// training resume.
+	// RNG cursor, deployable for bitwise-identical acting.
 	Checkpoint = ckpt.Checkpoint
 	// CheckpointOptions configures what a snapshot captures (e.g. the
-	// replay buffer, needed only for exact training resume).
+	// replay buffer, which deployment never reads).
 	CheckpointOptions = ckpt.SnapshotOptions
+	// Deployment is a checkpoint's acting policies (DeployCheckpoint),
+	// shared read-only by every System.Deploy.
+	Deployment = core.Deployment
 	// CheckpointStore is a content-addressed on-disk checkpoint cache
 	// keyed by (algorithm, config hash, seed, train steps).
 	CheckpointStore = ckpt.Store
@@ -274,10 +276,12 @@ func SaveAgent(w io.Writer, sys *System, ra int) error {
 	return ckpt.Write(w, c)
 }
 
-// LoadAgent deploys a policy saved with SaveAgent or edgeslice-train: its
-// acting network alone. The returned agent is safe for concurrent Act calls.
-func LoadAgent(r io.Reader) (Agent, error) {
-	p, err := core.LoadAgent(r)
+// LoadAgent deploys a policy saved with SaveAgent or edgeslice-train into
+// an environment of the given state and action widths (Env.StateDim,
+// Env.ActionDim): its acting network alone. A checkpoint of another shape is
+// an error. The returned agent is safe for concurrent Act calls.
+func LoadAgent(r io.Reader, stateDim, actionDim int) (Agent, error) {
+	p, err := core.LoadAgent(r, stateDim, actionDim)
 	if err != nil {
 		return nil, err
 	}
@@ -290,8 +294,12 @@ func SaveCheckpoint(w io.Writer, sys *System, opts CheckpointOptions) error {
 	return core.SaveCheckpoint(w, sys, opts)
 }
 
-// LoadCheckpoint parses a v2 checkpoint for System.Restore.
+// LoadCheckpoint parses a v2 checkpoint for DeployCheckpoint.
 func LoadCheckpoint(r io.Reader) (*Checkpoint, error) { return ckpt.Read(r) }
+
+// DeployCheckpoint builds the acting policy of each of c's agents, for
+// System.Deploy in place of Train.
+func DeployCheckpoint(c *Checkpoint) (*Deployment, error) { return core.DeployCheckpoint(c) }
 
 // OpenCheckpointStore opens (creating if needed) an on-disk checkpoint
 // cache, the backing of the scenario runner's warm-start mode.

@@ -45,7 +45,7 @@ func TestFacadeTrainSaveLoad(t *testing.T) {
 	if err := edgeslice.SaveAgent(&buf, sys, 0); err != nil {
 		t.Fatal(err)
 	}
-	agent, err := edgeslice.LoadAgent(&buf)
+	agent, err := edgeslice.LoadAgent(&buf, 4, 6)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -124,7 +124,7 @@ func agentProcess(addr string, ra int, trained *edgeslice.System) error {
 	if err := edgeslice.SaveCheckpoint(&buf, trained, edgeslice.CheckpointOptions{}); err != nil {
 		return err
 	}
-	policy, err := edgeslice.LoadAgent(&buf)
+	policy, err := edgeslice.LoadAgent(&buf, env.StateDim(), env.ActionDim())
 	if err != nil {
 		return err
 	}

@@ -73,16 +73,6 @@ func newGrid(i, j int) [][]float64 {
 	return g
 }
 
-// CoordInfo returns the coordinating information z_ij − y_ij sent to the
-// orchestration agent of RA j (one value per slice).
-func (c *Coordinator) CoordInfo(ra int) []float64 {
-	out := make([]float64, c.cfg.NumSlices)
-	for i := range out {
-		out[i] = c.z[i][ra] - c.y[i][ra]
-	}
-	return out
-}
-
 // ColumnInto copies RA ra's column of Z and of Y (one value per slice) into
 // z and y — what the coordinator sends that RA each period, without the
 // grid copies of Z and Y.
@@ -160,15 +150,6 @@ func (c *Coordinator) Residuals() (primal, dual float64) {
 	return c.lastPrimal, c.lastDual
 }
 
-// Converged reports whether both residuals of the last update fell below
-// tol (Alg. 1 line 12). It is false before the first update.
-func (c *Coordinator) Converged(tol float64) bool {
-	if c.iterations == 0 {
-		return false
-	}
-	return c.lastPrimal <= tol && c.lastDual <= tol
-}
-
 // Iterations returns the number of coordinator updates performed.
 func (c *Coordinator) Iterations() int { return c.iterations }
 
@@ -199,22 +180,6 @@ func (c *Coordinator) SLASatisfiedInto(perf [][]float64, out []bool) error {
 		out[i] = sum >= c.cfg.UminPerSlice[i]
 	}
 	return nil
-}
-
-// AugmentedLagrangian evaluates Ly (Eq. 7) at the current (Z, Y) for the
-// given performance matrix; exposed for tests and diagnostics.
-func (c *Coordinator) AugmentedLagrangian(perf [][]float64) (float64, error) {
-	if err := c.checkShape(perf); err != nil {
-		return 0, err
-	}
-	var ly float64
-	for i := 0; i < c.cfg.NumSlices; i++ {
-		for j := 0; j < c.cfg.NumRAs; j++ {
-			diff := perf[i][j] - c.z[i][j] + c.y[i][j]
-			ly += perf[i][j] - c.cfg.Rho/2*diff*diff
-		}
-	}
-	return ly, nil
 }
 
 func (c *Coordinator) checkShape(perf [][]float64) error {

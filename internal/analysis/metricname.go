@@ -21,12 +21,9 @@ var MetricName = &Analyzer{
 	Run:         runMetricName,
 }
 
-// registryNameMethods maps Registry methods to the index of their name
-// argument.
-var registryNameMethods = map[string]bool{
-	"Counter": true, "CounterFunc": true, "Gauge": true,
-	"GaugeFunc": true, "Series": true,
-}
+// registryNameMethods are the Registry methods whose first argument is a
+// metric name.
+var registryNameMethods = map[string]bool{"CounterFunc": true, "GaugeFunc": true}
 
 var formattingFuncs = map[string]bool{
 	"fmt.Sprintf": true, "fmt.Sprint": true, "fmt.Sprintln": true,

@@ -8,8 +8,8 @@ import (
 
 // NoAlloc turns the benchmark allocation gates into a review-time check:
 // a function annotated //edgeslice:noalloc in its doc comment (the warm
-// inference paths — ForwardBatch, Forward1WS, ActBatch, MeanActionWS,
-// ReduceOver — whose 0 B/op the engine benchmarks pin) must not contain
+// inference paths — ForwardBatch, Forward1WS, ActBatch, ReduceOver —
+// whose 0 B/op the engine benchmarks pin) must not contain
 // allocating constructs. Flagged shapes:
 //
 //   - make / new

@@ -7,12 +7,12 @@ import (
 	"strings"
 )
 
-// Reach flags top-level funcs, types, vars and consts under internal/ that
-// no binary can run, turning "every mechanism is exercised by a binary, an
-// example or the benchmark, or it is deleted" into a lint. Tests do not
-// justify code here, because the Loader reads no _test.go file; a symbol
-// kept only as a test's reference implementation carries
-// //edgeslice:reach <reason>.
+// Reach flags top-level funcs, types, vars and consts under internal/, and
+// methods of reached types, that no binary can run, turning "every
+// mechanism is exercised by a binary, an example or the benchmark, or it is
+// deleted" into a lint. Tests do not justify code here, because the Loader
+// reads no _test.go file; a symbol kept only as a test's reference
+// implementation carries //edgeslice:reach <reason>.
 //
 // The walk is whole-program over every package the Loader has loaded, so a
 // run over a package subset still sees every caller. Roots are the main of
@@ -20,16 +20,18 @@ import (
 // initializer; the root façade package is not a root, so a façade export
 // that no binary or example uses does not keep its internals alive. From
 // the roots the walk follows types.Info.Uses (instantiated generic methods
-// mapped back through Origin) into each reached declaration, and every
-// method of a reached named type counts as reached. That rule is
-// conservative: a method called only through an interface is never
-// reported dead.
+// mapped back through Origin) into each reached declaration. A method is
+// reached when a reached declaration names it, or when its type is reached
+// and the method implements an interface the program can call it through:
+// an interface type of the loaded code, an exported interface of a
+// standard package it imports, or error. Every method of a reached generic
+// type counts as reached.
 //
 // Packages named *test (analysistest, rltest) are test support by Go
 // convention and are not reported.
 var Reach = &Analyzer{
 	Name:        "reach",
-	Doc:         "top-level symbol under internal/ that no main, init or var initializer reaches",
+	Doc:         "symbol or method under internal/ that no main, init or var initializer reaches",
 	SuppressKey: "reach",
 	Match:       matchSegments("internal"),
 	Run:         runReach,
@@ -42,6 +44,14 @@ func runReach(p *Pass) {
 	reached := p.Pkg.loader.reachable()
 	for _, f := range p.Pkg.Files {
 		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv != nil {
+				if m := p.Pkg.Info.Defs[fn.Name]; m != nil && !reached[m] {
+					if tn := recvTypeName(m); tn != nil && reached[tn] {
+						p.Reportf(fn.Name.Pos(), "method %s.%s is reached from no main, init or var initializer: delete it", tn.Name(), fn.Name.Name)
+					}
+				}
+				continue
+			}
 			for _, id := range declaredNames(decl) {
 				obj := p.Pkg.Info.Defs[id]
 				if obj == nil || id.Name == "_" || id.Name == "init" || reached[obj] {
@@ -53,14 +63,12 @@ func runReach(p *Pass) {
 	}
 }
 
-// declaredNames returns the identifiers a top-level declaration binds,
-// leaving out methods: a method is reached whenever its type is.
+// declaredNames returns the identifiers a top-level declaration other than
+// a method binds.
 func declaredNames(decl ast.Decl) []*ast.Ident {
 	switch d := decl.(type) {
 	case *ast.FuncDecl:
-		if d.Recv == nil {
-			return []*ast.Ident{d.Name}
-		}
+		return []*ast.Ident{d.Name}
 	case *ast.GenDecl:
 		var ids []*ast.Ident
 		for _, spec := range d.Specs {
@@ -149,9 +157,11 @@ func (l *Loader) reachable() map[types.Object]bool {
 		}
 	}
 
+	ifaces := l.callableInterfaces()
 	reached := make(map[types.Object]bool)
 	var work []declSite
-	mark := func(obj types.Object) {
+	var mark func(types.Object)
+	mark = func(obj types.Object) {
 		if f, ok := obj.(*types.Func); ok {
 			obj = f.Origin() // a method of an instantiated generic type
 		}
@@ -160,10 +170,28 @@ func (l *Loader) reachable() map[types.Object]bool {
 		}
 		reached[obj] = true
 		work = append(work, decls[obj]...)
-		for _, m := range methods[obj] {
-			if !reached[m] {
-				reached[m] = true
-				work = append(work, decls[m]...)
+		named, ok := obj.Type().(*types.Named)
+		if _, local := decls[obj]; !local || !ok || types.IsInterface(named) {
+			return
+		}
+		if named.TypeParams().Len() > 0 {
+			for _, m := range methods[obj] {
+				mark(m)
+			}
+			return
+		}
+		ptr := types.NewPointer(named)
+		mset := types.NewMethodSet(ptr)
+		if mset.Len() == 0 {
+			return
+		}
+		for _, iface := range ifaces {
+			if !types.Implements(ptr, iface) {
+				continue
+			}
+			for i := range iface.NumMethods() {
+				m := iface.Method(i)
+				mark(mset.Lookup(m.Pkg(), m.Name()).Obj()) // a promoted method marks the embedded one
 			}
 		}
 	}
@@ -182,6 +210,49 @@ func (l *Loader) reachable() map[types.Object]bool {
 	}
 	l.reached, l.reachedOver = reached, len(l.pkgs)
 	return reached
+}
+
+// callableInterfaces returns every interface a reached method may be called
+// through: those of the loaded code, the exported ones of every standard
+// package it imports (fmt.Stringer, json.Marshaler, flag.Value, ...), and
+// error.
+func (l *Loader) callableInterfaces() []*types.Interface {
+	seen := map[*types.Interface]bool{}
+	var out []*types.Interface
+	add := func(t types.Type) {
+		if iface, ok := t.Underlying().(*types.Interface); ok && iface.NumMethods() > 0 && !seen[iface] {
+			seen[iface] = true
+			out = append(out, iface)
+		}
+	}
+	add(types.Universe.Lookup("error").Type())
+	visited := map[*types.Package]bool{}
+	var std func(*types.Package)
+	std = func(p *types.Package) {
+		if visited[p] {
+			return
+		}
+		visited[p] = true
+		if _, local := l.pkgs[p.Path()]; !local {
+			for _, name := range p.Scope().Names() {
+				if tn, ok := p.Scope().Lookup(name).(*types.TypeName); ok && tn.Exported() {
+					if n, ok := tn.Type().(*types.Named); !ok || n.TypeParams().Len() == 0 {
+						add(tn.Type())
+					}
+				}
+			}
+		}
+		for _, imp := range p.Imports() {
+			std(imp)
+		}
+	}
+	for _, pkg := range l.pkgs {
+		for _, tv := range pkg.Info.Types {
+			add(tv.Type)
+		}
+		std(pkg.Types)
+	}
+	return out
 }
 
 // recvTypeName returns the declared named type a method belongs to.

@@ -155,9 +155,10 @@ func TestMutatedForwardLosesWorkspaceIsFlagged(t *testing.T) {
 }
 
 // TestMutatedAdmmUnusedFuncIsFlagged shows the reach gate is live on a real
-// package: an exported func no binary calls must trip it. Only admm is
-// analyzed, but the walk covers every loaded package, so admm's live
-// symbols stay silent and the one finding is the new func.
+// package: an exported func, or a method of the live Coordinator, that no
+// binary calls must trip it. Only admm is analyzed, but the walk covers
+// every loaded package, so admm's live symbols stay silent and the one
+// finding is the addition.
 func TestMutatedAdmmUnusedFuncIsFlagged(t *testing.T) {
 	root := moduleRoot(t)
 	target := filepath.Join(root, "internal", "admm", "admm.go")
@@ -165,21 +166,26 @@ func TestMutatedAdmmUnusedFuncIsFlagged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loader := analysis.NewLoader(root, "edgeslice")
-	loader.Overlay = map[string][]byte{target: append(src, "\nfunc Unused() {}\n"...)}
-	pkgs, err := loader.LoadTree()
-	if err != nil {
-		t.Fatalf("load module: %v", err)
-	}
-	var admm []*analysis.Package
-	for _, p := range pkgs {
-		if p.Path == "edgeslice/internal/admm" {
-			admm = append(admm, p)
+	for _, tc := range []struct{ add, want string }{
+		{"func Unused() {}", "func Unused is reached from no main"},
+		{"func (c *Coordinator) Unused() {}", "method Coordinator.Unused is reached from no main"},
+	} {
+		loader := analysis.NewLoader(root, "edgeslice")
+		loader.Overlay = map[string][]byte{target: append(src, "\n"+tc.add+"\n"...)}
+		pkgs, err := loader.LoadTree()
+		if err != nil {
+			t.Fatalf("load module: %v", err)
 		}
-	}
-	diags := analysis.RunAnalyzers(admm, []*analysis.Analyzer{analysis.Reach})
-	if len(diags) != 1 || filepath.Base(diags[0].Pos.Filename) != "admm.go" ||
-		!strings.Contains(diags[0].Message, "func Unused is reached from no main") {
-		t.Fatalf("reach should flag exactly the added admm.Unused; got %v", diags)
+		var admm []*analysis.Package
+		for _, p := range pkgs {
+			if p.Path == "edgeslice/internal/admm" {
+				admm = append(admm, p)
+			}
+		}
+		diags := analysis.RunAnalyzers(admm, []*analysis.Analyzer{analysis.Reach})
+		if len(diags) != 1 || filepath.Base(diags[0].Pos.Filename) != "admm.go" ||
+			!strings.Contains(diags[0].Message, tc.want) {
+			t.Fatalf("reach should flag exactly the added %q; got %v", tc.add, diags)
+		}
 	}
 }

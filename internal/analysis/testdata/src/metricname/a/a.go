@@ -7,11 +7,8 @@ import "fmt"
 
 type Registry struct{}
 
-func (r *Registry) Counter(name, help string) int                       { return 0 }
-func (r *Registry) Gauge(name, help string) int                         { return 0 }
-func (r *Registry) CounterFunc(name, help string, fn func() uint64)     {}
-func (r *Registry) GaugeFunc(name, help string, fn func() float64)      {}
-func (r *Registry) Series(name, help string, window int, qs ...float64) {}
+func (r *Registry) CounterFunc(name, help string, fn func() uint64) {}
+func (r *Registry) GaugeFunc(name, help string, fn func() float64)  {}
 
 const perRA = "edgeslice_ra_steps_total"
 
@@ -19,7 +16,7 @@ var nameCache []string
 
 // Per-call formatting is the bug: flagged.
 func Formatted(reg *Registry, ra int) {
-	reg.Counter(fmt.Sprintf("edgeslice_ra_%d_total", ra), "h") // want `metric name built with fmt\.Sprintf`
+	reg.CounterFunc(fmt.Sprintf("edgeslice_ra_%d_total", ra), "h", nil) // want `metric name built with fmt\.Sprintf`
 }
 
 func FormattedGauge(reg *Registry, slice int) {
@@ -28,27 +25,27 @@ func FormattedGauge(reg *Registry, slice int) {
 
 // Non-constant concatenation is the same bug in cheaper clothes.
 func Concatenated(reg *Registry, suffix string) {
-	reg.Gauge("edgeslice_"+suffix, "h") // want `string concatenation`
+	reg.GaugeFunc("edgeslice_"+suffix, "h", nil) // want `string concatenation`
 }
 
 // Constants — including folded constant concatenation — are fine.
 func Constant(reg *Registry) {
-	reg.Counter(perRA, "h")
-	reg.Counter("edgeslice_"+"periods_total", "h")
+	reg.CounterFunc(perRA, "h", nil)
+	reg.CounterFunc("edgeslice_"+"periods_total", "h", nil)
 }
 
 // Reading a precomputed name cache is the sanctioned dynamic pattern.
 func Cached(reg *Registry, i int) {
-	reg.Counter(nameCache[i], "h")
+	reg.CounterFunc(nameCache[i], "h", nil)
 }
 
 // Other receivers with the same method names are not registries.
 type notRegistry struct{}
 
-func (notRegistry) Counter(name, help string) int { return 0 }
+func (notRegistry) CounterFunc(name, help string, fn func() uint64) {}
 
 func OtherReceiver(n notRegistry, i int) {
-	n.Counter(fmt.Sprintf("x%d", i), "h")
+	n.CounterFunc(fmt.Sprintf("x%d", i), "h", nil)
 }
 
 // One-time bounded registration may be justified.

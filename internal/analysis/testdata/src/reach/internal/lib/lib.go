@@ -1,16 +1,53 @@
 // Package lib exercises the reach analyzer: what cmd/app's main, an init or
 // a var initializer reaches is silent, every other top-level symbol is
-// flagged.
+// flagged, and so is a method of a reached type that nothing calls, directly
+// or through an interface the program can call it through.
 package lib
+
+import "fmt"
 
 // Shape is the only way main calls Area.
 type Shape interface{ Area() float64 }
 
 type square struct{ side float64 }
 
-// Area is called only through Shape; the walk still reaches its callee,
-// because every method of a reached type counts as reached.
+// Area is called only through Shape, a module interface square implements,
+// so it and its callee are reached.
 func (s square) Area() float64 { return scaled(s.side * s.side) }
+
+// Perimeter is a method of a reached type that nothing calls.
+func (s square) Perimeter() float64 { return 4 * s.side } // want `method square.Perimeter is reached from no main`
+
+// Celsius reaches String only as a fmt.Stringer, through fmt.Println.
+type Celsius float64
+
+func (c Celsius) String() string { return fmt.Sprintf("%g°C", float64(c)) }
+
+// Namer is the interface main calls Name through.
+type Namer interface {
+	Name() string
+	Kind() string
+}
+
+// tag alone does not implement Namer.
+type tag struct{}
+
+// Name is promoted into Labeled, and main calls it through Namer.
+func (tag) Name() string { return "tag" }
+
+// Labeled embeds tag and implements Namer.
+type Labeled struct{ tag }
+
+func (Labeled) Kind() string { return "labeled" }
+
+// Counter has one called method and one that only a test calls.
+type Counter struct{ n int }
+
+// Get is called by main.
+func (c Counter) Get() int { return c.n }
+
+// Reset is called only from a _test.go file, which the Loader never reads.
+func (c *Counter) Reset() { c.n = 0 } // want `method Counter.Reset is reached from no main`
 
 func scaled(x float64) float64 { return x }
 

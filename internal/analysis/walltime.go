@@ -17,7 +17,7 @@ var WallTime = &Analyzer{
 	Doc:         "wall-clock or global math/rand use in a simulation/recording package",
 	SuppressKey: "wallclock",
 	Match: matchSegments("core", "nn", "rl", "netsim", "scenario", "admm",
-		"telemetry", "monitor", "mathutil", "traffic", "slicemgr",
+		"telemetry", "monitor", "mathutil", "traffic",
 		"baseline", "qp"),
 	Run: runWallTime,
 }

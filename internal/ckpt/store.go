@@ -55,9 +55,6 @@ func OpenStore(dir string) (*Store, error) {
 	return &Store{dir: dir}, nil
 }
 
-// Dir returns the store directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Path returns the file a key is stored at.
 func (s *Store) Path(key string) string {
 	return filepath.Join(s.dir, sanitize(key)+".json")

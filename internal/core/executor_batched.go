@@ -1,7 +1,6 @@
 package core
 
 import (
-	"reflect"
 	"runtime"
 	"sort"
 	"sync"
@@ -39,11 +38,9 @@ import (
 //     fixed (interval, RA, slice) order — History and residuals come out
 //     the same.
 //
-// Baseline RAs compute their own action in their chunk. Learning agents
-// without a batched path act on the driver goroutine, one after another in
-// (interval, RA) order while the workers run, because nothing says their
-// Act is safe to call concurrently; the rl.BatchActor contract lets that one
-// Act overlap the workers' ActBatch calls.
+// Baseline RAs compute their own action in their chunk; every learning agent
+// is an rl.BatchActor (SetAgents refuses any other), so it acts in its
+// group's forward.
 //
 // A BatchedExecutor drives one run at a time: concurrent RunPeriods calls
 // on one executor are not supported (the System is not concurrency-safe
@@ -80,9 +77,6 @@ func NewBatchedExecutor(workers int) *BatchedExecutor {
 // Name implements Executor.
 func (e *BatchedExecutor) Name() string { return EngineBatched }
 
-// Workers returns the bound on the goroutines that step a period.
-func (e *BatchedExecutor) Workers() int { return e.workers }
-
 // Close implements Executor; the batched engine holds no persistent
 // resources (step workers live for one period).
 func (e *BatchedExecutor) Close() error { return nil }
@@ -113,17 +107,15 @@ type groupSpan struct {
 }
 
 // batchPlan is the cached chunk layout for one (System, agent generation):
-// which RAs batch under which policy group in each chunk and which fall back
-// to per-RA actions. The layout does not depend on the worker count.
+// which RAs batch under which policy group in each chunk. The layout does
+// not depend on the worker count.
 type batchPlan struct {
 	// spans[chunkSpans[c]:chunkSpans[c+1]] are chunk c's group spans.
 	spans      []groupSpan
 	chunkSpans []int
 	// baselines: no learning agents, every RA computes its action in its
-	// chunk. onDriver: learning agents without a batched path, stepped by
-	// the driver goroutine itself.
+	// chunk.
 	baselines bool
-	onDriver  []int
 
 	// forwards is the chunk forwards of one period; blockRows the largest
 	// span.
@@ -159,11 +151,9 @@ func (e *BatchedExecutor) planFor(s *System) *batchPlan {
 	return e.cachePlan
 }
 
-// newBatchPlan classifies every RA: batch-capable agents with comparable
-// dynamic types group per (instance, state shape) and each group's RAs
-// split into per-chunk spans; everything else — plain baselines, unknown
-// agents, agents whose type cannot be a map key — takes the per-RA
-// fallback.
+// newBatchPlan groups a learning system's RAs per (policy instance, state
+// shape) and splits each group's RAs into per-chunk spans; a baseline
+// system has no groups.
 func (s *System) newBatchPlan(workers int) *batchPlan {
 	J := s.cfg.NumRAs
 	chunks := (J + chunkRAs - 1) / chunkRAs
@@ -181,12 +171,7 @@ func (s *System) newBatchPlan(workers int) *batchPlan {
 	var groups [][]int // RA ids of keys[g], ascending
 	byKey := make(map[batchKey]int, 1)
 	for j := 0; j < J; j++ {
-		ba := rl.AsBatchActor(s.agents[j])
-		if ba == nil || !reflect.TypeOf(ba).Comparable() {
-			p.onDriver = append(p.onDriver, j)
-			continue
-		}
-		key := batchKey{actor: ba, dim: s.envs[j].StateDim()}
+		key := batchKey{actor: s.agents[j].(rl.BatchActor), dim: s.envs[j].StateDim()}
 		g, ok := byKey[key]
 		if !ok {
 			g = len(keys)
@@ -213,10 +198,8 @@ func (s *System) newBatchPlan(workers int) *batchPlan {
 // stepPeriod steps every RA through the period's T intervals into the
 // workspace's result grid, numbering the intervals from base. Chunks step
 // concurrently — a chunk touches only its own environments, its worker's
-// workspace and its own result columns — while the driver steps the
-// onDriver RAs in (interval, RA) order. The error reported is the first of
-// the lowest failing chunk, else the driver's: deterministic for any
-// scheduling.
+// workspace and its own result columns. The error reported is the first of
+// the lowest failing chunk: deterministic for any scheduling.
 //
 // Only the extra workers' goroutines allocate: on one worker a warm period
 // allocates nothing.
@@ -229,15 +212,6 @@ func (p *batchPlan) stepPeriod(s *System, ws *periodWS, base int) error {
 			p.pull(s, ws, w, base)
 		}()
 	}
-	var driverErr error
-steps:
-	for t, row := range ws.res {
-		for _, j := range p.onDriver {
-			if driverErr = s.stepInto(ws, j, base+t, nil, &row[j]); driverErr != nil {
-				break steps
-			}
-		}
-	}
 	p.pull(s, ws, 0, base)
 	p.wg.Wait()
 	for _, err := range p.chunkErr {
@@ -245,7 +219,7 @@ steps:
 			return err
 		}
 	}
-	return driverErr
+	return nil
 }
 
 // pull steps chunk w, then chunks off the shared counter, on worker w until
@@ -261,7 +235,7 @@ func (p *batchPlan) pull(s *System, ws *periodWS, w, base int) {
 // stepChunk steps chunk c's RAs through all T intervals: per interval, one
 // forward per group span on the span's gathered observations, each grouped
 // RA under its row, then — in a baseline system — every RA under the action
-// it computes here. Learning agents without a group are the driver's.
+// it computes here.
 //
 //edgeslice:noalloc
 func (p *batchPlan) stepChunk(s *System, ws *periodWS, nws *nn.Workspace, c, base int) error {

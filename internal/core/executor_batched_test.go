@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"edgeslice/internal/nn"
@@ -106,29 +107,30 @@ func TestBatchedBaselineFallsBackToSerial(t *testing.T) {
 	requireSameRun(t, "baseline-fallback", hRef, h)
 }
 
+// secondPolicy is a deployed actor other than deployedSystem's, so the RAs
+// it serves batch as a second policy group.
+func secondPolicy(s *System) *rl.DeployedPolicy {
+	actor := nn.NewMLP(rand.New(rand.NewSource(11)), s.Env(0).StateDim(),
+		nn.LayerSpec{Out: 16, Act: nn.ActLeakyReLU},
+		nn.LayerSpec{Out: s.Env(0).ActionDim(), Act: nn.ActSigmoid},
+	)
+	return rl.NewDeployedPolicy(actor, false)
+}
+
 // mixedAgents installs a mixed deployment on a 4-RA system: RAs 0 and 2
-// share one batchable DDPG agent, RAs 1 and 3 run opaque AgentFunc stubs
-// the engine must route through the per-RA fallback.
+// share one batchable DDPG agent, RAs 1 and 3 a second deployed policy.
 func mixedAgents(t *testing.T, s *System) {
 	t.Helper()
 	dd := batchedTestAgent(t, ddpg.AlgoName, s.Env(0).StateDim(), s.Env(0).ActionDim())
-	stub := func(bias float64) rl.Agent {
-		return rl.AgentFunc(func(state []float64) []float64 {
-			out := make([]float64, s.Env(0).ActionDim())
-			for i := range out {
-				out[i] = bias + 0.04*float64(i)
-			}
-			return out
-		})
-	}
-	if err := s.SetAgents([]rl.Agent{dd, stub(0.2), dd, stub(0.3)}); err != nil {
+	dp := secondPolicy(s)
+	if err := s.SetAgents([]rl.Agent{dd, dp, dd, dp}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestBatchedMixedSystemMatchesSerial covers systems that split into a
-// batched group plus per-RA fallback RAs: the interleaved scatter must
-// still merge the History in serial's (interval, RA, slice) order.
+// TestBatchedMixedSystemMatchesSerial covers systems that split into
+// interleaved policy groups: the per-group scatter must still merge the
+// History in serial's (interval, RA, slice) order.
 func TestBatchedMixedSystemMatchesSerial(t *testing.T) {
 	cfg := execTestConfig(AlgoEdgeSlice)
 	cfg.NumRAs = 4
@@ -246,38 +248,30 @@ func TestBatchedTwoGroupsMatchesSerial(t *testing.T) {
 	}
 }
 
-// nanPolicy serves one RA with base's actions until its call number at,
-// whose action is NaN. As an rl.BatchActor it batches alone, so each of its
-// calls is one interval of that RA, whichever path makes it.
+// nanPolicy serves RAs of one chunk with the embedded policy's actions
+// until its ActBatch call number at, whose first row's action is NaN. Its
+// RAs batch as their own group in that one chunk, so each ActBatch call is
+// one interval; the scalar Act, which only the reference run calls, is the
+// embedded policy's.
 type nanPolicy struct {
-	base      netPolicy
+	*rl.DeployedPolicy
 	calls, at int
 }
 
-func (p *nanPolicy) poison(act []float64) {
+func (p *nanPolicy) ActBatch(states *nn.Matrix, ws *nn.Workspace) *nn.Matrix {
+	out := p.DeployedPolicy.ActBatch(states, ws)
 	if p.calls == p.at {
-		act[0] = math.NaN()
+		out.Row(0)[0] = math.NaN()
 	}
 	p.calls++
-}
-
-func (p *nanPolicy) Act(state []float64) []float64 {
-	act := p.base.Act(state)
-	p.poison(act)
-	return act
-}
-
-func (p *nanPolicy) ActBatch(states *nn.Matrix, ws *nn.Workspace) *nn.Matrix {
-	out := p.base.ActBatch(states, ws)
-	p.poison(out.Row(0))
 	return out
 }
 
 // TestBatchedPartialHistoryOnStepError pins the local half of the contract
 // every engine shares — a failing period leaves no record: RA 70's policy
-// emits a NaN action at period 2, interval 3, opaque (stepped on the
-// driver) in one leg and batched in its own group in the other. At every
-// worker count the run must return the same error, naming RA 70 and that
+// emits a NaN action at period 2, interval 3, batched in its own group in
+// one leg and in a second group with RA 71 in the other. At every worker
+// count the run must return the same error, naming RA 70 and that
 // interval, with a History and coordinator of exactly the two
 // completed periods.
 func TestBatchedPartialHistoryOnStepError(t *testing.T) {
@@ -286,14 +280,15 @@ func TestBatchedPartialHistoryOnStepError(t *testing.T) {
 	cfg.NumRAs = 2*chunkRAs + 3
 	T := cfg.EnvTemplate.T
 	wantErr := fmt.Sprintf("core: RA %d interval %d: netsim: NaN action", ra, period*T+interval)
-	for _, kind := range []string{"opaque", "batched"} {
+	for _, kind := range []string{"paired", "batched"} {
 		deploy := func() *System {
 			s := deployedSystem(t, cfg)
-			np := &nanPolicy{base: s.agents[0].(netPolicy), at: period*T + interval}
+			np := &nanPolicy{DeployedPolicy: s.agents[0].(*rl.DeployedPolicy), at: period*T + interval}
 			agents := append([]rl.Agent(nil), s.agents...)
 			agents[ra] = np
-			if kind == "opaque" {
-				agents[ra] = rl.AgentFunc(np.Act)
+			if kind == "paired" {
+				np.DeployedPolicy = secondPolicy(s)
+				agents[ra+1] = np
 			}
 			if err := s.SetAgents(agents); err != nil {
 				t.Fatal(err)

@@ -7,18 +7,20 @@ import (
 
 	"edgeslice/internal/nn"
 	"edgeslice/internal/rl"
+	"edgeslice/internal/rl/ddpg"
 	"edgeslice/internal/traffic"
 )
 
 // BenchmarkRunPeriods measures one Algorithm-1 period across RA counts and
 // engines. In the edgeslice legs the deployed policy is a paper-scale 2x128
 // actor so inference dominates the interval cost — the workload the batched
-// engine exists for. The taro leg is the bench harness's local-step-2048
-// shape (no network: the RA step, record, merge and ADMM), so
+// engine exists for. The last two legs are the bench harness's
+// local-infer-2048 and local-step-2048 workloads at seed 1
+// (benchLocalSystem), so
 //
-//	go test ./internal/core -run '^$' -bench 'RunPeriods/.*taro' -cpuprofile cpu.out
+//	go test ./internal/core -run '^$' -bench 'RunPeriods/local-step-2048' -cpuprofile cpu.out
 //
-// profiles that workload directly. The harness's measured engine numbers
+// profiles one of them directly. The harness's measured engine numbers
 // are in BENCH_34.json at the repository root.
 func BenchmarkRunPeriods(b *testing.B) {
 	for _, ras := range []int{8, 32, 128, 512, 2048} {
@@ -35,33 +37,51 @@ func BenchmarkRunPeriods(b *testing.B) {
 			nn.LayerSpec{Out: 128, Act: nn.ActLeakyReLU},
 			nn.LayerSpec{Out: s.Env(0).ActionDim(), Act: nn.ActSigmoid},
 		)
-		if err := s.SetAgents([]rl.Agent{netPolicy{actor}}); err != nil {
+		if err := s.SetAgents([]rl.Agent{rl.NewDeployedPolicy(actor, false)}); err != nil {
 			b.Fatal(err)
 		}
 		for _, engine := range []string{EngineSerial, EngineBatched} {
 			benchPeriods(b, fmt.Sprintf("algo=edgeslice/ras=%d/engine=%s", ras, engine), s, engine, 0)
 		}
 	}
+	benchPeriods(b, "local-infer-2048", benchLocalSystem(b, AlgoEdgeSlice), EngineBatched, 3)
+	benchPeriods(b, "local-step-2048", benchLocalSystem(b, AlgoTARO), EngineBatched, 3)
+}
 
-	// local-step-2048 at seed 1: variable traffic, streaming recording with
-	// a 100-period window, three warm-up periods.
+// benchLocalSystem builds the bench harness's local workload system
+// (bench/local.go's coreConfig and build) at seed 1: 2048 RAs on variable
+// traffic with streaming recording over a 100-period window, under one
+// shared seeded 2x128 DDPG actor for a learning algorithm (local-infer-2048)
+// or the baseline (local-step-2048).
+func benchLocalSystem(b *testing.B, algo Algorithm) *System {
 	cfg := DefaultConfig()
-	cfg.Algo = AlgoTARO
+	cfg.Algo = algo
 	cfg.NumRAs = 2048
 	cfg.Seed = 1
 	cfg.EnvTemplate.Sources = []traffic.Source{
-		traffic.VariableSource{Lo: 6, Hi: 14, BlockLen: 10, Seed: 13},
-		traffic.VariableSource{Lo: 6, Hi: 14, BlockLen: 10, Seed: 25},
+		traffic.VariableSource{Lo: 6, Hi: 14, BlockLen: 10, Seed: 11 + 2*cfg.Seed},
+		traffic.VariableSource{Lo: 6, Hi: 14, BlockLen: 10, Seed: 23 + 2*cfg.Seed},
 	}
 	s, err := NewSystem(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := s.Train(); err != nil {
+	if algo.IsLearning() {
+		dc := ddpg.DefaultConfig()
+		dc.Hidden = 128
+		dc.Seed = cfg.Seed
+		agent, err := ddpg.New(s.Env(0).StateDim(), s.Env(0).ActionDim(), dc)
+		if err == nil {
+			err = s.SetAgents([]rl.Agent{agent})
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+	} else if err := s.Train(); err != nil {
 		b.Fatal(err)
 	}
 	s.SetRecording(RecordOptions{StreamWindow: 100})
-	benchPeriods(b, "algo=taro/ras=2048/engine=batched", s, EngineBatched, 3)
+	return s
 }
 
 // benchPeriods runs warmup untimed periods of s on a fresh engine, then

@@ -38,7 +38,7 @@ func deployedSystem(t *testing.T, cfg Config) *System {
 			nn.LayerSpec{Out: 16, Act: nn.ActLeakyReLU},
 			nn.LayerSpec{Out: s.Env(0).ActionDim(), Act: nn.ActSigmoid},
 		)
-		if err := s.SetAgents([]rl.Agent{netPolicy{actor}}); err != nil {
+		if err := s.SetAgents([]rl.Agent{rl.NewDeployedPolicy(actor, false)}); err != nil {
 			t.Fatal(err)
 		}
 	} else if err := s.Train(); err != nil {
@@ -67,7 +67,11 @@ func referenceRun(t *testing.T, s *System, n int) *History {
 		for i := 0; i < s.cfg.EnvTemplate.T; i++ {
 			interval := s.coord.Iterations()*s.cfg.EnvTemplate.T + i
 			for j := range res {
-				if err := s.stepInto(ws, j, interval, nil, &res[j]); err != nil {
+				var act []float64
+				if s.cfg.Algo.IsLearning() {
+					act = s.agents[j].Act(s.envs[j].State())
+				}
+				if err := s.stepInto(ws, j, interval, act, &res[j]); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -302,7 +302,8 @@ func TestRemotePartialHistoryOnDroppedAgent(t *testing.T) {
 		defer c0.Close()
 		pol := taroFor(env0)
 		for p := 0; p < served; p++ {
-			period, z, y, err := c0.RecvCoordination(5 * time.Second)
+			m, err := c0.Recv(5 * time.Second)
+			period, z, y := m.Period, m.Z, m.Y
 			if err != nil {
 				dropped <- err
 				return
@@ -515,14 +516,10 @@ func TestOpenHistoryLogAppendCutsToWholePeriods(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	whole := NewHistory(I, J, T)
 	synthRecords(rng, 2*T, whole) // two whole periods
-	if err := log.AppendHistory(whole); err != nil {
-		t.Fatal(err)
-	}
+	logRecords(t, log, whole)
 	stray := NewHistory(I, J, T)
 	synthRecords(rng, 2, stray) // two intervals of an in-flight period
-	if err := log.AppendHistory(stray); err != nil {
-		t.Fatal(err)
-	}
+	logRecords(t, log, stray)
 	if err := log.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -547,9 +544,7 @@ func TestOpenHistoryLogAppendCutsToWholePeriods(t *testing.T) {
 	}
 	third := NewHistory(I, J, T)
 	synthRecords(rng, T, third)
-	if err := cont.AppendHistory(third); err != nil {
-		t.Fatal(err)
-	}
+	logRecords(t, cont, third)
 	if err := cont.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -85,11 +85,6 @@ func NewHistoryLog(w *telemetry.LogWriter, numSlices, numRAs, t int) (*HistoryLo
 	return l, nil
 }
 
-// Shape returns the run shape the log was created for.
-func (l *HistoryLog) Shape() (numSlices, numRAs, t int) {
-	return l.numSlices, l.numRAs, l.periodT
-}
-
 func appendU32(b []byte, v uint32) []byte {
 	return binary.LittleEndian.AppendUint32(b, v)
 }
@@ -150,34 +145,6 @@ func (l *HistoryLog) LogPeriod(perf [][]float64, sla []bool, primal, dual float6
 	b = appendF64(b, dual)
 	l.buf = b
 	return l.w.Append(b)
-}
-
-// AppendHistory logs every interval and period record of an exact-mode
-// history of the same shape, intervals first — the order a run commits them
-// in when it is one period long.
-func (l *HistoryLog) AppendHistory(h *History) error {
-	if h.Streaming() {
-		return fmt.Errorf("core: cannot log a streaming history: its raw records are summarized away")
-	}
-	if h.NumSlices != l.numSlices || h.NumRAs != l.numRAs || h.T != l.periodT {
-		return fmt.Errorf("core: history log shape %dx%dxT%d, history is %dx%dxT%d",
-			l.numSlices, l.numRAs, l.periodT, h.NumSlices, h.NumRAs, h.T)
-	}
-	slicePerf := make([]float64, h.NumSlices)
-	for t := range h.SystemPerf {
-		for i := 0; i < h.NumSlices; i++ {
-			slicePerf[i] = h.SlicePerf[i][t]
-		}
-		if err := l.LogInterval(h.SystemPerf[t], slicePerf, h.Usage[t], h.Violations[t]); err != nil {
-			return err
-		}
-	}
-	for p := range h.PeriodPerf {
-		if err := l.LogPeriod(h.PeriodPerf[p], h.SLAMet[p], h.Primal[p], h.Dual[p]); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Sync flushes buffered records and fsyncs when file-backed.

@@ -47,8 +47,10 @@ func TestHistoryLogRoundTrip(t *testing.T) {
 	}
 }
 
-// TestHistoryLogAppendHistory checks the chunk-at-a-time persistence path
-// (the scenario runner's usage) against whole-run logging.
+// TestHistoryLogAppendHistory checks chunk-at-a-time persistence — one log
+// written across several Histories' records, as a period-at-a-time run
+// writes it — against the stitched whole, and that the writer rejects
+// records of another shape.
 func TestHistoryLogAppendHistory(t *testing.T) {
 	const I, J, T = 2, 2, 10
 	rng := rand.New(rand.NewSource(17))
@@ -65,16 +67,15 @@ func TestHistoryLogAppendHistory(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range chunks {
-		if err := log.AppendHistory(c); err != nil {
-			t.Fatal(err)
-		}
+		logRecords(t, log, c)
 	}
-	// Streaming and mis-shaped histories are rejected.
-	if err := log.AppendHistory(NewStreamingHistory(I, J, T, 8)); err == nil {
-		t.Error("AppendHistory(streaming) should error")
+	wide := NewHistory(I+1, J, T)
+	synthRecords(rng, T, wide)
+	if err := log.LogInterval(wide.SystemPerf[0], []float64{1, 2, 3}, wide.Usage[0], 0); err == nil {
+		t.Error("an interval of another slice count should error")
 	}
-	if err := log.AppendHistory(NewHistory(I+1, J, T)); err == nil {
-		t.Error("AppendHistory shape mismatch should error")
+	if err := log.LogPeriod(wide.PeriodPerf[0], wide.SLAMet[0], 0, 0); err == nil {
+		t.Error("a period of another slice count should error")
 	}
 	if err := log.Close(); err != nil {
 		t.Fatal(err)
@@ -100,9 +101,7 @@ func TestHistoryLogTruncatedTail(t *testing.T) {
 	}
 	full := NewHistory(I, J, T)
 	synthRecords(rand.New(rand.NewSource(29)), 2*T, full)
-	if err := log.AppendHistory(full); err != nil {
-		t.Fatal(err)
-	}
+	logRecords(t, log, full)
 	if err := log.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -276,11 +275,29 @@ func encodeHistory(t *testing.T, h *History) []byte {
 	if err != nil {
 		t.Fatalf("the writer rejects a shape the reader accepted: %v", err)
 	}
-	if err := l.AppendHistory(h); err != nil {
-		t.Fatal(err)
-	}
+	logRecords(t, l, h)
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// logRecords logs every interval, then every period, of an exact History
+// through LogInterval and LogPeriod.
+func logRecords(t *testing.T, l *HistoryLog, h *History) {
+	t.Helper()
+	slicePerf := make([]float64, h.NumSlices)
+	for k := range h.SystemPerf {
+		for i := range slicePerf {
+			slicePerf[i] = h.SlicePerf[i][k]
+		}
+		if err := l.LogInterval(h.SystemPerf[k], slicePerf, h.Usage[k], h.Violations[k]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for p := range h.PeriodPerf {
+		if err := l.LogPeriod(h.PeriodPerf[p], h.SLAMet[p], h.Primal[p], h.Dual[p]); err != nil {
+			t.Fatal(err)
+		}
+	}
 }

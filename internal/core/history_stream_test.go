@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"edgeslice/internal/netsim"
-	"edgeslice/internal/telemetry"
 )
 
 // synthRecords feeds n intervals (and n/T periods) of deterministic
@@ -288,23 +287,12 @@ func TestReserveMatchesGrownHistoryLog(t *testing.T) {
 			reserved.AddPeriod(perf, sla, primal, dual)
 		}
 	}
-	logBytes := func(h *History) []byte {
-		var buf bytes.Buffer
-		hlog, err := NewHistoryLog(telemetry.NewLogWriter(&buf), I, J, T)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := hlog.AppendHistory(h); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
 	check := func(stage string) {
 		t.Helper()
 		if !reflect.DeepEqual(grown, reserved) {
 			t.Errorf("%s: reserved History's records differ from the grown one's", stage)
 		}
-		if !bytes.Equal(logBytes(grown), logBytes(reserved)) {
+		if !bytes.Equal(encodeHistory(t, grown), encodeHistory(t, reserved)) {
 			t.Errorf("%s: reserved History's log bytes differ from the grown one's", stage)
 		}
 	}

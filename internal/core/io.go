@@ -17,18 +17,24 @@ import (
 )
 
 // LoadAgent deploys a single-agent v2 checkpoint (edgeslice-train, the
-// façade's SaveAgent): it decodes and builds the acting network alone (see
-// ckpt.Deploy). The returned policy is safe for concurrent Act and ActBatch
-// calls.
-func LoadAgent(r io.Reader) (*rl.DeployedPolicy, error) {
+// façade's SaveAgent) into an environment of the given state and action
+// widths, refusing an agent of any other shape: it decodes and builds the
+// acting network alone (see ckpt.Deploy). The returned policy is safe for
+// concurrent Act and ActBatch calls.
+func LoadAgent(r io.Reader, stateDim, actionDim int) (*rl.DeployedPolicy, error) {
 	c, err := ckpt.Read(r)
 	if err != nil {
 		return nil, err
 	}
 	if len(c.Agents) != 1 {
-		return nil, fmt.Errorf("core: checkpoint holds %d per-RA agents; load it with LoadCheckpoint and System.Restore", len(c.Agents))
+		return nil, fmt.Errorf("core: checkpoint holds %d per-RA agents; deploy it with DeployCheckpoint and System.Deploy", len(c.Agents))
 	}
-	return ckpt.Deploy(c.Agents[0])
+	st := c.Agents[0]
+	if st.StateDim != stateDim || st.ActionDim != actionDim {
+		return nil, fmt.Errorf("core: checkpoint agent is %dx%d, environment needs %dx%d",
+			st.StateDim, st.ActionDim, stateDim, actionDim)
+	}
+	return ckpt.Deploy(st)
 }
 
 // SaveCheckpoint writes the system's trained agents as a full-fidelity v2

@@ -73,7 +73,7 @@ func loadedPolicy(t *testing.T) *rl.DeployedPolicy {
 	if err != nil {
 		t.Fatal(err)
 	}
-	agent, err := LoadAgent(&buf)
+	agent, err := LoadAgent(&buf, 4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,9 +124,48 @@ func TestLoadedPolicyConcurrentActAndBatch(t *testing.T) {
 	}
 }
 
+// TestLoadAgentRefusesOtherShape: an EdgeSlice-NT checkpoint (2-wide
+// state) deployed into the default queue-observing environment (4-wide) is
+// an error naming both shapes, not a panic at the agent's first period.
+func TestLoadAgentRefusesOtherShape(t *testing.T) {
+	widths := func(algo Algorithm) (int, int) {
+		cfg := DefaultConfig()
+		cfg.Algo = algo
+		s, err := NewSystem(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s.Env(0).StateDim(), s.Env(0).ActionDim()
+	}
+	ntState, ntAction := widths(AlgoEdgeSliceNT)
+	state, action := widths(AlgoEdgeSlice)
+	dcfg := ddpg.DefaultConfig()
+	dcfg.Hidden = 8
+	dd, err := ddpg.New(ntState, ntAction, dcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := dd.Snapshot(ckpt.SnapshotOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	c := &ckpt.Checkpoint{Format: ckpt.FormatV2, Algorithm: AlgoEdgeSliceNT.String(), Agents: []*ckpt.AgentState{st}}
+	if err := ckpt.Write(&buf, c); err != nil {
+		t.Fatal(err)
+	}
+	_, err = LoadAgent(bytes.NewReader(buf.Bytes()), state, action)
+	if err == nil || !strings.Contains(err.Error(), "2x6") || !strings.Contains(err.Error(), "4x6") {
+		t.Fatalf("NT checkpoint into the %dx%d environment: %v, want an error naming 2x6 and 4x6", state, action, err)
+	}
+	if _, err := LoadAgent(bytes.NewReader(buf.Bytes()), ntState, ntAction); err != nil {
+		t.Fatalf("NT checkpoint into an NT environment: %v", err)
+	}
+}
+
 func TestLoadAgentReportsUnknownFormat(t *testing.T) {
 	for _, format := range []string{"edgeslice-actor-v1", "edgeslice-actor-v9"} {
-		_, err := LoadAgent(strings.NewReader(`{"format":"` + format + `","actor":{"layers":[]}}`))
+		_, err := LoadAgent(strings.NewReader(`{"format":"`+format+`","actor":{"layers":[]}}`), 4, 2)
 		if err == nil || !strings.Contains(err.Error(), format) || !strings.Contains(err.Error(), ckpt.FormatV2) {
 			t.Fatalf("err = %v, want a format error naming %s and %s", err, format, ckpt.FormatV2)
 		}

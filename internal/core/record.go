@@ -69,9 +69,6 @@ func (s *System) SetRecording(opts RecordOptions) {
 	}
 }
 
-// Recording returns the active recording options.
-func (s *System) Recording() RecordOptions { return s.rec }
-
 // newRunHistory allocates the History RunPeriodsWith records into, honoring
 // the configured recording mode.
 func (s *System) newRunHistory() *History {

@@ -86,27 +86,6 @@ func snapshotAgent(a rl.Agent, ra int, opts ckpt.SnapshotOptions) (*ckpt.AgentSt
 	return st, nil
 }
 
-// Restore installs the checkpoint's agents into the system in place of
-// Train: a shared (or single-agent) checkpoint is restored once and
-// deployed to every RA, a per-RA checkpoint needs one agent per RA. Each
-// Restore call rebuilds trainable agents from fresh decodes, so one
-// in-memory checkpoint can warm-start any number of systems concurrently;
-// a system that only acts should take a Deployment instead (Deploy).
-func (s *System) Restore(c *ckpt.Checkpoint) error {
-	if err := s.checkCheckpoint(c); err != nil {
-		return err
-	}
-	agents := make([]rl.Agent, len(c.Agents))
-	for j, st := range c.Agents {
-		a, err := ckpt.RestoreAgent(st)
-		if err != nil {
-			return fmt.Errorf("core: RA %d: %w", j, err)
-		}
-		agents[j] = a
-	}
-	return s.SetAgents(agents)
-}
-
 // Deployment is a checkpoint's acting policies, built once (ckpt.Deploy
 // per agent) and shared read-only by every system Deploy installs it in.
 type Deployment struct {
@@ -131,7 +110,8 @@ func DeployCheckpoint(c *ckpt.Checkpoint) (*Deployment, error) {
 }
 
 // Deploy installs a deployment's shared policies in place of Train, after
-// Restore's checks; the system then runs but holds no trainer to snapshot.
+// checkCheckpoint's checks; the system then runs but holds no trainer to
+// snapshot.
 func (s *System) Deploy(d *Deployment) error {
 	if err := s.checkCheckpoint(d.c); err != nil {
 		return err
@@ -139,7 +119,7 @@ func (s *System) Deploy(d *Deployment) error {
 	return s.SetAgents(d.policies)
 }
 
-// checkCheckpoint is what Restore and Deploy require of a checkpoint: a
+// checkCheckpoint is what Deploy requires of a checkpoint: a
 // valid v2 file for this system's algorithm, holding one agent or one per
 // RA, each sized for its RA's environment.
 func (s *System) checkCheckpoint(c *ckpt.Checkpoint) error {

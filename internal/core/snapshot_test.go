@@ -6,8 +6,25 @@ import (
 	"testing"
 
 	"edgeslice/internal/ckpt"
+	"edgeslice/internal/rl"
 	"edgeslice/internal/rl/ddpg"
 )
+
+// restoreAgents installs c's agents in s as full trainers.
+func restoreAgents(t *testing.T, s *System, c *ckpt.Checkpoint) {
+	t.Helper()
+	agents := make([]rl.Agent, len(c.Agents))
+	for j, st := range c.Agents {
+		a, err := ckpt.RestoreAgent(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		agents[j] = a
+	}
+	if err := s.SetAgents(agents); err != nil {
+		t.Fatal(err)
+	}
+}
 
 func fastLearningConfig() Config {
 	cfg := DefaultConfig()
@@ -53,9 +70,7 @@ func TestSystemSnapshotRestoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := restoredSys.Restore(c); err != nil {
-		t.Fatal(err)
-	}
+	restoreAgents(t, restoredSys, c)
 
 	h1, err := sys.RunPeriods(2)
 	if err != nil {
@@ -92,16 +107,18 @@ func TestSnapshotRejectsBaselines(t *testing.T) {
 	}
 }
 
+// TestRestoreRejectsMismatches pins the checks a checkpoint passes before
+// its agents install (checkCheckpoint): format, algorithm and dimensions.
 func TestRestoreRejectsMismatches(t *testing.T) {
 	cfg := DefaultConfig()
 	sys, err := NewSystem(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Restore(&ckpt.Checkpoint{Format: "bogus"}); err == nil {
+	if err := sys.checkCheckpoint(&ckpt.Checkpoint{Format: "bogus"}); err == nil {
 		t.Fatal("bad format should fail")
 	}
-	err = sys.Restore(&ckpt.Checkpoint{
+	err = sys.checkCheckpoint(&ckpt.Checkpoint{
 		Format:    ckpt.FormatV2,
 		Algorithm: AlgoEdgeSliceNT.String(),
 		Agents:    []*ckpt.AgentState{{Algo: "ddpg", StateDim: 1, ActionDim: 1}},
@@ -109,7 +126,7 @@ func TestRestoreRejectsMismatches(t *testing.T) {
 	if err == nil {
 		t.Fatal("algorithm mismatch should fail")
 	}
-	err = sys.Restore(&ckpt.Checkpoint{
+	err = sys.checkCheckpoint(&ckpt.Checkpoint{
 		Format:    ckpt.FormatV2,
 		Algorithm: AlgoEdgeSlice.String(),
 		Agents:    []*ckpt.AgentState{{Algo: "ddpg", StateDim: 1, ActionDim: 1}},
@@ -119,9 +136,10 @@ func TestRestoreRejectsMismatches(t *testing.T) {
 	}
 }
 
-// TestDeployKeepsRestoreChecks: a Deployment installs only where Restore
-// would — same format, algorithm, agent-count and per-RA dimension checks —
-// and a system running it records what a restored system records.
+// TestDeployKeepsRestoreChecks: a Deployment installs only where the
+// checkpoint fits — format, algorithm, agent-count and per-RA dimension
+// checks — and a system running it records what a system running the
+// restored trainers records.
 func TestDeployKeepsRestoreChecks(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.NumRAs = 3
@@ -179,9 +197,7 @@ func TestDeployKeepsRestoreChecks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := restored.Restore(c); err != nil {
-			t.Fatal(err)
-		}
+		restoreAgents(t, restored, c)
 		deployed, err := NewSystem(cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -170,7 +170,7 @@ type System struct {
 	mon    *monitor.Monitor
 
 	trained bool
-	// agentsGen counts agent installations (Train/SetAgents/Restore); the
+	// agentsGen counts agent installations (Train/SetAgents); the
 	// batched and remote engines key their cached batch plans on it so the
 	// plans survive period-at-a-time driving but never outlive an agent
 	// swap.
@@ -297,8 +297,14 @@ func (s *System) Train() error {
 }
 
 // SetAgents installs pre-trained agents (e.g. loaded from disk); the slice
-// must have one agent per RA or exactly one (shared).
+// must have one agent per RA or exactly one (shared), and every agent must
+// be an rl.BatchActor, since the engines act only through ActBatch.
 func (s *System) SetAgents(agents []rl.Agent) error {
+	for j, a := range agents {
+		if _, ok := a.(rl.BatchActor); !ok {
+			return fmt.Errorf("core: agent %d is %T, which has no ActBatch", j, a)
+		}
+	}
 	switch len(agents) {
 	case s.cfg.NumRAs:
 		s.agents = append([]rl.Agent(nil), agents...)

@@ -2,10 +2,12 @@ package core
 
 import (
 	"bytes"
+	"math/rand"
 	"strings"
 	"testing"
 
 	"edgeslice/internal/ckpt"
+	"edgeslice/internal/nn"
 	"edgeslice/internal/rl"
 	"edgeslice/internal/rl/ddpg"
 )
@@ -163,7 +165,7 @@ func TestAgentSaveLoadRoundTrip(t *testing.T) {
 	if err := ckpt.Write(&buf, c); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadAgent(&buf)
+	loaded, err := LoadAgent(&buf, 4, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +187,7 @@ func TestLoadAgentRejectsCorrupt(t *testing.T) {
 		`{"format":"edgeslice-actor-v1","actor":null}`,
 	}
 	for _, c := range cases {
-		if _, err := LoadAgent(strings.NewReader(c)); err == nil {
+		if _, err := LoadAgent(strings.NewReader(c), 4, 6); err == nil {
 			t.Errorf("LoadAgent(%q) should fail", c)
 		}
 	}
@@ -198,16 +200,22 @@ func TestSetAgents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stub := rl.AgentFunc(func(state []float64) []float64 {
-		return make([]float64, 6)
-	})
-	if err := s.SetAgents([]rl.Agent{stub}); err != nil {
+	actor := nn.NewMLP(rand.New(rand.NewSource(3)), s.Env(0).StateDim(),
+		nn.LayerSpec{Out: s.Env(0).ActionDim(), Act: nn.ActSigmoid})
+	policy := rl.NewDeployedPolicy(actor, false)
+	if err := s.SetAgents([]rl.Agent{policy}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.RunPeriods(1); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.SetAgents([]rl.Agent{stub, stub, stub}); err == nil {
+	if err := s.SetAgents([]rl.Agent{policy, policy, policy}); err == nil {
 		t.Error("wrong agent count should fail")
+	}
+	stub := rl.AgentFunc(func(state []float64) []float64 {
+		return make([]float64, 6)
+	})
+	if err := s.SetAgents([]rl.Agent{stub}); err == nil || !strings.Contains(err.Error(), "no ActBatch") {
+		t.Errorf("an agent without ActBatch installed: %v", err)
 	}
 }

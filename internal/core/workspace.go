@@ -23,7 +23,7 @@ type periodWS struct {
 	// driver merges the T rows in order once every RA has stepped.
 	res [][]netsim.StepResult
 
-	acts   []float64 // J action rows; baseline policies write theirs here
+	acts   []float64 // J baseline action rows
 	queues []int     // J × I queue-length rows (TARO's input)
 
 	col       []float64   // I: one RA's coordination column or period perf
@@ -90,14 +90,10 @@ func newResultGrid(T, J, I int) [][]netsim.StepResult {
 	return g
 }
 
-// actionInto computes RA j's orchestration action for the current interval.
-// Baseline policies write into the RA's workspace row; a learning agent
-// returns its own (allocated) action.
+// actionInto computes RA j's baseline action for the current interval into
+// the RA's workspace row.
 func (s *System) actionInto(ws *periodWS, j int) ([]float64, error) {
 	env := s.envs[j]
-	if s.cfg.Algo.IsLearning() {
-		return s.agents[j].Act(env.State()), nil
-	}
 	n := ws.I * netsim.NumResources
 	act := ws.acts[j*n : (j+1)*n]
 	if s.cfg.Algo == AlgoEqualShare {
@@ -109,8 +105,8 @@ func (s *System) actionInto(ws *periodWS, j int) ([]float64, error) {
 	return act, baseline.TAROInto(act, q)
 }
 
-// stepInto advances RA j one interval into res; a nil act means the RA's own
-// policy (actionInto).
+// stepInto advances RA j one interval into res; a nil act means the
+// system's baseline policy (actionInto).
 func (s *System) stepInto(ws *periodWS, j, interval int, act []float64, res *netsim.StepResult) error {
 	if act == nil {
 		var err error

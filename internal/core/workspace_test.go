@@ -9,26 +9,18 @@ import (
 	"edgeslice/internal/telemetry"
 )
 
-// halfOpaqueAgents deploys a mixed system: even RAs share the system's
-// batchable policy, odd RAs run opaque AgentFunc stubs, which the batched
-// engine cannot group and must step on its driver goroutine.
-func halfOpaqueAgents(t *testing.T, s *System) {
+// halfSecondAgents deploys a mixed system: even RAs share the system's
+// policy, odd RAs a second deployed policy, so every chunk forwards two
+// interleaved group spans.
+func halfSecondAgents(t *testing.T, s *System) {
 	t.Helper()
 	agents := make([]rl.Agent, s.NumRAs())
-	dim := s.Env(0).ActionDim()
+	second := secondPolicy(s)
 	for j := range agents {
-		if j%2 == 0 {
-			agents[j] = s.agents[0]
-			continue
+		agents[j] = s.agents[0]
+		if j%2 == 1 {
+			agents[j] = second
 		}
-		bias := 0.1 + 0.001*float64(j)
-		agents[j] = rl.AgentFunc(func([]float64) []float64 {
-			out := make([]float64, dim)
-			for i := range out {
-				out[i] = bias + 0.04*float64(i)
-			}
-			return out
-		})
 	}
 	if err := s.SetAgents(agents); err != nil {
 		t.Fatal(err)
@@ -39,8 +31,8 @@ func halfOpaqueAgents(t *testing.T, s *System) {
 // determinism suite: with enough RAs for the step stage to fan out, the
 // batched engine must record the serial engine's History and history-log
 // bytes for every worker count — under baseline actions
-// computed in-chunk, a shared batched policy, and a mixed system whose
-// opaque agents step on the driver — in exact and streaming recording.
+// computed in-chunk, a shared batched policy, and a mixed system of two
+// interleaved policy groups — in exact and streaming recording.
 func TestBatchedShardedStepMatchesSerial(t *testing.T) {
 	J := 2*chunkRAs + 2
 	for _, kind := range []string{"taro", "edgeslice", "mixed"} {
@@ -53,7 +45,7 @@ func TestBatchedShardedStepMatchesSerial(t *testing.T) {
 			run := func(e Executor) (*History, []byte) {
 				s := deployedSystem(t, cfg)
 				if kind == "mixed" {
-					halfOpaqueAgents(t, s)
+					halfSecondAgents(t, s)
 				}
 				var buf bytes.Buffer
 				hlog, err := NewHistoryLog(telemetry.NewLogWriter(&buf), cfg.EnvTemplate.NumSlices, J, cfg.EnvTemplate.T)
@@ -82,8 +74,8 @@ func TestBatchedShardedStepMatchesSerial(t *testing.T) {
 				if got := e.cachePlan.workers; (workers > 1) != (got > 1) {
 					t.Errorf("%s: step stage ran on %d worker(s)", label, got)
 				}
-				if kind == "mixed" && len(e.cachePlan.onDriver) != J/2 {
-					t.Errorf("%s: %d RAs on the driver, want %d", label, len(e.cachePlan.onDriver), J/2)
+				if kind == "mixed" && len(e.cachePlan.spans) != 2*len(e.cachePlan.chunkErr) {
+					t.Errorf("%s: %d group spans over %d chunks, want two per chunk", label, len(e.cachePlan.spans), len(e.cachePlan.chunkErr))
 				}
 			}
 		}

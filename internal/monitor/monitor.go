@@ -106,6 +106,8 @@ func (m *Monitor) Record(metric string, interval int, value float64) error {
 }
 
 // Query returns samples of a metric with Interval in [from, to].
+//
+//edgeslice:reach the read side of TestRecordQuery and TestWindowedRetention until bench/ stops writing the monitor (ROADMAP item 12)
 func (m *Monitor) Query(metric string, from, to int) []Sample {
 	m.mu.Lock()
 	defer m.mu.Unlock()

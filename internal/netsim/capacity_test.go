@@ -13,8 +13,8 @@ func TestCapacityScaleThrottlesService(t *testing.T) {
 	if err := env.SetCapacityScale(0.25); err != nil {
 		t.Fatal(err)
 	}
-	if got := env.CapacityScale(); got != 0.25 {
-		t.Errorf("CapacityScale = %v, want 0.25", got)
+	if got := env.capScale; got != 0.25 {
+		t.Errorf("capacity scale = %v, want 0.25", got)
 	}
 	degraded := env.serviceRate(0, full)
 	if want := nominal * 0.25; degraded != want {
@@ -46,7 +46,7 @@ func TestNewEnvNominalCapacityScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := env.CapacityScale(); got != 1 {
-		t.Errorf("fresh env CapacityScale = %v, want 1", got)
+	if got := env.capScale; got != 1 {
+		t.Errorf("fresh env capacity scale = %v, want 1", got)
 	}
 }

@@ -492,9 +492,6 @@ func (e *RAEnv) SetCapacityScale(scale float64) error {
 	return nil
 }
 
-// CapacityScale returns the current runtime capacity scale.
-func (e *RAEnv) CapacityScale() float64 { return e.capScale }
-
 // PeriodPerf returns Σ_t U_i accumulated in the current period and resets
 // the accumulator; Algorithm 1 calls this at period boundaries to report
 // slice performance to the coordinator.
@@ -531,12 +528,3 @@ func (e *RAEnv) QueueLensInto(dst []int) {
 		dst[i] = e.queues[i].Len()
 	}
 }
-
-// Queue exposes a slice's queue for inspection in tests.
-func (e *RAEnv) Queue(i int) *SliceQueue { return &e.queues[i] }
-
-// Interval returns the global interval counter.
-func (e *RAEnv) Interval() int { return e.interval }
-
-// Demand returns the per-task demand vector of slice i.
-func (e *RAEnv) Demand(i int) [NumResources]float64 { return e.demands[i] }

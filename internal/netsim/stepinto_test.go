@@ -163,7 +163,7 @@ func TestStepIntoMatchesStepInterval(t *testing.T) {
 				t.Fatal(err)
 			}
 			sameBits(t, fmt.Sprintf("step %d", step), res, want)
-			if !reflect.DeepEqual(a.State(), b.State()) || !reflect.DeepEqual(a.QueueLens(), b.QueueLens()) || a.Interval() != b.Interval() {
+			if !reflect.DeepEqual(a.State(), b.State()) || !reflect.DeepEqual(a.QueueLens(), b.QueueLens()) || a.interval != b.interval {
 				t.Fatalf("step %d: environment state diverged", step)
 			}
 			if step%10 == 9 {

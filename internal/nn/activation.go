@@ -62,55 +62,6 @@ func ParseActivation(s string) (Activation, error) {
 	}
 }
 
-// Apply computes the activation of z.
-func (a Activation) Apply(z float64) float64 {
-	switch a {
-	case ActIdentity:
-		return z
-	case ActLeakyReLU:
-		if z >= 0 {
-			return z
-		}
-		return leakySlope * z
-	case ActSigmoid:
-		return 1 / (1 + math.Exp(-z))
-	case ActTanh:
-		return math.Tanh(z)
-	case ActReLU:
-		if z > 0 {
-			return z
-		}
-		return 0
-	default:
-		panic(fmt.Sprintf("nn: Apply on invalid %v", a))
-	}
-}
-
-// Derivative returns da/dz given the pre-activation z and the already
-// computed activation value y (some derivatives are cheaper in terms of y).
-func (a Activation) Derivative(z, y float64) float64 {
-	switch a {
-	case ActIdentity:
-		return 1
-	case ActLeakyReLU:
-		if z >= 0 {
-			return 1
-		}
-		return leakySlope
-	case ActSigmoid:
-		return y * (1 - y)
-	case ActTanh:
-		return 1 - y*y
-	case ActReLU:
-		if z > 0 {
-			return 1
-		}
-		return 0
-	default:
-		panic(fmt.Sprintf("nn: Derivative on invalid %v", a))
-	}
-}
-
 // blend gives the piecewise-linear activations as the AVX kernels take
 // them. Forward, act(v) is the larger of v and v·slope with the bits outside
 // keep cleared: ReLU's cleared product is the +0 the scalar loop assigns,
@@ -145,7 +96,7 @@ func (a Activation) derivForm() int {
 
 // biasAct is the one bias + activation pass behind Dense.Forward and
 // Dense.forwardInfer: for every row of z, z[j] += b[j] and y[j] =
-// Apply(z[j]). y may be z itself. The piecewise-linear activations run the
+// act(z[j]). y may be z itself. The piecewise-linear activations run the
 // whole matrix in one AVX kernel call; sigmoid and tanh stay on applyBias
 // everywhere, because math.Exp and math.Tanh have no bit-identical vector
 // form.
@@ -163,8 +114,8 @@ func (a Activation) biasAct(z, y *Matrix, b []float64) {
 }
 
 // applyBias is biasAct's scalar row, with the activation switch hoisted
-// out of the loop: z[j] += b[j], then y[j] = Apply(z[j]) — the operations
-// Apply performs, in its order. y may be z: y[j] is stored after z[j].
+// out of the loop: z[j] += b[j], then y[j] = act(z[j]). y may be z: y[j] is
+// stored after z[j].
 //
 //edgeslice:noalloc
 func (a Activation) applyBias(z, y, b []float64) {
@@ -205,11 +156,12 @@ func (a Activation) applyBias(z, y, b []float64) {
 			y[j] = v
 		}
 	default:
-		panic(fmt.Sprintf("nn: Apply on invalid %v", a))
+		panic(fmt.Sprintf("nn: activation of invalid %v", a))
 	}
 }
 
-// mulDerivative computes dz[i] = g[i] * Derivative(z[i], y[i]) with the
+// mulDerivative computes dz[i] = g[i] · act'(z[i]), in terms of the
+// activation y[i] where that is cheaper (sigmoid, tanh), with the
 // activation switch hoisted out of the loop. A factor of exactly 1 is not
 // multiplied out: g*1 is g bit for bit.
 //
@@ -249,6 +201,6 @@ func (a Activation) mulDerivative(dz, g, z, y []float64) {
 			dz[i] = v
 		}
 	default:
-		panic(fmt.Sprintf("nn: Derivative on invalid %v", a))
+		panic(fmt.Sprintf("nn: derivative of invalid %v", a))
 	}
 }

@@ -82,15 +82,12 @@ func (d *Dense) forwardInfer(x *Matrix, ws *Workspace) *Matrix {
 	return z
 }
 
-// Backward accumulates parameter gradients given dL/dy of shape (N×Out) and
-// returns dL/dx of shape (N×In). Forward must have been called first. The
-// returned matrix is owned by the layer and is overwritten by the next
-// Backward call.
-func (d *Dense) Backward(gradOut *Matrix) *Matrix { return d.backward(gradOut, true, true) }
-
 // backward is the one layer body behind Network.Backward, BackwardInput and
-// BackwardParams: the parameter gradients when params is set, dL/dx (else
-// nil) when input is.
+// BackwardParams: given dL/dy of shape (N×Out), it accumulates the
+// parameter gradients when params is set and returns dL/dx of shape (N×In)
+// (else nil) when input is. Forward must have been called first. The
+// returned matrix is owned by the layer and is overwritten by the next
+// backward call.
 //
 //edgeslice:noalloc
 func (d *Dense) backward(gradOut *Matrix, params, input bool) *Matrix {

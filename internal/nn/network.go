@@ -141,15 +141,6 @@ func (n *Network) Clone() *Network {
 	return out
 }
 
-// CopyFrom copies parameters from src (hard target update).
-func (n *Network) CopyFrom(src *Network) {
-	mustSameArch(n, src)
-	for i, l := range n.Layers {
-		copy(l.W.Data, src.Layers[i].W.Data)
-		copy(l.B, src.Layers[i].B)
-	}
-}
-
 // SoftUpdate blends parameters from src: θ ← τ·θsrc + (1−τ)·θ. DDPG uses
 // this to track critic/actor parameters in the target networks (Fig. 3).
 func (n *Network) SoftUpdate(src *Network, tau float64) {

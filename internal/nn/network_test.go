@@ -32,7 +32,7 @@ func TestSigmoidRange(t *testing.T) {
 		if math.IsNaN(z) || math.IsInf(z, 0) {
 			return true
 		}
-		y := ActSigmoid.Apply(z)
+		y := activate(ActSigmoid, z)
 		return y >= 0 && y <= 1
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -40,16 +40,25 @@ func TestSigmoidRange(t *testing.T) {
 	}
 }
 
-// Activation derivatives must match a central finite difference.
+// activate is the forward pass's bias + activation (biasAct) on one
+// pre-activation with a zero bias.
+func activate(a Activation, z float64) float64 {
+	y := NewMatrix(1, 1)
+	a.biasAct(&Matrix{Rows: 1, Cols: 1, Data: []float64{z}}, y, []float64{0})
+	return y.Data[0]
+}
+
+// The backward pass's derivative (mulDerivative with a unit gradient) must
+// match a central finite difference of the forward activation.
 func TestActivationDerivatives(t *testing.T) {
 	const h = 1e-6
 	for _, act := range []Activation{ActIdentity, ActLeakyReLU, ActSigmoid, ActTanh} {
 		for _, z := range []float64{-2.5, -0.7, 0.3, 1.9} {
-			y := act.Apply(z)
-			analytic := act.Derivative(z, y)
-			numeric := (act.Apply(z+h) - act.Apply(z-h)) / (2 * h)
-			if math.Abs(analytic-numeric) > 1e-4 {
-				t.Errorf("%v'(%v): analytic %v vs numeric %v", act, z, analytic, numeric)
+			analytic := []float64{0}
+			act.mulDerivative(analytic, []float64{1}, []float64{z}, []float64{activate(act, z)})
+			numeric := (activate(act, z+h) - activate(act, z-h)) / (2 * h)
+			if math.Abs(analytic[0]-numeric) > 1e-4 {
+				t.Errorf("%v'(%v): analytic %v vs numeric %v", act, z, analytic[0], numeric)
 			}
 		}
 	}

@@ -74,15 +74,6 @@ func (w *Workspace) Floats(n int) []float64 {
 	return v[:n]
 }
 
-// FloatsZeroed returns a length-n scratch slice with every element zero.
-func (w *Workspace) FloatsZeroed(n int) []float64 {
-	v := w.Floats(n)
-	for i := range v {
-		v[i] = 0
-	}
-	return v
-}
-
 // packFloats returns the workspace's matmul pack buffer at length n, with
 // undefined contents. There is one per workspace, not one per draw: a
 // product is done with it when it returns. It grows only when a product

@@ -68,7 +68,7 @@ func TestDenseForwardCopiesInput(t *testing.T) {
 	g := FromRows([][]float64{{1, -1}, {0.5, 0.25}})
 
 	ref.Forward(x.Clone())
-	ref.Backward(g)
+	ref.backward(g, true, true)
 
 	// Same computation, but the caller scribbles over its input buffer
 	// between Forward and Backward.
@@ -77,7 +77,7 @@ func TestDenseForwardCopiesInput(t *testing.T) {
 	for i := range xReused.Data {
 		xReused.Data[i] = 99
 	}
-	mut.Backward(g)
+	mut.backward(g, true, true)
 
 	matsEqual(t, mut.GradW, ref.GradW, "GradW after caller reused input buffer")
 }
@@ -92,7 +92,7 @@ func TestDenseBatchSizeChanges(t *testing.T) {
 		if y.Rows != n || y.Cols != 3 {
 			t.Fatalf("forward batch %d: got %dx%d", n, y.Rows, y.Cols)
 		}
-		dx := d.Backward(randMat(rng, n, 3))
+		dx := d.backward(randMat(rng, n, 3), true, true)
 		if dx.Rows != n || dx.Cols != 2 {
 			t.Fatalf("backward batch %d: got %dx%d", n, dx.Rows, dx.Cols)
 		}
@@ -132,12 +132,6 @@ func TestWorkspaceFromRows(t *testing.T) {
 	for _, v := range z.Data {
 		if v != 0 {
 			t.Fatal("NextZeroed returned non-zero data")
-		}
-	}
-	vz := ws.FloatsZeroed(3)
-	for _, v := range vz {
-		if v != 0 {
-			t.Fatal("FloatsZeroed returned non-zero data")
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package rcnet
 
 import (
-	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -27,10 +26,6 @@ type AgentClient struct {
 	stats agentStats
 	wire  wireStats
 }
-
-// ErrShutdown is returned by RecvCoordination when the coordinator ends the
-// session.
-var ErrShutdown = errors.New("rcnet: coordinator shut down")
 
 // DialAgent connects to the hub and registers as the given RA using the
 // JSON wire codec — the compatibility default. The timeout bounds the
@@ -67,19 +62,13 @@ func DialAgentCodec(addr string, ra int, timeout time.Duration, codec Codec) (*A
 	return c, nil
 }
 
-// RA returns this client's resource-autonomy id.
-func (c *AgentClient) RA() int { return c.ra }
-
-// Codec returns the wire codec the client registered with.
-func (c *AgentClient) Codec() Codec { return c.codec }
-
 // Recv blocks for the next frame from the hub, skipping frame types an
 // agent never receives. Callers dispatch on the envelope's Type:
 // MsgCoordination, MsgResume, or MsgShutdown.
 //
 // A binary frame decodes into scratch the client owns and reuses: the
 // envelope's slices (Z, Y, ZHist, YHist) stay valid only until the next
-// Recv or RecvCoordination, so copy anything kept longer.
+// Recv, so copy anything kept longer.
 func (c *AgentClient) Recv(timeout time.Duration) (Envelope, error) {
 	if err := c.conn.SetReadDeadline(deadline(c.conn, timeout)); err != nil {
 		return Envelope{}, fmt.Errorf("rcnet: set deadline: %w", err)
@@ -98,31 +87,6 @@ func (c *AgentClient) Recv(timeout time.Duration) (Envelope, error) {
 			// Ignore unexpected frames and keep waiting.
 		}
 	}
-}
-
-// RecvCoordination blocks for the next coordination message. It returns
-// ErrShutdown when the hub ends the session. Resume frames are skipped:
-// callers that participate in mid-run re-registration should use Recv (or
-// RunAgent, which handles the replay). z and y follow Recv's ownership rule.
-func (c *AgentClient) RecvCoordination(timeout time.Duration) (period int, z, y []float64, err error) {
-	for {
-		m, err := c.Recv(timeout)
-		if err != nil {
-			return 0, nil, nil, err
-		}
-		switch m.Type {
-		case MsgShutdown:
-			return 0, nil, nil, ErrShutdown
-		case MsgCoordination:
-			return m.Period, m.Z, m.Y, nil
-		}
-	}
-}
-
-// ReportPerf sends the period's cumulative slice performance, optionally
-// with the RC-M queue snapshot.
-func (c *AgentClient) ReportPerf(period int, perf []float64, queues []int) error {
-	return c.Report(period, perf, queues, nil)
 }
 
 // Report sends the period's cumulative slice performance together with the

@@ -133,7 +133,7 @@ func benchmarkHubPeriods(b *testing.B, shards int) {
 		if err := h.Broadcast(n, z, y); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := h.Collect(n, 60*time.Second); err != nil {
+		if _, err := collect(h, n, 60*time.Second); err != nil {
 			b.Fatal(err)
 		}
 	}

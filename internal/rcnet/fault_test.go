@@ -50,7 +50,7 @@ func TestReRegistrationSupersedes(t *testing.T) {
 	waitFor(t, "supersede", func() bool { return h.Stats().Superseded >= 1 })
 
 	// The stale connection was closed by the hub.
-	if _, _, _, err := c1.RecvCoordination(testTimeout); err == nil {
+	if _, err := c1.Recv(testTimeout); err == nil {
 		t.Error("superseded connection should be closed, not served")
 	}
 	// The new connection serves a full round.
@@ -58,22 +58,23 @@ func TestReRegistrationSupersedes(t *testing.T) {
 	if err := h.Broadcast(0, grid, grid); err != nil {
 		t.Fatal(err)
 	}
-	p, _, _, err := c2.RecvCoordination(testTimeout)
+	m, err := recvCoordination(c2, testTimeout)
+	p := m.Period
 	if err != nil {
 		t.Fatalf("re-registered agent got no coordination: %v", err)
 	}
 	if p != 0 {
 		t.Fatalf("period = %d, want 0", p)
 	}
-	if err := c2.ReportPerf(0, []float64{-7}, nil); err != nil {
+	if err := c2.Report(0, []float64{-7}, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	perf, err := h.Collect(0, testTimeout)
+	reports, err := collect(h, 0, testTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if perf[0][0] != -7 {
-		t.Errorf("perf = %v, want [[-7]]", perf)
+	if reports[0].Perf[0] != -7 {
+		t.Errorf("perf = %v, want [[-7]]", reports)
 	}
 	if s := h.Stats(); s.Reconnects < 1 {
 		t.Errorf("stats report %d reconnects, want >= 1", s.Reconnects)
@@ -143,7 +144,8 @@ func TestRedialChurnRecovers(t *testing.T) {
 				// about to supersede, so a recv timeout just means "try the
 				// round again"; only a real conn error warrants a redial.
 				_ = h.Broadcast(9, grid, grid)
-				p, _, _, err := c.RecvCoordination(200 * time.Millisecond)
+				m, err := recvCoordination(c, 200*time.Millisecond)
+				p := m.Period
 				if err != nil {
 					var nerr net.Error
 					if errors.As(err, &nerr) && nerr.Timeout() {
@@ -154,15 +156,15 @@ func TestRedialChurnRecovers(t *testing.T) {
 				if p != 9 {
 					continue
 				}
-				if err := c.ReportPerf(9, []float64{-9}, nil); err != nil {
+				if err := c.Report(9, []float64{-9}, nil, nil); err != nil {
 					return false
 				}
-				perf, err := h.Collect(9, testTimeout)
+				reports, err := collect(h, 9, testTimeout)
 				if err != nil {
 					return false
 				}
-				if perf[0][0] != -9 {
-					t.Fatalf("perf = %v, want [[-9]]", perf)
+				if reports[0].Perf[0] != -9 {
+					t.Fatalf("perf = %v, want [[-9]]", reports)
 				}
 				return true
 			}
@@ -223,15 +225,15 @@ func TestDialAgentClearsHandshakeDeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 	time.Sleep(300 * time.Millisecond) // well past the handshake deadline
-	if err := c.ReportPerf(0, []float64{1}, nil); err != nil {
+	if err := c.Report(0, []float64{1}, nil, nil); err != nil {
 		t.Fatalf("report after an idle stretch: %v (stale handshake write deadline?)", err)
 	}
-	perf, err := h.Collect(0, testTimeout)
+	reports, err := collect(h, 0, testTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if perf[0][0] != 1 {
-		t.Errorf("perf = %v, want [[1]]", perf)
+	if reports[0].Perf[0] != 1 {
+		t.Errorf("perf = %v, want [[1]]", reports)
 	}
 }
 
@@ -278,8 +280,8 @@ func TestHeartbeatKeepsAgentLiveSilentOneReaped(t *testing.T) {
 	if err := h.BroadcastTo(0, z, z, []int{0}); err != nil {
 		t.Fatalf("broadcast to the surviving RA: %v", err)
 	}
-	if p, _, _, err := c0.RecvCoordination(testTimeout); err != nil || p != 0 {
-		t.Fatalf("surviving RA recv: period=%d err=%v", p, err)
+	if m, err := recvCoordination(c0, testTimeout); err != nil || m.Type != MsgCoordination || m.Period != 0 {
+		t.Fatalf("surviving RA recv: %s period=%d err=%v", m.Type, m.Period, err)
 	}
 }
 
@@ -362,7 +364,7 @@ func testResumeCatchUpReplay(t *testing.T, codec Codec) {
 	// buffers without stepping again, so the re-sent report equals the first.
 	var first Envelope
 	for round, what := range []string{"resumed agent", "re-report"} {
-		reports, err := h.CollectReports(donePeriods, testTimeout)
+		reports, err := collect(h, donePeriods, testTimeout)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -427,7 +429,7 @@ func TestCollectKeepsPartialProgressAcrossAttempts(t *testing.T) {
 			}
 
 			// RA 0 reports promptly; RA 1 stays silent past the first attempt.
-			if err := c0.ReportPerf(0, []float64{-1}, nil); err != nil {
+			if err := c0.Report(0, []float64{-1}, nil, nil); err != nil {
 				t.Fatal(err)
 			}
 			out := make([]Envelope, 2)
@@ -446,14 +448,14 @@ func TestCollectKeepsPartialProgressAcrossAttempts(t *testing.T) {
 			// Second attempt: RA 0's duplicate re-report (what a retried broadcast
 			// triggers) and a stale-period report must both be dropped, then RA 1's
 			// report completes the set.
-			if err := c0.ReportPerf(0, []float64{-99}, nil); err != nil {
+			if err := c0.Report(0, []float64{-99}, nil, nil); err != nil {
 				t.Fatal(err)
 			}
-			if err := c0.ReportPerf(7, []float64{-77}, nil); err != nil {
+			if err := c0.Report(7, []float64{-77}, nil, nil); err != nil {
 				t.Fatal(err)
 			}
 			time.Sleep(50 * time.Millisecond) // let both frames queue ahead of RA 1's
-			if err := c1.ReportPerf(0, []float64{-2}, nil); err != nil {
+			if err := c1.Report(0, []float64{-2}, nil, nil); err != nil {
 				t.Fatal(err)
 			}
 			n, err = h.CollectReportsInto(0, testTimeout, out, got)

@@ -194,15 +194,6 @@ func (h *Hub) NumSlices() int { return h.numSlices }
 // NumRAs returns the number of agents the hub coordinates.
 func (h *Hub) NumRAs() int { return h.numRAs }
 
-// NumShards returns the hub's shard count.
-func (h *Hub) NumShards() int { return len(h.shards) }
-
-// SetWriteTimeout overrides the per-connection write deadline used by
-// Broadcast and Shutdown (0 or negative disables it). Call before the
-// orchestration loop starts; it is not safe to change concurrently with
-// Broadcast.
-func (h *Hub) SetWriteTimeout(d time.Duration) { h.writeTimeout = d }
-
 // SetLiveness enables proactive liveness reaping: a connection that
 // delivers no frame (reports or heartbeats) for longer than timeout is
 // closed, which drives the normal drop/re-register path immediately
@@ -632,41 +623,10 @@ func (h *Hub) BroadcastTo(period int, z, y [][]float64, ras []int) error {
 	return nil
 }
 
-// Collect waits for a perf report from every RA for the given period and
-// returns perf[i][j]. Reports for other periods are discarded.
-func (h *Hub) Collect(period int, timeout time.Duration) ([][]float64, error) {
-	reports, err := h.CollectReports(period, timeout)
-	if err != nil {
-		return nil, err
-	}
-	perf := make([][]float64, h.numSlices)
-	for i := range perf {
-		perf[i] = make([]float64, h.numRAs)
-	}
-	for ra, m := range reports {
-		for i := 0; i < h.numSlices; i++ {
-			perf[i][ra] = m.Perf[i]
-		}
-	}
-	return perf, nil
-}
-
-// CollectReports waits for a perf report from every RA for the given period
-// and returns the full report envelopes indexed by RA — including the
-// per-interval records agents attach (see IntervalRecord). Reports for
-// other periods are discarded. Each call allocates fresh envelopes; the
-// remote execution engine collects into its own with CollectReportsInto.
-func (h *Hub) CollectReports(period int, timeout time.Duration) ([]Envelope, error) {
-	out := make([]Envelope, h.numRAs)
-	got := make([]bool, h.numRAs)
-	if _, err := h.CollectReportsInto(period, timeout, out, got); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// CollectReportsInto is the resumable form of CollectReports: out and got
-// persist partial progress across collection attempts, so a retried period
+// CollectReportsInto waits for a perf report from every RA for the given
+// period into out, indexed by RA, with the per-interval records agents
+// attach (see IntervalRecord). out and got persist partial progress across
+// collection attempts, so a retried period
 // keeps the reports that already arrived and waits only for the missing
 // RAs. It returns how many RAs have reported in total (across this and
 // previous attempts); a nil error means all of them. Reports for other

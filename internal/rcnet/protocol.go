@@ -23,7 +23,7 @@
 // the codec it registered with — so mixed JSON/binary agent fleets work
 // against one hub, and pre-binary peers keep working unchanged.
 //
-// Hub-side writes carry a write deadline (Hub.SetWriteTimeout, default 5s)
+// Hub-side writes carry a write deadline (5s)
 // and happen outside the hub lock: an agent that stops reading delays a
 // coordination round by at most the write timeout, after which its
 // connection is dropped and it must re-register.

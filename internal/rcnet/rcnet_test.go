@@ -2,7 +2,7 @@ package rcnet
 
 import (
 	"bufio"
-	"errors"
+	"fmt"
 	"io"
 	"net"
 	"strings"
@@ -48,7 +48,8 @@ func TestRegisterBroadcastCollect(t *testing.T) {
 				return
 			}
 			defer c.Close()
-			period, z, y, err := c.RecvCoordination(testTimeout)
+			m, err := recvCoordination(c, testTimeout)
+			period, z, y := m.Period, m.Z, m.Y
 			if err != nil {
 				t.Errorf("recv RA %d: %v", ra, err)
 				return
@@ -57,7 +58,7 @@ func TestRegisterBroadcastCollect(t *testing.T) {
 				t.Errorf("RA %d got period=%d z=%v y=%v", ra, period, z, y)
 				return
 			}
-			if err := c.ReportPerf(0, []float64{-1 - float64(ra), -2 - float64(ra)}, []int{0, 0}); err != nil {
+			if err := c.Report(0, []float64{-1 - float64(ra), -2 - float64(ra)}, []int{0, 0}, nil); err != nil {
 				t.Errorf("report RA %d: %v", ra, err)
 			}
 		}(ra)
@@ -71,13 +72,13 @@ func TestRegisterBroadcastCollect(t *testing.T) {
 	if err := h.Broadcast(0, z, y); err != nil {
 		t.Fatal(err)
 	}
-	perf, err := h.Collect(0, testTimeout)
+	reports, err := collect(h, 0, testTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}
 	wg.Wait()
-	if perf[0][0] != -1 || perf[0][1] != -2 || perf[1][0] != -2 || perf[1][1] != -3 {
-		t.Errorf("perf = %v", perf)
+	if reports[0].Perf[0] != -1 || reports[1].Perf[0] != -2 || reports[0].Perf[1] != -2 || reports[1].Perf[1] != -3 {
+		t.Errorf("reports = %v", reports)
 	}
 }
 
@@ -117,7 +118,7 @@ func TestCollectTimesOutOnSilentAgent(t *testing.T) {
 	if err := h.Broadcast(0, [][]float64{{0}}, [][]float64{{0}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.Collect(0, 200*time.Millisecond); err == nil {
+	if _, err := collect(h, 0, 200*time.Millisecond); err == nil {
 		t.Error("collect should time out when the agent never reports")
 	}
 }
@@ -161,7 +162,7 @@ func TestBroadcastSurvivesStalledAgent(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = h.Shutdown() }()
-	h.SetWriteTimeout(150 * time.Millisecond)
+	h.writeTimeout = 150 * time.Millisecond
 
 	// RA 0 is healthy and keeps draining coordination messages.
 	c0, err := DialAgent(h.Addr(), 0, testTimeout)
@@ -173,7 +174,7 @@ func TestBroadcastSurvivesStalledAgent(t *testing.T) {
 	go func() {
 		n := 0
 		for {
-			if _, _, _, err := c0.RecvCoordination(time.Second); err != nil {
+			if _, err := c0.Recv(time.Second); err != nil {
 				received <- n
 				return
 			}
@@ -288,22 +289,40 @@ func TestReconnectAfterWaitRegistered(t *testing.T) {
 	waitConnected(2)
 	period := -1
 	for period != 2 { // skip frames from earlier rounds
-		p, _, _, err := c2.RecvCoordination(testTimeout)
+		m, err := recvCoordination(c2, testTimeout)
+		p := m.Period
 		if err != nil {
 			t.Fatalf("reconnected agent got no coordination: %v", err)
 		}
 		period = p
 	}
-	if err := c2.ReportPerf(period, []float64{-1}, nil); err != nil {
+	if err := c2.Report(period, []float64{-1}, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	perf, err := h.Collect(period, testTimeout)
+	reports, err := collect(h, period, testTimeout)
 	if err != nil {
 		t.Fatalf("reconnected agent's report was never pumped: %v", err)
 	}
-	if perf[0][0] != -1 {
-		t.Errorf("perf = %v, want [[-1]]", perf)
+	if reports[0].Perf[0] != -1 {
+		t.Errorf("perf = %v, want [[-1]]", reports)
 	}
+}
+
+// collect waits for every RA's report of period, as the remote engine does,
+// into fresh envelopes indexed by RA.
+func collect(h *Hub, period int, timeout time.Duration) ([]Envelope, error) {
+	out, got := make([]Envelope, h.numRAs), make([]bool, h.numRAs)
+	_, err := h.CollectReportsInto(period, timeout, out, got)
+	return out, err
+}
+
+// recvCoordination is Recv of a frame that must be a coordination message.
+func recvCoordination(c *AgentClient, timeout time.Duration) (Envelope, error) {
+	m, err := c.Recv(timeout)
+	if err == nil && m.Type != MsgCoordination {
+		err = fmt.Errorf("got a %s frame, want coordination", m.Type)
+	}
+	return m, err
 }
 
 // taroPolicy returns a deterministic queue-proportional policy over env.
@@ -352,7 +371,7 @@ func TestReportCarriesIntervalRecords(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		defer c.Close()
-		if err := RunAgent(c, env, taroPolicy(env), testTimeout); err != nil && !errors.Is(err, ErrShutdown) {
+		if err := RunAgent(c, env, taroPolicy(env), testTimeout); err != nil {
 			t.Errorf("agent: %v", err)
 		}
 	}()
@@ -364,7 +383,7 @@ func TestReportCarriesIntervalRecords(t *testing.T) {
 	if err := h.Broadcast(0, z, y); err != nil {
 		t.Fatal(err)
 	}
-	reports, err := h.CollectReports(0, testTimeout)
+	reports, err := collect(h, 0, testTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,8 +21,8 @@ func TestShardPartition(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := h.NumShards(); got != tc.want {
-			t.Errorf("ras=%d shards=%d: NumShards = %d, want %d", tc.ras, tc.shards, got, tc.want)
+		if got := len(h.shards); got != tc.want {
+			t.Errorf("ras=%d shards=%d: %d shards, want %d", tc.ras, tc.shards, got, tc.want)
 		}
 		prev := -1
 		for s, sh := range h.shards {
@@ -79,7 +79,8 @@ func echoAgents(t *testing.T, h *Hub, ras, periods int) (*sync.WaitGroup, []erro
 			}
 			defer c.Close()
 			for p := 0; p < periods; p++ {
-				period, z, y, err := c.RecvCoordination(30 * time.Second)
+				m, err := recvCoordination(c, 30*time.Second)
+				period, z, y := m.Period, m.Z, m.Y
 				if err != nil {
 					errs[ra] = err
 					return
@@ -122,14 +123,14 @@ func runEchoRounds(t *testing.T, h *Hub, slices, ras, periods int) {
 		if err := h.Broadcast(p, z, y); err != nil {
 			t.Fatalf("period %d: %v", p, err)
 		}
-		perf, err := h.Collect(p, 30*time.Second)
+		reports, err := collect(h, p, 30*time.Second)
 		if err != nil {
 			t.Fatalf("period %d: %v", p, err)
 		}
 		for i := 0; i < slices; i++ {
 			for ra := 0; ra < ras; ra++ {
-				if want := 2*z[i][ra] - y[i][ra] + float64(ra); perf[i][ra] != want {
-					t.Fatalf("period %d slice %d RA %d: perf %v, want %v", p, i, ra, perf[i][ra], want)
+				if want := 2*z[i][ra] - y[i][ra] + float64(ra); reports[ra].Perf[i] != want {
+					t.Fatalf("period %d slice %d RA %d: perf %v, want %v", p, i, ra, reports[ra].Perf[i], want)
 				}
 			}
 		}
@@ -207,7 +208,8 @@ func TestMixedCodecPeers(t *testing.T) {
 		wg.Add(1)
 		go func(idx int, c *AgentClient) {
 			defer wg.Done()
-			period, z, _, err := c.RecvCoordination(testTimeout)
+			m, err := recvCoordination(c, testTimeout)
+			period, z := m.Period, m.Z
 			if err != nil {
 				agentErrs[idx] = err
 				return
@@ -220,7 +222,7 @@ func TestMixedCodecPeers(t *testing.T) {
 	if err := h.Broadcast(0, z, y); err != nil {
 		t.Fatal(err)
 	}
-	perf, err := h.Collect(0, testTimeout)
+	reports, err := collect(h, 0, testTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,8 +232,8 @@ func TestMixedCodecPeers(t *testing.T) {
 			t.Fatalf("agent %d: %v", idx, err)
 		}
 	}
-	if perf[0][0] != 1.5 || perf[0][1] != -1.25 {
-		t.Errorf("perf = %v, want [[1.5 -1.25]]", perf)
+	if reports[0].Perf[0] != 1.5 || reports[1].Perf[0] != -1.25 {
+		t.Errorf("perf = %v, want [[1.5 -1.25]]", reports)
 	}
 
 	stats := h.Stats()
@@ -316,15 +318,15 @@ func TestDuplicateAndWrongShardReports(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if err := c1.ReportPerf(0, []float64{-20}, nil); err != nil {
+			if err := c1.Report(0, []float64{-20}, nil, nil); err != nil {
 				t.Fatal(err)
 			}
-			perf, err := h.Collect(0, testTimeout)
+			reports, err := collect(h, 0, testTimeout)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if perf[0][0] != -10 || perf[0][1] != -20 {
-				t.Errorf("period 0 perf = %v, want [[-10 -20]] (forged frames must not land)", perf)
+			if reports[0].Perf[0] != -10 || reports[1].Perf[0] != -20 {
+				t.Errorf("period 0 perf = %v, want [[-10 -20]] (forged frames must not land)", reports)
 			}
 
 			// Period 1 flushes the stranded duplicates (their stale period is
@@ -332,15 +334,15 @@ func TestDuplicateAndWrongShardReports(t *testing.T) {
 			if err := forge.write(Envelope{Type: MsgPerfReport, RA: 0, Period: 1, Perf: []float64{-11}}); err != nil {
 				t.Fatal(err)
 			}
-			if err := c1.ReportPerf(1, []float64{-21}, nil); err != nil {
+			if err := c1.Report(1, []float64{-21}, nil, nil); err != nil {
 				t.Fatal(err)
 			}
-			perf, err = h.Collect(1, testTimeout)
+			reports, err = collect(h, 1, testTimeout)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if perf[0][0] != -11 || perf[0][1] != -21 {
-				t.Errorf("period 1 perf = %v, want [[-11 -21]]", perf)
+			if reports[0].Perf[0] != -11 || reports[1].Perf[0] != -21 {
+				t.Errorf("period 1 perf = %v, want [[-11 -21]]", reports)
 			}
 
 			stats := h.Stats()

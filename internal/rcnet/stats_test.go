@@ -34,7 +34,7 @@ func TestHubAndAgentStats(t *testing.T) {
 	if err := c.Report(0, []float64{2}, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.Collect(0, timeout); err != nil {
+	if _, err := collect(h, 0, timeout); err != nil {
 		t.Fatal(err)
 	}
 

@@ -10,7 +10,9 @@ import (
 // BatchActor is implemented by agents whose deterministic deployment action
 // can be evaluated for many observations in one wide forward pass. The
 // execution engine uses it to replace J per-RA scalar Act calls per interval
-// with a single batched matmul over all J gathered states.
+// with a single batched matmul over all J gathered states, grouping RAs by
+// BatchActor value, so an implementation must be comparable (a pointer, as
+// every trainer's is).
 type BatchActor interface {
 	Agent
 
@@ -23,8 +25,7 @@ type BatchActor interface {
 	//
 	// Weights are only read and no agent-owned scratch is touched:
 	// concurrent ActBatch calls are safe provided each caller supplies its
-	// own workspace and no training runs concurrently, and one goroutine's
-	// scalar Act (which may use agent-owned scratch) may overlap them.
+	// own workspace and no training runs concurrently.
 	ActBatch(states *nn.Matrix, ws *nn.Workspace) *nn.Matrix
 }
 

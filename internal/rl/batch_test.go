@@ -130,35 +130,6 @@ func TestActBatchWarmAllocs(t *testing.T) {
 	}
 }
 
-// TestMeanActionWS pins satellite behavior on the shared policy: the
-// workspace route is bitwise identical to MeanAction and allocates nothing
-// warm.
-func TestMeanActionWS(t *testing.T) {
-	rng := rand.New(rand.NewSource(5)) //nolint:gosec // test determinism
-	p := rl.NewGaussianPolicy(rng, batchStateDim, batchActionDim, 16, 0.3)
-	state := randomStates(1).Row(0)
-	var ws nn.Workspace
-	want := p.MeanAction(state)
-	got := p.MeanActionWS(state, &ws)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("action[%d]: MeanActionWS %v != MeanAction %v", i, got[i], want[i])
-		}
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		ws.Reset()
-		p.MeanActionWS(state, &ws)
-	})
-	if allocs != 0 {
-		t.Errorf("warm MeanActionWS allocates %v times per call, want 0", allocs)
-	}
-	if allocs := testing.AllocsPerRun(100, func() { p.MeanAction(state) }); allocs > 1 {
-		t.Errorf("MeanAction allocates %v times per call, want at most the returned copy (1)", allocs)
-	}
-}
-
-// TestAsBatchActor pins the classifier: unknown agents return nil,
-// implementers return themselves.
 func TestAsBatchActor(t *testing.T) {
 	if ba := rl.AsBatchActor(rl.AgentFunc(func(s []float64) []float64 { return s })); ba != nil {
 		t.Error("AgentFunc should not classify as a BatchActor")

@@ -165,9 +165,6 @@ func (a *Agent) ActExplore(state []float64) []float64 {
 // Observe stores a transition in replay memory.
 func (a *Agent) Observe(t rl.Transition) { a.replay.Add(t) }
 
-// ReplayLen reports how many transitions are buffered.
-func (a *Agent) ReplayLen() int { return a.replay.Len() }
-
 // Update performs one gradient update of critic and actor plus soft target
 // updates. It is a no-op until the replay buffer holds WarmupSteps
 // transitions. All batch matrices are drawn from the agent's workspace, so
@@ -263,18 +260,6 @@ func (a *Agent) Update() error {
 	return nil
 }
 
-// Updates returns the number of gradient updates performed.
-func (a *Agent) Updates() int { return a.updates }
-
-// Q evaluates the critic for a state-action pair (useful for tests and
-// diagnostics).
-func (a *Agent) Q(state, action []float64) float64 {
-	in := make([]float64, 0, a.stateDim+a.actionDim)
-	in = append(in, state...)
-	in = append(in, action...)
-	return a.critic.Forward1(in)[0]
-}
-
 // Train runs the standard DDPG interaction loop against env for the given
 // number of environment steps, updating after every step once warm.
 func (a *Agent) Train(env rl.Env, steps int) error {
@@ -297,6 +282,3 @@ func (a *Agent) Train(env rl.Env, steps int) error {
 
 // Actor exposes the actor network for serialization.
 func (a *Agent) Actor() *nn.Network { return a.actor }
-
-// Critic exposes the critic network for serialization.
-func (a *Agent) Critic() *nn.Network { return a.critic }

@@ -58,7 +58,7 @@ func TestUpdateNoopBeforeWarmup(t *testing.T) {
 	if err := a.Update(); err != nil {
 		t.Fatal(err)
 	}
-	if a.Updates() != 0 {
+	if a.updates != 0 {
 		t.Error("update should be a no-op before warmup")
 	}
 }
@@ -114,17 +114,6 @@ func TestUpdateAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("warm Update allocates %v objects per step, want 0", allocs)
-	}
-}
-
-func TestQEvaluation(t *testing.T) {
-	a, err := New(2, 1, fastConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := a.Q([]float64{0.1, 0.2}, []float64{0.5})
-	if q != a.Q([]float64{0.1, 0.2}, []float64{0.5}) {
-		t.Error("Q should be deterministic")
 	}
 }
 

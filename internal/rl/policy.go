@@ -78,26 +78,6 @@ func (p *GaussianPolicy) Sample(rng *rand.Rand, state []float64) []float64 {
 	return mean
 }
 
-// MeanAction returns the deterministic action µ(s).
-func (p *GaussianPolicy) MeanAction(state []float64) []float64 {
-	return p.Mean.Forward1(state)
-}
-
-// MeanActionWS is MeanAction routed through a caller-supplied workspace: the
-// returned slice is workspace-backed (valid until ws is Reset and redrawn)
-// and warm calls allocate nothing. Values are bit-identical to MeanAction.
-//
-//edgeslice:noalloc
-func (p *GaussianPolicy) MeanActionWS(state []float64, ws *nn.Workspace) []float64 {
-	return p.Mean.Forward1WS(state, ws)
-}
-
-// LogProb returns log π(a|s) under the (unclamped) Gaussian.
-func (p *GaussianPolicy) LogProb(state, action []float64) float64 {
-	mean := p.Mean.Forward1(state)
-	return p.logProbGivenMean(mean, action)
-}
-
 func (p *GaussianPolicy) logProbGivenMean(mean, action []float64) float64 {
 	var lp float64
 	for i := range mean {

@@ -170,6 +170,3 @@ func (a *Agent) updateMinibatch(states, actions [][]float64, adv, oldLogP []floa
 	a.popt.Step(a.policy.Mean)
 	a.policy.StepLogStd(a.cfg.PolicyLR)
 }
-
-// Policy exposes the underlying Gaussian policy (for tests).
-func (a *Agent) Policy() *rl.GaussianPolicy { return a.policy }

@@ -37,22 +37,6 @@ func (b *ReplayBuffer) Add(t Transition) {
 // Len returns the number of stored transitions.
 func (b *ReplayBuffer) Len() int { return len(b.buf) }
 
-// Capacity returns the maximum number of transitions.
-func (b *ReplayBuffer) Capacity() int { return b.capacity }
-
-// Sample draws n transitions uniformly with replacement. It returns an
-// error if the buffer is empty or n is not positive.
-func (b *ReplayBuffer) Sample(rng *rand.Rand, n int) ([]Transition, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("rl: invalid sample size %d", n)
-	}
-	out := make([]Transition, n)
-	if err := b.SampleInto(rng, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // ReplayState is the serializable snapshot of a replay buffer: capacity,
 // the eviction cursor, and the stored transitions in storage order. It
 // captures the buffer exactly — a restored buffer produces the same sample

@@ -19,8 +19,8 @@ func TestReplayBufferEviction(t *testing.T) {
 		t.Fatalf("Len = %d, want 3", b.Len())
 	}
 	rng := newRNG()
-	samples, err := b.Sample(rng, 100)
-	if err != nil {
+	samples := make([]Transition, 100)
+	if err := b.SampleInto(rng, samples); err != nil {
 		t.Fatal(err)
 	}
 	for _, s := range samples {
@@ -32,7 +32,7 @@ func TestReplayBufferEviction(t *testing.T) {
 
 func TestReplayBufferEmptySample(t *testing.T) {
 	b := NewReplayBuffer(4)
-	if _, err := b.Sample(newRNG(), 1); err == nil {
+	if err := b.SampleInto(newRNG(), make([]Transition, 1)); err == nil {
 		t.Error("sampling empty buffer should fail")
 	}
 }
@@ -40,12 +40,6 @@ func TestReplayBufferEmptySample(t *testing.T) {
 func TestReplayBufferRejectsNonPositiveSample(t *testing.T) {
 	b := NewReplayBuffer(4)
 	b.Add(Transition{Reward: 1})
-	if _, err := b.Sample(newRNG(), 0); err == nil {
-		t.Error("n = 0 should fail")
-	}
-	if _, err := b.Sample(newRNG(), -3); err == nil {
-		t.Error("negative n should fail")
-	}
 	if err := b.SampleInto(newRNG(), nil); err == nil {
 		t.Error("empty destination should fail")
 	}
@@ -121,8 +115,8 @@ func TestReplayBufferWrapSequence(t *testing.T) {
 			if st.Next != wantNext || st.Capacity != capacity {
 				t.Fatalf("snap %d, add %d: cursor %d capacity %d, want %d and %d", snapAt, i, st.Next, st.Capacity, wantNext, capacity)
 			}
-			got, err := live.Sample(seeded(i), 7)
-			if err != nil {
+			got := make([]Transition, 7)
+			if err := live.SampleInto(seeded(i), got); err != nil {
 				t.Fatal(err)
 			}
 			want, modelRNG := make([]Transition, 7), seeded(i)
@@ -138,8 +132,8 @@ func TestReplayBufferWrapSequence(t *testing.T) {
 			if !reflect.DeepEqual(restored.State(), st) {
 				t.Fatalf("snap %d, add %d: restored state %+v, live %+v", snapAt, i, restored.State(), st)
 			}
-			again, err := restored.Sample(seeded(i), 7)
-			if err != nil {
+			again := make([]Transition, 7)
+			if err := restored.SampleInto(seeded(i), again); err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(again, got) {
@@ -206,7 +200,7 @@ func TestReplayBufferLenProperty(t *testing.T) {
 		if want > capacity {
 			want = capacity
 		}
-		return b.Len() == want && b.Capacity() == capacity
+		return b.Len() == want && b.capacity == capacity
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -322,8 +316,8 @@ func TestScoreGradFiniteDifference(t *testing.T) {
 
 	loss := func() float64 {
 		var l float64
-		for i := range states {
-			l -= coef[i] * p.LogProb(states[i], actions[i])
+		for i, lp := range p.LogProbBatch(states, actions) {
+			l -= coef[i] * lp
 		}
 		return l
 	}
@@ -388,7 +382,7 @@ func TestKLZeroAgainstSelf(t *testing.T) {
 	states := [][]float64{{0.1, 0.2}, {0.5, -0.5}}
 	means := make([][]float64, len(states))
 	for i, s := range states {
-		means[i] = p.MeanAction(s)
+		means[i] = p.Mean.Forward1(s)
 	}
 	kl := p.KLMeanDiff(states, means, p.LogStd)
 	if math.Abs(kl) > 1e-9 {

@@ -251,6 +251,3 @@ func negate(v []float64) {
 		v[i] = -v[i]
 	}
 }
-
-// Policy exposes the underlying Gaussian policy (for tests).
-func (a *Agent) Policy() *rl.GaussianPolicy { return a.policy }

@@ -73,7 +73,7 @@ func TestKLTrustRegionRespected(t *testing.T) {
 	states, actions, _, _ := collectFor(agent, env, 64)
 	oldMeans := make([][]float64, len(states))
 	for i, s := range states {
-		oldMeans[i] = agent.policy.MeanAction(s)
+		oldMeans[i] = agent.policy.Mean.Forward1(s)
 	}
 	oldLogStd := append([]float64(nil), agent.policy.LogStd...)
 

@@ -111,6 +111,3 @@ func (a *Agent) Train(env rl.Env, steps int) error {
 	}
 	return nil
 }
-
-// Policy exposes the underlying Gaussian policy (for tests).
-func (a *Agent) Policy() *rl.GaussianPolicy { return a.policy }

@@ -87,13 +87,10 @@ func (ev Event) validate(scen string, idx, numSlices, numRAs, horizon int) error
 }
 
 // isRuntime reports whether the event is applied by the runner mid-run (as
-// opposed to being compiled into a traffic source).
+// opposed to being compiled into a traffic source, as slice admission and
+// teardown are).
 func (ev Event) isRuntime() bool {
-	switch ev.Kind {
-	case EventRADegrade, EventRARecover, EventSliceAdmit, EventSliceTeardown:
-		return true
-	}
-	return false
+	return ev.Kind == EventRADegrade || ev.Kind == EventRARecover
 }
 
 // baseSource builds slice i's declared base traffic source for RA ra,

@@ -12,7 +12,6 @@ import (
 
 	"edgeslice/internal/ckpt"
 	"edgeslice/internal/core"
-	"edgeslice/internal/slicemgr"
 )
 
 // Options configures a scenario run.
@@ -362,9 +361,11 @@ func tryResumeReplica(spec Spec, algoName string, replica int, opts Options) (Re
 
 // finalActiveSlices replays the spec's slice lifecycle — up-front
 // provisioning for slices without an admission event, then admit/teardown
-// events in chronological order — and returns the final active count, the
-// number runReplica reads off its slice manager. It is a pure function of
-// the spec, which is what makes resumed results equal to rerun ones.
+// events in chronological order — and returns the final active count that
+// every replica, run or resumed, reports. It is a pure function of the
+// spec; Validate rejects the specs on which a replayed lifecycle could
+// fail (empty tenants, events outside the horizon, teardown not after
+// admission).
 func finalActiveSlices(spec Spec) int {
 	admitAt := make(map[int]bool)
 	for _, ev := range spec.Events {
@@ -444,29 +445,6 @@ func runReplica(spec Spec, algoName string, replica int, warm *core.Deployment, 
 		}
 	}
 
-	// The slice manager mirrors the tenant lifecycle: slices without an
-	// admission event are provisioned up front; admit/teardown events
-	// drive Request/Release as they fire.
-	mgr := slicemgr.New()
-	umin := spec.UminVector()
-	managed := make(map[int]int) // slice index -> manager id
-	admitAt := make(map[int]bool)
-	for _, ev := range spec.Events {
-		if ev.Kind == EventSliceAdmit {
-			admitAt[ev.Slice] = true
-		}
-	}
-	for i, sl := range spec.Slices {
-		if admitAt[i] {
-			continue
-		}
-		id, err := mgr.Request(sl.Tenant, sl.App.Name, slicemgr.SLA{UminPerPeriod: umin[i]})
-		if err != nil {
-			return ReplicaResult{}, nil, err
-		}
-		managed[i] = id
-	}
-
 	I, J, T := len(spec.Slices), spec.NumRAs, spec.T
 	var h *core.History
 	if opts.StreamWindow > 0 {
@@ -498,7 +476,7 @@ func runReplica(spec Spec, algoName string, replica int, warm *core.Deployment, 
 		// that happens to be listed first.
 		sort.SliceStable(due, func(a, b int) bool { return due[a].At < due[b].At })
 		for _, ev := range due {
-			if err := applyRuntimeEvent(sys, mgr, managed, spec, umin, ev); err != nil {
+			if err := applyRuntimeEvent(sys, ev); err != nil {
 				return ReplicaResult{}, nil, err
 			}
 		}
@@ -526,13 +504,12 @@ func runReplica(spec Spec, algoName string, replica int, warm *core.Deployment, 
 		Seed:             seed,
 		SSP:              ssp,
 		SLAViolationRate: 1 - slaRate,
-		ActiveSlices:     len(mgr.List()),
+		ActiveSlices:     finalActiveSlices(spec),
 	}, h, nil
 }
 
-// applyRuntimeEvent enacts one infrastructure or lifecycle event on a
-// running system.
-func applyRuntimeEvent(sys *core.System, mgr *slicemgr.Manager, managed map[int]int, spec Spec, umin []float64, ev Event) error {
+// applyRuntimeEvent enacts one infrastructure event on a running system.
+func applyRuntimeEvent(sys *core.System, ev Event) error {
 	switch ev.Kind {
 	case EventRADegrade, EventRARecover:
 		scale := 1.0
@@ -548,21 +525,6 @@ func applyRuntimeEvent(sys *core.System, mgr *slicemgr.Manager, managed map[int]
 			}
 		}
 		return nil
-	case EventSliceAdmit:
-		sl := spec.Slices[ev.Slice]
-		id, err := mgr.Request(sl.Tenant, sl.App.Name, slicemgr.SLA{UminPerPeriod: umin[ev.Slice]})
-		if err != nil {
-			return err
-		}
-		managed[ev.Slice] = id
-		return nil
-	case EventSliceTeardown:
-		id, ok := managed[ev.Slice]
-		if !ok {
-			return fmt.Errorf("scenario: teardown of slice %d before admission", ev.Slice)
-		}
-		delete(managed, ev.Slice)
-		return mgr.Release(id)
 	default:
 		return fmt.Errorf("scenario: event %q is not a runtime event", ev.Kind)
 	}

@@ -220,16 +220,6 @@ func (s Spec) validateLifecycles() error {
 	return nil
 }
 
-// EncodeJSON writes the spec as indented JSON.
-func (s Spec) EncodeJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(s); err != nil {
-		return fmt.Errorf("scenario: encode %s: %w", s.Name, err)
-	}
-	return nil
-}
-
 // DecodeJSON parses and validates a scenario spec.
 func DecodeJSON(r io.Reader) (Spec, error) {
 	dec := json.NewDecoder(r)
@@ -243,9 +233,6 @@ func DecodeJSON(r io.Reader) (Spec, error) {
 	}
 	return s, nil
 }
-
-// Horizon returns the total number of intervals the scenario runs.
-func (s Spec) Horizon() int { return s.Periods * s.T }
 
 // UminVector returns the per-slice SLA vector, substituting the paper's −50
 // for unset entries.

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -31,11 +32,11 @@ func validSpec() Spec {
 
 func TestSpecJSONRoundTrip(t *testing.T) {
 	spec := validSpec()
-	var buf bytes.Buffer
-	if err := spec.EncodeJSON(&buf); err != nil {
+	b, err := json.Marshal(spec)
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeJSON(&buf)
+	got, err := DecodeJSON(bytes.NewReader(b))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,11 +51,11 @@ func TestBuiltinsJSONRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		if err := spec.EncodeJSON(&buf); err != nil {
+		b, err := json.Marshal(spec)
+		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		got, err := DecodeJSON(&buf)
+		got, err := DecodeJSON(bytes.NewReader(b))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -38,12 +38,6 @@ func NewQuantile(p float64) (*Quantile, error) {
 	return q, nil
 }
 
-// P returns the quantile this estimator tracks.
-func (q *Quantile) P() float64 { return q.p }
-
-// Count returns the number of observations.
-func (q *Quantile) Count() int { return q.count }
-
 // Observe feeds one sample.
 func (q *Quantile) Observe(x float64) {
 	if q.count < 5 {

@@ -3,18 +3,17 @@ package telemetry
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
 )
 
-// Registry is a named collection of metrics with a Prometheus text-format
-// exposition (WritePrometheus) and a flat snapshot for JSON health
-// endpoints. Metric getters are idempotent: re-registering a name of the
-// same kind returns the existing instrument, so independent subsystems can
-// share one registry without coordination. Registering an existing name as
-// a different kind panics — that is a programming error, not runtime input.
+// Registry is a named collection of counter and gauge funcs with a
+// Prometheus text-format exposition (WritePrometheus) and a flat snapshot
+// for JSON health endpoints. Re-registering a name of the same kind
+// replaces its func, so independent subsystems can share one registry
+// without coordination. Registering an existing name as a different kind
+// panics — that is a programming error, not runtime input.
 //
 // Metric names may carry a Prometheus label suffix (`name{key="v"}`); the
 // HELP/TYPE header is emitted once per base name.
@@ -25,13 +24,10 @@ type Registry struct {
 }
 
 type family struct {
-	name, help, kind string // kind: counter | gauge | summary
+	name, help, kind string // kind: counter | gauge
 
-	counter   *Counter
-	gauge     *Gauge
 	counterFn func() uint64
 	gaugeFn   func() float64
-	series    *Series
 }
 
 // NewRegistry creates an empty registry.
@@ -57,21 +53,6 @@ func (r *Registry) register(name, help, kind string) *family {
 	return f
 }
 
-// Counter returns the counter registered under name, creating it if
-// needed.
-func (r *Registry) Counter(name, help string) *Counter {
-	f := r.register(name, help, "counter")
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if f.counter == nil && f.counterFn == nil {
-		f.counter = &Counter{}
-	}
-	if f.counter == nil {
-		panic(fmt.Sprintf("telemetry: metric %q is a counter func, not a counter", name))
-	}
-	return f.counter
-}
-
 // CounterFunc registers a counter whose value is read from fn at
 // collection time (for subsystems that keep their own atomics).
 func (r *Registry) CounterFunc(name, help string, fn func() uint64) {
@@ -81,20 +62,6 @@ func (r *Registry) CounterFunc(name, help string, fn func() uint64) {
 	f.counterFn = fn
 }
 
-// Gauge returns the gauge registered under name, creating it if needed.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	f := r.register(name, help, "gauge")
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if f.gauge == nil && f.gaugeFn == nil {
-		f.gauge = &Gauge{}
-	}
-	if f.gauge == nil {
-		panic(fmt.Sprintf("telemetry: metric %q is a gauge func, not a gauge", name))
-	}
-	return f.gauge
-}
-
 // GaugeFunc registers a gauge whose value is read from fn at collection
 // time.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
@@ -102,19 +69,6 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	f.gaugeFn = fn
-}
-
-// Series returns the streaming series registered under name, creating it
-// (with the given ring window and tracked quantiles) if needed. It is
-// exported as a Prometheus summary: quantile samples plus _sum and _count.
-func (r *Registry) Series(name, help string, window int, quantiles ...float64) *Series {
-	f := r.register(name, help, "summary")
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if f.series == nil {
-		f.series = NewSeries(window, quantiles...)
-	}
-	return f.series
 }
 
 // baseName strips a `{label="v"}` suffix.
@@ -154,49 +108,21 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 				return err
 			}
 		}
-		switch f.kind {
-		case "counter":
-			v := uint64(0)
-			if f.counterFn != nil {
-				v = f.counterFn()
-			} else if f.counter != nil {
-				v = f.counter.Value()
-			}
-			if _, err := fmt.Fprintf(w, "%s %d\n", f.name, v); err != nil {
-				return err
-			}
-		case "gauge":
-			v := 0.0
-			if f.gaugeFn != nil {
-				v = f.gaugeFn()
-			} else if f.gauge != nil {
-				v = f.gauge.Value()
-			}
-			if _, err := fmt.Fprintf(w, "%s %s\n", f.name, formatFloat(v)); err != nil {
-				return err
-			}
-		case "summary":
-			s := f.series
-			for _, p := range s.Quantiles() {
-				v, _ := s.Quantile(p)
-				if _, err := fmt.Fprintf(w, "%s{quantile=%q} %s\n", f.name, formatFloat(p), formatFloat(v)); err != nil {
-					return err
-				}
-			}
-			if _, err := fmt.Fprintf(w, "%s_sum %s\n", f.name, formatFloat(s.Sum())); err != nil {
-				return err
-			}
-			if _, err := fmt.Fprintf(w, "%s_count %d\n", f.name, s.Count()); err != nil {
-				return err
-			}
+		var err error
+		if f.kind == "counter" {
+			_, err = fmt.Fprintf(w, "%s %d\n", f.name, f.counterFn())
+		} else {
+			_, err = fmt.Fprintf(w, "%s %s\n", f.name, formatFloat(f.gaugeFn()))
+		}
+		if err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// Snapshot returns a flat name→value view of the registry (counters and
-// gauges as-is; a series contributes _count, _mean, and its quantiles),
-// sorted by name — the payload health endpoints embed.
+// Snapshot returns a flat name→value view of the registry's counters and
+// gauges — the payload health endpoints embed.
 func (r *Registry) Snapshot() map[string]float64 {
 	r.mu.Lock()
 	fams := make([]*family, 0, len(r.order))
@@ -207,36 +133,11 @@ func (r *Registry) Snapshot() map[string]float64 {
 
 	out := make(map[string]float64, len(fams))
 	for _, f := range fams {
-		switch f.kind {
-		case "counter":
-			if f.counterFn != nil {
-				out[f.name] = float64(f.counterFn())
-			} else if f.counter != nil {
-				out[f.name] = float64(f.counter.Value())
-			}
-		case "gauge":
-			if f.gaugeFn != nil {
-				out[f.name] = f.gaugeFn()
-			} else if f.gauge != nil {
-				out[f.name] = f.gauge.Value()
-			}
-		case "summary":
-			out[f.name+"_count"] = float64(f.series.Count())
-			out[f.name+"_mean"] = f.series.Mean()
-			for _, p := range f.series.Quantiles() {
-				v, _ := f.series.Quantile(p)
-				out[fmt.Sprintf("%s_q%s", f.name, formatFloat(p))] = v
-			}
+		if f.kind == "counter" {
+			out[f.name] = float64(f.counterFn())
+		} else {
+			out[f.name] = f.gaugeFn()
 		}
 	}
-	return out
-}
-
-// Names returns the registered metric names, sorted.
-func (r *Registry) Names() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := append([]string(nil), r.order...)
-	sort.Strings(out)
 	return out
 }

@@ -10,8 +10,8 @@ import (
 const DefaultWindow = 1024
 
 // Series is a streaming metric: a fixed-capacity ring of the most recent
-// samples plus online summary state (count, running sum/mean, min, max and
-// optional P² quantile sketches) over the whole stream. Memory is
+// samples plus online summary state (a running sum and optional P²
+// quantile sketches) over the whole stream. Memory is
 // O(window + sketches), independent of how many samples are observed.
 //
 // The running sum accumulates in arrival order and the ring preserves
@@ -22,9 +22,7 @@ const DefaultWindow = 1024
 // Series is safe for concurrent use.
 type Series struct {
 	mu       sync.Mutex
-	count    uint64
 	sum      float64
-	min, max float64
 	ring     []float64
 	head     int // next write position
 	filled   bool
@@ -40,11 +38,7 @@ func NewSeries(window int, quantiles ...float64) *Series {
 	if window <= 0 {
 		window = DefaultWindow
 	}
-	s := &Series{
-		ring: make([]float64, window),
-		min:  math.Inf(1),
-		max:  math.Inf(-1),
-	}
+	s := &Series{ring: make([]float64, window)}
 	for _, p := range quantiles {
 		q, err := NewQuantile(p)
 		if err != nil {
@@ -60,14 +54,7 @@ func NewSeries(window int, quantiles ...float64) *Series {
 func (s *Series) Observe(v float64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.count++
 	s.sum += v
-	if v < s.min {
-		s.min = v
-	}
-	if v > s.max {
-		s.max = v
-	}
 	s.ring[s.head] = v
 	s.head++
 	if s.head == len(s.ring) {
@@ -79,13 +66,6 @@ func (s *Series) Observe(v float64) {
 	}
 }
 
-// Count returns the number of samples observed.
-func (s *Series) Count() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.count
-}
-
 // Sum returns the running sum over the whole stream.
 func (s *Series) Sum() float64 {
 	s.mu.Lock()
@@ -93,40 +73,7 @@ func (s *Series) Sum() float64 {
 	return s.sum
 }
 
-// Mean returns the mean over the whole stream (NaN when empty).
-func (s *Series) Mean() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.count == 0 {
-		return math.NaN()
-	}
-	return s.sum / float64(s.count)
-}
-
-// Min returns the stream minimum (+Inf when empty).
-func (s *Series) Min() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.min
-}
-
-// Max returns the stream maximum (-Inf when empty).
-func (s *Series) Max() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.max
-}
-
-// Window returns the ring capacity.
-func (s *Series) Window() int { return len(s.ring) }
-
-// Retained returns how many samples the ring currently holds.
-func (s *Series) Retained() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.retainedLocked()
-}
-
+// retainedLocked returns how many samples the ring currently holds.
 func (s *Series) retainedLocked() int {
 	if s.filled {
 		return len(s.ring)
@@ -134,9 +81,10 @@ func (s *Series) retainedLocked() int {
 	return s.head
 }
 
-// TailSum sums the most recent min(n, Retained()) samples in arrival order
-// (oldest of the tail first — the same order a slice suffix would sum in)
-// and reports how many samples contributed.
+// TailSum sums the most recent n samples the ring holds (all of them when n
+// is not positive or exceeds what it holds) in arrival order (oldest of the
+// tail first — the same order a slice suffix would sum in) and reports how
+// many samples contributed.
 func (s *Series) TailSum(n int) (sum float64, count int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -158,19 +106,14 @@ func (s *Series) TailSum(n int) (sum float64, count int) {
 	return sum, n
 }
 
-// TailMean returns the mean over the most recent min(n, Retained())
-// samples and how many contributed (NaN, 0 when empty).
+// TailMean returns the mean over TailSum's samples and how many
+// contributed (NaN, 0 when empty).
 func (s *Series) TailMean(n int) (float64, int) {
 	sum, m := s.TailSum(n)
 	if m == 0 {
 		return math.NaN(), 0
 	}
 	return sum / float64(m), m
-}
-
-// Quantiles returns the tracked quantile probabilities.
-func (s *Series) Quantiles() []float64 {
-	return append([]float64(nil), s.qs...)
 }
 
 // Quantile returns the streaming estimate for a tracked quantile; ok is

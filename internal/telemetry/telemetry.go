@@ -1,7 +1,7 @@
 // Package telemetry is the streaming observability layer: bounded-memory
-// metric aggregation (atomic counters and gauges, fixed-capacity sample
-// rings with online summaries, P² streaming quantile sketches), a
-// Prometheus-text registry, a length-prefixed CRC-checked append-only
+// metric aggregation (fixed-capacity sample rings with online summaries,
+// P² streaming quantile sketches), a Prometheus-text registry of counter
+// and gauge funcs, a length-prefixed CRC-checked append-only
 // record log (the WAL idiom backing core's on-disk history log), and an
 // HTTP surface serving /metrics, /healthz, and net/http/pprof.
 //
@@ -9,35 +9,3 @@
 // independent of run length — which is what lets million-period daemon
 // runs record live telemetry without unbounded RSS (see DESIGN.md §10).
 package telemetry
-
-import (
-	"math"
-	"sync/atomic"
-)
-
-// Counter is a monotonically increasing counter, safe for concurrent use.
-// The zero value is ready to use.
-type Counter struct {
-	v atomic.Uint64
-}
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.v.Load() }
-
-// Gauge is a settable float64 value, safe for concurrent use. The zero
-// value is ready to use and reads 0.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Value returns the stored value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }

@@ -155,9 +155,8 @@ func (w *LogWriter) Close() error {
 // LogReader reads records appended by LogWriter. It is not safe for
 // concurrent use.
 type LogReader struct {
-	br        *bufio.Reader
-	buf       []byte
-	truncated bool
+	br  *bufio.Reader
+	buf []byte
 }
 
 // NewLogReader wraps an io.Reader.
@@ -175,13 +174,11 @@ func (r *LogReader) Next() ([]byte, error) {
 		if err == io.EOF {
 			return nil, io.EOF
 		}
-		r.truncated = true
 		return nil, ErrTruncated
 	}
 	n := binary.LittleEndian.Uint32(hdr[0:4])
 	crc := binary.LittleEndian.Uint32(hdr[4:8])
 	if n > MaxRecordBytes {
-		r.truncated = true
 		return nil, ErrTruncated
 	}
 	if cap(r.buf) < int(n) {
@@ -189,15 +186,10 @@ func (r *LogReader) Next() ([]byte, error) {
 	}
 	payload := r.buf[:n]
 	if _, err := io.ReadFull(r.br, payload); err != nil {
-		r.truncated = true
 		return nil, ErrTruncated
 	}
 	if crc32.ChecksumIEEE(payload) != crc {
-		r.truncated = true
 		return nil, ErrTruncated
 	}
 	return payload, nil
 }
-
-// Truncated reports whether the reader hit a partial or corrupt tail.
-func (r *LogReader) Truncated() bool { return r.truncated }
