@@ -253,57 +253,12 @@ func runCoordinator(o coordOptions) error {
 	return printRunReport(h, exec)
 }
 
-// printRunReport prints the run's per-period table (or streaming summary)
-// and closes the executor.
+// printRunReport prints the run's report and closes the executor.
 func printRunReport(h *edgeslice.History, exec edgeslice.Executor) error {
-	if h.Streaming() {
-		if err := printStreamingSummary(h); err != nil {
-			return err
-		}
-		return exec.Close()
-	}
-	fmt.Println("period | per-slice performance (sum over RAs) | SLA met | residuals")
-	for p := 0; p < h.Periods(); p++ {
-		perf := make([]float64, h.NumSlices)
-		for i := range perf {
-			for j := 0; j < h.NumRAs; j++ {
-				perf[i] += h.PeriodPerf[p][i][j]
-			}
-		}
-		fmt.Printf("%6d | %v | %v | primal=%.2f dual=%.2f\n",
-			p, perf, h.SLAMet[p], h.Primal[p], h.Dual[p])
-	}
-	mp, err := h.MeanSystemPerf(h.Intervals() / 2)
-	if err != nil {
+	if err := edgeslice.WriteHistoryReport(os.Stdout, h); err != nil {
 		return err
 	}
-	sla, err := h.SLASatisfactionRate(0)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("\nsteady-state system performance: %.2f per interval\n", mp)
-	fmt.Printf("SLA satisfaction: %.0f%%\n", sla*100)
 	return exec.Close()
-}
-
-// printStreamingSummary reports what a bounded-memory run retains: online
-// summaries instead of the full per-period table.
-func printStreamingSummary(h *edgeslice.History) error {
-	fmt.Printf("streaming history (window %d): %d periods, %d intervals retained as summaries\n",
-		h.StreamWindow(), h.Periods(), h.Intervals())
-	mp, err := h.MeanSystemPerf(h.Intervals() / 2)
-	if err != nil {
-		return err
-	}
-	sla, err := h.SLASatisfactionRate(0)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("steady-state system performance: %.2f per interval\n", mp)
-	fmt.Printf("SLA satisfaction: %.0f%%\n", sla*100)
-	primal, dual := h.LastResiduals()
-	fmt.Printf("final residuals: primal=%.2f dual=%.2f\n", primal, dual)
-	return nil
 }
 
 // loadPolicy resolves the agent's policy for env's state and action widths:

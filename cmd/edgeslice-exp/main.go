@@ -94,7 +94,7 @@ func run() error {
 }
 
 // runReplay reconstructs a History from an append-only history log and
-// prints the same per-period table and summary a live exact-mode run does.
+// prints the same report a live exact-mode run does.
 func runReplay(path string) error {
 	h, truncated, err := edgeslice.ReplayHistoryLog(path)
 	if err != nil {
@@ -105,36 +105,7 @@ func runReplay(path string) error {
 	}
 	fmt.Printf("%s: %d RAs, %d slices, %d periods x %d intervals\n",
 		path, h.NumRAs, h.NumSlices, h.Periods(), h.T)
-	fmt.Println("period | per-slice performance (sum over RAs) | SLA met | residuals")
-	for p := 0; p < h.Periods(); p++ {
-		perf := make([]float64, h.NumSlices)
-		for i := range perf {
-			for j := 0; j < h.NumRAs; j++ {
-				perf[i] += h.PeriodPerf[p][i][j]
-			}
-		}
-		fmt.Printf("%6d | %v | %v | primal=%.2f dual=%.2f\n",
-			p, perf, h.SLAMet[p], h.Primal[p], h.Dual[p])
-	}
-	if h.Intervals() == 0 {
-		return nil
-	}
-	mp, err := h.MeanSystemPerf(h.Intervals() / 2)
-	if err != nil {
-		return err
-	}
-	sla, err := h.SLASatisfactionRate(0)
-	if err != nil {
-		return err
-	}
-	viol, err := h.ViolationRate()
-	if err != nil {
-		return err
-	}
-	fmt.Printf("\nsteady-state system performance: %.2f per interval\n", mp)
-	fmt.Printf("SLA satisfaction: %.0f%%\n", sla*100)
-	fmt.Printf("SLA violation rate: %.3f\n", viol)
-	return nil
+	return edgeslice.WriteHistoryReport(os.Stdout, h)
 }
 
 func printAll(err error, figs ...*edgeslice.Figure) error {

@@ -279,72 +279,5 @@ func runClassic(algoName string, periods, ras, train int, seed int64, engine str
 
 	fmt.Printf("\n%s: %d RAs, %d slices, %d periods x %d intervals\n",
 		algo, ras, cfg.EnvTemplate.NumSlices, periods, cfg.EnvTemplate.T)
-	if h.Streaming() {
-		return printStreamingSummary(h)
-	}
-	fmt.Println("period | per-slice performance (sum over RAs) | SLA met | residuals")
-	for p := 0; p < h.Periods(); p++ {
-		perf := make([]float64, h.NumSlices)
-		for i := range perf {
-			for j := 0; j < h.NumRAs; j++ {
-				perf[i] += h.PeriodPerf[p][i][j]
-			}
-		}
-		fmt.Printf("%6d | %v | %v | primal=%.2f dual=%.2f\n",
-			p, fmtVec(perf), h.SLAMet[p], h.Primal[p], h.Dual[p])
-	}
-	mp, err := h.MeanSystemPerf(h.Intervals() / 2)
-	if err != nil {
-		return err
-	}
-	sla, err := h.SLASatisfactionRate(0)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("\nsteady-state system performance: %.2f per interval\n", mp)
-	fmt.Printf("SLA satisfaction: %.0f%%\n", sla*100)
-	return nil
-}
-
-// printStreamingSummary reports what a bounded-memory run retains: online
-// summaries instead of the full per-period table.
-func printStreamingSummary(h *edgeslice.History) error {
-	fmt.Printf("streaming history (window %d): %d periods, %d intervals retained as summaries\n",
-		h.StreamWindow(), h.Periods(), h.Intervals())
-	mp, err := h.MeanSystemPerf(h.Intervals() / 2)
-	if err != nil {
-		return err
-	}
-	sla, err := h.SLASatisfactionRate(0)
-	if err != nil {
-		return err
-	}
-	viol, err := h.ViolationRate()
-	if err != nil {
-		return err
-	}
-	fmt.Printf("steady-state system performance: %.2f per interval\n", mp)
-	for _, q := range []float64{0.05, 0.5, 0.95} {
-		v, err := h.SystemPerfQuantile(q)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("system performance p%g: %.2f\n", q*100, v)
-	}
-	fmt.Printf("SLA satisfaction: %.0f%%\n", sla*100)
-	fmt.Printf("SLA violation rate: %.3f\n", viol)
-	primal, dual := h.LastResiduals()
-	fmt.Printf("final residuals: primal=%.2f dual=%.2f\n", primal, dual)
-	return nil
-}
-
-func fmtVec(v []float64) string {
-	out := "["
-	for i, x := range v {
-		if i > 0 {
-			out += " "
-		}
-		out += fmt.Sprintf("%.1f", x)
-	}
-	return out + "]"
+	return edgeslice.WriteHistoryReport(os.Stdout, h)
 }

@@ -193,10 +193,11 @@ func StartTelemetry(addr string, reg *TelemetryRegistry, health func() any) (*Te
 	return telemetry.StartServer(addr, reg, health)
 }
 
-// NewStreamingHistory allocates a bounded-memory History: per metric a
-// ring of the most recent window samples plus online summaries (count,
-// running mean, min/max, P² quantile sketches), answering the same
-// accessor API as the exact mode in O(window) memory.
+// NewStreamingHistory allocates a bounded-memory History: a ring of the
+// last window interval records and period tails (SLA flags and residuals,
+// not the per-RA grid), plus running sums and P² quantile sketches over the
+// whole run, answering the same accessors as the exact mode in O(window)
+// memory whatever the run length or RA count.
 func NewStreamingHistory(numSlices, numRAs, t, window int) *History {
 	return core.NewStreamingHistory(numSlices, numRAs, t, window)
 }
@@ -213,6 +214,10 @@ func CreateHistoryLog(path string, numSlices, numRAs, t int) (*HistoryLog, error
 func ReplayHistoryLog(path string) (h *History, truncated bool, err error) {
 	return core.ReplayHistoryLogFile(path)
 }
+
+// WriteHistoryReport writes a run's report: an exact History's per-period
+// table and steady-state summary, or a streaming History's summaries.
+func WriteHistoryReport(w io.Writer, h *History) error { return core.WriteReport(w, h) }
 
 // OpenHistoryLogAppend reopens a history log for a resumed run: it replays
 // the longest whole-period prefix, cuts off the crashed tail, and returns

@@ -84,7 +84,8 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	for p, perf := range h.PeriodPerf {
+	for p := 0; p < h.Periods(); p++ {
+		perf, _, _, _ := h.Period(p)
 		var total float64
 		for i := range perf {
 			for j := range perf[i] {

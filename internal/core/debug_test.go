@@ -80,7 +80,8 @@ func TestDebugTraining(t *testing.T) {
 		t.Fatal(err)
 	}
 	for p := 0; p < h.Periods(); p++ {
-		t.Logf("period %d: perf=%v sla=%v", p, h.PeriodPerf[p], h.SLAMet[p])
+		perf, sla, _, _ := h.Period(p)
+		t.Logf("period %d: perf=%v sla=%v", p, perf, sla)
 	}
 	t.Logf("deployment queues RA0: %v", sys.Env(0).QueueLens())
 	mp, _ := h.MeanSystemPerf(30)

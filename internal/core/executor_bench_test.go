@@ -3,9 +3,14 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"testing"
+	"time"
 
+	"edgeslice/internal/baseline"
+	"edgeslice/internal/netsim"
 	"edgeslice/internal/nn"
+	"edgeslice/internal/rcnet"
 	"edgeslice/internal/rl"
 	"edgeslice/internal/rl/ddpg"
 	"edgeslice/internal/traffic"
@@ -44,19 +49,19 @@ func BenchmarkRunPeriods(b *testing.B) {
 			benchPeriods(b, fmt.Sprintf("algo=edgeslice/ras=%d/engine=%s", ras, engine), s, engine, 0)
 		}
 	}
-	benchPeriods(b, "local-infer-2048", benchLocalSystem(b, AlgoEdgeSlice), EngineBatched, 3)
-	benchPeriods(b, "local-step-2048", benchLocalSystem(b, AlgoTARO), EngineBatched, 3)
+	benchPeriods(b, "local-infer-2048", benchLocalSystem(b, AlgoEdgeSlice, 2048), EngineBatched, 3)
+	benchPeriods(b, "local-step-2048", benchLocalSystem(b, AlgoTARO, 2048), EngineBatched, 3)
 }
 
-// benchLocalSystem builds the bench harness's local workload system
-// (bench/local.go's coreConfig and build) at seed 1: 2048 RAs on variable
+// benchLocalSystem builds the bench harness's workload system
+// (bench/local.go's coreConfig and build) at seed 1: ras RAs on variable
 // traffic with streaming recording over a 100-period window, under one
 // shared seeded 2x128 DDPG actor for a learning algorithm (local-infer-2048)
-// or the baseline (local-step-2048).
-func benchLocalSystem(b *testing.B, algo Algorithm) *System {
+// or the baseline (local-step-2048, remote-tcp-32).
+func benchLocalSystem(b *testing.B, algo Algorithm, ras int) *System {
 	cfg := DefaultConfig()
 	cfg.Algo = algo
-	cfg.NumRAs = 2048
+	cfg.NumRAs = ras
 	cfg.Seed = 1
 	cfg.EnvTemplate.Sources = []traffic.Source{
 		traffic.VariableSource{Lo: 6, Hi: 14, BlockLen: 10, Seed: 11 + 2*cfg.Seed},
@@ -105,6 +110,75 @@ func benchPeriods(b *testing.B, name string, s *System, engine string, warmup in
 		}
 	})
 	if err := exec.Close(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkRemoteTCP32 is the bench harness's remote-tcp-32 workload
+// (bench/remote.go) at seed 1: one period per iteration of a 32-RA TARO
+// system on the remote engine, over a loopback binary-codec hub with one
+// RunAgent goroutine per RA stepping an identically seeded twin's
+// environment, with streaming recording over a 100-period window and every
+// record appended to an on-disk history log. The harness's 100 warm-up
+// periods run untimed first.
+func BenchmarkRemoteTCP32(b *testing.B) {
+	const ras, timeout = 32, 30 * time.Second
+	sys, agentSys := benchLocalSystem(b, AlgoTARO, ras), benchLocalSystem(b, AlgoTARO, ras)
+	I, T := sys.cfg.EnvTemplate.NumSlices, sys.cfg.EnvTemplate.T
+	hub, err := rcnet.NewShardedHub("127.0.0.1:0", I, ras, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	// Stops the agents on a failed set-up; after e.Close it is a no-op.
+	b.Cleanup(func() { _ = hub.Shutdown() })
+	done := make(chan error, ras)
+	for ra := 0; ra < ras; ra++ {
+		c, err := rcnet.DialAgentCodec(hub.Addr(), ra, timeout, rcnet.CodecBinary)
+		if err != nil {
+			b.Fatal(err)
+		}
+		env := agentSys.Env(ra)
+		policy := rl.AgentFunc(func([]float64) []float64 {
+			a, err := baseline.TARO(env.QueueLens(), netsim.NumResources)
+			if err != nil {
+				panic(err)
+			}
+			return a
+		})
+		go func() {
+			defer c.Close()
+			done <- rcnet.RunAgent(c, env, policy, timeout)
+		}()
+	}
+	if err := hub.WaitRegistered(timeout); err != nil {
+		b.Fatal(err)
+	}
+	log, err := CreateHistoryLog(filepath.Join(b.TempDir(), "run.histlog"), I, ras, T)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sys.SetRecording(RecordOptions{StreamWindow: 100, Log: log})
+	e := NewRemoteExecutor(hub, timeout)
+	if _, err := sys.RunPeriodsWith(e, 100); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		if _, err := sys.RunPeriodsWith(e, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if err := e.Close(); err != nil {
+		b.Fatal(err)
+	}
+	for range ras {
+		if err := <-done; err != nil {
+			b.Error(err)
+		}
+	}
+	if err := log.Close(); err != nil {
 		b.Fatal(err)
 	}
 }

@@ -233,7 +233,7 @@ func TestUsageSumsBeforeDividing(t *testing.T) {
 		}
 		for i := 0; i < I; i++ {
 			for k := 0; k < netsim.NumResources; k++ {
-				if got := h.Usage[ti][i][k]; got != want[i][k]/float64(J) {
+				if got := h.IntervalColumn(1 + I + i*netsim.NumResources + k)[ti]; got != want[i][k]/float64(J) {
 					t.Fatalf("interval %d usage[%d][%d] = %v, want sum-then-divide %v",
 						ti, i, k, got, want[i][k]/float64(J))
 				}
@@ -340,7 +340,7 @@ func TestRemoteRejectsMismatchedHub(t *testing.T) {
 // TARO policy writes into scratch the agent owns, and streaming recording.
 // Broadcast, the agents' decode and report, the hub's decode and collect,
 // and the merge allocate nothing, so the period costs exactly the per-call
-// streaming History (38 allocations) at 4 RAs as at 32.
+// streaming History (3 allocations) at 4 RAs as at 32.
 func TestRemotePeriodAllocsIndependentOfJ(t *testing.T) {
 	warmAllocs := func(J int) float64 {
 		cfg := execTestConfig(AlgoTARO)
@@ -398,7 +398,7 @@ func TestRemotePeriodAllocsIndependentOfJ(t *testing.T) {
 		}
 		return allocs
 	}
-	const history = 38
+	const history = 3
 	if small, large := warmAllocs(4), warmAllocs(32); small != history || large != history {
 		t.Errorf("warm remote period allocates %v times at 4 RAs and %v at 32; want %v at both", small, large, history)
 	}

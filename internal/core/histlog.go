@@ -18,7 +18,8 @@ import (
 // recording makes long runs lossless: live queries come from O(window)
 // summaries while the log preserves full fidelity on disk.
 //
-// Format (log payloads, all integers/floats little-endian):
+// Format (log payloads, all integers/floats little-endian). A History holds
+// the same interval and period payloads, byte for byte:
 //
 //	header   "ESHL" | version u32 | numSlices u32 | numRAs u32 | T u32 | numResources u32
 //	interval 0x01 | sysPerf f64 | slicePerf[I] f64 | usage[I][K] f64 | violation f64
@@ -27,9 +28,9 @@ import (
 // A HistoryLog is not safe for concurrent use; the executors write from
 // the single run-driving goroutine.
 type HistoryLog struct {
-	w                          *telemetry.LogWriter
-	numSlices, numRAs, periodT int
-	buf                        []byte
+	w                 *telemetry.LogWriter
+	numSlices, numRAs int
+	buf               []byte
 }
 
 // histLogVersion is the on-disk format version.
@@ -42,8 +43,8 @@ const (
 	histRecPeriod   byte = 2
 )
 
-// histLogNumResources is the per-slice resource-domain count of every
-// usage row the executors record.
+// histLogNumResources is the per-slice resource-domain count K of every
+// usage row a history records.
 const histLogNumResources = netsim.NumResources
 
 // CreateHistoryLog creates (truncating) a history log file for a run of
@@ -64,87 +65,118 @@ func CreateHistoryLog(path string, numSlices, numRAs, t int) (*HistoryLog, error
 
 // NewHistoryLog wraps a telemetry log writer and writes the header record.
 func NewHistoryLog(w *telemetry.LogWriter, numSlices, numRAs, t int) (*HistoryLog, error) {
-	if numSlices <= 0 || numRAs <= 0 || t <= 0 {
-		return nil, fmt.Errorf("core: invalid history log shape %dx%dxT%d", numSlices, numRAs, t)
+	if err := checkHistShape(numSlices, numRAs, t, histLogNumResources); err != nil {
+		return nil, err
 	}
-	if !histRecordsFit(numSlices, numRAs, histLogNumResources) {
-		return nil, fmt.Errorf("core: history log shape %dx%dxT%d has records over the %d-byte cap",
-			numSlices, numRAs, t, telemetry.MaxRecordBytes)
+	hdr := append(make([]byte, 0, 4+5*4), histLogMagic[:]...)
+	for _, v := range []int{histLogVersion, numSlices, numRAs, t, histLogNumResources} {
+		hdr = binary.LittleEndian.AppendUint32(hdr, uint32(v))
 	}
-	l := &HistoryLog{w: w, numSlices: numSlices, numRAs: numRAs, periodT: t}
-	hdr := make([]byte, 0, 4+5*4)
-	hdr = append(hdr, histLogMagic[:]...)
-	hdr = appendU32(hdr, histLogVersion)
-	hdr = appendU32(hdr, uint32(numSlices))
-	hdr = appendU32(hdr, uint32(numRAs))
-	hdr = appendU32(hdr, uint32(t))
-	hdr = appendU32(hdr, uint32(histLogNumResources))
 	if err := w.Append(hdr); err != nil {
 		return nil, err
 	}
-	return l, nil
-}
-
-func appendU32(b []byte, v uint32) []byte {
-	return binary.LittleEndian.AppendUint32(b, v)
+	return &HistoryLog{w: w, numSlices: numSlices, numRAs: numRAs}, nil
 }
 
 func appendF64(b []byte, v float64) []byte {
 	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
 }
 
-// LogInterval appends one interval record (usage is [slice][resource]).
-func (l *HistoryLog) LogInterval(sysPerf float64, slicePerf []float64, usage [][]float64, violation float64) error {
-	I := l.numSlices
+// f64 decodes the float at byte offset off of a record.
+func f64(rec []byte, off int) float64 {
+	return math.Float64frombits(binary.LittleEndian.Uint64(rec[off:]))
+}
+
+// appendInterval is the one interval-record encoder, of History and log
+// alike: it checks the record against an I-slice shape — on a misshapen one
+// it writes nothing and returns the error — and appends it to b.
+func appendInterval(b []byte, I int, sysPerf float64, slicePerf []float64, usage [][]float64, violation float64) ([]byte, error) {
 	if len(slicePerf) != I || len(usage) != I {
-		return fmt.Errorf("core: history log interval has %d/%d slices, want %d", len(slicePerf), len(usage), I)
-	}
-	b := l.buf[:0]
-	b = append(b, histRecInterval)
-	b = appendF64(b, sysPerf)
-	for _, v := range slicePerf {
-		b = appendF64(b, v)
+		return b, fmt.Errorf("core: interval record has %d/%d slices, want %d", len(slicePerf), len(usage), I)
 	}
 	for i, row := range usage {
 		if len(row) != histLogNumResources {
-			return fmt.Errorf("core: history log usage row %d has %d resources, want %d", i, len(row), histLogNumResources)
+			return b, fmt.Errorf("core: interval record usage row %d has %d resources, want %d", i, len(row), histLogNumResources)
 		}
+	}
+	b = appendF64(append(b, histRecInterval), sysPerf)
+	for _, v := range slicePerf {
+		b = appendF64(b, v)
+	}
+	for _, row := range usage {
 		for _, v := range row {
 			b = appendF64(b, v)
 		}
 	}
-	b = appendF64(b, violation)
-	l.buf = b
-	return l.w.Append(b)
+	return appendF64(b, violation), nil
+}
+
+// appendPeriod is the period-record encoder: it checks the record against
+// an I-slice, J-RA shape as appendInterval does and appends it to b — kind
+// and grid only when grid is set, so a streaming History stores the tail.
+func appendPeriod(b []byte, I, J int, perf [][]float64, sla []bool, primal, dual float64, grid bool) ([]byte, error) {
+	if len(perf) != I || len(sla) != I {
+		return b, fmt.Errorf("core: period record has %d/%d slices, want %d", len(perf), len(sla), I)
+	}
+	for i, row := range perf {
+		if len(row) != J {
+			return b, fmt.Errorf("core: period record row %d has %d RAs, want %d", i, len(row), J)
+		}
+	}
+	if grid {
+		b = append(b, histRecPeriod)
+		for _, row := range perf {
+			for _, v := range row {
+				b = appendF64(b, v)
+			}
+		}
+	}
+	for _, ok := range sla {
+		var v byte
+		if ok {
+			v = 1
+		}
+		b = append(b, v)
+	}
+	return appendF64(appendF64(b, primal), dual), nil
+}
+
+// checkRecord returns an error unless rec is a whole interval or period
+// record of an I-slice, J-RA history.
+func checkRecord(rec []byte, I, J int) error {
+	iv, pd := histIntervalLen(I, histLogNumResources), histPeriodLen(I, J)
+	if len(rec) > 0 && (rec[0] == histRecInterval && len(rec) == iv || rec[0] == histRecPeriod && len(rec) == pd) {
+		return nil
+	}
+	return fmt.Errorf("core: history record of %d bytes is neither a %d-byte interval nor a %d-byte period record", len(rec), iv, pd)
+}
+
+// LogInterval appends one interval record (usage is [slice][resource]).
+func (l *HistoryLog) LogInterval(sysPerf float64, slicePerf []float64, usage [][]float64, violation float64) error {
+	return l.append(appendInterval(l.buf[:0], l.numSlices, sysPerf, slicePerf, usage, violation))
 }
 
 // LogPeriod appends one period record (perf is [slice][ra]).
 func (l *HistoryLog) LogPeriod(perf [][]float64, sla []bool, primal, dual float64) error {
-	I, J := l.numSlices, l.numRAs
-	if len(perf) != I || len(sla) != I {
-		return fmt.Errorf("core: history log period has %d/%d slices, want %d", len(perf), len(sla), I)
+	return l.append(appendPeriod(l.buf[:0], l.numSlices, l.numRAs, perf, sla, primal, dual, true))
+}
+
+// append appends the record an encoder just wrote into the log's buffer.
+func (l *HistoryLog) append(b []byte, err error) error {
+	if err != nil {
+		return err
 	}
-	b := l.buf[:0]
-	b = append(b, histRecPeriod)
-	for i, row := range perf {
-		if len(row) != J {
-			return fmt.Errorf("core: history log period row %d has %d RAs, want %d", i, len(row), J)
-		}
-		for _, v := range row {
-			b = appendF64(b, v)
-		}
-	}
-	for _, ok := range sla {
-		if ok {
-			b = append(b, 1)
-		} else {
-			b = append(b, 0)
-		}
-	}
-	b = appendF64(b, primal)
-	b = appendF64(b, dual)
 	l.buf = b
 	return l.w.Append(b)
+}
+
+// write appends a record a History has already encoded, once it is checked
+// against the log's shape.
+func (l *HistoryLog) write(rec []byte) error {
+	if err := checkRecord(rec, l.numSlices, l.numRAs); err != nil {
+		return err
+	}
+	return l.w.Append(rec)
 }
 
 // Sync flushes buffered records and fsyncs when file-backed.
@@ -158,125 +190,91 @@ func (l *HistoryLog) Close() error { return l.w.Close() }
 func histIntervalLen(I, K int) int { return 1 + 8*(2+I+I*K) }
 func histPeriodLen(I, J int) int   { return 1 + 8*I*J + I + 16 }
 
-// histRecordsFit reports whether both record kinds of the shape fit under
-// the telemetry log's record cap: a log of any larger shape can hold no
-// record, and its reader must not size a History for it. The divisions
-// bound I·K and I·J before any product is formed, so nothing overflows.
-func histRecordsFit(I, J, K int) bool {
-	const words = telemetry.MaxRecordBytes / 8
-	if I > words || K > words/I || J > words/I {
-		return false
-	}
-	return histIntervalLen(I, K) <= telemetry.MaxRecordBytes && histPeriodLen(I, J) <= telemetry.MaxRecordBytes
-}
-
-// parseHistHeader validates a history log's header record and returns the
-// run shape it declares.
-func parseHistHeader(hdr []byte) (I, J, T, K int, err error) {
-	if len(hdr) != 4+5*4 || string(hdr[:4]) != string(histLogMagic[:]) {
-		return 0, 0, 0, 0, fmt.Errorf("core: not a history log (bad header)")
-	}
-	version := binary.LittleEndian.Uint32(hdr[4:8])
-	if version != histLogVersion {
-		return 0, 0, 0, 0, fmt.Errorf("core: history log version %d, this build reads %d", version, histLogVersion)
-	}
-	I = int(binary.LittleEndian.Uint32(hdr[8:12]))
-	J = int(binary.LittleEndian.Uint32(hdr[12:16]))
-	T = int(binary.LittleEndian.Uint32(hdr[16:20]))
-	K = int(binary.LittleEndian.Uint32(hdr[20:24]))
+// checkHistShape returns an error unless the shape is positive and both
+// record kinds fit under the telemetry log's record cap: a log of any larger
+// shape can hold no record, and its reader must not size a History for it.
+// The divisions bound I·K and I·J before any product is formed, so nothing
+// overflows.
+func checkHistShape(I, J, T, K int) error {
 	if I <= 0 || J <= 0 || T <= 0 || K <= 0 {
-		return 0, 0, 0, 0, fmt.Errorf("core: history log header has invalid shape %dx%dxT%d K%d", I, J, T, K)
+		return fmt.Errorf("core: invalid history log shape %dx%dxT%d K%d", I, J, T, K)
 	}
-	if !histRecordsFit(I, J, K) {
-		return 0, 0, 0, 0, fmt.Errorf("core: history log header shape %dx%dxT%d K%d has records over the %d-byte cap",
+	const words = telemetry.MaxRecordBytes / 8
+	if I > words || K > words/I || J > words/I ||
+		histIntervalLen(I, K) > telemetry.MaxRecordBytes || histPeriodLen(I, J) > telemetry.MaxRecordBytes {
+		return fmt.Errorf("core: history log shape %dx%dxT%d K%d has records over the %d-byte cap",
 			I, J, T, K, telemetry.MaxRecordBytes)
-	}
-	return I, J, T, K, nil
-}
-
-// applyHistRecord decodes one interval or period record into h.
-func applyHistRecord(h *History, rec []byte, I, J, K int) error {
-	if len(rec) == 0 {
-		return fmt.Errorf("core: empty record in history log")
-	}
-	switch rec[0] {
-	case histRecInterval:
-		if intervalLen := histIntervalLen(I, K); len(rec) != intervalLen {
-			return fmt.Errorf("core: interval record of %d bytes, want %d", len(rec), intervalLen)
-		}
-		b := rec[1:]
-		sysPerf := readF64(&b)
-		slicePerf := make([]float64, I)
-		for i := range slicePerf {
-			slicePerf[i] = readF64(&b)
-		}
-		usage := make([][]float64, I)
-		for i := range usage {
-			usage[i] = make([]float64, K)
-			for k := range usage[i] {
-				usage[i][k] = readF64(&b)
-			}
-		}
-		violation := readF64(&b)
-		h.AddInterval(sysPerf, slicePerf, usage, violation)
-	case histRecPeriod:
-		if periodLen := histPeriodLen(I, J); len(rec) != periodLen {
-			return fmt.Errorf("core: period record of %d bytes, want %d", len(rec), periodLen)
-		}
-		b := rec[1:]
-		perf := make([][]float64, I)
-		for i := range perf {
-			perf[i] = make([]float64, J)
-			for j := range perf[i] {
-				perf[i][j] = readF64(&b)
-			}
-		}
-		sla := make([]bool, I)
-		for i := range sla {
-			sla[i] = b[0] != 0
-			b = b[1:]
-		}
-		primal := readF64(&b)
-		dual := readF64(&b)
-		h.AddPeriod(perf, sla, primal, dual)
-	default:
-		return fmt.Errorf("core: unknown history log record kind %d", rec[0])
 	}
 	return nil
 }
 
-// ReplayHistoryLog reads a history log and reconstructs the exact History
-// it records. truncated reports that the log ended mid-record (a crashed
-// writer) — every complete record before the partial tail is recovered.
-func ReplayHistoryLog(r io.Reader) (h *History, truncated bool, err error) {
+// parseHistHeader validates a history log's header record and returns the
+// run shape it declares, which must have this build's K resource domains.
+func parseHistHeader(hdr []byte) (I, J, T int, err error) {
+	if len(hdr) != 4+5*4 || string(hdr[:4]) != string(histLogMagic[:]) {
+		return 0, 0, 0, fmt.Errorf("core: not a history log (bad header)")
+	}
+	var v [5]int
+	for i := range v {
+		v[i] = int(binary.LittleEndian.Uint32(hdr[4+4*i:]))
+	}
+	if v[0] != histLogVersion {
+		return 0, 0, 0, fmt.Errorf("core: history log version %d, this build reads %d", v[0], histLogVersion)
+	}
+	if err := checkHistShape(v[1], v[2], v[3], v[4]); err != nil {
+		return 0, 0, 0, err
+	}
+	if v[4] != histLogNumResources {
+		return 0, 0, 0, fmt.Errorf("core: history log records %d resource domains, this build reads %d", v[4], histLogNumResources)
+	}
+	return v[1], v[2], v[3], nil
+}
+
+// readHistLog reads a history log into a new exact History, storing each
+// record unchanged once its kind and length check out. It calls each after
+// the header and after every stored record with that record's payload
+// length. truncated reports that the log ended mid-record (a crashed
+// writer): every complete record before the partial tail is recovered.
+func readHistLog(r io.Reader, each func(h *History, n int)) (h *History, truncated bool, err error) {
 	lr := telemetry.NewLogReader(r)
-	hdr, err := lr.Next()
+	rec, err := lr.Next()
 	if err != nil {
 		if err == telemetry.ErrTruncated {
 			return nil, true, fmt.Errorf("core: history log header truncated")
 		}
 		return nil, false, fmt.Errorf("core: empty history log: %w", err)
 	}
-	I, J, T, K, err := parseHistHeader(hdr)
+	I, J, T, err := parseHistHeader(rec)
 	if err != nil {
 		return nil, false, err
 	}
 	h = NewHistory(I, J, T)
 	for {
-		rec, err := lr.Next()
-		if err == io.EOF {
+		if each != nil {
+			each(h, len(rec))
+		}
+		if rec, err = lr.Next(); err == io.EOF {
 			return h, false, nil
-		}
-		if err == telemetry.ErrTruncated {
+		} else if err == telemetry.ErrTruncated {
 			return h, true, nil
-		}
-		if err != nil {
+		} else if err != nil {
 			return h, false, err
 		}
-		if err := applyHistRecord(h, rec, I, J, K); err != nil {
+		if err := checkRecord(rec, I, J); err != nil {
 			return h, false, err
+		} else if rec[0] == histRecInterval {
+			h.storeInterval(rec)
+		} else {
+			h.storePeriod(rec)
 		}
 	}
+}
+
+// ReplayHistoryLog reads a history log and reconstructs the exact History
+// it records. truncated reports that the log ended mid-record (a crashed
+// writer) — every complete record before the partial tail is recovered.
+func ReplayHistoryLog(r io.Reader) (h *History, truncated bool, err error) {
+	return readHistLog(r, nil)
 }
 
 // OpenHistoryLogAppend reopens an existing history log for a resumed run:
@@ -292,56 +290,27 @@ func OpenHistoryLogAppend(path string) (*HistoryLog, *History, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	lr := telemetry.NewLogReader(f)
-	offset := int64(0)
-	hdr, err := lr.Next()
+	var offset, cutOffset int64
+	var cutIntervals, cutPeriods int
+	h, _, err := readHistLog(f, func(h *History, n int) {
+		offset += telemetry.RecordHeaderBytes + int64(n)
+		if h.periods*h.T == h.intervals {
+			cutOffset, cutIntervals, cutPeriods = offset, h.intervals, h.periods
+		}
+	})
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
 	if err != nil {
-		_ = f.Close()
-		return nil, nil, fmt.Errorf("core: resume history log: unreadable header: %w", err)
-	}
-	offset += telemetry.RecordHeaderBytes + int64(len(hdr))
-	I, J, T, K, err := parseHistHeader(hdr)
-	if err != nil {
-		_ = f.Close()
-		return nil, nil, err
-	}
-	if K != histLogNumResources {
-		_ = f.Close()
-		return nil, nil, fmt.Errorf("core: history log records %d resource domains, this build appends %d", K, histLogNumResources)
-	}
-	h := NewHistory(I, J, T)
-	// Track the last offset at which the log was a whole number of
-	// completed periods; that is where appending resumes.
-	cutOffset := offset
-	cutIntervals, cutPeriods := 0, 0
-	for {
-		rec, err := lr.Next()
-		if err == io.EOF || err == telemetry.ErrTruncated {
-			break
-		}
-		if err != nil {
-			_ = f.Close()
-			return nil, nil, fmt.Errorf("core: resume history log: %w", err)
-		}
-		if err := applyHistRecord(h, rec, I, J, K); err != nil {
-			_ = f.Close()
-			return nil, nil, fmt.Errorf("core: resume history log: %w", err)
-		}
-		offset += telemetry.RecordHeaderBytes + int64(len(rec))
-		if h.Periods()*T == h.Intervals() && h.Periods() > cutPeriods {
-			cutOffset = offset
-			cutIntervals, cutPeriods = h.Intervals(), h.Periods()
-		}
-	}
-	if err := f.Close(); err != nil {
 		return nil, nil, fmt.Errorf("core: resume history log: %w", err)
 	}
-	h.truncateTo(cutIntervals, cutPeriods)
+	h.iv, h.pd = h.iv[:cutIntervals*h.ivLen], h.pd[:cutPeriods*h.pdLen]
+	h.intervals, h.periods = cutIntervals, cutPeriods
 	w, err := telemetry.ResumeLog(path, cutOffset)
 	if err != nil {
 		return nil, nil, err
 	}
-	return &HistoryLog{w: w, numSlices: I, numRAs: J, periodT: T}, h, nil
+	return &HistoryLog{w: w, numSlices: h.NumSlices, numRAs: h.NumRAs}, h, nil
 }
 
 // ReplayHistoryLogFile replays a history log from disk.
@@ -354,10 +323,4 @@ func ReplayHistoryLogFile(path string) (*History, bool, error) {
 	// result doesn't already have, so it is dropped deliberately.
 	defer func() { _ = f.Close() }()
 	return ReplayHistoryLog(f)
-}
-
-func readF64(b *[]byte) float64 {
-	v := math.Float64frombits(binary.LittleEndian.Uint64((*b)[:8]))
-	*b = (*b)[8:]
-	return v
 }

@@ -11,6 +11,7 @@ import (
 	"reflect"
 	"testing"
 
+	"edgeslice/internal/netsim"
 	"edgeslice/internal/telemetry"
 )
 
@@ -71,10 +72,10 @@ func TestHistoryLogAppendHistory(t *testing.T) {
 	}
 	wide := NewHistory(I+1, J, T)
 	synthRecords(rng, T, wide)
-	if err := log.LogInterval(wide.SystemPerf[0], []float64{1, 2, 3}, wide.Usage[0], 0); err == nil {
+	if err := log.LogInterval(0, []float64{1, 2, 3}, [][]float64{{0, 0, 0}, {0, 0, 0}, {0, 0, 0}}, 0); err == nil {
 		t.Error("an interval of another slice count should error")
 	}
-	if err := log.LogPeriod(wide.PeriodPerf[0], wide.SLAMet[0], 0, 0); err == nil {
+	if perf, sla, _, _ := wide.Period(0); log.LogPeriod(perf, sla, 0, 0) == nil {
 		t.Error("a period of another slice count should error")
 	}
 	if err := log.Close(); err != nil {
@@ -126,10 +127,12 @@ func TestHistoryLogTruncatedTail(t *testing.T) {
 		t.Fatalf("recovered %d intervals / %d periods, want %d / 1", got.Intervals(), got.Periods(), 2*T)
 	}
 	// The recovered prefix matches the original record for record.
-	if !reflect.DeepEqual(got.SystemPerf, full.SystemPerf) {
-		t.Error("recovered SystemPerf differs")
+	if !reflect.DeepEqual(got.IntervalColumn(0), full.IntervalColumn(0)) {
+		t.Error("recovered system performance differs")
 	}
-	if !reflect.DeepEqual(got.PeriodPerf[0], full.PeriodPerf[0]) {
+	gotPerf, gotSLA, _, _ := got.Period(0)
+	wantPerf, wantSLA, _, _ := full.Period(0)
+	if !reflect.DeepEqual(gotPerf, wantPerf) || !reflect.DeepEqual(gotSLA, wantSLA) {
 		t.Error("recovered first period differs")
 	}
 }
@@ -155,7 +158,9 @@ func TestHistoryLogRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestHistoryLogRecordShapeChecks pins the writer-side validation.
+// TestHistoryLogRecordShapeChecks pins the one encoder's shape checks, on
+// the log writer and on an exact and a streaming History alike: a
+// misshapen record is an error and records nothing.
 func TestHistoryLogRecordShapeChecks(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "shape.histlog")
 	log, err := CreateHistoryLog(path, 2, 2, 10)
@@ -163,17 +168,34 @@ func TestHistoryLogRecordShapeChecks(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer log.Close()
-	if err := log.LogInterval(0, []float64{1}, [][]float64{{0, 0, 0}, {0, 0, 0}}, 0); err == nil {
-		t.Error("short slicePerf should error")
+	exact, stream := NewHistory(2, 2, 10), NewStreamingHistory(2, 2, 10, 4)
+	for _, r := range []struct {
+		name     string
+		interval func(float64, []float64, [][]float64, float64) error
+		period   func([][]float64, []bool, float64, float64) error
+	}{
+		{"log", log.LogInterval, log.LogPeriod},
+		{"exact", exact.AddInterval, exact.AddPeriod},
+		{"streaming", stream.AddInterval, stream.AddPeriod},
+	} {
+		if err := r.interval(0, []float64{1}, [][]float64{{0, 0, 0}, {0, 0, 0}}, 0); err == nil {
+			t.Errorf("%s: short slicePerf should error", r.name)
+		}
+		if err := r.interval(0, []float64{1, 2}, [][]float64{{0, 0}, {0, 0}}, 0); err == nil {
+			t.Errorf("%s: short usage row should error", r.name)
+		}
+		if err := r.period([][]float64{{1, 2}}, []bool{true, false}, 0, 0); err == nil {
+			t.Errorf("%s: short perf grid should error", r.name)
+		}
+		if err := r.period([][]float64{{1}, {2}}, []bool{true, false}, 0, 0); err == nil {
+			t.Errorf("%s: short perf row should error", r.name)
+		}
 	}
-	if err := log.LogInterval(0, []float64{1, 2}, [][]float64{{0, 0}, {0, 0}}, 0); err == nil {
-		t.Error("short usage row should error")
-	}
-	if err := log.LogPeriod([][]float64{{1, 2}}, []bool{true, false}, 0, 0); err == nil {
-		t.Error("short perf grid should error")
-	}
-	if err := log.LogPeriod([][]float64{{1}, {2}}, []bool{true, false}, 0, 0); err == nil {
-		t.Error("short perf row should error")
+	for _, h := range []*History{exact, stream} {
+		if h.Intervals() != 0 || h.Periods() != 0 {
+			t.Errorf("streaming %v: misshapen records were recorded: %d intervals, %d periods",
+				h.Streaming(), h.Intervals(), h.Periods())
+		}
 	}
 }
 
@@ -218,7 +240,7 @@ func TestHistoryLogRejectsOversizeShape(t *testing.T) {
 	// At I = J = K = 2³²−1 both record lengths wrap negative in int64
 	// arithmetic, which would pass a plain "≤ cap" test.
 	const m = math.MaxUint32
-	if _, _, _, _, err := parseHistHeader(histHeader(t, m, m, 1, m)[telemetry.RecordHeaderBytes:]); err == nil {
+	if _, _, _, err := parseHistHeader(histHeader(t, m, m, 1, m)[telemetry.RecordHeaderBytes:]); err == nil {
 		t.Error("a header whose record lengths overflow int64 parsed")
 	}
 	// The widest interval record that fits: 1 + 8·(2 + I + I·K) bytes.
@@ -233,7 +255,7 @@ func TestHistoryLogRejectsOversizeShape(t *testing.T) {
 		{1, (telemetry.MaxRecordBytes-18)/8 + 1, false},
 	} {
 		_, werr := NewHistoryLog(telemetry.NewLogWriter(io.Discard), tc.I, tc.J, 10)
-		_, _, _, _, rerr := parseHistHeader(histHeader(t, uint32(tc.I), uint32(tc.J), 10, histLogNumResources)[telemetry.RecordHeaderBytes:])
+		_, _, _, rerr := parseHistHeader(histHeader(t, uint32(tc.I), uint32(tc.J), 10, histLogNumResources)[telemetry.RecordHeaderBytes:])
 		if (werr == nil) != tc.fits || (rerr == nil) != tc.fits {
 			t.Errorf("shape %dx%d: writer %v, reader %v, want fits=%v", tc.I, tc.J, werr, rerr, tc.fits)
 		}
@@ -251,9 +273,6 @@ func FuzzReplayHistoryLog(f *testing.F) {
 		h, _, err := ReplayHistoryLog(bytes.NewReader(data))
 		if err != nil {
 			return
-		}
-		if k := binary.LittleEndian.Uint32(data[telemetry.RecordHeaderBytes+20:]); k != histLogNumResources {
-			return // read, but not a shape this build writes
 		}
 		once := encodeHistory(t, h)
 		again, truncated, err := ReplayHistoryLog(bytes.NewReader(once))
@@ -283,20 +302,29 @@ func encodeHistory(t *testing.T, h *History) []byte {
 }
 
 // logRecords logs every interval, then every period, of an exact History
-// through LogInterval and LogPeriod.
+// through LogInterval and LogPeriod, reading them through its accessors.
 func logRecords(t *testing.T, l *HistoryLog, h *History) {
 	t.Helper()
-	slicePerf := make([]float64, h.NumSlices)
-	for k := range h.SystemPerf {
-		for i := range slicePerf {
-			slicePerf[i] = h.SlicePerf[i][k]
+	I, K := h.NumSlices, netsim.NumResources
+	cols := make([][]float64, 2+I+I*K)
+	for c := range cols {
+		cols[c] = h.IntervalColumn(c)
+	}
+	slicePerf, usage := make([]float64, I), make([][]float64, I)
+	for k := 0; k < h.Intervals(); k++ {
+		for i := range usage {
+			slicePerf[i] = cols[1+i][k]
+			usage[i] = make([]float64, K)
+			for r := range usage[i] {
+				usage[i][r] = cols[1+I+i*K+r][k]
+			}
 		}
-		if err := l.LogInterval(h.SystemPerf[k], slicePerf, h.Usage[k], h.Violations[k]); err != nil {
+		if err := l.LogInterval(cols[0][k], slicePerf, usage, cols[len(cols)-1][k]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for p := range h.PeriodPerf {
-		if err := l.LogPeriod(h.PeriodPerf[p], h.SLAMet[p], h.Primal[p], h.Dual[p]); err != nil {
+	for p := 0; p < h.Periods(); p++ {
+		if err := l.LogPeriod(h.Period(p)); err != nil {
 			t.Fatal(err)
 		}
 	}

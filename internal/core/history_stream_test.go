@@ -297,8 +297,9 @@ func TestReserveMatchesGrownHistoryLog(t *testing.T) {
 		}
 	}
 	record(n)
-	if cap(reserved.Primal) != n || cap(reserved.SystemPerf) != n*T {
-		t.Errorf("reserved for %d periods, holds %d periods / %d intervals of capacity", n, cap(reserved.Primal), cap(reserved.SystemPerf))
+	if cap(reserved.pd) != n*reserved.pdLen || cap(reserved.iv) != n*T*reserved.ivLen {
+		t.Errorf("reserved for %d periods, holds %d periods / %d intervals of capacity",
+			n, cap(reserved.pd)/reserved.pdLen, cap(reserved.iv)/reserved.ivLen)
 	}
 	check("at the reserve")
 	record(3)

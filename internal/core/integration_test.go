@@ -86,8 +86,8 @@ func TestCoordinatorResidualsShrink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	early := h.Dual[1]
-	late := h.Dual[len(h.Dual)-1]
+	_, _, _, early := h.Period(1)
+	_, late := h.LastResiduals()
 	if late > early && late > 100 {
 		t.Errorf("dual residual grew: %v -> %v", early, late)
 	}

@@ -82,12 +82,15 @@ func (s *System) newRunHistory() *History {
 }
 
 // commitInterval is the single point every executor records an interval
-// through: the history append, the run counters, and the on-disk log.
+// through: the history append, the run counters, and the on-disk log, which
+// appends the record bytes the History just stored.
 func (s *System) commitInterval(h *History, sysPerf float64, slicePerf []float64, usage [][]float64, violation float64) error {
-	h.AddInterval(sysPerf, slicePerf, usage, violation)
+	if err := h.AddInterval(sysPerf, slicePerf, usage, violation); err != nil {
+		return err
+	}
 	s.stats.intervals.Add(1)
 	if s.rec.Log != nil {
-		if err := s.rec.Log.LogInterval(sysPerf, slicePerf, usage, violation); err != nil {
+		if err := s.rec.Log.write(h.at(h.iv, h.ivLen, h.intervals-1, h.intervals)); err != nil {
 			return fmt.Errorf("core: history log: %w", err)
 		}
 	}
@@ -95,19 +98,29 @@ func (s *System) commitInterval(h *History, sysPerf float64, slicePerf []float64
 }
 
 // commitPeriod mirrors commitInterval for period records; finishPeriod
-// calls it after the ADMM update.
+// calls it after the ADMM update. A streaming History keeps no perf grid,
+// so the log encodes that record itself.
 func (s *System) commitPeriod(h *History, perf [][]float64, sla []bool, primal, dual float64) error {
-	h.AddPeriod(perf, sla, primal, dual)
+	if err := h.AddPeriod(perf, sla, primal, dual); err != nil {
+		return err
+	}
 	s.stats.periods.Add(1)
 	s.stats.mu.Lock()
 	s.stats.lastSLA = append(s.stats.lastSLA[:0], sla...)
 	s.stats.lastPrimal, s.stats.lastDual = primal, dual
 	s.stats.havePeriod = true
 	s.stats.mu.Unlock()
-	if s.rec.Log != nil {
-		if err := s.rec.Log.LogPeriod(perf, sla, primal, dual); err != nil {
-			return fmt.Errorf("core: history log: %w", err)
-		}
+	if s.rec.Log == nil {
+		return nil
+	}
+	var err error
+	if h.Streaming() {
+		err = s.rec.Log.LogPeriod(perf, sla, primal, dual)
+	} else {
+		err = s.rec.Log.write(h.at(h.pd, h.pdLen, h.periods-1, h.periods))
+	}
+	if err != nil {
+		return fmt.Errorf("core: history log: %w", err)
 	}
 	return nil
 }

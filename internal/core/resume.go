@@ -51,7 +51,8 @@ func (s *System) PrimeFromHistory(h *History) (zs, ys [][][]float64, err error) 
 	for p := 0; p < P; p++ {
 		zs[p] = s.coord.Z() // already deep copies
 		ys[p] = s.coord.Y()
-		if err := s.coord.Update(h.PeriodPerf[p]); err != nil {
+		perf, _, _, _ := h.Period(p)
+		if err := s.coord.Update(perf); err != nil {
 			return nil, nil, fmt.Errorf("core: replaying ADMM update for period %d: %w", p, err)
 		}
 	}
@@ -59,9 +60,7 @@ func (s *System) PrimeFromHistory(h *History) (zs, ys [][][]float64, err error) 
 	s.stats.periods.Add(uint64(P))
 	if P > 0 {
 		s.stats.mu.Lock()
-		s.stats.lastSLA = append(s.stats.lastSLA[:0], h.SLAMet[P-1]...)
-		s.stats.lastPrimal = h.Primal[P-1]
-		s.stats.lastDual = h.Dual[P-1]
+		_, s.stats.lastSLA, s.stats.lastPrimal, s.stats.lastDual = h.Period(P - 1)
 		s.stats.havePeriod = true
 		s.stats.mu.Unlock()
 	}

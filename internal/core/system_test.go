@@ -3,10 +3,12 @@ package core
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
 	"edgeslice/internal/ckpt"
+	"edgeslice/internal/netsim"
 	"edgeslice/internal/nn"
 	"edgeslice/internal/rl"
 	"edgeslice/internal/rl/ddpg"
@@ -96,17 +98,16 @@ func TestEqualShareOrchestration(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Equal share: both slices always use identical shares.
-	for _, u := range h.Usage {
-		for k := range u[0] {
-			if u[0][k] != u[1][k] {
-				t.Fatalf("equal-share usage differs: %v vs %v", u[0], u[1])
-			}
+	for k := 0; k < netsim.NumResources; k++ {
+		u0, u1 := h.IntervalColumn(1+h.NumSlices+k), h.IntervalColumn(1+h.NumSlices+netsim.NumResources+k)
+		if !reflect.DeepEqual(u0, u1) {
+			t.Fatalf("equal-share usage of resource %d differs: %v vs %v", k, u0, u1)
 		}
 	}
 }
 
 func TestHistoryAccessors(t *testing.T) {
-	h := NewHistory(2, 2, 10)
+	h, stream := NewHistory(2, 2, 10), NewStreamingHistory(2, 2, 10, 4)
 	if _, err := h.MeanSystemPerf(5); err == nil {
 		t.Error("empty history should error")
 	}
@@ -116,8 +117,18 @@ func TestHistoryAccessors(t *testing.T) {
 	if _, err := h.SLASatisfactionRate(1); err == nil {
 		t.Error("empty SLA should error")
 	}
-	h.AddInterval(-10, []float64{-4, -6}, [][]float64{{0.5, 0.4, 0.1}, {0.1, 0.2, 0.6}}, 0)
-	h.AddPeriod([][]float64{{-4, -4}, {-6, -6}}, []bool{true, false}, 0.1, 0.2)
+	for _, rec := range []*History{h, stream} {
+		if err := rec.AddInterval(-10, []float64{-4, -6}, [][]float64{{0.5, 0.4, 0.1}, {0.1, 0.2, 0.6}}, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := rec.AddPeriod([][]float64{{-4, -4}, {-6, -6}}, []bool{true, false}, 0.1, 0.2); err != nil {
+			t.Fatal(err)
+		}
+		// Slice 0's column of resource K would be slice 1's first one.
+		if _, err := rec.MeanUsage(0, netsim.NumResources, 0); err == nil {
+			t.Errorf("streaming %v: out-of-range resource should error", rec.Streaming())
+		}
+	}
 	mp, err := h.MeanSystemPerf(0)
 	if err != nil || mp != -10 {
 		t.Errorf("MeanSystemPerf = %v (%v)", mp, err)

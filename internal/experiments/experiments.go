@@ -140,7 +140,7 @@ func Fig6(o Options) (*Figure, *Figure, error) {
 		if err != nil {
 			return nil, nil, fmt.Errorf("fig6 %v: %w", algo, err)
 		}
-		figA.Series = append(figA.Series, indexSeries(algo.String(), smooth(h.SystemPerf, 5)))
+		figA.Series = append(figA.Series, indexSeries(algo.String(), smooth(h.IntervalColumn(0), 5)))
 		if algo == core.AlgoEdgeSlice {
 			edgeHist = h
 		}
@@ -148,7 +148,7 @@ func Fig6(o Options) (*Figure, *Figure, error) {
 	figB := &Figure{ID: "fig6b", Title: "Slice performance vs time interval (EdgeSlice)"}
 	for i := 0; i < edgeHist.NumSlices; i++ {
 		figB.Series = append(figB.Series,
-			indexSeries(fmt.Sprintf("Slice %d", i+1), smooth(edgeHist.SlicePerf[i], 5)))
+			indexSeries(fmt.Sprintf("Slice %d", i+1), smooth(edgeHist.IntervalColumn(1+i), 5)))
 	}
 	// The SLA reference line: Umin spread across a period's intervals.
 	umin := make([]float64, edgeHist.Intervals())

@@ -73,7 +73,7 @@ func Fig11(o Options) (*Figure, *Figure, error) {
 		}
 		// Normalized system performance: per-interval system performance
 		// over the steady half of the run.
-		samples := h.SystemPerf[h.Intervals()/2:]
+		samples := h.IntervalColumn(0)[h.Intervals()/2:]
 		pts := mathutil.EmpiricalCDF(samples)
 		s := Series{Name: algo.String()}
 		for _, p := range pts {

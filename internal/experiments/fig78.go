@@ -31,10 +31,7 @@ func Fig7(o Options) ([]*Figure, error) {
 			Notes: "paper: slice 1 dominates radio/transport, slice 2 dominates computing",
 		}
 		for i := 0; i < h.NumSlices; i++ {
-			ys := make([]float64, h.Intervals())
-			for t := range ys {
-				ys[t] = h.Usage[t][i][k]
-			}
+			ys := h.IntervalColumn(1 + h.NumSlices + i*netsim.NumResources + k)
 			fig.Series = append(fig.Series, indexSeries(fmt.Sprintf("Slice %d", i+1), smooth(ys, 5)))
 		}
 		figs = append(figs, fig)
@@ -117,14 +114,18 @@ func runSingleRA(o Options, algo core.Algorithm, agent rl.Agent, loads []float64
 					usage[i][k] = res.Effective[i][k]
 				}
 			}
-			h.AddInterval(sys, slicePerf, usage, res.Violation)
+			if err := h.AddInterval(sys, slicePerf, usage, res.Violation); err != nil {
+				return nil, err
+			}
 		}
 		pp := env.PeriodPerf()
 		perRA := make([][]float64, envCfg.NumSlices)
 		for i := range pp {
 			perRA[i] = []float64{pp[i]}
 		}
-		h.AddPeriod(perRA, make([]bool, envCfg.NumSlices), 0, 0)
+		if err := h.AddPeriod(perRA, make([]bool, envCfg.NumSlices), 0, 0); err != nil {
+			return nil, err
+		}
 	}
 	return h, nil
 }
@@ -171,7 +172,8 @@ func Fig8(o Options) (*Figure, []*Figure, error) {
 				return nil, nil, fmt.Errorf("fig8a %v: %w", algo, err)
 			}
 			// Per-period per-slice performance normalized per interval.
-			for _, period := range h.PeriodPerf {
+			for p := 0; p < h.Periods(); p++ {
+				period, _, _, _ := h.Period(p)
 				for i := range period {
 					samples = append(samples, period[i][0]/float64(h.T))
 				}

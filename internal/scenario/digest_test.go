@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"edgeslice/internal/core"
+	"edgeslice/internal/netsim"
 )
 
 // sweepDigests pins, per (scenario, recording mode), the sha256 of a short
@@ -98,8 +99,8 @@ func sweepDigest(t *testing.T, name string, window int) string {
 	return fmt.Sprintf("%x", d.Sum(nil))
 }
 
-// hashHistory writes h's exported records and summary accessors into d as
-// little-endian float bits.
+// hashHistory writes h's records, read through its accessors, and its
+// summary accessors into d as little-endian float bits.
 func hashHistory(t *testing.T, d hash.Hash, h *core.History) {
 	t.Helper()
 	f := func(vs ...float64) {
@@ -108,32 +109,45 @@ func hashHistory(t *testing.T, d hash.Hash, h *core.History) {
 		}
 	}
 	f(float64(h.Intervals()), float64(h.Periods()))
-	f(h.SystemPerf...)
-	for _, s := range h.SlicePerf {
-		f(s...)
-	}
-	for _, g := range h.Usage {
-		for _, row := range g {
-			f(row...)
+	// A streaming History keeps no raw records to hash; an exact one's go in
+	// field order: the per-interval columns, then each interval's usage,
+	// violations, perf grids, SLA flags, primal and dual residuals.
+	if !h.Streaming() {
+		I, K := h.NumSlices, netsim.NumResources
+		for c := 0; c <= I; c++ {
+			f(h.IntervalColumn(c)...)
 		}
-	}
-	f(h.Violations...)
-	for _, g := range h.PeriodPerf {
-		for _, row := range g {
-			f(row...)
+		usage := make([][]float64, I*K)
+		for c := range usage {
+			usage[c] = h.IntervalColumn(1 + I + c)
 		}
-	}
-	for _, row := range h.SLAMet {
-		for _, ok := range row {
-			if ok {
-				f(1)
-			} else {
-				f(0)
+		for k := 0; k < h.Intervals(); k++ {
+			for _, col := range usage {
+				f(col[k])
 			}
 		}
+		f(h.IntervalColumn(1 + I + I*K)...)
+		sla := make([][]bool, h.Periods())
+		primal, dual := make([]float64, h.Periods()), make([]float64, h.Periods())
+		for p := range sla {
+			var perf [][]float64
+			perf, sla[p], primal[p], dual[p] = h.Period(p)
+			for _, row := range perf {
+				f(row...)
+			}
+		}
+		for _, row := range sla {
+			for _, ok := range row {
+				if ok {
+					f(1)
+				} else {
+					f(0)
+				}
+			}
+		}
+		f(primal...)
+		f(dual...)
 	}
-	f(h.Primal...)
-	f(h.Dual...)
 	ssp, err := h.MeanSystemPerf(h.Intervals() / 2)
 	if err != nil {
 		t.Fatal(err)

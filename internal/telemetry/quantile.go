@@ -12,7 +12,8 @@ import (
 // parabolic (P²) interpolation as samples arrive. The first five
 // observations are kept exactly, so small streams answer exactly.
 //
-// Quantile is not safe for concurrent use; Series wraps it with a lock.
+// Quantile is not safe for concurrent use. It is a plain value, so a
+// holder embeds its sketches without allocating them.
 type Quantile struct {
 	p     float64
 	count int
@@ -29,13 +30,11 @@ type Quantile struct {
 }
 
 // NewQuantile returns a P² estimator for the p-th quantile, 0 < p < 1.
-func NewQuantile(p float64) (*Quantile, error) {
+func NewQuantile(p float64) (Quantile, error) {
 	if !(p > 0 && p < 1) {
-		return nil, fmt.Errorf("telemetry: quantile %v outside (0, 1)", p)
+		return Quantile{}, fmt.Errorf("telemetry: quantile %v outside (0, 1)", p)
 	}
-	q := &Quantile{p: p}
-	q.dn = [5]float64{0, p / 2, p, (1 + p) / 2, 1}
-	return q, nil
+	return Quantile{p: p, dn: [5]float64{0, p / 2, p, (1 + p) / 2, 1}}, nil
 }
 
 // Observe feeds one sample.

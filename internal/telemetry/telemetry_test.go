@@ -70,63 +70,6 @@ func TestQuantileAccuracy(t *testing.T) {
 	}
 }
 
-func TestSeriesSummaryAndTail(t *testing.T) {
-	s := NewSeries(4)
-	vals := []float64{5, 1, 7, 3, 9, 2}
-	var sum float64
-	for _, v := range vals {
-		s.Observe(v)
-		sum += v
-	}
-	if s.Sum() != sum {
-		t.Fatalf("sum = %v, want %v", s.Sum(), sum)
-	}
-	if got := s.retainedLocked(); got != 4 {
-		t.Fatalf("retained = %d, want 4", got)
-	}
-	// Tail of 3 = last three samples {3, 9, 2} summed oldest-first.
-	wantTail := 3.0 + 9 + 2
-	if got, n := s.TailSum(3); got != wantTail || n != 3 {
-		t.Fatalf("TailSum(3) = %v/%d, want %v/3", got, n, wantTail)
-	}
-	// Asking beyond the window clamps to the retained 4 samples.
-	if _, n := s.TailSum(100); n != 4 {
-		t.Fatalf("TailSum(100) used %d samples, want 4", n)
-	}
-	if mean, n := s.TailMean(2); mean != (9.0+2)/2 || n != 2 {
-		t.Fatalf("TailMean(2) = %v/%d", mean, n)
-	}
-}
-
-// TestSeriesTailSumBitIdentical pins the property core's streaming History
-// relies on: tail sums accumulate in the same order as a slice-suffix loop.
-func TestSeriesTailSumBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	s := NewSeries(128)
-	vals := make([]float64, 1000)
-	for i := range vals {
-		vals[i] = rng.NormFloat64() * 1e3
-		s.Observe(vals[i])
-	}
-	for _, n := range []int{1, 7, 64, 128} {
-		var want float64
-		for _, v := range vals[len(vals)-n:] {
-			want += v
-		}
-		if got, m := s.TailSum(n); got != want || m != n {
-			t.Fatalf("TailSum(%d) = %v (%d samples), want exactly %v", n, got, m, want)
-		}
-	}
-	// Full-stream sum matches a left-to-right loop bitwise.
-	var want float64
-	for _, v := range vals {
-		want += v
-	}
-	if s.Sum() != want {
-		t.Fatalf("Sum() = %v, want %v", s.Sum(), want)
-	}
-}
-
 func TestRegistryPrometheusOutput(t *testing.T) {
 	r := NewRegistry()
 	r.CounterFunc("es_test_total", "a test counter", func() uint64 { return 42 })
