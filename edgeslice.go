@@ -216,7 +216,7 @@ func ReplayHistoryLog(path string) (h *History, truncated bool, err error) {
 }
 
 // WriteHistoryReport writes a run's report: an exact History's per-period
-// table and steady-state summary, or a streaming History's summaries.
+// table, then the steady-state summary both modes share.
 func WriteHistoryReport(w io.Writer, h *History) error { return core.WriteReport(w, h) }
 
 // OpenHistoryLogAppend reopens a history log for a resumed run: it replays

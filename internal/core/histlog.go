@@ -43,8 +43,7 @@ const (
 	histRecPeriod   byte = 2
 )
 
-// histLogNumResources is the per-slice resource-domain count K of every
-// usage row a history records.
+// histLogNumResources is the resource-domain count K of every usage row.
 const histLogNumResources = netsim.NumResources
 
 // CreateHistoryLog creates (truncating) a history log file for a run of
@@ -141,16 +140,6 @@ func appendPeriod(b []byte, I, J int, perf [][]float64, sla []bool, primal, dual
 	return appendF64(appendF64(b, primal), dual), nil
 }
 
-// checkRecord returns an error unless rec is a whole interval or period
-// record of an I-slice, J-RA history.
-func checkRecord(rec []byte, I, J int) error {
-	iv, pd := histIntervalLen(I, histLogNumResources), histPeriodLen(I, J)
-	if len(rec) > 0 && (rec[0] == histRecInterval && len(rec) == iv || rec[0] == histRecPeriod && len(rec) == pd) {
-		return nil
-	}
-	return fmt.Errorf("core: history record of %d bytes is neither a %d-byte interval nor a %d-byte period record", len(rec), iv, pd)
-}
-
 // LogInterval appends one interval record (usage is [slice][resource]).
 func (l *HistoryLog) LogInterval(sysPerf float64, slicePerf []float64, usage [][]float64, violation float64) error {
 	return l.append(appendInterval(l.buf[:0], l.numSlices, sysPerf, slicePerf, usage, violation))
@@ -170,15 +159,6 @@ func (l *HistoryLog) append(b []byte, err error) error {
 	return l.w.Append(b)
 }
 
-// write appends a record a History has already encoded, once it is checked
-// against the log's shape.
-func (l *HistoryLog) write(rec []byte) error {
-	if err := checkRecord(rec, l.numSlices, l.numRAs); err != nil {
-		return err
-	}
-	return l.w.Append(rec)
-}
-
 // Sync flushes buffered records and fsyncs when file-backed.
 func (l *HistoryLog) Sync() error { return l.w.Sync() }
 
@@ -191,10 +171,9 @@ func histIntervalLen(I, K int) int { return 1 + 8*(2+I+I*K) }
 func histPeriodLen(I, J int) int   { return 1 + 8*I*J + I + 16 }
 
 // checkHistShape returns an error unless the shape is positive and both
-// record kinds fit under the telemetry log's record cap: a log of any larger
-// shape can hold no record, and its reader must not size a History for it.
-// The divisions bound I·K and I·J before any product is formed, so nothing
-// overflows.
+// record kinds fit under the telemetry log's record cap, so a reader never
+// sizes a History for a log that can hold no record. The divisions bound
+// I·K and I·J before any product is formed, so nothing overflows.
 func checkHistShape(I, J, T, K int) error {
 	if I <= 0 || J <= 0 || T <= 0 || K <= 0 {
 		return fmt.Errorf("core: invalid history log shape %dx%dxT%d K%d", I, J, T, K)
@@ -231,82 +210,80 @@ func parseHistHeader(hdr []byte) (I, J, T int, err error) {
 }
 
 // readHistLog reads a history log into a new exact History, storing each
-// record unchanged once its kind and length check out. It calls each after
-// the header and after every stored record with that record's payload
-// length. truncated reports that the log ended mid-record (a crashed
-// writer): every complete record before the partial tail is recovered.
-func readHistLog(r io.Reader, each func(h *History, n int)) (h *History, truncated bool, err error) {
+// record unchanged once its kind and length check out. cut counts the
+// records of the longest prefix that ends on a whole completed period
+// (interval count = periods × T).
+func readHistLog(r io.Reader) (h *History, cut [2]int, truncated bool, err error) {
 	lr := telemetry.NewLogReader(r)
 	rec, err := lr.Next()
 	if err != nil {
 		if err == telemetry.ErrTruncated {
-			return nil, true, fmt.Errorf("core: history log header truncated")
+			return nil, cut, true, fmt.Errorf("core: history log header truncated")
 		}
-		return nil, false, fmt.Errorf("core: empty history log: %w", err)
+		return nil, cut, false, fmt.Errorf("core: empty history log: %w", err)
 	}
 	I, J, T, err := parseHistHeader(rec)
 	if err != nil {
-		return nil, false, err
+		return nil, cut, false, err
 	}
 	h = NewHistory(I, J, T)
 	for {
-		if each != nil {
-			each(h, len(rec))
+		if h.n[pdKind]*T == h.n[ivKind] {
+			cut = h.n
 		}
 		if rec, err = lr.Next(); err == io.EOF {
-			return h, false, nil
+			return h, cut, false, nil
 		} else if err == telemetry.ErrTruncated {
-			return h, true, nil
+			return h, cut, true, nil
 		} else if err != nil {
-			return h, false, err
+			return h, cut, false, err
 		}
-		if err := checkRecord(rec, I, J); err != nil {
-			return h, false, err
-		} else if rec[0] == histRecInterval {
-			h.storeInterval(rec)
-		} else {
-			h.storePeriod(rec)
+		switch {
+		case len(rec) == h.size[ivKind] && rec[0] == histRecInterval:
+			h.store(ivKind, rec)
+		case len(rec) == h.size[pdKind] && rec[0] == histRecPeriod:
+			h.store(pdKind, rec)
+		default:
+			return h, cut, false, fmt.Errorf("core: history record of %d bytes is neither a %d-byte interval nor a %d-byte period record", len(rec), h.size[ivKind], h.size[pdKind])
 		}
 	}
 }
 
 // ReplayHistoryLog reads a history log and reconstructs the exact History
 // it records. truncated reports that the log ended mid-record (a crashed
-// writer) — every complete record before the partial tail is recovered.
+// writer); every complete record before the partial tail is recovered.
 func ReplayHistoryLog(r io.Reader) (h *History, truncated bool, err error) {
-	return readHistLog(r, nil)
+	h, _, truncated, err = readHistLog(r)
+	return h, truncated, err
 }
 
 // OpenHistoryLogAppend reopens an existing history log for a resumed run:
-// it replays the longest prefix that ends on a whole completed period
-// (interval count = periods × T), cuts off everything after it — a crashed
-// coordinator leaves the in-flight period's intervals and possibly a
-// partial record at the tail — and returns a HistoryLog that appends in
-// place from the cut, plus the exact History of the kept prefix (feed it
-// to System.PrimeFromHistory). No new header is written; the continued log
-// replays as one seamless run.
+// it replays the longest prefix that ends on a whole completed period, cuts
+// off everything after it — a crashed coordinator leaves the in-flight
+// period's intervals and possibly a partial record at the tail — and
+// returns a HistoryLog that appends in place from the cut, plus the exact
+// History of the kept prefix (feed it to System.PrimeFromHistory). No new
+// header is written; the continued log replays as one seamless run.
 func OpenHistoryLogAppend(path string) (*HistoryLog, *History, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, nil, err
 	}
-	var offset, cutOffset int64
-	var cutIntervals, cutPeriods int
-	h, _, err := readHistLog(f, func(h *History, n int) {
-		offset += telemetry.RecordHeaderBytes + int64(n)
-		if h.periods*h.T == h.intervals {
-			cutOffset, cutIntervals, cutPeriods = offset, h.intervals, h.periods
-		}
-	})
+	h, cut, _, err := readHistLog(f)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: resume history log: %w", err)
 	}
-	h.iv, h.pd = h.iv[:cutIntervals*h.ivLen], h.pd[:cutPeriods*h.pdLen]
-	h.intervals, h.periods = cutIntervals, cutPeriods
-	w, err := telemetry.ResumeLog(path, cutOffset)
+	// Every record of a kind has one size, so the prefix ends at a known byte.
+	offset := int64(telemetry.RecordHeaderBytes + 4 + 5*4)
+	for k := range h.col {
+		h.col[k] = h.col[k][:cut[k]*h.size[k]]
+		offset += int64(cut[k] * (telemetry.RecordHeaderBytes + h.size[k]))
+	}
+	h.n = cut
+	w, err := telemetry.ResumeLog(path, offset)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -319,8 +296,7 @@ func ReplayHistoryLogFile(path string) (*History, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	// Read-only handle: the close error carries no information the replay
-	// result doesn't already have, so it is dropped deliberately.
+	// A read-only handle's close error says nothing the replay has not.
 	defer func() { _ = f.Close() }()
 	return ReplayHistoryLog(f)
 }

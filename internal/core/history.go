@@ -9,37 +9,34 @@ import (
 	"edgeslice/internal/telemetry"
 )
 
-// History captures everything the evaluation figures need from one
-// orchestration run as the history log's interval and period records, byte
-// for byte (see HistoryLog for the layout).
-//
-// The default (exact) mode appends every record: O(run length), and what
-// the experiments figures read. The streaming mode (NewStreamingHistory)
-// keeps rings of the last window interval records and period tails (SLA
-// flags and residuals, never the slices × RAs grid) plus running totals and
-// P² sketches over the whole run: O(window) memory whatever the run length
-// or RA count. Both modes answer the accessors on one path — from the
-// retained records when they cover the request, else from the running
-// totals. Long daemon runs pair streaming mode with the on-disk HistoryLog,
-// which replays into an exact History when full fidelity is needed.
+// History holds one orchestration run as the history log's interval and
+// period records, byte for byte (see HistoryLog for the layout). The exact
+// mode appends every record to its column. The streaming mode
+// (NewStreamingHistory) keeps rings of the last window interval records and
+// period tails (SLA flags and residuals, never the slices × RAs grid),
+// running sums and P² sketches: O(window) memory whatever the run length or
+// RA count. Both answer the accessors on one path, tail.
 type History struct {
 	NumSlices, NumRAs, T int
 
-	// iv and pd hold the interval and period records, ivLen and pdLen bytes
-	// each: appended in exact mode, ring slots in streaming mode, whose pd
-	// keeps a period's tail only.
-	iv, pd             []byte
-	ivLen, pdLen       int
-	intervals, periods int
+	// col[k] holds the n[k] records of kind k, size[k] bytes each.
+	col  [2][]byte
+	size [2]int
+	n    [2]int
 
-	// Streaming mode only (window > 0): the running sum of every interval
-	// column in arrival order, then the count of intervals with a violation
-	// and of (period, slice) pairs whose SLA held; and the tracked sketches
-	// of the system performance.
+	// window is how many records a column retains: all (math.MaxInt) in
+	// exact mode. Streaming mode only: the running sum of every column (see
+	// val) in arrival order, and the sketches of the system performance.
 	window   int
 	sums     []float64
 	sketches [len(StreamQuantiles)]telemetry.Quantile
 }
+
+// The record kinds, indexing a History's columns.
+const (
+	ivKind = iota // interval records
+	pdKind        // period records, or their tails in streaming mode
+)
 
 // StreamQuantiles are the quantile probabilities streaming mode tracks for
 // the per-interval system performance.
@@ -47,8 +44,8 @@ var StreamQuantiles = [...]float64{0.05, 0.5, 0.95}
 
 // NewHistory allocates an empty history in the default exact mode.
 func NewHistory(numSlices, numRAs, t int) *History {
-	return &History{NumSlices: numSlices, NumRAs: numRAs, T: t,
-		ivLen: histIntervalLen(numSlices, netsim.NumResources), pdLen: histPeriodLen(numSlices, numRAs)}
+	return &History{NumSlices: numSlices, NumRAs: numRAs, T: t, window: math.MaxInt,
+		size: [2]int{histIntervalLen(numSlices, netsim.NumResources), histPeriodLen(numSlices, numRAs)}}
 }
 
 // NewStreamingHistory allocates a history in streaming mode, whose memory is
@@ -58,9 +55,10 @@ func NewStreamingHistory(numSlices, numRAs, t, window int) *History {
 		window = 1024
 	}
 	h := NewHistory(numSlices, numRAs, t)
-	h.window, h.pdLen = window, numSlices+16
-	rings := make([]byte, window*(h.ivLen+h.pdLen))
-	h.iv, h.pd = rings[:window*h.ivLen:window*h.ivLen], rings[window*h.ivLen:]
+	h.window, h.size[pdKind] = window, numSlices+16
+	iv := window * h.size[ivKind]
+	rings := make([]byte, iv+window*h.size[pdKind])
+	h.col = [2][]byte{rings[:iv:iv], rings[iv:]}
 	h.sums = make([]float64, h.columns()+2)
 	for i, p := range StreamQuantiles {
 		h.sketches[i], _ = telemetry.NewQuantile(p) // every p is in (0, 1)
@@ -69,117 +67,91 @@ func NewStreamingHistory(numSlices, numRAs, t, window int) *History {
 }
 
 // Streaming reports whether the history records in streaming mode.
-func (h *History) Streaming() bool { return h.window > 0 }
+func (h *History) Streaming() bool { return h.window < math.MaxInt }
 
 // columns returns the number of floats in an interval record.
-func (h *History) columns() int { return (h.ivLen - 1) / 8 }
+func (h *History) columns() int { return (h.size[ivKind] - 1) / 8 }
 
-// retained returns how many of n records the history still holds.
-func (h *History) retained(n int) int {
-	if h.window > 0 {
-		return min(n, h.window)
+// at returns the stored bytes of record r of kind k. A record the ring no
+// longer holds panics, as an out-of-range index does.
+func (h *History) at(k, r int) []byte {
+	if r < 0 || r >= h.n[k] || h.n[k]-r > h.window {
+		panic(fmt.Sprintf("core: record %d of %d is not retained", r, h.n[k]))
 	}
-	return n
+	r %= h.window
+	return h.col[k][r*h.size[k]:][:h.size[k]]
 }
 
-// at returns the stored bytes of record r of n in col (size bytes each). A
-// record the ring no longer holds panics, as an out-of-range index does.
-func (h *History) at(col []byte, size, r, n int) []byte {
-	if r < n-h.retained(n) || r >= n {
-		panic(fmt.Sprintf("core: record %d of %d is not retained", r, n))
+// slot returns the bytes the next record of kind k goes in: the next ring
+// slot, or past the end of an exact column, which doubles when full.
+func (h *History) slot(k int) []byte {
+	col, size := h.col[k], h.size[k]
+	if h.Streaming() {
+		off := h.n[k] % h.window * size
+		return col[off : off+size]
 	}
-	if h.window > 0 {
-		r %= h.window
+	if cap(col)-len(col) < size {
+		col = append(make([]byte, 0, 2*len(col)+size), col...)
+		h.col[k] = col
 	}
-	return col[r*size:][:size]
+	return col[len(col) : len(col)+size]
 }
 
-// slot returns the bytes record n of col is stored in: past the end of an
-// exact column, which moves into twice its length when full, so n records
-// cost O(log n) allocations; ring slot n mod window in streaming mode.
-func (h *History) slot(col *[]byte, size, n int) []byte {
-	if h.window > 0 {
-		off := n % h.window * size
-		return (*col)[off : off+size]
-	}
-	if c := *col; cap(c)-len(c) < size {
-		*col = append(make([]byte, 0, 2*len(c)+size), c...)
-	}
-	return (*col)[len(*col) : len(*col)+size]
-}
-
-// store keeps the last size bytes of rec as record n of col, counts it and
-// returns them. They may already sit in the slot: the Add methods encode
-// them there.
-func (h *History) store(col *[]byte, size int, n *int, rec []byte) []byte {
-	rec = rec[len(rec)-size:]
-	copy(h.slot(col, size, *n), rec)
-	if *n++; h.window == 0 {
-		*col = (*col)[:len(*col)+size]
-	}
-	return rec
-}
-
-// storeInterval stores an interval record as the run's next one.
-func (h *History) storeInterval(rec []byte) {
-	if h.store(&h.iv, h.ivLen, &h.intervals, rec); h.window == 0 {
+// store keeps the last size[k] bytes of rec, which the Add methods encode in
+// place, as the next record of kind k, and adds them to the running sums.
+func (h *History) store(k int, rec []byte) {
+	rec = rec[len(rec)-h.size[k]:]
+	copy(h.slot(k), rec)
+	if h.n[k]++; !h.Streaming() {
+		h.col[k] = h.col[k][:len(h.col[k])+h.size[k]]
 		return
 	}
 	C := h.columns()
-	for c := range C {
-		h.sums[c] += f64(rec, 1+8*c)
+	if k == pdKind {
+		h.sums[C+1] += h.val(rec, C+1)
+		return
 	}
-	if f64(rec, h.ivLen-8) > 0 {
-		h.sums[C]++
+	for c := range C + 1 {
+		h.sums[c] += h.val(rec, c)
 	}
 	for i := range h.sketches {
 		h.sketches[i].Observe(f64(rec, 1))
 	}
 }
 
-// storePeriod stores a period record, or the tail of one in streaming
-// mode, as the run's next period.
-func (h *History) storePeriod(rec []byte) {
-	if rec = h.store(&h.pd, h.pdLen, &h.periods, rec); h.window > 0 {
-		h.sums[h.columns()+1] += countMet(rec[:h.NumSlices])
-	}
-}
-
 // Reserve gives an exact-mode History room for periods periods and their
-// intervals at once, so a run of known length records without growing; a
-// run that goes on past them grows from there.
+// intervals at once, so a run of known length records without growing.
 func (h *History) Reserve(periods int) {
-	if h.window == 0 && periods*h.pdLen > cap(h.pd) {
-		h.iv = append(make([]byte, 0, periods*h.T*h.ivLen), h.iv...)
-		h.pd = append(make([]byte, 0, periods*h.pdLen), h.pd...)
+	if !h.Streaming() && periods*h.size[pdKind] > cap(h.col[pdKind]) {
+		for k, n := range [2]int{periods * h.T, periods} {
+			h.col[k] = append(make([]byte, 0, n*h.size[k]), h.col[k]...)
+		}
 	}
 }
 
 // AddInterval appends one interval's aggregates (usage is [slice][resource]).
 // A record of another shape than the history's is an error, and not stored.
 func (h *History) AddInterval(sysPerf float64, slicePerf []float64, usage [][]float64, violation float64) error {
-	rec, err := appendInterval(h.slot(&h.iv, h.ivLen, h.intervals)[:0], h.NumSlices, sysPerf, slicePerf, usage, violation)
+	rec, err := appendInterval(h.slot(ivKind)[:0], h.NumSlices, sysPerf, slicePerf, usage, violation)
 	if err == nil {
-		h.storeInterval(rec)
+		h.store(ivKind, rec)
 	}
 	return err
 }
 
 // AddPeriod appends one period's coordinator-side records (perf is
-// [slice][ra]). A record of another shape than the history's is an error,
-// and not stored.
+// [slice][ra]), on AddInterval's terms.
 func (h *History) AddPeriod(perf [][]float64, sla []bool, primal, dual float64) error {
-	rec, err := appendPeriod(h.slot(&h.pd, h.pdLen, h.periods)[:0], h.NumSlices, h.NumRAs, perf, sla, primal, dual, h.window == 0)
+	rec, err := appendPeriod(h.slot(pdKind)[:0], h.NumSlices, h.NumRAs, perf, sla, primal, dual, !h.Streaming())
 	if err == nil {
-		h.storePeriod(rec)
+		h.store(pdKind, rec)
 	}
 	return err
 }
 
 // Append concatenates another exact history of the same system shape onto
-// h — a resumed run's prefix and its continuation, say. An exact h appends
-// other's two columns; a streaming h stores its records one by one. A
-// streaming other cannot be appended (its raw records are gone).
+// h — a resumed run's prefix and its continuation, say. A streaming other
+// cannot be appended (its raw records are gone).
 func (h *History) Append(other *History) error {
 	if other == nil {
 		return fmt.Errorf("core: append nil history")
@@ -191,35 +163,34 @@ func (h *History) Append(other *History) error {
 	if other.Streaming() {
 		return fmt.Errorf("core: cannot append a streaming history: its per-interval records are summarized away; append exact chunks into a streaming accumulator instead")
 	}
-	if h.window == 0 {
-		h.iv, h.pd = append(h.iv, other.iv...), append(h.pd, other.pd...)
-		h.intervals, h.periods = h.intervals+other.intervals, h.periods+other.periods
-		return nil
-	}
-	for r := range other.intervals {
-		h.storeInterval(other.at(other.iv, other.ivLen, r, other.intervals))
-	}
-	for p := range other.periods {
-		h.storePeriod(other.at(other.pd, other.pdLen, p, other.periods))
+	for k := range h.col {
+		if h.Streaming() {
+			for r := range other.n[k] {
+				h.store(k, other.at(k, r))
+			}
+			continue
+		}
+		h.col[k] = append(h.col[k], other.col[k]...)
+		h.n[k] += other.n[k]
 	}
 	return nil
 }
 
 // Intervals returns the number of recorded intervals.
-func (h *History) Intervals() int { return h.intervals }
+func (h *History) Intervals() int { return h.n[ivKind] }
 
 // Periods returns the number of recorded periods.
-func (h *History) Periods() int { return h.periods }
+func (h *History) Periods() int { return h.n[pdKind] }
 
 // IntervalColumn returns float c of every retained interval record, oldest
 // first: column 0 is the system performance Σ_i Σ_j U (Fig. 6a), 1+i slice
 // i's Σ_j U (Fig. 6b), 1+I+i·K+k slice i's usage share of resource k
 // (K = netsim.NumResources, Fig. 7) and 1+I+I·K the capacity violation.
 func (h *History) IntervalColumn(c int) []float64 {
-	n := h.retained(h.intervals)
+	n := min(h.n[ivKind], h.window)
 	out := make([]float64, n)
-	for k := range out {
-		out[k] = f64(h.at(h.iv, h.ivLen, h.intervals-n+k, h.intervals), 1+8*c)
+	for r := range out {
+		out[r] = f64(h.at(ivKind, h.n[ivKind]-n+r), 1+8*c)
 	}
 	return out
 }
@@ -228,13 +199,13 @@ func (h *History) IntervalColumn(c int) []float64 {
 // streaming mode, which keeps none), which slices met their SLA, and the
 // primal and dual ADMM residuals.
 func (h *History) Period(p int) (perf [][]float64, sla []bool, primal, dual float64) {
-	rec, I, J := h.at(h.pd, h.pdLen, p, h.periods), h.NumSlices, h.NumRAs
-	tail := rec[h.pdLen-I-16:]
+	rec, I, J := h.at(pdKind, p), h.NumSlices, h.NumRAs
+	tail := rec[len(rec)-I-16:]
 	sla = make([]bool, I)
 	for i := range sla {
 		sla[i] = tail[i] != 0
 	}
-	if h.window == 0 {
+	if !h.Streaming() {
 		perf = make([][]float64, I)
 		for i := range perf {
 			perf[i] = make([]float64, J)
@@ -246,42 +217,53 @@ func (h *History) Period(p int) (perf [][]float64, sla []bool, primal, dual floa
 	return perf, sla, f64(tail, I), f64(tail, I+8)
 }
 
-// countMet counts the set SLA flags of a record.
-func countMet(sla []byte) float64 {
-	n := 0.0
-	for _, b := range sla {
-		if b != 0 {
-			n++
+// val returns column c of a record: for c below columns() float c of an
+// interval record, for c = columns() 1 when the interval violated capacity,
+// else 0, and for c = columns()+1 how many slices met their SLA in a period.
+func (h *History) val(rec []byte, c int) float64 {
+	n, C := 0.0, h.columns()
+	switch {
+	case c < C:
+		return f64(rec, 1+8*c)
+	case c == C && f64(rec, h.size[ivKind]-8) > 0:
+		n = 1
+	case c > C:
+		for _, b := range rec[len(rec)-h.NumSlices-16:][:h.NumSlices] {
+			if b != 0 {
+				n++
+			}
 		}
 	}
 	return n
 }
 
-// tail is the one path every summary accessor takes. Over the last lastN of
-// n records in col (all of them when lastN is not positive or exceeds n) it
-// sums f of each in arrival order; when a streaming ring no longer holds
-// them, it answers for the whole run from running total sums[total]. k is
-// the number of records the sum covers.
-func (h *History) tail(col []byte, size, n, lastN, total int, f func(rec []byte) float64) (sum float64, k int, err error) {
+// tail sums val of column c over the last lastN records (all when lastN is
+// not positive or exceeds the count), or, when a ring no longer holds them,
+// returns the run's running sum. k is the number of records summed.
+func (h *History) tail(c, lastN int) (sum float64, k int, err error) {
+	kind := ivKind
+	if c > h.columns() {
+		kind = pdKind
+	}
+	n := h.n[kind]
 	if n == 0 {
 		return 0, 0, fmt.Errorf("core: empty history")
 	}
 	if lastN <= 0 || lastN > n {
 		lastN = n
 	}
-	if lastN > h.retained(n) {
-		return h.sums[total], n, nil
+	if lastN > h.window {
+		return h.sums[c], n, nil
 	}
 	for r := n - lastN; r < n; r++ {
-		sum += f(h.at(col, size, r, n))
+		sum += h.val(h.at(kind, r), c)
 	}
 	return sum, lastN, nil
 }
 
-// intervalMean is the mean of interval column c over the last lastN
-// intervals, on tail's terms.
-func (h *History) intervalMean(c, lastN int) (float64, error) {
-	sum, k, err := h.tail(h.iv, h.ivLen, h.intervals, lastN, c, func(rec []byte) float64 { return f64(rec, 1+8*c) })
+// mean is tail's sum divided by the records it covers.
+func (h *History) mean(c, lastN int) (float64, error) {
+	sum, k, err := h.tail(c, lastN)
 	if err != nil {
 		return 0, err
 	}
@@ -289,53 +271,45 @@ func (h *History) intervalMean(c, lastN int) (float64, error) {
 }
 
 // MeanSystemPerf returns the average per-interval system performance over
-// the last n intervals (the steady-state number quoted in Fig. 6a). In
-// streaming mode it is bit-identical to the exact mode's when lastN fits
-// the window or covers the run; in between, the full-run mean is returned
-// as the documented approximation.
+// the last n intervals (Fig. 6a's steady state). In streaming mode it is
+// bit-identical to the exact mode's when lastN fits the window or covers
+// the run; in between, it is the full-run mean.
 func (h *History) MeanSystemPerf(lastN int) (float64, error) {
-	return h.intervalMean(0, lastN)
+	return h.mean(0, lastN)
 }
 
 // MeanUsage returns the average usage share of a slice/resource over the
-// last n intervals (Fig. 7's steady state and Fig. 8's η ratios), on
-// MeanSystemPerf's streaming terms.
+// last n intervals (Fig. 7 and 8), on MeanSystemPerf's streaming terms.
 func (h *History) MeanUsage(slice, resource, lastN int) (float64, error) {
 	if slice < 0 || slice >= h.NumSlices || resource < 0 || resource >= netsim.NumResources {
 		return 0, fmt.Errorf("core: slice %d / resource %d out of range", slice, resource)
 	}
-	return h.intervalMean(1+h.NumSlices+slice*netsim.NumResources+resource, lastN)
+	return h.mean(1+h.NumSlices+slice*netsim.NumResources+resource, lastN)
 }
 
-// UsageRatio returns η_a/η_b where η_i is the slice's mean usage across all
-// resources over the last n intervals (Fig. 8b-d). A zero denominator
-// returns an error.
+// UsageRatio returns η_a/η_b, η_i being slice i's mean usage summed over
+// resources in the last n intervals (Fig. 8b-d); a zero η_b is an error.
 func (h *History) UsageRatio(a, b, lastN int) (float64, error) {
-	var etaA, etaB float64
-	for k := 0; k < netsim.NumResources; k++ {
-		ua, err := h.MeanUsage(a, k, lastN)
-		if err != nil {
-			return 0, err
+	var eta [2]float64
+	for s, slice := range [2]int{a, b} {
+		for k := range netsim.NumResources {
+			u, err := h.MeanUsage(slice, k, lastN)
+			if err != nil {
+				return 0, err
+			}
+			eta[s] += u
 		}
-		ub, err := h.MeanUsage(b, k, lastN)
-		if err != nil {
-			return 0, err
-		}
-		etaA += ua
-		etaB += ub
 	}
-	if etaB == 0 {
+	if eta[1] == 0 {
 		return 0, fmt.Errorf("core: slice %d has zero usage", b)
 	}
-	return etaA / etaB, nil
+	return eta[0] / eta[1], nil
 }
 
 // SLASatisfactionRate returns the fraction of (period, slice) pairs whose
 // SLA was met over the last n periods, on MeanSystemPerf's streaming terms.
 func (h *History) SLASatisfactionRate(lastN int) (float64, error) {
-	met, k, err := h.tail(h.pd, h.pdLen, h.periods, lastN, h.columns()+1, func(rec []byte) float64 {
-		return countMet(rec[h.pdLen-h.NumSlices-16:][:h.NumSlices])
-	})
+	met, k, err := h.tail(h.columns()+1, lastN)
 	if err != nil {
 		return 0, fmt.Errorf("core: no periods recorded")
 	}
@@ -343,14 +317,13 @@ func (h *History) SLASatisfactionRate(lastN int) (float64, error) {
 }
 
 // SystemPerfQuantile returns the q-th quantile of the per-interval system
-// performance over the whole run: exact (sorted with linear interpolation)
-// in the default mode, the P² streaming estimate for the tracked
-// StreamQuantiles in streaming mode.
+// performance over the run: exact (linear interpolation) in exact mode, the
+// P² estimate of a tracked StreamQuantiles entry in streaming mode.
 func (h *History) SystemPerfQuantile(q float64) (float64, error) {
-	if h.intervals == 0 {
+	if h.n[ivKind] == 0 {
 		return 0, fmt.Errorf("core: empty history")
 	}
-	if h.window > 0 {
+	if h.Streaming() {
 		for i, p := range StreamQuantiles {
 			if p == q {
 				return h.sketches[i].Value(), nil
@@ -369,24 +342,15 @@ func (h *History) SystemPerfQuantile(q float64) (float64, error) {
 // ViolationRate returns the fraction of intervals whose raw action
 // violated the capacity constraint (violation > 0). Exact in both modes.
 func (h *History) ViolationRate() (float64, error) {
-	n, k, err := h.tail(h.iv, h.ivLen, h.intervals, 0, h.columns(), func(rec []byte) float64 {
-		if f64(rec, h.ivLen-8) > 0 {
-			return 1
-		}
-		return 0
-	})
-	if err != nil {
-		return 0, err
-	}
-	return n / float64(k), nil
+	return h.mean(h.columns(), 0)
 }
 
 // LastResiduals returns the most recent period's primal and dual ADMM
 // residuals (NaN, NaN when no period is recorded).
 func (h *History) LastResiduals() (primal, dual float64) {
-	if h.periods == 0 {
+	if h.n[pdKind] == 0 {
 		return math.NaN(), math.NaN()
 	}
-	_, _, primal, dual = h.Period(h.periods - 1)
+	_, _, primal, dual = h.Period(h.n[pdKind] - 1)
 	return primal, dual
 }

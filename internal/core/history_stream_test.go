@@ -297,9 +297,9 @@ func TestReserveMatchesGrownHistoryLog(t *testing.T) {
 		}
 	}
 	record(n)
-	if cap(reserved.pd) != n*reserved.pdLen || cap(reserved.iv) != n*T*reserved.ivLen {
+	if cap(reserved.col[pdKind]) != n*reserved.size[pdKind] || cap(reserved.col[ivKind]) != n*T*reserved.size[ivKind] {
 		t.Errorf("reserved for %d periods, holds %d periods / %d intervals of capacity",
-			n, cap(reserved.pd)/reserved.pdLen, cap(reserved.iv)/reserved.ivLen)
+			n, cap(reserved.col[pdKind])/reserved.size[pdKind], cap(reserved.col[ivKind])/reserved.size[ivKind])
 	}
 	check("at the reserve")
 	record(3)

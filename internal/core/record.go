@@ -82,15 +82,14 @@ func (s *System) newRunHistory() *History {
 }
 
 // commitInterval is the single point every executor records an interval
-// through: the history append, the run counters, and the on-disk log, which
-// appends the record bytes the History just stored.
+// through: the history append, the run counters, and the on-disk log.
 func (s *System) commitInterval(h *History, sysPerf float64, slicePerf []float64, usage [][]float64, violation float64) error {
 	if err := h.AddInterval(sysPerf, slicePerf, usage, violation); err != nil {
 		return err
 	}
 	s.stats.intervals.Add(1)
 	if s.rec.Log != nil {
-		if err := s.rec.Log.write(h.at(h.iv, h.ivLen, h.intervals-1, h.intervals)); err != nil {
+		if err := s.rec.Log.LogInterval(sysPerf, slicePerf, usage, violation); err != nil {
 			return fmt.Errorf("core: history log: %w", err)
 		}
 	}
@@ -98,8 +97,7 @@ func (s *System) commitInterval(h *History, sysPerf float64, slicePerf []float64
 }
 
 // commitPeriod mirrors commitInterval for period records; finishPeriod
-// calls it after the ADMM update. A streaming History keeps no perf grid,
-// so the log encodes that record itself.
+// calls it after the ADMM update.
 func (s *System) commitPeriod(h *History, perf [][]float64, sla []bool, primal, dual float64) error {
 	if err := h.AddPeriod(perf, sla, primal, dual); err != nil {
 		return err
@@ -110,17 +108,10 @@ func (s *System) commitPeriod(h *History, perf [][]float64, sla []bool, primal, 
 	s.stats.lastPrimal, s.stats.lastDual = primal, dual
 	s.stats.havePeriod = true
 	s.stats.mu.Unlock()
-	if s.rec.Log == nil {
-		return nil
-	}
-	var err error
-	if h.Streaming() {
-		err = s.rec.Log.LogPeriod(perf, sla, primal, dual)
-	} else {
-		err = s.rec.Log.write(h.at(h.pd, h.pdLen, h.periods-1, h.periods))
-	}
-	if err != nil {
-		return fmt.Errorf("core: history log: %w", err)
+	if s.rec.Log != nil {
+		if err := s.rec.Log.LogPeriod(perf, sla, primal, dual); err != nil {
+			return fmt.Errorf("core: history log: %w", err)
+		}
 	}
 	return nil
 }
@@ -182,7 +173,6 @@ func (s *System) EnableTelemetry(reg *telemetry.Registry) {
 			return s.stats.lastDual
 		})
 	for i := 0; i < s.cfg.EnvTemplate.NumSlices; i++ {
-		i := i
 		//edgeslice:dynname formatted once per slice at registration, bounded by NumSlices; exposition reads the cached family
 		reg.GaugeFunc(fmt.Sprintf(`edgeslice_sla_met{slice="%d"}`, i),
 			"1 when the slice's SLA held in the last period", func() float64 {

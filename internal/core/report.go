@@ -7,20 +7,19 @@ import (
 )
 
 // WriteReport writes a run's report. An exact History gets the per-period
-// table — per-slice performance summed over RAs, SLA flags, residuals — then
-// the steady-state system performance (mean over the second half of the
-// intervals) and the SLA satisfaction. A streaming History gets what it
-// keeps: the same two figures plus the tracked system-performance
-// quantiles, the violation rate and the last residuals. A History with no
-// intervals gets its heading only.
+// table — per-slice performance summed over RAs, SLA flags, residuals — a
+// streaming one a heading. Both then get the same summary: the steady-state
+// system performance (mean over the second half of the intervals), its
+// StreamQuantiles, the SLA satisfaction, the capacity violation rate and the
+// last residuals. A History with no intervals gets no summary.
 func WriteReport(w io.Writer, h *History) error {
 	var b strings.Builder
 	if h.Streaming() {
 		fmt.Fprintf(&b, "streaming history (window %d): %d periods, %d intervals retained as summaries\n",
-			h.window, h.periods, h.intervals)
+			h.window, h.Periods(), h.Intervals())
 	} else {
 		b.WriteString("period | per-slice performance (sum over RAs) | SLA met | residuals\n")
-		for p := 0; p < h.periods; p++ {
+		for p := range h.Periods() {
 			perf, sla, primal, dual := h.Period(p)
 			fmt.Fprintf(&b, "%6d | [", p)
 			for i, row := range perf {
@@ -36,18 +35,8 @@ func WriteReport(w io.Writer, h *History) error {
 			fmt.Fprintf(&b, "] | %v | primal=%.2f dual=%.2f\n", sla, primal, dual)
 		}
 	}
-	if h.intervals > 0 {
-		mp, err := h.MeanSystemPerf(h.intervals / 2)
-		if err != nil {
-			return err
-		}
-		sla, err := h.SLASatisfactionRate(0)
-		if err != nil {
-			return err
-		}
-		if !h.Streaming() {
-			fmt.Fprintf(&b, "\nsteady-state system performance: %.2f per interval\nSLA satisfaction: %.0f%%\n", mp, sla*100)
-		} else if err := writeStreamingSummary(&b, h, mp, sla); err != nil {
+	if h.Intervals() > 0 {
+		if err := writeSummary(&b, h); err != nil {
 			return err
 		}
 	}
@@ -55,9 +44,16 @@ func WriteReport(w io.Writer, h *History) error {
 	return err
 }
 
-// writeStreamingSummary writes a streaming History's summaries after its
-// steady-state mean mp and SLA satisfaction sla.
-func writeStreamingSummary(b *strings.Builder, h *History, mp, sla float64) error {
+// writeSummary writes the summary of a History with intervals, after a
+// blank line that ends an exact History's table.
+func writeSummary(b *strings.Builder, h *History) error {
+	mp, err := h.MeanSystemPerf(h.Intervals() / 2)
+	if err != nil {
+		return err
+	}
+	if !h.Streaming() {
+		b.WriteByte('\n')
+	}
 	fmt.Fprintf(b, "steady-state system performance: %.2f per interval\n", mp)
 	for _, q := range StreamQuantiles {
 		v, err := h.SystemPerfQuantile(q)
@@ -65,6 +61,10 @@ func writeStreamingSummary(b *strings.Builder, h *History, mp, sla float64) erro
 			return err
 		}
 		fmt.Fprintf(b, "system performance p%g: %.2f\n", q*100, v)
+	}
+	sla, err := h.SLASatisfactionRate(0)
+	if err != nil {
+		return err
 	}
 	viol, err := h.ViolationRate()
 	if err != nil {

@@ -98,11 +98,12 @@ func TestRunPeriodsIntoUnderRunPeriodsWith(t *testing.T) {
 
 // TestExactRecordingAllocsAmortized is the allocation gate of exact-mode
 // recording: 1,000 serial periods of a 3-RA EdgeSlice system, driven one at
-// a time into one exact History, allocate at most 28 times in total — the
+// a time into one exact History, allocate at most 32 times in total — the
 // History and the doublings of its two record columns, nothing per period.
-// A plain build measures 25; under -race the runtime adds one or two.
+// A plain build measures 25; under -race the runtime has added up to two,
+// and the bound leaves room above that for runtime noise.
 func TestExactRecordingAllocsAmortized(t *testing.T) {
-	const periods, bound = 1000, 28
+	const periods, bound = 1000, 32
 	cfg := execTestConfig(AlgoEdgeSlice)
 	s := deployedSystem(t, cfg)
 	e := NewSerialExecutor()
