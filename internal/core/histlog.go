@@ -18,8 +18,7 @@ import (
 // recording makes long runs lossless: live queries come from O(window)
 // summaries while the log preserves full fidelity on disk.
 //
-// Format (log payloads, all integers/floats little-endian). A History holds
-// the same interval and period payloads, byte for byte:
+// Format (log payloads, little-endian; a History holds the same payloads):
 //
 //	header   "ESHL" | version u32 | numSlices u32 | numRAs u32 | T u32 | numResources u32
 //	interval 0x01 | sysPerf f64 | slicePerf[I] f64 | usage[I][K] f64 | violation f64
@@ -57,9 +56,8 @@ func CreateHistoryLog(path string, numSlices, numRAs, t int) (*HistoryLog, error
 	if err != nil {
 		_ = w.Close()
 		_ = os.Remove(path)
-		return nil, err
 	}
-	return l, nil
+	return l, err
 }
 
 // NewHistoryLog wraps a telemetry log writer and writes the header record.

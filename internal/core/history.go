@@ -85,16 +85,11 @@ func (h *History) at(k, r int) []byte {
 // slot returns the bytes the next record of kind k goes in: the next ring
 // slot, or past the end of an exact column, which doubles when full.
 func (h *History) slot(k int) []byte {
-	col, size := h.col[k], h.size[k]
-	if h.Streaming() {
-		off := h.n[k] % h.window * size
-		return col[off : off+size]
+	off, size := h.n[k]%h.window*h.size[k], h.size[k]
+	if !h.Streaming() && cap(h.col[k]) < off+size {
+		h.col[k] = append(make([]byte, 0, 2*off+size), h.col[k]...)
 	}
-	if cap(col)-len(col) < size {
-		col = append(make([]byte, 0, 2*len(col)+size), col...)
-		h.col[k] = col
-	}
-	return col[len(col) : len(col)+size]
+	return h.col[k][off : off+size]
 }
 
 // store keeps the last size[k] bytes of rec, which the Add methods encode in
