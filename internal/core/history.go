@@ -159,14 +159,9 @@ func (h *History) Append(other *History) error {
 		return fmt.Errorf("core: cannot append a streaming history: its per-interval records are summarized away; append exact chunks into a streaming accumulator instead")
 	}
 	for k := range h.col {
-		if h.Streaming() {
-			for r := range other.n[k] {
-				h.store(k, other.at(k, r))
-			}
-			continue
+		for r := range other.n[k] {
+			h.store(k, other.at(k, r))
 		}
-		h.col[k] = append(h.col[k], other.col[k]...)
-		h.n[k] += other.n[k]
 	}
 	return nil
 }
