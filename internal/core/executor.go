@@ -2,28 +2,18 @@ package core
 
 import (
 	"fmt"
-
-	"edgeslice/internal/netsim"
 )
 
-// Executor runs Algorithm 1 on a System. Every implementation executes the
-// same three phases per period:
-//
-//  1. distribute — push the coordinator's (Z, Y) columns into every RA;
-//  2. step — run T intervals of decentralized orchestration in every RA
-//     (the x-update), recording per-interval outcomes;
-//  3. collect — gather Σ_t U per slice per RA, run the ADMM (Z, Y) update,
-//     and record the period's SLA flags and primal/dual residuals.
-//
-// The implementations differ only in where phase 2 executes: Batched steps
-// 64-RA chunks through all T intervals of a period on its workers, one
-// forward per policy group per chunk per interval, Serial is that batch plan
-// at one worker, and Remote steps the RAs in separate agent processes over
-// the RC network interface. Every engine steps a period into the System's
-// T×J result grid and records it through the same fixed (interval, RA,
-// slice) merge, so Serial and Batched are bit-identical for any worker
-// count; Remote is identical to Serial when the remote agents run the same
-// environments and policies.
+// Executor runs Algorithm 1 on a System, in three phases per period:
+// distribute the coordinator's (Z, Y) columns into every RA; step T
+// intervals of decentralized orchestration in every RA (the x-update) into
+// the System's period grid; collect Σ_t U per slice per RA, run the ADMM
+// (Z, Y) update and record the period. The engines differ only in where the
+// step runs — Batched on workers pulling netsim chunks of at most 64 RAs,
+// Serial on one worker, Remote in agent processes over the RC network
+// interface — and all record through the same (interval, RA, slice) merge,
+// so Serial and Batched are bit-identical for any worker count, and Remote
+// is identical when its agents run the same environments and policies.
 type Executor interface {
 	// Name reports the engine spelling ("serial", "batched", "remote").
 	Name() string
@@ -49,10 +39,8 @@ const (
 )
 
 // NewExecutor resolves an in-process engine spelling: "serial" (or empty)
-// and "batched" (workers step 64-RA chunks through whole periods, one
-// forward per policy group per chunk per interval; ≤ 0 defaults to
-// GOMAXPROCS). "parallel" resolves to the batched engine.
-// The remote engine needs a live hub and timeout; construct it with
+// or "batched" (workers ≤ 0 defaults to GOMAXPROCS); "parallel" resolves to
+// the batched engine. The remote engine wraps a live hub: construct it with
 // NewRemoteExecutor.
 func NewExecutor(engine string, workers int) (Executor, error) {
 	switch engine {
@@ -79,37 +67,32 @@ func (s *System) checkRunnable(n int) error {
 	return nil
 }
 
-// distribute pushes the coordinator's (Z, Y) columns into every RA (phase 1
-// of Alg. 1: agents act under the coordinating information for all
-// intervals in T).
-func (s *System) distribute() error {
-	ws := s.workspace()
-	for j := range s.envs {
-		s.coord.ColumnInto(j, ws.col, ws.col2)
-		if err := s.envs[j].SetCoordination(ws.col, ws.col2); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// collectPerf moves Σ_t U per slice of every RA into the workspace's
-// performance grid, resetting the environments' accumulators.
-func (s *System) collectPerf() {
-	ws := s.workspace()
-	for j := range s.envs {
-		s.envs[j].PeriodPerfInto(ws.col)
-		for i, v := range ws.col {
-			ws.perf[i][j] = v
+// distribute writes the coordinator's (Z, Y) columns into every chunk's
+// coordination columns (phase 1 of Alg. 1: agents act under the
+// coordinating information for all intervals in T).
+func (s *System) distribute() {
+	I := s.cfg.EnvTemplate.NumSlices
+	for c, ch := range s.chunks {
+		for r := 0; r < ch.Len(); r++ {
+			s.coord.ColumnInto(s.chunkLo[c]+r, ch.Z[r*I:(r+1)*I], ch.Y[r*I:(r+1)*I])
 		}
 	}
 }
 
-// collectAndUpdate gathers Σ_t U per slice per RA from the local
-// environments and finishes the period (phase 3).
+// collectAndUpdate moves Σ_t U per slice of every RA from the chunks'
+// period performance columns into the workspace's performance grid,
+// resetting the columns, and finishes the period (phase 3).
 func (s *System) collectAndUpdate(h *History) error {
-	s.collectPerf()
-	return s.finishPeriod(h, s.workspace().perf)
+	ws := s.workspace()
+	for c, ch := range s.chunks {
+		for r := 0; r < ch.Len(); r++ {
+			for i, v := range ch.PeriodPerf[r*ws.I : (r+1)*ws.I] {
+				ws.perf[i][s.chunkLo[c]+r] = v
+			}
+		}
+		clear(ch.PeriodPerf)
+	}
+	return s.finishPeriod(h, ws.perf)
 }
 
 // finishPeriod runs the ADMM update on the collected performance grid and
@@ -128,65 +111,52 @@ func (s *System) finishPeriod(h *History, perf [][]float64) error {
 	return s.commitPeriod(h, perf, sla, primal, dual)
 }
 
-// mergePeriod merges the period's T result rows in (interval, RA, slice)
-// order.
-func (s *System) mergePeriod(h *History, res [][]netsim.StepResult) error {
-	for _, row := range res {
-		if err := s.mergeInterval(h, row); err != nil {
+// mergePeriod merges the period grid's T intervals in order.
+func (s *System) mergePeriod(h *History) error {
+	for t := 0; t < s.workspace().T; t++ {
+		if err := s.mergeInterval(h, t); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// mergeInterval folds every RA's result for one interval into the history
-// in fixed (RA, slice) order — the one summation and recording order every
-// engine shares — so merged results are bit-identical regardless of who
-// stepped the RAs, on how many workers, or in what order reports arrived.
-// It runs on the driver goroutine only.
-func (s *System) mergeInterval(h *History, res []netsim.StepResult) error {
+// mergeInterval folds every RA's result for interval t of the period grid
+// into the history in the fixed (RA, slice) order every engine shares, so
+// merged results are bit-identical whoever stepped the RAs, on however many
+// workers, and in whatever order reports arrived. Driver goroutine only.
+func (s *System) mergeInterval(h *History, t int) error {
 	ws := s.workspace()
+	perf, eff, viol := ws.interval(t)
 	var sysPerf, violation float64
 	for i := range ws.slicePerf {
 		ws.slicePerf[i] = 0
-		for k := range ws.usage[i] {
-			ws.usage[i][k] = 0
-		}
+		clear(ws.usage[i])
 	}
-	for j := range res {
-		sysPerf = mergeRA(ws, &res[j], sysPerf)
-		violation += res[j].Violation
+	// One accumulator runs across all RAs, as the serial loop summed.
+	for j, v := range viol {
+		for i := range ws.slicePerf {
+			x := j*ws.I + i
+			sysPerf += perf[x]
+			ws.slicePerf[i] += perf[x]
+			for k, e := range eff[x] {
+				ws.usage[i][k] += e
+			}
+		}
+		violation += v
 	}
 	// The shares of the J RAs are summed first and divided once, so the
 	// recorded value carries a single rounding instead of J.
 	for i := range ws.usage {
 		for k := range ws.usage[i] {
-			ws.usage[i][k] /= float64(len(res))
+			ws.usage[i][k] /= float64(ws.J)
 		}
 	}
 	return s.commitInterval(h, sysPerf, ws.slicePerf, ws.usage, violation)
 }
 
-// mergeRA adds one RA's interval result to the workspace's per-slice sums
-// and to the running system sum sysPerf (returned; one accumulator across
-// all RAs, as the serial loop always summed).
-//
-//edgeslice:noalloc
-func mergeRA(ws *periodWS, res *netsim.StepResult, sysPerf float64) float64 {
-	for i := range ws.slicePerf {
-		sysPerf += res.Perf[i]
-		ws.slicePerf[i] += res.Perf[i]
-		for k := 0; k < netsim.NumResources; k++ {
-			ws.usage[i][k] += res.Effective[i][k]
-		}
-	}
-	return sysPerf
-}
-
-// serialExecutor is the batch plan at one worker: chunk after chunk, every
-// interval one gather and one forward per policy group in the chunk, then
-// the chunk's RAs step one after another in RA order, all on the calling
-// goroutine.
+// serialExecutor is the batch plan at one worker: chunk after chunk on the
+// calling goroutine.
 type serialExecutor struct{ BatchedExecutor }
 
 // NewSerialExecutor returns the serial in-process engine — System.RunPeriods'

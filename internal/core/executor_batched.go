@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
 	"sort"
 	"sync"
@@ -11,40 +12,22 @@ import (
 	"edgeslice/internal/telemetry"
 )
 
-// BatchedExecutor runs the step phase period-major in chunks of chunkRAs
-// consecutive RAs: once per period, workers pull chunks off a shared
-// counter, and for each chunk, interval after interval, gather the chunk's
-// rows of every policy group, run one ActBatch per group on those rows
-// (rl.BatchActor) and step the chunk's RAs into the period's T×J result
-// grid. The driver then merges the T rows. Coordination is frozen for the
-// whole period and an RA acts only on its own environment, so a chunk never
-// waits on another: one fork/join per period, and a chunk's environments
-// stay cache-resident across their T steps.
+// BatchedExecutor runs the step phase period-major over the System's netsim
+// chunks (at most chunkRAs consecutive RAs each): once per period, workers
+// pull chunks off a shared counter and step each through all T intervals —
+// per interval one ActBatch per policy group on the chunk's gathered rows
+// (rl.BatchActor), or the baseline's actions computed in the chunk, then
+// one Chunk.StepInto into the period grid. The driver then merges the T
+// intervals. Coordination is frozen for the whole period and an RA acts
+// only on its own environment, so a chunk never waits on another.
 //
-// The serial engine is this plan at one worker. Determinism: the result is
-// bit-identical to an interleaved loop that acts and steps one RA after
-// another (Act(env.State()) then Step, in RA order) for any worker count,
-// by construction —
-//
-//   - an RA's observation and step depend only on its own environment, so
-//     stepping a chunk through all T intervals before the next chunk starts
-//     gives every RA the trajectory the interleaved loop gives it;
-//   - row i of any forward block is bit-identical to the scalar Act on
-//     state i (see nn.MatMulNTInto: batching never reorders or splits an
-//     output element's dot product);
-//   - an RA's step reads and writes only its own environment and its own
-//     slots of the period workspace, so which worker steps it cannot change
-//     its result, and the merge that follows runs single-threaded in the
-//     fixed (interval, RA, slice) order — History and residuals come out
-//     the same.
-//
-// Baseline RAs compute their own action in their chunk; every learning agent
-// is an rl.BatchActor (SetAgents refuses any other), so it acts in its
-// group's forward.
-//
-// A BatchedExecutor drives one run at a time: concurrent RunPeriods calls
-// on one executor are not supported (the System is not concurrency-safe
-// either).
+// The serial engine is this plan at one worker. For any worker count the
+// result is bit-identical to acting and stepping one RA after another: an
+// RA's step depends only on its own state, row i of a forward block is the
+// scalar Act on state i (nn.MatMulNTInto never reorders a dot product), a
+// chunk step gives each RA its solo step's bits, and the merge runs on one
+// goroutine in (interval, RA, slice) order. A BatchedExecutor drives one
+// run at a time, as a System does.
 type BatchedExecutor struct {
 	workers int
 
@@ -92,10 +75,9 @@ func (e *BatchedExecutor) EnableTelemetry(reg *telemetry.Registry) {
 		"chunk forward passes per period (group spans over all chunks × T)", func() float64 { return float64(e.perPeriod.Load()) })
 }
 
-// chunkRAs is the number of consecutive RAs a worker pulls at once and steps
-// through a whole period: 64 RAs' environments fit a core's L2, a
-// spawn/synchronization costs less than their steps, and a shared group's
-// 64-row forward is whole 8-row kernel tiles.
+// chunkRAs is the most RAs a netsim chunk, stepped through a whole period
+// by one worker, holds: 64 RAs' columns fit a core's L2, a spawn costs less
+// than their steps, and a 64-row forward is whole 8-row kernel tiles.
 const chunkRAs = 64
 
 // groupSpan is one policy group's RAs within one chunk, ascending: their
@@ -113,13 +95,9 @@ type batchPlan struct {
 	// spans[chunkSpans[c]:chunkSpans[c+1]] are chunk c's group spans.
 	spans      []groupSpan
 	chunkSpans []int
-	// baselines: no learning agents, every RA computes its action in its
-	// chunk.
-	baselines bool
+	baselines  bool // no learning agents: RAs compute actions in their chunk
 
-	// forwards is the chunk forwards of one period; blockRows the largest
-	// span.
-	forwards, blockRows int
+	forwards, blockRows int // chunk forwards of one period; largest span
 
 	// Worker w of workers (min(workers, chunks)) steps chunk w, then pulls
 	// chunks off next, forwarding in nws[w] — a worker the host deschedules
@@ -132,9 +110,8 @@ type batchPlan struct {
 	chunkErr []error
 }
 
-// batchKey groups RAs by policy instance and observation width — two RAs
-// batch together only when the same BatchActor serves both and their
-// states share a shape.
+// batchKey groups RAs by policy instance and observation width: two RAs
+// batch together only under the same BatchActor and state shape.
 type batchKey struct {
 	actor rl.BatchActor
 	dim   int
@@ -155,8 +132,7 @@ func (e *BatchedExecutor) planFor(s *System) *batchPlan {
 // shape) and splits each group's RAs into per-chunk spans; a baseline
 // system has no groups.
 func (s *System) newBatchPlan(workers int) *batchPlan {
-	J := s.cfg.NumRAs
-	chunks := (J + chunkRAs - 1) / chunkRAs
+	J, chunks := s.cfg.NumRAs, len(s.chunks)
 	p := &batchPlan{
 		chunkSpans: make([]int, chunks+1),
 		baselines:  !s.cfg.Algo.IsLearning(),
@@ -183,7 +159,7 @@ func (s *System) newBatchPlan(workers int) *batchPlan {
 	}
 	for c := 0; c < chunks; c++ {
 		for g, ras := range groups {
-			lo, hi := sort.SearchInts(ras, c*chunkRAs), sort.SearchInts(ras, (c+1)*chunkRAs)
+			lo, hi := sort.SearchInts(ras, s.chunkLo[c]), sort.SearchInts(ras, s.chunkLo[c+1])
 			if lo < hi {
 				p.spans = append(p.spans, groupSpan{actor: keys[g].actor, dim: keys[g].dim, ras: ras[lo:hi]})
 				p.blockRows = max(p.blockRows, hi-lo)
@@ -196,13 +172,11 @@ func (s *System) newBatchPlan(workers int) *batchPlan {
 }
 
 // stepPeriod steps every RA through the period's T intervals into the
-// workspace's result grid, numbering the intervals from base. Chunks step
-// concurrently — a chunk touches only its own environments, its worker's
-// workspace and its own result columns. The error reported is the first of
-// the lowest failing chunk: deterministic for any scheduling.
-//
-// Only the extra workers' goroutines allocate: on one worker a warm period
-// allocates nothing.
+// workspace's period grid, numbering the intervals from base. Chunks step
+// concurrently — a chunk touches only its own columns, its worker's
+// workspace and its RAs' grid elements. The error reported is the first of
+// the lowest failing chunk: deterministic for any scheduling. Only the
+// extra workers' goroutines allocate.
 func (p *batchPlan) stepPeriod(s *System, ws *periodWS, base int) error {
 	p.next.Store(int64(p.workers))
 	p.wg.Add(p.workers - 1)
@@ -232,16 +206,15 @@ func (p *batchPlan) pull(s *System, ws *periodWS, w, base int) {
 	}
 }
 
-// stepChunk steps chunk c's RAs through all T intervals: per interval, one
-// forward per group span on the span's gathered observations, each grouped
-// RA under its row, then — in a baseline system — every RA under the action
-// it computes here.
+// stepChunk steps chunk c through all T intervals: per interval, each RA's
+// action is its row of its group span's forward, or its baseline action,
+// then one chunk step writes the period grid.
 //
 //edgeslice:noalloc
 func (p *batchPlan) stepChunk(s *System, ws *periodWS, nws *nn.Workspace, c, base int) error {
 	spans := p.spans[p.chunkSpans[c]:p.chunkSpans[c+1]]
-	lo, hi := c*chunkRAs, min((c+1)*chunkRAs, len(s.envs))
-	for t, row := range ws.res {
+	ch, lo, hi := s.chunks[c], s.chunkLo[c], s.chunkLo[c+1]
+	for t := 0; t < ws.T; t++ {
 		nws.Reset()
 		for _, sp := range spans {
 			in := nws.Next(len(sp.ras), sp.dim)
@@ -250,18 +223,18 @@ func (p *batchPlan) stepChunk(s *System, ws *periodWS, nws *nn.Workspace, c, bas
 			}
 			acts := sp.actor.ActBatch(in, nws)
 			for r, j := range sp.ras {
-				if err := s.stepInto(ws, j, base+t, acts.Row(r), &row[j]); err != nil {
-					return err
-				}
+				ws.rows[j] = acts.Row(r)
 			}
 		}
-		if !p.baselines {
-			continue
-		}
-		for j := lo; j < hi; j++ {
-			if err := s.stepInto(ws, j, base+t, nil, &row[j]); err != nil {
+		if p.baselines {
+			if err := s.baselineActions(ws, c); err != nil {
 				return err
 			}
+		}
+		perf, eff, viol := ws.interval(t)
+		if r, err := ch.StepInto(ws.rows[lo:hi], perf[lo*ws.I:hi*ws.I], eff[lo*ws.I:hi*ws.I], viol[lo:hi]); err != nil {
+			//edgeslice:allocok cold error path
+			return fmt.Errorf("core: RA %d interval %d: %w", lo+r, base+t, err)
 		}
 	}
 	return nil
@@ -276,13 +249,11 @@ func (e *BatchedExecutor) RunPeriods(s *System, h *History, n int) error {
 	plan := e.planFor(s)
 	ws := s.workspace()
 	for p := 0; p < n; p++ {
-		if err := s.distribute(); err != nil {
+		s.distribute()
+		if err := plan.stepPeriod(s, ws, s.coord.Iterations()*ws.T); err != nil {
 			return err
 		}
-		if err := plan.stepPeriod(s, ws, s.coord.Iterations()*len(ws.res)); err != nil {
-			return err
-		}
-		if err := s.mergePeriod(h, ws.res); err != nil {
+		if err := s.mergePeriod(h); err != nil {
 			return err
 		}
 		if err := s.collectAndUpdate(h); err != nil {

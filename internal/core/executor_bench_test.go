@@ -26,7 +26,7 @@ import (
 //	go test ./internal/core -run '^$' -bench 'RunPeriods/local-step-2048' -cpuprofile cpu.out
 //
 // profiles one of them directly. The harness's measured engine numbers
-// are in BENCH_34.json at the repository root.
+// are in BENCH_42.json at the repository root.
 func BenchmarkRunPeriods(b *testing.B) {
 	for _, ras := range []int{8, 32, 128, 512, 2048} {
 		cfg := DefaultConfig()

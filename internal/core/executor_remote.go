@@ -8,28 +8,19 @@ import (
 	"edgeslice/internal/rcnet"
 )
 
-// RemoteExecutor runs Algorithm 1 with the step phase executing in remote
-// agent processes over the RC network interface: phase 1 broadcasts the
-// coordination grids through the hub, phase 2 happens inside each agent
-// (rcnet.RunAgent), and the agents' per-interval records are merged here
-// in deterministic RA order — the same merge every local engine uses —
-// so a distributed run records the same History, SLA flags, and
-// primal/dual residuals as a local one.
-//
-// The System supplies the run's shape (slices, RAs, T) and the ADMM
-// coordinator; its local environments and agents are
-// never touched — the environments of record live in the agent processes.
-// The system therefore does not need to be trained, and determinism
-// versus a local run holds exactly when the remote agents step
-// identically-configured environments with the same policies.
+// RemoteExecutor runs Algorithm 1 with the step phase in remote agent
+// processes (rcnet.RunAgent) behind the hub, merging their per-interval
+// records through the local engines' merge: a distributed run records a
+// local run's History, SLA flags and residuals whenever the agents step
+// the same environments and policies. The System supplies only the shape
+// and the coordinator; it need not be trained.
 //
 // With RemoteOptions.RetryPeriods > 0 the executor tolerates agent churn:
 // a collect timeout re-broadcasts the in-flight period only to the RAs
 // whose reports are still missing (re-registered agents replayed the run
-// prefix from their resume frame and are ready for it; survivors that
-// already stepped the period are never asked to step it twice) and keeps
-// the reports that did arrive, so the merged result is bit-identical to an
-// uninterrupted run.
+// prefix from their resume frame; survivors are never asked to step a
+// period twice) and keeps the reports that did arrive, so the merged
+// result is bit-identical to an uninterrupted run.
 type RemoteExecutor struct {
 	hub  *rcnet.Hub
 	opts RemoteOptions
@@ -111,17 +102,11 @@ func (e *RemoteExecutor) collectPeriod(s *System, p int) error {
 	}
 }
 
-// RunPeriods implements Executor.
-//
-// Period numbering continues across calls: the first period of this call is
-// the coordinator's current iteration count, so period-at-a-time driving
-// (scenario runner) and resumed runs broadcast globally consistent period
-// ids — which the fault-tolerance protocol relies on for replay and retry.
-//
-// Partial-history contract: on failure h keeps the records of every period
-// that fully completed — broadcast, collect, merge, and ADMM update — so a
-// dropped agent mid-run does not discard the periods already recorded, and
-// the period it dropped in, which fails at collection, leaves no record
+// RunPeriods implements Executor. Period ids continue across calls from
+// the coordinator's iteration count, so period-at-a-time and resumed runs
+// broadcast the globally consistent ids replay and retry rely on. On
+// failure h keeps every period that fully completed; the period an agent
+// dropped in fails at collection and leaves no record
 // (TestRemotePartialHistoryOnDroppedAgent).
 func (e *RemoteExecutor) RunPeriods(s *System, h *History, n int) error {
 	if n <= 0 {
@@ -149,11 +134,11 @@ func (e *RemoteExecutor) RunPeriods(s *System, h *History, n int) error {
 			for i := 0; i < I; i++ {
 				ws.perf[i][j] = rep.Perf[i]
 			}
-			if err := decodeIntervals(rep, j, I, ws.res); err != nil {
+			if err := decodeIntervals(rep, j, ws); err != nil {
 				return fmt.Errorf("core: remote period %d: %w", p, err)
 			}
 		}
-		if err := s.mergePeriod(h, ws.res); err != nil {
+		if err := s.mergePeriod(h); err != nil {
 			return err
 		}
 		if err := s.finishPeriod(h, ws.perf); err != nil {
@@ -165,32 +150,31 @@ func (e *RemoteExecutor) RunPeriods(s *System, h *History, n int) error {
 }
 
 // decodeIntervals validates one agent report's per-interval records against
-// the run's shape and copies them into column j of res
-// ([interval][RA]) — the merge reads only workspace-owned storage, never the
-// envelope's slices.
-func decodeIntervals(rep *rcnet.Envelope, j, I int, res [][]netsim.StepResult) error {
+// the run's shape and copies them into RA j's elements of the period grid:
+// the merge never reads the envelope's slices.
+func decodeIntervals(rep *rcnet.Envelope, j int, ws *periodWS) error {
+	I := ws.I
 	if len(rep.Intervals) == 0 {
 		return fmt.Errorf("core: RA %d report carries no interval records (pre-engine agent build?); upgrade the agent to one that runs rcnet.RunAgent", rep.RA)
 	}
-	if len(rep.Intervals) != len(res) {
-		return fmt.Errorf("core: RA %d reported %d intervals, want %d", rep.RA, len(rep.Intervals), len(res))
+	if len(rep.Intervals) != ws.T {
+		return fmt.Errorf("core: RA %d reported %d intervals, want %d", rep.RA, len(rep.Intervals), ws.T)
 	}
 	for t, ir := range rep.Intervals {
 		if len(ir.Perf) != I || len(ir.Queues) != I || len(ir.Effective) != I {
 			return fmt.Errorf("core: RA %d interval %d record has %d/%d/%d slices, want %d",
 				rep.RA, t, len(ir.Perf), len(ir.Queues), len(ir.Effective), I)
 		}
-		r := &res[t][j]
+		perf, eff, viol := ws.interval(t)
 		for i, row := range ir.Effective {
 			if len(row) != netsim.NumResources {
 				return fmt.Errorf("core: RA %d interval %d slice %d has %d resources, want %d",
 					rep.RA, t, i, len(row), netsim.NumResources)
 			}
-			copy(r.Effective[i][:], row)
+			copy(eff[j*I+i][:], row)
 		}
-		copy(r.Perf, ir.Perf)
-		copy(r.QueueLens, ir.Queues)
-		r.Violation = ir.Violation
+		copy(perf[j*I:(j+1)*I], ir.Perf)
+		viol[j] = ir.Violation
 	}
 	return nil
 }

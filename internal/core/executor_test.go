@@ -51,7 +51,8 @@ func deployedSystem(t *testing.T, cfg Config) *System {
 // engine became the batch plan, kept here as a reference that is not under
 // test: every interval each RA in turn acts on its own observation
 // (Act(env.State()) for a learning agent, the baseline's action otherwise)
-// and steps, then the interval merges; the ADMM update closes each period.
+// and steps alone through its view, then the interval merges; the ADMM
+// update closes each period.
 func referenceRun(t *testing.T, s *System, n int) *History {
 	t.Helper()
 	if err := s.checkRunnable(n); err != nil {
@@ -59,23 +60,32 @@ func referenceRun(t *testing.T, s *System, n int) *History {
 	}
 	h := s.newRunHistory()
 	ws := s.workspace()
-	res := ws.res[0]
+	I := ws.I
+	perf, eff, viol := ws.interval(0)
+	var res netsim.StepResult
 	for p := 0; p < n; p++ {
-		if err := s.distribute(); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < s.cfg.EnvTemplate.T; i++ {
-			interval := s.coord.Iterations()*s.cfg.EnvTemplate.T + i
-			for j := range res {
-				var act []float64
-				if s.cfg.Algo.IsLearning() {
-					act = s.agents[j].Act(s.envs[j].State())
+		s.distribute()
+		for i := 0; i < ws.T; i++ {
+			for j, env := range s.envs {
+				act := make([]float64, I*netsim.NumResources)
+				switch {
+				case s.cfg.Algo.IsLearning():
+					act = s.agents[j].Act(env.State())
+				case s.cfg.Algo == AlgoEqualShare:
+					baseline.EqualShareInto(act, I)
+				default:
+					if err := baseline.TAROInto(act, env.QueueLens()); err != nil {
+						t.Fatal(err)
+					}
 				}
-				if err := s.stepInto(ws, j, interval, act, &res[j]); err != nil {
+				if err := env.StepInto(act, &res); err != nil {
 					t.Fatal(err)
 				}
+				copy(perf[j*I:], res.Perf)
+				copy(eff[j*I:], res.Effective)
+				viol[j] = res.Violation
 			}
-			if err := s.mergeInterval(h, res); err != nil {
+			if err := s.mergeInterval(h, 0); err != nil {
 				t.Fatal(err)
 			}
 		}

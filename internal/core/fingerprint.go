@@ -11,12 +11,10 @@ import (
 )
 
 // TrainingFingerprint hashes everything the trained agents are a
-// deterministic function of, *except* the base seed and step budget (the
-// checkpoint store keys those separately): the algorithm, the topology, the
-// DDPG hyper-parameters, the SLA/ADMM settings, and every RA's resolved
-// training environment exactly as Train would configure it. Two configs
-// with equal fingerprints, seeds, and train budgets produce bitwise
-// identical agents, so a stored checkpoint can stand in for training.
+// deterministic function of but the seed and step budget, which the
+// checkpoint store keys separately: algorithm, topology, DDPG and SLA/ADMM
+// settings, and every RA's training environment as Train configures it.
+// Equal fingerprints, seeds and budgets train bitwise identical agents.
 func TrainingFingerprint(cfg Config) (string, error) {
 	h := sha256.New()
 	w := func(vals ...any) {

@@ -12,11 +12,9 @@ import (
 )
 
 // HistoryLog is the append-only on-disk record of one orchestration run:
-// every interval and period record the executors commit, written through
-// the telemetry record log (length-prefixed, CRC-checked — the WAL idiom),
-// replayable into a full exact History. Pairing it with streaming-mode
-// recording makes long runs lossless: live queries come from O(window)
-// summaries while the log preserves full fidelity on disk.
+// every record the executors commit, in the telemetry record log
+// (length-prefixed, CRC-checked), replayable into an exact History — with
+// streaming recording, long runs stay lossless on disk.
 //
 // Format (log payloads, little-endian; a History holds the same payloads):
 //

@@ -9,13 +9,11 @@ import (
 	"edgeslice/internal/telemetry"
 )
 
-// History holds one orchestration run as the history log's interval and
-// period records, byte for byte (see HistoryLog for the layout). The exact
-// mode appends every record to its column. The streaming mode
-// (NewStreamingHistory) keeps rings of the last window interval records and
-// period tails (SLA flags and residuals, never the slices × RAs grid),
-// running sums and P² sketches: O(window) memory whatever the run length or
-// RA count. Both answer the accessors on one path, tail.
+// History holds one orchestration run as the history log's records, byte
+// for byte (see HistoryLog). Exact mode appends every record to its column;
+// streaming mode (NewStreamingHistory) keeps rings of the last window
+// interval records and period tails (no slices × RAs grid), running sums
+// and P² sketches, O(window) memory. Both answer accessors through tail.
 type History struct {
 	NumSlices, NumRAs, T int
 

@@ -8,17 +8,15 @@ import (
 	"edgeslice/internal/telemetry"
 )
 
-// RecordOptions configures how a System's executors record run history.
-// The zero value is the historical behavior: an exact in-memory History
-// and no on-disk log.
+// RecordOptions configures how a System's executors record run history;
+// the zero value records an exact in-memory History and no on-disk log.
 type RecordOptions struct {
 	// StreamWindow, when positive, makes RunPeriods and RunPeriodsWith
 	// record into a streaming History (NewStreamingHistory) with this ring
 	// window — O(window) memory regardless of run length.
 	StreamWindow int
-	// Log, when non-nil, receives every interval and period record the
-	// executors commit (the append-only on-disk history). The caller owns
-	// the log's lifecycle (Close).
+	// Log, when non-nil, receives every record the executors commit (the
+	// append-only on-disk history); the caller closes it.
 	Log *HistoryLog
 }
 

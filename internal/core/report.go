@@ -6,12 +6,11 @@ import (
 	"strings"
 )
 
-// WriteReport writes a run's report. An exact History gets the per-period
-// table — per-slice performance summed over RAs, SLA flags, residuals — a
-// streaming one a heading. Both then get the same summary: the steady-state
-// system performance (mean over the second half of the intervals), its
-// StreamQuantiles, the SLA satisfaction, the capacity violation rate and the
-// last residuals. A History with no intervals gets no summary.
+// WriteReport writes a run's report: for an exact History the per-period
+// table (per-slice performance summed over RAs, SLA flags, residuals), for a
+// streaming one a heading; then, if any intervals ran, the summary of
+// steady-state performance, its StreamQuantiles, SLA satisfaction,
+// violation rate and last residuals.
 func WriteReport(w io.Writer, h *History) error {
 	var b strings.Builder
 	if h.Streaming() {

@@ -4,25 +4,16 @@ import (
 	"fmt"
 )
 
-// PrimeFromHistory fast-forwards a freshly built System through the
-// completed periods of a previous run segment, recorded in h (typically
-// replayed from the on-disk history log after a coordinator crash): it
-// replays the ADMM updates over h's per-period performance grids (the
-// coordinator's iteration count numbers the periods and intervals that
-// follow) and primes the health counters — without stepping any
-// environment. The returned zs/ys are the [period][slice][ra]
-// coordination grids the coordinator held when each period was broadcast,
-// exactly what rcnet.Hub.PrimeResume needs so re-registering agents can
-// replay the same prefix.
-//
-// The continuation is bit-reproducible because the coordinator's (Z, Y)
-// state is a pure function of the period performance sequence, and the
-// agents' environment states are pure functions of their seeds and the
-// coordination columns — both of which the log preserves.
-//
-// The system must be unused (no training-free periods run, no prior
-// priming) and h must be an exact-mode history whose shape matches the
-// system's configuration with a whole number of completed periods.
+// PrimeFromHistory fast-forwards an unused System through the completed
+// periods recorded in h, an exact History of the system's shape holding
+// whole periods (typically the on-disk log replayed after a coordinator
+// crash): it replays the ADMM updates over h's performance grids and primes
+// the health counters, stepping no environment. zs/ys are the
+// [period][slice][ra] grids each period was broadcast with, what
+// rcnet.Hub.PrimeResume needs for re-registering agents to replay the
+// prefix. The continuation is bit-reproducible: (Z, Y) is a pure function
+// of the period performances, and each environment of its seed and the
+// coordination columns, all of which the log preserves.
 func (s *System) PrimeFromHistory(h *History) (zs, ys [][][]float64, err error) {
 	if h == nil {
 		return nil, nil, fmt.Errorf("core: prime from nil history")

@@ -8,11 +8,9 @@ import (
 )
 
 // Snapshot captures the system's trained agents as a full-fidelity v2
-// checkpoint: per agent the actor, critic(s), target networks, optimizer
-// moments, and RNG cursor (plus the replay buffer when
-// opts.IncludeReplay), so a restored system acts bitwise identically and
-// its agents can resume training exactly. Baseline algorithms (TARO,
-// EqualShare) have no trainable agents and cannot be snapshotted.
+// checkpoint — networks, optimizer moments, RNG cursor and, with
+// opts.IncludeReplay, the replay buffer — so a restored system acts and
+// resumes training bitwise identically. Baselines have nothing to snapshot.
 func (s *System) Snapshot(opts ckpt.SnapshotOptions) (*ckpt.Checkpoint, error) {
 	if !s.cfg.Algo.IsLearning() {
 		return nil, fmt.Errorf("core: %v has no trainable agents to checkpoint", s.cfg.Algo)

@@ -81,12 +81,10 @@ type Config struct {
 	// EnvPerRA optionally overrides the template per RA (e.g. per-area
 	// traffic profiles); nil entries fall back to the template.
 	EnvPerRA []*netsim.Config
-	// TrainEnvPerRA optionally overrides the environment agents are
-	// trained in, per RA; nil entries fall back to EnvPerRA/EnvTemplate.
-	// The scenario engine uses it to train on base traffic while
-	// deploying against the event-modulated traffic program: deployment
-	// events are anchored to absolute run intervals, which have no
-	// meaning inside the offline training episodes.
+	// TrainEnvPerRA optionally overrides, per RA, the environment agents
+	// train in (nil entries fall back to EnvPerRA/EnvTemplate): scenarios
+	// train on base traffic and deploy against their event program, whose
+	// absolute run intervals mean nothing inside training episodes.
 	TrainEnvPerRA []*netsim.Config
 
 	Algo Algorithm
@@ -97,9 +95,7 @@ type Config struct {
 	Rho  float64
 
 	// TrainSteps is the number of environment steps each agent is trained
-	// for. The paper trains 1e6 TensorFlow steps; pure-Go CI-scale runs use
-	// thousands (the scaling note belongs in EXPERIMENTS.md, not generated
-	// yet: ROADMAP "Paper-scale fidelity as a regenerated artifact").
+	// for: the paper trains 1e6 TensorFlow steps, CI-scale runs thousands.
 	TrainSteps int
 	DDPG       ddpg.Config
 	// ShareAgent trains a single agent on RA 0's environment and deploys
@@ -114,11 +110,9 @@ type Config struct {
 func DefaultConfig() Config {
 	env := netsim.DefaultExperimentConfig()
 	d := ddpg.DefaultConfig()
-	// CI-scale network: one update of the paper's 2x128 with batch 512
-	// measures ≈16 ms on the AVX training kernels (≈55 ms on the scalar
-	// loops, BenchmarkDDPGUpdate), still ≈4.5 CPU-hours for 1e6 steps;
-	// 2x32 with batch 64 (≈0.2 ms per update) learns the 6-dim task in
-	// seconds while keeping the architecture shape.
+	// CI-scale network: an update of the paper's 2x128 at batch 512 takes
+	// ≈16 ms on the AVX kernels (BenchmarkDDPGUpdate), ≈4.5 CPU-hours for
+	// 1e6 steps; 2x32 at batch 64 learns the 6-dim task in seconds.
 	d.Hidden = 32
 	d.BatchSize = 64
 	d.WarmupSteps = 300
@@ -163,17 +157,19 @@ func (c Config) Validate() error {
 // System is an assembled EdgeSlice deployment: per-RA environments and
 // agents plus the central performance coordinator.
 type System struct {
-	cfg    Config
-	envs   []*netsim.RAEnv
-	agents []rl.Agent
-	coord  *admm.Coordinator
-	mon    *monitor.Monitor
+	cfg Config
+	// chunks hold the RAs' environments, chunkLo[c] being chunk c's first
+	// RA (chunkLo[len(chunks)] = NumRAs); envs[j] is RA j's view.
+	chunks  []*netsim.Chunk
+	chunkLo []int
+	envs    []*netsim.RAEnv
+	agents  []rl.Agent
+	coord   *admm.Coordinator
+	mon     *monitor.Monitor
 
 	trained bool
-	// agentsGen counts agent installations (Train/SetAgents); the
-	// batched and remote engines key their cached batch plans on it so the
-	// plans survive period-at-a-time driving but never outlive an agent
-	// swap.
+	// agentsGen counts agent installations (Train/SetAgents): the cached
+	// batch plan is keyed on it, so it never outlives an agent swap.
 	agentsGen int
 
 	// rec selects the recording mode (exact/streaming, on-disk log) and
@@ -213,19 +209,24 @@ func NewSystem(cfg Config) (*System, error) {
 		return nil, err
 	}
 	s := &System{cfg: cfg, coord: coord, mon: monitor.New()}
-	for j := 0; j < cfg.NumRAs; j++ {
-		envCfg := cfg.EnvTemplate
-		if cfg.EnvPerRA != nil && cfg.EnvPerRA[j] != nil {
-			envCfg = *cfg.EnvPerRA[j]
-		}
+	envCfgs := make([]netsim.Config, cfg.NumRAs)
+	for j := range envCfgs {
+		envCfg := &envCfgs[j]
+		*envCfg = s.envTemplateFor(j)
 		envCfg.ObserveQueue = cfg.Algo != AlgoEdgeSliceNT
 		envCfg.TrainCoordRandom = false // orchestration mode
 		envCfg.Seed = cfg.Seed + int64(j)*7919
-		env, err := netsim.New(envCfg)
-		if err != nil {
-			return nil, fmt.Errorf("core: RA %d env: %w", j, err)
+	}
+	if s.chunks, err = netsim.NewChunks(envCfgs, chunkRAs); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	s.chunkLo = make([]int, 1, len(s.chunks)+1)
+	s.envs = make([]*netsim.RAEnv, 0, cfg.NumRAs)
+	for _, ch := range s.chunks {
+		for r := 0; r < ch.Len(); r++ {
+			s.envs = append(s.envs, ch.Env(r))
 		}
-		s.envs = append(s.envs, env)
+		s.chunkLo = append(s.chunkLo, len(s.envs))
 	}
 	return s, nil
 }

@@ -32,7 +32,7 @@ func splitMix64(x *uint64) uint64 {
 // only when λ changes, so a caller whose rate holds for a block of draws
 // pays one e^−λ per block, and it grows by the recurrence only as far as
 // the block's largest draw. λ ≥ 30 uses the normal approximation N(λ, λ)
-// rounded to the nearest integer, and λ ≤ 0 gives 0 without drawing.
+// rounded to the nearest integer up to MaxInt; λ ≤ 0 gives 0, drawing nothing.
 type Poisson struct {
 	lambda float64
 	last   float64   // P(X = len(cdf)−1), where the recurrence resumes
@@ -55,11 +55,14 @@ func (p *Poisson) Draw(src *rand.PCG, norm *rand.Rand, lambda float64) int {
 		return 0
 	}
 	if lambda >= 30 {
-		v := float64(norm.NormFloat64()*math.Sqrt(lambda)) + lambda
-		if v < 0 {
+		// Round half up, clamping in float: int() past MaxInt is undefined.
+		switch v := float64(norm.NormFloat64()*math.Sqrt(lambda)) + lambda + 0.5; {
+		case v < 1:
 			return 0
+		case v < float64(math.MaxInt):
+			return int(v)
 		}
-		return int(v + 0.5)
+		return math.MaxInt
 	}
 	if lambda != p.lambda {
 		p.lambda, p.last = lambda, math.Exp(-lambda)

@@ -9,21 +9,21 @@ func TestCapacityScaleThrottlesService(t *testing.T) {
 		t.Fatal(err)
 	}
 	full := [NumResources]float64{0.5, 0.5, 0.5}
-	nominal := env.serviceRate(0, full)
+	nominal := env.c.serviceRate(env.c.ras[0].capScale, 0, full)
 	if err := env.SetCapacityScale(0.25); err != nil {
 		t.Fatal(err)
 	}
-	if got := env.capScale; got != 0.25 {
+	if got := env.c.ras[0].capScale; got != 0.25 {
 		t.Errorf("capacity scale = %v, want 0.25", got)
 	}
-	degraded := env.serviceRate(0, full)
+	degraded := env.c.serviceRate(env.c.ras[0].capScale, 0, full)
 	if want := nominal * 0.25; degraded != want {
 		t.Errorf("degraded rate = %v, want %v", degraded, want)
 	}
 	if err := env.SetCapacityScale(1); err != nil {
 		t.Fatal(err)
 	}
-	restored := env.serviceRate(0, full)
+	restored := env.c.serviceRate(env.c.ras[0].capScale, 0, full)
 	if restored != nominal {
 		t.Errorf("restored rate = %v, want %v", restored, nominal)
 	}
@@ -46,7 +46,7 @@ func TestNewEnvNominalCapacityScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := env.capScale; got != 1 {
+	if got := env.c.ras[0].capScale; got != 1 {
 		t.Errorf("fresh env capacity scale = %v, want 1", got)
 	}
 }

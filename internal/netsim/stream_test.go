@@ -64,7 +64,7 @@ func stepStreamHash(t *testing.T, seed int64, trainCoord bool) string {
 		f(res.Violation)
 		f(res.Reward)
 	}
-	u(env.pcg.Uint64())
+	u(env.c.ras[0].pcg.Uint64())
 	return hex.EncodeToString(h.Sum(nil))
 }
 
@@ -182,11 +182,11 @@ func TestPerfTableMatchesQueuePerf(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(env.perfTab) != cfg.MaxQueue+1 {
-			t.Fatalf("α = %v: table has %d entries, want %d", alpha, len(env.perfTab), cfg.MaxQueue+1)
+		if len(env.c.perfTab) != cfg.MaxQueue+1 {
+			t.Fatalf("α = %v: table has %d entries, want %d", alpha, len(env.c.perfTab), cfg.MaxQueue+1)
 		}
 		want := QueuePerf(alpha)
-		for l, got := range env.perfTab {
+		for l, got := range env.c.perfTab {
 			if w := want(float64(l), 0); math.Float64bits(got) != math.Float64bits(w) {
 				t.Errorf("α = %v, l = %d: table %v, QueuePerf %v", alpha, l, got, w)
 			}
@@ -199,7 +199,7 @@ func TestPerfTableMatchesQueuePerf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env.queues[0].Arrive(cfg.MaxQueue + 25)
+	env.c.Backlog[0] += cfg.MaxQueue + 25
 	res, err := env.StepInterval(make([]float64, env.ActionDim()))
 	if err != nil {
 		t.Fatal(err)
@@ -211,7 +211,7 @@ func TestPerfTableMatchesQueuePerf(t *testing.T) {
 	if env, err = New(cfg); err != nil {
 		t.Fatal(err)
 	}
-	if len(env.perfTab) != 0 {
-		t.Errorf("service-time metric built a %d-entry queue table", len(env.perfTab))
+	if len(env.c.perfTab) != 0 {
+		t.Errorf("service-time metric built a %d-entry queue table", len(env.c.perfTab))
 	}
 }

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 
 	"edgeslice/internal/core"
 	"edgeslice/internal/mathutil"
@@ -62,8 +63,8 @@ func (ev Event) validate(scen string, idx, numSlices, numRAs, horizon int) error
 		if ev.Duration <= 0 {
 			return fmt.Errorf("scenario %s: event %d (%s): duration %d must be positive", scen, idx, ev.Kind, ev.Duration)
 		}
-		if ev.Factor <= 0 {
-			return fmt.Errorf("scenario %s: event %d (%s): factor %v must be positive", scen, idx, ev.Kind, ev.Factor)
+		if !(ev.Factor > 0) || math.IsInf(ev.Factor, 1) {
+			return fmt.Errorf("scenario %s: event %d (%s): factor %v must be positive and finite", scen, idx, ev.Kind, ev.Factor)
 		}
 	case EventRADegrade:
 		if ev.RA < -1 || ev.RA >= numRAs {

@@ -3,6 +3,7 @@ package scenario
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -100,6 +101,8 @@ func TestSpecValidateRejections(t *testing.T) {
 		{"event bad slice", func(s *Spec) { s.Events[0].Slice = 5 }},
 		{"event zero duration", func(s *Spec) { s.Events[0].Duration = 0 }},
 		{"event zero factor", func(s *Spec) { s.Events[0].Factor = 0 }},
+		{"event infinite factor", func(s *Spec) { s.Events[0].Factor = math.Inf(1) }},
+		{"event NaN factor", func(s *Spec) { s.Events[0].Factor = math.NaN() }},
 		{"event unknown kind", func(s *Spec) { s.Events[0].Kind = "comet-strike" }},
 		{"degrade factor above one", func(s *Spec) {
 			s.Events = []Event{{Kind: EventRADegrade, At: 5, RA: 0, Factor: 1.5}}
