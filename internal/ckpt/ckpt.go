@@ -13,10 +13,10 @@
 // decodes them all into a trainer, Deploy only the acting network.
 //
 // The package defines the wire format and the per-agent state container;
-// the five RL algorithm packages (ddpg, sac, ppo, trpo, vpg) implement
-// Snapshot/Restore on top of it and register their restore and deploy
-// functions here, so decoding dispatches by algorithm name without this
-// package importing any of them.
+// the trainer packages (ddpg, sac, and onpolicy for ppo, trpo and vpg)
+// implement Snapshot/Restore on top of it and register their restore and
+// deploy functions here, so decoding dispatches by algorithm name without
+// this package importing any of them.
 package ckpt
 
 import (

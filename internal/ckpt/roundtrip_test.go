@@ -17,11 +17,9 @@ import (
 	"edgeslice/internal/nn"
 	"edgeslice/internal/rl"
 	"edgeslice/internal/rl/ddpg"
-	"edgeslice/internal/rl/ppo"
+	"edgeslice/internal/rl/onpolicy"
 	"edgeslice/internal/rl/rltest"
 	"edgeslice/internal/rl/sac"
-	"edgeslice/internal/rl/trpo"
-	"edgeslice/internal/rl/vpg"
 
 	// core registers every restore the binaries can load, so the registry
 	// test sees what a binary sees.
@@ -63,29 +61,15 @@ func algorithms(t *testing.T) map[string]trainable {
 	}
 	out[sac.AlgoName] = sa
 
-	pcfg := ppo.DefaultConfig()
-	pcfg.Hidden, pcfg.Horizon, pcfg.MinibatchSz, pcfg.Epochs, pcfg.ValueEpochs = 8, 32, 8, 2, 2
-	pp, err := ppo.New(stateDim, actionDim, pcfg)
-	if err != nil {
-		t.Fatal(err)
+	for _, tech := range []string{onpolicy.PPO, onpolicy.TRPO, onpolicy.VPG} {
+		cfg := onpolicy.DefaultConfig(tech)
+		cfg.Hidden, cfg.Horizon, cfg.MinibatchSz, cfg.Epochs, cfg.FisherSamples, cfg.ValueEpochs = 8, 32, 8, 2, 8, 2
+		a, err := onpolicy.New(stateDim, actionDim, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[tech] = a
 	}
-	out[ppo.AlgoName] = pp
-
-	rcfg := trpo.DefaultConfig()
-	rcfg.Hidden, rcfg.Horizon, rcfg.FisherSamples, rcfg.ValueEpochs = 8, 32, 8, 2
-	tr, err := trpo.New(stateDim, actionDim, rcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out[trpo.AlgoName] = tr
-
-	vcfg := vpg.DefaultConfig()
-	vcfg.Hidden, vcfg.Horizon, vcfg.ValueEpochs = 8, 32, 2
-	vp, err := vpg.New(stateDim, actionDim, vcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out[vpg.AlgoName] = vp
 	return out
 }
 

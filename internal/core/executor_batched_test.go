@@ -10,10 +10,8 @@ import (
 	"edgeslice/internal/nn"
 	"edgeslice/internal/rl"
 	"edgeslice/internal/rl/ddpg"
-	"edgeslice/internal/rl/ppo"
+	"edgeslice/internal/rl/onpolicy"
 	"edgeslice/internal/rl/sac"
-	"edgeslice/internal/rl/trpo"
-	"edgeslice/internal/rl/vpg"
 	"edgeslice/internal/telemetry"
 )
 
@@ -36,20 +34,10 @@ func batchedTestAgent(t *testing.T, name string, stateDim, actionDim int) rl.Age
 		cfg := sac.DefaultConfig()
 		cfg.Hidden = 16
 		a, err = sac.New(stateDim, actionDim, cfg)
-	case ppo.AlgoName:
-		cfg := ppo.DefaultConfig()
-		cfg.Hidden = 16
-		a, err = ppo.New(stateDim, actionDim, cfg)
-	case trpo.AlgoName:
-		cfg := trpo.DefaultConfig()
-		cfg.Hidden = 16
-		a, err = trpo.New(stateDim, actionDim, cfg)
-	case vpg.AlgoName:
-		cfg := vpg.DefaultConfig()
-		cfg.Hidden = 16
-		a, err = vpg.New(stateDim, actionDim, cfg)
 	default:
-		t.Fatalf("unknown algorithm %q", name)
+		cfg := onpolicy.DefaultConfig(name)
+		cfg.Hidden = 16
+		a, err = onpolicy.New(stateDim, actionDim, cfg)
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -60,7 +48,7 @@ func batchedTestAgent(t *testing.T, name string, stateDim, actionDim int) rl.Age
 // trainerNames are the five training algorithms whose policies the engines
 // must batch bit-identically.
 var trainerNames = []string{
-	ddpg.AlgoName, sac.AlgoName, ppo.AlgoName, trpo.AlgoName, vpg.AlgoName,
+	ddpg.AlgoName, sac.AlgoName, onpolicy.PPO, onpolicy.TRPO, onpolicy.VPG,
 }
 
 // algoSystem deploys a system whose every RA shares one agent of the named

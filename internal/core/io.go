@@ -10,10 +10,8 @@ import (
 	// Register every training algorithm's checkpoint restore and deploy
 	// functions so any v2 checkpoint loads here, whichever algorithm
 	// produced it.
-	_ "edgeslice/internal/rl/ppo"
+	_ "edgeslice/internal/rl/onpolicy"
 	_ "edgeslice/internal/rl/sac"
-	_ "edgeslice/internal/rl/trpo"
-	_ "edgeslice/internal/rl/vpg"
 )
 
 // LoadAgent deploys a single-agent v2 checkpoint (edgeslice-train, the

@@ -2,14 +2,12 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 
 	"edgeslice/internal/core"
-	"edgeslice/internal/netsim"
 	"edgeslice/internal/rl"
-	"edgeslice/internal/rl/ppo"
+	"edgeslice/internal/rl/onpolicy"
 	"edgeslice/internal/rl/sac"
-	"edgeslice/internal/rl/trpo"
-	"edgeslice/internal/rl/vpg"
 )
 
 // TrainingTechniques are the Fig. 10(b) comparison set.
@@ -94,56 +92,33 @@ func Fig10(o Options) (*Figure, *Figure, error) {
 // trainWithTechnique trains one agent for the experiment environment using
 // the named technique with comparable budgets (same env, same step count).
 func trainWithTechnique(o Options, tech string) (rl.Agent, error) {
-	envCfg := netsim.DefaultExperimentConfig()
-	envCfg.TrainCoordRandom = true
-	envCfg.Seed = o.Seed + 104729
-	env, err := netsim.New(envCfg)
+	if tech == "DDPG" {
+		return o.trainExperimentAgent(true)
+	}
+	env, err := o.trainingEnv(true)
 	if err != nil {
 		return nil, err
 	}
 	sd, ad := env.StateDim(), env.ActionDim()
-	switch tech {
-	case "DDPG":
-		return o.trainExperimentAgent(true)
-	case "SAC":
+	var agent interface {
+		rl.Agent
+		Train(rl.Env, int) error
+	}
+	if tech == "SAC" {
 		cfg := sac.DefaultConfig()
 		cfg.Hidden = o.Hidden
 		cfg.BatchSize = o.Batch
 		cfg.WarmupSteps = 300
 		cfg.Seed = o.Seed
-		agent, err := sac.New(sd, ad, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return agent, agent.Train(env, o.TrainSteps)
-	case "PPO":
-		cfg := ppo.DefaultConfig()
+		agent, err = sac.New(sd, ad, cfg)
+	} else {
+		cfg := onpolicy.DefaultConfig(strings.ToLower(tech))
 		cfg.Hidden = o.Hidden
 		cfg.Seed = o.Seed
-		agent, err := ppo.New(sd, ad, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return agent, agent.Train(env, o.TrainSteps)
-	case "TRPO":
-		cfg := trpo.DefaultConfig()
-		cfg.Hidden = o.Hidden
-		cfg.Seed = o.Seed
-		agent, err := trpo.New(sd, ad, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return agent, agent.Train(env, o.TrainSteps)
-	case "VPG":
-		cfg := vpg.DefaultConfig()
-		cfg.Hidden = o.Hidden
-		cfg.Seed = o.Seed
-		agent, err := vpg.New(sd, ad, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return agent, agent.Train(env, o.TrainSteps)
-	default:
-		return nil, fmt.Errorf("experiments: unknown technique %q", tech)
+		agent, err = onpolicy.New(sd, ad, cfg)
 	}
+	if err != nil {
+		return nil, err
+	}
+	return agent, agent.Train(env, o.TrainSteps)
 }

@@ -39,14 +39,19 @@ func Fig7(o Options) ([]*Figure, error) {
 	return figs, nil
 }
 
-// trainExperimentAgent trains one DDPG agent for the prototype-experiment
-// environment (or its NT variant) and returns it with its state dimension.
-func (o Options) trainExperimentAgent(observeQueue bool) (rl.Agent, error) {
+// trainingEnv is the prototype-experiment environment (or its NT variant)
+// that every Fig. 7–10 agent trains on.
+func (o Options) trainingEnv(observeQueue bool) (*netsim.RAEnv, error) {
 	envCfg := netsim.DefaultExperimentConfig()
 	envCfg.ObserveQueue = observeQueue
 	envCfg.TrainCoordRandom = true
 	envCfg.Seed = o.Seed + 104729
-	env, err := netsim.New(envCfg)
+	return netsim.New(envCfg)
+}
+
+// trainExperimentAgent trains one DDPG agent on trainingEnv.
+func (o Options) trainExperimentAgent(observeQueue bool) (rl.Agent, error) {
+	env, err := o.trainingEnv(observeQueue)
 	if err != nil {
 		return nil, err
 	}

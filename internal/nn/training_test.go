@@ -10,11 +10,9 @@ import (
 	"edgeslice/internal/nn"
 	"edgeslice/internal/rl"
 	"edgeslice/internal/rl/ddpg"
-	"edgeslice/internal/rl/ppo"
+	"edgeslice/internal/rl/onpolicy"
 	"edgeslice/internal/rl/rltest"
 	"edgeslice/internal/rl/sac"
-	"edgeslice/internal/rl/trpo"
-	"edgeslice/internal/rl/vpg"
 )
 
 type trainer interface {
@@ -51,19 +49,19 @@ func TestTrainingBitIdenticalAcrossKernels(t *testing.T) {
 			return sac.New(sdim, adim, cfg)
 		}},
 		{"ppo", 256, func(short int) (trainer, error) {
-			cfg := ppo.DefaultConfig()
+			cfg := onpolicy.DefaultConfig(onpolicy.PPO)
 			cfg.Hidden, cfg.Horizon, cfg.MinibatchSz, cfg.Epochs, cfg.ValueEpochs = hidden, 64-short, 16-short, 2, 3
-			return ppo.New(sdim, adim, cfg)
+			return onpolicy.New(sdim, adim, cfg)
 		}},
 		{"trpo", 256, func(short int) (trainer, error) {
-			cfg := trpo.DefaultConfig()
+			cfg := onpolicy.DefaultConfig(onpolicy.TRPO)
 			cfg.Hidden, cfg.Horizon, cfg.FisherSamples, cfg.ValueEpochs = hidden, 64-short, 16-short, 3
-			return trpo.New(sdim, adim, cfg)
+			return onpolicy.New(sdim, adim, cfg)
 		}},
 		{"vpg", 256, func(short int) (trainer, error) {
-			cfg := vpg.DefaultConfig()
+			cfg := onpolicy.DefaultConfig(onpolicy.VPG)
 			cfg.Hidden, cfg.Horizon, cfg.ValueEpochs = hidden, 64-short, 3
-			return vpg.New(sdim, adim, cfg)
+			return onpolicy.New(sdim, adim, cfg)
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

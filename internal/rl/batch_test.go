@@ -7,10 +7,8 @@ import (
 	"edgeslice/internal/nn"
 	"edgeslice/internal/rl"
 	"edgeslice/internal/rl/ddpg"
-	"edgeslice/internal/rl/ppo"
+	"edgeslice/internal/rl/onpolicy"
 	"edgeslice/internal/rl/sac"
-	"edgeslice/internal/rl/trpo"
-	"edgeslice/internal/rl/vpg"
 )
 
 const (
@@ -41,29 +39,15 @@ func batchAgents(t *testing.T) map[string]rl.Agent {
 	}
 	out[sac.AlgoName] = sa
 
-	pcfg := ppo.DefaultConfig()
-	pcfg.Hidden = 16
-	pp, err := ppo.New(batchStateDim, batchActionDim, pcfg)
-	if err != nil {
-		t.Fatal(err)
+	for _, tech := range []string{onpolicy.PPO, onpolicy.TRPO, onpolicy.VPG} {
+		cfg := onpolicy.DefaultConfig(tech)
+		cfg.Hidden = 16
+		a, err := onpolicy.New(batchStateDim, batchActionDim, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[tech] = a
 	}
-	out[ppo.AlgoName] = pp
-
-	rcfg := trpo.DefaultConfig()
-	rcfg.Hidden = 16
-	tr, err := trpo.New(batchStateDim, batchActionDim, rcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out[trpo.AlgoName] = tr
-
-	vcfg := vpg.DefaultConfig()
-	vcfg.Hidden = 16
-	vp, err := vpg.New(batchStateDim, batchActionDim, vcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out[vpg.AlgoName] = vp
 	return out
 }
 

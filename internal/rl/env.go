@@ -1,11 +1,10 @@
 // Package rl provides the reinforcement-learning substrate shared by the
 // DDPG, SAC, PPO, TRPO and VPG trainers: the environment abstraction,
-// experience replay, exploration noise, Gaussian policies, and
-// advantage/return estimation.
+// experience replay, exploration noise and the deployed acting policy.
 //
 // The paper trains its orchestration agents with DDPG and compares against
-// the other four techniques in Fig. 10(b); all five are implemented on this
-// substrate.
+// the other four techniques in Fig. 10(b); the three on-policy ones share
+// one trainer, package onpolicy.
 package rl
 
 // Env is a continuous-action reinforcement-learning environment with the

@@ -1,7 +1,6 @@
 package rl
 
 import (
-	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -225,180 +224,14 @@ func TestGaussianNoiseDecay(t *testing.T) {
 	}
 }
 
-func TestDiscountedReturns(t *testing.T) {
-	r := []float64{1, 1, 1}
-	got := DiscountedReturns(r, 0.5, 0)
-	want := []float64{1.75, 1.5, 1}
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-12 {
-			t.Errorf("G[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-	// Terminal bootstrap propagates.
-	got = DiscountedReturns([]float64{0}, 0.9, 10)
-	if math.Abs(got[0]-9) > 1e-12 {
-		t.Errorf("bootstrapped return = %v, want 9", got[0])
-	}
-}
-
-func TestGAEReducesToTDWhenLambdaZero(t *testing.T) {
-	rewards := []float64{1, 2, 3}
-	values := []float64{0.5, 1.0, 1.5, 2.0}
-	adv := GAE(rewards, values, 0.9, 0)
-	for i := range rewards {
-		td := rewards[i] + 0.9*values[i+1] - values[i]
-		if math.Abs(adv[i]-td) > 1e-12 {
-			t.Errorf("adv[%d] = %v, want TD %v", i, adv[i], td)
-		}
-	}
-}
-
-func TestGAEEqualsReturnsMinusValueWhenLambdaOne(t *testing.T) {
-	rewards := []float64{1, -2, 0.5, 3}
-	values := []float64{0.1, 0.2, 0.3, 0.4, 0.5}
-	gamma := 0.95
-	adv := GAE(rewards, values, gamma, 1)
-	returns := DiscountedReturns(rewards, gamma, values[len(values)-1])
-	for i := range rewards {
-		want := returns[i] - values[i]
-		if math.Abs(adv[i]-want) > 1e-9 {
-			t.Errorf("adv[%d] = %v, want %v", i, adv[i], want)
-		}
-	}
-}
-
-func TestGAEPanicsOnBadLengths(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("GAE with mismatched lengths should panic")
-		}
-	}()
-	GAE([]float64{1}, []float64{1}, 0.9, 0.9)
-}
-
-func TestNormalize(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	Normalize(xs)
-	var mean, varsum float64
-	for _, x := range xs {
-		mean += x
-	}
-	mean /= float64(len(xs))
-	for _, x := range xs {
-		varsum += (x - mean) * (x - mean)
-	}
-	if math.Abs(mean) > 1e-9 || math.Abs(varsum/float64(len(xs))-1) > 1e-9 {
-		t.Errorf("Normalize: mean %v var %v", mean, varsum/float64(len(xs)))
-	}
-	// Degenerate cases must not produce NaNs.
-	same := []float64{2, 2, 2}
-	Normalize(same)
-	for _, x := range same {
-		if math.IsNaN(x) {
-			t.Error("Normalize produced NaN on constant input")
-		}
-	}
-	single := []float64{7}
-	Normalize(single)
-	if single[0] != 7 {
-		t.Error("Normalize of single sample should be a no-op")
-	}
-}
-
-// The score gradient accumulated by AccumulateScoreGrad must match the
-// finite-difference gradient of L = -Σ coef·logπ.
-func TestScoreGradFiniteDifference(t *testing.T) {
-	rng := newRNG()
-	p := NewGaussianPolicy(rng, 2, 2, 8, 0.5)
-	states := [][]float64{{0.3, -0.7}, {0.9, 0.2}}
-	actions := [][]float64{{0.4, 0.6}, {0.1, 0.9}}
-	coef := []float64{1.5, -0.8}
-
-	loss := func() float64 {
-		var l float64
-		for i, lp := range p.LogProbBatch(states, actions) {
-			l -= coef[i] * lp
-		}
-		return l
-	}
-
-	p.ZeroGrad()
-	p.AccumulateScoreGrad(states, actions, coef)
-
-	const h = 1e-6
-	// Check a sample of mean-network weights.
-	layer := p.Mean.Layers[0]
-	for k := 0; k < len(layer.W.Data); k += 5 {
-		orig := layer.W.Data[k]
-		layer.W.Data[k] = orig + h
-		lp := loss()
-		layer.W.Data[k] = orig - h
-		lm := loss()
-		layer.W.Data[k] = orig
-		numeric := (lp - lm) / (2 * h)
-		if math.Abs(numeric-layer.GradW.Data[k]) > 1e-4 {
-			t.Fatalf("W[%d]: analytic %v numeric %v", k, layer.GradW.Data[k], numeric)
-		}
-	}
-	// Check log-std gradients.
-	for d := range p.LogStd {
-		orig := p.LogStd[d]
-		p.LogStd[d] = orig + h
-		lp := loss()
-		p.LogStd[d] = orig - h
-		lm := loss()
-		p.LogStd[d] = orig
-		numeric := (lp - lm) / (2 * h)
-		if math.Abs(numeric-p.LogStdGrad[d]) > 1e-4 {
-			t.Fatalf("logstd[%d]: analytic %v numeric %v", d, p.LogStdGrad[d], numeric)
-		}
-	}
-}
-
-func TestPolicyFlattenRoundTrip(t *testing.T) {
-	rng := newRNG()
-	p := NewGaussianPolicy(rng, 3, 2, 8, 0.4)
-	flat := p.FlattenParams()
-	for i := range flat {
-		flat[i] *= 1.1
-	}
-	if err := p.SetFlatParams(flat); err != nil {
-		t.Fatal(err)
-	}
-	got := p.FlattenParams()
-	for i := range flat {
-		if got[i] != flat[i] {
-			t.Fatalf("param %d mismatch", i)
-		}
-	}
-	if err := p.SetFlatParams(flat[:3]); err == nil {
-		t.Error("short flat vector should fail")
-	}
-}
-
-func TestKLZeroAgainstSelf(t *testing.T) {
-	rng := newRNG()
-	p := NewGaussianPolicy(rng, 2, 2, 8, 0.5)
-	states := [][]float64{{0.1, 0.2}, {0.5, -0.5}}
-	means := make([][]float64, len(states))
-	for i, s := range states {
-		means[i] = p.Mean.Forward1(s)
-	}
-	kl := p.KLMeanDiff(states, means, p.LogStd)
-	if math.Abs(kl) > 1e-9 {
-		t.Errorf("KL against self = %v, want 0", kl)
-	}
-}
-
-func TestSampleWithinBounds(t *testing.T) {
-	rng := newRNG()
-	p := NewGaussianPolicy(rng, 2, 3, 8, 1.0)
-	for i := 0; i < 500; i++ {
-		a := p.Sample(rng, []float64{rng.Float64(), rng.Float64()})
-		for _, v := range a {
-			if v < 0 || v > 1 {
-				t.Fatalf("sampled action %v out of [0,1]", v)
-			}
-		}
+func TestAgentFunc(t *testing.T) {
+	called := false
+	var a Agent = AgentFunc(func(s []float64) []float64 {
+		called = true
+		return s
+	})
+	out := a.Act([]float64{1, 2})
+	if !called || len(out) != 2 {
+		t.Error("AgentFunc should delegate")
 	}
 }
