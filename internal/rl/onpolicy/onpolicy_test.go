@@ -12,32 +12,39 @@ import (
 func newRNG() *rand.Rand { return rand.New(rand.NewSource(3)) } //nolint:gosec // test
 
 func TestNewValidation(t *testing.T) {
-	config := func(tech string, edit func(*Config)) Config {
-		cfg := DefaultConfig(tech)
-		edit(&cfg)
-		return cfg
+	if _, err := New(2, 1, DefaultConfig("a2c")); err == nil || !strings.Contains(err.Error(), "unknown technique") {
+		t.Errorf("unknown technique: New error %v, want one containing %q", err, "unknown technique")
 	}
-	for _, tc := range []struct {
-		name, want string
-		sd         int
-		cfg        Config
-	}{
-		{"vpg state 0", "invalid dimensions", 0, DefaultConfig(VPG)},
-		{"ppo state 0", "invalid dimensions", 0, DefaultConfig(PPO)},
-		{"trpo state 0", "invalid dimensions", 0, DefaultConfig(TRPO)},
-		{"vpg state -1", "invalid dimensions", -1, DefaultConfig(VPG)},
-		{"ppo horizon 0", "invalid config", 2, config(PPO, func(c *Config) { c.Horizon = 0 })},
-		{"trpo hidden 0", "invalid config", 2, config(TRPO, func(c *Config) { c.Hidden = 0 })},
-		{"ppo minibatch 0", "invalid config", 2, config(PPO, func(c *Config) { c.MinibatchSz = 0 })},
-		{"unknown technique", "unknown technique", 2, DefaultConfig("a2c")},
-	} {
-		if _, err := New(tc.sd, 1, tc.cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: New error %v, want one containing %q", tc.name, err, tc.want)
-		}
-	}
-	// The minibatch size is PPO's alone.
-	if _, err := New(2, 1, config(VPG, func(c *Config) { c.MinibatchSz = 0 })); err != nil {
-		t.Errorf("vpg with no minibatch size: %v", err)
+	for _, tech := range techniques {
+		t.Run(tech, func(t *testing.T) {
+			config := func(edit func(*Config)) Config {
+				cfg := DefaultConfig(tech)
+				edit(&cfg)
+				return cfg
+			}
+			for _, tc := range []struct {
+				name, want string
+				sd         int
+				cfg        Config
+			}{
+				{"state 0", "invalid dimensions", 0, DefaultConfig(tech)},
+				{"state -1", "invalid dimensions", -1, DefaultConfig(tech)},
+				{"horizon 0", "invalid config", 2, config(func(c *Config) { c.Horizon = 0 })},
+				{"hidden 0", "invalid config", 2, config(func(c *Config) { c.Hidden = 0 })},
+			} {
+				if _, err := New(tc.sd, 1, tc.cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Errorf("%s: New error %v, want one containing %q", tc.name, err, tc.want)
+				}
+			}
+			// The minibatch size is PPO's alone.
+			_, err := New(2, 1, config(func(c *Config) { c.MinibatchSz = 0 }))
+			if tech == PPO && (err == nil || !strings.Contains(err.Error(), "invalid config")) {
+				t.Errorf("ppo minibatch 0: New error %v, want one containing %q", err, "invalid config")
+			}
+			if tech != PPO && err != nil {
+				t.Errorf("%s with no minibatch size: %v", tech, err)
+			}
+		})
 	}
 }
 
