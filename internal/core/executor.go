@@ -67,56 +67,44 @@ func (s *System) checkRunnable(n int) error {
 	return nil
 }
 
-// distribute writes the coordinator's (Z, Y) columns into every chunk's
-// coordination columns (phase 1 of Alg. 1: agents act under the
-// coordinating information for all intervals in T).
-func (s *System) distribute() {
-	I := s.cfg.EnvTemplate.NumSlices
-	for c, ch := range s.chunks {
-		for r := 0; r < ch.Len(); r++ {
-			s.coord.ColumnInto(s.chunkLo[c]+r, ch.Z[r*I:(r+1)*I], ch.Y[r*I:(r+1)*I])
-		}
-	}
+// periodStage is the step phase of Algorithm 1, the one part the engines
+// do not share: step fills the workspace's period grid and ws.perf (Σ_t U
+// per slice per RA) for period p under the coordinator's current (Z, Y),
+// and recorded learns that period p's record is committed.
+type periodStage interface {
+	step(s *System, ws *periodWS, p int) error
+	recorded(p int)
 }
 
-// collectAndUpdate moves Σ_t U per slice of every RA from the chunks'
-// period performance columns into the workspace's performance grid,
-// resetting the columns, and finishes the period (phase 3).
-func (s *System) collectAndUpdate(h *History) error {
+// runPeriods runs n periods of Algorithm 1 with st as the step phase, p
+// counting on from the coordinator's iterations: st steps every RA, the T
+// intervals merge, the ADMM (Z, Y) update and SLA check run on ws.perf, and
+// the period record commits — one path for every engine, so local and
+// remote runs record identical intervals, SLA flags and residuals. A
+// period whose step fails leaves no record.
+func (s *System) runPeriods(h *History, n int, st periodStage) error {
 	ws := s.workspace()
-	for c, ch := range s.chunks {
-		for r := 0; r < ch.Len(); r++ {
-			for i, v := range ch.PeriodPerf[r*ws.I : (r+1)*ws.I] {
-				ws.perf[i][s.chunkLo[c]+r] = v
-			}
-		}
-		clear(ch.PeriodPerf)
-	}
-	return s.finishPeriod(h, ws.perf)
-}
-
-// finishPeriod runs the ADMM update on the collected performance grid and
-// appends the period's coordinator-side records — shared by every
-// executor, so local and remote runs produce identical SLA flags and
-// residual series.
-func (s *System) finishPeriod(h *History, perf [][]float64) error {
-	if err := s.coord.Update(perf); err != nil {
-		return err
-	}
-	sla := s.workspace().sla
-	if err := s.coord.SLASatisfiedInto(perf, sla); err != nil {
-		return err
-	}
-	primal, dual := s.coord.Residuals()
-	return s.commitPeriod(h, perf, sla, primal, dual)
-}
-
-// mergePeriod merges the period grid's T intervals in order.
-func (s *System) mergePeriod(h *History) error {
-	for t := 0; t < s.workspace().T; t++ {
-		if err := s.mergeInterval(h, t); err != nil {
+	for range n {
+		p := s.coord.Iterations()
+		if err := st.step(s, ws, p); err != nil {
 			return err
 		}
+		for t := 0; t < ws.T; t++ {
+			if err := s.mergeInterval(h, t); err != nil {
+				return err
+			}
+		}
+		if err := s.coord.Update(ws.perf); err != nil {
+			return err
+		}
+		if err := s.coord.SLASatisfiedInto(ws.perf, ws.sla); err != nil {
+			return err
+		}
+		primal, dual := s.coord.Residuals()
+		if err := s.commitPeriod(h, ws.perf, ws.sla, primal, dual); err != nil {
+			return err
+		}
+		st.recorded(p)
 	}
 	return nil
 }
@@ -155,13 +143,7 @@ func (s *System) mergeInterval(h *History, t int) error {
 	return s.commitInterval(h, sysPerf, ws.slicePerf, ws.usage, violation)
 }
 
-// serialExecutor is the batch plan at one worker: chunk after chunk on the
-// calling goroutine.
-type serialExecutor struct{ BatchedExecutor }
-
 // NewSerialExecutor returns the serial in-process engine — System.RunPeriods'
-// default.
-func NewSerialExecutor() Executor { return &serialExecutor{BatchedExecutor{workers: 1}} }
-
-// Name implements Executor.
-func (*serialExecutor) Name() string { return EngineSerial }
+// default: the batch plan at one worker, chunk after chunk on the calling
+// goroutine.
+func NewSerialExecutor() Executor { return NewBatchedExecutor(1) }

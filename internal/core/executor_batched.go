@@ -42,8 +42,6 @@ type BatchedExecutor struct {
 	// system and its agent generation — period-at-a-time driving must not
 	// regroup and reallocate every call. Accessed only from RunPeriods,
 	// which is single-driver by contract.
-	cacheSys  *System
-	cacheGen  int
 	cachePlan *batchPlan
 }
 
@@ -57,8 +55,13 @@ func NewBatchedExecutor(workers int) *BatchedExecutor {
 	return &BatchedExecutor{workers: workers}
 }
 
-// Name implements Executor.
-func (e *BatchedExecutor) Name() string { return EngineBatched }
+// Name implements Executor: the plan at one worker is the serial engine.
+func (e *BatchedExecutor) Name() string {
+	if e.workers == 1 {
+		return EngineSerial
+	}
+	return EngineBatched
+}
 
 // Close implements Executor; the batched engine holds no persistent
 // resources (step workers live for one period).
@@ -83,15 +86,18 @@ const chunkRAs = 64
 // groupSpan is one policy group's RAs within one chunk, ascending: their
 // observations gather into one forward block.
 type groupSpan struct {
-	actor rl.BatchActor
-	dim   int // observation width
-	ras   []int
+	batchKey
+	ras []int
 }
 
 // batchPlan is the cached chunk layout for one (System, agent generation):
 // which RAs batch under which policy group in each chunk. The layout does
-// not depend on the worker count.
+// not depend on the worker count. It is the batched engine's periodStage.
 type batchPlan struct {
+	e   *BatchedExecutor // whose gauges recorded stores
+	sys *System          // the system and agent generation planned for
+	gen int
+
 	// spans[chunkSpans[c]:chunkSpans[c+1]] are chunk c's group spans.
 	spans      []groupSpan
 	chunkSpans []int
@@ -114,16 +120,14 @@ type batchPlan struct {
 // batch together only under the same BatchActor and state shape.
 type batchKey struct {
 	actor rl.BatchActor
-	dim   int
+	dim   int // observation width
 }
 
 // planFor returns the batch plan for s, rebuilding it only when the system
 // or its installed agents changed since the last call.
 func (e *BatchedExecutor) planFor(s *System) *batchPlan {
-	if e.cachePlan == nil || e.cacheSys != s || e.cacheGen != s.agentsGen {
-		e.cacheSys = s
-		e.cacheGen = s.agentsGen
-		e.cachePlan = s.newBatchPlan(e.workers)
+	if p := e.cachePlan; p == nil || p.sys != s || p.gen != s.agentsGen {
+		e.cachePlan = s.newBatchPlan(e)
 	}
 	return e.cachePlan
 }
@@ -131,12 +135,13 @@ func (e *BatchedExecutor) planFor(s *System) *batchPlan {
 // newBatchPlan groups a learning system's RAs per (policy instance, state
 // shape) and splits each group's RAs into per-chunk spans; a baseline
 // system has no groups.
-func (s *System) newBatchPlan(workers int) *batchPlan {
+func (s *System) newBatchPlan(e *BatchedExecutor) *batchPlan {
 	J, chunks := s.cfg.NumRAs, len(s.chunks)
 	p := &batchPlan{
+		e: e, sys: s, gen: s.agentsGen,
 		chunkSpans: make([]int, chunks+1),
 		baselines:  !s.cfg.Algo.IsLearning(),
-		workers:    min(workers, chunks),
+		workers:    min(e.workers, chunks),
 		chunkErr:   make([]error, chunks),
 	}
 	p.nws = make([]nn.Workspace, p.workers)
@@ -161,7 +166,7 @@ func (s *System) newBatchPlan(workers int) *batchPlan {
 		for g, ras := range groups {
 			lo, hi := sort.SearchInts(ras, s.chunkLo[c]), sort.SearchInts(ras, s.chunkLo[c+1])
 			if lo < hi {
-				p.spans = append(p.spans, groupSpan{actor: keys[g].actor, dim: keys[g].dim, ras: ras[lo:hi]})
+				p.spans = append(p.spans, groupSpan{keys[g], ras[lo:hi]})
 				p.blockRows = max(p.blockRows, hi-lo)
 			}
 		}
@@ -171,13 +176,14 @@ func (s *System) newBatchPlan(workers int) *batchPlan {
 	return p
 }
 
-// stepPeriod steps every RA through the period's T intervals into the
-// workspace's period grid, numbering the intervals from base. Chunks step
-// concurrently — a chunk touches only its own columns, its worker's
-// workspace and its RAs' grid elements. The error reported is the first of
-// the lowest failing chunk: deterministic for any scheduling. Only the
-// extra workers' goroutines allocate.
-func (p *batchPlan) stepPeriod(s *System, ws *periodWS, base int) error {
+// step implements periodStage: every chunk steps its RAs through the
+// period into the workspace. Chunks step concurrently — a chunk touches
+// only its own columns, its worker's workspace and its RAs' elements of the
+// period grid and ws.perf. The error reported is the first of the lowest
+// failing chunk: deterministic for any scheduling. Only the extra workers'
+// goroutines allocate.
+func (p *batchPlan) step(s *System, ws *periodWS, period int) error {
+	base := period * ws.T
 	p.next.Store(int64(p.workers))
 	p.wg.Add(p.workers - 1)
 	for w := 1; w < p.workers; w++ {
@@ -196,6 +202,13 @@ func (p *batchPlan) stepPeriod(s *System, ws *periodWS, base int) error {
 	return nil
 }
 
+// recorded implements periodStage: it stores the engine's batching gauges.
+func (p *batchPlan) recorded(int) {
+	p.e.forwards.Add(uint64(p.forwards))
+	p.e.perPeriod.Store(int64(p.forwards))
+	p.e.blockRows.Store(int64(p.blockRows))
+}
+
 // pull steps chunk w, then chunks off the shared counter, on worker w until
 // none is left. Starting worker w on chunk w means its workspace sees that
 // chunk's shapes every period, whatever the scheduling, so once warm it
@@ -206,14 +219,19 @@ func (p *batchPlan) pull(s *System, ws *periodWS, w, base int) {
 	}
 }
 
-// stepChunk steps chunk c through all T intervals: per interval, each RA's
+// stepChunk writes the coordinator's (Z, Y) columns into chunk c (phase 1
+// of Alg. 1), steps it through all T intervals — per interval, each RA's
 // action is its row of its group span's forward, or its baseline action,
-// then one chunk step writes the period grid.
+// then one chunk step writes the period grid — and moves its Σ_t U columns
+// into ws.perf, resetting them.
 //
 //edgeslice:noalloc
 func (p *batchPlan) stepChunk(s *System, ws *periodWS, nws *nn.Workspace, c, base int) error {
 	spans := p.spans[p.chunkSpans[c]:p.chunkSpans[c+1]]
-	ch, lo, hi := s.chunks[c], s.chunkLo[c], s.chunkLo[c+1]
+	ch, lo, hi, I := s.chunks[c], s.chunkLo[c], s.chunkLo[c+1], ws.I
+	for r := 0; r < ch.Len(); r++ {
+		s.coord.ColumnInto(lo+r, ch.Z[r*I:(r+1)*I], ch.Y[r*I:(r+1)*I])
+	}
 	for t := 0; t < ws.T; t++ {
 		nws.Reset()
 		for _, sp := range spans {
@@ -232,11 +250,17 @@ func (p *batchPlan) stepChunk(s *System, ws *periodWS, nws *nn.Workspace, c, bas
 			}
 		}
 		perf, eff, viol := ws.interval(t)
-		if r, err := ch.StepInto(ws.rows[lo:hi], perf[lo*ws.I:hi*ws.I], eff[lo*ws.I:hi*ws.I], viol[lo:hi]); err != nil {
+		if r, err := ch.StepInto(ws.rows[lo:hi], perf[lo*I:hi*I], eff[lo*I:hi*I], viol[lo:hi]); err != nil {
 			//edgeslice:allocok cold error path
 			return fmt.Errorf("core: RA %d interval %d: %w", lo+r, base+t, err)
 		}
 	}
+	for r := 0; r < ch.Len(); r++ {
+		for i, v := range ch.PeriodPerf[r*I : (r+1)*I] {
+			ws.perf[i][lo+r] = v
+		}
+	}
+	clear(ch.PeriodPerf)
 	return nil
 }
 
@@ -246,22 +270,5 @@ func (e *BatchedExecutor) RunPeriods(s *System, h *History, n int) error {
 	if err := s.checkRunnable(n); err != nil {
 		return err
 	}
-	plan := e.planFor(s)
-	ws := s.workspace()
-	for p := 0; p < n; p++ {
-		s.distribute()
-		if err := plan.stepPeriod(s, ws, s.coord.Iterations()*ws.T); err != nil {
-			return err
-		}
-		if err := s.mergePeriod(h); err != nil {
-			return err
-		}
-		if err := s.collectAndUpdate(h); err != nil {
-			return err
-		}
-		e.forwards.Add(uint64(plan.forwards))
-		e.perPeriod.Store(int64(plan.forwards))
-		e.blockRows.Store(int64(plan.blockRows))
-	}
-	return nil
+	return s.runPeriods(h, n, e.planFor(s))
 }

@@ -55,9 +55,6 @@ func NewRemoteExecutor(hub *rcnet.Hub, timeout time.Duration) *RemoteExecutor {
 // options. The executor takes ownership of the session: Close shuts the hub
 // down.
 func NewRemoteExecutorWithOptions(hub *rcnet.Hub, opts RemoteOptions) *RemoteExecutor {
-	if opts.RetryPeriods < 0 {
-		opts.RetryPeriods = 0
-	}
 	I, J := hub.NumSlices(), hub.NumRAs()
 	return &RemoteExecutor{
 		hub: hub, opts: opts,
@@ -72,16 +69,34 @@ func (e *RemoteExecutor) Name() string { return EngineRemote }
 // Close implements Executor: it shuts down the hub session (idempotent).
 func (e *RemoteExecutor) Close() error { return e.hub.Shutdown() }
 
-// collectPeriod broadcasts period p's coordination grids and collects every
-// RA's report into e.reports, retrying up to RetryPeriods times on timeout.
-// Each retry re-broadcasts only to the RAs still missing and keeps the
-// partial report set, so agents that already stepped the period are never
-// double-stepped.
-func (e *RemoteExecutor) collectPeriod(s *System, p int) error {
+// RunPeriods implements Executor. Period ids continue across calls from
+// the coordinator's iteration count, so period-at-a-time and resumed runs
+// broadcast the globally consistent ids replay and retry rely on. On
+// failure h keeps every period that fully completed; the period an agent
+// dropped in fails at collection and leaves no record
+// (TestRemotePartialHistoryOnDroppedAgent).
+func (e *RemoteExecutor) RunPeriods(s *System, h *History, n int) error {
+	if n <= 0 {
+		return fmt.Errorf("core: periods %d must be positive", n)
+	}
+	I, J := s.cfg.EnvTemplate.NumSlices, s.cfg.NumRAs
+	if e.hub.NumSlices() != I || e.hub.NumRAs() != J {
+		return fmt.Errorf("core: hub coordinates %d slices x %d RAs, system is %d x %d",
+			e.hub.NumSlices(), e.hub.NumRAs(), I, J)
+	}
+	return s.runPeriods(h, n, e)
+}
+
+// step implements periodStage: it broadcasts period p's coordination grids,
+// collects every RA's report, retrying up to RetryPeriods times on timeout,
+// and copies the reports into ws.perf and the period grid. Each retry
+// re-broadcasts only to the RAs still missing and keeps the partial report
+// set, so agents that already stepped the period are never double-stepped.
+func (e *RemoteExecutor) step(s *System, ws *periodWS, p int) error {
 	s.coord.GridsInto(e.z, e.y)
 	clear(e.got)
 	for a := 0; ; a++ {
-		last := a == e.opts.RetryPeriods
+		last := a >= e.opts.RetryPeriods
 		e.missing = e.missing[:0]
 		for j, got := range e.got {
 			if !got {
@@ -94,66 +109,36 @@ func (e *RemoteExecutor) collectPeriod(s *System, p int) error {
 		}
 		_, cErr := e.hub.CollectReportsInto(p, e.opts.Timeout, e.reports, e.got)
 		if cErr == nil {
-			return nil
+			break
 		}
 		if last {
 			return fmt.Errorf("core: remote period %d: %w", p, cErr)
 		}
 	}
-}
-
-// RunPeriods implements Executor. Period ids continue across calls from
-// the coordinator's iteration count, so period-at-a-time and resumed runs
-// broadcast the globally consistent ids replay and retry rely on. On
-// failure h keeps every period that fully completed; the period an agent
-// dropped in fails at collection and leaves no record
-// (TestRemotePartialHistoryOnDroppedAgent).
-func (e *RemoteExecutor) RunPeriods(s *System, h *History, n int) error {
-	if n <= 0 {
-		return fmt.Errorf("core: periods %d must be positive", n)
-	}
-	I := s.cfg.EnvTemplate.NumSlices
-	J := s.cfg.NumRAs
-	if e.hub.NumSlices() != I || e.hub.NumRAs() != J {
-		return fmt.Errorf("core: hub coordinates %d slices x %d RAs, system is %d x %d",
-			e.hub.NumSlices(), e.hub.NumRAs(), I, J)
-	}
-	ws := s.workspace()
-
-	start := s.coord.Iterations()
-	for k := 0; k < n; k++ {
-		p := start + k
-		if err := e.collectPeriod(s, p); err != nil {
-			return err
+	for j := range e.reports {
+		if err := decodeReport(&e.reports[j], j, ws); err != nil {
+			return fmt.Errorf("core: remote period %d: %w", p, err)
 		}
-		for j := 0; j < J; j++ {
-			rep := &e.reports[j]
-			if len(rep.Perf) != I {
-				return fmt.Errorf("core: RA %d reported %d slices, want %d", j, len(rep.Perf), I)
-			}
-			for i := 0; i < I; i++ {
-				ws.perf[i][j] = rep.Perf[i]
-			}
-			if err := decodeIntervals(rep, j, ws); err != nil {
-				return fmt.Errorf("core: remote period %d: %w", p, err)
-			}
-		}
-		if err := s.mergePeriod(h); err != nil {
-			return err
-		}
-		if err := s.finishPeriod(h, ws.perf); err != nil {
-			return err
-		}
-		e.hub.FinishPeriod(p)
 	}
 	return nil
 }
 
-// decodeIntervals validates one agent report's per-interval records against
-// the run's shape and copies them into RA j's elements of the period grid:
-// the merge never reads the envelope's slices.
-func decodeIntervals(rep *rcnet.Envelope, j int, ws *periodWS) error {
+// recorded implements periodStage: re-registering agents must replay
+// through period p.
+func (e *RemoteExecutor) recorded(p int) { e.hub.FinishPeriod(p) }
+
+// decodeReport validates one agent report against the run's shape and
+// copies its Σ_t U into RA j's column of ws.perf and its per-interval
+// records into RA j's elements of the period grid: the merge never reads
+// the envelope's slices.
+func decodeReport(rep *rcnet.Envelope, j int, ws *periodWS) error {
 	I := ws.I
+	if len(rep.Perf) != I {
+		return fmt.Errorf("core: RA %d reported %d slices, want %d", j, len(rep.Perf), I)
+	}
+	for i, v := range rep.Perf {
+		ws.perf[i][j] = v
+	}
 	if len(rep.Intervals) == 0 {
 		return fmt.Errorf("core: RA %d report carries no interval records (pre-engine agent build?); upgrade the agent to one that runs rcnet.RunAgent", rep.RA)
 	}

@@ -47,51 +47,66 @@ func deployedSystem(t *testing.T, cfg Config) *System {
 	return s
 }
 
-// referenceRun is the loop the serial engine ran before every in-process
-// engine became the batch plan, kept here as a reference that is not under
-// test: every interval each RA in turn acts on its own observation
+// referenceStage is the step phase the serial engine ran before every
+// in-process engine became the batch plan, kept here as a reference that is
+// not under test: each RA takes its (Z, Y) column through its view, then
+// every interval each RA in turn acts on its own observation
 // (Act(env.State()) for a learning agent, the baseline's action otherwise)
-// and steps alone through its view, then the interval merges; the ADMM
-// update closes each period.
+// and steps alone through its view; Σ_t U comes from each view's
+// PeriodPerf.
+type referenceStage struct{}
+
+func (referenceStage) step(s *System, ws *periodWS, _ int) error {
+	I := ws.I
+	z, y := make([]float64, I), make([]float64, I)
+	for j, env := range s.envs {
+		s.coord.ColumnInto(j, z, y)
+		if err := env.SetCoordination(z, y); err != nil {
+			return err
+		}
+	}
+	var res netsim.StepResult
+	for t := 0; t < ws.T; t++ {
+		perf, eff, viol := ws.interval(t)
+		for j, env := range s.envs {
+			act := make([]float64, I*netsim.NumResources)
+			switch {
+			case s.cfg.Algo.IsLearning():
+				act = s.agents[j].Act(env.State())
+			case s.cfg.Algo == AlgoEqualShare:
+				baseline.EqualShareInto(act, I)
+			default:
+				if err := baseline.TAROInto(act, env.QueueLens()); err != nil {
+					return err
+				}
+			}
+			if err := env.StepInto(act, &res); err != nil {
+				return err
+			}
+			copy(perf[j*I:], res.Perf)
+			copy(eff[j*I:], res.Effective)
+			viol[j] = res.Violation
+		}
+	}
+	for j, env := range s.envs {
+		for i, v := range env.PeriodPerf() {
+			ws.perf[i][j] = v
+		}
+	}
+	return nil
+}
+
+func (referenceStage) recorded(int) {}
+
+// referenceRun runs n periods with referenceStage as the step phase.
 func referenceRun(t *testing.T, s *System, n int) *History {
 	t.Helper()
 	if err := s.checkRunnable(n); err != nil {
 		t.Fatal(err)
 	}
 	h := s.newRunHistory()
-	ws := s.workspace()
-	I := ws.I
-	perf, eff, viol := ws.interval(0)
-	var res netsim.StepResult
-	for p := 0; p < n; p++ {
-		s.distribute()
-		for i := 0; i < ws.T; i++ {
-			for j, env := range s.envs {
-				act := make([]float64, I*netsim.NumResources)
-				switch {
-				case s.cfg.Algo.IsLearning():
-					act = s.agents[j].Act(env.State())
-				case s.cfg.Algo == AlgoEqualShare:
-					baseline.EqualShareInto(act, I)
-				default:
-					if err := baseline.TAROInto(act, env.QueueLens()); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if err := env.StepInto(act, &res); err != nil {
-					t.Fatal(err)
-				}
-				copy(perf[j*I:], res.Perf)
-				copy(eff[j*I:], res.Effective)
-				viol[j] = res.Violation
-			}
-			if err := s.mergeInterval(h, 0); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := s.collectAndUpdate(h); err != nil {
-			t.Fatal(err)
-		}
+	if err := s.runPeriods(h, n, referenceStage{}); err != nil {
+		t.Fatal(err)
 	}
 	return h
 }

@@ -13,7 +13,7 @@ import (
 // TrainingFingerprint hashes everything the trained agents are a
 // deterministic function of but the seed and step budget, which the
 // checkpoint store keys separately: algorithm, topology, DDPG and SLA/ADMM
-// settings, and every RA's training environment as Train configures it.
+// settings, and RA 0's training environment as Train configures it.
 // Equal fingerprints, seeds and budgets train bitwise identical agents.
 func TrainingFingerprint(cfg Config) (string, error) {
 	h := sha256.New()
@@ -22,7 +22,9 @@ func TrainingFingerprint(cfg Config) (string, error) {
 			fmt.Fprintf(h, "%v|", v)
 		}
 	}
-	w("edgeslice-training-v1", int(cfg.Algo), cfg.NumRAs, cfg.ShareAgent, cfg.Rho)
+	// true stands where the retired per-RA training switch was hashed, so
+	// store keys and checkpoint hashes do not move.
+	w("edgeslice-training-v1", int(cfg.Algo), cfg.NumRAs, true, cfg.Rho)
 	w(len(cfg.Umin))
 	for _, u := range cfg.Umin {
 		w(strconv.FormatFloat(u, 'g', -1, 64))
@@ -33,27 +35,20 @@ func TrainingFingerprint(cfg Config) (string, error) {
 		return "", fmt.Errorf("core: fingerprint ddpg config: %w", err)
 	}
 
-	// A System value only to resolve the per-RA training templates; the
-	// config was validated by the caller's NewSystem or is validated here.
+	// A System value only to resolve RA 0's training template, the one
+	// environment Train trains in; the config was validated by the caller's
+	// NewSystem or is validated here. Normalize exactly as Train does; Seed
+	// is overridden there from cfg.Seed, which the store keys separately.
 	if err := cfg.Validate(); err != nil {
 		return "", err
 	}
-	s := &System{cfg: cfg}
-	ras := cfg.NumRAs
-	if cfg.ShareAgent {
-		ras = 1 // only RA 0's training environment matters
-	}
-	for j := 0; j < ras; j++ {
-		envCfg := s.trainTemplateFor(j)
-		// Normalize exactly as Train's trainOne does; Seed is overridden
-		// there from cfg.Seed, which the store keys separately.
-		envCfg.ObserveQueue = cfg.Algo != AlgoEdgeSliceNT
-		envCfg.TrainCoordRandom = true
-		envCfg.Seed = 0
-		w("ra", j)
-		if err := hashValue(h, reflect.ValueOf(envCfg)); err != nil {
-			return "", fmt.Errorf("core: fingerprint RA %d training env: %w", j, err)
-		}
+	envCfg := (&System{cfg: cfg}).trainTemplateFor(0)
+	envCfg.ObserveQueue = cfg.Algo != AlgoEdgeSliceNT
+	envCfg.TrainCoordRandom = true
+	envCfg.Seed = 0
+	w("ra", 0)
+	if err := hashValue(h, reflect.ValueOf(envCfg)); err != nil {
+		return "", fmt.Errorf("core: fingerprint RA 0 training env: %w", err)
 	}
 	return hex.EncodeToString(h.Sum(nil)), nil
 }

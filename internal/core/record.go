@@ -94,7 +94,7 @@ func (s *System) commitInterval(h *History, sysPerf float64, slicePerf []float64
 	return nil
 }
 
-// commitPeriod mirrors commitInterval for period records; finishPeriod
+// commitPeriod mirrors commitInterval for period records; runPeriods
 // calls it after the ADMM update.
 func (s *System) commitPeriod(h *History, perf [][]float64, sla []bool, primal, dual float64) error {
 	if err := h.AddPeriod(perf, sla, primal, dual); err != nil {

@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+	"time"
 
+	"edgeslice/internal/rcnet"
 	"edgeslice/internal/telemetry"
 )
 
@@ -56,6 +58,69 @@ func TestRunPeriodsIntoMatchesWholeRun(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+	}
+}
+
+// TestRemoteRunPeriodsIntoMatchesWholeRun drives the remote engine (a
+// loopback hub, one in-process RunAgent loop per RA) one period per call,
+// as the remote benchmark does, into one caller-owned History with the
+// history log attached through SetRecording: the period ids broadcast and
+// the periods the hub marks finished continue across calls, so the History
+// and the log bytes equal one uninterrupted serial RunPeriodsWith call's.
+func TestRemoteRunPeriodsIntoMatchesWholeRun(t *testing.T) {
+	const periods = 4
+	cfg := execTestConfig(AlgoTARO)
+	I, J, T := cfg.EnvTemplate.NumSlices, cfg.NumRAs, cfg.EnvTemplate.T
+	logged := func(s *System) *bytes.Buffer {
+		var buf bytes.Buffer
+		hlog, err := NewHistoryLog(telemetry.NewLogWriter(&buf), I, J, T)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.SetRecording(RecordOptions{Log: hlog})
+		return &buf
+	}
+	ref := deployedSystem(t, cfg)
+	refLog := logged(ref)
+	hRef, err := ref.RunPeriodsWith(NewSerialExecutor(), periods)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	hub, err := rcnet.NewHub("127.0.0.1:0", I, J)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dones := make([]chan error, J)
+	for j := range dones {
+		_, dones[j] = startRemoteAgent(t, hub, cfg, j)
+	}
+	if err := hub.WaitRegistered(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewSystem(cfg) // never trained: remote runs need no local agents
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := logged(s)
+	e := NewRemoteExecutor(hub, 10*time.Second)
+	h := NewHistory(I, J, T)
+	for p := 0; p < periods; p++ {
+		if err := s.RunPeriodsInto(e, h, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for j, done := range dones {
+		if err := <-done; err != nil {
+			t.Errorf("agent %d: %v", j, err)
+		}
+	}
+	requireSameRun(t, "remote period-at-a-time", hRef, h)
+	if !bytes.Equal(log.Bytes(), refLog.Bytes()) {
+		t.Error("remote period-at-a-time history log differs from the whole serial run's")
 	}
 }
 

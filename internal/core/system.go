@@ -98,9 +98,6 @@ type Config struct {
 	// for: the paper trains 1e6 TensorFlow steps, CI-scale runs thousands.
 	TrainSteps int
 	DDPG       ddpg.Config
-	// ShareAgent trains a single agent on RA 0's environment and deploys
-	// it to every RA — valid for homogeneous RAs and much faster.
-	ShareAgent bool
 
 	Seed int64
 }
@@ -124,7 +121,6 @@ func DefaultConfig() Config {
 		Rho:         1.0,
 		TrainSteps:  12000,
 		DDPG:        d,
-		ShareAgent:  true,
 		Seed:        1,
 	}
 }
@@ -245,56 +241,32 @@ func (s *System) Env(j int) *netsim.RAEnv { return s.envs[j] }
 func (s *System) NumRAs() int { return len(s.envs) }
 
 // Train prepares the orchestration agents. For TARO/EqualShare it is a
-// no-op. For EdgeSlice variants it trains DDPG agents offline against the
-// simulated environment with randomized coordinating information
-// (Sec. VI-A/VI-B), either one shared agent or one per RA.
+// no-op. For EdgeSlice variants it trains one DDPG agent offline against
+// RA 0's simulated training environment with randomized coordinating
+// information (Sec. VI-A/VI-B) and deploys it to every RA.
 func (s *System) Train() error {
 	if !s.cfg.Algo.IsLearning() {
 		s.trained = true
 		return nil
 	}
-	trainOne := func(seedOffset int64, envCfg netsim.Config) (rl.Agent, error) {
-		envCfg.ObserveQueue = s.cfg.Algo != AlgoEdgeSliceNT
-		envCfg.TrainCoordRandom = true
-		envCfg.Seed = s.cfg.Seed + 104729 + seedOffset
-		env, err := netsim.New(envCfg)
-		if err != nil {
-			return nil, err
-		}
-		dcfg := s.cfg.DDPG
-		dcfg.Seed = s.cfg.Seed + seedOffset
-		agent, err := ddpg.New(env.StateDim(), env.ActionDim(), dcfg)
-		if err != nil {
-			return nil, err
-		}
-		if err := agent.Train(env, s.cfg.TrainSteps); err != nil {
-			return nil, err
-		}
-		return agent, nil
+	envCfg := s.trainTemplateFor(0)
+	envCfg.ObserveQueue = s.cfg.Algo != AlgoEdgeSliceNT
+	envCfg.TrainCoordRandom = true
+	envCfg.Seed = s.cfg.Seed + 104729
+	env, err := netsim.New(envCfg)
+	if err != nil {
+		return fmt.Errorf("core: training shared agent: %w", err)
 	}
-
-	s.agents = make([]rl.Agent, s.cfg.NumRAs)
-	s.agentsGen++
-	if s.cfg.ShareAgent {
-		agent, err := trainOne(0, s.trainTemplateFor(0))
-		if err != nil {
-			return fmt.Errorf("core: training shared agent: %w", err)
-		}
-		for j := range s.agents {
-			s.agents[j] = agent
-		}
-		s.trained = true
-		return nil
+	dcfg := s.cfg.DDPG
+	dcfg.Seed = s.cfg.Seed
+	agent, err := ddpg.New(env.StateDim(), env.ActionDim(), dcfg)
+	if err != nil {
+		return fmt.Errorf("core: training shared agent: %w", err)
 	}
-	for j := range s.agents {
-		agent, err := trainOne(int64(j+1)*31, s.trainTemplateFor(j))
-		if err != nil {
-			return fmt.Errorf("core: training agent %d: %w", j, err)
-		}
-		s.agents[j] = agent
+	if err := agent.Train(env, s.cfg.TrainSteps); err != nil {
+		return fmt.Errorf("core: training shared agent: %w", err)
 	}
-	s.trained = true
-	return nil
+	return s.SetAgents([]rl.Agent{agent})
 }
 
 // SetAgents installs pre-trained agents (e.g. loaded from disk); the slice

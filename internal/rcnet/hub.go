@@ -16,11 +16,10 @@ import (
 // peer and drives the liveness reaper. The frame writer carries the codec
 // the peer registered with (JSON until the register frame says otherwise).
 type connState struct {
-	conn       net.Conn
-	wmu        sync.Mutex
-	mw         *msgWriter
-	lastSeen   atomic.Int64 // monotonic-ish unix nanos of the last frame read
-	registered atomic.Bool  // installed into a shard's conn table
+	conn     net.Conn
+	wmu      sync.Mutex
+	mw       *msgWriter
+	lastSeen atomic.Int64 // monotonic-ish unix nanos of the last frame read
 }
 
 // send writes one frame under the connection's write mutex with a write
@@ -49,10 +48,10 @@ func (st *connState) setCodec(c Codec) {
 //
 // Internally the hub is sharded (NewShardedHub): each shard owns a fixed
 // contiguous RA range with its own mutex, connection table, coordination
-// log, liveness reaper, and broadcast-writer pool, so period broadcast and
-// report decoding run in parallel across shards. The root hub owns the
-// listener, demultiplexes registrations to shards, and merges per-shard
-// results in fixed RA order — History and residuals are
+// log, and broadcast-writer pool, so period broadcast and report decoding
+// run in parallel across shards. The root hub owns the listener and the
+// liveness reaper, demultiplexes registrations to shards, and merges
+// per-shard results in fixed RA order — History and residuals are
 // bit-identical for any shard count. NewHub builds the single-shard hub.
 //
 // Writes to agents are bounded: Broadcast and Shutdown apply a write
@@ -198,11 +197,11 @@ func (h *Hub) NumRAs() int { return h.numRAs }
 // delivers no frame (reports or heartbeats) for longer than timeout is
 // closed, which drives the normal drop/re-register path immediately
 // instead of waiting for the next broadcast to hit its write deadline.
-// Each shard reaps its own registered conns; the root reaps conns stalled
-// before registration. Only enable it when the agents send heartbeats
-// (AgentClient StartHeartbeat) at a comfortably shorter interval — an
-// agent that is silently computing a long period would otherwise be
-// reaped mid-work. Call before agents connect; idempotent per hub.
+// One reaper covers every accepted conn, registered or still mid-register.
+// Only enable it when the agents send heartbeats (AgentClient
+// StartHeartbeat) at a comfortably shorter interval — an agent that is
+// silently computing a long period would otherwise be reaped mid-work.
+// Call before agents connect; idempotent per hub.
 func (h *Hub) SetLiveness(timeout time.Duration) {
 	if timeout <= 0 {
 		return
@@ -214,10 +213,6 @@ func (h *Hub) SetLiveness(timeout time.Duration) {
 	if start {
 		h.reaperWG.Add(1)
 		go h.reapLoop(timeout)
-		for _, sh := range h.shards {
-			h.reaperWG.Add(1)
-			go sh.reapLoop(timeout)
-		}
 	}
 }
 
@@ -248,9 +243,9 @@ func (h *Hub) Liveness() (liveRAs, registeredRAs, expected int) {
 	return liveRAs, registeredRAs, h.numRAs
 }
 
-// reapLoop is the root reaper: it covers connections stalled before
-// registration (shard reapers cover registered conns, each under its own
-// lock).
+// reapLoop periodically closes the connections whose peers went silent.
+// The scan interval divides the liveness timeout so a dead conn is reaped
+// at most ~1.25 timeouts after its last frame.
 func (h *Hub) reapLoop(timeout time.Duration) {
 	defer h.reaperWG.Done()
 	interval := timeout / 4
@@ -269,14 +264,14 @@ func (h *Hub) reapLoop(timeout time.Duration) {
 	}
 }
 
-// reapOnce collects the silent pre-registration connections under the lock
-// and closes them outside it; closing unblocks each conn's reader
-// goroutine, which abandons the handshake.
+// reapOnce collects the silent connections under the lock and closes them
+// outside it; closing unblocks each conn's reader goroutine, which abandons
+// the handshake or, for a registered conn, runs the usual dropConn path.
 func (h *Hub) reapOnce(now int64, timeout time.Duration) {
 	h.mu.Lock()
 	var victims []*connState
 	for _, st := range h.live {
-		if !st.registered.Load() && now-st.lastSeen.Load() > int64(timeout) {
+		if now-st.lastSeen.Load() > int64(timeout) {
 			victims = append(victims, st)
 		}
 	}
@@ -372,7 +367,6 @@ func (h *Hub) handleConn(conn net.Conn) {
 	// the returning agent out until the next broadcast write timeout.
 	old := sh.conns[msg.RA]
 	sh.conns[msg.RA] = st
-	st.registered.Store(true)
 	reconnect := sh.seenRAs[msg.RA]
 	sh.seenRAs[msg.RA] = true
 	sh.mu.Unlock()
@@ -425,12 +419,14 @@ func (h *Hub) handleConn(conn net.Conn) {
 		switch m.Type {
 		case MsgPerfReport:
 			h.stats.reportsReceived.Add(1)
-			// Reports are routed by the shard that owns the conn; a report
-			// naming an RA outside this shard's range (a buggy or malicious
-			// peer) is dropped here, before it can race another shard's
-			// collect buffers.
-			if m.RA < sh.lo || m.RA >= sh.hi {
-				h.stats.wrongShard.Add(1)
+			// A conn reports only for the RA it registered as; a report
+			// naming another RA (a buggy or malicious peer) is dropped here,
+			// before it can fill that RA's collect slot or move its resume
+			// frame. WrongShard counts the subset outside this shard.
+			if m.RA != msg.RA {
+				if m.RA < sh.lo || m.RA >= sh.hi {
+					h.stats.wrongShard.Add(1)
+				}
 				h.stats.reportsDropped.Add(1)
 				continue
 			}

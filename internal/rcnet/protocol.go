@@ -40,7 +40,7 @@
 //
 // The plane scales horizontally: the hub is internally sharded
 // (NewShardedHub), each shard owning a fixed contiguous RA range with its
-// own lock, connection table, liveness reaper, and broadcast-writer pool,
+// own lock, connection table, and broadcast-writer pool,
 // so period broadcast and report decoding proceed in parallel across
 // shards while the root hub merges results in fixed RA order — the merged
 // run is bit-identical for any shard count.

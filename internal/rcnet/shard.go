@@ -7,8 +7,8 @@ import (
 )
 
 // hubShard owns a fixed contiguous RA range [lo, hi) of the hub: its own
-// mutex, connection table, coordination-column log, liveness reaper, and a
-// pool of broadcast-writer goroutines. Period broadcast and report decoding
+// mutex, connection table, coordination-column log, and a pool of
+// broadcast-writer goroutines. Period broadcast and report decoding
 // proceed in parallel across shards — each shard touches only its own lock
 // and its own slice of the shared collect buffers — while the root Hub
 // merges results in fixed RA order, so the merged run is bit-identical for
@@ -277,43 +277,4 @@ func (sh *hubShard) dropConn(ra int, st *connState) {
 		sh.h.stats.connsDropped.Add(1)
 	}
 	_ = st.conn.Close()
-}
-
-// reapLoop periodically closes the shard's registered connections whose
-// peers went silent. The scan interval divides the liveness timeout so a
-// dead conn is reaped at most ~1.25 timeouts after its last frame.
-func (sh *hubShard) reapLoop(timeout time.Duration) {
-	defer sh.h.reaperWG.Done()
-	interval := timeout / 4
-	if interval < time.Millisecond {
-		interval = time.Millisecond
-	}
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-sh.h.closed:
-			return
-		case <-ticker.C:
-			sh.reapOnce(time.Now().UnixNano(), timeout)
-		}
-	}
-}
-
-// reapOnce collects the shard's silent connections under its lock and
-// closes them outside it; closing unblocks each conn's reader goroutine,
-// which runs the usual dropConn path.
-func (sh *hubShard) reapOnce(now int64, timeout time.Duration) {
-	sh.mu.Lock()
-	var victims []*connState
-	for _, st := range sh.conns {
-		if now-st.lastSeen.Load() > int64(timeout) {
-			victims = append(victims, st)
-		}
-	}
-	sh.mu.Unlock()
-	for _, st := range victims {
-		sh.h.stats.reaped.Add(1)
-		_ = st.conn.Close()
-	}
 }

@@ -355,3 +355,76 @@ func TestDuplicateAndWrongShardReports(t *testing.T) {
 		})
 	}
 }
+
+// TestSpoofedRAReportDropped pins that a connection files reports only for
+// the RA it registered as, also inside its own shard: at one shard, a
+// report a conn registered as RA 0 sends for RA 1 must neither fill RA 1's
+// collect slot (which would drop RA 1's honest report as a duplicate) nor
+// move RA 1's last reported period, which sets its resume frame.
+func TestSpoofedRAReportDropped(t *testing.T) {
+	for _, codec := range []Codec{CodecJSON, CodecBinary} {
+		t.Run(codec.String(), func(t *testing.T) {
+			h, err := NewHub("127.0.0.1:0", 1, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { _ = h.Shutdown() }()
+			rogue, err := net.Dial("tcp", h.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rogue.Close()
+			forge := newMsgWriter(rogue, codec, nil)
+			if err := forge.write(Envelope{Type: MsgRegister, RA: 0}); err != nil {
+				t.Fatal(err)
+			}
+			c1, err := DialAgentCodec(h.Addr(), 1, testTimeout, codec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c1.Close()
+			if err := h.WaitRegistered(testTimeout); err != nil {
+				t.Fatal(err)
+			}
+
+			// RA 0's conn forges RA 1's period-0 report and one far ahead,
+			// then files its own; RA 1 reports only once the hub has read
+			// all three, so a forged report that landed would be first.
+			for _, e := range []Envelope{
+				{Type: MsgPerfReport, RA: 1, Period: 0, Perf: []float64{-999}},
+				{Type: MsgPerfReport, RA: 1, Period: 7, Perf: []float64{-998}},
+				{Type: MsgPerfReport, RA: 0, Period: 0, Perf: []float64{-10}},
+			} {
+				if err := forge.write(e); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for deadline := time.Now().Add(testTimeout); h.Stats().ReportsReceived < 3; {
+				if time.Now().After(deadline) {
+					t.Fatalf("hub read %d of the rogue conn's 3 reports", h.Stats().ReportsReceived)
+				}
+				time.Sleep(time.Millisecond)
+			}
+			if err := c1.Report(0, []float64{-20}, nil, nil); err != nil {
+				t.Fatal(err)
+			}
+			reports, err := collect(h, 0, testTimeout)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if reports[0].Perf[0] != -10 || reports[1].Perf[0] != -20 {
+				t.Errorf("period 0 perf = %v, want [[-10 -20]] (a forged report landed)", reports)
+			}
+			sh := h.shards[0]
+			sh.mu.Lock()
+			last := sh.lastReported[1]
+			sh.mu.Unlock()
+			if last != 0 {
+				t.Errorf("RA 1's last reported period = %d, want 0 (a forged report moved it)", last)
+			}
+			if stats := h.Stats(); stats.ReportsDropped != 2 || stats.WrongShard != 0 {
+				t.Errorf("ReportsDropped = %d, WrongShard = %d; want 2 and 0", stats.ReportsDropped, stats.WrongShard)
+			}
+		})
+	}
+}
