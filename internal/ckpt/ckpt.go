@@ -13,10 +13,10 @@
 // decodes them all into a trainer, Deploy only the acting network.
 //
 // The package defines the wire format and the per-agent state container;
-// the trainer packages (ddpg, sac, and onpolicy for ppo, trpo and vpg)
-// implement Snapshot/Restore on top of it and register their restore and
-// deploy functions here, so decoding dispatches by algorithm name without
-// this package importing any of them.
+// the trainer packages (offpolicy for ddpg and sac, onpolicy for ppo, trpo
+// and vpg) implement Snapshot/Restore on top of it and register their
+// restore and deploy functions here, so decoding dispatches by algorithm
+// name without this package importing any of them.
 package ckpt
 
 import (
@@ -82,7 +82,17 @@ type AgentState struct {
 	// agent reports the same count).
 	Updates int `json:"updates,omitempty"`
 
-	Replay *rl.ReplayState `json:"replay,omitempty"`
+	Replay *ReplayState `json:"replay,omitempty"`
+}
+
+// ReplayState is an off-policy trainer's replay buffer as a snapshot holds
+// it: capacity, the eviction cursor, and the stored transitions in storage
+// order, so that a restored buffer samples and evicts exactly as the
+// original.
+type ReplayState struct {
+	Capacity    int             `json:"capacity"`
+	Next        int             `json:"next"`
+	Transitions []rl.Transition `json:"transitions"`
 }
 
 // ErrMissingNet reports a network role a restore or deploy needs.
@@ -143,27 +153,6 @@ func (st *AgentState) NetLike(role string, like *nn.Network) (*nn.Network, error
 		return nil, fmt.Errorf("ckpt: %s %s network: %w", st.Algo, role, err)
 	}
 	return n, nil
-}
-
-// RestoreReplay rebuilds the snapshot's replay buffer, or returns an empty
-// one of the given capacity when the snapshot has none. Every stored
-// transition must carry StateDim-long states and an ActionDim-long action:
-// a short one would train on whatever the batch rows held before.
-func (st *AgentState) RestoreReplay(capacity int) (*rl.ReplayBuffer, error) {
-	if st.Replay == nil {
-		return rl.NewReplayBuffer(capacity), nil
-	}
-	for i, tr := range st.Replay.Transitions {
-		if len(tr.State) != st.StateDim || len(tr.NextState) != st.StateDim || len(tr.Action) != st.ActionDim {
-			return nil, fmt.Errorf("ckpt: %s replay transition %d has state %d, next state %d, action %d, want %d, %d, %d",
-				st.Algo, i, len(tr.State), len(tr.NextState), len(tr.Action), st.StateDim, st.StateDim, st.ActionDim)
-		}
-	}
-	b, err := rl.RestoreReplay(*st.Replay)
-	if err != nil {
-		return nil, fmt.Errorf("ckpt: %s: %w", st.Algo, err)
-	}
-	return b, nil
 }
 
 // RestoreAdam decodes the named role's Adam moments into opt for n; a role

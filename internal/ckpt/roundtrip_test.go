@@ -16,10 +16,9 @@ import (
 	"edgeslice/internal/mathutil"
 	"edgeslice/internal/nn"
 	"edgeslice/internal/rl"
-	"edgeslice/internal/rl/ddpg"
+	"edgeslice/internal/rl/offpolicy"
 	"edgeslice/internal/rl/onpolicy"
 	"edgeslice/internal/rl/rltest"
-	"edgeslice/internal/rl/sac"
 
 	// core registers every restore the binaries can load, so the registry
 	// test sees what a binary sees.
@@ -45,22 +44,15 @@ func algorithms(t *testing.T) map[string]trainable {
 	t.Helper()
 	out := map[string]trainable{}
 
-	dcfg := ddpg.DefaultConfig()
-	dcfg.Hidden, dcfg.BatchSize, dcfg.WarmupSteps, dcfg.ReplayCapacity = 8, 8, 16, 512
-	dd, err := ddpg.New(stateDim, actionDim, dcfg)
-	if err != nil {
-		t.Fatal(err)
+	for _, tech := range []string{offpolicy.DDPG, offpolicy.SAC} {
+		cfg := offpolicy.DefaultConfig(tech)
+		cfg.Hidden, cfg.BatchSize, cfg.WarmupSteps, cfg.ReplayCapacity = 8, 8, 16, 512
+		a, err := offpolicy.New(stateDim, actionDim, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[tech] = a
 	}
-	out[ddpg.AlgoName] = dd
-
-	scfg := sac.DefaultConfig()
-	scfg.Hidden, scfg.BatchSize, scfg.WarmupSteps, scfg.ReplayCapacity = 8, 8, 16, 512
-	sa, err := sac.New(stateDim, actionDim, scfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out[sac.AlgoName] = sa
-
 	for _, tech := range []string{onpolicy.PPO, onpolicy.TRPO, onpolicy.VPG} {
 		cfg := onpolicy.DefaultConfig(tech)
 		cfg.Hidden, cfg.Horizon, cfg.MinibatchSz, cfg.Epochs, cfg.FisherSamples, cfg.ValueEpochs = 8, 32, 8, 2, 8, 2
@@ -126,9 +118,9 @@ func TestRoundTripBitwiseActions(t *testing.T) {
 // TestRestoredAgentsAreIndependent restores one snapshot twice and trains
 // one copy on; the other copy's policy must not move (no shared buffers).
 func TestRestoredAgentsAreIndependent(t *testing.T) {
-	cfg := ddpg.DefaultConfig()
+	cfg := offpolicy.DefaultConfig(offpolicy.DDPG)
 	cfg.Hidden, cfg.BatchSize, cfg.WarmupSteps, cfg.ReplayCapacity = 8, 8, 16, 512
-	agent, err := ddpg.New(stateDim, actionDim, cfg)
+	agent, err := offpolicy.New(stateDim, actionDim, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,11 +132,11 @@ func TestRestoredAgentsAreIndependent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a1, err := ddpg.Restore(st)
+	a1, err := offpolicy.Restore(st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, err := ddpg.Restore(st)
+	a2, err := offpolicy.Restore(st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,9 +185,9 @@ func TestStoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := ddpg.DefaultConfig()
+	cfg := offpolicy.DefaultConfig(offpolicy.DDPG)
 	cfg.Hidden, cfg.BatchSize, cfg.WarmupSteps, cfg.ReplayCapacity = 8, 8, 16, 512
-	agent, err := ddpg.New(stateDim, actionDim, cfg)
+	agent, err := offpolicy.New(stateDim, actionDim, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +296,7 @@ func TestDeployMatchesRestore(t *testing.T) {
 			}
 			for r := 0; r < states.Rows; r++ {
 				want := net.Forward1(states.Row(r))
-				if name == sac.AlgoName {
+				if name == offpolicy.SAC {
 					want = want[:actionDim]
 					for i, u := range want {
 						want[i] = 0.5 * (math.Tanh(u) + 1)

@@ -5,7 +5,7 @@ import (
 
 	"edgeslice/internal/netsim"
 	"edgeslice/internal/rl"
-	"edgeslice/internal/rl/ddpg"
+	"edgeslice/internal/rl/offpolicy"
 )
 
 // TestDebugTraining prints training diagnostics; run with -v for tuning.
@@ -19,12 +19,12 @@ func TestDebugTraining(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dcfg := ddpg.DefaultConfig()
+	dcfg := offpolicy.DefaultConfig(offpolicy.DDPG)
 	dcfg.Hidden = 32
 	dcfg.BatchSize = 64
 	dcfg.WarmupSteps = 300
 	dcfg.NoiseDecay = 0.9995
-	agent, err := ddpg.New(env.StateDim(), env.ActionDim(), dcfg)
+	agent, err := offpolicy.New(env.StateDim(), env.ActionDim(), dcfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,9 +9,8 @@ import (
 
 	"edgeslice/internal/nn"
 	"edgeslice/internal/rl"
-	"edgeslice/internal/rl/ddpg"
+	"edgeslice/internal/rl/offpolicy"
 	"edgeslice/internal/rl/onpolicy"
-	"edgeslice/internal/rl/sac"
 	"edgeslice/internal/telemetry"
 )
 
@@ -25,16 +24,11 @@ func batchedTestAgent(t *testing.T, name string, stateDim, actionDim int) rl.Age
 		a   rl.Agent
 		err error
 	)
-	switch name {
-	case ddpg.AlgoName:
-		cfg := ddpg.DefaultConfig()
+	if name == offpolicy.DDPG || name == offpolicy.SAC {
+		cfg := offpolicy.DefaultConfig(name)
 		cfg.Hidden = 16
-		a, err = ddpg.New(stateDim, actionDim, cfg)
-	case sac.AlgoName:
-		cfg := sac.DefaultConfig()
-		cfg.Hidden = 16
-		a, err = sac.New(stateDim, actionDim, cfg)
-	default:
+		a, err = offpolicy.New(stateDim, actionDim, cfg)
+	} else {
 		cfg := onpolicy.DefaultConfig(name)
 		cfg.Hidden = 16
 		a, err = onpolicy.New(stateDim, actionDim, cfg)
@@ -48,7 +42,7 @@ func batchedTestAgent(t *testing.T, name string, stateDim, actionDim int) rl.Age
 // trainerNames are the five training algorithms whose policies the engines
 // must batch bit-identically.
 var trainerNames = []string{
-	ddpg.AlgoName, sac.AlgoName, onpolicy.PPO, onpolicy.TRPO, onpolicy.VPG,
+	offpolicy.DDPG, offpolicy.SAC, onpolicy.PPO, onpolicy.TRPO, onpolicy.VPG,
 }
 
 // algoSystem deploys a system whose every RA shares one agent of the named
@@ -109,7 +103,7 @@ func secondPolicy(s *System) *rl.DeployedPolicy {
 // share one batchable DDPG agent, RAs 1 and 3 a second deployed policy.
 func mixedAgents(t *testing.T, s *System) {
 	t.Helper()
-	dd := batchedTestAgent(t, ddpg.AlgoName, s.Env(0).StateDim(), s.Env(0).ActionDim())
+	dd := batchedTestAgent(t, offpolicy.DDPG, s.Env(0).StateDim(), s.Env(0).ActionDim())
 	dp := secondPolicy(s)
 	if err := s.SetAgents([]rl.Agent{dd, dp, dd, dp}); err != nil {
 		t.Fatal(err)
@@ -199,8 +193,8 @@ func TestBatchedTwoGroupsMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dd := batchedTestAgent(t, ddpg.AlgoName, s.Env(0).StateDim(), s.Env(0).ActionDim())
-		sc := batchedTestAgent(t, sac.AlgoName, s.Env(0).StateDim(), s.Env(0).ActionDim())
+		dd := batchedTestAgent(t, offpolicy.DDPG, s.Env(0).StateDim(), s.Env(0).ActionDim())
+		sc := batchedTestAgent(t, offpolicy.SAC, s.Env(0).StateDim(), s.Env(0).ActionDim())
 		agents := make([]rl.Agent, cfg.NumRAs)
 		for j := range agents {
 			agents[j] = dd

@@ -12,7 +12,7 @@ import (
 	"edgeslice/internal/nn"
 	"edgeslice/internal/rcnet"
 	"edgeslice/internal/rl"
-	"edgeslice/internal/rl/ddpg"
+	"edgeslice/internal/rl/offpolicy"
 	"edgeslice/internal/traffic"
 )
 
@@ -72,10 +72,10 @@ func benchLocalSystem(b *testing.B, algo Algorithm, ras int) *System {
 		b.Fatal(err)
 	}
 	if algo.IsLearning() {
-		dc := ddpg.DefaultConfig()
+		dc := offpolicy.DefaultConfig(offpolicy.DDPG)
 		dc.Hidden = 128
 		dc.Seed = cfg.Seed
-		agent, err := ddpg.New(s.Env(0).StateDim(), s.Env(0).ActionDim(), dc)
+		agent, err := offpolicy.New(s.Env(0).StateDim(), s.Env(0).ActionDim(), dc)
 		if err == nil {
 			err = s.SetAgents([]rl.Agent{agent})
 		}

@@ -29,11 +29,23 @@ func TrainingFingerprint(cfg Config) (string, error) {
 	for _, u := range cfg.Umin {
 		w(strconv.FormatFloat(u, 'g', -1, 64))
 	}
+	// The DDPG section hashes as hashValue walked the retired ddpg.Config:
+	// that type name, then its 12 fields in their order. The tag is
+	// frozen so that store keys and checkpoint hashes do not move with the
+	// trainer's config type; Train always trains DDPG, so Technique is not
+	// among them.
 	dcfg := cfg.DDPG
 	dcfg.Seed = 0 // Train derives the real seed from cfg.Seed, keyed separately
-	if err := hashValue(h, reflect.ValueOf(dcfg)); err != nil {
-		return "", fmt.Errorf("core: fingerprint ddpg config: %w", err)
+	v := reflect.ValueOf(dcfg)
+	io.WriteString(h, "ddpg.Config{")
+	for _, name := range []string{"Hidden", "ActorLR", "CriticLR", "Gamma", "Tau", "BatchSize",
+		"ReplayCapacity", "WarmupSteps", "NoiseStd", "NoiseDecay", "NoiseMin", "Seed"} {
+		fmt.Fprintf(h, "%s:", name)
+		if err := hashValue(h, v.FieldByName(name)); err != nil {
+			return "", fmt.Errorf("core: fingerprint ddpg config: %w", err)
+		}
 	}
+	io.WriteString(h, "}|")
 
 	// A System value only to resolve RA 0's training template, the one
 	// environment Train trains in; the config was validated by the caller's

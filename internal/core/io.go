@@ -7,11 +7,11 @@ import (
 	"edgeslice/internal/ckpt"
 	"edgeslice/internal/rl"
 
-	// Register every training algorithm's checkpoint restore and deploy
-	// functions so any v2 checkpoint loads here, whichever algorithm
-	// produced it.
+	// Register the on-policy training algorithms' checkpoint restore and
+	// deploy functions (system.go's offpolicy import registers DDPG's and
+	// SAC's) so any v2 checkpoint loads here, whichever algorithm produced
+	// it.
 	_ "edgeslice/internal/rl/onpolicy"
-	_ "edgeslice/internal/rl/sac"
 )
 
 // LoadAgent deploys a single-agent v2 checkpoint (edgeslice-train, the

@@ -11,7 +11,7 @@ import (
 	"edgeslice/internal/mathutil"
 	"edgeslice/internal/nn"
 	"edgeslice/internal/rl"
-	"edgeslice/internal/rl/ddpg"
+	"edgeslice/internal/rl/offpolicy"
 )
 
 // hammerConcurrently calls Act from many goroutines and checks every
@@ -54,9 +54,9 @@ func hammerConcurrently(t *testing.T, agent rl.Agent) {
 // loads it back.
 func loadedPolicy(t *testing.T) *rl.DeployedPolicy {
 	t.Helper()
-	cfg := ddpg.DefaultConfig()
+	cfg := offpolicy.DefaultConfig(offpolicy.DDPG)
 	cfg.Hidden, cfg.BatchSize, cfg.WarmupSteps, cfg.ReplayCapacity = 8, 8, 16, 128
-	dd, err := ddpg.New(4, 2, cfg)
+	dd, err := offpolicy.New(4, 2, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,9 +139,9 @@ func TestLoadAgentRefusesOtherShape(t *testing.T) {
 	}
 	ntState, ntAction := widths(AlgoEdgeSliceNT)
 	state, action := widths(AlgoEdgeSlice)
-	dcfg := ddpg.DefaultConfig()
+	dcfg := offpolicy.DefaultConfig(offpolicy.DDPG)
 	dcfg.Hidden = 8
-	dd, err := ddpg.New(ntState, ntAction, dcfg)
+	dd, err := offpolicy.New(ntState, ntAction, dcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,6 +168,22 @@ func TestLoadAgentReportsUnknownFormat(t *testing.T) {
 		_, err := LoadAgent(strings.NewReader(`{"format":"`+format+`","actor":{"layers":[]}}`), 4, 2)
 		if err == nil || !strings.Contains(err.Error(), format) || !strings.Contains(err.Error(), ckpt.FormatV2) {
 			t.Fatalf("err = %v, want a format error naming %s and %s", err, format, ckpt.FormatV2)
+		}
+	}
+}
+
+// The default configs' fingerprints, which key the checkpoint store, are
+// pinned on every host: they hash config values only, no training. A
+// renamed config type or a change to the frozen DDPG projection moves them.
+func TestTrainingFingerprintPinned(t *testing.T) {
+	for algo, want := range map[Algorithm]string{
+		AlgoEdgeSlice:   "9ad0994fadb5050aea4287a0fec95d5bc5acceef9992cfb5decf3777c9e106f1",
+		AlgoEdgeSliceNT: "b6674887ac86f5030457ccc62f225b82f667303b96a769fda51fda52d3269510",
+	} {
+		cfg := DefaultConfig()
+		cfg.Algo = algo
+		if got, err := TrainingFingerprint(cfg); err != nil || got != want {
+			t.Errorf("%v: fingerprint %s (%v), pinned %s", algo, got, err, want)
 		}
 	}
 }

@@ -7,7 +7,7 @@ import (
 
 	"edgeslice/internal/ckpt"
 	"edgeslice/internal/rl"
-	"edgeslice/internal/rl/ddpg"
+	"edgeslice/internal/rl/offpolicy"
 )
 
 // restoreAgents installs c's agents in s as full trainers.
@@ -152,7 +152,7 @@ func TestDeployKeepsRestoreChecks(t *testing.T) {
 		for j := 0; j < agents; j++ {
 			dcfg := cfg.DDPG
 			dcfg.Seed = int64(j + 1)
-			dd, err := ddpg.New(sys.Env(j).StateDim(), sys.Env(j).ActionDim(), dcfg)
+			dd, err := offpolicy.New(sys.Env(j).StateDim(), sys.Env(j).ActionDim(), dcfg)
 			if err != nil {
 				t.Fatal(err)
 			}

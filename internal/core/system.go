@@ -13,7 +13,7 @@ import (
 	"edgeslice/internal/netsim"
 	"edgeslice/internal/nn"
 	"edgeslice/internal/rl"
-	"edgeslice/internal/rl/ddpg"
+	"edgeslice/internal/rl/offpolicy"
 )
 
 // Algorithm selects the orchestration policy under evaluation (Sec. VII-B).
@@ -97,7 +97,9 @@ type Config struct {
 	// TrainSteps is the number of environment steps each agent is trained
 	// for: the paper trains 1e6 TensorFlow steps, CI-scale runs thousands.
 	TrainSteps int
-	DDPG       ddpg.Config
+	// DDPG holds the agents' hyper-parameters. Train trains DDPG whatever
+	// its Technique says.
+	DDPG offpolicy.Config
 
 	Seed int64
 }
@@ -106,7 +108,7 @@ type Config struct {
 // the Sec. VII-C environment, EdgeSlice algorithm, CI-scale training.
 func DefaultConfig() Config {
 	env := netsim.DefaultExperimentConfig()
-	d := ddpg.DefaultConfig()
+	d := offpolicy.DefaultConfig(offpolicy.DDPG)
 	// CI-scale network: an update of the paper's 2x128 at batch 512 takes
 	// ≈16 ms on the AVX kernels (BenchmarkDDPGUpdate), ≈4.5 CPU-hours for
 	// 1e6 steps; 2x32 at batch 64 learns the 6-dim task in seconds.
@@ -258,8 +260,8 @@ func (s *System) Train() error {
 		return fmt.Errorf("core: training shared agent: %w", err)
 	}
 	dcfg := s.cfg.DDPG
-	dcfg.Seed = s.cfg.Seed
-	agent, err := ddpg.New(env.StateDim(), env.ActionDim(), dcfg)
+	dcfg.Technique, dcfg.Seed = offpolicy.DDPG, s.cfg.Seed
+	agent, err := offpolicy.New(env.StateDim(), env.ActionDim(), dcfg)
 	if err != nil {
 		return fmt.Errorf("core: training shared agent: %w", err)
 	}
@@ -296,16 +298,16 @@ func (s *System) SetAgents(agents []rl.Agent) error {
 
 // Actor returns RA j's trained actor network, or an error if the RA's
 // agent is not a DDPG agent (baselines and loaded policies have no
-// serializable actor).
+// serializable actor, and a SAC actor's head is its Gaussian's mean and
+// log-std, not an action).
 func (s *System) Actor(j int) (*nn.Network, error) {
 	if j < 0 || j >= len(s.agents) {
 		return nil, fmt.Errorf("core: RA %d has no agent (trained: %v)", j, s.trained)
 	}
-	dd, ok := s.agents[j].(*ddpg.Agent)
-	if !ok {
-		return nil, fmt.Errorf("core: RA %d agent is %T, not a DDPG agent: save a full checkpoint (Snapshot/SaveCheckpoint) instead", j, s.agents[j])
+	if dd, ok := s.agents[j].(*offpolicy.Agent); ok && dd.Technique() == offpolicy.DDPG {
+		return dd.Actor(), nil
 	}
-	return dd.Actor(), nil
+	return nil, fmt.Errorf("core: RA %d agent (%T) is not a DDPG agent: save a full checkpoint (Snapshot/SaveCheckpoint) instead", j, s.agents[j])
 }
 
 func (s *System) envTemplateFor(j int) netsim.Config {

@@ -11,7 +11,7 @@ import (
 	"edgeslice/internal/netsim"
 	"edgeslice/internal/nn"
 	"edgeslice/internal/rl"
-	"edgeslice/internal/rl/ddpg"
+	"edgeslice/internal/rl/offpolicy"
 )
 
 func TestConfigValidate(t *testing.T) {
@@ -164,9 +164,9 @@ func TestAgentSaveLoadRoundTrip(t *testing.T) {
 	if err := s.Train(); err != nil {
 		t.Fatal(err)
 	}
-	dd, ok := s.agents[0].(*ddpg.Agent)
+	dd, ok := s.agents[0].(*offpolicy.Agent)
 	if !ok {
-		t.Fatalf("agent is %T, want *ddpg.Agent", s.agents[0])
+		t.Fatalf("agent is %T, want *offpolicy.Agent", s.agents[0])
 	}
 	c, err := s.AgentCheckpoint(0, ckpt.SnapshotOptions{})
 	if err != nil {
@@ -228,5 +228,28 @@ func TestSetAgents(t *testing.T) {
 	})
 	if err := s.SetAgents([]rl.Agent{stub}); err == nil || !strings.Contains(err.Error(), "no ActBatch") {
 		t.Errorf("an agent without ActBatch installed: %v", err)
+	}
+}
+
+// Actor hands out DDPG actors only: a SAC actor's head is its Gaussian's
+// mean and log-std, twice an action wide, and a deployed policy has none.
+func TestActorRejectsNonDDPGAgents(t *testing.T) {
+	s, err := NewSystem(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := offpolicy.DefaultConfig(offpolicy.SAC)
+	cfg.Hidden = 8
+	sac, err := offpolicy.New(s.Env(0).StateDim(), s.Env(0).ActionDim(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, agent := range []rl.Agent{sac, sac.DeployedPolicy} {
+		if err := s.SetAgents([]rl.Agent{agent}); err != nil {
+			t.Fatal(err)
+		}
+		if n, err := s.Actor(0); err == nil || !strings.Contains(err.Error(), "not a DDPG agent") {
+			t.Errorf("Actor of a %T agent: %v, %v; want the not-a-DDPG-agent error", agent, n, err)
+		}
 	}
 }

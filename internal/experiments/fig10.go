@@ -6,8 +6,8 @@ import (
 
 	"edgeslice/internal/core"
 	"edgeslice/internal/rl"
+	"edgeslice/internal/rl/offpolicy"
 	"edgeslice/internal/rl/onpolicy"
-	"edgeslice/internal/rl/sac"
 )
 
 // TrainingTechniques are the Fig. 10(b) comparison set.
@@ -92,31 +92,18 @@ func Fig10(o Options) (*Figure, *Figure, error) {
 // trainWithTechnique trains one agent for the experiment environment using
 // the named technique with comparable budgets (same env, same step count).
 func trainWithTechnique(o Options, tech string) (rl.Agent, error) {
-	if tech == "DDPG" {
-		return o.trainExperimentAgent(true)
+	tech = strings.ToLower(tech)
+	if tech == offpolicy.DDPG || tech == offpolicy.SAC {
+		return o.trainExperimentAgent(tech, true)
 	}
 	env, err := o.trainingEnv(true)
 	if err != nil {
 		return nil, err
 	}
-	sd, ad := env.StateDim(), env.ActionDim()
-	var agent interface {
-		rl.Agent
-		Train(rl.Env, int) error
-	}
-	if tech == "SAC" {
-		cfg := sac.DefaultConfig()
-		cfg.Hidden = o.Hidden
-		cfg.BatchSize = o.Batch
-		cfg.WarmupSteps = 300
-		cfg.Seed = o.Seed
-		agent, err = sac.New(sd, ad, cfg)
-	} else {
-		cfg := onpolicy.DefaultConfig(strings.ToLower(tech))
-		cfg.Hidden = o.Hidden
-		cfg.Seed = o.Seed
-		agent, err = onpolicy.New(sd, ad, cfg)
-	}
+	cfg := onpolicy.DefaultConfig(tech)
+	cfg.Hidden = o.Hidden
+	cfg.Seed = o.Seed
+	agent, err := onpolicy.New(env.StateDim(), env.ActionDim(), cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -8,7 +8,7 @@ import (
 	"edgeslice/internal/mathutil"
 	"edgeslice/internal/netsim"
 	"edgeslice/internal/rl"
-	"edgeslice/internal/rl/ddpg"
+	"edgeslice/internal/rl/offpolicy"
 	"edgeslice/internal/traffic"
 )
 
@@ -49,19 +49,19 @@ func (o Options) trainingEnv(observeQueue bool) (*netsim.RAEnv, error) {
 	return netsim.New(envCfg)
 }
 
-// trainExperimentAgent trains one DDPG agent on trainingEnv.
-func (o Options) trainExperimentAgent(observeQueue bool) (rl.Agent, error) {
+// trainExperimentAgent trains one agent of an off-policy technique on
+// trainingEnv.
+func (o Options) trainExperimentAgent(tech string, observeQueue bool) (rl.Agent, error) {
 	env, err := o.trainingEnv(observeQueue)
 	if err != nil {
 		return nil, err
 	}
-	dcfg := ddpg.DefaultConfig()
-	dcfg.Hidden = o.Hidden
-	dcfg.BatchSize = o.Batch
-	dcfg.WarmupSteps = 300
-	dcfg.NoiseDecay = 0.9995
-	dcfg.Seed = o.Seed
-	agent, err := ddpg.New(env.StateDim(), env.ActionDim(), dcfg)
+	cfg := offpolicy.DefaultConfig(tech)
+	cfg.Hidden, cfg.BatchSize, cfg.WarmupSteps, cfg.Seed = o.Hidden, o.Batch, 300, o.Seed
+	if tech == offpolicy.DDPG {
+		cfg.NoiseDecay = 0.9995
+	}
+	agent, err := offpolicy.New(env.StateDim(), env.ActionDim(), cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -143,11 +143,11 @@ func Fig8(o Options) (*Figure, []*Figure, error) {
 	if err := o.Validate(); err != nil {
 		return nil, nil, err
 	}
-	edgeAgent, err := o.trainExperimentAgent(true)
+	edgeAgent, err := o.trainExperimentAgent(offpolicy.DDPG, true)
 	if err != nil {
 		return nil, nil, fmt.Errorf("fig8 EdgeSlice agent: %w", err)
 	}
-	ntAgent, err := o.trainExperimentAgent(false)
+	ntAgent, err := o.trainExperimentAgent(offpolicy.DDPG, false)
 	if err != nil {
 		return nil, nil, fmt.Errorf("fig8 NT agent: %w", err)
 	}

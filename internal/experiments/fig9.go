@@ -7,7 +7,7 @@ import (
 	"edgeslice/internal/mathutil"
 	"edgeslice/internal/netsim"
 	"edgeslice/internal/rl"
-	"edgeslice/internal/rl/ddpg"
+	"edgeslice/internal/rl/offpolicy"
 	"edgeslice/internal/traffic"
 )
 
@@ -120,7 +120,7 @@ func trainSimAgent(o Options, algo core.Algorithm, numSlices int) (rl.Agent, err
 	if err != nil {
 		return nil, err
 	}
-	dcfg := ddpg.DefaultConfig()
+	dcfg := offpolicy.DefaultConfig(offpolicy.DDPG)
 	dcfg.Hidden = o.Hidden
 	dcfg.BatchSize = o.Batch
 	// The simulation action space is 3-7x larger than the prototype's;
@@ -128,7 +128,7 @@ func trainSimAgent(o Options, algo core.Algorithm, numSlices int) (rl.Agent, err
 	dcfg.WarmupSteps = 2000
 	dcfg.NoiseDecay = 0.9998
 	dcfg.Seed = o.Seed
-	agent, err := ddpg.New(env.StateDim(), env.ActionDim(), dcfg)
+	agent, err := offpolicy.New(env.StateDim(), env.ActionDim(), dcfg)
 	if err != nil {
 		return nil, err
 	}

@@ -9,10 +9,9 @@ import (
 	"edgeslice/internal/ckpt"
 	"edgeslice/internal/nn"
 	"edgeslice/internal/rl"
-	"edgeslice/internal/rl/ddpg"
+	"edgeslice/internal/rl/offpolicy"
 	"edgeslice/internal/rl/onpolicy"
 	"edgeslice/internal/rl/rltest"
-	"edgeslice/internal/rl/sac"
 )
 
 type trainer interface {
@@ -39,14 +38,14 @@ func TestTrainingBitIdenticalAcrossKernels(t *testing.T) {
 		new   func(short int) (trainer, error)
 	}{
 		{"ddpg", 300, func(short int) (trainer, error) {
-			cfg := ddpg.DefaultConfig()
+			cfg := offpolicy.DefaultConfig(offpolicy.DDPG)
 			cfg.Hidden, cfg.BatchSize, cfg.WarmupSteps = hidden, 32-short, 50
-			return ddpg.New(sdim, adim, cfg)
+			return offpolicy.New(sdim, adim, cfg)
 		}},
 		{"sac", 200, func(short int) (trainer, error) {
-			cfg := sac.DefaultConfig()
+			cfg := offpolicy.DefaultConfig(offpolicy.SAC)
 			cfg.Hidden, cfg.BatchSize, cfg.WarmupSteps = hidden, 16-short, 50
-			return sac.New(sdim, adim, cfg)
+			return offpolicy.New(sdim, adim, cfg)
 		}},
 		{"ppo", 256, func(short int) (trainer, error) {
 			cfg := onpolicy.DefaultConfig(onpolicy.PPO)

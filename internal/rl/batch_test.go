@@ -6,9 +6,8 @@ import (
 
 	"edgeslice/internal/nn"
 	"edgeslice/internal/rl"
-	"edgeslice/internal/rl/ddpg"
+	"edgeslice/internal/rl/offpolicy"
 	"edgeslice/internal/rl/onpolicy"
-	"edgeslice/internal/rl/sac"
 )
 
 const (
@@ -23,22 +22,15 @@ func batchAgents(t *testing.T) map[string]rl.Agent {
 	t.Helper()
 	out := map[string]rl.Agent{}
 
-	dcfg := ddpg.DefaultConfig()
-	dcfg.Hidden = 16
-	dd, err := ddpg.New(batchStateDim, batchActionDim, dcfg)
-	if err != nil {
-		t.Fatal(err)
+	for _, tech := range []string{offpolicy.DDPG, offpolicy.SAC} {
+		cfg := offpolicy.DefaultConfig(tech)
+		cfg.Hidden = 16
+		a, err := offpolicy.New(batchStateDim, batchActionDim, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[tech] = a
 	}
-	out[ddpg.AlgoName] = dd
-
-	scfg := sac.DefaultConfig()
-	scfg.Hidden = 16
-	sa, err := sac.New(batchStateDim, batchActionDim, scfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out[sac.AlgoName] = sa
-
 	for _, tech := range []string{onpolicy.PPO, onpolicy.TRPO, onpolicy.VPG} {
 		cfg := onpolicy.DefaultConfig(tech)
 		cfg.Hidden = 16
@@ -119,7 +111,7 @@ func TestAsBatchActor(t *testing.T) {
 		t.Error("AgentFunc should not classify as a BatchActor")
 	}
 	agents := batchAgents(t)
-	dd := agents[ddpg.AlgoName]
+	dd := agents[offpolicy.DDPG]
 	if ba := rl.AsBatchActor(dd); ba == nil {
 		t.Error("ddpg agent should classify as a BatchActor")
 	}

@@ -1,10 +1,11 @@
 // Package rl provides the reinforcement-learning substrate shared by the
-// DDPG, SAC, PPO, TRPO and VPG trainers: the environment abstraction,
-// experience replay, exploration noise and the deployed acting policy.
+// DDPG, SAC, PPO, TRPO and VPG trainers: the environment abstraction, the
+// transition and the deployed acting policy.
 //
 // The paper trains its orchestration agents with DDPG and compares against
-// the other four techniques in Fig. 10(b); the three on-policy ones share
-// one trainer, package onpolicy.
+// the other four techniques in Fig. 10(b); the two off-policy ones share
+// one trainer, package offpolicy, and the three on-policy ones another,
+// package onpolicy.
 package rl
 
 // Env is a continuous-action reinforcement-learning environment with the

@@ -1,0 +1,237 @@
+package offpolicy
+
+import (
+	"math/rand"
+	"reflect"
+	"testing"
+	"testing/quick"
+
+	"edgeslice/internal/ckpt"
+	"edgeslice/internal/rl"
+)
+
+func newRNG() *rand.Rand { return rand.New(rand.NewSource(3)) } //nolint:gosec // test
+
+// fromState restores a buffer of stateDim-wide transitions with no action
+// through a snapshot that holds only it.
+func fromState(rs ckpt.ReplayState, stateDim int) (*replayBuffer, error) {
+	return restoreReplay(&ckpt.AgentState{StateDim: stateDim, Replay: &rs}, 0)
+}
+
+func TestReplayBufferEviction(t *testing.T) {
+	b := newReplayBuffer(3)
+	for i := 0; i < 5; i++ {
+		b.Add(rl.Transition{Reward: float64(i)})
+	}
+	if b.Len() != 3 {
+		t.Fatalf("Len = %d, want 3", b.Len())
+	}
+	rng := newRNG()
+	samples := make([]rl.Transition, 100)
+	if err := b.SampleInto(rng, samples); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range samples {
+		if s.Reward < 2 {
+			t.Fatalf("sampled evicted transition with reward %v", s.Reward)
+		}
+	}
+}
+
+func TestReplayBufferEmptySample(t *testing.T) {
+	b := newReplayBuffer(4)
+	if err := b.SampleInto(newRNG(), make([]rl.Transition, 1)); err == nil {
+		t.Error("sampling empty buffer should fail")
+	}
+}
+
+func TestReplayBufferRejectsNonPositiveSample(t *testing.T) {
+	b := newReplayBuffer(4)
+	b.Add(rl.Transition{Reward: 1})
+	if err := b.SampleInto(newRNG(), nil); err == nil {
+		t.Error("empty destination should fail")
+	}
+}
+
+// Eviction is FIFO: with capacity c, the buffer always holds exactly the
+// last c added transitions.
+func TestReplayBufferFIFOEvictionOrder(t *testing.T) {
+	const capacity = 4
+	b := newReplayBuffer(capacity)
+	for i := 0; i < 11; i++ {
+		b.Add(rl.Transition{Reward: float64(i)})
+	}
+	got := map[float64]bool{}
+	for _, tr := range b.buf {
+		got[tr.Reward] = true
+	}
+	for i := 11 - capacity; i < 11; i++ {
+		if !got[float64(i)] {
+			t.Errorf("transition %d evicted although it is among the newest %d", i, capacity)
+		}
+	}
+	if len(got) != capacity {
+		t.Errorf("buffer holds %d distinct transitions, want %d", len(got), capacity)
+	}
+}
+
+// The ring grows by append, so this pins what must not depend on how it is
+// stored: against a plain FIFO model, the storage order, the eviction
+// cursor and the seeded sample sequence agree after every Add across the
+// first wrap, and a buffer restored from a snapshot taken before or after
+// the wrap continues exactly like the original.
+func TestReplayBufferWrapSequence(t *testing.T) {
+	const capacity, adds = 5, 13
+	rewards := func(trs []rl.Transition) []float64 {
+		out := make([]float64, len(trs))
+		for i, tr := range trs {
+			out[i] = tr.Reward
+		}
+		return out
+	}
+	for _, snapAt := range []int{3, capacity, 8} { // before, at and after the first wrap
+		live := newReplayBuffer(capacity)
+		var restored *replayBuffer
+		var model []rl.Transition                                                      // model[i] is storage slot i
+		seeded := func(i int) *rand.Rand { return rand.New(rand.NewSource(int64(i))) } //nolint:gosec // test
+		for i := 0; i < adds; i++ {
+			s := []float64{float64(i)}
+			tr := rl.Transition{Reward: float64(i), State: s, NextState: s}
+			live.Add(tr)
+			if restored != nil {
+				restored.Add(tr)
+			}
+			if len(model) < capacity {
+				model = append(model, tr)
+			} else {
+				model[i%capacity] = tr // FIFO: slot of the oldest
+			}
+			if i+1 == snapAt {
+				var err error
+				if restored, err = fromState(live.State(), 1); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			st := live.State()
+			if want := rewards(model); !reflect.DeepEqual(rewards(st.Transitions), want) {
+				t.Fatalf("snap %d, add %d: storage order %v, want %v", snapAt, i, rewards(st.Transitions), want)
+			}
+			wantNext := 0
+			if i >= capacity {
+				wantNext = (i + 1) % capacity
+			}
+			if st.Next != wantNext || st.Capacity != capacity {
+				t.Fatalf("snap %d, add %d: cursor %d capacity %d, want %d and %d", snapAt, i, st.Next, st.Capacity, wantNext, capacity)
+			}
+			got := make([]rl.Transition, 7)
+			if err := live.SampleInto(seeded(i), got); err != nil {
+				t.Fatal(err)
+			}
+			want, modelRNG := make([]rl.Transition, 7), seeded(i)
+			for k := range want {
+				want[k] = model[modelRNG.Intn(len(model))]
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("snap %d, add %d: samples %v, want %v", snapAt, i, rewards(got), rewards(want))
+			}
+			if restored == nil {
+				continue
+			}
+			if !reflect.DeepEqual(restored.State(), st) {
+				t.Fatalf("snap %d, add %d: restored state %+v, live %+v", snapAt, i, restored.State(), st)
+			}
+			again := make([]rl.Transition, 7)
+			if err := restored.SampleInto(seeded(i), again); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(again, got) {
+				t.Fatalf("snap %d, add %d: restored samples %v, live %v", snapAt, i, rewards(again), rewards(got))
+			}
+		}
+	}
+}
+
+// A short run must not pay for the whole ring: storage follows what was
+// stored, and never passes capacity once it wraps.
+func TestReplayBufferGrowsOnDemand(t *testing.T) {
+	b := newReplayBuffer(100_000)
+	for i := 0; i < 100; i++ {
+		b.Add(rl.Transition{Reward: float64(i)})
+	}
+	if c := cap(b.buf); c >= 1000 {
+		t.Errorf("100 transitions hold storage for %d, want it near 100", c)
+	}
+	r, err := fromState(b.State(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := cap(r.buf); c >= 1000 {
+		t.Errorf("restored 100 transitions hold storage for %d, want it near 100", c)
+	}
+}
+
+func TestReplayBufferSampleInto(t *testing.T) {
+	b := newReplayBuffer(8)
+	for i := 0; i < 8; i++ {
+		b.Add(rl.Transition{Reward: float64(i)})
+	}
+	batch := make([]rl.Transition, 5)
+	if err := b.SampleInto(newRNG(), batch); err != nil {
+		t.Fatal(err)
+	}
+	for _, tr := range batch {
+		if tr.Reward < 0 || tr.Reward > 7 {
+			t.Errorf("sampled transition with out-of-range reward %v", tr.Reward)
+		}
+	}
+	rng := newRNG()
+	allocs := testing.AllocsPerRun(20, func() {
+		if err := b.SampleInto(rng, batch); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("SampleInto allocates %v objects per call, want 0", allocs)
+	}
+}
+
+// Property: buffer length never exceeds capacity and equals min(adds, cap).
+func TestReplayBufferLenProperty(t *testing.T) {
+	f := func(addsRaw uint8, capRaw uint8) bool {
+		capacity := int(capRaw)%16 + 1
+		adds := int(addsRaw) % 64
+		b := newReplayBuffer(capacity)
+		for i := 0; i < adds; i++ {
+			b.Add(rl.Transition{})
+		}
+		want := adds
+		if want > capacity {
+			want = capacity
+		}
+		return b.Len() == want && b.capacity == capacity
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestGaussianNoiseDecay(t *testing.T) {
+	a, err := New(2, 2, DefaultConfig(DDPG)) // std 1, decay 0.9999, floor 0.01
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := a.noiseStd
+	for i := 0; i < 1000; i++ {
+		a.explorationNoise()
+	}
+	if a.noiseStd >= start {
+		t.Errorf("noise std did not decay: %v -> %v", start, a.noiseStd)
+	}
+	for i := 0; i < 200000; i++ {
+		a.explorationNoise()
+	}
+	if a.noiseStd != a.cfg.NoiseMin {
+		t.Errorf("noise std %v should have floored at %v", a.noiseStd, a.cfg.NoiseMin)
+	}
+}
