@@ -7,17 +7,13 @@
 //
 // Usage:
 //
-//	edgeslice-daemon -role coordinator -listen :7000 -ras 2 -periods 10 [-shards N]
-//	edgeslice-daemon -role agent -connect host:7000 -ra 0 [-agent agent.json] [-codec json|binary]
+//	edgeslice-daemon -role coordinator -listen :7000 -ras 2 -periods 10
+//	edgeslice-daemon -role agent -connect host:7000 -ra 0 [-agent agent.json] [-codec binary|json]
 //
-// -shards splits the coordinator's hub into N shards, each owning a
-// contiguous RA range with its own lock, broadcast-writer pool, and
-// report collector, so period fan-out and fan-in parallelize across
-// shards; results are bit-identical for any shard count. -codec selects
-// the agent's wire encoding — the compact length-prefixed binary codec
-// avoids per-frame JSON encode/decode allocations at large RA counts —
-// and the coordinator auto-detects each connection's codec, so JSON and
-// binary agents mix freely in one run.
+// -codec selects the agent's wire encoding. The default, the compact
+// length-prefixed binary codec, avoids per-frame JSON encode/decode
+// allocations; the coordinator auto-detects each connection's codec, so
+// JSON and binary agents mix freely in one run.
 //
 // Both roles accept -metrics-addr to serve live telemetry (/metrics in
 // Prometheus text format, /healthz as JSON, and /debug/pprof) while the
@@ -75,7 +71,6 @@ func main() {
 type coordOptions struct {
 	listen       string
 	slices, ras  int
-	shards       int
 	periods      int
 	timeout      time.Duration
 	metricsAddr  string
@@ -104,8 +99,7 @@ func run() error {
 		streamWindow = flag.Int("stream-window", 0, "coordinator: bounded-memory streaming history with this ring window")
 		historyPath  = flag.String("history", "", "coordinator: write the run's on-disk history log to this file")
 
-		shards = flag.Int("shards", 1, "coordinator: hub shards (parallel broadcast/collect over contiguous RA ranges; any count is bit-identical)")
-		codec  = flag.String("codec", "json", "agent: wire codec, json or binary (the coordinator auto-detects per connection)")
+		codec = flag.String("codec", "binary", "agent: wire codec, binary or json (the coordinator auto-detects per connection)")
 
 		heartbeat    = flag.Duration("heartbeat", 0, "agent: send liveness heartbeats at this interval; coordinator: reap conns silent for 4x this long")
 		retryPeriods = flag.Int("retry-periods", 0, "coordinator: extra collection attempts per period after a timeout, re-broadcast to missing RAs")
@@ -119,11 +113,8 @@ func run() error {
 		if *reconnect != 0 {
 			return fmt.Errorf("-reconnect applies to the agent role")
 		}
-		if *shards < 1 {
-			return fmt.Errorf("-shards must be >= 1, got %d", *shards)
-		}
 		return runCoordinator(coordOptions{
-			listen: *listen, slices: *slices, ras: *ras, shards: *shards,
+			listen: *listen, slices: *slices, ras: *ras,
 			periods: *periods, timeout: *timeout, metricsAddr: *metricsAddr,
 			streamWindow: *streamWindow, historyPath: *historyPath,
 			heartbeat: *heartbeat, retryPeriods: *retryPeriods, resume: *resume,
@@ -191,7 +182,7 @@ func runCoordinator(o coordOptions) error {
 		rec.Log = hlog
 	}
 	sys.SetRecording(rec)
-	hub, err := edgeslice.NewShardedHub(o.listen, o.slices, o.ras, o.shards)
+	hub, err := edgeslice.NewHub(o.listen, o.slices, o.ras)
 	if err != nil {
 		return err
 	}

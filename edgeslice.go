@@ -125,8 +125,8 @@ type Coordinator = admm.Coordinator
 
 // Distributed-deployment types (RC interface over TCP).
 type (
-	// Hub is the coordinator-side network endpoint, internally sharded for
-	// parallel broadcast and collection (NewShardedHub).
+	// Hub is the coordinator-side network endpoint: one hub serves every
+	// RA, as the paper's one performance coordinator does.
 	Hub = rcnet.Hub
 	// HubStats is a snapshot of the hub's lifetime counters, including
 	// wire-level traffic.
@@ -346,16 +346,10 @@ func NewRemoteExecutorWithOptions(hub *Hub, opts RemoteOptions) Executor {
 	return core.NewRemoteExecutorWithOptions(hub, opts)
 }
 
-// NewHub starts the coordinator-side RC endpoint on addr (single shard).
+// NewHub starts the coordinator-side RC endpoint on addr for numRAs
+// agents managing numSlices slices each.
 func NewHub(addr string, numSlices, numRAs int) (*Hub, error) {
 	return rcnet.NewHub(addr, numSlices, numRAs)
-}
-
-// NewShardedHub starts the coordinator-side RC endpoint with the RA space
-// split across shards, each broadcasting and collecting in parallel under
-// its own lock. Runs are bit-identical for any shard count.
-func NewShardedHub(addr string, numSlices, numRAs, shards int) (*Hub, error) {
-	return rcnet.NewShardedHub(addr, numSlices, numRAs, shards)
 }
 
 // ParseCodec resolves a wire-codec CLI spelling ("json", "binary", or ""

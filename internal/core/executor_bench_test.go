@@ -125,7 +125,7 @@ func BenchmarkRemoteTCP32(b *testing.B) {
 	const ras, timeout = 32, 30 * time.Second
 	sys, agentSys := benchLocalSystem(b, AlgoTARO, ras), benchLocalSystem(b, AlgoTARO, ras)
 	I, T := sys.cfg.EnvTemplate.NumSlices, sys.cfg.EnvTemplate.T
-	hub, err := rcnet.NewShardedHub("127.0.0.1:0", I, ras, 1)
+	hub, err := rcnet.NewHub("127.0.0.1:0", I, ras)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package rcnet
 import (
 	"bufio"
 	"bytes"
-	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -71,22 +70,13 @@ func BenchmarkEnvelopeRoundTrip(b *testing.B) {
 }
 
 // BenchmarkHubPeriodsPerSec drives full coordination periods — broadcast
-// 1024 columns, collect 1024 reports over real TCP — against hubs of 1, 2,
-// and 4 shards. Agents are minimal echo loops (no simulation), so the
-// measurement isolates the coordination plane: frame codec, shard fan-out,
-// and collect fan-in.
+// 1024 columns, collect 1024 reports over real TCP — against one hub.
+// Agents are minimal echo loops (no simulation), so the measurement
+// isolates the coordination plane: frame codec, broadcast fan-out, and
+// collect fan-in.
 func BenchmarkHubPeriodsPerSec(b *testing.B) {
-	for _, shards := range []int{1, 2, 4} {
-		shards := shards
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			benchmarkHubPeriods(b, shards)
-		})
-	}
-}
-
-func benchmarkHubPeriods(b *testing.B, shards int) {
 	const ras, slices = 1024, 2
-	h, err := NewShardedHub("127.0.0.1:0", slices, ras, shards)
+	h, err := NewHub("127.0.0.1:0", slices, ras)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -20,8 +20,8 @@ import (
 // Envelope's slices (a zero-count slice decodes as empty), so a warm decode
 // allocates nothing (TestBinaryDecodeWarmAllocFree). A 1,000-RA
 // coordinator spends most of its period budget on frame encode/decode;
-// this codec is the cheap half of the scaling story (sharding is the
-// other), and BenchmarkEnvelopeRoundTrip tracks both codecs.
+// this codec makes that cheap, and BenchmarkEnvelopeRoundTrip tracks both
+// codecs.
 //
 // The magic byte cannot open a JSON frame ('{' = 0x7B), which is what lets
 // a reader detect the codec per frame and the hub serve mixed fleets.

@@ -95,9 +95,9 @@ func checkFrame(t testing.TB, data []byte) {
 	if f, w := encodeFrame(t, fresh.env), encodeFrame(t, warm.env); !bytes.Equal(f, w) {
 		t.Fatalf("warm decode differs from fresh:\nfresh %x\n warm %x", f, w)
 	}
-	sh := &hubShard{free: make(chan *reportBuf, 1)}
-	sh.putReport(&fresh)
-	if kept, small := len(sh.free) == 1, fresh.frameLen <= maxRecycledFrame; kept != small {
+	h := &Hub{free: make(chan *reportBuf, 1)}
+	h.putReport(&fresh)
+	if kept, small := len(h.free) == 1, fresh.frameLen <= maxRecycledFrame; kept != small {
 		t.Fatalf("a %d-byte frame's buffer recycled = %v, want %v", fresh.frameLen, kept, small)
 	}
 }

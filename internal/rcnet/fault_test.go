@@ -399,6 +399,73 @@ func testResumeCatchUpReplay(t *testing.T, codec Codec) {
 	}
 }
 
+// TestResumeFrameCarriesOwnColumns pins the resume frame's content at more
+// than one RA, which the TARO-driven replay tests cannot see (TARO ignores
+// the coordination): each registering RA receives its own column of every
+// logged period, and an RA whose report for the in-flight period the hub
+// already read resumes after that period.
+func TestResumeFrameCarriesOwnColumns(t *testing.T) {
+	const I, J, primed = 2, 3, 2
+	val := func(p, i, ra int) float64 { return float64(100*p + 10*i + ra + 1) }
+	grid := func(p int, sign float64) [][]float64 {
+		g := make([][]float64, I)
+		for i := range g {
+			g[i] = make([]float64, J)
+			for ra := range g[i] {
+				g[i][ra] = sign * val(p, i, ra)
+			}
+		}
+		return g
+	}
+	h, err := NewHub("127.0.0.1:0", I, J)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = h.Shutdown() }()
+	if err := h.PrimeResume(primed, [][][]float64{grid(0, 1), grid(1, 1)}, [][][]float64{grid(0, -1), grid(1, -1)}); err != nil {
+		t.Fatal(err)
+	}
+	dial := func(ra, period int) *AgentClient {
+		t.Helper()
+		c, err := DialAgentCodec(h.Addr(), ra, testTimeout, CodecBinary)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = c.Close() })
+		m, err := c.Recv(testTimeout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Type != MsgResume || m.Period != period || len(m.ZHist) != period || len(m.YHist) != period {
+			t.Fatalf("RA %d: %s at period %d with %d/%d columns, want a resume at %d", ra, m.Type, m.Period, len(m.ZHist), len(m.YHist), period)
+		}
+		for p := range period {
+			for i := range I {
+				if want := val(p, i, ra); m.ZHist[p][i] != want || m.YHist[p][i] != -want {
+					t.Errorf("RA %d period %d slice %d: resume (z, y) = (%v, %v), want (%v, %v)", ra, p, i, m.ZHist[p][i], m.YHist[p][i], want, -want)
+				}
+			}
+		}
+		return c
+	}
+	clients := make([]*AgentClient, J)
+	for ra := range clients {
+		clients[ra] = dial(ra, primed)
+	}
+	if err := h.WaitRegistered(testTimeout); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Broadcast(primed, grid(primed, 1), grid(primed, -1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := clients[1].Report(primed, make([]float64, I), nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "RA 1's report", func() bool { return h.Stats().ReportsReceived == 1 })
+	dial(1, primed+1) // reported the in-flight period: replays through it
+	dial(2, primed)
+}
+
 // TestCollectKeepsPartialProgressAcrossAttempts pins the retry-path
 // collection semantics: a timed-out collect keeps the reports that did
 // arrive, a second attempt drains duplicates and stale-period reports

@@ -44,22 +44,16 @@ func (st *connState) setCodec(c Codec) {
 
 // Hub is the coordinator-side endpoint: it accepts agent registrations,
 // broadcasts coordinating information, and collects per-period performance
-// reports.
-//
-// Internally the hub is sharded (NewShardedHub): each shard owns a fixed
-// contiguous RA range with its own mutex, connection table, coordination
-// log, and broadcast-writer pool, so period broadcast and report decoding
-// run in parallel across shards. The root hub owns the listener and the
-// liveness reaper, demultiplexes registrations to shards, and merges
-// per-shard results in fixed RA order — History and residuals are
-// bit-identical for any shard count. NewHub builds the single-shard hub.
+// reports. One hub serves every RA, as the paper's one performance
+// coordinator does: a listener, a conn table and coordination log under one
+// lock, a broadcast-writer pool, and a report channel that the one
+// coordinator loop drains in arrival order and files by RA index.
 //
 // Writes to agents are bounded: Broadcast and Shutdown apply a write
-// deadline (SetWriteTimeout, default 5s) and never hold a hub or shard
-// lock across a network write, so one stalled agent cannot head-of-line
-// block the round for healthy RAs or deadlock dropConn/Shutdown. A
-// connection that misses its write deadline is dropped; the agent must
-// re-register.
+// deadline (default 5s) and never hold the hub lock across a network
+// write, so one stalled agent cannot head-of-line block the round for
+// healthy RAs or deadlock dropConn/Shutdown. A connection that misses its
+// write deadline is dropped; the agent must re-register.
 //
 // The hub survives agent churn: a re-registering RA supersedes its stale
 // connection (the old conn is closed, the new one installed) and receives
@@ -75,22 +69,29 @@ type Hub struct {
 
 	writeTimeout time.Duration
 
-	shards []*hubShard
+	// mu guards the connection state: every accepted conn (so Shutdown can
+	// close peers stalled mid-register), the shutdown flag, the liveness
+	// timeout, the registered-RA table and the resume state.
+	mu           sync.Mutex
+	live         map[net.Conn]*connState
+	shutdown     bool
+	liveTimeout  time.Duration      // 0: liveness reaping disabled
+	conns        map[int]*connState // registered RA -> conn
+	seenRAs      map[int]bool       // RAs that registered at least once
+	lastReported map[int]int        // last period each RA reported
+	zLog, yLog   []float64          // flat [period][slice][ra] coordination log
+	completed    int
 
-	// mu guards the pre-registration state: every accepted conn (so
-	// Shutdown can close peers stalled mid-register), the shutdown flag, and
-	// the liveness timeout. Registered-RA state lives in the shards, each
-	// under its own lock. Lock order is always mu before a shard's mu.
-	mu          sync.Mutex
-	live        map[net.Conn]*connState
-	shutdown    bool
-	liveTimeout time.Duration // 0: liveness reaping disabled
+	reports chan *reportBuf // perf reports from the conn readers
+	free    chan *reportBuf // decode buffers no reader or collector holds
+	bcast   chan bcastJob   // broadcast work for the writer pool
+	timer   *time.Timer     // the collect deadline, reused every period
 
 	// bcastMu serializes broadcast enqueues against Shutdown closing the
-	// shard writer pools: producers hold it shared while enqueueing,
-	// Shutdown holds it exclusively while closing the queues, so a job is
-	// either fully enqueued before the close (and drained by the pool) or
-	// rejected with errHubClosed — never stranded.
+	// writer pool: producers hold it shared while enqueueing, Shutdown holds
+	// it exclusively while closing the queue, so a job is either fully
+	// enqueued before the close (and drained by the pool) or rejected with
+	// errHubClosed — never stranded.
 	bcastMu     sync.RWMutex
 	bcastClosed bool
 
@@ -110,25 +111,39 @@ type Hub struct {
 	closeOnce  sync.Once
 }
 
-// NewHub listens on addr (e.g. "127.0.0.1:0") for numRAs agents managing
-// numSlices slices each, with a single shard — the compatibility shape.
-func NewHub(addr string, numSlices, numRAs int) (*Hub, error) {
-	return NewShardedHub(addr, numSlices, numRAs, 1)
+// reportBuf is a decode target a conn reader fills and the collector
+// copies out of before handing it back to the free list.
+type reportBuf struct {
+	env      Envelope
+	frameLen int // the largest frame it ever held
 }
 
-// NewShardedHub listens on addr for numRAs agents managing numSlices
-// slices each, splitting the RA space across shards contiguous ranges
-// (sizes differing by at most one). Shard counts above numRAs are clamped;
-// any shard count produces bit-identical runs.
-func NewShardedHub(addr string, numSlices, numRAs, shards int) (*Hub, error) {
+// maxRecycledFrame keeps the buffer of a hostile near-maxLineBytes frame off
+// the free list, so it cannot pin megabytes per RA.
+const maxRecycledFrame = maxLineBytes / 4
+
+// bcastJob is one RA's coordination send, executed by a pool writer. The
+// worker builds the RA's column from the shared read-only grids, writes it
+// deadline-bounded, stores any failure in the caller's slot, and signals
+// the caller's WaitGroup.
+type bcastJob struct {
+	st     *connState
+	ra     int
+	period int
+	z, y   [][]float64 // full [slice][ra] grids, read-only
+	err    *error      // caller's per-RA error slot (exactly one writer)
+	wg     *sync.WaitGroup
+}
+
+// broadcastWriters is the size of the broadcast-writer pool, capped by the
+// RA count.
+const broadcastWriters = 4
+
+// NewHub listens on addr (e.g. "127.0.0.1:0") for numRAs agents managing
+// numSlices slices each.
+func NewHub(addr string, numSlices, numRAs int) (*Hub, error) {
 	if numSlices <= 0 || numRAs <= 0 {
 		return nil, fmt.Errorf("rcnet: invalid hub dims slices=%d ras=%d", numSlices, numRAs)
-	}
-	if shards <= 0 {
-		return nil, fmt.Errorf("rcnet: invalid shard count %d", shards)
-	}
-	if shards > numRAs {
-		shards = numRAs
 	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -140,49 +155,53 @@ func NewShardedHub(addr string, numSlices, numRAs, shards int) (*Hub, error) {
 		numRAs:       numRAs,
 		writeTimeout: defaultWriteTimeout,
 		live:         make(map[net.Conn]*connState, numRAs),
-		registered:   make(chan int, numRAs),
-		closed:       make(chan struct{}),
+		conns:        make(map[int]*connState, numRAs),
+		seenRAs:      make(map[int]bool, numRAs),
+		lastReported: make(map[int]int, numRAs),
+		// Capacity covers the worst case — one in-flight frame per RA — so
+		// readers never block a collect and enqueues never block a broadcast.
+		reports: make(chan *reportBuf, numRAs),
+		// One buffer per reader, per queued report and for the collector: a
+		// healthy hub never allocates one once its first frames sized them.
+		free:       make(chan *reportBuf, 2*numRAs+1),
+		bcast:      make(chan bcastJob, numRAs),
+		timer:      time.NewTimer(time.Hour),
+		registered: make(chan int, numRAs),
+		closed:     make(chan struct{}),
 	}
-	h.shards = make([]*hubShard, shards)
-	for s := 0; s < shards; s++ {
-		h.shards[s] = newShard(h, s, h.shardLo(s), h.shardLo(s+1))
+	h.timer.Stop()
+	for range cap(h.free) {
+		h.free <- new(reportBuf)
+	}
+	for range min(broadcastWriters, numRAs) {
+		h.poolWG.Add(1)
+		go h.broadcastWorker()
 	}
 	h.acceptWG.Add(1)
 	go h.acceptLoop()
 	return h, nil
 }
 
+// NewShardedHub is NewHub for shards == 1 and an error for any other
+// count. It remains only for the bench module's remote workloads, which
+// still pass a shard count, and is deleted with ROADMAP item 3's bench half.
+func NewShardedHub(addr string, numSlices, numRAs, shards int) (*Hub, error) {
+	if shards != 1 {
+		return nil, fmt.Errorf("rcnet: shard count must be 1, got %d", shards)
+	}
+	return NewHub(addr, numSlices, numRAs)
+}
+
 // defaultWriteTimeout bounds how long a Broadcast or Shutdown write may
 // block on one agent's connection before the hub drops it.
 const defaultWriteTimeout = 5 * time.Second
 
-// Collection sentinels, turned into caller-facing errors by the root hub
-// after all shard collectors return.
+// Collection sentinels, turned into caller-facing errors by
+// CollectReportsInto.
 var (
 	errCollectTimeout = errors.New("rcnet: collect timeout")
 	errHubClosed      = errors.New("rcnet: hub closed")
 )
-
-// shardLo returns the first RA of shard s: the leading numRAs%shards
-// shards get one extra RA, keeping ranges contiguous and balanced.
-func (h *Hub) shardLo(s int) int {
-	n, k := h.numRAs, len(h.shards)
-	base, rem := n/k, n%k
-	if s <= rem {
-		return s * (base + 1)
-	}
-	return rem*(base+1) + (s-rem)*base
-}
-
-// shardFor returns the shard owning RA ra.
-func (h *Hub) shardFor(ra int) *hubShard {
-	n, k := h.numRAs, len(h.shards)
-	base, rem := n/k, n%k
-	if ra < rem*(base+1) {
-		return h.shards[ra/(base+1)]
-	}
-	return h.shards[rem+(ra-rem*(base+1))/base]
-}
 
 // Addr returns the listening address (useful with port 0).
 func (h *Hub) Addr() string { return h.ln.Addr().String() }
@@ -223,24 +242,16 @@ func (h *Hub) SetLiveness(timeout time.Duration) {
 func (h *Hub) Liveness() (liveRAs, registeredRAs, expected int) {
 	now := time.Now().UnixNano()
 	h.mu.Lock()
-	liveTimeout := h.liveTimeout
-	h.mu.Unlock()
-	for _, sh := range h.shards {
-		sh.mu.Lock()
-		registeredRAs += len(sh.conns)
-		if liveTimeout > 0 {
-			for _, st := range sh.conns {
-				if now-st.lastSeen.Load() <= int64(liveTimeout) {
-					liveRAs++
-				}
-			}
+	defer h.mu.Unlock()
+	if h.liveTimeout <= 0 {
+		return len(h.conns), len(h.conns), h.numRAs
+	}
+	for _, st := range h.conns {
+		if now-st.lastSeen.Load() <= int64(h.liveTimeout) {
+			liveRAs++
 		}
-		sh.mu.Unlock()
 	}
-	if liveTimeout <= 0 {
-		liveRAs = registeredRAs
-	}
-	return liveRAs, registeredRAs, h.numRAs
+	return liveRAs, len(h.conns), h.numRAs
 }
 
 // reapLoop periodically closes the connections whose peers went silent.
@@ -295,8 +306,7 @@ func (h *Hub) acceptLoop() {
 }
 
 // handleConn performs registration — detecting the peer's codec from its
-// register frame and routing the conn to the shard owning its RA — then
-// pumps reports into the shard's collect channel.
+// register frame — then pumps reports into the hub's collect channel.
 func (h *Hub) handleConn(conn net.Conn) {
 	defer h.readerWG.Done()
 	st := &connState{conn: conn, mw: newMsgWriter(conn, CodecJSON, &h.wire)}
@@ -328,7 +338,6 @@ func (h *Hub) handleConn(conn net.Conn) {
 	// working unchanged.
 	st.setCodec(mr.lastCodec)
 	h.stats.regsByCodec[mr.lastCodec].Add(1)
-	sh := h.shardFor(msg.RA)
 
 	// Registration is a two-step handshake so the resume frame is on the
 	// wire before the conn becomes broadcastable: (1) snapshot the catch-up
@@ -339,9 +348,9 @@ func (h *Hub) handleConn(conn net.Conn) {
 	// the ordering, the executor could broadcast the in-flight period to
 	// the new conn before its resume frame, and the agent would step it
 	// against an un-replayed environment.
-	sh.mu.Lock()
-	resume := sh.resumeFrameLocked(msg.RA)
-	sh.mu.Unlock()
+	h.mu.Lock()
+	resume := h.resumeFrameLocked(msg.RA)
+	h.mu.Unlock()
 	if resume.Period > 0 {
 		if err := st.send(resume, h.writeTimeout); err != nil {
 			_ = conn.Close()
@@ -355,9 +364,7 @@ func (h *Hub) handleConn(conn net.Conn) {
 		_ = conn.Close()
 		return
 	}
-	sh.mu.Lock()
-	if again := sh.resumeFrameLocked(msg.RA); again.Period != resume.Period {
-		sh.mu.Unlock()
+	if h.resumePeriodLocked(msg.RA) != resume.Period {
 		h.mu.Unlock()
 		_ = conn.Close() // raced with a period completing; agent must redial
 		return
@@ -365,11 +372,10 @@ func (h *Hub) handleConn(conn net.Conn) {
 	// Re-registration supersedes: the stale conn (a half-dead socket the
 	// hub has not noticed yet) is replaced immediately instead of locking
 	// the returning agent out until the next broadcast write timeout.
-	old := sh.conns[msg.RA]
-	sh.conns[msg.RA] = st
-	reconnect := sh.seenRAs[msg.RA]
-	sh.seenRAs[msg.RA] = true
-	sh.mu.Unlock()
+	old := h.conns[msg.RA]
+	h.conns[msg.RA] = st
+	reconnect := h.seenRAs[msg.RA]
+	h.seenRAs[msg.RA] = true
 	h.mu.Unlock()
 	if old != nil && old.conn != conn {
 		h.stats.superseded.Add(1)
@@ -385,7 +391,7 @@ func (h *Hub) handleConn(conn net.Conn) {
 	// would park this goroutine before its read loop starts, leaving the
 	// reconnected agent permanently unserved (and the goroutine leaked).
 	// The channel is only a wakeup signal — WaitRegistered recounts the
-	// shard tables itself — so on a full channel the oldest entry is
+	// conn table itself — so on a full channel the oldest entry is
 	// dropped, and losing a notification merely delays the next recount.
 	select {
 	case h.registered <- msg.RA:
@@ -399,11 +405,11 @@ func (h *Hub) handleConn(conn net.Conn) {
 		default:
 		}
 	}
-	var buf *reportBuf // from the shard's free list; a report hands it to the collector
+	var buf *reportBuf // from the free list; a report hands it to the collector
 	for {
 		if buf == nil {
 			select {
-			case buf = <-sh.free:
+			case buf = <-h.free:
 			default:
 				buf = new(reportBuf) // only while more frames are in flight than the list was filled for
 			}
@@ -411,7 +417,7 @@ func (h *Hub) handleConn(conn net.Conn) {
 		err := mr.readInto(&buf.env)
 		buf.frameLen = max(buf.frameLen, mr.frameLen)
 		if err != nil {
-			sh.dropConn(msg.RA, st)
+			h.dropConn(msg.RA, st)
 			return
 		}
 		m := &buf.env
@@ -422,21 +428,18 @@ func (h *Hub) handleConn(conn net.Conn) {
 			// A conn reports only for the RA it registered as; a report
 			// naming another RA (a buggy or malicious peer) is dropped here,
 			// before it can fill that RA's collect slot or move its resume
-			// frame. WrongShard counts the subset outside this shard.
+			// frame.
 			if m.RA != msg.RA {
-				if m.RA < sh.lo || m.RA >= sh.hi {
-					h.stats.wrongShard.Add(1)
-				}
 				h.stats.reportsDropped.Add(1)
 				continue
 			}
-			sh.mu.Lock()
-			if last, ok := sh.lastReported[m.RA]; !ok || m.Period > last {
-				sh.lastReported[m.RA] = m.Period
+			h.mu.Lock()
+			if last, ok := h.lastReported[m.RA]; !ok || m.Period > last {
+				h.lastReported[m.RA] = m.Period
 			}
-			sh.mu.Unlock()
+			h.mu.Unlock()
 			select {
-			case sh.reports <- buf:
+			case h.reports <- buf:
 				buf = nil
 			case <-h.closed:
 				return
@@ -450,18 +453,13 @@ func (h *Hub) handleConn(conn net.Conn) {
 }
 
 // WaitRegistered blocks until every RA is simultaneously registered or the
-// timeout expires. The shard registration tables are the ground truth; the
-// channel (plus a coarse ticker, in case a wakeup was dropped) only paces
-// the recounts.
+// timeout expires. The conn table is the ground truth; the channel (plus
+// a coarse ticker, in case a wakeup was dropped) only paces the recounts.
 func (h *Hub) WaitRegistered(timeout time.Duration) error {
 	count := func() int {
-		n := 0
-		for _, sh := range h.shards {
-			sh.mu.Lock()
-			n += len(sh.conns)
-			sh.mu.Unlock()
-		}
-		return n
+		h.mu.Lock()
+		defer h.mu.Unlock()
+		return len(h.conns)
 	}
 	deadlineC := time.After(timeout)
 	ticker := time.NewTicker(20 * time.Millisecond)
@@ -491,13 +489,9 @@ func (h *Hub) WaitRegistered(timeout time.Duration) error {
 // ADMM-updated): re-registering agents must replay through it. The remote
 // execution engine calls it after every period.
 func (h *Hub) FinishPeriod(p int) {
-	for _, sh := range h.shards {
-		sh.mu.Lock()
-		if p+1 > sh.completed {
-			sh.completed = p + 1
-		}
-		sh.mu.Unlock()
-	}
+	h.mu.Lock()
+	h.completed = max(h.completed, p+1)
+	h.mu.Unlock()
 }
 
 // PrimeResume seeds the hub with the coordination history of a previous
@@ -519,21 +513,17 @@ func (h *Hub) PrimeResume(periods int, zs, ys [][][]float64) error {
 			}
 		}
 	}
-	for _, sh := range h.shards {
-		sh.mu.Lock()
-		if len(sh.seenRAs) > 0 {
-			sh.mu.Unlock()
-			return errors.New("rcnet: prime resume after an agent registered; prime immediately after NewHub")
-		}
-		if sh.completed != 0 || len(sh.zLog) != 0 {
-			sh.mu.Unlock()
-			return errors.New("rcnet: hub already holds coordination history")
-		}
-		sh.completed = periods
-		for p := 0; p < periods; p++ {
-			sh.zLog, sh.yLog = appendCols(sh.zLog, zs[p], sh.lo, sh.hi), appendCols(sh.yLog, ys[p], sh.lo, sh.hi)
-		}
-		sh.mu.Unlock()
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if len(h.seenRAs) > 0 {
+		return errors.New("rcnet: prime resume after an agent registered; prime immediately after NewHub")
+	}
+	if h.completed != 0 || len(h.zLog) != 0 {
+		return errors.New("rcnet: hub already holds coordination history")
+	}
+	h.completed = periods
+	for p := 0; p < periods; p++ {
+		h.zLog, h.yLog = h.appendGrid(h.zLog, zs[p]), h.appendGrid(h.yLog, ys[p])
 	}
 	return nil
 }
@@ -541,10 +531,10 @@ func (h *Hub) PrimeResume(periods int, zs, ys [][][]float64) error {
 // Broadcast sends each RA its coordination column for the period. z and y
 // are [slice][ra] grids.
 //
-// Connections are snapshotted under their shard's lock and written by the
-// shard writer pools outside it with a write deadline, so a stalled agent
-// delays the round by at most the write timeout, never blocks healthy
-// RAs' writes, and never wedges callers that need a hub lock (dropConn,
+// Connections are snapshotted under the hub lock and written by the
+// writer pool outside it with a write deadline, so a stalled agent delays
+// the round by at most the write timeout, never blocks healthy RAs'
+// writes, and never wedges callers that need the hub lock (dropConn,
 // Shutdown). A connection that fails or times out is dropped and reported;
 // the remaining RAs still receive their coordination. Broadcast is
 // intended to be called from a single coordinator loop, not concurrently.
@@ -552,16 +542,14 @@ func (h *Hub) Broadcast(period int, z, y [][]float64) error {
 	// Fail fast before writing anything when an RA is missing: a caller of
 	// the full-round broadcast treats a partial round as fatal, and healthy
 	// agents must not receive a round the caller will abandon.
-	for _, sh := range h.shards {
-		sh.mu.Lock()
-		for ra := sh.lo; ra < sh.hi; ra++ {
-			if _, ok := sh.conns[ra]; !ok {
-				sh.mu.Unlock()
-				return fmt.Errorf("rcnet: RA %d not connected", ra)
-			}
+	h.mu.Lock()
+	for ra := range h.numRAs {
+		if _, ok := h.conns[ra]; !ok {
+			h.mu.Unlock()
+			return fmt.Errorf("rcnet: RA %d not connected", ra)
 		}
-		sh.mu.Unlock()
 	}
+	h.mu.Unlock()
 	ras := make([]int, h.numRAs)
 	for ra := range ras {
 		ras[ra] = ra
@@ -572,11 +560,10 @@ func (h *Hub) Broadcast(period int, z, y [][]float64) error {
 // BroadcastTo sends the period's coordination columns to a subset of RAs —
 // the retry path re-broadcasts an in-flight period only to the RAs whose
 // reports are still missing, so agents that already stepped it are never
-// asked to step it twice. The sends are fanned out to the shard writer
-// pools and run in parallel across shards. An RA that is not currently
-// registered, or whose write fails, contributes to the returned error
-// (first in ras order, for determinism); the others still receive their
-// columns.
+// asked to step it twice. The sends are fanned out to the writer pool. An
+// RA that is not currently registered, or whose write fails, contributes
+// to the returned error (first in ras order, for determinism); the others
+// still receive their columns.
 func (h *Hub) BroadcastTo(period int, z, y [][]float64, ras []int) error {
 	if len(z) != h.numSlices || len(y) != h.numSlices {
 		return fmt.Errorf("rcnet: coordination grids have %d/%d slices, want %d", len(z), len(y), h.numSlices)
@@ -586,18 +573,15 @@ func (h *Hub) BroadcastTo(period int, z, y [][]float64, ras []int) error {
 			return fmt.Errorf("rcnet: broadcast to invalid RA %d", ra)
 		}
 	}
-	for _, sh := range h.shards {
-		sh.recordCoordination(period, z, y)
-	}
+	h.recordCoordination(period, z, y)
 	h.bcastErrs = resize(h.bcastErrs, len(ras))
 	errs, wg := h.bcastErrs, &h.bcastWG
 	clear(errs)
 	h.bcastMu.RLock()
 	for k, ra := range ras {
-		sh := h.shardFor(ra)
-		sh.mu.Lock()
-		st, ok := sh.conns[ra]
-		sh.mu.Unlock()
+		h.mu.Lock()
+		st, ok := h.conns[ra]
+		h.mu.Unlock()
 		switch {
 		case !ok:
 			errs[k] = fmt.Errorf("rcnet: RA %d not connected", ra)
@@ -605,8 +589,8 @@ func (h *Hub) BroadcastTo(period int, z, y [][]float64, ras []int) error {
 			errs[k] = errHubClosed
 		default:
 			wg.Add(1)
-			//edgeslice:lockio the send cannot block: each shard's queue has capacity for one job per owned RA and a broadcast enqueues at most one job per RA, while bcastMu (held shared) pins the queue open
-			sh.bcast <- bcastJob{st: st, ra: ra, period: period, z: z, y: y, err: &errs[k], wg: wg}
+			//edgeslice:lockio the send cannot block: the queue has capacity for one job per RA and a broadcast enqueues at most one job per RA, while bcastMu (held shared) pins the queue open
+			h.bcast <- bcastJob{st: st, ra: ra, period: period, z: z, y: y, err: &errs[k], wg: wg}
 		}
 	}
 	h.bcastMu.RUnlock()
@@ -633,28 +617,17 @@ func (h *Hub) BroadcastTo(period int, z, y [][]float64, ras []int) error {
 // keeps no reference into out, and a caller passing the same out every
 // period collects without allocating but must copy out what it keeps past
 // the next collect into it. One coordinator loop calls it, never two at
-// once: shards are drained in order on that goroutine against one
-// deadline, each with its own reused timer, while their readers decode.
+// once: it drains the report channel on that goroutine with the hub's
+// reused timer while the conn readers decode.
 func (h *Hub) CollectReportsInto(period int, timeout time.Duration, out []Envelope, got []bool) (int, error) {
 	if len(out) != h.numRAs || len(got) != h.numRAs {
 		return 0, fmt.Errorf("rcnet: collect buffers sized %d/%d, want %d", len(out), len(got), h.numRAs)
 	}
-	deadline := time.Now().Add(timeout)
-	n, timedOut := 0, false
-	for _, sh := range h.shards {
-		c, err := sh.collectInto(period, time.Until(deadline), out, got)
-		n += c
-		switch {
-		case errors.Is(err, errCollectTimeout):
-			timedOut = true
-		case err != nil:
-			return n, err // hub closed, or a malformed report
-		}
-	}
-	if timedOut {
+	n, err := h.collectInto(period, timeout, out, got)
+	if errors.Is(err, errCollectTimeout) {
 		return n, fmt.Errorf("rcnet: %d/%d reports for period %d before timeout", n, h.numRAs, period)
 	}
-	return n, nil
+	return n, err // nil, hub closed, or a malformed report
 }
 
 // Shutdown notifies agents, closes all connections and the listener, and
@@ -662,15 +635,13 @@ func (h *Hub) CollectReportsInto(period int, timeout time.Duration, out []Envelo
 func (h *Hub) Shutdown() error {
 	var err error
 	h.closeOnce.Do(func() {
-		// Stop the broadcast pools first: after bcastClosed is set no new
-		// job can be enqueued, and closing the queues lets each worker
-		// drain what was enqueued before exiting, so no BroadcastTo caller
-		// is left waiting on a stranded job.
+		// Stop the broadcast pool first: after bcastClosed is set no new
+		// job can be enqueued, and closing the queue lets each worker drain
+		// what was enqueued before exiting, so no BroadcastTo caller is left
+		// waiting on a stranded job.
 		h.bcastMu.Lock()
 		h.bcastClosed = true
-		for _, sh := range h.shards {
-			close(sh.bcast)
-		}
+		close(h.bcast)
 		h.bcastMu.Unlock()
 		// Snapshot every live connection — including ones stalled before
 		// or mid-registration — so closing them unblocks every reader
@@ -684,12 +655,8 @@ func (h *Hub) Shutdown() error {
 		for _, st := range h.live {
 			states = append(states, st)
 		}
+		h.conns = make(map[int]*connState)
 		h.mu.Unlock()
-		for _, sh := range h.shards {
-			sh.mu.Lock()
-			sh.conns = make(map[int]*connState)
-			sh.mu.Unlock()
-		}
 		// Notify outside the locks with a write deadline: a stalled agent
 		// must not be able to wedge shutdown.
 		for _, st := range states {
@@ -704,4 +671,196 @@ func (h *Hub) Shutdown() error {
 		h.poolWG.Wait()
 	})
 	return err
+}
+
+// putReport recycles a buffer nobody references, unless it is outsized.
+func (h *Hub) putReport(b *reportBuf) {
+	if b.frameLen > maxRecycledFrame {
+		return
+	}
+	select {
+	case h.free <- b:
+	default:
+	}
+}
+
+// broadcastWorker drains the broadcast queue until Shutdown closes it;
+// range yields every job enqueued before the close, so no caller is left
+// waiting on an abandoned slot. The worker owns its column buffers.
+func (h *Hub) broadcastWorker() {
+	defer h.poolWG.Done()
+	zCol, yCol := make([]float64, h.numSlices), make([]float64, h.numSlices)
+	for job := range h.bcast {
+		h.runBroadcast(job, zCol, yCol)
+	}
+}
+
+// runBroadcast sends one RA its coordination column. A failed or timed-out
+// write drops the connection so the next round fails fast instead of
+// stalling again.
+//
+//edgeslice:noalloc
+func (h *Hub) runBroadcast(job bcastJob, zCol, yCol []float64) {
+	defer job.wg.Done()
+	for i := range zCol {
+		zCol[i] = job.z[i][job.ra]
+		yCol[i] = job.y[i][job.ra]
+	}
+	e := Envelope{Type: MsgCoordination, Period: job.period, Z: zCol, Y: yCol}
+	if err := job.st.send(e, h.writeTimeout); err != nil {
+		h.dropConn(job.ra, job.st)
+		//edgeslice:allocok cold error path
+		*job.err = fmt.Errorf("rcnet: broadcast to RA %d: %w", job.ra, err)
+	}
+}
+
+// recordCoordination remembers the period's (Z, Y) grids for later resume
+// frames. Retried broadcasts of an already-recorded period are no-ops; a
+// period's grids never change between attempts.
+func (h *Hub) recordCoordination(period int, z, y [][]float64) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if period != h.logged() {
+		return // retry of a recorded period, or a caller reusing period numbers
+	}
+	h.zLog, h.yLog = h.appendGrid(h.zLog, z), h.appendGrid(h.yLog, y)
+}
+
+// logged is the number of periods in the coordination log.
+func (h *Hub) logged() int { return len(h.zLog) / (h.numSlices * h.numRAs) }
+
+// appendGrid appends a [slice][ra] grid to a flat coordination log,
+// doubling its capacity in whole periods so n logged periods cost
+// O(log n) allocations, at the same periods for any RA count.
+//
+//edgeslice:noalloc
+func (h *Hub) appendGrid(log []float64, g [][]float64) []float64 {
+	if n := len(g) * h.numRAs; len(log)+n > cap(log) {
+		//edgeslice:allocok the doubling step, once per doubling of the log
+		log = append(make([]float64, 0, 2*cap(log)+n), log...)
+	}
+	for _, row := range g {
+		//edgeslice:allocok the capacity check above leaves room for the period
+		log = append(log, row[:h.numRAs]...)
+	}
+	return log
+}
+
+// resumePeriodLocked is the first period RA ra must execute live when it
+// registers now. A re-registering RA whose report for the in-flight period
+// was already collected must replay through that period too (the executor
+// will not re-broadcast it), hence the lastReported term.
+func (h *Hub) resumePeriodLocked(ra int) int {
+	catchUp := h.completed
+	if last, ok := h.lastReported[ra]; ok && last+1 > catchUp {
+		catchUp = last + 1
+	}
+	return min(catchUp, h.logged()) // defensive: never promise columns we don't hold
+}
+
+// resumeFrameLocked builds RA ra's catch-up frame from the coordination
+// log: the first period it must execute live and its coordination columns
+// for every earlier period.
+func (h *Hub) resumeFrameLocked(ra int) Envelope {
+	catchUp := h.resumePeriodLocked(ra)
+	e := Envelope{Type: MsgResume, RA: ra, Period: catchUp}
+	if catchUp > 0 {
+		I, J := h.numSlices, h.numRAs
+		e.ZHist, e.YHist = make([][]float64, catchUp), make([][]float64, catchUp)
+		for p := range catchUp {
+			e.ZHist[p], e.YHist[p] = make([]float64, I), make([]float64, I)
+			for i := range I {
+				e.ZHist[p][i] = h.zLog[(p*I+i)*J+ra]
+				e.YHist[p][i] = h.yLog[(p*I+i)*J+ra]
+			}
+		}
+	}
+	return e
+}
+
+// collectInto drains the report channel into the collect buffers until
+// every RA has reported, the timeout passes, or the hub closes. Each
+// accepted report is copied into out[ra], reusing its slices, before its
+// buffer goes back to the free list, so a later duplicate decoded into that
+// buffer can never reach out.
+//
+//edgeslice:noalloc
+func (h *Hub) collectInto(period int, timeout time.Duration, out []Envelope, got []bool) (int, error) {
+	n := 0
+	for _, g := range got {
+		if g {
+			n++
+		}
+	}
+	h.timer.Reset(timeout)
+	defer h.timer.Stop()
+	for n < h.numRAs {
+		select {
+		case b := <-h.reports:
+			m := &b.env
+			switch {
+			case m.Period != period || got[m.RA]:
+				h.stats.reportsDropped.Add(1)
+			case len(m.Perf) != h.numSlices:
+				h.putReport(b)
+				//edgeslice:allocok cold error path
+				return n, fmt.Errorf("rcnet: RA %d reported %d slices, want %d", m.RA, len(m.Perf), h.numSlices)
+			default:
+				copyEnvelope(&out[m.RA], m)
+				got[m.RA] = true
+				n++
+			}
+			h.putReport(b)
+		case <-h.timer.C:
+			return n, errCollectTimeout
+		case <-h.closed:
+			return n, errHubClosed
+		}
+	}
+	return n, nil
+}
+
+// copyEnvelope deep-copies src into dst, reusing dst's slices and rows.
+//
+//edgeslice:noalloc
+func copyEnvelope(dst, src *Envelope) {
+	dst.Type, dst.RA, dst.Period = src.Type, src.RA, src.Period
+	dst.Z, dst.Y = copyInto(dst.Z, src.Z), copyInto(dst.Y, src.Y)
+	dst.Perf, dst.Queues = copyInto(dst.Perf, src.Perf), copyInto(dst.Queues, src.Queues)
+	dst.Intervals = resize(dst.Intervals, len(src.Intervals))
+	for t := range dst.Intervals {
+		d, s := &dst.Intervals[t], &src.Intervals[t]
+		d.Perf, d.Queues = copyInto(d.Perf, s.Perf), copyInto(d.Queues, s.Queues)
+		d.Effective, d.Violation = copyRows(d.Effective, s.Effective), s.Violation
+	}
+	dst.ZHist, dst.YHist = copyRows(dst.ZHist, src.ZHist), copyRows(dst.YHist, src.YHist)
+}
+
+func copyInto[E any](dst, src []E) []E {
+	dst = resize(dst, len(src))
+	copy(dst, src)
+	return dst
+}
+
+func copyRows(dst, src [][]float64) [][]float64 {
+	dst = resize(dst, len(src))
+	for i := range dst {
+		dst[i] = copyInto(dst[i], src[i])
+	}
+	return dst
+}
+
+// dropConn removes st from the conn table if it is still the RA's current
+// connection, then closes it.
+func (h *Hub) dropConn(ra int, st *connState) {
+	h.mu.Lock()
+	dropped := h.conns[ra] == st
+	if dropped {
+		delete(h.conns, ra)
+	}
+	h.mu.Unlock()
+	if dropped {
+		h.stats.connsDropped.Add(1)
+	}
+	_ = st.conn.Close()
 }

@@ -38,12 +38,10 @@
 // Both frame kinds are ignored by older peers, so mixed-version
 // deployments keep working.
 //
-// The plane scales horizontally: the hub is internally sharded
-// (NewShardedHub), each shard owning a fixed contiguous RA range with its
-// own lock, connection table, and broadcast-writer pool,
-// so period broadcast and report decoding proceed in parallel across
-// shards while the root hub merges results in fixed RA order — the merged
-// run is bit-identical for any shard count.
+// One hub coordinates every RA, as the paper's one performance
+// coordinator does: a pool of broadcast writers fans each period's
+// columns out, one reader per connection decodes reports, and the
+// coordinator files them by RA index, so the merge order is fixed.
 package rcnet
 
 import (

@@ -12,8 +12,7 @@ type hubStats struct {
 	registrations   atomic.Uint64    // successful agent registrations
 	reconnects      atomic.Uint64    // registrations of an RA seen before
 	reportsReceived atomic.Uint64    // perf-report frames read off connections
-	reportsDropped  atomic.Uint64    // reports discarded (wrong period/dup/wrong shard)
-	wrongShard      atomic.Uint64    // reports naming an RA outside the conn's shard
+	reportsDropped  atomic.Uint64    // reports discarded (wrong period/dup/another RA's)
 	connsDropped    atomic.Uint64    // registered conns dropped (read error or stalled write)
 	heartbeats      atomic.Uint64    // heartbeat frames received
 	reaped          atomic.Uint64    // conns closed by the liveness reaper
@@ -28,14 +27,12 @@ type HubStats struct {
 	Registrations   uint64 // successful agent registrations
 	Reconnects      uint64 // re-registrations of a previously seen RA
 	ReportsReceived uint64 // perf-report frames received
-	ReportsDropped  uint64 // reports discarded (wrong period, duplicate, wrong shard)
-	WrongShard      uint64 // reports naming an RA outside the conn's shard
+	ReportsDropped  uint64 // reports discarded (wrong period, duplicate, another RA's)
 	ConnsDropped    uint64 // registered connections dropped
 	Heartbeats      uint64 // heartbeat frames received
 	Reaped          uint64 // connections closed by the liveness reaper
 	Superseded      uint64 // stale connections replaced by re-registrations
 	ResumesSent     uint64 // resume catch-up frames sent
-	Shards          int    // hub shard count
 
 	RegistrationsJSON   uint64 // registrations negotiated onto the JSON codec
 	RegistrationsBinary uint64 // registrations negotiated onto the binary codec
@@ -53,13 +50,11 @@ func (h *Hub) Stats() HubStats {
 		Reconnects:          h.stats.reconnects.Load(),
 		ReportsReceived:     h.stats.reportsReceived.Load(),
 		ReportsDropped:      h.stats.reportsDropped.Load(),
-		WrongShard:          h.stats.wrongShard.Load(),
 		ConnsDropped:        h.stats.connsDropped.Load(),
 		Heartbeats:          h.stats.heartbeats.Load(),
 		Reaped:              h.stats.reaped.Load(),
 		Superseded:          h.stats.superseded.Load(),
 		ResumesSent:         h.stats.resumesSent.Load(),
-		Shards:              len(h.shards),
 		RegistrationsJSON:   h.stats.regsByCodec[CodecJSON].Load(),
 		RegistrationsBinary: h.stats.regsByCodec[CodecBinary].Load(),
 		BytesIn:             h.wire.bytesIn.Load(),
@@ -79,9 +74,7 @@ func (h *Hub) EnableTelemetry(reg *telemetry.Registry) {
 	reg.CounterFunc("edgeslice_hub_reports_received_total",
 		"perf-report frames received from agents", h.stats.reportsReceived.Load)
 	reg.CounterFunc("edgeslice_hub_reports_dropped_total",
-		"reports discarded as wrong-period, duplicate, or wrong-shard", h.stats.reportsDropped.Load)
-	reg.CounterFunc("edgeslice_hub_reports_wrong_shard_total",
-		"reports naming an RA outside the connection's shard", h.stats.wrongShard.Load)
+		"reports discarded as wrong-period, duplicate, or naming another RA", h.stats.reportsDropped.Load)
 	reg.CounterFunc("edgeslice_hub_conns_dropped_total",
 		"registered connections dropped (read error or stalled write)", h.stats.connsDropped.Load)
 	reg.CounterFunc("edgeslice_hub_heartbeats_total",
@@ -100,8 +93,6 @@ func (h *Hub) EnableTelemetry(reg *telemetry.Registry) {
 		"wire bytes read from agents", h.wire.bytesIn.Load)
 	reg.CounterFunc("edgeslice_hub_wire_bytes_out_total",
 		"wire bytes written to agents", h.wire.bytesOut.Load)
-	reg.GaugeFunc("edgeslice_hub_shards",
-		"hub shard count", func() float64 { return float64(len(h.shards)) })
 	reg.GaugeFunc("edgeslice_hub_connected_agents",
 		"RAs currently registered", func() float64 {
 			_, registered, _ := h.Liveness()
