@@ -24,9 +24,6 @@ func TestHubValidation(t *testing.T) {
 	if _, err := NewHub("127.0.0.1:0", 1, 0); err == nil {
 		t.Error("zero RAs should fail")
 	}
-	if _, err := NewShardedHub("127.0.0.1:0", 1, 2, 2); err == nil {
-		t.Error("a shard count other than 1 should fail")
-	}
 }
 
 func TestRegisterBroadcastCollect(t *testing.T) {

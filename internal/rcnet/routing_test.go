@@ -1,6 +1,7 @@
 package rcnet
 
 import (
+	"fmt"
 	"net"
 	"sync"
 	"testing"
@@ -97,16 +98,30 @@ func runEchoRounds(t *testing.T, h *Hub, slices, ras, periods int) {
 	}
 }
 
-// TestBroadcastCollectRouting proves broadcast and collect routing at 64
-// RAs: every RA receives exactly its own coordination column and every
-// report lands at its RA's index, with a mixed JSON/binary fleet.
-func TestBroadcastCollectRouting(t *testing.T) {
+// TestShardedBroadcastCollectRouting proves broadcast and collect routing
+// at 64 RAs through NewShardedHub, the constructor the bench module calls:
+// at shards=1 it is NewHub, and every RA receives exactly its own
+// coordination column and every report lands at its RA's index, with a
+// mixed JSON/binary fleet. The hub no longer shards, so any other count
+// (2, 4, and the uneven 5) is refused rather than quietly run as one hub.
+func TestShardedBroadcastCollectRouting(t *testing.T) {
 	const ras, slices, periods = 64, 2, 3
-	h, err := NewHub("127.0.0.1:0", slices, ras)
-	if err != nil {
-		t.Fatal(err)
+	for _, shards := range []int{1, 2, 4, 5} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			h, err := NewShardedHub("127.0.0.1:0", slices, ras, shards)
+			if shards != 1 {
+				if err == nil {
+					_ = h.Shutdown()
+					t.Fatalf("NewShardedHub accepted %d shards", shards)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			runEchoRounds(t, h, slices, ras, periods)
+		})
 	}
-	runEchoRounds(t, h, slices, ras, periods)
 }
 
 // TestRoutingAt1024RAs is the remote-scaling smoke: 1024 concurrent agent
@@ -210,61 +225,58 @@ func TestMixedCodecPeers(t *testing.T) {
 	}
 }
 
-// TestSpoofedRAReportDropped pins the hub's report hygiene under both
-// codecs (binary reports decode into recycled buffers). A connection files
-// reports only for the RA it registered as: a report a conn registered as
-// RA 0 sends for RA 1 must neither fill RA 1's collect slot (which would
+// rogueHub starts a one-slice, two-RA hub whose RA 0 is a hand-driven
+// connection speaking codec, so a test can forge its frames, and whose
+// RA 1 is an ordinary agent client.
+func rogueHub(t *testing.T, codec Codec) (*Hub, *msgWriter, *AgentClient) {
+	t.Helper()
+	h, err := NewHub("127.0.0.1:0", 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = h.Shutdown() })
+	rogue, err := net.Dial("tcp", h.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = rogue.Close() })
+	forge := newMsgWriter(rogue, codec, nil)
+	if err := forge.write(Envelope{Type: MsgRegister, RA: 0}); err != nil {
+		t.Fatal(err)
+	}
+	c1, err := DialAgentCodec(h.Addr(), 1, testTimeout, codec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = c1.Close() })
+	if err := h.WaitRegistered(testTimeout); err != nil {
+		t.Fatal(err)
+	}
+	return h, forge, c1
+}
+
+// TestSpoofedRAReportDropped pins that a connection files reports only for
+// the RA it registered as, under both codecs: a report a conn registered
+// as RA 0 sends for RA 1 must neither fill RA 1's collect slot (which would
 // drop RA 1's honest report as a duplicate) nor move RA 1's last reported
-// period, which sets its resume frame. A duplicate of a collected report is
-// discarded by the same collect or, once stale, by the next one.
+// period, which sets its resume frame.
 func TestSpoofedRAReportDropped(t *testing.T) {
 	for _, codec := range []Codec{CodecJSON, CodecBinary} {
 		t.Run(codec.String(), func(t *testing.T) {
-			h, err := NewHub("127.0.0.1:0", 1, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer func() { _ = h.Shutdown() }()
-			// RA 0 is a hand-driven connection so the test can forge frames.
-			rogue, err := net.Dial("tcp", h.Addr())
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer rogue.Close()
-			forge := newMsgWriter(rogue, codec, nil)
-			if err := forge.write(Envelope{Type: MsgRegister, RA: 0}); err != nil {
-				t.Fatal(err)
-			}
-			c1, err := DialAgentCodec(h.Addr(), 1, testTimeout, codec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c1.Close()
-			if err := h.WaitRegistered(testTimeout); err != nil {
-				t.Fatal(err)
-			}
-
+			h, forge, c1 := rogueHub(t, codec)
 			// RA 0's conn forges RA 1's period-0 report and one far ahead,
-			// files its own, then a burst of duplicates of it. The burst
-			// keeps RA 0's reader decoding into recycled buffers while the
-			// collector copies the real report out, which the race detector
-			// watches. RA 1 reports only once the hub has read the first
-			// three, so a forged report that landed would be first.
-			const dups = 3
-			frames := []Envelope{
+			// then files its own; RA 1 reports only once the hub has read
+			// all three, so a forged report that landed would be first.
+			for _, e := range []Envelope{
 				{Type: MsgPerfReport, RA: 1, Period: 0, Perf: []float64{-999}},
 				{Type: MsgPerfReport, RA: 1, Period: 7, Perf: []float64{-998}},
 				{Type: MsgPerfReport, RA: 0, Period: 0, Perf: []float64{-10}},
-			}
-			for k := 0; k < dups; k++ {
-				frames = append(frames, Envelope{Type: MsgPerfReport, RA: 0, Period: 0, Perf: []float64{-777 - float64(k)}})
-			}
-			for _, e := range frames {
+			} {
 				if err := forge.write(e); err != nil {
 					t.Fatal(err)
 				}
 			}
-			waitFor(t, "the rogue conn's first 3 reports", func() bool { return h.Stats().ReportsReceived >= 3 })
+			waitFor(t, "the rogue conn's 3 reports", func() bool { return h.Stats().ReportsReceived >= 3 })
 			if err := c1.Report(0, []float64{-20}, nil, nil); err != nil {
 				t.Fatal(err)
 			}
@@ -280,6 +292,53 @@ func TestSpoofedRAReportDropped(t *testing.T) {
 			h.mu.Unlock()
 			if last != 0 {
 				t.Errorf("RA 1's last reported period = %d, want 0 (a forged report moved it)", last)
+			}
+			if got := h.Stats().ReportsDropped; got != 2 {
+				t.Errorf("ReportsDropped = %d, want 2 (both forged reports)", got)
+			}
+		})
+	}
+}
+
+// TestDuplicateAndWrongShardReports pins the hub's report hygiene against
+// a conn that files a report for an RA it does not serve (on the one hub
+// that report is a spoofed one; the hub once counted it as wrong-shard)
+// and then a burst of duplicates of its own report, under both codecs
+// (binary reports decode into recycled buffers). The foreign report is
+// dropped on arrival and each duplicate of a collected report is discarded
+// by the same collect or, once stale, by the next one.
+func TestDuplicateAndWrongShardReports(t *testing.T) {
+	for _, codec := range []Codec{CodecJSON, CodecBinary} {
+		t.Run(codec.String(), func(t *testing.T) {
+			h, forge, c1 := rogueHub(t, codec)
+			// Period 0, in order on RA 0's conn: a report claiming RA 1, the
+			// real report, and a burst of duplicates of it. The burst keeps
+			// RA 0's reader decoding into recycled buffers while the
+			// collector copies the real report out, which the race detector
+			// watches.
+			const dups = 3
+			frames := []Envelope{
+				{Type: MsgPerfReport, RA: 1, Period: 0, Perf: []float64{-999}},
+				{Type: MsgPerfReport, RA: 0, Period: 0, Perf: []float64{-10}},
+			}
+			for k := 0; k < dups; k++ {
+				frames = append(frames, Envelope{Type: MsgPerfReport, RA: 0, Period: 0, Perf: []float64{-777 - float64(k)}})
+			}
+			for _, e := range frames {
+				if err := forge.write(e); err != nil {
+					t.Fatal(err)
+				}
+			}
+			waitFor(t, "the rogue conn's first 2 reports", func() bool { return h.Stats().ReportsReceived >= 2 })
+			if err := c1.Report(0, []float64{-20}, nil, nil); err != nil {
+				t.Fatal(err)
+			}
+			reports, err := collect(h, 0, testTimeout)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if reports[0].Perf[0] != -10 || reports[1].Perf[0] != -20 {
+				t.Errorf("period 0 perf = %v, want [[-10 -20]] (forged frames must not land)", reports)
 			}
 
 			// Period 1 flushes the duplicates still queued behind RA 0's
@@ -298,8 +357,8 @@ func TestSpoofedRAReportDropped(t *testing.T) {
 			if reports[0].Perf[0] != -11 || reports[1].Perf[0] != -21 {
 				t.Errorf("period 1 perf = %v, want [[-11 -21]]", reports)
 			}
-			if got := h.Stats().ReportsDropped; got != 2+dups { // forged + duplicates
-				t.Errorf("ReportsDropped = %d, want %d", got, 2+dups)
+			if got := h.Stats().ReportsDropped; got != 1+dups { // foreign RA + duplicates
+				t.Errorf("ReportsDropped = %d, want %d", got, 1+dups)
 			}
 		})
 	}
