@@ -11,15 +11,15 @@ import (
 // (Z, Y) update and record the period. The engines differ only in where the
 // step runs — Batched on workers pulling netsim chunks of at most 64 RAs,
 // Serial on one worker, Remote in agent processes over the RC network
-// interface — and all record through the same (interval, RA, slice) merge,
-// so Serial and Batched are bit-identical for any worker count, and Remote
-// is identical when its agents run the same environments and policies.
+// interface — and all record through the same fold, RAs ascending, so
+// Serial and Batched are bit-identical for any worker count, and Remote is
+// identical when its agents run the same environments and policies.
 type Executor interface {
 	// Name reports the engine spelling ("serial", "batched", "remote").
 	Name() string
 	// RunPeriods executes Algorithm 1 for n periods on s, recording every
 	// interval and period into h, the caller's History (exact or streaming)
-	// of s's shape. Every engine merges a period only once all of its RAs
+	// of s's shape. Every engine commits a period only once all of its RAs
 	// have stepped all T intervals, so a failing period leaves no record: on
 	// error h holds exactly the periods that completed.
 	RunPeriods(s *System, h *History, n int) error
@@ -77,18 +77,20 @@ type periodStage interface {
 }
 
 // runPeriods runs n periods of Algorithm 1 with st as the step phase, p
-// counting on from the coordinator's iterations: st steps every RA, the T
-// intervals merge, the ADMM (Z, Y) update and SLA check run on ws.perf, and
-// the period record commits — one path for every engine, so local and
-// remote runs record identical intervals, SLA flags and residuals. A
-// period whose step fails leaves no record.
+// counting on from the coordinator's iterations: st steps (and may fold)
+// every RA, the rest fold, the T intervals commit, the ADMM (Z, Y) update
+// and SLA check run on ws.perf, and the period commits — one path for every
+// engine, so local and remote runs record identical intervals, SLA flags
+// and residuals. A period whose step fails leaves no record.
 func (s *System) runPeriods(h *History, n int, st periodStage) error {
 	ws := s.workspace()
 	for range n {
 		p := s.coord.Iterations()
+		ws.folded = 0
 		if err := st.step(s, ws, p); err != nil {
 			return err
 		}
+		ws.foldRAs(ws.folded, ws.J)
 		for t := 0; t < ws.T; t++ {
 			if err := s.mergeInterval(h, t); err != nil {
 				return err
@@ -109,38 +111,18 @@ func (s *System) runPeriods(h *History, n int, st periodStage) error {
 	return nil
 }
 
-// mergeInterval folds every RA's result for interval t of the period grid
-// into the history in the fixed (RA, slice) order every engine shares, so
-// merged results are bit-identical whoever stepped the RAs, on however many
-// workers, and in whatever order reports arrived. Driver goroutine only.
+// mergeInterval commits interval t from the sums foldRAs built, whoever
+// stepped the RAs and in whatever order reports arrived. The J RAs' shares
+// are divided once, here, so their mean carries one rounding, not J.
 func (s *System) mergeInterval(h *History, t int) error {
 	ws := s.workspace()
-	perf, eff, viol := ws.interval(t)
-	var sysPerf, violation float64
-	for i := range ws.slicePerf {
-		ws.slicePerf[i] = 0
-		clear(ws.usage[i])
-	}
-	// One accumulator runs across all RAs, as the serial loop summed.
-	for j, v := range viol {
-		for i := range ws.slicePerf {
-			x := j*ws.I + i
-			sysPerf += perf[x]
-			ws.slicePerf[i] += perf[x]
-			for k, e := range eff[x] {
-				ws.usage[i][k] += e
-			}
-		}
-		violation += v
-	}
-	// The shares of the J RAs are summed first and divided once, so the
-	// recorded value carries a single rounding instead of J.
-	for i := range ws.usage {
-		for k := range ws.usage[i] {
-			ws.usage[i][k] /= float64(ws.J)
+	sum, usage := ws.sums[t*(ws.I+2):(t+1)*(ws.I+2)], ws.usage[t*ws.I:(t+1)*ws.I]
+	for _, u := range usage {
+		for k := range u {
+			u[k] /= float64(ws.J)
 		}
 	}
-	return s.commitInterval(h, sysPerf, ws.slicePerf, ws.usage, violation)
+	return s.commitInterval(h, sum[0], sum[2:], usage, sum[1])
 }
 
 // NewSerialExecutor returns the serial in-process engine — System.RunPeriods'

@@ -17,17 +17,17 @@ import (
 // pull chunks off a shared counter and step each through all T intervals —
 // per interval one ActBatch per policy group on the chunk's gathered rows
 // (rl.BatchActor), or the baseline's actions computed in the chunk, then
-// one Chunk.StepInto into the period grid. The driver then merges the T
-// intervals. Coordination is frozen for the whole period and an RA acts
-// only on its own environment, so a chunk never waits on another.
+// one Chunk.StepInto into the period grid. Between its own chunks the
+// driver folds the finished prefix of chunks while the others still step.
+// Coordination is frozen for the whole period and an RA acts only on its
+// own environment, so a chunk never waits on another.
 //
 // The serial engine is this plan at one worker. For any worker count the
 // result is bit-identical to acting and stepping one RA after another: an
 // RA's step depends only on its own state, row i of a forward block is the
 // scalar Act on state i (nn.MatMulNTInto never reorders a dot product), a
-// chunk step gives each RA its solo step's bits, and the merge runs on one
-// goroutine in (interval, RA, slice) order. A BatchedExecutor drives one
-// run at a time, as a System does.
+// chunk step gives each RA its solo step's bits, and only the driver
+// folds, RAs ascending. A BatchedExecutor drives one run at a time.
 type BatchedExecutor struct {
 	workers int
 
@@ -108,12 +108,17 @@ type batchPlan struct {
 	// Worker w of workers (min(workers, chunks)) steps chunk w, then pulls
 	// chunks off next, forwarding in nws[w] — a worker the host deschedules
 	// mid-period then costs one chunk, not its whole static share.
-	// chunkErr[c] is chunk c's first error.
 	workers  int
 	nws      []nn.Workspace
 	next     atomic.Int64
 	wg       sync.WaitGroup // the extra workers of one period
-	chunkErr []error
+	chunkErr []chunkResult
+}
+
+// chunkResult is a chunk's first error and done flag, stored in that order.
+type chunkResult struct {
+	err  error
+	done atomic.Bool
 }
 
 // batchKey groups RAs by policy instance and observation width: two RAs
@@ -142,7 +147,7 @@ func (s *System) newBatchPlan(e *BatchedExecutor) *batchPlan {
 		chunkSpans: make([]int, chunks+1),
 		baselines:  !s.cfg.Algo.IsLearning(),
 		workers:    min(e.workers, chunks),
-		chunkErr:   make([]error, chunks),
+		chunkErr:   make([]chunkResult, chunks),
 	}
 	p.nws = make([]nn.Workspace, p.workers)
 	if p.baselines {
@@ -177,11 +182,11 @@ func (s *System) newBatchPlan(e *BatchedExecutor) *batchPlan {
 }
 
 // step implements periodStage: every chunk steps its RAs through the
-// period into the workspace. Chunks step concurrently — a chunk touches
-// only its own columns, its worker's workspace and its RAs' elements of the
-// period grid and ws.perf. The error reported is the first of the lowest
-// failing chunk: deterministic for any scheduling. Only the extra workers'
-// goroutines allocate.
+// period into the workspace and is folded. Chunks step concurrently — a
+// chunk touches only its own columns, its worker's workspace and its RAs'
+// elements of the period grid and ws.perf. The error reported is the first
+// of the lowest failing chunk: deterministic for any scheduling. Only the
+// extra workers' goroutines allocate.
 func (p *batchPlan) step(s *System, ws *periodWS, period int) error {
 	base := period * ws.T
 	p.next.Store(int64(p.workers))
@@ -194,8 +199,9 @@ func (p *batchPlan) step(s *System, ws *periodWS, period int) error {
 	}
 	p.pull(s, ws, 0, base)
 	p.wg.Wait()
-	for _, err := range p.chunkErr {
-		if err != nil {
+	p.foldDone(ws)
+	for c := range p.chunkErr {
+		if err := p.chunkErr[c].err; err != nil {
 			return err
 		}
 	}
@@ -210,13 +216,27 @@ func (p *batchPlan) recorded(int) {
 }
 
 // pull steps chunk w, then chunks off the shared counter, on worker w until
-// none is left. Starting worker w on chunk w means its workspace sees that
-// chunk's shapes every period, whatever the scheduling, so once warm it
-// allocates nothing.
+// none is left; the driver, worker 0, folds after each of its chunks.
+// Starting worker w on chunk w means its workspace sees that chunk's shapes
+// every period, whatever the scheduling, so once warm it allocates nothing.
 func (p *batchPlan) pull(s *System, ws *periodWS, w, base int) {
 	for c := w; c < len(p.chunkErr); c = int(p.next.Add(1)) - 1 {
-		p.chunkErr[c] = p.stepChunk(s, ws, &p.nws[w], c, base)
+		p.chunkErr[c].err = p.stepChunk(s, ws, &p.nws[w], c, base)
+		p.chunkErr[c].done.Store(true)
+		if w == 0 {
+			p.foldDone(ws)
+		}
 	}
+}
+
+// foldDone folds the run of finished chunks after the folded ones, in
+// chunk order, and clears their done flags for the next period.
+func (p *batchPlan) foldDone(ws *periodWS) {
+	c := sort.SearchInts(p.sys.chunkLo, ws.folded)
+	for c < len(p.chunkErr) && p.chunkErr[c].done.Swap(false) {
+		c++
+	}
+	ws.foldRAs(ws.folded, p.sys.chunkLo[c])
 }
 
 // stepChunk writes the coordinator's (Z, Y) columns into chunk c (phase 1
@@ -265,7 +285,7 @@ func (p *batchPlan) stepChunk(s *System, ws *periodWS, nws *nn.Workspace, c, bas
 }
 
 // RunPeriods implements Executor. A period whose step fails leaves no
-// record: the merge runs only after every RA stepped all T intervals.
+// record: intervals commit only after every RA stepped all T of them.
 func (e *BatchedExecutor) RunPeriods(s *System, h *History, n int) error {
 	if err := s.checkRunnable(n); err != nil {
 		return err

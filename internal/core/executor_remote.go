@@ -10,7 +10,7 @@ import (
 
 // RemoteExecutor runs Algorithm 1 with the step phase in remote agent
 // processes (rcnet.RunAgent) behind the hub, merging their per-interval
-// records through the local engines' merge: a distributed run records a
+// records through the local engines' fold: a distributed run records a
 // local run's History, SLA flags and residuals whenever the agents step
 // the same environments and policies. The System supplies only the shape
 // and the coordinator; it need not be trained.
@@ -129,7 +129,7 @@ func (e *RemoteExecutor) recorded(p int) { e.hub.FinishPeriod(p) }
 
 // decodeReport validates one agent report against the run's shape and
 // copies its Σ_t U into RA j's column of ws.perf and its per-interval
-// records into RA j's elements of the period grid: the merge never reads
+// records into RA j's elements of the period grid: the fold never reads
 // the envelope's slices.
 func decodeReport(rep *rcnet.Envelope, j int, ws *periodWS) error {
 	I := ws.I

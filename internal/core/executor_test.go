@@ -33,18 +33,24 @@ func deployedSystem(t *testing.T, cfg Config) *System {
 		t.Fatal(err)
 	}
 	if cfg.Algo.IsLearning() {
-		rng := rand.New(rand.NewSource(7))
-		actor := nn.NewMLP(rng, s.Env(0).StateDim(),
-			nn.LayerSpec{Out: 16, Act: nn.ActLeakyReLU},
-			nn.LayerSpec{Out: s.Env(0).ActionDim(), Act: nn.ActSigmoid},
-		)
-		if err := s.SetAgents([]rl.Agent{rl.NewDeployedPolicy(actor, false)}); err != nil {
+		if err := s.SetAgents([]rl.Agent{deployedPolicy(s.Env(0))}); err != nil {
 			t.Fatal(err)
 		}
 	} else if err := s.Train(); err != nil {
 		t.Fatal(err)
 	}
 	return s
+}
+
+// deployedPolicy returns deployedSystem's fixed policy for env's shape, a
+// new instance every call: it acts on the whole State(), the coordination
+// (Z, Y) included.
+func deployedPolicy(env *netsim.RAEnv) *rl.DeployedPolicy {
+	actor := nn.NewMLP(rand.New(rand.NewSource(7)), env.StateDim(),
+		nn.LayerSpec{Out: 16, Act: nn.ActLeakyReLU},
+		nn.LayerSpec{Out: env.ActionDim(), Act: nn.ActSigmoid},
+	)
+	return rl.NewDeployedPolicy(actor, false)
 }
 
 // referenceStage is the step phase the serial engine ran before every

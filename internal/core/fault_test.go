@@ -88,14 +88,15 @@ func startRemoteAgent(t *testing.T, hub *rcnet.Hub, cfg Config, j int) (*rcnet.A
 	return client, done
 }
 
-// TestRemoteSurvivesAgentKillAndRestart is the tentpole's acceptance test:
-// one RA crashes the moment it receives period 2's broadcast (before
-// stepping or reporting), a fresh incarnation re-registers with a fresh
-// identically-seeded env, replays the completed prefix from its resume
-// frame, and serves the retried period — and the run's History comes out
-// bit-identical to an uninterrupted serial run.
+// TestRemoteSurvivesAgentKillAndRestart: one RA crashes the moment it
+// receives period 2's broadcast (before stepping or reporting), a fresh
+// incarnation re-registers with a fresh identically-seeded env, replays the
+// completed prefix from its resume frame, and serves the retried period —
+// and the run's History comes out bit-identical to an uninterrupted serial
+// run. Every agent runs deployedPolicy, which acts on the coordination in
+// its State(), so a resume frame with the wrong (Z, Y) moves the History.
 func TestRemoteSurvivesAgentKillAndRestart(t *testing.T) {
-	cfg := execTestConfig(AlgoTARO)
+	cfg := execTestConfig(AlgoEdgeSlice)
 	const (
 		periods     = 4
 		victim      = 1
@@ -129,7 +130,7 @@ func TestRemoteSurvivesAgentKillAndRestart(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			defer client.Close()
-			agentErrs[j] = rcnet.RunAgent(client, env, taroFor(env), 10*time.Second)
+			agentErrs[j] = rcnet.RunAgent(client, env, deployedPolicy(env), 10*time.Second)
 		}()
 	}
 
@@ -144,7 +145,7 @@ func TestRemoteSurvivesAgentKillAndRestart(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		pol := taroFor(env1)
+		pol := deployedPolicy(env1)
 		for {
 			m, err := c1.Recv(10 * time.Second)
 			if err != nil {
@@ -178,7 +179,7 @@ func TestRemoteSurvivesAgentKillAndRestart(t *testing.T) {
 			return
 		}
 		defer c2.Close()
-		agentErrs[victim] = rcnet.RunAgent(c2, env2, taroFor(env2), 10*time.Second)
+		agentErrs[victim] = rcnet.RunAgent(c2, env2, deployedPolicy(env2), 10*time.Second)
 	}()
 
 	if err := hub.WaitRegistered(5 * time.Second); err != nil {

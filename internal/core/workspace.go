@@ -5,17 +5,17 @@ import (
 	"edgeslice/internal/netsim"
 )
 
-// periodWS is the storage the step → record → merge half of a period writes
+// periodWS is the storage the step → fold → record half of a period writes
 // into. The System owns it and every engine reuses it period after period,
 // so that half allocates nothing that scales with the number of RAs.
 // Whoever steps RA j writes only RA j's elements, so concurrent workers on
 // disjoint RAs never share a word, and nothing keeps a reference into the
-// workspace past the merge (History and history log copy).
+// workspace past the commit (History and history log copy).
 type periodWS struct {
 	I, J, T int
 
 	// The period grid the chunk steps write (the remote engine copies
-	// reports in) and the merge reads: interval t, RA j, slice i's perf is
+	// reports in) and the fold reads: interval t, RA j, slice i's perf is
 	// gridPerf[(t·J+j)·I+i], its shares gridEff[…], RA j's violation
 	// gridViol[t·J+j].
 	gridPerf []float64
@@ -25,10 +25,14 @@ type periodWS struct {
 	acts []float64   // J baseline action rows
 	rows [][]float64 // J: RA j's action of the interval being stepped
 
-	slicePerf []float64   // I: Σ_j U_i of the interval being merged
-	usage     [][]float64 // I × NumResources: Σ_j effective share, then the mean
-	perf      [][]float64 // I × J: the period's Σ_t U grid handed to the coordinator
-	sla       []bool      // I: the period's SLA flags
+	// Interval t's sums over RAs [0, folded): Σ U, Σ violation, Σ_j U_i at
+	// sums[t·(I+2):]; Σ_j shares, committed as their mean, at usage[t·I:].
+	sums   []float64   // T·(I+2), carved from gridPerf's allocation
+	usage  [][]float64 // T·I × NumResources
+	folded int
+
+	perf [][]float64 // I × J: the period's Σ_t U grid handed to the coordinator
+	sla  []bool      // I: the period's SLA flags
 }
 
 func newGrid(rows, cols int) [][]float64 {
@@ -45,17 +49,18 @@ func (s *System) workspace() *periodWS {
 	if s.ws == nil {
 		I, J, T := s.cfg.EnvTemplate.NumSlices, s.cfg.NumRAs, s.cfg.EnvTemplate.T
 		const K = netsim.NumResources
+		f := make([]float64, T*J*I+T*(I+2))
 		s.ws = &periodWS{
 			I: I, J: J, T: T,
-			gridPerf:  make([]float64, T*J*I),
-			gridEff:   make([][K]float64, T*J*I),
-			gridViol:  make([]float64, T*J),
-			acts:      make([]float64, J*I*K),
-			rows:      make([][]float64, J),
-			slicePerf: make([]float64, I),
-			usage:     newGrid(I, K),
-			perf:      newGrid(I, J),
-			sla:       make([]bool, I),
+			gridPerf: f[: T*J*I : T*J*I],
+			gridEff:  make([][K]float64, T*J*I),
+			gridViol: make([]float64, T*J),
+			acts:     make([]float64, J*I*K),
+			rows:     make([][]float64, J),
+			sums:     f[T*J*I:],
+			usage:    newGrid(T*I, K),
+			perf:     newGrid(I, J),
+			sla:      make([]bool, I),
 		}
 	}
 	return s.ws
@@ -65,6 +70,39 @@ func (s *System) workspace() *periodWS {
 func (ws *periodWS) interval(t int) (perf []float64, eff [][netsim.NumResources]float64, viol []float64) {
 	n := ws.J * ws.I
 	return ws.gridPerf[t*n : (t+1)*n], ws.gridEff[t*n : (t+1)*n], ws.gridViol[t*ws.J : (t+1)*ws.J]
+}
+
+// foldRAs adds RAs [lo, hi) of every interval into the sums in a serial
+// loop's (RA, slice) order, afresh at lo = 0: ascending ranges, each from
+// the last hi, leave every accumulator one pass's bits. Driver only.
+//
+//edgeslice:noalloc
+func (ws *periodWS) foldRAs(lo, hi int) {
+	I := ws.I
+	for t := 0; t < ws.T; t++ {
+		perf, eff, viol := ws.interval(t)
+		sum, usage := ws.sums[t*(I+2):(t+1)*(I+2)], ws.usage[t*I:(t+1)*I]
+		if lo == 0 {
+			clear(sum)
+			for _, u := range usage {
+				clear(u)
+			}
+		}
+		sys, violation, slice := sum[0], sum[1], sum[2:]
+		for j := lo; j < hi; j++ {
+			for i, u := range usage {
+				x := j*I + i
+				sys += perf[x]
+				slice[i] += perf[x]
+				for k, e := range eff[x] {
+					u[k] += e
+				}
+			}
+			violation += viol[j]
+		}
+		sum[0], sum[1] = sys, violation
+	}
+	ws.folded = hi
 }
 
 // baselineActions computes chunk c's RAs' baseline actions for the current

@@ -5,9 +5,8 @@ import (
 	"math/rand/v2"
 )
 
-// PoissonTableLen is the capacity of a Poisson sampler's CDF table. Below
-// λ = 30, where the table is used, the running sum stops changing in double
-// precision within 86 entries, so a table always ends by convergence.
+// PoissonTableLen is the capacity of a Poisson sampler's CDF table: below
+// λ = 30 the running sum stops changing within 86 entries.
 const PoissonTableLen = 96
 
 // SeedPCG seeds p from seed through two SplitMix64 steps, one per state
@@ -28,16 +27,17 @@ func splitMix64(x *uint64) uint64 {
 }
 
 // Poisson draws Poisson(λ) variates by inversion: one 53-bit uniform u, then
-// the least k with u < P(X ≤ k), read from a CDF table. The table restarts
-// only when λ changes, so a caller whose rate holds for a block of draws
-// pays one e^−λ per block, and it grows by the recurrence only as far as
-// the block's largest draw. λ ≥ 30 uses the normal approximation N(λ, λ)
-// rounded to the nearest integer up to MaxInt; λ ≤ 0 gives 0, drawing nothing.
+// the least k with u < P(X ≤ k), read from a CDF table built whole when λ
+// changes, from the bucket a guide (Chen and Asau's indexed search) names.
+// λ ≥ 30 uses the normal approximation N(λ, λ) rounded to the nearest
+// integer up to MaxInt; λ ≤ 0 gives 0, drawing nothing.
 type Poisson struct {
 	lambda float64
-	last   float64   // P(X = len(cdf)−1), where the recurrence resumes
-	cdf    []float64 // cdf[k] = P(X ≤ k) for lambda; capacity PoissonTableLen
+	cdf    []float64       // cdf[k] = P(X ≤ k) for lambda, to convergence; capacity PoissonTableLen
+	guide  [guideLen]uint8 // guide[b] = least k with cdf[k] > b/guideLen
 }
+
+const guideLen = 64 // a power of two: u·guideLen and b/guideLen are exact
 
 // NewPoisson returns a sampler whose table lives in buf, which must hold at
 // least PoissonTableLen entries and is the sampler's from then on.
@@ -65,40 +65,40 @@ func (p *Poisson) Draw(src *rand.PCG, norm *rand.Rand, lambda float64) int {
 		return math.MaxInt
 	}
 	if lambda != p.lambda {
-		p.lambda, p.last = lambda, math.Exp(-lambda)
-		p.cdf = p.cdf[:1]
-		p.cdf[0] = p.last
+		p.build(lambda)
 	}
-	u := float64(src.Uint64()>>11) * 0x1p-53
-	for k, c := range p.cdf {
-		if u < c {
-			return k
-		}
-	}
-	return p.extend(u)
+	return p.search(float64(src.Uint64()>>11) * 0x1p-53)
 }
 
-// extend appends cdf entries by pₖ = pₖ₋₁·λ/k until one exceeds u and
-// returns its k. If the running sum stops changing first (rounding can
-// leave it short of one), no later term can move it: the table is complete
-// and extend returns its length.
+// build fills the table by pₖ = pₖ₋₁·λ/k until the sum stops changing, then the guide.
 //
 //edgeslice:noalloc
-func (p *Poisson) extend(u float64) int {
-	c := p.cdf[:cap(p.cdf)]
-	n, sum := len(p.cdf), p.cdf[len(p.cdf)-1]
-	for ; n < len(c); n++ {
-		next := float64(p.last*p.lambda) / float64(n)
+func (p *Poisson) build(lambda float64) {
+	c, last := p.cdf[:cap(p.cdf)], math.Exp(-lambda)
+	n, sum := 1, last
+	for c[0] = sum; n < len(c); n++ {
+		next := float64(last*lambda) / float64(n)
 		s := float64(sum + next)
 		if s == sum {
 			break
 		}
-		p.last, sum, c[n] = next, s, s
-		if u < s {
-			p.cdf = c[:n+1]
-			return n
-		}
+		last, sum, c[n] = next, s, s
 	}
-	p.cdf = c[:n]
-	return n
+	p.lambda, p.cdf = lambda, c[:n]
+	for b, k := 0, 0; b < guideLen; b++ {
+		for k < n && !(c[k] > float64(b)/guideLen) {
+			k++
+		}
+		p.guide[b] = uint8(k)
+	}
+}
+
+// search returns the least k with u < cdf[k] for u in [0, 1), or len(cdf)
+// past the converged sum: u ≥ b/guideLen at b = ⌊u·guideLen⌋, so k ≥ guide[b].
+func (p *Poisson) search(u float64) int {
+	k := int(p.guide[int(u*guideLen)])
+	for k < len(p.cdf) && !(u < p.cdf[k]) {
+		k++
+	}
+	return k
 }

@@ -101,10 +101,7 @@ func TestPoissonTableFitsBelow30(t *testing.T) {
 	src := seededPCG(5)
 	rng := rand.New(src)
 	c := newPoisson()
-	complete := func(lambda float64) {
-		c.Draw(src, rng, lambda)
-		c.extend(math.Inf(1)) // no entry exceeds u: grow until the sum stops
-	}
+	complete := func(lambda float64) { c.Draw(src, rng, lambda) }
 	longest := 0
 	for lambda := 0.01; lambda < 30; lambda += 0.01 {
 		complete(lambda)
@@ -119,4 +116,94 @@ func TestPoissonTableFitsBelow30(t *testing.T) {
 		t.Errorf("λ just below 30: table sums to %v", s)
 	}
 	t.Logf("longest table below λ = 30: %d entries", longest)
+}
+
+// linearPoisson is the linear-scan sampler the guide table replaced: the
+// table grows by the recurrence only as far as the largest draw, and every
+// scan starts at k = 0.
+type linearPoisson struct {
+	lambda, last float64
+	cdf          []float64
+}
+
+func (p *linearPoisson) draw(src *rand.PCG, lambda float64) int {
+	if lambda != p.lambda {
+		p.lambda, p.last = lambda, math.Exp(-lambda)
+		p.cdf = append(p.cdf[:0], p.last)
+	}
+	return p.search(float64(src.Uint64()>>11) * 0x1p-53)
+}
+
+func (p *linearPoisson) search(u float64) int {
+	for k, c := range p.cdf {
+		if u < c {
+			return k
+		}
+	}
+	n, sum := len(p.cdf), p.cdf[len(p.cdf)-1]
+	for ; n < PoissonTableLen; n++ {
+		next := float64(p.last*p.lambda) / float64(n)
+		s := float64(sum + next)
+		if s == sum {
+			break
+		}
+		p.last, sum = next, s
+		p.cdf = append(p.cdf, s)
+		if u < s {
+			return n
+		}
+	}
+	return n
+}
+
+// TestPoissonGuideMatchesLinearScan draws from the guide-table sampler and
+// the linear-scan reference on twin streams over a seeded λ grid in (0, 30),
+// λ just below 30 and tiny λ, each rate held for a block of draws, then
+// searches uniforms at and past each converged sum, where both return the
+// table's length.
+func TestPoissonGuideMatchesLinearScan(t *testing.T) {
+	grid := rand.New(seededPCG(11))
+	lambdas := []float64{math.Nextafter(30, 0), 1e-9, 1e-300}
+	for range 400 {
+		lambdas = append(lambdas, math.Nextafter(grid.Float64()*30, 30))
+	}
+	a, b := seededPCG(12), seededPCG(12)
+	guided, linear := newPoisson(), linearPoisson{}
+	past := 0 // uniforms searched at or past a converged sum below one
+	for _, lambda := range lambdas {
+		for i := 0; i < 500; i++ {
+			if got, want := guided.Draw(a, nil, lambda), linear.draw(b, lambda); got != want {
+				t.Fatalf("λ = %v draw %d: guide %d, linear %d", lambda, i, got, want)
+			}
+		}
+		linear.search(math.Inf(1)) // complete the reference table
+		if len(guided.cdf) != len(linear.cdf) {
+			t.Fatalf("λ = %v: table of %d entries, linear %d", lambda, len(guided.cdf), len(linear.cdf))
+		}
+		for k, c := range guided.cdf {
+			if c != linear.cdf[k] {
+				t.Fatalf("λ = %v: cdf[%d] = %v, linear %v", lambda, k, c, linear.cdf[k])
+			}
+			for _, u := range []float64{math.Nextafter(c, 0), c, math.Nextafter(c, 1)} {
+				if u < 1 && guided.search(u) != linear.search(u) {
+					t.Fatalf("λ = %v u = %v: guide %d, linear %d", lambda, u, guided.search(u), linear.search(u))
+				}
+			}
+		}
+		sum := guided.cdf[len(guided.cdf)-1]
+		for u := sum; u < 1; u = math.Nextafter(u, 1) {
+			past++
+			if got := guided.search(u); got != len(guided.cdf) || linear.search(u) != got {
+				t.Fatalf("λ = %v u = %v past the converged sum %v: guide %d, linear %d, want %d",
+					lambda, u, sum, got, linear.search(u), len(guided.cdf))
+			}
+		}
+	}
+	if *a != *b {
+		t.Error("streams diverged after the draws")
+	}
+	if past == 0 {
+		t.Error("no converged sum fell below one: nothing searched past it")
+	}
+	t.Logf("%d uniforms at or past a converged sum", past)
 }
