@@ -8,12 +8,11 @@
 // Usage:
 //
 //	edgeslice-daemon -role coordinator -listen :7000 -ras 2 -periods 10
-//	edgeslice-daemon -role agent -connect host:7000 -ra 0 [-agent agent.json] [-codec binary|json]
+//	edgeslice-daemon -role agent -connect host:7000 -ra 0 [-agent agent.json]
 //
-// -codec selects the agent's wire encoding. The default, the compact
-// length-prefixed binary codec, avoids per-frame JSON encode/decode
-// allocations; the coordinator auto-detects each connection's codec, so
-// JSON and binary agents mix freely in one run.
+// Agents speak the compact length-prefixed binary codec (rcnet.DialAgent).
+// The coordinator detects each connection's codec from its first byte, so
+// a JSON client (rcnet.DialAgentCodec) still joins a run.
 //
 // Both roles accept -metrics-addr to serve live telemetry (/metrics in
 // Prometheus text format, /healthz as JSON, and /debug/pprof) while the
@@ -41,9 +40,9 @@
 // per-interval records agents attach to their reports and records the same
 // History a local run produces — per-interval system/slice performance,
 // usage, violations, per-period SLA flags, and primal/dual residuals. (The
-// in-process engines are edgeslice-sim's -engine domain: here every RA is
-// its own process.) Both roles run the environment presets of
-// edgeslice.DefaultConfig, so -slices must equal the presets' slice count.
+// in-process engine is edgeslice-sim's: here every RA is its own process.)
+// Both roles run the environment presets of core.DefaultConfig, so -slices
+// must equal the presets' slice count.
 //
 // The -agent file is a full-fidelity checkpoint written by edgeslice-train
 // (format edgeslice-checkpoint-v2).
@@ -57,7 +56,12 @@ import (
 	"sync/atomic"
 	"time"
 
-	"edgeslice"
+	"edgeslice/internal/ckpt"
+	"edgeslice/internal/core"
+	"edgeslice/internal/netsim"
+	"edgeslice/internal/rcnet"
+	"edgeslice/internal/rl"
+	"edgeslice/internal/telemetry"
 )
 
 func main() {
@@ -99,8 +103,6 @@ func run() error {
 		streamWindow = flag.Int("stream-window", 0, "coordinator: bounded-memory streaming history with this ring window")
 		historyPath  = flag.String("history", "", "coordinator: write the run's on-disk history log to this file")
 
-		codec = flag.String("codec", "binary", "agent: wire codec, binary or json (the coordinator auto-detects per connection)")
-
 		heartbeat    = flag.Duration("heartbeat", 0, "agent: send liveness heartbeats at this interval; coordinator: reap conns silent for 4x this long")
 		retryPeriods = flag.Int("retry-periods", 0, "coordinator: extra collection attempts per period after a timeout, re-broadcast to missing RAs")
 		reconnect    = flag.Int("reconnect", 0, "agent: redial attempts after a lost connection (re-registers and resumes mid-run)")
@@ -126,11 +128,7 @@ func run() error {
 		if *resume || *retryPeriods != 0 {
 			return fmt.Errorf("-resume and -retry-periods apply to the coordinator role")
 		}
-		wire, err := edgeslice.ParseCodec(*codec)
-		if err != nil {
-			return err
-		}
-		return runAgentLoop(*connect, *ra, *slices, *agentFile, *train, *seed, *timeout, *metricsAddr, *heartbeat, *reconnect, wire)
+		return runAgentLoop(*connect, *ra, *slices, *agentFile, *train, *seed, *timeout, *metricsAddr, *heartbeat, *reconnect)
 	default:
 		return fmt.Errorf("-role must be coordinator or agent")
 	}
@@ -143,17 +141,17 @@ func run() error {
 // state, re-registering agents receive the replay as their resume frame,
 // and only the remaining periods run live.
 func runCoordinator(o coordOptions) error {
-	cfg := edgeslice.DefaultConfig()
+	cfg := core.DefaultConfig()
 	if o.slices != cfg.EnvTemplate.NumSlices {
 		return fmt.Errorf("daemon presets support %d slices, got %d", cfg.EnvTemplate.NumSlices, o.slices)
 	}
 	cfg.NumRAs = o.ras
-	sys, err := edgeslice.NewSystem(cfg) // shape + coordinator only; envs and agents live remotely
+	sys, err := core.NewSystem(cfg) // shape + coordinator only; envs and agents live remotely
 	if err != nil {
 		return err
 	}
-	rec := edgeslice.RecordOptions{StreamWindow: o.streamWindow}
-	var prefix *edgeslice.History
+	rec := core.RecordOptions{StreamWindow: o.streamWindow}
+	var prefix *core.History
 	var zs, ys [][][]float64
 	if o.resume {
 		if o.historyPath == "" {
@@ -162,7 +160,7 @@ func runCoordinator(o coordOptions) error {
 		if o.streamWindow != 0 {
 			return fmt.Errorf("-resume replays the exact on-disk log; it does not combine with -stream-window")
 		}
-		hlog, pre, err := edgeslice.OpenHistoryLogAppend(o.historyPath)
+		hlog, pre, err := core.OpenHistoryLogAppend(o.historyPath)
 		if err != nil {
 			return err
 		}
@@ -174,7 +172,7 @@ func runCoordinator(o coordOptions) error {
 		rec.Log = hlog
 		fmt.Printf("resuming from %s: %d completed period(s) replayed\n", o.historyPath, pre.Periods())
 	} else if o.historyPath != "" {
-		hlog, err := edgeslice.CreateHistoryLog(o.historyPath, o.slices, o.ras, cfg.EnvTemplate.T)
+		hlog, err := core.CreateHistoryLog(o.historyPath, o.slices, o.ras, cfg.EnvTemplate.T)
 		if err != nil {
 			return err
 		}
@@ -182,7 +180,7 @@ func runCoordinator(o coordOptions) error {
 		rec.Log = hlog
 	}
 	sys.SetRecording(rec)
-	hub, err := edgeslice.NewHub(o.listen, o.slices, o.ras)
+	hub, err := rcnet.NewHub(o.listen, o.slices, o.ras)
 	if err != nil {
 		return err
 	}
@@ -200,10 +198,10 @@ func runCoordinator(o coordOptions) error {
 	}
 	sys.SetLiveness(hub.Liveness)
 	if o.metricsAddr != "" {
-		reg := edgeslice.NewTelemetryRegistry()
+		reg := telemetry.NewRegistry()
 		sys.EnableTelemetry(reg)
 		hub.EnableTelemetry(reg)
-		srv, err := edgeslice.StartTelemetry(o.metricsAddr, reg, func() any {
+		srv, err := telemetry.StartServer(o.metricsAddr, reg, func() any {
 			return map[string]any{"system": sys.Health(), "hub": hub.Stats()}
 		})
 		if err != nil {
@@ -212,7 +210,7 @@ func runCoordinator(o coordOptions) error {
 		defer func() { _ = srv.Close() }()
 		fmt.Printf("telemetry on http://%s/metrics\n", srv.Addr())
 	}
-	exec := edgeslice.NewRemoteExecutorWithOptions(hub, edgeslice.RemoteOptions{
+	exec := core.NewRemoteExecutorWithOptions(hub, core.RemoteOptions{
 		Timeout: o.timeout, RetryPeriods: o.retryPeriods,
 	})
 	defer func() { _ = exec.Close() }()
@@ -245,8 +243,8 @@ func runCoordinator(o coordOptions) error {
 }
 
 // printRunReport prints the run's report and closes the executor.
-func printRunReport(h *edgeslice.History, exec edgeslice.Executor) error {
-	if err := edgeslice.WriteHistoryReport(os.Stdout, h); err != nil {
+func printRunReport(h *core.History, exec core.Executor) error {
+	if err := core.WriteReport(os.Stdout, h); err != nil {
 		return err
 	}
 	return exec.Close()
@@ -255,13 +253,13 @@ func printRunReport(h *edgeslice.History, exec edgeslice.Executor) error {
 // loadPolicy resolves the agent's policy for env's state and action widths:
 // a trained checkpoint from disk, or a freshly trained one. The policy
 // object is independent of any connection, so reconnect attempts reuse it.
-func loadPolicy(ra int, agentFile string, train int, seed int64, env *edgeslice.Env) (edgeslice.Agent, error) {
+func loadPolicy(ra int, agentFile string, train int, seed int64, env *netsim.RAEnv) (rl.Agent, error) {
 	if agentFile != "" {
 		f, err := os.Open(agentFile)
 		if err != nil {
 			return nil, fmt.Errorf("open agent file: %w", err)
 		}
-		policy, err := edgeslice.LoadAgent(f, env.StateDim(), env.ActionDim())
+		policy, err := core.LoadAgent(f, env.StateDim(), env.ActionDim())
 		cerr := f.Close()
 		if err != nil {
 			return nil, err
@@ -273,22 +271,30 @@ func loadPolicy(ra int, agentFile string, train int, seed int64, env *edgeslice.
 		return policy, nil
 	}
 	fmt.Printf("RA %d: training fresh agent (%d steps)...\n", ra, train)
-	cfg := edgeslice.DefaultConfig()
+	cfg := core.DefaultConfig()
 	cfg.NumRAs = 1
 	cfg.TrainSteps = train
 	cfg.Seed = seed + int64(ra)
-	sys, err := edgeslice.NewSystem(cfg)
+	sys, err := core.NewSystem(cfg)
 	if err != nil {
 		return nil, err
 	}
 	if err := sys.Train(); err != nil {
 		return nil, err
 	}
-	var buf bytes.Buffer
-	if err := edgeslice.SaveAgent(&buf, sys, 0); err != nil {
+	c, err := sys.AgentCheckpoint(0, ckpt.SnapshotOptions{})
+	if err != nil {
 		return nil, err
 	}
-	return edgeslice.LoadAgent(&buf, env.StateDim(), env.ActionDim())
+	var buf bytes.Buffer
+	if err := ckpt.Write(&buf, c); err != nil {
+		return nil, err
+	}
+	policy, err := core.LoadAgent(&buf, env.StateDim(), env.ActionDim())
+	if err != nil {
+		return nil, err
+	}
+	return policy, nil
 }
 
 // runAgentLoop runs the agent with up to reconnect redial attempts after a
@@ -298,7 +304,7 @@ func loadPolicy(ra int, agentFile string, train int, seed int64, env *edgeslice.
 // reused. The telemetry server outlives individual connections: its
 // counters read whichever client is current (and reset across
 // reconnections, the usual counter-restart semantics).
-func runAgentLoop(connect string, ra, slices int, agentFile string, train int, seed int64, timeout time.Duration, metricsAddr string, heartbeat time.Duration, reconnect int, codec edgeslice.Codec) error {
+func runAgentLoop(connect string, ra, slices int, agentFile string, train int, seed int64, timeout time.Duration, metricsAddr string, heartbeat time.Duration, reconnect int) error {
 	if reconnect < 0 {
 		return fmt.Errorf("-reconnect must be >= 0, got %d", reconnect)
 	}
@@ -310,10 +316,10 @@ func runAgentLoop(connect string, ra, slices int, agentFile string, train int, s
 	if err != nil {
 		return err
 	}
-	var cur atomic.Pointer[edgeslice.AgentClient]
+	var cur atomic.Pointer[rcnet.AgentClient]
 	if metricsAddr != "" {
-		reg := edgeslice.NewTelemetryRegistry()
-		stat := func(read func(edgeslice.AgentStats) uint64) func() uint64 {
+		reg := telemetry.NewRegistry()
+		stat := func(read func(rcnet.AgentStats) uint64) func() uint64 {
 			return func() uint64 {
 				if c := cur.Load(); c != nil {
 					return read(c.Stats())
@@ -323,14 +329,14 @@ func runAgentLoop(connect string, ra, slices int, agentFile string, train int, s
 		}
 		reg.CounterFunc("edgeslice_agent_reports_sent_total",
 			"perf reports sent to the hub",
-			stat(func(s edgeslice.AgentStats) uint64 { return s.ReportsSent }))
+			stat(func(s rcnet.AgentStats) uint64 { return s.ReportsSent }))
 		reg.CounterFunc("edgeslice_agent_coordinations_received_total",
 			"coordination messages received from the hub",
-			stat(func(s edgeslice.AgentStats) uint64 { return s.CoordsReceived }))
+			stat(func(s rcnet.AgentStats) uint64 { return s.CoordsReceived }))
 		reg.CounterFunc("edgeslice_agent_heartbeats_sent_total",
 			"heartbeat frames sent to the hub",
-			stat(func(s edgeslice.AgentStats) uint64 { return s.HeartbeatsSent }))
-		srv, err := edgeslice.StartTelemetry(metricsAddr, reg, func() any {
+			stat(func(s rcnet.AgentStats) uint64 { return s.HeartbeatsSent }))
+		srv, err := telemetry.StartServer(metricsAddr, reg, func() any {
 			payload := map[string]any{"ra": ra, "coordinator": connect}
 			if c := cur.Load(); c != nil {
 				payload["stats"] = c.Stats()
@@ -348,7 +354,7 @@ func runAgentLoop(connect string, ra, slices int, agentFile string, train int, s
 		if attempt > 0 {
 			fmt.Printf("RA %d: connection lost (%v), redialing (attempt %d/%d)\n", ra, lastErr, attempt, reconnect)
 		}
-		done, err := runAgentOnce(connect, ra, slices, policy, seed, timeout, heartbeat, codec, &cur)
+		done, err := runAgentOnce(connect, ra, slices, policy, seed, timeout, heartbeat, &cur)
 		if done {
 			if err != nil {
 				return err
@@ -364,14 +370,14 @@ func runAgentLoop(connect string, ra, slices int, agentFile string, train int, s
 }
 
 // agentEnv builds RA ra's environment from the daemon preset, reset.
-func agentEnv(ra, slices int, seed int64) (*edgeslice.Env, error) {
-	envCfg := edgeslice.DefaultEnvConfig()
+func agentEnv(ra, slices int, seed int64) (*netsim.RAEnv, error) {
+	envCfg := netsim.DefaultExperimentConfig()
 	if slices != envCfg.NumSlices {
 		return nil, fmt.Errorf("daemon presets support %d slices, got %d", envCfg.NumSlices, slices)
 	}
 	envCfg.TrainCoordRandom = false
 	envCfg.Seed = seed + int64(ra)*7919
-	env, err := edgeslice.NewEnv(envCfg)
+	env, err := netsim.New(envCfg)
 	if err != nil {
 		return nil, err
 	}
@@ -382,13 +388,13 @@ func agentEnv(ra, slices int, seed int64) (*edgeslice.Env, error) {
 // runAgentOnce is one connection's lifetime: fresh env, dial, register,
 // serve until shutdown (done=true) or a connection error (done=false,
 // worth redialing).
-func runAgentOnce(connect string, ra, slices int, policy edgeslice.Agent, seed int64, timeout time.Duration, heartbeat time.Duration, codec edgeslice.Codec, cur *atomic.Pointer[edgeslice.AgentClient]) (done bool, err error) {
+func runAgentOnce(connect string, ra, slices int, policy rl.Agent, seed int64, timeout time.Duration, heartbeat time.Duration, cur *atomic.Pointer[rcnet.AgentClient]) (done bool, err error) {
 	env, err := agentEnv(ra, slices, seed)
 	if err != nil {
 		return true, err
 	}
 
-	client, err := edgeslice.DialAgentCodec(connect, ra, timeout, codec)
+	client, err := rcnet.DialAgent(connect, ra, timeout)
 	if err != nil {
 		return false, err
 	}
@@ -399,7 +405,7 @@ func runAgentOnce(connect string, ra, slices int, policy edgeslice.Agent, seed i
 		defer stop()
 	}
 	fmt.Printf("RA %d: connected to %s\n", ra, connect)
-	if err := edgeslice.RunAgent(client, env, policy, timeout); err != nil {
+	if err := rcnet.RunAgent(client, env, policy, timeout); err != nil {
 		return false, err
 	}
 	return true, nil

@@ -18,7 +18,8 @@ import (
 	"fmt"
 	"os"
 
-	"edgeslice"
+	"edgeslice/internal/core"
+	"edgeslice/internal/experiments"
 )
 
 func main() {
@@ -42,37 +43,37 @@ func run() error {
 		return runReplay(*replay)
 	}
 
-	o := edgeslice.DefaultExperimentOptions()
+	o := experiments.DefaultOptions()
 	o.TrainSteps = *train
 	o.Periods = *periods
 	o.Seed = *seed
 
 	runs := map[string]func() error{
 		"fig6": func() error {
-			a, b, err := edgeslice.Fig6(o)
+			a, b, err := experiments.Fig6(o)
 			return printAll(err, a, b)
 		},
 		"fig7": func() error {
-			figs, err := edgeslice.Fig7(o)
+			figs, err := experiments.Fig7(o)
 			return printAll(err, figs...)
 		},
 		"fig8": func() error {
-			cdf, ratios, err := edgeslice.Fig8(o)
+			cdf, ratios, err := experiments.Fig8(o)
 			if err != nil {
 				return err
 			}
-			return printAll(nil, append([]*edgeslice.Figure{cdf}, ratios...)...)
+			return printAll(nil, append([]*experiments.Figure{cdf}, ratios...)...)
 		},
 		"fig9": func() error {
-			a, b, err := edgeslice.Fig9(o)
+			a, b, err := experiments.Fig9(o)
 			return printAll(err, a, b)
 		},
 		"fig10": func() error {
-			a, b, err := edgeslice.Fig10(o)
+			a, b, err := experiments.Fig10(o)
 			return printAll(err, a, b)
 		},
 		"fig11": func() error {
-			a, b, err := edgeslice.Fig11(o)
+			a, b, err := experiments.Fig11(o)
 			return printAll(err, a, b)
 		},
 	}
@@ -96,7 +97,7 @@ func run() error {
 // runReplay reconstructs a History from an append-only history log and
 // prints the same report a live exact-mode run does.
 func runReplay(path string) error {
-	h, truncated, err := edgeslice.ReplayHistoryLog(path)
+	h, truncated, err := core.ReplayHistoryLogFile(path)
 	if err != nil {
 		return fmt.Errorf("replay %s: %w", path, err)
 	}
@@ -105,15 +106,15 @@ func runReplay(path string) error {
 	}
 	fmt.Printf("%s: %d RAs, %d slices, %d periods x %d intervals\n",
 		path, h.NumRAs, h.NumSlices, h.Periods(), h.T)
-	return edgeslice.WriteHistoryReport(os.Stdout, h)
+	return core.WriteReport(os.Stdout, h)
 }
 
-func printAll(err error, figs ...*edgeslice.Figure) error {
+func printAll(err error, figs ...*experiments.Figure) error {
 	if err != nil {
 		return err
 	}
 	for _, f := range figs {
-		if err := edgeslice.WriteFigureTable(os.Stdout, f); err != nil {
+		if err := experiments.WriteTable(os.Stdout, f); err != nil {
 			return err
 		}
 		fmt.Println()

@@ -6,15 +6,13 @@
 // per-period performance, SLA status, and the steady-state summary:
 //
 //	edgeslice-sim [-algo edgeslice|edgeslice-nt|taro|equal] [-periods 10]
-//	              [-ras 2] [-train 12000] [-seed 1]
-//	              [-engine serial|batched] [-workers N]
+//	              [-ras 2] [-train 12000] [-seed 1] [-workers 1]
 //
-// Both modes accept -engine/-workers to choose the Algorithm-1 execution
-// engine: "serial" steps RAs one after another, and "batched" shares chunks
-// of 64 consecutive RAs among its workers, each chunk stepped through a
-// whole period with one forward pass per policy group per interval. Results
-// are bit-identical across engines and worker counts; only wall-clock
-// changes. The retired "parallel" spelling runs the batched engine.
+// Both modes run Algorithm 1 on the in-process batched engine
+// (core.NewBatchedExecutor): its -workers share chunks of 64 consecutive
+// RAs, each chunk stepped through a whole period with one forward pass per
+// policy group per interval. One worker (the default) is the serial engine.
+// Results are bit-identical for any worker count; only wall-clock changes.
 //
 // Scenario mode runs a declarative workload scenario — a built-in name or a
 // JSON spec file — through the parallel sharded replica runner and prints
@@ -55,7 +53,9 @@ import (
 	"strings"
 	"sync/atomic"
 
-	"edgeslice"
+	"edgeslice/internal/core"
+	"edgeslice/internal/scenario"
+	"edgeslice/internal/telemetry"
 )
 
 func main() {
@@ -73,8 +73,7 @@ func run() error {
 		train    = flag.Int("train", 12000, "agent training steps")
 		seed     = flag.Int64("seed", 1, "random seed")
 
-		engine  = flag.String("engine", "serial", "execution engine: serial or batched (bit-identical; batched steps 64-RA chunks through whole periods on its workers)")
-		workers = flag.Int("workers", 0, "batched step workers, at most one per 64-RA chunk (0 = one per RA in scenario mode, GOMAXPROCS in classic mode)")
+		workers = flag.Int("workers", 1, "step workers, at most one per 64-RA chunk; results are identical for any count (0 = one per RA in scenario mode, GOMAXPROCS in classic mode)")
 
 		scenarioName = flag.String("scenario", "", "run a named built-in scenario or a JSON spec file")
 		listScen     = flag.Bool("list-scenarios", false, "list built-in scenarios and exit")
@@ -93,12 +92,6 @@ func run() error {
 	if *listScen {
 		return listScenarios(os.Stdout)
 	}
-	switch *engine {
-	case "remote":
-		return fmt.Errorf("the remote engine runs under edgeslice-daemon (-role coordinator); -engine here accepts serial or batched")
-	case "parallel":
-		fmt.Fprintln(os.Stderr, "edgeslice-sim: the parallel engine is retired; -engine parallel runs the batched engine")
-	}
 	if *scenarioName != "" {
 		// Scenarios define their own topology, schedule, algorithms, and
 		// training budget; explicitly set classic-mode flags would be
@@ -112,7 +105,7 @@ func run() error {
 			return fmt.Errorf("-resume needs -history: the logs are what the replicas resume from")
 		}
 		return runScenario(*scenarioName, *replicas, *parallel, *seed, flagWasSet("seed"),
-			*warmStart || *ckptDir != "", *ckptDir, *engine, *workers,
+			*warmStart || *ckptDir != "", *ckptDir, *workers,
 			*metricsAddr, *streamWindow, *historyPath, *resume)
 	}
 	for _, name := range []string{"replicas", "parallel", "warm-start", "ckpt-dir", "resume"} {
@@ -120,7 +113,7 @@ func run() error {
 			return fmt.Errorf("-%s applies to scenario mode only; pass -scenario to use the replica runner", name)
 		}
 	}
-	return runClassic(*algoName, *periods, *ras, *train, *seed, *engine, *workers,
+	return runClassic(*algoName, *periods, *ras, *train, *seed, *workers,
 		*metricsAddr, *streamWindow, *historyPath)
 }
 
@@ -137,8 +130,8 @@ func flagWasSet(name string) bool {
 }
 
 func listScenarios(w *os.File) error {
-	for _, name := range edgeslice.ListScenarios() {
-		spec, err := edgeslice.GetScenario(name)
+	for _, name := range scenario.List() {
+		spec, err := scenario.Get(name)
 		if err != nil {
 			return err
 		}
@@ -148,21 +141,21 @@ func listScenarios(w *os.File) error {
 }
 
 // loadScenario resolves a built-in name or a JSON spec path.
-func loadScenario(nameOrFile string) (edgeslice.Scenario, error) {
+func loadScenario(nameOrFile string) (scenario.Spec, error) {
 	if !strings.HasSuffix(nameOrFile, ".json") {
-		return edgeslice.GetScenario(nameOrFile)
+		return scenario.Get(nameOrFile)
 	}
 	f, err := os.Open(nameOrFile)
 	if err != nil {
-		return edgeslice.Scenario{}, err
+		return scenario.Spec{}, err
 	}
-	// Read-only handle: decode errors surface from DecodeScenario; the
-	// close error is dropped deliberately.
+	// Read-only handle: decode errors surface from DecodeJSON; the close
+	// error is dropped deliberately.
 	defer func() { _ = f.Close() }()
-	return edgeslice.DecodeScenario(f)
+	return scenario.DecodeJSON(f)
 }
 
-func runScenario(nameOrFile string, replicas, parallel int, seed int64, seedSet, warmStart bool, ckptDir, engine string, workers int, metricsAddr string, streamWindow int, historyDir string, resume bool) error {
+func runScenario(nameOrFile string, replicas, parallel int, seed int64, seedSet, warmStart bool, ckptDir string, workers int, metricsAddr string, streamWindow int, historyDir string, resume bool) error {
 	spec, err := loadScenario(nameOrFile)
 	if err != nil {
 		return err
@@ -173,10 +166,9 @@ func runScenario(nameOrFile string, replicas, parallel int, seed int64, seedSet,
 	fmt.Printf("scenario %s: %d RA(s), %d slice(s), %d period(s) x %d interval(s), algorithms %v\n",
 		spec.Name, spec.NumRAs, len(spec.Slices), spec.Periods, spec.T, spec.Algorithms)
 	var replicasDone atomic.Uint64
-	opts := edgeslice.ScenarioOptions{
+	opts := scenario.Options{
 		Replicas:      replicas,
 		Parallel:      parallel,
-		Engine:        engine,
 		Workers:       workers,
 		WarmStart:     warmStart,
 		CheckpointDir: ckptDir,
@@ -190,13 +182,13 @@ func runScenario(nameOrFile string, replicas, parallel int, seed int64, seedSet,
 	}
 	if metricsAddr != "" {
 		totalRuns := uint64(len(spec.Algorithms) * replicas)
-		reg := edgeslice.NewTelemetryRegistry()
+		reg := telemetry.NewRegistry()
 		reg.CounterFunc("edgeslice_scenario_replicas_done_total",
 			"Scenario replica runs completed.", replicasDone.Load)
 		reg.GaugeFunc("edgeslice_scenario_replicas",
 			"Scenario replica runs scheduled (algorithms x replicas).",
 			func() float64 { return float64(totalRuns) })
-		srv, err := edgeslice.StartTelemetry(metricsAddr, reg, func() any {
+		srv, err := telemetry.StartServer(metricsAddr, reg, func() any {
 			return map[string]any{
 				"scenario":      spec.Name,
 				"algorithms":    spec.Algorithms,
@@ -210,7 +202,7 @@ func runScenario(nameOrFile string, replicas, parallel int, seed int64, seedSet,
 		defer func() { _ = srv.Close() }()
 		fmt.Fprintf(os.Stderr, "telemetry on http://%s/metrics\n", srv.Addr())
 	}
-	summary, err := edgeslice.RunScenario(spec, opts)
+	summary, err := scenario.Run(spec, opts)
 	if err != nil {
 		return err
 	}
@@ -218,32 +210,28 @@ func runScenario(nameOrFile string, replicas, parallel int, seed int64, seedSet,
 	if summary.Resumed > 0 {
 		fmt.Printf("resumed %d replica(s) from history logs\n", summary.Resumed)
 	}
-	return edgeslice.WriteScenarioSummary(os.Stdout, summary)
+	return scenario.WriteSummary(os.Stdout, summary)
 }
 
-func runClassic(algoName string, periods, ras, train int, seed int64, engine string, workers int, metricsAddr string, streamWindow int, historyPath string) error {
-	algo, err := edgeslice.ParseAlgorithm(algoName)
+func runClassic(algoName string, periods, ras, train int, seed int64, workers int, metricsAddr string, streamWindow int, historyPath string) error {
+	algo, err := core.ParseAlgorithm(algoName)
 	if err != nil {
 		return err
 	}
-	exec, err := edgeslice.NewExecutor(engine, workers)
-	if err != nil {
-		return err
-	}
-	defer func() { _ = exec.Close() }()
-	cfg := edgeslice.DefaultConfig()
+	exec := core.NewBatchedExecutor(workers)
+	cfg := core.DefaultConfig()
 	cfg.Algo = algo
 	cfg.NumRAs = ras
 	cfg.TrainSteps = train
 	cfg.Seed = seed
 
-	sys, err := edgeslice.NewSystem(cfg)
+	sys, err := core.NewSystem(cfg)
 	if err != nil {
 		return err
 	}
-	rec := edgeslice.RecordOptions{StreamWindow: streamWindow}
+	rec := core.RecordOptions{StreamWindow: streamWindow}
 	if historyPath != "" {
-		hlog, err := edgeslice.CreateHistoryLog(historyPath, cfg.EnvTemplate.NumSlices, ras, cfg.EnvTemplate.T)
+		hlog, err := core.CreateHistoryLog(historyPath, cfg.EnvTemplate.NumSlices, ras, cfg.EnvTemplate.T)
 		if err != nil {
 			return err
 		}
@@ -252,21 +240,17 @@ func runClassic(algoName string, periods, ras, train int, seed int64, engine str
 	}
 	sys.SetRecording(rec)
 	if metricsAddr != "" {
-		reg := edgeslice.NewTelemetryRegistry()
+		reg := telemetry.NewRegistry()
 		sys.EnableTelemetry(reg)
-		if pe, ok := exec.(interface {
-			EnableTelemetry(*edgeslice.TelemetryRegistry)
-		}); ok {
-			pe.EnableTelemetry(reg)
-		}
-		srv, err := edgeslice.StartTelemetry(metricsAddr, reg, func() any { return sys.Health() })
+		exec.EnableTelemetry(reg)
+		srv, err := telemetry.StartServer(metricsAddr, reg, func() any { return sys.Health() })
 		if err != nil {
 			return err
 		}
 		defer func() { _ = srv.Close() }()
 		fmt.Fprintf(os.Stderr, "telemetry on http://%s/metrics\n", srv.Addr())
 	}
-	if algo == edgeslice.AlgoEdgeSlice || algo == edgeslice.AlgoEdgeSliceNT {
+	if algo.IsLearning() {
 		fmt.Printf("training %s agents (%d steps)...\n", algo, train)
 	}
 	if err := sys.Train(); err != nil {
@@ -279,5 +263,5 @@ func runClassic(algoName string, periods, ras, train int, seed int64, engine str
 
 	fmt.Printf("\n%s: %d RAs, %d slices, %d periods x %d intervals\n",
 		algo, ras, cfg.EnvTemplate.NumSlices, periods, cfg.EnvTemplate.T)
-	return edgeslice.WriteHistoryReport(os.Stdout, h)
+	return core.WriteReport(os.Stdout, h)
 }

@@ -2,7 +2,7 @@
 // against the simulated network environment (Sec. VI-B) and saves it as a
 // full-fidelity checkpoint (format edgeslice-checkpoint-v2: actor,
 // critic(s), target networks, optimizer moments, RNG cursor) for later
-// deployment with edgeslice-daemon or the library's LoadAgent. Pass -replay
+// deployment with edgeslice-daemon (core.LoadAgent). Pass -replay
 // to also capture the replay buffer (a bigger file; deployment never reads
 // it).
 //
@@ -16,7 +16,8 @@ import (
 	"fmt"
 	"os"
 
-	"edgeslice"
+	"edgeslice/internal/ckpt"
+	"edgeslice/internal/core"
 )
 
 func main() {
@@ -42,15 +43,15 @@ func run() (err error) {
 		return fmt.Errorf("-out is required")
 	}
 
-	cfg := edgeslice.DefaultConfig()
+	cfg := core.DefaultConfig()
 	cfg.NumRAs = 1 // a single shared agent; deploy to any number of RAs
 	cfg.TrainSteps = *steps
 	cfg.Seed = *seed
 	if *nt {
-		cfg.Algo = edgeslice.AlgoEdgeSliceNT
+		cfg.Algo = core.AlgoEdgeSliceNT
 	}
 
-	sys, err := edgeslice.NewSystem(cfg)
+	sys, err := core.NewSystem(cfg)
 	if err != nil {
 		return err
 	}
@@ -68,8 +69,8 @@ func run() (err error) {
 			err = cerr
 		}
 	}()
-	opts := edgeslice.CheckpointOptions{IncludeReplay: *replay}
-	if err := edgeslice.SaveCheckpoint(f, sys, opts); err != nil {
+	opts := ckpt.SnapshotOptions{IncludeReplay: *replay}
+	if err := core.SaveCheckpoint(f, sys, opts); err != nil {
 		return err
 	}
 	fmt.Printf("saved checkpoint to %s\n", *out)

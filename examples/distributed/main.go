@@ -13,7 +13,10 @@ import (
 	"sync"
 	"time"
 
-	"edgeslice"
+	"edgeslice/internal/ckpt"
+	"edgeslice/internal/core"
+	"edgeslice/internal/netsim"
+	"edgeslice/internal/rcnet"
 )
 
 const timeout = 2 * time.Minute
@@ -35,10 +38,10 @@ func run() error {
 	// ship the checkpoint to every agent host — the train-once /
 	// evaluate-many workflow of Sec. V).
 	fmt.Println("training shared orchestration policy...")
-	trainCfg := edgeslice.DefaultConfig()
+	trainCfg := core.DefaultConfig()
 	trainCfg.NumRAs = 1
 	trainCfg.TrainSteps = 8000
-	trainSys, err := edgeslice.NewSystem(trainCfg)
+	trainSys, err := core.NewSystem(trainCfg)
 	if err != nil {
 		return err
 	}
@@ -49,17 +52,17 @@ func run() error {
 	// The coordinator's System supplies the run's shape and the ADMM
 	// performance coordinator; the environments of record live with the
 	// agents, so it needs no training.
-	cfg := edgeslice.DefaultConfig()
+	cfg := core.DefaultConfig()
 	cfg.NumRAs = numRAs
-	sys, err := edgeslice.NewSystem(cfg)
+	sys, err := core.NewSystem(cfg)
 	if err != nil {
 		return err
 	}
-	hub, err := edgeslice.NewHub("127.0.0.1:0", cfg.EnvTemplate.NumSlices, numRAs)
+	hub, err := rcnet.NewHub("127.0.0.1:0", cfg.EnvTemplate.NumSlices, numRAs)
 	if err != nil {
 		return err
 	}
-	exec := edgeslice.NewRemoteExecutor(hub, timeout) // Close shuts the hub down
+	exec := core.NewRemoteExecutor(hub, timeout) // Close shuts the hub down
 	defer func() { _ = exec.Close() }()
 	fmt.Printf("coordinator hub listening on %s\n", hub.Addr())
 
@@ -109,11 +112,11 @@ func run() error {
 // agentProcess is what each agent host runs: load the policy, build the
 // local environment, connect to the coordinator, serve periods until
 // shutdown.
-func agentProcess(addr string, ra int, trained *edgeslice.System) error {
-	envCfg := edgeslice.DefaultEnvConfig()
+func agentProcess(addr string, ra int, trained *core.System) error {
+	envCfg := netsim.DefaultExperimentConfig()
 	envCfg.TrainCoordRandom = false
 	envCfg.Seed = int64(ra+1) * 7919
-	env, err := edgeslice.NewEnv(envCfg)
+	env, err := netsim.New(envCfg)
 	if err != nil {
 		return err
 	}
@@ -122,18 +125,18 @@ func agentProcess(addr string, ra int, trained *edgeslice.System) error {
 	// Serialize/deserialize the trained policy as a full-fidelity
 	// checkpoint — the same bytes the edgeslice-train CLI writes to disk.
 	var buf bytes.Buffer
-	if err := edgeslice.SaveCheckpoint(&buf, trained, edgeslice.CheckpointOptions{}); err != nil {
+	if err := core.SaveCheckpoint(&buf, trained, ckpt.SnapshotOptions{}); err != nil {
 		return err
 	}
-	policy, err := edgeslice.LoadAgent(&buf, env.StateDim(), env.ActionDim())
+	policy, err := core.LoadAgent(&buf, env.StateDim(), env.ActionDim())
 	if err != nil {
 		return err
 	}
 
-	client, err := edgeslice.DialAgent(addr, ra, timeout)
+	client, err := rcnet.DialAgent(addr, ra, timeout)
 	if err != nil {
 		return err
 	}
 	defer func() { _ = client.Close() }()
-	return edgeslice.RunAgent(client, env, policy, timeout)
+	return rcnet.RunAgent(client, env, policy, timeout)
 }

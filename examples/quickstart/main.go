@@ -7,7 +7,8 @@ import (
 	"fmt"
 	"os"
 
-	"edgeslice"
+	"edgeslice/internal/core"
+	"edgeslice/internal/netsim"
 )
 
 func main() {
@@ -20,11 +21,11 @@ func main() {
 func run() error {
 	// 1. Configure the system. DefaultConfig is the paper's Sec. VII-C
 	//    experiment at CI training scale; everything is overridable.
-	cfg := edgeslice.DefaultConfig()
+	cfg := core.DefaultConfig()
 	cfg.TrainSteps = 6000 // keep the demo under ~10 s
 
 	// 2. Build and train.
-	sys, err := edgeslice.NewSystem(cfg)
+	sys, err := core.NewSystem(cfg)
 	if err != nil {
 		return err
 	}
@@ -52,7 +53,7 @@ func run() error {
 	}
 	fmt.Printf("SLA satisfaction: %.0f%%\n", sla*100)
 	for i := 0; i < history.NumSlices; i++ {
-		for k := 0; k < edgeslice.NumResources; k++ {
+		for k := 0; k < netsim.NumResources; k++ {
 			u, err := history.MeanUsage(i, k, 0)
 			if err != nil {
 				return err

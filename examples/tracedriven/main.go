@@ -9,7 +9,10 @@ import (
 	"fmt"
 	"os"
 
-	"edgeslice"
+	"edgeslice/internal/core"
+	"edgeslice/internal/mathutil"
+	"edgeslice/internal/netsim"
+	"edgeslice/internal/traffic"
 )
 
 func main() {
@@ -24,7 +27,7 @@ func run() error {
 
 	// Synthesize the diurnal trace and persist it (the CSV round-trips via
 	// the traffic loader, so a real export can be dropped in instead).
-	trace, err := edgeslice.SynthesizeTrace(42, numRAs)
+	trace, err := traffic.SynthesizeTrentoLike(mathutil.NewRNG(42), numRAs)
 	if err != nil {
 		return err
 	}
@@ -40,8 +43,8 @@ func run() error {
 	}
 	fmt.Printf("synthesized %d-area diurnal trace -> %s\n", trace.NumAreas(), f.Name())
 
-	for _, algo := range []edgeslice.Algorithm{edgeslice.AlgoEdgeSlice, edgeslice.AlgoTARO} {
-		cfg := edgeslice.DefaultConfig()
+	for _, algo := range []core.Algorithm{core.AlgoEdgeSlice, core.AlgoTARO} {
+		cfg := core.DefaultConfig()
 		cfg.Algo = algo
 		cfg.NumRAs = numRAs
 		cfg.TrainSteps = 8000
@@ -51,7 +54,7 @@ func run() error {
 		// mean 10 the diurnal peak (~1.8x) exceeds the provisioned
 		// capacity, so the peak hours are genuinely congested — the regime
 		// where queue-aware orchestration pays off most.
-		perRA := make([]*edgeslice.EnvConfig, numRAs)
+		perRA := make([]*netsim.Config, numRAs)
 		for j := 0; j < numRAs; j++ {
 			envCfg := cfg.EnvTemplate
 			src0, err := trace.AreaProfile(j, 10)
@@ -62,12 +65,12 @@ func run() error {
 			if err != nil {
 				return err
 			}
-			envCfg.Sources = []edgeslice.TrafficSource{src0, src1}
+			envCfg.Sources = []traffic.Source{src0, src1}
 			perRA[j] = &envCfg
 		}
 		cfg.EnvPerRA = perRA
 
-		sys, err := edgeslice.NewSystem(cfg)
+		sys, err := core.NewSystem(cfg)
 		if err != nil {
 			return err
 		}

@@ -10,7 +10,8 @@ import (
 	"fmt"
 	"os"
 
-	"edgeslice"
+	"edgeslice/internal/core"
+	"edgeslice/internal/netsim"
 )
 
 func main() {
@@ -21,17 +22,17 @@ func main() {
 }
 
 func run() error {
-	for _, algo := range []edgeslice.Algorithm{edgeslice.AlgoEdgeSlice, edgeslice.AlgoTARO} {
-		cfg := edgeslice.DefaultConfig()
+	for _, algo := range []core.Algorithm{core.AlgoEdgeSlice, core.AlgoTARO} {
+		cfg := core.DefaultConfig()
 		cfg.Algo = algo
 		cfg.TrainSteps = 8000
 		// Make the two applications explicit (these are also the defaults).
-		cfg.EnvTemplate.Apps = []edgeslice.AppProfile{
+		cfg.EnvTemplate.Apps = []netsim.AppProfile{
 			{Name: "hd-frames-small-model", FrameResolution: 500, ModelSize: 320},
 			{Name: "sd-frames-large-model", FrameResolution: 100, ModelSize: 608},
 		}
 
-		sys, err := edgeslice.NewSystem(cfg)
+		sys, err := core.NewSystem(cfg)
 		if err != nil {
 			return err
 		}
@@ -52,7 +53,7 @@ func run() error {
 		names := []string{"radio", "transport", "computing"}
 		for i := 0; i < h.NumSlices; i++ {
 			fmt.Printf("slice %d (%s):", i+1, cfg.EnvTemplate.Apps[i].Name)
-			for k := 0; k < edgeslice.NumResources; k++ {
+			for k := 0; k < netsim.NumResources; k++ {
 				u, err := h.MeanUsage(i, k, h.Intervals()/2)
 				if err != nil {
 					return err

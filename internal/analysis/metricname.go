@@ -66,7 +66,7 @@ func runMetricName(p *Pass) {
 }
 
 // isRegistry matches *Registry / Registry receivers by type name, so the
-// check covers both internal/telemetry.Registry and the façade re-export
+// check covers internal/telemetry.Registry, and the fixture's mirror of it,
 // without importing either.
 func isRegistry(t types.Type) bool {
 	if t == nil {

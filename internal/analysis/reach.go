@@ -17,15 +17,14 @@ import (
 // The walk is whole-program over every package the Loader has loaded, so a
 // run over a package subset still sees every caller. Roots are the main of
 // each package main, every init func and every package-level var
-// initializer; the root façade package is not a root, so a façade export
-// that no binary or example uses does not keep its internals alive. From
-// the roots the walk follows types.Info.Uses (instantiated generic methods
-// mapped back through Origin) into each reached declaration. A method is
-// reached when a reached declaration names it, or when its type is reached
-// and the method implements an interface the program can call it through:
-// an interface type of the loaded code, an exported interface of a
-// standard package it imports, or error. Every method of a reached generic
-// type counts as reached.
+// initializer, so an exported function that no binary or example calls
+// keeps nothing alive. From the roots the walk follows types.Info.Uses
+// (instantiated generic methods mapped back through Origin) into each
+// reached declaration. A method is reached when a reached declaration
+// names it, or when its type is reached and the method implements an
+// interface the program can call it through: an interface type of the
+// loaded code, an exported interface of a standard package it imports, or
+// error. Every method of a reached generic type counts as reached.
 //
 // Packages named *test (analysistest, rltest) are test support by Go
 // convention and are not reported.

@@ -1,6 +1,5 @@
 // Package a exercises the metricname analyzer against a local Registry
-// mirror of internal/telemetry's API (matched by type name, so the façade
-// re-export is covered too).
+// mirror of internal/telemetry's API (the analyzer matches by type name).
 package a
 
 import "fmt"

@@ -28,11 +28,12 @@ type Executor interface {
 	Close() error
 }
 
-// Engine spellings accepted by NewExecutor and the -engine CLI flags.
+// Engine names that Executor.Name reports and NewExecutor accepts.
 // EngineParallel names the retired per-RA worker-pool engine; NewExecutor
 // resolves it to the batched engine.
 const (
-	EngineSerial   = "serial"
+	EngineSerial = "serial"
+	//edgeslice:reach bench/ imports it until ROADMAP 3's bench half
 	EngineParallel = "parallel"
 	EngineBatched  = "batched"
 	EngineRemote   = "remote"
@@ -41,7 +42,10 @@ const (
 // NewExecutor resolves an in-process engine spelling: "serial" (or empty)
 // or "batched" (workers ≤ 0 defaults to GOMAXPROCS); "parallel" resolves to
 // the batched engine. The remote engine wraps a live hub: construct it with
-// NewRemoteExecutor.
+// NewRemoteExecutor. The commands build NewBatchedExecutor directly: one
+// worker is the serial engine.
+//
+//edgeslice:reach bench/ imports it until ROADMAP 3's bench half
 func NewExecutor(engine string, workers int) (Executor, error) {
 	switch engine {
 	case "", EngineSerial:

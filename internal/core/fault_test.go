@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"edgeslice/internal/baseline"
 	"edgeslice/internal/netsim"
 	"edgeslice/internal/rcnet"
 	"edgeslice/internal/rl"
@@ -28,17 +27,6 @@ func remoteAgentEnv(t *testing.T, cfg Config, j int) *netsim.RAEnv {
 		t.Fatal(err)
 	}
 	return env
-}
-
-// taroFor returns the deterministic queue-proportional policy over env.
-func taroFor(env *netsim.RAEnv) rl.Agent {
-	return rl.AgentFunc(func([]float64) []float64 {
-		a, err := baseline.TARO(env.QueueLens(), netsim.NumResources)
-		if err != nil {
-			panic(err)
-		}
-		return a
-	})
 }
 
 // stepAgentPeriod runs one coordination period through env exactly like
@@ -71,8 +59,12 @@ func stepAgentPeriod(env *netsim.RAEnv, pol rl.Agent, z, y []float64) (perf []fl
 }
 
 // startRemoteAgent dials the hub as RA j with a fresh deterministic env and
-// runs rcnet.RunAgent in a goroutine. The returned channel carries the
-// loop's exit error; the returned client lets the test kill the agent.
+// runs rcnet.RunAgent with deployedPolicy in a goroutine: the policy acts on
+// the (Z, Y) in its State(), so an agent handed the wrong coordination —
+// live or in its resume frame — moves the History. Callers compare against
+// deployedSystem over an AlgoEdgeSlice config, which runs the same policy.
+// The returned channel carries the loop's exit error; the returned client
+// lets the test kill the agent.
 func startRemoteAgent(t *testing.T, hub *rcnet.Hub, cfg Config, j int) (*rcnet.AgentClient, chan error) {
 	t.Helper()
 	env := remoteAgentEnv(t, cfg, j)
@@ -83,7 +75,7 @@ func startRemoteAgent(t *testing.T, hub *rcnet.Hub, cfg Config, j int) (*rcnet.A
 	done := make(chan error, 1)
 	go func() {
 		defer client.Close()
-		done <- rcnet.RunAgent(client, env, taroFor(env), 5*time.Second)
+		done <- rcnet.RunAgent(client, env, deployedPolicy(env), 5*time.Second)
 	}()
 	return client, done
 }
@@ -214,11 +206,14 @@ func TestRemoteSurvivesAgentKillAndRestart(t *testing.T) {
 // runner's calling pattern) and kills + restarts one RA between every
 // period, so each incarnation replays a longer prefix from its resume
 // frame. The stitched History must still match the serial run bit for bit.
+// The victim is RA 1 because its period-1 Z−Y lies inside the range the
+// env observes (its neighbours' are clamped), so a resume frame carrying
+// another RA's columns moves what deployedPolicy does.
 func TestRemoteKillEveryPeriod(t *testing.T) {
-	cfg := execTestConfig(AlgoTARO)
+	cfg := execTestConfig(AlgoEdgeSlice)
 	const (
 		periods = 3
-		victim  = 2
+		victim  = 1
 	)
 	ref := deployedSystem(t, cfg)
 	hRef, err := ref.RunPeriods(periods)
@@ -284,7 +279,7 @@ func TestRemoteKillEveryPeriod(t *testing.T) {
 // to the reference run's, and a coordinator that never applied the failed
 // period's update.
 func TestRemotePartialHistoryOnDroppedAgent(t *testing.T) {
-	cfg := execTestConfig(AlgoTARO)
+	cfg := execTestConfig(AlgoEdgeSlice)
 	const served = 2
 	ref := deployedSystem(t, cfg)
 	hRef := referenceRun(t, ref, served)
@@ -301,7 +296,7 @@ func TestRemotePartialHistoryOnDroppedAgent(t *testing.T) {
 	dropped := make(chan error, 1)
 	go func() {
 		defer c0.Close()
-		pol := taroFor(env0)
+		pol := deployedPolicy(env0)
 		for p := 0; p < served; p++ {
 			m, err := c0.Recv(5 * time.Second)
 			period, z, y := m.Period, m.Z, m.Y
@@ -364,7 +359,7 @@ func TestRemotePartialHistoryOnDroppedAgent(t *testing.T) {
 // log and continues bit-identically. The continued log must also replay as
 // one seamless run.
 func TestCoordinatorResumeFromLog(t *testing.T) {
-	cfg := execTestConfig(AlgoTARO)
+	cfg := execTestConfig(AlgoEdgeSlice)
 	const (
 		totalPeriods = 5
 		firstRun     = 3

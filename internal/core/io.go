@@ -14,11 +14,11 @@ import (
 	_ "edgeslice/internal/rl/onpolicy"
 )
 
-// LoadAgent deploys a single-agent v2 checkpoint (edgeslice-train, the
-// façade's SaveAgent) into an environment of the given state and action
-// widths, refusing an agent of any other shape: it decodes and builds the
-// acting network alone (see ckpt.Deploy). The returned policy is safe for
-// concurrent Act and ActBatch calls.
+// LoadAgent deploys a single-agent v2 checkpoint (edgeslice-train, or
+// System.AgentCheckpoint through ckpt.Write) into an environment of the
+// given state and action widths, refusing an agent of any other shape: it
+// decodes and builds the acting network alone (see ckpt.Deploy). The
+// returned policy is safe for concurrent Act and ActBatch calls.
 func LoadAgent(r io.Reader, stateDim, actionDim int) (*rl.DeployedPolicy, error) {
 	c, err := ckpt.Read(r)
 	if err != nil {

@@ -69,7 +69,7 @@ func TestRunPeriodsIntoMatchesWholeRun(t *testing.T) {
 // and the log bytes equal one uninterrupted serial RunPeriodsWith call's.
 func TestRemoteRunPeriodsIntoMatchesWholeRun(t *testing.T) {
 	const periods = 4
-	cfg := execTestConfig(AlgoTARO)
+	cfg := execTestConfig(AlgoEdgeSlice)
 	I, J, T := cfg.EnvTemplate.NumSlices, cfg.NumRAs, cfg.EnvTemplate.T
 	logged := func(s *System) *bytes.Buffer {
 		var buf bytes.Buffer

@@ -194,6 +194,9 @@ func TestEnvDimensions(t *testing.T) {
 	if e.StateDim() != 4 { // 2 queues + 2 coordination
 		t.Errorf("StateDim = %d, want 4", e.StateDim())
 	}
+	if n := len(e.Reset()); n != e.StateDim() {
+		t.Errorf("Reset state has %d entries, want StateDim %d", n, e.StateDim())
+	}
 	if e.ActionDim() != 6 { // 2 slices x 3 resources
 		t.Errorf("ActionDim = %d, want 6", e.ActionDim())
 	}

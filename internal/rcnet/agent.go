@@ -28,18 +28,18 @@ type AgentClient struct {
 }
 
 // DialAgent connects to the hub and registers as the given RA using the
-// JSON wire codec — the compatibility default. The timeout bounds the
-// whole handshake: both the TCP dial and the register-frame write (a hub
-// with a wedged accept queue can otherwise absorb the connection but never
-// drain the socket, blocking the write forever).
+// binary wire codec. The timeout bounds the whole handshake: both the TCP
+// dial and the register-frame write (a hub with a wedged accept queue can
+// otherwise absorb the connection but never drain the socket, blocking the
+// write forever).
 func DialAgent(addr string, ra int, timeout time.Duration) (*AgentClient, error) {
-	return DialAgentCodec(addr, ra, timeout, CodecJSON)
+	return DialAgentCodec(addr, ra, timeout, CodecBinary)
 }
 
 // DialAgentCodec is DialAgent with an explicit wire codec. The codec of
 // the register frame is the negotiation: the hub detects it and answers
-// the connection in kind, so no extra round trip is spent, and hubs predating
-// the binary codec keep working with JSON clients.
+// the connection in kind, so no extra round trip is spent, and JSON and
+// binary agents mix in one run.
 func DialAgentCodec(addr string, ra int, timeout time.Duration, codec Codec) (*AgentClient, error) {
 	if ra < 0 {
 		return nil, fmt.Errorf("rcnet: negative RA id %d", ra)

@@ -113,32 +113,19 @@ type IntervalRecord struct {
 // Codec selects the wire encoding of a connection.
 type Codec uint8
 
-// Wire codecs. JSON is the historical newline-delimited encoding and the
-// compatibility default; Binary is the length-prefixed packed encoding.
+// Wire codecs. JSON is the historical newline-delimited encoding; Binary
+// is the length-prefixed packed encoding that DialAgent speaks.
 const (
 	CodecJSON Codec = iota
 	CodecBinary
 )
 
-// String returns the CLI spelling of the codec.
+// String returns the codec's name.
 func (c Codec) String() string {
 	if c == CodecBinary {
 		return "binary"
 	}
 	return "json"
-}
-
-// ParseCodec resolves a CLI spelling ("json", "binary", or "" for the
-// default JSON).
-func ParseCodec(s string) (Codec, error) {
-	switch s {
-	case "", "json":
-		return CodecJSON, nil
-	case "binary":
-		return CodecBinary, nil
-	default:
-		return CodecJSON, fmt.Errorf("rcnet: unknown codec %q (want json or binary)", s)
-	}
 }
 
 // maxLineBytes bounds a single protocol frame (either codec) to keep a

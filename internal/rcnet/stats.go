@@ -139,25 +139,3 @@ func (c *AgentClient) Stats() AgentStats {
 		FramesOut:      snapshotFrames(&c.wire.framesOut),
 	}
 }
-
-// EnableTelemetry exports the client's counters through a telemetry
-// registry (the agent daemon's /metrics surface).
-func (c *AgentClient) EnableTelemetry(reg *telemetry.Registry) {
-	reg.CounterFunc("edgeslice_agent_reports_sent_total",
-		"perf reports sent to the hub", c.stats.reportsSent.Load)
-	reg.CounterFunc("edgeslice_agent_coordinations_received_total",
-		"coordination messages received from the hub", c.stats.coordsReceived.Load)
-	reg.CounterFunc("edgeslice_agent_heartbeats_sent_total",
-		"heartbeat frames sent to the hub", c.stats.heartbeatsSent.Load)
-	reg.CounterFunc("edgeslice_agent_wire_bytes_in_total",
-		"wire bytes read from the hub", c.wire.bytesIn.Load)
-	reg.CounterFunc("edgeslice_agent_wire_bytes_out_total",
-		"wire bytes written to the hub", c.wire.bytesOut.Load)
-	reg.GaugeFunc("edgeslice_agent_codec_binary",
-		"1 when the connection negotiated the binary wire codec", func() float64 {
-			if c.codec == CodecBinary {
-				return 1
-			}
-			return 0
-		})
-}

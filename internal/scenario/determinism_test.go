@@ -1,13 +1,9 @@
 package scenario
 
 import (
-	"fmt"
 	"reflect"
-	"strings"
 	"sync/atomic"
 	"testing"
-
-	"edgeslice/internal/core"
 )
 
 // shrunk returns a CI-scale copy of a built-in scenario: fewer periods and
@@ -35,10 +31,9 @@ func shrunk(t *testing.T, name string) Spec {
 }
 
 // TestEngineDeterminismAcrossWorkers is the scenario half of the
-// determinism suite: for built-in scenarios, a replica's full History under
-// the batched engine (workers ∈ {1, 4, NumRAs}) must be
-// bit-identical to the serial engine's, and the aggregated summaries must
-// match too.
+// determinism suite: for built-in scenarios, a replica's full History at
+// workers ∈ {4, NumRAs} must be bit-identical to the serial engine's (one
+// worker), and the aggregated summaries must match too.
 func TestEngineDeterminismAcrossWorkers(t *testing.T) {
 	for _, name := range []string{"flash-crowd", "heterogeneous-mix"} {
 		name := name
@@ -47,34 +42,31 @@ func TestEngineDeterminismAcrossWorkers(t *testing.T) {
 			algo := spec.Algorithms[0]
 			var trainings atomic.Int64
 
-			_, hSerial, err := runReplica(spec, algo, 0, nil, &trainings, Options{Engine: core.EngineSerial})
+			_, hSerial, err := runReplica(spec, algo, 0, nil, &trainings, Options{Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, workers := range []int{1, 4, spec.NumRAs} {
-				_, hGot, err := runReplica(spec, algo, 0, nil, &trainings,
-					Options{Engine: core.EngineBatched, Workers: workers})
+			for _, workers := range []int{4, spec.NumRAs} {
+				_, hGot, err := runReplica(spec, algo, 0, nil, &trainings, Options{Workers: workers})
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !reflect.DeepEqual(hSerial, hGot) {
-					t.Errorf("%s: history under batched(workers=%d) differs from serial", name, workers)
+					t.Errorf("%s: history at workers=%d differs from serial", name, workers)
 				}
 			}
 
-			serialSum, err := Run(spec, Options{Replicas: 2, Parallel: 2, Engine: core.EngineSerial})
+			serialSum, err := Run(spec, Options{Replicas: 2, Parallel: 2, Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, workers := range []int{1, 4, spec.NumRAs} {
-				gotSum, err := Run(spec, Options{
-					Replicas: 2, Parallel: 2, Engine: core.EngineBatched, Workers: workers,
-				})
+			for _, workers := range []int{4, spec.NumRAs} {
+				gotSum, err := Run(spec, Options{Replicas: 2, Parallel: 2, Workers: workers})
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !reflect.DeepEqual(serialSum, gotSum) {
-					t.Errorf("%s: summary under batched(workers=%d) differs from serial:\n serial %+v\n batched %+v",
+					t.Errorf("%s: summary at workers=%d differs from serial:\n serial  %+v\n batched %+v",
 						name, workers, serialSum, gotSum)
 				}
 			}
@@ -94,26 +86,15 @@ func TestEngineDeterminismLearning(t *testing.T) {
 	spec.Algorithms = []string{"edgeslice"}
 	spec.TrainSteps = 600
 
-	serial, err := Run(spec, Options{Replicas: 2, Parallel: 2, Engine: core.EngineSerial, WarmStart: true})
+	serial, err := Run(spec, Options{Replicas: 2, Parallel: 2, Workers: 1, WarmStart: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Run(spec, Options{
-		Replicas: 2, Parallel: 2, Engine: core.EngineBatched, Workers: spec.NumRAs, WarmStart: true,
-	})
+	got, err := Run(spec, Options{Replicas: 2, Parallel: 2, Workers: spec.NumRAs, WarmStart: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(serial, got) {
-		t.Errorf("learning summary differs across engines:\n serial %+v\n batched %+v", serial, got)
-	}
-}
-
-func TestRunRejectsUnknownEngine(t *testing.T) {
-	spec := shrunk(t, "flash-crowd")
-	if _, err := Run(spec, Options{Engine: "warp"}); err == nil {
-		t.Error("unknown engine should fail")
-	} else if want := fmt.Sprintf("unknown engine %q", "warp"); !strings.Contains(err.Error(), want) {
-		t.Errorf("error %q does not mention %q", err, want)
+		t.Errorf("learning summary differs across worker counts:\n serial  %+v\n batched %+v", serial, got)
 	}
 }

@@ -38,15 +38,11 @@ type Options struct {
 	// config, seed, train steps), so repeated scenario invocations skip
 	// training entirely.
 	CheckpointDir string
-	// Engine selects the execution engine each replica's periods run
-	// under: "serial" (default) or "batched" (64-RA chunks stepped through
-	// whole periods, shared among workers). Engines are bit-identical: the
-	// summary is the same for any engine and worker count.
-	Engine string
-	// Workers bounds the batched engine's step workers (default: the
-	// scenario's RA count; never more than one per 64-RA chunk). It composes
-	// with Parallel — replicas fan out across the replica pool, RAs fan out
-	// inside each replica.
+	// Workers bounds each replica's step workers on the batched engine
+	// (default: the scenario's RA count; never more than one per 64-RA
+	// chunk; one worker is the serial engine). The summary is the same for
+	// any worker count. It composes with Parallel — replicas fan out across
+	// the replica pool, RAs fan out inside each replica.
 	Workers int
 	// Progress, when set, is called after each replica completes.
 	Progress func(completed, total int)
@@ -142,13 +138,6 @@ func Run(spec Spec, opts Options) (*Summary, error) {
 		return nil, err
 	}
 	opts = opts.normalized()
-	// Fail fast on a bad engine spelling: warm-start otherwise trains every
-	// learning algorithm before the first replica notices the typo.
-	if probe, err := core.NewExecutor(opts.Engine, 1); err != nil {
-		return nil, err
-	} else if err := probe.Close(); err != nil {
-		return nil, err
-	}
 
 	var trainings, resumed atomic.Int64
 	warm, err := warmCheckpoints(spec, opts, &trainings)
@@ -399,23 +388,19 @@ func finalActiveSlices(spec Spec) int {
 
 // runReplica executes one (algorithm, replica) run: it compiles the spec,
 // trains if needed (or installs the warm-start deployment), then advances
-// period by period under the configured execution engine, applying runtime
+// period by period on the batched engine at Options.Workers, applying runtime
 // events (RA degradation/recovery, slice admission/teardown through the
 // slice manager) at the boundary of the period containing each event's
 // interval. Every period records into the replica's one History (exact or
 // streaming), and the replica's history log receives the same records
 // through the system's recording options. The History is returned alongside
-// the summary result (the determinism suite compares it across engines).
+// the summary result (the determinism suite compares it across worker counts).
 func runReplica(spec Spec, algoName string, replica int, warm *core.Deployment, trainings *atomic.Int64, opts Options) (ReplicaResult, *core.History, error) {
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = spec.NumRAs
 	}
-	exec, err := core.NewExecutor(opts.Engine, workers)
-	if err != nil {
-		return ReplicaResult{}, nil, err
-	}
-	defer func() { _ = exec.Close() }()
+	exec := core.NewBatchedExecutor(workers)
 	algo, err := core.ParseAlgorithm(algoName)
 	if err != nil {
 		return ReplicaResult{}, nil, err
