@@ -45,7 +45,7 @@
 // must equal the presets' slice count.
 //
 // The -agent file is a full-fidelity checkpoint written by edgeslice-train
-// (format edgeslice-checkpoint-v2).
+// (format edgeslice-checkpoint-v3).
 package main
 
 import (

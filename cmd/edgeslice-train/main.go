@@ -1,7 +1,7 @@
 // Command edgeslice-train trains an EdgeSlice orchestration agent offline
 // against the simulated network environment (Sec. VI-B) and saves it as a
-// full-fidelity checkpoint (format edgeslice-checkpoint-v2: actor,
-// critic(s), target networks, optimizer moments, RNG cursor) for later
+// full-fidelity checkpoint (format edgeslice-checkpoint-v3: actor,
+// critic(s), target networks, optimizer moments, generator state) for later
 // deployment with edgeslice-daemon (core.LoadAgent). Pass -replay
 // to also capture the replay buffer (a bigger file; deployment never reads
 // it).

@@ -35,6 +35,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
+	defer func() { _ = os.Remove(f.Name()) }() // the file only demonstrates the format: leave nothing behind
 	if err := trace.WriteCSV(f); err != nil {
 		return err
 	}

@@ -6,10 +6,11 @@ import (
 
 // WallTime forbids wall-clock reads and the global (implicitly seeded)
 // math/rand source in simulation and recording packages: every replayable
-// quantity must flow from an explicit seed (mathutil.CountingSource and
-// friends), or a re-run cannot reproduce the recorded History. Seeded
-// constructors — rand.New(rand.NewSource(seed)) — are fine; the package-
-// level convenience functions and time.Now/Since/Until are not.
+// quantity must flow from an explicit seed (a rand.PCG seeded through
+// mathutil.SeedPCG, whose state a checkpoint can hold), or a re-run cannot
+// reproduce the recorded History. Seeded constructors —
+// rand.New(rand.NewPCG(hi, lo)) — are fine; the package-level convenience
+// functions and time.Now/Since/Until are not.
 // Deliberate wall-clock reads (e.g. exposition-only uptime) carry
 // //edgeslice:wallclock <reason>.
 var WallTime = &Analyzer{
@@ -50,7 +51,7 @@ func runWallTime(p *Pass) {
 		case "math/rand", "math/rand/v2":
 			if !randConstructors[fn.Name()] {
 				p.Reportf(id.Pos(),
-					"global %s.%s draws from an unseeded stream: route randomness through a seeded *rand.Rand (replayable via mathutil.CountingSource) or justify with //edgeslice:wallclock <reason>",
+					"global %s.%s draws from an unseeded stream: route randomness through a seeded *rand.Rand (a rand.PCG seeded by mathutil.SeedPCG) or justify with //edgeslice:wallclock <reason>",
 					fn.Pkg().Path(), fn.Name())
 			}
 		}

@@ -1,13 +1,14 @@
 // Package ckpt implements the versioned, full-fidelity checkpoint format
 // for trained orchestration agents: for every agent the actor, critic(s),
-// target networks, optimizer moments, and the RNG cursor (plus, behind a
-// flag, the replay buffer), so that a restored agent acts bitwise
-// identically to the original and can resume training exactly where the
-// snapshot left off. A content-addressed on-disk store keys checkpoints by
-// (algorithm, hashed compiled system config, seed, train steps) so a
-// trained policy is computed once and reused everywhere (the paper trains
-// its D-DRL agents once and deploys them across resource autonomies,
-// Sec. V).
+// target networks, optimizer moments, and the state of its random
+// generator (plus, behind a flag, the replay buffer), so that a restored
+// agent acts bitwise identically to the original and can resume training
+// exactly where the snapshot left off. The generator is a PCG, so its state
+// is 20 bytes at any training length and restoring it is O(1). A
+// content-addressed on-disk store keys checkpoints by (algorithm, hashed
+// compiled system config, seed, train steps, format version) so a trained
+// policy is computed once and reused everywhere (the paper trains its D-DRL
+// agents once and deploys them across resource autonomies, Sec. V).
 //
 // Decoding keeps each network and optimizer role as raw JSON: RestoreAgent
 // decodes them all into a trainer, Deploy only the acting network.
@@ -29,9 +30,13 @@ import (
 	"edgeslice/internal/rl"
 )
 
-// FormatV2 identifies the full-fidelity checkpoint this package reads and
-// writes; Validate rejects any other format by name.
-const FormatV2 = "edgeslice-checkpoint-v2"
+// Format identifies the full-fidelity checkpoint this package reads and
+// writes; Validate rejects any other format by name. Version 3 stores each
+// agent's generator state where version 2 stored a (seed, draws) cursor.
+const Format = "edgeslice-checkpoint-" + formatVersion
+
+// formatVersion ends Format and every store key (see Key).
+const formatVersion = "v3"
 
 // SnapshotOptions configures what an agent snapshot captures.
 type SnapshotOptions struct {
@@ -40,13 +45,6 @@ type SnapshotOptions struct {
 	// default because replay dominates checkpoint size and deployment
 	// (Act) needs none of it.
 	IncludeReplay bool
-}
-
-// RNGState is a replayable RNG cursor: the seed the stream started from and
-// the number of values drawn since. See mathutil.ReplayRNG.
-type RNGState struct {
-	Seed  int64  `json:"seed"`
-	Calls uint64 `json:"calls"`
 }
 
 // AgentState is the full serialized state of one trained agent. The five
@@ -70,7 +68,9 @@ type AgentState struct {
 	Nets map[string]json.RawMessage `json:"nets"`
 	Opts map[string]json.RawMessage `json:"opts,omitempty"`
 
-	RNG RNGState `json:"rng"`
+	// RNG is the trainer's generator state, as rand.PCG's MarshalBinary
+	// writes it.
+	RNG []byte `json:"rng"`
 
 	// NoiseStd is the current exploration-noise standard deviation for
 	// algorithms with a decaying noise schedule (ddpg).
@@ -78,9 +78,6 @@ type AgentState struct {
 	// LogStd holds the Gaussian policy's log standard deviations for the
 	// on-policy algorithms (ppo, trpo, vpg).
 	LogStd []float64 `json:"log_std,omitempty"`
-	// Updates is the gradient-update counter (ddpg restores it so a resumed
-	// agent reports the same count).
-	Updates int `json:"updates,omitempty"`
 
 	Replay *ReplayState `json:"replay,omitempty"`
 }
@@ -208,8 +205,8 @@ type Checkpoint struct {
 
 // Validate checks structural integrity.
 func (c *Checkpoint) Validate() error {
-	if c.Format != FormatV2 {
-		return fmt.Errorf("ckpt: format %q, want %q", c.Format, FormatV2)
+	if c.Format != Format {
+		return fmt.Errorf("ckpt: format %q, want %q", c.Format, Format)
 	}
 	if len(c.Agents) == 0 {
 		return fmt.Errorf("ckpt: checkpoint has no agents")
@@ -255,7 +252,11 @@ func Read(r io.Reader) (*Checkpoint, error) {
 func Decode(data []byte) (*Checkpoint, error) {
 	var c Checkpoint
 	if err := json.Unmarshal(data, &c); err != nil {
-		return nil, fmt.Errorf("ckpt: decode: %w", err)
+		// A field of the wrong type leaves the others decoded, so a file of
+		// another format (v2's RNG was an object) is named by Validate.
+		if c.Format == "" || c.Format == Format {
+			return nil, fmt.Errorf("ckpt: decode: %w", err)
+		}
 	}
 	if err := c.Validate(); err != nil {
 		return nil, err

@@ -38,7 +38,7 @@ type trainable interface {
 }
 
 // algorithms builds one briefly-trained agent per training technique, so
-// snapshots carry warm optimizer moments, advanced RNG cursors, and (for
+// snapshots carry warm optimizer moments, advanced generators, and (for
 // the off-policy two) non-empty replay buffers.
 func algorithms(t *testing.T) map[string]trainable {
 	t.Helper()
@@ -82,7 +82,7 @@ func TestRoundTripBitwiseActions(t *testing.T) {
 				t.Fatal(err)
 			}
 			c := &ckpt.Checkpoint{
-				Format:    ckpt.FormatV2,
+				Format:    ckpt.Format,
 				Algorithm: "EdgeSlice",
 				Agents:    []*ckpt.AgentState{st},
 			}
@@ -173,9 +173,46 @@ func TestReadRejectsV1AndGarbage(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "edgeslice-actor-v1") {
 		t.Fatalf("v1 stream: err = %v, want a format error naming edgeslice-actor-v1", err)
 	}
-	for _, bad := range []string{"", "not json", `{"format":"bogus"}`, `{"format":"edgeslice-checkpoint-v2","agents":[]}`} {
+	for _, bad := range []string{"", "not json", `{"format":"bogus"}`, `{"format":"` + ckpt.Format + `","agents":[]}`} {
 		if _, err := ckpt.Read(strings.NewReader(bad)); err == nil {
 			t.Errorf("Read(%q) should fail", bad)
+		}
+	}
+}
+
+// A v2 checkpoint held its RNG as a (seed, draws) cursor, which no trainer
+// can restore any more: Read refuses it by its format name, before any
+// restore sees the cursor.
+func TestReadRejectsV2(t *testing.T) {
+	v2 := `{"format":"edgeslice-checkpoint-v2","algorithm":"EdgeSlice","shared":true,"agents":[` +
+		`{"algo":"ddpg","state_dim":3,"action_dim":2,"config":{},"nets":{},"rng":{"seed":1,"calls":826501},"updates":11500}]}`
+	_, err := ckpt.Read(strings.NewReader(v2))
+	if err == nil || !strings.Contains(err.Error(), "edgeslice-checkpoint-v2") {
+		t.Fatalf("v2 checkpoint: err = %v, want a format error naming edgeslice-checkpoint-v2", err)
+	}
+}
+
+// A snapshot stores the generator's state, not a count of its draws, so
+// its RNG field does not grow with training: a DDPG and a PPO agent store
+// fields of one length after n steps and after 10·n.
+func TestSnapshotRNGLengthFixed(t *testing.T) {
+	agents := algorithms(t)
+	for _, tech := range []string{offpolicy.DDPG, onpolicy.PPO} {
+		a := agents[tech]
+		env := rltest.NewTargetEnv(mathutil.NewRNG(3), stateDim, actionDim, 20)
+		var lens []int
+		for _, steps := range []int{64, 9 * 64} { // n, then 10·n in all
+			if err := a.Train(env, steps); err != nil {
+				t.Fatal(err)
+			}
+			st, err := a.Snapshot(ckpt.SnapshotOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			lens = append(lens, len(st.RNG))
+		}
+		if lens[0] == 0 || lens[0] != lens[1] {
+			t.Errorf("%s: RNG field is %d bytes after 64 steps and %d after 640, want one non-zero length", tech, lens[0], lens[1])
 		}
 	}
 }
@@ -195,7 +232,7 @@ func TestStoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := &ckpt.Checkpoint{Format: ckpt.FormatV2, Algorithm: "EdgeSlice", Agents: []*ckpt.AgentState{st}}
+	c := &ckpt.Checkpoint{Format: ckpt.Format, Algorithm: "EdgeSlice", Agents: []*ckpt.AgentState{st}}
 
 	key := ckpt.Key("edgeslice", "abcdef0123456789deadbeef", 1, 600)
 	if _, err := store.Load(key); err == nil {
@@ -236,7 +273,7 @@ func TestKeySanitizesHostileNames(t *testing.T) {
 func writeRead(t *testing.T, st *ckpt.AgentState) ([]byte, *ckpt.AgentState) {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := ckpt.Write(&buf, &ckpt.Checkpoint{Format: ckpt.FormatV2, Algorithm: "EdgeSlice", Agents: []*ckpt.AgentState{st}}); err != nil {
+	if err := ckpt.Write(&buf, &ckpt.Checkpoint{Format: ckpt.Format, Algorithm: "EdgeSlice", Agents: []*ckpt.AgentState{st}}); err != nil {
 		t.Fatal(err)
 	}
 	data := append([]byte(nil), buf.Bytes()...)

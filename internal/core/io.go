@@ -9,12 +9,12 @@ import (
 
 	// Register the on-policy training algorithms' checkpoint restore and
 	// deploy functions (system.go's offpolicy import registers DDPG's and
-	// SAC's) so any v2 checkpoint loads here, whichever algorithm produced
+	// SAC's) so any checkpoint loads here, whichever algorithm produced
 	// it.
 	_ "edgeslice/internal/rl/onpolicy"
 )
 
-// LoadAgent deploys a single-agent v2 checkpoint (edgeslice-train, or
+// LoadAgent deploys a single-agent checkpoint (edgeslice-train, or
 // System.AgentCheckpoint through ckpt.Write) into an environment of the
 // given state and action widths, refusing an agent of any other shape: it
 // decodes and builds the acting network alone (see ckpt.Deploy). The
@@ -35,7 +35,7 @@ func LoadAgent(r io.Reader, stateDim, actionDim int) (*rl.DeployedPolicy, error)
 	return ckpt.Deploy(st)
 }
 
-// SaveCheckpoint writes the system's trained agents as a full-fidelity v2
+// SaveCheckpoint writes the system's trained agents as a full-fidelity
 // checkpoint.
 func SaveCheckpoint(w io.Writer, sys *System, opts ckpt.SnapshotOptions) error {
 	c, err := sys.Snapshot(opts)

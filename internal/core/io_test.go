@@ -66,7 +66,7 @@ func loadedPolicy(t *testing.T) *rl.DeployedPolicy {
 	}
 	var buf bytes.Buffer
 	err = ckpt.Write(&buf, &ckpt.Checkpoint{
-		Format:    ckpt.FormatV2,
+		Format:    ckpt.Format,
 		Algorithm: AlgoEdgeSlice.String(),
 		Agents:    []*ckpt.AgentState{st},
 	})
@@ -150,7 +150,7 @@ func TestLoadAgentRefusesOtherShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	c := &ckpt.Checkpoint{Format: ckpt.FormatV2, Algorithm: AlgoEdgeSliceNT.String(), Agents: []*ckpt.AgentState{st}}
+	c := &ckpt.Checkpoint{Format: ckpt.Format, Algorithm: AlgoEdgeSliceNT.String(), Agents: []*ckpt.AgentState{st}}
 	if err := ckpt.Write(&buf, c); err != nil {
 		t.Fatal(err)
 	}
@@ -166,8 +166,8 @@ func TestLoadAgentRefusesOtherShape(t *testing.T) {
 func TestLoadAgentReportsUnknownFormat(t *testing.T) {
 	for _, format := range []string{"edgeslice-actor-v1", "edgeslice-actor-v9"} {
 		_, err := LoadAgent(strings.NewReader(`{"format":"`+format+`","actor":{"layers":[]}}`), 4, 2)
-		if err == nil || !strings.Contains(err.Error(), format) || !strings.Contains(err.Error(), ckpt.FormatV2) {
-			t.Fatalf("err = %v, want a format error naming %s and %s", err, format, ckpt.FormatV2)
+		if err == nil || !strings.Contains(err.Error(), format) || !strings.Contains(err.Error(), ckpt.Format) {
+			t.Fatalf("err = %v, want a format error naming %s and %s", err, format, ckpt.Format)
 		}
 	}
 }

@@ -9,8 +9,9 @@ import (
 // WriteReport writes a run's report: for an exact History the per-period
 // table (per-slice performance summed over RAs, SLA flags, residuals), for a
 // streaming one a heading; then, if any intervals ran, the summary of
-// steady-state performance, its StreamQuantiles, SLA satisfaction,
-// violation rate and last residuals.
+// steady-state performance, its StreamQuantiles, SLA satisfaction, the
+// capacity violation rate (the share of intervals whose raw action broke
+// constraint (3)) and last residuals.
 func WriteReport(w io.Writer, h *History) error {
 	var b strings.Builder
 	if h.Streaming() {
@@ -70,7 +71,7 @@ func writeSummary(b *strings.Builder, h *History) error {
 		return err
 	}
 	primal, dual := h.LastResiduals()
-	fmt.Fprintf(b, "SLA satisfaction: %.0f%%\nSLA violation rate: %.3f\nfinal residuals: primal=%.2f dual=%.2f\n",
+	fmt.Fprintf(b, "SLA satisfaction: %.0f%%\ncapacity violation rate: %.3f\nfinal residuals: primal=%.2f dual=%.2f\n",
 		sla*100, viol, primal, dual)
 	return nil
 }

@@ -7,8 +7,8 @@ import (
 	"edgeslice/internal/rl"
 )
 
-// Snapshot captures the system's trained agents as a full-fidelity v2
-// checkpoint — networks, optimizer moments, RNG cursor and, with
+// Snapshot captures the system's trained agents as a full-fidelity
+// checkpoint — networks, optimizer moments, generator state and, with
 // opts.IncludeReplay, the replay buffer — so a restored system acts and
 // resumes training bitwise identically. Baselines have nothing to snapshot.
 func (s *System) Snapshot(opts ckpt.SnapshotOptions) (*ckpt.Checkpoint, error) {
@@ -23,7 +23,7 @@ func (s *System) Snapshot(opts ckpt.SnapshotOptions) (*ckpt.Checkpoint, error) {
 		return nil, err
 	}
 	c := &ckpt.Checkpoint{
-		Format:     ckpt.FormatV2,
+		Format:     ckpt.Format,
 		Algorithm:  s.cfg.Algo.String(),
 		ConfigHash: hash,
 		Seed:       s.cfg.Seed,
@@ -63,7 +63,7 @@ func (s *System) AgentCheckpoint(ra int, opts ckpt.SnapshotOptions) (*ckpt.Check
 		return nil, err
 	}
 	return &ckpt.Checkpoint{
-		Format:     ckpt.FormatV2,
+		Format:     ckpt.Format,
 		Algorithm:  s.cfg.Algo.String(),
 		Shared:     false,
 		Agents:     []*ckpt.AgentState{st},
@@ -118,7 +118,7 @@ func (s *System) Deploy(d *Deployment) error {
 }
 
 // checkCheckpoint is what Deploy requires of a checkpoint: a
-// valid v2 file for this system's algorithm, holding one agent or one per
+// valid file for this system's algorithm, holding one agent or one per
 // RA, each sized for its RA's environment.
 func (s *System) checkCheckpoint(c *ckpt.Checkpoint) error {
 	if err := c.Validate(); err != nil {

@@ -119,7 +119,7 @@ func TestRestoreRejectsMismatches(t *testing.T) {
 		t.Fatal("bad format should fail")
 	}
 	err = sys.checkCheckpoint(&ckpt.Checkpoint{
-		Format:    ckpt.FormatV2,
+		Format:    ckpt.Format,
 		Algorithm: AlgoEdgeSliceNT.String(),
 		Agents:    []*ckpt.AgentState{{Algo: "ddpg", StateDim: 1, ActionDim: 1}},
 	})
@@ -127,7 +127,7 @@ func TestRestoreRejectsMismatches(t *testing.T) {
 		t.Fatal("algorithm mismatch should fail")
 	}
 	err = sys.checkCheckpoint(&ckpt.Checkpoint{
-		Format:    ckpt.FormatV2,
+		Format:    ckpt.Format,
 		Algorithm: AlgoEdgeSlice.String(),
 		Agents:    []*ckpt.AgentState{{Algo: "ddpg", StateDim: 1, ActionDim: 1}},
 	})
@@ -148,7 +148,7 @@ func TestDeployKeepsRestoreChecks(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkpoint := func(algo Algorithm, agents int) *ckpt.Checkpoint {
-		c := &ckpt.Checkpoint{Format: ckpt.FormatV2, Algorithm: algo.String()}
+		c := &ckpt.Checkpoint{Format: ckpt.Format, Algorithm: algo.String()}
 		for j := 0; j < agents; j++ {
 			dcfg := cfg.DDPG
 			dcfg.Seed = int64(j + 1)

@@ -5,8 +5,6 @@ import (
 	"math"
 )
 
-func mathSqrt(x float64) float64 { return math.Sqrt(x) }
-
 // Activation identifies an element-wise activation function. The zero value
 // is invalid; enums start at one per the style guide.
 type Activation int

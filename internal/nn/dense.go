@@ -1,9 +1,6 @@
 package nn
 
-import (
-	"fmt"
-	"math/rand"
-)
+import "fmt"
 
 // Dense is a fully connected layer computing y = act(x·Wᵀ + b). Weights are
 // stored as (out×in) so each output neuron's weights are a contiguous row.
@@ -29,7 +26,7 @@ type Dense struct {
 }
 
 // NewDense returns a Dense layer with Xavier-initialized weights.
-func NewDense(rng *rand.Rand, in, out int, act Activation) *Dense {
+func NewDense(rng Uniform, in, out int, act Activation) *Dense {
 	if in <= 0 || out <= 0 {
 		panic(fmt.Sprintf("nn: invalid dense shape in=%d out=%d", in, out))
 	}

@@ -11,7 +11,7 @@ package nn
 
 import (
 	"fmt"
-	"math/rand"
+	"math"
 )
 
 // Matrix is a dense row-major matrix.
@@ -96,25 +96,26 @@ func ensureMat(m **Matrix, rows, cols int) *Matrix {
 	return *m
 }
 
+// Uniform is the one draw weight initialisation makes: a uniform value in
+// [0, 1). The *Rand of math/rand and of math/rand/v2 both provide it.
+type Uniform interface{ Float64() float64 }
+
 // RandomizeXavier fills the matrix with Xavier/Glorot-uniform values for a
 // layer with fanIn inputs and fanOut outputs.
-func (m *Matrix) RandomizeXavier(rng *rand.Rand, fanIn, fanOut int) {
+func (m *Matrix) RandomizeXavier(rng Uniform, fanIn, fanOut int) {
 	limit := xavierLimit(fanIn, fanOut)
 	for i := range m.Data {
 		m.Data[i] = (rng.Float64()*2 - 1) * limit
 	}
 }
 
+// xavierLimit is Glorot and Bengio's (2010) bound √(6/(fanIn+fanOut)), or 0
+// with no fan.
 func xavierLimit(fanIn, fanOut int) float64 {
-	denom := float64(fanIn + fanOut)
-	if denom <= 0 {
+	if fanIn+fanOut <= 0 {
 		return 0
 	}
-	// sqrt(6/(fanIn+fanOut)) — Glorot & Bengio (2010).
-	x := 6 / denom
-	// Newton's method would be overkill; use math.Sqrt via a tiny helper to
-	// keep the import set obvious.
-	return sqrt(x)
+	return math.Sqrt(6 / float64(fanIn+fanOut))
 }
 
 // MatMulNTInto computes C = A * Bᵀ into the preallocated (a.Rows×b.Rows)
@@ -477,11 +478,4 @@ func matMulTNAcc(c, a, b *Matrix) {
 			}
 		}
 	}
-}
-
-func sqrt(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	return mathSqrt(x)
 }

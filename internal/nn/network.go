@@ -3,7 +3,6 @@ package nn
 import (
 	"encoding/json"
 	"fmt"
-	"math/rand"
 )
 
 // Network is a multilayer perceptron: a sequence of Dense layers.
@@ -21,7 +20,7 @@ type LayerSpec struct {
 }
 
 // NewMLP builds a network with the given input width and layer specs.
-func NewMLP(rng *rand.Rand, in int, specs ...LayerSpec) *Network {
+func NewMLP(rng Uniform, in int, specs ...LayerSpec) *Network {
 	if len(specs) == 0 {
 		panic("nn: NewMLP needs at least one layer")
 	}

@@ -8,6 +8,24 @@
 // package onpolicy.
 package rl
 
+import (
+	"math/rand/v2"
+
+	"edgeslice/internal/mathutil"
+)
+
+// TrainerPCG is a trainer's generator, seeded from its config seed. netsim
+// seeds RA j's environment from Seed + j·7919 through the same
+// mathutil.SeedPCG, so the seed is salted first: at equal seeds a trainer
+// does not draw RA 0's stream.
+func TrainerPCG(seed int64) (p rand.PCG) {
+	mathutil.SeedPCG(&p, seed^trainerSalt)
+	return p
+}
+
+// trainerSalt is "trainer" in ASCII.
+const trainerSalt = 0x747261696e6572
+
 // Env is a continuous-action reinforcement-learning environment with the
 // standard observe/act/reward interaction of Sec. IV-B.
 type Env interface {

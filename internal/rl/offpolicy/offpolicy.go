@@ -11,10 +11,9 @@ package offpolicy
 import (
 	"fmt"
 	"math"
-	"math/rand"
+	"math/rand/v2"
 	"slices"
 
-	"edgeslice/internal/mathutil"
 	"edgeslice/internal/nn"
 	"edgeslice/internal/rl"
 )
@@ -93,8 +92,8 @@ type Agent struct {
 	*rl.DeployedPolicy // Act and ActBatch: DDPG's µ(s), SAC's squashed mean
 
 	cfg Config
-	rng *rand.Rand
-	src *mathutil.CountingSource // rng's backing source; checkpointed as a cursor
+	pcg rand.PCG   // the agent's one generator; its state is the checkpoint's
+	rng *rand.Rand // draws from pcg
 
 	// The actor outputs DDPG's µ(s) through a sigmoid, or SAC's
 	// [mean..., log-std...] with identity heads.
@@ -104,7 +103,6 @@ type Agent struct {
 
 	replay   *replayBuffer
 	noiseStd float64 // DDPG's current exploration noise; 0 for SAC
-	updates  int     // DDPG's gradient updates; SAC's checkpoints never held a count
 
 	stateDim, actionDim int
 
@@ -126,7 +124,8 @@ func New(stateDim, actionDim int, cfg Config) (*Agent, error) {
 	if err := cfg.check(stateDim, actionDim); err != nil {
 		return nil, err
 	}
-	rng, src := mathutil.NewCountingRNG(cfg.Seed)
+	pcg := rl.TrainerPCG(cfg.Seed)
+	rng := rand.New(&pcg)
 	hidden := nn.LayerSpec{Out: cfg.Hidden, Act: nn.ActLeakyReLU}
 	a, err := build(cfg, stateDim, actionDim, func(role string, in int, head nn.LayerSpec) (*nn.Network, error) {
 		n := nn.NewMLP(rng, in, hidden, hidden, head)
@@ -144,18 +143,19 @@ func New(stateDim, actionDim int, cfg Config) (*Agent, error) {
 	if err != nil {
 		return nil, err
 	}
-	a.rng, a.src, a.replay = rng, src, newReplayBuffer(cfg.ReplayCapacity)
+	a.pcg, a.replay = pcg, newReplayBuffer(cfg.ReplayCapacity)
 	return a, nil
 }
 
-// build assembles an agent of cfg.Technique with fresh optimizers and
-// cfg's noise. net makes or decodes each online network, actor
-// first, then each critic, from its role, input width and output layer;
-// target copies or decodes each target network from its role and online
-// network.
+// build assembles an agent of cfg.Technique with fresh optimizers, cfg's
+// noise and an unseeded generator. net makes or decodes each online
+// network, actor first, then each critic, from its role, input width and
+// output layer; target copies or decodes each target network from its role
+// and online network.
 func build(cfg Config, stateDim, actionDim int, net func(role string, in int, head nn.LayerSpec) (*nn.Network, error),
 	target func(role string, online *nn.Network) (*nn.Network, error)) (*Agent, error) {
 	a := &Agent{cfg: cfg, stateDim: stateDim, actionDim: actionDim, actorOpt: nn.NewAdam(cfg.ActorLR), noiseStd: cfg.NoiseStd}
+	a.rng = rand.New(&a.pcg)
 	head := nn.LayerSpec{Out: actionDim, Act: nn.ActSigmoid}
 	if cfg.Technique == SAC {
 		head = nn.LayerSpec{Out: 2 * actionDim, Act: nn.ActIdentity}
@@ -360,7 +360,6 @@ func (a *Agent) Update() error {
 	// ---- Soft target updates (Fig. 3). ----
 	if a.actorTarget != nil {
 		a.actorTarget.SoftUpdate(a.actor, a.cfg.Tau)
-		a.updates++
 	}
 	for _, cr := range a.critics {
 		cr.target.SoftUpdate(cr.q, a.cfg.Tau)

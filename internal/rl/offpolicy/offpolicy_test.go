@@ -2,6 +2,7 @@ package offpolicy
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"edgeslice/internal/rl"
@@ -71,11 +72,11 @@ func TestUpdateNoopBeforeWarmup(t *testing.T) {
 			t.Fatal(err)
 		}
 		a.Observe(rl.Transition{State: []float64{0, 0}, Action: []float64{0.5}, NextState: []float64{0, 0}})
-		calls := a.src.Calls()
+		pcg, actor := a.pcg, a.actor.FlattenParams()
 		if err := a.Update(); err != nil {
 			t.Fatal(err)
 		}
-		if a.updates != 0 || a.src.Calls() != calls {
+		if a.pcg != pcg || !slices.Equal(a.actor.FlattenParams(), actor) {
 			t.Errorf("%s: update should be a no-op before warmup", tech)
 		}
 	}

@@ -18,28 +18,29 @@ import (
 // Each technique's training state after 300 small-config steps is pinned
 // byte for byte across commits: the sha256 of the full snapshot JSON,
 // config and replay included, which covers every network and target, the
-// Adam moments, DDPG's noise schedule and update count, the RNG cursor and
-// the replay ring (its capacity of 200 wraps mid-run). It trains on the
-// 5×3 target task and on Fig. 10(b)'s training environment, at two seeds.
-// The digests were computed when DDPG and SAC were separate packages, so
-// network init (actor, then each critic), the exploration, the critic
-// targets, the actor gradients and the order of their RNG draws must stay
-// as they were, and each technique's config must encode as its own Config
-// did. amd64 only and not under -race, as TestCheckpointDigestPinned.
+// Adam moments, DDPG's noise schedule, the generator state and the replay
+// ring (its capacity of 200 wraps mid-run). It trains on the 5×3 target
+// task and on Fig. 10(b)'s training environment, at two seeds. The digests
+// were computed when DDPG and SAC were separate packages and re-derived
+// once when the trainer stream moved to a PCG whose state the checkpoint
+// holds, so network init (actor, then each critic), the exploration, the
+// critic targets, the actor gradients and the order of their draws must
+// stay as they are, and each technique's config must encode as its own
+// Config did. amd64 only and not under -race, as TestCheckpointDigestPinned.
 func TestOffPolicyDigestPinned(t *testing.T) {
 	for _, tc := range []struct {
 		tech, env string
 		seed      int64
 		want      string
 	}{
-		{DDPG, "target", 1, "22b340cff60cf6327135299be1f80b53918399b7e20ba7a463d480298bcdf4ae"},
-		{DDPG, "target", 2, "c1d45bc871f166ec59eea52322b8e5023fcfa3a89ad605fad6da5fdb18981d98"},
-		{DDPG, "netsim", 1, "ed5ce3ee9c44a78994ba21f4bdc061c4d5aa82d19336c319633c35f476ad5a56"},
-		{DDPG, "netsim", 2, "48bdf6bc177b0f0797c53794ff8c2f8d9574208a8be2c6ed685ebc7a19ff34ba"},
-		{SAC, "target", 1, "b17a44adda432005136960795f8dba54a6dd33d0e5eb1502dbb3ad5df522b7de"},
-		{SAC, "target", 2, "85b8c7bfa6fb5ce6c974b5140f3e5304f271126a80534bdbe4034b8d96629664"},
-		{SAC, "netsim", 1, "674e166663bb8bf7bd5ea858653289ee4840f2fa46cd86dc032a771e66d47ab1"},
-		{SAC, "netsim", 2, "d1cb86b0f7183a35b7058e86941db88af20bb51ae6f9964bda5b2ee5811d446c"},
+		{DDPG, "target", 1, "b542db50330ccded2b744850dd7f1d978f1b38d8a3f6453c4872905fd4b1a7ab"},
+		{DDPG, "target", 2, "a26308005583d3dfaa52e933f78c748436565bbb796aeae1a48587b32892d640"},
+		{DDPG, "netsim", 1, "f4ccc89d9fc21a6a26abcfb8374f451e8132b031e43522b1eeadd0403b9e2d68"},
+		{DDPG, "netsim", 2, "42eedbb52184e5dadb8f7062bb1084f74a6d32f9ce8dafb3cfa2b94260ee7022"},
+		{SAC, "target", 1, "5c16366473a5ec951f1509e70a978f2d39a7ad077d935b41e7c59aefa497d375"},
+		{SAC, "target", 2, "0703467575809dd857eac3e7173792fe438cbf106507500cac0211a7f0debbf7"},
+		{SAC, "netsim", 1, "27b061a8855da2b4693c15d2afaed4499ece4d4886a47710c29bb133bb8f4002"},
+		{SAC, "netsim", 2, "7a2326bd71fb50fe241d6811856330ba6ab9bd652fc3aa455fb164f335c9c63e"},
 	} {
 		var env rl.Env = rltest.NewTargetEnv(mathutil.NewRNG(tc.seed), 5, 3, 20)
 		if tc.env == "netsim" {

@@ -2,7 +2,7 @@ package offpolicy
 
 import (
 	"fmt"
-	"math/rand"
+	"math/rand/v2"
 
 	"edgeslice/internal/ckpt"
 	"edgeslice/internal/rl"
@@ -81,7 +81,7 @@ func (b *replayBuffer) SampleInto(rng *rand.Rand, out []rl.Transition) error {
 		return fmt.Errorf("offpolicy: sample from empty replay buffer")
 	}
 	for i := range out {
-		out[i] = b.buf[rng.Intn(len(b.buf))]
+		out[i] = b.buf[rng.IntN(len(b.buf))]
 	}
 	return nil
 }

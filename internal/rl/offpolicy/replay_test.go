@@ -1,7 +1,7 @@
 package offpolicy
 
 import (
-	"math/rand"
+	"math/rand/v2"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -10,7 +10,7 @@ import (
 	"edgeslice/internal/rl"
 )
 
-func newRNG() *rand.Rand { return rand.New(rand.NewSource(3)) } //nolint:gosec // test
+func newRNG() *rand.Rand { return rand.New(rand.NewPCG(3, 0)) }
 
 // fromState restores a buffer of stateDim-wide transitions with no action
 // through a snapshot that holds only it.
@@ -92,8 +92,8 @@ func TestReplayBufferWrapSequence(t *testing.T) {
 	for _, snapAt := range []int{3, capacity, 8} { // before, at and after the first wrap
 		live := newReplayBuffer(capacity)
 		var restored *replayBuffer
-		var model []rl.Transition                                                      // model[i] is storage slot i
-		seeded := func(i int) *rand.Rand { return rand.New(rand.NewSource(int64(i))) } //nolint:gosec // test
+		var model []rl.Transition // model[i] is storage slot i
+		seeded := func(i int) *rand.Rand { return rand.New(rand.NewPCG(uint64(i), 0)) }
 		for i := 0; i < adds; i++ {
 			s := []float64{float64(i)}
 			tr := rl.Transition{Reward: float64(i), State: s, NextState: s}
@@ -130,7 +130,7 @@ func TestReplayBufferWrapSequence(t *testing.T) {
 			}
 			want, modelRNG := make([]rl.Transition, 7), seeded(i)
 			for k := range want {
-				want[k] = model[modelRNG.Intn(len(model))]
+				want[k] = model[modelRNG.IntN(len(model))]
 			}
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("snap %d, add %d: samples %v, want %v", snapAt, i, rewards(got), rewards(want))

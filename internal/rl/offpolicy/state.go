@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"edgeslice/internal/ckpt"
-	"edgeslice/internal/mathutil"
 	"edgeslice/internal/nn"
 	"edgeslice/internal/rl"
 )
@@ -21,7 +20,7 @@ var _ ckpt.Snapshotter = (*Agent)(nil)
 
 // Snapshot captures the agent's full training state: the actor, the
 // critics, every target network, the optimizers' Adam moments, DDPG's
-// noise schedule and update count, the RNG cursor, and (when
+// noise schedule, the generator's state, and (when
 // opts.IncludeReplay) the replay buffer. A restored agent acts bitwise
 // identically and resumes training exactly.
 func (a *Agent) Snapshot(opts ckpt.SnapshotOptions) (*ckpt.AgentState, error) {
@@ -39,8 +38,10 @@ func (a *Agent) Snapshot(opts ckpt.SnapshotOptions) (*ckpt.AgentState, error) {
 		role := criticRoles[tech][c]
 		nets[role.q], nets[role.target], moments[role.q] = cr.q, cr.target, cr.opt.StateFor(cr.q)
 	}
-	st := &ckpt.AgentState{Algo: tech, StateDim: a.stateDim, ActionDim: a.actionDim, Config: cfg,
-		RNG: ckpt.RNGState{Seed: a.src.SeedValue(), Calls: a.src.Calls()}, NoiseStd: a.noiseStd, Updates: a.updates}
+	st := &ckpt.AgentState{Algo: tech, StateDim: a.stateDim, ActionDim: a.actionDim, Config: cfg, NoiseStd: a.noiseStd}
+	if st.RNG, err = a.pcg.MarshalBinary(); err != nil {
+		return nil, fmt.Errorf("%s: snapshot generator: %w", tech, err)
+	}
 	if st.Nets, st.Opts, err = ckpt.EncodeRoles(nets, moments); err != nil {
 		return nil, fmt.Errorf("%s: snapshot: %w", tech, err)
 	}
@@ -71,8 +72,10 @@ func Restore(st *ckpt.AgentState) (*Agent, error) {
 	if err != nil {
 		return nil, err
 	}
-	a.rng, a.src = mathutil.ReplayRNG(st.RNG.Seed, st.RNG.Calls)
-	a.noiseStd, a.updates = st.NoiseStd, st.Updates
+	if err := a.pcg.UnmarshalBinary(st.RNG); err != nil {
+		return nil, fmt.Errorf("%s: snapshot generator: %w", st.Algo, err)
+	}
+	a.noiseStd = st.NoiseStd
 	if err := st.RestoreAdam(a.actorOpt, a.actor, "actor"); err != nil {
 		return nil, err
 	}

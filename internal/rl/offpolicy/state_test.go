@@ -183,6 +183,7 @@ func TestRestoreRejectsUntrainable(t *testing.T) {
 				{"", "batch size -1", "invalid config", config(func(c *Config) { c.BatchSize = -1 })},
 				{"", "hidden 0", "invalid config", config(func(c *Config) { c.Hidden = 0 })},
 				{"", "replay capacity 0", "invalid config", config(func(c *Config) { c.ReplayCapacity = 0 })},
+				{"", "generator state cut short", "snapshot generator", func(st *ckpt.AgentState) { st.RNG = st.RNG[:10] }},
 				{"", "short state", "replay transition 3", func(st *ckpt.AgentState) { tr := &st.Replay.Transitions[3]; tr.State = tr.State[:1] }},
 				{"", "long next state", "replay transition 0", func(st *ckpt.AgentState) { tr := &st.Replay.Transitions[0]; tr.NextState = append(tr.NextState, 0) }},
 				{"", "short action", "replay transition 7", func(st *ckpt.AgentState) { tr := &st.Replay.Transitions[7]; tr.Action = tr.Action[:ad-1] }},

@@ -17,10 +17,9 @@ package onpolicy
 import (
 	"fmt"
 	"math"
-	"math/rand"
+	"math/rand/v2"
 	"slices"
 
-	"edgeslice/internal/mathutil"
 	"edgeslice/internal/nn"
 	"edgeslice/internal/rl"
 )
@@ -100,8 +99,8 @@ type Agent struct {
 	*rl.DeployedPolicy // Act and ActBatch: the Gaussian policy mean
 
 	cfg    Config
-	rng    *rand.Rand
-	src    *mathutil.CountingSource // rng's backing source; checkpointed as a cursor
+	pcg    rand.PCG   // the agent's one generator; its state is the checkpoint's
+	rng    *rand.Rand // draws from pcg
 	policy *gaussianPolicy
 	value  *nn.Network
 	popt   *nn.Adam // nil for TRPO, whose natural step keeps no moments
@@ -115,22 +114,25 @@ func New(stateDim, actionDim int, cfg Config) (*Agent, error) {
 	if err := cfg.check(stateDim, actionDim); err != nil {
 		return nil, err
 	}
-	rng, src := mathutil.NewCountingRNG(cfg.Seed)
+	pcg := rl.TrainerPCG(cfg.Seed)
+	rng := rand.New(&pcg)
 	policy := newGaussianPolicy(rng, stateDim, actionDim, cfg.Hidden, cfg.InitStd)
-	return newAgent(cfg, rng, src, policy, newValueNet(rng, stateDim, cfg.Hidden)), nil
+	a := newAgent(cfg, policy, newValueNet(rng, stateDim, cfg.Hidden))
+	a.pcg = pcg
+	return a, nil
 }
 
-// newAgent assembles an agent around its networks, with fresh optimizers.
-func newAgent(cfg Config, rng *rand.Rand, src *mathutil.CountingSource, policy *gaussianPolicy, value *nn.Network) *Agent {
+// newAgent assembles an agent around its networks, with fresh optimizers
+// and an unseeded generator.
+func newAgent(cfg Config, policy *gaussianPolicy, value *nn.Network) *Agent {
 	a := &Agent{
 		DeployedPolicy: rl.NewDeployedPolicy(policy.mean, false),
 		cfg:            cfg,
-		rng:            rng,
-		src:            src,
 		policy:         policy,
 		value:          value,
 		vopt:           nn.NewAdam(cfg.ValueLR),
 	}
+	a.rng = rand.New(&a.pcg)
 	if cfg.Technique != TRPO {
 		a.popt = nn.NewAdam(cfg.PolicyLR)
 	}

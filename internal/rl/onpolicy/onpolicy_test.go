@@ -9,8 +9,6 @@ import (
 	"edgeslice/internal/rl/rltest"
 )
 
-func newRNG() *rand.Rand { return rand.New(rand.NewSource(3)) } //nolint:gosec // test
-
 func TestNewValidation(t *testing.T) {
 	if _, err := New(2, 1, DefaultConfig("a2c")); err == nil || !strings.Contains(err.Error(), "unknown technique") {
 		t.Errorf("unknown technique: New error %v, want one containing %q", err, "unknown technique")

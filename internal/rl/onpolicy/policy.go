@@ -3,7 +3,7 @@ package onpolicy
 import (
 	"fmt"
 	"math"
-	"math/rand"
+	"math/rand/v2"
 
 	"edgeslice/internal/nn"
 )
@@ -25,7 +25,7 @@ type gaussianPolicy struct {
 
 // newGaussianPolicy builds a policy for the given state/action sizes with
 // the paper's 2×hidden LeakyReLU architecture and initial std of initStd.
-func newGaussianPolicy(rng *rand.Rand, stateDim, actionDim, hidden int, initStd float64) *gaussianPolicy {
+func newGaussianPolicy(rng nn.Uniform, stateDim, actionDim, hidden int, initStd float64) *gaussianPolicy {
 	mean := nn.NewMLP(rng, stateDim,
 		nn.LayerSpec{Out: hidden, Act: nn.ActLeakyReLU},
 		nn.LayerSpec{Out: hidden, Act: nn.ActLeakyReLU},
@@ -42,13 +42,7 @@ func newGaussianPolicy(rng *rand.Rand, stateDim, actionDim, hidden int, initStd 
 func (p *gaussianPolicy) sample(rng *rand.Rand, state []float64) []float64 {
 	mean := p.mean.Forward1(state)
 	for i := range mean {
-		mean[i] += math.Exp(p.logStd[i]) * rng.NormFloat64()
-		if mean[i] < 0 {
-			mean[i] = 0
-		}
-		if mean[i] > 1 {
-			mean[i] = 1
-		}
+		mean[i] = min(max(mean[i]+math.Exp(p.logStd[i])*rng.NormFloat64(), 0), 1)
 	}
 	return mean
 }

@@ -2,10 +2,13 @@ package onpolicy
 
 import (
 	"math"
+	"math/rand/v2"
 	"testing"
 
 	"edgeslice/internal/nn"
 )
+
+func newRNG() *rand.Rand { return rand.New(rand.NewPCG(3, 0)) }
 
 func TestFitValueRegresses(t *testing.T) {
 	rng := newRNG()

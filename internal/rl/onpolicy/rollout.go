@@ -2,7 +2,7 @@ package onpolicy
 
 import (
 	"math"
-	"math/rand"
+	"math/rand/v2"
 
 	"edgeslice/internal/nn"
 	"edgeslice/internal/rl"
@@ -32,7 +32,7 @@ func rollout(rng *rand.Rand, env rl.Env, policy *gaussianPolicy, horizon int) (s
 
 // newValueNet builds a state-value network V(s) with the policy's two
 // hidden-layer architecture.
-func newValueNet(rng *rand.Rand, stateDim, hidden int) *nn.Network {
+func newValueNet(rng nn.Uniform, stateDim, hidden int) *nn.Network {
 	return nn.NewMLP(rng, stateDim,
 		nn.LayerSpec{Out: hidden, Act: nn.ActLeakyReLU},
 		nn.LayerSpec{Out: hidden, Act: nn.ActLeakyReLU},

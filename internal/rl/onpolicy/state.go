@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"edgeslice/internal/ckpt"
-	"edgeslice/internal/mathutil"
 	"edgeslice/internal/nn"
 	"edgeslice/internal/rl"
 )
@@ -21,7 +20,7 @@ var _ ckpt.Snapshotter = (*Agent)(nil)
 
 // Snapshot captures the agent's full training state: the Gaussian policy
 // (mean network and log-stds), the value network, the optimizers' Adam
-// moments (TRPO has none for the policy) and the RNG cursor. Training is
+// moments (TRPO has none for the policy) and the generator's state. Training is
 // on-policy, so there is no replay to include.
 func (a *Agent) Snapshot(ckpt.SnapshotOptions) (*ckpt.AgentState, error) {
 	cfg, err := json.Marshal(a.cfg)
@@ -39,6 +38,10 @@ func (a *Agent) Snapshot(ckpt.SnapshotOptions) (*ckpt.AgentState, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%s: snapshot: %w", a.cfg.Technique, err)
 	}
+	rng, err := a.pcg.MarshalBinary()
+	if err != nil {
+		return nil, fmt.Errorf("%s: snapshot generator: %w", a.cfg.Technique, err)
+	}
 	return &ckpt.AgentState{
 		Algo:      a.cfg.Technique,
 		StateDim:  a.policy.mean.InputDim(),
@@ -46,7 +49,7 @@ func (a *Agent) Snapshot(ckpt.SnapshotOptions) (*ckpt.AgentState, error) {
 		Config:    cfg,
 		Nets:      nets,
 		Opts:      opts,
-		RNG:       ckpt.RNGState{Seed: a.src.SeedValue(), Calls: a.src.Calls()},
+		RNG:       rng,
 		LogStd:    append([]float64(nil), a.policy.logStd...),
 	}, nil
 }
@@ -75,8 +78,10 @@ func Restore(st *ckpt.AgentState) (*Agent, error) {
 		return nil, fmt.Errorf("%s: snapshot has %d log-stds, want %d", st.Algo, len(st.LogStd), st.ActionDim)
 	}
 	policy := &gaussianPolicy{mean: mean, logStd: append([]float64(nil), st.LogStd...), logStdGrad: make([]float64, st.ActionDim)}
-	rng, src := mathutil.ReplayRNG(st.RNG.Seed, st.RNG.Calls)
-	a := newAgent(cfg, rng, src, policy, value)
+	a := newAgent(cfg, policy, value)
+	if err := a.pcg.UnmarshalBinary(st.RNG); err != nil {
+		return nil, fmt.Errorf("%s: snapshot generator: %w", st.Algo, err)
+	}
 	if a.popt != nil {
 		if err := st.RestoreAdam(a.popt, mean, "policy-mean"); err != nil {
 			return nil, err

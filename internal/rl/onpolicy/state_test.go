@@ -80,6 +80,7 @@ func TestRestoreRejectsUntrainable(t *testing.T) {
 				{"horizon 0", "invalid config", config(func(c *Config) { c.Horizon = 0 }), false},
 				{"hidden 0", "invalid config", config(func(c *Config) { c.Hidden = 0 }), false},
 				{"unknown algorithm", "unknown technique", func(st *ckpt.AgentState) { st.Algo = "a2c" }, false},
+				{"generator state cut short", "snapshot generator", func(st *ckpt.AgentState) { st.RNG = st.RNG[:10] }, false},
 				{"minibatch 0", "invalid config", config(func(c *Config) { c.MinibatchSz = 0 }), true},
 			} {
 				if tc.ppoOnly && tech != PPO {

@@ -100,7 +100,7 @@ func (a *Agent) sampleScores(states, actions [][]float64) [][]float64 {
 	m := min(a.cfg.FisherSamples, n)
 	scores := make([][]float64, 0, m)
 	for i := 0; i < m; i++ {
-		j := a.rng.Intn(n)
+		j := a.rng.IntN(n)
 		a.policy.zeroGrad()
 		a.policy.accumulateScoreGrad(
 			[][]float64{states[j]}, [][]float64{actions[j]}, []float64{-1}, // -1: score, not loss

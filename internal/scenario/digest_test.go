@@ -20,14 +20,17 @@ import (
 // replica's history-log bytes and the rendered summary. They were computed at
 // commit 0ce9d15, before the runner recorded into one caller-owned History,
 // and re-derived once when the RA environment moved to a PCG stream with
-// one-uniform Poisson inversion, which changes every replica's arrivals. A
+// one-uniform Poisson inversion, which changes every replica's arrivals,
+// and once more when the trainer stream moved to a PCG whose state the
+// checkpoint holds, which changes the warm-started agent every sweep
+// deploys. A
 // change anywhere on the sweep path that moves one bit of one record fails
 // here, across commits.
 var sweepDigests = map[string]string{
-	"heterogeneous-mix/exact":    "5ef9f0baf819d71d92b00df6f12f4975ffb51b8ddf38b20e6312e814f06b5bd3",
-	"heterogeneous-mix/stream25": "2546e04ee54b86cf951388912d6b202b32fabcd2c5c6ab954ac4b5021bbef520",
-	"flash-crowd/exact":          "9f979b987820dd1ea508ad1ce944ff8308962e6c2775c7d900f6f30039c0c04b",
-	"flash-crowd/stream25":       "e416f906b9fb6fbf3fcceae7da93d091122f5051bed8b04364e1ebabca2ac6f0",
+	"heterogeneous-mix/exact":    "04e62167e1a8675f6f003bf49fcc5759f329b7badacd7e6d4acd475d2a0c53be",
+	"heterogeneous-mix/stream25": "26964521300705e679107cbf61649c97d06c043d9763312286142f0ec9fc4554",
+	"flash-crowd/exact":          "68145feec23ba8a893531263cb72a3c49524eccd403f084216cb8a79de720126",
+	"flash-crowd/stream25":       "e43af3f1f977d9e80bf21a389d97e771000690f852835a173b3a4ebacf692127",
 }
 
 // TestSweepDigestPinned runs heterogeneous-mix and flash-crowd with a

@@ -1,10 +1,13 @@
 package scenario
 
 import (
+	"fmt"
+	"os"
 	"reflect"
 	"testing"
 
 	"edgeslice/internal/ckpt"
+	"edgeslice/internal/core"
 )
 
 // warmSpec is a small learning scenario for warm-start tests.
@@ -108,5 +111,50 @@ func TestWarmStartCachesAcrossInvocations(t *testing.T) {
 	first.Trainings, second.Trainings = 0, 0
 	if !reflect.DeepEqual(first, second) {
 		t.Errorf("cached summary diverged:\n first  %+v\n second %+v", first, second)
+	}
+}
+
+// A store primed by a build that wrote edgeslice-checkpoint-v2 holds its
+// file under the key of that build, which named no format. The key names
+// the format now, so that file is a miss: the sweep retrains beside it and
+// succeeds, where a Load of the v2 file would have failed the sweep.
+func TestWarmStartRetrainsOverV2StoreFile(t *testing.T) {
+	if testing.Short() {
+		t.Skip("training run")
+	}
+	spec := warmSpec()
+	cfg, err := spec.systemConfig(core.AlgoEdgeSlice, replicaSeed(spec.Seed, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hash, err := core.TrainingFingerprint(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	store, err := ckpt.OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2Key := fmt.Sprintf("edgeslice-%s-s%d-n%d", hash[:16], cfg.Seed, cfg.TrainSteps)
+	v2 := `{"format":"edgeslice-checkpoint-v2","algorithm":"EdgeSlice","shared":true,"agents":[` +
+		`{"algo":"ddpg","state_dim":4,"action_dim":3,"config":{},"nets":{},"rng":{"seed":1,"calls":5},"updates":1}]}`
+	if err := os.WriteFile(store.Path(v2Key), []byte(v2), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	sum, err := Run(spec, Options{Replicas: 2, WarmStart: true, CheckpointDir: dir})
+	if err != nil {
+		t.Fatalf("warm sweep over a v2 store: %v", err)
+	}
+	if sum.Trainings != 1 {
+		t.Errorf("warm sweep trained %d times, want 1", sum.Trainings)
+	}
+	keys, err := store.Keys()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{v2Key, ckpt.Key("edgeslice", hash, cfg.Seed, cfg.TrainSteps)}; !reflect.DeepEqual(keys, want) {
+		t.Errorf("store keys %v, want the v2 file and one new checkpoint %v", keys, want)
 	}
 }
