@@ -41,22 +41,19 @@
 // History a local run produces — per-interval system/slice performance,
 // usage, violations, per-period SLA flags, and primal/dual residuals. (The
 // in-process engine is edgeslice-sim's: here every RA is its own process.)
-// Both roles run the environment presets of core.DefaultConfig, so -slices
-// must equal the presets' slice count.
+// Both roles run the environment presets of core.DefaultConfig: two slices.
 //
 // The -agent file is a full-fidelity checkpoint written by edgeslice-train
 // (format edgeslice-checkpoint-v3).
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"os"
 	"sync/atomic"
 	"time"
 
-	"edgeslice/internal/ckpt"
 	"edgeslice/internal/core"
 	"edgeslice/internal/netsim"
 	"edgeslice/internal/rcnet"
@@ -74,7 +71,7 @@ func main() {
 // coordOptions bundles the coordinator role's configuration.
 type coordOptions struct {
 	listen       string
-	slices, ras  int
+	ras          int
 	periods      int
 	timeout      time.Duration
 	metricsAddr  string
@@ -91,7 +88,6 @@ func run() error {
 		listen    = flag.String("listen", ":7000", "coordinator listen address")
 		connect   = flag.String("connect", "127.0.0.1:7000", "agent: coordinator address")
 		ras       = flag.Int("ras", 2, "coordinator: number of RAs")
-		slices    = flag.Int("slices", 2, "number of slices")
 		ra        = flag.Int("ra", 0, "agent: this RA's id")
 		periods   = flag.Int("periods", 10, "coordinator: periods to run")
 		agentFile = flag.String("agent", "", "agent: trained checkpoint JSON (from edgeslice-train); trains fresh if empty")
@@ -116,7 +112,7 @@ func run() error {
 			return fmt.Errorf("-reconnect applies to the agent role")
 		}
 		return runCoordinator(coordOptions{
-			listen: *listen, slices: *slices, ras: *ras,
+			listen: *listen, ras: *ras,
 			periods: *periods, timeout: *timeout, metricsAddr: *metricsAddr,
 			streamWindow: *streamWindow, historyPath: *historyPath,
 			heartbeat: *heartbeat, retryPeriods: *retryPeriods, resume: *resume,
@@ -128,7 +124,7 @@ func run() error {
 		if *resume || *retryPeriods != 0 {
 			return fmt.Errorf("-resume and -retry-periods apply to the coordinator role")
 		}
-		return runAgentLoop(*connect, *ra, *slices, *agentFile, *train, *seed, *timeout, *metricsAddr, *heartbeat, *reconnect)
+		return runAgentLoop(*connect, *ra, *agentFile, *train, *seed, *timeout, *metricsAddr, *heartbeat, *reconnect)
 	default:
 		return fmt.Errorf("-role must be coordinator or agent")
 	}
@@ -142,9 +138,6 @@ func run() error {
 // and only the remaining periods run live.
 func runCoordinator(o coordOptions) error {
 	cfg := core.DefaultConfig()
-	if o.slices != cfg.EnvTemplate.NumSlices {
-		return fmt.Errorf("daemon presets support %d slices, got %d", cfg.EnvTemplate.NumSlices, o.slices)
-	}
 	cfg.NumRAs = o.ras
 	sys, err := core.NewSystem(cfg) // shape + coordinator only; envs and agents live remotely
 	if err != nil {
@@ -172,7 +165,7 @@ func runCoordinator(o coordOptions) error {
 		rec.Log = hlog
 		fmt.Printf("resuming from %s: %d completed period(s) replayed\n", o.historyPath, pre.Periods())
 	} else if o.historyPath != "" {
-		hlog, err := core.CreateHistoryLog(o.historyPath, o.slices, o.ras, cfg.EnvTemplate.T)
+		hlog, err := core.CreateHistoryLog(o.historyPath, cfg.EnvTemplate.NumSlices, o.ras, cfg.EnvTemplate.T)
 		if err != nil {
 			return err
 		}
@@ -180,7 +173,7 @@ func runCoordinator(o coordOptions) error {
 		rec.Log = hlog
 	}
 	sys.SetRecording(rec)
-	hub, err := rcnet.NewHub(o.listen, o.slices, o.ras)
+	hub, err := rcnet.NewHub(o.listen, cfg.EnvTemplate.NumSlices, o.ras)
 	if err != nil {
 		return err
 	}
@@ -226,18 +219,18 @@ func runCoordinator(o coordOptions) error {
 	if err := hub.WaitRegistered(o.timeout); err != nil {
 		return err
 	}
-	h, err := sys.RunPeriodsWith(exec, remaining)
+	// A resumed run records its continuation into the replayed prefix.
+	h := prefix
+	if h != nil {
+		err = sys.RunPeriodsInto(exec, h, remaining)
+	} else {
+		h, err = sys.RunPeriodsWith(exec, remaining)
+	}
 	if err != nil {
-		if h != nil && h.Periods() > 0 {
+		if h.Periods() > 0 {
 			fmt.Printf("run failed after %d completed period(s): %v\n", h.Periods(), err)
 		}
 		return err
-	}
-	if prefix != nil {
-		if err := prefix.Append(h); err != nil {
-			return err
-		}
-		h = prefix
 	}
 	return printRunReport(h, exec)
 }
@@ -282,19 +275,11 @@ func loadPolicy(ra int, agentFile string, train int, seed int64, env *netsim.RAE
 	if err := sys.Train(); err != nil {
 		return nil, err
 	}
-	c, err := sys.AgentCheckpoint(0, ckpt.SnapshotOptions{})
+	actor, err := sys.Actor(0)
 	if err != nil {
 		return nil, err
 	}
-	var buf bytes.Buffer
-	if err := ckpt.Write(&buf, c); err != nil {
-		return nil, err
-	}
-	policy, err := core.LoadAgent(&buf, env.StateDim(), env.ActionDim())
-	if err != nil {
-		return nil, err
-	}
-	return policy, nil
+	return rl.NewDeployedPolicy(actor, false), nil
 }
 
 // runAgentLoop runs the agent with up to reconnect redial attempts after a
@@ -304,11 +289,11 @@ func loadPolicy(ra int, agentFile string, train int, seed int64, env *netsim.RAE
 // reused. The telemetry server outlives individual connections: its
 // counters read whichever client is current (and reset across
 // reconnections, the usual counter-restart semantics).
-func runAgentLoop(connect string, ra, slices int, agentFile string, train int, seed int64, timeout time.Duration, metricsAddr string, heartbeat time.Duration, reconnect int) error {
+func runAgentLoop(connect string, ra int, agentFile string, train int, seed int64, timeout time.Duration, metricsAddr string, heartbeat time.Duration, reconnect int) error {
 	if reconnect < 0 {
 		return fmt.Errorf("-reconnect must be >= 0, got %d", reconnect)
 	}
-	env, err := agentEnv(ra, slices, seed)
+	env, err := agentEnv(ra, seed)
 	if err != nil {
 		return err
 	}
@@ -354,7 +339,7 @@ func runAgentLoop(connect string, ra, slices int, agentFile string, train int, s
 		if attempt > 0 {
 			fmt.Printf("RA %d: connection lost (%v), redialing (attempt %d/%d)\n", ra, lastErr, attempt, reconnect)
 		}
-		done, err := runAgentOnce(connect, ra, slices, policy, seed, timeout, heartbeat, &cur)
+		done, err := runAgentOnce(connect, ra, policy, seed, timeout, heartbeat, &cur)
 		if done {
 			if err != nil {
 				return err
@@ -370,11 +355,8 @@ func runAgentLoop(connect string, ra, slices int, agentFile string, train int, s
 }
 
 // agentEnv builds RA ra's environment from the daemon preset, reset.
-func agentEnv(ra, slices int, seed int64) (*netsim.RAEnv, error) {
+func agentEnv(ra int, seed int64) (*netsim.RAEnv, error) {
 	envCfg := netsim.DefaultExperimentConfig()
-	if slices != envCfg.NumSlices {
-		return nil, fmt.Errorf("daemon presets support %d slices, got %d", envCfg.NumSlices, slices)
-	}
 	envCfg.TrainCoordRandom = false
 	envCfg.Seed = seed + int64(ra)*7919
 	env, err := netsim.New(envCfg)
@@ -388,8 +370,8 @@ func agentEnv(ra, slices int, seed int64) (*netsim.RAEnv, error) {
 // runAgentOnce is one connection's lifetime: fresh env, dial, register,
 // serve until shutdown (done=true) or a connection error (done=false,
 // worth redialing).
-func runAgentOnce(connect string, ra, slices int, policy rl.Agent, seed int64, timeout time.Duration, heartbeat time.Duration, cur *atomic.Pointer[rcnet.AgentClient]) (done bool, err error) {
-	env, err := agentEnv(ra, slices, seed)
+func runAgentOnce(connect string, ra int, policy rl.Agent, seed int64, timeout time.Duration, heartbeat time.Duration, cur *atomic.Pointer[rcnet.AgentClient]) (done bool, err error) {
+	env, err := agentEnv(ra, seed)
 	if err != nil {
 		return true, err
 	}

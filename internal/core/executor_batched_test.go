@@ -314,11 +314,7 @@ func TestBatchedPersistentAcrossCalls(t *testing.T) {
 	defer e.Close()
 	h := NewHistory(hRef.NumSlices, hRef.NumRAs, hRef.T)
 	for p := 0; p < 3; p++ {
-		hp, err := s.RunPeriodsWith(e, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := h.Append(hp); err != nil {
+		if err := s.RunPeriodsInto(e, h, 1); err != nil {
 			t.Fatal(err)
 		}
 	}

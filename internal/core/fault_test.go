@@ -205,7 +205,8 @@ func TestRemoteSurvivesAgentKillAndRestart(t *testing.T) {
 // TestRemoteKillEveryPeriod drives the run period-at-a-time (the scenario
 // runner's calling pattern) and kills + restarts one RA between every
 // period, so each incarnation replays a longer prefix from its resume
-// frame. The stitched History must still match the serial run bit for bit.
+// frame. The one History the periods record into must still match the
+// serial run bit for bit.
 // The victim is RA 1 because its period-1 Z−Y lies inside the range the
 // env observes (its neighbours' are clamped), so a resume frame carrying
 // another RA's columns moves what deployedPolicy does.
@@ -243,12 +244,8 @@ func TestRemoteKillEveryPeriod(t *testing.T) {
 	e := NewRemoteExecutorWithOptions(hub, RemoteOptions{Timeout: time.Second, RetryPeriods: 5})
 	h := NewHistory(hRef.NumSlices, hRef.NumRAs, hRef.T)
 	for p := 0; p < periods; p++ {
-		hp, err := sys.RunPeriodsWith(e, 1)
-		if err != nil {
+		if err := sys.RunPeriodsInto(e, h, 1); err != nil {
 			t.Fatalf("period %d: %v", p, err)
-		}
-		if err := h.Append(hp); err != nil {
-			t.Fatal(err)
 		}
 		if p == periods-1 {
 			break
@@ -463,8 +460,7 @@ func TestCoordinatorResumeFromLog(t *testing.T) {
 	}
 	sys2.SetRecording(RecordOptions{Log: hlog2})
 	e2 := NewRemoteExecutor(hub2, 10*time.Second)
-	cont, err := sys2.RunPeriodsWith(e2, totalPeriods-firstRun)
-	if err != nil {
+	if err := sys2.RunPeriodsInto(e2, pre, totalPeriods-firstRun); err != nil {
 		t.Fatal(err)
 	}
 	if err := e2.Close(); err != nil {
@@ -479,11 +475,8 @@ func TestCoordinatorResumeFromLog(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := pre.Append(cont); err != nil {
-		t.Fatal(err)
-	}
 	if !reflect.DeepEqual(pre, hRef) {
-		t.Error("resumed run's stitched history differs from the uninterrupted serial run")
+		t.Error("resumed run's continued history differs from the uninterrupted serial run")
 	}
 	// The continued log replays as one seamless, untruncated run.
 	whole, truncated, err := ReplayHistoryLogFile(path)
@@ -510,8 +503,8 @@ func TestOpenHistoryLogAppendCutsToWholePeriods(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(41))
-	whole := NewHistory(I, J, T)
-	synthRecords(rng, 2*T, whole) // two whole periods
+	whole, want := NewHistory(I, J, T), NewHistory(I, J, T)
+	synthRecords(rng, 2*T, whole, want) // two whole periods
 	logRecords(t, log, whole)
 	stray := NewHistory(I, J, T)
 	synthRecords(rng, 2, stray) // two intervals of an in-flight period
@@ -539,19 +532,12 @@ func TestOpenHistoryLogAppendCutsToWholePeriods(t *testing.T) {
 			pre.Periods(), pre.Intervals())
 	}
 	third := NewHistory(I, J, T)
-	synthRecords(rng, T, third)
+	synthRecords(rng, T, third, want)
 	logRecords(t, cont, third)
 	if err := cont.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	want := NewHistory(I, J, T)
-	if err := want.Append(whole); err != nil {
-		t.Fatal(err)
-	}
-	if err := want.Append(third); err != nil {
-		t.Fatal(err)
-	}
 	got, truncated, err := ReplayHistoryLogFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -560,7 +546,7 @@ func TestOpenHistoryLogAppendCutsToWholePeriods(t *testing.T) {
 		t.Error("continued log reports a truncated tail")
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("continued log replays %d periods / %d intervals, differs from stitched history",
+		t.Fatalf("continued log replays %d periods / %d intervals, differs from the records written",
 			got.Periods(), got.Intervals())
 	}
 

@@ -13,7 +13,7 @@ import (
 // TrainingFingerprint hashes everything the trained agents are a
 // deterministic function of but the seed and step budget, which the
 // checkpoint store keys separately: algorithm, topology, DDPG and SLA/ADMM
-// settings, and RA 0's training environment as Train configures it.
+// settings, and the training environment as Train configures it.
 // Equal fingerprints, seeds and budgets train bitwise identical agents.
 func TrainingFingerprint(cfg Config) (string, error) {
 	h := sha256.New()
@@ -47,14 +47,15 @@ func TrainingFingerprint(cfg Config) (string, error) {
 	}
 	io.WriteString(h, "}|")
 
-	// A System value only to resolve RA 0's training template, the one
-	// environment Train trains in; the config was validated by the caller's
+	// A System value only to resolve the training template, the one
+	// environment Train trains in, hashed under RA 0's tag as when each RA
+	// had its own; the config was validated by the caller's
 	// NewSystem or is validated here. Normalize exactly as Train does; Seed
 	// is overridden there from cfg.Seed, which the store keys separately.
 	if err := cfg.Validate(); err != nil {
 		return "", err
 	}
-	envCfg := (&System{cfg: cfg}).trainTemplateFor(0)
+	envCfg := (&System{cfg: cfg}).trainTemplate()
 	envCfg.ObserveQueue = cfg.Algo != AlgoEdgeSliceNT
 	envCfg.TrainCoordRandom = true
 	envCfg.Seed = 0

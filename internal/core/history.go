@@ -142,28 +142,6 @@ func (h *History) AddPeriod(perf [][]float64, sla []bool, primal, dual float64) 
 	return err
 }
 
-// Append concatenates another exact history of the same system shape onto
-// h — a resumed run's prefix and its continuation, say. A streaming other
-// cannot be appended (its raw records are gone).
-func (h *History) Append(other *History) error {
-	if other == nil {
-		return fmt.Errorf("core: append nil history")
-	}
-	if other.NumSlices != h.NumSlices || other.NumRAs != h.NumRAs || other.T != h.T {
-		return fmt.Errorf("core: append shape mismatch: %dx%dxT%d vs %dx%dxT%d",
-			other.NumSlices, other.NumRAs, other.T, h.NumSlices, h.NumRAs, h.T)
-	}
-	if other.Streaming() {
-		return fmt.Errorf("core: cannot append a streaming history: its per-interval records are summarized away; append exact chunks into a streaming accumulator instead")
-	}
-	for k := range h.col {
-		for r := range other.n[k] {
-			h.store(k, other.at(k, r))
-		}
-	}
-	return nil
-}
-
 // Intervals returns the number of recorded intervals.
 func (h *History) Intervals() int { return h.n[ivKind] }
 

@@ -192,71 +192,6 @@ func TestStreamingFallbackApproximation(t *testing.T) {
 	}
 }
 
-func TestAppendShapeMismatch(t *testing.T) {
-	h := NewHistory(2, 2, 10)
-	if err := h.Append(nil); err == nil {
-		t.Error("append nil should error")
-	}
-	for _, other := range []*History{
-		NewHistory(3, 2, 10), // slices differ
-		NewHistory(2, 3, 10), // RAs differ
-		NewHistory(2, 2, 5),  // T differs
-	} {
-		if err := h.Append(other); err == nil {
-			t.Errorf("append %dx%dxT%d onto 2x2xT10 should error",
-				other.NumSlices, other.NumRAs, other.T)
-		}
-	}
-	// A streaming other cannot be appended — onto exact or streaming.
-	srcStream := NewStreamingHistory(2, 2, 10, 8)
-	if err := h.Append(srcStream); err == nil {
-		t.Error("append streaming onto exact should error")
-	}
-	dstStream := NewStreamingHistory(2, 2, 10, 8)
-	if err := dstStream.Append(srcStream); err == nil {
-		t.Error("append streaming onto streaming should error")
-	}
-}
-
-// TestAppendIntoStreaming checks that a streaming accumulator absorbing
-// exact chunks (the scenario-stitching path) summarizes identically to
-// recording the same data directly.
-func TestAppendIntoStreaming(t *testing.T) {
-	const I, J, T, window = 2, 2, 10, 32
-	direct := NewStreamingHistory(I, J, T, window)
-	acc := NewStreamingHistory(I, J, T, window)
-	rng := rand.New(rand.NewSource(23))
-	for chunk := 0; chunk < 12; chunk++ {
-		piece := NewHistory(I, J, T)
-		synthRecords(rng, T, piece, direct) // one period per chunk
-		if err := acc.Append(piece); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if direct.Intervals() != acc.Intervals() || direct.Periods() != acc.Periods() {
-		t.Fatalf("counts differ: direct %d/%d, appended %d/%d",
-			direct.Intervals(), direct.Periods(), acc.Intervals(), acc.Periods())
-	}
-	for _, lastN := range []int{0, window} {
-		d, err := direct.MeanSystemPerf(lastN)
-		if err != nil {
-			t.Fatal(err)
-		}
-		a, err := acc.MeanSystemPerf(lastN)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d != a {
-			t.Errorf("MeanSystemPerf(%d): direct %v, appended %v", lastN, d, a)
-		}
-	}
-	d, _ := direct.SLASatisfactionRate(0)
-	a, _ := acc.SLASatisfactionRate(0)
-	if d != a {
-		t.Errorf("SLASatisfactionRate: direct %v, appended %v", d, a)
-	}
-}
-
 // TestReserveMatchesGrownHistoryLog: a History reserved for n periods holds
 // them without growing, and records the same fields and history-log bytes
 // as one that grows — also when the run goes on past n.

@@ -43,45 +43,17 @@ func (s *System) Snapshot(opts ckpt.SnapshotOptions) (*ckpt.Checkpoint, error) {
 	}
 	c.Shared = shared && s.cfg.NumRAs > 1
 	for j, a := range agents {
-		st, err := snapshotAgent(a, j, opts)
+		snap, ok := a.(ckpt.Snapshotter)
+		if !ok {
+			return nil, fmt.Errorf("core: RA %d agent %T cannot be checkpointed (no Snapshot method)", j, a)
+		}
+		st, err := snap.Snapshot(opts)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("core: RA %d: %w", j, err)
 		}
 		c.Agents = append(c.Agents, st)
 	}
 	return c, nil
-}
-
-// AgentCheckpoint captures a single RA's agent as a one-agent checkpoint —
-// the deployment artifact edgeslice-train ships to agent hosts.
-func (s *System) AgentCheckpoint(ra int, opts ckpt.SnapshotOptions) (*ckpt.Checkpoint, error) {
-	if !s.trained || ra < 0 || ra >= len(s.agents) {
-		return nil, fmt.Errorf("core: RA %d has no agent (trained: %v)", ra, s.trained)
-	}
-	st, err := snapshotAgent(s.agents[ra], ra, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &ckpt.Checkpoint{
-		Format:     ckpt.Format,
-		Algorithm:  s.cfg.Algo.String(),
-		Shared:     false,
-		Agents:     []*ckpt.AgentState{st},
-		Seed:       s.cfg.Seed,
-		TrainSteps: s.cfg.TrainSteps,
-	}, nil
-}
-
-func snapshotAgent(a rl.Agent, ra int, opts ckpt.SnapshotOptions) (*ckpt.AgentState, error) {
-	snap, ok := a.(ckpt.Snapshotter)
-	if !ok {
-		return nil, fmt.Errorf("core: RA %d agent %T cannot be checkpointed (no Snapshot method)", ra, a)
-	}
-	st, err := snap.Snapshot(opts)
-	if err != nil {
-		return nil, fmt.Errorf("core: RA %d: %w", ra, err)
-	}
-	return st, nil
 }
 
 // Deployment is a checkpoint's acting policies, built once (ckpt.Deploy

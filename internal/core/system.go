@@ -81,11 +81,15 @@ type Config struct {
 	// EnvPerRA optionally overrides the template per RA (e.g. per-area
 	// traffic profiles); nil entries fall back to the template.
 	EnvPerRA []*netsim.Config
-	// TrainEnvPerRA optionally overrides, per RA, the environment agents
-	// train in (nil entries fall back to EnvPerRA/EnvTemplate): scenarios
-	// train on base traffic and deploy against their event program, whose
-	// absolute run intervals mean nothing inside training episodes.
-	TrainEnvPerRA []*netsim.Config
+	// TrainEnv optionally sets the environment Train trains the shared
+	// agent in; nil means RA 0's (EnvPerRA[0], else EnvTemplate). Train
+	// overrides its ObserveQueue (from Algo), TrainCoordRandom (on) and
+	// Seed (from Seed). Scenarios train on base traffic and deploy against
+	// their event program, whose absolute run intervals mean nothing
+	// inside training episodes; the trace-driven figures train on a
+	// variable-rate source covering the trace's load band and deploy the
+	// trace per RA.
+	TrainEnv *netsim.Config
 
 	Algo Algorithm
 
@@ -137,9 +141,6 @@ func (c Config) Validate() error {
 	}
 	if c.EnvPerRA != nil && len(c.EnvPerRA) != c.NumRAs {
 		return fmt.Errorf("core: EnvPerRA has %d entries, want %d", len(c.EnvPerRA), c.NumRAs)
-	}
-	if c.TrainEnvPerRA != nil && len(c.TrainEnvPerRA) != c.NumRAs {
-		return fmt.Errorf("core: TrainEnvPerRA has %d entries, want %d", len(c.TrainEnvPerRA), c.NumRAs)
 	}
 	if c.Umin != nil && len(c.Umin) != c.EnvTemplate.NumSlices {
 		return fmt.Errorf("core: Umin has %d entries, want %d", len(c.Umin), c.EnvTemplate.NumSlices)
@@ -244,14 +245,14 @@ func (s *System) NumRAs() int { return len(s.envs) }
 
 // Train prepares the orchestration agents. For TARO/EqualShare it is a
 // no-op. For EdgeSlice variants it trains one DDPG agent offline against
-// RA 0's simulated training environment with randomized coordinating
-// information (Sec. VI-A/VI-B) and deploys it to every RA.
+// the training environment (TrainEnv, else RA 0's) with randomized
+// coordinating information (Sec. VI-A/VI-B) and deploys it to every RA.
 func (s *System) Train() error {
 	if !s.cfg.Algo.IsLearning() {
 		s.trained = true
 		return nil
 	}
-	envCfg := s.trainTemplateFor(0)
+	envCfg := s.trainTemplate()
 	envCfg.ObserveQueue = s.cfg.Algo != AlgoEdgeSliceNT
 	envCfg.TrainCoordRandom = true
 	envCfg.Seed = s.cfg.Seed + 104729
@@ -317,13 +318,13 @@ func (s *System) envTemplateFor(j int) netsim.Config {
 	return s.cfg.EnvTemplate
 }
 
-// trainTemplateFor returns the environment RA j's agent trains in,
-// preferring the dedicated training override.
-func (s *System) trainTemplateFor(j int) netsim.Config {
-	if s.cfg.TrainEnvPerRA != nil && s.cfg.TrainEnvPerRA[j] != nil {
-		return *s.cfg.TrainEnvPerRA[j]
+// trainTemplate returns the environment the shared agent trains in,
+// preferring the dedicated training override to RA 0's.
+func (s *System) trainTemplate() netsim.Config {
+	if s.cfg.TrainEnv != nil {
+		return *s.cfg.TrainEnv
 	}
-	return s.envTemplateFor(j)
+	return s.envTemplateFor(0)
 }
 
 // RunPeriods executes Algorithm 1 for n periods under the serial engine:

@@ -168,12 +168,9 @@ func TestAgentSaveLoadRoundTrip(t *testing.T) {
 	if !ok {
 		t.Fatalf("agent is %T, want *offpolicy.Agent", s.agents[0])
 	}
-	c, err := s.AgentCheckpoint(0, ckpt.SnapshotOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// A shared agent is stored as one entry, which LoadAgent deploys.
 	var buf bytes.Buffer
-	if err := ckpt.Write(&buf, c); err != nil {
+	if err := SaveCheckpoint(&buf, s, ckpt.SnapshotOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := LoadAgent(&buf, 4, 6)

@@ -15,6 +15,7 @@ import (
 	"fmt"
 
 	"edgeslice/internal/core"
+	"edgeslice/internal/rl"
 )
 
 // Series is one named line/scatter in a figure.
@@ -84,6 +85,31 @@ func (o Options) runAlgo(algo core.Algorithm, mutate func(*core.Config)) (*core.
 	if mutate != nil {
 		mutate(&cfg)
 	}
+	return o.runSystem(cfg, nil)
+}
+
+// runSystem builds cfg's system, installs agent as every RA's policy (or,
+// when agent is nil, trains with System.Train) and runs the option's
+// period count, returning its history.
+func (o Options) runSystem(cfg core.Config, agent rl.Agent) (*core.History, error) {
+	sys, err := core.NewSystem(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if agent != nil {
+		err = sys.SetAgents([]rl.Agent{agent})
+	} else {
+		err = sys.Train()
+	}
+	if err != nil {
+		return nil, err
+	}
+	return sys.RunPeriods(o.Periods)
+}
+
+// trainPolicy trains cfg's shared agent with System.Train and returns its
+// acting policy, to deploy on other systems or a single uncoordinated RA.
+func trainPolicy(cfg core.Config) (*rl.DeployedPolicy, error) {
 	sys, err := core.NewSystem(cfg)
 	if err != nil {
 		return nil, err
@@ -91,7 +117,11 @@ func (o Options) runAlgo(algo core.Algorithm, mutate func(*core.Config)) (*core.
 	if err := sys.Train(); err != nil {
 		return nil, err
 	}
-	return sys.RunPeriods(o.Periods)
+	actor, err := sys.Actor(0)
+	if err != nil {
+		return nil, err
+	}
+	return rl.NewDeployedPolicy(actor, false), nil
 }
 
 // smooth applies a trailing moving average of width w.

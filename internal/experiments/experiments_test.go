@@ -80,9 +80,6 @@ func TestWriteTable(t *testing.T) {
 }
 
 func TestFig7Smoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("training run")
-	}
 	figs, err := Fig7(tinyOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -98,9 +95,6 @@ func TestFig7Smoke(t *testing.T) {
 }
 
 func TestFig8Smoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("training run")
-	}
 	cdf, ratios, err := Fig8(tinyOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -122,9 +116,6 @@ func TestFig8Smoke(t *testing.T) {
 }
 
 func TestFig9Smoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("training run")
-	}
 	figA, figB, err := Fig9(tinyOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -138,9 +129,6 @@ func TestFig9Smoke(t *testing.T) {
 }
 
 func TestFig10Smoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("training run")
-	}
 	figA, figB, err := Fig10(tinyOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -154,9 +142,6 @@ func TestFig10Smoke(t *testing.T) {
 }
 
 func TestFig11Smoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("training run")
-	}
 	figA, figB, err := Fig11(tinyOptions())
 	if err != nil {
 		t.Fatal(err)

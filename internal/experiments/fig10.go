@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"edgeslice/internal/core"
+	"edgeslice/internal/netsim"
 	"edgeslice/internal/rl"
 	"edgeslice/internal/rl/offpolicy"
 	"edgeslice/internal/rl/onpolicy"
@@ -68,15 +69,7 @@ func Fig10(o Options) (*Figure, *Figure, error) {
 		if err != nil {
 			return nil, nil, fmt.Errorf("fig10b %s: %w", tech, err)
 		}
-		cfg := o.systemConfig(core.AlgoEdgeSlice)
-		sys, err := core.NewSystem(cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := sys.SetAgents([]rl.Agent{agent}); err != nil {
-			return nil, nil, err
-		}
-		h, err := sys.RunPeriods(o.Periods)
+		h, err := o.runSystem(o.systemConfig(core.AlgoEdgeSlice), agent)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -89,16 +82,31 @@ func Fig10(o Options) (*Figure, *Figure, error) {
 	return figA, figB, nil
 }
 
-// trainWithTechnique trains one agent for the experiment environment using
-// the named technique with comparable budgets (same env, same step count).
+// trainWithTechnique trains one Fig. 10(b) agent with the named technique
+// at comparable budgets (same environment, same step count). DDPG's is the
+// system's own agent, trained by System.Train; System.Train trains DDPG
+// only, so the other four train here in the environment it trains in.
 func trainWithTechnique(o Options, tech string) (rl.Agent, error) {
 	tech = strings.ToLower(tech)
-	if tech == offpolicy.DDPG || tech == offpolicy.SAC {
-		return o.trainExperimentAgent(tech, true)
+	if tech == offpolicy.DDPG {
+		return trainPolicy(o.systemConfig(core.AlgoEdgeSlice))
 	}
-	env, err := o.trainingEnv(true)
+	envCfg := netsim.DefaultExperimentConfig()
+	envCfg.ObserveQueue = true
+	envCfg.TrainCoordRandom = true
+	envCfg.Seed = o.Seed + 104729
+	env, err := netsim.New(envCfg)
 	if err != nil {
 		return nil, err
+	}
+	if tech == offpolicy.SAC {
+		cfg := offpolicy.DefaultConfig(tech)
+		cfg.Hidden, cfg.BatchSize, cfg.WarmupSteps, cfg.Seed = o.Hidden, o.Batch, 300, o.Seed
+		agent, err := offpolicy.New(env.StateDim(), env.ActionDim(), cfg)
+		if err != nil {
+			return nil, err
+		}
+		return agent, agent.Train(env, o.TrainSteps)
 	}
 	cfg := onpolicy.DefaultConfig(tech)
 	cfg.Hidden = o.Hidden

@@ -8,7 +8,6 @@ import (
 	"edgeslice/internal/mathutil"
 	"edgeslice/internal/netsim"
 	"edgeslice/internal/rl"
-	"edgeslice/internal/rl/offpolicy"
 	"edgeslice/internal/traffic"
 )
 
@@ -37,38 +36,6 @@ func Fig7(o Options) ([]*Figure, error) {
 		figs = append(figs, fig)
 	}
 	return figs, nil
-}
-
-// trainingEnv is the prototype-experiment environment (or its NT variant)
-// that every Fig. 7–10 agent trains on.
-func (o Options) trainingEnv(observeQueue bool) (*netsim.RAEnv, error) {
-	envCfg := netsim.DefaultExperimentConfig()
-	envCfg.ObserveQueue = observeQueue
-	envCfg.TrainCoordRandom = true
-	envCfg.Seed = o.Seed + 104729
-	return netsim.New(envCfg)
-}
-
-// trainExperimentAgent trains one agent of an off-policy technique on
-// trainingEnv.
-func (o Options) trainExperimentAgent(tech string, observeQueue bool) (rl.Agent, error) {
-	env, err := o.trainingEnv(observeQueue)
-	if err != nil {
-		return nil, err
-	}
-	cfg := offpolicy.DefaultConfig(tech)
-	cfg.Hidden, cfg.BatchSize, cfg.WarmupSteps, cfg.Seed = o.Hidden, o.Batch, 300, o.Seed
-	if tech == offpolicy.DDPG {
-		cfg.NoiseDecay = 0.9995
-	}
-	agent, err := offpolicy.New(env.StateDim(), env.ActionDim(), cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := agent.Train(env, o.TrainSteps); err != nil {
-		return nil, err
-	}
-	return agent, nil
 }
 
 // runSingleRA evaluates one policy on a single, uncoordinated RA (the
@@ -143,11 +110,11 @@ func Fig8(o Options) (*Figure, []*Figure, error) {
 	if err := o.Validate(); err != nil {
 		return nil, nil, err
 	}
-	edgeAgent, err := o.trainExperimentAgent(offpolicy.DDPG, true)
+	edgeAgent, err := trainPolicy(o.systemConfig(core.AlgoEdgeSlice))
 	if err != nil {
 		return nil, nil, fmt.Errorf("fig8 EdgeSlice agent: %w", err)
 	}
-	ntAgent, err := o.trainExperimentAgent(offpolicy.DDPG, false)
+	ntAgent, err := trainPolicy(o.systemConfig(core.AlgoEdgeSliceNT))
 	if err != nil {
 		return nil, nil, fmt.Errorf("fig8 NT agent: %w", err)
 	}

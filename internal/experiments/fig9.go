@@ -7,7 +7,6 @@ import (
 	"edgeslice/internal/mathutil"
 	"edgeslice/internal/netsim"
 	"edgeslice/internal/rl"
-	"edgeslice/internal/rl/offpolicy"
 	"edgeslice/internal/traffic"
 )
 
@@ -101,69 +100,19 @@ func simSystemConfig(o Options, algo core.Algorithm, numSlices, numRAs int) (cor
 	cfg.NumRAs = numRAs
 	cfg.EnvTemplate = tpl
 	cfg.EnvPerRA = perRA
-	return cfg, nil
-}
-
-// trainSimAgent trains one DDPG agent on the simulation environment for the
-// given slice count (agents generalize across RA counts — the per-RA state
-// and action spaces depend only on the slice count, so a shared agent
-// serves every scale point).
-func trainSimAgent(o Options, algo core.Algorithm, numSlices int) (rl.Agent, error) {
-	envCfg, err := simEnvTemplate(o, numSlices)
-	if err != nil {
-		return nil, err
-	}
-	envCfg.ObserveQueue = algo != core.AlgoEdgeSliceNT
-	envCfg.TrainCoordRandom = true
-	envCfg.Seed = o.Seed + 104729
-	env, err := netsim.New(envCfg)
-	if err != nil {
-		return nil, err
-	}
-	dcfg := offpolicy.DefaultConfig(offpolicy.DDPG)
-	dcfg.Hidden = o.Hidden
-	dcfg.BatchSize = o.Batch
+	// The agent trains on the template's variable-rate sources; the per-RA
+	// state and action spaces depend only on the slice count, so one agent
+	// per slice count serves every RA count.
+	cfg.TrainEnv = &tpl
 	// The simulation action space is 3-7x larger than the prototype's;
 	// give uniform exploration longer to cover it and decay noise slower.
-	dcfg.WarmupSteps = 2000
-	dcfg.NoiseDecay = 0.9998
-	dcfg.Seed = o.Seed
-	agent, err := offpolicy.New(env.StateDim(), env.ActionDim(), dcfg)
-	if err != nil {
-		return nil, err
-	}
+	cfg.DDPG.WarmupSteps = 2000
+	cfg.DDPG.NoiseDecay = 0.9998
 	// Larger slice counts mean proportionally larger action spaces; scale
 	// the training budget with the slice count so every scale point gets a
 	// comparable per-dimension budget.
-	steps := o.TrainSteps * numSlices / simSlices
-	if steps < o.TrainSteps {
-		steps = o.TrainSteps
-	}
-	if err := agent.Train(env, steps); err != nil {
-		return nil, err
-	}
-	return agent, nil
-}
-
-// runSimPoint assembles the trace-driven system for one scale point and
-// runs it, reusing a pre-trained agent for learning algorithms.
-func runSimPoint(o Options, algo core.Algorithm, agent rl.Agent, numSlices, numRAs int) (*core.History, error) {
-	cfg, err := simSystemConfig(o, algo, numSlices, numRAs)
-	if err != nil {
-		return nil, err
-	}
-	sys, err := core.NewSystem(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if algo.IsLearning() {
-		if err := sys.SetAgents([]rl.Agent{agent}); err != nil {
-			return nil, err
-		}
-	} else if err := sys.Train(); err != nil {
-		return nil, err
-	}
-	return sys.RunPeriods(o.Periods)
+	cfg.TrainSteps = max(o.TrainSteps*numSlices/simSlices, o.TrainSteps)
+	return cfg, nil
 }
 
 // Fig9 reproduces "The scalability of EdgeSlice": (a) performance per RA vs
@@ -182,12 +131,30 @@ func Fig9(o Options) (*Figure, *Figure, error) {
 			continue
 		}
 		for _, nSl := range sliceCounts {
-			a, err := trainSimAgent(o, algo, nSl)
+			cfg, err := simSystemConfig(o, algo, nSl, simRAs)
+			if err != nil {
+				return nil, nil, err
+			}
+			a, err := trainPolicy(cfg)
 			if err != nil {
 				return nil, nil, fmt.Errorf("fig9 train %v/%d: %w", algo, nSl, err)
 			}
 			agents[algo][nSl] = a
 		}
+	}
+
+	// steady runs one scale point and returns its steady-state system
+	// performance.
+	steady := func(algo core.Algorithm, nSl, nRA int) (float64, error) {
+		cfg, err := simSystemConfig(o, algo, nSl, nRA)
+		if err != nil {
+			return 0, err
+		}
+		h, err := o.runSystem(cfg, agents[algo][nSl])
+		if err != nil {
+			return 0, err
+		}
+		return h.MeanSystemPerf(h.Intervals() / 2)
 	}
 
 	figA := &Figure{
@@ -199,13 +166,9 @@ func Fig9(o Options) (*Figure, *Figure, error) {
 	for _, algo := range comparisonAlgos {
 		s := Series{Name: algo.String()}
 		for _, nRA := range raCounts {
-			h, err := runSimPoint(o, algo, agents[algo][simSlices], simSlices, nRA)
+			mp, err := steady(algo, simSlices, nRA)
 			if err != nil {
 				return nil, nil, fmt.Errorf("fig9a %v@%d: %w", algo, nRA, err)
-			}
-			mp, err := h.MeanSystemPerf(h.Intervals() / 2)
-			if err != nil {
-				return nil, nil, err
 			}
 			s.X = append(s.X, float64(nRA))
 			s.Y = append(s.Y, mp/float64(nRA))
@@ -221,13 +184,9 @@ func Fig9(o Options) (*Figure, *Figure, error) {
 	for _, algo := range comparisonAlgos {
 		s := Series{Name: algo.String()}
 		for _, nSl := range sliceCounts {
-			h, err := runSimPoint(o, algo, agents[algo][nSl], nSl, simRAs)
+			mp, err := steady(algo, nSl, simRAs)
 			if err != nil {
 				return nil, nil, fmt.Errorf("fig9b %v@%d: %w", algo, nSl, err)
-			}
-			mp, err := h.MeanSystemPerf(h.Intervals() / 2)
-			if err != nil {
-				return nil, nil, err
 			}
 			s.X = append(s.X, float64(nSl))
 			s.Y = append(s.Y, mp/float64(nSl))

@@ -4,35 +4,30 @@ import (
 	"os"
 	"strconv"
 	"testing"
-
-	"edgeslice/internal/core"
-	"edgeslice/internal/rl"
 )
 
-// TestSimPointDiagnostic evaluates one simulation-scale point (5 slices,
-// 10 RAs) for all three algorithms and logs steady-state performance. It is
-// a tuning aid, enabled with EDGESLICE_SIM_DIAG=<train-steps>.
-func TestSimPointDiagnostic(t *testing.T) {
-	stepsEnv := os.Getenv("EDGESLICE_SIM_DIAG")
+// simDiagnostic evaluates the simulation-scale point of nSl slices and 10
+// RAs for all three algorithms, training for the steps named by the
+// environment variable env, and logs steady-state performance per RA and
+// per slice and the SLA satisfaction. It is a tuning aid.
+func simDiagnostic(t *testing.T, env string, nSl int) {
+	stepsEnv := os.Getenv(env)
 	if stepsEnv == "" {
-		t.Skip("set EDGESLICE_SIM_DIAG=<steps> to run")
+		t.Skipf("set %s=<steps> to run", env)
 	}
 	steps, err := strconv.Atoi(stepsEnv)
 	if err != nil {
-		t.Fatalf("bad EDGESLICE_SIM_DIAG: %v", err)
+		t.Fatalf("bad %s: %v", env, err)
 	}
 	o := DefaultOptions()
 	o.TrainSteps = steps
 	o.Periods = 6
 	for _, algo := range comparisonAlgos {
-		var agent rl.Agent
-		if algo.IsLearning() {
-			agent, err = trainSimAgent(o, algo, simSlices)
-			if err != nil {
-				t.Fatal(err)
-			}
+		cfg, err := simSystemConfig(o, algo, nSl, simRAs)
+		if err != nil {
+			t.Fatal(err)
 		}
-		h, err := runSimPoint(o, algo, agent, simSlices, simRAs)
+		h, err := o.runSystem(cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,41 +39,15 @@ func TestSimPointDiagnostic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("%-14s per-RA perf %10.1f  SLA %3.0f%%", algo, mp/float64(simRAs), sla*100)
-		_ = core.AlgoTARO
+		t.Logf("%-14s per-RA perf %10.1f  per-slice perf %10.1f  SLA %3.0f%%",
+			algo, mp/float64(simRAs), mp/float64(nSl), sla*100)
 	}
 }
 
+// TestSimPointDiagnostic evaluates the 5-slice point, enabled with
+// EDGESLICE_SIM_DIAG=<train-steps>.
+func TestSimPointDiagnostic(t *testing.T) { simDiagnostic(t, "EDGESLICE_SIM_DIAG", simSlices) }
+
 // TestSim7Diagnostic evaluates the 7-slice point, enabled with
 // EDGESLICE_SIM7_DIAG=<train-steps>.
-func TestSim7Diagnostic(t *testing.T) {
-	stepsEnv := os.Getenv("EDGESLICE_SIM7_DIAG")
-	if stepsEnv == "" {
-		t.Skip("set EDGESLICE_SIM7_DIAG=<steps> to run")
-	}
-	steps, err := strconv.Atoi(stepsEnv)
-	if err != nil {
-		t.Fatalf("bad EDGESLICE_SIM7_DIAG: %v", err)
-	}
-	o := DefaultOptions()
-	o.TrainSteps = steps
-	o.Periods = 6
-	for _, algo := range comparisonAlgos {
-		var agent rl.Agent
-		if algo.IsLearning() {
-			agent, err = trainSimAgent(o, algo, 7)
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		h, err := runSimPoint(o, algo, agent, 7, simRAs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mp, err := h.MeanSystemPerf(h.Intervals() / 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("%-14s per-slice perf %10.1f", algo, mp/7)
-	}
-}
+func TestSim7Diagnostic(t *testing.T) { simDiagnostic(t, "EDGESLICE_SIM7_DIAG", 7) }

@@ -28,11 +28,10 @@ const (
 	// boundary containing At.
 	EventRARecover EventKind = "ra-recover"
 	// EventSliceAdmit opens a slice's admission gate at At: the slice
-	// receives no traffic before At and is registered with the slice
-	// manager when the event fires.
+	// receives no traffic before At.
 	EventSliceAdmit EventKind = "slice-admit"
-	// EventSliceTeardown closes a slice's admission gate at At and
-	// releases the slice from the slice manager.
+	// EventSliceTeardown closes a slice's admission gate at At: the slice
+	// receives no traffic from At on.
 	EventSliceTeardown EventKind = "slice-teardown"
 )
 
@@ -167,8 +166,8 @@ func (s Spec) compileSource(i, ra int, seed int64, trace *traffic.Trace) (traffi
 }
 
 // systemConfig compiles the spec into a core.Config for one (algorithm,
-// seed) replica, including per-RA environment overrides when the scenario
-// uses per-area diurnal traffic.
+// seed) replica: per-RA deployment environments carrying the compiled
+// event program, and the base-traffic environment the agent trains in.
 func (s Spec) systemConfig(algo core.Algorithm, seed int64) (core.Config, error) {
 	var trace *traffic.Trace
 	if s.Trace != nil && s.Trace.Areas > 0 {
@@ -199,29 +198,30 @@ func (s Spec) systemConfig(algo core.Algorithm, seed int64) (core.Config, error)
 	}
 
 	perRA := make([]*netsim.Config, s.NumRAs)
-	trainPerRA := make([]*netsim.Config, s.NumRAs)
-	for j := 0; j < s.NumRAs; j++ {
+	for j := range perRA {
 		raEnv := env
 		raEnv.Sources = make([]traffic.Source, len(s.Slices))
-		trainEnv := env
-		trainEnv.Sources = make([]traffic.Source, len(s.Slices))
 		for i := range s.Slices {
 			src, err := s.compileSource(i, j, seed, trace)
 			if err != nil {
 				return core.Config{}, err
 			}
 			raEnv.Sources[i] = src
-			base, err := s.baseSource(i, j, seed, trace)
-			if err != nil {
-				return core.Config{}, err
-			}
-			trainEnv.Sources[i] = base
 		}
 		perRA[j] = &raEnv
-		trainPerRA[j] = &trainEnv
+	}
+	// The shared agent trains in RA 0's environment on its base traffic.
+	trainEnv := env
+	trainEnv.Sources = make([]traffic.Source, len(s.Slices))
+	for i := range s.Slices {
+		base, err := s.baseSource(i, 0, seed, trace)
+		if err != nil {
+			return core.Config{}, err
+		}
+		trainEnv.Sources[i] = base
 	}
 	cfg.EnvTemplate = *perRA[0]
 	cfg.EnvPerRA = perRA
-	cfg.TrainEnvPerRA = trainPerRA
+	cfg.TrainEnv = &trainEnv
 	return cfg, nil
 }

@@ -106,8 +106,8 @@ func FlashCrowd() Spec {
 }
 
 // SliceChurn exercises the slice lifecycle: a third slice is admitted
-// mid-run and torn down again, driving the slice manager's Request/Release
-// path while the other tenants keep running.
+// mid-run and torn down again (its traffic gate opens and closes) while the
+// other tenants keep running.
 func SliceChurn() Spec {
 	return Spec{
 		Name:        "slice-churn",

@@ -91,9 +91,6 @@ type ReplicaResult struct {
 	// SLAViolationRate is the fraction of (period, slice) pairs whose SLA
 	// was missed.
 	SLAViolationRate float64
-	// ActiveSlices is the slice manager's final count after admission and
-	// teardown events.
-	ActiveSlices int
 }
 
 // Stats summarizes one metric across replicas.
@@ -313,10 +310,9 @@ func histLogPath(dir string, spec Spec, algoName string, replica int) string {
 
 // tryResumeReplica recovers one replica's result from its history log when
 // Options.Resume is set and the log holds the scenario's complete run. The
-// summary numbers are recomputed from the replayed exact history with the
-// same formulas runReplica uses, and the final slice count is re-derived
-// from the spec's lifecycle events, so a resumed replica's ReplicaResult is
-// bit-identical to the exact-mode run that wrote the log.
+// result comes from replicaResult over the replayed exact history, so a
+// resumed replica's ReplicaResult is bit-identical to the exact-mode run
+// that wrote the log.
 func tryResumeReplica(spec Spec, algoName string, replica int, opts Options) (ReplicaResult, bool) {
 	if !opts.Resume || opts.HistoryLogDir == "" {
 		return ReplicaResult{}, false
@@ -330,13 +326,20 @@ func tryResumeReplica(spec Spec, algoName string, replica int, opts Options) (Re
 		h.Periods() != spec.Periods || h.Intervals() != spec.Periods*T {
 		return ReplicaResult{}, false
 	}
+	res, err := replicaResult(spec, algoName, replica, h)
+	return res, err == nil
+}
+
+// replicaResult summarizes one replica's recorded run: the steady-state
+// system performance over its last half and its SLA violation rate.
+func replicaResult(spec Spec, algoName string, replica int, h *core.History) (ReplicaResult, error) {
 	ssp, err := h.MeanSystemPerf(h.Intervals() / 2)
 	if err != nil {
-		return ReplicaResult{}, false
+		return ReplicaResult{}, err
 	}
 	slaRate, err := h.SLASatisfactionRate(0)
 	if err != nil {
-		return ReplicaResult{}, false
+		return ReplicaResult{}, err
 	}
 	return ReplicaResult{
 		Algorithm:        algoName,
@@ -344,54 +347,15 @@ func tryResumeReplica(spec Spec, algoName string, replica int, opts Options) (Re
 		Seed:             replicaSeed(spec.Seed, replica),
 		SSP:              ssp,
 		SLAViolationRate: 1 - slaRate,
-		ActiveSlices:     finalActiveSlices(spec),
-	}, true
-}
-
-// finalActiveSlices replays the spec's slice lifecycle — up-front
-// provisioning for slices without an admission event, then admit/teardown
-// events in chronological order — and returns the final active count that
-// every replica, run or resumed, reports. It is a pure function of the
-// spec; Validate rejects the specs on which a replayed lifecycle could
-// fail (empty tenants, events outside the horizon, teardown not after
-// admission).
-func finalActiveSlices(spec Spec) int {
-	admitAt := make(map[int]bool)
-	for _, ev := range spec.Events {
-		if ev.Kind == EventSliceAdmit {
-			admitAt[ev.Slice] = true
-		}
-	}
-	active := make(map[int]bool)
-	for i := range spec.Slices {
-		if !admitAt[i] {
-			active[i] = true
-		}
-	}
-	evs := make([]Event, 0, len(spec.Events))
-	for _, ev := range spec.Events {
-		if ev.Kind == EventSliceAdmit || ev.Kind == EventSliceTeardown {
-			evs = append(evs, ev)
-		}
-	}
-	sort.SliceStable(evs, func(a, b int) bool { return evs[a].At < evs[b].At })
-	for _, ev := range evs {
-		switch ev.Kind {
-		case EventSliceAdmit:
-			active[ev.Slice] = true
-		case EventSliceTeardown:
-			delete(active, ev.Slice)
-		}
-	}
-	return len(active)
+	}, nil
 }
 
 // runReplica executes one (algorithm, replica) run: it compiles the spec,
 // trains if needed (or installs the warm-start deployment), then advances
 // period by period on the batched engine at Options.Workers, applying runtime
-// events (RA degradation/recovery, slice admission/teardown through the
-// slice manager) at the boundary of the period containing each event's
-// interval. Every period records into the replica's one History (exact or
+// events (RA degradation/recovery) at the boundary of the period containing
+// each event's interval; slice admission and teardown are compiled into the
+// slices' traffic sources. Every period records into the replica's one History (exact or
 // streaming), and the replica's history log receives the same records
 // through the system's recording options. The History is returned alongside
 // the summary result (the determinism suite compares it across worker counts).
@@ -475,22 +439,8 @@ func runReplica(spec Spec, algoName string, replica int, warm *core.Deployment, 
 		}
 	}
 
-	ssp, err := h.MeanSystemPerf(h.Intervals() / 2)
-	if err != nil {
-		return ReplicaResult{}, nil, err
-	}
-	slaRate, err := h.SLASatisfactionRate(0)
-	if err != nil {
-		return ReplicaResult{}, nil, err
-	}
-	return ReplicaResult{
-		Algorithm:        algoName,
-		Replica:          replica,
-		Seed:             seed,
-		SSP:              ssp,
-		SLAViolationRate: 1 - slaRate,
-		ActiveSlices:     finalActiveSlices(spec),
-	}, h, nil
+	res, err := replicaResult(spec, algoName, replica, h)
+	return res, h, err
 }
 
 // applyRuntimeEvent enacts one infrastructure event on a running system.

@@ -96,32 +96,52 @@ func TestRunnerStreamsProgress(t *testing.T) {
 	}
 }
 
-func TestRunnerSliceChurnDrivesManager(t *testing.T) {
-	spec := SliceChurn()
-	spec.Periods = 8 // keep both events inside the horizon
-	s, err := Run(spec, Options{Replicas: 1, Parallel: 1})
+// requireGated checks slice i's compiled deployment source on every RA:
+// rate 0 outside [admit, teardown) (teardown 0: never torn down) and the
+// slice's base rate inside it, over the spec's whole horizon.
+func requireGated(t *testing.T, spec Spec, i, admit, teardown int) {
+	t.Helper()
+	cfg, err := spec.systemConfig(core.AlgoTARO, spec.Seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Slice 2 was admitted at interval 30 and released at interval 70, so
-	// only the two permanent tenants remain.
-	if got := s.Algorithms[0].Replicas[0].ActiveSlices; got != 2 {
-		t.Errorf("final active slices = %d, want 2", got)
+	for j, env := range cfg.EnvPerRA {
+		base, err := spec.baseSource(i, j, spec.Seed, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for iv := 0; iv < spec.Periods*spec.T; iv++ {
+			want := base.Rate(iv)
+			if iv < admit || (teardown > 0 && iv >= teardown) {
+				want = 0
+			}
+			if got := env.Sources[i].Rate(iv); got != want {
+				t.Fatalf("RA %d slice %d rate at interval %d = %v, want %v", j, i, iv, got, want)
+			}
+		}
 	}
+}
+
+func TestRunnerSliceChurnDrivesManager(t *testing.T) {
+	spec := SliceChurn()
+	spec.Periods = 8 // keep both events inside the horizon
+	if _, err := Run(spec, Options{Replicas: 1, Parallel: 1}); err != nil {
+		t.Fatal(err)
+	}
+	// Slice 2 is admitted at interval 30 and torn down at interval 70.
+	requireGated(t, spec, 2, 30, 70)
+	requireGated(t, spec, 0, 0, 0)
 }
 
 func TestRunnerTeardownWithoutAdmitFails(t *testing.T) {
 	spec := fastSpec()
 	spec.Events = []Event{{Kind: EventSliceTeardown, At: 35, Slice: 1}}
 	// Slice 1 has no admit event, so it is provisioned at start and the
-	// teardown must succeed, leaving one active slice.
-	s, err := Run(spec, Options{Replicas: 1})
-	if err != nil {
+	// teardown must succeed, gating its traffic to 0 from interval 35.
+	if _, err := Run(spec, Options{Replicas: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Algorithms[0].Replicas[0].ActiveSlices; got != 1 {
-		t.Errorf("final active slices = %d, want 1", got)
-	}
+	requireGated(t, spec, 1, 0, 35)
 }
 
 func TestRunnerRAFailureDegradesPerformance(t *testing.T) {
@@ -226,19 +246,19 @@ func TestValidateRejectsLifecycleConflicts(t *testing.T) {
 
 func TestTrainingEnvsUseBaseSources(t *testing.T) {
 	// Deployment events are anchored to absolute run intervals, which have
-	// no meaning during offline training: the compiled training envs must
+	// no meaning during offline training: the compiled training env must
 	// carry the unmodulated base sources.
 	spec := SliceChurn()
 	cfg, err := spec.systemConfig(core.AlgoEdgeSlice, spec.Seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cfg.TrainEnvPerRA) != spec.NumRAs {
-		t.Fatalf("TrainEnvPerRA has %d entries, want %d", len(cfg.TrainEnvPerRA), spec.NumRAs)
+	if cfg.TrainEnv == nil {
+		t.Fatal("TrainEnv is nil; the agent would train on the deployment sources")
 	}
 	const churned = 2 // slice with admit/teardown events
 	deploySrc := cfg.EnvPerRA[0].Sources[churned]
-	trainSrc := cfg.TrainEnvPerRA[0].Sources[churned]
+	trainSrc := cfg.TrainEnv.Sources[churned]
 	if deploySrc.Rate(0) != 0 {
 		t.Errorf("deployment source rate %v before admission, want 0", deploySrc.Rate(0))
 	}
