@@ -1,5 +1,8 @@
 // Command edgeslice-exp regenerates the paper's evaluation figures
-// (Figs. 6-11) and prints their data series as text tables.
+// (Figs. 6-11) and prints their data series as text tables. Every figure
+// point is a core.Config run through core.System (Fig. 8's are 1-RA
+// systems whose agents see no coordination), and each distinct agent is
+// trained once per invocation and deployed wherever a figure needs it.
 //
 // Usage:
 //
@@ -47,33 +50,37 @@ func run() error {
 	o.TrainSteps = *train
 	o.Periods = *periods
 	o.Seed = *seed
+	lab, err := experiments.New(o)
+	if err != nil {
+		return err
+	}
 
 	runs := map[string]func() error{
 		"fig6": func() error {
-			a, b, err := experiments.Fig6(o)
+			a, b, err := lab.Fig6()
 			return printAll(err, a, b)
 		},
 		"fig7": func() error {
-			figs, err := experiments.Fig7(o)
+			figs, err := lab.Fig7()
 			return printAll(err, figs...)
 		},
 		"fig8": func() error {
-			cdf, ratios, err := experiments.Fig8(o)
+			cdf, ratios, err := lab.Fig8()
 			if err != nil {
 				return err
 			}
 			return printAll(nil, append([]*experiments.Figure{cdf}, ratios...)...)
 		},
 		"fig9": func() error {
-			a, b, err := experiments.Fig9(o)
+			a, b, err := lab.Fig9()
 			return printAll(err, a, b)
 		},
 		"fig10": func() error {
-			a, b, err := experiments.Fig10(o)
+			a, b, err := lab.Fig10()
 			return printAll(err, a, b)
 		},
 		"fig11": func() error {
-			a, b, err := experiments.Fig11(o)
+			a, b, err := lab.Fig11()
 			return printAll(err, a, b)
 		},
 	}

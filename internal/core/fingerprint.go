@@ -47,17 +47,14 @@ func TrainingFingerprint(cfg Config) (string, error) {
 	}
 	io.WriteString(h, "}|")
 
-	// A System value only to resolve the training template, the one
-	// environment Train trains in, hashed under RA 0's tag as when each RA
-	// had its own; the config was validated by the caller's
-	// NewSystem or is validated here. Normalize exactly as Train does; Seed
-	// is overridden there from cfg.Seed, which the store keys separately.
+	// The one environment Train trains in, hashed under RA 0's tag as when
+	// each RA had its own; the config was validated by the caller's
+	// NewSystem or is validated here. Its Seed derives from cfg.Seed, which
+	// the store keys separately.
 	if err := cfg.Validate(); err != nil {
 		return "", err
 	}
-	envCfg := (&System{cfg: cfg}).trainTemplate()
-	envCfg.ObserveQueue = cfg.Algo != AlgoEdgeSliceNT
-	envCfg.TrainCoordRandom = true
+	envCfg := cfg.trainingEnv()
 	envCfg.Seed = 0
 	w("ra", 0)
 	if err := hashValue(h, reflect.ValueOf(envCfg)); err != nil {

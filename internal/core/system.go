@@ -16,6 +16,10 @@ import (
 	"edgeslice/internal/rl/offpolicy"
 )
 
+// PaperUmin is the paper's per-slice SLA (Eq. 2): the minimum Σ_t U a
+// slice must reach in each period, the default of every slice's Umin.
+const PaperUmin = -50
+
 // Algorithm selects the orchestration policy under evaluation (Sec. VII-B).
 type Algorithm int
 
@@ -82,19 +86,19 @@ type Config struct {
 	// traffic profiles); nil entries fall back to the template.
 	EnvPerRA []*netsim.Config
 	// TrainEnv optionally sets the environment Train trains the shared
-	// agent in; nil means RA 0's (EnvPerRA[0], else EnvTemplate). Train
-	// overrides its ObserveQueue (from Algo), TrainCoordRandom (on) and
-	// Seed (from Seed). Scenarios train on base traffic and deploy against
-	// their event program, whose absolute run intervals mean nothing
-	// inside training episodes; the trace-driven figures train on a
-	// variable-rate source covering the trace's load band and deploy the
-	// trace per RA.
+	// agent in; nil means RA 0's (EnvPerRA[0], else EnvTemplate).
+	// NewTrainingEnv overrides its ObserveQueue (from Algo),
+	// TrainCoordRandom (on) and Seed (from Seed). Scenarios train on base
+	// traffic and deploy against their event program, whose absolute run
+	// intervals mean nothing inside training episodes; the trace-driven
+	// figures train on a variable-rate source covering the trace's load
+	// band and deploy the trace per RA.
 	TrainEnv *netsim.Config
 
 	Algo Algorithm
 
 	// Umin is the per-slice SLA vector for the coordinator; defaults to
-	// the paper's −50 for every slice when nil.
+	// PaperUmin for every slice when nil.
 	Umin []float64
 	Rho  float64
 
@@ -195,7 +199,7 @@ func NewSystem(cfg Config) (*System, error) {
 	if umin == nil {
 		umin = make([]float64, cfg.EnvTemplate.NumSlices)
 		for i := range umin {
-			umin[i] = -50 // the paper's SLA
+			umin[i] = PaperUmin
 		}
 	}
 	coord, err := admm.NewCoordinator(admm.Config{
@@ -211,7 +215,7 @@ func NewSystem(cfg Config) (*System, error) {
 	envCfgs := make([]netsim.Config, cfg.NumRAs)
 	for j := range envCfgs {
 		envCfg := &envCfgs[j]
-		*envCfg = s.envTemplateFor(j)
+		*envCfg = cfg.envFor(j)
 		envCfg.ObserveQueue = cfg.Algo != AlgoEdgeSliceNT
 		envCfg.TrainCoordRandom = false // orchestration mode
 		envCfg.Seed = cfg.Seed + int64(j)*7919
@@ -252,11 +256,7 @@ func (s *System) Train() error {
 		s.trained = true
 		return nil
 	}
-	envCfg := s.trainTemplate()
-	envCfg.ObserveQueue = s.cfg.Algo != AlgoEdgeSliceNT
-	envCfg.TrainCoordRandom = true
-	envCfg.Seed = s.cfg.Seed + 104729
-	env, err := netsim.New(envCfg)
+	env, err := s.cfg.NewTrainingEnv()
 	if err != nil {
 		return fmt.Errorf("core: training shared agent: %w", err)
 	}
@@ -311,20 +311,30 @@ func (s *System) Actor(j int) (*nn.Network, error) {
 	return nil, fmt.Errorf("core: RA %d agent (%T) is not a DDPG agent: save a full checkpoint (Snapshot/SaveCheckpoint) instead", j, s.agents[j])
 }
 
-func (s *System) envTemplateFor(j int) netsim.Config {
-	if s.cfg.EnvPerRA != nil && s.cfg.EnvPerRA[j] != nil {
-		return *s.cfg.EnvPerRA[j]
+// envFor returns RA j's environment: its EnvPerRA entry, else EnvTemplate.
+func (c Config) envFor(j int) netsim.Config {
+	if c.EnvPerRA != nil && c.EnvPerRA[j] != nil {
+		return *c.EnvPerRA[j]
 	}
-	return s.cfg.EnvTemplate
+	return c.EnvTemplate
 }
 
-// trainTemplate returns the environment the shared agent trains in,
-// preferring the dedicated training override to RA 0's.
-func (s *System) trainTemplate() netsim.Config {
-	if s.cfg.TrainEnv != nil {
-		return *s.cfg.TrainEnv
+// NewTrainingEnv builds the environment Train trains the shared agent in,
+// for trainers of other techniques that must share its task.
+func (c Config) NewTrainingEnv() (*netsim.RAEnv, error) { return netsim.New(c.trainingEnv()) }
+
+// trainingEnv configures the environment Train trains the shared agent in:
+// TrainEnv, else RA 0's, observing queues unless Algo is the NT ablation,
+// with randomized coordinating information (Sec. VI-A) and its own seed.
+func (c Config) trainingEnv() netsim.Config {
+	env := c.envFor(0)
+	if c.TrainEnv != nil {
+		env = *c.TrainEnv
 	}
-	return s.envTemplateFor(0)
+	env.ObserveQueue = c.Algo != AlgoEdgeSliceNT
+	env.TrainCoordRandom = true
+	env.Seed = c.Seed + 104729
+	return env
 }
 
 // RunPeriods executes Algorithm 1 for n periods under the serial engine:

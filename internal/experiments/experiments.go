@@ -1,6 +1,7 @@
 // Package experiments regenerates every figure of the paper's evaluation
-// (Sec. VII) against the simulated substrates: each FigN function runs the
-// corresponding workload and returns the data series the paper plots.
+// (Sec. VII) against the simulated substrates: each FigN method of a Lab
+// runs the corresponding workload as core.Config runs through System and
+// reduces their Histories to the data series the paper plots.
 // The paper-vs-measured table for each figure (EXPERIMENTS.md) is not
 // generated yet: ROADMAP "Paper-scale fidelity as a regenerated artifact".
 //
@@ -13,8 +14,11 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
+	"edgeslice/internal/ckpt"
 	"edgeslice/internal/core"
+	"edgeslice/internal/mathutil"
 	"edgeslice/internal/rl"
 )
 
@@ -66,6 +70,25 @@ func (o Options) Validate() error {
 	return nil
 }
 
+// Lab is one run context: validated options and every agent trained so
+// far, so that each distinct agent trains once however many figures deploy
+// it, as the paper trains an agent once and deploys it everywhere (Sec. V).
+type Lab struct {
+	o Options
+	// policies maps the store key of a training config (ckpt.Key of its
+	// algorithm, core.TrainingFingerprint, seed and steps) to the policy
+	// System.Train trained from it.
+	policies map[string]*rl.DeployedPolicy
+}
+
+// New validates o and returns an empty run context.
+func New(o Options) (*Lab, error) {
+	if err := o.Validate(); err != nil {
+		return nil, err
+	}
+	return &Lab{o: o, policies: make(map[string]*rl.DeployedPolicy)}, nil
+}
+
 // systemConfig assembles a core.Config for the prototype-experiment setting
 // with the given algorithm.
 func (o Options) systemConfig(algo core.Algorithm) core.Config {
@@ -78,38 +101,17 @@ func (o Options) systemConfig(algo core.Algorithm) core.Config {
 	return cfg
 }
 
-// runAlgo trains (if needed) and runs one algorithm for the option's period
-// count, returning its history.
-func (o Options) runAlgo(algo core.Algorithm, mutate func(*core.Config)) (*core.History, error) {
-	cfg := o.systemConfig(algo)
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	return o.runSystem(cfg, nil)
-}
-
-// runSystem builds cfg's system, installs agent as every RA's policy (or,
-// when agent is nil, trains with System.Train) and runs the option's
-// period count, returning its history.
-func (o Options) runSystem(cfg core.Config, agent rl.Agent) (*core.History, error) {
-	sys, err := core.NewSystem(cfg)
+// policy returns the acting policy System.Train trains from cfg, training
+// it on the first request for its key only.
+func (l *Lab) policy(cfg core.Config) (*rl.DeployedPolicy, error) {
+	hash, err := core.TrainingFingerprint(cfg)
 	if err != nil {
 		return nil, err
 	}
-	if agent != nil {
-		err = sys.SetAgents([]rl.Agent{agent})
-	} else {
-		err = sys.Train()
+	key := ckpt.Key(cfg.Algo.String(), hash, cfg.Seed, cfg.TrainSteps)
+	if p, ok := l.policies[key]; ok {
+		return p, nil
 	}
-	if err != nil {
-		return nil, err
-	}
-	return sys.RunPeriods(o.Periods)
-}
-
-// trainPolicy trains cfg's shared agent with System.Train and returns its
-// acting policy, to deploy on other systems or a single uncoordinated RA.
-func trainPolicy(cfg core.Config) (*rl.DeployedPolicy, error) {
 	sys, err := core.NewSystem(cfg)
 	if err != nil {
 		return nil, err
@@ -121,7 +123,83 @@ func trainPolicy(cfg core.Config) (*rl.DeployedPolicy, error) {
 	if err != nil {
 		return nil, err
 	}
-	return rl.NewDeployedPolicy(actor, false), nil
+	p := rl.NewDeployedPolicy(actor, false)
+	l.policies[key] = p
+	return p, nil
+}
+
+// run builds cfg's system, installs agent as every RA's policy (nil: a
+// baseline, which Train prepares) and runs it for the given periods. It
+// never trains: every agent comes from Lab.policy or Fig. 10(b)'s trainers.
+func run(cfg core.Config, agent rl.Agent, periods int) (*core.History, error) {
+	sys, err := core.NewSystem(cfg)
+	if err != nil {
+		return nil, err
+	}
+	switch {
+	case agent != nil:
+		err = sys.SetAgents([]rl.Agent{agent})
+	case cfg.Algo.IsLearning():
+		err = fmt.Errorf("experiments: %v run without a trained agent", cfg.Algo)
+	default:
+		err = sys.Train()
+	}
+	if err != nil {
+		return nil, err
+	}
+	return sys.RunPeriods(periods)
+}
+
+// runTrained runs cfg for the options' periods under the policy trained
+// from train, or under its baseline for a non-learning algorithm.
+func (l *Lab) runTrained(cfg, train core.Config) (*core.History, error) {
+	var agent rl.Agent
+	if cfg.Algo.IsLearning() {
+		p, err := l.policy(train)
+		if err != nil {
+			return nil, err
+		}
+		agent = p
+	}
+	return run(cfg, agent, l.o.Periods)
+}
+
+// steadySeries plots the steady-state system performance (the mean over
+// the second half of the run) of each comparison algorithm at every x:
+// at(algo, x) gives the system to run there and the config its agent
+// trains from, and perX divides each value by x (performance per RA or
+// per slice).
+func (l *Lab) steadySeries(xs []float64, perX bool, at func(core.Algorithm, float64) (run, train core.Config, err error)) ([]Series, error) {
+	var out []Series
+	for _, algo := range comparisonAlgos {
+		s := Series{Name: algo.String()}
+		for _, x := range xs {
+			cfg, train, err := at(algo, x)
+			if err != nil {
+				return nil, err
+			}
+			y, err := steady(l.runTrained(cfg, train))
+			if err != nil {
+				return nil, fmt.Errorf("%v at %v: %w", algo, x, err)
+			}
+			if perX {
+				y /= x
+			}
+			s.X = append(s.X, x)
+			s.Y = append(s.Y, y)
+		}
+		out = append(out, s)
+	}
+	return out, nil
+}
+
+// steady is the steady-state system performance of a run: the mean over
+// the second half of its History.
+func steady(h *core.History, err error) (float64, error) {
+	if err != nil {
+		return 0, err
+	}
+	return h.MeanSystemPerf(h.Intervals() / 2)
 }
 
 // smooth applies a trailing moving average of width w.
@@ -136,11 +214,7 @@ func smooth(xs []float64, w int) []float64 {
 		if i >= w {
 			sum -= xs[i-w]
 		}
-		n := i + 1
-		if n > w {
-			n = w
-		}
-		out[i] = sum / float64(n)
+		out[i] = sum / float64(min(i+1, w))
 	}
 	return out
 }
@@ -153,20 +227,28 @@ func indexSeries(name string, ys []float64) Series {
 	return Series{Name: name, X: xs, Y: ys}
 }
 
+// cdfSeries is the empirical CDF of samples as a series.
+func cdfSeries(name string, samples []float64) Series {
+	s := Series{Name: name}
+	for _, p := range mathutil.EmpiricalCDF(samples) {
+		s.X = append(s.X, p.Value)
+		s.Y = append(s.Y, p.Prob)
+	}
+	return s
+}
+
 // comparisonAlgos are the three algorithms of Sec. VII-B in plot order.
 var comparisonAlgos = []core.Algorithm{core.AlgoEdgeSlice, core.AlgoEdgeSliceNT, core.AlgoTARO}
 
 // Fig6 reproduces "The convergence of algorithms": (a) per-interval system
 // performance for EdgeSlice, EdgeSlice-NT and TARO; (b) per-slice
 // performance under EdgeSlice against the Umin/T line.
-func Fig6(o Options) (*Figure, *Figure, error) {
-	if err := o.Validate(); err != nil {
-		return nil, nil, err
-	}
+func (l *Lab) Fig6() (*Figure, *Figure, error) {
 	figA := &Figure{ID: "fig6a", Title: "System performance vs time interval"}
 	var edgeHist *core.History
 	for _, algo := range comparisonAlgos {
-		h, err := o.runAlgo(algo, nil)
+		cfg := l.o.systemConfig(algo)
+		h, err := l.runTrained(cfg, cfg)
 		if err != nil {
 			return nil, nil, fmt.Errorf("fig6 %v: %w", algo, err)
 		}
@@ -181,10 +263,7 @@ func Fig6(o Options) (*Figure, *Figure, error) {
 			indexSeries(fmt.Sprintf("Slice %d", i+1), smooth(edgeHist.IntervalColumn(1+i), 5)))
 	}
 	// The SLA reference line: Umin spread across a period's intervals.
-	umin := make([]float64, edgeHist.Intervals())
-	for i := range umin {
-		umin[i] = -50.0 / float64(edgeHist.T)
-	}
+	umin := slices.Repeat([]float64{core.PaperUmin / float64(edgeHist.T)}, edgeHist.Intervals())
 	figB.Series = append(figB.Series, indexSeries("Umin/T", umin))
 	figA.Notes = "paper: EdgeSlice converges above EdgeSlice-NT and TARO (3.69x / 2.74x gains)"
 	figB.Notes = "paper: both slices meet their minimum performance requirement"

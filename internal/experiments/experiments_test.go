@@ -17,6 +17,16 @@ func tinyOptions() Options {
 	}
 }
 
+// tinyLab is a run context at tinyOptions.
+func tinyLab(t *testing.T) *Lab {
+	t.Helper()
+	l, err := New(tinyOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
+}
+
 func TestOptionsValidate(t *testing.T) {
 	if err := DefaultOptions().Validate(); err != nil {
 		t.Fatal(err)
@@ -25,6 +35,9 @@ func TestOptionsValidate(t *testing.T) {
 	bad.TrainSteps = 0
 	if err := bad.Validate(); err == nil {
 		t.Error("zero train steps should fail")
+	}
+	if _, err := New(bad); err == nil {
+		t.Error("New should validate its options")
 	}
 }
 
@@ -80,7 +93,7 @@ func TestWriteTable(t *testing.T) {
 }
 
 func TestFig7Smoke(t *testing.T) {
-	figs, err := Fig7(tinyOptions())
+	figs, err := tinyLab(t).Fig7()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +108,7 @@ func TestFig7Smoke(t *testing.T) {
 }
 
 func TestFig8Smoke(t *testing.T) {
-	cdf, ratios, err := Fig8(tinyOptions())
+	cdf, ratios, err := tinyLab(t).Fig8()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +129,7 @@ func TestFig8Smoke(t *testing.T) {
 }
 
 func TestFig9Smoke(t *testing.T) {
-	figA, figB, err := Fig9(tinyOptions())
+	figA, figB, err := tinyLab(t).Fig9()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +142,7 @@ func TestFig9Smoke(t *testing.T) {
 }
 
 func TestFig10Smoke(t *testing.T) {
-	figA, figB, err := Fig10(tinyOptions())
+	figA, figB, err := tinyLab(t).Fig10()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +155,7 @@ func TestFig10Smoke(t *testing.T) {
 }
 
 func TestFig11Smoke(t *testing.T) {
-	figA, figB, err := Fig11(tinyOptions())
+	figA, figB, err := tinyLab(t).Fig11()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,5 +164,38 @@ func TestFig11Smoke(t *testing.T) {
 	}
 	if len(figB.Series) != 3 {
 		t.Errorf("fig11b has %d series", len(figB.Series))
+	}
+}
+
+// TestEachAgentTrainsOnce runs all six figures on one run context: the
+// memo then holds the 22 distinct DDPG agents they deploy (2 default, 6 of
+// Fig. 9, 6 more step budgets of Fig. 10(a), 6 more α of Fig. 11(a), 2
+// service-time of Fig. 11(b)), each trained once where running each figure
+// alone trains 30, and a figure whose agents are all trained trains
+// nothing.
+func TestEachAgentTrainsOnce(t *testing.T) {
+	l := tinyLab(t)
+	if _, _, err := l.Fig6(); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(l.policies); n != 2 {
+		t.Fatalf("Fig6 trained %d agents, want 2", n)
+	}
+	if _, err := l.Fig7(); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(l.policies); n != 2 {
+		t.Fatalf("Fig7 after Fig6 trained %d more agents, want 0", n-2)
+	}
+	if _, _, err := l.Fig8(); err != nil {
+		t.Fatal(err)
+	}
+	for _, fig := range []func() (*Figure, *Figure, error){l.Fig9, l.Fig10, l.Fig11} {
+		if _, _, err := fig(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := len(l.policies); n != 22 {
+		t.Errorf("six figures trained %d distinct agents, want 22", n)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"edgeslice/internal/core"
-	"edgeslice/internal/netsim"
 	"edgeslice/internal/rl"
 	"edgeslice/internal/rl/offpolicy"
 	"edgeslice/internal/rl/onpolicy"
@@ -23,40 +22,22 @@ var TrainingTechniques = []string{"DDPG", "SAC", "PPO", "TRPO", "VPG"}
 // to {0.1, 0.5, 1.0, 1.5} × Options.TrainSteps so the relative step ratios
 // are preserved (EXPERIMENTS.md, which would record this, is not generated
 // yet: ROADMAP "Paper-scale fidelity as a regenerated artifact").
-func Fig10(o Options) (*Figure, *Figure, error) {
-	if err := o.Validate(); err != nil {
-		return nil, nil, err
-	}
+func (l *Lab) Fig10() (*Figure, *Figure, error) {
 	figA := &Figure{
 		ID:    "fig10a",
 		Title: "System performance vs number of training steps",
 		Notes: "paper: under-trained agents (1e5 steps) fall below TARO; more steps help",
 	}
-	fractions := []float64{0.1, 0.5, 1.0, 1.5}
-	paperSteps := []float64{1e5, 5e5, 1e6, 1.5e6}
-	for _, algo := range comparisonAlgos {
-		s := Series{Name: algo.String()}
-		for fi, frac := range fractions {
-			steps := int(frac * float64(o.TrainSteps))
-			if steps < 1 {
-				steps = 1
-			}
-			h, err := o.runAlgo(algo, func(c *core.Config) {
-				if algo.IsLearning() {
-					c.TrainSteps = steps
-				}
-			})
-			if err != nil {
-				return nil, nil, fmt.Errorf("fig10a %v@%d: %w", algo, steps, err)
-			}
-			mp, err := h.MeanSystemPerf(h.Intervals() / 2)
-			if err != nil {
-				return nil, nil, err
-			}
-			s.X = append(s.X, paperSteps[fi])
-			s.Y = append(s.Y, mp)
+	var err error
+	figA.Series, err = l.steadySeries([]float64{1e5, 5e5, 1e6, 1.5e6}, false, func(algo core.Algorithm, paperSteps float64) (core.Config, core.Config, error) {
+		cfg := l.o.systemConfig(algo)
+		if algo.IsLearning() {
+			cfg.TrainSteps = max(int(paperSteps/1e6*float64(l.o.TrainSteps)), 1)
 		}
-		figA.Series = append(figA.Series, s)
+		return cfg, cfg, nil
+	})
+	if err != nil {
+		return nil, nil, fmt.Errorf("fig10a: %w", err)
 	}
 
 	figB := &Figure{
@@ -64,56 +45,50 @@ func Fig10(o Options) (*Figure, *Figure, error) {
 		Title: "System performance vs training technique",
 		Notes: "paper: DDPG-trained agents perform best among the five techniques",
 	}
+	cfg := l.o.systemConfig(core.AlgoEdgeSlice)
 	for _, tech := range TrainingTechniques {
-		agent, err := trainWithTechnique(o, tech)
+		agent, err := l.trainWithTechnique(cfg, tech)
 		if err != nil {
 			return nil, nil, fmt.Errorf("fig10b %s: %w", tech, err)
 		}
-		h, err := o.runSystem(o.systemConfig(core.AlgoEdgeSlice), agent)
+		mp, err := steady(run(cfg, agent, l.o.Periods))
 		if err != nil {
-			return nil, nil, err
-		}
-		mp, err := h.MeanSystemPerf(h.Intervals() / 2)
-		if err != nil {
-			return nil, nil, err
+			return nil, nil, fmt.Errorf("fig10b %s: %w", tech, err)
 		}
 		figB.Series = append(figB.Series, Series{Name: tech, X: []float64{1}, Y: []float64{mp}})
 	}
 	return figA, figB, nil
 }
 
-// trainWithTechnique trains one Fig. 10(b) agent with the named technique
-// at comparable budgets (same environment, same step count). DDPG's is the
-// system's own agent, trained by System.Train; System.Train trains DDPG
-// only, so the other four train here in the environment it trains in.
-func trainWithTechnique(o Options, tech string) (rl.Agent, error) {
+// trainWithTechnique trains one Fig. 10(b) agent for cfg with the named
+// technique at comparable budgets (same environment, same step count).
+// DDPG's is the system's own agent, trained by System.Train; System.Train
+// trains DDPG only, so the other four train here in the environment it
+// trains in.
+func (l *Lab) trainWithTechnique(cfg core.Config, tech string) (rl.Agent, error) {
 	tech = strings.ToLower(tech)
 	if tech == offpolicy.DDPG {
-		return trainPolicy(o.systemConfig(core.AlgoEdgeSlice))
+		return l.policy(cfg)
 	}
-	envCfg := netsim.DefaultExperimentConfig()
-	envCfg.ObserveQueue = true
-	envCfg.TrainCoordRandom = true
-	envCfg.Seed = o.Seed + 104729
-	env, err := netsim.New(envCfg)
+	env, err := cfg.NewTrainingEnv()
 	if err != nil {
 		return nil, err
+	}
+	var agent interface {
+		rl.Agent
+		Train(env rl.Env, steps int) error
 	}
 	if tech == offpolicy.SAC {
-		cfg := offpolicy.DefaultConfig(tech)
-		cfg.Hidden, cfg.BatchSize, cfg.WarmupSteps, cfg.Seed = o.Hidden, o.Batch, 300, o.Seed
-		agent, err := offpolicy.New(env.StateDim(), env.ActionDim(), cfg)
-		if err != nil {
-			return nil, err
-		}
-		return agent, agent.Train(env, o.TrainSteps)
+		c := offpolicy.DefaultConfig(tech)
+		c.Hidden, c.BatchSize, c.WarmupSteps, c.Seed = l.o.Hidden, l.o.Batch, 300, l.o.Seed
+		agent, err = offpolicy.New(env.StateDim(), env.ActionDim(), c)
+	} else {
+		c := onpolicy.DefaultConfig(tech)
+		c.Hidden, c.Seed = l.o.Hidden, l.o.Seed
+		agent, err = onpolicy.New(env.StateDim(), env.ActionDim(), c)
 	}
-	cfg := onpolicy.DefaultConfig(tech)
-	cfg.Hidden = o.Hidden
-	cfg.Seed = o.Seed
-	agent, err := onpolicy.New(env.StateDim(), env.ActionDim(), cfg)
 	if err != nil {
 		return nil, err
 	}
-	return agent, agent.Train(env, o.TrainSteps)
+	return agent, agent.Train(env, l.o.TrainSteps)
 }

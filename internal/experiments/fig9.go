@@ -1,12 +1,12 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 
 	"edgeslice/internal/core"
 	"edgeslice/internal/mathutil"
 	"edgeslice/internal/netsim"
-	"edgeslice/internal/rl"
 	"edgeslice/internal/traffic"
 )
 
@@ -82,13 +82,13 @@ func simSystemConfig(o Options, algo core.Algorithm, numSlices, numRAs int) (cor
 	}
 	perRA := make([]*netsim.Config, numRAs)
 	for j := 0; j < numRAs; j++ {
+		p, err := trace.AreaProfile(j, 10) // daily mean rate 10
+		if err != nil {
+			return core.Config{}, err
+		}
 		cp := tpl
 		cp.Sources = make([]traffic.Source, numSlices)
 		for i := 0; i < numSlices; i++ {
-			p, err := trace.AreaProfile(j, 10) // daily mean rate 10
-			if err != nil {
-				return core.Config{}, err
-			}
 			// Offset each slice's phase so slices in one RA are not
 			// perfectly correlated.
 			rot := append(append([]float64(nil), p.Rates[i*5%24:]...), p.Rates[:i*5%24]...)
@@ -117,63 +117,22 @@ func simSystemConfig(o Options, algo core.Algorithm, numSlices, numRAs int) (cor
 
 // Fig9 reproduces "The scalability of EdgeSlice": (a) performance per RA vs
 // the number of RAs {5, 10, 15, 20}; (b) performance per slice vs the
-// number of slices {3, 5, 7}.
-func Fig9(o Options) (*Figure, *Figure, error) {
-	if err := o.Validate(); err != nil {
-		return nil, nil, err
-	}
-	// Train once per (algorithm, slice count).
-	agents := make(map[core.Algorithm]map[int]rl.Agent)
-	sliceCounts := []int{3, simSlices, 7}
-	for _, algo := range comparisonAlgos {
-		agents[algo] = make(map[int]rl.Agent)
-		if !algo.IsLearning() {
-			continue
-		}
-		for _, nSl := range sliceCounts {
-			cfg, err := simSystemConfig(o, algo, nSl, simRAs)
-			if err != nil {
-				return nil, nil, err
-			}
-			a, err := trainPolicy(cfg)
-			if err != nil {
-				return nil, nil, fmt.Errorf("fig9 train %v/%d: %w", algo, nSl, err)
-			}
-			agents[algo][nSl] = a
-		}
-	}
-
-	// steady runs one scale point and returns its steady-state system
-	// performance.
-	steady := func(algo core.Algorithm, nSl, nRA int) (float64, error) {
-		cfg, err := simSystemConfig(o, algo, nSl, nRA)
-		if err != nil {
-			return 0, err
-		}
-		h, err := o.runSystem(cfg, agents[algo][nSl])
-		if err != nil {
-			return 0, err
-		}
-		return h.MeanSystemPerf(h.Intervals() / 2)
-	}
-
+// number of slices {3, 5, 7}. One agent per (algorithm, slice count),
+// trained in the simRAs system, serves every RA count.
+func (l *Lab) Fig9() (*Figure, *Figure, error) {
 	figA := &Figure{
 		ID:    "fig9a",
 		Title: "Performance per RA vs number of RAs",
 		Notes: "paper: EdgeSlice/NT hold per-RA performance as RAs grow; TARO degrades",
 	}
-	raCounts := []int{5, 10, 15, 20}
-	for _, algo := range comparisonAlgos {
-		s := Series{Name: algo.String()}
-		for _, nRA := range raCounts {
-			mp, err := steady(algo, simSlices, nRA)
-			if err != nil {
-				return nil, nil, fmt.Errorf("fig9a %v@%d: %w", algo, nRA, err)
-			}
-			s.X = append(s.X, float64(nRA))
-			s.Y = append(s.Y, mp/float64(nRA))
-		}
-		figA.Series = append(figA.Series, s)
+	var err error
+	figA.Series, err = l.steadySeries([]float64{5, 10, 15, 20}, true, func(algo core.Algorithm, nRA float64) (core.Config, core.Config, error) {
+		cfg, err := simSystemConfig(l.o, algo, simSlices, int(nRA))
+		train, terr := simSystemConfig(l.o, algo, simSlices, simRAs)
+		return cfg, train, errors.Join(err, terr)
+	})
+	if err != nil {
+		return nil, nil, fmt.Errorf("fig9a: %w", err)
 	}
 
 	figB := &Figure{
@@ -181,17 +140,12 @@ func Fig9(o Options) (*Figure, *Figure, error) {
 		Title: "Performance per slice vs number of slices",
 		Notes: "paper: performance per slice decreases with slice count; EdgeSlice stays best",
 	}
-	for _, algo := range comparisonAlgos {
-		s := Series{Name: algo.String()}
-		for _, nSl := range sliceCounts {
-			mp, err := steady(algo, nSl, simRAs)
-			if err != nil {
-				return nil, nil, fmt.Errorf("fig9b %v@%d: %w", algo, nSl, err)
-			}
-			s.X = append(s.X, float64(nSl))
-			s.Y = append(s.Y, mp/float64(nSl))
-		}
-		figB.Series = append(figB.Series, s)
+	figB.Series, err = l.steadySeries([]float64{3, simSlices, 7}, true, func(algo core.Algorithm, nSl float64) (core.Config, core.Config, error) {
+		cfg, err := simSystemConfig(l.o, algo, int(nSl), simRAs)
+		return cfg, cfg, err
+	})
+	if err != nil {
+		return nil, nil, fmt.Errorf("fig9b: %w", err)
 	}
 	return figA, figB, nil
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 )
 
@@ -13,59 +14,42 @@ func WriteTable(w io.Writer, fig *Figure) error {
 	if fig == nil || len(fig.Series) == 0 {
 		return fmt.Errorf("experiments: empty figure")
 	}
-	if _, err := fmt.Fprintf(w, "== %s: %s ==\n", fig.ID, fig.Title); err != nil {
-		return err
-	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "== %s: %s ==\n", fig.ID, fig.Title)
 	if fig.Notes != "" {
-		if _, err := fmt.Fprintf(w, "   (%s)\n", fig.Notes); err != nil {
-			return err
-		}
+		fmt.Fprintf(&b, "   (%s)\n", fig.Notes)
 	}
 	if sharedGrid(fig.Series) {
-		header := []string{"x"}
+		b.WriteString("x")
 		for _, s := range fig.Series {
-			header = append(header, s.Name)
+			b.WriteString("\t" + s.Name)
 		}
-		if _, err := fmt.Fprintln(w, strings.Join(header, "\t")); err != nil {
-			return err
-		}
-		for i := range fig.Series[0].X {
-			row := []string{fmt.Sprintf("%.4g", fig.Series[0].X[i])}
+		b.WriteString("\n")
+		for i, x := range fig.Series[0].X {
+			fmt.Fprintf(&b, "%.4g", x)
 			for _, s := range fig.Series {
-				row = append(row, fmt.Sprintf("%.4g", s.Y[i]))
+				fmt.Fprintf(&b, "\t%.4g", s.Y[i])
 			}
-			if _, err := fmt.Fprintln(w, strings.Join(row, "\t")); err != nil {
-				return err
-			}
+			b.WriteString("\n")
 		}
-		return nil
-	}
-	for _, s := range fig.Series {
-		if _, err := fmt.Fprintf(w, "-- %s --\n", s.Name); err != nil {
-			return err
-		}
-		for i := range s.X {
-			if _, err := fmt.Fprintf(w, "%.4g\t%.4g\n", s.X[i], s.Y[i]); err != nil {
-				return err
+	} else {
+		for _, s := range fig.Series {
+			fmt.Fprintf(&b, "-- %s --\n", s.Name)
+			for i := range s.X {
+				fmt.Fprintf(&b, "%.4g\t%.4g\n", s.X[i], s.Y[i])
 			}
 		}
 	}
-	return nil
+	_, err := io.WriteString(w, b.String())
+	return err
 }
 
+// sharedGrid reports whether every series has the first's X values; it
+// needs at least one series.
 func sharedGrid(series []Series) bool {
-	if len(series) == 0 {
-		return false
-	}
-	n := len(series[0].X)
 	for _, s := range series[1:] {
-		if len(s.X) != n {
+		if !slices.Equal(s.X, series[0].X) {
 			return false
-		}
-		for i := range s.X {
-			if s.X[i] != series[0].X[i] {
-				return false
-			}
 		}
 	}
 	return true

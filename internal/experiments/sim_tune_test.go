@@ -22,12 +22,16 @@ func simDiagnostic(t *testing.T, env string, nSl int) {
 	o := DefaultOptions()
 	o.TrainSteps = steps
 	o.Periods = 6
+	l, err := New(o)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, algo := range comparisonAlgos {
 		cfg, err := simSystemConfig(o, algo, nSl, simRAs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		h, err := o.runSystem(cfg, nil)
+		h, err := l.runTrained(cfg, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

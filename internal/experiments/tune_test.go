@@ -9,8 +9,11 @@ func TestFig6Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training run")
 	}
-	o := DefaultOptions()
-	figA, figB, err := Fig6(o)
+	l, err := New(DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	figA, figB, err := l.Fig6()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -80,7 +80,7 @@ type SliceSpec struct {
 	Tenant  string            `json:"tenant"`
 	App     netsim.AppProfile `json:"app"`
 	Traffic TrafficSpec       `json:"traffic"`
-	// UminPerPeriod is the slice's SLA (Eq. 2); 0 selects the paper's −50.
+	// UminPerPeriod is the slice's SLA (Eq. 2); 0 selects core.PaperUmin.
 	UminPerPeriod float64 `json:"umin_per_period,omitempty"`
 }
 
@@ -234,15 +234,15 @@ func DecodeJSON(r io.Reader) (Spec, error) {
 	return s, nil
 }
 
-// UminVector returns the per-slice SLA vector, substituting the paper's −50
-// for unset entries.
+// UminVector returns the per-slice SLA vector, substituting the paper's
+// core.PaperUmin for unset entries.
 func (s Spec) UminVector() []float64 {
 	out := make([]float64, len(s.Slices))
 	for i, sl := range s.Slices {
 		if sl.UminPerPeriod != 0 {
 			out[i] = sl.UminPerPeriod
 		} else {
-			out[i] = -50
+			out[i] = core.PaperUmin
 		}
 	}
 	return out
