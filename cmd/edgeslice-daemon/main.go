@@ -8,7 +8,7 @@
 // Usage:
 //
 //	edgeslice-daemon -role coordinator -listen :7000 -ras 2 -periods 10
-//	edgeslice-daemon -role agent -connect host:7000 -ra 0 [-agent agent.json]
+//	edgeslice-daemon -role agent -connect host:7000 -ra 0 [-agent agent.ckpt]
 //
 // Agents speak the compact length-prefixed binary codec (rcnet.DialAgent).
 // The coordinator detects each connection's codec from its first byte, so
@@ -44,7 +44,7 @@
 // Both roles run the environment presets of core.DefaultConfig: two slices.
 //
 // The -agent file is a full-fidelity checkpoint written by edgeslice-train
-// (format edgeslice-checkpoint-v3).
+// (format edgeslice-checkpoint-v4); the agent decodes its actor alone.
 package main
 
 import (
@@ -90,7 +90,7 @@ func run() error {
 		ras       = flag.Int("ras", 2, "coordinator: number of RAs")
 		ra        = flag.Int("ra", 0, "agent: this RA's id")
 		periods   = flag.Int("periods", 10, "coordinator: periods to run")
-		agentFile = flag.String("agent", "", "agent: trained checkpoint JSON (from edgeslice-train); trains fresh if empty")
+		agentFile = flag.String("agent", "", "agent: trained checkpoint file (edgeslice-train -out, format edgeslice-checkpoint-v4); trains fresh if empty")
 		train     = flag.Int("train", 12000, "agent: training steps when no -agent file given")
 		seed      = flag.Int64("seed", 1, "random seed")
 		timeout   = flag.Duration("timeout", 5*time.Minute, "per-round network timeout")

@@ -1,14 +1,14 @@
 // Command edgeslice-train trains an EdgeSlice orchestration agent offline
 // against the simulated network environment (Sec. VI-B) and saves it as a
-// full-fidelity checkpoint (format edgeslice-checkpoint-v3: actor,
-// critic(s), target networks, optimizer moments, generator state) for later
-// deployment with edgeslice-daemon (core.LoadAgent). Pass -replay
-// to also capture the replay buffer (a bigger file; deployment never reads
-// it).
+// full-fidelity checkpoint (format edgeslice-checkpoint-v4: a JSON header,
+// then the actor, critic(s), target networks and optimizer moments as one
+// binary float64 payload, plus the generator state) for later deployment
+// with edgeslice-daemon -agent (core.LoadAgent). Pass -replay to also
+// capture the replay buffer (a bigger file; deployment never reads it).
 //
 // Usage:
 //
-//	edgeslice-train -out agent.json [-steps 12000] [-nt] [-seed 1] [-replay]
+//	edgeslice-train -out agent.ckpt [-steps 12000] [-nt] [-seed 1] [-replay]
 package main
 
 import (
@@ -32,7 +32,7 @@ func main() {
 // "saved".
 func run() (err error) {
 	var (
-		out    = flag.String("out", "", "output file for the trained agent checkpoint (required)")
+		out    = flag.String("out", "", "output file for the trained agent checkpoint, e.g. agent.ckpt (required)")
 		steps  = flag.Int("steps", 12000, "training steps")
 		nt     = flag.Bool("nt", false, "train the EdgeSlice-NT variant (no queue observation)")
 		seed   = flag.Int64("seed", 1, "random seed")

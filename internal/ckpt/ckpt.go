@@ -10,8 +10,10 @@
 // policy is computed once and reused everywhere (the paper trains its D-DRL
 // agents once and deploys them across resource autonomies, Sec. V).
 //
-// Decoding keeps each network and optimizer role as raw JSON: RestoreAgent
-// decodes them all into a trainer, Deploy only the acting network.
+// A file is a one-line JSON header (the Checkpoint, listing each agent's
+// tensors by role and length), a newline, the tensors as little-endian
+// float64 in header order, and an IEEE CRC-32. Decode copies no tensor; Net,
+// RestoreAdam and ReplayState.Transitions copy the role asked for.
 //
 // The package defines the wire format and the per-agent state container;
 // the trainer packages (offpolicy for ddpg and sac, onpolicy for ppo, trpo
@@ -21,22 +23,27 @@
 package ckpt
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
+	"math"
+	"slices"
 
 	"edgeslice/internal/nn"
 	"edgeslice/internal/rl"
 )
 
 // Format identifies the full-fidelity checkpoint this package reads and
-// writes; Validate rejects any other format by name. Version 3 stores each
-// agent's generator state where version 2 stored a (seed, draws) cursor.
+// writes; Validate rejects any other format by name. Version 4 holds the
+// tensors as one binary payload where version 3 spelled them out in JSON.
 const Format = "edgeslice-checkpoint-" + formatVersion
 
 // formatVersion ends Format and every store key (see Key).
-const formatVersion = "v3"
+const formatVersion = "v4"
 
 // SnapshotOptions configures what an agent snapshot captures.
 type SnapshotOptions struct {
@@ -51,9 +58,9 @@ type SnapshotOptions struct {
 // algorithms populate the generic containers as they need: Nets holds every
 // network by role ("actor", "critic", "actor-target", "q1", "value", ...),
 // Opts the Adam moments under the same role names, LogStd the Gaussian
-// policy's free deviation parameters, Replay the optional buffer. Nets and
-// Opts hold each role's JSON as written (EncodeRoles); Net and RestoreAdam
-// decode one role, afresh, when a restore or deploy asks for it.
+// policy's free deviation parameters, Replay the optional buffer. Each
+// holds a copy (EncodeRoles, EncodeReplay) or a view of a decoded file;
+// Net and RestoreAdam decode one role, afresh, when asked for it.
 type AgentState struct {
 	// Algo names the training algorithm ("ddpg", "sac", "ppo", "trpo",
 	// "vpg") and selects the restore function.
@@ -65,8 +72,8 @@ type AgentState struct {
 	// verbatim so hyper-parameters (and restored schedules) survive.
 	Config json.RawMessage `json:"config"`
 
-	Nets map[string]json.RawMessage `json:"nets"`
-	Opts map[string]json.RawMessage `json:"opts,omitempty"`
+	Nets map[string]*Tensor `json:"nets"`
+	Opts map[string]*Tensor `json:"opts,omitempty"`
 
 	// RNG is the trainer's generator state, as rand.PCG's MarshalBinary
 	// writes it.
@@ -82,45 +89,143 @@ type AgentState struct {
 	Replay *ReplayState `json:"replay,omitempty"`
 }
 
-// ReplayState is an off-policy trainer's replay buffer as a snapshot holds
-// it: capacity, the eviction cursor, and the stored transitions in storage
-// order, so that a restored buffer samples and evicts exactly as the
-// original.
+// values is Len float64s, whose little-endian bytes are data.
+type values struct {
+	Len  int `json:"len"`
+	data []byte
+}
+
+func appendFloats(b []byte, vs ...float64) []byte {
+	for _, v := range vs {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+	}
+	return b
+}
+
+// decodeInto fills dst with the values from index *off on, advancing *off.
+func (v *values) decodeInto(dst []float64, off *int) {
+	b := v.data[8*(*off) : 8*(*off+len(dst))]
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	}
+	*off += len(dst)
+}
+
+// Tensor is a role of Nets or Opts: a network's input width, layers and
+// parameters in Params order (per layer, weights Out×In row-major, then
+// biases), or an optimizer's step count T, first moments, then second.
+type Tensor struct {
+	In     int     `json:"in,omitempty"`
+	Layers []Layer `json:"layers,omitempty"`
+	T      int     `json:"t,omitempty"`
+	values
+}
+
+// Layer is one dense layer's shape in a network's Tensor.
+type Layer struct {
+	Out int    `json:"out"`
+	Act string `json:"act"`
+}
+
+// ReplayState is an off-policy trainer's replay ring: capacity, eviction
+// cursor and transitions in storage order (state, action, reward, next
+// state, done 0 or 1), so a restored buffer samples and evicts as before.
 type ReplayState struct {
-	Capacity    int             `json:"capacity"`
-	Next        int             `json:"next"`
-	Transitions []rl.Transition `json:"transitions"`
+	Capacity int `json:"capacity"`
+	Next     int `json:"next"`
+	values
 }
 
 // ErrMissingNet reports a network role a restore or deploy needs.
 var ErrMissingNet = errors.New("ckpt: snapshot missing network")
 
 // EncodeRoles encodes each network and Adam state under its role name, the
-// form AgentState.Nets and Opts hold: a point-in-time copy.
-func EncodeRoles(nets map[string]*nn.Network, moments map[string]*nn.AdamState) (n, o map[string]json.RawMessage, err error) {
-	n, o = make(map[string]json.RawMessage, len(nets)), make(map[string]json.RawMessage, len(moments))
-	for role, v := range nets {
-		if n[role], err = json.Marshal(v); err != nil {
-			return nil, nil, fmt.Errorf("ckpt: encode %q: %w", role, err)
+// form AgentState.Nets and Opts hold: a point-in-time copy. A nil Adam
+// state, an optimizer that has not stepped, is left out.
+func EncodeRoles(nets map[string]*nn.Network, moments map[string]*nn.AdamState) (n, o map[string]*Tensor) {
+	n, o = make(map[string]*Tensor, len(nets)), make(map[string]*Tensor, len(moments))
+	for role, net := range nets {
+		s := &Tensor{In: net.InputDim()}
+		for _, l := range net.Layers {
+			s.Layers = append(s.Layers, Layer{Out: l.Out, Act: l.Act.String()})
+			s.data = appendFloats(appendFloats(s.data, l.W.Data...), l.B...)
+		}
+		s.Len = len(s.data) / 8
+		n[role] = s
+	}
+	for role, m := range moments {
+		if m != nil {
+			b := appendFloats(appendFloats(nil, slices.Concat(m.M...)...), slices.Concat(m.V...)...)
+			o[role] = &Tensor{T: m.T, values: values{Len: len(b) / 8, data: b}}
 		}
 	}
-	for role, v := range moments {
-		if o[role], err = json.Marshal(v); err != nil {
-			return nil, nil, fmt.Errorf("ckpt: encode %q moments: %w", role, err)
+	return n, o
+}
+
+// EncodeReplay encodes a replay ring: a point-in-time copy.
+func EncodeReplay(capacity, next int, trs []rl.Transition) *ReplayState {
+	var b []byte
+	for _, tr := range trs {
+		done := 0.0
+		if tr.Done {
+			done = 1
+		}
+		b = appendFloats(b, tr.State...)
+		b = appendFloats(b, tr.Action...)
+		b = appendFloats(b, tr.Reward)
+		b = appendFloats(b, tr.NextState...)
+		b = appendFloats(b, done)
+	}
+	return &ReplayState{Capacity: capacity, Next: next, values: values{Len: len(b) / 8, data: b}}
+}
+
+// Transitions decodes the stored transitions, of stateDim-wide states and
+// actionDim-wide actions, into slices of one new array.
+func (r *ReplayState) Transitions(stateDim, actionDim int) ([]rl.Transition, error) {
+	w := 2*stateDim + actionDim + 2
+	if r.Len%w != 0 || len(r.data) != 8*r.Len {
+		return nil, fmt.Errorf("ckpt: replay of %d values is no whole number of %d-value transitions", r.Len, w)
+	}
+	flat, off := make([]float64, r.Len), 0
+	r.decodeInto(flat, &off)
+	trs := make([]rl.Transition, r.Len/w)
+	for i := range trs {
+		row := flat[i*w : (i+1)*w]
+		cut := func(n int) []float64 { s := row[:n:n]; row = row[n:]; return s }
+		trs[i] = rl.Transition{State: cut(stateDim), Action: cut(actionDim), Reward: cut(1)[0], NextState: cut(stateDim)}
+		if trs[i].Done = row[0] == 1; row[0] != 0 && !trs[i].Done {
+			return nil, fmt.Errorf("ckpt: replay transition %d has done flag %v", i, row[0])
 		}
 	}
-	return n, o, nil
+	return trs, nil
 }
 
 // Net decodes the named network into a new one.
 func (st *AgentState) Net(role string) (*nn.Network, error) {
-	raw, ok := st.Nets[role]
-	if !ok {
+	s := st.Nets[role]
+	if s == nil {
 		return nil, fmt.Errorf("%w %q (%s)", ErrMissingNet, role, st.Algo)
 	}
-	n := new(nn.Network)
-	if err := json.Unmarshal(raw, n); err != nil {
-		return nil, fmt.Errorf("ckpt: %s network %q: %w", st.Algo, role, err)
+	specs := make([]nn.LayerSpec, len(s.Layers))
+	in, need := s.In, 0
+	for i, l := range s.Layers {
+		act, err := nn.ParseActivation(l.Act)
+		if err != nil {
+			return nil, fmt.Errorf("ckpt: %s network %q layer %d: %w", st.Algo, role, i, err)
+		}
+		// need + Out·(in+1) ≤ Len, checked without overflow.
+		if in <= 0 || l.Out <= 0 || in >= s.Len || l.Out > (s.Len-need)/(in+1) {
+			return nil, fmt.Errorf("ckpt: %s network %q layer %d of %dx%d does not fit its %d values", st.Algo, role, i, l.Out, in, s.Len)
+		}
+		need += l.Out * (in + 1)
+		specs[i], in = nn.LayerSpec{Out: l.Out, Act: act}, l.Out
+	}
+	if len(specs) == 0 || need != s.Len || len(s.data) != 8*need {
+		return nil, fmt.Errorf("ckpt: %s network %q has %d layers for %d values", st.Algo, role, len(specs), s.Len)
+	}
+	n, off := nn.NewMLP(nil, s.In, specs...), 0
+	for _, p := range n.Params() {
+		s.decodeInto(p.Value, &off)
 	}
 	return n, nil
 }
@@ -154,15 +259,23 @@ func (st *AgentState) NetLike(role string, like *nn.Network) (*nn.Network, error
 
 // RestoreAdam decodes the named role's Adam moments into opt for n; a role
 // with none leaves n's moments fresh, as before the optimizer's first step.
-func (st *AgentState) RestoreAdam(opt *nn.Adam, n *nn.Network, role string) (err error) {
+func (st *AgentState) RestoreAdam(opt *nn.Adam, n *nn.Network, role string) error {
 	var s *nn.AdamState
-	if raw, ok := st.Opts[role]; ok {
-		err = json.Unmarshal(raw, &s)
+	if m := st.Opts[role]; m != nil {
+		params := n.Params()
+		if m.Len != 2*n.NumParams() || len(m.data) != 8*m.Len {
+			return fmt.Errorf("ckpt: %s optimizer %q holds %d values, want %d", st.Algo, role, m.Len, 2*n.NumParams())
+		}
+		s = &nn.AdamState{T: m.T, M: make([][]float64, len(params)), V: make([][]float64, len(params))}
+		off := 0
+		for _, mv := range [][][]float64{s.M, s.V} {
+			for i, p := range params {
+				mv[i] = make([]float64, len(p.Value))
+				m.decodeInto(mv[i], &off)
+			}
+		}
 	}
-	if err == nil {
-		err = opt.SetStateFor(n, s)
-	}
-	if err != nil {
+	if err := opt.SetStateFor(n, s); err != nil {
 		return fmt.Errorf("ckpt: %s optimizer %q: %w", st.Algo, role, err)
 	}
 	return nil
@@ -185,7 +298,7 @@ func Acting(role string, squash bool) DeployFunc {
 	}
 }
 
-// Checkpoint is the top-level wire form: one trained system — either a
+// Checkpoint is the header of the file: one trained system — either a
 // single shared agent or one agent per resource autonomy — plus the
 // provenance key fields the store addresses it by.
 type Checkpoint struct {
@@ -228,13 +341,44 @@ func (c *Checkpoint) Validate() error {
 	return nil
 }
 
-// Write serializes a checkpoint as JSON.
+// tensors lists c's tensors in payload order; a null role holds none.
+func (c *Checkpoint) tensors() []*values {
+	vs := make([]*values, 0, 8*len(c.Agents))
+	for _, st := range c.Agents {
+		for _, m := range []map[string]*Tensor{st.Nets, st.Opts} {
+			roles := make([]string, 0, len(m))
+			for role := range m {
+				roles = append(roles, role)
+			}
+			slices.Sort(roles)
+			for _, role := range roles {
+				if t := m[role]; t != nil {
+					vs = append(vs, &t.values)
+				}
+			}
+		}
+		if st.Replay != nil {
+			vs = append(vs, &st.Replay.values)
+		}
+	}
+	return vs
+}
+
+// Write serializes a checkpoint: header, newline, payload, CRC-32.
 func Write(w io.Writer, c *Checkpoint) error {
 	if err := c.Validate(); err != nil {
 		return err
 	}
-	if err := json.NewEncoder(w).Encode(c); err != nil {
+	b, err := json.Marshal(c)
+	if err != nil {
 		return fmt.Errorf("ckpt: encode: %w", err)
+	}
+	b = append(b, '\n')
+	for _, v := range c.tensors() {
+		b = append(b, v.data...)
+	}
+	if _, err := w.Write(binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))); err != nil {
+		return fmt.Errorf("ckpt: write: %w", err)
 	}
 	return nil
 }
@@ -248,18 +392,43 @@ func Read(r io.Reader) (*Checkpoint, error) {
 	return Decode(data)
 }
 
-// Decode parses and validates checkpoint bytes (see Read).
+// Decode parses and validates checkpoint bytes (see Read). It accepts only
+// what Write writes, so writing the result gives data back byte for byte,
+// and the tensors it returns are views of data: the caller must not change
+// data while the checkpoint is in use. It allocates no tensor, and checks
+// each declared length against the payload left before slicing it.
 func Decode(data []byte) (*Checkpoint, error) {
+	end := bytes.IndexByte(data, '\n')
+	if end < 0 {
+		end = len(data)
+	}
 	var c Checkpoint
-	if err := json.Unmarshal(data, &c); err != nil {
+	if err := json.Unmarshal(data[:end], &c); err != nil {
 		// A field of the wrong type leaves the others decoded, so a file of
 		// another format (v2's RNG was an object) is named by Validate.
 		if c.Format == "" || c.Format == Format {
-			return nil, fmt.Errorf("ckpt: decode: %w", err)
+			return nil, fmt.Errorf("ckpt: decode header: %w", err)
 		}
 	}
 	if err := c.Validate(); err != nil {
 		return nil, err
+	}
+	if canon, err := json.Marshal(&c); err != nil || !bytes.Equal(canon, data[:end]) || len(data) < end+1+4 {
+		return nil, errors.New("ckpt: header is not as Write writes it, or no payload follows it")
+	}
+	body := data[:len(data)-4]
+	rest := body[end+1:]
+	for _, v := range c.tensors() {
+		if v.Len < 0 || v.Len > len(rest)/8 {
+			return nil, fmt.Errorf("ckpt: tensor of %d values, %d payload bytes left", v.Len, len(rest))
+		}
+		v.data, rest = rest[:8*v.Len:8*v.Len], rest[8*v.Len:]
+	}
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("ckpt: %d payload bytes past the last tensor", len(rest))
+	}
+	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(data[len(body):]) {
+		return nil, errors.New("ckpt: checksum mismatch")
 	}
 	return &c, nil
 }

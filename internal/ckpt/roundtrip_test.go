@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"maps"
 	"math"
+	"os"
 	"reflect"
 	"slices"
 	"strconv"
@@ -189,6 +190,38 @@ func TestReadRejectsV2(t *testing.T) {
 	_, err := ckpt.Read(strings.NewReader(v2))
 	if err == nil || !strings.Contains(err.Error(), "edgeslice-checkpoint-v2") {
 		t.Fatalf("v2 checkpoint: err = %v, want a format error naming edgeslice-checkpoint-v2", err)
+	}
+}
+
+// A v3 checkpoint spelled its tensors out in JSON: Decode refuses it by
+// its format name, and a truncated, corrupted or oversized v4 file is an
+// error, not a panic or a 2⁴⁰-value allocation.
+func TestReadRejectsV3(t *testing.T) {
+	v3, err := os.ReadFile("testdata/v3-ddpg.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ckpt.Decode(v3); err == nil || !strings.Contains(err.Error(), "edgeslice-checkpoint-v3") || !strings.Contains(err.Error(), ckpt.Format) {
+		t.Fatalf("v3 checkpoint: err = %v, want a format error naming edgeslice-checkpoint-v3 and %s", err, ckpt.Format)
+	}
+	valid := smallFile(t)
+	if _, err := ckpt.Decode(valid); err != nil {
+		t.Fatal(err)
+	}
+	flipped := append([]byte(nil), valid...)
+	flipped[len(flipped)-40] ^= 1
+	for name, bad := range map[string][]byte{
+		"truncated payload": valid[:len(valid)-9],
+		"no checksum":       valid[:len(valid)-4],
+		"flipped bit":       flipped,
+		"2^40-value actor":  hugeTensorFile(t),
+	} {
+		if _, err := ckpt.Decode(bad); err == nil {
+			t.Errorf("%s: Decode accepted it", name)
+		}
+	}
+	if _, err := ckpt.Decode(hugeTensorFile(t)); err == nil || !strings.Contains(err.Error(), "1099511627776 values") {
+		t.Errorf("2^40-value actor: err = %v, want one naming the declared length", err)
 	}
 }
 

@@ -40,7 +40,7 @@ func sanitize(s string) string {
 	}, s)
 }
 
-// Store is an on-disk checkpoint cache: one JSON file per key, written
+// Store is an on-disk checkpoint cache: one file per key, written
 // atomically so concurrent writers of the same key never expose a torn
 // file.
 type Store struct {
@@ -58,9 +58,11 @@ func OpenStore(dir string) (*Store, error) {
 	return &Store{dir: dir}, nil
 }
 
+const fileExt = ".ckpt" // ends every stored checkpoint's file name
+
 // Path returns the file a key is stored at.
 func (s *Store) Path(key string) string {
-	return filepath.Join(s.dir, sanitize(key)+".json")
+	return filepath.Join(s.dir, sanitize(key)+fileExt)
 }
 
 // Load reads and validates the checkpoint stored under key, or ErrNotFound.
@@ -113,10 +115,10 @@ func (s *Store) Keys() ([]string, error) {
 	var out []string
 	for _, e := range entries {
 		name := e.Name()
-		if e.IsDir() || strings.HasPrefix(name, ".") || !strings.HasSuffix(name, ".json") {
+		if e.IsDir() || strings.HasPrefix(name, ".") || !strings.HasSuffix(name, fileExt) {
 			continue
 		}
-		out = append(out, strings.TrimSuffix(name, ".json"))
+		out = append(out, strings.TrimSuffix(name, fileExt))
 	}
 	sort.Strings(out)
 	return out, nil

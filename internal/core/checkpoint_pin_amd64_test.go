@@ -16,18 +16,19 @@ import (
 // element-wise passes of the training step had vector forms, and re-derived
 // once when the training environments moved to a PCG stream with
 // one-uniform Poisson inversion (their arrivals, and so every transition
-// the agent learns from, changed), and once more when the trainer stream
-// moved to a PCG whose state the checkpoint holds (format v3); every kernel
-// since must reproduce them. amd64 only: arm64 Go fuses x*y+z into
+// the agent learns from, changed), once when the trainer stream moved to a
+// PCG whose state the checkpoint holds (format v3), and once for format v4,
+// whose content TestSnapshotContentPinned held across the move; every
+// kernel since must reproduce them. amd64 only: arm64 Go fuses x*y+z into
 // one rounding, so its (equally deterministic) bytes are different ones.
 // Not under -race, which slows the four trainings tenfold to watch one
 // goroutine.
 func TestCheckpointDigestPinned(t *testing.T) {
 	for seed, want := range map[int64]string{
-		1: "d38d668c3b53ae03a3d4526883a095b32ac02c235a59edbc05a3e58cbb0d938e",
-		2: "2098616860fab517da8f80087bbebb03d16e498f7667074d05506a62e6763ab7",
-		3: "3b191e2b937059596b3b5838c703933055cab24d9e4ff4aef40a849adb98e966",
-		4: "f15e74473cea9f865d2288323285f597817c98f407acc1fa9820bd42e3f6cba8",
+		1: "6845c58de421aa7105b84de3e214cd7c8a32f79db42bc8a32d5681235fb7d0c0",
+		2: "6cfc879a8768ebf4fc5c6b5fb3f323c168bbe02777e96f3015f1c2958b431cf2",
+		3: "1a23a6e3804e65a0abb85f4af29f76d6cb3b55f2488eff7e0658d21efa10fa3a",
+		4: "62eb8d2de907d9d41c695dd84dda051cc381faf2ba331ee4ceed68f13fce7893",
 	} {
 		cfg := DefaultConfig()
 		cfg.TrainSteps = 2000

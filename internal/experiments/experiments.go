@@ -14,6 +14,7 @@ package experiments
 
 import (
 	"fmt"
+	"reflect"
 	"slices"
 
 	"edgeslice/internal/ckpt"
@@ -79,6 +80,15 @@ type Lab struct {
 	// algorithm, core.TrainingFingerprint, seed and steps) to the policy
 	// System.Train trained from it.
 	policies map[string]*rl.DeployedPolicy
+	runs     []labRun // every History run so far
+}
+
+// labRun is one recorded run: cfg under agent for periods.
+type labRun struct {
+	cfg     core.Config
+	agent   rl.Agent
+	periods int
+	h       *core.History
 }
 
 // New validates o and returns an empty run context.
@@ -150,6 +160,23 @@ func run(cfg core.Config, agent rl.Agent, periods int) (*core.History, error) {
 	return sys.RunPeriods(periods)
 }
 
+// run is run once per distinct run: the same config (by reflect.DeepEqual)
+// under the same agent for the same periods records the same History, so a
+// repeat returns the first. A config holding a func never matches.
+func (l *Lab) run(cfg core.Config, agent rl.Agent, periods int) (*core.History, error) {
+	for _, r := range l.runs {
+		if r.agent == agent && r.periods == periods && reflect.DeepEqual(r.cfg, cfg) {
+			return r.h, nil
+		}
+	}
+	h, err := run(cfg, agent, periods)
+	if err != nil {
+		return nil, err
+	}
+	l.runs = append(l.runs, labRun{cfg: cfg, agent: agent, periods: periods, h: h})
+	return h, nil
+}
+
 // runTrained runs cfg for the options' periods under the policy trained
 // from train, or under its baseline for a non-learning algorithm.
 func (l *Lab) runTrained(cfg, train core.Config) (*core.History, error) {
@@ -161,7 +188,7 @@ func (l *Lab) runTrained(cfg, train core.Config) (*core.History, error) {
 		}
 		agent = p
 	}
-	return run(cfg, agent, l.o.Periods)
+	return l.run(cfg, agent, l.o.Periods)
 }
 
 // steadySeries plots the steady-state system performance (the mean over

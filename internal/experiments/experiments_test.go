@@ -199,3 +199,40 @@ func TestEachAgentTrainsOnce(t *testing.T) {
 		t.Errorf("six figures trained %d distinct agents, want 22", n)
 	}
 }
+
+// TestEachRunRecordsOnce runs all six figures on one run context and
+// counts the distinct runs the memo holds: 43 of the 57 the figures ask
+// for. Fig. 7, Fig. 10(b)'s DDPG entry and Fig. 10(a) and Fig. 11(a) at
+// the default budget and α = 2 repeat Fig. 6's runs, TARO ignores Fig.
+// 10(a)'s step budget, and Fig. 9(a) at 10 RAs is Fig. 9(b) at 5 slices.
+// Fig. 8's zero-coordination runs wrap their policy afresh and are not
+// memoized. Running the figures again adds only the runs of Fig. 10(b)'s
+// four other trainers, which train afresh on every call.
+func TestEachRunRecordsOnce(t *testing.T) {
+	l := tinyLab(t)
+	all := func() {
+		t.Helper()
+		if _, _, err := l.Fig6(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := l.Fig7(); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := l.Fig8(); err != nil {
+			t.Fatal(err)
+		}
+		for _, fig := range []func() (*Figure, *Figure, error){l.Fig9, l.Fig10, l.Fig11} {
+			if _, _, err := fig(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	all()
+	if n := len(l.runs); n != 43 {
+		t.Errorf("six figures recorded %d distinct runs, want 43", n)
+	}
+	all()
+	if n := len(l.runs); n != 43+4 {
+		t.Errorf("running them again left %d distinct runs, want 43+4", n)
+	}
+}

@@ -51,7 +51,7 @@ func (l *Lab) Fig10() (*Figure, *Figure, error) {
 		if err != nil {
 			return nil, nil, fmt.Errorf("fig10b %s: %w", tech, err)
 		}
-		mp, err := steady(run(cfg, agent, l.o.Periods))
+		mp, err := steady(l.run(cfg, agent, l.o.Periods))
 		if err != nil {
 			return nil, nil, fmt.Errorf("fig10b %s: %w", tech, err)
 		}

@@ -25,7 +25,7 @@ type Dense struct {
 	ws                   Workspace
 }
 
-// NewDense returns a Dense layer with Xavier-initialized weights.
+// NewDense returns a Dense layer, Xavier-initialized (zero for a nil rng).
 func NewDense(rng Uniform, in, out int, act Activation) *Dense {
 	if in <= 0 || out <= 0 {
 		panic(fmt.Sprintf("nn: invalid dense shape in=%d out=%d", in, out))
@@ -39,7 +39,9 @@ func NewDense(rng Uniform, in, out int, act Activation) *Dense {
 		GradW: NewMatrix(out, in),
 		GradB: make([]float64, out),
 	}
-	d.W.RandomizeXavier(rng, in, out)
+	if rng != nil {
+		d.W.RandomizeXavier(rng, in, out)
+	}
 	return d
 }
 

@@ -1,9 +1,6 @@
 package nn
 
-import (
-	"encoding/json"
-	"fmt"
-)
+import "fmt"
 
 // Network is a multilayer perceptron: a sequence of Dense layers.
 type Network struct {
@@ -19,7 +16,9 @@ type LayerSpec struct {
 	Act Activation
 }
 
-// NewMLP builds a network with the given input width and layer specs.
+// NewMLP builds a network with the given input width and layer specs,
+// Xavier-initialized from rng; a nil rng leaves every weight zero, for a
+// caller that fills them.
 func NewMLP(rng Uniform, in int, specs ...LayerSpec) *Network {
 	if len(specs) == 0 {
 		panic("nn: NewMLP needs at least one layer")
@@ -250,68 +249,5 @@ func SameShape(a, b *Network) error {
 				a.Layers[i].Out, a.Layers[i].In, b.Layers[i].Out, b.Layers[i].In)
 		}
 	}
-	return nil
-}
-
-// snapshot is the JSON wire form of a network.
-type snapshot struct {
-	Layers []layerSnapshot `json:"layers"`
-}
-
-type layerSnapshot struct {
-	In  int       `json:"in"`
-	Out int       `json:"out"`
-	Act string    `json:"act"`
-	W   []float64 `json:"w"`
-	B   []float64 `json:"b"`
-}
-
-// MarshalJSON serializes the network weights.
-func (n *Network) MarshalJSON() ([]byte, error) {
-	s := snapshot{Layers: make([]layerSnapshot, 0, len(n.Layers))}
-	for _, l := range n.Layers {
-		s.Layers = append(s.Layers, layerSnapshot{
-			In: l.In, Out: l.Out, Act: l.Act.String(),
-			W: l.W.Data, B: l.B,
-		})
-	}
-	return json.Marshal(s)
-}
-
-// UnmarshalJSON restores network weights, rebuilding the layer structure.
-func (n *Network) UnmarshalJSON(data []byte) error {
-	var s snapshot
-	if err := json.Unmarshal(data, &s); err != nil {
-		return fmt.Errorf("nn: decode network: %w", err)
-	}
-	if len(s.Layers) == 0 {
-		return fmt.Errorf("nn: decode network: no layers")
-	}
-	layers := make([]*Dense, 0, len(s.Layers))
-	for i, ls := range s.Layers {
-		act, err := ParseActivation(ls.Act)
-		if err != nil {
-			return fmt.Errorf("nn: layer %d: %w", i, err)
-		}
-		if ls.In <= 0 || ls.Out <= 0 {
-			return fmt.Errorf("nn: layer %d: invalid shape %dx%d", i, ls.Out, ls.In)
-		}
-		if i > 0 && ls.In != s.Layers[i-1].Out {
-			return fmt.Errorf("nn: layer %d takes %d inputs, layer %d gives %d", i, ls.In, i-1, s.Layers[i-1].Out)
-		}
-		if len(ls.W) != ls.In*ls.Out || len(ls.B) != ls.Out {
-			return fmt.Errorf("nn: layer %d: weight sizes do not match shape", i)
-		}
-		d := &Dense{
-			In: ls.In, Out: ls.Out, Act: act,
-			W:     &Matrix{Rows: ls.Out, Cols: ls.In, Data: append([]float64(nil), ls.W...)},
-			B:     append([]float64(nil), ls.B...),
-			GradW: NewMatrix(ls.Out, ls.In),
-			GradB: make([]float64, ls.Out),
-		}
-		layers = append(layers, d)
-	}
-	n.Layers = layers
-	n.params = nil // layer buffers were replaced; rebuild the cache lazily
 	return nil
 }

@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"encoding/json"
 	"math"
 	"math/rand"
 	"testing"
@@ -201,45 +200,6 @@ func TestSoftUpdateConverges(t *testing.T) {
 	for i := range a.Layers[0].W.Data {
 		if math.Abs(a.Layers[0].W.Data[i]-b.Layers[0].W.Data[i]) > 1e-8 {
 			t.Fatalf("soft update did not converge at weight %d", i)
-		}
-	}
-}
-
-func TestNetworkJSONRoundTrip(t *testing.T) {
-	rng := newTestRNG()
-	net := NewMLP(rng, 3, LayerSpec{Out: 4, Act: ActLeakyReLU}, LayerSpec{Out: 2, Act: ActSigmoid})
-	data, err := json.Marshal(net)
-	if err != nil {
-		t.Fatalf("marshal: %v", err)
-	}
-	var restored Network
-	if err := json.Unmarshal(data, &restored); err != nil {
-		t.Fatalf("unmarshal: %v", err)
-	}
-	x := []float64{0.1, -0.5, 0.9}
-	a := net.Forward1(x)
-	b := restored.Forward1(x)
-	for i := range a {
-		if math.Abs(a[i]-b[i]) > 1e-12 {
-			t.Fatalf("output %d differs after round trip: %v vs %v", i, a[i], b[i])
-		}
-	}
-}
-
-func TestNetworkJSONRejectsCorrupt(t *testing.T) {
-	cases := []string{
-		`{}`,
-		`{"layers":[]}`,
-		`{"layers":[{"in":2,"out":1,"act":"bogus","w":[1,2],"b":[0]}]}`,
-		`{"layers":[{"in":2,"out":1,"act":"tanh","w":[1],"b":[0]}]}`,
-		`{"layers":[{"in":-1,"out":1,"act":"tanh","w":[],"b":[0]}]}`,
-		// layer 1 takes 2 inputs from a layer that gives 1
-		`{"layers":[{"in":1,"out":1,"act":"tanh","w":[1],"b":[0]},{"in":2,"out":1,"act":"tanh","w":[1,2],"b":[0]}]}`,
-	}
-	for _, c := range cases {
-		var n Network
-		if err := json.Unmarshal([]byte(c), &n); err == nil {
-			t.Errorf("unmarshal %q should fail", c)
 		}
 	}
 }

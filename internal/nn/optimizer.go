@@ -71,12 +71,11 @@ func (o *Adam) Step(n *Network) {
 	}
 }
 
-// AdamState is the serializable snapshot of one network's Adam moments:
-// the step counter and the first/second moment vectors in Params order.
+// AdamState is a snapshot of one network's Adam moments: the step counter
+// and the first/second moment vectors in Params order.
 type AdamState struct {
-	T int         `json:"t"`
-	M [][]float64 `json:"m"`
-	V [][]float64 `json:"v"`
+	T    int
+	M, V [][]float64
 }
 
 // StateFor returns a deep copy of the moment buffers accumulated for n, or
@@ -96,8 +95,9 @@ func (o *Adam) StateFor(n *Network) *AdamState {
 }
 
 // SetStateFor installs snapshot moments for n, validating the shapes
-// against the network's parameters. A nil snapshot clears any existing
-// state so the next Step starts from fresh moments.
+// against the network's parameters, and takes ownership of snap's moment
+// vectors. A nil snapshot clears any existing state so the next Step starts
+// from fresh moments.
 func (o *Adam) SetStateFor(n *Network, snap *AdamState) error {
 	if snap == nil {
 		delete(o.state, n)
@@ -112,8 +112,7 @@ func (o *Adam) SetStateFor(n *Network, snap *AdamState) error {
 		if len(snap.M[i]) != len(p.Value) || len(snap.V[i]) != len(p.Value) {
 			return fmt.Errorf("nn: adam state tensor %d has %d/%d values, want %d", i, len(snap.M[i]), len(snap.V[i]), len(p.Value))
 		}
-		st.m[i] = append([]float64(nil), snap.M[i]...)
-		st.v[i] = append([]float64(nil), snap.V[i]...)
+		st.m[i], st.v[i] = snap.M[i], snap.V[i]
 	}
 	o.state[n] = st
 	return nil

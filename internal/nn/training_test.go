@@ -2,7 +2,6 @@ package nn_test
 
 import (
 	"bytes"
-	"encoding/json"
 	"math/rand"
 	"testing"
 
@@ -78,11 +77,11 @@ func TestTrainingBitIdenticalAcrossKernels(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				out, err := json.Marshal(st)
-				if err != nil {
+				var buf bytes.Buffer
+				if err := ckpt.Write(&buf, &ckpt.Checkpoint{Format: ckpt.Format, Agents: []*ckpt.AgentState{st}}); err != nil {
 					t.Fatal(err)
 				}
-				return out
+				return buf.Bytes()
 			}
 			for _, short := range []int{0, 2} {
 				scalar := trained(short, false, false)

@@ -35,38 +35,29 @@ func (b *replayBuffer) Add(t rl.Transition) {
 // Len returns the number of stored transitions.
 func (b *replayBuffer) Len() int { return len(b.buf) }
 
-// State returns a snapshot of the buffer. The transition structs are
-// copied; their state/action slices, never mutated after Add, are shared.
-func (b *replayBuffer) State() ckpt.ReplayState {
-	return ckpt.ReplayState{
-		Capacity:    b.capacity,
-		Next:        b.next,
-		Transitions: append([]rl.Transition(nil), b.buf...),
-	}
+// State returns a snapshot of the buffer: a point-in-time copy.
+func (b *replayBuffer) State() *ckpt.ReplayState {
+	return ckpt.EncodeReplay(b.capacity, b.next, b.buf)
 }
 
 // restoreReplay rebuilds st's replay buffer exactly, so that it samples and
 // evicts as the buffer it was taken from, or returns an empty one of the
-// given capacity when the snapshot has none. Every stored transition must
-// carry StateDim-long states and an ActionDim-long action: a short one
-// would train on whatever the batch rows held before.
+// given capacity when the snapshot has none.
 func restoreReplay(st *ckpt.AgentState, capacity int) (*replayBuffer, error) {
 	r := st.Replay
 	if r == nil {
 		return newReplayBuffer(capacity), nil
 	}
-	for i, tr := range r.Transitions {
-		if len(tr.State) != st.StateDim || len(tr.NextState) != st.StateDim || len(tr.Action) != st.ActionDim {
-			return nil, fmt.Errorf("%s: replay transition %d has state %d, next state %d, action %d, want %d, %d, %d",
-				st.Algo, i, len(tr.State), len(tr.NextState), len(tr.Action), st.StateDim, st.StateDim, st.ActionDim)
-		}
+	trs, err := r.Transitions(st.StateDim, st.ActionDim)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", st.Algo, err)
 	}
 	// A live buffer's cursor stays 0 until the buffer fills; a non-zero
 	// cursor on a partial buffer would evict newest-first after it fills.
-	if n := len(r.Transitions); r.Capacity <= 0 || n > r.Capacity || r.Next < 0 || r.Next != 0 && (r.Next >= r.Capacity || n < r.Capacity) {
+	if n := len(trs); r.Capacity <= 0 || n > r.Capacity || r.Next < 0 || r.Next != 0 && (r.Next >= r.Capacity || n < r.Capacity) {
 		return nil, fmt.Errorf("%s: replay snapshot of %d transitions, cursor %d, is no FIFO ring of capacity %d", st.Algo, n, r.Next, r.Capacity)
 	}
-	return &replayBuffer{capacity: r.Capacity, next: r.Next, buf: append([]rl.Transition(nil), r.Transitions...)}, nil
+	return &replayBuffer{capacity: r.Capacity, next: r.Next, buf: trs}, nil
 }
 
 // SampleInto fills out with uniformly sampled transitions (with

@@ -42,12 +42,9 @@ func (a *Agent) Snapshot(opts ckpt.SnapshotOptions) (*ckpt.AgentState, error) {
 	if st.RNG, err = a.pcg.MarshalBinary(); err != nil {
 		return nil, fmt.Errorf("%s: snapshot generator: %w", tech, err)
 	}
-	if st.Nets, st.Opts, err = ckpt.EncodeRoles(nets, moments); err != nil {
-		return nil, fmt.Errorf("%s: snapshot: %w", tech, err)
-	}
+	st.Nets, st.Opts = ckpt.EncodeRoles(nets, moments)
 	if opts.IncludeReplay {
-		rs := a.replay.State()
-		st.Replay = &rs
+		st.Replay = a.replay.State()
 	}
 	return st, nil
 }

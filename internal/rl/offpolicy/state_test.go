@@ -47,22 +47,33 @@ func drive(t *testing.T, a *Agent, env rl.Env, state []float64, steps int) []flo
 	return state
 }
 
-// snapshotJSON is the wire form of a's snapshot with its replay buffer.
-func snapshotJSON(t *testing.T, a *Agent) []byte {
+// snapshotWire is the file bytes of a one-agent checkpoint of a, with its
+// replay buffer.
+func snapshotWire(t *testing.T, a *Agent) []byte {
 	t.Helper()
 	st, err := a.Snapshot(ckpt.SnapshotOptions{IncludeReplay: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := json.Marshal(st)
+	var buf bytes.Buffer
+	if err := ckpt.Write(&buf, &ckpt.Checkpoint{Format: ckpt.Format, Agents: []*ckpt.AgentState{st}}); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// decodeAgent decodes the one agent of snapshotWire's bytes, afresh.
+func decodeAgent(t *testing.T, wire []byte) *ckpt.AgentState {
+	t.Helper()
+	c, err := ckpt.Decode(wire)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return b
+	return c.Agents[0]
 }
 
 // TestResumeTrainEquivalence is the exact-resume property: training N
-// steps, snapshotting (with replay), restoring through the JSON wire form,
+// steps, snapshotting (with replay), restoring through the checkpoint file,
 // and training M more steps lands on a byte-identical snapshot (every
 // network, optimizer moment, noise schedule, RNG cursor and the replay) to
 // one uninterrupted N+M-step run.
@@ -84,16 +95,12 @@ func TestResumeTrainEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			state := drive(t, agentB, envB, envB.Reset(), N)
-			var decoded ckpt.AgentState
-			if err := json.Unmarshal(snapshotJSON(t, agentB), &decoded); err != nil {
-				t.Fatal(err)
-			}
-			resumed, err := Restore(&decoded)
+			resumed, err := Restore(decodeAgent(t, snapshotWire(t, agentB)))
 			if err != nil {
 				t.Fatal(err)
 			}
 			drive(t, resumed, envB, state, M)
-			if !bytes.Equal(snapshotJSON(t, resumed), snapshotJSON(t, agentA)) {
+			if !bytes.Equal(snapshotWire(t, resumed), snapshotWire(t, agentA)) {
 				t.Error("resumed training state diverged from the uninterrupted run")
 			}
 		})
@@ -148,11 +155,21 @@ func TestRestoreRejectsUntrainable(t *testing.T) {
 			if err := agent.Train(rltest.NewTargetEnv(mathutil.NewRNG(5), sd, ad, 20), cfg.WarmupSteps+5); err != nil {
 				t.Fatal(err)
 			}
-			wire := snapshotJSON(t, agent)
-			shallow, err := json.Marshal(nn.NewMLP(mathutil.NewRNG(1), sd+ad,
-				nn.LayerSpec{Out: cfg.Hidden, Act: nn.ActLeakyReLU}, nn.LayerSpec{Out: 1, Act: nn.ActIdentity}))
-			if err != nil {
-				t.Fatal(err)
+			wire := snapshotWire(t, agent)
+			nets, _ := ckpt.EncodeRoles(map[string]*nn.Network{"shallow": nn.NewMLP(mathutil.NewRNG(1), sd+ad,
+				nn.LayerSpec{Out: cfg.Hidden, Act: nn.ActLeakyReLU}, nn.LayerSpec{Out: 1, Act: nn.ActIdentity})}, nil)
+			shallow := nets["shallow"]
+			// transition edits transition i of the stored replay and
+			// encodes the ring again.
+			transition := func(i int, edit func(*rl.Transition)) func(*ckpt.AgentState) {
+				return func(st *ckpt.AgentState) {
+					trs, err := st.Replay.Transitions(sd, ad)
+					if err != nil {
+						t.Fatal(err)
+					}
+					edit(&trs[i])
+					st.Replay = ckpt.EncodeReplay(st.Replay.Capacity, st.Replay.Next, trs)
+				}
 			}
 			config := func(edit func(*Config)) func(*ckpt.AgentState) {
 				return func(st *ckpt.AgentState) {
@@ -184,9 +201,9 @@ func TestRestoreRejectsUntrainable(t *testing.T) {
 				{"", "hidden 0", "invalid config", config(func(c *Config) { c.Hidden = 0 })},
 				{"", "replay capacity 0", "invalid config", config(func(c *Config) { c.ReplayCapacity = 0 })},
 				{"", "generator state cut short", "snapshot generator", func(st *ckpt.AgentState) { st.RNG = st.RNG[:10] }},
-				{"", "short state", "replay transition 3", func(st *ckpt.AgentState) { tr := &st.Replay.Transitions[3]; tr.State = tr.State[:1] }},
-				{"", "long next state", "replay transition 0", func(st *ckpt.AgentState) { tr := &st.Replay.Transitions[0]; tr.NextState = append(tr.NextState, 0) }},
-				{"", "short action", "replay transition 7", func(st *ckpt.AgentState) { tr := &st.Replay.Transitions[7]; tr.Action = tr.Action[:ad-1] }},
+				{"", "short state", "no whole number of 9-value transitions", transition(3, func(tr *rl.Transition) { tr.State = tr.State[:1] })},
+				{"", "long next state", "no whole number of 9-value transitions", transition(0, func(tr *rl.Transition) { tr.NextState = append(tr.NextState, 0) })},
+				{"", "short action", "no whole number of 9-value transitions", transition(7, func(tr *rl.Transition) { tr.Action = tr.Action[:ad-1] })},
 				{"", "cursor on a partial ring", "no FIFO ring", func(st *ckpt.AgentState) { st.Replay.Next = 1 }},
 				{"", "more transitions than capacity", "no FIFO ring", func(st *ckpt.AgentState) { st.Replay.Capacity = 10 }},
 			} {
@@ -194,12 +211,9 @@ func TestRestoreRejectsUntrainable(t *testing.T) {
 					continue
 				}
 				t.Run(tc.name, func(t *testing.T) {
-					var st ckpt.AgentState
-					if err := json.Unmarshal(wire, &st); err != nil {
-						t.Fatal(err)
-					}
-					tc.edit(&st)
-					_, err := Restore(&st)
+					st := decodeAgent(t, wire)
+					tc.edit(st)
+					_, err := Restore(st)
 					if err == nil || !strings.Contains(err.Error(), tc.want) {
 						t.Fatalf("Restore error %v, want one containing %q", err, tc.want)
 					}
@@ -207,11 +221,7 @@ func TestRestoreRejectsUntrainable(t *testing.T) {
 			}
 
 			// The unedited snapshot restores and trains.
-			var st ckpt.AgentState
-			if err := json.Unmarshal(wire, &st); err != nil {
-				t.Fatal(err)
-			}
-			resumed, err := Restore(&st)
+			resumed, err := Restore(decodeAgent(t, wire))
 			if err != nil {
 				t.Fatal(err)
 			}

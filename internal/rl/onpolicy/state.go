@@ -31,13 +31,10 @@ func (a *Agent) Snapshot(ckpt.SnapshotOptions) (*ckpt.AgentState, error) {
 	if a.popt != nil {
 		moments["policy-mean"] = a.popt.StateFor(a.policy.mean)
 	}
-	nets, opts, err := ckpt.EncodeRoles(map[string]*nn.Network{
+	nets, opts := ckpt.EncodeRoles(map[string]*nn.Network{
 		"policy-mean": a.policy.mean,
 		"value":       a.value,
 	}, moments)
-	if err != nil {
-		return nil, fmt.Errorf("%s: snapshot: %w", a.cfg.Technique, err)
-	}
 	rng, err := a.pcg.MarshalBinary()
 	if err != nil {
 		return nil, fmt.Errorf("%s: snapshot generator: %w", a.cfg.Technique, err)

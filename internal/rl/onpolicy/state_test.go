@@ -8,6 +8,7 @@ import (
 
 	"edgeslice/internal/ckpt"
 	"edgeslice/internal/mathutil"
+	"edgeslice/internal/nn"
 	"edgeslice/internal/rl/rltest"
 )
 
@@ -18,18 +19,28 @@ func smallConfig(tech string) Config {
 	return cfg
 }
 
-// snapshotJSON is the wire form of a's snapshot.
-func snapshotJSON(t *testing.T, a *Agent) []byte {
+// snapshotWire is the file bytes of a one-agent checkpoint of a.
+func snapshotWire(t *testing.T, a *Agent) []byte {
 	t.Helper()
 	st, err := a.Snapshot(ckpt.SnapshotOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := json.Marshal(st)
+	var buf bytes.Buffer
+	if err := ckpt.Write(&buf, &ckpt.Checkpoint{Format: ckpt.Format, Agents: []*ckpt.AgentState{st}}); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// decodeAgent decodes the one agent of snapshotWire's bytes, afresh.
+func decodeAgent(t *testing.T, wire []byte) *ckpt.AgentState {
+	t.Helper()
+	c, err := ckpt.Decode(wire)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return b
+	return c.Agents[0]
 }
 
 // A snapshot that restores must train and act: each malformed case below
@@ -47,11 +58,9 @@ func TestRestoreRejectsUntrainable(t *testing.T) {
 			if err := agent.Train(rltest.NewTargetEnv(mathutil.NewRNG(5), sd, ad, 20), cfg.Horizon); err != nil {
 				t.Fatal(err)
 			}
-			wire := snapshotJSON(t, agent)
-			narrow, err := json.Marshal(newValueNet(mathutil.NewRNG(1), 2, cfg.Hidden))
-			if err != nil {
-				t.Fatal(err)
-			}
+			wire := snapshotWire(t, agent)
+			nets, _ := ckpt.EncodeRoles(map[string]*nn.Network{"value": newValueNet(mathutil.NewRNG(1), 2, cfg.Hidden)}, nil)
+			narrow := nets["value"]
 			config := func(edit func(*Config)) func(*ckpt.AgentState) {
 				return func(st *ckpt.AgentState) {
 					c := cfg
@@ -86,22 +95,15 @@ func TestRestoreRejectsUntrainable(t *testing.T) {
 				if tc.ppoOnly && tech != PPO {
 					continue
 				}
-				var st ckpt.AgentState
-				if err := json.Unmarshal(wire, &st); err != nil {
-					t.Fatal(err)
-				}
-				tc.edit(&st)
-				if _, err := Restore(&st); err == nil || !strings.Contains(err.Error(), tc.want) {
+				st := decodeAgent(t, wire)
+				tc.edit(st)
+				if _, err := Restore(st); err == nil || !strings.Contains(err.Error(), tc.want) {
 					t.Errorf("%s: Restore error %v, want one containing %q", tc.name, err, tc.want)
 				}
 			}
 
 			// The unedited snapshot restores and trains.
-			var st ckpt.AgentState
-			if err := json.Unmarshal(wire, &st); err != nil {
-				t.Fatal(err)
-			}
-			resumed, err := Restore(&st)
+			resumed, err := Restore(decodeAgent(t, wire))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -113,8 +115,8 @@ func TestRestoreRejectsUntrainable(t *testing.T) {
 }
 
 // TestResumeTrainEquivalence is the exact-resume property for each
-// technique: training N steps, snapshotting, restoring through the JSON
-// wire form and ckpt's registry, and training M more lands on the same
+// technique: training N steps, snapshotting, restoring through the checkpoint
+// file and ckpt's registry, and training M more lands on the same
 // snapshot bytes as one uninterrupted N+M-step run. N and M are whole
 // horizons, and both runs step identically seeded environments.
 func TestResumeTrainEquivalence(t *testing.T) {
@@ -141,11 +143,7 @@ func TestResumeTrainEquivalence(t *testing.T) {
 			if err := first.Train(envB, n); err != nil {
 				t.Fatal(err)
 			}
-			var st ckpt.AgentState
-			if err := json.Unmarshal(snapshotJSON(t, first), &st); err != nil {
-				t.Fatal(err)
-			}
-			restored, err := ckpt.RestoreAgent(&st)
+			restored, err := ckpt.RestoreAgent(decodeAgent(t, snapshotWire(t, first)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -156,7 +154,7 @@ func TestResumeTrainEquivalence(t *testing.T) {
 			if err := resumed.Train(envB, m); err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(snapshotJSON(t, straight), snapshotJSON(t, resumed)) {
+			if !bytes.Equal(snapshotWire(t, straight), snapshotWire(t, resumed)) {
 				t.Error("snapshot after resume differs from the uninterrupted run's")
 			}
 		})

@@ -1,9 +1,12 @@
 package scenario
 
 import (
+	"bytes"
 	"fmt"
 	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"edgeslice/internal/ckpt"
@@ -156,5 +159,55 @@ func TestWarmStartRetrainsOverV2StoreFile(t *testing.T) {
 	}
 	if want := []string{v2Key, ckpt.Key("edgeslice", hash, cfg.Seed, cfg.TrainSteps)}; !reflect.DeepEqual(keys, want) {
 		t.Errorf("store keys %v, want the v2 file and one new checkpoint %v", keys, want)
+	}
+}
+
+// A store primed by a build that wrote edgeslice-checkpoint-v3 holds a
+// JSON file under a key ending in -v3. Keys and files end in -v4 now, so
+// that file is a miss: the sweep retrains beside it, leaves it alone and
+// succeeds.
+func TestWarmStartRetrainsOverV3StoreFile(t *testing.T) {
+	if testing.Short() {
+		t.Skip("training run")
+	}
+	spec := warmSpec()
+	cfg, err := spec.systemConfig(core.AlgoEdgeSlice, replicaSeed(spec.Seed, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hash, err := core.TrainingFingerprint(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	v3Path := filepath.Join(dir, fmt.Sprintf("edgeslice-%s-s%d-n%d-v3.json", hash[:16], cfg.Seed, cfg.TrainSteps))
+	v3, err := os.ReadFile("../ckpt/testdata/v3-ddpg.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(v3Path, v3, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	sum, err := Run(spec, Options{Replicas: 2, WarmStart: true, CheckpointDir: dir})
+	if err != nil {
+		t.Fatalf("warm sweep over a v3 store: %v", err)
+	}
+	if sum.Trainings != 1 {
+		t.Errorf("warm sweep trained %d times, want 1", sum.Trainings)
+	}
+	store, err := ckpt.OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys, err := store.Keys()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{ckpt.Key("edgeslice", hash, cfg.Seed, cfg.TrainSteps)}; !reflect.DeepEqual(keys, want) || !strings.HasSuffix(keys[0], "-v4") {
+		t.Errorf("store keys %v, want one new v4 checkpoint %v", keys, want)
+	}
+	if kept, err := os.ReadFile(v3Path); err != nil || !bytes.Equal(kept, v3) {
+		t.Errorf("the v3 file did not survive the sweep unchanged (err %v)", err)
 	}
 }
