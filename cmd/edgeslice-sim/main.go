@@ -26,9 +26,10 @@
 // In scenario mode, -warm-start trains each learning algorithm once and
 // clones the trained policy into every replica instead of retraining per
 // replica; -ckpt-dir additionally caches the trained checkpoints on disk
-// (keyed by algorithm, config hash, seed, and train steps) so repeated
-// invocations skip training entirely. Setting -ckpt-dir implies
-// -warm-start:
+// (keyed by core.TrainingKey: algorithm, a hash of the training inputs,
+// seed, and train steps) so repeated invocations skip training entirely.
+// The RA count is not a training input, so one checkpoint serves every RA
+// count. Setting -ckpt-dir implies -warm-start:
 //
 //	edgeslice-sim -scenario flash-crowd -replicas 8 -warm-start
 //	edgeslice-sim -scenario flash-crowd -replicas 8 -ckpt-dir ~/.cache/edgeslice

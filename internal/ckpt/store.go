@@ -15,12 +15,11 @@ import (
 var ErrNotFound = errors.New("ckpt: checkpoint not found")
 
 // Key builds the content-addressed store key for a trained system:
-// (algorithm, hashed compiled system config, seed, train steps, format
-// version). The algorithm spelling is the scenario/CLI one ("edgeslice");
-// the hash is the training fingerprint of the compiled config
-// (core.TrainingFingerprint). With the version in the key, a checkpoint a
-// build of an older format stored is never looked up: it is a miss, and
-// the system retrains, rather than a file that Load rejects.
+// (algorithm, hash of the training inputs, seed, train steps, format
+// version); core.TrainingKey is its one caller. With the version in the
+// key, a checkpoint a build of an older format stored is never looked up:
+// it is a miss, and the system retrains, rather than a file that Load
+// rejects.
 func Key(algorithm, configHash string, seed int64, trainSteps int) string {
 	h := configHash
 	if len(h) > 16 {

@@ -17,18 +17,19 @@ import (
 // once when the training environments moved to a PCG stream with
 // one-uniform Poisson inversion (their arrivals, and so every transition
 // the agent learns from, changed), once when the trainer stream moved to a
-// PCG whose state the checkpoint holds (format v3), and once for format v4,
-// whose content TestSnapshotContentPinned held across the move; every
+// PCG whose state the checkpoint holds (format v3), once for format v4,
+// whose content TestSnapshotContentPinned held across the move, and once
+// when the header's config_hash became core.TrainingKey's hash; every
 // kernel since must reproduce them. amd64 only: arm64 Go fuses x*y+z into
 // one rounding, so its (equally deterministic) bytes are different ones.
 // Not under -race, which slows the four trainings tenfold to watch one
 // goroutine.
 func TestCheckpointDigestPinned(t *testing.T) {
 	for seed, want := range map[int64]string{
-		1: "6845c58de421aa7105b84de3e214cd7c8a32f79db42bc8a32d5681235fb7d0c0",
-		2: "6cfc879a8768ebf4fc5c6b5fb3f323c168bbe02777e96f3015f1c2958b431cf2",
-		3: "1a23a6e3804e65a0abb85f4af29f76d6cb3b55f2488eff7e0658d21efa10fa3a",
-		4: "62eb8d2de907d9d41c695dd84dda051cc381faf2ba331ee4ceed68f13fce7893",
+		1: "53f5d14c6bb266e30fdc318d4d26b194212e8dfe831ce1c547c9b1151e905622",
+		2: "b6b2d77280735c54e8fe90c71ae027ff237e5b944266b48e9c335803bb679f45",
+		3: "a3de897cf7e664e1dba977dc991776f5ffd8801a88d1efd6345b4eff13d391d2",
+		4: "317474a1f2d68bfcce220902cc477eb5a3cb4bf95fb25393c4f2cace8cc21b1c",
 	} {
 		cfg := DefaultConfig()
 		cfg.TrainSteps = 2000

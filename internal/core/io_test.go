@@ -171,68 +171,3 @@ func TestLoadAgentReportsUnknownFormat(t *testing.T) {
 		}
 	}
 }
-
-// The default configs' fingerprints, which key the checkpoint store, are
-// pinned on every host: they hash config values only, no training. A
-// renamed config type or a change to the frozen DDPG projection moves them.
-func TestTrainingFingerprintPinned(t *testing.T) {
-	for algo, want := range map[Algorithm]string{
-		AlgoEdgeSlice:   "9ad0994fadb5050aea4287a0fec95d5bc5acceef9992cfb5decf3777c9e106f1",
-		AlgoEdgeSliceNT: "b6674887ac86f5030457ccc62f225b82f667303b96a769fda51fda52d3269510",
-	} {
-		cfg := DefaultConfig()
-		cfg.Algo = algo
-		if got, err := TrainingFingerprint(cfg); err != nil || got != want {
-			t.Errorf("%v: fingerprint %s (%v), pinned %s", algo, got, err, want)
-		}
-	}
-}
-
-func TestTrainingFingerprintStability(t *testing.T) {
-	cfg := DefaultConfig()
-	h1, err := TrainingFingerprint(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h2, err := TrainingFingerprint(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h1 != h2 {
-		t.Fatalf("fingerprint not deterministic: %s vs %s", h1, h2)
-	}
-	if len(h1) != 64 {
-		t.Fatalf("fingerprint %q is not a sha256 hex digest", h1)
-	}
-
-	// The base seed is keyed separately by the store, not hashed.
-	seeded := cfg
-	seeded.Seed = 999
-	hs, err := TrainingFingerprint(seeded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hs != h1 {
-		t.Fatal("base seed must not change the fingerprint (it is a separate key component)")
-	}
-
-	// Anything the trained agents depend on must change it.
-	algo := cfg
-	algo.Algo = AlgoEdgeSliceNT
-	ha, err := TrainingFingerprint(algo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ha == h1 {
-		t.Fatal("algorithm change must change the fingerprint")
-	}
-	hidden := cfg
-	hidden.DDPG.Hidden = 64
-	hh, err := TrainingFingerprint(hidden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hh == h1 {
-		t.Fatal("hyper-parameter change must change the fingerprint")
-	}
-}

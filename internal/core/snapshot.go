@@ -18,7 +18,7 @@ func (s *System) Snapshot(opts ckpt.SnapshotOptions) (*ckpt.Checkpoint, error) {
 	if !s.trained || len(s.agents) == 0 {
 		return nil, fmt.Errorf("core: Snapshot before Train/SetAgents")
 	}
-	hash, err := TrainingFingerprint(s.cfg)
+	hash, err := trainingHash(s.cfg)
 	if err != nil {
 		return nil, err
 	}

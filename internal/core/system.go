@@ -256,17 +256,16 @@ func (s *System) Train() error {
 		s.trained = true
 		return nil
 	}
-	env, err := s.cfg.NewTrainingEnv()
+	in := s.cfg.trainingInputs()
+	env, err := netsim.New(in.Env)
 	if err != nil {
 		return fmt.Errorf("core: training shared agent: %w", err)
 	}
-	dcfg := s.cfg.DDPG
-	dcfg.Technique, dcfg.Seed = offpolicy.DDPG, s.cfg.Seed
-	agent, err := offpolicy.New(env.StateDim(), env.ActionDim(), dcfg)
+	agent, err := offpolicy.New(env.StateDim(), env.ActionDim(), in.DDPG)
 	if err != nil {
 		return fmt.Errorf("core: training shared agent: %w", err)
 	}
-	if err := agent.Train(env, s.cfg.TrainSteps); err != nil {
+	if err := agent.Train(env, in.Steps); err != nil {
 		return fmt.Errorf("core: training shared agent: %w", err)
 	}
 	return s.SetAgents([]rl.Agent{agent})

@@ -17,7 +17,6 @@ import (
 	"reflect"
 	"slices"
 
-	"edgeslice/internal/ckpt"
 	"edgeslice/internal/core"
 	"edgeslice/internal/mathutil"
 	"edgeslice/internal/rl"
@@ -76,9 +75,8 @@ func (o Options) Validate() error {
 // it, as the paper trains an agent once and deploys it everywhere (Sec. V).
 type Lab struct {
 	o Options
-	// policies maps the store key of a training config (ckpt.Key of its
-	// algorithm, core.TrainingFingerprint, seed and steps) to the policy
-	// System.Train trained from it.
+	// policies maps the training key of a config (core.TrainingKey) to
+	// the policy System.Train trained from it.
 	policies map[string]*rl.DeployedPolicy
 	runs     []labRun // every History run so far
 }
@@ -114,11 +112,10 @@ func (o Options) systemConfig(algo core.Algorithm) core.Config {
 // policy returns the acting policy System.Train trains from cfg, training
 // it on the first request for its key only.
 func (l *Lab) policy(cfg core.Config) (*rl.DeployedPolicy, error) {
-	hash, err := core.TrainingFingerprint(cfg)
+	key, err := core.TrainingKey(cfg)
 	if err != nil {
 		return nil, err
 	}
-	key := ckpt.Key(cfg.Algo.String(), hash, cfg.Seed, cfg.TrainSteps)
 	if p, ok := l.policies[key]; ok {
 		return p, nil
 	}
@@ -178,11 +175,11 @@ func (l *Lab) run(cfg core.Config, agent rl.Agent, periods int) (*core.History, 
 }
 
 // runTrained runs cfg for the options' periods under the policy trained
-// from train, or under its baseline for a non-learning algorithm.
-func (l *Lab) runTrained(cfg, train core.Config) (*core.History, error) {
+// from it, or under its baseline for a non-learning algorithm.
+func (l *Lab) runTrained(cfg core.Config) (*core.History, error) {
 	var agent rl.Agent
 	if cfg.Algo.IsLearning() {
-		p, err := l.policy(train)
+		p, err := l.policy(cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -193,19 +190,18 @@ func (l *Lab) runTrained(cfg, train core.Config) (*core.History, error) {
 
 // steadySeries plots the steady-state system performance (the mean over
 // the second half of the run) of each comparison algorithm at every x:
-// at(algo, x) gives the system to run there and the config its agent
-// trains from, and perX divides each value by x (performance per RA or
-// per slice).
-func (l *Lab) steadySeries(xs []float64, perX bool, at func(core.Algorithm, float64) (run, train core.Config, err error)) ([]Series, error) {
+// at(algo, x) gives the system to run there, and perX divides each value
+// by x (performance per RA or per slice).
+func (l *Lab) steadySeries(xs []float64, perX bool, at func(core.Algorithm, float64) (core.Config, error)) ([]Series, error) {
 	var out []Series
 	for _, algo := range comparisonAlgos {
 		s := Series{Name: algo.String()}
 		for _, x := range xs {
-			cfg, train, err := at(algo, x)
+			cfg, err := at(algo, x)
 			if err != nil {
 				return nil, err
 			}
-			y, err := steady(l.runTrained(cfg, train))
+			y, err := steady(l.runTrained(cfg))
 			if err != nil {
 				return nil, fmt.Errorf("%v at %v: %w", algo, x, err)
 			}
@@ -275,7 +271,7 @@ func (l *Lab) Fig6() (*Figure, *Figure, error) {
 	var edgeHist *core.History
 	for _, algo := range comparisonAlgos {
 		cfg := l.o.systemConfig(algo)
-		h, err := l.runTrained(cfg, cfg)
+		h, err := l.runTrained(cfg)
 		if err != nil {
 			return nil, nil, fmt.Errorf("fig6 %v: %w", algo, err)
 		}

@@ -29,12 +29,12 @@ func (l *Lab) Fig10() (*Figure, *Figure, error) {
 		Notes: "paper: under-trained agents (1e5 steps) fall below TARO; more steps help",
 	}
 	var err error
-	figA.Series, err = l.steadySeries([]float64{1e5, 5e5, 1e6, 1.5e6}, false, func(algo core.Algorithm, paperSteps float64) (core.Config, core.Config, error) {
+	figA.Series, err = l.steadySeries([]float64{1e5, 5e5, 1e6, 1.5e6}, false, func(algo core.Algorithm, paperSteps float64) (core.Config, error) {
 		cfg := l.o.systemConfig(algo)
 		if algo.IsLearning() {
 			cfg.TrainSteps = max(int(paperSteps/1e6*float64(l.o.TrainSteps)), 1)
 		}
-		return cfg, cfg, nil
+		return cfg, nil
 	})
 	if err != nil {
 		return nil, nil, fmt.Errorf("fig10a: %w", err)

@@ -19,7 +19,7 @@ func (l *Lab) Fig11() (*Figure, *Figure, error) {
 		Notes: "paper: EdgeSlice stays best across alpha in {1.0, 1.5, 2.0, 2.5}",
 	}
 	var err error
-	figA.Series, err = l.steadySeries([]float64{1.0, 1.5, 2.0, 2.5}, false, func(algo core.Algorithm, alpha float64) (core.Config, core.Config, error) {
+	figA.Series, err = l.steadySeries([]float64{1.0, 1.5, 2.0, 2.5}, false, func(algo core.Algorithm, alpha float64) (core.Config, error) {
 		cfg := l.o.systemConfig(algo)
 		cfg.EnvTemplate.Alpha = alpha
 		// Keep the reward's normalized dynamic range independent of α:
@@ -29,7 +29,7 @@ func (l *Lab) Fig11() (*Figure, *Figure, error) {
 		cfg.EnvTemplate.PerfNorm *= scale
 		cfg.EnvTemplate.CoordSpan *= scale
 		cfg.EnvTemplate.CoordNorm *= scale
-		return cfg, cfg, nil
+		return cfg, nil
 	})
 	if err != nil {
 		return nil, nil, fmt.Errorf("fig11a: %w", err)
@@ -52,7 +52,7 @@ func (l *Lab) Fig11() (*Figure, *Figure, error) {
 			// find the boundary allocations.
 			cfg.TrainSteps *= 2
 		}
-		h, err := l.runTrained(cfg, cfg)
+		h, err := l.runTrained(cfg)
 		if err != nil {
 			return nil, nil, fmt.Errorf("fig11b %v: %w", algo, err)
 		}

@@ -16,7 +16,7 @@ import (
 // over time. It returns one figure per resource domain.
 func (l *Lab) Fig7() ([]*Figure, error) {
 	cfg := l.o.systemConfig(core.AlgoEdgeSlice)
-	h, err := l.runTrained(cfg, cfg)
+	h, err := l.runTrained(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("fig7: %w", err)
 	}

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 
 	"edgeslice/internal/core"
@@ -117,8 +116,9 @@ func simSystemConfig(o Options, algo core.Algorithm, numSlices, numRAs int) (cor
 
 // Fig9 reproduces "The scalability of EdgeSlice": (a) performance per RA vs
 // the number of RAs {5, 10, 15, 20}; (b) performance per slice vs the
-// number of slices {3, 5, 7}. One agent per (algorithm, slice count),
-// trained in the simRAs system, serves every RA count.
+// number of slices {3, 5, 7}. One agent per (algorithm, slice count)
+// serves every RA count: the RA count is not a training input, so every
+// RA count's config has the same training key.
 func (l *Lab) Fig9() (*Figure, *Figure, error) {
 	figA := &Figure{
 		ID:    "fig9a",
@@ -126,10 +126,8 @@ func (l *Lab) Fig9() (*Figure, *Figure, error) {
 		Notes: "paper: EdgeSlice/NT hold per-RA performance as RAs grow; TARO degrades",
 	}
 	var err error
-	figA.Series, err = l.steadySeries([]float64{5, 10, 15, 20}, true, func(algo core.Algorithm, nRA float64) (core.Config, core.Config, error) {
-		cfg, err := simSystemConfig(l.o, algo, simSlices, int(nRA))
-		train, terr := simSystemConfig(l.o, algo, simSlices, simRAs)
-		return cfg, train, errors.Join(err, terr)
+	figA.Series, err = l.steadySeries([]float64{5, 10, 15, 20}, true, func(algo core.Algorithm, nRA float64) (core.Config, error) {
+		return simSystemConfig(l.o, algo, simSlices, int(nRA))
 	})
 	if err != nil {
 		return nil, nil, fmt.Errorf("fig9a: %w", err)
@@ -140,9 +138,8 @@ func (l *Lab) Fig9() (*Figure, *Figure, error) {
 		Title: "Performance per slice vs number of slices",
 		Notes: "paper: performance per slice decreases with slice count; EdgeSlice stays best",
 	}
-	figB.Series, err = l.steadySeries([]float64{3, simSlices, 7}, true, func(algo core.Algorithm, nSl float64) (core.Config, core.Config, error) {
-		cfg, err := simSystemConfig(l.o, algo, int(nSl), simRAs)
-		return cfg, cfg, err
+	figB.Series, err = l.steadySeries([]float64{3, simSlices, 7}, true, func(algo core.Algorithm, nSl float64) (core.Config, error) {
+		return simSystemConfig(l.o, algo, int(nSl), simRAs)
 	})
 	if err != nil {
 		return nil, nil, fmt.Errorf("fig9b: %w", err)

@@ -31,7 +31,7 @@ func simDiagnostic(t *testing.T, env string, nSl int) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		h, err := l.runTrained(cfg, cfg)
+		h, err := l.runTrained(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

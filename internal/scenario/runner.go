@@ -266,11 +266,10 @@ func warmCheckpoints(spec Spec, opts Options, trainings *atomic.Int64) (map[stri
 		if err != nil {
 			return nil, err
 		}
-		hash, err := core.TrainingFingerprint(cfg)
+		key, err := core.TrainingKey(cfg)
 		if err != nil {
 			return nil, err
 		}
-		key := ckpt.Key(algoName, hash, cfg.Seed, cfg.TrainSteps)
 		var c *ckpt.Checkpoint
 		if store != nil {
 			if c, err = store.Load(key); err != nil && !errors.Is(err, ckpt.ErrNotFound) {
@@ -289,7 +288,6 @@ func warmCheckpoints(spec Spec, opts Options, trainings *atomic.Int64) (map[stri
 			if c, err = sys.Snapshot(ckpt.SnapshotOptions{}); err != nil {
 				return nil, err
 			}
-			c.ConfigHash = hash
 			if store != nil {
 				if err := store.Save(key, c); err != nil {
 					return nil, err

@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"bytes"
-	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -117,6 +116,43 @@ func TestWarmStartCachesAcrossInvocations(t *testing.T) {
 	}
 }
 
+// The RA count and the SLA vector are not training inputs, so sweeps that
+// differ only there deploy one stored checkpoint: the later sweeps train
+// nothing.
+func TestWarmStartSharesStoreAcrossRACountAndSLA(t *testing.T) {
+	if testing.Short() {
+		t.Skip("training run")
+	}
+	spec := warmSpec()
+	dir := t.TempDir()
+	opts := Options{Replicas: 2, WarmStart: true, CheckpointDir: dir}
+	if _, err := Run(spec, opts); err != nil {
+		t.Fatal(err)
+	}
+
+	moreRAs := spec
+	moreRAs.NumRAs += 2
+	sla := spec
+	sla.Slices = append([]SliceSpec(nil), spec.Slices...)
+	sla.Slices[0].UminPerPeriod = 2 * core.PaperUmin
+	for _, s := range []Spec{moreRAs, sla} {
+		sum, err := Run(s, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum.Trainings != 0 {
+			t.Errorf("sweep at %d RAs, SLA %v over the primed store trained %d times, want 0", s.NumRAs, s.UminVector(), sum.Trainings)
+		}
+	}
+	store, err := ckpt.OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if keys, err := store.Keys(); err != nil || len(keys) != 1 {
+		t.Errorf("store holds %v (%v), want one checkpoint", keys, err)
+	}
+}
+
 // A store primed by a build that wrote edgeslice-checkpoint-v2 holds its
 // file under the key of that build, which named no format. The key names
 // the format now, so that file is a miss: the sweep retrains beside it and
@@ -130,7 +166,7 @@ func TestWarmStartRetrainsOverV2StoreFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hash, err := core.TrainingFingerprint(cfg)
+	key, err := core.TrainingKey(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +175,7 @@ func TestWarmStartRetrainsOverV2StoreFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2Key := fmt.Sprintf("edgeslice-%s-s%d-n%d", hash[:16], cfg.Seed, cfg.TrainSteps)
+	v2Key := strings.TrimSuffix(key, "-v4")
 	v2 := `{"format":"edgeslice-checkpoint-v2","algorithm":"EdgeSlice","shared":true,"agents":[` +
 		`{"algo":"ddpg","state_dim":4,"action_dim":3,"config":{},"nets":{},"rng":{"seed":1,"calls":5},"updates":1}]}`
 	if err := os.WriteFile(store.Path(v2Key), []byte(v2), 0o644); err != nil {
@@ -157,7 +193,7 @@ func TestWarmStartRetrainsOverV2StoreFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := []string{v2Key, ckpt.Key("edgeslice", hash, cfg.Seed, cfg.TrainSteps)}; !reflect.DeepEqual(keys, want) {
+	if want := []string{v2Key, key}; !reflect.DeepEqual(keys, want) {
 		t.Errorf("store keys %v, want the v2 file and one new checkpoint %v", keys, want)
 	}
 }
@@ -175,12 +211,12 @@ func TestWarmStartRetrainsOverV3StoreFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hash, err := core.TrainingFingerprint(cfg)
+	key, err := core.TrainingKey(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	v3Path := filepath.Join(dir, fmt.Sprintf("edgeslice-%s-s%d-n%d-v3.json", hash[:16], cfg.Seed, cfg.TrainSteps))
+	v3Path := filepath.Join(dir, strings.TrimSuffix(key, "-v4")+"-v3.json")
 	v3, err := os.ReadFile("../ckpt/testdata/v3-ddpg.json")
 	if err != nil {
 		t.Fatal(err)
@@ -204,7 +240,7 @@ func TestWarmStartRetrainsOverV3StoreFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := []string{ckpt.Key("edgeslice", hash, cfg.Seed, cfg.TrainSteps)}; !reflect.DeepEqual(keys, want) || !strings.HasSuffix(keys[0], "-v4") {
+	if want := []string{key}; !reflect.DeepEqual(keys, want) || !strings.HasSuffix(keys[0], "-v4") {
 		t.Errorf("store keys %v, want one new v4 checkpoint %v", keys, want)
 	}
 	if kept, err := os.ReadFile(v3Path); err != nil || !bytes.Equal(kept, v3) {
