@@ -3,139 +3,58 @@
 package ckpt_test
 
 import (
-	"bytes"
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
-	"hash"
-	"maps"
-	"math"
-	"slices"
+	"fmt"
 	"testing"
 
 	"edgeslice/internal/ckpt"
 	"edgeslice/internal/core"
 	"edgeslice/internal/mathutil"
 	"edgeslice/internal/netsim"
-	"edgeslice/internal/nn"
 	"edgeslice/internal/rl"
 	"edgeslice/internal/rl/offpolicy"
 	"edgeslice/internal/rl/onpolicy"
 	"edgeslice/internal/rl/rltest"
 )
 
-// contentHash feeds a snapshot's content to a sha256, independent of how
-// the file lays it out: every network role in sorted order (layer shapes,
-// activations, weights and biases as float64 bits), that role's Adam
-// moments as RestoreAdam installs them, the config bytes, the generator
-// state, the noise std, the log-stds and the replay ring.
-type contentHash struct{ h hash.Hash }
-
-func (c contentHash) u64(v uint64)   { c.h.Write(binary.LittleEndian.AppendUint64(nil, v)) }
-func (c contentHash) f64(v float64)  { c.u64(math.Float64bits(v)) }
-func (c contentHash) bytes(b []byte) { c.u64(uint64(len(b))); c.h.Write(b) }
-func (c contentHash) f64s(vs []float64) {
-	c.u64(uint64(len(vs)))
-	for _, v := range vs {
-		c.f64(v)
-	}
-}
-
-func (c contentHash) agent(t *testing.T, st *ckpt.AgentState) {
-	t.Helper()
-	c.bytes([]byte(st.Algo))
-	c.u64(uint64(st.StateDim))
-	c.u64(uint64(st.ActionDim))
-	c.bytes(st.Config)
-	c.bytes(st.RNG)
-	c.f64(st.NoiseStd)
-	c.f64s(st.LogStd)
-	for _, role := range slices.Sorted(maps.Keys(st.Nets)) {
-		c.bytes([]byte(role))
-		n, err := st.Net(role)
+// TestSnapshotContentPinned is the one pin of the trainers, 24 trainings:
+// a default System.Train at 2000 steps (seeds 1-4), DDPG and SAC
+// after 300 small-config steps with their replay, and VPG, PPO and TRPO
+// after two default horizons, each on the 5×3 target task and on
+// Fig. 10(b)'s training environment at seeds 1-2. Each is hashed through
+// contentHash after a Write and Read, so the digests hold across format
+// changes that keep every value (TestCheckpointGoldenFile pins the
+// layout): network init, exploration, critic targets, gradients, Adam, the
+// order of every draw and each config's encoding must stay as they are.
+// The digests were derived at checkpoint format v3, the six on-policy
+// netsim ones when those rows began observing queues, as Fig. 10(b) trains.
+// amd64 only: arm64 Go fuses x*y+z into one rounding, so its (equally
+// deterministic) values are different ones. Not under -race, which slows
+// the trainings tenfold to watch one goroutine.
+func TestSnapshotContentPinned(t *testing.T) {
+	// pin trains a for steps in e and compares its snapshot's content
+	// digest with want.
+	pin := func(t *testing.T, a trainable, e rl.Env, steps int, opts ckpt.SnapshotOptions, want, name string) {
+		t.Helper()
+		if err := a.Train(e, steps); err != nil {
+			t.Fatal(err)
+		}
+		st, err := a.Snapshot(opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.u64(uint64(len(n.Layers)))
-		for _, l := range n.Layers {
-			c.u64(uint64(l.In))
-			c.u64(uint64(l.Out))
-			c.bytes([]byte(l.Act.String()))
-			c.f64s(l.W.Data)
-			c.f64s(l.B)
-		}
-		opt := nn.NewAdam(1e-3)
-		if err := st.RestoreAdam(opt, n, role); err != nil {
-			t.Fatal(err)
-		}
-		if m := opt.StateFor(n); m == nil {
-			c.u64(0)
-		} else {
-			c.u64(1)
-			c.u64(uint64(m.T))
-			for i := range m.M {
-				c.f64s(m.M[i])
-				c.f64s(m.V[i])
-			}
+		c := &ckpt.Checkpoint{Format: ckpt.Format, Algorithm: "EdgeSlice", Agents: []*ckpt.AgentState{st}}
+		if got := contentDigest(t, c); got != want {
+			t.Errorf("%s: content sha256 %s, pinned %s", name, got, want)
 		}
 	}
-	capacity, next, trs, ok := replayContent(t, st)
-	if !ok {
-		c.u64(0)
-		return
-	}
-	c.u64(1)
-	c.u64(uint64(capacity))
-	c.u64(uint64(next))
-	c.u64(uint64(len(trs)))
-	for _, tr := range trs {
-		c.f64s(tr.State)
-		c.f64s(tr.Action)
-		c.f64(tr.Reward)
-		c.f64s(tr.NextState)
-		if tr.Done {
-			c.u64(1)
-		} else {
-			c.u64(0)
-		}
-	}
-}
-
-// contentDigest hashes the content of every agent of c after c has been
-// through Write and Read.
-func contentDigest(t *testing.T, c *ckpt.Checkpoint) string {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := ckpt.Write(&buf, c); err != nil {
-		t.Fatal(err)
-	}
-	decoded, err := ckpt.Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := contentHash{sha256.New()}
-	for _, st := range decoded.Agents {
-		h.agent(t, st)
-	}
-	return hex.EncodeToString(h.h.Sum(nil))
-}
-
-// TestSnapshotContentPinned pins what a checkpoint holds, not how it is
-// laid out: the trainings of TestCheckpointDigestPinned and of the
-// off-policy and on-policy digest pins, hashed through contentHash after a
-// Write and Read. The digests were derived at checkpoint format v3 and
-// hold across format changes that keep every value. amd64 only and not
-// under -race, as the pins whose trainings it repeats.
-func TestSnapshotContentPinned(t *testing.T) {
-	one := func(st *ckpt.AgentState) *ckpt.Checkpoint {
-		return &ckpt.Checkpoint{Format: ckpt.Format, Algorithm: "EdgeSlice", Agents: []*ckpt.AgentState{st}}
-	}
-	env := func(t *testing.T, kind string, seed int64, observeQueue bool) rl.Env {
+	// env is the target task, or the environment Fig. 10(b)'s trainers
+	// get from core.Config.NewTrainingEnv.
+	env := func(t *testing.T, kind string, seed int64) rl.Env {
 		if kind == "target" {
 			return rltest.NewTargetEnv(mathutil.NewRNG(seed), 5, 3, 20)
 		}
 		envCfg := netsim.DefaultExperimentConfig()
-		envCfg.ObserveQueue = observeQueue
+		envCfg.ObserveQueue = true
 		envCfg.TrainCoordRandom = true
 		envCfg.Seed = seed + 104729
 		e, err := netsim.New(envCfg)
@@ -166,6 +85,13 @@ func TestSnapshotContentPinned(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			key, err := core.TrainingKey(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := ckpt.Key(c.Algorithm, c.ConfigHash, c.Seed, c.TrainSteps); c.Format != ckpt.Format || !c.Shared || got != key {
+				t.Errorf("seed %d: header format %q, shared %v, key %s; want %q, shared, key %s", seed, c.Format, c.Shared, got, ckpt.Format, key)
+			}
 			if got := contentDigest(t, c); got != want {
 				t.Errorf("seed %d: content sha256 %s, pinned %s", seed, got, want)
 			}
@@ -187,7 +113,7 @@ func TestSnapshotContentPinned(t *testing.T) {
 			{offpolicy.SAC, "netsim", 1, "b4bd80e1a3ea2a3e608092b347ba6769ff2d4c61d2286add948dfca130fb232c"},
 			{offpolicy.SAC, "netsim", 2, "aadf7be6733f60ea32eaf04e523804208a7aabdee5f96ba9a9b8c6ef6c82e7b3"},
 		} {
-			e := env(t, tc.env, tc.seed, true)
+			e := env(t, tc.env, tc.seed)
 			cfg := offpolicy.DefaultConfig(tc.tech)
 			cfg.Hidden, cfg.BatchSize, cfg.WarmupSteps, cfg.ReplayCapacity, cfg.Seed = 16, 16, 50, 200, tc.seed
 			if tc.tech == offpolicy.DDPG {
@@ -197,16 +123,7 @@ func TestSnapshotContentPinned(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := a.Train(e, 300); err != nil {
-				t.Fatal(err)
-			}
-			st, err := a.Snapshot(ckpt.SnapshotOptions{IncludeReplay: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := contentDigest(t, one(st)); got != tc.want {
-				t.Errorf("%s on %s, seed %d: content sha256 %s, pinned %s", tc.tech, tc.env, tc.seed, got, tc.want)
-			}
+			pin(t, a, e, 300, ckpt.SnapshotOptions{IncludeReplay: true}, tc.want, fmt.Sprintf("%s on %s, seed %d", tc.tech, tc.env, tc.seed))
 		}
 	})
 
@@ -218,34 +135,25 @@ func TestSnapshotContentPinned(t *testing.T) {
 		}{
 			{onpolicy.VPG, "target", 1, "5f563a83b772e280e41b75a3d6205f02ac22f175621aff6dd56017c3c1e5d5f0"},
 			{onpolicy.VPG, "target", 2, "c2b41e98d29199b1aff08c34d8968931086b5ee7ff47f9d155eccdb3f699d152"},
-			{onpolicy.VPG, "netsim", 1, "8d01888c7f004c54272b5adad0ef7346762c7cc4d42ba0521363d8117bdc5c79"},
-			{onpolicy.VPG, "netsim", 2, "4d4cd92b8d380843bb0b03e647628c5c3333bebdfdc305808e193baac6c1568b"},
+			{onpolicy.VPG, "netsim", 1, "2a02f39e4e19b82fda4d84329a63be90f8efc025d3c78bade393ecf4782592b2"},
+			{onpolicy.VPG, "netsim", 2, "356af8bd3f97134abc9b5e1bd8eb8c24240fb8c0a749e7fe252c0e1bc6589fac"},
 			{onpolicy.PPO, "target", 1, "05fb1fde9814fa87d5a61aefc847227beece99c3f894288d9d234a915562f202"},
 			{onpolicy.PPO, "target", 2, "eda63d51157485d17b384991b0f80d40d43b8ed577c56ddf7dda138fa89b4f0b"},
-			{onpolicy.PPO, "netsim", 1, "aa4057d79a9656f62296ce127929d93a38896110b29d7641fe9e6cb5598a4d35"},
-			{onpolicy.PPO, "netsim", 2, "35072e477422f1236e97f1729dfaf11fcf6a0c9a54aa060ae9d9386585ae0f92"},
+			{onpolicy.PPO, "netsim", 1, "2eb315b56a493e72b771b7187751698c0380b149e156a8e2367fa8f0d17edf93"},
+			{onpolicy.PPO, "netsim", 2, "82d47c49cfe20a1c3e32ad9b7873fd5d943b683561f977e7465a3795ec193a21"},
 			{onpolicy.TRPO, "target", 1, "fc4355502c97679b5abb9aefc948736358aa3bd2cd00499fca2a71493101f922"},
 			{onpolicy.TRPO, "target", 2, "5dc176a0f8da8279655256ca01db193b93ececfad8e9190c518a546bfe1fcb98"},
-			{onpolicy.TRPO, "netsim", 1, "ddf4abfc48fca8683f68bd0f419e5ecb4183fbd4edafe587675835e7f308b9c8"},
-			{onpolicy.TRPO, "netsim", 2, "3ffc45c0b542e3026de46497aa7779c597fdb1b115190fb0389f3fef18b9ce88"},
+			{onpolicy.TRPO, "netsim", 1, "0355cf6f07d614ecc2e155612dbc8d68ca53597fbdb041e34f168f736422eaf9"},
+			{onpolicy.TRPO, "netsim", 2, "69a9b3fb7afbb58b1aa7eafe8691ae756de3486036256afa3a1f9fe9284a6f19"},
 		} {
-			e := env(t, tc.env, tc.seed, false)
+			e := env(t, tc.env, tc.seed)
 			cfg := onpolicy.DefaultConfig(tc.tech)
 			cfg.Seed = tc.seed
 			a, err := onpolicy.New(e.StateDim(), e.ActionDim(), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := a.Train(e, 2*cfg.Horizon); err != nil {
-				t.Fatal(err)
-			}
-			st, err := a.Snapshot(ckpt.SnapshotOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := contentDigest(t, one(st)); got != tc.want {
-				t.Errorf("%s on %s, seed %d: content sha256 %s, pinned %s", tc.tech, tc.env, tc.seed, got, tc.want)
-			}
+			pin(t, a, e, 2*cfg.Horizon, ckpt.SnapshotOptions{}, tc.want, fmt.Sprintf("%s on %s, seed %d", tc.tech, tc.env, tc.seed))
 		}
 	})
 }

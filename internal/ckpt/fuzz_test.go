@@ -10,38 +10,12 @@ import (
 	"testing"
 
 	"edgeslice/internal/ckpt"
-	"edgeslice/internal/mathutil"
-	"edgeslice/internal/rl/offpolicy"
-	"edgeslice/internal/rl/rltest"
 )
 
 // decodeAllocBound is what Decode may allocate for an input of n bytes:
 // the header's values and its canonical re-encoding, never a declared
 // tensor, plus slack for the runtime's own allocations.
 func decodeAllocBound(n int) uint64 { return 128*uint64(n) + 64<<10 }
-
-// smallFile is the v4 file of a briefly trained DDPG agent with its replay.
-func smallFile(t testing.TB) []byte {
-	t.Helper()
-	cfg := offpolicy.DefaultConfig(offpolicy.DDPG)
-	cfg.Hidden, cfg.BatchSize, cfg.WarmupSteps, cfg.ReplayCapacity = 4, 4, 8, 16
-	a, err := offpolicy.New(3, 2, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Train(rltest.NewTargetEnv(mathutil.NewRNG(1), 3, 2, 20), 24); err != nil {
-		t.Fatal(err)
-	}
-	st, err := a.Snapshot(ckpt.SnapshotOptions{IncludeReplay: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := ckpt.Write(&buf, &ckpt.Checkpoint{Format: ckpt.Format, Algorithm: "EdgeSlice", Agents: []*ckpt.AgentState{st}}); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
 
 // hugeTensorFile is a well-formed file whose header declares a 2⁴⁰-value
 // actor over a 64-byte payload.
@@ -64,7 +38,7 @@ func hugeTensorFile(t testing.TB) []byte {
 // allocate more than decodeAllocBound, and whatever it accepts writes back
 // byte for byte.
 func FuzzDecodeCheckpoint(f *testing.F) {
-	valid := smallFile(f)
+	valid := goldenFile(f)
 	f.Add(valid)
 	for _, n := range []int{0, 1, len(valid) / 2, len(valid) - 5, len(valid) - 1} {
 		f.Add(valid[:n])

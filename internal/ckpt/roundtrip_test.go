@@ -204,10 +204,7 @@ func TestReadRejectsV3(t *testing.T) {
 	if _, err := ckpt.Decode(v3); err == nil || !strings.Contains(err.Error(), "edgeslice-checkpoint-v3") || !strings.Contains(err.Error(), ckpt.Format) {
 		t.Fatalf("v3 checkpoint: err = %v, want a format error naming edgeslice-checkpoint-v3 and %s", err, ckpt.Format)
 	}
-	valid := smallFile(t)
-	if _, err := ckpt.Decode(valid); err != nil {
-		t.Fatal(err)
-	}
+	valid := goldenFile(t)
 	flipped := append([]byte(nil), valid...)
 	flipped[len(flipped)-40] ^= 1
 	for name, bad := range map[string][]byte{
