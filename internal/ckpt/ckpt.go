@@ -13,7 +13,7 @@
 // A file is a one-line JSON header (the Checkpoint, listing each agent's
 // tensors by role and length), a newline, the tensors as little-endian
 // float64 in header order, and an IEEE CRC-32. Decode copies no tensor; Net,
-// RestoreAdam and ReplayState.Transitions copy the role asked for.
+// RestoreAdam and ReplayState.Rows copy the role asked for.
 //
 // The package defines the wire format and the per-agent state container;
 // the trainer packages (offpolicy for ddpg and sac, onpolicy for ppo, trpo
@@ -162,42 +162,27 @@ func EncodeRoles(nets map[string]*nn.Network, moments map[string]*nn.AdamState) 
 	return n, o
 }
 
-// EncodeReplay encodes a replay ring: a point-in-time copy.
-func EncodeReplay(capacity, next int, trs []rl.Transition) *ReplayState {
-	var b []byte
-	for _, tr := range trs {
-		done := 0.0
-		if tr.Done {
-			done = 1
-		}
-		b = appendFloats(b, tr.State...)
-		b = appendFloats(b, tr.Action...)
-		b = appendFloats(b, tr.Reward)
-		b = appendFloats(b, tr.NextState...)
-		b = appendFloats(b, done)
-	}
-	return &ReplayState{Capacity: capacity, Next: next, values: values{Len: len(b) / 8, data: b}}
+// EncodeReplay encodes a replay ring of rows in storage order, each laid
+// out as ReplayState's transitions: a point-in-time copy.
+func EncodeReplay(capacity, next int, rows []float64) *ReplayState {
+	return &ReplayState{Capacity: capacity, Next: next, values: values{Len: len(rows), data: appendFloats(nil, rows...)}}
 }
 
-// Transitions decodes the stored transitions, of stateDim-wide states and
-// actionDim-wide actions, into slices of one new array.
-func (r *ReplayState) Transitions(stateDim, actionDim int) ([]rl.Transition, error) {
+// Rows decodes the transitions, of stateDim-wide states and actionDim-wide
+// actions, into one new array of rows as EncodeReplay takes them.
+func (r *ReplayState) Rows(stateDim, actionDim int) ([]float64, error) {
 	w := 2*stateDim + actionDim + 2
 	if r.Len%w != 0 || len(r.data) != 8*r.Len {
 		return nil, fmt.Errorf("ckpt: replay of %d values is no whole number of %d-value transitions", r.Len, w)
 	}
-	flat, off := make([]float64, r.Len), 0
-	r.decodeInto(flat, &off)
-	trs := make([]rl.Transition, r.Len/w)
-	for i := range trs {
-		row := flat[i*w : (i+1)*w]
-		cut := func(n int) []float64 { s := row[:n:n]; row = row[n:]; return s }
-		trs[i] = rl.Transition{State: cut(stateDim), Action: cut(actionDim), Reward: cut(1)[0], NextState: cut(stateDim)}
-		if trs[i].Done = row[0] == 1; row[0] != 0 && !trs[i].Done {
-			return nil, fmt.Errorf("ckpt: replay transition %d has done flag %v", i, row[0])
+	rows, off := make([]float64, r.Len), 0
+	r.decodeInto(rows, &off)
+	for i := w - 1; i < len(rows); i += w {
+		if done := rows[i]; done != 0 && done != 1 {
+			return nil, fmt.Errorf("ckpt: replay transition %d has done flag %v", i/w, done)
 		}
 	}
-	return trs, nil
+	return rows, nil
 }
 
 // Net decodes the named network into a new one.

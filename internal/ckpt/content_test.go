@@ -87,19 +87,21 @@ func (c contentHash) agent(t *testing.T, st *ckpt.AgentState) {
 	if st.Replay == nil {
 		return
 	}
-	trs, err := st.Replay.Transitions(st.StateDim, st.ActionDim)
+	rows, err := st.Replay.Rows(st.StateDim, st.ActionDim)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sd, ad := st.StateDim, st.ActionDim
+	w := 2*sd + ad + 2
 	c.u64(uint64(st.Replay.Capacity))
 	c.u64(uint64(st.Replay.Next))
-	c.u64(uint64(len(trs)))
-	for _, tr := range trs {
-		c.f64s(tr.State)
-		c.f64s(tr.Action)
-		c.f64(tr.Reward)
-		c.f64s(tr.NextState)
-		c.bool(tr.Done)
+	c.u64(uint64(len(rows) / w))
+	for ; len(rows) > 0; rows = rows[w:] {
+		c.f64s(rows[:sd])           // state
+		c.f64s(rows[sd : sd+ad])    // action
+		c.f64(rows[sd+ad])          // reward
+		c.f64s(rows[sd+ad+1 : w-1]) // next state
+		c.bool(rows[w-1] == 1)      // done
 	}
 }
 

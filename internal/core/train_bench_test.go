@@ -26,3 +26,27 @@ func BenchmarkTrainDDPG(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "trainings/s")
 }
+
+// TestTrainAllocsBounded gates the train-ddpg workload's allocations: one
+// 2000-step System.Train of DefaultConfig(), system construction included,
+// makes at most 400. The interaction step allocates nothing, so what is
+// left is setup (networks, optimizers, the replay rows reserved once) and
+// does not grow with the steps.
+func TestTrainAllocsBounded(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.TrainSteps = 2000
+	allocs := testing.AllocsPerRun(1, func() {
+		s, err := NewSystem(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Train(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 400 {
+		t.Errorf("a %d-step System.Train allocates %v objects, want at most 400", cfg.TrainSteps, allocs)
+	} else {
+		t.Logf("a %d-step System.Train: %v allocations", cfg.TrainSteps, allocs)
+	}
+}

@@ -10,13 +10,16 @@ import (
 )
 
 // The WriteTable output of Figs. 8, 9 and 10 at a small fixed scale is
-// pinned across commits: every DDPG agent they deploy (Fig. 8's two, Fig.
-// 9's per-slice-count agents with its 2000 warm-up steps, Fig. 10's) comes
-// out of the same training path, acts identically, and the figure code
-// formats the same numbers. 2400 steps is above Fig. 9's warm-up, so its
-// noise and warm-up settings are exercised. The digest was computed while
-// the figures trained their agents outside System.Train. amd64 only and
-// not under -race, as the other training pins.
+// pinned across commits: the figures deploy their DDPG agents (Fig. 8's
+// two, Fig. 9's per-slice-count agents with its 2000 warm-up steps, Fig.
+// 10's) through the same orchestration, and the figure code formats the
+// same numbers. It pins the tables and the orchestration, not the agents:
+// the printed tables round away a small change to every training (Adam's ε
+// at 1e-7 instead of 1e-8 passes), and TestSnapshotContentPinned
+// (internal/ckpt) pins the agents. 2400 steps is above Fig. 9's warm-up, so
+// its noise and warm-up settings are exercised. The digest was computed
+// while the figures trained their agents outside System.Train. amd64 only
+// and not under -race, as the other training pins.
 func TestFigureTablesPinned(t *testing.T) {
 	l := pinLab(t)
 	var figs []*Figure
@@ -58,10 +61,11 @@ func pinLab(t *testing.T) *Lab {
 }
 
 // TestFigure6711TablesPinned pins the WriteTable output of Figs. 6, 7 and
-// 11 at TestFigureTablesPinned's scale, and with it the agents they share
-// with the other figures (the default EdgeSlice and NT agents, Fig. 11's
-// α and service-time agents) and their steady-state reducers. The digest
-// was computed while every figure trained its own agents.
+// 11 at TestFigureTablesPinned's scale: the orchestration of the agents
+// they share with the other figures (the default EdgeSlice and NT agents,
+// Fig. 11's α and service-time agents) and their steady-state reducers.
+// Like that pin, it pins tables, not agents; TestSnapshotContentPinned does.
+// The digest was computed while every figure trained its own agents.
 func TestFigure6711TablesPinned(t *testing.T) {
 	l := pinLab(t)
 	a6, b6, err := l.Fig6()

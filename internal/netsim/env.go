@@ -161,8 +161,10 @@ func (r *StepResult) resize(n int) {
 type RAEnv struct {
 	c       *Chunk
 	r       int
-	epStep  int        // interval within the current episode
-	stepRes StepResult // Step's result buffer (rl.Env returns only the reward)
+	epStep  int          // interval within the current episode
+	stepRes StepResult   // Step's result buffer (rl.Env returns only the reward)
+	obs     [2][]float64 // Reset's and Step's states, written in alternation
+	cur     int          // obs slot of the last returned state
 }
 
 var _ rl.Env = (*RAEnv)(nil)
@@ -201,7 +203,7 @@ func (e *RAEnv) StateDim() int {
 func (e *RAEnv) ActionDim() int { return e.c.cfg.NumSlices * NumResources }
 
 // Reset implements rl.Env: clears queues, redraws coordination targets in
-// training mode, and returns the initial state.
+// training mode, and returns the initial state (see Step).
 func (e *RAEnv) Reset() []float64 {
 	lo, hi := e.slots()
 	clear(e.c.Backlog[lo:hi])
@@ -211,7 +213,15 @@ func (e *RAEnv) Reset() []float64 {
 	if e.c.cfg.TrainCoordRandom {
 		e.c.randomizeCoordination(e.r)
 	}
-	return e.State()
+	return e.observe()
+}
+
+// observe writes the state into the env-owned buffer not holding the last
+// returned state, so that state stays valid through one more Reset or Step.
+func (e *RAEnv) observe() []float64 {
+	e.cur ^= 1
+	e.obs[e.cur] = e.StateInto(e.obs[e.cur][:0])
+	return e.obs[e.cur]
 }
 
 // SetCoordination installs the coordinator-provided (z, y) column for this
@@ -253,7 +263,8 @@ func (e *RAEnv) StateInto(dst []float64) []float64 {
 	return dst
 }
 
-// Step implements rl.Env.
+// Step implements rl.Env. The returned state is one of two env-owned
+// buffers used in alternation, so a warm call allocates nothing.
 func (e *RAEnv) Step(action []float64) ([]float64, float64, bool) {
 	if err := e.StepInto(action, &e.stepRes); err != nil {
 		// The rl.Env interface has no error path; a malformed action is a
@@ -262,7 +273,7 @@ func (e *RAEnv) Step(action []float64) ([]float64, float64, bool) {
 	}
 	e.epStep++
 	done := e.epStep >= e.c.cfg.EpisodePeriods*e.c.cfg.T
-	return e.State(), e.stepRes.Reward, done
+	return e.observe(), e.stepRes.Reward, done
 }
 
 // StepInterval advances one time interval: arrivals are drawn from the

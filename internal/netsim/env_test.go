@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -496,5 +497,42 @@ func TestMaxQueueGuard(t *testing.T) {
 		if l > 20 {
 			t.Errorf("queue %d length %d exceeds MaxQueue", i, l)
 		}
+	}
+}
+
+// Reset and Step return states from two env-owned buffers used in
+// alternation (the rl.Env rule): a returned state still holds the State()
+// it was after one further Step or Reset, and a warm Step allocates nothing.
+func TestReturnedStateOutlivesOneCall(t *testing.T) {
+	e, err := New(DefaultExperimentConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	action := make([]float64, e.ActionDim())
+	for i := range action {
+		action[i] = 0.3
+	}
+	prev := e.Reset()
+	prevWant := e.State()
+	for i := 0; i < 3*e.c.cfg.EpisodePeriods*e.c.cfg.T; i++ {
+		next, _, done := e.Step(action)
+		want := e.State()
+		if !slices.Equal(prev, prevWant) {
+			t.Fatalf("step %d: the previous state reads %v after one Step, want %v", i, prev, prevWant)
+		}
+		if !slices.Equal(next, want) {
+			t.Fatalf("step %d: Step returned %v, State() is %v", i, next, want)
+		}
+		prev, prevWant = next, want
+		if done {
+			prev = e.Reset()
+			if !slices.Equal(next, want) {
+				t.Fatalf("step %d: the last state reads %v after Reset, want %v", i, next, want)
+			}
+			prevWant = e.State()
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, func() { e.Step(action) }); allocs != 0 {
+		t.Errorf("warm Step allocates %v objects, want 0", allocs)
 	}
 }

@@ -27,7 +27,10 @@ func TrainerPCG(seed int64) (p rand.PCG) {
 const trainerSalt = 0x747261696e6572
 
 // Env is a continuous-action reinforcement-learning environment with the
-// standard observe/act/reward interaction of Sec. IV-B.
+// standard observe/act/reward interaction of Sec. IV-B. A state Reset or
+// Step returns may be env-owned: it stays valid through the env's next call
+// and no longer, so a caller that keeps states longer copies them. An env
+// keeps none of the caller's actions.
 type Env interface {
 	// Reset starts a new episode and returns the initial state.
 	Reset() []float64
@@ -54,6 +57,7 @@ type AgentFunc func(state []float64) []float64
 func (f AgentFunc) Act(state []float64) []float64 { return f(state) }
 
 // Transition is one (s, a, r, s') experience tuple stored in replay memory.
+// Replay memory copies it, so its slices stay the caller's.
 type Transition struct {
 	State     []float64
 	Action    []float64

@@ -106,8 +106,9 @@ type Agent struct {
 
 	stateDim, actionDim int
 
-	// Update-step scratch, reused so that a warm update allocates nothing:
-	// the sampled batch and the workspace every batch matrix comes from.
+	// Step scratch, reused so a warm step allocates nothing: the exploration
+	// action, the sampled batch and the workspace the batch matrices use.
+	act   []float64
 	batch []rl.Transition
 	ws    nn.Workspace
 }
@@ -143,7 +144,7 @@ func New(stateDim, actionDim int, cfg Config) (*Agent, error) {
 	if err != nil {
 		return nil, err
 	}
-	a.pcg, a.replay = pcg, newReplayBuffer(cfg.ReplayCapacity)
+	a.pcg, a.replay = pcg, newReplayBuffer(cfg.ReplayCapacity, stateDim, actionDim)
 	return a, nil
 }
 
@@ -154,7 +155,8 @@ func New(stateDim, actionDim int, cfg Config) (*Agent, error) {
 // and online network.
 func build(cfg Config, stateDim, actionDim int, net func(role string, in int, head nn.LayerSpec) (*nn.Network, error),
 	target func(role string, online *nn.Network) (*nn.Network, error)) (*Agent, error) {
-	a := &Agent{cfg: cfg, stateDim: stateDim, actionDim: actionDim, actorOpt: nn.NewAdam(cfg.ActorLR), noiseStd: cfg.NoiseStd}
+	a := &Agent{cfg: cfg, stateDim: stateDim, actionDim: actionDim, actorOpt: nn.NewAdam(cfg.ActorLR), noiseStd: cfg.NoiseStd,
+		act: make([]float64, actionDim)}
 	a.rng = rand.New(&a.pcg)
 	head := nn.LayerSpec{Out: actionDim, Act: nn.ActSigmoid}
 	if cfg.Technique == SAC {
@@ -202,39 +204,30 @@ func (a *Agent) Actor() *nn.Network { return a.actor }
 // ActExplore returns the exploration action: uniform-random during warmup
 // (so the replay buffer sees the whole action box, including the jointly
 // positive allocations a corner-saturated policy would never visit), then
-// DDPG's µ(s) plus decaying Gaussian noise, clamped to [0,1], or a
-// reparameterized draw from SAC's squashed Gaussian.
+// DDPG's µ(s) plus N(0, σ²) noise with σ decaying (Sec. VI-A), clamped to
+// [0,1], or a reparameterized draw from SAC's squashed Gaussian, written to
+// agent-owned scratch that the next call reuses.
+//
+//edgeslice:noalloc
 func (a *Agent) ActExplore(state []float64) []float64 {
+	act := a.act
 	if a.replay.Len() < a.cfg.WarmupSteps {
-		act := make([]float64, a.actionDim)
 		for i := range act {
 			act[i] = a.rng.Float64()
 		}
 		return act
 	}
+	a.ws.Reset()
+	head := a.actor.Forward1WS(state, &a.ws)
 	if a.cfg.Technique == SAC {
-		act := make([]float64, a.actionDim)
-		a.ws.Reset()
-		a.draw(a.actor.Forward1WS(state, &a.ws), act, a.ws.Floats(a.actionDim), a.ws.Floats(a.actionDim))
+		a.draw(head, act, a.ws.Floats(a.actionDim), a.ws.Floats(a.actionDim))
 		return act
 	}
-	act := a.actor.Forward1(state)
-	noise := a.explorationNoise()
 	for i := range act {
-		act[i] = min(max(act[i]+noise[i], 0), 1)
-	}
-	return act
-}
-
-// explorationNoise draws DDPG's N(0, σ²) noise vector (Sec. VI-A) and
-// decays σ by NoiseDecay, floored at NoiseMin.
-func (a *Agent) explorationNoise() []float64 {
-	noise := make([]float64, a.actionDim)
-	for i := range noise {
-		noise[i] = a.rng.NormFloat64() * a.noiseStd
+		act[i] = min(max(head[i]+float64(a.rng.NormFloat64()*a.noiseStd), 0), 1) // noise rounded, never fused
 	}
 	a.noiseStd = max(a.noiseStd*a.cfg.NoiseDecay, a.cfg.NoiseMin)
-	return noise
+	return act
 }
 
 // logStd is SAC's clamped log-std of action dimension d in an actor head.
@@ -253,7 +246,7 @@ func (a *Agent) draw(head, act, u, eps []float64) {
 	}
 }
 
-// Observe stores a transition in replay memory.
+// Observe copies a transition into replay memory.
 func (a *Agent) Observe(t rl.Transition) { a.replay.Add(t) }
 
 // Update performs one gradient update of the critics and the actor plus
@@ -430,8 +423,10 @@ func (a *Agent) softPolicyGrad(batch []rl.Transition, heads *nn.Matrix) *nn.Matr
 }
 
 // Train runs the interaction loop against env for the given number of
-// environment steps, updating after every step once warm.
+// environment steps, updating after every step once warm. The replay rows
+// the steps fill are reserved up front, so a warm step allocates nothing.
 func (a *Agent) Train(env rl.Env, steps int) error {
+	a.replay.reserve(steps)
 	state := env.Reset()
 	for i := 0; i < steps; i++ {
 		action := a.ActExplore(state)

@@ -1,10 +1,13 @@
 package offpolicy
 
 import (
+	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
+	"edgeslice/internal/netsim"
 	"edgeslice/internal/rl"
 	"edgeslice/internal/rl/rltest"
 )
@@ -153,6 +156,91 @@ func TestUpdateAllocFree(t *testing.T) {
 				t.Errorf("warm Update allocates %v objects per step, want 0", allocs)
 			}
 		})
+	}
+}
+
+// A warm interaction step on the slicing environment, ActExplore →
+// RAEnv.Step → Observe → Update, must not allocate: the action is agent
+// scratch, the state one of the env's two buffers, and the transition a
+// copy into a ring row.
+func TestTrainStepAllocFree(t *testing.T) {
+	for _, tech := range techniques {
+		t.Run(tech, func(t *testing.T) {
+			env, err := netsim.New(netsim.DefaultExperimentConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := DefaultConfig(tech)
+			cfg.Hidden, cfg.BatchSize, cfg.WarmupSteps, cfg.ReplayCapacity = 16, 8, 10, 20
+			a, err := New(env.StateDim(), env.ActionDim(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := a.Train(env, 2*cfg.ReplayCapacity); err != nil { // fill the ring, warm every buffer
+				t.Fatal(err)
+			}
+			state := env.Reset()
+			allocs := testing.AllocsPerRun(50, func() {
+				action := a.ActExplore(state)
+				next, reward, done := env.Step(action)
+				a.Observe(rl.Transition{State: state, Action: action, Reward: reward, NextState: next, Done: done})
+				if err := a.Update(); err != nil {
+					t.Fatal(err)
+				}
+				if state = next; done {
+					state = env.Reset()
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("warm interaction step allocates %v objects, want 0", allocs)
+			}
+		})
+	}
+}
+
+// Observe copies: a caller that reuses its slices for the next transition,
+// as the interaction loop does with the agent's action scratch and the
+// env's state buffers, changes no stored transition, so neither samples
+// nor a snapshot see the change.
+func TestObserveCopiesTransition(t *testing.T) {
+	cfg := DefaultConfig(DDPG)
+	cfg.Hidden, cfg.BatchSize, cfg.WarmupSteps = 4, 4, 3
+	a, err := New(2, 1, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, act, next := make([]float64, 2), make([]float64, 1), make([]float64, 2)
+	for i := range 4 {
+		x := float64(i)
+		s[0], s[1], act[0], next[0], next[1] = x, -x, x/10, x+1, -x-1
+		a.Observe(rl.Transition{State: s, Action: act, Reward: x, NextState: next})
+	}
+	sample := func() []rl.Transition {
+		out := make([]rl.Transition, 16)
+		if err := a.replay.SampleInto(newRNG(), out); err != nil {
+			t.Fatal(err)
+		}
+		for i, tr := range out { // detach from the ring
+			out[i] = rl.Transition{State: slices.Clone(tr.State), Action: slices.Clone(tr.Action), Reward: tr.Reward, NextState: slices.Clone(tr.NextState)}
+		}
+		return out
+	}
+	beforeSamples, beforeState := sample(), a.replay.State()
+	for _, tr := range beforeSamples {
+		if x := tr.Reward; !slices.Equal(tr.State, []float64{x, -x}) || !slices.Equal(tr.Action, []float64{x / 10}) || !slices.Equal(tr.NextState, []float64{x + 1, -x - 1}) {
+			t.Fatalf("transition %v stored as %+v", x, tr)
+		}
+	}
+	for _, v := range [][]float64{s, act, next} {
+		for i := range v {
+			v[i] = math.NaN()
+		}
+	}
+	if !reflect.DeepEqual(sample(), beforeSamples) {
+		t.Error("mutating the caller's slices after Observe changed the samples")
+	}
+	if !reflect.DeepEqual(a.replay.State(), beforeState) {
+		t.Error("mutating the caller's slices after Observe changed the snapshot")
 	}
 }
 

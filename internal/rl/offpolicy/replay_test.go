@@ -3,6 +3,7 @@ package offpolicy
 import (
 	"math/rand/v2"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -12,14 +13,14 @@ import (
 
 func newRNG() *rand.Rand { return rand.New(rand.NewPCG(3, 0)) }
 
-// fromState restores a buffer of stateDim-wide transitions with no action
-// through a snapshot that holds only it.
-func fromState(rs *ckpt.ReplayState, stateDim int) (*replayBuffer, error) {
-	return restoreReplay(&ckpt.AgentState{StateDim: stateDim, Replay: rs}, 0)
+// fromState restores a buffer of stateDim-wide states and actionDim-wide
+// actions through a snapshot that holds only it.
+func fromState(rs *ckpt.ReplayState, stateDim, actionDim int) (*replayBuffer, error) {
+	return restoreReplay(&ckpt.AgentState{StateDim: stateDim, ActionDim: actionDim, Replay: rs}, 0)
 }
 
 func TestReplayBufferEviction(t *testing.T) {
-	b := newReplayBuffer(3)
+	b := newReplayBuffer(3, 0, 0)
 	for i := 0; i < 5; i++ {
 		b.Add(rl.Transition{Reward: float64(i)})
 	}
@@ -39,14 +40,14 @@ func TestReplayBufferEviction(t *testing.T) {
 }
 
 func TestReplayBufferEmptySample(t *testing.T) {
-	b := newReplayBuffer(4)
+	b := newReplayBuffer(4, 0, 0)
 	if err := b.SampleInto(newRNG(), make([]rl.Transition, 1)); err == nil {
 		t.Error("sampling empty buffer should fail")
 	}
 }
 
 func TestReplayBufferRejectsNonPositiveSample(t *testing.T) {
-	b := newReplayBuffer(4)
+	b := newReplayBuffer(4, 0, 0)
 	b.Add(rl.Transition{Reward: 1})
 	if err := b.SampleInto(newRNG(), nil); err == nil {
 		t.Error("empty destination should fail")
@@ -57,13 +58,13 @@ func TestReplayBufferRejectsNonPositiveSample(t *testing.T) {
 // last c added transitions.
 func TestReplayBufferFIFOEvictionOrder(t *testing.T) {
 	const capacity = 4
-	b := newReplayBuffer(capacity)
+	b := newReplayBuffer(capacity, 0, 0)
 	for i := 0; i < 11; i++ {
 		b.Add(rl.Transition{Reward: float64(i)})
 	}
 	got := map[float64]bool{}
-	for _, tr := range b.buf {
-		got[tr.Reward] = true
+	for r := 0; r < len(b.rows); r += b.width {
+		got[b.rows[r]] = true // a zero-width row is reward | done
 	}
 	for i := 11 - capacity; i < 11; i++ {
 		if !got[float64(i)] {
@@ -75,51 +76,52 @@ func TestReplayBufferFIFOEvictionOrder(t *testing.T) {
 	}
 }
 
-// The ring grows by append, so this pins what must not depend on how it is
-// stored: against a plain FIFO model, the storage order, the eviction
-// cursor and the seeded sample sequence agree after every Add across the
-// first wrap, and a buffer restored from a snapshot taken before or after
-// the wrap continues exactly like the original.
+// The ring is a model of a FIFO of rows: against a plain list of rows,
+// the storage order, the eviction cursor and the seeded sample sequence
+// agree after every Add across the first wrap, and a buffer restored from a
+// snapshot taken before, at or after the wrap continues exactly like the
+// original. State and action differ in every transition, so a row laid out
+// in any other order than state | action | reward | next state | done fails.
 func TestReplayBufferWrapSequence(t *testing.T) {
 	const capacity, adds = 5, 13
-	rewards := func(trs []rl.Transition) []float64 {
-		out := make([]float64, len(trs))
-		for i, tr := range trs {
-			out[i] = tr.Reward
+	flat := func(tr rl.Transition) []float64 {
+		done := 0.0
+		if tr.Done {
+			done = 1
 		}
-		return out
+		return slices.Concat(tr.State, tr.Action, []float64{tr.Reward}, tr.NextState, []float64{done})
 	}
 	for _, snapAt := range []int{3, capacity, 8} { // before, at and after the first wrap
-		live := newReplayBuffer(capacity)
+		live := newReplayBuffer(capacity, 1, 2)
 		var restored *replayBuffer
-		var model []rl.Transition // model[i] is storage slot i
+		var model [][]float64 // model[i] is storage slot i
 		seeded := func(i int) *rand.Rand { return rand.New(rand.NewPCG(uint64(i), 0)) }
 		for i := 0; i < adds; i++ {
-			s := []float64{float64(i)}
-			tr := rl.Transition{Reward: float64(i), State: s, Action: []float64{}, NextState: s} // a restore decodes a zero-width action as empty, not nil
+			x := float64(i)
+			tr := rl.Transition{State: []float64{x}, Action: []float64{x + 0.25, x + 0.5}, Reward: 10 * x, NextState: []float64{x + 1}, Done: i%3 == 0}
 			live.Add(tr)
 			if restored != nil {
 				restored.Add(tr)
 			}
 			if len(model) < capacity {
-				model = append(model, tr)
+				model = append(model, flat(tr))
 			} else {
-				model[i%capacity] = tr // FIFO: slot of the oldest
+				model[i%capacity] = flat(tr) // FIFO: slot of the oldest
 			}
 			if i+1 == snapAt {
 				var err error
-				if restored, err = fromState(live.State(), 1); err != nil {
+				if restored, err = fromState(live.State(), 1, 2); err != nil {
 					t.Fatal(err)
 				}
 			}
 
 			st := live.State()
-			trs, err := st.Transitions(1, 0)
+			rows, err := st.Rows(1, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := rewards(model); !reflect.DeepEqual(rewards(trs), want) {
-				t.Fatalf("snap %d, add %d: storage order %v, want %v", snapAt, i, rewards(trs), want)
+			if want := slices.Concat(model...); !slices.Equal(rows, want) {
+				t.Fatalf("snap %d, add %d: storage %v, want %v", snapAt, i, rows, want)
 			}
 			wantNext := 0
 			if i >= capacity {
@@ -132,12 +134,11 @@ func TestReplayBufferWrapSequence(t *testing.T) {
 			if err := live.SampleInto(seeded(i), got); err != nil {
 				t.Fatal(err)
 			}
-			want, modelRNG := make([]rl.Transition, 7), seeded(i)
-			for k := range want {
-				want[k] = model[modelRNG.IntN(len(model))]
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("snap %d, add %d: samples %v, want %v", snapAt, i, rewards(got), rewards(want))
+			modelRNG := seeded(i)
+			for k := range got {
+				if want := model[modelRNG.IntN(len(model))]; !slices.Equal(flat(got[k]), want) {
+					t.Fatalf("snap %d, add %d: sample %d is %v, want %v", snapAt, i, k, flat(got[k]), want)
+				}
 			}
 			if restored == nil {
 				continue
@@ -150,7 +151,7 @@ func TestReplayBufferWrapSequence(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(again, got) {
-				t.Fatalf("snap %d, add %d: restored samples %v, live %v", snapAt, i, rewards(again), rewards(got))
+				t.Fatalf("snap %d, add %d: restored samples %v, live %v", snapAt, i, again, got)
 			}
 		}
 	}
@@ -159,24 +160,24 @@ func TestReplayBufferWrapSequence(t *testing.T) {
 // A short run must not pay for the whole ring: storage follows what was
 // stored, and never passes capacity once it wraps.
 func TestReplayBufferGrowsOnDemand(t *testing.T) {
-	b := newReplayBuffer(100_000)
+	b := newReplayBuffer(100_000, 0, 0)
 	for i := 0; i < 100; i++ {
 		b.Add(rl.Transition{Reward: float64(i)})
 	}
-	if c := cap(b.buf); c >= 1000 {
+	if c := cap(b.rows) / b.width; c >= 1000 {
 		t.Errorf("100 transitions hold storage for %d, want it near 100", c)
 	}
-	r, err := fromState(b.State(), 0)
+	r, err := fromState(b.State(), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c := cap(r.buf); c >= 1000 {
+	if c := cap(r.rows) / r.width; c >= 1000 {
 		t.Errorf("restored 100 transitions hold storage for %d, want it near 100", c)
 	}
 }
 
 func TestReplayBufferSampleInto(t *testing.T) {
-	b := newReplayBuffer(8)
+	b := newReplayBuffer(8, 0, 0)
 	for i := 0; i < 8; i++ {
 		b.Add(rl.Transition{Reward: float64(i)})
 	}
@@ -205,7 +206,7 @@ func TestReplayBufferLenProperty(t *testing.T) {
 	f := func(addsRaw uint8, capRaw uint8) bool {
 		capacity := int(capRaw)%16 + 1
 		adds := int(addsRaw) % 64
-		b := newReplayBuffer(capacity)
+		b := newReplayBuffer(capacity, 0, 0)
 		for i := 0; i < adds; i++ {
 			b.Add(rl.Transition{})
 		}
@@ -220,20 +221,24 @@ func TestReplayBufferLenProperty(t *testing.T) {
 	}
 }
 
+// Past warm-up, each DDPG exploration action decays the noise std, down to
+// its floor.
 func TestGaussianNoiseDecay(t *testing.T) {
-	a, err := New(2, 2, DefaultConfig(DDPG)) // std 1, decay 0.9999, floor 0.01
+	cfg := DefaultConfig(DDPG) // std 1, decay 0.9999, floor 0.01
+	cfg.Hidden, cfg.WarmupSteps = 4, 0
+	a, err := New(2, 2, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	start := a.noiseStd
+	start, state := a.noiseStd, []float64{0.5, -0.5}
 	for i := 0; i < 1000; i++ {
-		a.explorationNoise()
+		a.ActExplore(state)
 	}
 	if a.noiseStd >= start {
 		t.Errorf("noise std did not decay: %v -> %v", start, a.noiseStd)
 	}
 	for i := 0; i < 200000; i++ {
-		a.explorationNoise()
+		a.ActExplore(state)
 	}
 	if a.noiseStd != a.cfg.NoiseMin {
 		t.Errorf("noise std %v should have floored at %v", a.noiseStd, a.cfg.NoiseMin)

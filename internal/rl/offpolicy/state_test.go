@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -159,16 +160,17 @@ func TestRestoreRejectsUntrainable(t *testing.T) {
 			nets, _ := ckpt.EncodeRoles(map[string]*nn.Network{"shallow": nn.NewMLP(mathutil.NewRNG(1), sd+ad,
 				nn.LayerSpec{Out: cfg.Hidden, Act: nn.ActLeakyReLU}, nn.LayerSpec{Out: 1, Act: nn.ActIdentity})}, nil)
 			shallow := nets["shallow"]
-			// transition edits transition i of the stored replay and
-			// encodes the ring again.
-			transition := func(i int, edit func(*rl.Transition)) func(*ckpt.AgentState) {
+			// transition edits row i of the stored replay, state | action |
+			// reward | next state | done, and encodes the ring again.
+			const w = 2*sd + ad + 2
+			transition := func(i int, edit func(row []float64) []float64) func(*ckpt.AgentState) {
 				return func(st *ckpt.AgentState) {
-					trs, err := st.Replay.Transitions(sd, ad)
+					rows, err := st.Replay.Rows(sd, ad)
 					if err != nil {
 						t.Fatal(err)
 					}
-					edit(&trs[i])
-					st.Replay = ckpt.EncodeReplay(st.Replay.Capacity, st.Replay.Next, trs)
+					row := edit(slices.Clone(rows[i*w : (i+1)*w]))
+					st.Replay = ckpt.EncodeReplay(st.Replay.Capacity, st.Replay.Next, slices.Concat(rows[:i*w], row, rows[(i+1)*w:]))
 				}
 			}
 			config := func(edit func(*Config)) func(*ckpt.AgentState) {
@@ -201,9 +203,10 @@ func TestRestoreRejectsUntrainable(t *testing.T) {
 				{"", "hidden 0", "invalid config", config(func(c *Config) { c.Hidden = 0 })},
 				{"", "replay capacity 0", "invalid config", config(func(c *Config) { c.ReplayCapacity = 0 })},
 				{"", "generator state cut short", "snapshot generator", func(st *ckpt.AgentState) { st.RNG = st.RNG[:10] }},
-				{"", "short state", "no whole number of 9-value transitions", transition(3, func(tr *rl.Transition) { tr.State = tr.State[:1] })},
-				{"", "long next state", "no whole number of 9-value transitions", transition(0, func(tr *rl.Transition) { tr.NextState = append(tr.NextState, 0) })},
-				{"", "short action", "no whole number of 9-value transitions", transition(7, func(tr *rl.Transition) { tr.Action = tr.Action[:ad-1] })},
+				{"", "short state", "no whole number of 9-value transitions", transition(3, func(r []float64) []float64 { return slices.Delete(r, 1, 2) })},
+				{"", "long next state", "no whole number of 9-value transitions", transition(0, func(r []float64) []float64 { return slices.Insert(r, w-1, 0) })},
+				{"", "short action", "no whole number of 9-value transitions", transition(7, func(r []float64) []float64 { return slices.Delete(r, sd, sd+1) })},
+				{"", "done flag one half", "transition 2 has done flag 0.5", transition(2, func(r []float64) []float64 { r[w-1] = 0.5; return r })},
 				{"", "cursor on a partial ring", "no FIFO ring", func(st *ckpt.AgentState) { st.Replay.Next = 1 }},
 				{"", "more transitions than capacity", "no FIFO ring", func(st *ckpt.AgentState) { st.Replay.Capacity = 10 }},
 			} {

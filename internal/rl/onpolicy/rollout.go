@@ -10,16 +10,20 @@ import (
 
 // rollout collects horizon steps of on-policy experience from env using the
 // sampling policy. It returns parallel slices of states, actions and
-// rewards plus the final state reached (for bootstrapping).
+// rewards plus the final state reached (for bootstrapping), which is env's.
+// The states are copied into one block: an env's stay valid one call only.
 func rollout(rng *rand.Rand, env rl.Env, policy *gaussianPolicy, horizon int) (states, actions [][]float64, rewards []float64, final []float64) {
+	sd := env.StateDim()
+	block := make([]float64, horizon*sd)
 	states = make([][]float64, 0, horizon)
 	actions = make([][]float64, 0, horizon)
 	rewards = make([]float64, 0, horizon)
 	s := env.Reset()
 	for i := 0; i < horizon; i++ {
 		a := policy.sample(rng, s)
+		states = append(states, block[i*sd:(i+1)*sd:(i+1)*sd])
+		copy(states[i], s)
 		next, r, done := env.Step(a)
-		states = append(states, s)
 		actions = append(actions, a)
 		rewards = append(rewards, r)
 		if done {
