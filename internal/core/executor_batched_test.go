@@ -1,234 +1,14 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"math"
-	"math/rand"
 	"testing"
 
 	"edgeslice/internal/nn"
 	"edgeslice/internal/rl"
-	"edgeslice/internal/rl/offpolicy"
-	"edgeslice/internal/rl/onpolicy"
 	"edgeslice/internal/telemetry"
 )
-
-// batchedTestAgent builds one freshly-initialized agent of the named
-// training algorithm; identical (name, dims) arguments always yield
-// bitwise-identical actors, so reference and batched systems can be
-// deployed independently.
-func batchedTestAgent(t *testing.T, name string, stateDim, actionDim int) rl.Agent {
-	t.Helper()
-	var (
-		a   rl.Agent
-		err error
-	)
-	if name == offpolicy.DDPG || name == offpolicy.SAC {
-		cfg := offpolicy.DefaultConfig(name)
-		cfg.Hidden = 16
-		a, err = offpolicy.New(stateDim, actionDim, cfg)
-	} else {
-		cfg := onpolicy.DefaultConfig(name)
-		cfg.Hidden = 16
-		a, err = onpolicy.New(stateDim, actionDim, cfg)
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	return a
-}
-
-// trainerNames are the five training algorithms whose policies the engines
-// must batch bit-identically.
-var trainerNames = []string{
-	offpolicy.DDPG, offpolicy.SAC, onpolicy.PPO, onpolicy.TRPO, onpolicy.VPG,
-}
-
-// algoSystem deploys a system whose every RA shares one agent of the named
-// training algorithm.
-func algoSystem(t *testing.T, cfg Config, algo string) *System {
-	t.Helper()
-	s, err := NewSystem(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	agent := batchedTestAgent(t, algo, s.Env(0).StateDim(), s.Env(0).ActionDim())
-	if err := s.SetAgents([]rl.Agent{agent}); err != nil {
-		t.Fatal(err)
-	}
-	return s
-}
-
-// TestBatchedMatchesSerial is the batched half of the determinism suite:
-// for a baseline and every kind of policy, the batched engine's History
-// must be bit-identical to the interleaved reference run's, for worker
-// counts 1, 4, and NumRAs.
-func TestBatchedMatchesSerial(t *testing.T) {
-	forEachPolicy(t, func(t *testing.T, deploy func() *System) {
-		requireEngineMatchesReference(t, deploy, func(w int) Executor { return NewBatchedExecutor(w) })
-	})
-}
-
-// TestBatchedBaselineFallsBackToSerial pins the all-fallback path: a
-// non-learning baseline has no policies to batch, so every RA computes its
-// own action in the step stage and the run still matches serial exactly.
-func TestBatchedBaselineFallsBackToSerial(t *testing.T) {
-	cfg := execTestConfig(AlgoTARO)
-	ref := deployedSystem(t, cfg)
-	hRef, err := ref.RunPeriods(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := deployedSystem(t, cfg)
-	e := NewBatchedExecutor(4)
-	h, err := s.RunPeriodsWith(e, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameRun(t, "baseline-fallback", hRef, h)
-}
-
-// secondPolicy is a deployed actor other than deployedSystem's, so the RAs
-// it serves batch as a second policy group.
-func secondPolicy(s *System) *rl.DeployedPolicy {
-	actor := nn.NewMLP(rand.New(rand.NewSource(11)), s.Env(0).StateDim(),
-		nn.LayerSpec{Out: 16, Act: nn.ActLeakyReLU},
-		nn.LayerSpec{Out: s.Env(0).ActionDim(), Act: nn.ActSigmoid},
-	)
-	return rl.NewDeployedPolicy(actor, false)
-}
-
-// mixedAgents installs a mixed deployment on a 4-RA system: RAs 0 and 2
-// share one batchable DDPG agent, RAs 1 and 3 a second deployed policy.
-func mixedAgents(t *testing.T, s *System) {
-	t.Helper()
-	dd := batchedTestAgent(t, offpolicy.DDPG, s.Env(0).StateDim(), s.Env(0).ActionDim())
-	dp := secondPolicy(s)
-	if err := s.SetAgents([]rl.Agent{dd, dp, dd, dp}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestBatchedMixedSystemMatchesSerial covers systems that split into
-// interleaved policy groups: the per-group scatter must still merge the
-// History in serial's (interval, RA, slice) order.
-func TestBatchedMixedSystemMatchesSerial(t *testing.T) {
-	cfg := execTestConfig(AlgoEdgeSlice)
-	cfg.NumRAs = 4
-	ref, err := NewSystem(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mixedAgents(t, ref)
-	hRef := referenceRun(t, ref, 3)
-	for _, workers := range []int{1, 4} {
-		s, err := NewSystem(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mixedAgents(t, s)
-		e := NewBatchedExecutor(workers)
-		h, err := s.RunPeriodsWith(e, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireSameRun(t, fmt.Sprintf("mixed workers=%d", workers), hRef, h)
-	}
-}
-
-// TestBatchedShardedMatchesSerial pushes a shared group past two chunks so
-// the period actually fans out across step workers, each forwarding its own
-// chunks' rows, and requires the result to stay bit-identical to serial —
-// the full chunk gather→forward→step path under -race.
-func TestBatchedShardedMatchesSerial(t *testing.T) {
-	cfg := execTestConfig(AlgoEdgeSlice)
-	cfg.NumRAs = 2*chunkRAs + 2
-	ref := deployedSystem(t, cfg)
-	hRef, err := ref.RunPeriods(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := NewBatchedExecutor(4)
-	s := deployedSystem(t, cfg)
-	h, err := s.RunPeriodsWith(e, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := e.cachePlan.workers; got < 2 {
-		t.Fatalf("period ran on %d step worker(s), want more than one", got)
-	}
-	if got, T := e.perPeriod.Load(), cfg.EnvTemplate.T; got <= int64(T) {
-		t.Fatalf("period ran %d chunk forwards at T = %d, want more than one per interval", got, T)
-	}
-	requireSameRun(t, "sharded", hRef, h)
-}
-
-// loggedRun records n periods of s into a fresh History and an in-memory
-// history log, with run doing the stepping, and returns both.
-func loggedRun(t *testing.T, s *System, n int, run func(*System, int) *History) (*History, []byte) {
-	t.Helper()
-	var buf bytes.Buffer
-	hlog, err := NewHistoryLog(telemetry.NewLogWriter(&buf), s.cfg.EnvTemplate.NumSlices, s.NumRAs(), s.cfg.EnvTemplate.T)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.SetRecording(RecordOptions{Log: hlog})
-	h := run(s, n)
-	if err := hlog.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return h, buf.Bytes()
-}
-
-// TestBatchedTwoGroupsMatchesSerial alternates two distinct batchable
-// agents over 2·64 + 3 RAs, so every chunk forwards two group spans and the
-// last chunk is short (two rows and one): History and history-log bytes must equal the interleaved reference run's for every
-// worker count.
-func TestBatchedTwoGroupsMatchesSerial(t *testing.T) {
-	cfg := execTestConfig(AlgoEdgeSlice)
-	cfg.NumRAs = 2*chunkRAs + 3
-	deploy := func() *System {
-		s, err := NewSystem(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dd := batchedTestAgent(t, offpolicy.DDPG, s.Env(0).StateDim(), s.Env(0).ActionDim())
-		sc := batchedTestAgent(t, offpolicy.SAC, s.Env(0).StateDim(), s.Env(0).ActionDim())
-		agents := make([]rl.Agent, cfg.NumRAs)
-		for j := range agents {
-			agents[j] = dd
-			if j%2 == 1 {
-				agents[j] = sc
-			}
-		}
-		if err := s.SetAgents(agents); err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	ref := deploy()
-	hRef, logRef := loggedRun(t, ref, 2, func(s *System, n int) *History { return referenceRun(t, s, n) })
-	for _, workers := range []int{1, 2, 4, cfg.NumRAs} {
-		label := fmt.Sprintf("two groups workers=%d", workers)
-		e := NewBatchedExecutor(workers)
-		s := deploy()
-		h, log := loggedRun(t, s, 2, func(s *System, n int) *History {
-			h, err := s.RunPeriodsWith(e, n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return h
-		})
-		requireSameRun(t, label, hRef, h)
-		if !bytes.Equal(log, logRef) {
-			t.Errorf("%s: history log differs from the reference run", label)
-		}
-		if got := len(e.cachePlan.spans); got != 2*len(e.cachePlan.chunkErr) {
-			t.Errorf("%s: %d group spans over %d chunks, want two per chunk", label, got, len(e.cachePlan.chunkErr))
-		}
-	}
-}
 
 // nanPolicy serves RAs of one chunk with the embedded policy's actions
 // until its ActBatch call number at, whose first row's action is NaN. Its
@@ -269,7 +49,7 @@ func TestBatchedPartialHistoryOnStepError(t *testing.T) {
 			agents := append([]rl.Agent(nil), s.agents...)
 			agents[ra] = np
 			if kind == "paired" {
-				np.DeployedPolicy = secondPolicy(s)
+				np.DeployedPolicy = seededPolicy(s.Env(0), 11) // a second policy group
 				agents[ra+1] = np
 			}
 			if err := s.SetAgents(agents); err != nil {
@@ -277,8 +57,8 @@ func TestBatchedPartialHistoryOnStepError(t *testing.T) {
 			}
 			return s
 		}
-		ref := deploy()
-		hRef := referenceRun(t, ref, period)
+		hRef := NewHistory(cfg.EnvTemplate.NumSlices, cfg.NumRAs, T)
+		oracleRun(t, cfg, deploy().agents, period, nil, hRef, nil)
 		for _, workers := range []int{1, 2, 4, cfg.NumRAs} {
 			label := fmt.Sprintf("%s workers=%d", kind, workers)
 			s := deploy()

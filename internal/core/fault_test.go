@@ -5,28 +5,42 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"sync"
+	"slices"
 	"testing"
 	"time"
 
 	"edgeslice/internal/netsim"
 	"edgeslice/internal/rcnet"
 	"edgeslice/internal/rl"
+	"edgeslice/internal/traffic"
 )
 
-// remoteAgentEnv reproduces NewSystem's env derivation for RA j so remote
-// agents step the exact environments a local run steps.
-func remoteAgentEnv(t *testing.T, cfg Config, j int) *netsim.RAEnv {
+// faultTestConfig is the operating point of the remote fault tests: three
+// RAs under the deployed policy at a light load (constant λ = 7.5 on both
+// slices) with a slack SLA (Umin = −2000), so y stays 0 and each RA
+// observes z − y = its Σ_t U, which differs between RAs and, from period 1
+// on, mostly lies inside the clamp the env observes: a resume frame
+// carrying another RA's columns moves the History in later periods too.
+func faultTestConfig() Config {
+	cfg := execTestConfig(AlgoEdgeSlice)
+	cfg.EnvTemplate.Sources = []traffic.Source{traffic.ConstantSource{Lambda: 7.5}, traffic.ConstantSource{Lambda: 7.5}}
+	cfg.Umin = []float64{-2000, -2000}
+	return cfg
+}
+
+// faultRig is newRemoteRig serving every RA with deployedPolicy.
+func faultRig(t *testing.T, cfg Config) *remoteRig {
+	return newRemoteRig(t, cfg, func(env *netsim.RAEnv, _ int) rl.Agent { return deployedPolicy(env) })
+}
+
+// oracleHistory is the oracle's exact History of n periods of cfg with
+// deployedPolicy on every RA.
+func oracleHistory(t *testing.T, cfg Config, n int) *History {
 	t.Helper()
-	envCfg := cfg.EnvTemplate
-	envCfg.ObserveQueue = true
-	envCfg.TrainCoordRandom = false
-	envCfg.Seed = cfg.Seed + int64(j)*7919
-	env, err := netsim.New(envCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return env
+	h := NewHistory(cfg.EnvTemplate.NumSlices, cfg.NumRAs, cfg.EnvTemplate.T)
+	pol := deployedPolicy(agentEnv(t, cfg, 0))
+	oracleRun(t, cfg, slices.Repeat([]rl.Agent{pol}, cfg.NumRAs), n, nil, h, nil)
+	return h
 }
 
 // stepAgentPeriod runs one coordination period through env exactly like
@@ -58,90 +72,38 @@ func stepAgentPeriod(env *netsim.RAEnv, pol rl.Agent, z, y []float64) (perf []fl
 	return env.PeriodPerf(), env.QueueLens(), recs, nil
 }
 
-// startRemoteAgent dials the hub as RA j with a fresh deterministic env and
-// runs rcnet.RunAgent with deployedPolicy in a goroutine: the policy acts on
-// the (Z, Y) in its State(), so an agent handed the wrong coordination —
-// live or in its resume frame — moves the History. Callers compare against
-// deployedSystem over an AlgoEdgeSlice config, which runs the same policy.
-// The returned channel carries the loop's exit error; the returned client
-// lets the test kill the agent.
-func startRemoteAgent(t *testing.T, hub *rcnet.Hub, cfg Config, j int) (*rcnet.AgentClient, chan error) {
-	t.Helper()
-	env := remoteAgentEnv(t, cfg, j)
-	client, err := rcnet.DialAgent(hub.Addr(), j, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() {
-		defer client.Close()
-		done <- rcnet.RunAgent(client, env, deployedPolicy(env), 5*time.Second)
-	}()
-	return client, done
-}
-
 // TestRemoteSurvivesAgentKillAndRestart: one RA crashes the moment it
 // receives period 2's broadcast (before stepping or reporting), a fresh
 // incarnation re-registers with a fresh identically-seeded env, replays the
 // completed prefix from its resume frame, and serves the retried period —
-// and the run's History comes out bit-identical to an uninterrupted serial
-// run. Every agent runs deployedPolicy, which acts on the coordination in
-// its State(), so a resume frame with the wrong (Z, Y) moves the History.
+// and the run's History comes out bit-identical to the oracle's. Every
+// agent runs deployedPolicy, which acts on the coordination in its State(),
+// so a resume frame with the wrong (Z, Y) moves the History.
 func TestRemoteSurvivesAgentKillAndRestart(t *testing.T) {
-	cfg := execTestConfig(AlgoEdgeSlice)
+	cfg := faultTestConfig()
 	const (
 		periods     = 4
 		victim      = 1
 		crashPeriod = 2
 	)
-	ref := deployedSystem(t, cfg)
-	hRef, err := ref.RunPeriods(periods)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	I := cfg.EnvTemplate.NumSlices
-	J := cfg.NumRAs
-	hub, err := rcnet.NewHub("127.0.0.1:0", I, J)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	agentErrs := make([]error, J)
-	for j := 0; j < J; j++ {
-		if j == victim {
-			continue
-		}
-		j := j
-		env := remoteAgentEnv(t, cfg, j)
-		client, err := rcnet.DialAgent(hub.Addr(), j, 5*time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer client.Close()
-			agentErrs[j] = rcnet.RunAgent(client, env, deployedPolicy(env), 10*time.Second)
-		}()
-	}
+	rig := faultRig(t, cfg)
+	done := make(chan error, 1)
+	rig.dones[victim] = done
 
 	// Victim, first incarnation: a manual agent loop that serves periods
 	// 0..crashPeriod-1 faithfully and dies on receiving crashPeriod's
 	// broadcast, without stepping or reporting it.
-	env1 := remoteAgentEnv(t, cfg, victim)
-	c1, err := rcnet.DialAgent(hub.Addr(), victim, 5*time.Second)
+	env1, env2 := agentEnv(t, cfg, victim), agentEnv(t, cfg, victim)
+	c1, err := rcnet.DialAgent(rig.hub.Addr(), victim, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wg.Add(1)
 	go func() {
-		defer wg.Done()
 		pol := deployedPolicy(env1)
 		for {
 			m, err := c1.Recv(10 * time.Second)
 			if err != nil {
-				agentErrs[victim] = err
+				done <- err
 				return
 			}
 			if m.Type != rcnet.MsgCoordination {
@@ -152,158 +114,104 @@ func TestRemoteSurvivesAgentKillAndRestart(t *testing.T) {
 				break
 			}
 			perf, queues, recs, err := stepAgentPeriod(env1, pol, m.Z, m.Y)
-			if err != nil {
-				agentErrs[victim] = err
-				return
+			if err == nil {
+				err = c1.Report(m.Period, perf, queues, recs)
 			}
-			if err := c1.Report(m.Period, perf, queues, recs); err != nil {
-				agentErrs[victim] = err
+			if err != nil {
+				done <- err
 				return
 			}
 		}
 		// Second incarnation: fresh env, same seed. The resume frame makes
 		// RunAgent replay periods 0..crashPeriod-1, then the executor's
 		// retry broadcast delivers crashPeriod for a live step.
-		env2 := remoteAgentEnv(t, cfg, victim)
-		c2, err := rcnet.DialAgent(hub.Addr(), victim, 5*time.Second)
+		c2, err := rcnet.DialAgent(rig.hub.Addr(), victim, 5*time.Second)
 		if err != nil {
-			agentErrs[victim] = err
+			done <- err
 			return
 		}
 		defer c2.Close()
-		agentErrs[victim] = rcnet.RunAgent(c2, env2, deployedPolicy(env2), 10*time.Second)
+		done <- rcnet.RunAgent(c2, env2, deployedPolicy(env2), 10*time.Second)
 	}()
 
-	if err := hub.WaitRegistered(5 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	e := rig.executor(RemoteOptions{Timeout: time.Second, RetryPeriods: 5})
 	sys, err := NewSystem(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := NewRemoteExecutorWithOptions(hub, RemoteOptions{Timeout: time.Second, RetryPeriods: 5})
 	h, err := sys.RunPeriodsWith(e, periods)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats := hub.Stats()
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-	for j, err := range agentErrs {
-		if err != nil {
-			t.Errorf("agent %d: %v", j, err)
-		}
-	}
+	stats := rig.hub.Stats()
+	rig.close(e)
 	if stats.Reconnects < 1 || stats.ResumesSent < 1 {
 		t.Errorf("stats = %+v, want at least one reconnect and one resume frame", stats)
 	}
-	requireSameRun(t, "kill-restart", hRef, h)
+	requireSameRun(t, "kill-restart", oracleHistory(t, cfg, periods), h)
 }
 
 // TestRemoteKillEveryPeriod drives the run period-at-a-time (the scenario
 // runner's calling pattern) and kills + restarts one RA between every
 // period, so each incarnation replays a longer prefix from its resume
-// frame. The one History the periods record into must still match the
-// serial run bit for bit.
-// The victim is RA 1 because its period-1 Z−Y lies inside the range the
-// env observes (its neighbours' are clamped), so a resume frame carrying
-// another RA's columns moves what deployedPolicy does.
+// frame, up to four periods. The one History the periods record into must
+// still match the oracle's bit for bit.
 func TestRemoteKillEveryPeriod(t *testing.T) {
-	cfg := execTestConfig(AlgoEdgeSlice)
+	cfg := faultTestConfig()
 	const (
-		periods = 3
+		periods = 5
 		victim  = 1
 	)
-	ref := deployedSystem(t, cfg)
-	hRef, err := ref.RunPeriods(periods)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	I := cfg.EnvTemplate.NumSlices
-	J := cfg.NumRAs
-	hub, err := rcnet.NewHub("127.0.0.1:0", I, J)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clients := make([]*rcnet.AgentClient, J)
-	dones := make([]chan error, J)
-	for j := 0; j < J; j++ {
-		clients[j], dones[j] = startRemoteAgent(t, hub, cfg, j)
-	}
-	if err := hub.WaitRegistered(5 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-
+	rig := faultRig(t, cfg)
+	e := rig.executor(RemoteOptions{Timeout: 250 * time.Millisecond, RetryPeriods: 20})
 	sys, err := NewSystem(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := NewRemoteExecutorWithOptions(hub, RemoteOptions{Timeout: time.Second, RetryPeriods: 5})
-	h := NewHistory(hRef.NumSlices, hRef.NumRAs, hRef.T)
+	h := NewHistory(cfg.EnvTemplate.NumSlices, cfg.NumRAs, cfg.EnvTemplate.T)
 	for p := 0; p < periods; p++ {
 		if err := sys.RunPeriodsInto(e, h, 1); err != nil {
 			t.Fatalf("period %d: %v", p, err)
 		}
-		if p == periods-1 {
-			break
-		}
-		// Kill the victim between periods and restart it with a fresh env:
-		// the next incarnation replays p+1 periods before going live.
-		_ = clients[victim].Close()
-		if err := <-dones[victim]; err == nil {
-			t.Fatal("killed agent loop should exit with a read error")
-		}
-		clients[victim], dones[victim] = startRemoteAgent(t, hub, cfg, victim)
-	}
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
-	}
-	for j := 0; j < J; j++ {
-		if err := <-dones[j]; err != nil {
-			t.Errorf("agent %d: %v", j, err)
+		if p < periods-1 {
+			// The next incarnation replays p+1 periods before going live.
+			rig.kill(victim)
+			rig.start(victim)
 		}
 	}
-	requireSameRun(t, "kill-every-period", hRef, h)
+	rig.close(e)
+	requireSameRun(t, "kill-every-period", oracleHistory(t, cfg, periods), h)
 }
 
 // TestRemotePartialHistoryOnDroppedAgent pins the remote engine's
 // partial-history contract: RA 0 serves two periods and then closes its
 // connection, and with no retries the run fails in period 2 — returning the
 // error together with a History of exactly the two completed periods, equal
-// to the reference run's, and a coordinator that never applied the failed
+// to the oracle's, and a coordinator that never applied the failed
 // period's update.
 func TestRemotePartialHistoryOnDroppedAgent(t *testing.T) {
-	cfg := execTestConfig(AlgoEdgeSlice)
+	cfg := faultTestConfig()
 	const served = 2
-	ref := deployedSystem(t, cfg)
-	hRef := referenceRun(t, ref, served)
-
-	hub, err := rcnet.NewHub("127.0.0.1:0", cfg.EnvTemplate.NumSlices, cfg.NumRAs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	env0 := remoteAgentEnv(t, cfg, 0)
-	c0, err := rcnet.DialAgent(hub.Addr(), 0, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rig := faultRig(t, cfg)
 	dropped := make(chan error, 1)
+	rig.dones[0] = dropped
+	env0 := agentEnv(t, cfg, 0)
+	c0, err := rcnet.DialAgent(rig.hub.Addr(), 0, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
 	go func() {
 		defer c0.Close()
 		pol := deployedPolicy(env0)
 		for p := 0; p < served; p++ {
 			m, err := c0.Recv(5 * time.Second)
-			period, z, y := m.Period, m.Z, m.Y
 			if err != nil {
 				dropped <- err
 				return
 			}
-			perf, queues, recs, err := stepAgentPeriod(env0, pol, z, y)
+			perf, queues, recs, err := stepAgentPeriod(env0, pol, m.Z, m.Y)
 			if err == nil {
-				err = c0.Report(period, perf, queues, recs)
+				err = c0.Report(m.Period, perf, queues, recs)
 			}
 			if err != nil {
 				dropped <- err
@@ -312,19 +220,12 @@ func TestRemotePartialHistoryOnDroppedAgent(t *testing.T) {
 		}
 		dropped <- nil
 	}()
-	dones := make([]chan error, cfg.NumRAs)
-	for j := 1; j < cfg.NumRAs; j++ {
-		_, dones[j] = startRemoteAgent(t, hub, cfg, j)
-	}
-	if err := hub.WaitRegistered(5 * time.Second); err != nil {
-		t.Fatal(err)
-	}
 
+	e := rig.executor(RemoteOptions{Timeout: 500 * time.Millisecond})
 	sys, err := NewSystem(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := NewRemoteExecutorWithOptions(hub, RemoteOptions{Timeout: 500 * time.Millisecond})
 	h, err := sys.RunPeriodsWith(e, 5)
 	if err == nil {
 		t.Fatal("the run should fail after RA 0 drops")
@@ -332,21 +233,11 @@ func TestRemotePartialHistoryOnDroppedAgent(t *testing.T) {
 	if h.Periods() != served {
 		t.Fatalf("partial history holds %d periods, want the %d completed ones", h.Periods(), served)
 	}
-	requireSameRun(t, "partial", hRef, h)
+	requireSameRun(t, "partial", oracleHistory(t, cfg, served), h)
 	if it := sys.Coordinator().Iterations(); it != served {
 		t.Errorf("coordinator ran %d iterations, want %d (the failed period must not update)", it, served)
 	}
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-dropped; err != nil {
-		t.Errorf("RA 0: %v", err)
-	}
-	for j := 1; j < cfg.NumRAs; j++ {
-		if err := <-dones[j]; err != nil {
-			t.Errorf("agent %d: %v", j, err)
-		}
-	}
+	rig.close(e)
 }
 
 // TestCoordinatorResumeFromLog is the coordinator-crash half of the resume
@@ -356,33 +247,20 @@ func TestRemotePartialHistoryOnDroppedAgent(t *testing.T) {
 // log and continues bit-identically. The continued log must also replay as
 // one seamless run.
 func TestCoordinatorResumeFromLog(t *testing.T) {
-	cfg := execTestConfig(AlgoEdgeSlice)
+	cfg := faultTestConfig()
 	const (
 		totalPeriods = 5
 		firstRun     = 3
 	)
-	ref := deployedSystem(t, cfg)
-	hRef, err := ref.RunPeriods(totalPeriods)
-	if err != nil {
-		t.Fatal(err)
-	}
+	hRef := oracleHistory(t, cfg, totalPeriods)
 	I := cfg.EnvTemplate.NumSlices
 	J := cfg.NumRAs
 	T := cfg.EnvTemplate.T
 	path := filepath.Join(t.TempDir(), "run.histlog")
 
 	// Segment 1: remote run of the first periods, logging to disk.
-	hub1, err := rcnet.NewHub("127.0.0.1:0", I, J)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dones1 := make([]chan error, J)
-	for j := 0; j < J; j++ {
-		_, dones1[j] = startRemoteAgent(t, hub1, cfg, j)
-	}
-	if err := hub1.WaitRegistered(5 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	rig1 := faultRig(t, cfg)
+	e1 := rig1.executor(RemoteOptions{})
 	sys1, err := NewSystem(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -392,18 +270,10 @@ func TestCoordinatorResumeFromLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys1.SetRecording(RecordOptions{Log: hlog1})
-	e1 := NewRemoteExecutor(hub1, 10*time.Second)
 	if _, err := sys1.RunPeriodsWith(e1, firstRun); err != nil {
 		t.Fatal(err)
 	}
-	if err := e1.Close(); err != nil {
-		t.Fatal(err)
-	}
-	for j := 0; j < J; j++ {
-		if err := <-dones1[j]; err != nil {
-			t.Errorf("segment 1 agent %d: %v", j, err)
-		}
-	}
+	rig1.close(e1)
 	// Simulate the crash mid-period firstRun: a stray interval record of
 	// the in-flight period, then a torn record from the dying writer.
 	usage := make([][]float64, I)
@@ -444,39 +314,22 @@ func TestCoordinatorResumeFromLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hub2, err := rcnet.NewHub("127.0.0.1:0", I, J)
-	if err != nil {
+	rig2 := faultRig(t, cfg)
+	if err := rig2.hub.PrimeResume(pre.Periods(), zs, ys); err != nil {
 		t.Fatal(err)
 	}
-	if err := hub2.PrimeResume(pre.Periods(), zs, ys); err != nil {
-		t.Fatal(err)
-	}
-	dones2 := make([]chan error, J)
-	for j := 0; j < J; j++ {
-		_, dones2[j] = startRemoteAgent(t, hub2, cfg, j)
-	}
-	if err := hub2.WaitRegistered(5 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	e2 := rig2.executor(RemoteOptions{})
 	sys2.SetRecording(RecordOptions{Log: hlog2})
-	e2 := NewRemoteExecutor(hub2, 10*time.Second)
 	if err := sys2.RunPeriodsInto(e2, pre, totalPeriods-firstRun); err != nil {
 		t.Fatal(err)
 	}
-	if err := e2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	for j := 0; j < J; j++ {
-		if err := <-dones2[j]; err != nil {
-			t.Errorf("segment 2 agent %d: %v", j, err)
-		}
-	}
+	rig2.close(e2)
 	if err := hlog2.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	if !reflect.DeepEqual(pre, hRef) {
-		t.Error("resumed run's continued history differs from the uninterrupted serial run")
+		t.Error("resumed run's continued history differs from the oracle's")
 	}
 	// The continued log replays as one seamless, untruncated run.
 	whole, truncated, err := ReplayHistoryLogFile(path)
@@ -487,7 +340,7 @@ func TestCoordinatorResumeFromLog(t *testing.T) {
 		t.Error("continued log reports a truncated tail")
 	}
 	if !reflect.DeepEqual(whole, hRef) {
-		t.Error("continued log's replay differs from the serial run")
+		t.Error("continued log's replay differs from the oracle's")
 	}
 }
 

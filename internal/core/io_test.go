@@ -14,42 +14,6 @@ import (
 	"edgeslice/internal/rl/offpolicy"
 )
 
-// hammerConcurrently calls Act from many goroutines and checks every
-// result against the serially computed reference. Run under -race this is
-// the regression test for the shared-scratch data race loaded policies
-// used to have.
-func hammerConcurrently(t *testing.T, agent rl.Agent) {
-	t.Helper()
-	const goroutines, calls = 8, 200
-	states := make([][]float64, 16)
-	want := make([][]float64, len(states))
-	rng := mathutil.NewRNG(11)
-	for i := range states {
-		states[i] = []float64{rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64()}
-		want[i] = agent.Act(states[i])
-	}
-	var wg sync.WaitGroup
-	errs := make(chan string, goroutines)
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for c := 0; c < calls; c++ {
-				i := (g + c) % len(states)
-				if got := agent.Act(states[i]); !reflect.DeepEqual(got, want[i]) {
-					errs <- "concurrent Act returned a corrupted action"
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	close(errs)
-	for msg := range errs {
-		t.Fatal(msg)
-	}
-}
-
 // loadedPolicy writes a small DDPG agent as a one-agent checkpoint and
 // loads it back.
 func loadedPolicy(t *testing.T) *rl.DeployedPolicy {
@@ -78,10 +42,6 @@ func loadedPolicy(t *testing.T) *rl.DeployedPolicy {
 		t.Fatal(err)
 	}
 	return agent
-}
-
-func TestLoadedV2PolicyConcurrentAct(t *testing.T) {
-	hammerConcurrently(t, loadedPolicy(t))
 }
 
 // TestLoadedPolicyConcurrentActAndBatch: a loaded policy serves scalar Act

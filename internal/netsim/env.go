@@ -159,12 +159,17 @@ func (r *StepResult) resize(n int) {
 // chunk's kernel. It implements rl.Env for agent training and the
 // orchestration API (SetCoordination / StepInterval) of Algorithm 1.
 type RAEnv struct {
-	c       *Chunk
-	r       int
-	epStep  int          // interval within the current episode
-	stepRes StepResult   // Step's result buffer (rl.Env returns only the reward)
-	obs     [2][]float64 // Reset's and Step's states, written in alternation
-	cur     int          // obs slot of the last returned state
+	c  *Chunk
+	r  int
+	ep *episode // built by the first Reset: orchestration views have none
+}
+
+// episode is rl.Env's state: the episode's interval, Step's result (rl.Env
+// returns only the reward) and the returned states, in turn in obs[cur].
+type episode struct {
+	step, cur int
+	res       StepResult
+	obs       [2][]float64
 }
 
 var _ rl.Env = (*RAEnv)(nil)
@@ -209,7 +214,10 @@ func (e *RAEnv) Reset() []float64 {
 	clear(e.c.Backlog[lo:hi])
 	clear(e.c.carry[lo:hi])
 	clear(e.c.PeriodPerf[lo:hi])
-	e.c.ras[e.r].phase, e.epStep = 0, 0
+	if e.ep == nil {
+		e.ep = new(episode)
+	}
+	e.c.ras[e.r].phase, e.ep.step = 0, 0
 	if e.c.cfg.TrainCoordRandom {
 		e.c.randomizeCoordination(e.r)
 	}
@@ -219,9 +227,10 @@ func (e *RAEnv) Reset() []float64 {
 // observe writes the state into the env-owned buffer not holding the last
 // returned state, so that state stays valid through one more Reset or Step.
 func (e *RAEnv) observe() []float64 {
-	e.cur ^= 1
-	e.obs[e.cur] = e.StateInto(e.obs[e.cur][:0])
-	return e.obs[e.cur]
+	ep := e.ep
+	ep.cur ^= 1
+	ep.obs[ep.cur] = e.StateInto(ep.obs[ep.cur][:0])
+	return ep.obs[ep.cur]
 }
 
 // SetCoordination installs the coordinator-provided (z, y) column for this
@@ -263,17 +272,18 @@ func (e *RAEnv) StateInto(dst []float64) []float64 {
 	return dst
 }
 
-// Step implements rl.Env. The returned state is one of two env-owned
-// buffers used in alternation, so a warm call allocates nothing.
+// Step implements rl.Env, after Reset: the returned state is one of two
+// env-owned buffers used in alternation, so a warm call allocates nothing.
 func (e *RAEnv) Step(action []float64) ([]float64, float64, bool) {
-	if err := e.StepInto(action, &e.stepRes); err != nil {
+	ep := e.ep
+	if err := e.StepInto(action, &ep.res); err != nil {
 		// The rl.Env interface has no error path; a malformed action is a
 		// programming error, matching the panic policy of the nn package.
 		panic(fmt.Sprintf("netsim: %v", err))
 	}
-	e.epStep++
-	done := e.epStep >= e.c.cfg.EpisodePeriods*e.c.cfg.T
-	return e.observe(), e.stepRes.Reward, done
+	ep.step++
+	done := ep.step >= e.c.cfg.EpisodePeriods*e.c.cfg.T
+	return e.observe(), ep.res.Reward, done
 }
 
 // StepInterval advances one time interval: arrivals are drawn from the
