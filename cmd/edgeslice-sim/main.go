@@ -84,7 +84,7 @@ func run() error {
 		ckptDir      = flag.String("ckpt-dir", "", "checkpoint cache directory (implies -warm-start)")
 
 		metricsAddr  = flag.String("metrics-addr", "", "serve /metrics, /healthz and /debug/pprof on this address (e.g. 127.0.0.1:9090)")
-		streamWindow = flag.Int("stream-window", 0, "bounded-memory streaming history with this ring window (0 = exact in-memory history)")
+		streamWindow = flag.Int("stream-window", 0, "bounded-memory streaming history with this ring window (0 = exact in-memory history; with -scenario, a summary one per replica)")
 		historyPath  = flag.String("history", "", "on-disk history log: a file in classic mode, a directory (one log per replica) in scenario mode")
 		resume       = flag.Bool("resume", false, "scenario: skip replicas whose -history log already holds the full run (recompute their summaries from the log)")
 	)

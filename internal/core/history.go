@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -13,7 +14,8 @@ import (
 // for byte (see HistoryLog). Exact mode appends every record to its column;
 // streaming mode (NewStreamingHistory) keeps rings of the last window
 // interval records and period tails (no slices × RAs grid), running sums
-// and P² sketches, O(window) memory. Both answer accessors through tail.
+// and P² sketches, O(window) memory; summary mode (NewSummaryHistory) keeps
+// no records, only two running sums. All answer accessors through tail.
 type History struct {
 	NumSlices, NumRAs, T int
 
@@ -23,12 +25,17 @@ type History struct {
 	n    [2]int
 
 	// window is how many records a column retains: all (math.MaxInt) in
-	// exact mode. Streaming mode only: the running sum of every column (see
-	// val) in arrival order, and the sketches of the system performance.
+	// exact mode, none in summary mode. Streaming mode only: the running sum
+	// of every column (see val) in arrival order, and the sketches of the
+	// system performance. Summary mode sums column 0 from interval from on.
 	window   int
 	sums     []float64
 	sketches [len(StreamQuantiles)]telemetry.Quantile
+	from     int
 }
+
+// errSummary is what a summary-mode History answers any other question with.
+var errSummary = errors.New("core: a summary history answers only MeanSystemPerf(Intervals()/2) and SLASatisfactionRate(0)")
 
 // The record kinds, indexing a History's columns.
 const (
@@ -64,7 +71,23 @@ func NewStreamingHistory(numSlices, numRAs, t, window int) *History {
 	return h
 }
 
-// Streaming reports whether the history records in streaming mode.
+// NewSummaryHistory allocates a history in summary mode for a run of
+// periods periods. Each record is still encoded and shape-checked, in one
+// record of scratch space, but none is kept: only two running sums in
+// arrival order, of the system performance over intervals
+// [n − max(n/2, 1), n) of the run's n and of the met SLAs of every period.
+// So it answers MeanSystemPerf(Intervals()/2) and SLASatisfactionRate(0)
+// bit-identically to exact mode in O(1) memory; any other accessor is an
+// error.
+func NewSummaryHistory(numSlices, numRAs, t, periods int) *History {
+	// A one-record ring is the scratch space; window 0 then retains nothing.
+	h, n := NewStreamingHistory(numSlices, numRAs, t, 1), periods*t
+	h.window, h.from = 0, n-max(n/2, 1)
+	return h
+}
+
+// Streaming reports whether the history records in streaming (or summary)
+// mode, which keep fewer records than the run's.
 func (h *History) Streaming() bool { return h.window < math.MaxInt }
 
 // columns returns the number of floats in an interval record.
@@ -81,9 +104,10 @@ func (h *History) at(k, r int) []byte {
 }
 
 // slot returns the bytes the next record of kind k goes in: the next ring
-// slot, or past the end of an exact column, which doubles when full.
+// slot (summary mode's one), or past the end of an exact column, which
+// doubles when full.
 func (h *History) slot(k int) []byte {
-	off, size := h.n[k]%h.window*h.size[k], h.size[k]
+	off, size := h.n[k]%max(h.window, 1)*h.size[k], h.size[k]
 	if !h.Streaming() && cap(h.col[k]) < off+size {
 		h.col[k] = append(make([]byte, 0, 2*off+size), h.col[k]...)
 	}
@@ -100,8 +124,14 @@ func (h *History) store(k int, rec []byte) {
 		return
 	}
 	C := h.columns()
-	if k == pdKind {
+	switch {
+	case k == pdKind:
 		h.sums[C+1] += h.val(rec, C+1)
+		return
+	case h.window == 0:
+		if h.n[k] > h.from {
+			h.sums[0] += h.val(rec, 0)
+		}
 		return
 	}
 	for c := range C + 1 {
@@ -109,16 +139,6 @@ func (h *History) store(k int, rec []byte) {
 	}
 	for i := range h.sketches {
 		h.sketches[i].Observe(f64(rec, 1))
-	}
-}
-
-// Reserve gives an exact-mode History room for periods periods and their
-// intervals at once, so a run of known length records without growing.
-func (h *History) Reserve(periods int) {
-	if !h.Streaming() && periods*h.size[pdKind] > cap(h.col[pdKind]) {
-		for k, n := range [2]int{periods * h.T, periods} {
-			h.col[k] = append(make([]byte, 0, n*h.size[k]), h.col[k]...)
-		}
 	}
 }
 
@@ -205,7 +225,8 @@ func (h *History) val(rec []byte, c int) float64 {
 
 // tail sums val of column c over the last lastN records (all when lastN is
 // not positive or exceeds the count), or, when a ring no longer holds them,
-// returns the run's running sum. k is the number of records summed.
+// returns the run's running sum. k is the number of records summed. Summary
+// mode answers only the two ranges its sums cover.
 func (h *History) tail(c, lastN int) (sum float64, k int, err error) {
 	kind := ivKind
 	if c > h.columns() {
@@ -217,6 +238,12 @@ func (h *History) tail(c, lastN int) (sum float64, k int, err error) {
 	}
 	if lastN <= 0 || lastN > n {
 		lastN = n
+	}
+	if h.window == 0 {
+		if c == 0 && n-lastN == h.from || kind == pdKind && lastN == n {
+			return h.sums[c], lastN, nil
+		}
+		return 0, 0, errSummary
 	}
 	if lastN > h.window {
 		return h.sums[c], n, nil
@@ -277,7 +304,7 @@ func (h *History) UsageRatio(a, b, lastN int) (float64, error) {
 func (h *History) SLASatisfactionRate(lastN int) (float64, error) {
 	met, k, err := h.tail(h.columns()+1, lastN)
 	if err != nil {
-		return 0, fmt.Errorf("core: no periods recorded")
+		return 0, err
 	}
 	return met / float64(k*h.NumSlices), nil
 }
@@ -286,6 +313,9 @@ func (h *History) SLASatisfactionRate(lastN int) (float64, error) {
 // performance over the run: exact (linear interpolation) in exact mode, the
 // P² estimate of a tracked StreamQuantiles entry in streaming mode.
 func (h *History) SystemPerfQuantile(q float64) (float64, error) {
+	if h.window == 0 {
+		return 0, errSummary
+	}
 	if h.n[ivKind] == 0 {
 		return 0, fmt.Errorf("core: empty history")
 	}
@@ -312,9 +342,9 @@ func (h *History) ViolationRate() (float64, error) {
 }
 
 // LastResiduals returns the most recent period's primal and dual ADMM
-// residuals (NaN, NaN when no period is recorded).
+// residuals (NaN, NaN when no period is retained).
 func (h *History) LastResiduals() (primal, dual float64) {
-	if h.n[pdKind] == 0 {
+	if min(h.n[pdKind], h.window) == 0 {
 		return math.NaN(), math.NaN()
 	}
 	_, _, primal, dual = h.Period(h.n[pdKind] - 1)

@@ -1,10 +1,8 @@
 package core
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"edgeslice/internal/netsim"
@@ -192,51 +190,69 @@ func TestStreamingFallbackApproximation(t *testing.T) {
 	}
 }
 
-// TestReserveMatchesGrownHistoryLog: a History reserved for n periods holds
-// them without growing, and records the same fields and history-log bytes
-// as one that grows — also when the run goes on past n.
-func TestReserveMatchesGrownHistoryLog(t *testing.T) {
-	const I, J, T, n = 3, 2, 4, 5
-	rng := rand.New(rand.NewSource(3))
-	grown, reserved := NewHistory(I, J, T), NewHistory(I, J, T)
-	reserved.Reserve(n)
-	grid := func(rows, cols int) [][]float64 {
-		g := make([][]float64, rows)
-		for i := range g {
-			g[i] = make([]float64, cols)
-			for k := range g[i] {
-				g[i][k] = rng.NormFloat64()
-			}
-		}
-		return g
-	}
-	record := func(periods int) {
-		for p := 0; p < periods; p++ {
-			for k := 0; k < T; k++ {
-				sys, slice, usage, viol := rng.Float64(), grid(1, I)[0], grid(I, netsim.NumResources), rng.Float64()
-				grown.AddInterval(sys, slice, usage, viol)
-				reserved.AddInterval(sys, slice, usage, viol)
-			}
-			perf, sla, primal, dual := grid(I, J), []bool{true, false, rng.Float64() < 0.5}, rng.Float64(), rng.Float64()
-			grown.AddPeriod(perf, sla, primal, dual)
-			reserved.AddPeriod(perf, sla, primal, dual)
-		}
-	}
-	check := func(stage string) {
+// TestSummaryMatchesExactBitwise: a summary History fed the records an
+// exact one is answers MeanSystemPerf(Intervals()/2) and
+// SLASatisfactionRate(0) bit for bit, at odd and even interval counts (an
+// odd one tells the last half [n − n/2, n) from [n/2, n)), refuses every
+// other question, and rejects a record of the wrong shape unstored.
+func TestSummaryMatchesExactBitwise(t *testing.T) {
+	const I, J = 3, 2
+	rng := rand.New(rand.NewSource(5))
+	answers := func(h *History) [2]uint64 {
 		t.Helper()
-		if !reflect.DeepEqual(grown, reserved) {
-			t.Errorf("%s: reserved History's records differ from the grown one's", stage)
+		ssp, err := h.MeanSystemPerf(h.Intervals() / 2)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !bytes.Equal(encodeHistory(t, grown), encodeHistory(t, reserved)) {
-			t.Errorf("%s: reserved History's log bytes differ from the grown one's", stage)
+		sla, err := h.SLASatisfactionRate(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return [2]uint64{math.Float64bits(ssp), math.Float64bits(sla)}
+	}
+	for _, T := range []int{1, 3, 10} {
+		for _, periods := range []int{1, 7, 100} {
+			exact, summary := NewHistory(I, J, T), NewSummaryHistory(I, J, T, periods)
+			synthRecords(rng, periods*T, exact, summary)
+			if summary.Intervals() != exact.Intervals() || summary.Periods() != exact.Periods() {
+				t.Fatalf("T=%d, %d periods: summary counts %d/%d records, exact %d/%d", T, periods,
+					summary.Intervals(), summary.Periods(), exact.Intervals(), exact.Periods())
+			}
+			if got, want := answers(summary), answers(exact); got != want {
+				t.Errorf("T=%d, %d periods: summary answers bits %x, exact %x", T, periods, got, want)
+			}
+			var refused []error
+			if n := summary.Intervals(); n > 1 {
+				_, err := summary.MeanSystemPerf(n/2 + 1)
+				refused = append(refused, err)
+			}
+			if periods > 1 {
+				_, err := summary.SLASatisfactionRate(1)
+				refused = append(refused, err)
+			}
+			_, errU := summary.MeanUsage(0, 0, 0)
+			_, errR := summary.UsageRatio(0, 1, 0)
+			_, errQ := summary.SystemPerfQuantile(0.5)
+			_, errV := summary.ViolationRate()
+			for i, err := range append(refused, errU, errR, errQ, errV) {
+				if err == nil {
+					t.Errorf("T=%d, %d periods: question %d of a summary History answered", T, periods, i)
+				}
+			}
+			if primal, _ := summary.LastResiduals(); len(summary.IntervalColumn(0)) != 0 || !math.IsNaN(primal) {
+				t.Errorf("T=%d, %d periods: a summary History returned records", T, periods)
+			}
 		}
 	}
-	record(n)
-	if cap(reserved.col[pdKind]) != n*reserved.size[pdKind] || cap(reserved.col[ivKind]) != n*T*reserved.size[ivKind] {
-		t.Errorf("reserved for %d periods, holds %d periods / %d intervals of capacity",
-			n, cap(reserved.col[pdKind])/reserved.size[pdKind], cap(reserved.col[ivKind])/reserved.size[ivKind])
+	summary := NewSummaryHistory(I, J, 1, 1)
+	usage := [][]float64{{0, 0, 0}, {0, 0, 0}, {0, 0, 0}}
+	if err := summary.AddInterval(1, []float64{1, 0}, usage, 0); err == nil {
+		t.Error("a summary History took an interval record of 2 slices, want 3")
 	}
-	check("at the reserve")
-	record(3)
-	check("past the reserve")
+	if err := summary.AddPeriod([][]float64{{1}, {1}, {1}}, []bool{true, true, true}, 0, 0); err == nil {
+		t.Error("a summary History took a period record of 1 RA, want 2")
+	}
+	if summary.Intervals() != 0 || summary.Periods() != 0 {
+		t.Errorf("misshapen records were stored: %d intervals, %d periods", summary.Intervals(), summary.Periods())
+	}
 }

@@ -4,7 +4,15 @@ import (
 	"reflect"
 	"sync/atomic"
 	"testing"
+
+	"edgeslice/internal/core"
 )
+
+// exactHistory returns an empty exact History of spec's shape, the one a
+// test passes runReplica to read the replica's records afterwards.
+func exactHistory(spec Spec) *core.History {
+	return core.NewHistory(len(spec.Slices), spec.NumRAs, spec.T)
+}
 
 // shrunk returns a CI-scale copy of a built-in scenario: fewer periods and
 // a tiny training budget so the learning engine check stays fast.
@@ -42,13 +50,13 @@ func TestEngineDeterminismAcrossWorkers(t *testing.T) {
 			algo := spec.Algorithms[0]
 			var trainings atomic.Int64
 
-			_, hSerial, err := runReplica(spec, algo, 0, nil, &trainings, Options{Workers: 1})
-			if err != nil {
+			hSerial := exactHistory(spec)
+			if _, err := runReplica(spec, algo, 0, nil, &trainings, Options{Workers: 1}, hSerial); err != nil {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{4, spec.NumRAs} {
-				_, hGot, err := runReplica(spec, algo, 0, nil, &trainings, Options{Workers: workers})
-				if err != nil {
+				hGot := exactHistory(spec)
+				if _, err := runReplica(spec, algo, 0, nil, &trainings, Options{Workers: workers}, hGot); err != nil {
 					t.Fatal(err)
 				}
 				if !reflect.DeepEqual(hSerial, hGot) {

@@ -82,8 +82,11 @@ func sweepDigest(t *testing.T, name string, window int) string {
 	d := sha256.New()
 	for _, algo := range spec.Algorithms {
 		for r := 0; r < replicas; r++ {
-			_, h, err := runReplica(spec, algo, r, warm[algo], &trainings, Options{StreamWindow: window})
-			if err != nil {
+			h := exactHistory(spec)
+			if window > 0 {
+				h = core.NewStreamingHistory(len(spec.Slices), spec.NumRAs, spec.T, window)
+			}
+			if _, err := runReplica(spec, algo, r, warm[algo], &trainings, Options{}, h); err != nil {
 				t.Fatal(err)
 			}
 			hashHistory(t, d, h)

@@ -47,21 +47,19 @@ type Options struct {
 	// Progress, when set, is called after each replica completes.
 	Progress func(completed, total int)
 	// StreamWindow, when positive, records each replica's periods into a
-	// streaming History (bounded memory) instead of an exact one. Summary
-	// numbers follow the streaming approximation contract: the steady-state
-	// SSP falls back to the full-run mean when the window is smaller than
-	// half the run.
+	// streaming History instead of the default summary one. Both keep
+	// bounded memory, but only the summary's SSP is exact: a streaming SSP
+	// falls back to the full-run mean when the window is under half the run.
 	StreamWindow int
 	// HistoryLogDir, when set, writes each replica's full interval/period
 	// record to "<dir>/<scenario>-<algorithm>-r<replica>.histlog" — an
-	// append-only CRC-checked log replayable via core.ReplayHistoryLogFile.
-	// Combined with StreamWindow this gives bounded-memory runs with
-	// lossless on-disk history.
+	// append-only CRC-checked log replayable via core.ReplayHistoryLogFile,
+	// the only lossless record of a replica's bounded-memory run.
 	HistoryLogDir string
 	// Resume, with HistoryLogDir set, skips every replica whose history log
 	// already holds the scenario's full run (shape and period count match):
 	// its summary numbers are recomputed from the replayed log — no
-	// training, no stepping — bit-identically to a fresh exact-mode run. A
+	// training, no stepping — bit-identically to a default fresh run. A
 	// missing, truncated, or short log reruns that replica from scratch
 	// (the rerun truncates the stale log), so an interrupted sweep finishes
 	// by re-invoking it with Resume set.
@@ -187,7 +185,7 @@ func Run(spec Spec, opts Options) (*Summary, error) {
 					reportProgress()
 					continue
 				}
-				res, _, err := runReplica(spec, j.algo, j.replica, warm[j.algo], &trainings, opts)
+				res, err := runReplica(spec, j.algo, j.replica, warm[j.algo], &trainings, opts, nil)
 				results[idx] = res
 				errs[idx] = err
 				reportProgress()
@@ -309,7 +307,7 @@ func histLogPath(dir string, spec Spec, algoName string, replica int) string {
 // tryResumeReplica recovers one replica's result from its history log when
 // Options.Resume is set and the log holds the scenario's complete run. The
 // result comes from replicaResult over the replayed exact history, so a
-// resumed replica's ReplicaResult is bit-identical to the exact-mode run
+// resumed replica's ReplicaResult is bit-identical to the summary-mode run
 // that wrote the log.
 func tryResumeReplica(spec Spec, algoName string, replica int, opts Options) (ReplicaResult, bool) {
 	if !opts.Resume || opts.HistoryLogDir == "" {
@@ -353,11 +351,13 @@ func replicaResult(spec Spec, algoName string, replica int, h *core.History) (Re
 // period by period on the batched engine at Options.Workers, applying runtime
 // events (RA degradation/recovery) at the boundary of the period containing
 // each event's interval; slice admission and teardown are compiled into the
-// slices' traffic sources. Every period records into the replica's one History (exact or
-// streaming), and the replica's history log receives the same records
-// through the system's recording options. The History is returned alongside
-// the summary result (the determinism suite compares it across worker counts).
-func runReplica(spec Spec, algoName string, replica int, warm *core.Deployment, trainings *atomic.Int64, opts Options) (ReplicaResult, *core.History, error) {
+// slices' traffic sources. Every period records into the replica's one
+// History: h, or when h is nil a summary History (NewSummaryHistory, the two
+// sums replicaResult reads) or, with Options.StreamWindow, a streaming one.
+// The replica's history log receives the same records through the system's
+// recording options. Only a caller that passes an exact h can read the
+// replica's records afterwards (the determinism suite and the digest pin do).
+func runReplica(spec Spec, algoName string, replica int, warm *core.Deployment, trainings *atomic.Int64, opts Options, h *core.History) (ReplicaResult, error) {
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = spec.NumRAs
@@ -365,47 +365,47 @@ func runReplica(spec Spec, algoName string, replica int, warm *core.Deployment, 
 	exec := core.NewBatchedExecutor(workers)
 	algo, err := core.ParseAlgorithm(algoName)
 	if err != nil {
-		return ReplicaResult{}, nil, err
+		return ReplicaResult{}, err
 	}
 	seed := replicaSeed(spec.Seed, replica)
 	cfg, err := spec.systemConfig(algo, seed)
 	if err != nil {
-		return ReplicaResult{}, nil, err
+		return ReplicaResult{}, err
 	}
 	sys, err := core.NewSystem(cfg)
 	if err != nil {
-		return ReplicaResult{}, nil, err
+		return ReplicaResult{}, err
 	}
 	if warm != nil && algo.IsLearning() {
 		// Every replica shares the one deployed policy: its ActBatch only
 		// reads the weights, and each replica's engine brings its own
 		// workspace.
 		if err := sys.Deploy(warm); err != nil {
-			return ReplicaResult{}, nil, err
+			return ReplicaResult{}, err
 		}
 	} else {
 		if algo.IsLearning() {
 			trainings.Add(1)
 		}
 		if err := sys.Train(); err != nil {
-			return ReplicaResult{}, nil, err
+			return ReplicaResult{}, err
 		}
 	}
 
 	I, J, T := len(spec.Slices), spec.NumRAs, spec.T
-	var h *core.History
-	if opts.StreamWindow > 0 {
+	switch {
+	case h != nil: // the caller's, to read afterwards
+	case opts.StreamWindow > 0:
 		h = core.NewStreamingHistory(I, J, T, opts.StreamWindow)
-	} else {
-		h = core.NewHistory(I, J, T)
-		h.Reserve(spec.Periods)
+	default:
+		h = core.NewSummaryHistory(I, J, T, spec.Periods)
 	}
 	var hlog *core.HistoryLog
 	if opts.HistoryLogDir != "" {
 		path := histLogPath(opts.HistoryLogDir, spec, algoName, replica)
 		hlog, err = core.CreateHistoryLog(path, I, J, T)
 		if err != nil {
-			return ReplicaResult{}, nil, err
+			return ReplicaResult{}, err
 		}
 		defer func() { _ = hlog.Close() }()
 		sys.SetRecording(core.RecordOptions{Log: hlog})
@@ -424,21 +424,20 @@ func runReplica(spec Spec, algoName string, replica int, warm *core.Deployment, 
 		sort.SliceStable(due, func(a, b int) bool { return due[a].At < due[b].At })
 		for _, ev := range due {
 			if err := applyRuntimeEvent(sys, ev); err != nil {
-				return ReplicaResult{}, nil, err
+				return ReplicaResult{}, err
 			}
 		}
 		if err := sys.RunPeriodsInto(exec, h, 1); err != nil {
-			return ReplicaResult{}, nil, err
+			return ReplicaResult{}, err
 		}
 	}
 	if hlog != nil {
 		if err := hlog.Close(); err != nil {
-			return ReplicaResult{}, nil, err
+			return ReplicaResult{}, err
 		}
 	}
 
-	res, err := replicaResult(spec, algoName, replica, h)
-	return res, h, err
+	return replicaResult(spec, algoName, replica, h)
 }
 
 // applyRuntimeEvent enacts one infrastructure event on a running system.

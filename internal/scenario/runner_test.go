@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"edgeslice/internal/core"
@@ -333,7 +334,7 @@ func TestRunnerStreamingAndHistoryLog(t *testing.T) {
 	spec := fastSpec() // 4 periods x T=10 = 40 intervals; half = 20
 	dir := t.TempDir()
 
-	exact, err := Run(spec, Options{Replicas: 2, Parallel: 1})
+	summary, err := Run(spec, Options{Replicas: 2, Parallel: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,8 +346,8 @@ func TestRunnerStreamingAndHistoryLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(exact, streamed) {
-		t.Errorf("summary differs between exact and streaming mode:\n exact  %+v\n stream %+v", exact, streamed)
+	if !reflect.DeepEqual(summary, streamed) {
+		t.Errorf("summary differs between summary and streaming mode:\n summary %+v\n stream  %+v", summary, streamed)
 	}
 
 	for r := 0; r < 2; r++ {
@@ -361,6 +362,40 @@ func TestRunnerStreamingAndHistoryLog(t *testing.T) {
 		if h.Intervals() != spec.Periods*spec.T || h.Periods() != spec.Periods {
 			t.Errorf("%s replayed %d intervals / %d periods, want %d / %d",
 				path, h.Intervals(), h.Periods(), spec.Periods*spec.T, spec.Periods)
+		}
+	}
+}
+
+// TestRunSummaryMatchesExactReplicas: Run records every replica into a
+// summary History, and each ReplicaResult of its Summary must equal
+// replicaResult over an exact History of the same replica, for every
+// built-in scenario at its own, 100 and 101 periods.
+func TestRunSummaryMatchesExactReplicas(t *testing.T) {
+	for _, name := range List() {
+		base, err := Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, periods := range []int{base.Periods, 100, 101} {
+			spec := base
+			spec.Periods = periods
+			sum, err := Run(spec, Options{Replicas: 2, Parallel: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for a, algo := range spec.Algorithms {
+				for r, got := range sum.Algorithms[a].Replicas {
+					var trainings atomic.Int64
+					h := exactHistory(spec)
+					if _, err := runReplica(spec, algo, r, nil, &trainings, Options{}, h); err != nil {
+						t.Fatal(err)
+					}
+					if want, err := replicaResult(spec, algo, r, h); err != nil || got != want {
+						t.Errorf("%s, %d periods, %s replica %d: Run's %+v, exact History's %+v (%v)",
+							name, periods, algo, r, got, want, err)
+					}
+				}
+			}
 		}
 	}
 }
