@@ -38,13 +38,14 @@
 // behaviour untouched):
 //
 //	-metrics-addr 127.0.0.1:9090   serve /metrics, /healthz and /debug/pprof
-//	-stream-window 1024            bounded-memory streaming history
+//	-stream-window 1024            classic: bounded-memory streaming history
 //	-history run.histlog           classic: append-only on-disk history log
 //	-history logs/                 scenario: one log per replica in this dir
 //
 // With -stream-window the classic per-period table is unavailable (only
 // bounded summaries are retained), so a steady-state summary is printed
-// instead.
+// instead. Scenario replicas always keep O(1) memory, so scenario mode
+// refuses the flag.
 package main
 
 import (
@@ -84,7 +85,7 @@ func run() error {
 		ckptDir      = flag.String("ckpt-dir", "", "checkpoint cache directory (implies -warm-start)")
 
 		metricsAddr  = flag.String("metrics-addr", "", "serve /metrics, /healthz and /debug/pprof on this address (e.g. 127.0.0.1:9090)")
-		streamWindow = flag.Int("stream-window", 0, "bounded-memory streaming history with this ring window (0 = exact in-memory history; with -scenario, a summary one per replica)")
+		streamWindow = flag.Int("stream-window", 0, "classic: bounded-memory streaming history with this ring window (0 = exact in-memory history)")
 		historyPath  = flag.String("history", "", "on-disk history log: a file in classic mode, a directory (one log per replica) in scenario mode")
 		resume       = flag.Bool("resume", false, "scenario: skip replicas whose -history log already holds the full run (recompute their summaries from the log)")
 	)
@@ -102,12 +103,15 @@ func run() error {
 				return fmt.Errorf("-%s applies to classic mode only; scenarios declare it in the spec", name)
 			}
 		}
+		if flagWasSet("stream-window") {
+			return fmt.Errorf("-stream-window applies to classic mode only; a scenario replica keeps O(1) memory already")
+		}
 		if *resume && *historyPath == "" {
 			return fmt.Errorf("-resume needs -history: the logs are what the replicas resume from")
 		}
 		return runScenario(*scenarioName, *replicas, *parallel, *seed, flagWasSet("seed"),
 			*warmStart || *ckptDir != "", *ckptDir, *workers,
-			*metricsAddr, *streamWindow, *historyPath, *resume)
+			*metricsAddr, *historyPath, *resume)
 	}
 	for _, name := range []string{"replicas", "parallel", "warm-start", "ckpt-dir", "resume"} {
 		if flagWasSet(name) {
@@ -156,7 +160,7 @@ func loadScenario(nameOrFile string) (scenario.Spec, error) {
 	return scenario.DecodeJSON(f)
 }
 
-func runScenario(nameOrFile string, replicas, parallel int, seed int64, seedSet, warmStart bool, ckptDir string, workers int, metricsAddr string, streamWindow int, historyDir string, resume bool) error {
+func runScenario(nameOrFile string, replicas, parallel int, seed int64, seedSet, warmStart bool, ckptDir string, workers int, metricsAddr string, historyDir string, resume bool) error {
 	spec, err := loadScenario(nameOrFile)
 	if err != nil {
 		return err
@@ -173,7 +177,6 @@ func runScenario(nameOrFile string, replicas, parallel int, seed int64, seedSet,
 		Workers:       workers,
 		WarmStart:     warmStart,
 		CheckpointDir: ckptDir,
-		StreamWindow:  streamWindow,
 		HistoryLogDir: historyDir,
 		Resume:        resume,
 		Progress: func(done, total int) {

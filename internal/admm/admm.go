@@ -58,17 +58,29 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	c := &Coordinator{cfg: cfg}
-	c.z = newGrid(cfg.NumSlices, cfg.NumRAs)
-	c.y = newGrid(cfg.NumSlices, cfg.NumRAs)
-	c.prevZ = newGrid(cfg.NumSlices, cfg.NumRAs)
+	I, J := cfg.NumSlices, cfg.NumRAs
+	c := &Coordinator{z: newGrid(I, J), y: newGrid(I, J), prevZ: newGrid(I, J)}
+	c.Reset(cfg)
 	return c, nil
 }
 
+// Reset returns the coordinator to NewCoordinator(cfg)'s state in place,
+// for a valid cfg of the coordinator's slice and RA counts.
+func (c *Coordinator) Reset(cfg Config) {
+	for i := range c.z {
+		clear(c.z[i])
+		clear(c.y[i])
+		clear(c.prevZ[i])
+	}
+	*c = Coordinator{cfg: cfg, z: c.z, y: c.y, prevZ: c.prevZ}
+}
+
+// newGrid returns an i×j grid whose rows are carved from one allocation.
 func newGrid(i, j int) [][]float64 {
+	flat := make([]float64, i*j)
 	g := make([][]float64, i)
 	for k := range g {
-		g[k] = make([]float64, j)
+		g[k] = flat[k*j : (k+1)*j : (k+1)*j]
 	}
 	return g
 }

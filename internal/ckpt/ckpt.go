@@ -23,6 +23,7 @@
 package ckpt
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
@@ -266,23 +267,6 @@ func (st *AgentState) RestoreAdam(opt *nn.Adam, n *nn.Network, role string) erro
 	return nil
 }
 
-// Acting is the DeployFunc of an algorithm acting with the named role: it
-// decodes that network alone, mapping StateDim to ActionDim outputs (to a
-// [mean, log-std] head of twice that with squash).
-func Acting(role string, squash bool) DeployFunc {
-	return func(st *AgentState) (*rl.DeployedPolicy, error) {
-		out := st.ActionDim
-		if squash {
-			out *= 2
-		}
-		n, err := st.NetDims(role, st.StateDim, out)
-		if err != nil {
-			return nil, err
-		}
-		return rl.NewDeployedPolicy(n, squash), nil
-	}
-}
-
 // Checkpoint is the header of the file: one trained system — either a
 // single shared agent or one agent per resource autonomy — plus the
 // provenance key fields the store addresses it by.
@@ -380,42 +364,107 @@ func Read(r io.Reader) (*Checkpoint, error) {
 // Decode parses and validates checkpoint bytes (see Read). It accepts only
 // what Write writes, so writing the result gives data back byte for byte,
 // and the tensors it returns are views of data: the caller must not change
-// data while the checkpoint is in use. It allocates no tensor, and checks
-// each declared length against the payload left before slicing it.
+// data while the checkpoint is in use. It allocates no tensor.
 func Decode(data []byte) (*Checkpoint, error) {
 	end := bytes.IndexByte(data, '\n')
 	if end < 0 {
 		end = len(data)
 	}
-	var c Checkpoint
-	if err := json.Unmarshal(data[:end], &c); err != nil {
-		// A field of the wrong type leaves the others decoded, so a file of
-		// another format (v2's RNG was an object) is named by Validate.
-		if c.Format == "" || c.Format == Format {
-			return nil, fmt.Errorf("ckpt: decode header: %w", err)
-		}
-	}
-	if err := c.Validate(); err != nil {
+	c, vs, err := decodeHeader(data[:end], len(data)-end-1)
+	if err != nil {
 		return nil, err
-	}
-	if canon, err := json.Marshal(&c); err != nil || !bytes.Equal(canon, data[:end]) || len(data) < end+1+4 {
-		return nil, errors.New("ckpt: header is not as Write writes it, or no payload follows it")
 	}
 	body := data[:len(data)-4]
 	rest := body[end+1:]
-	for _, v := range c.tensors() {
-		if v.Len < 0 || v.Len > len(rest)/8 {
-			return nil, fmt.Errorf("ckpt: tensor of %d values, %d payload bytes left", v.Len, len(rest))
-		}
+	for _, v := range vs {
 		v.data, rest = rest[:8*v.Len:8*v.Len], rest[8*v.Len:]
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("ckpt: %d payload bytes past the last tensor", len(rest))
 	}
 	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(data[len(body):]) {
 		return nil, errors.New("ckpt: checksum mismatch")
 	}
-	return &c, nil
+	return c, nil
+}
+
+// decodeHeader parses and validates the header line of a file whose payload
+// (tensors and CRC) is payload bytes long, checking each declared tensor
+// length against it, and returns the checkpoint and its tensors in order.
+func decodeHeader(line []byte, payload int) (*Checkpoint, []*values, error) {
+	var c Checkpoint
+	if err := json.Unmarshal(line, &c); err != nil {
+		// A field of the wrong type leaves the others decoded, so a file of
+		// another format (v2's RNG was an object) is named by Validate.
+		if c.Format == "" || c.Format == Format {
+			return nil, nil, fmt.Errorf("ckpt: decode header: %w", err)
+		}
+	}
+	if err := c.Validate(); err != nil {
+		return nil, nil, err
+	}
+	if canon, err := json.Marshal(&c); err != nil || !bytes.Equal(canon, line) || payload < 4 {
+		return nil, nil, errors.New("ckpt: header is not as Write writes it, or no payload follows it")
+	}
+	rest, vs := payload-4, c.tensors()
+	for _, v := range vs {
+		if v.Len < 0 || v.Len > rest/8 {
+			return nil, nil, fmt.Errorf("ckpt: tensor of %d values, %d payload bytes left", v.Len, rest)
+		}
+		rest -= 8 * v.Len
+	}
+	if rest != 0 {
+		return nil, nil, fmt.Errorf("ckpt: %d payload bytes past the last tensor", rest)
+	}
+	return &c, vs, nil
+}
+
+// readChunk is the size of ReadActing's buffer.
+const readChunk = 4096
+
+// ReadActing reads a checkpoint of size bytes from r with Read's checks,
+// the CRC over the whole file included, but keeps only each agent's acting
+// network (see Deploy): every other tensor streams through the checksum in
+// fixed-size reads and is left without values, so what it returns deploys
+// and nothing else.
+func ReadActing(r io.Reader, size int) (*Checkpoint, error) {
+	br := bufio.NewReaderSize(r, readChunk)
+	line, err := br.ReadBytes('\n')
+	if err != nil && err != io.EOF {
+		return nil, fmt.Errorf("ckpt: read: %w", err)
+	}
+	c, vs, err := decodeHeader(bytes.TrimSuffix(line, []byte{'\n'}), size-len(line))
+	if err != nil {
+		return nil, err
+	}
+	for _, st := range c.Agents {
+		a, err := lookup(st.Algo)
+		if err != nil {
+			return nil, err
+		}
+		if t := st.Nets[a.role]; t != nil {
+			t.data = make([]byte, 8*t.Len)
+		}
+	}
+	crc, b := crc32.ChecksumIEEE(line), []byte(nil)
+	for _, v := range vs {
+		for n := 8 * v.Len; n > 0 && err == nil; n -= len(b) {
+			b, err = br.Peek(min(n, readChunk))
+			crc = crc32.Update(crc, crc32.IEEETable, b)
+			if v.data != nil {
+				copy(v.data[len(v.data)-n:], b)
+			}
+			_, _ = br.Discard(len(b))
+		}
+	}
+	var sum [4]byte
+	if err == nil {
+		_, err = io.ReadFull(br, sum[:])
+	}
+	if err != nil {
+		return nil, fmt.Errorf("ckpt: read: %w", err)
+	}
+	if crc != binary.LittleEndian.Uint32(sum[:]) {
+		return nil, errors.New("ckpt: checksum mismatch")
+	}
+	return c, nil
 }
 
 // Snapshotter is implemented by trainable agents that can serialize their
@@ -428,26 +477,26 @@ type Snapshotter interface {
 // snapshot's roles, so one snapshot restores into many independent agents.
 type RestoreFunc func(*AgentState) (rl.Agent, error)
 
-// DeployFunc builds a snapshot's acting policy alone (see Deploy).
-type DeployFunc func(*AgentState) (*rl.DeployedPolicy, error)
-
+// algorithm is a registered algorithm: its restore function and the role
+// of the network it acts with, a [mean, log-std] head of twice the action
+// width when squash is set.
 type algorithm struct {
 	restore RestoreFunc
-	deploy  DeployFunc
+	role    string
+	squash  bool
 }
 
 // registry is written only from package init (Register).
 var registry = map[string]algorithm{}
 
-// Register installs the restore and deploy functions for an algorithm
-// name. The algorithm packages call it from init, mirroring image-format
-// registration; importing an algorithm package makes its checkpoints
-// loadable.
-func Register(algo string, restore RestoreFunc, deploy DeployFunc) {
+// Register installs an algorithm's restore function and acting role (see
+// algorithm). The algorithm packages call it from init, mirroring
+// image-format registration: importing one makes its checkpoints loadable.
+func Register(algo string, restore RestoreFunc, role string, squash bool) {
 	if _, dup := registry[algo]; dup {
 		panic(fmt.Sprintf("ckpt: duplicate registration for %q", algo))
 	}
-	registry[algo] = algorithm{restore: restore, deploy: deploy}
+	registry[algo] = algorithm{restore: restore, role: role, squash: squash}
 }
 
 func lookup(algo string) (algorithm, error) {
@@ -468,14 +517,21 @@ func RestoreAgent(st *AgentState) (rl.Agent, error) {
 	return a.restore(st)
 }
 
-// Deploy builds one agent's acting policy from its snapshot, dispatching on
-// the algorithm name: the actor (DDPG, SAC) or the Gaussian policy's mean
-// network (PPO, TRPO, VPG), and nothing a trainer alone needs. It acts
-// bit-identically to RestoreAgent's agent.
+// Deploy builds one agent's acting policy from its snapshot's registered
+// acting network alone, the actor (DDPG, SAC) or the Gaussian policy's mean
+// network (PPO, TRPO, VPG): it acts bit-identically to RestoreAgent's agent.
 func Deploy(st *AgentState) (*rl.DeployedPolicy, error) {
 	a, err := lookup(st.Algo)
 	if err != nil {
 		return nil, err
 	}
-	return a.deploy(st)
+	out := st.ActionDim
+	if a.squash {
+		out *= 2
+	}
+	n, err := st.NetDims(a.role, st.StateDim, out)
+	if err != nil {
+		return nil, err
+	}
+	return rl.NewDeployedPolicy(n, a.squash), nil
 }

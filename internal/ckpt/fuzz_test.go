@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"os"
 	"runtime"
+	"strings"
 	"testing"
 
 	"edgeslice/internal/ckpt"
@@ -34,9 +35,10 @@ func hugeTensorFile(t testing.TB) []byte {
 	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
 }
 
-// FuzzDecodeCheckpoint: no byte sequence panics Decode or makes it
-// allocate more than decodeAllocBound, and whatever it accepts writes back
-// byte for byte.
+// FuzzDecodeCheckpoint: no byte sequence panics Decode or the streamed
+// ReadActing or makes either allocate more than decodeAllocBound; whatever
+// Decode accepts writes back byte for byte, and ReadActing accepts it too
+// unless an agent's algorithm is unregistered, and nothing else.
 func FuzzDecodeCheckpoint(f *testing.F) {
 	valid := goldenFile(f)
 	f.Add(valid)
@@ -56,6 +58,15 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 		runtime.ReadMemStats(&after)
 		if got, bound := after.TotalAlloc-before.TotalAlloc, decodeAllocBound(len(data)); got > bound {
 			t.Fatalf("Decode of %d bytes allocated %d, bound %d", len(data), got, bound)
+		}
+		runtime.ReadMemStats(&before)
+		_, serr := ckpt.ReadActing(bytes.NewReader(data), len(data))
+		runtime.ReadMemStats(&after)
+		if got, bound := after.TotalAlloc-before.TotalAlloc, decodeAllocBound(len(data)); got > bound {
+			t.Fatalf("ReadActing of %d bytes allocated %d, bound %d", len(data), got, bound)
+		}
+		if (serr == nil) != (err == nil) && (err != nil || !strings.Contains(serr.Error(), "no restore registered")) {
+			t.Fatalf("Decode returned %v, ReadActing %v", err, serr)
 		}
 		if err != nil {
 			return

@@ -467,3 +467,65 @@ func TestDeployMissingActorNamesRole(t *testing.T) {
 		})
 	}
 }
+
+// TestReadActingDeploysAsDecode: the streamed read of the golden file keeps
+// each agent's acting network, which deploys to a policy that acts bit for
+// bit as the one from Decode's full read; and a byte flipped in the
+// payload — every 53rd, through critics, Adam moments and replay rows, and
+// the last, in a role no agent acts with — fails it as it fails Decode,
+// through Store.Load too.
+func TestReadActingDeploysAsDecode(t *testing.T) {
+	data := goldenFile(t)
+	want, err := ckpt.Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ckpt.ReadActing(bytes.NewReader(data), len(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, st := range want.Agents {
+		pw, err := ckpt.Deploy(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pg, err := ckpt.Deploy(got.Agents[i])
+		if err != nil {
+			t.Fatalf("agent %d (%s): deploy of the streamed read: %v", i, st.Algo, err)
+		}
+		for _, x := range [][]float64{{0, 0}, {1, -1}, {0.3, 2.5}, {-1e6, 1e6}} {
+			if a, b := pg.Act(x), pw.Act(x); !sameBits(a, b) {
+				t.Errorf("agent %d (%s) at %v: streamed policy acts %v, decoded %v", i, st.Algo, x, a, b)
+			}
+		}
+	}
+
+	last := len(data) - 5 // the last payload byte, before the CRC
+	var flips []int
+	for i := bytes.IndexByte(data, '\n') + 1; i < last; i += 53 {
+		flips = append(flips, i)
+	}
+	for _, i := range append(flips, last) {
+		bad := bytes.Clone(data)
+		bad[i] ^= 0x10
+		if _, err := ckpt.Decode(bad); err == nil {
+			t.Fatalf("Decode accepted a flip at byte %d", i)
+		}
+		if _, err := ckpt.ReadActing(bytes.NewReader(bad), len(bad)); err == nil {
+			t.Errorf("ReadActing accepted a flip at byte %d", i)
+		}
+	}
+	store, err := ckpt.OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := ckpt.Key("edgeslice", "0123456789abcdef0123", 7, 6)
+	bad := bytes.Clone(data)
+	bad[last] ^= 0x10
+	if err := os.WriteFile(store.Path(key), bad, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.Load(key); err == nil {
+		t.Error("Store.Load accepted a flip in the last payload byte")
+	}
+}

@@ -64,16 +64,21 @@ func (s *Store) Path(key string) string {
 	return filepath.Join(s.dir, sanitize(key)+fileExt)
 }
 
-// Load reads and validates the checkpoint stored under key, or ErrNotFound.
-func (s *Store) Load(key string) (*Checkpoint, error) {
-	data, err := os.ReadFile(s.Path(key))
+// Load reads and validates the checkpoint stored under key, or ErrNotFound,
+// keeping only what deploys it (see ReadActing).
+func (s *Store) Load(key string) (c *Checkpoint, err error) {
+	f, err := os.Open(s.Path(key))
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
 			return nil, fmt.Errorf("%w: %s", ErrNotFound, key)
 		}
 		return nil, fmt.Errorf("ckpt: load %s: %w", key, err)
 	}
-	c, err := Decode(data)
+	defer func() { _ = f.Close() }()
+	fi, err := f.Stat()
+	if err == nil {
+		c, err = ReadActing(f, int(fi.Size()))
+	}
 	if err != nil {
 		return nil, fmt.Errorf("ckpt: load %s: %w", key, err)
 	}

@@ -132,24 +132,24 @@ type batchKey struct {
 // or its installed agents changed since the last call.
 func (e *BatchedExecutor) planFor(s *System) *batchPlan {
 	if p := e.cachePlan; p == nil || p.sys != s || p.gen != s.agentsGen {
-		e.cachePlan = s.newBatchPlan(e)
+		e.cachePlan = s.newBatchPlan(e, p)
 	}
 	return e.cachePlan
 }
 
 // newBatchPlan groups a learning system's RAs per (policy instance, state
 // shape) and splits each group's RAs into per-chunk spans; a baseline
-// system has no groups.
-func (s *System) newBatchPlan(e *BatchedExecutor) *batchPlan {
+// system has no groups. It reuses old's storage, forward workspaces
+// included, when old planned as many chunks on as many workers.
+func (s *System) newBatchPlan(e *BatchedExecutor, old *batchPlan) *batchPlan {
 	J, chunks := s.cfg.NumRAs, len(s.chunks)
-	p := &batchPlan{
-		e: e, sys: s, gen: s.agentsGen,
-		chunkSpans: make([]int, chunks+1),
-		baselines:  !s.cfg.Algo.IsLearning(),
-		workers:    min(e.workers, chunks),
-		chunkErr:   make([]chunkResult, chunks),
+	p := &batchPlan{e: e, sys: s, gen: s.agentsGen, baselines: !s.cfg.Algo.IsLearning(), workers: min(e.workers, chunks)}
+	if old != nil && len(old.chunkErr) == chunks && len(old.nws) == p.workers {
+		p.chunkSpans, p.chunkErr, p.nws, p.spans = old.chunkSpans, old.chunkErr, old.nws, old.spans[:0]
+		clear(p.chunkSpans)
+	} else {
+		p.chunkSpans, p.chunkErr, p.nws = make([]int, chunks+1), make([]chunkResult, chunks), make([]nn.Workspace, p.workers)
 	}
-	p.nws = make([]nn.Workspace, p.workers)
 	if p.baselines {
 		return p
 	}

@@ -62,7 +62,7 @@ func TestBatchedPartialHistoryOnStepError(t *testing.T) {
 		for _, workers := range []int{1, 2, 4, cfg.NumRAs} {
 			label := fmt.Sprintf("%s workers=%d", kind, workers)
 			s := deploy()
-			h := s.newRunHistory()
+			h := s.newRunHistory(4)
 			err := s.RunPeriodsInto(NewBatchedExecutor(workers), h, 4)
 			if err == nil || err.Error() != wantErr {
 				t.Fatalf("%s: RunPeriodsInto returned %v, want %q", label, err, wantErr)

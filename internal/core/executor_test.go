@@ -357,7 +357,7 @@ func (c engineCase) run(t *testing.T, s *System, e Executor) (*History, []byte) 
 		t.Fatal(err)
 	}
 	s.SetRecording(RecordOptions{StreamWindow: c.window, Log: hlog})
-	h := s.newRunHistory()
+	h := s.newRunHistory(c.periods)
 	event := func(p int) {
 		if c.ev != nil && c.ev.period == p {
 			if err := s.Env(c.ev.ra).SetCapacityScale(c.ev.scale); err != nil {

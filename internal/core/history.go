@@ -19,7 +19,8 @@ import (
 type History struct {
 	NumSlices, NumRAs, T int
 
-	// col[k] holds the n[k] records of kind k, size[k] bytes each.
+	// col[k] holds the last min(n[k], window) records of kind k, size[k]
+	// bytes each: in arrival order until a ring is window records long.
 	col  [2][]byte
 	size [2]int
 	n    [2]int
@@ -56,14 +57,22 @@ func NewHistory(numSlices, numRAs, t int) *History {
 // NewStreamingHistory allocates a history in streaming mode, whose memory is
 // O(window) independent of run length. A window of 0 or less uses 1024.
 func NewStreamingHistory(numSlices, numRAs, t, window int) *History {
+	return newStreamingHistory(numSlices, numRAs, t, window, math.MaxInt)
+}
+
+// newStreamingHistory is NewStreamingHistory with rings of min(window,
+// periods·T) interval and min(window, periods) period records, a run's;
+// appending past that doubles a ring, up to the window.
+func newStreamingHistory(numSlices, numRAs, t, window, periods int) *History {
 	if window <= 0 {
 		window = 1024
 	}
 	h := NewHistory(numSlices, numRAs, t)
 	h.window, h.size[pdKind] = window, numSlices+16
-	iv := window * h.size[ivKind]
-	rings := make([]byte, iv+window*h.size[pdKind])
-	h.col = [2][]byte{rings[:iv:iv], rings[iv:]}
+	periods = min(periods, window)
+	iv := min(window, periods*t) * h.size[ivKind]
+	rings := make([]byte, iv+periods*h.size[pdKind])
+	h.col = [2][]byte{rings[:0:iv], rings[iv:iv]}
 	h.sums = make([]float64, h.columns()+2)
 	for i, p := range StreamQuantiles {
 		h.sketches[i], _ = telemetry.NewQuantile(p) // every p is in (0, 1)
@@ -104,14 +113,15 @@ func (h *History) at(k, r int) []byte {
 }
 
 // slot returns the bytes the next record of kind k goes in: the next ring
-// slot (summary mode's one), or past the end of an exact column, which
-// doubles when full.
+// slot (summary mode's one), or past the end of an exact column. A full
+// column doubles, a ring up to its window: no ring wraps before it is
+// window records long, so a column to grow holds exactly r records.
 func (h *History) slot(k int) []byte {
-	off, size := h.n[k]%max(h.window, 1)*h.size[k], h.size[k]
-	if !h.Streaming() && cap(h.col[k]) < off+size {
-		h.col[k] = append(make([]byte, 0, 2*off+size), h.col[k]...)
+	r, size := h.n[k]%max(h.window, 1), h.size[k]
+	if cap(h.col[k]) < (r+1)*size {
+		h.col[k] = append(make([]byte, 0, min(2*r+1, h.window)*size), h.col[k][:r*size]...)
 	}
-	return h.col[k][off : off+size]
+	return h.col[k][r*size : (r+1)*size]
 }
 
 // store keeps the last size[k] bytes of rec, which the Add methods encode in
@@ -119,8 +129,10 @@ func (h *History) slot(k int) []byte {
 func (h *History) store(k int, rec []byte) {
 	rec = rec[len(rec)-h.size[k]:]
 	copy(h.slot(k), rec)
-	if h.n[k]++; !h.Streaming() {
+	if h.n[k]++; len(h.col[k]) < min(h.n[k], h.window)*h.size[k] {
 		h.col[k] = h.col[k][:len(h.col[k])+h.size[k]]
+	}
+	if !h.Streaming() {
 		return
 	}
 	C := h.columns()

@@ -67,14 +67,15 @@ func (s *System) SetRecording(opts RecordOptions) {
 	}
 }
 
-// newRunHistory allocates the History RunPeriodsWith records into, honoring
-// the configured recording mode.
-func (s *System) newRunHistory() *History {
+// newRunHistory allocates the History a run of n periods records into,
+// honoring the configured recording mode; a streaming one's rings start at
+// the run's length.
+func (s *System) newRunHistory(n int) *History {
 	I := s.cfg.EnvTemplate.NumSlices
 	J := s.cfg.NumRAs
 	T := s.cfg.EnvTemplate.T
 	if s.rec.StreamWindow > 0 {
-		return NewStreamingHistory(I, J, T, s.rec.StreamWindow)
+		return newStreamingHistory(I, J, T, s.rec.StreamWindow, n)
 	}
 	return NewHistory(I, J, T)
 }

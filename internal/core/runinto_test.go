@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"runtime"
 	"testing"
 )
@@ -71,5 +72,63 @@ func TestExactRecordingAllocsAmortized(t *testing.T) {
 	}
 	if h.Periods() != periods || h.Intervals() != periods*cfg.EnvTemplate.T {
 		t.Errorf("recorded %d periods / %d intervals", h.Periods(), h.Intervals())
+	}
+}
+
+// TestRunPeriodsWithHistoryExtends: RunPeriodsWith sizes a streaming
+// History's rings to its one period, and RunPeriodsInto then extends it
+// past that run and past the window, growing and wrapping the rings; it
+// must still hold what a full-window streaming History holds and answer as
+// the exact History of the same run does.
+func TestRunPeriodsWithHistoryExtends(t *testing.T) {
+	const window, more = 32, 5
+	cfg := execTestConfig(AlgoEdgeSlice)
+	I, J, T := cfg.EnvTemplate.NumSlices, cfg.NumRAs, cfg.EnvTemplate.T
+	run := func(first func(s *System) *History) *History {
+		s := deployedSystem(t, cfg)
+		h := first(s)
+		if err := s.RunPeriodsInto(NewSerialExecutor(), h, more); err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
+	into := func(h *History) func(*System) *History {
+		return func(s *System) *History {
+			if err := s.RunPeriodsInto(NewSerialExecutor(), h, 1); err != nil {
+				t.Fatal(err)
+			}
+			return h
+		}
+	}
+	got := run(func(s *System) *History {
+		s.SetRecording(RecordOptions{StreamWindow: window})
+		h, err := s.RunPeriodsWith(NewSerialExecutor(), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c := cap(h.col[ivKind]); c != T*h.size[ivKind] {
+			t.Fatalf("a one-period run's interval ring holds %d bytes, want %d records", c, T)
+		}
+		return h
+	})
+	requireSameRun(t, "full-window streaming", run(into(NewStreamingHistory(I, J, T, window))), got)
+	exact := run(into(NewHistory(I, J, T)))
+	n := exact.Intervals()
+	for c := 0; c < got.columns(); c++ {
+		if want := exact.IntervalColumn(c)[n-window:]; !reflect.DeepEqual(got.IntervalColumn(c), want) {
+			t.Errorf("interval column %d differs from the exact run's last %d records", c, window)
+		}
+	}
+	for p := 0; p < exact.Periods(); p++ {
+		_, slaW, primalW, dualW := exact.Period(p)
+		if _, sla, primal, dual := got.Period(p); !reflect.DeepEqual(sla, slaW) || primal != primalW || dual != dualW {
+			t.Errorf("period %d differs from the exact run's", p)
+		}
+	}
+	for _, lastN := range []int{1, window / 2, window} {
+		w, _ := exact.MeanSystemPerf(lastN)
+		if g, err := got.MeanSystemPerf(lastN); err != nil || g != w {
+			t.Errorf("MeanSystemPerf(%d) = %v (%v), exact %v", lastN, g, err, w)
+		}
 	}
 }

@@ -146,6 +146,9 @@ func (c Config) Validate() error {
 	if c.EnvPerRA != nil && len(c.EnvPerRA) != c.NumRAs {
 		return fmt.Errorf("core: EnvPerRA has %d entries, want %d", len(c.EnvPerRA), c.NumRAs)
 	}
+	if c.Rho < 0 {
+		return fmt.Errorf("core: Rho %v must be non-negative", c.Rho)
+	}
 	if c.Umin != nil && len(c.Umin) != c.EnvTemplate.NumSlices {
 		return fmt.Errorf("core: Umin has %d entries, want %d", len(c.Umin), c.EnvTemplate.NumSlices)
 	}
@@ -171,8 +174,8 @@ type System struct {
 	mon     *monitor.Monitor
 
 	trained bool
-	// agentsGen counts agent installations (Train/SetAgents): the cached
-	// batch plan is keyed on it, so it never outlives an agent swap.
+	// agentsGen counts agent installations (Train/SetAgents) and resets: the
+	// cached batch plan is keyed on it, so it never outlives an agent swap.
 	agentsGen int
 
 	// rec selects the recording mode (exact/streaming, on-disk log) and
@@ -187,32 +190,33 @@ type System struct {
 	// ws (the period workspace) is built on first use and only touched from
 	// the single RunPeriods driver goroutine.
 	ws *periodWS
+
+	// envCfgs and umin are NewSystemFrom's scratch: the RAs' environment
+	// configs and the default SLA vector.
+	envCfgs []netsim.Config
+	umin    []float64
 }
 
 // NewSystem builds the system (agents untrained; call Train before
 // RunPeriods for learning algorithms).
-func NewSystem(cfg Config) (*System, error) {
+func NewSystem(cfg Config) (*System, error) { return NewSystemFrom(nil, cfg) }
+
+// NewSystemFrom is NewSystem recycling prev, which the caller must be done
+// with: when cfg has prev's slice, RA and interval counts and its RAs chunk
+// as prev's, it resets prev in place to what NewSystem(cfg) builds, keeping
+// only storage (chunks, ADMM grids, period workspace); else it builds anew.
+func NewSystemFrom(prev *System, cfg Config) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	umin := cfg.Umin
-	if umin == nil {
-		umin = make([]float64, cfg.EnvTemplate.NumSlices)
-		for i := range umin {
-			umin[i] = PaperUmin
-		}
+	I, J := cfg.EnvTemplate.NumSlices, cfg.NumRAs
+	var envCfgs []netsim.Config
+	var reuse []*netsim.Chunk
+	if prev != nil && prev.cfg.NumRAs == J && prev.cfg.EnvTemplate.NumSlices == I && prev.cfg.EnvTemplate.T == cfg.EnvTemplate.T {
+		envCfgs, reuse = prev.envCfgs, prev.chunks
+	} else {
+		envCfgs = make([]netsim.Config, J)
 	}
-	coord, err := admm.NewCoordinator(admm.Config{
-		NumSlices:    cfg.EnvTemplate.NumSlices,
-		NumRAs:       cfg.NumRAs,
-		Rho:          cfg.Rho,
-		UminPerSlice: umin,
-	})
-	if err != nil {
-		return nil, err
-	}
-	s := &System{cfg: cfg, coord: coord, mon: monitor.New()}
-	envCfgs := make([]netsim.Config, cfg.NumRAs)
 	for j := range envCfgs {
 		envCfg := &envCfgs[j]
 		*envCfg = cfg.envFor(j)
@@ -220,17 +224,39 @@ func NewSystem(cfg Config) (*System, error) {
 		envCfg.TrainCoordRandom = false // orchestration mode
 		envCfg.Seed = cfg.Seed + int64(j)*7919
 	}
-	if s.chunks, err = netsim.NewChunks(envCfgs, chunkRAs); err != nil {
+	chunks, err := netsim.NewChunks(envCfgs, chunkRAs, reuse...)
+	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	s.chunkLo = make([]int, 1, len(s.chunks)+1)
-	s.envs = make([]*netsim.RAEnv, 0, cfg.NumRAs)
-	for _, ch := range s.chunks {
-		for r := 0; r < ch.Len(); r++ {
-			s.envs = append(s.envs, ch.Env(r))
+	s := prev
+	if reuse == nil || &chunks[0] != &reuse[0] {
+		s = &System{chunks: chunks, chunkLo: make([]int, 1, len(chunks)+1), envs: make([]*netsim.RAEnv, 0, J), envCfgs: envCfgs, umin: make([]float64, I)}
+		for _, ch := range chunks {
+			for r := 0; r < ch.Len(); r++ {
+				s.envs = append(s.envs, ch.Env(r))
+			}
+			s.chunkLo = append(s.chunkLo, len(s.envs))
 		}
-		s.chunkLo = append(s.chunkLo, len(s.envs))
 	}
+	umin := cfg.Umin
+	if umin == nil {
+		umin = s.umin
+		for i := range umin {
+			umin[i] = PaperUmin
+		}
+	}
+	acfg := admm.Config{NumSlices: I, NumRAs: J, Rho: cfg.Rho, UminPerSlice: umin}
+	if s.coord == nil {
+		if s.coord, err = admm.NewCoordinator(acfg); err != nil {
+			return nil, err
+		}
+	} else {
+		s.coord.Reset(acfg)
+	}
+	// Everything but storage starts as a fresh build's; a new agentsGen
+	// retires an engine's batch plan cached for the System's last run.
+	*s = System{cfg: cfg, chunks: s.chunks, chunkLo: s.chunkLo, envs: s.envs, coord: s.coord, mon: monitor.New(),
+		agentsGen: s.agentsGen + 1, stats: runStats{lastSLA: s.stats.lastSLA[:0]}, ws: s.ws, envCfgs: s.envCfgs, umin: s.umin}
 	return s, nil
 }
 
@@ -350,7 +376,7 @@ func (s *System) RunPeriods(n int) (*History, error) {
 // SetRecording asks for. On error the History holds what was recorded
 // before the failure.
 func (s *System) RunPeriodsWith(e Executor, n int) (*History, error) {
-	h := s.newRunHistory()
+	h := s.newRunHistory(n)
 	return h, s.RunPeriodsInto(e, h, n)
 }
 

@@ -51,12 +51,22 @@ type raState struct {
 
 // NewChunks validates cfgs, one per RA, and packs each run of consecutive
 // RAs whose configs are equal but for Seed and Sources into chunks of at
-// most max RAs.
-func NewChunks(cfgs []Config, max int) ([]*Chunk, error) {
+// most max RAs. When reuse, an earlier call's chunks at max, holds as many
+// RAs and each RA's config chunks with its chunk's, cfgs pack as reuse did:
+// NewChunks resets reuse in place, which the caller must be done with, and
+// returns it.
+func NewChunks(cfgs []Config, max int, reuse ...*Chunk) ([]*Chunk, error) {
 	for j := range cfgs {
 		if err := cfgs[j].Validate(); err != nil {
 			return nil, fmt.Errorf("RA %d env: %w", j, err)
 		}
+	}
+	if packs(reuse, cfgs) {
+		for _, c := range reuse {
+			c.reset(cfgs[:c.Len()])
+			cfgs = cfgs[c.Len():]
+		}
+		return reuse, nil
 	}
 	var chunks []*Chunk
 	for lo, hi := 0, 1; lo < len(cfgs); lo, hi = hi, hi+1 {
@@ -66,6 +76,22 @@ func NewChunks(cfgs []Config, max int) ([]*Chunk, error) {
 		chunks = append(chunks, newChunk(cfgs[lo:hi]))
 	}
 	return chunks, nil
+}
+
+// packs reports whether each of cfgs chunks with its chunk's config.
+func packs(chunks []*Chunk, cfgs []Config) bool {
+	for _, c := range chunks {
+		if c.Len() > len(cfgs) {
+			return false
+		}
+		for j := range c.Len() {
+			if !c.cfg.chunksWith(&cfgs[j]) {
+				return false
+			}
+		}
+		cfgs = cfgs[c.Len():]
+	}
+	return len(chunks) > 0 && len(cfgs) == 0
 }
 
 // chunksWith reports whether c and o are equal in every field but Seed and
@@ -88,7 +114,6 @@ func newChunk(cfgs []Config) *Chunk {
 	f := make([]float64, 4*n*I+I+(n+1)*I*L+cfg.MaxQueue+1)
 	col := func(k int) []float64 { return f[k*n*I : (k+1)*n*I : (k+1)*n*I] }
 	c := &Chunk{
-		cfg:        cfg,
 		sources:    make([][]traffic.Source, n),
 		demands:    make([][NumResources]float64, I),
 		Backlog:    make([]int, n*I),
@@ -100,21 +125,11 @@ func newChunk(cfgs []Config) *Chunk {
 		arrivals:   make([]mathutil.Poisson, (n+1)*I),
 		ras:        make([]raState, n),
 		views:      make([]RAEnv, n),
-		shared:     true,
 	}
 	c.tabs = c.arrivals[n*I:]
 	tables := f[4*n*I+I:]
 	for x := range c.arrivals {
 		c.arrivals[x] = mathutil.NewPoisson(tables[x*L:])
-	}
-	for r := range cfgs {
-		c.sources[r] = cfgs[r].Sources
-		c.shared = c.shared && &cfgs[r].Sources[0] == &cfg.Sources[0]
-		st := &c.ras[r]
-		st.seed, st.capScale = cfgs[r].Seed, 1
-		mathutil.SeedPCG(&st.pcg, st.seed)
-		st.rng = *rand.New(&st.pcg)
-		c.views[r] = RAEnv{c: c, r: r}
 	}
 	for i, a := range cfg.Apps {
 		c.demands[i] = a.Demand()
@@ -129,7 +144,30 @@ func newChunk(cfgs []Config) *Chunk {
 	case PerfServiceTime:
 		c.perfFn = ServiceTimePerf(cfg.ServiceTimeScale)
 	}
+	c.reset(cfgs)
 	return c
+}
+
+// reset starts the chunk as newChunk(cfgs) does, for cfgs that chunk with
+// its own. The Poisson tables keep their (λ, CDF): a table is a pure
+// function of λ, so a kept one draws what a rebuilt one would.
+func (c *Chunk) reset(cfgs []Config) {
+	c.cfg, c.shared = cfgs[0], true
+	clear(c.Backlog)
+	clear(c.carry)
+	clear(c.Z)
+	clear(c.Y)
+	clear(c.PeriodPerf)
+	clear(c.lam)
+	for r := range cfgs {
+		c.sources[r] = cfgs[r].Sources
+		c.shared = c.shared && &cfgs[r].Sources[0] == &cfgs[0].Sources[0]
+		st := &c.ras[r]
+		*st = raState{seed: cfgs[r].Seed, capScale: 1}
+		mathutil.SeedPCG(&st.pcg, st.seed)
+		st.rng = *rand.New(&st.pcg)
+		c.views[r] = RAEnv{c: c, r: r}
+	}
 }
 
 // Len returns the number of RAs in the chunk.

@@ -12,7 +12,7 @@ import (
 func init() {
 	for _, name := range techniques {
 		ckpt.Register(name, func(st *ckpt.AgentState) (rl.Agent, error) { return Restore(st) },
-			ckpt.Acting("policy-mean", false))
+			"policy-mean", false)
 	}
 }
 

@@ -2,50 +2,45 @@ package scenario
 
 import (
 	"runtime"
-	"sync/atomic"
 	"testing"
 )
 
-// TestReplicaAllocsBounded is the scenario half of the allocation gates:
-// one warm-started heterogeneous-mix EdgeSlice replica of 100 periods —
-// system build, policy deploy and every period recorded into the default
-// summary History — allocates at most twice the replicaAllocs measured when
-// the gate was last set (13,283 before the replica period stopped
-// allocating, 439 while each replica restored a full trainer and grew its
-// History), and at most replicaBytes: an exact History of the run would
-// add its 157 KB of records.
+// TestReplicaAllocsBounded is the scenario half of the allocation gates: a
+// warm sweep of heterogeneous-mix, edgeslice, taro and equal, 8 replicas of
+// 100 periods each on 2 workers, from a checkpoint store one training
+// primes, allocates per replica at most replicaAllocs times — what a
+// replica cost when each built its own System and read the whole
+// checkpoint once per sweep (13,283 before the replica period stopped
+// allocating) — and at most replicaBytes: each worker resets one System,
+// and the sweep keeps only the store's acting network.
 func TestReplicaAllocsBounded(t *testing.T) {
-	const replicaAllocs, replicaBytes = 164, 64 << 10
+	const replicaAllocs, replicaBytes = 114, 12 << 10
 	spec, err := Get("heterogeneous-mix")
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec.Algorithms = []string{"edgeslice"}
+	spec.Algorithms = []string{"edgeslice", "taro", "equal"}
 	spec.Periods = 100
 	spec.TrainSteps = 400
-	opts := Options{WarmStart: true}
-	var trainings atomic.Int64
-	warm, err := warmCheckpoints(spec, opts, &trainings)
-	if err != nil {
-		t.Fatal(err)
-	}
-	replica := func() {
-		if _, err := runReplica(spec, "edgeslice", 0, warm["edgeslice"], &trainings, opts, nil); err != nil {
+	opts := Options{Replicas: 8, Parallel: 2, WarmStart: true, CheckpointDir: t.TempDir()}
+	replicas := float64(len(spec.Algorithms) * opts.Replicas)
+	sweep := func() {
+		if _, err := Run(spec, opts); err != nil {
 			t.Fatal(err)
 		}
 	}
-	allocs := testing.AllocsPerRun(3, replica)
-	if allocs > 2*replicaAllocs {
-		t.Errorf("a warm-started replica of %d periods allocates %v times, want <= %d", spec.Periods, allocs, 2*replicaAllocs)
+	sweep() // primes the store
+	if allocs := testing.AllocsPerRun(3, sweep) / replicas; allocs > replicaAllocs {
+		t.Errorf("a warm replica allocates %.1f times, want <= %d", allocs, replicaAllocs)
 	}
 	const runs = 3
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for range runs {
-		replica()
+		sweep()
 	}
 	runtime.ReadMemStats(&after)
-	if bytes := (after.TotalAlloc - before.TotalAlloc) / runs; bytes > replicaBytes {
-		t.Errorf("a warm-started replica of %d periods allocates %d bytes, want <= %d", spec.Periods, bytes, replicaBytes)
+	if bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs / replicas; bytes > replicaBytes {
+		t.Errorf("a warm replica allocates %.0f bytes, want <= %d", bytes, replicaBytes)
 	}
 }

@@ -51,12 +51,12 @@ func TestEngineDeterminismAcrossWorkers(t *testing.T) {
 			var trainings atomic.Int64
 
 			hSerial := exactHistory(spec)
-			if _, err := runReplica(spec, algo, 0, nil, &trainings, Options{Workers: 1}, hSerial); err != nil {
+			if _, err := new(replicaWorker).runReplica(spec, algo, 0, nil, &trainings, Options{Workers: 1}, hSerial); err != nil {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{4, spec.NumRAs} {
 				hGot := exactHistory(spec)
-				if _, err := runReplica(spec, algo, 0, nil, &trainings, Options{Workers: workers}, hGot); err != nil {
+				if _, err := new(replicaWorker).runReplica(spec, algo, 0, nil, &trainings, Options{Workers: workers}, hGot); err != nil {
 					t.Fatal(err)
 				}
 				if !reflect.DeepEqual(hSerial, hGot) {

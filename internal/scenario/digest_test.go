@@ -15,7 +15,7 @@ import (
 	"edgeslice/internal/netsim"
 )
 
-// sweepDigests pins, per (scenario, recording mode), the sha256 of a short
+// sweepDigests pins, per scenario, the sha256 of a short
 // warm-started sweep's outputs — every replica History's records, every
 // replica's history-log bytes and the rendered summary. They were computed at
 // commit 0ce9d15, before the runner recorded into one caller-owned History,
@@ -27,38 +27,27 @@ import (
 // change anywhere on the sweep path that moves one bit of one record fails
 // here, across commits.
 var sweepDigests = map[string]string{
-	"heterogeneous-mix/exact":    "04e62167e1a8675f6f003bf49fcc5759f329b7badacd7e6d4acd475d2a0c53be",
-	"heterogeneous-mix/stream25": "26964521300705e679107cbf61649c97d06c043d9763312286142f0ec9fc4554",
-	"flash-crowd/exact":          "68145feec23ba8a893531263cb72a3c49524eccd403f084216cb8a79de720126",
-	"flash-crowd/stream25":       "e43af3f1f977d9e80bf21a389d97e771000690f852835a173b3a4ebacf692127",
+	"heterogeneous-mix/exact": "04e62167e1a8675f6f003bf49fcc5759f329b7badacd7e6d4acd475d2a0c53be",
+	"flash-crowd/exact":       "68145feec23ba8a893531263cb72a3c49524eccd403f084216cb8a79de720126",
 }
 
 // TestSweepDigestPinned runs heterogeneous-mix and flash-crowd with a
 // warm-started EdgeSlice agent, TARO and equal share, two replicas each,
-// under exact and StreamWindow-25 recording, and compares the sha256 of
-// (a) each replica History's exported records as float bits plus its
-// summary accessors (the only thing a streaming History answers), (b) each
-// replica's history-log bytes and (c) the WriteSummary bytes with the
-// pinned value.
+// and compares the sha256 of (a) each replica's exact History records as
+// float bits plus its summary accessors, (b) each replica's history-log
+// bytes and (c) the WriteSummary bytes with the pinned value.
 func TestSweepDigestPinned(t *testing.T) {
 	for _, name := range []string{"heterogeneous-mix", "flash-crowd"} {
-		for _, window := range []int{0, 25} {
-			mode := "exact"
-			if window > 0 {
-				mode = fmt.Sprintf("stream%d", window)
+		key := name + "/exact"
+		t.Run(key, func(t *testing.T) {
+			if got, want := sweepDigest(t, name), sweepDigests[key]; got != want {
+				t.Errorf("sweep digest %s, pinned %s", got, want)
 			}
-			key := name + "/" + mode
-			t.Run(key, func(t *testing.T) {
-				got := sweepDigest(t, name, window)
-				if want := sweepDigests[key]; got != want {
-					t.Errorf("sweep digest %s, pinned %s", got, want)
-				}
-			})
-		}
+		})
 	}
 }
 
-func sweepDigest(t *testing.T, name string, window int) string {
+func sweepDigest(t *testing.T, name string) string {
 	t.Helper()
 	spec, err := Get(name)
 	if err != nil {
@@ -68,7 +57,7 @@ func sweepDigest(t *testing.T, name string, window int) string {
 	spec.TrainSteps = 400
 	const replicas = 2
 	dir := t.TempDir()
-	opts := Options{Replicas: replicas, Parallel: 2, WarmStart: true, StreamWindow: window, HistoryLogDir: dir}
+	opts := Options{Replicas: replicas, Parallel: 2, WarmStart: true, HistoryLogDir: dir}
 	sum, err := Run(spec, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -83,10 +72,7 @@ func sweepDigest(t *testing.T, name string, window int) string {
 	for _, algo := range spec.Algorithms {
 		for r := 0; r < replicas; r++ {
 			h := exactHistory(spec)
-			if window > 0 {
-				h = core.NewStreamingHistory(len(spec.Slices), spec.NumRAs, spec.T, window)
-			}
-			if _, err := runReplica(spec, algo, r, warm[algo], &trainings, Options{}, h); err != nil {
+			if _, err := new(replicaWorker).runReplica(spec, algo, r, warm[algo], &trainings, Options{}, h); err != nil {
 				t.Fatal(err)
 			}
 			hashHistory(t, d, h)

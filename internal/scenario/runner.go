@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
@@ -46,11 +47,6 @@ type Options struct {
 	Workers int
 	// Progress, when set, is called after each replica completes.
 	Progress func(completed, total int)
-	// StreamWindow, when positive, records each replica's periods into a
-	// streaming History instead of the default summary one. Both keep
-	// bounded memory, but only the summary's SSP is exact: a streaming SSP
-	// falls back to the full-run mean when the window is under half the run.
-	StreamWindow int
 	// HistoryLogDir, when set, writes each replica's full interval/period
 	// record to "<dir>/<scenario>-<algorithm>-r<replica>.histlog" — an
 	// append-only CRC-checked log replayable via core.ReplayHistoryLogFile,
@@ -177,6 +173,7 @@ func Run(spec Spec, opts Options) (*Summary, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			w := new(replicaWorker)
 			for idx := range jobCh {
 				j := jobs[idx]
 				if res, ok := tryResumeReplica(spec, j.algo, j.replica, opts); ok {
@@ -185,7 +182,7 @@ func Run(spec Spec, opts Options) (*Summary, error) {
 					reportProgress()
 					continue
 				}
-				res, err := runReplica(spec, j.algo, j.replica, warm[j.algo], &trainings, opts, nil)
+				res, err := w.runReplica(spec, j.algo, j.replica, warm[j.algo], &trainings, opts, nil)
 				results[idx] = res
 				errs[idx] = err
 				reportProgress()
@@ -346,40 +343,37 @@ func replicaResult(spec Spec, algoName string, replica int, h *core.History) (Re
 	}, nil
 }
 
-// runReplica executes one (algorithm, replica) run: it compiles the spec,
-// trains if needed (or installs the warm-start deployment), then advances
-// period by period on the batched engine at Options.Workers, applying runtime
-// events (RA degradation/recovery) at the boundary of the period containing
-// each event's interval; slice admission and teardown are compiled into the
-// slices' traffic sources. Every period records into the replica's one
-// History: h, or when h is nil a summary History (NewSummaryHistory, the two
-// sums replicaResult reads) or, with Options.StreamWindow, a streaming one.
-// The replica's history log receives the same records through the system's
-// recording options. Only a caller that passes an exact h can read the
-// replica's records afterwards (the determinism suite and the digest pin do).
-func runReplica(spec Spec, algoName string, replica int, warm *core.Deployment, trainings *atomic.Int64, opts Options, h *core.History) (ReplicaResult, error) {
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = spec.NumRAs
+// replicaWorker is one pool worker's System and engine, which it resets
+// and reuses for each of its replicas, whatever their algorithm.
+type replicaWorker struct {
+	sys  *core.System
+	exec *core.BatchedExecutor
+}
+
+// runReplica executes one (algorithm, replica) run on the worker's System
+// and engine: it compiles the spec, trains if needed (or deploys warm),
+// then runs period by period on the batched engine, applying runtime
+// events at the boundary of the period containing their interval. Every
+// period records into h (a caller's exact one to read afterwards) or a
+// summary History, and into the replica's history log.
+func (w *replicaWorker) runReplica(spec Spec, algoName string, replica int, warm *core.Deployment, trainings *atomic.Int64, opts Options, h *core.History) (ReplicaResult, error) {
+	if w.exec == nil {
+		w.exec = core.NewBatchedExecutor(cmp.Or(max(opts.Workers, 0), spec.NumRAs))
 	}
-	exec := core.NewBatchedExecutor(workers)
 	algo, err := core.ParseAlgorithm(algoName)
 	if err != nil {
 		return ReplicaResult{}, err
 	}
-	seed := replicaSeed(spec.Seed, replica)
-	cfg, err := spec.systemConfig(algo, seed)
+	cfg, err := spec.systemConfig(algo, replicaSeed(spec.Seed, replica))
 	if err != nil {
 		return ReplicaResult{}, err
 	}
-	sys, err := core.NewSystem(cfg)
-	if err != nil {
+	if w.sys, err = core.NewSystemFrom(w.sys, cfg); err != nil {
 		return ReplicaResult{}, err
 	}
+	sys := w.sys
 	if warm != nil && algo.IsLearning() {
-		// Every replica shares the one deployed policy: its ActBatch only
-		// reads the weights, and each replica's engine brings its own
-		// workspace.
+		// Replicas share the one deployed policy: ActBatch only reads it.
 		if err := sys.Deploy(warm); err != nil {
 			return ReplicaResult{}, err
 		}
@@ -393,11 +387,7 @@ func runReplica(spec Spec, algoName string, replica int, warm *core.Deployment, 
 	}
 
 	I, J, T := len(spec.Slices), spec.NumRAs, spec.T
-	switch {
-	case h != nil: // the caller's, to read afterwards
-	case opts.StreamWindow > 0:
-		h = core.NewStreamingHistory(I, J, T, opts.StreamWindow)
-	default:
+	if h == nil { // else the caller's, to read afterwards
 		h = core.NewSummaryHistory(I, J, T, spec.Periods)
 	}
 	var hlog *core.HistoryLog
@@ -427,7 +417,7 @@ func runReplica(spec Spec, algoName string, replica int, warm *core.Deployment, 
 				return ReplicaResult{}, err
 			}
 		}
-		if err := sys.RunPeriodsInto(exec, h, 1); err != nil {
+		if err := sys.RunPeriodsInto(w.exec, h, 1); err != nil {
 			return ReplicaResult{}, err
 		}
 	}

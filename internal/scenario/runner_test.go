@@ -326,28 +326,24 @@ func TestSystemConfigCompiles(t *testing.T) {
 	}
 }
 
-// TestRunnerStreamingAndHistoryLog runs the same scenario in exact and
-// streaming mode: with a window covering the steady-state half the summary
-// is bit-identical, and the per-replica history logs replay into full
-// histories of the right shape.
+// TestRunnerStreamingAndHistoryLog: a replica records into a summary
+// History and, with HistoryLogDir, into its history log; attaching the
+// logs leaves the summary bit-identical, and each log replays into a full
+// history of the run's shape.
 func TestRunnerStreamingAndHistoryLog(t *testing.T) {
-	spec := fastSpec() // 4 periods x T=10 = 40 intervals; half = 20
+	spec := fastSpec() // 4 periods x T=10 = 40 intervals
 	dir := t.TempDir()
 
 	summary, err := Run(spec, Options{Replicas: 2, Parallel: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	streamed, err := Run(spec, Options{
-		Replicas: 2, Parallel: 1,
-		StreamWindow:  32, // >= 20, so the steady-state tail mean stays exact
-		HistoryLogDir: dir,
-	})
+	logged, err := Run(spec, Options{Replicas: 2, Parallel: 1, HistoryLogDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(summary, streamed) {
-		t.Errorf("summary differs between summary and streaming mode:\n summary %+v\n stream  %+v", summary, streamed)
+	if !reflect.DeepEqual(summary, logged) {
+		t.Errorf("summary differs with history logs attached:\n without %+v\n with    %+v", summary, logged)
 	}
 
 	for r := 0; r < 2; r++ {
@@ -387,7 +383,7 @@ func TestRunSummaryMatchesExactReplicas(t *testing.T) {
 				for r, got := range sum.Algorithms[a].Replicas {
 					var trainings atomic.Int64
 					h := exactHistory(spec)
-					if _, err := runReplica(spec, algo, r, nil, &trainings, Options{}, h); err != nil {
+					if _, err := new(replicaWorker).runReplica(spec, algo, r, nil, &trainings, Options{}, h); err != nil {
 						t.Fatal(err)
 					}
 					if want, err := replicaResult(spec, algo, r, h); err != nil || got != want {
