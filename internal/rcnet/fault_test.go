@@ -466,6 +466,52 @@ func TestResumeFrameCarriesOwnColumns(t *testing.T) {
 	dial(2, primed)
 }
 
+// TestResumeFrameAcrossLogBlocks reads a resume frame back from a
+// coordination log that spans three blocks: every period's column is the
+// one recorded for it, on both sides of each block boundary.
+func TestResumeFrameAcrossLogBlocks(t *testing.T) {
+	const I, J, primed = 2, 3, 2*logSegment + 1
+	val := func(p, i, ra int) float64 { return float64(100*p + 10*i + ra + 1) }
+	zs, ys := make([][][]float64, primed), make([][][]float64, primed)
+	for p := range primed {
+		zs[p], ys[p] = make([][]float64, I), make([][]float64, I)
+		for i := range I {
+			zs[p][i], ys[p][i] = make([]float64, J), make([]float64, J)
+			for ra := range J {
+				zs[p][i][ra], ys[p][i][ra] = val(p, i, ra), -val(p, i, ra)
+			}
+		}
+	}
+	h, err := NewHub("127.0.0.1:0", I, J)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = h.Shutdown() }()
+	if err := h.PrimeResume(primed, zs, ys); err != nil {
+		t.Fatal(err)
+	}
+	const ra = 2
+	c, err := DialAgentCodec(h.Addr(), ra, testTimeout, CodecBinary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	m, err := c.Recv(testTimeout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Type != MsgResume || m.Period != primed || len(m.ZHist) != primed || len(m.YHist) != primed {
+		t.Fatalf("%s at period %d with %d/%d columns, want a resume at %d", m.Type, m.Period, len(m.ZHist), len(m.YHist), primed)
+	}
+	for p := range primed {
+		for i := range I {
+			if want := val(p, i, ra); m.ZHist[p][i] != want || m.YHist[p][i] != -want {
+				t.Fatalf("period %d slice %d: resume (z, y) = (%v, %v), want (%v, %v)", p, i, m.ZHist[p][i], m.YHist[p][i], want, -want)
+			}
+		}
+	}
+}
+
 // TestCollectKeepsPartialProgressAcrossAttempts pins the retry-path
 // collection semantics: a timed-out collect keeps the reports that did
 // arrive, a second attempt drains duplicates and stale-period reports

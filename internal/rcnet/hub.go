@@ -1,6 +1,7 @@
 package rcnet
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"net"
@@ -46,14 +47,15 @@ func (st *connState) setCodec(c Codec) {
 // broadcasts coordinating information, and collects per-period performance
 // reports. One hub serves every RA, as the paper's one performance
 // coordinator does: a listener, a conn table and coordination log under one
-// lock, a broadcast-writer pool, and a report channel that the one
-// coordinator loop drains in arrival order and files by RA index.
+// lock, and a report channel. The one coordinator loop writes each
+// period's columns itself, in RA order, then drains the reports in arrival
+// order and files them by RA index.
 //
 // Writes to agents are bounded: Broadcast and Shutdown apply a write
 // deadline (default 5s) and never hold the hub lock across a network
-// write, so one stalled agent cannot head-of-line block the round for
-// healthy RAs or deadlock dropConn/Shutdown. A connection that misses its
-// write deadline is dropped; the agent must re-register.
+// write, so a stalled agent cannot deadlock dropConn/Shutdown. It delays
+// the RAs written after it by at most one write timeout and is then
+// dropped; the agent must re-register.
 //
 // The hub survives agent churn: a re-registering RA supersedes its stale
 // connection (the old conn is closed, the new one installed) and receives
@@ -79,29 +81,21 @@ type Hub struct {
 	conns        map[int]*connState // registered RA -> conn
 	seenRAs      map[int]bool       // RAs that registered at least once
 	lastReported map[int]int        // last period each RA reported
-	zLog, yLog   []float64          // flat [period][slice][ra] coordination log
+	zLog, yLog   [][]float64        // coordination log: logSegment-period blocks of [period][slice][ra]
+	logged       int                // periods in the coordination log
 	completed    int
 
 	reports chan *reportBuf // perf reports from the conn readers
 	free    chan *reportBuf // decode buffers no reader or collector holds
-	bcast   chan bcastJob   // broadcast work for the writer pool
 	timer   *time.Timer     // the collect deadline, reused every period
 
-	// bcastMu serializes broadcast enqueues against Shutdown closing the
-	// writer pool: producers hold it shared while enqueueing, Shutdown holds
-	// it exclusively while closing the queue, so a job is either fully
-	// enqueued before the close (and drained by the pool) or rejected with
-	// errHubClosed — never stranded.
-	bcastMu     sync.RWMutex
-	bcastClosed bool
+	stats hubStats
+	wire  wireStats
 
-	stats  hubStats
-	wire   wireStats
-	poolWG sync.WaitGroup
-
-	// BroadcastTo's fan-out scratch, reused by the one coordinator loop.
-	bcastErrs []error
-	bcastWG   sync.WaitGroup
+	// The coordinator loop's broadcast state: every RA index in order (what
+	// Broadcast sends to) and the one RA's column each send fills.
+	everyRA    []int
+	zCol, yCol []float64
 
 	registered chan int
 	acceptWG   sync.WaitGroup
@@ -121,23 +115,6 @@ type reportBuf struct {
 // maxRecycledFrame keeps the buffer of a hostile near-maxLineBytes frame off
 // the free list, so it cannot pin megabytes per RA.
 const maxRecycledFrame = maxLineBytes / 4
-
-// bcastJob is one RA's coordination send, executed by a pool writer. The
-// worker builds the RA's column from the shared read-only grids, writes it
-// deadline-bounded, stores any failure in the caller's slot, and signals
-// the caller's WaitGroup.
-type bcastJob struct {
-	st     *connState
-	ra     int
-	period int
-	z, y   [][]float64 // full [slice][ra] grids, read-only
-	err    *error      // caller's per-RA error slot (exactly one writer)
-	wg     *sync.WaitGroup
-}
-
-// broadcastWriters is the size of the broadcast-writer pool, capped by the
-// RA count.
-const broadcastWriters = 4
 
 // NewHub listens on addr (e.g. "127.0.0.1:0") for numRAs agents managing
 // numSlices slices each.
@@ -159,13 +136,15 @@ func NewHub(addr string, numSlices, numRAs int) (*Hub, error) {
 		seenRAs:      make(map[int]bool, numRAs),
 		lastReported: make(map[int]int, numRAs),
 		// Capacity covers the worst case — one in-flight frame per RA — so
-		// readers never block a collect and enqueues never block a broadcast.
+		// readers never block a collect.
 		reports: make(chan *reportBuf, numRAs),
 		// One buffer per reader, per queued report and for the collector: a
 		// healthy hub never allocates one once its first frames sized them.
 		free:       make(chan *reportBuf, 2*numRAs+1),
-		bcast:      make(chan bcastJob, numRAs),
 		timer:      time.NewTimer(time.Hour),
+		everyRA:    make([]int, numRAs),
+		zCol:       make([]float64, numSlices),
+		yCol:       make([]float64, numSlices),
 		registered: make(chan int, numRAs),
 		closed:     make(chan struct{}),
 	}
@@ -173,9 +152,8 @@ func NewHub(addr string, numSlices, numRAs int) (*Hub, error) {
 	for range cap(h.free) {
 		h.free <- new(reportBuf)
 	}
-	for range min(broadcastWriters, numRAs) {
-		h.poolWG.Add(1)
-		go h.broadcastWorker()
+	for ra := range h.everyRA {
+		h.everyRA[ra] = ra
 	}
 	h.acceptWG.Add(1)
 	go h.acceptLoop()
@@ -518,24 +496,24 @@ func (h *Hub) PrimeResume(periods int, zs, ys [][][]float64) error {
 	if len(h.seenRAs) > 0 {
 		return errors.New("rcnet: prime resume after an agent registered; prime immediately after NewHub")
 	}
-	if h.completed != 0 || len(h.zLog) != 0 {
+	if h.completed != 0 || h.logged != 0 {
 		return errors.New("rcnet: hub already holds coordination history")
 	}
 	h.completed = periods
 	for p := 0; p < periods; p++ {
 		h.zLog, h.yLog = h.appendGrid(h.zLog, zs[p]), h.appendGrid(h.yLog, ys[p])
+		h.logged++
 	}
 	return nil
 }
 
-// Broadcast sends each RA its coordination column for the period. z and y
-// are [slice][ra] grids.
+// Broadcast sends each RA its coordination column for the period, RA 0
+// first. z and y are [slice][ra] grids.
 //
-// Connections are snapshotted under the hub lock and written by the
-// writer pool outside it with a write deadline, so a stalled agent delays
-// the round by at most the write timeout, never blocks healthy RAs'
-// writes, and never wedges callers that need the hub lock (dropConn,
-// Shutdown). A connection that fails or times out is dropped and reported;
+// Each write happens on the caller's goroutine, outside the hub lock and
+// under a write deadline, so it never wedges callers that need the hub
+// lock (dropConn, Shutdown). A stalled agent delays the RAs after it by at
+// most one write timeout; its connection is then dropped and reported, and
 // the remaining RAs still receive their coordination. Broadcast is
 // intended to be called from a single coordinator loop, not concurrently.
 func (h *Hub) Broadcast(period int, z, y [][]float64) error {
@@ -550,20 +528,16 @@ func (h *Hub) Broadcast(period int, z, y [][]float64) error {
 		}
 	}
 	h.mu.Unlock()
-	ras := make([]int, h.numRAs)
-	for ra := range ras {
-		ras[ra] = ra
-	}
-	return h.BroadcastTo(period, z, y, ras)
+	return h.BroadcastTo(period, z, y, h.everyRA)
 }
 
 // BroadcastTo sends the period's coordination columns to a subset of RAs —
 // the retry path re-broadcasts an in-flight period only to the RAs whose
 // reports are still missing, so agents that already stepped it are never
-// asked to step it twice. The sends are fanned out to the writer pool. An
-// RA that is not currently registered, or whose write fails, contributes
-// to the returned error (first in ras order, for determinism); the others
-// still receive their columns.
+// asked to step it twice. It writes them one after another in ras order,
+// as Broadcast does. An RA that is not currently registered, or whose
+// write fails, contributes to the returned error (the first in ras order);
+// the others still receive their columns.
 func (h *Hub) BroadcastTo(period int, z, y [][]float64, ras []int) error {
 	if len(z) != h.numSlices || len(y) != h.numSlices {
 		return fmt.Errorf("rcnet: coordination grids have %d/%d slices, want %d", len(z), len(y), h.numSlices)
@@ -574,31 +548,35 @@ func (h *Hub) BroadcastTo(period int, z, y [][]float64, ras []int) error {
 		}
 	}
 	h.recordCoordination(period, z, y)
-	h.bcastErrs = resize(h.bcastErrs, len(ras))
-	errs, wg := h.bcastErrs, &h.bcastWG
-	clear(errs)
-	h.bcastMu.RLock()
-	for k, ra := range ras {
-		h.mu.Lock()
-		st, ok := h.conns[ra]
-		h.mu.Unlock()
-		switch {
-		case !ok:
-			errs[k] = fmt.Errorf("rcnet: RA %d not connected", ra)
-		case h.bcastClosed:
-			errs[k] = errHubClosed
-		default:
-			wg.Add(1)
-			//edgeslice:lockio the send cannot block: the queue has capacity for one job per RA and a broadcast enqueues at most one job per RA, while bcastMu (held shared) pins the queue open
-			h.bcast <- bcastJob{st: st, ra: ra, period: period, z: z, y: y, err: &errs[k], wg: wg}
-		}
+	var first error
+	for _, ra := range ras {
+		first = cmp.Or(first, h.sendColumn(period, z, y, ra))
 	}
-	h.bcastMu.RUnlock()
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
+	return first
+}
+
+// sendColumn writes RA ra its coordination column from the [slice][ra]
+// grids. A failed or timed-out write drops the connection, so the next
+// round fails fast instead of stalling again.
+//
+//edgeslice:noalloc
+func (h *Hub) sendColumn(period int, z, y [][]float64, ra int) error {
+	h.mu.Lock()
+	st, ok := h.conns[ra]
+	h.mu.Unlock()
+	if !ok {
+		//edgeslice:allocok cold error path
+		return fmt.Errorf("rcnet: RA %d not connected", ra)
+	}
+	for i := range h.zCol {
+		h.zCol[i] = z[i][ra]
+		h.yCol[i] = y[i][ra]
+	}
+	e := Envelope{Type: MsgCoordination, Period: period, Z: h.zCol, Y: h.yCol}
+	if err := st.send(e, h.writeTimeout); err != nil {
+		h.dropConn(ra, st)
+		//edgeslice:allocok cold error path
+		return fmt.Errorf("rcnet: broadcast to RA %d: %w", ra, err)
 	}
 	return nil
 }
@@ -635,20 +613,13 @@ func (h *Hub) CollectReportsInto(period int, timeout time.Duration, out []Envelo
 func (h *Hub) Shutdown() error {
 	var err error
 	h.closeOnce.Do(func() {
-		// Stop the broadcast pool first: after bcastClosed is set no new
-		// job can be enqueued, and closing the queue lets each worker drain
-		// what was enqueued before exiting, so no BroadcastTo caller is left
-		// waiting on a stranded job.
-		h.bcastMu.Lock()
-		h.bcastClosed = true
-		close(h.bcast)
-		h.bcastMu.Unlock()
 		// Snapshot every live connection — including ones stalled before
 		// or mid-registration — so closing them unblocks every reader
 		// goroutine; otherwise readerWG.Wait below could hang forever on a
 		// peer that connected but never completed its register frame. The
 		// shutdown flag stops handleConn from tracking (and blocking on)
-		// conns accepted after this snapshot.
+		// conns accepted after this snapshot. Emptying the conn table fails
+		// every later broadcast send; one in flight fails on its closed conn.
 		h.mu.Lock()
 		h.shutdown = true
 		states := make([]*connState, 0, len(h.live))
@@ -668,7 +639,6 @@ func (h *Hub) Shutdown() error {
 		h.acceptWG.Wait()
 		h.readerWG.Wait()
 		h.reaperWG.Wait()
-		h.poolWG.Wait()
 	})
 	return err
 }
@@ -684,64 +654,38 @@ func (h *Hub) putReport(b *reportBuf) {
 	}
 }
 
-// broadcastWorker drains the broadcast queue until Shutdown closes it;
-// range yields every job enqueued before the close, so no caller is left
-// waiting on an abandoned slot. The worker owns its column buffers.
-func (h *Hub) broadcastWorker() {
-	defer h.poolWG.Done()
-	zCol, yCol := make([]float64, h.numSlices), make([]float64, h.numSlices)
-	for job := range h.bcast {
-		h.runBroadcast(job, zCol, yCol)
-	}
-}
-
-// runBroadcast sends one RA its coordination column. A failed or timed-out
-// write drops the connection so the next round fails fast instead of
-// stalling again.
-//
-//edgeslice:noalloc
-func (h *Hub) runBroadcast(job bcastJob, zCol, yCol []float64) {
-	defer job.wg.Done()
-	for i := range zCol {
-		zCol[i] = job.z[i][job.ra]
-		yCol[i] = job.y[i][job.ra]
-	}
-	e := Envelope{Type: MsgCoordination, Period: job.period, Z: zCol, Y: yCol}
-	if err := job.st.send(e, h.writeTimeout); err != nil {
-		h.dropConn(job.ra, job.st)
-		//edgeslice:allocok cold error path
-		*job.err = fmt.Errorf("rcnet: broadcast to RA %d: %w", job.ra, err)
-	}
-}
-
 // recordCoordination remembers the period's (Z, Y) grids for later resume
 // frames. Retried broadcasts of an already-recorded period are no-ops; a
 // period's grids never change between attempts.
 func (h *Hub) recordCoordination(period int, z, y [][]float64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if period != h.logged() {
+	if period != h.logged {
 		return // retry of a recorded period, or a caller reusing period numbers
 	}
 	h.zLog, h.yLog = h.appendGrid(h.zLog, z), h.appendGrid(h.yLog, y)
+	h.logged++
 }
 
-// logged is the number of periods in the coordination log.
-func (h *Hub) logged() int { return len(h.zLog) / (h.numSlices * h.numRAs) }
+// logSegment is how many periods one block of the coordination log holds.
+// The log grows a block at a time and never copies, so every period costs
+// the same bytes however long the run, and blocks start at the same
+// periods for any RA count.
+const logSegment = 64
 
-// appendGrid appends a [slice][ra] grid to a flat coordination log,
-// doubling its capacity in whole periods so n logged periods cost
-// O(log n) allocations, at the same periods for any RA count.
+// appendGrid writes a [slice][ra] grid into period h.logged's slot of a
+// coordination log, adding a block when that period starts one.
 //
 //edgeslice:noalloc
-func (h *Hub) appendGrid(log []float64, g [][]float64) []float64 {
-	if n := len(g) * h.numRAs; len(log)+n > cap(log) {
-		//edgeslice:allocok the doubling step, once per doubling of the log
-		log = append(make([]float64, 0, 2*cap(log)+n), log...)
+func (h *Hub) appendGrid(log [][]float64, g [][]float64) [][]float64 {
+	n := len(g) * h.numRAs
+	if h.logged%logSegment == 0 {
+		//edgeslice:allocok one block per logSegment periods
+		log = append(log, make([]float64, logSegment*n))
 	}
-	for _, row := range g {
-		//edgeslice:allocok the capacity check above leaves room for the period
-		log = append(log, row[:h.numRAs]...)
+	slot := log[len(log)-1][h.logged%logSegment*n:]
+	for i, row := range g {
+		copy(slot[i*h.numRAs:], row[:h.numRAs])
 	}
 	return log
 }
@@ -755,7 +699,7 @@ func (h *Hub) resumePeriodLocked(ra int) int {
 	if last, ok := h.lastReported[ra]; ok && last+1 > catchUp {
 		catchUp = last + 1
 	}
-	return min(catchUp, h.logged()) // defensive: never promise columns we don't hold
+	return min(catchUp, h.logged) // defensive: never promise columns we don't hold
 }
 
 // resumeFrameLocked builds RA ra's catch-up frame from the coordination
@@ -769,9 +713,10 @@ func (h *Hub) resumeFrameLocked(ra int) Envelope {
 		e.ZHist, e.YHist = make([][]float64, catchUp), make([][]float64, catchUp)
 		for p := range catchUp {
 			e.ZHist[p], e.YHist[p] = make([]float64, I), make([]float64, I)
+			at := p % logSegment * I
 			for i := range I {
-				e.ZHist[p][i] = h.zLog[(p*I+i)*J+ra]
-				e.YHist[p][i] = h.yLog[(p*I+i)*J+ra]
+				e.ZHist[p][i] = h.zLog[p/logSegment][(at+i)*J+ra]
+				e.YHist[p][i] = h.yLog[p/logSegment][(at+i)*J+ra]
 			}
 		}
 	}

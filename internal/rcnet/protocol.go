@@ -24,9 +24,9 @@
 // against one hub, and pre-binary peers keep working unchanged.
 //
 // Hub-side writes carry a write deadline (5s)
-// and happen outside the hub lock: an agent that stops reading delays a
-// coordination round by at most the write timeout, after which its
-// connection is dropped and it must re-register.
+// and happen outside the hub lock: an agent that stops reading delays the
+// RAs written after it in a coordination round by at most one write
+// timeout, after which its connection is dropped and it must re-register.
 //
 // The coordination plane is fault tolerant: a re-registering RA supersedes
 // its stale connection and receives a resume frame carrying every
@@ -39,8 +39,8 @@
 // deployments keep working.
 //
 // One hub coordinates every RA, as the paper's one performance
-// coordinator does: a pool of broadcast writers fans each period's
-// columns out, one reader per connection decodes reports, and the
+// coordinator does: the coordinator loop writes each period's columns
+// itself in RA order, one reader per connection decodes reports, and the
 // coordinator files them by RA index, so the merge order is fixed.
 package rcnet
 

@@ -225,6 +225,91 @@ func TestBroadcastSurvivesStalledAgent(t *testing.T) {
 	}
 }
 
+// A stalled RA written ahead of a healthy one: the hub writes each round in
+// RA order, so RA 1's frame waits out RA 0's write timeout, and RA 1 must
+// still receive every round.
+func TestStalledAgentAheadOfHealthy(t *testing.T) {
+	const numSlices = 2048 // big frames so the stalled socket fills quickly
+	h, err := NewHub("127.0.0.1:0", numSlices, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = h.Shutdown() }()
+	h.writeTimeout = 150 * time.Millisecond
+
+	// RA 0 registers and then never reads.
+	stalled, err := net.Dial("tcp", h.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stalled.Close()
+	if err := writeMsg(stalled, Envelope{Type: MsgRegister, RA: 0}); err != nil {
+		t.Fatal(err)
+	}
+	// RA 1 is healthy and keeps draining coordination messages.
+	c1, err := DialAgent(h.Addr(), 1, testTimeout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c1.Close()
+	received := make(chan int, 1)
+	go func() {
+		n := 0
+		for {
+			if _, err := c1.Recv(time.Second); err != nil {
+				received <- n
+				return
+			}
+			n++
+		}
+	}()
+	if err := h.WaitRegistered(testTimeout); err != nil {
+		t.Fatal(err)
+	}
+
+	z := make([][]float64, numSlices)
+	for i := range z {
+		z[i] = []float64{0.123456789, 0.987654321}
+	}
+	var broadcasts int
+	var bErr error
+	for i := 0; i < 1000 && bErr == nil; i++ {
+		bErr = h.Broadcast(i, z, z)
+		broadcasts++
+	}
+	if bErr == nil {
+		t.Fatal("broadcast never failed although RA 0 stopped reading")
+	}
+	if !strings.Contains(bErr.Error(), "RA 0:") {
+		t.Errorf("failing round's error %q does not name RA 0", bErr)
+	}
+
+	start := time.Now()
+	if err := h.Broadcast(broadcasts, z, z); err == nil {
+		t.Error("broadcast should fail once the stalled RA was dropped")
+	}
+	if d := time.Since(start); d >= h.writeTimeout {
+		t.Errorf("round after the drop took %v, want it to fail before the %v write timeout", d, h.writeTimeout)
+	}
+	if n := <-received; n != broadcasts {
+		t.Errorf("healthy RA received %d/%d coordination messages", n, broadcasts)
+	}
+
+	if err := h.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- h.Broadcast(broadcasts+1, z, z) }()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Error("broadcast after Shutdown should fail")
+		}
+	case <-time.After(testTimeout):
+		t.Fatal("broadcast after Shutdown blocked")
+	}
+}
+
 // Regression: an agent reconnecting after WaitRegistered has returned must
 // still be served. The buffered registration channel can be full of stale
 // notifications; the hub used to block its per-connection goroutine on the
